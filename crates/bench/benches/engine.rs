@@ -80,18 +80,14 @@ fn bench_cascaded_inference(c: &mut Criterion) {
                 let mut engines = Vec::new();
                 for i in 0..depth {
                     let t = net.add_template(chain_template(i));
-                    engines.push(net.add_engine(t, format!("n{i}")));
+                    engines.push(net.add_engine(t));
                 }
                 for i in 0..depth - 1 {
                     let end = refill::fsm::StateId(2);
                     net.add_rule(
                         engines[i],
                         (i, 1),
-                        InterRule {
-                            peer: engines[i + 1],
-                            satisfying: vec![end],
-                            canonical: end,
-                        },
+                        InterRule::new(engines[i + 1], &[end], end),
                     );
                 }
                 // Only engine 0's two events are observed; everything else

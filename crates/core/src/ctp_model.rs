@@ -150,6 +150,8 @@ pub struct CtpModel {
     pub sink_states: RoleStates,
     /// FSM for the base station's record.
     pub bs: Arc<FsmTemplate<HopLabel>>,
+    /// Landmarks of [`CtpModel::bs`].
+    pub bs_states: RoleStates,
     /// The vocabulary the model was built from.
     pub vocabulary: CtpVocabulary,
 }
@@ -161,7 +163,7 @@ impl CtpModel {
         let (forwarder, forwarder_states) =
             build_radio_role("forwarder", vocabulary, RoleKind::Forwarder);
         let (sink, sink_states) = build_sink(vocabulary);
-        let bs = build_bs();
+        let (bs, bs_states) = build_bs();
         CtpModel {
             source: Arc::new(source),
             source_states,
@@ -170,6 +172,7 @@ impl CtpModel {
             sink: Arc::new(sink),
             sink_states,
             bs: Arc::new(bs),
+            bs_states,
             vocabulary,
         }
     }
@@ -262,12 +265,19 @@ fn build_sink(_vocab: CtpVocabulary) -> (FsmTemplate<HopLabel>, RoleStates) {
     (template, states)
 }
 
-fn build_bs() -> FsmTemplate<HopLabel> {
+fn build_bs() -> (FsmTemplate<HopLabel>, RoleStates) {
     let mut b = FsmBuilder::new("base-station");
     let init = b.state("Init");
     let done = b.state("Received");
     b.t(init, HopLabel::BsRecv, done);
-    b.build().expect("bs template is deterministic")
+    let template = b.build().expect("bs template is deterministic");
+    let states = RoleStates {
+        got: done,
+        sending: None,
+        dup_drop: None,
+        serial_sent: None,
+    };
+    (template, states)
 }
 
 /// Synthesize a displayable [`Event`] for an inferred lost transition on an

@@ -261,9 +261,9 @@ fn classification_entry(report: &PacketReport) -> Option<usize> {
         return None;
     }
     let mut has_successor = vec![false; n];
-    for e in &report.flow.entries {
-        for &d in &e.deps {
-            has_successor[d] = true;
+    for i in 0..n {
+        for &d in report.flow.deps_of(i) {
+            has_successor[d as usize] = true;
         }
     }
     // A dup entry counts as the packet's end only when its engine *is* the

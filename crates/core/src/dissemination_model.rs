@@ -99,31 +99,23 @@ impl DisseminationRound {
         let mut net: ConnectedNet<PeerLabel, PeerLabel> = ConnectedNet::new();
         let dt = net.add_template(disseminator_template(n_receivers));
         let broadcast_done = net.template(dt).state_by_name("Sent").expect("exists");
-        let disseminator = net.add_engine(dt, "disseminator");
+        let disseminator = net.add_engine(dt);
         let mut receivers = Vec::with_capacity(n_receivers);
         let mut confirm_sent = StateId(0);
         for i in 0..n_receivers {
             let rt = net.add_template(receiver_template(i));
             confirm_sent = net.template(rt).state_by_name("Confirmed").expect("exists");
-            let r = net.add_engine(rt, format!("receiver{i}"));
+            let r = net.add_engine(rt);
             receivers.push(r);
             net.add_rule(
                 r,
                 (DissLabel::RecvUpdate, i),
-                InterRule {
-                    peer: disseminator,
-                    satisfying: vec![broadcast_done],
-                    canonical: broadcast_done,
-                },
+                InterRule::new(disseminator, &[broadcast_done], broadcast_done),
             );
             net.add_rule(
                 disseminator,
                 (DissLabel::ConfirmFrom, i),
-                InterRule {
-                    peer: r,
-                    satisfying: vec![confirm_sent],
-                    canonical: confirm_sent,
-                },
+                InterRule::new(r, &[confirm_sent], confirm_sent),
             );
         }
         DisseminationRound {

@@ -12,6 +12,11 @@
 //! branches is genuinely undetermined; [`EventFlow::happens_before`] answers
 //! ordering queries against the true partial order, while the linearization
 //! is one consistent witness.
+//!
+//! The edges of all entries sit back to back in one vector; an entry holds
+//! only where its own run ends ([`FlowEntry::dep_end`]), and
+//! [`EventFlow::deps_of`] reads a run back. A flow is therefore two
+//! allocations however many entries it has.
 
 use crate::net::EngineId;
 use serde::{Deserialize, Serialize};
@@ -26,17 +31,26 @@ pub struct FlowEntry<E> {
     pub engine: EngineId,
     /// `true` for events present in a log; `false` for inferred lost events.
     pub observed: bool,
-    /// Indices of entries this one is ordered after (its immediate
-    /// predecessors in the partial order).
-    pub deps: Vec<usize>,
+    /// Where this entry's run of predecessor edges ends in the flow's edge
+    /// vector; it starts where the previous entry's ends. Read the run
+    /// through [`EventFlow::deps_of`].
+    pub dep_end: u32,
 }
 
 /// A reconstructed event flow.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventFlow<E> {
     /// Entries in linearization order (a topological order of the partial
     /// order by construction).
     pub entries: Vec<FlowEntry<E>>,
+    /// The predecessor edges of every entry, back to back in entry order.
+    deps: Vec<u32>,
+}
+
+impl<E> Default for EventFlow<E> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<E> EventFlow<E> {
@@ -44,19 +58,40 @@ impl<E> EventFlow<E> {
     pub fn new() -> Self {
         EventFlow {
             entries: Vec::new(),
+            deps: Vec::new(),
         }
     }
 
-    /// Append an entry; returns its index.
-    pub fn push(&mut self, payload: E, engine: EngineId, observed: bool, deps: Vec<usize>) -> usize {
-        debug_assert!(deps.iter().all(|&d| d < self.entries.len()));
+    /// An empty flow with room for `entries` entries and `deps` edges.
+    pub fn with_capacity(entries: usize, deps: usize) -> Self {
+        EventFlow {
+            entries: Vec::with_capacity(entries),
+            deps: Vec::with_capacity(deps),
+        }
+    }
+
+    /// Append an entry ordered after the entries `deps` (its immediate
+    /// predecessors in the partial order); returns its index.
+    pub fn push(&mut self, payload: E, engine: EngineId, observed: bool, deps: &[u32]) -> usize {
+        debug_assert!(deps.iter().all(|&d| (d as usize) < self.entries.len()));
+        self.deps.extend_from_slice(deps);
         self.entries.push(FlowEntry {
             payload,
             engine,
             observed,
-            deps,
+            dep_end: self.deps.len() as u32,
         });
         self.entries.len() - 1
+    }
+
+    /// Indices of the entries that entry `i` is ordered after (its
+    /// immediate predecessors in the partial order).
+    pub fn deps_of(&self, i: usize) -> &[u32] {
+        let start = match i {
+            0 => 0,
+            _ => self.entries[i - 1].dep_end as usize,
+        };
+        &self.deps[start..self.entries[i].dep_end as usize]
     }
 
     /// Number of entries.
@@ -111,9 +146,9 @@ impl<E> EventFlow<E> {
                 continue;
             }
             seen[i] = true;
-            for &d in &self.entries[i].deps {
-                if d >= a {
-                    stack.push(d);
+            for &d in self.deps_of(i) {
+                if d as usize >= a {
+                    stack.push(d as usize);
                 }
             }
         }
@@ -138,10 +173,7 @@ impl<E> EventFlow<E> {
     /// Verify the linearization is a topological order of the dependency
     /// edges (always true by construction; exposed for property tests).
     pub fn is_consistent(&self) -> bool {
-        self.entries
-            .iter()
-            .enumerate()
-            .all(|(i, e)| e.deps.iter().all(|&d| d < i))
+        (0..self.entries.len()).all(|i| self.deps_of(i).iter().all(|&d| (d as usize) < i))
     }
 
     /// Render the partial order as Graphviz DOT: entries are nodes (dashed
@@ -162,8 +194,8 @@ impl<E> EventFlow<E> {
                 e.payload.to_string().replace('"', "'")
             );
         }
-        for (i, e) in self.entries.iter().enumerate() {
-            for &d in &e.deps {
+        for i in 0..self.entries.len() {
+            for &d in self.deps_of(i) {
                 let _ = writeln!(out, "  n{d} -> n{i};");
             }
         }
@@ -184,9 +216,10 @@ impl<E> EventFlow<E> {
                     payload: f(&e.payload),
                     engine: e.engine,
                     observed: e.observed,
-                    deps: e.deps.clone(),
+                    dep_end: e.dep_end,
                 })
                 .collect(),
+            deps: self.deps.clone(),
         }
     }
 }
@@ -220,9 +253,9 @@ mod tests {
     #[test]
     fn push_and_counts() {
         let mut flow = EventFlow::new();
-        let a = flow.push("a", eid(0), true, vec![]);
-        let b = flow.push("b", eid(0), false, vec![a]);
-        flow.push("c", eid(1), true, vec![b]);
+        let a = flow.push("a", eid(0), true, &[]);
+        let b = flow.push("b", eid(0), false, &[a as u32]);
+        flow.push("c", eid(1), true, &[b as u32]);
         assert_eq!(flow.len(), 3);
         assert_eq!(flow.observed_count(), 2);
         assert_eq!(flow.inferred_count(), 1);
@@ -232,18 +265,18 @@ mod tests {
     #[test]
     fn display_brackets_inferred() {
         let mut flow = EventFlow::new();
-        flow.push("1-2 trans", eid(0), true, vec![]);
-        flow.push("1-2 recv", eid(1), false, vec![0]);
-        flow.push("1-2 ack recvd", eid(0), true, vec![1]);
+        flow.push("1-2 trans", eid(0), true, &[]);
+        flow.push("1-2 recv", eid(1), false, &[0]);
+        flow.push("1-2 ack recvd", eid(0), true, &[1]);
         assert_eq!(flow.to_string(), "1-2 trans, [1-2 recv], 1-2 ack recvd");
     }
 
     #[test]
     fn happens_before_follows_deps_transitively() {
         let mut flow = EventFlow::new();
-        let a = flow.push("a", eid(0), true, vec![]);
-        let b = flow.push("b", eid(0), true, vec![a]);
-        let c = flow.push("c", eid(0), true, vec![b]);
+        let a = flow.push("a", eid(0), true, &[]);
+        let b = flow.push("b", eid(0), true, &[a as u32]);
+        let c = flow.push("c", eid(0), true, &[b as u32]);
         assert!(flow.happens_before(a, c));
         assert!(flow.happens_before(a, b));
         assert!(!flow.happens_before(c, a));
@@ -253,11 +286,11 @@ mod tests {
     fn independent_branches_are_concurrent() {
         // Diamond: a and x independent, both feed z (Figure 3b shape).
         let mut flow = EventFlow::new();
-        let a = flow.push("e1", eid(0), true, vec![]);
-        let x = flow.push("e5", eid(2), true, vec![]);
-        let b = flow.push("e2", eid(0), true, vec![a]);
-        let y = flow.push("e6", eid(2), true, vec![x]);
-        let z = flow.push("e4", eid(1), true, vec![b, y]);
+        let a = flow.push("e1", eid(0), true, &[]);
+        let x = flow.push("e5", eid(2), true, &[]);
+        let b = flow.push("e2", eid(0), true, &[a as u32]);
+        let y = flow.push("e6", eid(2), true, &[x as u32]);
+        let z = flow.push("e4", eid(1), true, &[b as u32, y as u32]);
         assert!(flow.concurrent(a, x));
         assert!(flow.concurrent(b, y));
         assert!(flow.happens_before(a, z));
@@ -268,9 +301,9 @@ mod tests {
     #[test]
     fn entries_of_engine_filters() {
         let mut flow = EventFlow::new();
-        flow.push("a", eid(0), true, vec![]);
-        flow.push("b", eid(1), true, vec![]);
-        flow.push("c", eid(0), true, vec![]);
+        flow.push("a", eid(0), true, &[]);
+        flow.push("b", eid(1), true, &[]);
+        flow.push("c", eid(0), true, &[]);
         assert_eq!(flow.entries_of_engine(eid(0)), vec![0, 2]);
         assert_eq!(flow.entries_of_engine(eid(1)), vec![1]);
     }
@@ -278,19 +311,20 @@ mod tests {
     #[test]
     fn map_preserves_structure() {
         let mut flow = EventFlow::new();
-        flow.push(1u32, eid(0), true, vec![]);
-        flow.push(2u32, eid(0), false, vec![0]);
+        flow.push(1u32, eid(0), true, &[]);
+        flow.push(2u32, eid(0), false, &[0]);
         let mapped = flow.map(|v| v * 10);
         assert_eq!(mapped.entries[1].payload, 20);
         assert!(!mapped.entries[1].observed);
-        assert_eq!(mapped.entries[1].deps, vec![0]);
+        assert_eq!(mapped.deps_of(1), [0]);
+        assert!(mapped.deps_of(0).is_empty());
     }
 
     #[test]
     fn to_dot_renders_nodes_and_edges() {
         let mut flow = EventFlow::new();
-        let a = flow.push("1-2 trans", eid(0), true, vec![]);
-        flow.push("1-2 recv", eid(1), false, vec![a]);
+        let a = flow.push("1-2 trans", eid(0), true, &[]);
+        flow.push("1-2 recv", eid(1), false, &[a as u32]);
         let dot = flow.to_dot();
         assert!(dot.starts_with("digraph event_flow {"));
         assert!(dot.contains("n0 [label=\"1-2 trans\", style=solid];"));

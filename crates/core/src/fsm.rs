@@ -210,6 +210,9 @@ pub struct FsmTemplate<L> {
     intra: FxHashMap<(StateId, L), IntraPlan>,
     /// reach1[s] = states reachable from s via ≥1 normal transitions.
     reach1: Vec<Vec<bool>>,
+    /// first_step[from * states + to] = the first transition of
+    /// `normal_path(from, to)`.
+    first_step: Vec<Option<TransId>>,
     ambiguities: Vec<Ambiguity<L>>,
 }
 
@@ -342,6 +345,14 @@ impl<L: Label> FsmTemplate<L> {
             }
         }
         None
+    }
+
+    /// The first transition of [`FsmTemplate::normal_path`]`(from, to)`,
+    /// read from a table filled at build time: `None` when `to` is `from`
+    /// or out of reach. Forcing a peer toward a prerequisite state takes the
+    /// canonical path one step at a time, and must not search per step.
+    pub fn first_step(&self, from: StateId, to: StateId) -> Option<TransId> {
+        self.first_step[from.idx() * self.state_names.len() + to.idx()]
     }
 
     /// Labels that can be processed by a *fresh* instance (from the initial
@@ -498,8 +509,15 @@ impl<L: Label> FsmBuilder<L> {
             normal,
             intra: FxHashMap::default(),
             reach1,
+            first_step: Vec::new(),
             ambiguities: Vec::new(),
         };
+        template.first_step = (0..n * n)
+            .map(|pair| {
+                let (from, to) = (StateId((pair / n) as u32), StateId((pair % n) as u32));
+                template.normal_path(from, to)?.first().copied()
+            })
+            .collect();
         augment(&mut template);
         Ok(template)
     }
@@ -746,6 +764,23 @@ mod tests {
         assert_eq!(labels, vec!["recv", "trans", "ack"]);
         assert_eq!(f.normal_path(init, init), Some(vec![]));
         assert_eq!(f.normal_path(acked, init), None);
+    }
+
+    #[test]
+    fn first_step_table_matches_the_search() {
+        for f in [sender(), forwarder()] {
+            let states = || (0..f.state_count() as u32).map(StateId);
+            for (from, to) in states().flat_map(|from| states().map(move |to| (from, to))) {
+                let searched = f.normal_path(from, to).and_then(|p| p.first().copied());
+                assert_eq!(f.first_step(from, to), searched, "{from:?} -> {to:?}");
+            }
+        }
+        let f = forwarder();
+        let acked = f.state_by_name("Acked").unwrap();
+        let first = f.first_step(f.initial(), acked).unwrap();
+        assert_eq!(f.transition(first).label, "recv");
+        assert_eq!(f.first_step(acked, acked), None);
+        assert_eq!(f.first_step(acked, f.initial()), None);
     }
 
     #[test]

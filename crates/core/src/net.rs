@@ -37,7 +37,6 @@
 use crate::flow::EventFlow;
 use crate::fsm::{ExecPlan, FsmTemplate, Label, StateId, TransId, Transition};
 use refill_provenance::EntryOrigin;
-use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -63,20 +62,58 @@ impl GroupId {
     }
 }
 
+/// The satisfying states of a rule. CTP rules name one or two, so those sit
+/// inline and registering a rule allocates nothing.
+#[derive(Debug, Clone)]
+enum Satisfying {
+    Inline { len: u8, states: [StateId; 2] },
+    Spill(Vec<StateId>),
+}
+
 /// An inter-node prerequisite attached to `(engine, label)`: before a
 /// transition with that label fires, `peer` must have *visited* one of the
-/// `satisfying` states; if it has not, it is forced toward `canonical`.
+/// satisfying states; if it has not, it is forced toward `canonical`.
 #[derive(Debug, Clone)]
 pub struct InterRule {
     /// The peer engine holding the prerequisite state.
     pub peer: EngineId,
-    /// Visiting any of these satisfies the prerequisite (e.g. a hardware-ack
-    /// prerequisite is satisfied by the receiver having either received or
-    /// duplicate-dropped the packet).
-    pub satisfying: Vec<StateId>,
+    satisfying: Satisfying,
     /// The state to force the peer toward when unsatisfied (the canonical
     /// interpretation, e.g. "received").
     pub canonical: StateId,
+}
+
+impl InterRule {
+    /// A prerequisite on `peer`: visiting any of `satisfying` meets it (e.g.
+    /// a hardware-ack prerequisite is met by the receiver having either
+    /// received or duplicate-dropped the packet); an empty set can never be
+    /// met.
+    pub fn new(peer: EngineId, satisfying: &[StateId], canonical: StateId) -> Self {
+        let satisfying = match satisfying.len() {
+            len @ 0..=2 => {
+                let mut states = [canonical; 2];
+                states[..len].copy_from_slice(satisfying);
+                Satisfying::Inline {
+                    len: len as u8,
+                    states,
+                }
+            }
+            _ => Satisfying::Spill(satisfying.to_vec()),
+        };
+        InterRule {
+            peer,
+            satisfying,
+            canonical,
+        }
+    }
+
+    /// The states whose visit satisfies the prerequisite.
+    pub fn satisfying(&self) -> &[StateId] {
+        match &self.satisfying {
+            Satisfying::Inline { len, states } => &states[..usize::from(*len)],
+            Satisfying::Spill(states) => states,
+        }
+    }
 }
 
 /// Diagnostics emitted by a run.
@@ -98,16 +135,39 @@ pub enum NetWarning {
     },
 }
 
+/// "No flow entry" in the `u32` index columns below.
+const NONE: u32 = u32::MAX;
+/// A `visited` slot of a state that counts as visited without a flow entry
+/// having done it: the engine's initial state.
+const AT_START: u32 = u32::MAX - 1;
+
+#[derive(Clone, Copy)]
 struct Engine {
-    template: usize,
-    name: String,
+    template: u32,
     group: GroupId,
     state: StateId,
-    visited: Vec<bool>,
-    /// Flow index that first visited each state (None for the initial state
-    /// or states not yet visited).
-    visited_entry: Vec<Option<usize>>,
-    last_entry: Option<usize>,
+    /// Where this engine's per-state slots start in `ConnectedNet::visited`.
+    slots: u32,
+    last_entry: u32,
+}
+
+struct Rule<L> {
+    engine: EngineId,
+    label: L,
+    rule: InterRule,
+}
+
+/// What the runner knows about the front event of a group's queue.
+#[derive(Clone, Copy)]
+enum Front {
+    /// The queue was popped or one of the group's engines moved since the
+    /// front was last planned.
+    Stale,
+    /// The queue is empty or its front event has no transition from its
+    /// engine's current state.
+    Blocked,
+    /// The front event, queued on this engine, can be processed.
+    Ready(EngineId),
 }
 
 /// The connected network of inference engines.
@@ -119,17 +179,36 @@ struct Engine {
 /// Templates are held behind [`Arc`] so a caller building one net per unit
 /// of work (the per-packet tracing hot path) shares one immutable template
 /// set across all nets instead of deep-copying transition tables and label
-/// indices every time.
+/// indices every time. Everything else is flat — engines, their per-state
+/// slots, the rules and the runner's working stacks are one vector each —
+/// so a net that is [`reset`](ConnectedNet::reset) and refilled for the
+/// next unit of work allocates nothing once it has seen a unit as large.
 pub struct ConnectedNet<L, E> {
     templates: Vec<Arc<FsmTemplate<L>>>,
     engines: Vec<Engine>,
+    /// One slot per state of every engine, engine after engine: [`NONE`]
+    /// until the state is visited, then the flow index that first did
+    /// ([`AT_START`] for the initial state).
+    visited: Vec<u32>,
+    /// The first `groups` queues are live; the rest keep their capacity
+    /// from earlier use.
     queues: Vec<VecDeque<(EngineId, E)>>,
+    groups: usize,
     /// All registered rules, in registration order.
-    rule_arena: Vec<InterRule>,
-    /// `(engine, label)` → indices into [`ConnectedNet::rule_arena`]. The
-    /// runner works with indices so satisfying a rule never clones the rule
-    /// list.
-    rules: FxHashMap<(EngineId, L), Vec<u32>>,
+    rules: Vec<Rule<L>>,
+    /// Rule indices sorted by engine (registration order within one), and
+    /// each engine's range in them; filled when a run starts.
+    rule_order: Vec<u32>,
+    rule_start: Vec<u32>,
+    // The runner's working state, kept here for its capacity.
+    fronts: Vec<Front>,
+    /// Last observed flow entry per group, for the per-node-order edges.
+    group_last_entry: Vec<u32>,
+    /// Engines currently being forced (cycle guard).
+    forcing: Vec<EngineId>,
+    /// Dependency edges of the entries under construction: each nested
+    /// `advance` owns the part above the length it found.
+    deps: Vec<u32>,
 }
 
 /// The result of a run.
@@ -176,10 +255,30 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
         ConnectedNet {
             templates: Vec::new(),
             engines: Vec::new(),
+            visited: Vec::new(),
             queues: Vec::new(),
-            rule_arena: Vec::new(),
-            rules: FxHashMap::default(),
+            groups: 0,
+            rules: Vec::new(),
+            rule_order: Vec::new(),
+            rule_start: Vec::new(),
+            fronts: Vec::new(),
+            group_last_entry: Vec::new(),
+            forcing: Vec::new(),
+            deps: Vec::new(),
         }
+    }
+
+    /// Back to an empty network — no templates, engines, groups, rules or
+    /// queued events — that keeps every buffer's capacity.
+    pub fn reset(&mut self) {
+        self.templates.clear();
+        self.engines.clear();
+        self.visited.clear();
+        for queue in &mut self.queues[..self.groups] {
+            queue.clear();
+        }
+        self.groups = 0;
+        self.rules.clear();
     }
 
     /// Register a template; returns its index.
@@ -199,47 +298,58 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
 
     /// Create a new (empty) serial group.
     pub fn add_group(&mut self) -> GroupId {
-        self.queues.push(VecDeque::new());
-        GroupId(self.queues.len() as u32 - 1)
+        if self.groups == self.queues.len() {
+            self.queues.push(VecDeque::new());
+        }
+        self.groups += 1;
+        GroupId(self.groups as u32 - 1)
     }
 
     /// Create an engine instance of a registered template in its own fresh
     /// group (the one-engine-per-node case).
-    pub fn add_engine(&mut self, template: usize, name: impl Into<String>) -> EngineId {
+    pub fn add_engine(&mut self, template: usize) -> EngineId {
         let group = self.add_group();
-        self.add_engine_in_group(template, name, group)
+        self.add_engine_in_group(template, group)
     }
 
     /// Create an engine instance inside an existing group (several visits
     /// of one node share the node's log queue).
-    pub fn add_engine_in_group(
-        &mut self,
-        template: usize,
-        name: impl Into<String>,
-        group: GroupId,
-    ) -> EngineId {
+    pub fn add_engine_in_group(&mut self, template: usize, group: GroupId) -> EngineId {
+        assert!(group.idx() < self.groups, "no such group");
         let t = &self.templates[template];
-        let n = t.state_count();
         let initial = t.initial();
-        let mut visited = vec![false; n];
-        visited[initial.0 as usize] = true;
+        let slots = self.visited.len();
+        self.visited.resize(slots + t.state_count(), NONE);
+        self.visited[slots + initial.0 as usize] = AT_START;
         self.engines.push(Engine {
-            template,
-            name: name.into(),
+            template: template as u32,
             group,
             state: initial,
-            visited,
-            visited_entry: vec![None; n],
-            last_entry: None,
+            slots: slots as u32,
+            last_entry: NONE,
         });
         EngineId(self.engines.len() as u32 - 1)
     }
 
     /// Attach an inter-node prerequisite to `(engine, label)`.
+    ///
+    /// # Panics
+    /// If the rule names a state its peer's template does not have.
     pub fn add_rule(&mut self, engine: EngineId, label: L, rule: InterRule) {
-        let ri = self.rule_arena.len() as u32;
-        self.rule_arena.push(rule);
-        self.rules.entry((engine, label)).or_default().push(ri);
+        assert!(engine.idx() < self.engines.len(), "no such engine");
+        let states = self.template_of(rule.peer).state_count();
+        assert!(
+            rule.satisfying()
+                .iter()
+                .chain([&rule.canonical])
+                .all(|s| (s.0 as usize) < states),
+            "rule names a state its peer's template does not have"
+        );
+        self.rules.push(Rule {
+            engine,
+            label,
+            rule,
+        });
     }
 
     /// Queue an observed event payload for an engine, at the back of its
@@ -254,11 +364,6 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
         self.engines.len()
     }
 
-    /// An engine's display name.
-    pub fn engine_name(&self, e: EngineId) -> &str {
-        &self.engines[e.idx()].name
-    }
-
     /// An engine's group.
     pub fn engine_group(&self, e: EngineId) -> GroupId {
         self.engines[e.idx()].group
@@ -271,12 +376,46 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
 
     /// An engine's template index.
     pub fn engine_template(&self, e: EngineId) -> usize {
-        self.engines[e.idx()].template
+        self.engines[e.idx()].template as usize
     }
 
     /// Whether the engine has visited `state`.
     pub fn engine_visited(&self, e: EngineId, state: StateId) -> bool {
-        self.engines[e.idx()].visited[state.0 as usize]
+        assert!((state.0 as usize) < self.template_of(e).state_count());
+        self.visited[self.slot(e, state)] != NONE
+    }
+
+    fn template_of(&self, e: EngineId) -> &FsmTemplate<L> {
+        &self.templates[self.engines[e.idx()].template as usize]
+    }
+
+    fn slot(&self, e: EngineId, state: StateId) -> usize {
+        self.engines[e.idx()].slots as usize + state.0 as usize
+    }
+
+    /// Counting sort of the rule indices by engine, so the runner finds an
+    /// engine's handful of rules by range instead of by hashing.
+    fn index_rules(&mut self) {
+        let engines = self.engines.len();
+        self.rule_start.clear();
+        self.rule_start.resize(engines + 1, 0);
+        for r in &self.rules {
+            self.rule_start[r.engine.idx() + 1] += 1;
+        }
+        for e in 0..engines {
+            self.rule_start[e + 1] += self.rule_start[e];
+        }
+        self.rule_order.clear();
+        self.rule_order.resize(self.rules.len(), 0);
+        // Each start serves as its engine's write cursor and ends up at
+        // the next engine's start; shifting them up by one restores them.
+        for (ri, r) in self.rules.iter().enumerate() {
+            let cursor = &mut self.rule_start[r.engine.idx()];
+            self.rule_order[*cursor as usize] = ri as u32;
+            *cursor += 1;
+        }
+        self.rule_start.copy_within(..engines, 1);
+        self.rule_start[0] = 0;
     }
 
     /// Run the transition algorithm to completion.
@@ -289,18 +428,25 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
         label_of: impl Fn(&E) -> L,
         synthesize: impl FnMut(EngineId, &Transition<L>) -> E,
     ) -> RunOutput<E> {
-        let group_count = self.queues.len();
+        self.index_rules();
+        self.fronts.clear();
+        self.fronts.resize(self.groups, Front::Stale);
+        self.group_last_entry.clear();
+        self.group_last_entry.resize(self.groups, NONE);
+        self.forcing.clear();
+        self.deps.clear();
+        let queued: usize = self.queues[..self.groups].iter().map(VecDeque::len).sum();
         let mut runner = Runner {
             net: self,
-            label_of: Box::new(label_of),
-            synthesize: Box::new(synthesize),
-            flow: EventFlow::new(),
+            label_of,
+            synthesize,
+            // Sized for the lossless case: every queued event becomes an
+            // entry with an edge to its engine's and its node's previous one.
+            flow: EventFlow::with_capacity(queued, 2 * queued),
             omitted: Vec::new(),
             warnings: Vec::new(),
-            forcing: Vec::new(),
-            group_last_entry: vec![None; group_count],
             stats: RunStats::default(),
-            origins: Vec::new(),
+            origins: Vec::with_capacity(queued),
         };
         runner.drive();
         RunOutput {
@@ -313,35 +459,25 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
     }
 }
 
-/// Outcome of trying the front event of a group's queue.
-enum Step {
-    Consumed,
-    Blocked,
-    Empty,
-}
-
-#[allow(clippy::type_complexity)]
-struct Runner<'n, L: Label, E: Clone> {
+struct Runner<'n, L, E, F, S> {
     net: &'n mut ConnectedNet<L, E>,
-    label_of: Box<dyn Fn(&E) -> L + 'n>,
-    synthesize: Box<dyn FnMut(EngineId, &Transition<L>) -> E + 'n>,
+    label_of: F,
+    synthesize: S,
     flow: EventFlow<E>,
     omitted: Vec<(EngineId, E)>,
     warnings: Vec<NetWarning>,
-    /// Engines currently being forced (cycle guard).
-    forcing: Vec<EngineId>,
-    /// Last flow entry per group, for the per-node-order dependency edges.
-    group_last_entry: Vec<Option<usize>>,
     stats: RunStats,
     /// Origin of each flow entry, pushed in lockstep with `flow`.
     origins: Vec<EntryOrigin>,
 }
 
-impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
-    fn template_of(&self, e: EngineId) -> &FsmTemplate<L> {
-        &self.net.templates[self.net.engines[e.idx()].template]
-    }
-
+impl<L, E, F, S> Runner<'_, L, E, F, S>
+where
+    L: Label,
+    E: Clone,
+    F: Fn(&E) -> L,
+    S: FnMut(EngineId, &Transition<L>) -> E,
+{
     /// Top-level drive: repeatedly process the group whose front event
     /// belongs to the earliest engine (engines are created in chain order
     /// by the tracer, so this walks the packet's journey hop by hop — the
@@ -349,37 +485,36 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
     /// When no group's front is processable, one blocked event is omitted
     /// (step 3 of the paper's algorithm) and driving resumes.
     fn drive(&mut self) {
-        let n = self.net.queues.len();
+        let groups = self.net.groups;
         loop {
             // The processable front with the smallest engine id.
             let mut pick: Option<(EngineId, GroupId)> = None;
-            for i in 0..n {
-                let g = GroupId(i as u32);
-                if let Some((engine, _)) = self.front_plan(g) {
+            for g in (0..groups as u32).map(GroupId) {
+                if let Front::Ready(engine) = self.front(g) {
                     if pick.is_none_or(|(e, _)| engine < e) {
                         pick = Some((engine, g));
                     }
                 }
             }
             if let Some((_, g)) = pick {
-                let consumed = matches!(self.try_front(g), Step::Consumed);
-                debug_assert!(consumed, "picked front must be processable");
+                let (engine, plan) = self.front_plan(g).expect("a ready front has a plan");
+                let payload = self.pop_front(g);
+                self.exec_plan(engine, &plan, Some(payload));
                 continue;
             }
             // No group can move: omit the blocked front with the smallest
             // engine id, if any.
-            let mut blocked: Option<(EngineId, usize)> = None;
-            for (i, q) in self.net.queues.iter().enumerate() {
-                if let Some((engine, _)) = q.front() {
+            let mut blocked: Option<(EngineId, GroupId)> = None;
+            for g in (0..groups as u32).map(GroupId) {
+                if let Some((engine, _)) = self.net.queues[g.idx()].front() {
                     if blocked.is_none_or(|(e, _)| *engine < e) {
-                        blocked = Some((*engine, i));
+                        blocked = Some((*engine, g));
                     }
                 }
             }
             match blocked {
-                Some((_, i)) => {
-                    let (engine, payload) =
-                        self.net.queues[i].pop_front().expect("blocked front exists");
+                Some((engine, g)) => {
+                    let payload = self.pop_front(g);
                     self.omitted.push((engine, payload));
                 }
                 None => break,
@@ -387,34 +522,47 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
         }
     }
 
-    /// The plan for a group's front event, if processable right now.
-    fn front_plan(&self, g: GroupId) -> Option<(EngineId, ExecPlan)> {
-        let (engine, payload) = self.net.queues[g.idx()].front()?;
-        let label = (self.label_of)(payload);
-        let state = self.net.engines[engine.idx()].state;
-        self.template_of(*engine)
-            .plan(state, &label)
-            .map(|plan| (*engine, plan))
+    /// What a group's front event can do right now. Planning is redone only
+    /// for a stale group: the answer depends on nothing but the queue's
+    /// front and its engine's state, and both invalidate it when they move
+    /// ([`Runner::pop_front`], [`Runner::advance`]).
+    fn front(&mut self, g: GroupId) -> Front {
+        if let Front::Stale = self.net.fronts[g.idx()] {
+            self.front_plan(g);
+        }
+        self.net.fronts[g.idx()]
     }
 
-    fn try_front(&mut self, g: GroupId) -> Step {
-        if self.net.queues[g.idx()].is_empty() {
-            return Step::Empty;
+    /// The plan for a group's front event, if processable right now.
+    fn front_plan(&mut self, g: GroupId) -> Option<(EngineId, ExecPlan)> {
+        if let Front::Blocked = self.net.fronts[g.idx()] {
+            return None;
         }
-        let Some((engine, plan)) = self.front_plan(g) else {
-            return Step::Blocked;
+        let planned = self.net.queues[g.idx()]
+            .front()
+            .and_then(|(engine, payload)| {
+                let label = (self.label_of)(payload);
+                let state = self.net.engines[engine.idx()].state;
+                let plan = self.net.template_of(*engine).plan(state, &label)?;
+                Some((*engine, plan))
+            });
+        self.net.fronts[g.idx()] = match planned {
+            Some((engine, _)) => Front::Ready(engine),
+            None => Front::Blocked,
         };
+        planned
+    }
+
+    fn pop_front(&mut self, g: GroupId) -> E {
+        self.net.fronts[g.idx()] = Front::Stale;
         let (_, payload) = self.net.queues[g.idx()].pop_front().expect("front exists");
-        self.exec_plan(engine, &plan, Some(payload));
-        Step::Consumed
+        payload
     }
 
     /// Execute a plan: every step but the last is an inferred lost event;
     /// the last carries the observed payload (when given).
     fn exec_plan(&mut self, e: EngineId, plan: &ExecPlan, mut observed: Option<E>) {
-        // A cheap refcount bump decouples the template borrow from `self`,
-        // so synthesizing never has to clone a `Transition`.
-        let tpl = Arc::clone(&self.net.templates[self.net.engines[e.idx()].template]);
+        let template = self.net.engines[e.idx()].template as usize;
         let steps = plan.steps();
         if steps.len() > 1 {
             self.stats.jumps += 1;
@@ -423,8 +571,9 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
         for (i, &tid) in steps.iter().enumerate() {
             let payload = if i == last_idx { observed.take() } else { None };
             let is_observed_step = payload.is_some();
-            let payload =
-                payload.unwrap_or_else(|| (self.synthesize)(e, tpl.transition(tid)));
+            let payload = payload.unwrap_or_else(|| {
+                (self.synthesize)(e, self.net.templates[template].transition(tid))
+            });
             self.advance(e, tid, payload, is_observed_step);
         }
     }
@@ -433,91 +582,102 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
     /// the state, append the flow entry.
     fn advance(&mut self, e: EngineId, tid: TransId, payload: E, observed: bool) {
         self.stats.steps += 1;
-        if !self.forcing.is_empty() {
+        if !self.net.forcing.is_empty() {
             self.stats.forced_steps += 1;
         }
         let (label, to) = {
-            let t = self.template_of(e).transition(tid);
+            let t = self.net.template_of(e).transition(tid);
             (t.label.clone(), t.to)
         };
-        let mut deps = self.satisfy_rules(e, &label);
-        if let Some(prev) = self.net.engines[e.idx()].last_entry {
-            deps.push(prev);
+        // This entry's edges go on the shared stack above `base`; forcing a
+        // peer below nests further `advance`s, each of which leaves the
+        // stack as it found it.
+        let base = self.net.deps.len();
+        self.satisfy_rules(e, &label);
+        let Engine {
+            group, last_entry, ..
+        } = self.net.engines[e.idx()];
+        if last_entry != NONE {
+            self.net.deps.push(last_entry);
         }
-        let group = self.net.engines[e.idx()].group;
         // Observed entries are additionally ordered after everything their
         // node recorded earlier — the per-node log-order constraint.
-        if observed {
-            if let Some(prev) = self.group_last_entry[group.idx()] {
-                deps.push(prev);
+        if observed && self.net.group_last_entry[group.idx()] != NONE {
+            self.net.deps.push(self.net.group_last_entry[group.idx()]);
+        }
+        let edges = &mut self.net.deps[base..];
+        edges.sort_unstable();
+        let mut distinct = 0;
+        for i in 0..edges.len() {
+            if i == 0 || edges[i] != edges[distinct - 1] {
+                edges[distinct] = edges[i];
+                distinct += 1;
             }
         }
-        deps.sort_unstable();
-        deps.dedup();
         // Classify the entry's origin while the evidence is at hand: a
         // synthesized payload pushed under an active forcing stack exists
         // because a *peer's* evidence demanded it; one pushed with the stack
         // empty is an intra-node jump over the node's own lost entries.
         let origin = if observed {
             EntryOrigin::Observed
-        } else if self.forcing.is_empty() {
+        } else if self.net.forcing.is_empty() {
             EntryOrigin::IntraJump
         } else {
             EntryOrigin::InterForced
         };
         self.origins.push(origin);
-        let idx = self.flow.push(payload, e, observed, deps);
+        let idx = self
+            .flow
+            .push(payload, e, observed, &self.net.deps[base..base + distinct])
+            as u32;
+        self.net.deps.truncate(base);
         if observed {
-            self.group_last_entry[group.idx()] = Some(idx);
+            self.net.group_last_entry[group.idx()] = idx;
+        }
+        let slot = self.net.slot(e, to);
+        if self.net.visited[slot] == NONE {
+            self.net.visited[slot] = idx;
         }
         let eng = &mut self.net.engines[e.idx()];
         eng.state = to;
-        let sidx = to.0 as usize;
-        if !eng.visited[sidx] {
-            eng.visited[sidx] = true;
-            eng.visited_entry[sidx] = Some(idx);
-        }
-        eng.last_entry = Some(idx);
+        eng.last_entry = idx;
+        self.net.fronts[group.idx()] = Front::Stale;
     }
 
-    /// Satisfy all inter-node rules for `(e, label)`; returns the flow
-    /// indices that established satisfaction (dependency edges).
+    /// Satisfy all inter-node rules for `(e, label)`, pushing the flow
+    /// indices that established satisfaction (dependency edges) onto the
+    /// shared edge stack.
     ///
-    /// Rules are addressed by arena index so nothing is cloned here; the
-    /// map lookup is repeated per rule because forcing needs `&mut self`,
-    /// but rule lists are immutable once the run starts, so the indices are
-    /// stable.
-    fn satisfy_rules(&mut self, e: EngineId, label: &L) -> Vec<usize> {
-        let key = (e, label.clone());
-        let n = match self.net.rules.get(&key) {
-            Some(r) => r.len(),
-            None => return Vec::new(),
-        };
-        let mut deps = Vec::new();
-        for i in 0..n {
-            let ri = self.net.rules[&key][i];
+    /// An engine has a handful of rules, so its range of the rule order is
+    /// scanned for the label. Forcing needs `&mut self`, but the rule
+    /// tables are immutable once the run starts, so indices stay valid.
+    fn satisfy_rules(&mut self, e: EngineId, label: &L) {
+        let start = self.net.rule_start[e.idx()] as usize;
+        let end = self.net.rule_start[e.idx() + 1] as usize;
+        for k in start..end {
+            let ri = self.net.rule_order[k] as usize;
+            if self.net.rules[ri].label != *label {
+                continue;
+            }
             if self.satisfaction(ri).is_none() {
                 self.force(ri);
             }
             if let Some(Some(idx)) = self.satisfaction(ri) {
-                deps.push(idx);
+                self.net.deps.push(idx);
             }
         }
-        deps
     }
 
     /// `None` if unsatisfied; `Some(entry)` if satisfied, where `entry` is
     /// the flow index that visited a satisfying state (or `None` when the
     /// satisfying state is the peer's initial state).
-    fn satisfaction(&self, ri: u32) -> Option<Option<usize>> {
-        let rule = &self.net.rule_arena[ri as usize];
-        let eng = &self.net.engines[rule.peer.idx()];
-        for s in &rule.satisfying {
-            if eng.visited[s.0 as usize] {
-                return Some(eng.visited_entry[s.0 as usize]);
-            }
-        }
-        None
+    fn satisfaction(&self, ri: usize) -> Option<Option<u32>> {
+        let rule = &self.net.rules[ri].rule;
+        rule.satisfying()
+            .iter()
+            .map(|&s| self.net.visited[self.net.slot(rule.peer, s)])
+            .find(|&entry| entry != NONE)
+            .map(|entry| (entry != AT_START).then_some(entry))
     }
 
     /// Drive `rule.peer` until a satisfying state is visited: consume its
@@ -525,13 +685,16 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
     /// visits at the node, which precede the peer's in recording order),
     /// take only inferred prefixes when a logged event would overshoot, and
     /// fall back to pure inference when the log runs dry.
-    fn force(&mut self, ri: u32) {
-        let peer = self.net.rule_arena[ri as usize].peer;
-        if self.forcing.contains(&peer) {
-            self.warnings.push(NetWarning::CyclicPrerequisite { engine: peer });
+    fn force(&mut self, ri: usize) {
+        let InterRule {
+            peer, canonical, ..
+        } = self.net.rules[ri].rule;
+        if self.net.forcing.contains(&peer) {
+            self.warnings
+                .push(NetWarning::CyclicPrerequisite { engine: peer });
             return;
         }
-        self.forcing.push(peer);
+        self.net.forcing.push(peer);
         loop {
             if self.satisfaction(ri).is_some() {
                 break;
@@ -541,17 +704,17 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
             }
             self.warnings.push(NetWarning::Unsatisfiable {
                 engine: peer,
-                canonical: self.net.rule_arena[ri as usize].canonical,
+                canonical,
             });
             break;
         }
-        let popped = self.forcing.pop();
+        let popped = self.net.forcing.pop();
         debug_assert_eq!(popped, Some(peer));
     }
 
     /// One forcing step; returns false when stuck.
-    fn force_step(&mut self, ri: u32) -> bool {
-        let peer = self.net.rule_arena[ri as usize].peer;
+    fn force_step(&mut self, ri: usize) -> bool {
+        let peer = self.net.rules[ri].rule.peer;
         let group = self.net.engines[peer.idx()].group;
 
         // Try the node's next logged event first.
@@ -559,8 +722,8 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
             if front_engine == peer {
                 // Walk the plan's states in place (no `plan_states` Vec).
                 let (prefix_hit, helps) = {
-                    let rule = &self.net.rule_arena[ri as usize];
-                    let tpl = &self.net.templates[self.net.engines[peer.idx()].template];
+                    let rule = &self.net.rules[ri].rule;
+                    let tpl = self.net.template_of(peer);
                     let steps = plan.steps();
                     // Overshoot check: does the *inferred prefix* already
                     // pass through a satisfying state? Then take only that
@@ -571,15 +734,15 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
                         end = tpl.transition(tid).to;
                         if prefix_hit.is_none()
                             && k + 1 < steps.len()
-                            && rule.satisfying.contains(&end)
+                            && rule.satisfying().contains(&end)
                         {
                             prefix_hit = Some(k);
                         }
                     }
                     // Consume the event when it lands on a satisfying state
                     // or at least keeps one reachable.
-                    let helps = rule.satisfying.contains(&end)
-                        || rule.satisfying.iter().any(|s| tpl.reachable0(end, *s));
+                    let helps = rule.satisfying().contains(&end)
+                        || rule.satisfying().iter().any(|s| tpl.reachable0(end, *s));
                     (prefix_hit, helps)
                 };
                 if let Some(k) = prefix_hit {
@@ -588,9 +751,7 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
                     return true;
                 }
                 if helps {
-                    let (_, payload) = self.net.queues[group.idx()]
-                        .pop_front()
-                        .expect("front exists");
+                    let payload = self.pop_front(group);
                     self.exec_plan(peer, &plan, Some(payload));
                     return true;
                 }
@@ -598,23 +759,22 @@ impl<'n, L: Label, E: Clone> Runner<'n, L, E> {
                 // The node's front event belongs to another visit; in true
                 // order it precedes the peer's events, so processing it is
                 // both required and safe.
-                if matches!(self.try_front(group), Step::Consumed) {
-                    return true;
-                }
+                let payload = self.pop_front(group);
+                self.exec_plan(front_engine, &plan, Some(payload));
+                return true;
             }
         }
 
         // Pure inference along the canonical normal path.
         let state = self.net.engines[peer.idx()].state;
-        let canonical = self.net.rule_arena[ri as usize].canonical;
-        if let Some(path) = self.template_of(peer).normal_path(state, canonical) {
-            if let Some(&first) = path.first() {
-                let step = ExecPlan::single(first);
-                self.exec_plan(peer, &step, None);
-                return true;
+        let canonical = self.net.rules[ri].rule.canonical;
+        match self.net.template_of(peer).first_step(state, canonical) {
+            Some(first) => {
+                self.exec_plan(peer, &ExecPlan::single(first), None);
+                true
             }
+            None => false,
         }
-        false
     }
 }
 
@@ -663,29 +823,13 @@ mod tests {
         let t1 = net.add_template(chain("n1", "e1", "e2"));
         let t2 = net.add_template(chain("n2", "e3", "e4"));
         let t3 = net.add_template(chain("n3", "e5", "e6"));
-        let n1 = net.add_engine(t1, "n1");
-        let n2 = net.add_engine(t2, "n2");
-        let n3 = net.add_engine(t3, "n3");
+        let n1 = net.add_engine(t1);
+        let n2 = net.add_engine(t2);
+        let n3 = net.add_engine(t3);
         let end2 = end(net.template(t2));
         let end3 = end(net.template(t3));
-        net.add_rule(
-            n1,
-            "e2",
-            InterRule {
-                peer: n2,
-                satisfying: vec![end2],
-                canonical: end2,
-            },
-        );
-        net.add_rule(
-            n2,
-            "e4",
-            InterRule {
-                peer: n3,
-                satisfying: vec![end3],
-                canonical: end3,
-            },
-        );
+        net.add_rule(n1, "e2", InterRule::new(n2, &[end2], end2));
+        net.add_rule(n2, "e4", InterRule::new(n3, &[end3], end3));
         (net, [n1, n2, n3], [end2, end3])
     }
 
@@ -726,21 +870,13 @@ mod tests {
         let t1 = net.add_template(chain("n1", "e1", "e2"));
         let t2 = net.add_template(chain("n2", "e3", "e4"));
         let t3 = net.add_template(chain("n3", "e5", "e6"));
-        let n1 = net.add_engine(t1, "n1");
-        let n2 = net.add_engine(t2, "n2");
-        let n3 = net.add_engine(t3, "n3");
+        let n1 = net.add_engine(t1);
+        let n2 = net.add_engine(t2);
+        let n3 = net.add_engine(t3);
         let end1 = end(net.template(t1));
         let end3 = end(net.template(t3));
         for (peer, s) in [(n1, end1), (n3, end3)] {
-            net.add_rule(
-                n2,
-                "e4",
-                InterRule {
-                    peer,
-                    satisfying: vec![s],
-                    canonical: s,
-                },
-            );
+            net.add_rule(n2, "e4", InterRule::new(peer, &[s], s));
         }
         net.push_event(n1, "e1");
         net.push_event(n1, "e2");
@@ -770,20 +906,12 @@ mod tests {
         let t1 = net.add_template(chain("n1", "e1", "e2"));
         let t2 = net.add_template(chain("n2", "e3", "e4"));
         let t3 = net.add_template(chain("n3", "e5", "e6"));
-        let n1 = net.add_engine(t1, "n1");
-        let n2 = net.add_engine(t2, "n2");
-        let n3 = net.add_engine(t3, "n3");
+        let n1 = net.add_engine(t1);
+        let n2 = net.add_engine(t2);
+        let n3 = net.add_engine(t3);
         let mid2 = mid(net.template(t2));
         for (eng, label) in [(n1, "e1"), (n3, "e5")] {
-            net.add_rule(
-                eng,
-                label,
-                InterRule {
-                    peer: n2,
-                    satisfying: vec![mid2],
-                    canonical: mid2,
-                },
-            );
+            net.add_rule(eng, label, InterRule::new(n2, &[mid2], mid2));
         }
         for (e, evs) in [(n1, ["e1", "e2"]), (n2, ["e3", "e4"]), (n3, ["e5", "e6"])] {
             for ev in evs {
@@ -809,33 +937,17 @@ mod tests {
         let t1 = net.add_template(chain("n1", "e1", "e2"));
         let t2 = net.add_template(chain("n2", "e3", "e4"));
         let t3 = net.add_template(chain("n3", "e5", "e6"));
-        let n1 = net.add_engine(t1, "n1");
-        let n2 = net.add_engine(t2, "n2");
-        let n3 = net.add_engine(t3, "n3");
+        let n1 = net.add_engine(t1);
+        let n2 = net.add_engine(t2);
+        let n3 = net.add_engine(t3);
         let mid2 = mid(net.template(t2));
         let end1 = end(net.template(t1));
         let end3 = end(net.template(t3));
         for (eng, label) in [(n1, "e1"), (n3, "e5")] {
-            net.add_rule(
-                eng,
-                label,
-                InterRule {
-                    peer: n2,
-                    satisfying: vec![mid2],
-                    canonical: mid2,
-                },
-            );
+            net.add_rule(eng, label, InterRule::new(n2, &[mid2], mid2));
         }
         for (peer, s) in [(n1, end1), (n3, end3)] {
-            net.add_rule(
-                n2,
-                "e4",
-                InterRule {
-                    peer,
-                    satisfying: vec![s],
-                    canonical: s,
-                },
-            );
+            net.add_rule(n2, "e4", InterRule::new(peer, &[s], s));
         }
         for (e, evs) in [(n1, ["e1", "e2"]), (n2, ["e3", "e4"]), (n3, ["e5", "e6"])] {
             for ev in evs {
@@ -884,18 +996,10 @@ mod tests {
         let mut net = ConnectedNet::new();
         let ts = net.add_template(sender());
         let tf = net.add_template(forwarder());
-        let a = net.add_engine(ts, "n1");
-        let b = net.add_engine(tf, "n2");
+        let a = net.add_engine(ts);
+        let b = net.add_engine(tf);
         let got = net.template(tf).state_by_name("Got").unwrap();
-        net.add_rule(
-            a,
-            "ack",
-            InterRule {
-                peer: b,
-                satisfying: vec![got],
-                canonical: got,
-            },
-        );
+        net.add_rule(a, "ack", InterRule::new(b, &[got], got));
         net.push_event(a, "trans");
         net.push_event(a, "ack");
         net.push_event(b, "trans");
@@ -910,18 +1014,10 @@ mod tests {
         let mut net = ConnectedNet::new();
         let ts = net.add_template(sender());
         let tf = net.add_template(forwarder());
-        let a = net.add_engine(ts, "n1");
-        let b = net.add_engine(tf, "n2");
+        let a = net.add_engine(ts);
+        let b = net.add_engine(tf);
         let got = net.template(tf).state_by_name("Got").unwrap();
-        net.add_rule(
-            a,
-            "ack",
-            InterRule {
-                peer: b,
-                satisfying: vec![got],
-                canonical: got,
-            },
-        );
+        net.add_rule(a, "ack", InterRule::new(b, &[got], got));
         net.push_event(a, "trans");
         net.push_event(a, "ack");
         net.push_event(b, "recv");
@@ -936,18 +1032,10 @@ mod tests {
         let mut net = ConnectedNet::new();
         let ts = net.add_template(sender());
         let tf = net.add_template(forwarder());
-        let a = net.add_engine(ts, "n1");
-        let b = net.add_engine(tf, "n2");
+        let a = net.add_engine(ts);
+        let b = net.add_engine(tf);
         let got = net.template(tf).state_by_name("Got").unwrap();
-        net.add_rule(
-            a,
-            "ack",
-            InterRule {
-                peer: b,
-                satisfying: vec![got],
-                canonical: got,
-            },
-        );
+        net.add_rule(a, "ack", InterRule::new(b, &[got], got));
         net.push_event(a, "trans");
         net.push_event(a, "ack");
         let out = run_net(&mut net);
@@ -958,7 +1046,7 @@ mod tests {
     fn unprocessable_events_are_omitted() {
         let mut net = ConnectedNet::new();
         let ts = net.add_template(sender());
-        let a = net.add_engine(ts, "n1");
+        let a = net.add_engine(ts);
         net.push_event(a, "nonsense");
         net.push_event(a, "trans");
         let out = run_net(&mut net);
@@ -971,7 +1059,7 @@ mod tests {
     fn retransmissions_self_loop() {
         let mut net = ConnectedNet::new();
         let ts = net.add_template(sender());
-        let a = net.add_engine(ts, "n1");
+        let a = net.add_engine(ts);
         for ev in ["trans", "trans", "trans", "ack"] {
             net.push_event(a, ev);
         }
@@ -987,28 +1075,12 @@ mod tests {
         let mut net = ConnectedNet::new();
         let t1 = net.add_template(chain("n1", "x1", "y1"));
         let t2 = net.add_template(chain("n2", "x2", "y2"));
-        let a = net.add_engine(t1, "a");
-        let b = net.add_engine(t2, "b");
+        let a = net.add_engine(t1);
+        let b = net.add_engine(t2);
         let mid1 = mid(net.template(t1));
         let mid2 = mid(net.template(t2));
-        net.add_rule(
-            a,
-            "x1",
-            InterRule {
-                peer: b,
-                satisfying: vec![mid2],
-                canonical: mid2,
-            },
-        );
-        net.add_rule(
-            b,
-            "x2",
-            InterRule {
-                peer: a,
-                satisfying: vec![mid1],
-                canonical: mid1,
-            },
-        );
+        net.add_rule(a, "x1", InterRule::new(b, &[mid2], mid2));
+        net.add_rule(b, "x2", InterRule::new(a, &[mid1], mid1));
         net.push_event(a, "x1");
         net.push_event(b, "x2");
         let out = run_net(&mut net);
@@ -1025,17 +1097,13 @@ mod tests {
         let mut net = ConnectedNet::new();
         let t1 = net.add_template(chain("n1", "x1", "y1"));
         let t2 = net.add_template(chain("n2", "x2", "y2"));
-        let a = net.add_engine(t1, "a");
-        let b = net.add_engine(t2, "b");
+        let a = net.add_engine(t1);
+        let b = net.add_engine(t2);
         let mid2 = mid(net.template(t2));
         net.push_event(b, "x2");
         net.push_event(b, "y2");
         // An empty satisfying set can never be met.
-        let rule = InterRule {
-            peer: b,
-            satisfying: vec![],
-            canonical: mid2,
-        };
+        let rule = InterRule::new(b, &[], mid2);
         net.add_rule(a, "x1", rule);
         net.push_event(a, "x1");
         let out = run_net(&mut net);
@@ -1066,8 +1134,8 @@ mod tests {
         let mut net: ConnectedNet<&'static str, &'static str> = ConnectedNet::new();
         let ts = net.add_template(sender());
         let g = net.add_group();
-        let v0 = net.add_engine_in_group(ts, "n/v0", g);
-        let v1 = net.add_engine_in_group(ts, "n/v1", g);
+        let v0 = net.add_engine_in_group(ts, g);
+        let v1 = net.add_engine_in_group(ts, g);
         net.push_event(v0, "trans");
         net.push_event(v1, "trans");
         net.push_event(v0, "ack");
@@ -1097,20 +1165,12 @@ mod tests {
         let mut net: ConnectedNet<&'static str, &'static str> = ConnectedNet::new();
         let ts = net.add_template(sender());
         let tf = net.add_template(forwarder());
-        let a = net.add_engine(ts, "a");
+        let a = net.add_engine(ts);
         let g = net.add_group();
-        let v0 = net.add_engine_in_group(tf, "b/v0", g);
-        let v1 = net.add_engine_in_group(tf, "b/v1", g);
+        let v0 = net.add_engine_in_group(tf, g);
+        let v1 = net.add_engine_in_group(tf, g);
         let got = net.template(tf).state_by_name("Got").unwrap();
-        net.add_rule(
-            a,
-            "ack",
-            InterRule {
-                peer: v1,
-                satisfying: vec![got],
-                canonical: got,
-            },
-        );
+        net.add_rule(a, "ack", InterRule::new(v1, &[got], got));
         net.push_event(v0, "recv");
         net.push_event(v0, "trans");
         net.push_event(v1, "recv");

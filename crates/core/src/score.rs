@@ -381,7 +381,7 @@ mod tests {
             ),
             crate::net::EngineId(0),
             false,
-            vec![],
+            &[],
         );
         let score = score_flow(&report, &truth);
         assert_eq!(score.matched, 1);
@@ -403,7 +403,7 @@ mod tests {
             Event::new(n(9), EventKind::Recv { from: n(1) }, pid()),
             crate::net::EngineId(0),
             false,
-            vec![],
+            &[],
         );
         let score = score_flow(&report, &truth);
         assert_eq!(score.matched, 0);

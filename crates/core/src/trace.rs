@@ -27,7 +27,7 @@
 use crate::ctp_model::{self, CtpModel, HopLabel, UNKNOWN_NODE};
 use crate::flow::EventFlow;
 use crate::fsm::{FsmTemplate, StateId};
-use crate::net::{ConnectedNet, EngineId, InterRule, NetWarning};
+use crate::net::{ConnectedNet, EngineId, GroupId, InterRule, NetWarning};
 use crate::sigcache::SigCache;
 use eventlog::columnar::{ColumnarIndex, EventStore, ScratchArena};
 use eventlog::event::BASE_STATION;
@@ -39,6 +39,7 @@ use refill_provenance::{
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -297,10 +298,13 @@ impl Reconstructor {
         sink: Option<NodeId>,
     ) -> PacketReport {
         let _span = StageTimer::start(&*self.recorder, Stage::Transition);
-        let (mut visits, assignments) = self.segment(packet, events, sink);
-        self.link(packet, &mut visits, sink);
-        let order = chain_order(&visits);
-        self.run(packet, events, visits, assignments, order, sink)
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            self.segment(packet, events, sink, scratch);
+            self.link(packet, &mut scratch.visits, sink);
+            chain_order(&scratch.visits, &mut scratch.order, &mut scratch.marks);
+            self.run(packet, events, scratch)
+        })
     }
 
     /// Reconstruct one packet through a signature cache.
@@ -515,35 +519,65 @@ impl Reconstructor {
 
     /// Phase 2: split each node's events into visits.
     ///
-    /// Returns the visits plus the per-node-ordered `(visit index, event)`
-    /// assignments — the run phase queues them per *node*, so a node's
-    /// recording order is preserved even when visits interleave (a dup of a
-    /// retransmission can land between two events of the original visit).
+    /// Fills `scratch.visits` plus the per-node-ordered `(visit index,
+    /// event)` assignments — the run phase queues them per *node*, so a
+    /// node's recording order is preserved even when visits interleave (a
+    /// dup of a retransmission can land between two events of the original
+    /// visit).
     fn segment(
         &self,
         packet: PacketId,
         events: &[Event],
         sink: Option<NodeId>,
-    ) -> (Vec<Visit>, Vec<(usize, Event)>) {
-        // Per-node streams in merged order (per-node order preserved).
-        let mut node_order: Vec<NodeId> = Vec::new();
-        let mut streams: FxHashMap<NodeId, Vec<Event>> = FxHashMap::default();
-        for &e in events {
-            streams
-                .entry(e.node)
-                .or_insert_with(|| {
-                    node_order.push(e.node);
-                    Vec::new()
-                })
-                .push(e);
+        scratch: &mut Scratch,
+    ) {
+        let Scratch {
+            nodes,
+            ranks,
+            ends,
+            by_node,
+            active,
+            visits,
+            assignments,
+            ..
+        } = scratch;
+        // Per-node streams in merged order (per-node order preserved): a
+        // counting sort on the rank of each event's node, ranks given in
+        // order of first appearance. A packet meets a handful of nodes, so
+        // the rank is found by scanning them.
+        nodes.clear();
+        ranks.clear();
+        ends.clear();
+        for e in events {
+            let rank = nodes.iter().position(|&n| n == e.node).unwrap_or_else(|| {
+                nodes.push(e.node);
+                ends.push(0);
+                nodes.len() - 1
+            });
+            ranks.push(rank as u32);
+            ends[rank] += 1;
+        }
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            (start, *end) = (start + *end, start);
+        }
+        by_node.clear();
+        by_node.extend_from_slice(events);
+        // Each start moves up as its node's events land and stops at the
+        // node's end.
+        for (&e, &rank) in events.iter().zip(ranks.iter()) {
+            by_node[ends[rank as usize]] = e;
+            ends[rank as usize] += 1;
         }
 
-        let mut visits: Vec<Visit> = Vec::new();
-        let mut assignments: Vec<(usize, Event)> = Vec::with_capacity(events.len());
-        for node in node_order {
-            let stream = &streams[&node];
+        visits.clear();
+        assignments.clear();
+        let mut start = 0;
+        for (&node, &end) in nodes.iter().zip(ends.iter()) {
+            let stream = &by_node[start..end];
+            start = end;
             // Visits at this node, in creation order; the last is "current".
-            let mut active: Vec<usize> = Vec::new();
+            active.clear();
             for &ev in stream {
                 let label = ctp_model::label_of(&ev.kind);
                 // Try the active visits, most recent first: the current one
@@ -577,22 +611,13 @@ impl Reconstructor {
                 }
                 // Unprocessable anywhere: attach to the current (or a new)
                 // visit so the run reports it as omitted.
-                match active.last() {
-                    Some(&vi) => {
-                        visits[vi].events.push(ev);
-                        assignments.push((vi, ev));
-                    }
-                    None => {
-                        let mut v = Visit::new(node, role, 0, t.initial());
-                        v.events.push(ev);
-                        visits.push(v);
-                        active.push(visits.len() - 1);
-                        assignments.push((visits.len() - 1, ev));
-                    }
+                if active.is_empty() {
+                    visits.push(Visit::new(node, role, 0, t.initial()));
+                    active.push(visits.len() - 1);
                 }
+                assignments.push((active[active.len() - 1], ev));
             }
         }
-        (visits, assignments)
     }
 
     /// Which role a freshly spawned visit should use.
@@ -709,16 +734,20 @@ impl Reconstructor {
     }
 
     /// Phase 4: build the connected net, run it, package the report.
-    fn run(
-        &self,
-        packet: PacketId,
-        events: &[Event],
-        visits: Vec<Visit>,
-        assignments: Vec<(usize, Event)>,
-        order: Vec<usize>,
-        _sink: Option<NodeId>,
-    ) -> PacketReport {
-        let mut net: ConnectedNet<HopLabel, Event> = ConnectedNet::new();
+    fn run(&self, packet: PacketId, events: &[Event], scratch: &mut Scratch) -> PacketReport {
+        let Scratch {
+            net,
+            visits,
+            assignments,
+            order,
+            marks,
+            engine_of_visit,
+            groups,
+            fragments,
+            meta,
+            ..
+        } = scratch;
+        net.reset();
         // Registering a shared `Arc` is a refcount bump — per-packet setup
         // no longer deep-copies the four role templates.
         let t_src = net.add_template(Arc::clone(&self.model.source));
@@ -734,57 +763,54 @@ impl Reconstructor {
 
         // Create engines in chain order; map visit index → engine id. Every
         // visit of one node shares that node's group, so the node's log
-        // order is consumed as one serial queue.
-        let mut engine_of_visit: FxHashMap<usize, EngineId> = FxHashMap::default();
-        let mut group_of_node: FxHashMap<NodeId, crate::net::GroupId> = FxHashMap::default();
-        let mut fragments: Vec<usize> = vec![0; visits.len()];
-        {
-            // Fragment ids: walk `order`, bump fragment id at chain heads.
-            let mut frag = 0usize;
-            for (k, &vi) in order.iter().enumerate() {
-                if k > 0 && visits[vi].prev.map(|p| engine_of_visit.contains_key(&p)) != Some(true)
-                {
-                    frag += 1;
-                }
-                fragments[vi] = frag;
-                let name = format!("{}/v{}", visits[vi].node, visits[vi].visit);
-                let group = *group_of_node
-                    .entry(visits[vi].node)
-                    .or_insert_with(|| net.add_group());
-                let e = net.add_engine_in_group(template_idx(visits[vi].role), name, group);
-                engine_of_visit.insert(vi, e);
+        // order is consumed as one serial queue. Fragment ids: walk `order`,
+        // bump the fragment id at chain heads.
+        engine_of_visit.clear();
+        engine_of_visit.resize(visits.len(), None);
+        groups.clear();
+        fragments.clear();
+        fragments.resize(visits.len(), 0);
+        let mut frag = 0usize;
+        for (k, &vi) in order.iter().enumerate() {
+            if k > 0 && visits[vi].prev.and_then(|p| engine_of_visit[p]).is_none() {
+                frag += 1;
             }
+            fragments[vi] = frag;
+            let node = visits[vi].node;
+            let group = match groups.iter().find(|(of, _)| *of == node) {
+                Some(&(_, group)) => group,
+                None => {
+                    let group = net.add_group();
+                    groups.push((node, group));
+                    group
+                }
+            };
+            let e = net.add_engine_in_group(template_idx(visits[vi].role), group);
+            engine_of_visit[vi] = Some(e);
         }
+        let engine_of = |vi: usize| engine_of_visit[vi].expect("every visit got an engine");
 
         // Landmarks per role.
         let role_states = |role: Role| match role {
             Role::Source => &self.model.source_states,
             Role::Forwarder => &self.model.forwarder_states,
             Role::Sink => &self.model.sink_states,
-            Role::BaseStation => &self.model.sink_states, // unused for BS
+            Role::BaseStation => &self.model.bs_states,
         };
 
         // Inter-node rules + event queues.
-        for &vi in &order {
-            let e = engine_of_visit[&vi];
+        for &vi in order.iter() {
+            let e = engine_of(vi);
             let v = &visits[vi];
             // recv/dup require the previous hop's Sending.
             if let Some(p) = v.prev.filter(|_| self.options.inter_rules) {
-                let pe = engine_of_visit[&p];
+                let pe = engine_of(p);
                 let prev_role = visits[p].role;
                 match v.role {
                     Role::Forwarder | Role::Sink => {
                         if let Some(sending) = role_states(prev_role).sending {
                             for label in [HopLabel::Recv, HopLabel::Dup] {
-                                net.add_rule(
-                                    e,
-                                    label,
-                                    InterRule {
-                                        peer: pe,
-                                        satisfying: vec![sending],
-                                        canonical: sending,
-                                    },
-                                );
+                                net.add_rule(e, label, InterRule::new(pe, &[sending], sending));
                             }
                         }
                     }
@@ -793,11 +819,7 @@ impl Reconstructor {
                             net.add_rule(
                                 e,
                                 HopLabel::BsRecv,
-                                InterRule {
-                                    peer: pe,
-                                    satisfying: vec![serial],
-                                    canonical: serial,
-                                },
+                                InterRule::new(pe, &[serial], serial),
                             );
                         }
                     }
@@ -808,46 +830,31 @@ impl Reconstructor {
             // dropped) the packet.
             if let Some(n) = v.next.filter(|_| self.options.inter_rules) {
                 if matches!(v.role, Role::Source | Role::Forwarder) {
-                    let ne = engine_of_visit[&n];
+                    let ne = engine_of(n);
                     let ns = role_states(visits[n].role);
-                    let mut satisfying = vec![ns.got];
-                    if let Some(d) = ns.dup_drop {
-                        satisfying.push(d);
-                    }
-                    net.add_rule(
-                        e,
-                        HopLabel::AckRecvd,
-                        InterRule {
-                            peer: ne,
-                            satisfying,
-                            canonical: ns.got,
-                        },
-                    );
+                    let rule = match ns.dup_drop {
+                        Some(dup_drop) => InterRule::new(ne, &[ns.got, dup_drop], ns.got),
+                        None => InterRule::new(ne, &[ns.got], ns.got),
+                    };
+                    net.add_rule(e, HopLabel::AckRecvd, rule);
                 }
             }
         }
 
         // Queue events in per-node recording order, tagged with their
         // assigned engines.
-        for (vi, ev) in &assignments {
-            net.push_event(engine_of_visit[vi], *ev);
+        for &(vi, ev) in assignments.iter() {
+            net.push_event(engine_of(vi), ev);
         }
 
         // Synthesis metadata: engine id → (node, prev node, next node).
-        let mut meta: Vec<(NodeId, Option<NodeId>, Option<NodeId>)> =
-            vec![(NodeId(0), None, None); order.len()];
-        for &vi in &order {
-            let e = engine_of_visit[&vi];
+        meta.clear();
+        meta.resize(order.len(), (NodeId(0), None, None));
+        for &vi in order.iter() {
             let v = &visits[vi];
-            let prev_node = v
-                .prev
-                .map(|p| visits[p].node)
-                .or(v.entry_from);
-            let next_node = v
-                .next
-                .map(|n| visits[n].node)
-                .or(v.exit_to);
-            meta[e.0 as usize] = (v.node, prev_node, next_node);
+            let prev_node = v.prev.map(|p| visits[p].node).or(v.entry_from);
+            let next_node = v.next.map(|n| visits[n].node).or(v.exit_to);
+            meta[engine_of(vi).0 as usize] = (v.node, prev_node, next_node);
         }
 
         let out = net.run(
@@ -865,14 +872,14 @@ impl Reconstructor {
 
         // Engine infos in engine-id order.
         let mut engines: Vec<EngineInfo> = Vec::with_capacity(order.len());
-        for &vi in &order {
+        for &vi in order.iter() {
             let v = &visits[vi];
             engines.push(EngineInfo {
                 node: v.node,
                 role: v.role,
                 visit: v.visit,
-                prev: v.prev.map(|p| engine_of_visit[&p].0 as usize),
-                next: v.next.map(|n| engine_of_visit[&n].0 as usize),
+                prev: v.prev.map(|p| engine_of(p).0 as usize),
+                next: v.next.map(|n| engine_of(n).0 as usize),
                 fragment: fragments[vi],
                 phantom: v.phantom,
             });
@@ -881,18 +888,18 @@ impl Reconstructor {
         // Main-chain node path. Under heavy log loss the evidence-based
         // next-links can form a cycle (a real routing loop whose distinct
         // visits collapsed into each other); guard the walk.
-        let mut path = Vec::new();
-        if let Some(&head) = order.first() {
-            let mut cur = Some(head);
-            let mut walked = vec![false; visits.len()];
-            while let Some(vi) = cur {
-                if walked[vi] {
-                    break;
-                }
-                walked[vi] = true;
-                path.push(visits[vi].node);
-                cur = visits[vi].next;
+        let mut path = Vec::with_capacity(order.len());
+        let walked = marks;
+        walked.clear();
+        walked.resize(visits.len(), false);
+        let mut cur = order.first().copied();
+        while let Some(vi) = cur {
+            if walked[vi] {
+                break;
             }
+            walked[vi] = true;
+            path.push(visits[vi].node);
+            cur = visits[vi].next;
         }
 
         let delivered = events
@@ -910,6 +917,46 @@ impl Reconstructor {
             origins: out.origins,
         }
     }
+}
+
+/// One thread's working set for a packet: the engine net and every buffer
+/// of the segment and run phases. It is cleared, not dropped, between
+/// packets, so after the largest packet a thread has met, reconstruction
+/// allocates the report's own vectors and nothing else. Nothing in it
+/// outlives a call: every phase clears what it fills.
+#[derive(Default)]
+struct Scratch {
+    net: ConnectedNet<HopLabel, Event>,
+    /// The packet's recording nodes, in order of first appearance.
+    nodes: Vec<NodeId>,
+    /// Per event, the index of its node in `nodes`.
+    ranks: Vec<u32>,
+    /// Per node, where its events end in `by_node`.
+    ends: Vec<usize>,
+    /// The packet's events grouped by node, recording order kept.
+    by_node: Vec<Event>,
+    /// The visits of the node being segmented.
+    active: Vec<usize>,
+    visits: Vec<Visit>,
+    /// `(visit, event)`, node by node in recording order.
+    assignments: Vec<(usize, Event)>,
+    /// Visits in chain order: the order engines are created in.
+    order: Vec<usize>,
+    /// Per visit, "already placed" while ordering and "already walked"
+    /// while reading off the path.
+    marks: Vec<bool>,
+    engine_of_visit: Vec<Option<EngineId>>,
+    groups: Vec<(NodeId, GroupId)>,
+    fragments: Vec<usize>,
+    /// Engine id → (node, previous node, next node), for synthesis.
+    meta: Vec<(NodeId, Option<NodeId>, Option<NodeId>)>,
+}
+
+thread_local! {
+    /// Per thread rather than per [`Reconstructor`], so `reconstruct_packet`
+    /// stays `&self` and every driver — sequential, the parallel ones'
+    /// workers, the incremental redo — reuses its thread's buffers.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 // ---------------------------------------------------------------------
@@ -1254,13 +1301,12 @@ impl ReportTemplate {
 }
 
 /// A visit under construction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Visit {
     node: NodeId,
     role: Role,
     visit: u32,
     state: StateId,
-    events: Vec<Event>,
     entry_from: Option<NodeId>,
     /// True when the visit's entry evidence is a `dup` — a retransmission
     /// duplicate, whose "sender" is an existing visit retransmitting, not a
@@ -1280,7 +1326,6 @@ impl Visit {
             role,
             visit,
             state: initial,
-            events: Vec::new(),
             entry_from: None,
             entry_is_dup: false,
             exit_to: None,
@@ -1291,7 +1336,7 @@ impl Visit {
         }
     }
 
-    /// Record an accepted event and update hop evidence.
+    /// Update hop evidence with an accepted event.
     fn accept(&mut self, ev: Event) {
         match ev.kind {
             EventKind::Recv { from } | EventKind::Dup { from } | EventKind::Overflow { from }
@@ -1315,7 +1360,6 @@ impl Visit {
                 }
             _ => {}
         }
-        self.events.push(ev);
     }
 }
 
@@ -1384,9 +1428,10 @@ fn find_receiver(visits: &[Visit], v: NodeId, u: NodeId, exclude: usize) -> Opti
 /// Order visits chain-first: walk each chain from its head (a visit with no
 /// linked predecessor), main chain (containing the earliest-created head)
 /// first, then remaining chains in head order.
-fn chain_order(visits: &[Visit]) -> Vec<usize> {
-    let mut order = Vec::with_capacity(visits.len());
-    let mut placed = vec![false; visits.len()];
+fn chain_order(visits: &[Visit], order: &mut Vec<usize>, placed: &mut Vec<bool>) {
+    order.clear();
+    placed.clear();
+    placed.resize(visits.len(), false);
     for head in 0..visits.len() {
         if placed[head] || visits[head].prev.is_some() {
             continue;
@@ -1408,7 +1453,6 @@ fn chain_order(visits: &[Visit]) -> Vec<usize> {
             order.push(vi);
         }
     }
-    order
 }
 
 #[cfg(test)]

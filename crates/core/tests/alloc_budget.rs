@@ -1,0 +1,80 @@
+//! Once a thread has reconstructed a packet, reconstructing another of the
+//! same size allocates the report's own vectors and nothing else: the net,
+//! its queues and every working buffer are reused.
+//!
+//! A test binary of its own, because the counting allocator is global and
+//! the count must not see another test's thread.
+
+use eventlog::event::BASE_STATION;
+use eventlog::{Event, EventKind, PacketId};
+use netsim::NodeId;
+use refill::trace::{CtpVocabulary, Reconstructor};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Counts every request for fresh or larger memory.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no memory the
+// allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// 1 → 2 → 3 → sink 0 → base station, every statement logged, in the order
+/// things happened.
+fn three_hops_delivered(packet: PacketId) -> Vec<Event> {
+    let n = NodeId;
+    let ev = |node: NodeId, kind| Event::new(node, kind, packet);
+    let mut events = vec![ev(n(1), EventKind::Origin)];
+    for (from, to) in [(n(1), n(2)), (n(2), n(3)), (n(3), n(0))] {
+        events.push(ev(from, EventKind::Trans { to }));
+        events.push(ev(to, EventKind::Recv { from }));
+        events.push(ev(from, EventKind::AckRecvd { to }));
+    }
+    events.push(ev(n(0), EventKind::SerialTrans));
+    events.push(ev(BASE_STATION, EventKind::BsRecv));
+    events
+}
+
+#[test]
+fn a_warm_thread_allocates_only_the_report() {
+    let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(NodeId(0));
+    let first = PacketId::new(NodeId(1), 0);
+    let second = PacketId::new(NodeId(1), 1);
+    let (warm_up, events) = (three_hops_delivered(first), three_hops_delivered(second));
+    let expected = recon.reconstruct_packet(first, &warm_up);
+    assert!(expected.delivered && expected.flow.inferred_count() == 0);
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = recon.reconstruct_packet(second, &events);
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(report.flow.to_string(), expected.flow.to_string());
+    assert_eq!(report.flow.len(), events.len());
+    // Five vectors hold this report (entries, edges, origins, engines,
+    // path); before the kernel kept its buffers the same call made 108
+    // requests.
+    assert!(spent <= 16, "{spent} allocations for a 12-event packet");
+}

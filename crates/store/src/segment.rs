@@ -30,8 +30,10 @@ use eventlog::PackedEvent;
 /// segment file can never be mistaken for a record stream.
 pub const BLOCK_MAGIC: [u8; 2] = [0xEF, 0x5E];
 
-/// Current block format version.
-pub const BLOCK_VERSION: u8 = 1;
+/// Current block format version. 2: the `EventFlow` serialized inside
+/// report blocks keeps all dependency edges in one vector with an end
+/// offset per entry, where version 1 had a vector per entry.
+pub const BLOCK_VERSION: u8 = 2;
 
 /// Bytes before the payload: magic (2) + version (1) + kind (1) + len (4).
 pub const BLOCK_HEADER_LEN: usize = 8;

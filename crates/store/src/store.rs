@@ -104,7 +104,7 @@ impl SegmentStore {
     ) -> Result<(SegmentStore, RecoveryReport), StoreError> {
         let dir = dir.as_ref().to_path_buf();
         vfs.create_dir_all(&dir)?;
-        let _span = StageTimer::start(&*recorder, Stage::StoreRecover);
+        let span = StageTimer::start(&*recorder, Stage::StoreRecover);
         let manifest = Manifest::load_with(&dir, &*vfs)?;
 
         let mut on_disk: Vec<String> = Vec::new();
@@ -156,6 +156,8 @@ impl SegmentStore {
             segments.push(meta);
         }
         report.segments = segments.len();
+        // The span borrows `recorder`, which the store takes over below.
+        drop(span);
 
         let next_id = segments
             .iter()

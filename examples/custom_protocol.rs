@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example custom_protocol`
 
-use refill::fsm::FsmBuilder;
+use refill::fsm::{FsmBuilder, StateId};
 use refill::net::{ConnectedNet, InterRule};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,31 +62,33 @@ fn main() {
         plan.inferred_len()
     );
 
+    // Forcing a peer toward a prerequisite state reads its next step from a
+    // table built with the template; it is the search's first step.
+    for t in [&client, &server] {
+        let states = || (0..t.state_count() as u32).map(StateId);
+        for (from, to) in states().flat_map(|from| states().map(move |to| (from, to))) {
+            let searched = t.normal_path(from, to).and_then(|p| p.first().copied());
+            assert_eq!(t.first_step(from, to), searched);
+        }
+    }
+
     // Connect the machines: the server's recv-req requires the client to
     // have sent (Waiting); the client's recv-reply requires the server to
     // have replied (Done).
     let mut net: ConnectedNet<Msg, Msg> = ConnectedNet::new();
     let tc = net.add_template(client);
     let ts = net.add_template(server);
-    let c = net.add_engine(tc, "client");
-    let s = net.add_engine(ts, "server");
+    let c = net.add_engine(tc);
+    let s = net.add_engine(ts);
     net.add_rule(
         s,
         Msg::RecvReq,
-        InterRule {
-            peer: c,
-            satisfying: vec![c_wait],
-            canonical: c_wait,
-        },
+        InterRule::new(c, &[c_wait], c_wait),
     );
     net.add_rule(
         c,
         Msg::RecvReply,
-        InterRule {
-            peer: s,
-            satisfying: vec![s_done],
-            canonical: s_done,
-        },
+        InterRule::new(s, &[s_done], s_done),
     );
 
     // Lossy logs: the client only logged the reply arriving; the server

@@ -24,18 +24,14 @@ fn three_node_net() -> (Net, [refill::net::EngineId; 3]) {
     let t1 = net.add_template(chain("n1", "e1", "e2"));
     let t2 = net.add_template(chain("n2", "e3", "e4"));
     let t3 = net.add_template(chain("n3", "e5", "e6"));
-    let n1 = net.add_engine(t1, "n1");
-    let n2 = net.add_engine(t2, "n2");
-    let n3 = net.add_engine(t3, "n3");
+    let n1 = net.add_engine(t1);
+    let n2 = net.add_engine(t2);
+    let n3 = net.add_engine(t3);
     (net, [n1, n2, n3])
 }
 
 fn rule(peer: refill::net::EngineId, state: StateId) -> InterRule {
-    InterRule {
-        peer,
-        satisfying: vec![state],
-        canonical: state,
-    }
+    InterRule::new(peer, &[state], state)
 }
 
 fn push_all(net: &mut Net, engines: [refill::net::EngineId; 3]) {

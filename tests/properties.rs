@@ -183,17 +183,13 @@ proptest! {
         let mut net: ConnectedNet<u8, u8> = ConnectedNet::new();
         let ti = net.add_template(template);
         let engines: Vec<_> = (0..n_engines)
-            .map(|i| net.add_engine(ti, format!("e{i}")))
+            .map(|_| net.add_engine(ti))
             .collect();
         for (eng, label, peer, state) in rules {
             net.add_rule(
                 engines[eng % n_engines],
                 label,
-                InterRule {
-                    peer: engines[peer % n_engines],
-                    satisfying: vec![StateId(state)],
-                    canonical: StateId(state),
-                },
+                InterRule::new(engines[peer % n_engines], &[StateId(state)], StateId(state)),
             );
         }
         let n_events = events.len();
