@@ -1,6 +1,6 @@
 //! Provenance observability cost: ledger capture at the three sampling
-//! tiers (off / 1-in-64 / full capture) against the warm cached pipeline,
-//! and the per-flow explanation narrative.
+//! tiers (off / 1-in-64 / full capture) on the sequential pipeline, and
+//! the per-flow explanation narrative.
 //!
 //! "Off" is a reconstructor *without* a sink — absence is the disabled
 //! path, and the contract is that it costs one branch per report — so the
@@ -10,7 +10,6 @@ use citysee::{run_scenario, Scenario};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use refill::diagnose::Diagnoser;
 use refill::provenance::{ProvenanceSink, TraceSampler};
-use refill::sigcache::SigCache;
 use refill::trace::{CtpVocabulary, Reconstructor};
 use std::sync::Arc;
 
@@ -21,9 +20,8 @@ fn bench_scenario() -> Scenario {
     }
 }
 
-/// Warm cached reconstruction with no sink, a 1-in-64 sampler, and a
-/// full-capture sampler. Each tier gets its own warmed cache so a shared
-/// cache's hit pattern can't bleed between rows.
+/// Sequential reconstruction with no sink, a 1-in-64 sampler, and a
+/// full-capture sampler.
 fn bench_capture(c: &mut Criterion) {
     let campaign = run_scenario(&bench_scenario());
     let packets = campaign.merged.packet_ids().len() as u64;
@@ -46,14 +44,12 @@ fn bench_capture(c: &mut Criterion) {
         if let Some(s) = &sink {
             recon = recon.with_provenance(Arc::clone(s));
         }
-        let warm = SigCache::default();
-        recon.reconstruct_log_cached(&campaign.merged, &warm);
         group.bench_function(label, |b| {
             b.iter(|| {
                 if let Some(s) = &sink {
                     s.ledger().clear();
                 }
-                black_box(recon.reconstruct_log_cached(&campaign.merged, &warm))
+                black_box(recon.reconstruct_log(&campaign.merged))
             })
         });
     }

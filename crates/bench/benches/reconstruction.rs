@@ -1,18 +1,13 @@
 //! End-to-end reconstruction benchmarks on a simulated campaign: merge,
 //! grouping (hashmap copy vs zero-copy index), the per-packet hot path,
-//! sequential vs rayon vs crossbeam drivers, and diagnosis.
+//! the sequential, parallel and fused drivers, and diagnosis.
 
 use bench::synth_merge_logs;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use citysee::{run_scenario, Scenario};
-use eventlog::columnar::ColumnarIndex;
-use eventlog::{merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store};
+use eventlog::{merge_logs, merge_logs_kway, merge_logs_partitioned};
 use refill::diagnose::Diagnoser;
-use refill::parallel::{
-    reconstruct_columnar, reconstruct_crossbeam, reconstruct_fused, reconstruct_rayon,
-    reconstruct_rayon_cached,
-};
-use refill::sigcache::SigCache;
+use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::trace::{CtpVocabulary, Reconstructor};
 
 fn bench_scenario() -> Scenario {
@@ -118,103 +113,16 @@ fn bench_reconstruct_drivers(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| black_box(recon.reconstruct_log(&campaign.merged)))
     });
-    group.bench_function("rayon", |b| {
-        b.iter(|| black_box(reconstruct_rayon(&recon, &campaign.merged)))
-    });
+    // `parallel` starts from the merged log, `fused` from the local logs
+    // (its merge and index are inside the measurement).
     for workers in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("crossbeam", workers),
-            &workers,
-            |b, &w| {
-                b.iter(|| black_box(reconstruct_crossbeam(&recon, &campaign.merged, w)))
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("parallel", workers), &workers, |b, &w| {
+            b.iter(|| black_box(reconstruct_parallel(&recon, &campaign.merged, w)))
+        });
+        group.bench_with_input(BenchmarkId::new("fused", workers), &workers, |b, &w| {
+            b.iter(|| black_box(reconstruct_fused(&recon, &campaign.collected, w)))
+        });
     }
-    group.finish();
-}
-
-/// Signature-memoized reconstruction vs the direct pipeline. CitySee-like
-/// traffic is ≥90% duplicate flow shapes, so `warm` (cache pre-filled)
-/// shows the steady-state speedup and `cold` the first-pass overhead of
-/// canonicalization + template publication.
-fn bench_cached(c: &mut Criterion) {
-    let campaign = run_scenario(&bench_scenario());
-    let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
-    let packets = campaign.merged.packet_ids().len() as u64;
-
-    let mut group = c.benchmark_group("cached");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.throughput(Throughput::Elements(packets));
-    group.sample_size(10);
-    group.bench_function("sequential_direct", |b| {
-        b.iter(|| black_box(recon.reconstruct_log(&campaign.merged)))
-    });
-    group.bench_function("sequential_cold", |b| {
-        b.iter(|| {
-            let cache = SigCache::default();
-            black_box(recon.reconstruct_log_cached(&campaign.merged, &cache))
-        })
-    });
-    let warm = SigCache::default();
-    recon.reconstruct_log_cached(&campaign.merged, &warm);
-    group.bench_function("sequential_warm", |b| {
-        b.iter(|| black_box(recon.reconstruct_log_cached(&campaign.merged, &warm)))
-    });
-    group.bench_function("rayon_warm", |b| {
-        b.iter(|| black_box(reconstruct_rayon_cached(&recon, &campaign.merged, &warm)))
-    });
-    group.finish();
-}
-
-/// Legacy vs fused columnar pipeline, sequential and parallel. The legacy
-/// rows pay merge + group + reconstruct as separate passes over an
-/// intermediate merged `Vec<Event>`; the fused rows run merge → packed
-/// store → permutation index → reconstruction with no intermediate event
-/// vector. `*_seq` isolates the data-layout effect; `*_par` adds the
-/// scheduler comparison (rayon vs size-aware work stealing).
-fn bench_columnar(c: &mut Criterion) {
-    let campaign = run_scenario(&bench_scenario());
-    let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
-    let packets = campaign.merged.packet_ids().len() as u64;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-
-    let mut group = c.benchmark_group("columnar");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.throughput(Throughput::Elements(packets));
-    group.sample_size(10);
-    group.bench_function("legacy_seq", |b| {
-        b.iter(|| {
-            let merged = merge_logs(&campaign.collected);
-            black_box(recon.reconstruct_log(&merged))
-        })
-    });
-    group.bench_function("fused_seq", |b| {
-        b.iter(|| {
-            let store = merge_logs_store(&campaign.collected);
-            let index = ColumnarIndex::build(&store);
-            black_box(recon.reconstruct_store(&store, &index))
-        })
-    });
-    group.bench_function("legacy_par", |b| {
-        b.iter(|| {
-            let merged = merge_logs(&campaign.collected);
-            black_box(reconstruct_rayon(&recon, &merged))
-        })
-    });
-    group.bench_function("fused_par", |b| {
-        b.iter(|| black_box(reconstruct_fused(&recon, &campaign.collected, workers)))
-    });
-    // The rayon arena driver on a prebuilt store, to separate scheduler
-    // effects from merge/index cost.
-    let store = merge_logs_store(&campaign.collected);
-    let index = ColumnarIndex::build(&store);
-    group.bench_function("columnar_rayon_prebuilt", |b| {
-        b.iter(|| black_box(reconstruct_columnar(&recon, &store, &index)))
-    });
     group.finish();
 }
 
@@ -246,8 +154,6 @@ criterion_group!(
     bench_grouping,
     bench_per_packet,
     bench_reconstruct_drivers,
-    bench_cached,
-    bench_columnar,
     bench_diagnose
 );
 criterion_main!(benches);

@@ -15,9 +15,6 @@ use eventlog::{Event, EventKind, PacketId};
 use netsim::NodeId;
 use std::path::{Path, PathBuf};
 
-pub mod snapshot;
-pub use snapshot::{BenchSnapshot, ScenarioInfo, StageBreakdownMs};
-
 /// Resolve the scenario from the environment (see module docs).
 pub fn scenario_from_env() -> Scenario {
     let mut s = match std::env::var("REFILL_SCALE").as_deref() {

@@ -14,10 +14,9 @@ use baselines::wit::{wit_merge, WitMerge};
 use eventlog::event::BASE_STATION;
 use eventlog::{LossCause, PacketFate, PacketId, TruthEvent};
 use netsim::{NodeId, SimTime};
-use rayon::prelude::*;
 use refill::diagnose::{Diagnoser, Diagnosis};
+use refill::parallel::{available_workers, par_map};
 use refill::score::{score_cause, score_flow, score_path, CauseScore, FlowScore, PathScore};
-use refill::sigcache::{CacheStats, SigCache};
 use refill::trace::{CtpVocabulary, Reconstructor};
 use refill_telemetry::{NoopRecorder, Recorder, Stage, StageTimer, TelemetrySnapshot};
 use rustc_hash::FxHashMap;
@@ -100,11 +99,6 @@ pub struct Analysis {
     pub correlation: CorrelationSummary,
     /// Delay / retransmission / path statistics.
     pub transport: TransportStats,
-    /// Reconstruction memoization counters: most CitySee packets share a
-    /// handful of happy-path flow shapes, so the hit rate here is the
-    /// fraction of packets whose reconstruction was a template rehydration
-    /// instead of a full pipeline run.
-    pub recon_cache: CacheStats,
     /// Everything the attached recorder collected during this analysis
     /// (empty when no recorder was attached).
     pub telemetry: TelemetrySnapshot,
@@ -115,10 +109,10 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
     analyze_recorded(campaign, Arc::new(NoopRecorder))
 }
 
-/// [`analyze`] with telemetry: the reconstructor, its signature cache, and
-/// every analysis stage (reconstruction + diagnosis, baselines, transport
-/// statistics) report into `recorder`, and the final snapshot is returned
-/// on [`Analysis::telemetry`].
+/// [`analyze`] with telemetry: the reconstructor and every analysis stage
+/// (reconstruction + diagnosis, baselines, transport statistics) report
+/// into `recorder`, and the final snapshot is returned on
+/// [`Analysis::telemetry`].
 ///
 /// A campaign covers one contiguous stretch of days; callers wanting
 /// per-day stage timings (a day is CitySee's natural reporting unit) run
@@ -174,22 +168,17 @@ pub fn analyze_recorded(campaign: &Campaign, recorder: Arc<dyn Recorder>) -> Ana
     ids.sort_unstable();
 
     let empty_path: Vec<NodeId> = Vec::new();
-    // With no recorder attached the cache keeps its private per-instance
-    // stats (which `Analysis::recon_cache` reads); with one attached, the
-    // cache counters land in the shared snapshot too.
-    let cache = if recorder.enabled() {
-        SigCache::default().with_recorder(Arc::clone(&recorder))
-    } else {
-        SigCache::default()
-    };
-    let per_packet: Vec<(PacketRecord, FlowScore, CauseScore, PathScore, bool)> = ids
-        .par_iter()
-        .map(|id| {
+    let per_packet: Vec<(PacketRecord, FlowScore, CauseScore, PathScore, bool)> = par_map(
+        ids.len(),
+        available_workers(),
+        || (),
+        |_, i| {
+            let id = &ids[i];
             let events = index.get(*id).unwrap_or(&[]);
-            let report = recon.reconstruct_packet_cached(*id, events, &cache);
+            let report = recon.reconstruct_packet(*id, events);
             let est_time = source_view.estimate_time(*id);
             let diagnosis = {
-                // Stage totals sum CPU time across rayon workers, so the
+                // Stage totals sum CPU time across workers, so the
                 // diagnose span can exceed wall-clock time.
                 let _span = StageTimer::start(&*recorder, Stage::Diagnose);
                 diagnoser.diagnose(&report, est_time)
@@ -222,8 +211,8 @@ pub fn analyze_recorded(campaign: &Campaign, recorder: Arc<dyn Recorder>) -> Ana
                 ps,
                 looped,
             )
-        })
-        .collect();
+        },
+    );
 
     let mut records = Vec::with_capacity(per_packet.len());
     let mut flow_score = FlowScore::default();
@@ -261,7 +250,6 @@ pub fn analyze_recorded(campaign: &Campaign, recorder: Arc<dyn Recorder>) -> Ana
         naive,
         correlation,
         transport,
-        recon_cache: cache.stats(),
         telemetry: recorder.snapshot(),
     }
 }
@@ -522,24 +510,6 @@ mod tests {
     fn wit_cannot_merge_local_logs() {
         let (_, a) = analyzed();
         assert!(a.wit.fully_disconnected());
-    }
-
-    #[test]
-    fn reconstruction_cache_absorbs_duplicate_flow_shapes() {
-        let (c, a) = analyzed();
-        let stats = &a.recon_cache;
-        assert_eq!(stats.lookups() as usize, c.sim.truth.packet_count());
-        assert!(
-            (stats.entries as u64) < stats.lookups() / 2,
-            "CitySee-like traffic repeats flow shapes: {} unique of {} packets",
-            stats.entries,
-            stats.lookups()
-        );
-        assert!(
-            stats.hit_rate() > 0.3,
-            "hit rate {:.2} unexpectedly low",
-            stats.hit_rate()
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use eventlog::event::BASE_STATION;
 use eventlog::{merge_logs_recorded, PacketId};
 use netsim::{NodeId, SimDuration};
 use refill::diagnose::{Diagnoser, PositionBreakdown};
-use refill::sigcache::SigCache;
+use refill::parallel::{available_workers, reconstruct_fused, reconstruct_parallel};
 use refill::telemetry::{AtomicRecorder, Recorder, Stage, StageTimer};
 use refill::trace::{CtpVocabulary, Reconstructor};
 use std::fs::File;
@@ -23,7 +23,7 @@ refill — reconstruct network behavior from individual, lossy logs
 USAGE:
   refill simulate [--scale small|standard|paper] [--seed N] [--out DIR]
   refill analyze  --logs DIR_OR_FILE [--sink N] [--period SECS] [--stats] [--telemetry FILE]
-  refill trace    --logs DIR_OR_FILE --packet ORIGIN:SEQNO [--sink N] [--dot] [--stats] [--telemetry FILE]
+  refill trace    --logs DIR_OR_FILE --packet ORIGIN:SEQNO [--sink N] [--dot] [--telemetry FILE]
   refill explain  ORIGIN:SEQNO [--logs DIR_OR_FILE] [--sink N] [--seed N] [--format text|json]
   refill profile  [--logs DIR_OR_FILE] [--sink N] [--seed N] [--workers N]
                   [--format table|json] [--telemetry FILE]
@@ -47,8 +47,7 @@ USAGE:
   it simulates one CitySee-like day and replays its upload stream.
   --metrics-every N emits a JSON-lines telemetry delta (counters, stage
   timings, histograms since the previous delta) every N absorbed records.
-  --stats prints reconstruction throughput, signature-cache hit rate, and
-  the unique-flow-shape count after the run.
+  analyze --stats prints reconstruction throughput after the run.
   --telemetry FILE writes the full pipeline telemetry snapshot (counters,
   stage timings, histograms) as JSON; --prometheus FILE writes the same
   snapshot in Prometheus text exposition format (both accepted wherever
@@ -77,8 +76,8 @@ USAGE:
   a store as it runs; re-running after a kill resumes from the durable
   prefix and converges to the same reports as an uninterrupted run.
   soak runs seeded fault-injection conformance cases: each case pushes
-  one synthetic scenario through all seven driver paths (sequential,
-  rayon, crossbeam, fused, cached x2, streaming, store kill-and-resume)
+  one synthetic scenario through all six driver paths (sequential,
+  parallel, fused, cached cold then warm, streaming, store kill-and-resume)
   under injected frame corruption, reader failures and filesystem faults,
   asserting byte-identical reports everywhere. --faults takes a preset
   (none|light|heavy) and/or key=value rates (frame, truncate, garbage,
@@ -260,22 +259,8 @@ fn recorder_for(flags: &Flags) -> Option<Arc<AtomicRecorder>> {
 /// Attach `recorder` (when present) to a reconstructor.
 fn attach_recorder(recon: Reconstructor, recorder: &Option<Arc<AtomicRecorder>>) -> Reconstructor {
     match recorder {
-        Some(r) => {
-            let shared: Arc<dyn Recorder> = Arc::clone(r);
-            recon.with_recorder(shared)
-        }
+        Some(r) => recon.with_recorder(r.clone()),
         None => recon,
-    }
-}
-
-/// A fresh cache wired to `recorder` when present.
-fn cache_for(recorder: &Option<Arc<AtomicRecorder>>) -> SigCache {
-    match recorder {
-        Some(r) => {
-            let shared: Arc<dyn Recorder> = Arc::clone(r);
-            SigCache::default().with_recorder(shared)
-        }
-        None => SigCache::default(),
     }
 }
 
@@ -309,9 +294,8 @@ pub fn analyze_cmd_inner(args: &[String]) -> Result<String, String> {
         .unwrap_or(30);
 
     let merged = merge_logs_recorded(&logs, &**recon.recorder());
-    let cache = cache_for(&recorder);
     let t0 = Instant::now();
-    let reports = refill::parallel::reconstruct_rayon_cached(&recon, &merged, &cache);
+    let reports = reconstruct_parallel(&recon, &merged, available_workers());
     let recon_secs = t0.elapsed().as_secs_f64();
 
     // Source view (if the archive has a base-station log).
@@ -370,42 +354,20 @@ pub fn analyze_cmd_inner(args: &[String]) -> Result<String, String> {
         "\nrouting loops detected: {loops} | lost events inferred: {inferred}"
     );
     if flags.has("stats") {
-        out.push_str(&render_cache_stats(reports.len(), recon_secs, &cache));
+        let packets = reports.len();
+        let throughput = if recon_secs > 0.0 {
+            packets as f64 / recon_secs
+        } else {
+            0.0
+        };
+        let _ = writeln!(out, "\nreconstruction stats:");
+        let _ = writeln!(
+            out,
+            "  throughput: {packets} packets in {recon_secs:.3}s ({throughput:.0} packets/sec)"
+        );
     }
     write_telemetry(&flags, &recorder)?;
     Ok(out)
-}
-
-/// The `--stats` block shared by `analyze` and `trace`.
-fn render_cache_stats(packets: usize, secs: f64, cache: &SigCache) -> String {
-    use std::fmt::Write;
-    let stats = cache.stats();
-    let mut out = String::new();
-    let _ = writeln!(out, "\nreconstruction stats:");
-    let throughput = if secs > 0.0 {
-        packets as f64 / secs
-    } else {
-        0.0
-    };
-    let _ = writeln!(
-        out,
-        "  throughput       : {packets} packets in {secs:.3}s ({throughput:.0} packets/sec)"
-    );
-    let _ = writeln!(
-        out,
-        "  cache hit rate   : {:.1}% ({} hits / {} lookups)",
-        stats.hit_rate() * 100.0,
-        stats.hits,
-        stats.lookups()
-    );
-    let _ = writeln!(
-        out,
-        "  unique signatures: {} ({} resident, {} evicted)",
-        stats.unique_signatures(),
-        stats.entries,
-        stats.evictions
-    );
-    out
 }
 
 /// `refill analyze`, printing.
@@ -416,7 +378,7 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
 
 /// `refill trace`.
 pub fn trace(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["dot", "stats"])?;
+    let flags = Flags::parse(args, &["dot"])?;
     let logs = read_archive(flags.get("logs").ok_or("--logs is required")?)?;
     let packet = parse_packet(flags.get("packet").ok_or("--packet is required")?)?;
     let (recon, _) = build_reconstructor(&flags)?;
@@ -429,23 +391,7 @@ pub fn trace(args: &[String]) -> Result<(), String> {
         .get(packet)
         .ok_or_else(|| format!("no events for packet {packet} in the archive"))?;
 
-    // With --stats the whole archive goes through one cached pass and the
-    // traced packet's report is pulled from it, so the cache numbers cover
-    // exactly one reconstruction of the archive — no second full pass.
-    let (report, stats_tail) = if flags.has("stats") {
-        let cache = cache_for(&recorder);
-        let t0 = Instant::now();
-        let reports = refill::parallel::reconstruct_index_rayon_cached(&recon, &index, &cache);
-        let secs = t0.elapsed().as_secs_f64();
-        let tail = render_cache_stats(reports.len(), secs, &cache);
-        let report = reports
-            .into_iter()
-            .find(|r| r.packet == packet)
-            .unwrap_or_else(|| recon.reconstruct_packet(packet, events));
-        (report, Some(tail))
-    } else {
-        (recon.reconstruct_packet(packet, events), None)
-    };
+    let report = recon.reconstruct_packet(packet, events);
 
     if flags.has("dot") {
         print!("{}", report.flow.to_dot());
@@ -477,13 +423,6 @@ pub fn trace(args: &[String]) -> Result<(), String> {
             cause.label(),
             diag.loss_node.map(|n| n.to_string()).unwrap_or_default()
         );
-    }
-    if let Some(tail) = stats_tail {
-        match recon.signature_of(packet, events) {
-            Some(sig) => println!("  signature: {sig}"),
-            None => println!("  signature: (cache-ineligible group)"),
-        }
-        print!("{tail}");
     }
     write_telemetry(&flags, &recorder)?;
     Ok(())
@@ -551,8 +490,7 @@ pub fn explain_cmd_inner(args: &[String]) -> Result<String, String> {
     let events = index
         .get(packet)
         .ok_or_else(|| format!("no events for packet {packet} in the archive"))?;
-    let cache = SigCache::default();
-    let report = recon.reconstruct_packet_cached(packet, events, &cache);
+    let report = recon.reconstruct_packet(packet, events);
     let disposition = prov.ledger().get(packet).map(|f| f.disposition);
 
     let diagnoser = match sink {
@@ -577,7 +515,7 @@ pub fn explain_cmd_inner(args: &[String]) -> Result<String, String> {
 /// standalone.
 ///
 /// Single-threaded by default on purpose: stage totals then add up to
-/// wall-clock time instead of summing CPU time across rayon workers, which
+/// wall-clock time instead of summing CPU time across workers, which
 /// makes the table directly readable as "where did the time go". The one
 /// exception is the merge front-end, which partitions across rayon workers
 /// on large inputs: its `merge` row is still wall time (the outer span
@@ -631,10 +569,7 @@ pub fn profile_cmd_inner(args: &[String]) -> Result<String, String> {
         }
     }
     let recorder = Arc::new(AtomicRecorder::new());
-    let recon = {
-        let shared: Arc<dyn Recorder> = Arc::clone(&recorder);
-        recon.with_recorder(shared)
-    };
+    let recon = recon.with_recorder(recorder.clone());
     let diagnoser = match sink {
         Some(s) => Diagnoser::new().with_sink(s),
         None => Diagnoser::new(),
@@ -647,15 +582,11 @@ pub fn profile_cmd_inner(args: &[String]) -> Result<String, String> {
         .unwrap_or(1);
 
     let t0 = Instant::now();
-    let cache = {
-        let shared: Arc<dyn Recorder> = Arc::clone(&recorder);
-        SigCache::default().with_recorder(shared)
-    };
     let mut packets = 0usize;
     if workers > 1 {
         // Fused columnar driver: merge, index, and reconstruction all run
-        // inside the work-stealing scheduler, so no separate merge here.
-        let reports = refill::parallel::reconstruct_fused_cached(&recon, &logs, workers, &cache);
+        // inside it, so no separate merge here.
+        let reports = reconstruct_fused(&recon, &logs, workers);
         for report in &reports {
             let _span = StageTimer::start(&*recorder, Stage::Diagnose);
             let _ = diagnoser.diagnose(report, None);
@@ -665,7 +596,7 @@ pub fn profile_cmd_inner(args: &[String]) -> Result<String, String> {
         let merged = merge_logs_recorded(&logs, &*recorder);
         let index = merged.packet_index_recorded(&*recorder);
         for (id, events) in index.iter() {
-            let report = recon.reconstruct_packet_cached(id, events, &cache);
+            let report = recon.reconstruct_packet(id, events);
             {
                 let _span = StageTimer::start(&*recorder, Stage::Diagnose);
                 let _ = diagnoser.diagnose(&report, None);
@@ -917,11 +848,10 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
                 .collect();
             let merged = columns.to_merged();
             let index = merged.packet_index();
-            let cache = SigCache::default();
             let rows: Vec<ReportRow> = index
                 .iter()
                 .map(|(id, events)| {
-                    let report = recon.reconstruct_packet_cached(id, events, &cache);
+                    let report = recon.reconstruct_packet(id, events);
                     let est_time = source_view.estimate_time(id);
                     let diagnosis = diagnoser.diagnose(&report, est_time);
                     ReportRow::from_report(
@@ -961,13 +891,12 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
             })
             .with_sink(campaign.topology.sink());
             let index = campaign.merged.packet_index();
-            let cache = SigCache::default();
             let rows: Vec<ReportRow> = analysis
                 .records
                 .iter()
                 .map(|r| {
                     let events = index.get(r.packet).unwrap_or(&[]);
-                    let report = recon.reconstruct_packet_cached(r.packet, events, &cache);
+                    let report = recon.reconstruct_packet(r.packet, events);
                     ReportRow::from_report(
                         &report,
                         Some(Sidecar {
@@ -1226,7 +1155,7 @@ pub fn soak(args: &[String]) -> Result<(), String> {
 }
 
 /// `refill soak`, returning the printed output (testable): seeded
-/// fault-injection conformance cases across all seven driver paths. A
+/// fault-injection conformance cases across all six driver paths. A
 /// divergence returns `Err` (nonzero exit) carrying every failure's
 /// standalone reproduction command.
 pub fn soak_cmd_inner(args: &[String]) -> Result<String, String> {
@@ -1517,8 +1446,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(with_stats.contains("reconstruction stats:"));
-        assert!(with_stats.contains("cache hit rate"));
-        assert!(with_stats.contains("unique signatures"));
+        assert!(with_stats.contains("packets/sec"));
 
         let tele = dir.join("telemetry.json");
         analyze_cmd_inner(&args(&[

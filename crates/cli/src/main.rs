@@ -46,7 +46,7 @@
 //!
 //! refill soak [--seed N] [--cases N] [--faults SPEC]
 //!     Seeded fault-injection conformance: push synthetic scenarios
-//!     through all seven driver paths under injected frame corruption,
+//!     through all six driver paths under injected frame corruption,
 //!     reader failures and store filesystem faults, asserting
 //!     byte-identical reports everywhere. Every case seed is echoed and
 //!     every failure prints a standalone reproduction command.

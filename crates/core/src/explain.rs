@@ -182,7 +182,7 @@ impl Explanation {
 mod tests {
     use super::*;
     use crate::trace::{CtpVocabulary, Reconstructor};
-    use eventlog::{merge_logs, Event, EventKind, LocalLog, PacketId};
+    use eventlog::{merge_logs, Event, EventKind, LocalLog, LossCause, PacketId};
     use netsim::NodeId;
 
     fn n(i: u16) -> NodeId {
@@ -218,7 +218,7 @@ mod tests {
         let report = case2_report();
         let ex = explain(&report, &Diagnoser::new(), Some(CacheDisposition::Direct));
         assert!(!ex.delivered);
-        assert_eq!(ex.cause, Some("acked loss"));
+        assert_eq!(ex.cause, Some(LossCause::AckedLoss.label()));
         assert_eq!(ex.loss_node.as_deref(), Some("n2"));
         assert_eq!(ex.observed, report.flow.observed_count());
         assert_eq!(ex.inferred, report.flow.inferred_count());
@@ -234,7 +234,7 @@ mod tests {
         let ex = explain(&report, &Diagnoser::new(), None);
         let text = ex.render_text();
         assert!(text.contains("packet n1#0: lost"));
-        assert!(text.contains("acked loss"));
+        assert!(text.contains(LossCause::AckedLoss.label()));
         assert!(
             text.contains("[1-2 recv]"),
             "inferred recv must be bracketed:\n{text}"

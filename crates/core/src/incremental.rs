@@ -12,16 +12,14 @@
 //! node's recording order (which is how collection delivers them — a log is
 //! read front to back).
 
-use crate::sigcache::{CacheStats, SigCache};
+use crate::parallel::{available_workers, par_map};
 use crate::trace::{PacketReport, Reconstructor};
 use eventlog::columnar::PackedEvent;
 use eventlog::logger::LocalLog;
 use eventlog::{Event, PacketId};
-use rayon::prelude::*;
-use refill_telemetry::{Counter, Recorder};
+use refill_telemetry::Counter;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Accumulates logs and keeps per-packet reports up to date.
 pub struct IncrementalReconstructor {
@@ -37,10 +35,6 @@ pub struct IncrementalReconstructor {
     /// Ordered by packet id so report iteration is deterministic without a
     /// per-call sort (streaming consumers iterate this after every window).
     reports: BTreeMap<PacketId, PacketReport>,
-    /// Flow-shape templates shared across refreshes: steady-state batches
-    /// keep producing the same happy-path shapes, so later refreshes run
-    /// mostly on cache hits.
-    cache: SigCache,
     /// Event count per packet at its last reconstruction — the cheap
     /// change detector that lets [`IncrementalReconstructor::refresh`] skip
     /// packets marked dirty without actually gaining evidence. A count
@@ -51,40 +45,13 @@ pub struct IncrementalReconstructor {
 impl IncrementalReconstructor {
     /// Wrap a configured [`Reconstructor`].
     pub fn new(recon: Reconstructor) -> Self {
-        let cache = Self::cache_for(&recon, SigCache::default());
         IncrementalReconstructor {
             recon,
             events: FxHashMap::default(),
             dirty: FxHashSet::default(),
             reports: BTreeMap::new(),
-            cache,
             reconstructed_len: FxHashMap::default(),
         }
-    }
-
-    /// Wire the internal cache into the reconstructor's recorder when one
-    /// is attached, so cache counters join the pipeline-wide snapshot;
-    /// otherwise the cache keeps its private counters and
-    /// [`IncrementalReconstructor::cache_stats`] works standalone.
-    fn cache_for(recon: &Reconstructor, cache: SigCache) -> SigCache {
-        if recon.recorder().enabled() {
-            cache.with_recorder(Arc::clone(recon.recorder()))
-        } else {
-            cache
-        }
-    }
-
-    /// Replace the template cache with one of the given capacity (useful
-    /// to bound memory tighter than the default; resets warm state, so
-    /// call at construction time).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Self::cache_for(&self.recon, SigCache::new(capacity));
-        self
-    }
-
-    /// Counters of the shared template cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Ingest one node's log batch (entries in recording order).
@@ -164,12 +131,11 @@ impl IncrementalReconstructor {
     /// Shared refresh body: `ids` have already been removed from the dirty
     /// set; filter out the ones whose event sets did not change, then
     /// reconstruct the rest — in parallel when the batch is big enough to
-    /// pay for rayon's fork-join, on the calling thread otherwise. The
+    /// pay for spawning workers, on the calling thread otherwise. The
     /// sequential path matters under streaming: a poll typically closes
     /// only a handful of windows, and forking workers per-handful costs
     /// more than the reconstructions themselves. Output is identical
-    /// either way (ids are sorted first; the parallel collect preserves
-    /// order).
+    /// either way (ids are sorted first; [`par_map`] preserves order).
     fn refresh_ids(&mut self, mut ids: Vec<PacketId>) -> Vec<PacketId> {
         /// Batches below this size reconstruct on the calling thread.
         const PAR_MIN_IDS: usize = 8;
@@ -182,25 +148,25 @@ impl IncrementalReconstructor {
         rec.add(Counter::IncrementalSkipped, (drained - ids.len()) as u64);
         rec.add(Counter::IncrementalRefreshed, ids.len() as u64);
         ids.sort_unstable();
+        let workers = if ids.len() < PAR_MIN_IDS {
+            1
+        } else {
+            available_workers()
+        };
         let recon = &self.recon;
         let events = &self.events;
-        let cache = &self.cache;
-        // Unpack each group into a reused scratch buffer: one per call on
-        // the sequential path, one per rayon worker on the parallel path.
-        let reconstruct = |scratch: &mut Vec<Event>, id: &PacketId| {
-            scratch.clear();
-            scratch.extend(events[id].iter().map(PackedEvent::unpack));
-            (*id, recon.reconstruct_packet_cached(*id, scratch, cache))
-        };
-        let updated: Vec<(PacketId, PacketReport)> = if ids.len() < PAR_MIN_IDS {
-            let mut scratch = Vec::new();
-            ids.iter().map(|id| reconstruct(&mut scratch, id)).collect()
-        } else {
-            ids.par_iter()
-                .map_init(Vec::new, |scratch, id| reconstruct(scratch, id))
-                .collect()
-        };
-        for (id, report) in updated {
+        // Each worker unpacks its groups into one reused scratch buffer.
+        let updated: Vec<PacketReport> = par_map(
+            ids.len(),
+            workers,
+            Vec::new,
+            |scratch: &mut Vec<Event>, i| {
+                scratch.clear();
+                scratch.extend(events[&ids[i]].iter().map(PackedEvent::unpack));
+                recon.reconstruct_packet(ids[i], scratch)
+            },
+        );
+        for (&id, report) in ids.iter().zip(updated) {
             self.reconstructed_len.insert(id, self.events[&id].len());
             self.reports.insert(id, report);
         }
@@ -236,6 +202,8 @@ mod tests {
     use crate::trace::CtpVocabulary;
     use eventlog::{merge_logs, EventKind};
     use netsim::NodeId;
+    use refill_telemetry::{AtomicRecorder, Recorder};
+    use std::sync::Arc;
 
     fn n(i: u16) -> NodeId {
         NodeId(i)
@@ -344,17 +312,18 @@ mod tests {
         assert_eq!(inc.len(), 0);
         assert_eq!(inc.pending(), 0);
         assert!(inc.report(PacketId::new(n(1), 0)).is_none());
-        assert_eq!(inc.cache_stats().lookups(), 0);
     }
 
     #[test]
     fn unchanged_dirty_packets_are_skipped() {
         let logs = chain_logs(4);
-        let mut inc =
-            IncrementalReconstructor::new(Reconstructor::new(CtpVocabulary::table2()));
+        let recorder = Arc::new(AtomicRecorder::new());
+        let mut inc = IncrementalReconstructor::new(
+            Reconstructor::new(CtpVocabulary::table2()).with_recorder(recorder.clone()),
+        );
         inc.ingest_log(&logs[0]);
         inc.refresh();
-        let lookups_after_first = inc.cache_stats().lookups();
+        let reconstructed_after_first = recorder.counter_value(Counter::PacketsReconstructed);
 
         // Dirty with no new evidence: the refresh must do zero work.
         inc.mark_dirty(PacketId::new(n(1), 2));
@@ -364,8 +333,11 @@ mod tests {
         inc.dirty.insert(PacketId::new(n(1), 1));
         let updated = inc.refresh();
         assert_eq!(updated, vec![PacketId::new(n(1), 2)]);
-        // Only the marked packet cost a cache lookup.
-        assert_eq!(inc.cache_stats().lookups(), lookups_after_first + 1);
+        // Only the marked packet cost a reconstruction.
+        assert_eq!(
+            recorder.counter_value(Counter::PacketsReconstructed),
+            reconstructed_after_first + 1
+        );
     }
 
     #[test]
@@ -429,49 +401,5 @@ mod tests {
         inc.mark_dirty(PacketId::new(n(9), 9));
         assert_eq!(inc.pending(), 0);
         assert!(inc.refresh().is_empty());
-    }
-
-    #[test]
-    fn cache_warms_up_across_refreshes() {
-        // Two batches of identically-shaped packets: the second refresh
-        // should be answered from templates the first one published.
-        let mut inc =
-            IncrementalReconstructor::new(Reconstructor::new(CtpVocabulary::table2()));
-        let shape = |seqno: u32| {
-            let p = PacketId::new(n(1), seqno);
-            [
-                Event::new(n(1), EventKind::Trans { to: n(2) }, p),
-                Event::new(n(2), EventKind::Recv { from: n(1) }, p),
-            ]
-        };
-        inc.ingest_events(shape(0));
-        inc.refresh();
-        let warm = inc.cache_stats();
-        assert_eq!(warm.misses, 1);
-        assert_eq!(warm.inserts, 1);
-
-        inc.ingest_events(shape(1).into_iter().chain(shape(2)));
-        inc.refresh();
-        let stats = inc.cache_stats();
-        assert_eq!(stats.hits, warm.hits + 2, "later batches reuse the template");
-        assert_eq!(stats.inserts, warm.inserts, "no new shapes published");
-    }
-
-    #[test]
-    fn incremental_equals_batch_with_custom_cache_capacity() {
-        // A tiny cache forces evictions mid-run; results must not change.
-        let logs = chain_logs(10);
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let batch = recon.reconstruct_log(&merge_logs(&logs));
-        let mut inc =
-            IncrementalReconstructor::new(Reconstructor::new(CtpVocabulary::table2()))
-                .with_cache_capacity(2);
-        for log in &logs {
-            inc.ingest_log(log);
-            inc.refresh();
-        }
-        for (b, i) in batch.iter().zip(inc.reports()) {
-            assert_eq!(b, i, "packet {}", b.packet);
-        }
     }
 }

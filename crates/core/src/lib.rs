@@ -26,7 +26,7 @@
 //! On top sit [`diagnose`] (loss position + cause classification, the
 //! paper's Section V), [`score`] (accuracy against simulator ground truth —
 //! something the real deployment could never measure), and [`parallel`]
-//! (packet-level data-parallel drivers).
+//! (the one ordered parallel map and the two batch drivers built on it).
 //!
 //! ```
 //! use eventlog::{Event, EventKind, LocalLog, PacketId, merge_logs};
@@ -57,7 +57,6 @@ pub mod fsm;
 pub mod incremental;
 pub mod net;
 pub mod parallel;
-pub mod schedule;
 pub mod score;
 pub mod sigcache;
 pub mod trace;
@@ -68,7 +67,6 @@ pub use flow::{EventFlow, FlowEntry};
 pub use incremental::IncrementalReconstructor;
 pub use fsm::{FsmBuilder, FsmTemplate, StateId};
 pub use net::{ConnectedNet, EngineId, NetWarning, RunStats};
-pub use schedule::reconstruct_work_stealing;
 pub use sigcache::{CacheStats, SigCache};
 pub use trace::{
     CtpVocabulary, FlowSignature, PacketReport, ReconOptions, Reconstructor, ReportTemplate,

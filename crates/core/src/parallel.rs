@@ -1,238 +1,117 @@
-//! Data-parallel reconstruction drivers.
+//! The one parallel loop, and the reconstruction drivers built on it.
 //!
 //! Packets are independent: each reconstruction touches only that packet's
-//! events. That makes the per-packet loop embarrassingly parallel, and a
-//! CitySee-scale month of logs (hundreds of thousands of packets) is where
-//! it pays. Two drivers are provided:
+//! events (§IV-B). Every parallel pass in the workspace — the batch drivers
+//! here, [`crate::incremental::IncrementalReconstructor`]'s refresh and
+//! `citysee::analyze` — is therefore the same thing: an ordered map over an
+//! index range with some per-worker scratch. [`par_map`] is that map,
+//! written once on `std`.
 //!
-//! * [`reconstruct_rayon`] — the idiomatic `par_iter` pipeline (default),
-//! * [`reconstruct_crossbeam`] — scoped worker threads, each filling a
-//!   disjoint contiguous chunk of the output, kept as the comparison point
-//!   the bench suite measures against Rayon's work-stealing,
-//! * [`reconstruct_columnar`] / [`reconstruct_fused`] — the packed
-//!   [`eventlog::EventStore`] path: groups are row-position slices into
-//!   the store, unpacked through per-worker [`ScratchArena`]s.
-//!   `reconstruct_fused` runs merge → index → reconstruct with no
-//!   intermediate merged `Vec<Event>` at all, scheduled by the size-aware
-//!   work-stealing batcher in [`crate::schedule`].
-//!
-//! Both drivers borrow packet groups as `&[Event]` slices from one shared
-//! [`eventlog::PacketIndex`] — grouping sorts the merged log exactly once
-//! and nothing is copied per packet.
+//! * [`reconstruct_parallel`] groups a merged log through one shared
+//!   [`eventlog::PacketIndex`] and maps the kernel over the groups;
+//! * [`reconstruct_fused`] merges the local logs straight into a packed
+//!   [`eventlog::EventStore`] (no intermediate merged `Vec<Event>`), indexes
+//!   it, and maps the kernel over groups unpacked through a per-worker
+//!   [`ScratchArena`].
 //!
 //! Both produce output identical to the sequential
-//! [`Reconstructor::reconstruct_log`] (packets sorted by id), which the
-//! test suite verifies — determinism is a core invariant (DESIGN.md §5).
+//! [`Reconstructor::reconstruct_log`] (packets sorted by id) for any worker
+//! count, which `tests/kernel_identity.rs` verifies — determinism is a core
+//! invariant (DESIGN.md §5).
 
-use crate::diagnose::{Diagnoser, Diagnosis};
-use crate::schedule::reconstruct_work_stealing;
-use crate::sigcache::SigCache;
 use crate::trace::{PacketReport, Reconstructor};
-use eventlog::columnar::{ColumnarIndex, EventStore, ScratchArena};
-use eventlog::{merge_logs_store_recorded, LocalLog, MergedLog, PacketId, PacketIndex, SimTime};
-use rayon::prelude::*;
-use refill_telemetry::{Hist, Recorder};
-use std::time::{Duration, Instant};
+use eventlog::columnar::{ColumnarIndex, ScratchArena};
+use eventlog::{merge_logs_store_recorded, LocalLog, MergedLog};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Clamp a duration to nanosecond counter range.
-fn dur_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+/// Batches per worker: enough that one slow batch (a storm-loop packet)
+/// cannot leave the other workers idle for long, few enough that cursor
+/// traffic stays negligible.
+const BATCHES_PER_WORKER: usize = 8;
+
+/// Worker threads a parallel pass uses when the caller has no count of its
+/// own: the machine's available parallelism (1 if it cannot be determined).
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Reconstruct all packets with Rayon's parallel iterator.
+/// Ordered parallel map over `0..n`: `f(state, i)` for every index, results
+/// in index order.
 ///
-/// Per-worker telemetry (packet throughput, queue wait) is only collected
-/// by the crossbeam drivers, whose workers have clear boundaries; rayon's
-/// work-stealing splits are invisible from here, so under rayon the
-/// per-packet counters and stage timings carry the telemetry instead.
-pub fn reconstruct_rayon(recon: &Reconstructor, merged: &MergedLog) -> Vec<PacketReport> {
+/// Up to `workers` scoped threads (the caller's included) claim fixed-size
+/// index batches from one atomic cursor; each builds its own state with
+/// `init` once and threads it through its calls of `f`. Runs inline, on the
+/// calling thread, when `workers <= 1` or `n <= 1`. A panic in `init` or
+/// `f` propagates to the caller.
+pub fn par_map<S, T, I, F>(n: usize, workers: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
+    }
+    let batch = n.div_ceil(workers * BATCHES_PER_WORKER);
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        let mut parts: Vec<(usize, Vec<T>)> = Vec::new();
+        loop {
+            // Relaxed: the cursor only hands out disjoint index ranges; the
+            // joins below publish the results.
+            let start = cursor.fetch_add(batch, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + batch).min(n);
+            parts.push((start, (start..end).map(|i| f(&mut state, i)).collect()));
+        }
+        parts
+    };
+    let mut parts = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut parts = work();
+        for handle in spawned {
+            match handle.join() {
+                Ok(more) => parts.extend(more),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        parts
+    });
+    parts.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(n);
+    for (_, part) in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// Reconstruct every packet of a merged log on `workers` threads.
+pub fn reconstruct_parallel(
+    recon: &Reconstructor,
+    merged: &MergedLog,
+    workers: usize,
+) -> Vec<PacketReport> {
     let index = merged.packet_index_recorded(&**recon.recorder());
-    (0..index.len())
-        .into_par_iter()
-        .map(|i| {
+    par_map(
+        index.len(),
+        workers,
+        || (),
+        |_, i| {
             let (id, events) = index.group(i);
             recon.reconstruct_packet(id, events)
-        })
-        .collect()
-}
-
-/// [`reconstruct_rayon`] through a shared signature cache: workers publish
-/// templates as they discover new flow shapes and hit each other's work for
-/// the repeats. The output is identical to the uncached drivers (tested);
-/// only the amount of recomputation changes.
-pub fn reconstruct_rayon_cached(
-    recon: &Reconstructor,
-    merged: &MergedLog,
-    cache: &SigCache,
-) -> Vec<PacketReport> {
-    let index = merged.packet_index_recorded(&**recon.recorder());
-    reconstruct_index_rayon_cached(recon, &index, cache)
-}
-
-/// [`reconstruct_rayon_cached`] over an already-built [`PacketIndex`] —
-/// for callers that need the index for their own lookups too (the CLI's
-/// `trace --stats` builds it once and shares it with this driver).
-pub fn reconstruct_index_rayon_cached(
-    recon: &Reconstructor,
-    index: &PacketIndex,
-    cache: &SigCache,
-) -> Vec<PacketReport> {
-    (0..index.len())
-        .into_par_iter()
-        .map(|i| {
-            let (id, events) = index.group(i);
-            recon.reconstruct_packet_cached(id, events, cache)
-        })
-        .collect()
-}
-
-/// Reconstruct all packets with `workers` crossbeam-scoped threads.
-///
-/// The output vector is split into disjoint contiguous chunks up front and
-/// each worker writes its chunk directly — no channel, no mutex, no
-/// post-pass reordering. Output order (sorted by packet id) falls out of the
-/// index's ordering.
-pub fn reconstruct_crossbeam(
-    recon: &Reconstructor,
-    merged: &MergedLog,
-    workers: usize,
-) -> Vec<PacketReport> {
-    let index = merged.packet_index_recorded(&**recon.recorder());
-    let n = index.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let chunk = n.div_ceil(workers);
-    let mut slots: Vec<Option<PacketReport>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    // Spawn-to-first-packet delay per worker; clock reads only when a
-    // recorder is collecting.
-    let t_spawn = recon.recorder().enabled().then(Instant::now);
-
-    crossbeam::thread::scope(|scope| {
-        for (w, out) in slots.chunks_mut(chunk).enumerate() {
-            let index = &index;
-            scope.spawn(move |_| {
-                let waited = t_spawn.map(|t0| t0.elapsed());
-                let t_busy = waited.map(|_| Instant::now());
-                let start = w * chunk;
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let (id, events) = index.group(start + j);
-                    *slot = Some(recon.reconstruct_packet(id, events));
-                }
-                record_worker(recon, waited, t_busy, out.len());
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
-}
-
-/// Record one crossbeam worker's queue wait, busy time, and packet count
-/// (a no-op when no recorder is attached: the timestamps are `None`).
-fn record_worker(
-    recon: &Reconstructor,
-    waited: Option<Duration>,
-    t_busy: Option<Instant>,
-    packets: usize,
-) {
-    let (Some(waited), Some(t_busy)) = (waited, t_busy) else {
-        return;
-    };
-    let rec = &**recon.recorder();
-    rec.observe(Hist::QueueWaitNs, dur_ns(waited));
-    rec.observe(Hist::WorkerBusyNs, dur_ns(t_busy.elapsed()));
-    rec.observe(Hist::WorkerPackets, packets as u64);
-}
-
-/// [`reconstruct_crossbeam`] through a shared signature cache (same
-/// disjoint-chunk structure; the cache is the only shared mutable state and
-/// carries its own per-shard locks).
-pub fn reconstruct_crossbeam_cached(
-    recon: &Reconstructor,
-    merged: &MergedLog,
-    workers: usize,
-    cache: &SigCache,
-) -> Vec<PacketReport> {
-    let index = merged.packet_index_recorded(&**recon.recorder());
-    let n = index.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let chunk = n.div_ceil(workers);
-    let mut slots: Vec<Option<PacketReport>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let t_spawn = recon.recorder().enabled().then(Instant::now);
-
-    crossbeam::thread::scope(|scope| {
-        for (w, out) in slots.chunks_mut(chunk).enumerate() {
-            let index = &index;
-            scope.spawn(move |_| {
-                let waited = t_spawn.map(|t0| t0.elapsed());
-                let t_busy = waited.map(|_| Instant::now());
-                let start = w * chunk;
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let (id, events) = index.group(start + j);
-                    *slot = Some(recon.reconstruct_packet_cached(id, events, cache));
-                }
-                record_worker(recon, waited, t_busy, out.len());
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
-}
-
-/// Rayon driver over a columnar store: each rayon worker owns one
-/// grow-only [`ScratchArena`] (via `map_init`), so unpacking a group
-/// costs no allocation once the arena has grown to the largest group the
-/// worker has seen.
-pub fn reconstruct_columnar(
-    recon: &Reconstructor,
-    store: &EventStore,
-    index: &ColumnarIndex,
-) -> Vec<PacketReport> {
-    (0..index.len())
-        .into_par_iter()
-        .map_init(ScratchArena::new, |scratch, i| {
-            let (id, positions) = index.group(i);
-            recon.reconstruct_group(id, store, positions, scratch)
-        })
-        .collect()
-}
-
-/// [`reconstruct_columnar`] through a shared signature cache.
-pub fn reconstruct_columnar_cached(
-    recon: &Reconstructor,
-    store: &EventStore,
-    index: &ColumnarIndex,
-    cache: &SigCache,
-) -> Vec<PacketReport> {
-    (0..index.len())
-        .into_par_iter()
-        .map_init(ScratchArena::new, |scratch, i| {
-            let (id, positions) = index.group(i);
-            recon.reconstruct_group_cached(id, store, positions, scratch, cache)
-        })
-        .collect()
+        },
+    )
 }
 
 /// The fused columnar pipeline, end to end: merge the local logs straight
-/// into a packed [`EventStore`] (no intermediate merged `Vec<Event>`),
-/// build the permutation index over it, and reconstruct with the
-/// size-aware work-stealing scheduler. This is the default full-throughput
-/// driver; output is byte-identical to
-/// `reconstruct_log(&merge_logs(logs))` (property-tested).
+/// into a packed [`eventlog::EventStore`], build the permutation index over
+/// it, and reconstruct each group from a per-worker [`ScratchArena`].
+/// Output is identical to `reconstruct_log(&merge_logs(logs))`.
 pub fn reconstruct_fused(
     recon: &Reconstructor,
     logs: &[LocalLog],
@@ -241,215 +120,111 @@ pub fn reconstruct_fused(
     let rec = &**recon.recorder();
     let store = merge_logs_store_recorded(logs, rec);
     let index = ColumnarIndex::build_recorded(&store, rec);
-    reconstruct_work_stealing(recon, &store, &index, workers, None)
+    par_map(index.len(), workers, ScratchArena::new, |scratch, i| {
+        let (id, positions) = index.group(i);
+        recon.reconstruct_packet(id, scratch.unpack(&store, positions))
+    })
 }
 
-/// [`reconstruct_fused`] through a shared signature cache.
-pub fn reconstruct_fused_cached(
-    recon: &Reconstructor,
-    logs: &[LocalLog],
-    workers: usize,
-    cache: &SigCache,
-) -> Vec<PacketReport> {
-    let rec = &**recon.recorder();
-    let store = merge_logs_store_recorded(logs, rec);
-    let index = ColumnarIndex::build_recorded(&store, rec);
-    reconstruct_work_stealing(recon, &store, &index, workers, Some(cache))
+// The two names below exist only because `benchmark/src/layers.rs`, frozen
+// for the PR that introduced `reconstruct_parallel`, still calls them; they
+// go when a benchmark change drops `core.rayon_s` / `core.crossbeam_s`.
+
+#[doc(hidden)]
+pub fn reconstruct_rayon(recon: &Reconstructor, merged: &MergedLog) -> Vec<PacketReport> {
+    reconstruct_parallel(recon, merged, available_workers())
 }
 
-/// Reconstruct and diagnose in one parallel pass.
-pub fn reconstruct_and_diagnose(
+#[doc(hidden)]
+pub fn reconstruct_crossbeam(
     recon: &Reconstructor,
-    diagnoser: &Diagnoser,
     merged: &MergedLog,
-    est_time: impl Fn(PacketId) -> Option<SimTime> + Sync,
-) -> Vec<(PacketReport, Diagnosis)> {
-    let index = merged.packet_index_recorded(&**recon.recorder());
-    (0..index.len())
-        .into_par_iter()
-        .map(|i| {
-            let (id, events) = index.group(i);
-            let report = recon.reconstruct_packet(id, events);
-            let diag = diagnoser.diagnose(&report, est_time(id));
-            (report, diag)
-        })
-        .collect()
+    workers: usize,
+) -> Vec<PacketReport> {
+    reconstruct_parallel(recon, merged, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::CtpVocabulary;
-    use eventlog::{merge_logs, Event, EventKind, LocalLog};
-    use netsim::NodeId;
+    use eventlog::merge_logs;
 
-    fn n(i: u16) -> NodeId {
-        NodeId(i)
-    }
-
-    /// A small multi-packet log set: 20 packets over a 3-node chain with
-    /// assorted losses.
-    fn sample_logs() -> Vec<LocalLog> {
-        let mut n1 = Vec::new();
-        let mut n2 = Vec::new();
-        let mut n3 = Vec::new();
-        for s in 0..20u32 {
-            let p = PacketId::new(n(1), s);
-            n1.push(Event::new(n(1), EventKind::Trans { to: n(2) }, p));
-            if s % 3 != 0 {
-                n1.push(Event::new(n(1), EventKind::AckRecvd { to: n(2) }, p));
-            }
-            if s % 4 != 0 {
-                n2.push(Event::new(n(2), EventKind::Recv { from: n(1) }, p));
-                n2.push(Event::new(n(2), EventKind::Trans { to: n(3) }, p));
-            }
-            if s % 5 != 0 {
-                n3.push(Event::new(n(3), EventKind::Recv { from: n(2) }, p));
+    #[test]
+    fn par_map_returns_results_in_index_order() {
+        for n in [0usize, 1, 7, 1000] {
+            for workers in [1usize, 2, 4, 7, n + 3] {
+                let out = par_map(n, workers, || (), |_, i| i * i);
+                let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, expected, "n={n} workers={workers}");
             }
         }
-        vec![
-            LocalLog::from_events(n(1), n1),
-            LocalLog::from_events(n(2), n2),
-            LocalLog::from_events(n(3), n3),
-        ]
-    }
-
-    fn sample_log() -> MergedLog {
-        merge_logs(&sample_logs())
-    }
-
-    fn flows(reports: &[PacketReport]) -> Vec<String> {
-        reports.iter().map(|r| r.flow.to_string()).collect()
     }
 
     #[test]
-    fn rayon_matches_sequential() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let merged = sample_log();
-        let seq = recon.reconstruct_log(&merged);
-        let par = reconstruct_rayon(&recon, &merged);
-        assert_eq!(flows(&seq), flows(&par));
-        assert_eq!(
-            seq.iter().map(|r| r.packet).collect::<Vec<_>>(),
-            par.iter().map(|r| r.packet).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn crossbeam_matches_sequential() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let merged = sample_log();
-        let seq = recon.reconstruct_log(&merged);
-        for workers in [1, 2, 4] {
-            let par = reconstruct_crossbeam(&recon, &merged, workers);
-            assert_eq!(flows(&seq), flows(&par), "workers={workers}");
+    fn par_map_builds_state_at_most_once_per_worker() {
+        for n in [0usize, 1, 7, 1000] {
+            for workers in [1usize, 2, 4, 7, n + 3] {
+                let inits = AtomicUsize::new(0);
+                let out = par_map(
+                    n,
+                    workers,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        0usize
+                    },
+                    |calls, _| {
+                        *calls += 1;
+                        *calls
+                    },
+                );
+                let inits = inits.load(Ordering::Relaxed);
+                assert!(
+                    inits <= workers,
+                    "n={n} workers={workers}: {inits} states built"
+                );
+                // Each state counts the calls it served, so a count of 1
+                // marks a state's first use (a worker that claimed no batch
+                // built a state and never used it).
+                let first_uses = out.iter().filter(|&&calls| calls == 1).count();
+                assert!(first_uses <= inits, "n={n} workers={workers}");
+                assert_eq!(first_uses == 0, n == 0, "n={n} workers={workers}");
+            }
         }
     }
 
     #[test]
-    fn reconstruct_and_diagnose_pairs_up() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let diagnoser = Diagnoser::new();
-        let merged = sample_log();
-        let out = reconstruct_and_diagnose(&recon, &diagnoser, &merged, |_| None);
-        assert_eq!(out.len(), 20);
-        for (report, diag) in &out {
-            assert_eq!(report.packet, diag.packet);
-        }
-    }
-
-    #[test]
-    fn empty_log_yields_no_reports() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let merged = merge_logs(&[]);
-        assert!(reconstruct_rayon(&recon, &merged).is_empty());
-        assert!(reconstruct_crossbeam(&recon, &merged, 4).is_empty());
-        let cache = SigCache::default();
-        assert!(reconstruct_rayon_cached(&recon, &merged, &cache).is_empty());
-        assert!(reconstruct_crossbeam_cached(&recon, &merged, 4, &cache).is_empty());
-    }
-
-    #[test]
-    fn cached_rayon_matches_sequential_and_shares_templates() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let merged = sample_log();
-        let seq = recon.reconstruct_log(&merged);
-        let cache = SigCache::default();
-        let cached = reconstruct_rayon_cached(&recon, &merged, &cache);
-        assert_eq!(seq, cached);
-        let stats = cache.stats();
-        // 20 packets fall into far fewer flow shapes (the loss pattern has
-        // period lcm(3,4,5) > 20, but many packets still share shapes).
-        assert_eq!(stats.lookups(), 20);
-        assert!(
-            stats.entries < 20,
-            "duplicate shapes must share templates ({} unique)",
-            stats.entries
-        );
-        // A second run over the same log is answered entirely from cache.
-        let again = reconstruct_rayon_cached(&recon, &merged, &cache);
-        assert_eq!(seq, again);
-        assert_eq!(cache.stats().misses, stats.misses);
-    }
-
-    #[test]
-    fn cached_crossbeam_matches_sequential_across_worker_counts() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let merged = sample_log();
-        let seq = recon.reconstruct_log(&merged);
-        for workers in [1, 2, 4] {
-            let cache = SigCache::default();
-            let cached = reconstruct_crossbeam_cached(&recon, &merged, workers, &cache);
-            assert_eq!(seq, cached, "workers={workers}");
-            assert_eq!(cache.stats().lookups(), 20, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn columnar_rayon_matches_legacy() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let logs = sample_logs();
-        let seq = recon.reconstruct_log(&merge_logs(&logs));
-        let store = eventlog::merge_logs_store(&logs);
-        let index = ColumnarIndex::build(&store);
-        assert_eq!(seq, reconstruct_columnar(&recon, &store, &index));
-        let cache = SigCache::default();
-        assert_eq!(
-            seq,
-            reconstruct_columnar_cached(&recon, &store, &index, &cache)
-        );
-        assert_eq!(cache.stats().lookups(), 20);
-    }
-
-    #[test]
-    fn fused_pipeline_matches_legacy() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let logs = sample_logs();
-        let seq = recon.reconstruct_log(&merge_logs(&logs));
-        for workers in [1, 2, 4] {
-            assert_eq!(seq, reconstruct_fused(&recon, &logs, workers), "workers={workers}");
-            let cache = SigCache::default();
-            assert_eq!(
-                seq,
-                reconstruct_fused_cached(&recon, &logs, workers, &cache),
-                "workers={workers} cached"
+    fn par_map_propagates_a_panicking_item() {
+        for workers in [1usize, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                par_map(
+                    100,
+                    workers,
+                    || (),
+                    |_, i| {
+                        assert_ne!(i, 63, "item 63 fails");
+                        i
+                    },
+                )
+            });
+            let payload = caught.expect_err("the panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("assert_ne! panics with a String");
+            assert!(
+                message.contains("item 63 fails"),
+                "workers={workers}: {message}"
             );
         }
-        assert!(reconstruct_fused(&recon, &[], 4).is_empty());
     }
 
     #[test]
-    fn one_cache_serves_both_drivers() {
+    fn empty_inputs_yield_no_reports() {
         let recon = Reconstructor::new(CtpVocabulary::table2());
-        let merged = sample_log();
-        let cache = SigCache::default();
-        let a = reconstruct_rayon_cached(&recon, &merged, &cache);
-        let warm = cache.stats();
-        let b = reconstruct_crossbeam_cached(&recon, &merged, 4, &cache);
-        assert_eq!(a, b);
-        // The crossbeam pass reused the rayon pass's templates: no new
-        // shapes were published.
-        assert_eq!(cache.stats().inserts, warm.inserts);
-        assert_eq!(cache.stats().hits, warm.hits + 20);
+        let merged = merge_logs(&[]);
+        assert!(reconstruct_parallel(&recon, &merged, 4).is_empty());
+        assert!(reconstruct_fused(&recon, &[], 4).is_empty());
+        assert!(reconstruct_rayon(&recon, &merged).is_empty());
+        assert!(reconstruct_crossbeam(&recon, &merged, 4).is_empty());
     }
 }

@@ -2,10 +2,16 @@
 //!
 //! Keys are canonical flow-shape signatures ([`crate::trace::FlowSignature`]),
 //! values are node-abstract [`ReportTemplate`]s shared behind `Arc`. The
-//! cache is safe to share by reference across the rayon and crossbeam
-//! drivers: each lookup locks exactly one shard (selected by the
-//! signature's high bits, which the two-lane mixer distributes uniformly),
-//! so under N shards, N threads rarely contend.
+//! cache is safe to share by reference across threads: each lookup locks
+//! exactly one shard (selected by the signature's high bits, which the
+//! two-lane mixer distributes uniformly), so under N shards, N threads
+//! rarely contend.
+//!
+//! Since the table-driven kernel made a packet cost ≈10 µs, canonicalise +
+//! hash + clone-a-template no longer beats reconstructing (DESIGN.md §6):
+//! no production path uses the cache. It stays as the one memoised path
+//! ([`crate::trace::Reconstructor::reconstruct_packet_cached`]) for its
+//! equivalence tests and the benchmark's `core.cached_*` probes.
 //!
 //! Capacity is bounded. Each shard runs a second-chance (clock) policy: a
 //! FIFO queue of resident signatures plus a per-entry referenced bit that a
@@ -23,12 +29,11 @@
 //! [`TelemetrySnapshot`]: refill_telemetry::TelemetrySnapshot
 
 use crate::trace::{FlowSignature, ReportTemplate};
-use parking_lot::Mutex;
 use refill_telemetry::{AtomicRecorder, Counter, Recorder};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default total template capacity. Templates are small (a few hundred
 /// bytes for a happy-path flow), so even the full default is a few tens of
@@ -53,6 +58,14 @@ pub struct SigCache {
 #[derive(Default)]
 struct Shard {
     inner: Mutex<ShardMap>,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardMap> {
+        self.inner
+            .lock()
+            .expect("no thread panicked while holding a shard lock")
+    }
 }
 
 #[derive(Default)]
@@ -163,7 +176,7 @@ impl SigCache {
     pub fn get(&self, sig: FlowSignature) -> Option<Arc<ReportTemplate>> {
         let shard = self.shard(sig);
         let found = {
-            let mut inner = shard.inner.lock();
+            let mut inner = shard.lock();
             inner.map.get_mut(&sig).map(|entry| {
                 entry.referenced = true;
                 Arc::clone(&entry.template)
@@ -188,7 +201,7 @@ impl SigCache {
         let shard = self.shard(sig);
         let mut evicted = 0u64;
         {
-            let mut guard = shard.inner.lock();
+            let mut guard = shard.lock();
             let inner = &mut *guard;
             if inner.map.contains_key(&sig) {
                 return;
@@ -239,7 +252,7 @@ impl SigCache {
 
     /// Templates currently resident.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// True if no template is resident.
@@ -255,7 +268,7 @@ impl SigCache {
     /// Drop every template; counters are preserved.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut inner = shard.inner.lock();
+            let mut inner = shard.lock();
             inner.map.clear();
             inner.clock.clear();
         }

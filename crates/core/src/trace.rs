@@ -29,7 +29,6 @@ use crate::flow::EventFlow;
 use crate::fsm::{FsmTemplate, StateId};
 use crate::net::{ConnectedNet, EngineId, GroupId, InterRule, NetWarning};
 use crate::sigcache::SigCache;
-use eventlog::columnar::{ColumnarIndex, EventStore, ScratchArena};
 use eventlog::event::BASE_STATION;
 use eventlog::{Event, EventKind, MergedLog, PacketId};
 use netsim::NodeId;
@@ -386,126 +385,6 @@ impl Reconstructor {
     pub fn signature_of(&self, packet: PacketId, events: &[Event]) -> Option<FlowSignature> {
         let sink = self.effective_sink(events);
         canonicalize(packet, events, sink).map(|c| c.sig)
-    }
-
-    /// Fused sequential driver over a columnar store: each group is
-    /// unpacked through one grow-only [`ScratchArena`] and reconstructed in
-    /// place — the merged `Vec<Event>` of the legacy path never exists.
-    pub fn reconstruct_store(
-        &self,
-        store: &EventStore,
-        index: &ColumnarIndex,
-    ) -> Vec<PacketReport> {
-        let mut scratch = ScratchArena::new();
-        let mut out = Vec::with_capacity(index.len());
-        for i in 0..index.len() {
-            let (id, positions) = index.group(i);
-            out.push(self.reconstruct_group(id, store, positions, &mut scratch));
-        }
-        scratch.record(&*self.recorder);
-        out
-    }
-
-    /// [`Reconstructor::reconstruct_store`] through a signature cache. The
-    /// signature is hashed straight off the packed columns
-    /// ([`canonicalize_packed`]), so a template hit never unpacks the
-    /// group at all.
-    pub fn reconstruct_store_cached(
-        &self,
-        store: &EventStore,
-        index: &ColumnarIndex,
-        cache: &SigCache,
-    ) -> Vec<PacketReport> {
-        let mut scratch = ScratchArena::new();
-        let mut out = Vec::with_capacity(index.len());
-        for i in 0..index.len() {
-            let (id, positions) = index.group(i);
-            out.push(self.reconstruct_group_cached(id, store, positions, &mut scratch, cache));
-        }
-        scratch.record(&*self.recorder);
-        out
-    }
-
-    /// Uncached reconstruction of one packed group: unpack through the
-    /// caller's arena, then the direct path.
-    pub fn reconstruct_group(
-        &self,
-        packet: PacketId,
-        store: &EventStore,
-        positions: &[u32],
-        scratch: &mut ScratchArena,
-    ) -> PacketReport {
-        let events = scratch.unpack(store, positions);
-        self.reconstruct_packet(packet, events)
-    }
-
-    /// Cached reconstruction of one packed group. Mirrors
-    /// [`Reconstructor::reconstruct_packet_cached`] step for step, but the
-    /// sink scan and canonicalization read the packed columns directly;
-    /// the group is unpacked through `scratch` only when it is
-    /// cache-ineligible (the canonical events of a miss are materialized
-    /// by the canonicalizer either way).
-    pub fn reconstruct_group_cached(
-        &self,
-        packet: PacketId,
-        store: &EventStore,
-        positions: &[u32],
-        scratch: &mut ScratchArena,
-        cache: &SigCache,
-    ) -> PacketReport {
-        let rec = &*self.recorder;
-        let sink = self.effective_sink_packed(store, positions);
-        let canon = {
-            let _span = StageTimer::start(rec, Stage::Signature);
-            canonicalize_packed(packet, store, positions, sink)
-        };
-        let Some(canon) = canon else {
-            rec.inc(Counter::PacketsUncacheable);
-            let events = scratch.unpack(store, positions);
-            let report = self.reconstruct_with_sink(packet, events, sink);
-            self.record_report(&report, CacheDisposition::Uncacheable);
-            return report;
-        };
-        let hit = {
-            let _span = StageTimer::start(rec, Stage::Cache);
-            cache.get(canon.sig)
-        };
-        if let Some(template) = hit {
-            let report = {
-                let _span = StageTimer::start(rec, Stage::Rehydrate);
-                template.rehydrate(packet, &canon.nodes)
-            };
-            rec.inc(Counter::PacketsRehydrated);
-            self.record_report(&report, CacheDisposition::Rehydrated);
-            return report;
-        }
-        let report = self.reconstruct_with_sink(canon.packet, &canon.events, canon.sink);
-        let template = Arc::new(ReportTemplate::new(report));
-        let out = {
-            let _span = StageTimer::start(rec, Stage::Rehydrate);
-            template.rehydrate(packet, &canon.nodes)
-        };
-        {
-            let _span = StageTimer::start(rec, Stage::Cache);
-            cache.insert(canon.sig, template);
-        }
-        self.record_report(&out, CacheDisposition::Direct);
-        out
-    }
-
-    /// [`Reconstructor::effective_sink`] off the packed columns: the
-    /// pinned sink, or the first row whose dense kind code is
-    /// `serial trans` — a branch-lean u8 compare instead of an enum match.
-    fn effective_sink_packed(&self, store: &EventStore, positions: &[u32]) -> Option<NodeId> {
-        const SERIAL_TRANS: u8 = EventKind::SerialTrans.code();
-        self.sink.or_else(|| {
-            let recs = store.records();
-            positions
-                .iter()
-                .map(|&row| &recs[row as usize])
-                .find(|r| r.code() == SERIAL_TRANS)
-                .map(|r| r.node())
-        })
     }
 
     fn template_for(&self, role: Role) -> &FsmTemplate<HopLabel> {
@@ -1133,49 +1012,6 @@ fn canonicalize(packet: PacketId, events: &[Event], sink: Option<NodeId>) -> Opt
         let kind = rename_kind(e.kind, |n| ren.canon(n));
         shapes.push((node, kind));
     }
-    Some(seal_canonical(ren, shapes, packet, sink))
-}
-
-/// [`canonicalize`] reading straight off a columnar store's packed
-/// columns: the eligibility gate, the renamer walk, and the kind rewrite
-/// all run on 16-byte records without materializing an [`Event`]. Must
-/// assign canonical indices in exactly the order `canonicalize` does so
-/// both paths produce the same signature for the same group.
-fn canonicalize_packed(
-    packet: PacketId,
-    store: &EventStore,
-    positions: &[u32],
-    sink: Option<NodeId>,
-) -> Option<CanonicalGroup> {
-    let recs = store.records();
-    if positions.len() > MAX_CACHEABLE_EVENTS
-        || positions.iter().any(|&row| recs[row as usize].packet() != packet)
-    {
-        return None;
-    }
-    let mut ren = AlphaRenamer::default();
-    let mut shapes: Vec<(NodeId, EventKind)> = Vec::with_capacity(positions.len());
-    for &row in positions {
-        let r = &recs[row as usize];
-        let node = ren.canon(r.node());
-        // Peer renames after the recording node — same order as the
-        // `rename_kind` closure in `canonicalize`.
-        let peer = r.peer().map(|p| ren.canon(p)).unwrap_or(NodeId(0));
-        let kind = EventKind::from_parts(r.code(), peer, r.custom())
-            .expect("a packed record always carries a valid kind code");
-        shapes.push((node, kind));
-    }
-    Some(seal_canonical(ren, shapes, packet, sink))
-}
-
-/// Shared tail of the two canonicalizers: rename the out-of-band nodes
-/// (origin, then sink), hash the canonical stream, and assemble the group.
-fn seal_canonical(
-    mut ren: AlphaRenamer,
-    shapes: Vec<(NodeId, EventKind)>,
-    packet: PacketId,
-    sink: Option<NodeId>,
-) -> CanonicalGroup {
     let origin = ren.canon(packet.origin);
     let canon_sink = sink.map(|s| ren.canon(s));
     let canon_packet = PacketId::new(origin, 0);
@@ -1188,7 +1024,7 @@ fn seal_canonical(
         mix.push(pack_event(*node, kind));
     }
 
-    CanonicalGroup {
+    Some(CanonicalGroup {
         sig: mix.finish(),
         events: shapes
             .into_iter()
@@ -1197,7 +1033,7 @@ fn seal_canonical(
         packet: canon_packet,
         sink: canon_sink,
         nodes: ren.nodes,
-    }
+    })
 }
 
 /// A node-abstract reconstruction result: the [`PacketReport`] of a
@@ -1476,87 +1312,6 @@ mod tests {
         let merged = merge_logs(&logs);
         let recon = Reconstructor::new(CtpVocabulary::table2());
         recon.reconstruct_packet(pid(), &merged.by_packet()[&pid()])
-    }
-
-    /// A mixed-shape event group exercising every canonicalizer branch:
-    /// peer kinds, no-peer kinds, a `Custom` payload, and the reserved ids.
-    fn mixed_group() -> Vec<Event> {
-        vec![
-            ev(7, EventKind::Trans { to: n(9) }),
-            ev(9, EventKind::Recv { from: n(7) }),
-            ev(9, EventKind::Overflow { from: UNKNOWN_NODE }),
-            ev(9, EventKind::Enqueue),
-            ev(9, EventKind::Custom(4242)),
-            ev(9, EventKind::SerialTrans),
-            ev(BASE_STATION.0, EventKind::BsRecv),
-        ]
-    }
-
-    #[test]
-    fn canonicalize_packed_matches_canonicalize() {
-        let events = mixed_group();
-        let mut store = EventStore::new();
-        for e in &events {
-            store.push(e, None);
-        }
-        let positions: Vec<u32> = (0..store.len() as u32).collect();
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let sink = recon.effective_sink(&events);
-        assert_eq!(sink, recon.effective_sink_packed(&store, &positions));
-
-        let legacy = canonicalize(pid(), &events, sink).expect("eligible");
-        let packed = canonicalize_packed(pid(), &store, &positions, sink).expect("eligible");
-        assert_eq!(legacy.sig, packed.sig);
-        assert_eq!(legacy.events, packed.events);
-        assert_eq!(legacy.packet, packed.packet);
-        assert_eq!(legacy.sink, packed.sink);
-        assert_eq!(legacy.nodes, packed.nodes);
-    }
-
-    #[test]
-    fn canonicalize_packed_rejects_what_canonicalize_rejects() {
-        // A stray event of a different packet poisons the group either way.
-        let mut events = mixed_group();
-        events.push(Event::new(n(7), EventKind::Enqueue, PacketId::new(n(2), 5)));
-        let mut store = EventStore::new();
-        for e in &events {
-            store.push(e, None);
-        }
-        let positions: Vec<u32> = (0..store.len() as u32).collect();
-        assert!(canonicalize(pid(), &events, None).is_none());
-        assert!(canonicalize_packed(pid(), &store, &positions, None).is_none());
-    }
-
-    #[test]
-    fn store_drivers_match_legacy_reports() {
-        let logs = vec![
-            LocalLog::from_events(
-                n(1),
-                vec![
-                    ev(1, EventKind::Trans { to: n(2) }),
-                    ev(1, EventKind::AckRecvd { to: n(2) }),
-                ],
-            ),
-            LocalLog::from_events(
-                n(2),
-                vec![
-                    ev(2, EventKind::Recv { from: n(1) }),
-                    ev(2, EventKind::Trans { to: n(3) }),
-                ],
-            ),
-            LocalLog::from_events(n(3), vec![ev(3, EventKind::Recv { from: n(2) })]),
-        ];
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let merged = merge_logs(&logs);
-        let legacy = recon.reconstruct_log(&merged);
-
-        let store = eventlog::merge_logs_store(&logs);
-        let index = ColumnarIndex::build(&store);
-        assert_eq!(recon.reconstruct_store(&store, &index), legacy);
-        let cache = SigCache::default();
-        assert_eq!(recon.reconstruct_store_cached(&store, &index, &cache), legacy);
-        // Second cached pass rehydrates from the now-warm cache.
-        assert_eq!(recon.reconstruct_store_cached(&store, &index, &cache), legacy);
     }
 
     /// Table II, complete-log row.

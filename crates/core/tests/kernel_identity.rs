@@ -5,16 +5,22 @@
 //!   the kernel kept its net and buffers across packets;
 //! * one thread's reused buffers never leak from one packet into the next;
 //! * the per-group front cache of the runner does not depend on the order
-//!   groups were registered in.
+//!   groups were registered in;
+//! * every driver over the kernel — sequential, parallel, fused, memoised,
+//!   incremental — hands back the same reports.
 
 use eventlog::event::BASE_STATION;
-use eventlog::{Event, EventKind, PacketId};
+use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::NodeId;
 use refill::ctp_model::{CtpModel, HopLabel, UNKNOWN_NODE};
 use refill::fsm::{FsmBuilder, FsmTemplate, StateId};
 use refill::net::{ConnectedNet, EngineId, GroupId, InterRule, NetWarning};
+use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::provenance::EntryOrigin;
+use refill::sigcache::SigCache;
 use refill::trace::{CtpVocabulary, PacketReport, ReconOptions, Reconstructor, Role};
+use refill::IncrementalReconstructor;
 
 fn n(i: u16) -> NodeId {
     NodeId(i)
@@ -651,5 +657,115 @@ fn case4_flow_does_not_depend_on_group_registration_order() {
             out.omitted.is_empty() && out.warnings.is_empty(),
             "{order:?}"
         );
+    }
+}
+
+// --- driver identity -----------------------------------------------------
+
+/// How a log set's entries are stamped, which picks the merge they take.
+#[derive(Clone, Copy)]
+enum Clock {
+    /// No timestamps: the round-robin merge.
+    None,
+    /// One global clock ticking per event: the timestamp merge interleaves
+    /// the nodes exactly as the soups did.
+    Global,
+    /// Each node's log lies wholly before the next node's, so the merged
+    /// order is the order an incremental reconstructor sees when it is fed
+    /// log by log.
+    NodeByNode,
+}
+
+/// The Table II cases and the first `soups` soups as one deployment's
+/// per-node logs, every group under a packet id of its own.
+fn soup_logs(soups: u64, clock: Clock) -> Vec<LocalLog> {
+    let groups = table2_cases()
+        .into_iter()
+        .chain((0..soups).map(|i| soup(i).2));
+    let mut logs: Vec<LocalLog> = Vec::new();
+    let mut tick = 0u64;
+    for (seqno, events) in groups.enumerate() {
+        for e in events {
+            let packet = PacketId::new(e.packet.origin, seqno as u32);
+            let at = match logs.iter().position(|log| log.node == e.node) {
+                Some(at) => at,
+                None => {
+                    logs.push(LocalLog::new(e.node));
+                    logs.len() - 1
+                }
+            };
+            tick += 1;
+            logs[at].entries.push(LogEntry {
+                event: Event::new(e.node, e.kind, packet),
+                local_ts: match clock {
+                    Clock::None => None,
+                    Clock::Global => Some(tick),
+                    Clock::NodeByNode => Some(((at as u64) << 32) | tick),
+                },
+            });
+        }
+    }
+    logs
+}
+
+#[test]
+fn every_driver_returns_the_sequential_reports() {
+    const DRIVER_SOUPS: u64 = 600;
+    for (recon, clock) in [
+        (Reconstructor::new(CtpVocabulary::table2()), Clock::None),
+        (
+            Reconstructor::new(CtpVocabulary::citysee()).with_sink(SINK),
+            Clock::Global,
+        ),
+        (Reconstructor::new(CtpVocabulary::full()), Clock::NodeByNode),
+    ] {
+        let logs = soup_logs(DRIVER_SOUPS, clock);
+        let merged = merge_logs(&logs);
+        let reference = recon.reconstruct_log(&merged);
+        assert_eq!(
+            reference.len(),
+            table2_cases().len() + DRIVER_SOUPS as usize
+        );
+        assert!(reference.windows(2).all(|w| w[0].packet < w[1].packet));
+
+        for workers in [1, 2, 4, 7] {
+            assert_eq!(
+                reconstruct_parallel(&recon, &merged, workers),
+                reference,
+                "parallel, {workers} workers"
+            );
+        }
+        for workers in [1, 2, 4] {
+            assert_eq!(
+                reconstruct_fused(&recon, &logs, workers),
+                reference,
+                "fused, {workers} workers"
+            );
+        }
+
+        let cache = SigCache::default();
+        let cold_reports = recon.reconstruct_log_cached(&merged, &cache);
+        assert_eq!(cold_reports, reference, "cold cache");
+        let cold = cache.stats();
+        assert!(cold.hits > 0 && cold.inserts > 0);
+        let warm_reports = recon.reconstruct_log_cached(&merged, &cache);
+        assert_eq!(warm_reports, reference, "warm cache");
+        assert_eq!(
+            cache.stats().inserts,
+            cold.inserts,
+            "a warm pass publishes nothing"
+        );
+
+        if let Clock::NodeByNode = clock {
+            let mut incremental = IncrementalReconstructor::new(recon);
+            for log in &logs {
+                incremental.ingest_log(log);
+                incremental.refresh();
+            }
+            assert!(
+                incremental.reports().into_iter().eq(&reference),
+                "incremental"
+            );
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Cross-driver provenance invariants: the ledger a [`ProvenanceSink`]
 //! captures must tell the same story as the telemetry counters and the
-//! reports themselves, under every driver — sequential, rayon, and the
-//! fused columnar work-stealing path — and the sampling gate must admit
-//! exactly its share without perturbing reconstruction.
+//! reports themselves, under every driver — the sequential memoised path,
+//! the parallel driver and the fused columnar one — and the sampling gate
+//! must admit exactly its share without perturbing reconstruction.
 //!
 //! CI runs this in release mode with `PROPTEST_CASES=128`.
 
@@ -10,7 +10,7 @@ use eventlog::logger::LogEntry;
 use eventlog::{merge_logs, Event, EventKind, LocalLog, PacketId};
 use netsim::NodeId;
 use proptest::prelude::*;
-use refill::parallel::{reconstruct_fused_cached, reconstruct_rayon_cached};
+use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::provenance::{CacheDisposition, ProvenanceSink, TraceSampler};
 use refill::sigcache::SigCache;
 use refill::telemetry::{AtomicRecorder, Recorder};
@@ -71,16 +71,14 @@ fn instrumented(
 ) {
     let recorder = Arc::new(AtomicRecorder::new());
     let sink = Arc::new(ProvenanceSink::new(sampler));
-    let for_recon: Arc<dyn Recorder> = Arc::clone(&recorder);
-    let for_cache: Arc<dyn Recorder> = Arc::clone(&recorder);
     let recon = Reconstructor::new(CtpVocabulary::table2())
-        .with_recorder(for_recon)
+        .with_recorder(recorder.clone())
         .with_provenance(Arc::clone(&sink));
-    let cache = SigCache::default().with_recorder(for_cache);
+    let cache = SigCache::default().with_recorder(recorder.clone());
     (recorder, sink, recon, cache)
 }
 
-const DRIVERS: [&str; 3] = ["sequential", "rayon", "fused"];
+const DRIVERS: [&str; 3] = ["cached", "parallel", "fused"];
 
 fn run_driver(
     driver: &str,
@@ -89,9 +87,9 @@ fn run_driver(
 ) -> (Arc<AtomicRecorder>, Arc<ProvenanceSink>, Vec<PacketReport>) {
     let (recorder, sink, recon, cache) = instrumented(sampler);
     let reports = match driver {
-        "sequential" => recon.reconstruct_log_cached(&merge_logs(logs), &cache),
-        "rayon" => reconstruct_rayon_cached(&recon, &merge_logs(logs), &cache),
-        "fused" => reconstruct_fused_cached(&recon, logs, 3, &cache),
+        "cached" => recon.reconstruct_log_cached(&merge_logs(logs), &cache),
+        "parallel" => reconstruct_parallel(&recon, &merge_logs(logs), 3),
+        "fused" => reconstruct_fused(&recon, logs, 3),
         other => unreachable!("unknown driver {other}"),
     };
     (recorder, sink, reports)
@@ -145,9 +143,8 @@ fn ledger_agrees_with_telemetry_and_reports_on_every_driver() {
 #[test]
 fn ledgers_are_identical_across_drivers() {
     let logs = sample_logs();
-    // The cache disposition is schedule-dependent (two rayon workers can
-    // both miss the same signature before either publishes), so drivers
-    // are compared on the deterministic part: packets, events, origins.
+    // Only the memoised driver rehydrates, so drivers are compared on what
+    // they share: packets, events, origins.
     let shape = |driver: &str| {
         let (_, sink, _) = run_driver(driver, &logs, TraceSampler::always());
         sink.ledger()
@@ -156,9 +153,9 @@ fn ledgers_are_identical_across_drivers() {
             .map(|f| (f.packet, f.entries))
             .collect::<Vec<_>>()
     };
-    let sequential = shape("sequential");
-    assert_eq!(sequential, shape("rayon"));
-    assert_eq!(sequential, shape("fused"));
+    let cached = shape("cached");
+    assert_eq!(cached, shape("parallel"));
+    assert_eq!(cached, shape("fused"));
 }
 
 #[test]
@@ -200,7 +197,7 @@ fn sampling_does_not_perturb_reconstruction() {
         TraceSampler::one_in(4),
         TraceSampler::origins([n(5)]),
     ] {
-        let (_, _, reports) = run_driver("sequential", &logs, sampler);
+        let (_, _, reports) = run_driver("cached", &logs, sampler);
         assert_eq!(plain, reports, "capture must be observation-only");
     }
 }
@@ -236,8 +233,7 @@ fn disposition_tracks_the_cache_path() {
 }
 
 // ---------------------------------------------------------------------------
-// Property tests over random lossy soups (same generator family as the
-// columnar equivalence suite).
+// Property tests over random lossy soups.
 // ---------------------------------------------------------------------------
 
 /// Raw event soup: (recording node, kind discriminant, peer, packet seqno,
@@ -299,15 +295,14 @@ fn soup_driver(
 ) -> (Arc<AtomicRecorder>, Arc<ProvenanceSink>, Vec<PacketReport>) {
     let recorder = Arc::new(AtomicRecorder::new());
     let sink = Arc::new(ProvenanceSink::new(TraceSampler::always()));
-    let shared: Arc<dyn Recorder> = Arc::clone(&recorder);
     let recon = Reconstructor::new(CtpVocabulary::citysee())
-        .with_recorder(shared)
+        .with_recorder(recorder.clone())
         .with_provenance(Arc::clone(&sink));
     let cache = SigCache::default();
     let reports = match driver {
-        "sequential" => recon.reconstruct_log_cached(&merge_logs(logs), &cache),
-        "rayon" => reconstruct_rayon_cached(&recon, &merge_logs(logs), &cache),
-        "fused" => reconstruct_fused_cached(&recon, logs, 3, &cache),
+        "cached" => recon.reconstruct_log_cached(&merge_logs(logs), &cache),
+        "parallel" => reconstruct_parallel(&recon, &merge_logs(logs), 3),
+        "fused" => reconstruct_fused(&recon, logs, 3),
         other => unreachable!("unknown driver {other}"),
     };
     (recorder, sink, reports)
@@ -344,7 +339,7 @@ proptest! {
                     .collect::<Vec<_>>(),
             );
         }
-        prop_assert_eq!(&shapes[0], &shapes[1], "sequential vs rayon");
-        prop_assert_eq!(&shapes[0], &shapes[2], "sequential vs fused");
+        prop_assert_eq!(&shapes[0], &shapes[1], "cached vs parallel");
+        prop_assert_eq!(&shapes[0], &shapes[2], "cached vs fused");
     }
 }

@@ -26,10 +26,7 @@
 //!   sorted arena, this sorts 4-byte row indices and never copies a record.
 //! * [`ScratchArena`] — a per-worker bump allocation for unpacking one
 //!   group at a time. The buffer is grow-only, so after warm-up a worker
-//!   reconstructs arbitrarily many packets with zero allocations; the
-//!   acquire/grow counters feed the `arena_acquires` / `arena_grows`
-//!   telemetry (their ratio is the arena-reuse figure in the bench
-//!   snapshot).
+//!   reconstructs arbitrarily many packets with zero allocations.
 
 use crate::event::{Event, EventKind, PacketId};
 use crate::logger::LogEntry;
@@ -402,7 +399,7 @@ impl ColumnarIndex {
 /// serves every group from capacity it already owns: zero per-event heap
 /// objects, zero steady-state allocation. Growths (capacity misses) are
 /// counted separately from acquires; `1 - grows / acquires` is the arena
-/// reuse ratio the bench snapshot reports.
+/// reuse ratio.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     buf: Vec<Event>,
@@ -433,14 +430,6 @@ impl ScratchArena {
     /// `(acquires, grows)` so far.
     pub fn counts(&self) -> (u64, u64) {
         (self.acquires, self.grows)
-    }
-
-    /// Report this arena's acquire/grow counts into a recorder.
-    pub fn record(&self, recorder: &dyn Recorder) {
-        if recorder.enabled() {
-            recorder.add(Counter::ArenaAcquires, self.acquires);
-            recorder.add(Counter::ArenaGrows, self.grows);
-        }
     }
 }
 

@@ -522,7 +522,7 @@ mod tests {
         let recs = records(20);
         let bytes = encode_records(recs.iter());
         let recorder = Arc::new(AtomicRecorder::new());
-        let shared: Arc<dyn Recorder> = Arc::clone(&recorder);
+        let shared: Arc<dyn Recorder> = recorder.clone();
         let mut stream = StreamReconstructor::new(recon().with_recorder(shared));
         let mut deltas: Vec<TelemetrySnapshot> = Vec::new();
         let summary = run_stream_metered(

@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn telemetry_counters_cover_the_stream_path() {
         let recorder = Arc::new(AtomicRecorder::new());
-        let shared: Arc<dyn Recorder> = Arc::clone(&recorder);
+        let shared: Arc<dyn Recorder> = recorder.clone();
         let config = StreamConfig {
             lane_capacity: 1,
             lateness: Lateness {

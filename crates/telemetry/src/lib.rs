@@ -13,7 +13,7 @@
 //!   the disabled hot path performs no clock reads and no allocations.
 //! * [`AtomicRecorder`] — fixed-size arrays of relaxed atomics, one slot
 //!   per [`Counter`] / [`Stage`] / [`Hist`]. No locks, no allocation after
-//!   construction, safe to share across rayon/crossbeam workers.
+//!   construction, safe to share across worker threads.
 //! * [`TelemetrySnapshot`] — a point-in-time copy of everything recorded,
 //!   serializable to JSON (`refill profile --telemetry out.json`) and
 //!   renderable as a human table (`refill profile`).
@@ -98,15 +98,6 @@ pub enum Counter {
     /// Heap bytes held by columnar stores after a fused merge (record and
     /// timestamp columns; divide by `columnar_events` for bytes/event).
     ColumnarBytes,
-    /// Packet groups unpacked through a worker's scratch arena.
-    ArenaAcquires,
-    /// Arena unpacks that had to grow the scratch buffer (a regrowth;
-    /// `1 - arena_grows / arena_acquires` is the arena reuse ratio).
-    ArenaGrows,
-    /// Size-aware batches planned by the work-stealing scheduler.
-    SchedBatches,
-    /// Batches a worker stole from another worker's deque.
-    SchedSteals,
     /// CRC-checked blocks written to durable store segments.
     StoreBlocksWritten,
     /// Bytes written to durable store segments (headers + payloads + CRCs).
@@ -132,7 +123,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the array layout of
     /// [`AtomicRecorder`]).
-    pub const ALL: [Counter; 41] = [
+    pub const ALL: [Counter; 37] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInserts,
@@ -162,10 +153,6 @@ impl Counter {
         Counter::WindowsReopened,
         Counter::ColumnarEvents,
         Counter::ColumnarBytes,
-        Counter::ArenaAcquires,
-        Counter::ArenaGrows,
-        Counter::SchedBatches,
-        Counter::SchedSteals,
         Counter::StoreBlocksWritten,
         Counter::StoreBytesWritten,
         Counter::StoreEventsAppended,
@@ -211,10 +198,6 @@ impl Counter {
             Counter::WindowsReopened => "windows_reopened",
             Counter::ColumnarEvents => "columnar_events",
             Counter::ColumnarBytes => "columnar_bytes",
-            Counter::ArenaAcquires => "arena_acquires",
-            Counter::ArenaGrows => "arena_grows",
-            Counter::SchedBatches => "sched_batches",
-            Counter::SchedSteals => "sched_steals",
             Counter::StoreBlocksWritten => "store_blocks_written",
             Counter::StoreBytesWritten => "store_bytes_written",
             Counter::StoreEventsAppended => "store_events_appended",
@@ -272,9 +255,6 @@ pub enum Stage {
     /// The fused columnar merge: loser-tree merge emitting packed records
     /// straight into an `EventStore` (merge and pack in one span).
     Pack,
-    /// Size-aware batch planning over the columnar range table, ahead of
-    /// the work-stealing drive.
-    Schedule,
     /// Durable-store appends: block encode, segment write, fsync, and the
     /// atomic manifest update.
     StoreAppend,
@@ -291,7 +271,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 18] = [
+    pub const ALL: [Stage; 17] = [
         Stage::Merge,
         Stage::MergePartition,
         Stage::Index,
@@ -305,7 +285,6 @@ impl Stage {
         Stage::Decode,
         Stage::Window,
         Stage::Pack,
-        Stage::Schedule,
         Stage::StoreAppend,
         Stage::StoreRecover,
         Stage::StoreQuery,
@@ -331,7 +310,6 @@ impl Stage {
             Stage::Decode => "decode",
             Stage::Window => "window",
             Stage::Pack => "pack",
-            Stage::Schedule => "schedule",
             Stage::StoreAppend => "store_append",
             Stage::StoreRecover => "store_recover",
             Stage::StoreQuery => "store_query",
@@ -358,23 +336,11 @@ pub enum Hist {
     /// (balance check: a skewed event-time distribution shows up here as
     /// lopsided strips).
     MergePartitionEvents,
-    /// Packets reconstructed per crossbeam worker (throughput balance).
-    WorkerPackets,
-    /// Nanoseconds each crossbeam worker spent reconstructing.
-    WorkerBusyNs,
-    /// Nanoseconds each crossbeam worker waited between spawn and its
-    /// first packet (queue wait).
-    QueueWaitNs,
     /// Per-node lane depth sampled at each stream pump (backpressure
     /// headroom: a lane pinned near capacity stalls its ingest worker).
     StreamQueueDepth,
     /// Events a packet window held when it closed.
     WindowEvents,
-    /// Packet groups per planned scheduler batch.
-    BatchPackets,
-    /// Events per planned scheduler batch (the quantity the planner
-    /// actually balances; compare against `batch_packets` for skew).
-    BatchEvents,
     /// Payload bytes per durable-store block written.
     StoreBlockBytes,
     /// Event rows per sealed durable-store segment.
@@ -383,18 +349,13 @@ pub enum Hist {
 
 impl Hist {
     /// Every histogram, in declaration order.
-    pub const ALL: [Hist; 13] = [
+    pub const ALL: [Hist; 8] = [
         Hist::GroupEvents,
         Hist::FlowEntries,
         Hist::NodeLogEvents,
         Hist::MergePartitionEvents,
-        Hist::WorkerPackets,
-        Hist::WorkerBusyNs,
-        Hist::QueueWaitNs,
         Hist::StreamQueueDepth,
         Hist::WindowEvents,
-        Hist::BatchPackets,
-        Hist::BatchEvents,
         Hist::StoreBlockBytes,
         Hist::StoreSegmentEvents,
     ];
@@ -409,13 +370,8 @@ impl Hist {
             Hist::FlowEntries => "flow_entries",
             Hist::NodeLogEvents => "node_log_events",
             Hist::MergePartitionEvents => "merge_partition_events",
-            Hist::WorkerPackets => "worker_packets",
-            Hist::WorkerBusyNs => "worker_busy_ns",
-            Hist::QueueWaitNs => "queue_wait_ns",
             Hist::StreamQueueDepth => "stream_queue_depth",
             Hist::WindowEvents => "window_events",
-            Hist::BatchPackets => "batch_packets",
-            Hist::BatchEvents => "batch_events",
             Hist::StoreBlockBytes => "store_block_bytes",
             Hist::StoreSegmentEvents => "store_segment_events",
         }
@@ -1038,7 +994,6 @@ mod tests {
 
     #[test]
     fn concurrent_counter_totals_match_single_threaded() {
-        use rayon::prelude::*;
         const TASKS: u64 = 64;
         const PER_TASK: u64 = 1000;
 
@@ -1050,11 +1005,15 @@ mod tests {
         }
 
         let shared = Arc::new(AtomicRecorder::new());
-        (0..TASKS).into_par_iter().for_each(|_| {
-            for _ in 0..PER_TASK {
-                shared.inc(Counter::FsmSteps);
-                shared.add(Counter::EventsObserved, 3);
-                shared.observe(Hist::FlowEntries, 7);
+        std::thread::scope(|scope| {
+            for _ in 0..TASKS {
+                scope.spawn(|| {
+                    for _ in 0..PER_TASK {
+                        shared.inc(Counter::FsmSteps);
+                        shared.add(Counter::EventsObserved, 3);
+                        shared.observe(Hist::FlowEntries, 7);
+                    }
+                });
             }
         });
 

@@ -1,10 +1,10 @@
-//! The seven-driver conformance oracle.
+//! The six-path conformance oracle.
 //!
 //! One seeded scenario is pushed through every reconstruction path the
-//! workspace ships — sequential, rayon, crossbeam, fused-columnar, the two
-//! cached drivers, the streaming driver over the (possibly mangled) wire
-//! bytes, and a kill-and-resume run through the durable store — and every
-//! path must produce a byte-identical report set. The canonical record
+//! workspace ships — sequential, parallel, fused-columnar, the memoised
+//! path cold then warm, the streaming driver over the (possibly mangled)
+//! wire bytes, and a kill-and-resume run through the durable store — and
+//! every path must produce a byte-identical report set. The canonical record
 //! sequence is fixed by decoding the mangled bytes **once** with
 //! [`decode_all`]: whatever survived corruption is, by the CRC argument in
 //! [`crate::faults`], exactly what every driver must agree on.
@@ -30,9 +30,7 @@ use eventlog::logger::LocalLog;
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use eventlog::TS_NONE;
-use refill::parallel::{
-    reconstruct_crossbeam, reconstruct_fused, reconstruct_rayon, reconstruct_rayon_cached,
-};
+use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::telemetry::{Counter, NoopRecorder, Recorder};
 use refill::{CtpVocabulary, PacketReport, Reconstructor, SigCache};
 use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
@@ -216,18 +214,17 @@ pub fn run_case(
     let mut drng = plan.lane("drivers");
     let workers = drng.range_usize(1, 5);
 
-    // --- Drivers 2-4: rayon, crossbeam, fused columnar ---
-    check("rayon", &reconstruct_rayon(&recon(), &merged))?;
-    check("crossbeam", &reconstruct_crossbeam(&recon(), &merged, workers))?;
+    // --- Drivers 2-3: parallel, fused columnar ---
+    check("parallel", &reconstruct_parallel(&recon(), &merged, workers))?;
     check("fused", &reconstruct_fused(&recon(), &slogs, workers))?;
 
-    // --- Driver 5: the cached pair, sharing one signature cache so the
-    // second run rehydrates from the first's templates ---
+    // --- Driver 4: the memoised path, cold and then warm on one signature
+    // cache so the second run rehydrates from the first's templates ---
     let cache = SigCache::new(1024);
-    check("cached-seq", &recon().reconstruct_log_cached(&merged, &cache))?;
-    check("cached-rayon", &reconstruct_rayon_cached(&recon(), &merged, &cache))?;
+    check("cached-cold", &recon().reconstruct_log_cached(&merged, &cache))?;
+    check("cached-warm", &recon().reconstruct_log_cached(&merged, &cache))?;
 
-    // --- Driver 6: the streaming driver over the raw mangled bytes
+    // --- Driver 5: the streaming driver over the raw mangled bytes
     // (the decoder is chunk-boundary-insensitive, so it must land on the
     // same survivors), with seeded window/chunk settings and optional
     // pathological read sizes ---
@@ -296,7 +293,7 @@ pub fn run_case(
         }
     }
 
-    // --- Driver 7: checkpointed store run killed under filesystem
+    // --- Driver 6: checkpointed store run killed under filesystem
     // faults, then resumed on a clean reopen ---
     let mut vrng = plan.lane("store");
     let kill_k = vrng.range_usize(0, survivors.len() + 1);

@@ -18,7 +18,7 @@
 //!   seam);
 //! * [`scenario`] — seeded multi-hop traffic with clock skew, dead RTCs,
 //!   duplicate entries and late uploads;
-//! * [`conformance::run_case`] — one scenario through all seven driver
+//! * [`conformance::run_case`] — one scenario through all six driver
 //!   paths, asserting byte-identical reports and durable-prefix store
 //!   recovery;
 //! * [`soak::run_soak`] — many cases from one master seed, for the CLI's

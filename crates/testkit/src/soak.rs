@@ -26,7 +26,7 @@ pub struct SoakConfig {
 pub struct SoakReport {
     /// Cases attempted.
     pub cases: u32,
-    /// Cases where all seven drivers converged byte-identically.
+    /// Cases where all six paths converged byte-identically.
     pub converged: u32,
     /// Every divergence, in case order (each replayable from its seed).
     pub failures: Vec<ConformanceError>,

@@ -1,4 +1,4 @@
-//! The conformance property: for ANY seed and ANY fault rates, all seven
+//! The conformance property: for ANY seed and ANY fault rates, all six
 //! driver paths converge on byte-identical reports over whatever records
 //! survived the injected hostility — and the store lanes either surface
 //! typed errors or recover to a durable prefix, never diverge silently.
@@ -83,7 +83,7 @@ proptest! {
     })]
 
     /// THE acceptance property: (scenario, fault plan) pairs drawn across
-    /// the whole rate space, every one converging across all seven paths.
+    /// the whole rate space, every one converging across all six paths.
     #[test]
     fn any_fault_plan_converges(seed in any::<u64>(), spec in spec_strategy()) {
         let plan = FaultPlan::new(seed, spec);

@@ -4,7 +4,7 @@
 
 use citysee::figures::{fig6_daily_causes, fig9_breakdown, render_fig6_csv};
 use citysee::{analyze, run_scenario, Scenario};
-use refill::parallel::{reconstruct_crossbeam, reconstruct_rayon};
+use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::trace::{CtpVocabulary, Reconstructor};
 
 fn scenario() -> Scenario {
@@ -48,18 +48,8 @@ fn parallel_drivers_match_sequential() {
     let recon =
         Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
     let seq = recon.reconstruct_log(&campaign.merged);
-    let rayon = reconstruct_rayon(&recon, &campaign.merged);
-    let crossbeam = reconstruct_crossbeam(&recon, &campaign.merged, 4);
-    assert_eq!(seq.len(), rayon.len());
-    assert_eq!(seq.len(), crossbeam.len());
-    for ((s, r), c) in seq.iter().zip(&rayon).zip(&crossbeam) {
-        assert_eq!(s.packet, r.packet);
-        assert_eq!(s.packet, c.packet);
-        assert_eq!(s.flow, r.flow, "rayon flow differs for {}", s.packet);
-        assert_eq!(s.flow, c.flow, "crossbeam flow differs for {}", s.packet);
-        assert_eq!(s.path, r.path);
-        assert_eq!(s.path, c.path);
-    }
+    assert_eq!(seq, reconstruct_parallel(&recon, &campaign.merged, 4));
+    assert_eq!(seq, reconstruct_fused(&recon, &campaign.collected, 4));
 }
 
 #[test]
