@@ -54,7 +54,6 @@ pub mod dissemination_model;
 pub mod explain;
 pub mod flow;
 pub mod fsm;
-pub mod incremental;
 pub mod net;
 pub mod parallel;
 pub mod score;
@@ -64,7 +63,6 @@ pub mod trace;
 pub use diagnose::{DiagnosedCause, Diagnoser, Diagnosis};
 pub use explain::{explain, Explanation, TimelineEntry};
 pub use flow::{EventFlow, FlowEntry};
-pub use incremental::IncrementalReconstructor;
 pub use fsm::{FsmBuilder, FsmTemplate, StateId};
 pub use net::{ConnectedNet, EngineId, NetWarning, RunStats};
 pub use sigcache::{CacheStats, SigCache};

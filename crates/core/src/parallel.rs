@@ -2,7 +2,7 @@
 //!
 //! Packets are independent: each reconstruction touches only that packet's
 //! events (§IV-B). Every parallel pass in the workspace — the batch drivers
-//! here, [`crate::incremental::IncrementalReconstructor`]'s refresh and
+//! here, `refill_stream::StreamReconstructor`'s window closes and
 //! `citysee::analyze` — is therefore the same thing: an ordered map over an
 //! index range with some per-worker scratch. [`par_map`] is that map,
 //! written once on `std`.

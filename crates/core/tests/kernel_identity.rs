@@ -6,8 +6,9 @@
 //! * one thread's reused buffers never leak from one packet into the next;
 //! * the per-group front cache of the runner does not depend on the order
 //!   groups were registered in;
-//! * every driver over the kernel — sequential, parallel, fused, memoised,
-//!   incremental — hands back the same reports.
+//! * every driver over the kernel — sequential, parallel, fused, memoised —
+//!   hands back the same reports (the online path has its own pin,
+//!   `crates/stream/tests/stream_identity.rs`).
 
 use eventlog::event::BASE_STATION;
 use eventlog::logger::{LocalLog, LogEntry};
@@ -20,7 +21,6 @@ use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::provenance::EntryOrigin;
 use refill::sigcache::SigCache;
 use refill::trace::{CtpVocabulary, PacketReport, ReconOptions, Reconstructor, Role};
-use refill::IncrementalReconstructor;
 
 fn n(i: u16) -> NodeId {
     NodeId(i)
@@ -670,9 +670,8 @@ enum Clock {
     /// One global clock ticking per event: the timestamp merge interleaves
     /// the nodes exactly as the soups did.
     Global,
-    /// Each node's log lies wholly before the next node's, so the merged
-    /// order is the order an incremental reconstructor sees when it is fed
-    /// log by log.
+    /// Each node's log lies wholly before the next node's: the timestamp
+    /// merge concatenates the logs.
     NodeByNode,
 }
 
@@ -755,17 +754,5 @@ fn every_driver_returns_the_sequential_reports() {
             cold.inserts,
             "a warm pass publishes nothing"
         );
-
-        if let Clock::NodeByNode = clock {
-            let mut incremental = IncrementalReconstructor::new(recon);
-            for log in &logs {
-                incremental.ingest_log(log);
-                incremental.refresh();
-            }
-            assert!(
-                incremental.reports().into_iter().eq(&reference),
-                "incremental"
-            );
-        }
     }
 }

@@ -29,7 +29,7 @@ pub struct LogEntry {
 }
 
 /// A node's local log: the entries that survived, in recording order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LocalLog {
     /// The owning node.
     pub node: NodeId,

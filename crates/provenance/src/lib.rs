@@ -30,10 +30,10 @@
 
 use eventlog::{Event, PacketId};
 use netsim::NodeId;
-use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How a flow entry came to exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -254,12 +254,20 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// A sharded, thread-safe store of captured [`FlowProvenance`] entries.
-/// Re-recording a packet (the incremental refresher reconstructs dirty
-/// packets again) overwrites its previous entry: the ledger always holds
-/// the latest reconstruction's trail.
+/// Re-recording a packet (the stream path reconstructs a packet again each
+/// time its window re-closes) overwrites its previous entry: the ledger
+/// always holds the latest reconstruction's trail.
 #[derive(Debug)]
 pub struct ProvenanceLedger {
-    shards: Vec<Mutex<FxHashMap<PacketId, FlowProvenance>>>,
+    shards: Vec<Mutex<Shard>>,
+}
+
+type Shard = FxHashMap<PacketId, FlowProvenance>;
+
+/// Lock one shard. Every critical section is a single map operation, so a
+/// shard whose holder panicked is still consistent: recover the guard.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for ProvenanceLedger {
@@ -278,29 +286,29 @@ impl ProvenanceLedger {
         }
     }
 
-    fn shard(&self, packet: PacketId) -> &Mutex<FxHashMap<PacketId, FlowProvenance>> {
+    fn shard(&self, packet: PacketId) -> &Mutex<Shard> {
         let key = (u64::from(packet.origin.0) << 32) | u64::from(packet.seqno);
         &self.shards[(mix64(key) as usize) % LEDGER_SHARDS]
     }
 
     /// Store (or overwrite) one packet's entry.
     pub fn record(&self, flow: FlowProvenance) {
-        self.shard(flow.packet).lock().insert(flow.packet, flow);
+        lock(self.shard(flow.packet)).insert(flow.packet, flow);
     }
 
     /// One packet's entry, if captured.
     pub fn get(&self, packet: PacketId) -> Option<FlowProvenance> {
-        self.shard(packet).lock().get(&packet).cloned()
+        lock(self.shard(packet)).get(&packet).cloned()
     }
 
     /// Number of captured flows.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True when nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.shards.iter().all(|s| lock(s).is_empty())
     }
 
     /// Total observed entries across all captured flows.
@@ -326,7 +334,7 @@ impl ProvenanceLedger {
     fn fold(&self, f: impl Fn(&FlowProvenance) -> u64) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.lock().values().map(&f).sum::<u64>())
+            .map(|s| lock(s).values().map(&f).sum::<u64>())
             .sum()
     }
 
@@ -335,7 +343,7 @@ impl ProvenanceLedger {
         let mut out: Vec<FlowProvenance> = self
             .shards
             .iter()
-            .flat_map(|s| s.lock().values().cloned().collect::<Vec<_>>())
+            .flat_map(|s| lock(s).values().cloned().collect::<Vec<_>>())
             .collect();
         out.sort_by_key(|f| f.packet);
         out
@@ -344,7 +352,7 @@ impl ProvenanceLedger {
     /// Drop every entry.
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock().clear();
+            lock(s).clear();
         }
     }
 }

@@ -3,26 +3,23 @@
 //! [`run_stream`] splits the work the way a live collector would: an
 //! **ingest worker** reads raw bytes, runs the resynchronizing
 //! [`FrameDecoder`], and ships decoded record batches over a *bounded*
-//! crossbeam channel; the **reconstruction worker** (the calling thread)
-//! drains batches into a [`StreamReconstructor`], polling for closed
-//! windows as it goes. Each blocking receive is followed by a bounded
-//! non-blocking drain of whatever else is already queued
-//! ([`DriverConfig::drain_batches`]), so when ingest runs ahead the
-//! reconstruction side absorbs records in large waves and each poll hands
-//! the incremental refresher enough closed windows to reconstruct in
-//! parallel. The bounded channel is the backpressure spine: when
-//! reconstruction falls behind, the ingest worker blocks on `send` instead
-//! of buffering without limit. Shutdown is graceful by construction — the
-//! ingest worker drops its sender at EOF (or on a read error), the batch
-//! iterator ends, and the stream is flushed with
+//! channel (`std::sync::mpsc::sync_channel`); the **reconstruction worker**
+//! (the calling thread) drains batches into a [`StreamReconstructor`],
+//! polling for closed windows every [`DriverConfig::poll_every`] absorbed
+//! records — the record sequence alone decides when windows close and
+//! reports emit, however the bytes were chunked. The bounded channel is the
+//! backpressure spine: when reconstruction falls behind, the ingest worker
+//! blocks on `send` instead of buffering without limit. Shutdown is graceful
+//! by construction — the ingest worker drops its sender at EOF (or on a read
+//! error), the batch iterator ends, and the stream is flushed with
 //! [`StreamReconstructor::finish`].
 
 use crate::reconstructor::{StreamReconstructor, StreamStats};
-use crossbeam::channel::bounded;
 use eventlog::frame::{FrameDecoder, FrameStats, NodeRecord};
-use refill::telemetry::{Counter, Recorder, Stage, StageTimer, TelemetrySnapshot};
+use refill::telemetry::{Counter, Stage, StageTimer, TelemetrySnapshot};
 use refill::PacketReport;
 use std::io::Read;
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
 /// Tunables for the threaded driver.
@@ -36,15 +33,6 @@ pub struct DriverConfig {
     /// Poll for closed windows after this many absorbed records. Treated
     /// as at least 1.
     pub poll_every: usize,
-    /// After each blocking receive, opportunistically drain up to this many
-    /// additional already-queued batches (non-blocking `try_recv`) before
-    /// reconstructing. Larger waves feed more closed windows into each
-    /// poll, so the incremental refresh behind it crosses its parallel
-    /// threshold instead of reconstructing windows one or two at a time.
-    /// 0 disables the drain; report emission is unaffected either way
-    /// because polling is driven by the absorbed-record count, not by
-    /// batch boundaries.
-    pub drain_batches: usize,
 }
 
 impl Default for DriverConfig {
@@ -53,7 +41,6 @@ impl Default for DriverConfig {
             chunk_bytes: 8 * 1024,
             channel_batches: 4,
             poll_every: 64,
-            drain_batches: 16,
         }
     }
 }
@@ -193,7 +180,7 @@ where
 {
     let recorder = Arc::clone(stream.recorder());
     let metrics_recorder = Arc::clone(stream.recorder());
-    let (tx, rx) = bounded::<Vec<NodeRecord>>(config.channel_batches.max(1));
+    let (tx, rx) = sync_channel::<Vec<NodeRecord>>(config.channel_batches.max(1));
     let poll_every = config.poll_every.max(1);
     let metrics_every = metrics_every.map(|n| n.max(1));
     let mut prev_metrics = TelemetrySnapshot::default();
@@ -204,13 +191,13 @@ where
     let mut ckpt_error: Option<std::io::Error> = None;
     let mut to_skip = checkpoint.as_ref().map_or(0, |c| c.skip_records());
 
-    crossbeam::thread::scope(|scope| {
-        let ingest = scope.spawn(move |_| -> std::io::Result<FrameStats> {
+    std::thread::scope(|scope| {
+        let ingest = scope.spawn(move || -> std::io::Result<FrameStats> {
             let mut reader = reader;
             let mut decoder = FrameDecoder::new();
             let mut buf = vec![0u8; config.chunk_bytes.max(64)];
             let mut reported = FrameStats::default();
-            let mut account = |decoder: &FrameDecoder, reported: &mut FrameStats| {
+            let account = |decoder: &FrameDecoder, reported: &mut FrameStats| {
                 let now = decoder.stats();
                 recorder.add(Counter::FramesDecoded, now.decoded - reported.decoded);
                 recorder.add(Counter::FramesCorrupt, now.corrupt - reported.corrupt);
@@ -240,20 +227,8 @@ where
         });
 
         let mut since_poll = 0usize;
-        'waves: while let Ok(mut wave) = rx.recv() {
-            // Wave drain: scoop whatever the ingest worker already queued
-            // (bounded, non-blocking) so one reconstruction pass absorbs a
-            // larger contiguous run of records. Poll cadence stays pinned
-            // to the absorbed-record count, so the record sequence alone
-            // determines when windows close and reports emit — identical
-            // output whether records arrived in one wave or many.
-            for _ in 0..config.drain_batches {
-                match rx.try_recv() {
-                    Ok(more) => wave.extend(more),
-                    Err(_) => break,
-                }
-            }
-            for rec in wave {
+        'batches: while let Ok(batch) = rx.recv() {
+            for rec in batch {
                 if to_skip > 0 {
                     // Already durable from the interrupted run; the caller
                     // replayed it into the stream before we started.
@@ -263,7 +238,7 @@ where
                 if let Some(ckpt) = checkpoint.as_deref_mut() {
                     if let Err(e) = ckpt.on_record(&rec) {
                         ckpt_error = Some(e);
-                        break 'waves;
+                        break 'batches;
                     }
                 }
                 stream.ingest(rec);
@@ -277,7 +252,7 @@ where
                                 ckpt.on_reports(&emitted).and_then(|()| ckpt.sync());
                             if let Err(e) = flushed {
                                 ckpt_error = Some(e);
-                                break 'waves;
+                                break 'batches;
                             }
                         }
                     }
@@ -307,8 +282,7 @@ where
             Ok(stats) => frames = stats,
             Err(e) => read_error = Some(e),
         }
-    })
-    .expect("stream workers do not panic");
+    });
 
     let reports = stream.finish();
     if ckpt_error.is_none() {
@@ -416,7 +390,6 @@ mod tests {
             chunk_bytes: 64, // tiny chunks: frames split across reads
             channel_batches: 2,
             poll_every: 3,
-            drain_batches: 4,
         };
         let mut rolling = 0u64;
         let summary =
@@ -428,40 +401,6 @@ mod tests {
 
         let batch = recon().reconstruct_log(&merge_logs(&logs_of(&recs)));
         assert_eq!(summary.reports, batch);
-    }
-
-    #[test]
-    fn wave_draining_never_changes_output() {
-        // Poll cadence is pinned to the absorbed-record count, so however
-        // many batches a wave scoops up, reports and rolling emission are
-        // identical.
-        let recs = records(30);
-        let bytes = encode_records(recs.iter());
-        let run_with = |drain_batches: usize| {
-            let mut stream = StreamReconstructor::with_config(
-                recon(),
-                StreamConfig {
-                    lane_capacity: 8,
-                    lateness: Lateness {
-                        records: 2,
-                        micros: u64::MAX,
-                    },
-                },
-            );
-            let config = DriverConfig {
-                chunk_bytes: 64,
-                channel_batches: 2,
-                poll_every: 3,
-                drain_batches,
-            };
-            let summary =
-                run_stream(Cursor::new(&bytes), &mut stream, config, |_| {}).unwrap();
-            (summary.rolling_reports, summary.reports)
-        };
-        let undrained = run_with(0);
-        for drain in [1, 4, 64] {
-            assert_eq!(run_with(drain), undrained, "drain_batches = {drain}");
-        }
     }
 
     #[test]
@@ -518,7 +457,7 @@ mod tests {
 
     #[test]
     fn metered_run_emits_interval_deltas_that_sum_to_the_totals() {
-        use refill::telemetry::AtomicRecorder;
+        use refill::telemetry::{AtomicRecorder, Recorder};
         let recs = records(20);
         let bytes = encode_records(recs.iter());
         let recorder = Arc::new(AtomicRecorder::new());

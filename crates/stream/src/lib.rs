@@ -13,11 +13,12 @@
 //!    close when every contributing node has moved past its last
 //!    contribution, and convergent late handling: a record for a closed
 //!    window reopens it, so the final reports always equal the batch
-//!    answer over everything ingested.
+//!    answer over everything ingested (one record per packet, one
+//!    reconstruction per close; `finish()` is re-enterable).
 //! 3. **Drivers**: [`run_stream`] pairs an ingest worker (decode) with the
-//!    reconstruction loop over a bounded crossbeam channel, and [`Replay`]
-//!    turns an archived CitySee campaign into a paced, framed stream at
-//!    N× speed.
+//!    reconstruction loop over a bounded `std::sync::mpsc` channel, and
+//!    [`Replay`] turns an archived CitySee campaign into a paced, framed
+//!    stream at N× speed.
 //!
 //! Everything is observable through the shared telemetry recorder: frames
 //! decoded/corrupt, queue depths, windows closed, late reopens, and the

@@ -1,5 +1,5 @@
 //! The streaming core: bounded per-node lanes, watermark windowing, and
-//! convergent late handling around an [`IncrementalReconstructor`].
+//! convergent late handling over one record per packet.
 //!
 //! Records enter through [`StreamReconstructor::offer`] (refused — not
 //! dropped — when the node's lane is full: that refusal *is* the
@@ -20,13 +20,21 @@
 //! so after [`StreamReconstructor::finish`] the reports are identical to a
 //! batch reconstruction of everything ingested, however the stream was
 //! interleaved or chunked.
+//!
+//! All per-packet state lives once, in one [`PacketState`]; a window is
+//! reconstructed exactly once each time it closes (open → closed → reopened
+//! → closed …) and never otherwise. Logs that trickle in over hours are the
+//! same thing at a slower cadence: `ingest` a log's records, `finish()`,
+//! repeat — `finish()` is re-enterable.
 
+use eventlog::columnar::PackedEvent;
 use eventlog::frame::NodeRecord;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
-use eventlog::PacketId;
+use eventlog::{Event, PacketId};
 use netsim::NodeId;
+use refill::parallel::{available_workers, par_map};
 use refill::telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
-use refill::{IncrementalReconstructor, PacketReport, Reconstructor};
+use refill::{PacketReport, Reconstructor};
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -66,30 +74,42 @@ pub struct StreamStats {
     pub backpressure: u64,
 }
 
-/// One packet's open/closed window.
-#[derive(Debug, Default)]
-struct WindowState {
+/// Everything the online path keeps about one packet.
+struct PacketState {
+    id: PacketId,
+    /// Events in absorb order (per node: recording order), packed — a stream
+    /// keeps every packet's history resident, which is where 16-byte records
+    /// pay most. The length doubles as the window's event count.
+    events: Vec<PackedEvent>,
     /// Each contributing node's mark at its *last* contribution; the close
-    /// rule compares only a node's own marks, never across nodes.
-    contributors: FxHashMap<NodeId, Mark>,
-    /// Events absorbed into this window (over its whole life, reopens
-    /// included).
-    events: u64,
+    /// rule compares only a node's own marks, never across nodes. A handful
+    /// per packet, so a linear search beats a map.
+    contributors: Vec<(NodeId, Mark)>,
     closed: bool,
 }
+
+/// Fewer closing windows than this are reconstructed on the calling thread:
+/// forking workers for a handful costs more than the reconstructions.
+const PAR_MIN_WINDOWS: usize = 8;
 
 /// Online reconstruction over a stream of per-node log records.
 pub struct StreamReconstructor {
     config: StreamConfig,
     recorder: Arc<dyn Recorder>,
+    recon: Reconstructor,
     /// Bounded ingest queues, one per node; `BTreeMap` so pumping visits
     /// lanes in a deterministic node order.
     lanes: BTreeMap<NodeId, VecDeque<NodeRecord>>,
     queued: usize,
     tracker: WatermarkTracker,
-    /// Per-packet windows, in packet-id order for deterministic sweeps.
-    windows: BTreeMap<PacketId, WindowState>,
-    inc: IncrementalReconstructor,
+    /// Where each packet's state sits in `packets`.
+    slots: FxHashMap<PacketId, u32>,
+    packets: Vec<PacketState>,
+    /// Slots of the open windows — all a poll has to look at.
+    open: Vec<u32>,
+    /// Reports as of each packet's last close, in packet-id order; kept out
+    /// of `packets` so that growing the slab moves small records only.
+    reports: BTreeMap<PacketId, PacketReport>,
     stats: StreamStats,
 }
 
@@ -102,15 +122,17 @@ impl StreamReconstructor {
 
     /// Wrap with explicit stream settings.
     pub fn with_config(recon: Reconstructor, config: StreamConfig) -> Self {
-        let recorder = Arc::clone(recon.recorder());
         StreamReconstructor {
             config,
-            recorder,
+            recorder: Arc::clone(recon.recorder()),
+            recon,
             lanes: BTreeMap::new(),
             queued: 0,
             tracker: WatermarkTracker::new(),
-            windows: BTreeMap::new(),
-            inc: IncrementalReconstructor::new(recon),
+            slots: FxHashMap::default(),
+            packets: Vec::new(),
+            open: Vec::new(),
+            reports: BTreeMap::new(),
             stats: StreamStats::default(),
         }
     }
@@ -132,7 +154,7 @@ impl StreamReconstructor {
 
     /// Windows currently open.
     pub fn open_windows(&self) -> usize {
-        self.windows.values().filter(|w| !w.closed).count()
+        self.open.len()
     }
 
     /// Try to enqueue one record. `false` means the node's lane is full —
@@ -178,100 +200,123 @@ impl StreamReconstructor {
         n
     }
 
-    /// Absorb one record: advance its node's watermark, grow (or reopen)
-    /// its packet's window, and hand the event to the incremental core.
+    /// Absorb one record: advance its node's watermark and grow (or open,
+    /// or reopen) its packet's window.
     fn absorb(&mut self, rec: NodeRecord) {
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
         let mark = self.tracker.advance(rec.node, rec.entry.local_ts);
-        let packet = rec.entry.event.packet;
-        let window = self.windows.entry(packet).or_default();
-        if window.closed {
-            window.closed = false;
+        let id = rec.entry.event.packet;
+        let (packets, open) = (&mut self.packets, &mut self.open);
+        let slot = *self.slots.entry(id).or_insert_with(|| {
+            open.push(packets.len() as u32);
+            packets.push(PacketState {
+                id,
+                events: Vec::new(),
+                contributors: Vec::new(),
+                closed: false,
+            });
+            packets.len() as u32 - 1
+        });
+        let packet = &mut packets[slot as usize];
+        if packet.closed {
+            packet.closed = false;
+            open.push(slot);
             self.stats.windows_reopened += 1;
             self.stats.late_events += 1;
             self.recorder.add(Counter::WindowsReopened, 1);
             self.recorder.add(Counter::StreamLateEvents, 1);
-            // Force the redo even if the refresh filter would have seen no
-            // change (belt and braces: ingest below also dirties it).
-            self.inc.mark_dirty(packet);
         }
-        window.contributors.insert(rec.node, mark);
-        window.events += 1;
-        self.inc.ingest_events([rec.entry.event]);
+        match packet.contributors.iter_mut().find(|(node, _)| *node == rec.node) {
+            Some((_, since)) => *since = mark,
+            None => packet.contributors.push((rec.node, mark)),
+        }
+        packet.events.push(PackedEvent::pack(&rec.entry.event));
     }
 
-    /// Sweep open windows, close the ones every contributor has moved past,
-    /// reconstruct exactly those packets, and return their reports (in
-    /// packet-id order). Cheap when nothing is ready.
+    /// Sweep the open windows, close the ones every contributor has moved
+    /// past, reconstruct exactly those packets, and return their reports
+    /// (in packet-id order). Cheap when nothing is ready.
     pub fn poll(&mut self) -> Vec<PacketReport> {
-        let _span = StageTimer::start(&*self.recorder, Stage::Window);
-        let lateness = self.config.lateness;
-        let mut closing: Vec<PacketId> = Vec::new();
-        for (id, window) in self.windows.iter_mut() {
-            if window.closed {
-                continue;
-            }
-            let all_passed = window
-                .contributors
-                .iter()
-                .all(|(node, since)| self.tracker.passed(*node, *since, lateness));
-            if all_passed {
-                window.closed = true;
-                closing.push(*id);
-                self.recorder.observe(Hist::WindowEvents, window.events);
-            }
-        }
-        if closing.is_empty() {
-            return Vec::new();
-        }
-        self.stats.windows_closed += closing.len() as u64;
-        self.recorder.add(Counter::WindowsClosed, closing.len() as u64);
-        self.inc.refresh_packets(closing.iter().copied());
-        closing
-            .iter()
-            .filter_map(|id| self.inc.report(*id).cloned())
-            .collect()
+        let closed = self.sweep(false);
+        let report_of = |slot: &u32| self.reports[&self.packets[*slot as usize].id].clone();
+        closed.iter().map(report_of).collect()
     }
 
-    /// End of stream: pump what is queued, close every open window, refresh
-    /// everything still dirty, and return the full converged report set (in
-    /// packet-id order) — identical to a batch reconstruction of every
-    /// record ever ingested.
+    /// End of stream — or of one log in a slower feed: pump what is queued,
+    /// close every open window, reconstruct those packets, and return the
+    /// full converged report set (in packet-id order) — identical to a
+    /// batch reconstruction of every record ever ingested. More records may
+    /// follow; they reopen their windows.
     pub fn finish(&mut self) -> Vec<PacketReport> {
         self.pump();
-        {
-            let _span = StageTimer::start(&*self.recorder, Stage::Window);
-            let mut closed_now = 0u64;
-            for window in self.windows.values_mut() {
-                if !window.closed {
-                    window.closed = true;
-                    closed_now += 1;
-                    self.recorder.observe(Hist::WindowEvents, window.events);
-                }
-            }
-            self.stats.windows_closed += closed_now;
-            self.recorder.add(Counter::WindowsClosed, closed_now);
-        }
-        self.inc.refresh();
+        self.sweep(true);
         self.reports()
+    }
+
+    /// Close the open windows every contributor has moved past — with `all`,
+    /// every open window — and reconstruct each of them exactly once, in
+    /// packet-id order: in parallel when there are enough to pay for the
+    /// workers, each worker unpacking into one reused buffer. Returns the
+    /// closed windows' slots in that order; their reports are in `reports`.
+    fn sweep(&mut self, all: bool) -> Vec<u32> {
+        let recorder = Arc::clone(&self.recorder);
+        let span = StageTimer::start(&*recorder, Stage::Window);
+        let lateness = self.config.lateness;
+        let (tracker, packets) = (&self.tracker, &mut self.packets);
+        let mut closing: Vec<u32> = Vec::new();
+        self.open.retain(|&slot| {
+            let packet = &mut packets[slot as usize];
+            let passed = |&(node, since): &(NodeId, Mark)| tracker.passed(node, since, lateness);
+            packet.closed = all || packet.contributors.iter().all(passed);
+            if packet.closed {
+                closing.push(slot);
+            }
+            !packet.closed
+        });
+        closing.sort_unstable_by_key(|&slot| packets[slot as usize].id);
+        for &slot in &closing {
+            recorder.observe(Hist::WindowEvents, packets[slot as usize].events.len() as u64);
+        }
+        self.stats.windows_closed += closing.len() as u64;
+        recorder.add(Counter::WindowsClosed, closing.len() as u64);
+        if all {
+            drop(span); // the final flush's reconstructions are not window time
+        }
+        let workers = if closing.len() < PAR_MIN_WINDOWS {
+            1
+        } else {
+            available_workers()
+        };
+        let (recon, packets) = (&self.recon, &self.packets);
+        let reports = par_map(closing.len(), workers, Vec::new, |scratch: &mut Vec<Event>, i| {
+            let packet = &packets[closing[i] as usize];
+            scratch.clear();
+            scratch.extend(packet.events.iter().map(PackedEvent::unpack));
+            recon.reconstruct_packet(packet.id, scratch)
+        });
+        self.reports.extend(reports.into_iter().map(|report| (report.packet, report)));
+        closing
     }
 
     /// The current report for one packet (as of its last reconstruction).
     pub fn report(&self, id: PacketId) -> Option<&PacketReport> {
-        self.inc.report(id)
+        self.reports.get(&id)
     }
 
     /// Heap bytes held by the packed per-packet event state — the memory
     /// a long-running stream actually retains between polls (16 bytes per
     /// event, plus unamortized vector capacity).
     pub fn packed_event_bytes(&self) -> usize {
-        self.inc.packed_bytes()
+        self.packets
+            .iter()
+            .map(|p| p.events.capacity() * std::mem::size_of::<PackedEvent>())
+            .sum()
     }
 
     /// Every current report, cloned, in packet-id order.
     pub fn reports(&self) -> Vec<PacketReport> {
-        self.inc.reports().into_iter().cloned().collect()
+        self.reports.values().cloned().collect()
     }
 }
 
@@ -280,7 +325,7 @@ mod tests {
     use super::*;
     use eventlog::logger::{LocalLog, LogEntry};
     use eventlog::merge::merge_logs;
-    use eventlog::{Event, EventKind};
+    use eventlog::EventKind;
     use refill::telemetry::AtomicRecorder;
     use refill::CtpVocabulary;
 
@@ -315,6 +360,7 @@ mod tests {
     fn finish_matches_batch() {
         let mut logs: Vec<LocalLog> = vec![LocalLog::new(n(1)), LocalLog::new(n(2))];
         let mut stream = StreamReconstructor::new(recon());
+        assert_eq!(stream.packed_event_bytes(), 0);
         for seq in 0..8 {
             for r in hop_records(seq, None) {
                 logs[usize::from(r.node.0) - 1].entries.push(r.entry);
@@ -514,5 +560,93 @@ mod tests {
         let out = stream.poll();
         let seqs: Vec<u32> = out.iter().map(|r| r.packet.seqno).collect();
         assert_eq!(seqs, vec![1, 3, 5], "sweep order is packet-id order");
+    }
+
+    #[test]
+    fn flows_grow_as_evidence_arrives() {
+        let p = PacketId::new(n(1), 0);
+        let mut stream = StreamReconstructor::new(recon());
+        stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
+        stream.finish();
+        assert_eq!(stream.report(p).unwrap().flow.to_string(), "1-2 trans");
+
+        // A later log's evidence reopens the window; finish() is re-enterable.
+        stream.ingest(rec(3, EventKind::Recv { from: n(2) }, p, None));
+        stream.finish();
+        assert_eq!(
+            stream.report(p).unwrap().flow.to_string(),
+            "1-2 trans, [1-2 recv], [2-3 trans], 2-3 recv"
+        );
+        assert!(stream.report(PacketId::new(n(9), 9)).is_none());
+    }
+
+    #[test]
+    fn reports_iterate_in_packet_id_order_regardless_of_ingestion_order() {
+        let mut stream = StreamReconstructor::new(recon());
+        // Packets arrive in a scrambled order, across two origins.
+        for (origin, seq) in [(2u16, 7u32), (1, 3), (2, 0), (1, 9), (1, 0), (2, 3)] {
+            let p = PacketId::new(n(origin), seq);
+            stream.ingest(rec(origin, EventKind::Trans { to: n(5) }, p, None));
+        }
+        stream.finish();
+        let ids: Vec<PacketId> = stream.reports().iter().map(|r| r.packet).collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        assert_eq!(ids, sorted, "reports() must come back in packet-id order");
+        assert_eq!(ids.len(), 6);
+    }
+
+    #[test]
+    fn one_reconstruction_per_close_and_none_otherwise() {
+        let recorder = Arc::new(AtomicRecorder::new());
+        let shared: Arc<dyn Recorder> = recorder.clone();
+        let config = StreamConfig {
+            lane_capacity: 4,
+            lateness: Lateness {
+                records: 2,
+                micros: u64::MAX,
+            },
+        };
+        let mut stream =
+            StreamReconstructor::with_config(recon().with_recorder(shared), config);
+        let reconstructed = || recorder.counter_value(Counter::PacketsReconstructed);
+        let in_step = |stream: &StreamReconstructor| {
+            assert_eq!(reconstructed(), stream.stats().windows_closed);
+        };
+
+        // Twelve two-hop packets: node 2's half of each arrives after node
+        // 1 has moved on, so early closes are reopened.
+        for seq in 0..12 {
+            stream.ingest(hop_records(seq, None)[0]);
+            if seq % 3 == 2 {
+                stream.pump();
+                stream.poll();
+                in_step(&stream);
+            }
+        }
+        assert!(stream.stats().windows_closed > 0);
+        for seq in 0..12 {
+            stream.ingest(hop_records(seq, None)[1]);
+            stream.pump();
+            stream.poll();
+            in_step(&stream);
+        }
+        assert!(stream.stats().windows_reopened > 0);
+
+        // Nothing newly absorbed: a poll reconstructs nothing, however often.
+        let before = reconstructed();
+        let open = stream.open_windows();
+        assert!(stream.poll().is_empty() && stream.poll().is_empty());
+        assert_eq!(reconstructed(), before);
+        assert_eq!(stream.open_windows(), open);
+
+        // finish() closes what is still open, once; a second has nothing left.
+        assert!(open > 0);
+        stream.finish();
+        assert_eq!(reconstructed(), before + open as u64);
+        in_step(&stream);
+        stream.finish();
+        assert_eq!(reconstructed(), before + open as u64);
+        in_step(&stream);
     }
 }

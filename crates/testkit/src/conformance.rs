@@ -239,7 +239,6 @@ pub fn run_case(
         chunk_bytes: drng.range_usize(64, 513),
         channel_batches: drng.range_usize(1, 5),
         poll_every: drng.range_usize(1, 9),
-        drain_batches: drng.range_usize(0, 9),
     };
     let stall = drng.chance(spec.reader_stall);
     let reader = FaultyReader::clean(bytes.clone(), stall, plan.lane("stall"));

@@ -39,7 +39,6 @@ fn driver_config() -> DriverConfig {
         chunk_bytes: 64,
         channel_batches: 2,
         poll_every: 3,
-        drain_batches: 0,
     }
 }
 
