@@ -40,8 +40,8 @@ fn bench_merge(c: &mut Criterion) {
     // Fan-in sweep on synthetic sorted logs at a fixed total event count:
     // K = 1200 is the paper's CitySee deployment scale, where the old
     // cursor scan paid ~K compares per event and the loser tree pays
-    // ~log2(K) ≈ 10. `partitioned` adds the rayon time-partitioned
-    // front-end on top of the same loser tree.
+    // ~log2(K) ≈ 10. `partitioned` runs the same loser tree over time
+    // strips, one scoped thread each.
     const SWEEP_EVENTS: usize = 240_000;
     for k in [60usize, 300, 1200] {
         let logs = synth_merge_logs(k, SWEEP_EVENTS);

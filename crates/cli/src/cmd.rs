@@ -516,12 +516,7 @@ pub fn explain_cmd_inner(args: &[String]) -> Result<String, String> {
 ///
 /// Single-threaded by default on purpose: stage totals then add up to
 /// wall-clock time instead of summing CPU time across workers, which
-/// makes the table directly readable as "where did the time go". The one
-/// exception is the merge front-end, which partitions across rayon workers
-/// on large inputs: its `merge` row is still wall time (the outer span
-/// runs on this thread), while the nested `merge_partition` rows sum
-/// worker CPU time — their total exceeding `merge` is the parallel
-/// speedup, not an accounting error.
+/// makes the table directly readable as "where did the time go".
 ///
 /// `--workers N` (N > 1) switches to the fused columnar parallel driver
 /// instead: every stage row then sums CPU time across workers, so the
@@ -615,14 +610,6 @@ pub fn profile_cmd_inner(args: &[String]) -> Result<String, String> {
         out.push('\n');
     } else {
         out.push_str(&snapshot.render_table());
-        let partitions = snapshot.counter("merge_partitions");
-        if partitions > 1 {
-            let _ = writeln!(
-                out,
-                "\nmerge ran time-partitioned over {partitions} strips \
-                 (merge row = wall time; merge_partition rows sum worker CPU time)"
-            );
-        }
         let throughput = if secs > 0.0 { packets as f64 / secs } else { 0.0 };
         let mode = if workers > 1 {
             format!("fused columnar, {workers} workers")

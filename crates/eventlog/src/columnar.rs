@@ -23,14 +23,14 @@
 //!
 //! * [`ColumnarIndex`] — the packet grouping as a permutation plus range
 //!   table over the store. Where `PacketIndex` copies every event into a
-//!   sorted arena, this sorts 4-byte row indices and never copies a record.
+//!   grouped arena, this groups 4-byte row indices and never copies a record.
 //! * [`ScratchArena`] — a per-worker bump allocation for unpacking one
 //!   group at a time. The buffer is grow-only, so after warm-up a worker
 //!   reconstructs arbitrarily many packets with zero allocations.
 
 use crate::event::{Event, EventKind, PacketId};
 use crate::logger::LogEntry;
-use crate::merge::MergedLog;
+use crate::merge::{group_by_packet, MergedLog};
 use netsim::NodeId;
 use refill_telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
 
@@ -286,14 +286,15 @@ impl EventStore {
 /// The packet grouping as a permutation plus range table over an
 /// [`EventStore`].
 ///
-/// `perm` holds row indices stably sorted by packet id, so each packet's
-/// index range preserves merged order (and therefore per-node recording
-/// order — the pipeline's one hard input guarantee), exactly like
-/// `PacketIndex`'s sorted arena. Unlike `PacketIndex`, nothing is copied:
-/// a group is a `&[u32]` of row positions into the shared columns.
+/// `perm` holds row indices grouped by packet id, ids ascending, each group
+/// in row order, so each packet's index range preserves merged order (and
+/// therefore per-node recording order — the pipeline's one hard input
+/// guarantee), exactly like `PacketIndex`'s arena. Unlike `PacketIndex`,
+/// nothing is copied: a group is a `&[u32]` of row positions into the shared
+/// columns.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarIndex {
-    /// Row indices, stably sorted by the rows' packet keys.
+    /// Row indices, grouped by the rows' packet ids, each group ascending.
     perm: Vec<u32>,
     /// Distinct packet ids, sorted ascending.
     ids: Vec<PacketId>,
@@ -303,30 +304,20 @@ pub struct ColumnarIndex {
 }
 
 impl ColumnarIndex {
-    /// Build the grouping: one stable index sort, no record copies.
+    /// Build the grouping: the counting sort `PacketIndex` uses
+    /// (`group_by_packet`), and nothing more; no record copies.
     ///
     /// # Panics
     /// Panics if the store exceeds `u32::MAX` rows (the row indices and
     /// offsets are deliberately 4-byte).
     pub fn build(store: &EventStore) -> Self {
-        assert!(
-            store.len() <= u32::MAX as usize,
-            "ColumnarIndex addresses rows with u32"
-        );
-        let recs = store.records();
-        let mut perm: Vec<u32> = (0..recs.len() as u32).collect();
-        perm.sort_by_key(|&i| recs[i as usize].packet_key());
-        let mut ids: Vec<PacketId> = Vec::new();
-        let mut offsets: Vec<u32> = Vec::new();
-        for (i, &row) in perm.iter().enumerate() {
-            let id = recs[row as usize].packet();
-            if ids.last() != Some(&id) {
-                ids.push(id);
-                offsets.push(i as u32);
-            }
+        let (perm, ids, offsets) =
+            group_by_packet(store.records().iter().map(PackedEvent::packet));
+        ColumnarIndex {
+            perm,
+            ids,
+            offsets: offsets.into_iter().map(|at| at as u32).collect(),
         }
-        offsets.push(perm.len() as u32);
-        ColumnarIndex { perm, ids, offsets }
     }
 
     /// [`ColumnarIndex::build`] with telemetry: timed as the `index` stage,
@@ -339,8 +330,8 @@ impl ColumnarIndex {
         };
         if recorder.enabled() {
             recorder.add(Counter::IndexedPackets, index.len() as u64);
-            for i in 0..index.len() {
-                recorder.observe(Hist::GroupEvents, index.group_len(i) as u64);
+            for group in index.offsets.windows(2) {
+                recorder.observe(Hist::GroupEvents, u64::from(group[1] - group[0]));
             }
         }
         index

@@ -10,31 +10,45 @@
 //! # Merge engine
 //!
 //! The timestamped path is a **loser-tree k-way merge**: a flat tournament
-//! tree over the K per-log cursors where each pop costs one leaf-to-root
-//! replay, O(log K) comparisons, instead of the O(K) cursor scan the first
-//! version used. At CitySee scale (K ≈ 1,200 nodes) that is a ~170× cut in
-//! per-event compare work. Selection is total-ordered on
-//! `(local_ts, node, cursor)`, so ties between equal `(ts, node)` heads
-//! always resolve to the earlier log in input order — the same order the
-//! cursor scan produced, byte for byte.
+//! tree over the K runs in which every node holds the *key* of the contender
+//! that lost there, so a pop reads one new key (the popped run's next entry)
+//! and replays its leaf-to-root path with a `min`/`max` pair per level.
+//! Selection is total-ordered on `(local_ts, node, input index)`, so ties
+//! between equal `(ts, node)` heads always resolve to the earlier log in
+//! input order — the order the original cursor scan produced, byte for byte.
 //!
-//! When every log is internally sorted by `local_ts` (true for real
-//! collectors, checked in O(N)) and the input is large, the merge is
-//! **time-partitioned**: the timestamp domain is split into P contiguous
-//! ranges, each log is cut at the range boundaries with `partition_point`
-//! (binary search), the P strips are merged independently on rayon workers,
-//! and the outputs are concatenated. Because partition boundaries compare on
-//! `local_ts` alone, every event with a given timestamp lands in exactly one
-//! partition — so no `(ts, node, cursor)` tie ever spans a boundary and the
-//! concatenation is byte-identical to the sequential merge. Unsorted logs
-//! (which the cursor-scan semantics permit) fail the O(N) gate and fall back
-//! to the sequential loser tree.
+//! The log merge packs that triple into one word: runs are ranked by
+//! `(node, input index)`, and the key is `(ts - lo) << rank_bits | rank`
+//! with `lo` the smallest timestamp of the input. The word orders exactly as
+//! the triple does, tells which run it came from, and stays below
+//! `u64::MAX` — the key of an exhausted run — whenever the timestamp span
+//! and the rank fit 63 bits together; otherwise the same engine runs on the
+//! pair `(ts, rank)`. One pass over the entries finds `lo`, the span,
+//! whether any timestamp is missing and whether every log is sorted.
+//!
+//! With K ≈ 1 200 runs the next entry of the popped run is a cache miss no
+//! hardware prefetcher hides (it follows a few streams, not a thousand), so
+//! each pop prefetches that run's entry a few positions ahead.
+//!
+//! Measured by the benchmark's layer sample (`merge.mevents_per_s`, seed 7),
+//! against the tree of run indices that re-derived every key it compared:
+//! 17.9 → 43.1 Mevents/s at K = 1 194 and 19.4 → 53.8 at K = 301, i.e.
+//! `merge.vs_memcpy` 0.035 → 0.078 and 0.034 → 0.107; on the whole
+//! 2.08 M-event, 1 194-log input 0.16 → 0.058 s (DESIGN.md §9 has the
+//! table of what each step bought).
+//!
+//! [`merge_logs_partitioned`] cuts sorted logs at shared timestamp
+//! boundaries and merges the strips on scoped threads, each into its own
+//! window of the output. Because boundaries compare on `local_ts` alone,
+//! every event with a given timestamp lands in exactly one strip — so no
+//! tie ever spans a boundary and the result is byte-identical to the
+//! sequential merge. Unsorted logs (which the cursor-scan semantics permit)
+//! are merged by the sequential tree.
 
 use crate::columnar::{EventStore, PackedEvent, TS_NONE};
 use crate::event::{Event, PacketId};
 use crate::logger::{LocalLog, LogEntry};
 use netsim::NodeId;
-use rayon::prelude::*;
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -52,9 +66,9 @@ impl MergedLog {
     /// each group (and therefore per-node recording order).
     ///
     /// This copies every event into per-packet `Vec`s; the reconstruction
-    /// pipeline uses [`MergedLog::packet_index`] instead, which sorts once
+    /// pipeline uses [`MergedLog::packet_index`] instead, which groups once
     /// into an arena and hands out zero-copy slices. Kept as the simple
-    /// reference grouping (the property tests check the index against it).
+    /// reference grouping (the tests check the index against it).
     pub fn by_packet(&self) -> FxHashMap<PacketId, Vec<Event>> {
         let mut out: FxHashMap<PacketId, Vec<Event>> = FxHashMap::default();
         for &e in &self.events {
@@ -63,7 +77,7 @@ impl MergedLog {
         out
     }
 
-    /// Build a [`PacketIndex`]: one stable sort into an arena, then
+    /// Build a [`PacketIndex`]: one counting sort into an arena, then
     /// per-packet `&[Event]` slices in sorted-id order with no further
     /// copying. This is the grouping the reconstruction drivers use.
     pub fn packet_index(&self) -> PacketIndex {
@@ -80,8 +94,8 @@ impl MergedLog {
         };
         if recorder.enabled() {
             recorder.add(Counter::IndexedPackets, index.len() as u64);
-            for (_, events) in index.iter() {
-                recorder.observe(Hist::GroupEvents, events.len() as u64);
+            for group in index.offsets.windows(2) {
+                recorder.observe(Hist::GroupEvents, (group[1] - group[0]) as u64);
             }
         }
         index
@@ -90,10 +104,7 @@ impl MergedLog {
     /// All packet ids mentioned anywhere in the merged log, sorted and
     /// deduplicated (without materializing per-packet event groups).
     pub fn packet_ids(&self) -> Vec<PacketId> {
-        let mut ids: Vec<PacketId> = self.events.iter().map(|e| e.packet).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        group_by_packet(self.events.iter().map(|e| e.packet)).1
     }
 
     /// The subsequence of events recorded on `node`, in order.
@@ -112,16 +123,17 @@ impl MergedLog {
     }
 }
 
-/// A packet-grouped view of a merged log, built with a single stable sort.
+/// A packet-grouped view of a merged log, built with one counting sort.
 ///
-/// The arena holds every event sorted by packet id; because the sort is
-/// stable, each packet's slice preserves the merged order (and therefore
-/// every node's recording order — the one hard input guarantee). Groups are
-/// exposed as `&[Event]` slices in sorted-id order, so iterating packets for
-/// reconstruction costs zero copies after the one-time build.
+/// The arena holds every event grouped by packet id, groups in ascending id
+/// order; events are placed in merged order, so each packet's slice
+/// preserves it (and therefore every node's recording order — the one hard
+/// input guarantee). Groups are exposed as `&[Event]` slices in sorted-id
+/// order, so iterating packets for reconstruction costs zero copies after
+/// the one-time build.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PacketIndex {
-    /// All events, stably sorted by packet id.
+    /// All events, grouped by packet id, each group in merged order.
     events: Vec<Event>,
     /// Distinct packet ids, sorted ascending.
     ids: Vec<PacketId>,
@@ -131,21 +143,16 @@ pub struct PacketIndex {
 }
 
 impl PacketIndex {
-    /// Build from an event stream (one copy, one stable sort).
+    /// Build from an event stream: group the row numbers
+    /// ([`group_by_packet`]: three linear passes unless the ids are sparse),
+    /// then copy each event to its place.
+    ///
+    /// # Panics
+    /// Panics if there are more than `u32::MAX` events.
     pub fn build(events: &[Event]) -> Self {
-        let mut arena = events.to_vec();
-        arena.sort_by_key(|e| e.packet);
-        let mut ids: Vec<PacketId> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::new();
-        for (i, e) in arena.iter().enumerate() {
-            if ids.last() != Some(&e.packet) {
-                ids.push(e.packet);
-                offsets.push(i);
-            }
-        }
-        offsets.push(arena.len());
+        let (perm, ids, offsets) = group_by_packet(events.iter().map(|e| e.packet));
         PacketIndex {
-            events: arena,
+            events: perm.iter().map(|&row| events[row as usize]).collect(),
             ids,
             offsets,
         }
@@ -193,15 +200,124 @@ impl PacketIndex {
     }
 }
 
-/// Below this many total events the partitioned parallel merge is never
-/// attempted: planning cuts and waking rayon workers cost more than the
-/// sequential loser tree spends on the whole input.
-const PARALLEL_MERGE_MIN_EVENTS: usize = 8 * 1024;
+/// A histogram of packet ids over a dense id domain: origin `o` owns the
+/// slots `first[o]..first[o + 1]`, one per seqno from 0 to the largest it
+/// was seen with.
+///
+/// Real ids are dense — every origin numbers its packets from 0 — so the
+/// domain is about as large as the number of packets, far smaller than the
+/// number of events, and grouping by id needs no comparison at all.
+struct DenseIds {
+    first: Vec<usize>,
+    /// Per slot: how many rows carry the id; after [`DenseIds::layout`],
+    /// where the id's next row goes.
+    slots: Vec<u32>,
+}
 
-/// The partition count is capped so no partition is *expected* to hold
-/// fewer events than this, keeping per-partition loser trees large enough
-/// to amortize their setup.
-const PARTITION_MIN_EVENTS: usize = 2 * 1024;
+impl DenseIds {
+    /// Count `packets` (at most `u32::MAX` of them: the counters are `u32`)
+    /// over their domain. `None` when the domain (slots plus origin table)
+    /// would exceed `4·N + 1024` entries for N packets, or when a seqno is
+    /// `u32::MAX` (its slot count would overflow): such ids are sorted
+    /// instead.
+    fn count(packets: impl ExactSizeIterator<Item = PacketId> + Clone) -> Option<DenseIds> {
+        let budget = packets.len() as u64 * 4 + 1024;
+        let mut spans: Vec<u32> = Vec::new();
+        for id in packets.clone() {
+            let origin = id.origin.index();
+            if origin >= spans.len() {
+                spans.resize(origin + 1, 0);
+            }
+            spans[origin] = spans[origin].max(id.seqno.checked_add(1)?);
+        }
+        let mut first = Vec::with_capacity(spans.len() + 1);
+        let mut domain = 0usize;
+        first.push(domain);
+        for &span in &spans {
+            domain += span as usize;
+            first.push(domain);
+        }
+        if (domain + first.len()) as u64 > budget {
+            return None;
+        }
+        let mut dense = DenseIds {
+            first,
+            slots: vec![0; domain],
+        };
+        for id in packets {
+            let slot = dense.slot(id);
+            dense.slots[slot] += 1;
+        }
+        Some(dense)
+    }
+
+    fn slot(&self, id: PacketId) -> usize {
+        self.first[id.origin.index()] + id.seqno as usize
+    }
+
+    /// The ids that occur, ascending, and each one's offset among the rows
+    /// grouped by id (plus the total, as the last offset). Turns every
+    /// slot's count into the offset of its id.
+    fn layout(&mut self) -> (Vec<PacketId>, Vec<usize>) {
+        let groups = self.slots.iter().filter(|&&rows| rows != 0).count();
+        let mut ids = Vec::with_capacity(groups);
+        let mut offsets = Vec::with_capacity(groups + 1);
+        let mut next = 0u32;
+        for (origin, range) in self.first.windows(2).enumerate() {
+            for (seqno, slot) in self.slots[range[0]..range[1]].iter_mut().enumerate() {
+                let rows = std::mem::replace(slot, next);
+                if rows != 0 {
+                    ids.push(PacketId::new(NodeId(origin as u16), seqno as u32));
+                    offsets.push(next as usize);
+                    next += rows;
+                }
+            }
+        }
+        offsets.push(next as usize);
+        (ids, offsets)
+    }
+}
+
+/// Group rows by packet id, given each row's id: the row numbers arranged
+/// so that each packet's are contiguous, packets in ascending id order and
+/// each packet's rows ascending; the distinct ids; and each id's offset into
+/// the row numbers (one more offset than ids). Both indexes are this.
+///
+/// A counting sort over [`DenseIds`] — three linear passes — or, for sparse
+/// ids, a stable sort.
+///
+/// # Panics
+/// Panics if there are more than `u32::MAX` rows.
+pub(crate) fn group_by_packet(
+    packets: impl ExactSizeIterator<Item = PacketId> + Clone,
+) -> (Vec<u32>, Vec<PacketId>, Vec<usize>) {
+    let rows = u32::try_from(packets.len()).expect("packet indexes address rows with u32");
+    if let Some(mut dense) = DenseIds::count(packets.clone()) {
+        let (ids, offsets) = dense.layout();
+        let mut perm = vec![0u32; rows as usize];
+        for (row, id) in (0..rows).zip(packets) {
+            let slot = dense.slot(id);
+            let at = &mut dense.slots[slot];
+            perm[*at as usize] = row;
+            *at += 1;
+        }
+        return (perm, ids, offsets);
+    }
+    let packets: Vec<PacketId> = packets.collect();
+    let mut perm: Vec<u32> = (0..rows).collect();
+    perm.sort_by_key(|&row| packets[row as usize]);
+    let mut ids: Vec<PacketId> = Vec::new();
+    let mut offsets: Vec<usize> = Vec::new();
+    for (i, &row) in perm.iter().enumerate() {
+        let id = packets[row as usize];
+        if ids.last() != Some(&id) {
+            ids.push(id);
+            offsets.push(i);
+        }
+    }
+    offsets.push(perm.len());
+    (perm, ids, offsets)
+}
 
 /// Merge local logs into one stream.
 ///
@@ -214,60 +330,57 @@ pub fn merge_logs(logs: &[LocalLog]) -> MergedLog {
 }
 
 /// [`merge_logs`] with telemetry: the whole merge is timed as the `merge`
-/// stage, per-log sizes feed the `node_log_events` histogram, the
+/// stage, per-log sizes feed the `node_log_events` histogram, and the
 /// clock-alignment decision (timestamp k-way merge vs. round-robin
-/// fallback) is counted, and `merge_partitions` records how many strips the
-/// timestamped path merged (1 when the sequential loser tree handled the
-/// whole input).
+/// fallback) is counted.
 pub fn merge_logs_recorded(logs: &[LocalLog], recorder: &dyn Recorder) -> MergedLog {
     let _span = StageTimer::start(recorder, Stage::Merge);
-    let all_timestamped = logs
-        .iter()
-        .flat_map(|l| l.entries.iter())
-        .all(|e| e.local_ts.is_some());
+    let mut events = Vec::with_capacity(total_entries(logs));
+    merge_logs_each(logs, recorder, |e| events.push(e.event));
     if recorder.enabled() {
-        for log in logs {
-            recorder.observe(Hist::NodeLogEvents, log.len() as u64);
-        }
-        recorder.inc(if all_timestamped {
-            Counter::MergeTimestamped
-        } else {
-            Counter::MergeRoundRobin
-        });
+        recorder.add(Counter::MergeEvents, events.len() as u64);
     }
-    let events = if all_timestamped {
-        merge_by_timestamp(logs, recorder)
-    } else {
-        merge_round_robin(logs)
-    };
-    recorder.add(Counter::MergeEvents, events.len() as u64);
     MergedLog { events }
 }
 
-/// The sequential loser-tree k-way merge, without the parallel front-end.
+/// The loser-tree k-way merge whatever the timestamps.
 ///
 /// Same output as [`merge_logs`] on all-timestamped input (entries missing
 /// a timestamp sort as 0 here instead of triggering the round-robin
 /// fallback). Exposed for benchmarks and equivalence tests.
 pub fn merge_logs_kway(logs: &[LocalLog]) -> MergedLog {
-    MergedLog {
-        events: merge_runs(&runs_of(logs)),
-    }
+    let mut events = Vec::with_capacity(total_entries(logs));
+    merge_ranked(&ranked_runs(logs), timestamp_span(logs), |e| {
+        events.push(e.event)
+    });
+    MergedLog { events }
 }
 
-/// The time-partitioned merge with an explicit partition count.
+/// The time-partitioned merge: `partitions` strips on as many threads.
 ///
-/// Falls back to the sequential loser tree when the logs are not
-/// partitionable (some log is not sorted by `local_ts`, or the timestamp
-/// domain is degenerate); output is byte-identical either way. The
-/// pipeline entry points ([`merge_logs`] / [`merge_logs_recorded`]) pick
-/// the partition count automatically — this is exposed for benchmarks and
-/// equivalence tests.
+/// Runs the sequential loser tree when the logs are not partitionable
+/// (an entry has no timestamp, some log is not sorted by `local_ts`, or
+/// every event shares one timestamp); output is byte-identical either way.
+/// Exposed for benchmarks and equivalence tests — [`merge_logs`] does not
+/// partition.
 pub fn merge_logs_partitioned(logs: &[LocalLog], partitions: usize) -> MergedLog {
-    MergedLog {
-        events: merge_partitioned(logs, partitions.max(1), &NoopRecorder)
-            .unwrap_or_else(|| merge_runs(&runs_of(logs))),
-    }
+    let runs = ranked_runs(logs);
+    let events = match (
+        timestamp_span(logs),
+        runs.iter().find_map(|run| run.first()),
+    ) {
+        (Some(span), Some(first)) if span.sorted && span.lo < span.hi && partitions > 1 => {
+            let mut events = vec![first.event; total_entries(logs)];
+            merge_strips(&runs, span, partitions, &mut events);
+            events
+        }
+        (span, _) => {
+            let mut events = Vec::with_capacity(total_entries(logs));
+            merge_ranked(&runs, span, |e| events.push(e.event));
+            events
+        }
+    };
+    MergedLog { events }
 }
 
 /// The fused columnar merge: the same engine as [`merge_logs`], but every
@@ -280,33 +393,13 @@ pub fn merge_logs_store(logs: &[LocalLog]) -> EventStore {
 
 /// [`merge_logs_store`] with telemetry: the fused merge+pack is timed as
 /// the `pack` stage (the columnar twin of the legacy `merge` span), with
-/// the same per-log histograms and alignment/partition counters as
+/// the same per-log histogram and alignment counters as
 /// [`merge_logs_recorded`], plus the store's row count and heap footprint
 /// on the `columnar_events` / `columnar_bytes` counters.
 pub fn merge_logs_store_recorded(logs: &[LocalLog], recorder: &dyn Recorder) -> EventStore {
     let _span = StageTimer::start(recorder, Stage::Pack);
-    let all_timestamped = logs
-        .iter()
-        .flat_map(|l| l.entries.iter())
-        .all(|e| e.local_ts.is_some());
-    if recorder.enabled() {
-        for log in logs {
-            recorder.observe(Hist::NodeLogEvents, log.len() as u64);
-        }
-        recorder.inc(if all_timestamped {
-            Counter::MergeTimestamped
-        } else {
-            Counter::MergeRoundRobin
-        });
-    }
-    let total: usize = logs.iter().map(LocalLog::len).sum();
-    let store = if all_timestamped {
-        merge_by_timestamp_store(logs, total, recorder)
-    } else {
-        let mut store = EventStore::with_capacity(total);
-        merge_round_robin_each(logs, |e| store.push_entry(e));
-        store
-    };
+    let mut store = EventStore::with_capacity(total_entries(logs));
+    merge_logs_each(logs, recorder, |e| store.push_entry(e));
     if recorder.enabled() {
         recorder.add(Counter::MergeEvents, store.len() as u64);
         recorder.add(Counter::ColumnarEvents, store.len() as u64);
@@ -315,54 +408,29 @@ pub fn merge_logs_store_recorded(logs: &[LocalLog], recorder: &dyn Recorder) -> 
     store
 }
 
-/// The timestamped merge path: partitioned-parallel when the input is large
-/// and every log is sorted, sequential loser tree otherwise.
-fn merge_by_timestamp(logs: &[LocalLog], recorder: &dyn Recorder) -> Vec<Event> {
-    let total: usize = logs.iter().map(LocalLog::len).sum();
-    if total >= PARALLEL_MERGE_MIN_EVENTS {
-        let partitions = rayon::current_num_threads().min(total / PARTITION_MIN_EVENTS);
-        if partitions >= 2 {
-            if let Some(events) = merge_partitioned(logs, partitions, recorder) {
-                return events;
-            }
+fn total_entries(logs: &[LocalLog]) -> usize {
+    logs.iter().map(LocalLog::len).sum()
+}
+
+/// The merge both materializations share: every entry of `logs` handed to
+/// `emit` in merged order — by timestamp if every entry has one, else
+/// round-robin.
+fn merge_logs_each(logs: &[LocalLog], recorder: &dyn Recorder, emit: impl FnMut(&LogEntry)) {
+    let span = timestamp_span(logs);
+    if recorder.enabled() {
+        for log in logs {
+            recorder.observe(Hist::NodeLogEvents, log.len() as u64);
         }
+        recorder.inc(if span.is_some() {
+            Counter::MergeTimestamped
+        } else {
+            Counter::MergeRoundRobin
+        });
     }
-    recorder.add(Counter::MergePartitions, 1);
-    merge_runs(&runs_of(logs))
-}
-
-/// [`merge_by_timestamp`]'s columnar twin: identical selection order, but
-/// each winner is packed into an [`EventStore`] as it pops.
-fn merge_by_timestamp_store(logs: &[LocalLog], total: usize, recorder: &dyn Recorder) -> EventStore {
-    if total >= PARALLEL_MERGE_MIN_EVENTS {
-        let partitions = rayon::current_num_threads().min(total / PARTITION_MIN_EVENTS);
-        if partitions >= 2 {
-            if let Some(store) = merge_partitioned_store(logs, partitions, recorder) {
-                return store;
-            }
-        }
+    match span {
+        Some(_) => merge_ranked(&ranked_runs(logs), span, emit),
+        None => merge_round_robin_each(logs, emit),
     }
-    recorder.add(Counter::MergePartitions, 1);
-    let mut store = EventStore::with_capacity(total);
-    merge_runs_each(&runs_of(logs), |e| store.push_entry(e));
-    store
-}
-
-/// One merge input: a node's (sub)log slice. The run's index in the run
-/// array is the final tie-break, which for whole-log runs is the log's
-/// position in the input — matching the cursor scan's first-wins behavior.
-struct Run<'a> {
-    node: NodeId,
-    entries: &'a [LogEntry],
-}
-
-fn runs_of(logs: &[LocalLog]) -> Vec<Run<'_>> {
-    logs.iter()
-        .map(|l| Run {
-            node: l.node,
-            entries: &l.entries,
-        })
-        .collect()
 }
 
 /// Sort timestamp of an entry; entries without one sort first, like the
@@ -371,41 +439,81 @@ fn ts_of(e: &LogEntry) -> u64 {
     e.local_ts.unwrap_or(0)
 }
 
-/// Sentinel key for an exhausted run: strictly greater than any live head
-/// key, because a live key's cursor component is a real run index (< K)
-/// while the sentinel carries `usize::MAX`.
-const EXHAUSTED: (u64, NodeId, usize) = (u64::MAX, NodeId(u16::MAX), usize::MAX);
-
-/// Loser-tree k-way merge of `runs` (each already in recording order).
-///
-/// Flat-array tournament tree: internal node `v` in `1..k` stores the
-/// *loser* of the match played there, `tree[0]` the overall winner; run
-/// `j`'s leaf is the virtual node `k + j`, and node `v`'s children are
-/// `2v` and `2v + 1`. Popping the winner replays only its leaf-to-root
-/// path — O(log K) key compares per event against the O(K) scan of the
-/// original implementation, with the whole tree (K `usize`s) staying
-/// cache-resident even at K = 1,200.
-fn merge_runs(runs: &[Run<'_>]) -> Vec<Event> {
-    let total: usize = runs.iter().map(|r| r.entries.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    merge_runs_each(runs, |e| out.push(e.event));
-    out
+/// What the timestamped merge needs to know about all-timestamped logs.
+#[derive(Clone, Copy)]
+struct TimestampSpan {
+    /// Smallest and largest timestamp (`lo > hi` when there is no entry).
+    lo: u64,
+    hi: u64,
+    /// Every log is in non-decreasing timestamp order.
+    sorted: bool,
 }
 
-/// The loser tree with a generic sink: every selected entry is handed to
-/// `emit` in merge order. Both materializations — the legacy `Vec<Event>`
-/// ([`merge_runs`]) and the fused columnar pack — share this one engine,
-/// so they cannot drift.
-fn merge_runs_each(runs: &[Run<'_>], emit: impl FnMut(&LogEntry)) {
-    let slices: Vec<&[LogEntry]> = runs.iter().map(|r| r.entries).collect();
-    merge_each_by(
-        &slices,
-        |ci, p| match runs[ci].entries.get(p) {
-            Some(e) => (ts_of(e), runs[ci].node, ci),
-            None => EXHAUSTED,
-        },
-        emit,
-    );
+/// One pass over every entry: the span of the timestamps, or `None` as soon
+/// as an entry has none.
+fn timestamp_span(logs: &[LocalLog]) -> Option<TimestampSpan> {
+    let mut span = TimestampSpan {
+        lo: u64::MAX,
+        hi: 0,
+        sorted: true,
+    };
+    for log in logs {
+        let mut prev = 0;
+        for e in &log.entries {
+            let ts = e.local_ts?;
+            span.sorted &= prev <= ts;
+            prev = ts;
+            span.lo = span.lo.min(ts);
+            span.hi = span.hi.max(ts);
+        }
+    }
+    Some(span)
+}
+
+/// The logs' entries as merge runs, in `(node, input index)` order: the
+/// order in which the merge breaks ties between equal timestamps, so that a
+/// run's position here — its rank — stands for both in a key.
+fn ranked_runs(logs: &[LocalLog]) -> Vec<&[LogEntry]> {
+    let mut ranked: Vec<&LocalLog> = logs.iter().collect();
+    ranked.sort_by_key(|log| log.node);
+    ranked
+        .into_iter()
+        .map(|log| log.entries.as_slice())
+        .collect()
+}
+
+/// Loser-tree merge of `runs` (each in recording order, ranked as
+/// [`ranked_runs`] does) on `(timestamp, rank)`, every selected entry handed
+/// to `emit`. `span` is that of the logs the runs are (parts of), if all
+/// their entries have timestamps.
+///
+/// The key is one word, `(ts - lo) << rank_bits | rank`, when the span of
+/// the timestamps and the rank fit 63 bits together: it then orders as the
+/// pair does, its low bits name the run, and the largest live key is below
+/// `2^63`, so `u64::MAX` is free to mean "exhausted".
+fn merge_ranked(runs: &[&[LogEntry]], span: Option<TimestampSpan>, emit: impl FnMut(&LogEntry)) {
+    let rank_bits = usize::BITS - runs.len().saturating_sub(1).leading_zeros();
+    match span {
+        Some(TimestampSpan { lo, hi, .. })
+            if u64::BITS - hi.saturating_sub(lo).leading_zeros() + rank_bits <= 63 =>
+        {
+            let rank_mask = (1u64 << rank_bits) - 1;
+            merge_each_by(
+                runs,
+                |rank, e| (ts_of(e) - lo) << rank_bits | rank as u64,
+                |key| (key & rank_mask) as usize,
+                u64::MAX,
+                emit,
+            );
+        }
+        _ => merge_each_by(
+            runs,
+            |rank, e| (ts_of(e), rank),
+            |key| key.1,
+            (u64::MAX, usize::MAX),
+            emit,
+        ),
+    }
 }
 
 /// K-way loser-tree merge of per-segment `(PackedEvent, ts)` runs, keyed
@@ -414,205 +522,144 @@ fn merge_runs_each(runs: &[Run<'_>], emit: impl FnMut(&LogEntry)) {
 /// segment-compaction path of `refill-store`: each input run is one
 /// segment's rows in durable order, and the output is one sorted run.
 pub fn merge_packed_runs(runs: &[&[(PackedEvent, u64)]]) -> Vec<(PackedEvent, u64)> {
-    const DONE: (u64, usize) = (u64::MAX, usize::MAX);
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
     merge_each_by(
         runs,
-        |ci, p| match runs[ci].get(p) {
-            Some((_, ts)) => (if *ts == TS_NONE { 0 } else { *ts }, ci),
-            None => DONE,
-        },
+        |run, &(_, ts)| (if ts == TS_NONE { 0 } else { ts }, run),
+        |key| key.1,
+        (u64::MAX, usize::MAX),
         |row| out.push(*row),
     );
     out
 }
 
+/// How many entries ahead of the one just popped a run is prefetched.
+const PREFETCH_AHEAD: usize = 4;
+
+/// Ask for the cache line at `p`, which need not be a valid address.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` is unsafe to call only because it is
+        // compiled for the `sse` target feature, which every x86_64 CPU
+        // has. The instruction is a hint: it reads and writes nothing the
+        // program can observe and faults on no address, mapped or not.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// The loser-tree tournament itself, generic over the run item and the
-/// head key. `head(run, pos)` must return a total-order key, strictly
-/// greatest when `pos` is past the run's end (the exhausted sentinel), and
-/// non-decreasing within each run.
-fn merge_each_by<T, K: Ord>(
+/// key. `key_of(run, item)` must be a total order over all items of all
+/// runs, non-decreasing within each run, below `exhausted`, and such that
+/// `run_of(key_of(run, _)) == run`.
+///
+/// Flat-array tournament tree: internal node `v` in `1..k` holds the key
+/// that *lost* the match played there, the overall winner is kept aside;
+/// run `j`'s leaf is the virtual node `k + j`, and node `v`'s children are
+/// `2v` and `2v + 1`. Popping the winner reads the popped run's next key
+/// and replays its leaf-to-root path: at each node the smaller key keeps
+/// climbing, the larger stays behind. No key is read twice, and the replay
+/// has no branch that depends on the data.
+fn merge_each_by<T, K: Ord + Copy>(
     runs: &[&[T]],
-    head: impl Fn(usize, usize) -> K,
+    key_of: impl Fn(usize, &T) -> K,
+    run_of: impl Fn(K) -> usize,
+    exhausted: K,
     mut emit: impl FnMut(&T),
 ) {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let k = runs.len();
-    if k == 0 || total == 0 {
+    if total == 0 {
         return;
     }
     if k == 1 {
-        for e in runs[0] {
-            emit(e);
-        }
+        runs[0].iter().for_each(emit);
         return;
     }
-    let mut pos = vec![0usize; k];
-    let mut tree = vec![0usize; k];
-    {
-        // Bottom-up tournament over the initial heads: winners bubble up a
-        // scratch array, losers stay behind in `tree`. Handles any k, not
-        // just powers of two, because leaves k..2k and internal nodes 1..k
-        // tile the virtual heap exactly.
-        let mut winners = vec![0usize; 2 * k];
-        for (j, w) in winners[k..].iter_mut().enumerate() {
-            *w = j;
-        }
-        for v in (1..k).rev() {
-            let a = winners[2 * v];
-            let b = winners[2 * v + 1];
-            let (win, lose) = if head(b, pos[b]) < head(a, pos[a]) {
-                (b, a)
-            } else {
-                (a, b)
-            };
-            winners[v] = win;
-            tree[v] = lose;
-        }
-        tree[0] = winners[1];
+    let head = |run: usize, pos: usize| {
+        runs[run]
+            .get(pos)
+            .map_or(exhausted, |item| key_of(run, item))
+    };
+    // Bottom-up tournament over the initial heads: winners bubble up a
+    // scratch array, losers stay behind in `tree`. Handles any k, not just
+    // powers of two, because leaves k..2k and internal nodes 1..k tile the
+    // virtual heap exactly.
+    let mut tree = vec![exhausted; k];
+    let mut winners = vec![exhausted; 2 * k];
+    for (run, leaf) in winners[k..].iter_mut().enumerate() {
+        *leaf = head(run, 0);
     }
+    for v in (1..k).rev() {
+        let (a, b) = (winners[2 * v], winners[2 * v + 1]);
+        winners[v] = a.min(b);
+        tree[v] = a.max(b);
+    }
+    let mut top = winners[1];
+    drop(winners);
+    let mut pos = vec![0usize; k];
     for _ in 0..total {
-        let w = tree[0];
-        emit(&runs[w][pos[w]]);
-        pos[w] += 1;
-        // Replay the popped run's leaf-to-root path: at each node the
-        // smaller key keeps climbing, the larger stays as the loser.
-        let mut winner = w;
-        let mut key = head(winner, pos[winner]);
-        let mut v = (k + w) / 2;
+        let run = run_of(top);
+        let at = pos[run];
+        emit(&runs[run][at]);
+        pos[run] = at + 1;
+        prefetch(runs[run].as_ptr().wrapping_add(at + 1 + PREFETCH_AHEAD));
+        let mut key = head(run, at + 1);
+        let mut v = (k + run) / 2;
         while v >= 1 {
-            let lkey = head(tree[v], pos[tree[v]]);
-            if lkey < key {
-                std::mem::swap(&mut tree[v], &mut winner);
-                key = lkey;
-            }
+            let loser = tree[v];
+            tree[v] = key.max(loser);
+            key = key.min(loser);
             v /= 2;
         }
-        tree[0] = winner;
+        top = key;
     }
 }
 
-/// The per-log strip boundaries of a `partitions`-way time cut.
+/// Time-partitioned merge of sorted, all-timestamped `runs` into `out`
+/// (which holds as many events as the runs do): every run is cut at
+/// `partitions - 1` shared timestamp boundaries with `partition_point`, and
+/// each strip is merged by its own scoped thread into its own window of
+/// `out`.
 ///
-/// `cuts[i][j]` is log `i`'s offset of the first entry with
-/// `ts >= boundary(j)`; strip `j` of log `i` is
-/// `entries[cuts[i][j]..cuts[i][j + 1]]`. Returns `None` (callers fall
-/// back to the sequential tree) when a log is not internally sorted by
-/// `local_ts` — the cursor-scan semantics never required sortedness, and
-/// cutting an unsorted log with binary search would reorder it — when the
-/// input is empty, or when the timestamp domain is a single value.
-///
-/// Boundaries compare on `local_ts` alone (`partition_point` on
-/// `ts < boundary`), so all events sharing a timestamp land in one strip:
-/// no `(ts, node, cursor)` tie is ever split across workers, which is what
-/// makes the strip concatenation byte-identical to the sequential merge.
-fn partition_cuts(logs: &[LocalLog], partitions: usize) -> Option<Vec<Vec<usize>>> {
-    if !logs.iter().all(|l| l.entries.is_sorted_by_key(ts_of)) {
-        return None;
-    }
-    // Sorted logs: each log's span is (first, last); the global span is
-    // their union.
-    let lo = logs.iter().filter_map(|l| l.entries.first()).map(ts_of).min()?;
-    let hi = logs.iter().filter_map(|l| l.entries.last()).map(ts_of).max()?;
-    if lo == hi {
-        // Every event shares one timestamp: a single strip, i.e. the
-        // sequential merge. Let the caller run it without worker setup.
-        return None;
-    }
-    let p = partitions;
-    Some(
-        logs.iter()
-            .map(|log| {
-                let mut c = Vec::with_capacity(p + 1);
-                c.push(0);
-                for j in 1..p {
-                    let b = lo + ((hi - lo) as u128 * j as u128 / p as u128) as u64;
-                    c.push(log.entries.partition_point(|e| ts_of(e) < b));
-                }
-                c.push(log.entries.len());
-                c
-            })
-            .collect(),
-    )
-}
-
-/// Strip `j`'s runs: every log cut down to its `j`-th time slice.
-fn strip_runs<'a>(logs: &'a [LocalLog], cuts: &[Vec<usize>], j: usize) -> Vec<Run<'a>> {
-    logs.iter()
-        .zip(cuts)
-        .map(|(log, c)| Run {
-            node: log.node,
-            entries: &log.entries[c[j]..c[j + 1]],
-        })
-        .collect()
-}
-
-/// Time-partitioned parallel merge: cut every log at P - 1 shared timestamp
-/// boundaries ([`partition_cuts`]), loser-tree-merge each strip on a rayon
-/// worker, concatenate. `None` means "not partitionable" and the caller
-/// runs the sequential tree; output is byte-identical either way.
-fn merge_partitioned(
-    logs: &[LocalLog],
-    partitions: usize,
-    recorder: &dyn Recorder,
-) -> Option<Vec<Event>> {
-    let total: usize = logs.iter().map(LocalLog::len).sum();
-    if total == 0 {
-        return Some(Vec::new());
-    }
-    let cuts = partition_cuts(logs, partitions)?;
-    let parts: Vec<Vec<Event>> = (0..partitions)
-        .into_par_iter()
-        .map(|j| {
-            let _span = StageTimer::start(recorder, Stage::MergePartition);
-            let events = merge_runs(&strip_runs(logs, &cuts, j));
-            if recorder.enabled() {
-                recorder.observe(Hist::MergePartitionEvents, events.len() as u64);
-            }
-            events
-        })
-        .collect();
-    recorder.add(Counter::MergePartitions, partitions as u64);
-    let mut out = Vec::with_capacity(total);
-    for part in &parts {
-        out.extend_from_slice(part);
-    }
-    Some(out)
-}
-
-/// [`merge_partitioned`] emitting per-strip [`EventStore`]s, concatenated
-/// by column append — the parallel front-end of the fused columnar merge.
-fn merge_partitioned_store(
-    logs: &[LocalLog],
-    partitions: usize,
-    recorder: &dyn Recorder,
-) -> Option<EventStore> {
-    let total: usize = logs.iter().map(LocalLog::len).sum();
-    if total == 0 {
-        return Some(EventStore::new());
-    }
-    let cuts = partition_cuts(logs, partitions)?;
-    let parts: Vec<EventStore> = (0..partitions)
-        .into_par_iter()
-        .map(|j| {
-            let _span = StageTimer::start(recorder, Stage::MergePartition);
-            let runs = strip_runs(logs, &cuts, j);
-            let strip_len: usize = runs.iter().map(|r| r.entries.len()).sum();
-            let mut store = EventStore::with_capacity(strip_len);
-            merge_runs_each(&runs, |e| store.push_entry(e));
-            if recorder.enabled() {
-                recorder.observe(Hist::MergePartitionEvents, store.len() as u64);
-            }
-            store
-        })
-        .collect();
-    recorder.add(Counter::MergePartitions, partitions as u64);
-    let mut out = EventStore::with_capacity(total);
-    for part in &parts {
-        out.append(part);
-    }
-    Some(out)
+/// Boundaries compare on `local_ts` alone, so all events sharing a
+/// timestamp land in one strip: no tie is ever split across strips, which
+/// is what makes the windows, side by side, the sequential merge.
+fn merge_strips(runs: &[&[LogEntry]], span: TimestampSpan, partitions: usize, out: &mut [Event]) {
+    let width = (span.hi - span.lo) as u128;
+    // Strip j holds the timestamps in cut(j)..cut(j + 1).
+    let cut = |run: &[LogEntry], j: usize| {
+        if j == partitions {
+            return run.len();
+        }
+        let boundary = span.lo + (width * j as u128 / partitions as u128) as u64;
+        run.partition_point(|e| ts_of(e) < boundary)
+    };
+    std::thread::scope(|scope| {
+        let mut rest = out;
+        for j in 0..partitions {
+            let strip: Vec<&[LogEntry]> = runs
+                .iter()
+                .map(|run| &run[cut(run, j)..cut(run, j + 1)])
+                .collect();
+            let len = strip.iter().map(|run| run.len()).sum();
+            let (window, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            scope.spawn(move || {
+                let mut slots = window.iter_mut();
+                merge_ranked(&strip, Some(span), |e| {
+                    *slots
+                        .next()
+                        .expect("a strip's window holds what its runs do") = e.event;
+                });
+            });
+        }
+    });
 }
 
 /// Round-robin interleave for logs with missing timestamps: one event from
@@ -620,16 +667,6 @@ fn merge_partitioned_store(
 /// the spot, so a pass costs the number of *live* logs — the original
 /// version re-scanned all K logs every pass, an O(N·K) tail whenever a few
 /// long logs outlived many short ones.
-fn merge_round_robin(logs: &[LocalLog]) -> Vec<Event> {
-    let total: usize = logs.iter().map(LocalLog::len).sum();
-    let mut out = Vec::with_capacity(total);
-    merge_round_robin_each(logs, |e| out.push(e.event));
-    out
-}
-
-/// The round-robin interleave with the emission point abstracted out, so
-/// the same rotation can fill a `Vec<Event>` or pack straight into a
-/// columnar [`EventStore`].
 fn merge_round_robin_each(logs: &[LocalLog], mut emit: impl FnMut(&LogEntry)) {
     let mut active: Vec<(usize, &LocalLog)> = logs
         .iter()
@@ -791,7 +828,7 @@ mod tests {
             .map(|(i, &len)| {
                 LocalLog::from_events(
                     NodeId(i as u16 + 1),
-                    (0..len as u32).map(|s| ev(i as u16 + 1, s)).collect(),
+                    (0..len as u32).map(|s| ev(i as u16 + 1, s)),
                 )
             })
             .collect();
@@ -879,37 +916,10 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_merge_reports_partition_telemetry() {
+    fn store_merge_matches_vec_merge_and_reports_its_size() {
         use refill_telemetry::AtomicRecorder;
-        let logs: Vec<LocalLog> = (0..4u16)
-            .map(|i| {
-                LocalLog {
-                    node: NodeId(i + 1),
-                    entries: (0..3000u32)
-                        .map(|j| LogEntry {
-                            event: ev(i + 1, j),
-                            local_ts: Some(u64::from(j) * 10 + u64::from(i)),
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let recorder = AtomicRecorder::new();
-        let merged = merge_logs_recorded(&logs, &recorder);
-        assert_eq!(merged.events, merge_by_timestamp_reference(&logs));
-        let partitions = recorder.snapshot().counter("merge_partitions");
-        assert!(partitions >= 1, "merge always reports its strip count");
-        if rayon::current_num_threads() >= 2 {
-            assert!(partitions >= 2, "12k sorted events should partition");
-        }
-    }
-
-    #[test]
-    fn large_store_merge_uses_partitions_and_matches_vec_merge() {
-        use refill_telemetry::AtomicRecorder;
-        // 12k sorted events across 4 logs: big enough for the partitioned
-        // front-end. The fused store must match the legacy merge byte for
-        // byte and keep the ts column row-aligned.
+        // 12k sorted events across 4 logs. The fused store must match the
+        // legacy merge byte for byte and keep the ts column row-aligned.
         let logs: Vec<LocalLog> = (0..4u16)
             .map(|i| LocalLog {
                 node: NodeId(i + 1),
@@ -935,7 +945,7 @@ mod tests {
         let snapshot = recorder.snapshot();
         assert_eq!(snapshot.counter("columnar_events"), store.len() as u64);
         assert!(snapshot.counter("columnar_bytes") >= store.len() as u64 * 24);
-        assert!(snapshot.counter("merge_partitions") >= 1);
+        assert_eq!(snapshot.counter("merge_events"), store.len() as u64);
         assert!(snapshot.stage("pack").is_some(), "fused merge runs under the pack stage");
     }
 
@@ -1020,7 +1030,7 @@ mod tests {
     fn packet_index_preserves_per_node_order_within_group() {
         // Two events of one packet on the same node, recorded in a known
         // order, with another packet's event between them in merged order:
-        // the stable sort must keep the per-node order.
+        // the grouping must keep the per-node order.
         let p = PacketId::new(NodeId(1), 0);
         let q = PacketId::new(NodeId(1), 1);
         let merged = MergedLog {
@@ -1179,10 +1189,7 @@ mod merge_props {
         }
 
         #[test]
-        fn partitioned_store_merge_matches_vec_merge(spec in arb_spec()) {
-            // Force the partitioned-parallel front-end (when the input
-            // qualifies) by going through the recorded entry point on
-            // sorted logs; output must stay byte-identical.
+        fn store_merge_matches_vec_merge_on_sorted_logs(spec in arb_spec()) {
             let logs = build(&spec, true);
             let store = merge_logs_store(&logs);
             prop_assert_eq!(store.to_events(), merge_logs(&logs).events);
@@ -1213,7 +1220,7 @@ mod merge_props {
                 })
                 .collect();
             prop_assert_eq!(
-                merge_round_robin(&logs),
+                merge_logs(&logs).events,
                 merge_round_robin_reference(&logs)
             );
         }

@@ -1,0 +1,769 @@
+//! What `merge_logs*`, `PacketIndex` and `ColumnarIndex` produce is pinned,
+//! not just its shape:
+//!
+//! * every merge entry point equals an in-test O(N·K) cursor scan on
+//!   `(ts, node, input index)` (or the all-K round-robin when a timestamp
+//!   is missing) over seeded soups of every fan-in and key shape the engine
+//!   distinguishes;
+//! * a 64-bit digest over the merged bytes and the grouped bytes of a fixed
+//!   set of soups, frozen on the commit before the merge cached its keys and
+//!   the index stopped sorting;
+//! * both indexes equal the `by_packet()` grouping on dense and sparse id
+//!   domains, and the dense build allocates the arena, the ids, the offsets
+//!   and the domain tables and nothing else (a sort would allocate its
+//!   scratch buffer).
+//!
+//! Runs without `proptest`, so it runs wherever the crate builds.
+
+use eventlog::{
+    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, ColumnarIndex, Event,
+    EventKind, EventStore, LocalLog, LogEntry, MergedLog, PackedEvent, PacketId, PacketIndex,
+    ScratchArena,
+};
+use netsim::NodeId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+// --- deterministic input -------------------------------------------------
+
+/// SplitMix64 (public-domain constants); both the generator of the soups
+/// and the mixing step of the digest.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// One soup of logs.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Number of logs (the merge's fan-in).
+    logs: usize,
+    /// Each log holds `0..=max_len` entries.
+    max_len: u64,
+    /// Node ids are drawn from `0..nodes`; fewer nodes than logs gives
+    /// several logs of one node, which only input order can tell apart.
+    nodes: u64,
+    /// Timestamps are `ts_base + 0..ts_span`; a span much smaller than the
+    /// event count forces duplicates within and across logs.
+    ts_base: u64,
+    ts_span: u64,
+    /// Whether each log's timestamps are put in order (real collectors do).
+    sorted: bool,
+    /// Share of entries without a timestamp, in percent.
+    untimed: u64,
+}
+
+const PLAIN: Shape = Shape {
+    logs: 7,
+    max_len: 40,
+    nodes: 7,
+    ts_base: 1_000,
+    ts_span: 1 << 20,
+    sorted: true,
+    untimed: 0,
+};
+
+fn kind(rng: &mut SplitMix64) -> EventKind {
+    let peer = NodeId(rng.below(2_000) as u16);
+    match rng.below(12) {
+        0 => EventKind::Recv { from: peer },
+        1 => EventKind::Overflow { from: peer },
+        2 => EventKind::Dup { from: peer },
+        3 => EventKind::Trans { to: peer },
+        4 => EventKind::AckRecvd { to: peer },
+        5 => EventKind::Origin,
+        6 => EventKind::Enqueue,
+        7 => EventKind::Timeout { to: peer },
+        8 => EventKind::SerialTrans,
+        9 => EventKind::BsRecv,
+        10 => EventKind::Deliver,
+        _ => EventKind::Custom(rng.next() as u16),
+    }
+}
+
+/// Logs of one shape. Every event gets a seqno no other event of the soup
+/// has, so any two events a merge swaps show up in an equality check.
+fn soup(rng: &mut SplitMix64, shape: Shape) -> Vec<LocalLog> {
+    let mut serial = 0u32;
+    (0..shape.logs)
+        .map(|_| {
+            let node = NodeId(rng.below(shape.nodes) as u16);
+            let len = rng.below(shape.max_len + 1) as usize;
+            let mut stamps: Vec<Option<u64>> = (0..len)
+                .map(|_| {
+                    (!rng.chance(shape.untimed)).then(|| shape.ts_base + rng.below(shape.ts_span))
+                })
+                .collect();
+            if shape.sorted {
+                stamps.sort_by_key(|ts| ts.unwrap_or(0));
+            }
+            let entries = stamps
+                .into_iter()
+                .map(|local_ts| {
+                    serial += 1;
+                    let packet = PacketId::new(NodeId(rng.below(40) as u16), serial);
+                    LogEntry {
+                        event: Event::new(node, kind(rng), packet),
+                        local_ts,
+                    }
+                })
+                .collect();
+            LocalLog { node, entries }
+        })
+        .collect()
+}
+
+fn entry(node: u16, seqno: u32, local_ts: Option<u64>) -> LogEntry {
+    let node = NodeId(node);
+    LogEntry {
+        event: Event::new(node, EventKind::Origin, PacketId::new(node, seqno)),
+        local_ts,
+    }
+}
+
+// --- references ----------------------------------------------------------
+
+/// The O(N·K) cursor scan: of all live heads take the least
+/// `(ts, node, input index)`, a missing timestamp counting as 0.
+fn cursor_scan(logs: &[LocalLog]) -> Vec<Event> {
+    let total: usize = logs.iter().map(LocalLog::len).sum();
+    let mut pos = vec![0usize; logs.len()];
+    let mut out = Vec::with_capacity(total);
+    for _ in 0..total {
+        let (_, _, ci) = logs
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, log)| {
+                let head = log.entries.get(pos[ci])?;
+                Some((head.local_ts.unwrap_or(0), log.node, ci))
+            })
+            .min()
+            .expect("total counts the live entries");
+        out.push(logs[ci].entries[pos[ci]].event);
+        pos[ci] += 1;
+    }
+    out
+}
+
+/// The all-K round-robin: one event from every log that still has one, per
+/// pass, in input order.
+fn round_robin(logs: &[LocalLog]) -> Vec<Event> {
+    let longest = logs.iter().map(LocalLog::len).max().unwrap_or(0);
+    let mut out = Vec::new();
+    for pass in 0..longest {
+        out.extend(
+            logs.iter()
+                .filter_map(|log| log.entries.get(pass))
+                .map(|e| e.event),
+        );
+    }
+    out
+}
+
+fn timestamped(logs: &[LocalLog]) -> bool {
+    logs.iter()
+        .flat_map(|l| &l.entries)
+        .all(|e| e.local_ts.is_some())
+}
+
+/// Every entry point against the references. `merge_logs` and
+/// `merge_logs_store` choose between the two merges by whether every entry
+/// has a timestamp; the other two always merge by timestamp.
+fn assert_all_paths(logs: &[LocalLog], what: &str) {
+    let scan = cursor_scan(logs);
+    let expected = if timestamped(logs) {
+        scan.clone()
+    } else {
+        round_robin(logs)
+    };
+    assert_eq!(merge_logs(logs).events, expected, "merge_logs, {what}");
+    assert_eq!(
+        merge_logs_kway(logs).events,
+        scan,
+        "merge_logs_kway, {what}"
+    );
+    for partitions in 1..=6 {
+        assert_eq!(
+            merge_logs_partitioned(logs, partitions).events,
+            scan,
+            "merge_logs_partitioned(_, {partitions}), {what}"
+        );
+    }
+    // u64::MAX is the store's "no timestamp" mark and `push` refuses it.
+    if !logs
+        .iter()
+        .flat_map(|l| &l.entries)
+        .any(|e| e.local_ts == Some(u64::MAX))
+    {
+        let store = merge_logs_store(logs);
+        assert_eq!(store.to_events(), expected, "merge_logs_store, {what}");
+    }
+}
+
+// --- merge identity ------------------------------------------------------
+
+#[test]
+fn every_fan_in_equals_the_cursor_scan() {
+    let mut rng = SplitMix64(0x6d65_7267_6531);
+    for logs in [0usize, 1, 2, 3, 7, 300, 1_200] {
+        // The scan is O(N·K): keep the wide soups shallow.
+        let max_len = if logs >= 300 { 6 } else { 60 };
+        for nodes in [logs.max(1) as u64, 5] {
+            let shape = Shape {
+                logs,
+                max_len,
+                nodes,
+                ..PLAIN
+            };
+            assert_all_paths(
+                &soup(&mut rng, shape),
+                &format!("K = {logs}, {nodes} nodes"),
+            );
+        }
+    }
+}
+
+#[test]
+fn duplicate_timestamps_break_ties_by_node_then_input_order() {
+    let mut rng = SplitMix64(0x6d65_7267_6532);
+    for ts_span in [1, 2, 9] {
+        let shape = Shape {
+            logs: 9,
+            nodes: 4,
+            ts_span,
+            ..PLAIN
+        };
+        assert_all_paths(&soup(&mut rng, shape), &format!("ts_span = {ts_span}"));
+    }
+    // Everything at one instant, K large enough for a deep tree.
+    let shape = Shape {
+        logs: 300,
+        max_len: 5,
+        nodes: 40,
+        ts_span: 1,
+        ..PLAIN
+    };
+    let logs = soup(&mut rng, shape);
+    assert_all_paths(&logs, "one timestamp, K = 300");
+}
+
+#[test]
+fn equal_heads_of_one_node_go_to_the_earlier_log() {
+    let a = LocalLog {
+        node: NodeId(7),
+        entries: vec![entry(7, 0, Some(50)), entry(7, 1, Some(50))],
+    };
+    let b = LocalLog {
+        node: NodeId(7),
+        entries: vec![entry(7, 10, Some(50)), entry(7, 11, Some(50))],
+    };
+    let c = LocalLog {
+        node: NodeId(3),
+        entries: vec![entry(3, 20, Some(50)), entry(3, 21, Some(51))],
+    };
+    let logs = [a, b, c];
+    assert_all_paths(&logs, "same node, equal heads");
+    let seqnos: Vec<u32> = merge_logs(&logs)
+        .events
+        .iter()
+        .map(|e| e.packet.seqno)
+        .collect();
+    assert_eq!(seqnos, vec![20, 0, 1, 10, 11, 21]);
+}
+
+#[test]
+fn unsorted_logs_still_equal_the_scan() {
+    let mut rng = SplitMix64(0x6d65_7267_6533);
+    for logs in [2usize, 7, 300] {
+        let max_len = if logs >= 300 { 6 } else { 60 };
+        let shape = Shape {
+            logs,
+            max_len,
+            nodes: 5,
+            ts_span: 64,
+            sorted: false,
+            ..PLAIN
+        };
+        assert_all_paths(&soup(&mut rng, shape), &format!("unsorted, K = {logs}"));
+    }
+}
+
+#[test]
+fn missing_timestamps_sort_as_zero_or_fall_back_to_round_robin() {
+    let mut rng = SplitMix64(0x6d65_7267_6534);
+    for (untimed, sorted) in [(100, true), (30, true), (30, false), (1, true)] {
+        // ts_base 0 lets a real timestamp tie with a missing one.
+        let shape = Shape {
+            logs: 9,
+            nodes: 6,
+            ts_base: 0,
+            ts_span: 8,
+            sorted,
+            untimed,
+            ..PLAIN
+        };
+        assert_all_paths(&soup(&mut rng, shape), &format!("{untimed} % untimed"));
+    }
+    let shape = Shape {
+        logs: 300,
+        max_len: 6,
+        nodes: 300,
+        untimed: 50,
+        ..PLAIN
+    };
+    assert_all_paths(&soup(&mut rng, shape), "50 % untimed, K = 300");
+}
+
+#[test]
+fn a_span_of_the_whole_u64_equals_the_scan() {
+    // ts - lo needs all 64 bits, so no bits are left for the run.
+    let edge = [0, u64::MAX - 1, u64::MAX];
+    let mut rng = SplitMix64(0x6d65_7267_6535);
+    let mut serial = 0u32;
+    let logs: Vec<LocalLog> = (0..9u16)
+        .map(|i| {
+            let mut stamps: Vec<u64> = (0..rng.below(12))
+                .map(|_| edge[rng.below(3) as usize])
+                .collect();
+            stamps.sort_unstable();
+            LocalLog {
+                node: NodeId(i % 4),
+                entries: stamps
+                    .into_iter()
+                    .map(|ts| {
+                        serial += 1;
+                        entry(i % 4, serial, Some(ts))
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    assert_all_paths(&logs, "ts in {0, MAX - 1, MAX}");
+    // The same with the store's reserved value left out: a 64-bit span
+    // through the fused merge as well.
+    let no_max: Vec<LocalLog> = logs
+        .iter()
+        .map(|l| LocalLog {
+            node: l.node,
+            entries: l
+                .entries
+                .iter()
+                .filter(|e| e.local_ts != Some(u64::MAX))
+                .copied()
+                .collect(),
+        })
+        .collect();
+    assert_all_paths(&no_max, "ts in {0, MAX - 1}");
+    // Spans either side of where span and run stop fitting one word
+    // together: two logs need one bit, nine need four.
+    for (k, top) in [
+        (2u16, (1u64 << 62) - 1),
+        (2, 1 << 62),
+        (9, (1 << 59) - 1),
+        (9, 1 << 59),
+    ] {
+        let logs: Vec<LocalLog> = (0..k)
+            .map(|i| LocalLog {
+                node: NodeId(k - i),
+                entries: [0, 1, top / 2, top - u64::from(i), top]
+                    .iter()
+                    .map(|&ts| {
+                        serial += 1;
+                        entry(k - i, serial, Some(ts))
+                    })
+                    .collect(),
+            })
+            .collect();
+        assert_all_paths(&logs, &format!("K = {k}, span {top:#x}"));
+    }
+}
+
+#[test]
+fn sixty_five_thousand_one_entry_runs() {
+    // One entry per run, so the merge is a sort on (ts, node, input index);
+    // the scan would take 2^32 steps.
+    let mut rng = SplitMix64(0x6d65_7267_6536);
+    let logs: Vec<LocalLog> = (0..65_536u32)
+        .map(|i| {
+            let node = rng.below(500) as u16;
+            LocalLog {
+                node: NodeId(node),
+                entries: vec![entry(node, i, Some(rng.below(4_000)))],
+            }
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..logs.len()).collect();
+    order.sort_by_key(|&i| (logs[i].entries[0].local_ts, logs[i].node, i));
+    let expected: Vec<Event> = order.iter().map(|&i| logs[i].entries[0].event).collect();
+    assert_eq!(merge_logs(&logs).events, expected);
+    assert_eq!(merge_logs_kway(&logs).events, expected);
+    assert_eq!(merge_logs_partitioned(&logs, 3).events, expected);
+    assert_eq!(merge_logs_store(&logs).to_events(), expected);
+}
+
+// --- frozen digest -------------------------------------------------------
+
+struct Digest(SplitMix64);
+
+impl Digest {
+    fn word(&mut self, w: u64) {
+        self.0 .0 ^= w;
+        self.0.next();
+    }
+
+    fn event(&mut self, e: &Event) {
+        let b = PackedEvent::pack(e).to_bytes();
+        self.word(u64::from_le_bytes(
+            b[..8].try_into().expect("8 of 16 bytes"),
+        ));
+        self.word(u64::from_le_bytes(
+            b[8..].try_into().expect("8 of 16 bytes"),
+        ));
+    }
+}
+
+/// The soups the digests run over: every path the engine has (narrow and
+/// wide key, round-robin, one run, unsorted), at fan-ins small and large.
+fn digest_soups() -> Vec<Vec<LocalLog>> {
+    let mut rng = SplitMix64(0x6d65_7267_6537);
+    let shapes = [
+        PLAIN,
+        Shape { logs: 1, ..PLAIN },
+        Shape {
+            logs: 2,
+            nodes: 1,
+            ts_span: 3,
+            ..PLAIN
+        },
+        Shape {
+            logs: 40,
+            nodes: 12,
+            ts_span: 50,
+            ..PLAIN
+        },
+        Shape {
+            logs: 40,
+            nodes: 12,
+            sorted: false,
+            ..PLAIN
+        },
+        Shape {
+            logs: 12,
+            untimed: 20,
+            ..PLAIN
+        },
+        Shape {
+            logs: 12,
+            untimed: 100,
+            ..PLAIN
+        },
+        Shape {
+            logs: 9,
+            ts_base: 0,
+            ts_span: u64::MAX,
+            ..PLAIN
+        },
+        Shape {
+            logs: 300,
+            max_len: 30,
+            nodes: 300,
+            ..PLAIN
+        },
+        Shape {
+            logs: 1_200,
+            max_len: 12,
+            nodes: 1_000,
+            ts_span: 1 << 30,
+            ..PLAIN
+        },
+    ];
+    shapes.iter().map(|&shape| soup(&mut rng, shape)).collect()
+}
+
+/// Frozen on the parent of the commit that introduced this file.
+const MERGED_DIGEST: u64 = 0x3f6c_5b2a_a7c4_0777;
+const GROUPED_DIGEST: u64 = 0xec5b_655d_2c6e_4272;
+
+#[test]
+fn merged_and_grouped_bytes_are_the_frozen_ones() {
+    let mut merged_digest = Digest(SplitMix64(1));
+    let mut grouped_digest = Digest(SplitMix64(2));
+    for logs in digest_soups() {
+        let merged = merge_logs(&logs);
+        let kway = merge_logs_kway(&logs);
+        merged_digest.word(merged.len() as u64);
+        for e in merged.events.iter().chain(&kway.events) {
+            merged_digest.event(e);
+        }
+        let store = merge_logs_store(&logs);
+        for (rec, ts) in store.records().iter().zip(store.ts_column()) {
+            merged_digest.event(&rec.unpack());
+            merged_digest.word(*ts);
+        }
+        // Group on the node the event was logged on as well, for groups of
+        // some depth (the packet ids of a soup are all distinct).
+        let by_node: Vec<Event> = merged
+            .events
+            .iter()
+            .map(|e| Event::new(e.node, e.kind, PacketId::new(e.node, e.packet.seqno % 7)))
+            .collect();
+        for events in [&merged.events, &by_node] {
+            let index = PacketIndex::build(events);
+            grouped_digest.word(index.len() as u64);
+            for (id, group) in index.iter() {
+                grouped_digest.word(u64::from(id.origin.0) << 32 | u64::from(id.seqno));
+                grouped_digest.word(group.len() as u64);
+                group.iter().for_each(|e| grouped_digest.event(e));
+            }
+            let columnar = ColumnarIndex::build(&EventStore::from_events(events));
+            for (id, rows) in columnar.iter() {
+                grouped_digest.word(u64::from(id.origin.0) << 32 | u64::from(id.seqno));
+                rows.iter()
+                    .for_each(|&row| grouped_digest.word(u64::from(row)));
+            }
+        }
+    }
+    let (merged, grouped) = (merged_digest.0.next(), grouped_digest.0.next());
+    assert_eq!(
+        (merged, grouped),
+        (MERGED_DIGEST, GROUPED_DIGEST),
+        "merged {merged:#018x}, grouped {grouped:#018x}"
+    );
+}
+
+// --- index identity ------------------------------------------------------
+
+/// Both indexes against the `by_packet()` grouping: the same ids, sorted,
+/// and every group's events in merged order.
+fn assert_indexes(events: Vec<Event>, what: &str) {
+    let merged = MergedLog { events };
+    let by_packet = merged.by_packet();
+    let mut ids: Vec<PacketId> = by_packet.keys().copied().collect();
+    ids.sort_unstable();
+
+    let index = merged.packet_index();
+    assert_eq!(index.ids(), ids.as_slice(), "PacketIndex ids, {what}");
+    assert_eq!(merged.packet_ids(), ids, "packet_ids, {what}");
+    assert_eq!(index.len(), ids.len());
+    assert_eq!(index.event_count(), merged.len());
+
+    let store = EventStore::from_events(&merged.events);
+    let columnar = ColumnarIndex::build(&store);
+    assert_eq!(columnar.ids(), ids.as_slice(), "ColumnarIndex ids, {what}");
+    assert_eq!(columnar.event_count(), merged.len());
+
+    let mut scratch = ScratchArena::new();
+    for (i, id) in ids.iter().enumerate() {
+        let expected = by_packet[id].as_slice();
+        assert_eq!(
+            index.group(i),
+            (*id, expected),
+            "PacketIndex group {id}, {what}"
+        );
+        assert_eq!(index.get(*id), Some(expected));
+        let (columnar_id, rows) = columnar.group(i);
+        assert_eq!(columnar_id, *id);
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "rows of {id} in merged order, {what}"
+        );
+        assert_eq!(
+            scratch.unpack(&store, rows),
+            expected,
+            "ColumnarIndex group {id}, {what}"
+        );
+        assert_eq!(columnar.get(*id), Some(rows));
+        assert_eq!(columnar.group_len(i), expected.len());
+    }
+    let absent = PacketId::new(NodeId(u16::MAX - 1), 77);
+    assert_eq!(index.get(absent), None);
+    assert_eq!(columnar.get(absent), None);
+}
+
+/// `n` events over ids drawn from `origins` × `seqnos`.
+fn events_over(rng: &mut SplitMix64, n: usize, origins: &[u16], seqnos: &[u32]) -> Vec<Event> {
+    (0..n)
+        .map(|_| {
+            let id = PacketId::new(
+                NodeId(origins[rng.below(origins.len() as u64) as usize]),
+                seqnos[rng.below(seqnos.len() as u64) as usize],
+            );
+            Event::new(NodeId(rng.below(50) as u16), kind(rng), id)
+        })
+        .collect()
+}
+
+#[test]
+fn indexes_equal_the_by_packet_grouping() {
+    let mut rng = SplitMix64(0x6d65_7267_6538);
+    let dense_seqnos: Vec<u32> = (0..24).collect();
+    let dense_origins: Vec<u16> = (1..40).collect();
+    assert_indexes(
+        events_over(&mut rng, 20_000, &dense_origins, &dense_seqnos),
+        "dense ids",
+    );
+    assert_indexes(
+        events_over(&mut rng, 3, &dense_origins, &dense_seqnos),
+        "three events",
+    );
+    // A domain far larger than the input: the builds fall back to sorting.
+    let sparse = [0, 1 << 31, u32::MAX];
+    assert_indexes(
+        events_over(&mut rng, 5_000, &[0, 9, u16::MAX], &sparse),
+        "sparse ids",
+    );
+    assert_indexes(
+        events_over(&mut rng, 5_000, &[u16::MAX], &[u32::MAX]),
+        "the last id",
+    );
+    assert_indexes(
+        events_over(&mut rng, 5_000, &[u16::MAX], &dense_seqnos),
+        "the last origin",
+    );
+    // Dense but for one event.
+    let mut mostly = events_over(&mut rng, 20_000, &dense_origins, &dense_seqnos);
+    mostly.push(Event::new(
+        NodeId(1),
+        EventKind::Origin,
+        PacketId::new(NodeId(3), u32::MAX),
+    ));
+    assert_indexes(mostly, "dense plus one far seqno");
+    assert_indexes(
+        events_over(&mut rng, 20_000, &[17], &[5]),
+        "one packet holds every event",
+    );
+    assert_indexes(Vec::new(), "the empty log");
+}
+
+#[test]
+fn indexes_of_merged_soups_equal_the_by_packet_grouping() {
+    let mut rng = SplitMix64(0x6d65_7267_6539);
+    let logs = soup(
+        &mut rng,
+        Shape {
+            logs: 40,
+            max_len: 200,
+            nodes: 30,
+            ..PLAIN
+        },
+    );
+    // Fold the unique seqnos onto a few, so groups span logs.
+    let events = merge_logs(&logs)
+        .events
+        .into_iter()
+        .map(|e| {
+            Event::new(
+                e.node,
+                e.kind,
+                PacketId::new(e.packet.origin, e.packet.seqno % 11),
+            )
+        })
+        .collect();
+    assert_indexes(events, "merged soup");
+}
+
+// --- the shape of the index's cost ---------------------------------------
+
+/// Counts this thread's requests for fresh or larger memory, and their
+/// bytes. Per thread, because the other tests of this binary run beside it.
+struct Counting;
+
+thread_local! {
+    static REQUESTED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+fn note(bytes: usize) {
+    // A thread being torn down has no counter any more; nothing to count.
+    let _ = REQUESTED.try_with(|c| {
+        let (calls, total) = c.get();
+        c.set((calls + 1, total + bytes));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it neither
+// allocates nor reads memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (calls, bytes) = REQUESTED.with(Cell::get);
+    let out = f();
+    let (calls_after, bytes_after) = REQUESTED.with(Cell::get);
+    (out, calls_after - calls, bytes_after - bytes)
+}
+
+#[test]
+fn a_dense_index_is_built_without_a_sort() {
+    // 2^18 events over 2^12 ids. Counting and scattering need the row
+    // numbers, the ids, the offsets and two tables over the id domain (one
+    // of them grown a few times), and `PacketIndex` the arena; a stable sort
+    // of the arena would ask for at least half the arena again as scratch,
+    // and growing ids and offsets by doubling for two dozen more requests.
+    const EVENTS: usize = 1 << 18;
+    let mut rng = SplitMix64(0x6d65_7267_653a);
+    let origins: Vec<u16> = (0..64).collect();
+    let seqnos: Vec<u32> = (0..64).collect();
+    let events = events_over(&mut rng, EVENTS, &origins, &seqnos);
+    let tables = 128 * 1024;
+
+    let (index, calls, bytes) = requested_by(|| PacketIndex::build(&events));
+    assert_eq!(index.len(), 1 << 12);
+    let arena = EVENTS * std::mem::size_of::<Event>();
+    assert!(calls <= 12, "PacketIndex::build made {calls} requests");
+    assert!(
+        bytes <= arena + arena / 4 + tables,
+        "PacketIndex::build asked for {bytes} B"
+    );
+
+    let store = EventStore::from_events(&events);
+    let (columnar, calls, bytes) = requested_by(|| ColumnarIndex::build(&store));
+    assert_eq!(columnar.len(), 1 << 12);
+    let perm = EVENTS * std::mem::size_of::<u32>();
+    assert!(calls <= 12, "ColumnarIndex::build made {calls} requests");
+    assert!(
+        bytes <= perm + tables + perm / 8,
+        "ColumnarIndex::build asked for {bytes} B"
+    );
+}

@@ -67,9 +67,6 @@ pub enum Counter {
     MergeTimestamped,
     /// Merges that fell back to round-robin (some log untimestamped).
     MergeRoundRobin,
-    /// Timestamp-domain strips merged by the timestamped path: P per
-    /// partitioned-parallel merge, 1 per sequential loser-tree merge.
-    MergePartitions,
     /// Packet groups produced by `PacketIndex` builds.
     IndexedPackets,
     /// Wire frames decoded successfully by the streaming ingest path.
@@ -118,7 +115,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the array layout of
     /// [`AtomicRecorder`]).
-    pub const ALL: [Counter; 35] = [
+    pub const ALL: [Counter; 34] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInserts,
@@ -135,7 +132,6 @@ impl Counter {
         Counter::MergeEvents,
         Counter::MergeTimestamped,
         Counter::MergeRoundRobin,
-        Counter::MergePartitions,
         Counter::IndexedPackets,
         Counter::FramesDecoded,
         Counter::FramesCorrupt,
@@ -178,7 +174,6 @@ impl Counter {
             Counter::MergeEvents => "merge_events",
             Counter::MergeTimestamped => "merge_timestamped",
             Counter::MergeRoundRobin => "merge_round_robin",
-            Counter::MergePartitions => "merge_partitions",
             Counter::IndexedPackets => "indexed_packets",
             Counter::FramesDecoded => "frames_decoded",
             Counter::FramesCorrupt => "frames_corrupt",
@@ -216,10 +211,6 @@ pub enum Stage {
     /// K-way merge of per-node logs (includes the per-node clock-alignment
     /// ordering decision: timestamp path vs. round-robin fallback).
     Merge,
-    /// One timestamp strip's loser-tree merge inside the partitioned
-    /// parallel merge. Nested inside `merge`; spans from concurrent
-    /// workers sum, so the total is CPU time, not wall time.
-    MergePartition,
     /// `PacketIndex` build over the merged log.
     Index,
     /// Canonical flow-signature computation (alpha-renaming + hashing).
@@ -262,9 +253,8 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 17] = [
+    pub const ALL: [Stage; 16] = [
         Stage::Merge,
-        Stage::MergePartition,
         Stage::Index,
         Stage::Signature,
         Stage::Cache,
@@ -289,7 +279,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Merge => "merge",
-            Stage::MergePartition => "merge_partition",
             Stage::Index => "index",
             Stage::Signature => "signature",
             Stage::Cache => "cache",
@@ -323,10 +312,6 @@ pub enum Hist {
     FlowEntries,
     /// Events per node log fed into merge.
     NodeLogEvents,
-    /// Events per timestamp strip in the partitioned parallel merge
-    /// (balance check: a skewed event-time distribution shows up here as
-    /// lopsided strips).
-    MergePartitionEvents,
     /// Per-node lane depth sampled at each stream pump (backpressure
     /// headroom: a lane pinned near capacity stalls its ingest worker).
     StreamQueueDepth,
@@ -340,11 +325,10 @@ pub enum Hist {
 
 impl Hist {
     /// Every histogram, in declaration order.
-    pub const ALL: [Hist; 8] = [
+    pub const ALL: [Hist; 7] = [
         Hist::GroupEvents,
         Hist::FlowEntries,
         Hist::NodeLogEvents,
-        Hist::MergePartitionEvents,
         Hist::StreamQueueDepth,
         Hist::WindowEvents,
         Hist::StoreBlockBytes,
@@ -360,7 +344,6 @@ impl Hist {
             Hist::GroupEvents => "group_events",
             Hist::FlowEntries => "flow_entries",
             Hist::NodeLogEvents => "node_log_events",
-            Hist::MergePartitionEvents => "merge_partition_events",
             Hist::StreamQueueDepth => "stream_queue_depth",
             Hist::WindowEvents => "window_events",
             Hist::StoreBlockBytes => "store_block_bytes",
