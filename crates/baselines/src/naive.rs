@@ -8,12 +8,11 @@
 //! provably received it.
 
 use eventlog::{Event, EventKind, MergedLog, PacketId};
+use netsim::fx::FxHashMap;
 use netsim::NodeId;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// The naive per-node verdict for one packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaiveDiagnosis {
     /// The packet.
     pub packet: PacketId,

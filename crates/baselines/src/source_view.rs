@@ -11,12 +11,11 @@
 
 use eventlog::logger::LocalLog;
 use eventlog::{EventKind, PacketId, SeqNo};
+use netsim::fx::FxHashMap;
 use netsim::{NodeId, SimDuration, SimTime};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// One loss detected from the base station's data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceViewLoss {
     /// The missing packet.
     pub packet: PacketId,

@@ -15,10 +15,9 @@
 use eventlog::logger::LocalLog;
 use eventlog::{EventKind, LossCause, PacketId};
 use netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Correlation parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CorrelationConfig {
     /// Half-width of the correlation window.
     pub window: SimDuration,
@@ -33,7 +32,7 @@ impl Default for CorrelationConfig {
 }
 
 /// A correlated verdict for one loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorrelatedCause {
     /// The lost packet.
     pub packet: PacketId,

@@ -15,12 +15,11 @@
 
 use eventlog::logger::LocalLog;
 use eventlog::Event;
-use netsim::NodeId;
-use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
+use netsim::fx::{FxHashMap, FxHashSet};
+use netsim::{NodeId, Rng};
 
 /// The result of a Wit-style merge attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitMerge {
     /// Connected components of mutually mergeable logs (each a sorted list
     /// of node ids).
@@ -114,13 +113,13 @@ pub fn wit_merge(logs: &[LocalLog]) -> WitMerge {
 /// This exists to complete the Section VI comparison in both directions:
 /// [`wit_merge`] degenerates on CitySee-style local logs, but on logs from
 /// `k` overlapping sniffers it fuses components exactly as Wit describes.
-pub fn synthesize_sniffer_logs<R: rand::Rng>(
+pub fn synthesize_sniffer_logs(
     truth: &[eventlog::TruthEvent],
     topology: &netsim::Topology,
     sniffer_positions: &[netsim::Position],
     range_m: f64,
     overhear_prob: f64,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> Vec<LocalLog> {
     use eventlog::EventKind;
     // Sniffers get pseudo node ids above the deployment's range.
@@ -241,7 +240,6 @@ mod tests {
         use eventlog::{GroundTruth, TruthEvent};
         use netsim::topology::Layout;
         use netsim::{Position, RngFactory, SimTime, Topology};
-        use rand::SeedableRng;
 
         let factory = RngFactory::new(3);
         let topo = Topology::generate(9, 200.0, Layout::JitteredGrid, &factory);
@@ -264,7 +262,7 @@ mod tests {
             Position { x: 100.0, y: 100.0 },
             Position { x: 150.0, y: 150.0 },
         ];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let logs =
             synthesize_sniffer_logs(&truth_events, &topo, &sniffers, 150.0, 1.0, &mut rng);
         assert_eq!(logs.len(), 3);
@@ -285,7 +283,6 @@ mod tests {
         use eventlog::{GroundTruth, TruthEvent};
         use netsim::topology::Layout;
         use netsim::{Position, RngFactory, SimTime, Topology};
-        use rand::SeedableRng;
 
         let factory = RngFactory::new(3);
         let topo = Topology::generate(9, 1000.0, Layout::JitteredGrid, &factory);
@@ -304,7 +301,7 @@ mod tests {
             Position { x: 50.0, y: 50.0 },
             Position { x: 950.0, y: 950.0 },
         ];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let logs =
             synthesize_sniffer_logs(&truth_events, &topo, &sniffers, 300.0, 1.0, &mut rng);
         let m = wit_merge(&logs);

@@ -10,12 +10,12 @@ use baselines::source_view::SourceView;
 use baselines::wit::wit_merge;
 use citysee::run_scenario;
 use eventlog::{PacketId, TruthEvent};
+use netsim::fx::FxHashMap;
 use netsim::SimTime;
-use rayon::prelude::*;
 use refill::diagnose::Diagnoser;
+use refill::parallel::{available_workers, par_map};
 use refill::score::{score_cause, score_flow, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, ReconOptions, Reconstructor};
-use rustc_hash::FxHashMap;
 
 fn main() {
     let mut scenario = bench::scenario_from_env();
@@ -61,14 +61,19 @@ fn main() {
         let diagnoser = Diagnoser::new()
             .with_outages(faults.outages.clone())
             .with_sink(sink);
-        let (flow, cause, omitted) = (0..index.len())
-            .into_par_iter()
-            .map(|i| {
+        let scores = par_map(
+            index.len(),
+            available_workers(),
+            || (),
+            |(), i| {
                 let (id, events) = index.group(i);
                 let report = recon.reconstruct_packet(id, events);
                 let fs = score_flow(
                     &report,
-                    truth_by_packet.get(&id).map(|v| v.as_slice()).unwrap_or(&[]),
+                    truth_by_packet
+                        .get(&id)
+                        .map(|v| v.as_slice())
+                        .unwrap_or(&[]),
                 );
                 let est: Option<SimTime> = source_view.estimate_time(id);
                 let d = diagnoser.diagnose(&report, est);
@@ -80,16 +85,15 @@ fn main() {
                     .map(|f| score_cause(&d, f))
                     .unwrap_or_default();
                 (fs, cs, report.omitted.len())
-            })
-            .reduce(
-                || (FlowScore::default(), CauseScore::default(), 0usize),
-                |mut a, b| {
-                    a.0.merge(&b.0);
-                    a.1.merge(&b.1);
-                    a.2 += b.2;
-                    a
-                },
-            );
+            },
+        );
+        let (mut flow, mut cause, mut omitted) =
+            (FlowScore::default(), CauseScore::default(), 0usize);
+        for (f, c, o) in &scores {
+            flow.merge(f);
+            cause.merge(c);
+            omitted += o;
+        }
         println!(
             "{:<22} {:>9} {:>7.3} {:>9.3} {:>9.3} {:>9.3} {:>8}",
             name,

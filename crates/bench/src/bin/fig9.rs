@@ -7,6 +7,7 @@
 
 use citysee::figures::{fig9_breakdown, render_fig9_ascii, CAUSE_ORDER};
 use eventlog::LossCause;
+use netsim::json::ToJson;
 use refill::DiagnosedCause;
 
 const PAPER: &[(&str, f64)] = &[
@@ -73,6 +74,6 @@ fn main() {
         100.0 * (b.lost_total.saturating_sub(unknown)) as f64 / b.lost_total.max(1) as f64
     );
 
-    let json = serde_json::to_string_pretty(&b).expect("serialize");
+    let json = b.to_json().to_pretty().expect("percentages are finite");
     bench::write_artifact("fig9_breakdown.json", &json);
 }

@@ -13,11 +13,11 @@ use eventlog::merge::merge_logs;
 use eventlog::{EventKind, PacketId, TruthEvent};
 use baselines::source_view::SourceView;
 use eventlog::event::BASE_STATION;
-use rayon::prelude::*;
+use netsim::fx::FxHashMap;
 use refill::diagnose::Diagnoser;
+use refill::parallel::{available_workers, par_map};
 use refill::score::{score_cause, score_flow, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, Reconstructor};
-use rustc_hash::FxHashMap;
 
 /// A vocabulary: which event kinds survive in the logs.
 struct Vocab {
@@ -129,9 +129,12 @@ fn main() {
         let diagnoser = Diagnoser::new()
             .with_outages(faults.outages.clone())
             .with_sink(sink);
-        let (fs, cs) = ids
-            .par_iter()
-            .map(|id| {
+        let scores = par_map(
+            ids.len(),
+            available_workers(),
+            || (),
+            |(), i| {
+                let id = &ids[i];
                 let events = index.get(*id).unwrap_or(&[]);
                 let report = recon.reconstruct_packet(*id, events);
                 let d = diagnoser.diagnose(&report, source_view.estimate_time(*id));
@@ -147,15 +150,13 @@ fn main() {
                     .map(|f| score_cause(&d, f))
                     .unwrap_or_default();
                 (fs, cs)
-            })
-            .reduce(
-                || (FlowScore::default(), CauseScore::default()),
-                |mut a, b| {
-                    a.0.merge(&b.0);
-                    a.1.merge(&b.1);
-                    a
-                },
-            );
+            },
+        );
+        let (mut fs, mut cs) = (FlowScore::default(), CauseScore::default());
+        for (f, c) in &scores {
+            fs.merge(f);
+            cs.merge(c);
+        }
         let volume = entries as f64 / full_entries.max(1) as f64;
         println!(
             "{:<18} {:>9} {:>7.0}% {:>9.3} {:>9.3} {:>9.3} {:>9.3}",

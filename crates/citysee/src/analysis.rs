@@ -13,18 +13,17 @@ use baselines::time_correlation::{correlate_causes, CorrelationConfig};
 use baselines::wit::{wit_merge, WitMerge};
 use eventlog::event::BASE_STATION;
 use eventlog::{LossCause, PacketFate, PacketId, TruthEvent};
+use netsim::fx::FxHashMap;
 use netsim::{NodeId, SimTime};
 use refill::diagnose::{Diagnoser, Diagnosis};
 use refill::parallel::{available_workers, par_map};
 use refill::score::{score_cause, score_flow, score_path, CauseScore, FlowScore, PathScore};
 use refill::trace::{CtpVocabulary, Reconstructor};
 use refill_telemetry::{NoopRecorder, Recorder, Stage, StageTimer, TelemetrySnapshot};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Everything known (and inferred) about one packet after analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PacketRecord {
     /// The packet.
     pub packet: PacketId,
@@ -37,7 +36,7 @@ pub struct PacketRecord {
 }
 
 /// Accuracy of the naive single-node baseline.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NaiveSummary {
     /// Packets the naive analysis declared lost.
     pub claimed_losses: usize,
@@ -49,7 +48,7 @@ pub struct NaiveSummary {
 }
 
 /// Accuracy of the time-correlation baseline.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CorrelationSummary {
     /// Losses it attributed to some cause.
     pub attributed: usize,
@@ -62,7 +61,7 @@ pub struct CorrelationSummary {
 /// Per-packet transport statistics the event flows reveal (Section II:
 /// "the packet related information, e.g. per-packet delay, packet
 /// retransmission, packet loss, can also be revealed").
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TransportStats {
     /// Delivered packets with a delay estimate.
     pub delay_count: usize,

@@ -9,10 +9,9 @@ use crate::analysis::{Analysis, PacketRecord};
 use crate::run::Campaign;
 use crate::scenario::Scenario;
 use eventlog::{LossCause, PacketId};
+use netsim::fx::FxHashMap;
 use netsim::{NodeId, SimTime};
 use refill::DiagnosedCause;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The cause order used across all figures.
@@ -29,7 +28,7 @@ pub const CAUSE_ORDER: [DiagnosedCause; 7] = [
 /// One scatter point: a lost packet at a time, attributed to a node and a
 /// cause. Figure 4 uses `node = origin` (the source view); Figure 5 uses
 /// `node = loss position` (REFILL's view).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LossPoint {
     /// The packet.
     pub packet: PacketId,
@@ -98,7 +97,7 @@ pub fn fig5_from_records(records: &[PacketRecord]) -> Vec<LossPoint> {
 }
 
 /// Figure 6: per-day cause composition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DailyCauses {
     /// 0-indexed day.
     pub day: u32,
@@ -142,7 +141,7 @@ pub fn fig6_daily_causes(
 }
 
 /// Figure 8: spatial distribution of received losses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpatialPoint {
     /// The node.
     pub node: NodeId,
@@ -191,7 +190,7 @@ pub fn fig8_from_records(
 }
 
 /// Figure 9 / Section V-C: the overall cause breakdown with sink splits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Breakdown {
     /// Total lost packets.
     pub lost_total: usize,
@@ -208,6 +207,16 @@ pub struct Fig9Breakdown {
     /// Acked losses elsewhere, % (paper: 0.6 %).
     pub acked_other_pct: f64,
 }
+
+netsim::json_struct!(write Fig9Breakdown {
+    lost_total,
+    delivered_total,
+    percent,
+    received_sink_pct,
+    received_other_pct,
+    acked_sink_pct,
+    acked_other_pct
+});
 
 /// Build the Figure 9 breakdown from REFILL's diagnoses.
 pub fn fig9_breakdown(campaign: &Campaign, analysis: &Analysis) -> Fig9Breakdown {

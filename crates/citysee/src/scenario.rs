@@ -14,11 +14,9 @@ use netsim::topology::Layout;
 use netsim::{Position, RngFactory, SimDuration, SimTime, Topology};
 use protocols::schedule::{FaultSchedule, InterferenceBurst, Schedule};
 use protocols::SimConfig;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A CitySee-like campaign description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario name (used in reports).
     pub name: String,
@@ -72,6 +70,33 @@ pub struct Scenario {
     /// Local logger behaviour.
     pub logger: LoggerConfig,
 }
+
+netsim::json_struct!(Scenario {
+    name,
+    nodes,
+    side_m,
+    days,
+    day_secs,
+    packets_per_node_per_day,
+    seed,
+    sink_fix_day,
+    snow_days,
+    snow_factor,
+    outage_count,
+    outage_days,
+    outage_day_frac,
+    burst_count,
+    sink_prelog_before,
+    sink_predrop_before,
+    serial_loss_before,
+    sink_prelog_after,
+    sink_predrop_after,
+    serial_loss_after,
+    p_prelog_drop,
+    p_internal_drop,
+    collection,
+    logger
+});
 
 impl Scenario {
     /// The paper-scale campaign: 1,200 nodes, 30 days.

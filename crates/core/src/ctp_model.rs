@@ -15,7 +15,6 @@ use crate::fsm::{FsmBuilder, FsmTemplate, StateId, Transition};
 use eventlog::event::BASE_STATION;
 use eventlog::{Event, EventKind, PacketId};
 use netsim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Placeholder peer for inferred events whose counterparty is unknown
@@ -25,7 +24,7 @@ pub const UNKNOWN_NODE: NodeId = NodeId(u16::MAX - 1);
 /// FSM labels for the CTP hop machine. This is [`EventKind`] with the peer
 /// information stripped: the engine instance knows its own hop endpoints,
 /// so the label only needs the event *type*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HopLabel {
     /// Packet generated.
     Origin,
@@ -73,7 +72,7 @@ pub fn label_of(kind: &EventKind) -> HopLabel {
 
 /// Which optional log statements the deployment compiles in. The FSM is
 /// built from exactly this vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtpVocabulary {
     /// The application logs an `origin` event when generating a packet.
     pub log_origin: bool,

@@ -25,17 +25,37 @@
 
 use crate::trace::PacketReport;
 use eventlog::{Event, EventKind, LossCause, PacketId};
+use netsim::fx::FxHashMap;
+use netsim::json::{expected, FromJson, Json, JsonError, ToJson};
 use netsim::{NodeId, SimTime};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A diagnosed cause: either one of the paper's taxonomy or unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagnosedCause {
     /// Classified into the Section V-C taxonomy.
     Known(LossCause),
     /// The flow gave no usable signal (e.g. no events at all survived).
     Unknown,
+}
+
+/// `{"Known":"AckedLoss"}` or `"Unknown"`.
+impl ToJson for DiagnosedCause {
+    fn to_json(&self) -> Json {
+        match self {
+            DiagnosedCause::Known(cause) => Json::obj([("Known", cause.to_json())]),
+            DiagnosedCause::Unknown => "Unknown".to_json(),
+        }
+    }
+}
+
+impl FromJson for DiagnosedCause {
+    fn from_json(v: &Json) -> Result<DiagnosedCause, JsonError> {
+        match v.variant() {
+            Some(("Known", cause)) => LossCause::from_json(cause).map(DiagnosedCause::Known),
+            Some(("Unknown", Json::Null)) => Ok(DiagnosedCause::Unknown),
+            _ => Err(expected("DiagnosedCause")),
+        }
+    }
 }
 
 impl DiagnosedCause {
@@ -49,7 +69,7 @@ impl DiagnosedCause {
 }
 
 /// Diagnosis of one packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnosis {
     /// The packet.
     pub packet: PacketId,
@@ -68,6 +88,16 @@ pub struct Diagnosis {
     /// engine).
     pub retransmissions: usize,
 }
+
+netsim::json_struct!(Diagnosis {
+    packet,
+    delivered,
+    cause,
+    loss_node,
+    last_event,
+    path_len,
+    retransmissions
+});
 
 /// The diagnoser: optionally knows the base-station outage schedule, which
 /// operators have independently of the logs (server downtime is recorded at
@@ -300,7 +330,7 @@ fn count_retransmissions(report: &PacketReport) -> usize {
 }
 
 /// Aggregate cause breakdown (Figure 9 / Section V-C).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CauseBreakdown {
     /// Lost-packet count per cause.
     pub counts: FxHashMap<DiagnosedCause, usize>,
@@ -337,7 +367,7 @@ impl CauseBreakdown {
 
 /// Loss counts per position (node), per cause — the data behind Figures 5
 /// and 8.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PositionBreakdown {
     /// `(node, cause) → count`.
     pub counts: FxHashMap<(NodeId, DiagnosedCause), usize>,

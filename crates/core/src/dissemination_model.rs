@@ -14,10 +14,9 @@
 
 use crate::fsm::{FsmBuilder, FsmTemplate, StateId};
 use crate::net::{ConnectedNet, EngineId, InterRule, RunOutput};
-use serde::{Deserialize, Serialize};
 
 /// Event types of the dissemination round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DissLabel {
     /// The disseminator broadcast the update (recorded on the disseminator).
     Broadcast,

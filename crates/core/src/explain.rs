@@ -10,12 +10,13 @@
 
 use crate::diagnose::Diagnoser;
 use crate::trace::PacketReport;
+use netsim::json::ToJson;
+use netsim::json_struct;
 use refill_provenance::{CacheDisposition, EntryOrigin, EventProvenance, FlowProvenance};
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One annotated timeline row of an [`Explanation`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineEntry {
     /// The event in the paper's notation (e.g. `1-2 trans`).
     pub event: String,
@@ -27,8 +28,10 @@ pub struct TimelineEntry {
     pub rule: String,
 }
 
+json_struct!(write TimelineEntry { event, node, origin, rule });
+
 /// A structured provenance narrative for one packet.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Explanation {
     /// The packet, rendered (`n1#7`).
     pub packet: String,
@@ -61,6 +64,23 @@ pub struct Explanation {
     /// The annotated event timeline, in flow order.
     pub timeline: Vec<TimelineEntry>,
 }
+
+json_struct!(write Explanation {
+    packet,
+    delivered,
+    confidence,
+    disposition,
+    observed,
+    inferred,
+    intra_jumps,
+    inter_forced,
+    omitted,
+    cause,
+    loss_node,
+    retransmissions,
+    path,
+    timeline
+});
 
 /// Build the narrative for one report. `disposition` is which cache path
 /// produced the report, when the caller knows it (a ledger lookup or the
@@ -173,8 +193,10 @@ impl Explanation {
     }
 
     /// Render as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("explanation serializes")
+    pub fn render_json(&self) -> String {
+        self.to_json()
+            .to_pretty()
+            .expect("a confidence score is finite")
     }
 }
 
@@ -247,10 +269,9 @@ mod tests {
     fn json_roundtrips_field_names() {
         let report = case2_report();
         let ex = explain(&report, &Diagnoser::new(), Some(CacheDisposition::Rehydrated));
-        let json = ex.to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(v["packet"], "n1#0");
-        assert_eq!(v["disposition"], "rehydrated");
+        let v = netsim::json::parse(ex.render_json().as_bytes()).unwrap();
+        assert_eq!(v["packet"].as_str(), Some("n1#0"));
+        assert_eq!(v["disposition"].as_str(), Some("rehydrated"));
         assert!(v["timeline"].as_array().unwrap().len() == ex.timeline.len());
         assert!(v["timeline"][0]["rule"].as_str().is_some());
     }

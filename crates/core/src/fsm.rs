@@ -20,7 +20,7 @@
 //! CTP (and the synthetic machines of Figure 3) can be expressed; see
 //! [`crate::ctp_model`] for the shipped CTP/LPL machine.
 
-use rustc_hash::FxHashMap;
+use netsim::fx::FxHashMap;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -32,6 +32,8 @@ impl<T: Clone + Eq + Hash + Debug> Label for T {}
 /// A state in a template (index within that template).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub u32);
+
+netsim::json_newtype!(StateId(u32));
 
 impl StateId {
     fn idx(self) -> usize {

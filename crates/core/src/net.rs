@@ -36,14 +36,16 @@
 
 use crate::flow::EventFlow;
 use crate::fsm::{ExecPlan, FsmTemplate, Label, StateId, TransId, Transition};
+use netsim::json::{expected, FromJson, Json, JsonError, ToJson};
 use refill_provenance::EntryOrigin;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// An engine instance in the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EngineId(pub u32);
+
+netsim::json_newtype!(EngineId(u32));
 
 impl EngineId {
     fn idx(self) -> usize {
@@ -53,7 +55,7 @@ impl EngineId {
 
 /// A serial event-queue group (one per physical node in the tracing use
 /// case): its events are consumed strictly in recording order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u32);
 
 impl GroupId {
@@ -117,7 +119,7 @@ impl InterRule {
 }
 
 /// Diagnostics emitted by a run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetWarning {
     /// A prerequisite chain looped back into an engine already being forced;
     /// the inner requirement was skipped to guarantee termination.
@@ -133,6 +135,41 @@ pub enum NetWarning {
         /// The canonical state that could not be reached.
         canonical: StateId,
     },
+}
+
+/// `{"CyclicPrerequisite":{"engine":..}}` or
+/// `{"Unsatisfiable":{"engine":..,"canonical":..}}`.
+impl ToJson for NetWarning {
+    fn to_json(&self) -> Json {
+        match self {
+            NetWarning::CyclicPrerequisite { engine } => Json::obj([(
+                "CyclicPrerequisite",
+                Json::obj([("engine", engine.to_json())]),
+            )]),
+            NetWarning::Unsatisfiable { engine, canonical } => Json::obj([(
+                "Unsatisfiable",
+                Json::obj([
+                    ("engine", engine.to_json()),
+                    ("canonical", canonical.to_json()),
+                ]),
+            )]),
+        }
+    }
+}
+
+impl FromJson for NetWarning {
+    fn from_json(v: &Json) -> Result<NetWarning, JsonError> {
+        match v.variant() {
+            Some(("CyclicPrerequisite", body)) => Ok(NetWarning::CyclicPrerequisite {
+                engine: body.field("engine")?,
+            }),
+            Some(("Unsatisfiable", body)) => Ok(NetWarning::Unsatisfiable {
+                engine: body.field("engine")?,
+                canonical: body.field("canonical")?,
+            }),
+            _ => Err(expected("NetWarning")),
+        }
+    }
 }
 
 /// "No flow entry" in the `u32` index columns below.

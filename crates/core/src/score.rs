@@ -13,9 +13,8 @@ use crate::ctp_model::UNKNOWN_NODE;
 use crate::diagnose::{DiagnosedCause, Diagnosis};
 use crate::trace::PacketReport;
 use eventlog::{Event, EventKind, PacketFate, TruthEvent};
+use netsim::fx::FxHashMap;
 use netsim::NodeId;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A normalized event identity used for multiset matching. Unknown peers in
 /// synthesized events act as wildcards against the truth.
@@ -49,7 +48,7 @@ fn key_of(e: &Event) -> EventKey {
 }
 
 /// Precision/recall of inferred events for one or many packets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowScore {
     /// Inferred entries produced.
     pub inferred: usize,
@@ -162,7 +161,7 @@ pub fn score_flow(report: &PacketReport, truth: &[TruthEvent]) -> FlowScore {
 /// Path-recovery quality: how much of the packet's true node path the
 /// reconstruction recovered (the PathZip-style use case of Section VI, but
 /// from local logs instead of per-packet path hashes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathScore {
     /// Packets scored.
     pub total: usize,
@@ -219,7 +218,7 @@ pub fn score_path(report: &PacketReport, true_path: &[NodeId]) -> PathScore {
 }
 
 /// Diagnosis accuracy against true fates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CauseScore {
     /// Packets scored.
     pub total: usize,

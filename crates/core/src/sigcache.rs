@@ -29,9 +29,8 @@
 //! [`TelemetrySnapshot`]: refill_telemetry::TelemetrySnapshot
 
 use crate::trace::{FlowSignature, ReportTemplate};
+use netsim::fx::FxHashMap;
 use refill_telemetry::{AtomicRecorder, Counter, Recorder};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -87,7 +86,7 @@ struct CacheEntry {
 /// Since the counters migrated onto the telemetry [`Recorder`], this is a
 /// snapshot adapter over [`SigCache::stats`] rather than the storage
 /// itself — existing callers and tests see the same numbers as before.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a template.
     pub hits: u64,

@@ -31,13 +31,13 @@ use crate::net::{ConnectedNet, EngineId, GroupId, InterRule, NetWarning};
 use crate::sigcache::SigCache;
 use eventlog::event::BASE_STATION;
 use eventlog::{Event, EventKind, MergedLog, PacketId};
+use netsim::fx::FxHashMap;
+use netsim::json::{expected, FromJson, Json, JsonError};
 use netsim::NodeId;
 use refill_provenance::{
     CacheDisposition, EntryOrigin, EventProvenance, FlowProvenance, ProvenanceSink,
 };
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ use std::sync::Arc;
 pub use crate::ctp_model::CtpVocabulary;
 
 /// The role a node-visit engine plays for one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// The packet's origin (or a retransmission re-visit at the origin).
     Source,
@@ -57,8 +57,15 @@ pub enum Role {
     BaseStation,
 }
 
+netsim::json_enum!(Role {
+    Source,
+    Forwarder,
+    Sink,
+    BaseStation
+});
+
 /// Metadata about one engine instance of a packet's reconstruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineInfo {
     /// The node this engine models.
     pub node: NodeId,
@@ -78,8 +85,18 @@ pub struct EngineInfo {
     pub phantom: bool,
 }
 
+netsim::json_struct!(EngineInfo {
+    node,
+    role,
+    visit,
+    prev,
+    next,
+    fragment,
+    phantom
+});
+
 /// The reconstruction result for one packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketReport {
     /// The packet.
     pub packet: PacketId,
@@ -102,6 +119,48 @@ pub struct PacketReport {
     pub origins: Vec<EntryOrigin>,
 }
 
+netsim::json_struct!(write PacketReport {
+    packet,
+    flow,
+    omitted,
+    warnings,
+    engines,
+    path,
+    delivered,
+    origins
+});
+
+/// Reads a report back, refusing one whose parallel vectors disagree:
+/// `origins` runs beside the flow's entries, and every entry names an
+/// engine ([`PacketReport::engine_of_entry`] indexes by it).
+impl FromJson for PacketReport {
+    fn from_json(v: &Json) -> Result<PacketReport, JsonError> {
+        let report = PacketReport {
+            packet: v.field("packet")?,
+            flow: v.field("flow")?,
+            omitted: v.field("omitted")?,
+            warnings: v.field("warnings")?,
+            engines: v.field("engines")?,
+            path: v.field("path")?,
+            delivered: v.field("delivered")?,
+            origins: v.field("origins")?,
+        };
+        if report.origins.len() != report.flow.len() {
+            return Err(expected("origins"));
+        }
+        let engines = report.engines.len();
+        if report
+            .flow
+            .entries
+            .iter()
+            .any(|e| e.engine.0 as usize >= engines)
+        {
+            return Err(expected("engines"));
+        }
+        Ok(report)
+    }
+}
+
 impl PacketReport {
     /// The engine info behind a flow entry.
     pub fn engine_of_entry(&self, entry_idx: usize) -> &EngineInfo {
@@ -111,7 +170,7 @@ impl PacketReport {
     /// True if the reconstructed path revisits a node — evidence of a
     /// routing loop (the paper's Case 4 situation).
     pub fn has_routing_loop(&self) -> bool {
-        let mut seen = rustc_hash::FxHashSet::default();
+        let mut seen = netsim::fx::FxHashSet::default();
         self.path.iter().any(|n| !seen.insert(*n))
     }
 
@@ -129,7 +188,7 @@ impl PacketReport {
 /// Ablation switches for the reconstructor (all on by default). Turning
 /// pieces off quantifies their contribution — the `ablation` bench binary
 /// sweeps these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconOptions {
     /// Use derived intra-node jump transitions (Section IV-B). Off, an
     /// engine can only follow normal transitions, so any lost event stalls
@@ -389,10 +448,10 @@ impl Reconstructor {
 
     fn template_for(&self, role: Role) -> &FsmTemplate<HopLabel> {
         match role {
-            Role::Source => &*self.model.source,
-            Role::Forwarder => &*self.model.forwarder,
-            Role::Sink => &*self.model.sink,
-            Role::BaseStation => &*self.model.bs,
+            Role::Source => &self.model.source,
+            Role::Forwarder => &self.model.forwarder,
+            Role::Sink => &self.model.sink,
+            Role::BaseStation => &self.model.bs,
         }
     }
 
@@ -863,7 +922,7 @@ const SIG_VERSION: u64 = 1;
 
 /// A 128-bit canonical flow-shape signature (see
 /// [`Reconstructor::signature_of`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowSignature {
     /// High 64 bits; [`SigCache`] shards on the top bits of this word.
     pub hi: u64,
@@ -1041,14 +1100,16 @@ fn canonicalize(packet: PacketId, events: &[Event], sink: Option<NodeId>) -> Opt
 /// group has the same flow shape. [`ReportTemplate::rehydrate`] substitutes
 /// a packet's real node and packet ids back in.
 ///
-/// Templates are `serde`-serializable: the durable segment store persists
+/// Templates read and write themselves as JSON: the durable segment store persists
 /// reconstructed reports as `(packet, nodes, template)` rows, abstracted by
 /// [`ReportTemplate::abstract_report`] and restored by
 /// [`ReportTemplate::rehydrate`] — round-trip exact by construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportTemplate {
     report: PacketReport,
 }
+
+netsim::json_struct!(ReportTemplate { report });
 
 impl ReportTemplate {
     pub(crate) fn new(report: PacketReport) -> Self {

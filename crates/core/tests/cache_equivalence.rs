@@ -2,20 +2,26 @@
 //! equivalent to the direct pipeline over arbitrary lossy event soups, and
 //! flow signatures are invariant under node renaming.
 //!
-//! CI runs this in release mode with `PROPTEST_CASES=256` so the search is
-//! deep enough to shake out canonicalization corner cases without slowing
-//! the debug test job.
+//! The cases come from `netsim::prop`'s seeded runner; CI also runs them in
+//! release mode.
 
 use eventlog::logger::LocalLog;
 use eventlog::{merge_logs, Event, EventKind, PacketId};
-use netsim::NodeId;
-use proptest::prelude::*;
+use netsim::prop::{check, vec_of};
+use netsim::{NodeId, Rng};
 use refill::sigcache::SigCache;
 use refill::trace::{CtpVocabulary, Reconstructor};
 
 /// Raw event soup: (recording node, kind discriminant, peer, packet seqno).
-fn arb_soup() -> impl Strategy<Value = Vec<(u16, u8, u16, u32)>> {
-    proptest::collection::vec((0u16..6, 0u8..12, 0u16..6, 0u32..4), 0..40)
+fn arb_soup(rng: &mut Rng) -> Vec<(u16, u8, u16, u32)> {
+    vec_of(rng, 0..40, |rng| {
+        (
+            rng.gen_range(0..6),
+            rng.gen_range(0..12),
+            rng.gen_range(0..6),
+            rng.gen_range(0..4),
+        )
+    })
 }
 
 fn decode(node: u16, kind: u8, peer: u16, packet: PacketId) -> Event {
@@ -52,45 +58,66 @@ fn soup_logs(raw: &[(u16, u8, u16, u32)]) -> Vec<LocalLog> {
         .collect()
 }
 
-proptest! {
-    /// The memoized log driver returns exactly the reports of the direct
-    /// one, report for report, for every vocabulary — cold, warm (second
-    /// pass answered from templates), and under a capacity-2 cache that
-    /// evicts constantly.
-    #[test]
-    fn cached_log_reconstruction_equals_direct(raw in arb_soup()) {
-        let merged = merge_logs(&soup_logs(&raw));
-        for vocab in [CtpVocabulary::table2(), CtpVocabulary::citysee(), CtpVocabulary::full()] {
+/// The memoized log driver returns exactly the reports of the direct
+/// one, report for report, for every vocabulary — cold, warm (second
+/// pass answered from templates), and under a capacity-2 cache that
+/// evicts constantly.
+#[test]
+fn cached_log_reconstruction_equals_direct() {
+    check("cached_log_reconstruction_equals_direct", 256, &[], |rng| {
+        let merged = merge_logs(&soup_logs(&arb_soup(rng)));
+        for vocab in [
+            CtpVocabulary::table2(),
+            CtpVocabulary::citysee(),
+            CtpVocabulary::full(),
+        ] {
             let recon = Reconstructor::new(vocab).with_sink(NodeId(5));
             let direct = recon.reconstruct_log(&merged);
             let cache = SigCache::default();
-            prop_assert_eq!(&direct, &recon.reconstruct_log_cached(&merged, &cache));
-            prop_assert_eq!(&direct, &recon.reconstruct_log_cached(&merged, &cache));
+            assert_eq!(&direct, &recon.reconstruct_log_cached(&merged, &cache));
+            assert_eq!(&direct, &recon.reconstruct_log_cached(&merged, &cache));
             let tiny = SigCache::new(2);
-            prop_assert_eq!(&direct, &recon.reconstruct_log_cached(&merged, &tiny));
+            assert_eq!(&direct, &recon.reconstruct_log_cached(&merged, &tiny));
         }
-    }
+    });
+}
 
-    /// Per-packet equivalence on a single group, cold and warm.
-    #[test]
-    fn cached_packet_reconstruction_equals_direct(raw in arb_soup()) {
-        let p = PacketId::new(NodeId(0), 0);
-        let events: Vec<Event> = raw
-            .iter()
-            .map(|&(node, kind, peer, _)| decode(node, kind, peer, p))
-            .collect();
-        let recon = Reconstructor::new(CtpVocabulary::citysee());
-        let direct = recon.reconstruct_packet(p, &events);
-        let cache = SigCache::default();
-        prop_assert_eq!(&direct, &recon.reconstruct_packet_cached(p, &events, &cache));
-        prop_assert_eq!(&direct, &recon.reconstruct_packet_cached(p, &events, &cache));
-    }
+/// Per-packet equivalence on a single group, cold and warm.
+#[test]
+fn cached_packet_reconstruction_equals_direct() {
+    check(
+        "cached_packet_reconstruction_equals_direct",
+        256,
+        &[],
+        |rng| {
+            let p = PacketId::new(NodeId(0), 0);
+            let events: Vec<Event> = arb_soup(rng)
+                .iter()
+                .map(|&(node, kind, peer, _)| decode(node, kind, peer, p))
+                .collect();
+            let recon = Reconstructor::new(CtpVocabulary::citysee());
+            let direct = recon.reconstruct_packet(p, &events);
+            let cache = SigCache::default();
+            assert_eq!(
+                &direct,
+                &recon.reconstruct_packet_cached(p, &events, &cache)
+            );
+            assert_eq!(
+                &direct,
+                &recon.reconstruct_packet_cached(p, &events, &cache)
+            );
+        },
+    );
+}
 
-    /// Flow signatures are invariant under injective node renaming plus
-    /// packet re-identification — the property that makes sharing one
-    /// template across differently-numbered flows sound.
-    #[test]
-    fn signature_is_rename_invariant(raw in arb_soup(), shift in 1u16..100) {
+/// Flow signatures are invariant under injective node renaming plus
+/// packet re-identification — the property that makes sharing one
+/// template across differently-numbered flows sound.
+#[test]
+fn signature_is_rename_invariant() {
+    check("signature_is_rename_invariant", 256, &[], |rng| {
+        let raw = arb_soup(rng);
+        let shift = rng.gen_range(1..100u16);
         let p = PacketId::new(NodeId(0), 0);
         let q = PacketId::new(NodeId(shift), 7);
         let original: Vec<Event> = raw
@@ -104,7 +131,7 @@ proptest! {
         let recon = Reconstructor::new(CtpVocabulary::citysee());
         let sig_a = recon.signature_of(p, &original);
         let sig_b = recon.signature_of(q, &renamed);
-        prop_assert!(sig_a.is_some(), "small single-packet groups are cacheable");
-        prop_assert_eq!(sig_a, sig_b);
-    }
+        assert!(sig_a.is_some(), "small single-packet groups are cacheable");
+        assert_eq!(sig_a, sig_b);
+    });
 }

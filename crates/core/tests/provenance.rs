@@ -3,13 +3,11 @@
 //! reports themselves, under every driver — the sequential memoised path,
 //! the parallel driver and the fused columnar one — and the sampling gate
 //! must admit exactly its share without perturbing reconstruction.
-//!
-//! CI runs this in release mode with `PROPTEST_CASES=128`.
 
 use eventlog::logger::LogEntry;
 use eventlog::{merge_logs, Event, EventKind, LocalLog, PacketId};
-use netsim::NodeId;
-use proptest::prelude::*;
+use netsim::prop::{check, vec_of};
+use netsim::{NodeId, Rng};
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::provenance::{CacheDisposition, ProvenanceSink, TraceSampler};
 use refill::sigcache::SigCache;
@@ -238,17 +236,16 @@ fn disposition_tracks_the_cache_path() {
 
 /// Raw event soup: (recording node, kind discriminant, peer, packet seqno,
 /// optional local timestamp).
-fn arb_soup() -> impl Strategy<Value = Vec<(u16, u8, u16, u32, Option<u64>)>> {
-    proptest::collection::vec(
+fn arb_soup(rng: &mut Rng) -> Vec<(u16, u8, u16, u32, Option<u64>)> {
+    vec_of(rng, 0..40, |rng| {
         (
-            0u16..6,
-            0u8..12,
-            0u16..6,
-            0u32..4,
-            proptest::option::of(0u64..1_000),
-        ),
-        0..40,
-    )
+            rng.gen_range(0..6),
+            rng.gen_range(0..12),
+            rng.gen_range(0..6),
+            rng.gen_range(0..4),
+            rng.gen_bool(0.5).then(|| rng.gen_range(0..1_000)),
+        )
+    })
 }
 
 fn decode(node: u16, kind: u8, peer: u16, packet: PacketId) -> Event {
@@ -308,38 +305,43 @@ fn soup_driver(
     (recorder, sink, reports)
 }
 
-proptest! {
-    /// Over arbitrary topologies and loss patterns, the three accountings
-    /// (ledger, telemetry, reports) agree under every driver, and the
-    /// ledgers' deterministic parts are identical across drivers.
-    #[test]
-    fn ledger_telemetry_and_reports_agree_on_soups(raw in arb_soup()) {
-        let logs = soup_logs(&raw);
-        let mut shapes = Vec::new();
-        for driver in DRIVERS {
-            let (recorder, sink, reports) = soup_driver(driver, &logs);
-            let snap = recorder.snapshot();
-            let ledger = sink.ledger();
-            prop_assert_eq!(ledger.len(), reports.len(), "{}", driver);
+/// Over arbitrary topologies and loss patterns, the three accountings
+/// (ledger, telemetry, reports) agree under every driver, and the
+/// ledgers' deterministic parts are identical across drivers.
+#[test]
+fn ledger_telemetry_and_reports_agree_on_soups() {
+    check(
+        "ledger_telemetry_and_reports_agree_on_soups",
+        256,
+        &[],
+        |rng| {
+            let logs = soup_logs(&arb_soup(rng));
+            let mut shapes = Vec::new();
+            for driver in DRIVERS {
+                let (recorder, sink, reports) = soup_driver(driver, &logs);
+                let snap = recorder.snapshot();
+                let ledger = sink.ledger();
+                assert_eq!(ledger.len(), reports.len(), "{}", driver);
 
-            let observed: u64 = reports.iter().map(|r| r.flow.observed_count() as u64).sum();
-            let inferred: u64 = reports.iter().map(|r| r.flow.inferred_count() as u64).sum();
-            prop_assert_eq!(ledger.observed_total(), observed, "{}", driver);
-            prop_assert_eq!(ledger.inferred_total(), inferred, "{}", driver);
-            prop_assert_eq!(snap.counter("events_observed"), observed, "{}", driver);
-            prop_assert_eq!(snap.counter("events_inferred"), inferred, "{}", driver);
-            for r in &reports {
-                prop_assert_eq!(r.origins.len(), r.flow.len(), "{} {}", driver, r.packet);
+                let observed: u64 = reports.iter().map(|r| r.flow.observed_count() as u64).sum();
+                let inferred: u64 = reports.iter().map(|r| r.flow.inferred_count() as u64).sum();
+                assert_eq!(ledger.observed_total(), observed, "{}", driver);
+                assert_eq!(ledger.inferred_total(), inferred, "{}", driver);
+                assert_eq!(snap.counter("events_observed"), observed, "{}", driver);
+                assert_eq!(snap.counter("events_inferred"), inferred, "{}", driver);
+                for r in &reports {
+                    assert_eq!(r.origins.len(), r.flow.len(), "{} {}", driver, r.packet);
+                }
+                shapes.push(
+                    ledger
+                        .flows()
+                        .into_iter()
+                        .map(|f| (f.packet, f.entries))
+                        .collect::<Vec<_>>(),
+                );
             }
-            shapes.push(
-                ledger
-                    .flows()
-                    .into_iter()
-                    .map(|f| (f.packet, f.entries))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        prop_assert_eq!(&shapes[0], &shapes[1], "cached vs parallel");
-        prop_assert_eq!(&shapes[0], &shapes[2], "cached vs fused");
-    }
+            assert_eq!(&shapes[0], &shapes[1], "cached vs parallel");
+            assert_eq!(&shapes[0], &shapes[2], "cached vs fused");
+        },
+    );
 }

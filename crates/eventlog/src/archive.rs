@@ -13,7 +13,9 @@
 
 use crate::columnar::EventStore;
 use crate::logger::{LocalLog, LogEntry};
-use serde::{Deserialize, Serialize};
+use netsim::fx::FxHashMap;
+use netsim::json::{self, ToJson};
+use netsim::json_struct;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -76,10 +78,23 @@ impl From<io::Error> for ArchiveError {
 }
 
 /// One line of the archive: a node's log entry tagged with its node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ArchiveLine {
     node: u16,
     entry: LogEntry,
+}
+
+json_struct!(ArchiveLine { node, entry });
+
+impl ArchiveLine {
+    fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
+        let mut line = self
+            .to_json()
+            .to_compact()
+            .expect("an archive line holds no floats");
+        line.push('\n');
+        w.write_all(line.as_bytes())
+    }
 }
 
 /// Write a set of local logs as JSON lines, preceded by the format-version
@@ -95,8 +110,7 @@ pub fn write_logs<W: Write>(logs: &[LocalLog], mut w: W) -> io::Result<()> {
                 node: log.node.0,
                 entry: *entry,
             };
-            serde_json::to_writer(&mut w, &line)?;
-            w.write_all(b"\n")?;
+            line.write(&mut w)?;
         }
     }
     Ok(())
@@ -140,7 +154,7 @@ fn read_lines<R: BufRead>(
         }
         seen_content = true;
         let parsed: ArchiveLine =
-            serde_json::from_str(trimmed).map_err(|e| ArchiveError::Corrupt {
+            json::decode(trimmed.as_bytes()).map_err(|e| ArchiveError::Corrupt {
                 line: lineno,
                 detail: e.to_string(),
             })?;
@@ -154,7 +168,7 @@ fn read_lines<R: BufRead>(
 pub fn read_logs<R: BufRead>(r: R) -> Result<Vec<LocalLog>, ArchiveError> {
     use netsim::NodeId;
     let mut by_node: Vec<LocalLog> = Vec::new();
-    let mut index: rustc_hash::FxHashMap<u16, usize> = rustc_hash::FxHashMap::default();
+    let mut index: FxHashMap<u16, usize> = FxHashMap::default();
     read_lines(r, |parsed| {
         let idx = *index.entry(parsed.node).or_insert_with(|| {
             by_node.push(LocalLog::new(NodeId(parsed.node)));
@@ -191,8 +205,7 @@ pub fn write_store<W: Write>(store: &EventStore, mut w: W) -> io::Result<()> {
                 local_ts: store.ts(i),
             },
         };
-        serde_json::to_writer(&mut w, &line)?;
-        w.write_all(b"\n")?;
+        line.write(&mut w)?;
     }
     Ok(())
 }
@@ -422,56 +435,48 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
     use crate::event::{Event, EventKind, PacketId};
     use crate::logger::LocalLog;
+    use netsim::prop::{check, vec_of};
     use netsim::NodeId;
-    use proptest::prelude::*;
 
-    proptest! {
-        /// Archive write→read is an exact round trip for arbitrary logs.
-        #[test]
-        fn roundtrip_is_lossless(
-            logs in proptest::collection::vec(
-                (0u16..50, proptest::collection::vec((0u8..5, 0u32..100, proptest::option::of(0u64..1_000_000)), 0..15)),
-                0..6,
-            )
-        ) {
-            let locals: Vec<LocalLog> = logs
-                .iter()
-                .enumerate()
-                .map(|(i, (peer, entries))| LocalLog {
-                    node: NodeId(i as u16),
-                    entries: entries
-                        .iter()
-                        .map(|&(kind, seq, ts)| crate::logger::LogEntry {
-                            event: Event::new(
-                                NodeId(i as u16),
-                                match kind {
-                                    0 => EventKind::Recv { from: NodeId(*peer) },
-                                    1 => EventKind::Trans { to: NodeId(*peer) },
-                                    2 => EventKind::AckRecvd { to: NodeId(*peer) },
-                                    3 => EventKind::Origin,
-                                    _ => EventKind::SerialTrans,
-                                },
-                                PacketId::new(NodeId(*peer), seq),
-                            ),
-                            local_ts: ts,
-                        })
-                        .collect(),
-                })
-                .collect();
+    /// Archive write→read is an exact round trip for arbitrary logs.
+    #[test]
+    fn roundtrip_is_lossless() {
+        check("archive::roundtrip_is_lossless", 256, &[], |rng| {
+            let mut node = 0;
+            let locals = vec_of(rng, 0..6, |rng| {
+                node += 1;
+                let node = NodeId(node - 1);
+                let peer = NodeId(rng.gen_range(0..50));
+                let entries = vec_of(rng, 0..15, |rng| crate::logger::LogEntry {
+                    event: Event::new(
+                        node,
+                        match rng.gen_range(0..5u8) {
+                            0 => EventKind::Recv { from: peer },
+                            1 => EventKind::Trans { to: peer },
+                            2 => EventKind::AckRecvd { to: peer },
+                            3 => EventKind::Origin,
+                            _ => EventKind::SerialTrans,
+                        },
+                        PacketId::new(peer, rng.gen_range(0..100)),
+                    ),
+                    local_ts: rng.gen_bool(0.5).then(|| rng.gen_range(0..1_000_000)),
+                });
+                LocalLog { node, entries }
+            });
             let mut buf = Vec::new();
             write_logs(&locals, &mut buf).unwrap();
             let back = read_logs(std::io::BufReader::new(&buf[..])).unwrap();
             // Empty logs produce no lines, so compare non-empty ones.
             let nonempty: Vec<&LocalLog> = locals.iter().filter(|l| !l.is_empty()).collect();
-            prop_assert_eq!(back.len(), nonempty.len());
+            assert_eq!(back.len(), nonempty.len());
             for (orig, got) in nonempty.iter().zip(&back) {
-                prop_assert_eq!(orig.node, got.node);
-                prop_assert_eq!(&orig.entries, &got.entries);
+                assert_eq!(orig.node, got.node);
+                assert_eq!(&orig.entries, &got.entries);
             }
-        }
+        });
     }
 }

@@ -8,11 +8,9 @@
 //! of the point of Section V-D.2.
 
 use netsim::{NodeId, RngFactory, SimTime};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Clock parameters for one node.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeClock {
     /// Offset added to true time, in microseconds (may be "negative" via
     /// wrapping semantics: stored as signed).
@@ -41,7 +39,7 @@ impl NodeClock {
 }
 
 /// Configuration of the population's clock error.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClockConfig {
     /// Maximum absolute initial offset, in microseconds.
     pub max_offset_us: u64,
@@ -60,7 +58,7 @@ impl Default for ClockConfig {
 }
 
 /// Clocks for a whole deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClockModel {
     clocks: Vec<NodeClock>,
 }

@@ -10,12 +10,11 @@
 //!   holes in the log while preserving the order of what remains.
 
 use crate::logger::{LocalLog, LogEntry};
-use netsim::RngFactory;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use netsim::rng::Rng;
+use netsim::{json_struct, RngFactory};
 
 /// Knobs for the collection loss process.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CollectionConfig {
     /// Probability that a node's entire log is lost.
     pub whole_log_loss_prob: f64,
@@ -24,6 +23,12 @@ pub struct CollectionConfig {
     /// Probability that an individual chunk is lost in transit.
     pub chunk_loss_prob: f64,
 }
+
+json_struct!(CollectionConfig {
+    whole_log_loss_prob,
+    chunk_entries,
+    chunk_loss_prob
+});
 
 impl Default for CollectionConfig {
     fn default() -> Self {
@@ -62,7 +67,7 @@ impl LossyCollector {
     ///
     /// Returns `None` when the whole log is lost, otherwise the surviving
     /// entries in their original recording order.
-    pub fn collect_one<R: Rng>(&self, log: &LocalLog, rng: &mut R) -> Option<LocalLog> {
+    pub fn collect_one(&self, log: &LocalLog, rng: &mut Rng) -> Option<LocalLog> {
         if self.config.whole_log_loss_prob > 0.0
             && rng.gen::<f64>() < self.config.whole_log_loss_prob
         {
@@ -100,8 +105,6 @@ mod tests {
     use super::*;
     use crate::event::{Event, EventKind, PacketId};
     use netsim::NodeId;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn log_with(n: u16, count: u32) -> LocalLog {
         LocalLog::from_events(
@@ -116,7 +119,7 @@ mod tests {
     fn lossless_collection_is_identity() {
         let c = LossyCollector::new(CollectionConfig::lossless());
         let log = log_with(1, 50);
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::new(0);
         let got = c.collect_one(&log, &mut rng).unwrap();
         assert_eq!(got.entries, log.entries);
     }
@@ -127,7 +130,7 @@ mod tests {
             whole_log_loss_prob: 1.0,
             ..CollectionConfig::lossless()
         });
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::new(0);
         assert!(c.collect_one(&log_with(1, 10), &mut rng).is_none());
     }
 
@@ -139,7 +142,7 @@ mod tests {
             chunk_loss_prob: 0.5,
         });
         let log = log_with(1, 100);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::new(7);
         let got = c.collect_one(&log, &mut rng).unwrap();
         assert!(got.len() < 100, "some chunks should be lost");
         assert!(!got.is_empty(), "some chunks should survive");
@@ -155,7 +158,7 @@ mod tests {
             chunk_loss_prob: 0.5,
         });
         let log = log_with(1, 100);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let got = c.collect_one(&log, &mut rng).unwrap();
         // Every surviving seqno's chunk must be fully present.
         let present: std::collections::HashSet<u32> =
@@ -188,46 +191,41 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
     use crate::event::{Event, EventKind, PacketId};
+    use netsim::prop::check;
     use netsim::NodeId;
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    proptest! {
-        /// Whatever survives collection is a chunk-aligned subsequence of
-        /// the original log, in original order.
-        #[test]
-        fn survivors_are_ordered_subsequence(
-            n in 0u32..200,
-            chunk in 1usize..16,
-            loss in 0.0f64..1.0,
-            seed in 0u64..1000,
-        ) {
+    /// Whatever survives collection is a chunk-aligned subsequence of
+    /// the original log, in original order.
+    #[test]
+    fn survivors_are_ordered_subsequence() {
+        check("survivors_are_ordered_subsequence", 256, &[], |rng| {
+            let n = rng.gen_range(0..200u32);
+            let chunk = rng.gen_range(1..16usize);
             let log = LocalLog::from_events(
                 NodeId(1),
-                (0..n).map(|s| Event::new(NodeId(1), EventKind::Origin, PacketId::new(NodeId(1), s))),
+                (0..n)
+                    .map(|s| Event::new(NodeId(1), EventKind::Origin, PacketId::new(NodeId(1), s))),
             );
             let c = LossyCollector::new(CollectionConfig {
                 whole_log_loss_prob: 0.0,
                 chunk_entries: chunk,
-                chunk_loss_prob: loss,
+                chunk_loss_prob: rng.gen_range(0.0..1.0),
             });
-            let mut rng = StdRng::seed_from_u64(seed);
-            let got = c.collect_one(&log, &mut rng).expect("whole-log loss disabled");
+            let got = c.collect_one(&log, rng).expect("whole-log loss disabled");
             // Ordered subsequence.
             let seqnos: Vec<u32> = got.events().map(|e| e.packet.seqno).collect();
-            prop_assert!(seqnos.windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(got.len() <= log.len());
+            assert!(seqnos.windows(2).all(|w| w[0] < w[1]));
+            assert!(got.len() <= log.len());
             // Chunk alignment: each chunk fully present or fully absent.
             let present: std::collections::HashSet<u32> = seqnos.iter().copied().collect();
             for start in (0..n).step_by(chunk) {
                 let end = (start + chunk as u32).min(n);
                 let kept = (start..end).filter(|s| present.contains(s)).count() as u32;
-                prop_assert!(kept == 0 || kept == end - start, "partial chunk at {start}");
+                assert!(kept == 0 || kept == end - start, "partial chunk at {start}");
             }
-        }
+        });
     }
 }

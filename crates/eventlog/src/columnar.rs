@@ -569,86 +569,72 @@ mod columnar_props {
 
     use super::*;
     use crate::merge::PacketIndex;
-    use proptest::prelude::*;
+    use netsim::prop::{check, vec_of};
+    use netsim::Rng;
 
-    fn arb_kind() -> impl Strategy<Value = EventKind> {
-        let peer = any::<u16>().prop_map(NodeId);
-        prop_oneof![
-            peer.clone().prop_map(|from| EventKind::Recv { from }),
-            peer.clone().prop_map(|from| EventKind::Overflow { from }),
-            peer.clone().prop_map(|from| EventKind::Dup { from }),
-            peer.clone().prop_map(|to| EventKind::Trans { to }),
-            peer.clone().prop_map(|to| EventKind::AckRecvd { to }),
-            Just(EventKind::Origin),
-            Just(EventKind::Enqueue),
-            peer.prop_map(|to| EventKind::Timeout { to }),
-            Just(EventKind::SerialTrans),
-            Just(EventKind::BsRecv),
-            Just(EventKind::Deliver),
-            any::<u16>().prop_map(EventKind::Custom),
-        ]
+    fn arb_kind(rng: &mut Rng) -> EventKind {
+        let arg: u16 = rng.gen();
+        EventKind::from_parts(rng.gen_range(0..12), NodeId(arg), arg).expect("a code in range")
     }
 
-    fn arb_event() -> impl Strategy<Value = Event> {
-        (any::<u16>(), arb_kind(), any::<u16>(), any::<u32>()).prop_map(
-            |(node, kind, origin, seqno)| {
-                Event::new(NodeId(node), kind, PacketId::new(NodeId(origin), seqno))
-            },
-        )
+    fn arb_event(rng: &mut Rng) -> Event {
+        let (node, kind) = (NodeId(rng.gen()), arb_kind(rng));
+        Event::new(node, kind, PacketId::new(NodeId(rng.gen()), rng.gen()))
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn packed_event_roundtrips() {
+        check("packed_event_roundtrips", 256, &[], |rng| {
+            let e = arb_event(rng);
+            assert_eq!(PackedEvent::pack(&e).unpack(), e);
+        });
+    }
 
-        #[test]
-        fn packed_event_roundtrips(e in arb_event()) {
-            prop_assert_eq!(PackedEvent::pack(&e).unpack(), e);
-        }
-
-        #[test]
-        fn store_roundtrips_events_and_ts(
-            entries in proptest::collection::vec(
-                (arb_event(), proptest::option::of(0u64..u64::MAX)),
-                0..64,
-            )
-        ) {
+    #[test]
+    fn store_roundtrips_events_and_ts() {
+        check("store_roundtrips_events_and_ts", 256, &[], |rng| {
+            let entries = vec_of(rng, 0..64, |rng| {
+                (
+                    arb_event(rng),
+                    rng.gen_bool(0.5).then(|| rng.gen_range(0..u64::MAX)),
+                )
+            });
             let mut store = EventStore::new();
             for (e, ts) in &entries {
                 store.push(e, *ts);
             }
-            prop_assert_eq!(store.len(), entries.len());
+            assert_eq!(store.len(), entries.len());
             for (i, (e, ts)) in entries.iter().enumerate() {
-                prop_assert_eq!(store.event(i), *e);
-                prop_assert_eq!(store.ts(i), *ts);
+                assert_eq!(store.event(i), *e);
+                assert_eq!(store.ts(i), *ts);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn columnar_index_matches_legacy_grouping(
+    #[test]
+    fn columnar_index_matches_legacy_grouping() {
+        check("columnar_index_matches_legacy_grouping", 256, &[], |rng| {
             // Small id spaces force collisions, so groups have real depth.
-            events in proptest::collection::vec(
-                (0u16..4, arb_kind(), 0u16..3, 0u32..4).prop_map(
-                    |(node, kind, origin, seqno)| Event::new(
-                        NodeId(node),
-                        kind,
-                        PacketId::new(NodeId(origin), seqno),
-                    )
-                ),
-                0..80,
-            )
-        ) {
+            let events = vec_of(rng, 0..80, |rng| {
+                let (node, kind) = (NodeId(rng.gen_range(0..4)), arb_kind(rng));
+                Event::new(
+                    node,
+                    kind,
+                    PacketId::new(NodeId(rng.gen_range(0..3)), rng.gen_range(0..4)),
+                )
+            });
             let legacy = PacketIndex::build(&events);
             let store = EventStore::from_events(&events);
             let index = ColumnarIndex::build(&store);
-            prop_assert_eq!(index.len(), legacy.len());
-            prop_assert_eq!(index.ids(), legacy.ids());
+            assert_eq!(index.len(), legacy.len());
+            assert_eq!(index.ids(), legacy.ids());
             let mut scratch = ScratchArena::new();
             for i in 0..index.len() {
                 let (id, positions) = index.group(i);
                 let (legacy_id, legacy_events) = legacy.group(i);
-                prop_assert_eq!(id, legacy_id);
-                prop_assert_eq!(scratch.unpack(&store, positions), legacy_events);
+                assert_eq!(id, legacy_id);
+                assert_eq!(scratch.unpack(&store, positions), legacy_events);
             }
-        }
+        });
     }
 }

@@ -10,8 +10,8 @@
 //! ground truth keeps true timestamps separately, and local logs may attach
 //! skewed local timestamps, but REFILL never reads either.
 
-use netsim::NodeId;
-use serde::{Deserialize, Serialize};
+use netsim::json::{expected, FromJson, Json, JsonError, ToJson};
+use netsim::{json_struct, NodeId};
 use std::fmt;
 
 /// Per-origin packet sequence number.
@@ -20,15 +20,15 @@ pub type SeqNo = u32;
 /// Globally unique packet identity: the originating node plus its
 /// monotonically increasing sequence number. This is the paper's "related
 /// packet" information `I`, present on every packet-bound event.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PacketId {
     /// Node that generated the packet.
     pub origin: NodeId,
     /// Sequence number assigned by the origin.
     pub seqno: SeqNo,
 }
+
+json_struct!(PacketId { origin, seqno });
 
 impl PacketId {
     /// Construct a packet id.
@@ -55,7 +55,7 @@ pub const BASE_STATION: NodeId = NodeId(u16::MAX);
 /// the additional kinds the CitySee evaluation needs (packet generation,
 /// retransmission give-up, the sink's serial hop, and the base station's
 /// receive record).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// The packet was received from `from`. Recorded on the receiver, in the
     /// network-layer receive handler (i.e. *after* the hardware ACK went
@@ -226,8 +226,68 @@ impl EventKind {
     }
 }
 
+/// Variant names by [`EventKind::code`], as the archive spells them.
+const VARIANT_NAMES: [&str; 12] = [
+    "Recv",
+    "Overflow",
+    "Dup",
+    "Trans",
+    "AckRecvd",
+    "Origin",
+    "Enqueue",
+    "Timeout",
+    "SerialTrans",
+    "BsRecv",
+    "Deliver",
+    "Custom",
+];
+
+/// The key a two-party kind's peer is written under.
+fn peer_key(kind: &EventKind) -> &'static str {
+    if kind.is_receiver_side() {
+        "from"
+    } else {
+        "to"
+    }
+}
+
+/// `"Origin"`, `{"Trans":{"to":2}}`, `{"Custom":9001}`: the variant's name,
+/// alone for a local kind, else keying the peer or the payload.
+impl ToJson for EventKind {
+    fn to_json(&self) -> Json {
+        let name = VARIANT_NAMES[usize::from(self.code())];
+        match (*self, self.peer()) {
+            (EventKind::Custom(payload), _) => Json::obj([(name, payload.to_json())]),
+            (kind, Some(peer)) => {
+                Json::obj([(name, Json::obj([(peer_key(&kind), peer.to_json())]))])
+            }
+            (_, None) => name.to_json(),
+        }
+    }
+}
+
+impl FromJson for EventKind {
+    fn from_json(v: &Json) -> Result<EventKind, JsonError> {
+        let bad = || expected("EventKind");
+        let (name, body) = v.variant().ok_or_else(bad)?;
+        let code = VARIANT_NAMES
+            .iter()
+            .position(|n| *n == name)
+            .ok_or_else(bad)? as u8;
+        // Decode with a placeholder argument to learn the variant's shape,
+        // then again with the argument that shape carries.
+        let arg: u16 = match EventKind::from_parts(code, NodeId(0), 0).ok_or_else(bad)? {
+            EventKind::Custom(_) => u16::from_json(body)?,
+            kind if kind.peer().is_some() => body.field(peer_key(&kind))?,
+            kind if *body == Json::Null => return Ok(kind),
+            _ => return Err(bad()),
+        };
+        EventKind::from_parts(code, NodeId(arg), arg).ok_or_else(bad)
+    }
+}
+
 /// A recorded event: the paper's `E = (V, L, I)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Event {
     /// `L` — the node whose log contains this event.
     pub node: NodeId,
@@ -236,6 +296,8 @@ pub struct Event {
     /// Packet part of `I`.
     pub packet: PacketId,
 }
+
+json_struct!(Event { node, kind, packet });
 
 impl Event {
     /// Construct an event.
@@ -307,11 +369,38 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip_keeps_the_archive_spelling() {
         let e = Event::new(NodeId(2), EventKind::Dup { from: NodeId(9) }, pid());
-        let s = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&s).unwrap();
-        assert_eq!(e, back);
+        let s = e.to_json().to_compact().unwrap();
+        assert_eq!(
+            s,
+            r#"{"node":2,"kind":{"Dup":{"from":9}},"packet":{"origin":1,"seqno":7}}"#
+        );
+        assert_eq!(netsim::json::decode(s.as_bytes()), Ok(e));
+        for (kind, text) in [
+            (EventKind::Origin, r#""Origin""#),
+            (
+                EventKind::Timeout { to: NodeId(3) },
+                r#"{"Timeout":{"to":3}}"#,
+            ),
+            (EventKind::Custom(9001), r#"{"Custom":9001}"#),
+        ] {
+            assert_eq!(kind.to_json().to_compact().unwrap(), text);
+            assert_eq!(netsim::json::decode(text.as_bytes()), Ok(kind));
+        }
+        // The right name over the wrong body is refused, not defaulted.
+        for text in [
+            r#"{"Origin":{"to":3}}"#,
+            r#""Trans""#,
+            r#"{"Trans":{"from":3}}"#,
+            r#"{"Custom":{}}"#,
+            r#""Nope""#,
+        ] {
+            assert!(
+                netsim::json::decode::<EventKind>(text.as_bytes()).is_err(),
+                "{text}"
+            );
+        }
     }
 
     #[test]

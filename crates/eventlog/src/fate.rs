@@ -6,13 +6,13 @@
 //! regenerating the paper's figures.
 
 use crate::event::{Event, PacketId};
+use netsim::fx::FxHashMap;
+use netsim::json::{expected, FromJson, Json, JsonError, ToJson};
 use netsim::{NodeId, SimTime};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a packet was lost — the cause taxonomy of Section V-C / Figure 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LossCause {
     /// The packet was received (network layer logged it / would have logged
     /// it) at some node and then lost inside that node or on the sink's
@@ -33,6 +33,15 @@ pub enum LossCause {
     /// serial link.
     ServerOutage,
 }
+
+netsim::json_enum!(LossCause {
+    ReceivedLoss,
+    AckedLoss,
+    TimeoutLoss,
+    DuplicateLoss,
+    OverflowLoss,
+    ServerOutage
+});
 
 impl LossCause {
     /// All causes, in the order used by the figures.
@@ -65,7 +74,7 @@ impl fmt::Display for LossCause {
 }
 
 /// The final fate of one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketFate {
     /// Received by the base station.
     Delivered {
@@ -82,6 +91,41 @@ pub enum PacketFate {
         /// When.
         at: SimTime,
     },
+}
+
+/// `{"Delivered":{"at":..}}` or `{"Lost":{"at_node":..,"cause":..,"at":..}}`.
+impl ToJson for PacketFate {
+    fn to_json(&self) -> Json {
+        match self {
+            PacketFate::Delivered { at } => {
+                Json::obj([("Delivered", Json::obj([("at", at.to_json())]))])
+            }
+            PacketFate::Lost { at_node, cause, at } => Json::obj([(
+                "Lost",
+                Json::obj([
+                    ("at_node", at_node.to_json()),
+                    ("cause", cause.to_json()),
+                    ("at", at.to_json()),
+                ]),
+            )]),
+        }
+    }
+}
+
+impl FromJson for PacketFate {
+    fn from_json(v: &Json) -> Result<PacketFate, JsonError> {
+        match v.variant() {
+            Some(("Delivered", body)) => Ok(PacketFate::Delivered {
+                at: body.field("at")?,
+            }),
+            Some(("Lost", body)) => Ok(PacketFate::Lost {
+                at_node: body.field("at_node")?,
+                cause: body.field("cause")?,
+                at: body.field("at")?,
+            }),
+            _ => Err(expected("PacketFate")),
+        }
+    }
 }
 
 impl PacketFate {
@@ -108,7 +152,7 @@ impl PacketFate {
 }
 
 /// One event as it truly happened, with its true occurrence time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TruthEvent {
     /// True occurrence time.
     pub at: SimTime,
@@ -117,7 +161,7 @@ pub struct TruthEvent {
 }
 
 /// Complete ground truth of a simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// Every loggable event in true occurrence order (this includes events
     /// that later fail to be written to the local log).

@@ -21,7 +21,7 @@
 //! undecodable bytes as one corrupt frame instead of aborting the stream.
 //!
 //! The payload is a fixed hand-rolled little-endian encoding of one log
-//! record (22 bytes with a timestamp, 14 without) — no serde on the wire,
+//! record (22 bytes with a timestamp, 14 without) — no JSON on the wire,
 //! matching the byte-budgeted links it models.
 
 use crate::event::{Event, EventKind, PacketId};
@@ -599,64 +599,52 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use netsim::prop::{check, vec_of};
+    use netsim::Rng;
 
-    fn arb_record() -> impl Strategy<Value = NodeRecord> {
-        (
-            0u16..100,
-            0u8..12,
-            any::<u16>(),
-            0u16..100,
-            any::<u32>(),
-            proptest::option::of(any::<u64>()),
+    fn arb_record(rng: &mut Rng) -> NodeRecord {
+        let node = NodeId(rng.gen_range(0..100));
+        let kind = kind_from_wire(rng.gen_range(0..12), rng.gen()).expect("tag in range");
+        let packet = PacketId::new(NodeId(rng.gen_range(0..100)), rng.gen());
+        NodeRecord::new(
+            node,
+            LogEntry {
+                event: Event::new(node, kind, packet),
+                local_ts: rng.gen_bool(0.5).then(|| rng.gen()),
+            },
         )
-            .prop_map(|(node, tag, aux, origin, seqno, ts)| {
-                let kind = kind_from_wire(tag, aux).expect("tag in range");
-                NodeRecord::new(
-                    NodeId(node),
-                    LogEntry {
-                        event: Event::new(
-                            NodeId(node),
-                            kind,
-                            PacketId::new(NodeId(origin), seqno),
-                        ),
-                        local_ts: ts,
-                    },
-                )
-            })
     }
 
-    proptest! {
-        /// Encode→decode is the identity for arbitrary record sequences,
-        /// under arbitrary chunking.
-        #[test]
-        fn roundtrip_is_lossless(
-            records in proptest::collection::vec(arb_record(), 0..40),
-            chunk in 1usize..97,
-        ) {
+    /// Encode→decode is the identity for arbitrary record sequences,
+    /// under arbitrary chunking.
+    #[test]
+    fn roundtrip_is_lossless() {
+        check("frame::roundtrip_is_lossless", 256, &[], |rng| {
+            let records = vec_of(rng, 0..40, arb_record);
+            let chunk = rng.gen_range(1..97);
             let bytes = encode_records(&records);
             let mut dec = FrameDecoder::new();
             let mut got = Vec::new();
-            for piece in bytes.chunks(chunk.max(1)) {
+            for piece in bytes.chunks(chunk) {
                 dec.push(piece);
                 got.extend(dec.drain());
             }
             let stats = dec.finish();
-            prop_assert_eq!(got, records);
-            prop_assert_eq!(stats.corrupt, 0);
-        }
+            assert_eq!(got, records);
+            assert_eq!(stats.corrupt, 0);
+        });
+    }
 
-        /// Arbitrary injected garbage never panics the decoder and never
-        /// corrupts the frames around it.
-        #[test]
-        fn garbage_injection_is_survivable(
-            records in proptest::collection::vec(arb_record(), 1..10),
-            garbage in proptest::collection::vec(any::<u8>(), 1..64),
-            at in 0usize..10,
-        ) {
-            let at = at.min(records.len());
+    /// Arbitrary injected garbage never panics the decoder and never
+    /// corrupts the frames around it.
+    #[test]
+    fn garbage_injection_is_survivable() {
+        check("garbage_injection_is_survivable", 256, &[], |rng| {
+            let records = vec_of(rng, 1..10, arb_record);
+            let garbage = vec_of(rng, 1..64, |rng| rng.gen::<u8>());
+            let at = rng.gen_range(0..10).min(records.len());
             let mut bytes = encode_records(&records[..at]);
             bytes.extend_from_slice(&garbage);
             bytes.extend_from_slice(&encode_records(&records[at..]));
@@ -667,10 +655,10 @@ mod proptests {
             // Every frame before the garbage survives; frames after it
             // survive unless the garbage happens to embed a valid-looking
             // frame prefix that swallows the next real frame.
-            prop_assert!(got.len() >= at);
+            assert!(got.len() >= at);
             for (g, r) in got.iter().zip(records[..at].iter()) {
-                prop_assert_eq!(g, r);
+                assert_eq!(g, r);
             }
-        }
+        });
     }
 }

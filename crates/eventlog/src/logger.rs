@@ -15,12 +15,11 @@
 
 use crate::clock::NodeClock;
 use crate::event::Event;
-use netsim::{NodeId, SimTime};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use netsim::rng::Rng;
+use netsim::{json_struct, NodeId, SimTime};
 
 /// One surviving log entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntry {
     /// The recorded event.
     pub event: Event,
@@ -28,8 +27,10 @@ pub struct LogEntry {
     pub local_ts: Option<u64>,
 }
 
+json_struct!(LogEntry { event, local_ts });
+
 /// A node's local log: the entries that survived, in recording order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalLog {
     /// The owning node.
     pub node: NodeId,
@@ -78,7 +79,7 @@ impl LocalLog {
 }
 
 /// Logging behaviour knobs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoggerConfig {
     /// Probability that any individual write silently fails.
     pub write_failure_prob: f64,
@@ -87,6 +88,12 @@ pub struct LoggerConfig {
     /// Whether entries carry local timestamps.
     pub timestamps: bool,
 }
+
+json_struct!(LoggerConfig {
+    write_failure_prob,
+    buffer_capacity,
+    timestamps
+});
 
 impl Default for LoggerConfig {
     fn default() -> Self {
@@ -138,7 +145,7 @@ impl NodeLogger {
 
     /// Attempt to record `event` at true time `at`. Returns whether the
     /// write landed in the buffer.
-    pub fn record<R: Rng>(&mut self, event: Event, at: SimTime, rng: &mut R) -> bool {
+    pub fn record(&mut self, event: Event, at: SimTime, rng: &mut Rng) -> bool {
         if self.config.write_failure_prob > 0.0
             && rng.gen::<f64>() < self.config.write_failure_prob
         {
@@ -187,8 +194,6 @@ impl NodeLogger {
 mod tests {
     use super::*;
     use crate::event::{EventKind, PacketId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn ev(n: u16, s: u32) -> Event {
         Event::new(
@@ -198,8 +203,8 @@ mod tests {
         )
     }
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(1)
+    fn rng() -> Rng {
+        Rng::new(1)
     }
 
     #[test]

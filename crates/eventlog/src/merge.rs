@@ -48,13 +48,12 @@
 use crate::columnar::{EventStore, PackedEvent, TS_NONE};
 use crate::event::{Event, PacketId};
 use crate::logger::{LocalLog, LogEntry};
+use netsim::fx::FxHashMap;
 use netsim::NodeId;
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// The merged event stream.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MergedLog {
     /// Events in merged order. Per-node subsequences preserve recording
     /// order; cross-node order is best-effort only.
@@ -131,7 +130,7 @@ impl MergedLog {
 /// input guarantee). Groups are exposed as `&[Event]` slices in sorted-id
 /// order, so iterating packets for reconstruction costs zero copies after
 /// the one-time build.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PacketIndex {
     /// All events, grouped by packet id, each group in merged order.
     events: Vec<Event>,
@@ -870,7 +869,7 @@ mod tests {
     fn kway_handles_empty_and_single_inputs() {
         assert!(merge_logs_kway(&[]).is_empty());
         let lone = log_ts(3, &[(0, 5), (1, 6)]);
-        assert_eq!(merge_logs_kway(&[lone.clone()]).len(), 2);
+        assert_eq!(merge_logs_kway(std::slice::from_ref(&lone)).len(), 2);
         let with_empty = [LocalLog::from_events(NodeId(9), vec![]), lone.clone()];
         assert_eq!(
             merge_logs_kway(&with_empty).events,
@@ -881,7 +880,7 @@ mod tests {
     #[test]
     fn large_fan_in_matches_reference() {
         // K = 300 single-digit logs: exercises non-power-of-two tournament
-        // shapes far beyond what the proptests' small K reaches (the
+        // shapes far beyond what the properties' small K reaches (the
         // reference is O(N·K), so keep N small).
         let logs: Vec<LocalLog> = (0..300u16)
             .map(|i| log_ts(i % 40, &[(u32::from(i), u64::from(i % 17)), (u32::from(i) + 1000, 100 + u64::from(i))]))
@@ -1066,7 +1065,8 @@ mod merge_props {
 
     use super::*;
     use crate::event::EventKind;
-    use proptest::prelude::*;
+    use netsim::prop::{check, vec_of};
+    use netsim::Rng;
 
     /// Per log: a (node, timestamps) spec. Node ids collide across logs on
     /// purpose (tie-break coverage); the tight timestamp range forces
@@ -1074,14 +1074,16 @@ mod merge_props {
     /// missing-timestamp semantics.
     type LogSpec = Vec<(u16, Vec<Option<u64>>)>;
 
-    fn arb_spec() -> impl Strategy<Value = LogSpec> {
-        proptest::collection::vec(
+    fn arb_spec(rng: &mut Rng) -> LogSpec {
+        vec_of(rng, 0..7, |rng| {
+            let node = rng.gen_range(0..5);
             (
-                0u16..5,
-                proptest::collection::vec(proptest::option::of(0u64..40), 0..32),
-            ),
-            0..7,
-        )
+                node,
+                vec_of(rng, 0..32, |rng| {
+                    rng.gen_bool(0.5).then(|| rng.gen_range(0..40))
+                }),
+            )
+        })
     }
 
     /// Build logs from a spec, giving every event a globally unique seqno
@@ -1116,113 +1118,126 @@ mod merge_props {
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn loser_tree_matches_cursor_scan(spec in arb_spec()) {
-            let logs = build(&spec, false);
-            prop_assert_eq!(
+    #[test]
+    fn loser_tree_matches_cursor_scan() {
+        check("loser_tree_matches_cursor_scan", 64, &[], |rng| {
+            let logs = build(&arb_spec(rng), false);
+            assert_eq!(
                 merge_logs_kway(&logs).events,
                 merge_by_timestamp_reference(&logs)
             );
-        }
+        });
+    }
 
-        #[test]
-        fn partitioned_matches_cursor_scan_on_sorted_logs(
-            spec in arb_spec(),
-            partitions in 1usize..6,
-        ) {
-            let logs = build(&spec, true);
-            prop_assert_eq!(
-                merge_logs_partitioned(&logs, partitions).events,
-                merge_by_timestamp_reference(&logs)
-            );
-        }
+    #[test]
+    fn partitioned_matches_cursor_scan_on_sorted_logs() {
+        check(
+            "partitioned_matches_cursor_scan_on_sorted_logs",
+            64,
+            &[],
+            |rng| {
+                let logs = build(&arb_spec(rng), true);
+                assert_eq!(
+                    merge_logs_partitioned(&logs, rng.gen_range(1..6)).events,
+                    merge_by_timestamp_reference(&logs)
+                );
+            },
+        );
+    }
 
-        #[test]
-        fn partitioned_falls_back_identically_on_unsorted_logs(
-            spec in arb_spec(),
-            partitions in 1usize..6,
-        ) {
-            let logs = build(&spec, false);
-            prop_assert_eq!(
-                merge_logs_partitioned(&logs, partitions).events,
-                merge_by_timestamp_reference(&logs)
-            );
-        }
+    #[test]
+    fn partitioned_falls_back_identically_on_unsorted_logs() {
+        check(
+            "partitioned_falls_back_identically_on_unsorted_logs",
+            64,
+            &[],
+            |rng| {
+                let logs = build(&arb_spec(rng), false);
+                assert_eq!(
+                    merge_logs_partitioned(&logs, rng.gen_range(1..6)).events,
+                    merge_by_timestamp_reference(&logs)
+                );
+            },
+        );
+    }
 
-        #[test]
-        fn public_merge_matches_the_matching_reference(spec in arb_spec()) {
-            let logs = build(&spec, false);
-            let all_ts = logs
-                .iter()
-                .flat_map(|l| l.entries.iter())
-                .all(|e| e.local_ts.is_some());
-            let expect = if all_ts {
-                merge_by_timestamp_reference(&logs)
-            } else {
-                merge_round_robin_reference(&logs)
-            };
-            prop_assert_eq!(merge_logs(&logs).events, expect);
-        }
+    #[test]
+    fn public_merge_matches_the_matching_reference() {
+        check(
+            "public_merge_matches_the_matching_reference",
+            64,
+            &[],
+            |rng| {
+                let logs = build(&arb_spec(rng), false);
+                let all_ts = logs
+                    .iter()
+                    .flat_map(|l| l.entries.iter())
+                    .all(|e| e.local_ts.is_some());
+                let expect = if all_ts {
+                    merge_by_timestamp_reference(&logs)
+                } else {
+                    merge_round_robin_reference(&logs)
+                };
+                assert_eq!(merge_logs(&logs).events, expect);
+            },
+        );
+    }
 
-        #[test]
-        fn columnar_store_merge_matches_vec_merge(spec in arb_spec()) {
+    #[test]
+    fn columnar_store_merge_matches_vec_merge() {
+        check("columnar_store_merge_matches_vec_merge", 64, &[], |rng| {
             // The fused merge-into-store and the legacy merge share one
             // loser tree, and this pins it: unpacking the store yields the
             // merged events byte for byte, and every row's ts column entry
             // is the timestamp its event carried in its source log (events
             // are globally unique by seqno construction, so the lookup is
             // well-defined).
-            let logs = build(&spec, false);
+            let logs = build(&arb_spec(rng), false);
             let store = merge_logs_store(&logs);
-            prop_assert_eq!(store.to_events(), merge_logs(&logs).events);
+            assert_eq!(store.to_events(), merge_logs(&logs).events);
             let ts_by_event: std::collections::HashMap<Event, Option<u64>> = logs
                 .iter()
                 .flat_map(|l| l.entries.iter())
                 .map(|e| (e.event, e.local_ts))
                 .collect();
             for i in 0..store.len() {
-                prop_assert_eq!(store.ts(i), ts_by_event[&store.event(i)]);
+                assert_eq!(store.ts(i), ts_by_event[&store.event(i)]);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn store_merge_matches_vec_merge_on_sorted_logs(spec in arb_spec()) {
-            let logs = build(&spec, true);
-            let store = merge_logs_store(&logs);
-            prop_assert_eq!(store.to_events(), merge_logs(&logs).events);
-        }
+    #[test]
+    fn store_merge_matches_vec_merge_on_sorted_logs() {
+        check(
+            "store_merge_matches_vec_merge_on_sorted_logs",
+            64,
+            &[],
+            |rng| {
+                let logs = build(&arb_spec(rng), true);
+                let store = merge_logs_store(&logs);
+                assert_eq!(store.to_events(), merge_logs(&logs).events);
+            },
+        );
+    }
 
-        #[test]
-        fn round_robin_matches_reference(
-            lens in proptest::collection::vec(0usize..40, 0..8),
-        ) {
-            let logs: Vec<LocalLog> = lens
-                .iter()
-                .enumerate()
-                .map(|(li, &len)| {
-                    let node = NodeId(li as u16 + 1);
-                    LocalLog {
-                        node,
-                        entries: (0..len)
-                            .map(|j| LogEntry {
-                                event: Event::new(
-                                    node,
-                                    EventKind::Origin,
-                                    PacketId::new(node, j as u32),
-                                ),
-                                local_ts: None,
-                            })
-                            .collect(),
-                    }
-                })
-                .collect();
-            prop_assert_eq!(
-                merge_logs(&logs).events,
-                merge_round_robin_reference(&logs)
-            );
-        }
+    #[test]
+    fn round_robin_matches_reference() {
+        check("round_robin_matches_reference", 64, &[], |rng| {
+            let mut li = 0;
+            let logs = vec_of(rng, 0..8, |rng| {
+                li += 1;
+                let node = NodeId(li);
+                LocalLog {
+                    node,
+                    entries: (0..rng.gen_range(0..40u32))
+                        .map(|j| LogEntry {
+                            event: Event::new(node, EventKind::Origin, PacketId::new(node, j)),
+                            local_ts: None,
+                        })
+                        .collect(),
+                }
+            });
+            assert_eq!(merge_logs(&logs).events, merge_round_robin_reference(&logs));
+        });
     }
 }

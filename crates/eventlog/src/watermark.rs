@@ -14,8 +14,8 @@
 //! window closed too early is reopened by the late arrival and the result
 //! still converges to the batch answer.
 
+use netsim::fx::FxHashMap;
 use netsim::NodeId;
-use rustc_hash::FxHashMap;
 
 /// One node's stream progress.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -12,8 +12,6 @@
 //!   domains, and the dense build allocates the arena, the ids, the offsets
 //!   and the domain tables and nothing else (a sort would allocate its
 //!   scratch buffer).
-//!
-//! Runs without `proptest`, so it runs wherever the crate builds.
 
 use eventlog::{
     merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, ColumnarIndex, Event,

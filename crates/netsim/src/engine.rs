@@ -50,7 +50,7 @@ pub struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     next_seq: u64,
-    cancelled: rustc_hash::FxHashSet<u64>,
+    cancelled: crate::fx::FxHashSet<u64>,
     popped: u64,
 }
 
@@ -67,7 +67,7 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            cancelled: rustc_hash::FxHashSet::default(),
+            cancelled: crate::fx::FxHashSet::default(),
             popped: 0,
         }
     }
@@ -221,26 +221,25 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use crate::prop::check;
 
-    proptest! {
-        /// Pops come out sorted by (time, insertion sequence), regardless of
-        /// the schedule order or interleaved cancellations.
-        #[test]
-        fn pops_are_time_then_insertion_ordered(
-            times in proptest::collection::vec(0u64..1000, 1..60),
-            cancel_mask in proptest::collection::vec(any::<bool>(), 1..60),
-        ) {
+    /// Pops come out sorted by (time, insertion sequence), regardless of
+    /// the schedule order or interleaved cancellations.
+    #[test]
+    fn pops_are_time_then_insertion_ordered() {
+        check("pops_are_time_then_insertion_ordered", 256, &[], |rng| {
+            let n = rng.gen_range(1..60usize);
             let mut s = Scheduler::new();
+            let mut expected: Vec<(u64, usize)> = Vec::new();
             let mut handles = Vec::new();
-            for (i, &t) in times.iter().enumerate() {
+            for i in 0..n {
+                let t = rng.gen_range(0..1000u64);
                 handles.push((s.schedule(SimTime::from_micros(t), i), t, i));
             }
-            let mut expected: Vec<(u64, usize)> = Vec::new();
-            for (k, &(h, t, i)) in handles.iter().enumerate() {
-                if cancel_mask.get(k).copied().unwrap_or(false) {
+            for (h, t, i) in handles {
+                if rng.gen_bool(0.5) {
                     s.cancel(h);
                 } else {
                     expected.push((t, i));
@@ -251,22 +250,24 @@ mod proptests {
             while let Some((at, i)) = s.pop() {
                 got.push((at.as_micros(), i));
             }
-            prop_assert_eq!(got, expected);
-        }
+            assert_eq!(got, expected);
+        });
+    }
 
-        /// The clock never moves backwards across pops.
-        #[test]
-        fn clock_is_monotone(times in proptest::collection::vec(0u64..1000, 1..60)) {
+    /// The clock never moves backwards across pops.
+    #[test]
+    fn clock_is_monotone() {
+        check("clock_is_monotone", 256, &[], |rng| {
             let mut s = Scheduler::new();
-            for (i, &t) in times.iter().enumerate() {
-                s.schedule(SimTime::from_micros(t), i);
+            for i in 0..rng.gen_range(1..60usize) {
+                s.schedule(SimTime::from_micros(rng.gen_range(0..1000)), i);
             }
             let mut last = SimTime::ZERO;
             while let Some((at, _)) = s.pop() {
-                prop_assert!(at >= last);
+                assert!(at >= last);
                 last = at;
             }
-            prop_assert_eq!(s.now(), last);
-        }
+            assert_eq!(s.now(), last);
+        });
     }
 }

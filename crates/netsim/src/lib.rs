@@ -11,16 +11,24 @@
 //! Everything is reproducible: all randomness flows from a single master
 //! seed through labelled [`rng::RngFactory`] streams, and the scheduler
 //! breaks ties deterministically by insertion sequence.
+//!
+//! As the root of the workspace's dependency graph it also holds the four
+//! std-only pieces every other crate would otherwise take from a registry:
+//! the generator ([`rng`]), the hasher ([`fx`]), the JSON codec ([`json`])
+//! and the property runner the tests share ([`prop`]).
 
 pub mod engine;
+pub mod fx;
+pub mod json;
 pub mod link;
 pub mod metrics;
+pub mod prop;
 pub mod rng;
 pub mod time;
 pub mod topology;
 
 pub use engine::Scheduler;
 pub use link::{LinkModel, LinkModelConfig, LinkQualityTable};
-pub use rng::RngFactory;
+pub use rng::{Rng, RngFactory};
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Position, Topology};

@@ -7,16 +7,14 @@
 //! base, time-varying [`QualityModulator`]s (weather, interference bursts)
 //! scale quality multiplicatively; the CitySee scenario composes several.
 
-use crate::rng::RngFactory;
+use crate::fx::FxHashMap;
+use crate::rng::{Rng, RngFactory};
 use crate::time::SimTime;
 use crate::topology::{NodeId, Topology};
-use rand::Rng;
 use rand_distr_free::sample_standard_normal;
-use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the distance→PRR curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkModelConfig {
     /// Distance at which the *median* link has PRR 0.5, in metres.
     pub d50_m: f64,
@@ -152,7 +150,7 @@ impl LinkModel {
     }
 
     /// Sample one transmission attempt on `from → to` at `at`.
-    pub fn sample_delivery<R: Rng>(&self, from: NodeId, to: NodeId, at: SimTime, rng: &mut R) -> bool {
+    pub fn sample_delivery(&self, from: NodeId, to: NodeId, at: SimTime, rng: &mut Rng) -> bool {
         rng.gen::<f64>() < self.prr(from, to, at)
     }
 }
@@ -178,11 +176,11 @@ pub fn ber_from_prr(prr: f64, frame_bytes: usize) -> f64 {
 
 /// A tiny internal normal sampler so we avoid pulling in `rand_distr`.
 mod rand_distr_free {
-    use rand::Rng;
+    use crate::rng::Rng;
 
     /// Standard normal via Box–Muller (one value per call; the pair's twin is
     /// discarded — simplicity over speed, this only runs at setup).
-    pub fn sample_standard_normal<R: Rng>(rng: &mut R) -> f64 {
+    pub fn sample_standard_normal(rng: &mut Rng) -> f64 {
         loop {
             let u1: f64 = rng.gen::<f64>();
             let u2: f64 = rng.gen::<f64>();
@@ -197,7 +195,6 @@ mod rand_distr_free {
 mod tests {
     use super::*;
     use crate::topology::Layout;
-    use rand::SeedableRng;
 
     fn setup(n: usize, side: f64) -> (Topology, LinkQualityTable) {
         let f = RngFactory::new(11);
@@ -291,7 +288,7 @@ mod tests {
         let some_link = *table.prr.keys().next().expect("a link exists");
         let p = table.base_prr(some_link.0, some_link.1);
         let model = LinkModel::new(table, Box::new(NoModulation));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         let n = 20_000;
         let ok = (0..n)
             .filter(|_| model.sample_delivery(some_link.0, some_link.1, SimTime::ZERO, &mut rng))

@@ -4,11 +4,10 @@
 //! so the evaluation can score REFILL's reconstruction against truth — the
 //! one luxury a simulation substrate has over the real CitySee deployment.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A named bag of integer counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSet {
     counters: BTreeMap<String, u64>,
 }
@@ -48,7 +47,7 @@ impl CounterSet {
 }
 
 /// A fixed-bucket histogram over `u64` samples.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Upper bounds of each bucket (exclusive); a final overflow bucket is
     /// implicit.

@@ -4,7 +4,6 @@
 //! Integer ticks keep the simulation exactly reproducible across platforms
 //! (no floating-point drift) and make `SimTime` usable as an ordered map key.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -14,15 +13,13 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 pub const MICROS_PER_MILLI: u64 = 1_000;
 
 /// An instant in simulation time, in microseconds since the run started.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
+crate::json_newtype!(SimTime(u64));
+
 /// A span of simulation time, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -6,16 +6,14 @@
 //! mounting points are not), with the sink near one corner as in Figure 8.
 
 use crate::rng::RngFactory;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a sensor node. The base station is *not* a `NodeId`; it sits
 /// behind the sink's serial link (see `protocols::sink`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u16);
+
+crate::json_newtype!(NodeId(u16));
 
 impl NodeId {
     /// Raw index.
@@ -31,7 +29,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A position in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate in metres.
     pub x: f64,
@@ -49,7 +47,7 @@ impl Position {
 }
 
 /// Deployment layout strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// Nodes on a √n × √n grid with per-node jitter — the default "urban"
     /// deployment.
@@ -66,7 +64,7 @@ pub enum Layout {
 }
 
 /// A concrete deployment: node positions plus the sink.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<Position>,
     sink: NodeId,

@@ -3,12 +3,11 @@
 use crate::energy::EnergyConfig;
 use eventlog::logger::LoggerConfig;
 use netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// All knobs of one simulation run (faults live in
 /// [`crate::schedule::FaultSchedule`], the deployment in
 /// [`netsim::Topology`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Master seed for every random stream.
     pub seed: u64,

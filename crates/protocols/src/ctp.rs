@@ -10,8 +10,7 @@
 //! deployments see, which in turn produce the duplicate losses of Figure 5.
 
 use netsim::link::LinkModel;
-use netsim::{NodeId, SimTime, Topology};
-use rand::Rng;
+use netsim::{NodeId, Rng, SimTime, Topology};
 use std::collections::BinaryHeap;
 
 /// ETX of a link with PRR `p` (∞ for unusable links).
@@ -75,13 +74,13 @@ impl RoutingState {
     /// each node independently refreshes its advertisement and parent with
     /// probability `update_prob` (stale otherwise). Returns how many
     /// parents changed.
-    pub fn update_round<R: Rng>(
+    pub fn update_round(
         &mut self,
         topology: &Topology,
         links: &LinkModel,
         at: SimTime,
         update_prob: f64,
-        rng: &mut R,
+        rng: &mut Rng,
     ) -> usize {
         let costs = true_path_costs(topology, links, at);
         let mut changed = 0;
@@ -241,8 +240,6 @@ mod tests {
     use netsim::link::{LinkModelConfig, NoModulation};
     use netsim::topology::Layout;
     use netsim::RngFactory;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn setup(n: usize, side: f64) -> (Topology, LinkModel) {
         let f = RngFactory::new(21);
@@ -315,7 +312,7 @@ mod tests {
     fn full_update_round_keeps_convergence() {
         let (topo, links) = setup(64, 500.0);
         let mut r = RoutingState::converged(&topo, &links, SimTime::ZERO);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         // With stable links and update_prob 1, nothing should change.
         let changed = r.update_round(&topo, &links, SimTime::ZERO, 1.0, &mut rng);
         assert_eq!(changed, 0);
@@ -327,7 +324,7 @@ mod tests {
         let (topo, links) = setup(64, 500.0);
         let mut r = RoutingState::converged(&topo, &links, SimTime::ZERO);
         let before: Vec<_> = topo.nodes().map(|n| r.parent(n)).collect();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         r.update_round(&topo, &links, SimTime::ZERO, 0.0, &mut rng);
         let after: Vec<_> = topo.nodes().map(|n| r.parent(n)).collect();
         assert_eq!(before, after);

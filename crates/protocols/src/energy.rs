@@ -15,10 +15,9 @@
 //!   the post-receive listen window.
 
 use netsim::{NodeId, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Radio and LPL timing/power parameters (defaults ≈ CC2420 at 3 V).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnergyConfig {
     /// LPL wakeup period.
     pub wakeup_interval: SimDuration,
@@ -73,7 +72,7 @@ impl EnergyConfig {
 }
 
 /// Per-node energy ledger, filled by the simulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyLedger {
     /// Transmit energy per node (mJ).
     pub tx_mj: Vec<f64>,

@@ -10,10 +10,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use eventlog::PacketId;
 use netsim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A CTP data packet as it travels hop to hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataPacket {
     /// Global identity (origin + seqno).
     pub id: PacketId,
@@ -40,7 +39,7 @@ impl DataPacket {
 
 /// A routing beacon advertising a node's path ETX (scaled ×128 like CTP's
 /// fixed-point costs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Beacon {
     /// Advertising node.
     pub from: NodeId,
@@ -225,9 +224,7 @@ mod tests {
         // CRC-rejection rate matches netsim's PRR = (1-BER)^bits identity —
         // the contract between the byte-level PHY and the statistical link
         // model the simulator uses.
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut rng = netsim::Rng::new(9);
         let frame = sample();
         let wire = encode_frame(&frame);
         let ber = 2e-3;

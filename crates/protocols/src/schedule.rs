@@ -16,10 +16,9 @@
 
 use netsim::link::QualityModulator;
 use netsim::{NodeId, Position, SimTime, Topology};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant function of simulation time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule<T> {
     /// `(start, value)` pairs sorted by start; the value holds until the
     /// next start.
@@ -59,7 +58,7 @@ impl<T: Copy> Schedule<T> {
 
 /// A localized interference burst: links touching the region are degraded
 /// by `factor` during the window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterferenceBurst {
     /// Region centre.
     pub center: Position,
@@ -81,7 +80,7 @@ impl InterferenceBurst {
 }
 
 /// The full fault configuration of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultSchedule {
     /// Base-station downtime windows `[start, end)`.
     pub outages: Vec<(SimTime, SimTime)>,

@@ -26,12 +26,10 @@ use eventlog::clock::{ClockConfig, ClockModel};
 use eventlog::event::BASE_STATION;
 use eventlog::logger::{LocalLog, LogEntry, NodeLogger};
 use eventlog::{Event, EventKind, GroundTruth, LossCause, PacketFate, PacketId};
+use netsim::fx::FxHashMap;
 use netsim::link::{LinkModel, LinkQualityTable};
 use netsim::metrics::CounterSet;
-use netsim::{NodeId, RngFactory, Scheduler, SimTime, Topology};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rustc_hash::FxHashMap;
+use netsim::{NodeId, Rng, RngFactory, Scheduler, SimTime, Topology};
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -84,8 +82,8 @@ pub struct Simulator {
     scheduler: Scheduler<Ev>,
     nodes: Vec<NodeState>,
     loggers: Vec<NodeLogger>,
-    node_rngs: Vec<StdRng>,
-    route_rng: StdRng,
+    node_rngs: Vec<Rng>,
+    route_rng: Rng,
     bs_entries: Vec<LogEntry>,
     clocks: ClockModel,
     truth: GroundTruth,

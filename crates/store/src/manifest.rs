@@ -15,7 +15,8 @@
 use crate::vfs::{OsVfs, Vfs};
 use crate::StoreError;
 use eventlog::{PacketId, TS_NONE};
-use serde::{Deserialize, Serialize};
+use netsim::json::{self, ToJson};
+use netsim::json_struct;
 use std::path::Path;
 
 /// The manifest file name inside a store directory.
@@ -30,7 +31,7 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// timestamp ranges cover only event rows that carry a real local
 /// timestamp (`TS_NONE` rows are excluded — they can never match a time
 /// predicate). `None` means "no such rows in this segment".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Smallest packet-origin node id.
     pub min_origin: Option<u16>,
@@ -45,6 +46,15 @@ pub struct SegmentStats {
     /// Largest real local timestamp among event rows.
     pub max_ts: Option<u64>,
 }
+
+json_struct!(SegmentStats {
+    min_origin,
+    max_origin,
+    min_seqno,
+    max_seqno,
+    min_ts,
+    max_ts
+});
 
 fn widen<T: Ord + Copy>(min: &mut Option<T>, max: &mut Option<T>, v: T) {
     *min = Some(min.map_or(v, |m| m.min(v)));
@@ -91,7 +101,7 @@ impl SegmentStats {
 }
 
 /// One segment's manifest entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// File name (relative to the store directory), e.g. `seg-000003.refill`.
     pub file: String,
@@ -105,18 +115,28 @@ pub struct SegmentMeta {
     /// Report rows in the committed prefix.
     pub reports: u64,
     /// Pushdown metadata.
-    #[serde(default)]
     pub stats: SegmentStats,
 }
 
+json_struct!(SegmentMeta {
+    file,
+    committed_len,
+    blocks,
+    events,
+    reports,
+    stats
+});
+
 /// The manifest document.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Manifest {
     /// Format version.
     pub version: u32,
     /// Listed segments, in store order.
     pub segments: Vec<SegmentMeta>,
 }
+
+json_struct!(Manifest { version, segments });
 
 impl Manifest {
     /// Load the manifest from `dir`.
@@ -137,7 +157,7 @@ impl Manifest {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StoreError::Io(e)),
         };
-        Ok(serde_json::from_slice(&bytes).ok())
+        Ok(json::decode(&bytes).ok())
     }
 
     /// Persist the manifest atomically: tmp + fsync + rename + dir fsync.
@@ -147,13 +167,13 @@ impl Manifest {
 
     /// [`Manifest::save`] through an explicit [`Vfs`].
     pub fn save_with(&self, dir: &Path, vfs: &dyn Vfs) -> Result<(), StoreError> {
-        let bytes = serde_json::to_vec_pretty(self).map_err(|e| StoreError::Codec {
+        let bytes = self.to_json().to_pretty().map_err(|e| StoreError::Codec {
             detail: format!("encoding manifest: {e}"),
         })?;
         let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
         {
             let mut f = vfs.create(&tmp)?;
-            f.write_all(&bytes)?;
+            f.write_all(bytes.as_bytes())?;
             f.sync_all()?;
         }
         vfs.rename(&tmp, &dir.join(MANIFEST_FILE))?;

@@ -27,7 +27,6 @@ use netsim::NodeId;
 use refill::provenance::EntryOrigin;
 use refill::DiagnosedCause;
 use refill_telemetry::{Stage, StageTimer};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A conjunction of optional predicates.
@@ -48,7 +47,7 @@ pub struct Query {
 }
 
 /// How much scanning a query did (and skipped).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Segments in the store.
     pub segments_total: usize,

@@ -19,10 +19,9 @@ use eventlog::{PacketFate, PacketId};
 use netsim::{NodeId, SimTime};
 use refill::diagnose::Diagnosis;
 use refill::{PacketReport, ReportTemplate};
-use serde::{Deserialize, Serialize};
 
 /// Analysis context persisted next to a report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sidecar {
     /// Source-view time estimate (back-dated from sequence gaps).
     pub est_time: Option<SimTime>,
@@ -33,8 +32,14 @@ pub struct Sidecar {
     pub fate: Option<PacketFate>,
 }
 
+netsim::json_struct!(Sidecar {
+    est_time,
+    diagnosis,
+    fate
+});
+
 /// One persisted report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportRow {
     /// The packet the report describes.
     pub packet: PacketId,
@@ -43,9 +48,15 @@ pub struct ReportRow {
     /// The node-abstract report body.
     pub template: ReportTemplate,
     /// Optional analysis context.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub sidecar: Option<Sidecar>,
 }
+
+netsim::json_struct!(ReportRow {
+    packet,
+    nodes,
+    template,
+    sidecar
+});
 
 impl ReportRow {
     /// Abstract `report` into its persisted form.

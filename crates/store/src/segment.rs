@@ -25,6 +25,7 @@ use crate::row::ReportRow;
 use crate::StoreError;
 use eventlog::checksum::Crc32;
 use eventlog::PackedEvent;
+use netsim::json::{self, ToJson};
 
 /// Segment block magic. Distinct from the wire-frame magic (`EF 17`) so a
 /// segment file can never be mistaken for a record stream.
@@ -103,10 +104,10 @@ pub fn encode_events(rows: &[(PackedEvent, u64)]) -> Vec<u8> {
 
 /// Encode one reports block.
 pub fn encode_reports(rows: &[ReportRow]) -> Result<Vec<u8>, StoreError> {
-    let payload = serde_json::to_vec(rows).map_err(|e| StoreError::Codec {
+    let payload = rows.to_json().to_compact().map_err(|e| StoreError::Codec {
         detail: format!("encoding report rows: {e}"),
     })?;
-    Ok(encode_block(BlockKind::Reports, &payload))
+    Ok(encode_block(BlockKind::Reports, payload.as_bytes()))
 }
 
 /// Try to decode the block starting at `bytes[0]`.
@@ -142,7 +143,7 @@ pub fn decode_block(bytes: &[u8]) -> Option<(Block, usize)> {
     let payload = &bytes[BLOCK_HEADER_LEN..total - BLOCK_CRC_LEN];
     let block = match kind {
         BlockKind::Events => {
-            if payload.len() % EVENT_ROW_LEN != 0 {
+            if !payload.len().is_multiple_of(EVENT_ROW_LEN) {
                 return None;
             }
             let mut rows = Vec::with_capacity(payload.len() / EVENT_ROW_LEN);
@@ -156,8 +157,7 @@ pub fn decode_block(bytes: &[u8]) -> Option<(Block, usize)> {
             Block::Events(rows)
         }
         BlockKind::Reports => {
-            let rows: Vec<ReportRow> = serde_json::from_slice(payload).ok()?;
-            Block::Reports(rows)
+            Block::Reports(json::decode(payload).ok()?)
         }
     };
     Some((block, total))

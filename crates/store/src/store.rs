@@ -6,8 +6,8 @@ use crate::segment::{self, Block};
 use crate::vfs::{OsVfs, Vfs, VfsFile};
 use crate::StoreError;
 use eventlog::{merge_packed_runs, PackedEvent, PacketId};
+use netsim::fx::{FxHashMap, FxHashSet};
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
-use rustc_hash::{FxHashMap, FxHashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

@@ -17,7 +17,7 @@
 //! three.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 
 /// An open writable file handle, as the store uses one: append bytes,

@@ -7,8 +7,8 @@
 use eventlog::logger::{LocalLog, LogEntry};
 use eventlog::merge::merge_logs_store;
 use eventlog::{Event, EventKind, PackedEvent, PacketId, TS_NONE};
-use netsim::NodeId;
-use proptest::prelude::*;
+use netsim::prop::{check, vec_of};
+use netsim::{NodeId, Rng};
 use refill::provenance::EntryOrigin;
 use refill::{CtpVocabulary, DiagnosedCause, Diagnoser, Reconstructor};
 use refill_store::{Query, ReportRow, SegmentStore, Sidecar};
@@ -48,19 +48,14 @@ struct Soup {
     ts: Option<u64>,
 }
 
-fn soup_strategy() -> impl Strategy<Value = Vec<Soup>> {
-    prop::collection::vec(
-        (1u16..=4, 1u16..=3, 0u32..8, 0u8..5, prop::option::of(0u64..10_000)).prop_map(
-            |(node, origin, seqno, kind, ts)| Soup {
-                node,
-                origin,
-                seqno,
-                kind,
-                ts,
-            },
-        ),
-        1..60,
-    )
+fn arb_soup(rng: &mut Rng) -> Vec<Soup> {
+    vec_of(rng, 1..60, |rng| Soup {
+        node: rng.gen_range(1..=4),
+        origin: rng.gen_range(1..=3),
+        seqno: rng.gen_range(0..8),
+        kind: rng.gen_range(0..5),
+        ts: rng.gen_bool(0.5).then(|| rng.gen_range(0..10_000)),
+    })
 }
 
 fn to_logs(soup: &[Soup]) -> Vec<LocalLog> {
@@ -152,23 +147,18 @@ fn oracle_reports(rows: &[ReportRow], q: &Query) -> Vec<ReportRow> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32),
-        ..ProptestConfig::default()
-    })]
-
-    #[test]
-    fn store_queries_match_in_memory_filters(
-        soup in soup_strategy(),
-        chunk in 1usize..16,
-        q_origin in prop::option::of(1u16..=3),
-        q_seqno in prop::option::of((0u32..8, 0u32..8)),
-        q_ts in prop::option::of((0u64..10_000, 0u64..10_000)),
-    ) {
+#[test]
+fn store_queries_match_in_memory_filters() {
+    check("store_queries_match_in_memory_filters", 32, &[], |rng| {
+        let soup = arb_soup(rng);
+        let chunk = rng.gen_range(1..16usize);
+        let q_origin = rng.gen_bool(0.5).then(|| rng.gen_range(1..=3u16));
+        let q_seqno = rng
+            .gen_bool(0.5)
+            .then(|| (rng.gen_range(0..8u32), rng.gen_range(0..8u32)));
+        let q_ts = rng
+            .gen_bool(0.5)
+            .then(|| (rng.gen_range(0..10_000u64), rng.gen_range(0..10_000u64)));
         let logs = to_logs(&soup);
         let columns = merge_logs_store(&logs);
         let event_rows: Vec<(PackedEvent, u64)> = columns
@@ -245,14 +235,14 @@ proptest! {
 
         for q in &queries {
             let out = store.query(q).unwrap();
-            prop_assert_eq!(&out.events, &oracle_events(&event_rows, q));
-            prop_assert_eq!(&out.reports, &oracle_reports(&report_rows, q));
-            prop_assert_eq!(
+            assert_eq!(&out.events, &oracle_events(&event_rows, q));
+            assert_eq!(&out.reports, &oracle_reports(&report_rows, q));
+            assert_eq!(
                 out.stats.segments_scanned + out.stats.segments_skipped,
                 out.stats.segments_total
             );
-            prop_assert_eq!(out.stats.event_rows_matched as usize, out.events.len());
-            prop_assert_eq!(out.stats.report_rows_matched as usize, out.reports.len());
+            assert_eq!(out.stats.event_rows_matched as usize, out.events.len());
+            assert_eq!(out.stats.report_rows_matched as usize, out.reports.len());
         }
 
         // Compaction changes layout, not answers: events become ts-ordered
@@ -260,13 +250,13 @@ proptest! {
         let mut store = store;
         let latest_before = store.latest_reports().unwrap();
         store.compact().unwrap();
-        prop_assert_eq!(store.latest_reports().unwrap(), latest_before);
+        assert_eq!(store.latest_reports().unwrap(), latest_before);
         let mut before_sorted = event_rows.clone();
         before_sorted.sort_by_key(sort_key);
         let mut after_sorted = store.events().unwrap();
         after_sorted.sort_by_key(sort_key);
-        prop_assert_eq!(after_sorted, before_sorted);
-    }
+        assert_eq!(after_sorted, before_sorted);
+    });
 }
 
 fn sort_key(row: &(PackedEvent, u64)) -> (u64, Vec<u8>) {

@@ -4,9 +4,10 @@
 //! second reopen is a no-op. Appends after recovery continue cleanly.
 
 use eventlog::{Event, EventKind, PackedEvent, PacketId, TS_NONE};
+use netsim::json::{self, ToJson};
+use netsim::prop::check;
 use netsim::NodeId;
-use proptest::prelude::*;
-use refill_store::{segment, ReportRow, SegmentStore};
+use refill_store::{segment, Manifest, ReportRow, SegmentStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,7 +71,7 @@ fn report_rows() -> Vec<ReportRow> {
         .collect()
 }
 
-/// The append schedule every proptest case replays: five event blocks with
+/// The append schedule every property case replays: five event blocks with
 /// a report block in the middle. Returns (event rows per block, reports).
 fn schedule() -> (Vec<Vec<(PackedEvent, u64)>>, Vec<ReportRow>) {
     let mut blocks = Vec::new();
@@ -118,63 +119,64 @@ fn build(dir: &std::path::Path) -> (Vec<(u64, usize, usize)>, u64) {
     (boundaries, offset)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64),
-        ..ProptestConfig::default()
-    })]
+#[test]
+fn truncate_anywhere_reopen_recovers_longest_durable_prefix() {
+    check(
+        "truncate_anywhere_reopen_recovers_longest_durable_prefix",
+        64,
+        &[],
+        |rng| {
+            let cut_frac: f64 = rng.gen_range(0.0..=1.0);
+            let tmp = TempDir::new("cut");
+            let (boundaries, total_len) = build(&tmp.0);
+            let cut = (cut_frac * total_len as f64).round() as u64;
 
-    #[test]
-    fn truncate_anywhere_reopen_recovers_longest_durable_prefix(cut_frac in 0.0f64..=1.0) {
-        let tmp = TempDir::new("cut");
-        let (boundaries, total_len) = build(&tmp.0);
-        let cut = (cut_frac * total_len as f64).round() as u64;
+            // Reference contents of the intact store.
+            let (full, _) = SegmentStore::open(&tmp.0).unwrap();
+            let full_events = full.events().unwrap();
+            let full_reports = full.reports().unwrap();
+            drop(full);
 
-        // Reference contents of the intact store.
-        let (full, _) = SegmentStore::open(&tmp.0).unwrap();
-        let full_events = full.events().unwrap();
-        let full_reports = full.reports().unwrap();
-        drop(full);
+            // Simulate the crash: everything past `cut` never reached disk.
+            let seg = tmp.0.join(boundaries_file(&tmp.0));
+            let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+            f.set_len(cut).unwrap();
+            drop(f);
 
-        // Simulate the crash: everything past `cut` never reached disk.
-        let seg = tmp.0.join(&boundaries_file(&tmp.0));
-        let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(cut).unwrap();
-        drop(f);
+            let (want_events, want_reports, durable) = boundaries
+                .iter()
+                .rev()
+                .find(|(end, _, _)| *end <= cut)
+                .map_or((0, 0, 0), |&(end, e, r)| (e, r, end));
 
-        let (want_events, want_reports, durable) = boundaries
-            .iter()
-            .rev()
-            .find(|(end, _, _)| *end <= cut)
-            .map_or((0, 0, 0), |&(end, e, r)| (e, r, end));
+            let (store, report) = SegmentStore::open(&tmp.0).unwrap();
+            assert_eq!(store.events().unwrap(), full_events[..want_events].to_vec());
+            assert_eq!(
+                store.reports().unwrap(),
+                full_reports[..want_reports].to_vec()
+            );
+            assert_eq!(report.torn_bytes, cut - durable);
+            assert_eq!(report.truncated_segments, usize::from(cut != durable));
+            assert_eq!(store.segments()[0].committed_len, durable);
+            drop(store);
 
-        let (store, report) = SegmentStore::open(&tmp.0).unwrap();
-        prop_assert_eq!(store.events().unwrap(), full_events[..want_events].to_vec());
-        prop_assert_eq!(store.reports().unwrap(), full_reports[..want_reports].to_vec());
-        prop_assert_eq!(report.torn_bytes, cut - durable);
-        prop_assert_eq!(report.truncated_segments, usize::from(cut != durable));
-        prop_assert_eq!(store.segments()[0].committed_len, durable);
-        drop(store);
+            // Recovery is idempotent: the second open finds nothing to fix.
+            let (store, report) = SegmentStore::open(&tmp.0).unwrap();
+            assert_eq!(report.torn_bytes, 0);
+            assert_eq!(report.truncated_segments, 0);
 
-        // Recovery is idempotent: the second open finds nothing to fix.
-        let (store, report) = SegmentStore::open(&tmp.0).unwrap();
-        prop_assert_eq!(report.torn_bytes, 0);
-        prop_assert_eq!(report.truncated_segments, 0);
-
-        // Life goes on: the store accepts appends after recovery.
-        let mut store = store;
-        let extra = event_row(9, 999, 1234);
-        store.append_events(&[extra]).unwrap();
-        store.sync().unwrap();
-        drop(store);
-        let (store, _) = SegmentStore::open(&tmp.0).unwrap();
-        let mut want = full_events[..want_events].to_vec();
-        want.push(extra);
-        prop_assert_eq!(store.events().unwrap(), want);
-    }
+            // Life goes on: the store accepts appends after recovery.
+            let mut store = store;
+            let extra = event_row(9, 999, 1234);
+            store.append_events(&[extra]).unwrap();
+            store.sync().unwrap();
+            drop(store);
+            let (store, _) = SegmentStore::open(&tmp.0).unwrap();
+            let mut want = full_events[..want_events].to_vec();
+            want.push(extra);
+            assert_eq!(store.events().unwrap(), want);
+        },
+    );
 }
 
 /// The single segment file's name (recovery must not depend on us knowing
@@ -205,9 +207,9 @@ fn manifest_behind_file_keeps_scanned_blocks() {
     // happened, leaving valid blocks past the recorded boundary.
     let manifest_path = tmp.0.join("MANIFEST.json");
     let text = std::fs::read_to_string(&manifest_path).unwrap();
-    let mut doc: serde_json::Value = serde_json::from_str(&text).unwrap();
-    doc["segments"][0]["committed_len"] = serde_json::json!(8);
-    std::fs::write(&manifest_path, serde_json::to_vec(&doc).unwrap()).unwrap();
+    let mut doc: Manifest = json::decode(text.as_bytes()).unwrap();
+    doc.segments[0].committed_len = 8;
+    std::fs::write(&manifest_path, doc.to_json().to_compact().unwrap()).unwrap();
 
     let (store, report) = SegmentStore::open(&tmp.0).unwrap();
     assert_eq!(store.events().unwrap(), full_events);

@@ -8,8 +8,8 @@ use eventlog::logger::{LocalLog, LogEntry};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use eventlog::{Event, EventKind, PacketId, TS_NONE};
+use netsim::prop::check;
 use netsim::NodeId;
-use proptest::prelude::*;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_store::{SegmentStore, StoreCheckpoint};
 use refill_stream::{
@@ -183,25 +183,16 @@ fn checkpointed_run_matches_plain_run_and_store_holds_everything() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(24),
-        ..ProptestConfig::default()
-    })]
-
-    /// Kill a checkpointed run after `k` absorbed records (no final
-    /// flush, no final sync — only what report-emission syncs made
-    /// durable survives), then resume over the same input. The resumed
-    /// run's final reports are byte-identical to an uninterrupted run.
-    #[test]
-    fn killed_run_resumes_byte_identical(
-        packets in 1u32..10,
-        kill_frac in 0.0f64..=1.0,
-        cadence in 1usize..6,
-    ) {
+/// Kill a checkpointed run after `k` absorbed records (no final
+/// flush, no final sync — only what report-emission syncs made
+/// durable survives), then resume over the same input. The resumed
+/// run's final reports are byte-identical to an uninterrupted run.
+#[test]
+fn killed_run_resumes_byte_identical() {
+    check("killed_run_resumes_byte_identical", 24, &[], |rng| {
+        let packets = rng.gen_range(1..10u32);
+        let kill_frac = rng.gen_range(0.0..=1.0);
+        let cadence = rng.gen_range(1..6usize);
         let (logs, records) = day_records(packets);
         let bytes = encode_records(records.iter());
         let uninterrupted = recon().reconstruct_log(&merge_logs(&logs));
@@ -235,7 +226,7 @@ proptest! {
         let (store, _) = SegmentStore::open(&tmp.0).unwrap();
         let mut ckpt = StoreCheckpoint::new(store);
         let durable = ckpt.store().total_events();
-        prop_assert!(durable <= k as u64, "store cannot hold unabsorbed records");
+        assert!(durable <= k as u64, "store cannot hold unabsorbed records");
         let mut stream = StreamReconstructor::with_config(recon(), stream_config());
         for rec in ckpt.resume_records().unwrap() {
             stream.ingest(rec);
@@ -250,22 +241,19 @@ proptest! {
         .unwrap();
         let store = ckpt.finish().unwrap();
 
-        prop_assert_eq!(&summary.reports, &uninterrupted);
-        prop_assert_eq!(
+        assert_eq!(&summary.reports, &uninterrupted);
+        assert_eq!(
             format!("{:#?}", &summary.reports),
             format!("{uninterrupted:#?}")
         );
 
         // The resumed store converges to the full record sequence too.
         let rows = store.events().unwrap();
-        prop_assert_eq!(rows.len(), records.len());
+        assert_eq!(rows.len(), records.len());
         for (row, rec) in rows.iter().zip(&records) {
-            prop_assert_eq!(row.0.unpack(), rec.entry.event);
-            prop_assert_eq!(row.1, rec.entry.local_ts.unwrap_or(TS_NONE));
+            assert_eq!(row.0.unpack(), rec.entry.event);
+            assert_eq!(row.1, rec.entry.local_ts.unwrap_or(TS_NONE));
         }
-        prop_assert_eq!(
-            rehydrated_sorted(&store),
-            sorted_by_packet(summary.reports)
-        );
-    }
+        assert_eq!(rehydrated_sorted(&store), sorted_by_packet(summary.reports));
+    });
 }

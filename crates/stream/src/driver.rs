@@ -286,7 +286,7 @@ where
 
     let reports = stream.finish();
     if ckpt_error.is_none() {
-        if let Some(ckpt) = checkpoint.as_deref_mut() {
+        if let Some(ckpt) = checkpoint {
             // The converged final set — the durable store's last word on
             // every packet, superseding any rolling emissions.
             if let Err(e) = ckpt.on_reports(&reports).and_then(|()| ckpt.sync()) {

@@ -31,11 +31,11 @@ use eventlog::columnar::PackedEvent;
 use eventlog::frame::NodeRecord;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
 use eventlog::{Event, PacketId};
+use netsim::fx::FxHashMap;
 use netsim::NodeId;
 use refill::parallel::{available_workers, par_map};
 use refill::telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
 use refill::{PacketReport, Reconstructor};
-use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 

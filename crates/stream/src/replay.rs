@@ -10,8 +10,8 @@
 //! fast as the sink accepts, which is what tests and benchmarks use.
 
 use eventlog::frame::{encode_records, NodeRecord};
+use netsim::fx::FxHashMap;
 use netsim::NodeId;
-use rustc_hash::FxHashMap;
 use std::time::{Duration, Instant};
 
 /// A paced record source.

@@ -8,8 +8,8 @@ use eventlog::logger::{LocalLog, LogEntry};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use eventlog::{Event, EventKind, PacketId};
+use netsim::prop::{check, vec_of};
 use netsim::NodeId;
-use proptest::prelude::*;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_stream::{StreamConfig, StreamReconstructor};
 
@@ -124,7 +124,7 @@ fn stream_chunked(
         while let Some(rec) = decoder.next_record() {
             stream.ingest(rec);
             absorbed += 1;
-            if absorbed % poll_every.max(1) == 0 {
+            if absorbed.is_multiple_of(poll_every.max(1)) {
                 let _ = stream.poll();
             }
         }
@@ -134,44 +134,46 @@ fn stream_chunked(
     stream.finish()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// THE streaming contract: any per-node-order-preserving interleaving,
+/// any wire chunking, any (aggressive) lateness and poll cadence —
+/// after the final flush the reports are byte-identical to batch.
+#[test]
+fn streaming_equals_batch_under_permutation_and_chunking() {
+    check(
+        "streaming_equals_batch_under_permutation_and_chunking",
+        32,
+        &[],
+        |rng| {
+            let packets = rng.gen_range(1..10);
+            let drops = vec_of(rng, 0..10, |rng| rng.gen_range(0..8u8));
+            let picks = vec_of(rng, 1..48, |rng| rng.gen_range(0..3usize));
+            let chunks = vec_of(rng, 1..12, |rng| rng.gen_range(1..64usize));
+            let (lateness_records, poll_every) = (rng.gen_range(1..4), rng.gen_range(1..8));
+            let logs = day_logs(packets, &drops);
+            let records = interleave(&logs, &picks);
+            let streamed = stream_chunked(&records, &chunks, lateness_records, poll_every);
+            let batch = batch_reports(&logs);
+            assert_eq!(&streamed, &batch);
+            // "Byte-identical": the rendered reports match exactly too.
+            assert_eq!(format!("{streamed:#?}"), format!("{batch:#?}"));
+        },
+    );
+}
 
-    /// THE streaming contract: any per-node-order-preserving interleaving,
-    /// any wire chunking, any (aggressive) lateness and poll cadence —
-    /// after the final flush the reports are byte-identical to batch.
-    #[test]
-    fn streaming_equals_batch_under_permutation_and_chunking(
-        packets in 1u32..10,
-        drops in proptest::collection::vec(0u8..8, 0..10),
-        picks in proptest::collection::vec(0usize..3, 1..48),
-        chunks in proptest::collection::vec(1usize..64, 1..12),
-        lateness_records in 1u64..4,
-        poll_every in 1usize..8,
-    ) {
-        let logs = day_logs(packets, &drops);
-        let records = interleave(&logs, &picks);
-        let streamed = stream_chunked(&records, &chunks, lateness_records, poll_every);
-        let batch = batch_reports(&logs);
-        prop_assert_eq!(&streamed, &batch);
-        // "Byte-identical": the rendered reports match exactly too.
-        prop_assert_eq!(format!("{streamed:#?}"), format!("{batch:#?}"));
-    }
-
-    /// Two different interleavings of the same day agree with each other
-    /// (a direct read on arrival-order insensitivity).
-    #[test]
-    fn two_interleavings_agree(
-        packets in 1u32..8,
-        drops in proptest::collection::vec(0u8..8, 0..8),
-        picks_a in proptest::collection::vec(0usize..3, 1..32),
-        picks_b in proptest::collection::vec(0usize..3, 1..32),
-    ) {
+/// Two different interleavings of the same day agree with each other
+/// (a direct read on arrival-order insensitivity).
+#[test]
+fn two_interleavings_agree() {
+    check("two_interleavings_agree", 32, &[], |rng| {
+        let packets = rng.gen_range(1..8);
+        let drops = vec_of(rng, 0..8, |rng| rng.gen_range(0..8u8));
+        let picks_a = vec_of(rng, 1..32, |rng| rng.gen_range(0..3usize));
+        let picks_b = vec_of(rng, 1..32, |rng| rng.gen_range(0..3usize));
         let logs = day_logs(packets, &drops);
         let a = stream_chunked(&interleave(&logs, &picks_a), &[17], 1, 3);
         let b = stream_chunked(&interleave(&logs, &picks_b), &[5], 2, 5);
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
 }
 
 /// A deterministic worst case: every node's log arrives whole, one after

@@ -22,7 +22,8 @@
 //! is an array index plus a relaxed `fetch_add`, and a typo in a metric name
 //! is a compile error, not a silently empty series.
 
-use serde::{Deserialize, Serialize};
+use netsim::json::ToJson;
+use netsim::json_struct;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -590,7 +591,7 @@ impl Drop for StageTimer<'_> {
 }
 
 /// One counter in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Stable snake_case metric name.
     pub name: String,
@@ -599,7 +600,7 @@ pub struct CounterSnapshot {
 }
 
 /// One stage's accumulated timing in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSnapshot {
     /// Stable snake_case stage name.
     pub name: String,
@@ -613,16 +614,12 @@ pub struct StageSnapshot {
 impl StageSnapshot {
     /// Mean span duration in nanoseconds (zero when no spans completed).
     pub fn mean_ns(&self) -> u64 {
-        if self.calls == 0 {
-            0
-        } else {
-            self.total_ns / self.calls
-        }
+        self.total_ns.checked_div(self.calls).unwrap_or(0)
     }
 }
 
 /// One populated bucket of a histogram snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketSnapshot {
     /// Inclusive upper bound of the bucket.
     pub le: u64,
@@ -631,7 +628,7 @@ pub struct BucketSnapshot {
 }
 
 /// One histogram in a snapshot (only populated buckets are kept).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Stable snake_case metric name.
     pub name: String,
@@ -657,7 +654,7 @@ impl HistogramSnapshot {
 }
 
 /// A point-in-time copy of everything a recorder collected.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// All counters, including zeros (stable set, stable order).
     pub counters: Vec<CounterSnapshot>,
@@ -666,6 +663,26 @@ pub struct TelemetrySnapshot {
     /// All histograms, including empty ones.
     pub histograms: Vec<HistogramSnapshot>,
 }
+
+json_struct!(CounterSnapshot { name, value });
+json_struct!(StageSnapshot {
+    name,
+    calls,
+    total_ns
+});
+json_struct!(BucketSnapshot { le, count });
+json_struct!(HistogramSnapshot {
+    name,
+    count,
+    sum,
+    max,
+    buckets
+});
+json_struct!(TelemetrySnapshot {
+    counters,
+    stages,
+    histograms
+});
 
 impl TelemetrySnapshot {
     /// Value of a counter by name (zero if absent).
@@ -689,9 +706,11 @@ impl TelemetrySnapshot {
     }
 
     /// Pretty-printed JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut body =
-            serde_json::to_string_pretty(self).expect("snapshot has no non-serializable values");
+    pub fn render_json(&self) -> String {
+        let mut body = self
+            .to_json()
+            .to_pretty()
+            .expect("a snapshot holds no floats");
         body.push('\n');
         body
     }
@@ -1009,8 +1028,8 @@ mod tests {
         rec.record_stage(Stage::Transition, 1_500_000);
         rec.observe(Hist::GroupEvents, 9);
         let snap = rec.snapshot();
-        let json = snap.to_json();
-        let back: TelemetrySnapshot = serde_json::from_str(&json).expect("valid JSON");
+        let back: TelemetrySnapshot =
+            netsim::json::decode(snap.render_json().as_bytes()).expect("a snapshot, in valid JSON");
         assert_eq!(back, snap);
         assert_eq!(back.counter("cache_hits"), 42);
         assert_eq!(back.stage("transition").map(|s| s.total_ns), Some(1_500_000));

@@ -1,13 +1,13 @@
 //! The fault injectors: frame-stream mangling, failing/stalling readers,
 //! and a fault-injecting [`Vfs`] for the store.
 //!
-//! Every injector is driven by a [`TestRng`] stream forked from the plan
+//! Every injector is driven by a [`Rng`] stream forked from the plan
 //! seed, so the exact bytes corrupted, the exact read that errors, and the
 //! exact write that tears are pure functions of `(seed, spec)`.
 
 use crate::plan::FaultSpec;
-use crate::rng::TestRng;
 use eventlog::frame::{encode_record, NodeRecord};
+use netsim::Rng;
 use refill_store::segment::{BLOCK_MAGIC, BLOCK_HEADER_LEN};
 use refill_store::{OsVfs, Vfs, VfsFile};
 use std::io::{self, Read};
@@ -32,52 +32,67 @@ impl MangleReport {
     }
 }
 
+/// XOR a 1–4 byte burst with a nonzero mask into `bytes` at a seeded
+/// offset. `bytes` must not be empty.
+pub fn xor_burst(rng: &mut Rng, bytes: &mut [u8]) {
+    let burst = rng.gen_range(1..5).min(bytes.len());
+    let at = rng.gen_range(0..bytes.len() - burst + 1);
+    let mut mask = [0u8; 4];
+    while mask.iter().all(|&m| m == 0) {
+        let bits = rng.next_u64();
+        for (i, m) in mask.iter_mut().enumerate().take(burst) {
+            *m = (bits >> (8 * i)) as u8;
+        }
+    }
+    for i in 0..burst {
+        bytes[at + i] ^= mask[i];
+    }
+}
+
+/// Append a run of 1–23 seeded garbage bytes to `out`.
+pub fn garbage_run(rng: &mut Rng, out: &mut Vec<u8>) {
+    for _ in 0..rng.gen_range(1..24) {
+        out.push((rng.next_u64() & 0xFF) as u8);
+    }
+}
+
+/// Cut a seeded 1–24 bytes (at most everything) off the end of `bytes`,
+/// which must not be empty.
+pub fn truncate_tail(rng: &mut Rng, bytes: &mut Vec<u8>) {
+    let cut = rng.gen_range(1..24.min(bytes.len()) + 1);
+    bytes.truncate(bytes.len() - cut);
+}
+
 /// Encode `records` as a frame stream with seeded faults applied.
 ///
-/// Corruption is a 1–4 byte XOR burst with a nonzero mask confined to one
-/// frame. CRC-32 detects every burst of ≤ 32 bits inside the checked
-/// region, and a burst on the magic or CRC bytes makes the frame
-/// undecodable outright — so a corrupted frame is always *lost*, never
-/// silently altered. Garbage runs land between frames; truncation cuts
-/// the stream mid-record at a seeded point.
+/// Corruption is an [`xor_burst`] confined to one frame. CRC-32 detects
+/// every burst of ≤ 32 bits inside the checked region, and a burst on the
+/// magic or CRC bytes makes the frame undecodable outright — so a
+/// corrupted frame is always *lost*, never silently altered. A
+/// [`garbage_run`] lands between frames; [`truncate_tail`] cuts the stream
+/// mid-record (at least one byte, at most one whole trailing frame's
+/// worth).
 pub fn mangle_frames(
-    rng: &mut TestRng,
+    rng: &mut Rng,
     spec: &FaultSpec,
     records: &[NodeRecord],
 ) -> (Vec<u8>, MangleReport) {
     let mut out = Vec::new();
     let mut report = MangleReport::default();
     for rec in records {
-        if spec.frame_garbage > 0.0 && rng.chance(spec.frame_garbage) {
-            let len = rng.range_usize(1, 24);
-            for _ in 0..len {
-                out.push((rng.next_u64() & 0xFF) as u8);
-            }
+        if spec.frame_garbage > 0.0 && rng.gen_bool(spec.frame_garbage) {
+            garbage_run(rng, &mut out);
             report.garbage_runs += 1;
         }
         let start = out.len();
         encode_record(rec, &mut out);
-        if spec.frame_corrupt > 0.0 && rng.chance(spec.frame_corrupt) {
-            let frame_len = out.len() - start;
-            let burst = rng.range_usize(1, 5).min(frame_len);
-            let at = start + rng.range_usize(0, frame_len - burst + 1);
-            let mut mask = [0u8; 4];
-            while mask.iter().all(|&m| m == 0) {
-                let bits = rng.next_u64();
-                for (i, m) in mask.iter_mut().enumerate().take(burst) {
-                    *m = (bits >> (8 * i)) as u8;
-                }
-            }
-            for i in 0..burst {
-                out[at + i] ^= mask[i];
-            }
+        if spec.frame_corrupt > 0.0 && rng.gen_bool(spec.frame_corrupt) {
+            xor_burst(rng, &mut out[start..]);
             report.corrupted_frames += 1;
         }
     }
-    if !out.is_empty() && spec.frame_truncate > 0.0 && rng.chance(spec.frame_truncate) {
-        // Cut at least one byte, at most one whole trailing frame's worth.
-        let cut = rng.range_usize(1, 24.min(out.len()) + 1);
-        out.truncate(out.len() - cut);
+    if !out.is_empty() && spec.frame_truncate > 0.0 && rng.gen_bool(spec.frame_truncate) {
+        truncate_tail(rng, &mut out);
         report.truncated = 1;
     }
     (out, report)
@@ -92,12 +107,12 @@ pub struct FaultyReader {
     fail_at: usize,
     fail: bool,
     stall: bool,
-    rng: TestRng,
+    rng: Rng,
 }
 
 impl FaultyReader {
     /// A clean reader over `data` (optionally stalling: 1–7 byte reads).
-    pub fn clean(data: Vec<u8>, stall: bool, rng: TestRng) -> FaultyReader {
+    pub fn clean(data: Vec<u8>, stall: bool, rng: Rng) -> FaultyReader {
         let fail_at = data.len();
         FaultyReader {
             data,
@@ -110,7 +125,7 @@ impl FaultyReader {
     }
 
     /// A reader that delivers exactly `data[..fail_at]` then errors.
-    pub fn failing(data: Vec<u8>, fail_at: usize, stall: bool, rng: TestRng) -> FaultyReader {
+    pub fn failing(data: Vec<u8>, fail_at: usize, stall: bool, rng: Rng) -> FaultyReader {
         let fail_at = fail_at.min(data.len());
         FaultyReader {
             data,
@@ -136,7 +151,7 @@ impl Read for FaultyReader {
         }
         let remaining = self.fail_at - self.pos;
         let want = if self.stall {
-            self.rng.range_usize(1, 8)
+            self.rng.gen_range(1..8)
         } else {
             buf.len()
         };
@@ -151,7 +166,7 @@ impl Read for FaultyReader {
 enum Trigger {
     /// Seeded per-operation probabilities.
     Probabilistic {
-        rng: TestRng,
+        rng: Rng,
         write: f64,
         sync: f64,
         rename: f64,
@@ -195,7 +210,7 @@ impl VfsState {
         let hit = match &mut self.trigger {
             Trigger::Probabilistic { rng, write, .. } => {
                 let p = *write;
-                rng.chance(p)
+                rng.gen_bool(p)
             }
             Trigger::AtMutatingOp(n) => {
                 let n = *n;
@@ -220,7 +235,7 @@ impl VfsState {
                 rng, sync, rename, ..
             } => {
                 let p = if kind == "rename" { *rename } else { *sync };
-                rng.chance(p)
+                rng.gen_bool(p)
             }
             Trigger::AtMutatingOp(n) => {
                 let n = *n;
@@ -260,7 +275,7 @@ impl FaultyVfs {
     }
 
     /// Seeded per-operation fault probabilities.
-    pub fn probabilistic(rng: TestRng, write: f64, sync: f64, rename: f64) -> Arc<FaultyVfs> {
+    pub fn probabilistic(rng: Rng, write: f64, sync: f64, rename: f64) -> Arc<FaultyVfs> {
         Self::with_trigger(Trigger::Probabilistic {
             rng,
             write,
@@ -433,6 +448,7 @@ impl Vfs for FaultyVfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
     use eventlog::frame::decode_all;
     use eventlog::logger::LogEntry;
     use eventlog::{Event, EventKind, PacketId};
@@ -460,11 +476,11 @@ mod tests {
     fn mangling_is_seed_deterministic() {
         let records = recs(30);
         let spec = FaultSpec::heavy();
-        let (a, ra) = mangle_frames(&mut TestRng::new(5).fork("frames"), &spec, &records);
-        let (b, rb) = mangle_frames(&mut TestRng::new(5).fork("frames"), &spec, &records);
+        let (a, ra) = mangle_frames(&mut FaultPlan::new(5, spec).lane("frames"), &spec, &records);
+        let (b, rb) = mangle_frames(&mut FaultPlan::new(5, spec).lane("frames"), &spec, &records);
         assert_eq!(a, b);
         assert_eq!(ra, rb);
-        let (c, _) = mangle_frames(&mut TestRng::new(6).fork("frames"), &spec, &records);
+        let (c, _) = mangle_frames(&mut FaultPlan::new(6, spec).lane("frames"), &spec, &records);
         assert_ne!(a, c, "different seeds mangle differently");
     }
 
@@ -478,8 +494,11 @@ mod tests {
                 frame_corrupt: 0.3,
                 ..FaultSpec::none()
             };
-            let (bytes, report) =
-                mangle_frames(&mut TestRng::new(seed).fork("frames"), &spec, &records);
+            let (bytes, report) = mangle_frames(
+                &mut FaultPlan::new(seed, spec).lane("frames"),
+                &spec,
+                &records,
+            );
             let (decoded, stats) = decode_all(&bytes);
             assert_eq!(
                 decoded.len() as u64 + report.corrupted_frames,
@@ -506,8 +525,7 @@ mod tests {
     #[test]
     fn no_faults_means_identity() {
         let records = recs(10);
-        let (bytes, report) =
-            mangle_frames(&mut TestRng::new(1), &FaultSpec::none(), &records);
+        let (bytes, report) = mangle_frames(&mut Rng::new(1), &FaultSpec::none(), &records);
         assert_eq!(report.injected(), 0);
         let (decoded, stats) = decode_all(&bytes);
         assert_eq!(decoded, records);
@@ -517,7 +535,7 @@ mod tests {
     #[test]
     fn failing_reader_delivers_exact_prefix_then_errors() {
         let data: Vec<u8> = (0..=255).collect();
-        let mut reader = FaultyReader::failing(data.clone(), 100, true, TestRng::new(9));
+        let mut reader = FaultyReader::failing(data.clone(), 100, true, Rng::new(9));
         let mut got = Vec::new();
         let err = std::io::Read::read_to_end(&mut reader, &mut got).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);

@@ -6,13 +6,14 @@
 //! converges on the *same* reports for whatever records survived. This
 //! crate turns that claim into a machine-checkable oracle:
 //!
-//! * [`TestRng`] / [`FaultPlan`] — a seeded SplitMix64 stream forked into
-//!   independent per-boundary lanes, so every fault decision is a pure
-//!   function of one printable seed;
+//! * [`FaultPlan`] — one printable seed split into independent
+//!   per-boundary lanes of [`netsim::Rng`] (`RngFactory` streams labelled by
+//!   boundary), so every fault decision is a pure function of that seed;
 //! * [`FaultSpec`] — per-boundary fault rates, parseable from the CLI's
 //!   `--faults` string and rendered back for reproduction lines;
 //! * [`faults`] — the injectors: [`mangle_frames`] (CRC-detectable XOR
-//!   bursts, garbage runs, mid-record truncation), [`FaultyReader`]
+//!   bursts, garbage runs, mid-record truncation — each also a byte-level
+//!   mangler of its own for other parsers' never-panic tests), [`FaultyReader`]
 //!   (IO errors and pathological chunking), [`FaultyVfs`] (torn writes,
 //!   failed fsyncs, failed renames behind the store's [`refill_store::Vfs`]
 //!   seam);
@@ -31,13 +32,13 @@
 pub mod conformance;
 pub mod faults;
 pub mod plan;
-pub mod rng;
 pub mod scenario;
 pub mod soak;
 
 pub use conformance::{run_case, CaseOutcome, ConformanceError, survivor_logs, TempDir};
-pub use faults::{mangle_frames, FaultyReader, FaultyVfs, MangleReport};
+pub use faults::{
+    garbage_run, mangle_frames, truncate_tail, xor_burst, FaultyReader, FaultyVfs, MangleReport,
+};
 pub use plan::{FaultPlan, FaultSpec};
-pub use rng::TestRng;
 pub use scenario::{gen_logs, upload_interleave, ScenarioReport};
 pub use soak::{run_soak, SoakConfig, SoakReport};

@@ -6,7 +6,7 @@
 //! of the plan, so any failure reproduces from the printed seed and spec
 //! alone.
 
-use crate::rng::TestRng;
+use netsim::{Rng, RngFactory};
 
 /// Per-boundary fault rates. All probabilities are per-opportunity (per
 /// frame, per record, per filesystem operation), in `[0, 1]`.
@@ -193,8 +193,8 @@ impl FaultPlan {
 
     /// The independent RNG stream for one fault lane (`"scenario"`,
     /// `"frames"`, `"reader"`, `"store"`, …).
-    pub fn lane(&self, tag: &str) -> TestRng {
-        TestRng::new(self.seed).fork(tag)
+    pub fn lane(&self, tag: &str) -> Rng {
+        RngFactory::new(self.seed).stream(tag, 0)
     }
 }
 

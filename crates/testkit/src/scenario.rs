@@ -4,18 +4,17 @@
 //!
 //! The generator is deliberately lighter than the `citysee` campaign
 //! simulator — a conformance case must be cheap enough to run hundreds of
-//! times under proptest — but it produces the same *shapes* the paper's
+//! times under the property runner — but it produces the same *shapes* the paper's
 //! deployment produces: packets hopping a chain of nodes toward a sink,
 //! each hop logging `Trans`/`Recv`/`AckRecvd` with per-node clocks, some
 //! nodes logging no timestamps at all (forcing the round-robin merge
 //! fallback), and per-hop event loss.
 
 use crate::plan::FaultSpec;
-use crate::rng::TestRng;
 use eventlog::frame::NodeRecord;
 use eventlog::logger::{LocalLog, LogEntry};
 use eventlog::{Event, EventKind, PacketId};
-use netsim::NodeId;
+use netsim::{NodeId, Rng};
 
 /// Shape counters for one generated scenario.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,9 +43,9 @@ impl ScenarioReport {
 /// hop toward node `k`. Each node's entries are appended in its own local
 /// time order (per-node order is the merge invariant); cross-node clocks
 /// disagree by up to `spec.clock_skew_us`.
-pub fn gen_logs(rng: &mut TestRng, spec: &FaultSpec) -> (Vec<LocalLog>, ScenarioReport) {
-    let nodes = rng.range(2, 7) as u16;
-    let packets = rng.range(1, 16) as u32;
+pub fn gen_logs(rng: &mut Rng, spec: &FaultSpec) -> (Vec<LocalLog>, ScenarioReport) {
+    let nodes: u16 = rng.gen_range(2..7);
+    let packets: u32 = rng.gen_range(1..16);
     let mut report = ScenarioReport {
         nodes,
         packets,
@@ -60,11 +59,11 @@ pub fn gen_logs(rng: &mut TestRng, spec: &FaultSpec) -> (Vec<LocalLog>, Scenario
             if spec.clock_skew_us == 0 {
                 0
             } else {
-                rng.range(0, spec.clock_skew_us + 1)
+                rng.gen_range(0..spec.clock_skew_us + 1)
             }
         })
         .collect();
-    let untimed: Vec<bool> = (0..nodes).map(|_| rng.chance(0.25)).collect();
+    let untimed: Vec<bool> = (0..nodes).map(|_| rng.gen_bool(0.25)).collect();
 
     let mut logs: Vec<LocalLog> = (1..=nodes)
         .map(|i| LocalLog {
@@ -73,15 +72,15 @@ pub fn gen_logs(rng: &mut TestRng, spec: &FaultSpec) -> (Vec<LocalLog>, Scenario
         })
         .collect();
 
-    let mut push = |logs: &mut Vec<LocalLog>,
-                    report: &mut ScenarioReport,
-                    rng: &mut TestRng,
-                    node_idx: usize,
-                    kind: EventKind,
-                    packet: PacketId,
-                    base_ts: u64| {
+    let push = |logs: &mut Vec<LocalLog>,
+                report: &mut ScenarioReport,
+                rng: &mut Rng,
+                node_idx: usize,
+                kind: EventKind,
+                packet: PacketId,
+                base_ts: u64| {
         let node = NodeId(node_idx as u16 + 1);
-        let ts = if untimed[node_idx] || rng.chance(0.1) {
+        let ts = if untimed[node_idx] || rng.gen_bool(0.1) {
             None
         } else {
             Some(base_ts + skews[node_idx])
@@ -91,7 +90,7 @@ pub fn gen_logs(rng: &mut TestRng, spec: &FaultSpec) -> (Vec<LocalLog>, Scenario
             local_ts: ts,
         };
         logs[node_idx].entries.push(entry);
-        if rng.chance(spec.dup_records) {
+        if rng.gen_bool(spec.dup_records) {
             logs[node_idx].entries.push(entry);
             report.duplicated += 1;
         }
@@ -105,7 +104,7 @@ pub fn gen_logs(rng: &mut TestRng, spec: &FaultSpec) -> (Vec<LocalLog>, Scenario
             // this packet's journey (intrinsic lossiness, not a fault).
             push(&mut logs, &mut report, rng, hop, EventKind::Trans { to: NodeId(hop as u16 + 2) }, p, t);
             t += 50;
-            if rng.chance(0.15) {
+            if rng.gen_bool(0.15) {
                 break;
             }
             push(
@@ -118,7 +117,7 @@ pub fn gen_logs(rng: &mut TestRng, spec: &FaultSpec) -> (Vec<LocalLog>, Scenario
                 t,
             );
             t += 50;
-            if rng.chance(0.8) {
+            if rng.gen_bool(0.8) {
                 push(
                     &mut logs,
                     &mut report,
@@ -139,7 +138,7 @@ pub fn gen_logs(rng: &mut TestRng, spec: &FaultSpec) -> (Vec<LocalLog>, Scenario
 /// per-node order (the only invariant merging relies on) while letting
 /// seeded "late" nodes withhold their next records for a few rounds.
 pub fn upload_interleave(
-    rng: &mut TestRng,
+    rng: &mut Rng,
     spec: &FaultSpec,
     logs: &[LocalLog],
     report: &mut ScenarioReport,
@@ -158,12 +157,12 @@ pub fn upload_interleave(
                 hold[i] -= 1;
                 continue;
             }
-            if rng.chance(spec.late_records) {
-                hold[i] = rng.range(1, 4) as u32;
+            if rng.gen_bool(spec.late_records) {
+                hold[i] = rng.gen_range(1..4);
                 report.withheld += 1;
                 continue;
             }
-            let burst = rng.range_usize(1, 4).min(log.entries.len() - pos[i]);
+            let burst = rng.gen_range(1..4).min(log.entries.len() - pos[i]);
             for _ in 0..burst {
                 out.push(NodeRecord::new(log.node, log.entries[pos[i]]));
                 pos[i] += 1;
@@ -184,12 +183,13 @@ pub fn upload_interleave(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
 
     #[test]
     fn generation_is_seed_deterministic() {
         let spec = FaultSpec::heavy();
         let gen = |seed: u64| {
-            let mut rng = TestRng::new(seed).fork("scenario");
+            let mut rng = FaultPlan::new(seed, spec).lane("scenario");
             let (logs, mut report) = gen_logs(&mut rng, &spec);
             let records = upload_interleave(&mut rng, &spec, &logs, &mut report);
             (logs, records, report)
@@ -207,7 +207,7 @@ mod tests {
     fn interleave_preserves_per_node_order_and_loses_nothing() {
         for seed in 0..20 {
             let spec = FaultSpec::heavy();
-            let mut rng = TestRng::new(seed);
+            let mut rng = Rng::new(seed);
             let (logs, mut report) = gen_logs(&mut rng, &spec);
             let records = upload_interleave(&mut rng, &spec, &logs, &mut report);
             let total: usize = logs.iter().map(|l| l.entries.len()).sum();
@@ -229,7 +229,7 @@ mod tests {
         // for the partitioned fast path; unordered logs would still be
         // legal, just slower).
         for seed in 0..20 {
-            let mut rng = TestRng::new(seed);
+            let mut rng = Rng::new(seed);
             let (logs, _) = gen_logs(&mut rng, &FaultSpec::heavy());
             for log in &logs {
                 let ts: Vec<u64> = log.entries.iter().filter_map(|e| e.local_ts).collect();

@@ -10,13 +10,14 @@ use eventlog::frame::{encode_records, NodeRecord};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use eventlog::TS_NONE;
+use netsim::Rng;
 use refill::telemetry::NoopRecorder;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
 use refill_stream::{
     run_stream_checkpointed, CheckpointSink, DriverConfig, StreamConfig, StreamReconstructor,
 };
-use refill_testkit::{gen_logs, survivor_logs, upload_interleave, FaultSpec, FaultyVfs, TempDir, TestRng};
+use refill_testkit::{gen_logs, survivor_logs, upload_interleave, FaultSpec, FaultyVfs, TempDir};
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -45,7 +46,7 @@ fn driver_config() -> DriverConfig {
 /// A deterministic record sequence: a faultless scenario's interleave.
 fn fixture(seed: u64) -> Vec<NodeRecord> {
     let spec = FaultSpec::none();
-    let mut rng = TestRng::new(seed);
+    let mut rng = Rng::new(seed);
     let (logs, mut report) = gen_logs(&mut rng, &spec);
     upload_interleave(&mut rng, &spec, &logs, &mut report)
 }

@@ -4,6 +4,7 @@
 
 use citysee::figures::{fig6_daily_causes, fig9_breakdown, render_fig6_csv};
 use citysee::{analyze, run_scenario, Scenario};
+use netsim::json::ToJson;
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::trace::{CtpVocabulary, Reconstructor};
 
@@ -27,8 +28,8 @@ fn campaigns_reproduce_bit_for_bit() {
     let fb = render_fig6_csv(&fig6_daily_causes(&b, &ab));
     assert_eq!(fa, fb);
     assert_eq!(
-        serde_json::to_string(&fig9_breakdown(&a, &aa)).unwrap(),
-        serde_json::to_string(&fig9_breakdown(&b, &ab)).unwrap()
+        fig9_breakdown(&a, &aa).to_json().to_compact().unwrap(),
+        fig9_breakdown(&b, &ab).to_json().to_compact().unwrap()
     );
 }
 
