@@ -23,7 +23,7 @@ pub mod source_view;
 pub mod time_correlation;
 pub mod wit;
 
-pub use naive::{naive_diagnose, NaiveDiagnosis};
+pub use naive::{naive_claim, naive_diagnose, NaiveDiagnosis};
 pub use source_view::{SourceView, SourceViewLoss};
 pub use time_correlation::{correlate_causes, CorrelationConfig, CorrelatedCause};
 pub use wit::{wit_merge, WitMerge};

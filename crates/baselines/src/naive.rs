@@ -6,9 +6,13 @@
 //! events. The paper's Table II cases show exactly how this goes wrong:
 //! in Case 1 it declares the packet lost at node 1 even though node 3
 //! provably received it.
+//!
+//! The rule needs nothing but one packet's events, so it is a function of
+//! that slice ([`naive_claim`]): whoever already walks the log packet by
+//! packet — `citysee::analyze` does — asks it there, and
+//! [`naive_diagnose`] is the packet index plus that function.
 
 use eventlog::{Event, EventKind, MergedLog, PacketId};
-use netsim::fx::FxHashMap;
 use netsim::NodeId;
 
 /// The naive per-node verdict for one packet.
@@ -23,47 +27,49 @@ pub struct NaiveDiagnosis {
     pub claimed_node: Option<NodeId>,
 }
 
-/// Run the naive analysis on a merged log.
+/// The node the naive analysis blames for losing a packet, given all of
+/// that packet's events in any order.
 ///
-/// Per node and packet, count `trans` versus `ack recvd` events: any node
-/// with more trans than acks "lost" the packet; the lowest such node id is
-/// blamed. A packet with no such node is considered fine.
-pub fn naive_diagnose(merged: &MergedLog) -> Vec<NaiveDiagnosis> {
-    // (packet, node) → (trans, acks)
-    let mut counts: FxHashMap<(PacketId, NodeId), (usize, usize)> = FxHashMap::default();
-    for Event { node, kind, packet } in &merged.events {
-        match kind {
-            EventKind::Trans { .. } => counts.entry((*packet, *node)).or_default().0 += 1,
-            EventKind::AckRecvd { .. } => counts.entry((*packet, *node)).or_default().1 += 1,
-            _ => {}
+/// Per node, count `trans` versus `ack recvd` events: any node with more
+/// trans than acks "lost" the packet; the lowest such node id is blamed.
+/// `None` means the packet is considered fine. A packet touches a handful
+/// of nodes, so the per-node balances are a short list searched linearly.
+pub fn naive_claim(events: &[Event]) -> Option<NodeId> {
+    let mut balances: Vec<(NodeId, isize)> = Vec::new();
+    for e in events {
+        let delta = match e.kind {
+            EventKind::Trans { .. } => 1,
+            EventKind::AckRecvd { .. } => -1,
+            _ => continue,
+        };
+        match balances.iter_mut().find(|(node, _)| *node == e.node) {
+            Some((_, balance)) => *balance += delta,
+            None => balances.push((e.node, delta)),
         }
     }
-    let mut verdicts: FxHashMap<PacketId, Option<NodeId>> = FxHashMap::default();
-    for ((packet, node), (trans, acks)) in counts {
-        let slot = verdicts.entry(packet).or_insert(None);
-        if trans > acks {
-            *slot = match *slot {
-                Some(existing) if existing <= node => Some(existing),
-                _ => Some(node),
-            };
-        }
-    }
-    // Packets seen only through non-trans events still get a "not lost"
-    // verdict so the output covers every packet in the log.
-    for ev in &merged.events {
-        verdicts.entry(ev.packet).or_insert(None);
-    }
+    balances
+        .iter()
+        .filter(|(_, balance)| *balance > 0)
+        .map(|(node, _)| *node)
+        .min()
+}
 
-    let mut out: Vec<NaiveDiagnosis> = verdicts
-        .into_iter()
-        .map(|(packet, claimed_node)| NaiveDiagnosis {
-            packet,
-            lost: claimed_node.is_some(),
-            claimed_node,
+/// Run the naive analysis on a merged log: one verdict per packet the log
+/// mentions (a packet seen only through non-trans events is "not lost"),
+/// in packet-id order.
+pub fn naive_diagnose(merged: &MergedLog) -> Vec<NaiveDiagnosis> {
+    merged
+        .packet_index()
+        .iter()
+        .map(|(packet, events)| {
+            let claimed_node = naive_claim(events);
+            NaiveDiagnosis {
+                packet,
+                lost: claimed_node.is_some(),
+                claimed_node,
+            }
         })
-        .collect();
-    out.sort_unstable_by_key(|d| d.packet);
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -155,6 +161,72 @@ mod tests {
         ]);
         let v = naive_diagnose(&merged);
         assert_eq!(v[0].claimed_node, Some(n(2)));
+    }
+
+    /// `naive_diagnose` as it was: two hash maps over the whole log. The
+    /// reference the per-packet function must agree with.
+    fn naive_diagnose_two_maps(merged: &MergedLog) -> Vec<NaiveDiagnosis> {
+        use netsim::fx::FxHashMap;
+        // (packet, node) → (trans, acks)
+        let mut counts: FxHashMap<(PacketId, NodeId), (usize, usize)> = FxHashMap::default();
+        for Event { node, kind, packet } in &merged.events {
+            match kind {
+                EventKind::Trans { .. } => counts.entry((*packet, *node)).or_default().0 += 1,
+                EventKind::AckRecvd { .. } => counts.entry((*packet, *node)).or_default().1 += 1,
+                _ => {}
+            }
+        }
+        let mut verdicts: FxHashMap<PacketId, Option<NodeId>> = FxHashMap::default();
+        for ((packet, node), (trans, acks)) in counts {
+            let slot = verdicts.entry(packet).or_insert(None);
+            if trans > acks {
+                *slot = match *slot {
+                    Some(existing) if existing <= node => Some(existing),
+                    _ => Some(node),
+                };
+            }
+        }
+        // Packets seen only through non-trans events still get a "not lost"
+        // verdict so the output covers every packet in the log.
+        for ev in &merged.events {
+            verdicts.entry(ev.packet).or_insert(None);
+        }
+
+        let mut out: Vec<NaiveDiagnosis> = verdicts
+            .into_iter()
+            .map(|(packet, claimed_node)| NaiveDiagnosis {
+                packet,
+                lost: claimed_node.is_some(),
+                claimed_node,
+            })
+            .collect();
+        out.sort_unstable_by_key(|d| d.packet);
+        out
+    }
+
+    #[test]
+    fn per_packet_verdicts_equal_the_two_map_analysis() {
+        netsim::prop::check("naive_claim_equals_two_maps", 64, &[], |rng| {
+            // Few nodes and packets: retransmissions, acks without a trans,
+            // several unacked senders per packet, and packets that show up
+            // through a recv or an enqueue only.
+            let events = netsim::prop::vec_of(rng, 0..120, |rng| {
+                let peer = n(rng.gen_range(0..5u16));
+                let kind = match rng.gen_range(0..6u32) {
+                    0 | 1 => EventKind::Trans { to: peer },
+                    2 | 3 => EventKind::AckRecvd { to: peer },
+                    4 => EventKind::Recv { from: peer },
+                    _ => EventKind::Enqueue,
+                };
+                Event::new(
+                    n(rng.gen_range(0..5u16)),
+                    kind,
+                    pid(rng.gen_range(0..12u32)),
+                )
+            });
+            let merged = MergedLog { events };
+            assert_eq!(naive_diagnose(&merged), naive_diagnose_two_maps(&merged));
+        });
     }
 
     #[test]

@@ -12,6 +12,19 @@
 //! node 2 are different tuples), so there are no common events and every
 //! log is its own island. That is the motivating observation for REFILL's
 //! correlation-based connection instead.
+//!
+//! # The recording-node pre-pass
+//!
+//! A tuple `(V, L, I)` carries the node `L` it was recorded on, so a tuple
+//! two logs have in common names the same `L` in both. [`wit_merge`] first
+//! walks every log once with a table over the 65 536 node ids (unseen, seen
+//! in log *i* only, seen in several logs) and then joins only the tuples
+//! whose `L` occurs in more than one log. The tuples left out occur in one
+//! log only, and a tuple of one log never merged anything, so the
+//! components are the ones the join over all tuples finds — for any input,
+//! not just typical ones. Local logs have no such `L`: no tuple is hashed
+//! and the merge costs one linear pass. Sniffer logs share almost every
+//! `L` and take the join as Wit describes it.
 
 use eventlog::logger::LocalLog;
 use eventlog::Event;
@@ -64,12 +77,36 @@ pub fn wit_merge(logs: &[LocalLog]) -> WitMerge {
         parent[i]
     }
 
+    // Which log recorded on each node id: 0 = none yet, i + 1 = log i alone,
+    // SHARED = more than one. Only a tuple whose recording node is shared
+    // can occur in two logs (module docs).
+    const SHARED: usize = usize::MAX;
+    let mut recorded_by = vec![0usize; usize::from(u16::MAX) + 1];
+    let mut any_shared = false;
+    for (i, log) in logs.iter().enumerate() {
+        for e in log.events() {
+            let owner = &mut recorded_by[e.node.index()];
+            if *owner == 0 {
+                *owner = i + 1;
+            } else if *owner != i + 1 {
+                *owner = SHARED;
+                any_shared = true;
+            }
+        }
+    }
+
     // Map each distinct event tuple to the first log containing it; a later
     // log containing the same tuple unions with it.
     let mut seen: FxHashMap<Event, usize> = FxHashMap::default();
-    for (i, log) in logs.iter().enumerate() {
+    // With no shared recording node there is nothing to join: skip the
+    // second walk over the logs as well.
+    let joinable = if any_shared { logs } else { &[] };
+    for (i, log) in joinable.iter().enumerate() {
         let mut mine: FxHashSet<Event> = FxHashSet::default();
         for e in log.events() {
+            if recorded_by[e.node.index()] != SHARED {
+                continue; // no other log can hold this tuple
+            }
             if !mine.insert(*e) {
                 continue; // duplicates within one log don't merge anything
             }
@@ -306,6 +343,105 @@ mod tests {
             synthesize_sniffer_logs(&truth_events, &topo, &sniffers, 300.0, 1.0, &mut rng);
         let m = wit_merge(&logs);
         assert!(m.components.len() >= 2);
+    }
+
+    /// The join over every tuple, as `wit_merge` was before the
+    /// recording-node pre-pass: the reference the pre-pass must not change.
+    fn wit_merge_all_tuples(logs: &[LocalLog]) -> WitMerge {
+        let n = logs.len();
+        let mut parent: Vec<usize> = (0..n).collect();
+
+        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
+            if parent[i] != i {
+                let root = find(parent, parent[i]);
+                parent[i] = root;
+            }
+            parent[i]
+        }
+
+        // Map each distinct event tuple to the first log containing it; a later
+        // log containing the same tuple unions with it.
+        let mut seen: FxHashMap<Event, usize> = FxHashMap::default();
+        for (i, log) in logs.iter().enumerate() {
+            let mut mine: FxHashSet<Event> = FxHashSet::default();
+            for e in log.events() {
+                if !mine.insert(*e) {
+                    continue; // duplicates within one log don't merge anything
+                }
+                match seen.entry(*e) {
+                    std::collections::hash_map::Entry::Occupied(o) => {
+                        let a = find(&mut parent, *o.get());
+                        let b = find(&mut parent, i);
+                        parent[a.max(b)] = a.min(b);
+                    }
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        v.insert(i);
+                    }
+                }
+            }
+        }
+
+        let mut groups: FxHashMap<usize, Vec<NodeId>> = FxHashMap::default();
+        for (i, log) in logs.iter().enumerate() {
+            let root = find(&mut parent, i);
+            groups.entry(root).or_default().push(log.node);
+        }
+        let mut components: Vec<Vec<NodeId>> = groups
+            .into_values()
+            .map(|mut v| {
+                v.sort_unstable();
+                v
+            })
+            .collect();
+        components.sort();
+        WitMerge {
+            components,
+            log_count: n,
+        }
+    }
+
+    #[test]
+    fn the_pre_pass_never_changes_the_merge() {
+        netsim::prop::check("wit_merge_equals_all_tuples_join", 64, &[], |rng| {
+            // Few recording nodes, peers and packets, so tuples collide
+            // within and across logs.
+            let tuple = |rng: &mut Rng, recorded_on: u16| {
+                let peer = n(rng.gen_range(0..3u16));
+                let kind = match rng.gen_range(0..3u32) {
+                    0 => EventKind::Trans { to: peer },
+                    1 => EventKind::Recv { from: peer },
+                    _ => EventKind::AckRecvd { to: peer },
+                };
+                Event::new(n(recorded_on), kind, pid(rng.gen_range(0..4u32)))
+            };
+            let logs = netsim::prop::vec_of(rng, 0..12, |rng| {
+                // The log's own id: a small pool, so two logs of one node
+                // happen.
+                let node = rng.gen_range(0..8u16);
+                let events = match rng.gen_range(0..5u32) {
+                    // A local log: every tuple recorded on the log's node.
+                    0 => netsim::prop::vec_of(rng, 0..20, |rng| tuple(rng, node)),
+                    // A sniffer log: tuples recorded on the few nodes every
+                    // sniffer overhears.
+                    1 => netsim::prop::vec_of(rng, 0..20, |rng| {
+                        let heard = rng.gen_range(20..23u16);
+                        tuple(rng, heard)
+                    }),
+                    // Shares a recording node with the sniffers, but no
+                    // tuple: its packets are its own.
+                    2 => vec![Event::new(
+                        n(20),
+                        EventKind::Origin,
+                        pid(100 + u32::from(node)),
+                    )],
+                    // One tuple over and over.
+                    3 => vec![tuple(rng, 21); rng.gen_range(0..5usize)],
+                    _ => Vec::new(),
+                };
+                LocalLog::from_events(n(node), events)
+            });
+            assert_eq!(wit_merge(&logs), wit_merge_all_tuples(&logs));
+        });
     }
 
     #[test]

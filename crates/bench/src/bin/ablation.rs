@@ -9,8 +9,6 @@
 use baselines::source_view::SourceView;
 use baselines::wit::wit_merge;
 use citysee::run_scenario;
-use eventlog::{PacketId, TruthEvent};
-use netsim::fx::FxHashMap;
 use netsim::SimTime;
 use refill::diagnose::Diagnoser;
 use refill::parallel::{available_workers, par_map};
@@ -41,10 +39,7 @@ fn main() {
     ];
 
     // Shared inputs.
-    let mut truth_by_packet: FxHashMap<PacketId, Vec<TruthEvent>> = FxHashMap::default();
-    for te in &campaign.sim.truth.events {
-        truth_by_packet.entry(te.event.packet).or_default().push(*te);
-    }
+    let truth_by_packet = campaign.sim.truth.by_packet();
     let index = campaign.merged.packet_index();
 
     let mut csv = String::from(
@@ -68,13 +63,7 @@ fn main() {
             |(), i| {
                 let (id, events) = index.group(i);
                 let report = recon.reconstruct_packet(id, events);
-                let fs = score_flow(
-                    &report,
-                    truth_by_packet
-                        .get(&id)
-                        .map(|v| v.as_slice())
-                        .unwrap_or(&[]),
-                );
+                let fs = score_flow(&report, truth_by_packet.get(id).unwrap_or(&[]));
                 let est: Option<SimTime> = source_view.estimate_time(id);
                 let d = diagnoser.diagnose(&report, est);
                 let cs = campaign

@@ -10,10 +10,9 @@
 use citysee::run_scenario;
 use eventlog::logger::LocalLog;
 use eventlog::merge::merge_logs;
-use eventlog::{EventKind, PacketId, TruthEvent};
+use eventlog::{EventKind, PacketId};
 use baselines::source_view::SourceView;
 use eventlog::event::BASE_STATION;
-use netsim::fx::FxHashMap;
 use refill::diagnose::Diagnoser;
 use refill::parallel::{available_workers, par_map};
 use refill::score::{score_cause, score_flow, CauseScore, FlowScore};
@@ -102,10 +101,7 @@ fn main() {
         .unwrap_or_else(|| LocalLog::new(BASE_STATION));
     let source_view = SourceView::from_bs_log(&bs_log, scenario.packet_interval());
 
-    let mut truth_by_packet: FxHashMap<PacketId, Vec<TruthEvent>> = FxHashMap::default();
-    for te in &campaign.sim.truth.events {
-        truth_by_packet.entry(te.event.packet).or_default().push(*te);
-    }
+    let truth_by_packet = campaign.sim.truth.by_packet();
 
     println!(
         "logging-efficiency study ({} packets, {} collected entries at full vocabulary):\n",
@@ -138,10 +134,7 @@ fn main() {
                 let events = index.get(*id).unwrap_or(&[]);
                 let report = recon.reconstruct_packet(*id, events);
                 let d = diagnoser.diagnose(&report, source_view.estimate_time(*id));
-                let fs = score_flow(
-                    &report,
-                    truth_by_packet.get(id).map(|v| v.as_slice()).unwrap_or(&[]),
-                );
+                let fs = score_flow(&report, truth_by_packet.get(*id).unwrap_or(&[]));
                 let cs = campaign
                     .sim
                     .truth

@@ -5,22 +5,28 @@
 //! produces per-packet diagnoses. Ground truth is touched exclusively for
 //! *scoring* — quantifying how well the reconstruction did, which the real
 //! deployment could never know.
+//!
+//! [`analyze`] is three steps. *Group*: the packet index of the merged log
+//! plus the two baselines that read whole logs (Wit's merge, time
+//! correlation) on one thread, the ground truth grouped the same way on
+//! another. *Pass*: one parallel visit per packet that reconstructs,
+//! diagnoses, scores and asks the naive baseline — everything that needs
+//! the packet's events happens while they are in hand. *Fold*: sums.
 
 use crate::run::Campaign;
-use baselines::naive::naive_diagnose;
+use baselines::naive::naive_claim;
 use baselines::source_view::SourceView;
 use baselines::time_correlation::{correlate_causes, CorrelationConfig};
 use baselines::wit::{wit_merge, WitMerge};
 use eventlog::event::BASE_STATION;
-use eventlog::{LossCause, PacketFate, PacketId, TruthEvent};
+use eventlog::logger::LocalLog;
+use eventlog::{LossCause, PacketFate, PacketId};
 use netsim::fx::FxHashMap;
 use netsim::{NodeId, SimTime};
 use refill::diagnose::{Diagnoser, Diagnosis};
 use refill::parallel::{available_workers, par_map};
 use refill::score::{score_cause, score_flow, score_path, CauseScore, FlowScore, PathScore};
 use refill::trace::{CtpVocabulary, Reconstructor};
-use refill_telemetry::{NoopRecorder, Recorder, Stage, StageTimer, TelemetrySnapshot};
-use std::sync::Arc;
 
 /// Everything known (and inferred) about one packet after analysis.
 #[derive(Debug, Clone)]
@@ -98,38 +104,33 @@ pub struct Analysis {
     pub correlation: CorrelationSummary,
     /// Delay / retransmission / path statistics.
     pub transport: TransportStats,
-    /// Everything the attached recorder collected during this analysis
-    /// (empty when no recorder was attached).
-    pub telemetry: TelemetrySnapshot,
+}
+
+/// What the pass learns about one packet.
+struct PacketOutcome {
+    record: PacketRecord,
+    flow: FlowScore,
+    cause: CauseScore,
+    path: PathScore,
+    looped: bool,
+    /// The node the naive baseline blames, if it declares a loss.
+    naive_claim: Option<NodeId>,
 }
 
 /// Run REFILL and all baselines over a campaign.
 pub fn analyze(campaign: &Campaign) -> Analysis {
-    analyze_recorded(campaign, Arc::new(NoopRecorder))
-}
-
-/// [`analyze`] with telemetry: the reconstructor and every analysis stage
-/// (reconstruction + diagnosis, baselines, transport statistics) report
-/// into `recorder`, and the final snapshot is returned on
-/// [`Analysis::telemetry`].
-///
-/// A campaign covers one contiguous stretch of days; callers wanting
-/// per-day stage timings (a day is CitySee's natural reporting unit) run
-/// one single-day campaign per day and keep one snapshot each — stages are
-/// cumulative within a recorder, so reusing one recorder across days sums
-/// them instead.
-pub fn analyze_recorded(campaign: &Campaign, recorder: Arc<dyn Recorder>) -> Analysis {
     let scenario = &campaign.scenario;
     let sink = campaign.topology.sink();
+    let truth = &campaign.sim.truth;
 
     // Source view from the base station's reliable log.
+    let no_bs_log = LocalLog::new(BASE_STATION);
     let bs_log = campaign
         .collected
         .iter()
         .find(|l| l.node == BASE_STATION)
-        .cloned()
-        .unwrap_or_else(|| eventlog::logger::LocalLog::new(BASE_STATION));
-    let source_view = SourceView::from_bs_log(&bs_log, scenario.packet_interval());
+        .unwrap_or(&no_bs_log);
+    let source_view = SourceView::from_bs_log(bs_log, scenario.packet_interval());
 
     // REFILL setup. The outage schedule is operational knowledge (the
     // server records its own downtime), so the diagnoser may use it.
@@ -138,107 +139,93 @@ pub fn analyze_recorded(campaign: &Campaign, recorder: Arc<dyn Recorder>) -> Ana
         log_origin: config.log_origin,
         log_enqueue: config.log_enqueue,
     };
-    let recon = Reconstructor::new(vocabulary)
-        .with_sink(sink)
-        .with_recorder(Arc::clone(&recorder));
+    let recon = Reconstructor::new(vocabulary).with_sink(sink);
     let diagnoser = Diagnoser::new()
         .with_outages(faults.outages.clone())
         .with_sink(sink);
 
-    // Truth events grouped per packet, for flow scoring.
-    let mut truth_by_packet: FxHashMap<PacketId, Vec<TruthEvent>> = FxHashMap::default();
-    for te in &campaign.sim.truth.events {
-        truth_by_packet
-            .entry(te.event.packet)
-            .or_default()
-            .push(*te);
-    }
+    // Group. What reads the logs — the packet index and the two baselines
+    // that are not per-packet — and what reads the ground truth (its events
+    // per packet, for flow scoring) are independent and about the same
+    // size, so they take a thread each.
+    let (index, wit, correlation, truth_events) = std::thread::scope(|s| {
+        let truth_events = s.spawn(|| truth.by_packet());
+        let index = campaign.merged.packet_index();
+        let wit = wit_merge(&campaign.collected);
+        let correlation = summarize_correlation(campaign, &source_view);
+        let truth_events = truth_events
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (index, wit, correlation, truth_events)
+    });
 
-    // Per-packet reconstruction + diagnosis + scoring, in parallel.
-    let index = campaign.merged.packet_index_recorded(&*recorder);
     let mut ids: Vec<PacketId> = index.ids().to_vec();
     // Packets never mentioned in any log still deserve records (fate says
     // they existed); they get an Unknown diagnosis through an empty flow.
-    for id in campaign.sim.truth.fates.keys() {
+    for id in truth.fates.keys() {
         if index.get(*id).is_none() {
             ids.push(*id);
         }
     }
     ids.sort_unstable();
 
-    let empty_path: Vec<NodeId> = Vec::new();
-    let per_packet: Vec<(PacketRecord, FlowScore, CauseScore, PathScore, bool)> = par_map(
+    // Pass: per-packet reconstruction, diagnosis, scoring and the naive
+    // baseline, in parallel.
+    let outcomes: Vec<PacketOutcome> = par_map(
         ids.len(),
         available_workers(),
         || (),
         |_, i| {
-            let id = &ids[i];
-            let events = index.get(*id).unwrap_or(&[]);
-            let report = recon.reconstruct_packet(*id, events);
-            let est_time = source_view.estimate_time(*id);
-            let diagnosis = {
-                // Stage totals sum CPU time across workers, so the
-                // diagnose span can exceed wall-clock time.
-                let _span = StageTimer::start(&*recorder, Stage::Diagnose);
-                diagnoser.diagnose(&report, est_time)
-            };
-            let truth_events = truth_by_packet
-                .get(id)
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]);
-            let fs = score_flow(&report, truth_events);
-            let true_path = campaign.sim.truth.paths.get(id).unwrap_or(&empty_path);
-            let ps = score_path(&report, true_path);
-            let fate = campaign
-                .sim
-                .truth
+            let id = ids[i];
+            let events = index.get(id).unwrap_or(&[]);
+            let report = recon.reconstruct_packet(id, events);
+            let est_time = source_view.estimate_time(id);
+            let diagnosis = diagnoser.diagnose(&report, est_time);
+            let flow = score_flow(&report, truth_events.get(id).unwrap_or(&[]));
+            let path = score_path(&report, truth.paths.get(&id).map_or(&[], Vec::as_slice));
+            let fate = truth
                 .fates
-                .get(id)
+                .get(&id)
                 .copied()
                 .unwrap_or(PacketFate::Delivered { at: SimTime::ZERO });
-            let cs = score_cause(&diagnosis, &fate);
-            let looped = report.has_routing_loop();
-            (
-                PacketRecord {
-                    packet: *id,
+            PacketOutcome {
+                flow,
+                cause: score_cause(&diagnosis, &fate),
+                path,
+                looped: report.has_routing_loop(),
+                naive_claim: naive_claim(events),
+                record: PacketRecord {
+                    packet: id,
                     est_time,
                     diagnosis,
                     fate,
                 },
-                fs,
-                cs,
-                ps,
-                looped,
-            )
+            }
         },
     );
 
-    let mut records = Vec::with_capacity(per_packet.len());
+    // Fold.
+    let mut records = Vec::with_capacity(outcomes.len());
     let mut flow_score = FlowScore::default();
     let mut cause_score = CauseScore::default();
     let mut path_score = PathScore::default();
     let mut loops_detected = 0usize;
-    for (rec, fs, cs, ps, looped) in per_packet {
-        flow_score.merge(&fs);
-        cause_score.merge(&cs);
-        path_score.merge(&ps);
-        loops_detected += usize::from(looped);
-        records.push(rec);
+    let mut naive = NaiveSummary {
+        true_losses: truth.lost_count(),
+        ..NaiveSummary::default()
+    };
+    for outcome in outcomes {
+        flow_score.merge(&outcome.flow);
+        cause_score.merge(&outcome.cause);
+        path_score.merge(&outcome.path);
+        loops_detected += usize::from(outcome.looped);
+        if let Some(blamed) = outcome.naive_claim {
+            naive.claimed_losses += 1;
+            naive.position_correct += usize::from(outcome.record.fate.loss_node() == Some(blamed));
+        }
+        records.push(outcome.record);
     }
-    let transport = {
-        let _span = StageTimer::start(&*recorder, Stage::Transport);
-        transport_stats(&records, &bs_log, scenario, loops_detected)
-    };
-
-    // Baselines.
-    let (wit, naive, correlation) = {
-        let _span = StageTimer::start(&*recorder, Stage::Baselines);
-        (
-            wit_merge(&campaign.collected),
-            summarize_naive(campaign, sink),
-            summarize_correlation(campaign, &source_view),
-        )
-    };
+    let transport = transport_stats(&records, bs_log, scenario, loops_detected);
 
     Analysis {
         records,
@@ -249,7 +236,6 @@ pub fn analyze_recorded(campaign: &Campaign, recorder: Arc<dyn Recorder>) -> Ana
         naive,
         correlation,
         transport,
-        telemetry: recorder.snapshot(),
     }
 }
 
@@ -257,7 +243,7 @@ pub fn analyze_recorded(campaign: &Campaign, recorder: Arc<dyn Recorder>) -> Ana
 /// the flow-derived retransmission/path statistics.
 fn transport_stats(
     records: &[PacketRecord],
-    bs_log: &eventlog::logger::LocalLog,
+    bs_log: &LocalLog,
     scenario: &crate::scenario::Scenario,
     loops_detected: usize,
 ) -> TransportStats {
@@ -314,27 +300,6 @@ fn transport_stats(
         mean_path_len,
         loops_detected,
     }
-}
-
-fn summarize_naive(campaign: &Campaign, _sink: NodeId) -> NaiveSummary {
-    let verdicts = naive_diagnose(&campaign.merged);
-    let mut s = NaiveSummary {
-        true_losses: campaign.sim.truth.lost_count(),
-        ..NaiveSummary::default()
-    };
-    for v in &verdicts {
-        if !v.lost {
-            continue;
-        }
-        s.claimed_losses += 1;
-        if let Some(PacketFate::Lost { at_node, .. }) = campaign.sim.truth.fates.get(&v.packet)
-        {
-            if v.claimed_node == Some(*at_node) {
-                s.position_correct += 1;
-            }
-        }
-    }
-    s
 }
 
 fn summarize_correlation(campaign: &Campaign, source_view: &SourceView) -> CorrelationSummary {

@@ -22,7 +22,7 @@ pub mod report;
 pub mod run;
 pub mod scenario;
 
-pub use analysis::{analyze, analyze_recorded, Analysis, PacketRecord};
+pub use analysis::{analyze, Analysis, PacketRecord};
 pub use report::render_management_report;
 pub use run::{run_scenario, Campaign};
 pub use scenario::Scenario;

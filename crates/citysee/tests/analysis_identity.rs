@@ -1,0 +1,207 @@
+//! What `citysee::analyze` reports is pinned, not just its shape:
+//!
+//! * a 64-bit digest over every packet record, every score, the three
+//!   baseline outcomes and the transport statistics of a clean and a lossy
+//!   campaign, frozen on the commit before the baselines and the scoring
+//!   moved into the per-packet pass;
+//! * the digest does not depend on how the analysis threads are scheduled;
+//! * `wit_merge` on local logs allocates by the number of logs, not of
+//!   events, and `score_flow` asks the allocator for one buffer.
+
+use baselines::wit::wit_merge;
+use citysee::{analyze, run_scenario, Analysis, Scenario};
+use eventlog::{Event, EventKind, LocalLog, PacketId};
+use netsim::NodeId;
+use refill::score::score_flow;
+use refill::trace::{CtpVocabulary, Reconstructor};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Debug;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+// --- frozen digest -------------------------------------------------------
+
+/// FNV-1a over the `Debug` rendering of whatever it is fed: every field of
+/// every type below derives `Debug`, so nothing a reader of [`Analysis`]
+/// can see stays out of the digest.
+struct Fnv(u64);
+
+impl Fnv {
+    fn feed(&mut self, what: &dyn Debug) {
+        for b in format!("{what:?}\n").bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn digest(a: &Analysis) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.feed(&a.records.len());
+    for r in &a.records {
+        h.feed(&(r.packet, r.est_time, &r.diagnosis, r.fate));
+    }
+    h.feed(&a.flow_score);
+    h.feed(&a.cause_score);
+    h.feed(&a.path_score);
+    h.feed(&a.naive);
+    h.feed(&a.correlation);
+    h.feed(&a.wit.components);
+    h.feed(&a.wit.log_count);
+    h.feed(&a.transport);
+    h.0
+}
+
+/// `Scenario::small()` under the benchmark's `citysee-lossy` collection:
+/// chunks and whole logs lost, failed writes, no timestamps (so the merge
+/// is the round-robin one and the flows need several times the inference).
+fn lossy() -> Scenario {
+    let mut s = Scenario::small();
+    s.collection.chunk_loss_prob = 0.30;
+    s.collection.whole_log_loss_prob = 0.05;
+    s.logger.write_failure_prob = 0.05;
+    s.logger.timestamps = false;
+    s
+}
+
+/// Frozen on the parent of the commit that introduced this file.
+const CLEAN_DIGEST: u64 = 0xa59f_0af6_397f_1480;
+const LOSSY_DIGEST: u64 = 0x5224_93b5_b734_3eb7;
+
+#[test]
+fn the_whole_analysis_is_the_frozen_one() {
+    let clean = run_scenario(&Scenario::small());
+    let lossy = run_scenario(&lossy());
+    let first = (digest(&analyze(&clean)), digest(&analyze(&lossy)));
+    assert_eq!(
+        first,
+        (CLEAN_DIGEST, LOSSY_DIGEST),
+        "clean {:#018x}, lossy {:#018x}",
+        first.0,
+        first.1
+    );
+    // Again in the same process: nothing is left behind by a run.
+    let again = (digest(&analyze(&clean)), digest(&analyze(&lossy)));
+    assert_eq!(again, first, "second run in one process");
+    // And while another thread keeps a core busy, so the analysis threads
+    // are scheduled differently from the two runs above.
+    let stop = AtomicBool::new(false);
+    let contended = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut x = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                x = std::hint::black_box(x.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            }
+        });
+        let out = (digest(&analyze(&clean)), digest(&analyze(&lossy)));
+        stop.store(true, Ordering::Relaxed);
+        out
+    });
+    assert_eq!(contended, first, "beside a busy thread");
+}
+
+// --- the shape of the cost -----------------------------------------------
+
+/// Counts this thread's requests for fresh or larger memory. Per thread,
+/// because the other tests of this binary run beside it.
+struct Counting;
+
+thread_local! {
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note() {
+    // A thread being torn down has no counter any more; nothing to count.
+    let _ = REQUESTS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it neither
+// allocates nor reads memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn requests_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = REQUESTS.with(Cell::get);
+    let out = f();
+    (out, REQUESTS.with(Cell::get) - before)
+}
+
+/// `logs` local logs of `events` entries each: every tuple names the node
+/// that recorded it, as CitySee's do, so no two logs share one.
+fn local_logs(logs: u16, events: u32) -> Vec<LocalLog> {
+    (0..logs)
+        .map(|node| {
+            let node = NodeId(node);
+            let entries = (0..events).map(|i| {
+                let peer = NodeId((i % 7) as u16);
+                let kind = match i % 3 {
+                    0 => EventKind::Recv { from: peer },
+                    1 => EventKind::Trans { to: peer },
+                    _ => EventKind::AckRecvd { to: peer },
+                };
+                Event::new(node, kind, PacketId::new(peer, i / 3))
+            });
+            LocalLog::from_events(node, entries)
+        })
+        .collect()
+}
+
+#[test]
+fn wit_on_local_logs_allocates_by_logs_not_events() {
+    let (short, long) = (local_logs(300, 10), local_logs(300, 1_000));
+    let (merge, few) = requests_of(|| wit_merge(&short));
+    assert!(merge.fully_disconnected());
+    let (merge, many) = requests_of(|| wit_merge(&long));
+    assert!(merge.fully_disconnected());
+    assert_eq!(merge.log_count, 300);
+    // One component vector per log plus the tables: nothing per event. (The
+    // all-tuples hash join grew a 300 000-entry map and a set per log.)
+    assert_eq!(few, many, "requests for 10 vs 1 000 events a log");
+    assert!(many <= 2 * 300 + 64, "wit_merge made {many} requests");
+}
+
+#[test]
+fn scoring_a_flow_asks_for_one_buffer() {
+    let campaign = run_scenario(&Scenario::small());
+    let truth = campaign.sim.truth.by_packet();
+    let index = campaign.merged.packet_index();
+    // The busiest packet: enough distinct truth events that a map would
+    // have to grow several times.
+    let (id, truth_events) = truth
+        .iter()
+        .max_by_key(|(_, events)| events.len())
+        .expect("the campaign generated packets");
+    assert!(truth_events.len() >= 50, "{} events", truth_events.len());
+    let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
+    let report = recon.reconstruct_packet(id, index.get(id).unwrap_or(&[]));
+    let (score, requests) = requests_of(|| score_flow(&report, truth_events));
+    assert!(score.observed > 0 && score.lost > 0, "{score:?}");
+    assert!(requests <= 1, "score_flow made {requests} requests");
+}

@@ -318,13 +318,13 @@ pub fn analyze_cmd_inner(args: &[String]) -> Result<String, String> {
     let recon_secs = t0.elapsed().as_secs_f64();
 
     // Source view (if the archive has a base-station log).
+    let no_bs_log = eventlog::logger::LocalLog::new(BASE_STATION);
     let bs = logs
         .iter()
         .find(|l| l.node == BASE_STATION)
-        .cloned()
-        .unwrap_or_else(|| eventlog::logger::LocalLog::new(BASE_STATION));
+        .unwrap_or(&no_bs_log);
     let source_view =
-        baselines::source_view::SourceView::from_bs_log(&bs, SimDuration::from_secs(period));
+        baselines::source_view::SourceView::from_bs_log(bs, SimDuration::from_secs(period));
 
     let diagnoser = Diagnoser::new();
     let diagnoser = match sink {

@@ -8,43 +8,40 @@
 //!   collected logs, and
 //! * **diagnosis quality** — how often the diagnosed cause (and position)
 //!   matches the packet's true fate.
+//!
+//! # Flow scoring without a map
+//!
+//! [`score_flow`] runs once per packet inside the analysis pass, which is
+//! kept out of the allocator and out of hash tables (DESIGN.md §6). An
+//! event's identity for multiset matching is one word,
+//!
+//! ```text
+//! node << 32 | kind.code() << 24 | peer + 1        (0 in place of peer + 1: no peer)
+//! ```
+//!
+//! so a packet's truth is one sorted vector of `(key, count)` runs: an
+//! exact match is a binary search, and an inferred event with an
+//! [`UNKNOWN_NODE`] peer — a wildcard — scans the run of keys that agree
+//! with it above bit 24, which the order makes contiguous.
 
 use crate::ctp_model::UNKNOWN_NODE;
 use crate::diagnose::{DiagnosedCause, Diagnosis};
 use crate::trace::PacketReport;
-use eventlog::{Event, EventKind, PacketFate, TruthEvent};
-use netsim::fx::FxHashMap;
+use eventlog::{Event, PacketFate, TruthEvent};
 use netsim::NodeId;
 
-/// A normalized event identity used for multiset matching. Unknown peers in
-/// synthesized events act as wildcards against the truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct EventKey {
-    node: NodeId,
-    kind_tag: u8,
-    peer: Option<NodeId>,
-}
+/// Bits of a key below the `(node, kind_tag)` prefix: the peer.
+const PEER_BITS: u32 = 24;
 
-fn key_of(e: &Event) -> EventKey {
-    let (tag, peer) = match e.kind {
-        EventKind::Recv { from } => (0, Some(from)),
-        EventKind::Overflow { from } => (1, Some(from)),
-        EventKind::Dup { from } => (2, Some(from)),
-        EventKind::Trans { to } => (3, Some(to)),
-        EventKind::AckRecvd { to } => (4, Some(to)),
-        EventKind::Origin => (5, None),
-        EventKind::Enqueue => (6, None),
-        EventKind::Timeout { to } => (7, Some(to)),
-        EventKind::SerialTrans => (8, None),
-        EventKind::BsRecv => (9, None),
-        EventKind::Deliver => (10, None),
-        EventKind::Custom(_) => (11, None),
-    };
-    EventKey {
-        node: e.node,
-        kind_tag: tag,
-        peer,
-    }
+/// The packed identity of an event (module docs) and whether its peer is
+/// the [`UNKNOWN_NODE`] wildcard.
+fn key_of(e: &Event) -> (u64, bool) {
+    let peer = e.kind.peer();
+    let peer_word = peer.map_or(0, |p| u64::from(p.0) + 1);
+    (
+        u64::from(e.node.0) << 32 | u64::from(e.kind.code()) << PEER_BITS | peer_word,
+        peer == Some(UNKNOWN_NODE),
+    )
 }
 
 /// Precision/recall of inferred events for one or many packets.
@@ -88,6 +85,12 @@ impl FlowScore {
     }
 }
 
+/// The count of `key` in a sorted multiset of `(key, count)` runs.
+fn count_of(counts: &mut [(u64, isize)], key: u64) -> Option<&mut isize> {
+    let at = counts.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+    Some(&mut counts[at].1)
+}
+
 /// Score one packet's flow against that packet's true events.
 ///
 /// Truth events minus the flow's *observed* multiset gives the truly-lost
@@ -95,55 +98,58 @@ impl FlowScore {
 /// event with an [`UNKNOWN_NODE`] peer matches any truth event agreeing on
 /// node and kind.
 pub fn score_flow(report: &PacketReport, truth: &[TruthEvent]) -> FlowScore {
-    let mut truth_count: FxHashMap<EventKey, isize> = FxHashMap::default();
-    for te in truth {
-        *truth_count.entry(key_of(&te.event)).or_insert(0) += 1;
-    }
+    // The truth multiset: distinct keys ascending, each with its count.
+    let mut counts: Vec<(u64, isize)> = Vec::with_capacity(truth.len());
+    counts.extend(truth.iter().map(|te| (key_of(&te.event).0, 1)));
+    counts.sort_unstable_by_key(|&(key, _)| key);
+    counts.dedup_by(|later, run| {
+        let same = later.0 == run.0;
+        if same {
+            run.1 += later.1;
+        }
+        same
+    });
+
     // Remove observed occurrences.
     let mut observed = 0;
-    for e in &report.flow.entries {
-        if e.observed {
-            observed += 1;
-            if let Some(c) = truth_count.get_mut(&key_of(&e.payload)) {
-                *c -= 1;
-            }
+    for e in report.flow.entries.iter().filter(|e| e.observed) {
+        observed += 1;
+        if let Some(c) = count_of(&mut counts, key_of(&e.payload).0) {
+            *c -= 1;
         }
     }
     // What remains positive is truly lost.
-    let lost: usize = truth_count.values().filter(|&&c| c > 0).map(|&c| c as usize).sum();
+    let lost: usize = counts.iter().map(|&(_, c)| c.max(0) as usize).sum();
 
-    // Match inferred entries (exact first, then wildcard-peer).
-    let mut remaining = truth_count;
+    // Match inferred entries: every exact one first, then the wildcards,
+    // so that a wildcard never takes a truth event an exact entry names.
     let mut matched = 0;
     let mut inferred = 0;
-    let inferred_entries: Vec<&Event> = report
-        .flow
-        .entries
-        .iter()
-        .filter(|e| !e.observed)
-        .map(|e| &e.payload)
-        .collect();
-    // Exact pass.
-    let mut wildcard_pending: Vec<EventKey> = Vec::new();
-    for e in &inferred_entries {
+    for e in report.flow.entries.iter().filter(|e| !e.observed) {
         inferred += 1;
-        let k = key_of(e);
-        if k.peer == Some(UNKNOWN_NODE) {
-            wildcard_pending.push(k);
+        let (key, wildcard) = key_of(&e.payload);
+        if wildcard {
             continue;
         }
-        if let Some(c) = remaining.get_mut(&k) {
-            if *c > 0 {
-                *c -= 1;
-                matched += 1;
-            }
+        if let Some(c) = count_of(&mut counts, key).filter(|c| **c > 0) {
+            *c -= 1;
+            matched += 1;
         }
     }
-    // Wildcard pass.
-    for k in wildcard_pending {
-        let hit = remaining
+    for e in report.flow.entries.iter().filter(|e| !e.observed) {
+        let (key, wildcard) = key_of(&e.payload);
+        if !wildcard {
+            continue;
+        }
+        // Any truth event left under the same (node, kind) will do: the
+        // pass only ever asks whether one is left, so which one it takes
+        // does not show in the score.
+        let prefix = key >> PEER_BITS;
+        let from = counts.partition_point(|&(k, _)| k >> PEER_BITS < prefix);
+        let hit = counts[from..]
             .iter_mut()
-            .find(|(tk, c)| tk.node == k.node && tk.kind_tag == k.kind_tag && **c > 0);
+            .take_while(|(k, _)| k >> PEER_BITS == prefix)
+            .find(|(_, c)| *c > 0);
         if let Some((_, c)) = hit {
             *c -= 1;
             matched += 1;
@@ -307,7 +313,7 @@ pub fn score_causes<'a>(
 mod tests {
     use super::*;
     use crate::trace::{CtpVocabulary, Reconstructor};
-    use eventlog::{merge_logs, LocalLog, LossCause, PacketId, SimTime};
+    use eventlog::{merge_logs, EventKind, LocalLog, LossCause, PacketId, SimTime};
 
     fn n(i: u16) -> NodeId {
         NodeId(i)
@@ -385,6 +391,153 @@ mod tests {
         let score = score_flow(&report, &truth);
         assert_eq!(score.matched, 1);
         assert_eq!(score.precision(), 1.0);
+    }
+
+    /// `score_flow` as it was — a hash map of counts, the inferred entries
+    /// and the pending wildcards collected into vectors: the reference the
+    /// sorted-key version must agree with.
+    fn score_flow_hashed(report: &PacketReport, truth: &[TruthEvent]) -> FlowScore {
+        use netsim::fx::FxHashMap;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        struct EventKey {
+            node: NodeId,
+            kind_tag: u8,
+            peer: Option<NodeId>,
+        }
+
+        fn key_of(e: &Event) -> EventKey {
+            let (tag, peer) = match e.kind {
+                EventKind::Recv { from } => (0, Some(from)),
+                EventKind::Overflow { from } => (1, Some(from)),
+                EventKind::Dup { from } => (2, Some(from)),
+                EventKind::Trans { to } => (3, Some(to)),
+                EventKind::AckRecvd { to } => (4, Some(to)),
+                EventKind::Origin => (5, None),
+                EventKind::Enqueue => (6, None),
+                EventKind::Timeout { to } => (7, Some(to)),
+                EventKind::SerialTrans => (8, None),
+                EventKind::BsRecv => (9, None),
+                EventKind::Deliver => (10, None),
+                EventKind::Custom(_) => (11, None),
+            };
+            EventKey {
+                node: e.node,
+                kind_tag: tag,
+                peer,
+            }
+        }
+
+        let mut truth_count: FxHashMap<EventKey, isize> = FxHashMap::default();
+        for te in truth {
+            *truth_count.entry(key_of(&te.event)).or_insert(0) += 1;
+        }
+        // Remove observed occurrences.
+        let mut observed = 0;
+        for e in &report.flow.entries {
+            if e.observed {
+                observed += 1;
+                if let Some(c) = truth_count.get_mut(&key_of(&e.payload)) {
+                    *c -= 1;
+                }
+            }
+        }
+        // What remains positive is truly lost.
+        let lost: usize = truth_count.values().filter(|&&c| c > 0).map(|&c| c as usize).sum();
+
+        // Match inferred entries (exact first, then wildcard-peer).
+        let mut remaining = truth_count;
+        let mut matched = 0;
+        let mut inferred = 0;
+        let inferred_entries: Vec<&Event> = report
+            .flow
+            .entries
+            .iter()
+            .filter(|e| !e.observed)
+            .map(|e| &e.payload)
+            .collect();
+        // Exact pass.
+        let mut wildcard_pending: Vec<EventKey> = Vec::new();
+        for e in &inferred_entries {
+            inferred += 1;
+            let k = key_of(e);
+            if k.peer == Some(UNKNOWN_NODE) {
+                wildcard_pending.push(k);
+                continue;
+            }
+            if let Some(c) = remaining.get_mut(&k) {
+                if *c > 0 {
+                    *c -= 1;
+                    matched += 1;
+                }
+            }
+        }
+        // Wildcard pass.
+        for k in wildcard_pending {
+            let hit = remaining
+                .iter_mut()
+                .find(|(tk, c)| tk.node == k.node && tk.kind_tag == k.kind_tag && **c > 0);
+            if let Some((_, c)) = hit {
+                *c -= 1;
+                matched += 1;
+            }
+        }
+
+        FlowScore {
+            inferred,
+            matched,
+            lost,
+            observed,
+        }
+    }
+
+    #[test]
+    fn sorted_keys_score_exactly_as_the_hash_map_did() {
+        netsim::prop::check("score_flow_equals_hashed", 64, &[], |rng| {
+            // Two nodes, two peers and the wildcard, sender- and
+            // receiver-side kinds and one without a peer: keys repeat, and
+            // several peers share each (node, kind) a wildcard scans.
+            let event = |rng: &mut netsim::Rng, wildcards: bool| {
+                let peer = match rng.gen_range(0..if wildcards { 4 } else { 2u32 }) {
+                    0 => n(7),
+                    1 => n(8),
+                    _ => UNKNOWN_NODE,
+                };
+                let kind = match rng.gen_range(0..4u32) {
+                    0 => EventKind::Recv { from: peer },
+                    1 => EventKind::Trans { to: peer },
+                    2 => EventKind::AckRecvd { to: peer },
+                    _ => EventKind::Enqueue,
+                };
+                Event::new(n(rng.gen_range(1..3u16)), kind, pid())
+            };
+            // Empty truth and empty flows are drawn too.
+            let truth: Vec<TruthEvent> = netsim::prop::vec_of(rng, 0..24, |rng| TruthEvent {
+                at: SimTime::ZERO,
+                event: event(rng, false),
+            });
+            let recon = Reconstructor::new(CtpVocabulary::table2());
+            let mut report = recon.reconstruct_packet(pid(), &[]);
+            assert!(report.flow.entries.is_empty());
+            // Observed entries partly from the truth, partly absent from it;
+            // inferred ones with more wildcards than the truth has
+            // candidates in some cases and fewer in others.
+            for _ in 0..rng.gen_range(0..30u32) {
+                let observed = rng.gen_bool(0.4);
+                let payload = if observed && !truth.is_empty() && rng.gen_bool(0.7) {
+                    truth[rng.gen_range(0..truth.len())].event
+                } else {
+                    event(rng, !observed)
+                };
+                report
+                    .flow
+                    .push(payload, crate::net::EngineId(0), observed, &[]);
+            }
+            assert_eq!(
+                score_flow(&report, &truth),
+                score_flow_hashed(&report, &truth)
+            );
+        });
     }
 
     #[test]

@@ -130,13 +130,17 @@ impl MergedLog {
 /// input guarantee). Groups are exposed as `&[Event]` slices in sorted-id
 /// order, so iterating packets for reconstruction costs zero copies after
 /// the one-time build.
-#[derive(Debug, Clone, Default)]
-pub struct PacketIndex {
-    /// All events, grouped by packet id, each group in merged order.
-    events: Vec<Event>,
+///
+/// The row type is a parameter only so that ground truth groups its
+/// [`TruthEvent`](crate::TruthEvent)s the same way
+/// ([`GroundTruth::by_packet`](crate::GroundTruth::by_packet)).
+#[derive(Debug, Clone)]
+pub struct PacketIndex<T = Event> {
+    /// All rows, grouped by packet id, each group in input order.
+    rows: Vec<T>,
     /// Distinct packet ids, sorted ascending.
     ids: Vec<PacketId>,
-    /// `offsets[i]..offsets[i + 1]` is packet `ids[i]`'s slice of `events`;
+    /// `offsets[i]..offsets[i + 1]` is packet `ids[i]`'s slice of `rows`;
     /// length is `ids.len() + 1`.
     offsets: Vec<usize>,
 }
@@ -149,9 +153,19 @@ impl PacketIndex {
     /// # Panics
     /// Panics if there are more than `u32::MAX` events.
     pub fn build(events: &[Event]) -> Self {
-        let (perm, ids, offsets) = group_by_packet(events.iter().map(|e| e.packet));
+        Self::build_by(events, |e| e.packet)
+    }
+}
+
+impl<T: Copy> PacketIndex<T> {
+    /// [`PacketIndex::build`] over any rows that name their packet.
+    ///
+    /// # Panics
+    /// Panics if there are more than `u32::MAX` rows.
+    pub fn build_by(rows: &[T], packet_of: impl Fn(&T) -> PacketId + Copy) -> Self {
+        let (perm, ids, offsets) = group_by_packet(rows.iter().map(packet_of));
         PacketIndex {
-            events: perm.iter().map(|&row| events[row as usize]).collect(),
+            rows: perm.iter().map(|&row| rows[row as usize]).collect(),
             ids,
             offsets,
         }
@@ -169,7 +183,7 @@ impl PacketIndex {
 
     /// Total number of indexed events.
     pub fn event_count(&self) -> usize {
-        self.events.len()
+        self.rows.len()
     }
 
     /// The distinct packet ids, sorted ascending.
@@ -181,20 +195,20 @@ impl PacketIndex {
     ///
     /// # Panics
     /// Panics if `i >= self.len()`.
-    pub fn group(&self, i: usize) -> (PacketId, &[Event]) {
-        (self.ids[i], &self.events[self.offsets[i]..self.offsets[i + 1]])
+    pub fn group(&self, i: usize) -> (PacketId, &[T]) {
+        (self.ids[i], &self.rows[self.offsets[i]..self.offsets[i + 1]])
     }
 
     /// The events of one packet, if it appears in the log.
-    pub fn get(&self, id: PacketId) -> Option<&[Event]> {
+    pub fn get(&self, id: PacketId) -> Option<&[T]> {
         self.ids
             .binary_search(&id)
             .ok()
-            .map(|i| &self.events[self.offsets[i]..self.offsets[i + 1]])
+            .map(|i| &self.rows[self.offsets[i]..self.offsets[i + 1]])
     }
 
     /// Iterate `(id, events)` groups in sorted-id order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PacketId, &[Event])> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PacketId, &[T])> + '_ {
         (0..self.ids.len()).map(move |i| self.group(i))
     }
 }

@@ -225,10 +225,6 @@ pub enum Stage {
     Rehydrate,
     /// Per-packet loss diagnosis.
     Diagnose,
-    /// Baseline reconstructions (witness / naive / correlation).
-    Baselines,
-    /// Transport-layer statistics extraction.
-    Transport,
     /// Wire-frame decoding (scan, checksum, payload decode) on the
     /// streaming ingest path.
     Decode,
@@ -254,7 +250,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 16] = [
+    pub const ALL: [Stage; 14] = [
         Stage::Merge,
         Stage::Index,
         Stage::Signature,
@@ -262,8 +258,6 @@ impl Stage {
         Stage::Transition,
         Stage::Rehydrate,
         Stage::Diagnose,
-        Stage::Baselines,
-        Stage::Transport,
         Stage::Decode,
         Stage::Window,
         Stage::Pack,
@@ -286,8 +280,6 @@ impl Stage {
             Stage::Transition => "transition",
             Stage::Rehydrate => "rehydrate",
             Stage::Diagnose => "diagnose",
-            Stage::Baselines => "baselines",
-            Stage::Transport => "transport",
             Stage::Decode => "decode",
             Stage::Window => "window",
             Stage::Pack => "pack",
@@ -1048,7 +1040,7 @@ mod tests {
         assert!(table.contains("packets_reconstructed"));
         assert!(table.contains("group_events"));
         // Empty metrics are elided, not printed as zero rows.
-        assert!(!table.contains("baselines"));
+        assert!(!table.contains("diagnose"));
     }
 
     #[test]
