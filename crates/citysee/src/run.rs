@@ -67,19 +67,13 @@ pub fn run_scenario(scenario: &Scenario) -> Campaign {
     // the server and survives intact.
     let collector = LossyCollector::new(scenario.collection);
     let factory = RngFactory::new(scenario.seed ^ 0xC0111EC7);
-    let mut node_logs: Vec<LocalLog> = Vec::new();
-    let mut bs_log = None;
-    for log in &sim.logs {
-        if log.node == BASE_STATION {
-            bs_log = Some(log.clone());
-        } else {
-            node_logs.push(log.clone());
-        }
-    }
-    let mut collected = collector.collect_all(&node_logs, &factory);
-    if let Some(bs) = bs_log {
-        collected.push(bs);
-    }
+    let (bs_log, node_logs) = sim
+        .logs
+        .split_last()
+        .expect("the simulator's logs end with the base station's");
+    debug_assert_eq!(bs_log.node, BASE_STATION);
+    let mut collected = collector.collect_all(node_logs, &factory);
+    collected.push(bs_log.clone());
     let merged = merge_logs(&collected);
 
     Campaign {

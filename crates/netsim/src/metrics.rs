@@ -18,9 +18,16 @@ impl CounterSet {
         Self::default()
     }
 
-    /// Add `by` to counter `name`, creating it at zero if absent.
+    /// Add `by` to counter `name`, creating it at zero if absent. Only the
+    /// first use of a name allocates: the simulator counts on every
+    /// transmission.
     pub fn add(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += by,
+            None => {
+                self.counters.insert(name.to_owned(), by);
+            }
+        }
     }
 
     /// Increment counter `name` by one.

@@ -29,7 +29,7 @@ use eventlog::{Event, EventKind, GroundTruth, LossCause, PacketFate, PacketId};
 use netsim::fx::FxHashMap;
 use netsim::link::{LinkModel, LinkQualityTable};
 use netsim::metrics::CounterSet;
-use netsim::{NodeId, Rng, RngFactory, Scheduler, SimTime, Topology};
+use netsim::{NodeId, Rng, RngFactory, Scheduler, SimDuration, SimTime, Topology};
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -123,13 +123,20 @@ impl Simulator {
             .collect();
         let node_rngs = (0..n).map(|i| factory.stream("node", i as u64)).collect();
         let route_rng = factory.stream("route", 0);
+        // The delays nearly every event is scheduled at.
+        let scheduler = Scheduler::with_lanes(&[
+            SimDuration::ZERO,
+            config.hop_delay,
+            config.retry_backoff,
+            config.serial_delay,
+        ]);
         Simulator {
             topology,
             links,
             faults,
             config,
             routing,
-            scheduler: Scheduler::new(),
+            scheduler,
             nodes,
             loggers,
             node_rngs,
@@ -178,7 +185,7 @@ impl Simulator {
         self.finalize()
     }
 
-    fn jittered_interval(&mut self, node: NodeId) -> netsim::SimDuration {
+    fn jittered_interval(&mut self, node: NodeId) -> SimDuration {
         let j = self.config.packet_jitter;
         let f = if j > 0.0 {
             1.0 + self.node_rngs[node.index()].gen_range(-j..j)
@@ -513,7 +520,7 @@ impl Simulator {
         }
     }
 
-    fn next_reboot_delay(&mut self, node: NodeId) -> netsim::SimDuration {
+    fn next_reboot_delay(&mut self, node: NodeId) -> SimDuration {
         let mean = self
             .config
             .reboot_mean_interval

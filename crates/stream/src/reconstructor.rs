@@ -107,6 +107,10 @@ pub struct StreamReconstructor {
     packets: Vec<PacketState>,
     /// Slots of the open windows — all a poll has to look at.
     open: Vec<u32>,
+    /// Whether a record was absorbed since the last sweep. Marks move and
+    /// windows open only in `absorb`, so without one a poll has nothing to
+    /// close.
+    absorbed_since_sweep: bool,
     /// Reports as of each packet's last close, in packet-id order; kept out
     /// of `packets` so that growing the slab moves small records only.
     reports: BTreeMap<PacketId, PacketReport>,
@@ -132,6 +136,7 @@ impl StreamReconstructor {
             slots: FxHashMap::default(),
             packets: Vec::new(),
             open: Vec::new(),
+            absorbed_since_sweep: false,
             reports: BTreeMap::new(),
             stats: StreamStats::default(),
         }
@@ -203,6 +208,7 @@ impl StreamReconstructor {
     /// Absorb one record: advance its node's watermark and grow (or open,
     /// or reopen) its packet's window.
     fn absorb(&mut self, rec: NodeRecord) {
+        self.absorbed_since_sweep = true;
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
         let mark = self.tracker.advance(rec.node, rec.entry.local_ts);
@@ -236,8 +242,12 @@ impl StreamReconstructor {
 
     /// Sweep the open windows, close the ones every contributor has moved
     /// past, reconstruct exactly those packets, and return their reports
-    /// (in packet-id order). Cheap when nothing is ready.
+    /// (in packet-id order). Returns at once when no record was absorbed since
+    /// the last sweep.
     pub fn poll(&mut self) -> Vec<PacketReport> {
+        if !self.absorbed_since_sweep {
+            return Vec::new();
+        }
         let closed = self.sweep(false);
         let report_of = |slot: &u32| self.reports[&self.packets[*slot as usize].id].clone();
         closed.iter().map(report_of).collect()
@@ -262,6 +272,7 @@ impl StreamReconstructor {
     fn sweep(&mut self, all: bool) -> Vec<u32> {
         let recorder = Arc::clone(&self.recorder);
         let span = StageTimer::start(&*recorder, Stage::Window);
+        self.absorbed_since_sweep = false;
         let lateness = self.config.lateness;
         let (tracker, packets) = (&self.tracker, &mut self.packets);
         let mut closing: Vec<u32> = Vec::new();
@@ -633,12 +644,17 @@ mod tests {
         }
         assert!(stream.stats().windows_reopened > 0);
 
-        // Nothing newly absorbed: a poll reconstructs nothing, however often.
+        // Nothing newly absorbed: a poll reconstructs nothing, however often,
+        // and does not even walk the open windows.
         let before = reconstructed();
         let open = stream.open_windows();
+        let sweeps = || recorder.snapshot().stage("window").map_or(0, |s| s.calls);
+        let swept = sweeps();
+        assert!(swept > 0);
         assert!(stream.poll().is_empty() && stream.poll().is_empty());
         assert_eq!(reconstructed(), before);
         assert_eq!(stream.open_windows(), open);
+        assert_eq!(sweeps(), swept, "an idle poll records no window span");
 
         // finish() closes what is still open, once; a second has nothing left.
         assert!(open > 0);
