@@ -188,11 +188,15 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
                 .get(&id)
                 .copied()
                 .unwrap_or(PacketFate::Delivered { at: SimTime::ZERO });
+            let looped = report.has_routing_loop();
+            // Scored: the next packet on this thread reuses the report's
+            // vectors.
+            recon.recycle(report);
             PacketOutcome {
                 flow,
                 cause: score_cause(&diagnosis, &fate),
                 path,
-                looped: report.has_routing_loop(),
+                looped,
                 naive_claim: naive_claim(events),
                 record: PacketRecord {
                     packet: id,

@@ -102,6 +102,20 @@ impl<E> EventFlow<E> {
         }
     }
 
+    /// Drop every entry and edge, keeping both vectors' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.deps.clear();
+    }
+
+    /// Make room for at least `entries` more entries and `deps` more edges
+    /// (amortised, as [`Vec::reserve`]: a vector that has to grow at least
+    /// doubles).
+    pub(crate) fn reserve(&mut self, entries: usize, deps: usize) {
+        self.entries.reserve(entries);
+        self.deps.reserve(deps);
+    }
+
     /// Append an entry ordered after the entries `deps` (its immediate
     /// predecessors in the partial order); returns its index.
     pub fn push(&mut self, payload: E, engine: EngineId, observed: bool, deps: &[u32]) -> usize {

@@ -16,6 +16,13 @@
 //! precomputes that canonical path so the runtime can synthesize the lost
 //! events (the bracketed entries of the paper's event flows).
 //!
+//! The derived machine is *compiled*: [`FsmBuilder::build`] lays every
+//! `(state, label) → transitions to take` answer out in one flat table (the
+//! template's distinct labels, a run per state × label, one vector of steps),
+//! so that processing an event is "take the transition" — [`FsmTemplate::plan`]
+//! is a scan of a handful of labels and one index, and hands back a borrowed
+//! slice. Nothing is hashed after `build` returns.
+//!
 //! Templates are generic over the label type `L`, so protocols other than
 //! CTP (and the synthetic machines of Figure 3) can be expressed; see
 //! [`crate::ctp_model`] for the shipped CTP/LPL machine.
@@ -73,106 +80,37 @@ pub struct IntraPlan {
     pub final_trans: TransId,
 }
 
-/// Steps stored inline in an [`ExecPlan`] before spilling to the heap. CTP
-/// plans are at most four steps (recv, enqueue, trans, ack), so the
-/// per-event planning done by the reconstruction hot path never allocates.
-const INLINE_PLAN_STEPS: usize = 4;
-
-/// How an event can be processed from a given state: all transitions to
-/// take, in order. Every step except the last corresponds to an inferred
-/// lost event; the last carries the observed event itself. (For a normal
-/// transition this is a single step.)
-///
-/// Plans are built on every queue-front probe of the transition algorithm,
-/// so short plans (the overwhelmingly common case) are stored inline
-/// without touching the allocator.
-#[derive(Debug, Clone)]
-pub struct ExecPlan {
-    /// Inline storage; the first `len` entries are valid when `spill` is
-    /// empty (padding beyond `len` is unspecified).
-    inline: [TransId; INLINE_PLAN_STEPS],
-    /// Number of valid `inline` entries (only meaningful with empty
-    /// `spill`).
-    len: u8,
-    /// Overflow storage for plans longer than `INLINE_PLAN_STEPS`.
-    spill: Vec<TransId>,
+/// Where one plan sits in its template's step table: a run of
+/// [`FsmTemplate::steps_of`]. Every step except the last corresponds to an
+/// inferred lost event; the last carries the observed event itself (a normal
+/// transition is a run of one). `Copy`, so the runner can keep a planned
+/// front without borrowing the template.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlanSpan {
+    start: u32,
+    len: u32,
 }
 
-impl ExecPlan {
-    /// A one-step plan (a normal transition).
-    pub fn single(t: TransId) -> Self {
-        let mut inline = [TransId(0); INLINE_PLAN_STEPS];
-        inline[0] = t;
-        ExecPlan {
-            inline,
-            len: 1,
-            spill: Vec::new(),
-        }
-    }
+impl PlanSpan {
+    /// "No plan": the label cannot be processed from the state.
+    pub(crate) const NONE: PlanSpan = PlanSpan { start: 0, len: 0 };
 
-    /// A plan that replays `via` (lost events) and then takes `final_trans`.
-    pub fn from_parts(via: &[TransId], final_trans: TransId) -> Self {
-        let n = via.len() + 1;
-        if n <= INLINE_PLAN_STEPS {
-            let mut inline = [TransId(0); INLINE_PLAN_STEPS];
-            inline[..via.len()].copy_from_slice(via);
-            inline[via.len()] = final_trans;
-            ExecPlan {
-                inline,
-                len: n as u8,
-                spill: Vec::new(),
-            }
-        } else {
-            let mut spill = Vec::with_capacity(n);
-            spill.extend_from_slice(via);
-            spill.push(final_trans);
-            ExecPlan {
-                inline: [TransId(0); INLINE_PLAN_STEPS],
-                len: 0,
-                spill,
-            }
-        }
-    }
-
-    /// A plan from an explicit non-empty step sequence.
-    pub fn from_steps(steps: &[TransId]) -> Self {
-        let (via, last) = steps.split_at(steps.len() - 1);
-        Self::from_parts(via, last[0])
-    }
-
-    /// The steps, in execution order (never empty).
-    pub fn steps(&self) -> &[TransId] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-
-    /// The final transition (the one carrying the observed event).
-    pub fn last(&self) -> TransId {
-        *self.steps().last().expect("plans are non-empty")
-    }
-
-    /// Number of inferred lost events this plan implies.
-    pub fn inferred_len(&self) -> usize {
-        self.steps().len() - 1
+    /// Number of steps (never zero for a span [`FsmTemplate::plan_span`]
+    /// returned).
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
     }
 
     /// The sub-plan of steps `0..=upto` (used when forcing should stop at
     /// an intermediate prerequisite state instead of overshooting it).
-    pub fn prefix(&self, upto: usize) -> ExecPlan {
-        Self::from_steps(&self.steps()[..=upto])
+    pub(crate) fn prefix(self, upto: usize) -> PlanSpan {
+        debug_assert!(upto < self.len());
+        PlanSpan {
+            start: self.start,
+            len: upto as u32 + 1,
+        }
     }
 }
-
-impl PartialEq for ExecPlan {
-    fn eq(&self, other: &Self) -> bool {
-        self.steps() == other.steps()
-    }
-}
-
-impl Eq for ExecPlan {}
 
 /// An ambiguity found during augmentation: from `state`, label `label` has
 /// several reachable targets, so no intra-node transition was added.
@@ -208,7 +146,9 @@ pub struct FsmTemplate<L> {
     state_names: Vec<String>,
     initial: StateId,
     transitions: Vec<Transition<L>>,
-    normal: FxHashMap<(StateId, L), TransId>,
+    /// The derived intra-node transitions as augmentation found them: the
+    /// input of the plan table, and what [`FsmTemplate::intra_transitions`]
+    /// and [`FsmTemplate::to_dot`] list. Never probed per event.
     intra: FxHashMap<(StateId, L), IntraPlan>,
     /// reach1[s] = states reachable from s via ≥1 normal transitions.
     reach1: Vec<Vec<bool>>,
@@ -216,6 +156,14 @@ pub struct FsmTemplate<L> {
     /// `normal_path(from, to)`.
     first_step: Vec<Option<TransId>>,
     ambiguities: Vec<Ambiguity<L>>,
+    /// The machine's distinct labels, in order of their first transition.
+    labels: Vec<L>,
+    /// spans[state * labels.len() + label] = where the plan for `label` at
+    /// `state` sits in `steps` ([`PlanSpan::NONE`] when there is none).
+    spans: Vec<PlanSpan>,
+    /// Every plan's transitions, back to back: a normal transition is a run
+    /// of one, an intra-node plan is its `via` followed by its `final_trans`.
+    steps: Vec<TransId>,
 }
 
 impl<L: Label> FsmTemplate<L> {
@@ -280,35 +228,70 @@ impl<L: Label> FsmTemplate<L> {
         from == to || self.reachable(from, to)
     }
 
-    /// How to process `label` from `state`: a one-step plan for a normal
-    /// transition, a multi-step plan for an intra-node transition, `None`
-    /// if the event cannot be processed from here.
-    pub fn plan(&self, state: StateId, label: &L) -> Option<ExecPlan> {
-        if let Some(&t) = self.normal.get(&(state, label.clone())) {
-            return Some(ExecPlan::single(t));
-        }
-        self.intra
-            .get(&(state, label.clone()))
-            .map(|p| ExecPlan::from_parts(&p.via, p.final_trans))
+    /// How to process `label` from `state`: all transitions to take, in
+    /// order — one for a normal transition, several for an intra-node
+    /// transition (every step but the last is an inferred lost event; the
+    /// last carries the observed event itself) — or `None` if the event
+    /// cannot be processed from here. Read from the table
+    /// [`FsmBuilder::build`] compiled; never empty.
+    pub fn plan(&self, state: StateId, label: &L) -> Option<&[TransId]> {
+        self.plan_span(state, label).map(|span| self.steps_of(span))
+    }
+
+    /// [`FsmTemplate::plan`]'s answer as its place in the step table.
+    pub(crate) fn plan_span(&self, state: StateId, label: &L) -> Option<PlanSpan> {
+        // A machine has a handful of labels: a scan, so `Label` needs no
+        // order and no hash is computed.
+        let label = self.labels.iter().position(|l| l == label)?;
+        let span = *self.spans.get(state.idx() * self.labels.len() + label)?;
+        (span != PlanSpan::NONE).then_some(span)
+    }
+
+    /// The transitions of a plan [`FsmTemplate::plan_span`] returned.
+    pub(crate) fn steps_of(&self, span: PlanSpan) -> &[TransId] {
+        &self.steps[span.start as usize..(span.start + span.len) as usize]
     }
 
     /// True if `label` can be processed from `state` (normal or intra).
     pub fn can_process(&self, state: StateId, label: &L) -> bool {
-        self.normal.contains_key(&(state, label.clone()))
-            || self.intra.contains_key(&(state, label.clone()))
+        self.plan_span(state, label).is_some()
     }
 
-    /// The state after executing `plan` (its last transition's target).
-    pub fn plan_end(&self, plan: &ExecPlan) -> StateId {
-        self.transitions[plan.last().idx()].to
-    }
-
-    /// The states visited by each step of `plan`, in order.
-    pub fn plan_states(&self, plan: &ExecPlan) -> Vec<StateId> {
-        plan.steps()
-            .iter()
-            .map(|t| self.transitions[t.idx()].to)
-            .collect()
+    /// Lay `(state, label) → steps` out flat from the normal transitions
+    /// and the derived `intra` plans (which never shadow a normal one).
+    fn compile_plans(&mut self) {
+        let mut labels: Vec<L> = Vec::new();
+        for t in &self.transitions {
+            if !labels.contains(&t.label) {
+                labels.push(t.label.clone());
+            }
+        }
+        let mut spans = vec![PlanSpan::NONE; self.state_names.len() * labels.len()];
+        let mut steps = Vec::new();
+        for (slot, span) in spans.iter_mut().enumerate() {
+            let (state, label) = (
+                StateId((slot / labels.len()) as u32),
+                &labels[slot % labels.len()],
+            );
+            let normal = self
+                .transitions
+                .iter()
+                .position(|t| t.from == state && t.label == *label);
+            let start = steps.len() as u32;
+            if let Some(t) = normal {
+                steps.push(TransId(t as u32));
+            } else if let Some(p) = self.intra.get(&(state, label.clone())) {
+                steps.extend_from_slice(&p.via);
+                steps.push(p.final_trans);
+            }
+            let len = steps.len() as u32 - start;
+            if len > 0 {
+                *span = PlanSpan { start, len };
+            }
+        }
+        self.labels = labels;
+        self.spans = spans;
+        self.steps = steps;
     }
 
     /// Shortest path of normal transitions from `from` to `to` (BFS;
@@ -369,6 +352,7 @@ impl<L: Label> FsmTemplate<L> {
     pub fn strip_intra(&self) -> Self {
         let mut t = self.clone();
         t.intra.clear();
+        t.compile_plans();
         t
     }
 
@@ -508,11 +492,13 @@ impl<L: Label> FsmBuilder<L> {
             state_names: self.state_names,
             initial: self.initial,
             transitions: self.transitions,
-            normal,
             intra: FxHashMap::default(),
             reach1,
             first_step: Vec::new(),
             ambiguities: Vec::new(),
+            labels: Vec::new(),
+            spans: Vec::new(),
+            steps: Vec::new(),
         };
         template.first_step = (0..n * n)
             .map(|pair| {
@@ -520,13 +506,14 @@ impl<L: Label> FsmBuilder<L> {
                 template.normal_path(from, to)?.first().copied()
             })
             .collect();
-        augment(&mut template);
+        augment(&mut template, &normal);
+        template.compile_plans();
         Ok(template)
     }
 }
 
 /// Derive intra-node transitions per the paper's rule (see module docs).
-fn augment<L: Label>(template: &mut FsmTemplate<L>) {
+fn augment<L: Label>(template: &mut FsmTemplate<L>, normal: &FxHashMap<(StateId, L), TransId>) {
     // Collect distinct labels with their transitions.
     let mut by_label: FxHashMap<L, Vec<TransId>> = FxHashMap::default();
     for (i, t) in template.transitions.iter().enumerate() {
@@ -555,7 +542,7 @@ fn augment<L: Label>(template: &mut FsmTemplate<L>) {
 
         for sx in (0..n).map(|i| StateId(i as u32)) {
             // Normal transitions take priority; no intra entry needed.
-            if template.normal.contains_key(&(sx, label.clone())) {
+            if normal.contains_key(&(sx, label.clone())) {
                 continue;
             }
             // Reachable (≥1 step) targets from sx.
@@ -689,9 +676,8 @@ mod tests {
         let s = sender();
         let init = s.initial();
         let plan = s.plan(init, &"ack").expect("intra transition derived");
-        assert_eq!(plan.steps().len(), 2, "one lost trans + the ack itself");
-        assert_eq!(plan.inferred_len(), 1);
-        let states = s.plan_states(&plan);
+        assert_eq!(plan.len(), 2, "one lost trans + the ack itself");
+        let states: Vec<StateId> = plan.iter().map(|t| s.transition(*t).to).collect();
         assert_eq!(s.state_name(states[0]), "Sending");
         assert_eq!(s.state_name(states[1]), "Acked");
     }
@@ -703,19 +689,19 @@ mod tests {
         let got = f.state_by_name("Got").unwrap();
         // trans at Init: lost [recv].
         let p = f.plan(init, &"trans").unwrap();
-        assert_eq!(p.inferred_len(), 1);
-        assert_eq!(f.transition(p.steps()[0]).label, "recv");
+        assert_eq!(p.len(), 2);
+        assert_eq!(f.transition(p[0]).label, "recv");
         // ack at Init: lost [recv, trans].
         let p = f.plan(init, &"ack").unwrap();
-        assert_eq!(p.inferred_len(), 2);
-        let labels: Vec<_> = p.steps().iter().map(|t| f.transition(*t).label).collect();
+        assert_eq!(p.len(), 3);
+        let labels: Vec<_> = p.iter().map(|t| f.transition(*t).label).collect();
         assert_eq!(labels, vec!["recv", "trans", "ack"]);
         // overflow at Init: lost [recv].
         let p = f.plan(init, &"overflow").unwrap();
-        assert_eq!(p.inferred_len(), 1);
+        assert_eq!(p.len(), 2);
         // ack at Got: lost [trans].
         let p = f.plan(got, &"ack").unwrap();
-        assert_eq!(p.inferred_len(), 1);
+        assert_eq!(p.len(), 2);
     }
 
     #[test]
@@ -732,7 +718,7 @@ mod tests {
         let f = forwarder();
         let got = f.state_by_name("Got").unwrap();
         let p = f.plan(got, &"trans").unwrap();
-        assert_eq!(p.steps().len(), 1, "normal transition, no inference");
+        assert_eq!(p.len(), 1, "normal transition, no inference");
     }
 
     #[test]

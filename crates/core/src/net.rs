@@ -26,6 +26,15 @@
 //! fresh group, which is the right default for one-engine-per-node
 //! machines (Figure 3, custom protocols).
 //!
+//! What the runner knows about a group's front event — which engine it is
+//! queued on and the plan that processes it, as its place in the template's
+//! compiled table — is worked out once and kept until the queue is popped or
+//! one of the group's engines moves, the only two things it depends on; and
+//! the least ready front is carried from one pop to the next instead of
+//! being searched for again. A finished run's flow and origin vectors can be
+//! handed back ([`ConnectedNet::recycle`]) for the next run to fill. None of
+//! this changes an output.
+//!
 //! One refinement over the paper's prose: when forcing a peer toward a
 //! prerequisite state, if the peer's next logged event would *overshoot*
 //! the prerequisite (its inferred prefix passes through the prerequisite
@@ -35,7 +44,7 @@
 //! contradicts the paper's reported flow.
 
 use crate::flow::EventFlow;
-use crate::fsm::{ExecPlan, FsmTemplate, Label, StateId, TransId, Transition};
+use crate::fsm::{FsmTemplate, Label, PlanSpan, StateId, TransId, Transition};
 use netsim::json::{expected, FromJson, Json, JsonError, ToJson};
 use refill_provenance::EntryOrigin;
 use std::collections::VecDeque;
@@ -194,18 +203,13 @@ struct Rule<L> {
     rule: InterRule,
 }
 
-/// What the runner knows about the front event of a group's queue.
-#[derive(Clone, Copy)]
-enum Front {
-    /// The queue was popped or one of the group's engines moved since the
-    /// front was last planned.
-    Stale,
-    /// The queue is empty or its front event has no transition from its
-    /// engine's current state.
-    Blocked,
-    /// The front event, queued on this engine, can be processed.
-    Ready(EngineId),
-}
+/// A `fronts` slot: the queue was popped or one of the group's engines moved
+/// since the front was last planned.
+const STALE: u32 = u32::MAX - 1;
+/// A `fronts` slot: the queue is empty or its front event has no transition
+/// from its engine's current state. The greatest value, so that taking the
+/// least slot picks the ready front with the smallest engine id.
+const BLOCKED: u32 = u32::MAX;
 
 /// The connected network of inference engines.
 ///
@@ -231,14 +235,23 @@ pub struct ConnectedNet<L, E> {
     /// from earlier use.
     queues: Vec<VecDeque<(EngineId, E)>>,
     groups: usize,
-    /// All registered rules, in registration order.
+    /// All registered rules, sorted by engine (registration order within
+    /// one).
     rules: Vec<Rule<L>>,
-    /// Rule indices sorted by engine (registration order within one), and
-    /// each engine's range in them; filled when a run starts.
-    rule_order: Vec<u32>,
+    /// Each engine's range in `rules`; filled when a run starts.
     rule_start: Vec<u32>,
     // The runner's working state, kept here for its capacity.
-    fronts: Vec<Front>,
+    /// What the runner knows about the front event of each group's queue:
+    /// the id of the engine it is queued on when it can be processed right
+    /// now (by the plan in `front_plans`), else [`BLOCKED`] or [`STALE`].
+    /// One word per group, so that finding the least is a scan of integers.
+    fronts: Vec<u32>,
+    /// Per group with a ready front: that event's plan, as its place in its
+    /// engine's template.
+    front_plans: Vec<PlanSpan>,
+    /// Groups whose slot went stale since the drive loop last looked (a
+    /// group may be listed twice).
+    went_stale: Vec<GroupId>,
     /// Last observed flow entry per group, for the per-node-order edges.
     group_last_entry: Vec<u32>,
     /// Engines currently being forced (cycle guard).
@@ -246,6 +259,10 @@ pub struct ConnectedNet<L, E> {
     /// Dependency edges of the entries under construction: each nested
     /// `advance` owns the part above the length it found.
     deps: Vec<u32>,
+    /// The flow and origin vectors of a [`recycle`](ConnectedNet::recycle)d
+    /// output, emptied: the next run fills them instead of fresh ones.
+    spare_flow: EventFlow<E>,
+    spare_origins: Vec<EntryOrigin>,
 }
 
 /// The result of a run.
@@ -296,12 +313,15 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
             queues: Vec::new(),
             groups: 0,
             rules: Vec::new(),
-            rule_order: Vec::new(),
             rule_start: Vec::new(),
             fronts: Vec::new(),
+            front_plans: Vec::new(),
+            went_stale: Vec::new(),
             group_last_entry: Vec::new(),
             forcing: Vec::new(),
             deps: Vec::new(),
+            spare_flow: EventFlow::new(),
+            spare_origins: Vec::new(),
         }
     }
 
@@ -316,6 +336,18 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
         }
         self.groups = 0;
         self.rules.clear();
+    }
+
+    /// Hand back the flow and origin vectors of a finished run's output: the
+    /// next [`run`](ConnectedNet::run) builds its own in them instead of
+    /// allocating. Buffers only — both are emptied here, so no entry, edge or
+    /// origin of the old output can show up in a later one. Survives
+    /// [`reset`](ConnectedNet::reset).
+    pub fn recycle(&mut self, mut flow: EventFlow<E>, mut origins: Vec<EntryOrigin>) {
+        flow.clear();
+        origins.clear();
+        self.spare_flow = flow;
+        self.spare_origins = origins;
     }
 
     /// Register a template; returns its index.
@@ -382,11 +414,22 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
                 .all(|s| (s.0 as usize) < states),
             "rule names a state its peer's template does not have"
         );
-        self.rules.push(Rule {
-            engine,
-            label,
-            rule,
-        });
+        // Kept sorted as they come: a caller that registers engine by engine
+        // (the tracer does) appends.
+        let at = match self.rules.last() {
+            Some(last) if engine < last.engine => {
+                self.rules.partition_point(|r| r.engine <= engine)
+            }
+            _ => self.rules.len(),
+        };
+        self.rules.insert(
+            at,
+            Rule {
+                engine,
+                label,
+                rule,
+            },
+        );
     }
 
     /// Queue an observed event payload for an engine, at the back of its
@@ -430,7 +473,7 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
         self.engines[e.idx()].slots as usize + state.0 as usize
     }
 
-    /// Counting sort of the rule indices by engine, so the runner finds an
+    /// Each engine's range of the (sorted) rules, so the runner finds an
     /// engine's handful of rules by range instead of by hashing.
     fn index_rules(&mut self) {
         let engines = self.engines.len();
@@ -442,17 +485,6 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
         for e in 0..engines {
             self.rule_start[e + 1] += self.rule_start[e];
         }
-        self.rule_order.clear();
-        self.rule_order.resize(self.rules.len(), 0);
-        // Each start serves as its engine's write cursor and ends up at
-        // the next engine's start; shifting them up by one restores them.
-        for (ri, r) in self.rules.iter().enumerate() {
-            let cursor = &mut self.rule_start[r.engine.idx()];
-            self.rule_order[*cursor as usize] = ri as u32;
-            *cursor += 1;
-        }
-        self.rule_start.copy_within(..engines, 1);
-        self.rule_start[0] = 0;
     }
 
     /// Run the transition algorithm to completion.
@@ -467,23 +499,34 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
     ) -> RunOutput<E> {
         self.index_rules();
         self.fronts.clear();
-        self.fronts.resize(self.groups, Front::Stale);
+        self.fronts.resize(self.groups, STALE);
+        self.front_plans.clear();
+        self.front_plans.resize(self.groups, PlanSpan::NONE);
+        self.went_stale.clear();
         self.group_last_entry.clear();
         self.group_last_entry.resize(self.groups, NONE);
         self.forcing.clear();
         self.deps.clear();
         let queued: usize = self.queues[..self.groups].iter().map(VecDeque::len).sum();
+        // Recycled vectors if there are any (empty ones otherwise), sized
+        // for the lossless case: every queued event becomes an entry with an
+        // edge to its engine's and its node's previous one. A recycled
+        // vector that is too small at least doubles, so a window that
+        // re-closes one record larger each time regrows its report's
+        // vectors a logarithmic number of times, not every time.
+        let mut flow = std::mem::take(&mut self.spare_flow);
+        flow.reserve(queued, 2 * queued);
+        let mut origins = std::mem::take(&mut self.spare_origins);
+        origins.reserve(queued);
         let mut runner = Runner {
             net: self,
             label_of,
             synthesize,
-            // Sized for the lossless case: every queued event becomes an
-            // entry with an edge to its engine's and its node's previous one.
-            flow: EventFlow::with_capacity(queued, 2 * queued),
+            flow,
             omitted: Vec::new(),
             warnings: Vec::new(),
             stats: RunStats::default(),
-            origins: Vec::with_capacity(queued),
+            origins,
         };
         runner.drive();
         RunOutput {
@@ -523,20 +566,38 @@ where
     /// (step 3 of the paper's algorithm) and driving resumes.
     fn drive(&mut self) {
         let groups = self.net.groups;
+        // The least slot of `fronts` and its group, carried from one pop to
+        // the next instead of reading every slot for every event: a slot
+        // changes only by going stale first, every group that does is noted
+        // in `went_stale`, and folding those back in keeps the minimum exact
+        // — unless the least slot itself moved up (its engine's events ran
+        // out: about once per engine), and then every slot is read again.
+        let (mut least, mut pick) = (BLOCKED, GroupId(0));
+        let mut known = false;
         loop {
-            // The processable front with the smallest engine id.
-            let mut pick: Option<(EngineId, GroupId)> = None;
-            for g in (0..groups as u32).map(GroupId) {
-                if let Front::Ready(engine) = self.front(g) {
-                    if pick.is_none_or(|(e, _)| engine < e) {
-                        pick = Some((engine, g));
-                    }
+            while let Some(g) = self.net.went_stale.pop() {
+                let front = self.front(g);
+                if front < least {
+                    (least, pick) = (front, g);
+                } else if g == pick && front != least {
+                    known = false;
                 }
             }
-            if let Some((_, g)) = pick {
-                let (engine, plan) = self.front_plan(g).expect("a ready front has a plan");
-                let payload = self.pop_front(g);
-                self.exec_plan(engine, &plan, Some(payload));
+            if !known {
+                (least, pick) = (BLOCKED, GroupId(0));
+                for g in (0..groups as u32).map(GroupId) {
+                    let front = self.front(g);
+                    if front < least {
+                        (least, pick) = (front, g);
+                    }
+                }
+                known = true;
+            }
+            // The processable front with the smallest engine id.
+            if least != BLOCKED {
+                let plan = self.net.front_plans[pick.idx()];
+                let payload = self.pop_front(pick);
+                self.exec_plan(EngineId(least), plan, Some(payload));
                 continue;
             }
             // No group can move: omit the blocked front with the smallest
@@ -559,60 +620,82 @@ where
         }
     }
 
-    /// What a group's front event can do right now. Planning is redone only
-    /// for a stale group: the answer depends on nothing but the queue's
-    /// front and its engine's state, and both invalidate it when they move
-    /// ([`Runner::pop_front`], [`Runner::advance`]).
-    fn front(&mut self, g: GroupId) -> Front {
-        if let Front::Stale = self.net.fronts[g.idx()] {
-            self.front_plan(g);
+    /// A group's queue was popped or one of its engines moved: its front has
+    /// to be planned again, and the drive loop told.
+    fn mark_stale(&mut self, g: GroupId) {
+        if self.net.fronts[g.idx()] != STALE {
+            self.net.fronts[g.idx()] = STALE;
+            self.net.went_stale.push(g);
         }
-        self.net.fronts[g.idx()]
     }
 
-    /// The plan for a group's front event, if processable right now.
-    fn front_plan(&mut self, g: GroupId) -> Option<(EngineId, ExecPlan)> {
-        if let Front::Blocked = self.net.fronts[g.idx()] {
-            return None;
+    /// What a group's front event can do right now: the id of the engine it
+    /// is queued on when it can be processed (its plan is then in
+    /// `front_plans`), else [`BLOCKED`]. Planned at most once per front: the
+    /// answer depends on nothing but the queue's front and that engine's
+    /// state, and every write to either stores [`STALE`]
+    /// ([`Runner::pop_front`], [`Runner::advance`]), so a plan read back is
+    /// the plan a fresh lookup would return.
+    #[inline]
+    fn front(&mut self, g: GroupId) -> u32 {
+        match self.net.fronts[g.idx()] {
+            STALE => self.plan_front(g),
+            planned => planned,
         }
+    }
+
+    /// Plan a stale front and remember the answer.
+    fn plan_front(&mut self, g: GroupId) -> u32 {
         let planned = self.net.queues[g.idx()]
             .front()
             .and_then(|(engine, payload)| {
                 let label = (self.label_of)(payload);
                 let state = self.net.engines[engine.idx()].state;
-                let plan = self.net.template_of(*engine).plan(state, &label)?;
+                let plan = self.net.template_of(*engine).plan_span(state, &label)?;
                 Some((*engine, plan))
             });
-        self.net.fronts[g.idx()] = match planned {
-            Some((engine, _)) => Front::Ready(engine),
-            None => Front::Blocked,
+        let front = match planned {
+            Some((engine, plan)) => {
+                self.net.front_plans[g.idx()] = plan;
+                engine.0
+            }
+            None => BLOCKED,
         };
-        planned
+        self.net.fronts[g.idx()] = front;
+        front
     }
 
     fn pop_front(&mut self, g: GroupId) -> E {
-        self.net.fronts[g.idx()] = Front::Stale;
+        self.mark_stale(g);
         let (_, payload) = self.net.queues[g.idx()].pop_front().expect("front exists");
         payload
     }
 
     /// Execute a plan: every step but the last is an inferred lost event;
     /// the last carries the observed payload (when given).
-    fn exec_plan(&mut self, e: EngineId, plan: &ExecPlan, mut observed: Option<E>) {
+    fn exec_plan(&mut self, e: EngineId, plan: PlanSpan, observed: Option<E>) {
         let template = self.net.engines[e.idx()].template as usize;
-        let steps = plan.steps();
-        if steps.len() > 1 {
+        if plan.len() > 1 {
             self.stats.jumps += 1;
         }
-        let last_idx = steps.len() - 1;
-        for (i, &tid) in steps.iter().enumerate() {
-            let payload = if i == last_idx { observed.take() } else { None };
-            let is_observed_step = payload.is_some();
-            let payload = payload.unwrap_or_else(|| {
-                (self.synthesize)(e, self.net.templates[template].transition(tid))
-            });
-            self.advance(e, tid, payload, is_observed_step);
+        // Read step by step: `advance` needs the whole runner in between.
+        let step = |net: &ConnectedNet<L, E>, i: usize| net.templates[template].steps_of(plan)[i];
+        let last = plan.len() - 1;
+        for i in 0..last {
+            let tid = step(self.net, i);
+            self.infer(e, tid);
         }
+        let tid = step(self.net, last);
+        match observed {
+            Some(payload) => self.advance(e, tid, payload, true),
+            None => self.infer(e, tid),
+        }
+    }
+
+    /// Take one normal transition on `e` as an inferred lost event.
+    fn infer(&mut self, e: EngineId, tid: TransId) {
+        let payload = (self.synthesize)(e, self.net.template_of(e).transition(tid));
+        self.advance(e, tid, payload, false);
     }
 
     /// Take one normal transition on `e`: satisfy its inter-node rules, move
@@ -678,28 +761,29 @@ where
         let eng = &mut self.net.engines[e.idx()];
         eng.state = to;
         eng.last_entry = idx;
-        self.net.fronts[group.idx()] = Front::Stale;
+        self.mark_stale(group);
     }
 
     /// Satisfy all inter-node rules for `(e, label)`, pushing the flow
     /// indices that established satisfaction (dependency edges) onto the
     /// shared edge stack.
     ///
-    /// An engine has a handful of rules, so its range of the rule order is
+    /// An engine has a handful of rules, so its range of the rules is
     /// scanned for the label. Forcing needs `&mut self`, but the rule
     /// tables are immutable once the run starts, so indices stay valid.
     fn satisfy_rules(&mut self, e: EngineId, label: &L) {
         let start = self.net.rule_start[e.idx()] as usize;
         let end = self.net.rule_start[e.idx() + 1] as usize;
-        for k in start..end {
-            let ri = self.net.rule_order[k] as usize;
+        for ri in start..end {
             if self.net.rules[ri].label != *label {
                 continue;
             }
-            if self.satisfaction(ri).is_none() {
+            let mut met = self.satisfaction(ri);
+            if met.is_none() {
                 self.force(ri);
+                met = self.satisfaction(ri);
             }
-            if let Some(Some(idx)) = self.satisfaction(ri) {
+            if let Some(Some(idx)) = met {
                 self.net.deps.push(idx);
             }
         }
@@ -755,13 +839,14 @@ where
         let group = self.net.engines[peer.idx()].group;
 
         // Try the node's next logged event first.
-        if let Some((front_engine, plan)) = self.front_plan(group) {
+        let front = self.front(group);
+        if front != BLOCKED {
+            let (front_engine, plan) = (EngineId(front), self.net.front_plans[group.idx()]);
             if front_engine == peer {
-                // Walk the plan's states in place (no `plan_states` Vec).
                 let (prefix_hit, helps) = {
                     let rule = &self.net.rules[ri].rule;
                     let tpl = self.net.template_of(peer);
-                    let steps = plan.steps();
+                    let steps = tpl.steps_of(plan);
                     // Overshoot check: does the *inferred prefix* already
                     // pass through a satisfying state? Then take only that
                     // prefix and leave the logged event queued.
@@ -783,13 +868,12 @@ where
                     (prefix_hit, helps)
                 };
                 if let Some(k) = prefix_hit {
-                    let prefix = plan.prefix(k);
-                    self.exec_plan(peer, &prefix, None);
+                    self.exec_plan(peer, plan.prefix(k), None);
                     return true;
                 }
                 if helps {
                     let payload = self.pop_front(group);
-                    self.exec_plan(peer, &plan, Some(payload));
+                    self.exec_plan(peer, plan, Some(payload));
                     return true;
                 }
             } else {
@@ -797,7 +881,7 @@ where
                 // order it precedes the peer's events, so processing it is
                 // both required and safe.
                 let payload = self.pop_front(group);
-                self.exec_plan(front_engine, &plan, Some(payload));
+                self.exec_plan(front_engine, plan, Some(payload));
                 return true;
             }
         }
@@ -807,7 +891,7 @@ where
         let canonical = self.net.rules[ri].rule.canonical;
         match self.net.template_of(peer).first_step(state, canonical) {
             Some(first) => {
-                self.exec_plan(peer, &ExecPlan::single(first), None);
+                self.infer(peer, first);
                 true
             }
             None => false,
@@ -898,6 +982,53 @@ mod tests {
         assert_eq!(flow_str(&out), "[e1], [e3], [e5], [e6], [e4], e2");
         assert_eq!(out.flow.inferred_count(), 5);
         assert_eq!(out.flow.observed_count(), 1);
+    }
+
+    #[test]
+    fn a_front_that_forcing_unblocks_is_picked_at_once() {
+        // `b` leaves both Mid and Alt, so from Init it is ambiguous and y's
+        // logged `b` waits — until z's `x1` forces y to Mid by inference
+        // alone (nothing is popped from y's queue). From then on y, the
+        // earlier engine, has the least ready front: `b` goes before `x2`.
+        let mut y = FsmBuilder::new("y");
+        let (init, mid, alt) = (y.state("Init"), y.state("Mid"), y.state("Alt"));
+        let (end, end2) = (y.state("End"), y.state("End2"));
+        y.t(init, "a", mid)
+            .t(mid, "b", end)
+            .t(init, "c", alt)
+            .t(alt, "b", end2);
+        let mut net = ConnectedNet::new();
+        let ty = net.add_template(y.build().unwrap());
+        let tz = net.add_template(chain("z", "x1", "x2"));
+        let y = net.add_engine(ty);
+        let z = net.add_engine(tz);
+        net.add_rule(z, "x1", InterRule::new(y, &[mid], mid));
+        net.push_event(y, "b");
+        net.push_event(z, "x1");
+        net.push_event(z, "x2");
+        let out = run_net(&mut net);
+        assert_eq!(flow_str(&out), "[a], x1, b, x2");
+        assert!(out.omitted.is_empty());
+    }
+
+    #[test]
+    fn rules_may_be_registered_in_any_engine_order() {
+        // Figure 3(a) again, the later engine's rule first: each engine
+        // still finds its own.
+        let mut net = ConnectedNet::new();
+        let t1 = net.add_template(chain("n1", "e1", "e2"));
+        let t2 = net.add_template(chain("n2", "e3", "e4"));
+        let t3 = net.add_template(chain("n3", "e5", "e6"));
+        let n1 = net.add_engine(t1);
+        let n2 = net.add_engine(t2);
+        let n3 = net.add_engine(t3);
+        let end2 = end(net.template(t2));
+        let end3 = end(net.template(t3));
+        net.add_rule(n2, "e4", InterRule::new(n3, &[end3], end3));
+        net.add_rule(n1, "e2", InterRule::new(n2, &[end2], end2));
+        net.push_event(n1, "e2");
+        let out = run_net(&mut net);
+        assert_eq!(flow_str(&out), "[e1], [e3], [e5], [e6], [e4], e2");
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::trace::{PacketReport, Reconstructor};
 use eventlog::columnar::{ColumnarIndex, ScratchArena};
 use eventlog::{merge_logs_store_recorded, LocalLog, MergedLog};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Batches per worker: enough that one slow batch (a storm-loop packet)
 /// cannot leave the other workers idle for long, few enough that cursor
@@ -31,8 +32,13 @@ const BATCHES_PER_WORKER: usize = 8;
 
 /// Worker threads a parallel pass uses when the caller has no count of its
 /// own: the machine's available parallelism (1 if it cannot be determined).
+///
+/// The answer is the process's at first use: `available_parallelism` reads
+/// the cgroup files and the affinity mask on every call, and the stream asks
+/// once per sweep, so it is asked once and remembered.
 pub fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Ordered parallel map over `0..n`: `f(state, i)` for every index, results

@@ -170,8 +170,9 @@ impl PacketReport {
     /// True if the reconstructed path revisits a node — evidence of a
     /// routing loop (the paper's Case 4 situation).
     pub fn has_routing_loop(&self) -> bool {
-        let mut seen = netsim::fx::FxHashSet::default();
-        self.path.iter().any(|n| !seen.insert(*n))
+        // A path is a handful of nodes: comparing each with the ones before
+        // it beats building a set.
+        (1..self.path.len()).any(|i| self.path[..i].contains(&self.path[i]))
     }
 
     /// Number of radio hops the packet is known to have completed (nodes
@@ -302,6 +303,30 @@ impl Reconstructor {
         let report = self.reconstruct_with_sink(packet, events, sink);
         self.record_report(&report, CacheDisposition::Direct);
         report
+    }
+
+    /// Hand back a report the caller is done with: the calling thread's next
+    /// [`Reconstructor::reconstruct_packet`] builds its flow, `origins`,
+    /// `engines` and `path` in this report's vectors instead of allocating
+    /// five fresh ones. Buffers only, never contents — every vector is
+    /// emptied first, so the next report is exactly what it would have been
+    /// with nothing recycled.
+    pub fn recycle(&self, report: PacketReport) {
+        let PacketReport {
+            flow,
+            origins,
+            mut engines,
+            mut path,
+            ..
+        } = report;
+        engines.clear();
+        path.clear();
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.net.recycle(flow, origins);
+            scratch.spare_engines = engines;
+            scratch.spare_path = path;
+        });
     }
 
     /// Account an emitted report: exactly one call per report handed back
@@ -471,49 +496,25 @@ impl Reconstructor {
     ) {
         let Scratch {
             nodes,
-            ranks,
-            ends,
-            by_node,
             active,
             visits,
             assignments,
             ..
         } = scratch;
-        // Per-node streams in merged order (per-node order preserved): a
-        // counting sort on the rank of each event's node, ranks given in
-        // order of first appearance. A packet meets a handful of nodes, so
-        // the rank is found by scanning them.
+        // Node by node, in order of first appearance; a node's stream is its
+        // events picked out of the merged order, which keeps its recording
+        // order. A packet meets a handful of nodes, so "seen before" is a
+        // scan of them and nothing is copied or sorted.
         nodes.clear();
-        ranks.clear();
-        ends.clear();
-        for e in events {
-            let rank = nodes.iter().position(|&n| n == e.node).unwrap_or_else(|| {
-                nodes.push(e.node);
-                ends.push(0);
-                nodes.len() - 1
-            });
-            ranks.push(rank as u32);
-            ends[rank] += 1;
-        }
-        let mut start = 0;
-        for end in ends.iter_mut() {
-            (start, *end) = (start + *end, start);
-        }
-        by_node.clear();
-        by_node.extend_from_slice(events);
-        // Each start moves up as its node's events land and stops at the
-        // node's end.
-        for (&e, &rank) in events.iter().zip(ranks.iter()) {
-            by_node[ends[rank as usize]] = e;
-            ends[rank as usize] += 1;
-        }
-
         visits.clear();
         assignments.clear();
-        let mut start = 0;
-        for (&node, &end) in nodes.iter().zip(ends.iter()) {
-            let stream = &by_node[start..end];
-            start = end;
+        for (first, e) in events.iter().enumerate() {
+            let node = e.node;
+            if nodes.contains(&node) {
+                continue;
+            }
+            nodes.push(node);
+            let stream = events[first..].iter().filter(|e| e.node == node);
             // Visits at this node, in creation order; the last is "current".
             active.clear();
             for &ev in stream {
@@ -524,8 +525,8 @@ impl Reconstructor {
                 let mut assigned = false;
                 for &vi in active.iter().rev() {
                     let t = self.template_for(visits[vi].role);
-                    if let Some(plan) = t.plan(visits[vi].state, &label) {
-                        visits[vi].state = t.plan_end(&plan);
+                    if let Some(state) = state_after(t, visits[vi].state, &label) {
+                        visits[vi].state = state;
                         visits[vi].accept(ev);
                         assignments.push((vi, ev));
                         assigned = true;
@@ -538,9 +539,8 @@ impl Reconstructor {
                 // Spawn a fresh visit if a fresh instance could process it.
                 let role = self.spawn_role(packet, node, sink, active.len() as u32, &ev);
                 let t = self.template_for(role);
-                if let Some(plan) = t.plan(t.initial(), &label) {
-                    let mut v = Visit::new(node, role, active.len() as u32, t.initial());
-                    v.state = t.plan_end(&plan);
+                if let Some(state) = state_after(t, t.initial(), &label) {
+                    let mut v = Visit::new(node, role, active.len() as u32, state);
                     v.accept(ev);
                     visits.push(v);
                     active.push(visits.len() - 1);
@@ -683,6 +683,8 @@ impl Reconstructor {
             groups,
             fragments,
             meta,
+            spare_engines,
+            spare_path,
             ..
         } = scratch;
         net.reset();
@@ -809,7 +811,8 @@ impl Reconstructor {
         }
 
         // Engine infos in engine-id order.
-        let mut engines: Vec<EngineInfo> = Vec::with_capacity(order.len());
+        let mut engines = std::mem::take(spare_engines);
+        engines.reserve(order.len());
         for &vi in order.iter() {
             let v = &visits[vi];
             engines.push(EngineInfo {
@@ -826,7 +829,8 @@ impl Reconstructor {
         // Main-chain node path. Under heavy log loss the evidence-based
         // next-links can form a cycle (a real routing loop whose distinct
         // visits collapsed into each other); guard the walk.
-        let mut path = Vec::with_capacity(order.len());
+        let mut path = std::mem::take(spare_path);
+        path.reserve(order.len());
         let walked = marks;
         walked.clear();
         walked.resize(visits.len(), false);
@@ -857,22 +861,24 @@ impl Reconstructor {
     }
 }
 
+/// The state `label` takes a machine to from `state` (the target of its
+/// plan's last transition), if it can be processed there.
+fn state_after(t: &FsmTemplate<HopLabel>, state: StateId, label: &HopLabel) -> Option<StateId> {
+    let last = *t.plan(state, label)?.last().expect("a plan has a step");
+    Some(t.transition(last).to)
+}
+
 /// One thread's working set for a packet: the engine net and every buffer
 /// of the segment and run phases. It is cleared, not dropped, between
 /// packets, so after the largest packet a thread has met, reconstruction
-/// allocates the report's own vectors and nothing else. Nothing in it
-/// outlives a call: every phase clears what it fills.
+/// allocates the report's own vectors and nothing else — and not those when
+/// the caller recycled a report. Nothing in it outlives a call: every phase
+/// clears what it fills.
 #[derive(Default)]
 struct Scratch {
     net: ConnectedNet<HopLabel, Event>,
     /// The packet's recording nodes, in order of first appearance.
     nodes: Vec<NodeId>,
-    /// Per event, the index of its node in `nodes`.
-    ranks: Vec<u32>,
-    /// Per node, where its events end in `by_node`.
-    ends: Vec<usize>,
-    /// The packet's events grouped by node, recording order kept.
-    by_node: Vec<Event>,
     /// The visits of the node being segmented.
     active: Vec<usize>,
     visits: Vec<Visit>,
@@ -888,6 +894,10 @@ struct Scratch {
     fragments: Vec<usize>,
     /// Engine id → (node, previous node, next node), for synthesis.
     meta: Vec<(NodeId, Option<NodeId>, Option<NodeId>)>,
+    /// The `engines` and `path` vectors of a recycled report, emptied
+    /// ([`Reconstructor::recycle`]; the flow's and `origins` are the net's).
+    spare_engines: Vec<EngineInfo>,
+    spare_path: Vec<NodeId>,
 }
 
 thread_local! {

@@ -1,9 +1,10 @@
 //! Once a thread has reconstructed a packet, reconstructing another of the
 //! same size allocates the report's own vectors and nothing else: the net,
-//! its queues and every working buffer are reused.
+//! its queues and every working buffer are reused. And when the caller hands
+//! the previous report back, not those either.
 //!
-//! A test binary of its own, because the counting allocator is global and
-//! the count must not see another test's thread.
+//! A test binary of its own with one test in it, because the counting
+//! allocator is global and the count must not see another test's thread.
 
 use eventlog::event::BASE_STATION;
 use eventlog::{Event, EventKind, PacketId};
@@ -63,6 +64,7 @@ fn a_warm_thread_allocates_only_the_report() {
     let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(NodeId(0));
     let first = PacketId::new(NodeId(1), 0);
     let second = PacketId::new(NodeId(1), 1);
+    let third = PacketId::new(NodeId(1), 2);
     let (warm_up, events) = (three_hops_delivered(first), three_hops_delivered(second));
     let expected = recon.reconstruct_packet(first, &warm_up);
     assert!(expected.delivered && expected.flow.inferred_count() == 0);
@@ -77,4 +79,21 @@ fn a_warm_thread_allocates_only_the_report() {
     // path); before the kernel kept its buffers the same call made 108
     // requests.
     assert!(spent <= 16, "{spent} allocations for a 12-event packet");
+
+    // With its predecessor's report handed back, the next one is built in
+    // those five vectors: not one request.
+    let events = three_hops_delivered(third);
+    recon.recycle(report);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = recon.reconstruct_packet(third, &events);
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(report.packet, third);
+    assert_eq!(report.flow.to_string(), expected.flow.to_string());
+    assert!(report
+        .flow
+        .entries
+        .iter()
+        .all(|e| e.payload.packet == third));
+    assert_eq!(spent, 0, "a recycled report's vectors were not reused");
 }

@@ -3,7 +3,8 @@
 //! * a 64-bit digest over every field of every report of the Table II cases
 //!   and a few thousand generated event groups, frozen on the commit before
 //!   the kernel kept its net and buffers across packets;
-//! * one thread's reused buffers never leak from one packet into the next;
+//! * one thread's reused buffers never leak from one packet into the next,
+//!   a recycled report's vectors included;
 //! * the per-group front cache of the runner does not depend on the order
 //!   groups were registered in;
 //! * every driver over the kernel — sequential, parallel, fused, memoised —
@@ -498,6 +499,20 @@ fn one_threads_scratch_does_not_leak_between_packets() {
     }
     assert_eq!(reused[0], reused[2]);
     assert_eq!(reused[0], reused[5]);
+
+    // The same sequence with every report handed back before the next
+    // packet (to another reconstructor's call as often as not): a recycled
+    // report gives its vectors' capacity and never their contents, whether
+    // a 600-event report precedes a one-event packet or the other way round.
+    let mut previous: Option<PacketReport> = None;
+    for ((which, packet, events), expected) in sequence.iter().zip(&reused) {
+        if let Some(previous) = previous.take() {
+            recons[*which].recycle(previous);
+        }
+        let report = recons[*which].reconstruct_packet(*packet, events);
+        assert_eq!(report, *expected);
+        previous = Some(report);
+    }
 }
 
 // --- front-cache soundness -----------------------------------------------

@@ -245,20 +245,26 @@ where
                 since_poll += 1;
                 if since_poll >= poll_every {
                     since_poll = 0;
-                    let emitted = stream.poll();
-                    if !emitted.is_empty() {
-                        if let Some(ckpt) = checkpoint.as_deref_mut() {
-                            let flushed =
-                                ckpt.on_reports(&emitted).and_then(|()| ckpt.sync());
-                            if let Err(e) = flushed {
-                                ckpt_error = Some(e);
-                                break 'batches;
-                            }
-                        }
-                    }
-                    for report in emitted {
+                    let mut emit = |report: &PacketReport| {
                         rolling_reports += 1;
-                        on_report(&report);
+                        on_report(report);
+                    };
+                    match checkpoint.as_deref_mut() {
+                        // Lent straight out of the stream's own set.
+                        None => stream.poll_with(emit),
+                        // The sink takes the batch as a slice, and takes it
+                        // before anyone else hears of it: materialise it.
+                        Some(ckpt) => {
+                            let emitted = stream.poll();
+                            if !emitted.is_empty() {
+                                let flushed = ckpt.on_reports(&emitted).and_then(|()| ckpt.sync());
+                                if let Err(e) = flushed {
+                                    ckpt_error = Some(e);
+                                    break 'batches;
+                                }
+                            }
+                            emitted.iter().for_each(&mut emit);
+                        }
                     }
                 }
                 if let Some(every) = metrics_every {

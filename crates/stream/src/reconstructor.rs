@@ -26,8 +26,17 @@
 //! → closed …) and never otherwise. Logs that trickle in over hours are the
 //! same thing at a slower cadence: `ingest` a log's records, `finish()`,
 //! repeat — `finish()` is re-enterable.
+//!
+//! ## What one close costs
+//!
+//! One kernel call and nothing else. A window's events are kept as the
+//! `Event`s they arrived as and handed to the kernel as the slice they are;
+//! a re-closing window's previous report goes back to the kernel first
+//! ([`Reconstructor::recycle`]), so its successor is built in the same
+//! vectors; and [`StreamReconstructor::poll_with`] lends each new report to
+//! the caller where it lies. Only [`StreamReconstructor::poll`] and
+//! [`StreamReconstructor::finish`], which hand out reports to keep, clone.
 
-use eventlog::columnar::PackedEvent;
 use eventlog::frame::NodeRecord;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
 use eventlog::{Event, PacketId};
@@ -37,7 +46,7 @@ use refill::parallel::{available_workers, par_map};
 use refill::telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
 use refill::{PacketReport, Reconstructor};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Tunables for the streaming core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,16 +86,21 @@ pub struct StreamStats {
 /// Everything the online path keeps about one packet.
 struct PacketState {
     id: PacketId,
-    /// Events in absorb order (per node: recording order), packed — a stream
-    /// keeps every packet's history resident, which is where 16-byte records
-    /// pay most. The length doubles as the window's event count.
-    events: Vec<PackedEvent>,
+    /// Events in absorb order (per node: recording order) — what the kernel
+    /// is handed at every close. The length doubles as the window's event
+    /// count.
+    events: Vec<Event>,
     /// Each contributing node's mark at its *last* contribution; the close
     /// rule compares only a node's own marks, never across nodes. A handful
     /// per packet, so a linear search beats a map.
     contributors: Vec<(NodeId, Mark)>,
     closed: bool,
 }
+
+/// What [`StreamReconstructor::packed_event_bytes`] reports per event: an
+/// [`Event`] is no bigger than `eventlog`'s packed record, so keeping windows
+/// as `Event`s costs no memory and spares every close an unpacking pass.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 /// Fewer closing windows than this are reconstructed on the calling thread:
 /// forking workers for a handful costs more than the reconstructions.
@@ -112,8 +126,10 @@ pub struct StreamReconstructor {
     /// close.
     absorbed_since_sweep: bool,
     /// Reports as of each packet's last close, in packet-id order; kept out
-    /// of `packets` so that growing the slab moves small records only.
-    reports: BTreeMap<PacketId, PacketReport>,
+    /// of `packets` so that growing the slab moves small records only. An
+    /// entry is `None` only inside a sweep, while the window's previous
+    /// report is away being rebuilt.
+    reports: BTreeMap<PacketId, Option<PacketReport>>,
     stats: StreamStats,
 }
 
@@ -193,16 +209,16 @@ impl StreamReconstructor {
     /// each lane front to back, so per-node order is preserved). Returns
     /// the number of records absorbed.
     pub fn pump(&mut self) -> usize {
-        let mut drained: Vec<NodeRecord> = Vec::with_capacity(self.queued);
-        for lane in self.lanes.values_mut() {
-            drained.extend(lane.drain(..));
+        // Out of `self` while `absorb` borrows the rest; no record is copied
+        // anywhere but into its packet's state.
+        let mut lanes = std::mem::take(&mut self.lanes);
+        for lane in lanes.values_mut() {
+            for rec in lane.drain(..) {
+                self.absorb(rec);
+            }
         }
-        self.queued = 0;
-        let n = drained.len();
-        for rec in drained {
-            self.absorb(rec);
-        }
-        n
+        self.lanes = lanes;
+        std::mem::take(&mut self.queued)
     }
 
     /// Absorb one record: advance its node's watermark and grow (or open,
@@ -237,20 +253,26 @@ impl StreamReconstructor {
             Some((_, since)) => *since = mark,
             None => packet.contributors.push((rec.node, mark)),
         }
-        packet.events.push(PackedEvent::pack(&rec.entry.event));
+        packet.events.push(rec.entry.event);
     }
 
     /// Sweep the open windows, close the ones every contributor has moved
     /// past, reconstruct exactly those packets, and return their reports
-    /// (in packet-id order). Returns at once when no record was absorbed since
-    /// the last sweep.
+    /// (in packet-id order), cloned: the stream keeps its own. Returns at once
+    /// when no record was absorbed since the last sweep.
     pub fn poll(&mut self) -> Vec<PacketReport> {
-        if !self.absorbed_since_sweep {
-            return Vec::new();
+        let mut closed = Vec::new();
+        self.poll_with(|report| closed.push(report.clone()));
+        closed
+    }
+
+    /// [`StreamReconstructor::poll`] without the copies: each closed
+    /// window's report is lent to `emit` (in packet-id order) where the
+    /// stream keeps it.
+    pub fn poll_with(&mut self, emit: impl FnMut(&PacketReport)) {
+        if self.absorbed_since_sweep {
+            self.sweep(false, emit);
         }
-        let closed = self.sweep(false);
-        let report_of = |slot: &u32| self.reports[&self.packets[*slot as usize].id].clone();
-        closed.iter().map(report_of).collect()
     }
 
     /// End of stream — or of one log in a slower feed: pump what is queued,
@@ -260,16 +282,17 @@ impl StreamReconstructor {
     /// follow; they reopen their windows.
     pub fn finish(&mut self) -> Vec<PacketReport> {
         self.pump();
-        self.sweep(true);
+        self.sweep(true, |_| {});
         self.reports()
     }
 
     /// Close the open windows every contributor has moved past — with `all`,
     /// every open window — and reconstruct each of them exactly once, in
     /// packet-id order: in parallel when there are enough to pay for the
-    /// workers, each worker unpacking into one reused buffer. Returns the
-    /// closed windows' slots in that order; their reports are in `reports`.
-    fn sweep(&mut self, all: bool) -> Vec<u32> {
+    /// workers, each straight from the window's events and into the vectors
+    /// of the window's previous report when it has one. The new reports
+    /// replace the old in `reports` and are lent to `emit` in that order.
+    fn sweep(&mut self, all: bool, mut emit: impl FnMut(&PacketReport)) {
         let recorder = Arc::clone(&self.recorder);
         let span = StageTimer::start(&*recorder, Stage::Window);
         self.absorbed_since_sweep = false;
@@ -299,35 +322,57 @@ impl StreamReconstructor {
         } else {
             available_workers()
         };
-        let (recon, packets) = (&self.recon, &self.packets);
-        let reports = par_map(closing.len(), workers, Vec::new, |scratch: &mut Vec<Event>, i| {
-            let packet = &packets[closing[i] as usize];
-            scratch.clear();
-            scratch.extend(packet.events.iter().map(PackedEvent::unpack));
-            recon.reconstruct_packet(packet.id, scratch)
-        });
-        self.reports.extend(reports.into_iter().map(|report| (report.packet, report)));
-        closing
+        // Each closing window's previous report leaves the map (its entry
+        // stays) for whichever worker rebuilds it; the lock is that
+        // hand-over, taken once and never contended.
+        let (recon, packets, reports) = (&self.recon, &self.packets, &mut self.reports);
+        let previous: Vec<Mutex<Option<PacketReport>>> = closing
+            .iter()
+            .map(|&slot| Mutex::new(reports.entry(packets[slot as usize].id).or_default().take()))
+            .collect();
+        let rebuilt = par_map(
+            closing.len(),
+            workers,
+            || (),
+            |_, i| {
+                let packet = &packets[closing[i] as usize];
+                let previous = previous[i]
+                    .lock()
+                    .expect("a worker takes the report and lets go at once")
+                    .take();
+                if let Some(previous) = previous {
+                    recon.recycle(previous);
+                }
+                recon.reconstruct_packet(packet.id, &packet.events)
+            },
+        );
+        for report in rebuilt {
+            let kept = reports
+                .get_mut(&report.packet)
+                .expect("every closing window has an entry");
+            emit(kept.insert(report));
+        }
     }
 
     /// The current report for one packet (as of its last reconstruction).
     pub fn report(&self, id: PacketId) -> Option<&PacketReport> {
-        self.reports.get(&id)
+        self.reports.get(&id)?.as_ref()
     }
 
-    /// Heap bytes held by the packed per-packet event state — the memory
-    /// a long-running stream actually retains between polls (16 bytes per
-    /// event, plus unamortized vector capacity).
+    /// Heap bytes held by the per-packet event state — the memory a
+    /// long-running stream actually retains between polls (16 bytes per
+    /// event, an [`Event`] being as small as its packed form, plus
+    /// unamortized vector capacity).
     pub fn packed_event_bytes(&self) -> usize {
         self.packets
             .iter()
-            .map(|p| p.events.capacity() * std::mem::size_of::<PackedEvent>())
+            .map(|p| p.events.capacity() * std::mem::size_of::<Event>())
             .sum()
     }
 
     /// Every current report, cloned, in packet-id order.
     pub fn reports(&self) -> Vec<PacketReport> {
-        self.reports.values().cloned().collect()
+        self.reports.values().flatten().cloned().collect()
     }
 }
 
@@ -383,7 +428,7 @@ mod tests {
         assert_eq!(streamed, batch);
         assert_eq!(stream.stats().records, 16);
         assert_eq!(stream.open_windows(), 0);
-        // 16 packed events are resident at 16 bytes each.
+        // 16 events are resident at 16 bytes each.
         assert!(stream.packed_event_bytes() >= 16 * 16);
     }
 

@@ -5,8 +5,9 @@ use eventlog::logger::{LocalLog, LogEntry};
 use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::prop::{check, vec_of};
 use netsim::{NodeId, Rng};
-use refill::fsm::{FsmBuilder, StateId};
+use refill::fsm::{FsmBuilder, FsmTemplate, IntraPlan, Label, StateId, TransId};
 use refill::trace::{CtpVocabulary, Reconstructor};
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------------
 // Merge invariants
@@ -118,13 +119,13 @@ fn augmentation_is_sound() {
             // Walk the plan: each step must be a valid normal transition
             // chained from the previous state.
             let mut cur = *state;
-            for (i, step) in plan.steps().iter().enumerate() {
+            for (i, step) in plan.iter().enumerate() {
                 let trans = t.transition(*step);
                 assert_eq!(trans.from, cur, "broken chain at step {}", i);
                 cur = trans.to;
             }
             // The final step carries the queried label.
-            let last = t.transition(plan.last());
+            let last = t.transition(*plan.last().expect("a plan has a step"));
             assert_eq!(&last.label, label);
             // Uniqueness: no other label-edge target is reachable from state.
             let targets: std::collections::HashSet<StateId> = t
@@ -137,6 +138,187 @@ fn augmentation_is_sound() {
             assert_eq!(targets.len(), 1, "target not unique from {:?}", state);
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// The compiled plan table is the rule it was compiled from
+// ---------------------------------------------------------------------
+
+/// How `FsmTemplate::plan` answered before the table: a probe of the normal
+/// transitions by `(state, label)`, then of the derived intra-node plans —
+/// that lookup kept as it was, over maps rebuilt from what the template
+/// lists. The reference the table is checked against; nothing else looks a
+/// plan up this way any more.
+struct RuleLookup<L> {
+    normal: HashMap<(StateId, L), TransId>,
+    intra: HashMap<(StateId, L), IntraPlan>,
+}
+
+impl<L: Label> RuleLookup<L> {
+    fn of(t: &FsmTemplate<L>) -> Self {
+        let normal = t
+            .transitions()
+            .iter()
+            .enumerate()
+            .map(|(i, tr)| ((tr.from, tr.label.clone()), TransId(i as u32)))
+            .collect();
+        let intra = t
+            .intra_transitions()
+            .map(|(at, plan)| (at.clone(), plan.clone()))
+            .collect();
+        RuleLookup { normal, intra }
+    }
+
+    fn plan(&self, state: StateId, label: &L) -> Option<Vec<TransId>> {
+        if let Some(&t) = self.normal.get(&(state, label.clone())) {
+            return Some(vec![t]);
+        }
+        self.intra.get(&(state, label.clone())).map(|p| {
+            let mut steps = p.via.clone();
+            steps.push(p.final_trans);
+            steps
+        })
+    }
+}
+
+/// For every state and every label of `labels` (which should name labels
+/// the machine never uses too): the table yields the steps the rule lookup
+/// yields, `None` where it yields none; `can_process` agrees; and with the
+/// intra-node transitions stripped, exactly the normal transitions remain.
+fn table_is_the_rule<L: Label>(t: &FsmTemplate<L>, labels: &[L]) {
+    let rule = RuleLookup::of(t);
+    let stripped = t.strip_intra();
+    assert_eq!(stripped.intra_transitions().count(), 0);
+    for state in (0..t.state_count() as u32).map(StateId) {
+        for label in labels {
+            let planned = t.plan(state, label);
+            assert_eq!(
+                planned.map(<[TransId]>::to_vec),
+                rule.plan(state, label),
+                "{}: {state:?} on {label:?}",
+                t.name()
+            );
+            assert_eq!(t.can_process(state, label), planned.is_some());
+            assert_eq!(
+                stripped.plan(state, label).map(<[TransId]>::to_vec),
+                rule.normal
+                    .get(&(state, label.clone()))
+                    .map(|&only| vec![only]),
+                "{} stripped: {state:?} on {label:?}",
+                t.name()
+            );
+        }
+    }
+    // A state the machine does not have can process nothing.
+    let beyond = StateId(t.state_count() as u32);
+    assert!(labels.iter().all(|l| t.plan(beyond, l).is_none()));
+}
+
+#[test]
+fn plan_table_is_the_rule_on_random_machines() {
+    check(
+        "plan_table_is_the_rule_on_random_machines",
+        256,
+        &[],
+        |rng| {
+            let edges = forward_edges(vec_of(rng, 1..20, |rng| {
+                (
+                    rng.gen_range(0..8),
+                    rng.gen_range(0..5),
+                    rng.gen_range(0..8),
+                )
+            }));
+            let mut b = FsmBuilder::new("random");
+            let states: Vec<StateId> = (0..8).map(|i| b.state(format!("s{i}"))).collect();
+            for &(from, label, to) in &edges {
+                b.t(states[from as usize], label, states[to as usize]);
+            }
+            let t = b
+                .build()
+                .expect("forward_edges keeps the machine deterministic");
+            // Labels 5..8 are never drawn: the machine does not know them.
+            table_is_the_rule(&t, &(0..8u8).collect::<Vec<_>>());
+        },
+    );
+}
+
+#[test]
+fn plan_table_is_the_rule_on_the_shipped_machines() {
+    use refill::ctp_model::{CtpModel, HopLabel};
+    use refill::dissemination_model::{DissLabel, DisseminationRound};
+
+    let hop_labels = [
+        HopLabel::Origin,
+        HopLabel::Recv,
+        HopLabel::Dup,
+        HopLabel::Overflow,
+        HopLabel::Enqueue,
+        HopLabel::Trans,
+        HopLabel::AckRecvd,
+        HopLabel::Timeout,
+        HopLabel::SerialTrans,
+        HopLabel::BsRecv,
+        HopLabel::Deliver,
+        HopLabel::Custom(0),
+        HopLabel::Custom(7),
+    ];
+    for vocabulary in [
+        CtpVocabulary::citysee(),
+        CtpVocabulary::table2(),
+        CtpVocabulary::full(),
+    ] {
+        let model = CtpModel::new(vocabulary);
+        for role in [&model.source, &model.forwarder, &model.sink, &model.bs] {
+            table_is_the_rule(role, &hop_labels);
+        }
+    }
+
+    let receivers = 3;
+    let round = DisseminationRound::new(receivers);
+    let kinds = [
+        DissLabel::Broadcast,
+        DissLabel::RecvUpdate,
+        DissLabel::Install,
+        DissLabel::SendConfirm,
+        DissLabel::ConfirmFrom,
+        DissLabel::Complete,
+    ];
+    let peer_labels: Vec<_> = kinds
+        .iter()
+        .flat_map(|&kind| (0..=receivers).chain([usize::MAX]).map(move |i| (kind, i)))
+        .collect();
+    for template in 0..=receivers {
+        table_is_the_rule(round.net.template(template), &peer_labels);
+    }
+
+    // The two machines of `examples/custom_protocol.rs`.
+    let mut client = FsmBuilder::new("client");
+    let idle = client.state("Idle");
+    let waiting = client.state("Waiting");
+    let done = client.state("Done");
+    client
+        .t(idle, "send-request", waiting)
+        .t(waiting, "recv-reply", done);
+    let mut server = FsmBuilder::new("server");
+    let idle = server.state("Idle");
+    let got = server.state("Got");
+    let worked = server.state("Worked");
+    let done = server.state("Done");
+    server
+        .t(idle, "recv-request", got)
+        .t(got, "work", worked)
+        .t(worked, "send-reply", done);
+    let messages = [
+        "send-request",
+        "recv-request",
+        "work",
+        "send-reply",
+        "recv-reply",
+        "never-sent",
+    ];
+    for machine in [client, server] {
+        table_is_the_rule(&machine.build().expect("deterministic"), &messages);
+    }
 }
 
 // ---------------------------------------------------------------------
