@@ -6,12 +6,10 @@
 //! one campaign with each mechanism disabled and reports the damage, plus
 //! the Wit merge outcome (Section VI's motivating comparison).
 
-use baselines::source_view::SourceView;
 use baselines::wit::wit_merge;
+use citysee::Analyzer;
 use citysee::run_scenario;
-use netsim::SimTime;
-use refill::diagnose::Diagnoser;
-use refill::parallel::{available_workers, par_map};
+use refill::parallel::available_workers;
 use refill::score::{score_cause, score_flow, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, ReconOptions, Reconstructor};
 
@@ -23,13 +21,6 @@ fn main() {
     let campaign = run_scenario(&scenario);
     let sink = campaign.topology.sink();
     let faults = scenario.faults();
-    let bs_log = campaign
-        .collected
-        .iter()
-        .find(|l| l.node == eventlog::event::BASE_STATION)
-        .cloned()
-        .unwrap_or_else(|| eventlog::logger::LocalLog::new(eventlog::event::BASE_STATION));
-    let source_view = SourceView::from_bs_log(&bs_log, scenario.packet_interval());
 
     let variants = [
         ("full REFILL", ReconOptions { intra_jumps: true, inter_rules: true }),
@@ -50,32 +41,21 @@ fn main() {
         "variant", "inferred", "recall", "precision", "cause", "position", "omitted"
     );
     for (name, options) in variants {
-        let recon = Reconstructor::new(CtpVocabulary::citysee())
+        let recon = Reconstructor::new(CtpVocabulary::citysee()).with_options(options);
+        let analyzer = Analyzer::new(recon, &campaign.collected, scenario.packet_interval())
             .with_sink(sink)
-            .with_options(options);
-        let diagnoser = Diagnoser::new()
-            .with_outages(faults.outages.clone())
-            .with_sink(sink);
-        let scores = par_map(
-            index.len(),
-            available_workers(),
-            || (),
-            |(), i| {
-                let (id, events) = index.group(i);
-                let report = recon.reconstruct_packet(id, events);
-                let fs = score_flow(&report, truth_by_packet.get(id).unwrap_or(&[]));
-                let est: Option<SimTime> = source_view.estimate_time(id);
-                let d = diagnoser.diagnose(&report, est);
-                let cs = campaign
-                    .sim
-                    .truth
-                    .fates
-                    .get(&id)
-                    .map(|f| score_cause(&d, f))
-                    .unwrap_or_default();
-                (fs, cs, report.omitted.len())
-            },
-        );
+            .with_outages(faults.outages.clone());
+        let scores = analyzer.pass(&index, index.ids(), available_workers(), |v| {
+            let fs = score_flow(v.report, truth_by_packet.get(v.report.packet).unwrap_or(&[]));
+            let cs = campaign
+                .sim
+                .truth
+                .fates
+                .get(&v.report.packet)
+                .map(|f| score_cause(&v.diagnosis, f))
+                .unwrap_or_default();
+            (fs, cs, v.report.omitted.len())
+        });
         let (mut flow, mut cause, mut omitted) =
             (FlowScore::default(), CauseScore::default(), 0usize);
         for (f, c, o) in &scores {

@@ -7,14 +7,11 @@
 //! each, and report accuracy against the log volume — the cost that
 //! matters on flash-constrained motes.
 
+use citysee::analysis::{campaign_packets, Analyzer};
 use citysee::run_scenario;
 use eventlog::logger::LocalLog;
-use eventlog::merge::merge_logs;
-use eventlog::{EventKind, PacketId};
-use baselines::source_view::SourceView;
-use eventlog::event::BASE_STATION;
-use refill::diagnose::Diagnoser;
-use refill::parallel::{available_workers, par_map};
+use eventlog::EventKind;
+use refill::parallel::available_workers;
 use refill::score::{score_cause, score_flow, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, Reconstructor};
 
@@ -91,15 +88,12 @@ fn main() {
     let faults = scenario.faults();
     let full_entries: usize = campaign.collected.iter().map(|l| l.len()).sum();
 
-    // The base-station log survives every vocabulary, so the source-view
-    // time estimates (needed to attribute outage losses) are shared.
-    let bs_log = campaign
-        .collected
-        .iter()
-        .find(|l| l.node == BASE_STATION)
-        .cloned()
-        .unwrap_or_else(|| LocalLog::new(BASE_STATION));
-    let source_view = SourceView::from_bs_log(&bs_log, scenario.packet_interval());
+    // The base-station log survives every vocabulary, so the analyzer (its
+    // source-view time estimates attribute outage losses) is shared.
+    let recon = Reconstructor::new(CtpVocabulary::citysee());
+    let analyzer = Analyzer::new(recon, &campaign.collected, scenario.packet_interval())
+        .with_sink(sink)
+        .with_outages(faults.outages);
 
     let truth_by_packet = campaign.sim.truth.by_packet();
 
@@ -117,34 +111,19 @@ fn main() {
     for v in VOCABS {
         let filtered = filter_logs(&campaign.collected, v.keep);
         let entries: usize = filtered.iter().map(|l| l.len()).sum();
-        let merged = merge_logs(&filtered);
-        let index = merged.packet_index();
-        let mut ids: Vec<PacketId> = campaign.sim.truth.fates.keys().copied().collect();
-        ids.sort_unstable();
-        let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(sink);
-        let diagnoser = Diagnoser::new()
-            .with_outages(faults.outages.clone())
-            .with_sink(sink);
-        let scores = par_map(
-            ids.len(),
-            available_workers(),
-            || (),
-            |(), i| {
-                let id = &ids[i];
-                let events = index.get(*id).unwrap_or(&[]);
-                let report = recon.reconstruct_packet(*id, events);
-                let d = diagnoser.diagnose(&report, source_view.estimate_time(*id));
-                let fs = score_flow(&report, truth_by_packet.get(*id).unwrap_or(&[]));
-                let cs = campaign
-                    .sim
-                    .truth
-                    .fates
-                    .get(id)
-                    .map(|f| score_cause(&d, f))
-                    .unwrap_or_default();
-                (fs, cs)
-            },
-        );
+        let index = analyzer.index(&filtered);
+        let ids = campaign_packets(&index, &campaign.sim.truth);
+        let scores = analyzer.pass(&index, &ids, available_workers(), |v| {
+            let fs = score_flow(v.report, truth_by_packet.get(v.report.packet).unwrap_or(&[]));
+            let cs = campaign
+                .sim
+                .truth
+                .fates
+                .get(&v.report.packet)
+                .map(|f| score_cause(&v.diagnosis, f))
+                .unwrap_or_default();
+            (fs, cs)
+        });
         let (mut fs, mut cs) = (FlowScore::default(), CauseScore::default());
         for (f, c) in &scores {
             fs.merge(f);

@@ -6,12 +6,19 @@
 //! *scoring* — quantifying how well the reconstruction did, which the real
 //! deployment could never know.
 //!
-//! [`analyze`] is three steps. *Group*: the packet index of the merged log
-//! plus the two baselines that read whole logs (Wit's merge, time
+//! [`Analyzer`] is that PC side and nothing else: the base station's log
+//! as a [`SourceView`], a [`Reconstructor`] and a [`Diagnoser`], and the one
+//! way from a packet's events to its diagnosed report — [`Analyzer::pass`]
+//! over many packets in parallel, [`Analyzer::packet`] for one. Every
+//! operator path (`refill analyze`, `trace`, `explain`, `profile`, `store`)
+//! and the figure binaries run it; none has a loop of its own.
+//!
+//! [`analyze`] is three steps around it. *Group*: the packet index of the
+//! merged log plus the two baselines that read whole logs (Wit's merge, time
 //! correlation) on one thread, the ground truth grouped the same way on
-//! another. *Pass*: one parallel visit per packet that reconstructs,
-//! diagnoses, scores and asks the naive baseline — everything that needs
-//! the packet's events happens while they are in hand. *Fold*: sums.
+//! another. *Pass*: the analyzer's, with a visitor that scores and asks the
+//! naive baseline — everything that needs the packet's events happens while
+//! they are in hand. *Fold*: sums.
 
 use crate::run::Campaign;
 use baselines::naive::naive_claim;
@@ -20,13 +27,16 @@ use baselines::time_correlation::{correlate_causes, CorrelationConfig};
 use baselines::wit::{wit_merge, WitMerge};
 use eventlog::event::BASE_STATION;
 use eventlog::logger::LocalLog;
-use eventlog::{LossCause, PacketFate, PacketId};
+use eventlog::{
+    merge_logs_recorded, Event, GroundTruth, LossCause, PacketFate, PacketId, PacketIndex,
+};
 use netsim::fx::FxHashMap;
-use netsim::{NodeId, SimTime};
+use netsim::{NodeId, SimDuration, SimTime};
 use refill::diagnose::{Diagnoser, Diagnosis};
 use refill::parallel::{available_workers, par_map};
 use refill::score::{score_cause, score_flow, score_path, CauseScore, FlowScore, PathScore};
-use refill::trace::{CtpVocabulary, Reconstructor};
+use refill::telemetry::{Stage, StageTimer};
+use refill::trace::{CtpVocabulary, PacketReport, Reconstructor};
 
 /// Everything known (and inferred) about one packet after analysis.
 #[derive(Debug, Clone)]
@@ -117,32 +127,170 @@ struct PacketOutcome {
     naive_claim: Option<NodeId>,
 }
 
+/// The base station's log among `logs`, if the archive has one.
+fn bs_log(logs: &[LocalLog]) -> Option<&LocalLog> {
+    logs.iter().find(|l| l.node == BASE_STATION)
+}
+
+/// The paper's PC side (§V): collected logs in, diagnosed event flows out.
+pub struct Analyzer {
+    recon: Reconstructor,
+    diagnoser: Diagnoser,
+    source_view: SourceView,
+}
+
+/// One packet, as [`Analyzer::pass`] lends it to its visitor.
+pub struct Visit<'a> {
+    /// The packet's events in merged order (none if no log mentions it).
+    pub events: &'a [Event],
+    /// The reconstruction; its buffers go back to the reconstructor when the
+    /// visitor returns.
+    pub report: &'a PacketReport,
+    /// Source-view time estimate (back-dated from sequence gaps).
+    pub est_time: Option<SimTime>,
+    /// REFILL's diagnosis.
+    pub diagnosis: Diagnosis,
+}
+
+impl Analyzer {
+    /// An analyzer around `recon` (which brings the vocabulary, the ablation
+    /// options and the telemetry recorder). The source view is built from
+    /// the base station's log among `logs`, `period` being the application's
+    /// sending period.
+    pub fn new(recon: Reconstructor, logs: &[LocalLog], period: SimDuration) -> Self {
+        let no_bs_log = LocalLog::new(BASE_STATION);
+        Analyzer {
+            recon,
+            diagnoser: Diagnoser::new(),
+            source_view: SourceView::from_bs_log(bs_log(logs).unwrap_or(&no_bs_log), period),
+        }
+    }
+
+    /// Pin the sink node for reconstruction and diagnosis alike.
+    pub fn with_sink(mut self, sink: NodeId) -> Self {
+        self.recon = self.recon.with_sink(sink);
+        self.diagnoser = self.diagnoser.with_sink(sink);
+        self
+    }
+
+    /// Provide the server-outage windows. The outage schedule is operational
+    /// knowledge (the server records its own downtime), so the diagnoser may
+    /// use it.
+    pub fn with_outages(mut self, outages: Vec<(SimTime, SimTime)>) -> Self {
+        self.diagnoser = self.diagnoser.with_outages(outages);
+        self
+    }
+
+    /// The analyzer a campaign's operator would run: the deployment's
+    /// logging vocabulary, its sink and its outage schedule.
+    pub fn for_campaign(campaign: &Campaign) -> Self {
+        let scenario = &campaign.scenario;
+        let (_, _, faults, config) = scenario.build();
+        let vocabulary = CtpVocabulary {
+            log_origin: config.log_origin,
+            log_enqueue: config.log_enqueue,
+        };
+        Analyzer::new(
+            Reconstructor::new(vocabulary),
+            &campaign.collected,
+            scenario.packet_interval(),
+        )
+        .with_sink(campaign.topology.sink())
+        .with_outages(faults.outages)
+    }
+
+    /// The diagnoser (for `refill::explain`, which diagnoses on its own).
+    pub fn diagnoser(&self) -> &Diagnoser {
+        &self.diagnoser
+    }
+
+    /// Merge `logs` and group the result by packet, both stages under the
+    /// reconstructor's recorder.
+    pub fn index(&self, logs: &[LocalLog]) -> PacketIndex {
+        let recorder = &**self.recon.recorder();
+        merge_logs_recorded(logs, recorder).packet_index_recorded(recorder)
+    }
+
+    fn diagnose(&self, report: &PacketReport) -> (Option<SimTime>, Diagnosis) {
+        let est_time = self.source_view.estimate_time(report.packet);
+        let _span = StageTimer::start(&**self.recon.recorder(), Stage::Diagnose);
+        (est_time, self.diagnoser.diagnose(report, est_time))
+    }
+
+    /// The per-packet pass: reconstruct and diagnose every packet of `ids`
+    /// on `workers` threads, lend each to `visit`, and return what it made
+    /// of them in `ids` order. A packet `index` does not know gets a flow
+    /// reconstructed from no events.
+    pub fn pass<T: Send>(
+        &self,
+        index: &PacketIndex,
+        ids: &[PacketId],
+        workers: usize,
+        visit: impl Fn(Visit<'_>) -> T + Sync,
+    ) -> Vec<T> {
+        par_map(
+            ids.len(),
+            workers,
+            || (),
+            |_, i| {
+                let packet = ids[i];
+                let events = index.get(packet).unwrap_or(&[]);
+                let report = self.recon.reconstruct_packet(packet, events);
+                let (est_time, diagnosis) = self.diagnose(&report);
+                let out = visit(Visit {
+                    events,
+                    report: &report,
+                    est_time,
+                    diagnosis,
+                });
+                // Visited: the next packet on this thread reuses the
+                // report's vectors.
+                self.recon.recycle(report);
+                out
+            },
+        )
+    }
+
+    /// The point lookup: one packet's report and diagnosis out of `logs`,
+    /// or `None` if no log mentions it.
+    pub fn packet(&self, logs: &[LocalLog], packet: PacketId) -> Option<(PacketReport, Diagnosis)> {
+        let index = self.index(logs);
+        let report = self.recon.reconstruct_packet(packet, index.get(packet)?);
+        let (_, diagnosis) = self.diagnose(&report);
+        Some((report, diagnosis))
+    }
+}
+
+/// Every packet of a campaign, sorted: those `index` found in the logs, and
+/// those only the ground truth knows — never mentioned in any log, they
+/// still deserve records (fate says they existed) and get an `Unknown`
+/// diagnosis through an empty flow.
+pub fn campaign_packets(index: &PacketIndex, truth: &GroundTruth) -> Vec<PacketId> {
+    let mut ids: Vec<PacketId> = index.ids().to_vec();
+    for id in truth.fates.keys() {
+        if index.get(*id).is_none() {
+            ids.push(*id);
+        }
+    }
+    ids.sort_unstable();
+    ids
+}
+
+/// A packet's true fate, for scoring and for the record's sidecar. A packet
+/// the logs mention and the truth does not cannot be scored as a loss.
+pub fn truth_fate(truth: &GroundTruth, packet: PacketId) -> PacketFate {
+    truth
+        .fates
+        .get(&packet)
+        .copied()
+        .unwrap_or(PacketFate::Delivered { at: SimTime::ZERO })
+}
+
 /// Run REFILL and all baselines over a campaign.
 pub fn analyze(campaign: &Campaign) -> Analysis {
-    let scenario = &campaign.scenario;
-    let sink = campaign.topology.sink();
     let truth = &campaign.sim.truth;
-
-    // Source view from the base station's reliable log.
-    let no_bs_log = LocalLog::new(BASE_STATION);
-    let bs_log = campaign
-        .collected
-        .iter()
-        .find(|l| l.node == BASE_STATION)
-        .unwrap_or(&no_bs_log);
-    let source_view = SourceView::from_bs_log(bs_log, scenario.packet_interval());
-
-    // REFILL setup. The outage schedule is operational knowledge (the
-    // server records its own downtime), so the diagnoser may use it.
-    let (_, _, faults, config) = scenario.build();
-    let vocabulary = CtpVocabulary {
-        log_origin: config.log_origin,
-        log_enqueue: config.log_enqueue,
-    };
-    let recon = Reconstructor::new(vocabulary).with_sink(sink);
-    let diagnoser = Diagnoser::new()
-        .with_outages(faults.outages.clone())
-        .with_sink(sink);
+    let analyzer = Analyzer::for_campaign(campaign);
+    let source_view = &analyzer.source_view;
 
     // Group. What reads the logs — the packet index and the two baselines
     // that are not per-packet — and what reads the ground truth (its events
@@ -152,61 +300,32 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
         let truth_events = s.spawn(|| truth.by_packet());
         let index = campaign.merged.packet_index();
         let wit = wit_merge(&campaign.collected);
-        let correlation = summarize_correlation(campaign, &source_view);
+        let correlation = summarize_correlation(campaign, source_view);
         let truth_events = truth_events
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         (index, wit, correlation, truth_events)
     });
 
-    let mut ids: Vec<PacketId> = index.ids().to_vec();
-    // Packets never mentioned in any log still deserve records (fate says
-    // they existed); they get an Unknown diagnosis through an empty flow.
-    for id in truth.fates.keys() {
-        if index.get(*id).is_none() {
-            ids.push(*id);
+    // Pass: the analyzer's, plus scoring and the naive baseline.
+    let ids = campaign_packets(&index, truth);
+    let outcomes: Vec<PacketOutcome> = analyzer.pass(&index, &ids, available_workers(), |v| {
+        let id = v.report.packet;
+        let fate = truth_fate(truth, id);
+        PacketOutcome {
+            flow: score_flow(v.report, truth_events.get(id).unwrap_or(&[])),
+            cause: score_cause(&v.diagnosis, &fate),
+            path: score_path(v.report, truth.paths.get(&id).map_or(&[], Vec::as_slice)),
+            looped: v.report.has_routing_loop(),
+            naive_claim: naive_claim(v.events),
+            record: PacketRecord {
+                packet: id,
+                est_time: v.est_time,
+                diagnosis: v.diagnosis,
+                fate,
+            },
         }
-    }
-    ids.sort_unstable();
-
-    // Pass: per-packet reconstruction, diagnosis, scoring and the naive
-    // baseline, in parallel.
-    let outcomes: Vec<PacketOutcome> = par_map(
-        ids.len(),
-        available_workers(),
-        || (),
-        |_, i| {
-            let id = ids[i];
-            let events = index.get(id).unwrap_or(&[]);
-            let report = recon.reconstruct_packet(id, events);
-            let est_time = source_view.estimate_time(id);
-            let diagnosis = diagnoser.diagnose(&report, est_time);
-            let flow = score_flow(&report, truth_events.get(id).unwrap_or(&[]));
-            let path = score_path(&report, truth.paths.get(&id).map_or(&[], Vec::as_slice));
-            let fate = truth
-                .fates
-                .get(&id)
-                .copied()
-                .unwrap_or(PacketFate::Delivered { at: SimTime::ZERO });
-            let looped = report.has_routing_loop();
-            // Scored: the next packet on this thread reuses the report's
-            // vectors.
-            recon.recycle(report);
-            PacketOutcome {
-                flow,
-                cause: score_cause(&diagnosis, &fate),
-                path,
-                looped,
-                naive_claim: naive_claim(events),
-                record: PacketRecord {
-                    packet: id,
-                    est_time,
-                    diagnosis,
-                    fate,
-                },
-            }
-        },
-    );
+    });
 
     // Fold.
     let mut records = Vec::with_capacity(outcomes.len());
@@ -229,7 +348,12 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
         }
         records.push(outcome.record);
     }
-    let transport = transport_stats(&records, bs_log, scenario, loops_detected);
+    let transport = transport_stats(
+        &records,
+        bs_log(&campaign.collected),
+        &campaign.scenario,
+        loops_detected,
+    );
 
     Analysis {
         records,
@@ -247,7 +371,7 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
 /// the flow-derived retransmission/path statistics.
 fn transport_stats(
     records: &[PacketRecord],
-    bs_log: &LocalLog,
+    bs_log: Option<&LocalLog>,
     scenario: &crate::scenario::Scenario,
     loops_detected: usize,
 ) -> TransportStats {
@@ -257,7 +381,7 @@ fn transport_stats(
     // Arrival times per origin (seqno-sorted), then a per-origin send-phase
     // fit: phase = min(arrival − seqno × period).
     let mut arrivals: FxHashMap<NodeId, Vec<(u32, u64)>> = FxHashMap::default();
-    for entry in &bs_log.entries {
+    for entry in bs_log.iter().flat_map(|l| &l.entries) {
         if matches!(entry.event.kind, EventKind::BsRecv) {
             if let Some(ts) = entry.local_ts {
                 arrivals

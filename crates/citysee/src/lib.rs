@@ -12,9 +12,10 @@
 //!   of Figure 5).
 //!
 //! [`scenario`] builds the simulator inputs, [`run`] executes a campaign
-//! (simulate → lossy log collection → merge), [`analysis`] applies REFILL
-//! and the baselines, and [`figures`] extracts the data series behind every
-//! figure of the paper.
+//! (simulate → lossy log collection → merge), [`analysis`] holds the one
+//! analyzer every path from logs to diagnosed reports runs and applies it and
+//! the baselines to a campaign, and [`figures`] extracts the data series
+//! behind every figure of the paper.
 
 pub mod analysis;
 pub mod figures;
@@ -22,7 +23,7 @@ pub mod report;
 pub mod run;
 pub mod scenario;
 
-pub use analysis::{analyze, Analysis, PacketRecord};
+pub use analysis::{analyze, Analysis, Analyzer, PacketRecord};
 pub use report::render_management_report;
 pub use run::{run_scenario, Campaign};
 pub use scenario::Scenario;

@@ -1,0 +1,175 @@
+//! `refill stream`.
+
+use super::{
+    attach_recorder, parse_sink, recorder_for, simulate_day, write_telemetry, FlagSpec, Flags,
+};
+use netsim::json::ToJson;
+use refill::telemetry::AtomicRecorder;
+use refill::trace::{CtpVocabulary, Reconstructor};
+use std::fs::File;
+use std::io::BufReader;
+use std::sync::Arc;
+
+pub(super) const FLAGS: FlagSpec = FlagSpec {
+    cmd: "stream",
+    values: &[
+        "frames",
+        "sink",
+        "seed",
+        "lane-capacity",
+        "late-records",
+        "late-us",
+        "metrics-every",
+        "store",
+        "telemetry",
+        "prometheus",
+    ],
+    switches: &["quiet"],
+};
+
+/// `refill stream`: online reconstruction over framed records.
+pub fn stream(args: &[String]) -> Result<(), String> {
+    print!("{}", stream_cmd_inner(args)?);
+    Ok(())
+}
+
+/// `refill stream`, returning the printed output (testable).
+pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
+    use refill_stream::{
+        run_stream_checkpointed, run_stream_metered, DriverConfig, Replay, StreamConfig,
+        StreamReconstructor,
+    };
+
+    let flags = Flags::parse(args, &FLAGS)?;
+    let metrics_every: Option<u64> = flags
+        .get("metrics-every")
+        .map(|v| v.parse().map_err(|_| "bad metrics interval"))
+        .transpose()?;
+    // Interval deltas need a real recorder even when no snapshot file was
+    // asked for — a Noop recorder would emit all-zero deltas.
+    let recorder = match recorder_for(&flags) {
+        Some(r) => Some(r),
+        None if metrics_every.is_some() => Some(Arc::new(AtomicRecorder::new())),
+        None => None,
+    };
+    let mut recon = attach_recorder(Reconstructor::new(CtpVocabulary::citysee()), &recorder);
+    if let Some(sink) = parse_sink(&flags)? {
+        recon = recon.with_sink(sink);
+    }
+
+    let mut config = StreamConfig::default();
+    if let Some(v) = flags.get("lane-capacity") {
+        config.lane_capacity = v.parse().map_err(|_| "bad lane capacity")?;
+    }
+    if let Some(v) = flags.get("late-records") {
+        config.lateness.records = v.parse().map_err(|_| "bad lateness record quota")?;
+    }
+    if let Some(v) = flags.get("late-us") {
+        config.lateness.micros = v.parse().map_err(|_| "bad lateness microseconds")?;
+    }
+    let mut stream = StreamReconstructor::with_config(recon, config);
+
+    let quiet = flags.has("quiet");
+    // Two independent sinks write interleaved output (rolling reports and
+    // metrics deltas), so the buffer lives behind a RefCell.
+    let out = std::cell::RefCell::new(String::new());
+    use std::fmt::Write as _;
+    let emit = |r: &refill::PacketReport| {
+        if !quiet {
+            let mut o = out.borrow_mut();
+            let _ = writeln!(o, "packet {} | {}", r.packet, r.flow);
+        }
+    };
+    let metrics = |snap: &refill::telemetry::TelemetrySnapshot| {
+        if let Ok(line) = snap.to_json().to_compact() {
+            let mut o = out.borrow_mut();
+            let _ = writeln!(o, "{line}");
+        }
+    };
+
+    let reader: Box<dyn std::io::Read + Send> = match flags.get("frames") {
+        Some("-") => Box::new(std::io::stdin()),
+        Some(path) => {
+            let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+            Box::new(BufReader::new(f))
+        }
+        None => {
+            // No input: replay a simulated day's upload stream through
+            // the same framed path.
+            let campaign = simulate_day(&flags, "--frames")?;
+            let bytes = Replay::from_campaign(&campaign, f64::INFINITY).encode();
+            Box::new(std::io::Cursor::new(bytes))
+        }
+    };
+
+    let mut store_note = None;
+    let summary = match flags.get("store") {
+        Some(dir) => {
+            use refill_store::{SegmentStore, StoreCheckpoint};
+            if metrics_every.is_some() {
+                return Err("--metrics-every is not supported with --store".into());
+            }
+            let (st, _) = SegmentStore::open(dir).map_err(|e| e.to_string())?;
+            let mut ckpt = StoreCheckpoint::new(st);
+            let resume = ckpt.resume_records().map_err(|e| e.to_string())?;
+            if !resume.is_empty() {
+                eprintln!(
+                    "resuming from {} durable records in {dir}…",
+                    resume.len()
+                );
+                for rec in resume {
+                    stream.ingest(rec);
+                }
+            }
+            let summary = run_stream_checkpointed(
+                reader,
+                &mut stream,
+                DriverConfig::default(),
+                |r| emit(r),
+                &mut ckpt,
+            )
+            .map_err(|e| e.to_string())?;
+            let st = ckpt.finish().map_err(|e| e.to_string())?;
+            store_note = Some(format!(
+                "store: {} event rows, {} report rows in {} segments at {dir}",
+                st.total_events(),
+                st.total_reports(),
+                st.segments().len()
+            ));
+            summary
+        }
+        None => run_stream_metered(
+            reader,
+            &mut stream,
+            DriverConfig::default(),
+            |r| emit(r),
+            metrics_every,
+            |s| metrics(s),
+        )
+        .map_err(|e| e.to_string())?,
+    };
+
+    let mut out = out.into_inner();
+    let stats = summary.stats;
+    let _ = writeln!(
+        out,
+        "\nframes: {} decoded, {} corrupt runs skipped",
+        summary.frames.decoded, summary.frames.corrupt
+    );
+    let _ = writeln!(
+        out,
+        "records: {} | windows closed: {} | late reopens: {} | backpressure stalls: {}",
+        stats.records, stats.windows_closed, stats.windows_reopened, stats.backpressure
+    );
+    let _ = writeln!(
+        out,
+        "packets: {} converged ({} reports emitted mid-stream)",
+        summary.reports.len(),
+        summary.rolling_reports
+    );
+    if let Some(note) = store_note {
+        let _ = writeln!(out, "{note}");
+    }
+    write_telemetry(&flags, recorder.as_deref())?;
+    Ok(out)
+}

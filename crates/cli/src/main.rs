@@ -6,23 +6,24 @@
 //!     (logs.jsonl), the scenario (scenario.json) and a truth summary.
 //!
 //! refill analyze --logs DIR_OR_FILE [--sink N] [--period SECS]
-//!     Merge an archive, reconstruct every packet, print the loss-cause
-//!     breakdown, hotspots and transport statistics.
+//!     Merge an archive, reconstruct and diagnose every packet in one
+//!     parallel pass, print the loss-cause breakdown, the loss hotspots
+//!     and the loop / inferred-event counts.
 //!
 //! refill trace --logs DIR_OR_FILE --packet ORIGIN:SEQNO [--sink N] [--dot]
 //!     Print one packet's reconstructed event flow (optionally as
-//!     Graphviz DOT).
+//!     Graphviz DOT) and its verdict.
 //!
 //! refill explain ORIGIN:SEQNO [--logs DIR_OR_FILE] [--format text|json]
 //!     Narrate one packet's provenance: observed vs inferred events, the
 //!     FSM rule behind each inference, the loss position and cause, and
-//!     the ledger confidence score.
+//!     the confidence score.
 //!
 //! refill profile [--logs DIR_OR_FILE] [--workers N] [--telemetry FILE]
-//!     Run the pipeline with telemetry attached and print the per-stage
-//!     time/counter breakdown — single-threaded by default, or via the
-//!     fused columnar parallel driver with --workers (simulates one
-//!     CitySee-like day when no archive is given).
+//!     Run the same pass with telemetry attached and print the per-stage
+//!     time/counter breakdown — on one thread by default, on N with
+//!     --workers (simulates one CitySee-like day when no archive is
+//!     given).
 //!
 //! refill stream [--frames FILE|-] [--metrics-every N] [--store DIR]
 //!     Online reconstruction: decode framed records from a file or stdin
@@ -54,7 +55,9 @@
 //!
 //! The archive format is the `eventlog::archive` JSON-lines format, so logs
 //! produced by any recorder — not just the bundled simulator — can be
-//! analyzed.
+//! analyzed. Every command that goes from logs to diagnosed reports does so
+//! through `citysee::analysis::Analyzer`, the pass `citysee::analyze` (and
+//! the benchmark) runs; a flag a command does not declare is an error.
 
 use std::process::ExitCode;
 

@@ -264,18 +264,6 @@ impl Diagnoser {
             retransmissions,
         }
     }
-
-    /// Diagnose a batch of reports with an estimated-time lookup.
-    pub fn diagnose_all<'a>(
-        &self,
-        reports: impl IntoIterator<Item = &'a PacketReport>,
-        mut est_time: impl FnMut(PacketId) -> Option<SimTime>,
-    ) -> Vec<Diagnosis> {
-        reports
-            .into_iter()
-            .map(|r| self.diagnose(r, est_time(r.packet)))
-            .collect()
-    }
 }
 
 /// The flow entry the diagnosis is based on: among the *maximal* entries of

@@ -1,7 +1,7 @@
 //! Human-readable provenance narratives for single reconstructions.
 //!
-//! `refill explain <packet-id>` is the audit surface the provenance ledger
-//! exists for: given one packet's [`PacketReport`], this module walks the
+//! `refill explain <packet-id>` is the audit surface for the origins a
+//! report carries: given one packet's [`PacketReport`], this module walks the
 //! reconstructed timeline and annotates every entry with its evidence —
 //! which node's log it came from, or which inference rule (intra-node jump
 //! vs inter-node prerequisite, Section IV-B) synthesized it — then closes
@@ -12,7 +12,7 @@ use crate::diagnose::Diagnoser;
 use crate::trace::PacketReport;
 use netsim::json::ToJson;
 use netsim::json_struct;
-use refill_provenance::{CacheDisposition, EntryOrigin, EventProvenance, FlowProvenance};
+use refill_provenance::{CacheDisposition, EntryOrigin};
 use std::fmt::Write as _;
 
 /// One annotated timeline row of an [`Explanation`].
@@ -38,7 +38,7 @@ pub struct Explanation {
     /// True if the base station logged the packet.
     pub delivered: bool,
     /// Per-flow confidence score in `[0, 1]`
-    /// (see [`FlowProvenance::confidence`]).
+    /// (see [`refill_provenance::FlowProvenance::confidence`]).
     pub confidence: f64,
     /// Signature-cache disposition name, when the caller knows which path
     /// produced the report (`direct` / `rehydrated` / `uncacheable`).
@@ -83,30 +83,15 @@ json_struct!(write Explanation {
 });
 
 /// Build the narrative for one report. `disposition` is which cache path
-/// produced the report, when the caller knows it (a ledger lookup or the
-/// driver itself); pass `None` otherwise and the field stays unset.
+/// produced the report, when the caller knows it; pass `None` otherwise and
+/// the field stays unset.
 pub fn explain(
     report: &PacketReport,
     diagnoser: &Diagnoser,
     disposition: Option<CacheDisposition>,
 ) -> Explanation {
     let diagnosis = diagnoser.diagnose(report, None);
-    // Reuse the ledger's confidence formula by building the ledger entry
-    // the sampler would have captured.
-    let ledger_entry = FlowProvenance::new(
-        report.packet,
-        report
-            .flow
-            .entries
-            .iter()
-            .zip(&report.origins)
-            .map(|(e, &origin)| EventProvenance {
-                event: e.payload,
-                origin,
-            })
-            .collect(),
-        disposition.unwrap_or(CacheDisposition::Direct),
-    );
+    let provenance = report.provenance();
 
     let timeline = report
         .flow
@@ -140,12 +125,12 @@ pub fn explain(
     Explanation {
         packet: report.packet.to_string(),
         delivered: report.delivered,
-        confidence: ledger_entry.confidence(),
+        confidence: provenance.confidence(),
         disposition: disposition.map(|d| d.name()),
-        observed: ledger_entry.observed_count(),
-        inferred: ledger_entry.inferred_count(),
-        intra_jumps: ledger_entry.jump_count(),
-        inter_forced: ledger_entry.forced_count(),
+        observed: provenance.observed_count(),
+        inferred: provenance.inferred_count(),
+        intra_jumps: provenance.jump_count(),
+        inter_forced: provenance.forced_count(),
         omitted: report.omitted.len(),
         cause: diagnosis.cause.map(|c| c.label()),
         loss_node: diagnosis.loss_node.map(|n| n.to_string()),

@@ -74,6 +74,6 @@ pub use trace::{
 /// attach recorders without naming a second dependency.
 pub use refill_telemetry as telemetry;
 
-/// The provenance crate, re-exported for the same reason: ledgers and
-/// samplers attach to a [`Reconstructor`] without a second dependency.
+/// The provenance crate, re-exported for the same reason: a report's
+/// `origins` are its [`provenance::EntryOrigin`]s.
 pub use refill_provenance as provenance;

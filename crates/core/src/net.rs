@@ -439,32 +439,6 @@ impl<L: Label, E: Clone> ConnectedNet<L, E> {
         self.queues[group.idx()].push_back((engine, payload));
     }
 
-    /// Number of engines.
-    pub fn engine_count(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// An engine's group.
-    pub fn engine_group(&self, e: EngineId) -> GroupId {
-        self.engines[e.idx()].group
-    }
-
-    /// An engine's current state (meaningful after [`ConnectedNet::run`]).
-    pub fn engine_state(&self, e: EngineId) -> StateId {
-        self.engines[e.idx()].state
-    }
-
-    /// An engine's template index.
-    pub fn engine_template(&self, e: EngineId) -> usize {
-        self.engines[e.idx()].template as usize
-    }
-
-    /// Whether the engine has visited `state`.
-    pub fn engine_visited(&self, e: EngineId, state: StateId) -> bool {
-        assert!((state.0 as usize) < self.template_of(e).state_count());
-        self.visited[self.slot(e, state)] != NONE
-    }
-
     fn template_of(&self, e: EngineId) -> &FsmTemplate<L> {
         &self.templates[self.engines[e.idx()].template as usize]
     }

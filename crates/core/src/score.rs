@@ -298,17 +298,6 @@ pub fn score_cause(diag: &Diagnosis, fate: &PacketFate) -> CauseScore {
     s
 }
 
-/// Score a batch, pairing diagnoses with fates.
-pub fn score_causes<'a>(
-    pairs: impl IntoIterator<Item = (&'a Diagnosis, &'a PacketFate)>,
-) -> CauseScore {
-    let mut total = CauseScore::default();
-    for (d, f) in pairs {
-        total.merge(&score_cause(d, f));
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,9 +34,7 @@ use eventlog::{Event, EventKind, MergedLog, PacketId};
 use netsim::fx::FxHashMap;
 use netsim::json::{expected, FromJson, Json, JsonError};
 use netsim::NodeId;
-use refill_provenance::{
-    CacheDisposition, EntryOrigin, EventProvenance, FlowProvenance, ProvenanceSink,
-};
+use refill_provenance::{EntryOrigin, FlowProvenance};
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
 use std::cell::RefCell;
 use std::fmt;
@@ -175,6 +173,13 @@ impl PacketReport {
         (1..self.path.len()).any(|i| self.path[..i].contains(&self.path[i]))
     }
 
+    /// The flow's events paired with their origins: the evidence trail
+    /// `refill explain` narrates and scores.
+    pub fn provenance(&self) -> FlowProvenance {
+        let events = self.flow.entries.iter().map(|e| e.payload);
+        FlowProvenance::new(self.packet, events.zip(self.origins.iter().copied()))
+    }
+
     /// Number of radio hops the packet is known to have completed (nodes
     /// on the main path beyond the origin, excluding the base station).
     pub fn hops_completed(&self) -> usize {
@@ -218,9 +223,6 @@ pub struct Reconstructor {
     /// Telemetry sink; [`NoopRecorder`] by default, so the hot path pays
     /// nothing unless a recorder is attached.
     recorder: Arc<dyn Recorder>,
-    /// Provenance sink; `None` by default, so the hot path pays one branch
-    /// per report unless capture is enabled.
-    provenance: Option<Arc<ProvenanceSink>>,
 }
 
 impl Reconstructor {
@@ -232,7 +234,6 @@ impl Reconstructor {
             sink: None,
             options: ReconOptions::default(),
             recorder: Arc::new(NoopRecorder),
-            provenance: None,
         }
     }
 
@@ -247,20 +248,6 @@ impl Reconstructor {
     /// [`Reconstructor::with_recorder`] was called).
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
         &self.recorder
-    }
-
-    /// Attach a provenance sink; every report emitted through this instance
-    /// (any driver — they all funnel through the same report-publishing
-    /// sites) is offered to the sink's sampler and, if admitted, captured
-    /// into its ledger.
-    pub fn with_provenance(mut self, sink: Arc<ProvenanceSink>) -> Self {
-        self.provenance = Some(sink);
-        self
-    }
-
-    /// The attached provenance sink, if capture is enabled.
-    pub fn provenance(&self) -> Option<&Arc<ProvenanceSink>> {
-        self.provenance.as_ref()
     }
 
     /// Apply ablation options (see [`ReconOptions`]).
@@ -301,7 +288,7 @@ impl Reconstructor {
     pub fn reconstruct_packet(&self, packet: PacketId, events: &[Event]) -> PacketReport {
         let sink = self.effective_sink(events);
         let report = self.reconstruct_with_sink(packet, events, sink);
-        self.record_report(&report, CacheDisposition::Direct);
+        self.record_report(&report);
         report
     }
 
@@ -330,9 +317,8 @@ impl Reconstructor {
     }
 
     /// Account an emitted report: exactly one call per report handed back
-    /// to a caller, whatever path produced it. `disposition` names the
-    /// cache path the report took, for the provenance ledger.
-    fn record_report(&self, report: &PacketReport, disposition: CacheDisposition) {
+    /// to a caller, whatever path produced it.
+    fn record_report(&self, report: &PacketReport) {
         let rec = &*self.recorder;
         if rec.enabled() {
             rec.inc(Counter::PacketsReconstructed);
@@ -340,21 +326,6 @@ impl Reconstructor {
             rec.add(Counter::EventsInferred, report.flow.inferred_count() as u64);
             rec.add(Counter::EventsOmitted, report.omitted.len() as u64);
             rec.observe(Hist::FlowEntries, report.flow.len() as u64);
-        }
-        if let Some(sink) = &self.provenance {
-            if sink.admit(report.packet) {
-                let entries = report
-                    .flow
-                    .entries
-                    .iter()
-                    .zip(&report.origins)
-                    .map(|(e, &origin)| EventProvenance {
-                        event: e.payload,
-                        origin,
-                    })
-                    .collect();
-                sink.record(FlowProvenance::new(report.packet, entries, disposition));
-            }
         }
     }
 
@@ -418,7 +389,7 @@ impl Reconstructor {
         let Some(canon) = canon else {
             rec.inc(Counter::PacketsUncacheable);
             let report = self.reconstruct_with_sink(packet, events, sink);
-            self.record_report(&report, CacheDisposition::Uncacheable);
+            self.record_report(&report);
             return report;
         };
         let hit = {
@@ -431,7 +402,7 @@ impl Reconstructor {
                 template.rehydrate(packet, &canon.nodes)
             };
             rec.inc(Counter::PacketsRehydrated);
-            self.record_report(&report, CacheDisposition::Rehydrated);
+            self.record_report(&report);
             return report;
         }
         let report = self.reconstruct_with_sink(canon.packet, &canon.events, canon.sink);
@@ -444,7 +415,7 @@ impl Reconstructor {
             let _span = StageTimer::start(rec, Stage::Cache);
             cache.insert(canon.sig, template);
         }
-        self.record_report(&out, CacheDisposition::Direct);
+        self.record_report(&out);
         out
     }
 
@@ -940,13 +911,6 @@ pub struct FlowSignature {
     pub lo: u64,
 }
 
-impl FlowSignature {
-    /// The signature as one 128-bit value.
-    pub fn as_u128(self) -> u128 {
-        (u128::from(self.hi) << 64) | u128::from(self.lo)
-    }
-}
-
 impl fmt::Display for FlowSignature {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}{:016x}", self.hi, self.lo)
@@ -1161,12 +1125,6 @@ impl ReportTemplate {
             origins: report.origins.clone(),
         };
         (ReportTemplate { report: abstracted }, ren.nodes)
-    }
-
-    /// Number of flow entries in the template (diagnostic; used by cache
-    /// size accounting and tests).
-    pub fn flow_len(&self) -> usize {
-        self.report.flow.entries.len()
     }
 
     /// Produce the concrete [`PacketReport`] for `packet`, mapping each

@@ -1,15 +1,15 @@
-//! Cross-driver provenance invariants: the ledger a [`ProvenanceSink`]
-//! captures must tell the same story as the telemetry counters and the
-//! reports themselves, under every driver — the sequential memoised path,
-//! the parallel driver and the fused columnar one — and the sampling gate
-//! must admit exactly its share without perturbing reconstruction.
+//! Cross-driver provenance invariants: the origins a report carries — the
+//! "ledger" an operator audits through `refill explain` — must tell the same
+//! story as the telemetry counters and the flows themselves under every
+//! driver: sequential, parallel, the fused columnar one and the memoised
+//! path.
 
 use eventlog::logger::LogEntry;
 use eventlog::{merge_logs, Event, EventKind, LocalLog, PacketId};
 use netsim::prop::{check, vec_of};
 use netsim::{NodeId, Rng};
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
-use refill::provenance::{CacheDisposition, ProvenanceSink, TraceSampler};
+use refill::provenance::FlowProvenance;
 use refill::sigcache::SigCache;
 use refill::telemetry::{AtomicRecorder, Recorder};
 use refill::trace::{CtpVocabulary, PacketReport, Reconstructor};
@@ -57,177 +57,136 @@ fn sample_logs() -> Vec<LocalLog> {
     ]
 }
 
-/// A reconstructor with a shared recorder, a provenance sink with the given
-/// sampler, and a cache on the same recorder.
-fn instrumented(
-    sampler: TraceSampler,
-) -> (
-    Arc<AtomicRecorder>,
-    Arc<ProvenanceSink>,
-    Reconstructor,
-    SigCache,
-) {
-    let recorder = Arc::new(AtomicRecorder::new());
-    let sink = Arc::new(ProvenanceSink::new(sampler));
-    let recon = Reconstructor::new(CtpVocabulary::table2())
-        .with_recorder(recorder.clone())
-        .with_provenance(Arc::clone(&sink));
-    let cache = SigCache::default().with_recorder(recorder.clone());
-    (recorder, sink, recon, cache)
-}
+const DRIVERS: [&str; 4] = ["sequential", "parallel", "fused", "cached"];
 
-const DRIVERS: [&str; 3] = ["cached", "parallel", "fused"];
-
+/// Run one driver with a recorder attached (the cache on the same one).
 fn run_driver(
     driver: &str,
+    vocabulary: CtpVocabulary,
     logs: &[LocalLog],
-    sampler: TraceSampler,
-) -> (Arc<AtomicRecorder>, Arc<ProvenanceSink>, Vec<PacketReport>) {
-    let (recorder, sink, recon, cache) = instrumented(sampler);
+) -> (Arc<AtomicRecorder>, Vec<PacketReport>) {
+    let recorder = Arc::new(AtomicRecorder::new());
+    let recon = Reconstructor::new(vocabulary).with_recorder(recorder.clone());
     let reports = match driver {
-        "cached" => recon.reconstruct_log_cached(&merge_logs(logs), &cache),
+        "sequential" => recon.reconstruct_log(&merge_logs(logs)),
         "parallel" => reconstruct_parallel(&recon, &merge_logs(logs), 3),
         "fused" => reconstruct_fused(&recon, logs, 3),
+        "cached" => {
+            let cache = SigCache::default().with_recorder(recorder.clone());
+            recon.reconstruct_log_cached(&merge_logs(logs), &cache)
+        }
         other => unreachable!("unknown driver {other}"),
     };
-    (recorder, sink, reports)
+    (recorder, reports)
+}
+
+/// Three accountings of one run must agree: the reports' provenance, the
+/// telemetry counters, and the flows' own observed / inferred counts.
+/// Returns the provenance, which must not depend on the driver.
+fn assert_accountings_agree(
+    driver: &str,
+    vocabulary: CtpVocabulary,
+    logs: &[LocalLog],
+) -> Vec<FlowProvenance> {
+    let (recorder, reports) = run_driver(driver, vocabulary, logs);
+    let snap = recorder.snapshot();
+    let ledger: Vec<FlowProvenance> = reports.iter().map(PacketReport::provenance).collect();
+
+    let observed: u64 = reports.iter().map(|r| r.flow.observed_count() as u64).sum();
+    let inferred: u64 = reports.iter().map(|r| r.flow.inferred_count() as u64).sum();
+    let ledger_observed: u64 = ledger.iter().map(|f| f.observed_count() as u64).sum();
+    let ledger_inferred: u64 = ledger.iter().map(|f| f.inferred_count() as u64).sum();
+    assert_eq!(ledger_observed, observed, "{driver}");
+    assert_eq!(ledger_inferred, inferred, "{driver}");
+    assert_eq!(snap.counter("events_observed"), observed, "{driver}");
+    assert_eq!(snap.counter("events_inferred"), inferred, "{driver}");
+
+    for (r, f) in reports.iter().zip(&ledger) {
+        // The origins column rides in lockstep with the flow.
+        assert_eq!(r.origins.len(), r.flow.len(), "{driver} {}", r.packet);
+        assert_eq!(f.packet, r.packet, "{driver}");
+        assert_eq!(f.entries.len(), r.flow.len(), "{driver} {}", r.packet);
+        assert_eq!(
+            f.observed_count(),
+            r.flow.observed_count(),
+            "{driver} {}",
+            r.packet
+        );
+        assert_eq!(
+            f.inferred_count(),
+            r.flow.inferred_count(),
+            "{driver} {}",
+            r.packet
+        );
+        assert_eq!(
+            f.jump_count() + f.forced_count(),
+            f.inferred_count(),
+            "{driver} {}",
+            r.packet
+        );
+        let c = f.confidence();
+        assert!((0.0..=1.0).contains(&c), "{driver} {}: {c}", r.packet);
+    }
+    ledger
 }
 
 #[test]
 fn ledger_agrees_with_telemetry_and_reports_on_every_driver() {
     let logs = sample_logs();
     for driver in DRIVERS {
-        let (recorder, sink, reports) = run_driver(driver, &logs, TraceSampler::always());
-        let snap = recorder.snapshot();
-        let ledger = sink.ledger();
-
-        // One ledger entry per report under an always-sampler.
-        assert_eq!(ledger.len(), reports.len(), "{driver}");
-
-        // Three independent accountings of the same run must agree: the
-        // ledger's totals, the telemetry counters, and the reports' own
-        // flow counts.
-        let observed: u64 = reports.iter().map(|r| r.flow.observed_count() as u64).sum();
-        let inferred: u64 = reports.iter().map(|r| r.flow.inferred_count() as u64).sum();
-        assert_eq!(ledger.observed_total(), observed, "{driver}");
-        assert_eq!(ledger.inferred_total(), inferred, "{driver}");
-        assert_eq!(snap.counter("events_observed"), observed, "{driver}");
-        assert_eq!(snap.counter("events_inferred"), inferred, "{driver}");
-        assert!(inferred > 0, "{driver}: the lossy log should force inference");
-
-        for r in &reports {
-            // The origins column rides in lockstep with the flow.
-            assert_eq!(r.origins.len(), r.flow.len(), "{driver} {}", r.packet);
-            let f = ledger.get(r.packet).expect("captured");
-            assert_eq!(f.entries.len(), r.flow.len(), "{driver} {}", r.packet);
-            assert_eq!(
-                f.observed_count(),
-                r.flow.observed_count(),
-                "{driver} {}",
-                r.packet
-            );
-            assert_eq!(
-                f.inferred_count(),
-                r.flow.inferred_count(),
-                "{driver} {}",
-                r.packet
-            );
-            let c = f.confidence();
-            assert!((0.0..=1.0).contains(&c), "{driver} {}: {c}", r.packet);
-        }
+        let ledger = assert_accountings_agree(driver, CtpVocabulary::table2(), &logs);
+        assert_eq!(ledger.len(), 25, "{driver}");
+        assert!(
+            ledger.iter().any(|f| f.inferred_count() > 0),
+            "{driver}: the lossy log should force inference"
+        );
     }
 }
 
 #[test]
 fn ledgers_are_identical_across_drivers() {
     let logs = sample_logs();
-    // Only the memoised driver rehydrates, so drivers are compared on what
-    // they share: packets, events, origins.
-    let shape = |driver: &str| {
-        let (_, sink, _) = run_driver(driver, &logs, TraceSampler::always());
-        sink.ledger()
-            .flows()
-            .into_iter()
-            .map(|f| (f.packet, f.entries))
-            .collect::<Vec<_>>()
+    let ledger = |driver: &str| -> Vec<FlowProvenance> {
+        let (_, reports) = run_driver(driver, CtpVocabulary::table2(), &logs);
+        reports.iter().map(PacketReport::provenance).collect()
     };
-    let cached = shape("cached");
-    assert_eq!(cached, shape("parallel"));
-    assert_eq!(cached, shape("fused"));
-}
-
-#[test]
-fn one_in_n_sampler_captures_the_exact_share_under_every_driver() {
-    let logs = sample_logs();
-    for driver in DRIVERS {
-        let (_, sink, reports) = run_driver(driver, &logs, TraceSampler::one_in(4));
-        // The tick counter is global: 25 asks hand out ticks 0..25, and
-        // exactly ceil(25/4) of them are ≡ 0 (mod 4) — regardless of which
-        // worker asked first.
-        assert_eq!(reports.len(), 25, "{driver}");
-        assert_eq!(sink.ledger().len(), 7, "{driver}");
+    let sequential = ledger("sequential");
+    for driver in &DRIVERS[1..] {
+        assert_eq!(sequential, ledger(driver), "{driver}");
     }
 }
 
+/// The confidence the parent's ledger entries had (PR 20, `68127a2`, where
+/// a sampler captured them at the report-publishing sites) is the confidence
+/// of the provenance a report now yields itself.
 #[test]
-fn origin_allowlist_captures_only_matching_packets() {
-    let logs = sample_logs();
-    for driver in DRIVERS {
-        let (_, sink, reports) = run_driver(driver, &logs, TraceSampler::origins([n(5)]));
-        assert_eq!(reports.len(), 25, "{driver}");
-        let flows = sink.ledger().flows();
-        assert_eq!(flows.len(), 5, "{driver}");
-        assert!(
-            flows.iter().all(|f| f.packet.origin == n(5)),
-            "{driver}: allowlist leaked a foreign origin"
-        );
-    }
-}
+fn flow_provenance_keeps_the_ledgers_confidence() {
+    let (_, reports) = run_driver("sequential", CtpVocabulary::table2(), &sample_logs());
+    let confidence = |origin: u16, seqno: u32| {
+        let packet = PacketId::new(n(origin), seqno);
+        let report = reports.iter().find(|r| r.packet == packet).unwrap();
+        report.provenance().confidence()
+    };
+    // 3 observed + 2 forced; 2 observed + 2 forced; fully observed.
+    assert_eq!(confidence(1, 4), 0.4285714285714286);
+    assert_eq!(confidence(1, 12), 0.3333333333333333);
+    assert_eq!(confidence(5, 1), 1.0);
 
-#[test]
-fn sampling_does_not_perturb_reconstruction() {
-    let logs = sample_logs();
-    let merged = merge_logs(&logs);
-    let plain = Reconstructor::new(CtpVocabulary::table2())
-        .reconstruct_log_cached(&merged, &SigCache::default());
-    for sampler in [
-        TraceSampler::always(),
-        TraceSampler::one_in(4),
-        TraceSampler::origins([n(5)]),
-    ] {
-        let (_, _, reports) = run_driver("cached", &logs, sampler);
-        assert_eq!(plain, reports, "capture must be observation-only");
-    }
-}
-
-#[test]
-fn disposition_tracks_the_cache_path() {
-    let logs = sample_logs();
-    let (_, sink, recon, cache) = instrumented(TraceSampler::always());
-    let merged = merge_logs(&logs);
-
-    // Cold pass: the first packet of every distinct flow shape misses the
-    // cache and reconstructs directly.
-    recon.reconstruct_log_cached(&merged, &cache);
-    assert!(
-        sink.ledger()
-            .flows()
-            .iter()
-            .any(|f| f.disposition == CacheDisposition::Direct),
-        "a cold pass must record direct reconstructions"
-    );
-
-    // Warm pass over the same log: every group is cacheable (the telemetry
-    // tests pin packets_uncacheable == 0 for this log), so re-recording
-    // overwrites every entry as rehydrated.
-    recon.reconstruct_log_cached(&merged, &cache);
-    assert!(
-        sink.ledger()
-            .flows()
-            .iter()
-            .all(|f| f.disposition == CacheDisposition::Rehydrated),
-        "a warm pass must rehydrate every cacheable flow"
-    );
+    // Table II, Case 1 under CitySee's vocabulary (the fixture of
+    // `refill explain`'s test): 2 observed, 1 jump, 2 forced.
+    let p = PacketId::new(n(1), 0);
+    let logs = [
+        LocalLog::from_events(
+            n(1),
+            vec![Event::new(n(1), EventKind::Trans { to: n(2) }, p)],
+        ),
+        LocalLog::from_events(
+            n(3),
+            vec![Event::new(n(3), EventKind::Recv { from: n(2) }, p)],
+        ),
+    ];
+    let (_, reports) = run_driver("sequential", CtpVocabulary::citysee(), &logs);
+    assert_eq!(reports[0].provenance().confidence(), 0.26666666666666666);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,28 +245,9 @@ fn soup_logs(raw: &[(u16, u8, u16, u32, Option<u64>)]) -> Vec<LocalLog> {
         .collect()
 }
 
-fn soup_driver(
-    driver: &str,
-    logs: &[LocalLog],
-) -> (Arc<AtomicRecorder>, Arc<ProvenanceSink>, Vec<PacketReport>) {
-    let recorder = Arc::new(AtomicRecorder::new());
-    let sink = Arc::new(ProvenanceSink::new(TraceSampler::always()));
-    let recon = Reconstructor::new(CtpVocabulary::citysee())
-        .with_recorder(recorder.clone())
-        .with_provenance(Arc::clone(&sink));
-    let cache = SigCache::default();
-    let reports = match driver {
-        "cached" => recon.reconstruct_log_cached(&merge_logs(logs), &cache),
-        "parallel" => reconstruct_parallel(&recon, &merge_logs(logs), 3),
-        "fused" => reconstruct_fused(&recon, logs, 3),
-        other => unreachable!("unknown driver {other}"),
-    };
-    (recorder, sink, reports)
-}
-
 /// Over arbitrary topologies and loss patterns, the three accountings
-/// (ledger, telemetry, reports) agree under every driver, and the
-/// ledgers' deterministic parts are identical across drivers.
+/// (provenance, telemetry, flows) agree under every driver, and the
+/// provenance is identical across drivers.
 #[test]
 fn ledger_telemetry_and_reports_agree_on_soups() {
     check(
@@ -316,32 +256,11 @@ fn ledger_telemetry_and_reports_agree_on_soups() {
         &[],
         |rng| {
             let logs = soup_logs(&arb_soup(rng));
-            let mut shapes = Vec::new();
-            for driver in DRIVERS {
-                let (recorder, sink, reports) = soup_driver(driver, &logs);
-                let snap = recorder.snapshot();
-                let ledger = sink.ledger();
-                assert_eq!(ledger.len(), reports.len(), "{}", driver);
-
-                let observed: u64 = reports.iter().map(|r| r.flow.observed_count() as u64).sum();
-                let inferred: u64 = reports.iter().map(|r| r.flow.inferred_count() as u64).sum();
-                assert_eq!(ledger.observed_total(), observed, "{}", driver);
-                assert_eq!(ledger.inferred_total(), inferred, "{}", driver);
-                assert_eq!(snap.counter("events_observed"), observed, "{}", driver);
-                assert_eq!(snap.counter("events_inferred"), inferred, "{}", driver);
-                for r in &reports {
-                    assert_eq!(r.origins.len(), r.flow.len(), "{} {}", driver, r.packet);
-                }
-                shapes.push(
-                    ledger
-                        .flows()
-                        .into_iter()
-                        .map(|f| (f.packet, f.entries))
-                        .collect::<Vec<_>>(),
-                );
+            let ledgers =
+                DRIVERS.map(|d| assert_accountings_agree(d, CtpVocabulary::citysee(), &logs));
+            for (driver, ledger) in DRIVERS.iter().zip(&ledgers).skip(1) {
+                assert_eq!(&ledgers[0], ledger, "sequential vs {driver}");
             }
-            assert_eq!(&shapes[0], &shapes[1], "cached vs parallel");
-            assert_eq!(&shapes[0], &shapes[2], "cached vs fused");
         },
     );
 }

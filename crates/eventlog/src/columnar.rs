@@ -205,12 +205,6 @@ impl EventStore {
         self.push(&entry.event, entry.local_ts);
     }
 
-    /// Append an already-packed record.
-    pub fn push_packed(&mut self, rec: PackedEvent, ts: u64) {
-        self.recs.push(rec);
-        self.ts.push(ts);
-    }
-
     /// Append another store's columns after this one's.
     pub fn append(&mut self, other: &EventStore) {
         self.recs.extend_from_slice(&other.recs);

@@ -153,16 +153,6 @@ impl Topology {
         }
     }
 
-    /// Build directly from explicit positions (first position is the sink).
-    pub fn from_positions(positions: Vec<Position>, side_m: f64) -> Self {
-        assert!(!positions.is_empty());
-        Topology {
-            positions,
-            sink: NodeId(0),
-            side_m,
-        }
-    }
-
     /// Number of nodes (including the sink).
     pub fn len(&self) -> usize {
         self.positions.len()

@@ -65,11 +65,6 @@ impl RoutingState {
         self.parents[node.index()]
     }
 
-    /// Advertised path ETX of `node`.
-    pub fn advertised_etx(&self, node: NodeId) -> f64 {
-        self.advertised[node.index()]
-    }
-
     /// One routing-update round at time `at`: recompute true costs, then
     /// each node independently refreshes its advertisement and parent with
     /// probability `update_prob` (stale otherwise). Returns how many
