@@ -10,10 +10,7 @@
 //! * `REFILL_NODES`, `REFILL_DAYS` — override individual dimensions
 
 use citysee::{analyze, run_scenario, Analysis, Campaign, Scenario};
-use eventlog::logger::{LocalLog, LogEntry};
-use eventlog::{Event, EventKind, PacketId};
-use netsim::NodeId;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Resolve the scenario from the environment (see module docs).
 pub fn scenario_from_env() -> Scenario {
@@ -68,30 +65,6 @@ pub fn run_and_analyze() -> (Campaign, Analysis) {
     (campaign, analysis)
 }
 
-/// K sorted per-node logs totalling ~`total` events — the merge fan-in
-/// shape of a CitySee deployment (K nodes reporting one interleaved day).
-/// Each log is sorted by `local_ts` with a deterministic per-node phase,
-/// so timestamps interleave densely across logs and collide across nodes,
-/// which is the worst case for merge tie-breaking and the intended case
-/// for time partitioning.
-pub fn synth_merge_logs(k: usize, total: usize) -> Vec<LocalLog> {
-    let per = total / k.max(1);
-    (0..k)
-        .map(|i| {
-            let node = NodeId(i as u16 + 1);
-            LocalLog {
-                node,
-                entries: (0..per)
-                    .map(|j| LogEntry {
-                        event: Event::new(node, EventKind::Origin, PacketId::new(node, j as u32)),
-                        local_ts: Some(j as u64 * 1_000 + (i as u64 * 37) % 1_000),
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
 /// The output directory for CSV artifacts (created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("REFILL_RESULTS").unwrap_or_else(|_| "results".into());
@@ -108,11 +81,6 @@ pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
     path
 }
 
-/// True when a file exists (test helper).
-pub fn artifact_exists(path: &Path) -> bool {
-    path.is_file()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,22 +95,10 @@ mod tests {
     }
 
     #[test]
-    fn synth_merge_logs_are_sorted_and_merge_identically() {
-        let logs = synth_merge_logs(7, 700);
-        assert_eq!(logs.len(), 7);
-        for l in &logs {
-            assert!(l.entries.windows(2).all(|w| w[0].local_ts <= w[1].local_ts));
-        }
-        let seq = eventlog::merge_logs_kway(&logs).events;
-        assert_eq!(eventlog::merge_logs(&logs).events, seq);
-        assert_eq!(eventlog::merge_logs_partitioned(&logs, 4).events, seq);
-    }
-
-    #[test]
     fn artifacts_roundtrip() {
         std::env::set_var("REFILL_RESULTS", std::env::temp_dir().join("refill-test-results"));
         let p = write_artifact("probe.txt", "hello");
-        assert!(artifact_exists(&p));
+        assert!(p.is_file());
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "hello");
     }
 }

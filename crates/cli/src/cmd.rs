@@ -82,8 +82,7 @@ USAGE:
   first. --format json prints the full telemetry snapshot as JSON instead
   of the table.
   store persists a run into a durable, crash-recoverable segment store:
-  packed event rows plus node-abstract report templates with diagnosis
-  sidecars. Without --logs it simulates a scenario (truth fates included,
+  packed event rows plus the reports with their diagnosis sidecars. Without --logs it simulates a scenario (truth fates included,
   scenario.json saved alongside for topology-dependent figures); with
   --logs it reconstructs and diagnoses an archive. --compact merges the
   segments into one time-sorted segment afterwards.
@@ -94,7 +93,10 @@ USAGE:
   the stored sidecars, byte-identical to the in-memory analysis.
   stream --store DIR appends every absorbed record and emitted report to
   a store as it runs; re-running after a kill resumes from the durable
-  prefix and converges to the same reports as an uninterrupted run.
+  prefix and converges to the same reports as an uninterrupted run. It
+  combines with --metrics-every, and --telemetry then counts the store's
+  appends and recovery too. A store written under another block format
+  version is refused and left as it is.
   soak runs seeded fault-injection conformance cases: each case pushes
   one synthetic scenario through all six driver paths (sequential,
   parallel, fused, cached cold then warm, streaming, store kill-and-resume)
@@ -808,6 +810,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `--disposition` reads `origins` straight off the stored report; the
+    /// counts are what the version-2 rows (template + rename vector,
+    /// rehydrated per scanned row) matched on the same store.
+    #[test]
+    fn query_disposition_matches_the_packets_it_always_did() {
+        let dir = std::env::temp_dir().join("refill-store-disposition-cli-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        store_cmd_inner(&args(&["--out", dir.to_str().unwrap()])).unwrap();
+        for (disposition, matched) in [("observed", 2092), ("intra", 194), ("inter", 892)] {
+            let out = query_cmd_inner(&args(&[
+                "--store",
+                dir.to_str().unwrap(),
+                "--disposition",
+                disposition,
+            ]))
+            .unwrap();
+            let want = format!("matched 0 event rows and {matched} report rows ({matched} packets)");
+            assert!(out.starts_with(&want), "--disposition {disposition}: {out}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stream_store_checkpoints_and_resumes() {
         use eventlog::frame::{encode_records, NodeRecord};
@@ -866,15 +890,61 @@ mod tests {
         let out = query_cmd_inner(&args(&["--store", store_dir.to_str().unwrap()])).unwrap();
         assert!(out.contains("matched 2 event rows"), "got: {out}");
 
-        assert!(stream_cmd_inner(&args(&[
+        // A store and a metrics cadence are two observers of one run (they
+        // used to exclude each other): deltas, then the summary, and the
+        // store note last.
+        let both = stream_cmd_inner(&args(&[
             "--frames",
             frames.to_str().unwrap(),
             "--store",
             store_dir.to_str().unwrap(),
+            "--quiet",
             "--metrics-every",
-            "1",
+            "64",
         ]))
-        .is_err());
+        .unwrap();
+        assert!(both.starts_with('{'), "a delta line comes first: {both}");
+        let last = both.lines().last().unwrap();
+        assert!(last.starts_with("store: 2 event rows"), "got: {both}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The store's instrumentation had no writer: `stream --store` opened
+    /// its store with a recorder nobody read.
+    #[test]
+    fn stream_store_telemetry_counts_what_the_store_wrote() {
+        let campaign = run_scenario(&Scenario {
+            days: 1,
+            ..Scenario::small()
+        });
+        let dir = std::env::temp_dir().join("refill-stream-store-telemetry-cli-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let frames = dir.join("frames.bin");
+        let bytes = eventlog::frame::encode_records(&campaign.upload_records());
+        std::fs::write(&frames, bytes).unwrap();
+        let tele = dir.join("telemetry.json");
+        stream_cmd_inner(&args(&[
+            "--frames",
+            frames.to_str().unwrap(),
+            "--store",
+            dir.join("store").to_str().unwrap(),
+            "--quiet",
+            "--telemetry",
+            tele.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let snapshot = json::parse(&std::fs::read(&tele).unwrap()).unwrap();
+        let named = |section: &str, name: &str| -> Json {
+            let rows = snapshot[section].as_array().unwrap();
+            let row = rows.iter().find(|r| r["name"].as_str() == Some(name));
+            row.unwrap_or_else(|| panic!("no {name} in {section}")).clone()
+        };
+        let counter = |name: &str| named("counters", name)["value"].as_u64().unwrap();
+        assert!(counter("stream_records") > 0);
+        assert_eq!(counter("store_events_appended"), counter("stream_records"));
+        assert!(counter("store_reports_appended") > 0);
+        assert_eq!(named("stages", "store_recover")["calls"].as_u64(), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

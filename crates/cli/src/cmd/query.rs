@@ -104,7 +104,7 @@ pub fn query_cmd_inner(args: &[String]) -> Result<String, String> {
     // sorted by packet id (the same view `latest_reports` exposes).
     let mut latest = std::collections::BTreeMap::new();
     for row in &result.reports {
-        latest.insert(row.packet, row.clone());
+        latest.insert(row.report.packet, row.clone());
     }
 
     if let Some(figure) = flags.get("fig") {
@@ -112,10 +112,10 @@ pub fn query_cmd_inner(args: &[String]) -> Result<String, String> {
             .values()
             .map(|row| {
                 let sidecar = row.sidecar.clone().ok_or_else(|| {
-                    format!("report row for {} has no diagnosis sidecar", row.packet)
+                    format!("report row for {} has no diagnosis sidecar", row.report.packet)
                 })?;
                 Ok(citysee::PacketRecord {
-                    packet: row.packet,
+                    packet: row.report.packet,
                     est_time: sidecar.est_time,
                     diagnosis: sidecar.diagnosis,
                     fate: sidecar.fate.unwrap_or(eventlog::PacketFate::Delivered {

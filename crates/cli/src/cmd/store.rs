@@ -1,9 +1,8 @@
 //! `refill store`.
 
 use super::{build_analyzer, load_input, scenario_from_flags, FlagSpec, Flags};
-use citysee::analysis::{campaign_packets, truth_fate, Analyzer, Visit};
+use citysee::analysis::{campaign_packets, truth_fate, Analyzer};
 use citysee::run_scenario;
-use eventlog::{EventStore, PackedEvent, PacketFate};
 use netsim::json::ToJson;
 use refill::parallel::available_workers;
 use refill_store::{ReportRow, SegmentStore, Sidecar};
@@ -22,22 +21,6 @@ pub fn store(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One visited packet as a stored report row with its diagnosis sidecar.
-fn report_row(v: Visit<'_>, fate: Option<PacketFate>) -> ReportRow {
-    let sidecar = Sidecar {
-        est_time: v.est_time,
-        diagnosis: v.diagnosis,
-        fate,
-    };
-    ReportRow::from_report(v.report, Some(sidecar))
-}
-
-/// The packed, time-merged event rows of a run.
-fn event_rows(columns: &EventStore) -> Vec<(PackedEvent, u64)> {
-    let timestamps = columns.ts_column().iter().copied();
-    columns.records().iter().copied().zip(timestamps).collect()
-}
-
 /// `refill store`, returning the printed output (testable): persist a
 /// run's merged events and reconstructed reports (with diagnosis
 /// sidecars) into a durable segment store. Without `--logs` a scenario is
@@ -47,15 +30,13 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &FLAGS)?;
     let out_dir = PathBuf::from(flags.get("out").ok_or("--out is required")?);
 
-    let (event_rows, report_rows, scenario_json) = if flags.get("logs").is_some() {
+    // What the two modes differ in: whose logs, which analyzer and index,
+    // and whether there is a truth to take packets and fates from.
+    let (logs, analyzer, index, truth, scenario_json) = if flags.get("logs").is_some() {
         let input = load_input(&flags)?;
         let analyzer = build_analyzer(&flags, &input, &None)?;
-        let columns = eventlog::merge_logs_store(&input.logs);
-        let index = columns.to_merged().packet_index();
-        let rows = analyzer.pass(&index, index.ids(), available_workers(), |v| {
-            report_row(v, None)
-        });
-        (event_rows(&columns), rows, None)
+        let index = analyzer.index(&input.logs);
+        (input.logs, analyzer, index, None, None)
     } else {
         // Simulation mode: scenario.json rides along so
         // `query --fig fig8` can rebuild the topology.
@@ -65,18 +46,24 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
             scenario.name, scenario.seed
         );
         let campaign = run_scenario(&scenario);
-        let truth = &campaign.sim.truth;
         let analyzer = Analyzer::for_campaign(&campaign);
         let index = campaign.merged.packet_index();
-        let ids = campaign_packets(&index, truth);
-        let rows = analyzer.pass(&index, &ids, available_workers(), |v| {
-            let fate = truth_fate(truth, v.report.packet);
-            report_row(v, Some(fate))
-        });
-        let columns = eventlog::merge_logs_store(&campaign.collected);
         let json = scenario.to_json().to_pretty().map_err(|e| e.to_string())?;
-        (event_rows(&columns), rows, Some(json))
+        (campaign.collected, analyzer, index, Some(campaign.sim.truth), Some(json))
     };
+    let ids = match &truth {
+        Some(truth) => campaign_packets(&index, truth),
+        None => index.ids().to_vec(),
+    };
+    let report_rows = analyzer.pass(&index, &ids, available_workers(), |v| {
+        let sidecar = Sidecar {
+            est_time: v.est_time,
+            diagnosis: v.diagnosis,
+            fate: truth.as_ref().map(|truth| truth_fate(truth, v.report.packet)),
+        };
+        ReportRow::from_report(v.report, Some(sidecar))
+    });
+    let event_rows: Vec<_> = eventlog::merge_logs_store(&logs).rows().collect();
 
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
     let (st, recovery) = SegmentStore::open(&out_dir).map_err(|e| e.to_string())?;

@@ -3,6 +3,7 @@
 use super::{
     attach_recorder, parse_sink, recorder_for, simulate_day, write_telemetry, FlagSpec, Flags,
 };
+use eventlog::frame::encode_records;
 use netsim::json::ToJson;
 use refill::telemetry::AtomicRecorder;
 use refill::trace::{CtpVocabulary, Reconstructor};
@@ -35,8 +36,9 @@ pub fn stream(args: &[String]) -> Result<(), String> {
 
 /// `refill stream`, returning the printed output (testable).
 pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
+    use refill_store::{OsVfs, SegmentStore, StoreCheckpoint};
     use refill_stream::{
-        run_stream_checkpointed, run_stream_metered, DriverConfig, Replay, StreamConfig,
+        run_stream_observed, DriverConfig, MetricsCadence, StreamConfig, StreamObserver,
         StreamReconstructor,
     };
 
@@ -80,12 +82,18 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
             let _ = writeln!(o, "packet {} | {}", r.packet, r.flow);
         }
     };
-    let metrics = |snap: &refill::telemetry::TelemetrySnapshot| {
-        if let Ok(line) = snap.to_json().to_compact() {
-            let mut o = out.borrow_mut();
-            let _ = writeln!(o, "{line}");
-        }
-    };
+    let mut cadence = metrics_every.map(|every| {
+        MetricsCadence::new(
+            Arc::clone(stream.recorder()),
+            every,
+            |snap: &refill::telemetry::TelemetrySnapshot| {
+                if let Ok(line) = snap.to_json().to_compact() {
+                    let mut o = out.borrow_mut();
+                    let _ = writeln!(o, "{line}");
+                }
+            },
+        )
+    });
 
     let reader: Box<dyn std::io::Read + Send> = match flags.get("frames") {
         Some("-") => Box::new(std::io::stdin()),
@@ -94,23 +102,22 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
             Box::new(BufReader::new(f))
         }
         None => {
-            // No input: replay a simulated day's upload stream through
-            // the same framed path.
+            // No input: a simulated day's upload stream through the same
+            // framed path.
             let campaign = simulate_day(&flags, "--frames")?;
-            let bytes = Replay::from_campaign(&campaign, f64::INFINITY).encode();
+            let bytes = encode_records(&campaign.upload_records());
             Box::new(std::io::Cursor::new(bytes))
         }
     };
 
-    let mut store_note = None;
-    let summary = match flags.get("store") {
+    let mut ckpt = match flags.get("store") {
         Some(dir) => {
-            use refill_store::{SegmentStore, StoreCheckpoint};
-            if metrics_every.is_some() {
-                return Err("--metrics-every is not supported with --store".into());
-            }
-            let (st, _) = SegmentStore::open(dir).map_err(|e| e.to_string())?;
-            let mut ckpt = StoreCheckpoint::new(st);
+            // The store records under the run's recorder, so its appends
+            // and recovery show in --telemetry / --prometheus.
+            let recorder = Arc::clone(stream.recorder());
+            let (st, _) = SegmentStore::open_with_vfs(dir, Arc::new(OsVfs), recorder)
+                .map_err(|e| e.to_string())?;
+            let ckpt = StoreCheckpoint::new(st);
             let resume = ckpt.resume_records().map_err(|e| e.to_string())?;
             if !resume.is_empty() {
                 eprintln!(
@@ -121,33 +128,29 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
                     stream.ingest(rec);
                 }
             }
-            let summary = run_stream_checkpointed(
-                reader,
-                &mut stream,
-                DriverConfig::default(),
-                |r| emit(r),
-                &mut ckpt,
-            )
-            .map_err(|e| e.to_string())?;
-            let st = ckpt.finish().map_err(|e| e.to_string())?;
-            store_note = Some(format!(
-                "store: {} event rows, {} report rows in {} segments at {dir}",
-                st.total_events(),
-                st.total_reports(),
-                st.segments().len()
-            ));
-            summary
+            Some(ckpt)
         }
-        None => run_stream_metered(
-            reader,
-            &mut stream,
-            DriverConfig::default(),
-            |r| emit(r),
-            metrics_every,
-            |s| metrics(s),
-        )
-        .map_err(|e| e.to_string())?,
+        None => None,
     };
+
+    let mut observers: Vec<&mut dyn StreamObserver> = Vec::new();
+    if let Some(ckpt) = &mut ckpt {
+        observers.push(ckpt);
+    }
+    if let Some(cadence) = &mut cadence {
+        observers.push(cadence);
+    }
+    let summary = run_stream_observed(
+        reader,
+        &mut stream,
+        DriverConfig::default(),
+        emit,
+        &mut observers,
+    )
+    .map_err(|e| e.to_string())?;
+    if let Some(cadence) = cadence {
+        cadence.finish();
+    }
 
     let mut out = out.into_inner();
     let stats = summary.stats;
@@ -167,8 +170,16 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
         summary.reports.len(),
         summary.rolling_reports
     );
-    if let Some(note) = store_note {
-        let _ = writeln!(out, "{note}");
+    if let Some(ckpt) = ckpt {
+        let st = ckpt.finish().map_err(|e| e.to_string())?;
+        let _ = writeln!(
+            out,
+            "store: {} event rows, {} report rows in {} segments at {}",
+            st.total_events(),
+            st.total_reports(),
+            st.segments().len(),
+            st.dir().display()
+        );
     }
     write_telemetry(&flags, recorder.as_deref())?;
     Ok(out)

@@ -1073,58 +1073,14 @@ fn canonicalize(packet: PacketId, events: &[Event], sink: Option<NodeId>) -> Opt
 /// canonical event group, shared via [`SigCache`] by every packet whose
 /// group has the same flow shape. [`ReportTemplate::rehydrate`] substitutes
 /// a packet's real node and packet ids back in.
-///
-/// Templates read and write themselves as JSON: the durable segment store persists
-/// reconstructed reports as `(packet, nodes, template)` rows, abstracted by
-/// [`ReportTemplate::abstract_report`] and restored by
-/// [`ReportTemplate::rehydrate`] — round-trip exact by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportTemplate {
     report: PacketReport,
 }
 
-netsim::json_struct!(ReportTemplate { report });
-
 impl ReportTemplate {
     pub(crate) fn new(report: PacketReport) -> Self {
         ReportTemplate { report }
-    }
-
-    /// Abstract a concrete report into a node-abstract template plus the
-    /// node table that restores it: every node appearing in the report is
-    /// alpha-renamed to its first-appearance index (the reserved ids stay
-    /// fixed points, exactly as in signature canonicalization), and
-    /// `template.rehydrate(report.packet, &nodes)` reproduces `report`
-    /// field for field.
-    pub fn abstract_report(report: &PacketReport) -> (ReportTemplate, Vec<NodeId>) {
-        let mut ren = AlphaRenamer::default();
-        let canon_event = |ren: &mut AlphaRenamer, e: &Event| {
-            let node = ren.canon(e.node);
-            let kind = rename_kind(e.kind, |n| ren.canon(n));
-            Event::new(node, kind, e.packet)
-        };
-        let abstracted = PacketReport {
-            packet: report.packet,
-            flow: report.flow.map(|e| canon_event(&mut ren, e)),
-            omitted: report
-                .omitted
-                .iter()
-                .map(|e| canon_event(&mut ren, e))
-                .collect(),
-            warnings: report.warnings.clone(),
-            engines: report
-                .engines
-                .iter()
-                .map(|e| EngineInfo {
-                    node: ren.canon(e.node),
-                    ..e.clone()
-                })
-                .collect(),
-            path: report.path.iter().map(|&n| ren.canon(n)).collect(),
-            delivered: report.delivered,
-            origins: report.origins.clone(),
-        };
-        (ReportTemplate { report: abstracted }, ren.nodes)
     }
 
     /// Produce the concrete [`PacketReport`] for `packet`, mapping each

@@ -11,7 +11,6 @@
 //! and cause, and a file from a future format version is refused up front
 //! instead of failing line by line.
 
-use crate::columnar::EventStore;
 use crate::logger::{LocalLog, LogEntry};
 use netsim::fx::FxHashMap;
 use netsim::json::{self, ToJson};
@@ -118,8 +117,7 @@ pub fn write_logs<W: Write>(logs: &[LocalLog], mut w: W) -> io::Result<()> {
 
 /// The one archive line parser: header validation, version gating, blank
 /// skipping, and typed per-line errors, handing each parsed record to
-/// `each` in file order. Both materializations ([`read_logs`] and
-/// [`read_store`]) share it, so their format semantics cannot diverge.
+/// `each` in file order.
 fn read_lines<R: BufRead>(
     r: R,
     mut each: impl FnMut(ArchiveLine),
@@ -179,37 +177,6 @@ pub fn read_logs<R: BufRead>(r: R) -> Result<Vec<LocalLog>, ArchiveError> {
     Ok(by_node)
 }
 
-/// Read an archive straight into a columnar [`EventStore`], one row per
-/// record in file order — both the event and its `ts` column entry come
-/// off the same line, with no intermediate per-node log materialization.
-pub fn read_store<R: BufRead>(r: R) -> Result<EventStore, ArchiveError> {
-    let mut store = EventStore::new();
-    read_lines(r, |parsed| store.push_entry(&parsed.entry))?;
-    Ok(store)
-}
-
-/// Write a columnar store as a v2 archive: one line per row in store
-/// order, the node and timestamp read back out of the packed columns.
-///
-/// Because [`read_store`] preserves file order and this preserves store
-/// order, `write_logs → read_store → write_store` reproduces the original
-/// archive byte for byte (pinned by a regression test).
-pub fn write_store<W: Write>(store: &EventStore, mut w: W) -> io::Result<()> {
-    writeln!(w, "{HEADER_PREFIX}{ARCHIVE_VERSION}")?;
-    for i in 0..store.len() {
-        let event = store.event(i);
-        let line = ArchiveLine {
-            node: event.node.0,
-            entry: LogEntry {
-                event,
-                local_ts: store.ts(i),
-            },
-        };
-        line.write(&mut w)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,50 +211,6 @@ mod tests {
             assert_eq!(orig.node, got.node);
             assert_eq!(orig.entries, got.entries);
         }
-    }
-
-    #[test]
-    fn v2_archive_roundtrips_through_event_store_byte_identically() {
-        // The columnar regression contract: reading a v2 archive into an
-        // EventStore and writing the store back reproduces the file byte
-        // for byte — same records, same order, same ts column, including
-        // entries with and without timestamps.
-        let mut logs = sample_logs();
-        for (i, entry) in logs[0].entries.iter_mut().enumerate() {
-            entry.local_ts = Some(100 + i as u64 * 7);
-        }
-        let mut original = Vec::new();
-        write_logs(&logs, &mut original).unwrap();
-        let store = read_store(io::BufReader::new(&original[..])).unwrap();
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.ts(0), Some(100));
-        assert_eq!(store.ts(2), None);
-        let mut rewritten = Vec::new();
-        write_store(&store, &mut rewritten).unwrap();
-        assert_eq!(original, rewritten);
-    }
-
-    #[test]
-    fn read_store_matches_read_logs_content() {
-        let logs = sample_logs();
-        let mut buf = Vec::new();
-        write_logs(&logs, &mut buf).unwrap();
-        let store = read_store(io::BufReader::new(&buf[..])).unwrap();
-        let back = read_logs(io::BufReader::new(&buf[..])).unwrap();
-        let flat: Vec<_> = back
-            .iter()
-            .flat_map(|l| l.entries.iter().map(|e| e.event))
-            .collect();
-        assert_eq!(store.to_events(), flat);
-    }
-
-    #[test]
-    fn read_store_rejects_corruption_like_read_logs() {
-        let mut buf = Vec::new();
-        write_logs(&sample_logs(), &mut buf).unwrap();
-        buf.extend_from_slice(b"not json\n");
-        let err = read_store(io::BufReader::new(&buf[..])).unwrap_err();
-        assert!(matches!(err, ArchiveError::Corrupt { line: 5, .. }));
     }
 
     #[test]
@@ -387,17 +310,11 @@ mod tests {
         for (idx, &start) in starts.iter().enumerate().skip(1) {
             let end = start + buf[start..].iter().position(|b| *b == b'\n').unwrap();
             for cut in (start + 1)..end {
-                // The columnar store reader reports the cut line...
-                match read_store(io::BufReader::new(&buf[..cut])).unwrap_err() {
+                match read_logs(io::BufReader::new(&buf[..cut])).unwrap_err() {
                     ArchiveError::Corrupt { line, detail } => {
                         assert_eq!(line, idx + 1, "cut at byte {cut}");
                         assert!(!detail.is_empty(), "cut at byte {cut}");
                     }
-                    other => panic!("cut at byte {cut}: expected Corrupt, got {other:?}"),
-                }
-                // ...and the row reader agrees on the position.
-                match read_logs(io::BufReader::new(&buf[..cut])).unwrap_err() {
-                    ArchiveError::Corrupt { line, .. } => assert_eq!(line, idx + 1),
                     other => panic!("cut at byte {cut}: expected Corrupt, got {other:?}"),
                 }
             }

@@ -165,6 +165,22 @@ impl PackedEvent {
             packet: self.packet(),
         }
     }
+
+    /// A log entry as a durable row: the packed event beside its raw
+    /// timestamp, [`TS_NONE`] standing for none.
+    pub fn pack_entry(entry: &LogEntry) -> (PackedEvent, u64) {
+        let ts = entry.local_ts.unwrap_or(TS_NONE);
+        debug_assert!(entry.local_ts.is_none() || ts != TS_NONE, "u64::MAX stands for no timestamp");
+        (PackedEvent::pack(&entry.event), ts)
+    }
+
+    /// Inverse of [`PackedEvent::pack_entry`].
+    pub fn unpack_entry((rec, ts): (PackedEvent, u64)) -> LogEntry {
+        LogEntry {
+            event: rec.unpack(),
+            local_ts: (ts != TS_NONE).then_some(ts),
+        }
+    }
 }
 
 /// The packed structure-of-arrays event store: a [`PackedEvent`] column and
@@ -235,6 +251,11 @@ impl EventStore {
     /// The raw timestamp column ([`TS_NONE`] marks missing entries).
     pub fn ts_column(&self) -> &[u64] {
         &self.ts
+    }
+
+    /// Every row as [`PackedEvent::pack_entry`] spells one, in order.
+    pub fn rows(&self) -> impl Iterator<Item = (PackedEvent, u64)> + '_ {
+        self.recs.iter().copied().zip(self.ts.iter().copied())
     }
 
     /// Row `i`'s local timestamp, if it had one.

@@ -25,7 +25,7 @@
 //! matching the byte-budgeted links it models.
 
 use crate::event::{Event, EventKind, PacketId};
-use crate::logger::{LocalLog, LogEntry};
+use crate::logger::LogEntry;
 use netsim::NodeId;
 
 /// Frame delimiter bytes.
@@ -77,25 +77,6 @@ fn kind_to_wire(kind: EventKind) -> (u8, u16) {
     (kind.code(), aux)
 }
 
-/// Inverse of [`kind_to_wire`]; `None` for an unknown tag.
-fn kind_from_wire(tag: u8, aux: u16) -> Option<EventKind> {
-    Some(match tag {
-        0 => EventKind::Recv { from: NodeId(aux) },
-        1 => EventKind::Overflow { from: NodeId(aux) },
-        2 => EventKind::Dup { from: NodeId(aux) },
-        3 => EventKind::Trans { to: NodeId(aux) },
-        4 => EventKind::AckRecvd { to: NodeId(aux) },
-        5 => EventKind::Origin,
-        6 => EventKind::Enqueue,
-        7 => EventKind::Timeout { to: NodeId(aux) },
-        8 => EventKind::SerialTrans,
-        9 => EventKind::BsRecv,
-        10 => EventKind::Deliver,
-        11 => EventKind::Custom(aux),
-        _ => return None,
-    })
-}
-
 /// Encode one record's payload (no framing) into `out`.
 fn encode_payload(rec: &NodeRecord, out: &mut Vec<u8>) {
     let e = rec.entry.event;
@@ -122,7 +103,8 @@ fn decode_payload(b: &[u8]) -> Option<NodeRecord> {
     }
     let node = NodeId(u16::from_le_bytes([b[0], b[1]]));
     let ev_node = NodeId(u16::from_le_bytes([b[2], b[3]]));
-    let kind = kind_from_wire(b[4], u16::from_le_bytes([b[5], b[6]]))?;
+    let aux = u16::from_le_bytes([b[5], b[6]]);
+    let kind = EventKind::from_parts(b[4], NodeId(aux), aux)?;
     let origin = NodeId(u16::from_le_bytes([b[7], b[8]]));
     let seqno = u32::from_le_bytes([b[9], b[10], b[11], b[12]]);
     let local_ts = match b[13] {
@@ -160,18 +142,6 @@ pub fn encode_records<'a>(records: impl IntoIterator<Item = &'a NodeRecord>) -> 
     let mut out = Vec::new();
     for rec in records {
         encode_record(rec, &mut out);
-    }
-    out
-}
-
-/// Encode whole local logs, log by log (each node's order explicit in the
-/// stream), mirroring `archive::write_logs`.
-pub fn encode_logs(logs: &[LocalLog]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for log in logs {
-        for entry in &log.entries {
-            encode_record(&NodeRecord::new(log.node, *entry), &mut out);
-        }
     }
     out
 }
@@ -579,23 +549,6 @@ mod tests {
         assert_eq!(stats.decoded, 0);
         assert_eq!(stats.corrupt, 1);
     }
-
-    #[test]
-    fn encode_logs_matches_per_record_encoding() {
-        let log = LocalLog {
-            node: NodeId(5),
-            entries: vec![rec(5, 0, Some(3)).entry, rec(5, 1, None).entry],
-        };
-        let by_log = encode_logs(std::slice::from_ref(&log));
-        let records: Vec<NodeRecord> = log
-            .entries
-            .iter()
-            .map(|e| NodeRecord::new(log.node, *e))
-            .collect();
-        assert_eq!(by_log, encode_records(&records));
-        let (back, _) = decode_all(&by_log);
-        assert_eq!(back, records);
-    }
 }
 
 #[cfg(test)]
@@ -606,7 +559,8 @@ mod properties {
 
     fn arb_record(rng: &mut Rng) -> NodeRecord {
         let node = NodeId(rng.gen_range(0..100));
-        let kind = kind_from_wire(rng.gen_range(0..12), rng.gen()).expect("tag in range");
+        let aux = rng.gen();
+        let kind = EventKind::from_parts(rng.gen_range(0..12), NodeId(aux), aux).expect("tag in range");
         let packet = PacketId::new(NodeId(rng.gen_range(0..100)), rng.gen());
         NodeRecord::new(
             node,

@@ -91,13 +91,6 @@ impl WatermarkTracker {
         self.marks.is_empty()
     }
 
-    /// The minimum timestamp mark across all observed nodes — the global
-    /// low-watermark. Only meaningful to readers that accept cross-node
-    /// clock skew (reporting, not windowing); `None` when empty.
-    pub fn low_watermark_us(&self) -> Option<u64> {
-        self.marks.values().map(|m| m.ts_us).min()
-    }
-
     /// Has `node` moved far enough past `since` (its mark at some earlier
     /// observation) to consider that point passed?
     pub fn passed(&self, node: NodeId, since: Mark, lateness: Lateness) -> bool {
@@ -124,7 +117,6 @@ mod tests {
         let t = WatermarkTracker::new();
         assert!(t.is_empty());
         assert_eq!(t.mark(n(1)), Mark::default());
-        assert_eq!(t.low_watermark_us(), None);
     }
 
     #[test]
@@ -135,15 +127,6 @@ mod tests {
         let m = t.advance(n(1), None);
         assert_eq!(m, Mark { ts_us: 100, records: 3 });
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn low_watermark_is_the_slowest_node() {
-        let mut t = WatermarkTracker::new();
-        t.advance(n(1), Some(500));
-        t.advance(n(2), Some(90));
-        t.advance(n(3), Some(300));
-        assert_eq!(t.low_watermark_us(), Some(90));
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Durable checkpointing for streamed reconstruction.
 //!
-//! [`StoreCheckpoint`] implements [`refill_stream::CheckpointSink`]: every
-//! record the stream driver absorbs lands in the store as a packed event
-//! row, and every emitted report batch (window closes plus the final
-//! flush) lands as report rows — with the events flushed *first* at every
-//! durability point, so the store never holds a report whose evidence was
-//! lost. After a crash, the store's event rows are exactly the durable
-//! prefix of the absorbed record sequence; [`StoreCheckpoint::resume_records`]
-//! replays them (in order) into a fresh `StreamReconstructor` and
-//! [`CheckpointSink::skip_records`] tells the driver how many decoded
-//! records to drop before the hooks re-engage. The resumed run's final
-//! reports are byte-identical to an uninterrupted run because
-//! `StreamReconstructor::finish` converges to the batch answer over the
-//! full ingested sequence regardless of poll cadence.
+//! [`StoreCheckpoint`] is a [`refill_stream::StreamObserver`]: every record
+//! the stream driver absorbs lands in the store as a packed event row, and
+//! every emitted report (window closes plus the final flush) is buffered as
+//! a report row and written at the next `sync` — with the events flushed
+//! *first* at every durability point, so the store never holds a report
+//! whose evidence was lost. After a crash, the store's event rows are
+//! exactly the durable prefix of the absorbed record sequence;
+//! [`StoreCheckpoint::resume_records`] replays them (in order) into a fresh
+//! `StreamReconstructor` and [`StreamObserver::skip_records`] tells the
+//! driver how many decoded records to drop before the hooks re-engage. The
+//! resumed run's final reports are byte-identical to an uninterrupted run
+//! because `StreamReconstructor::finish` converges to the batch answer over
+//! the full ingested sequence regardless of poll cadence.
 //!
 //! One representational note: a replayed record's lane is its event's
 //! `node` field. Every producer in this workspace logs events onto the
@@ -23,16 +23,15 @@ use crate::row::ReportRow;
 use crate::store::SegmentStore;
 use crate::StoreError;
 use eventlog::frame::NodeRecord;
-use eventlog::logger::LogEntry;
-use eventlog::{PackedEvent, TS_NONE};
+use eventlog::PackedEvent;
 use refill::PacketReport;
-use refill_stream::CheckpointSink;
+use refill_stream::StreamObserver;
 
 /// Buffered rows before an unforced flush. Durability is still governed by
 /// `sync` — this only bounds block granularity between syncs.
 const FLUSH_ROWS: usize = 1024;
 
-/// A [`CheckpointSink`] backed by a [`SegmentStore`].
+/// A [`StreamObserver`] backed by a [`SegmentStore`].
 pub struct StoreCheckpoint {
     store: SegmentStore,
     /// Event rows already durable when this checkpoint was constructed —
@@ -40,6 +39,8 @@ pub struct StoreCheckpoint {
     /// appends don't shift it.
     skip: u64,
     buffer: Vec<(PackedEvent, u64)>,
+    /// Reports emitted since the last `sync`.
+    reports: Vec<ReportRow>,
 }
 
 impl StoreCheckpoint {
@@ -50,6 +51,7 @@ impl StoreCheckpoint {
             store,
             skip,
             buffer: Vec::new(),
+            reports: Vec::new(),
         }
     }
 
@@ -61,16 +63,9 @@ impl StoreCheckpoint {
             .store
             .events()?
             .into_iter()
-            .map(|(rec, ts)| {
-                let event = rec.unpack();
-                let node = event.node;
-                NodeRecord::new(
-                    node,
-                    LogEntry {
-                        event,
-                        local_ts: (ts != TS_NONE).then_some(ts),
-                    },
-                )
+            .map(|row| {
+                let entry = PackedEvent::unpack_entry(row);
+                NodeRecord::new(entry.event.node, entry)
             })
             .collect())
     }
@@ -88,45 +83,41 @@ impl StoreCheckpoint {
         self.store.append_events(&rows)
     }
 
+    /// Write what is buffered, events before the reports drawn from them,
+    /// and commit.
+    fn commit(&mut self) -> Result<(), StoreError> {
+        self.flush_events()?;
+        self.store.append_reports(&self.reports)?;
+        self.reports.clear();
+        self.store.sync()
+    }
+
     /// Flush, sync, and hand the store back.
     pub fn finish(mut self) -> Result<SegmentStore, StoreError> {
-        self.flush_events()?;
-        self.store.sync()?;
+        self.commit()?;
         Ok(self.store)
     }
 }
 
-impl CheckpointSink for StoreCheckpoint {
+impl StreamObserver for StoreCheckpoint {
     fn skip_records(&self) -> u64 {
         self.skip
     }
 
     fn on_record(&mut self, rec: &NodeRecord) -> std::io::Result<()> {
-        self.buffer.push((
-            PackedEvent::pack(&rec.entry.event),
-            rec.entry.local_ts.unwrap_or(TS_NONE),
-        ));
+        self.buffer.push(PackedEvent::pack_entry(&rec.entry));
         if self.buffer.len() >= FLUSH_ROWS {
             self.flush_events()?;
         }
         Ok(())
     }
 
-    fn on_reports(&mut self, reports: &[PacketReport]) -> std::io::Result<()> {
-        // Evidence before conclusions: the records these reports were
-        // reconstructed from must hit the store first.
-        self.flush_events()?;
-        let rows: Vec<ReportRow> = reports
-            .iter()
-            .map(|r| ReportRow::from_report(r, None))
-            .collect();
-        self.store.append_reports(&rows)?;
+    fn on_report(&mut self, report: &PacketReport) -> std::io::Result<()> {
+        self.reports.push(ReportRow::from_report(report, None));
         Ok(())
     }
 
     fn sync(&mut self) -> std::io::Result<()> {
-        self.flush_events()?;
-        self.store.sync()?;
-        Ok(())
+        Ok(self.commit()?)
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Reconstruction is expensive; its outputs are not. This crate persists
 //! both halves of a run — the merged event stream (as packed 24-byte rows)
-//! and the per-packet reports (as node-abstract templates plus a rename
-//! vector, the same deduplicated form the signature cache uses) — into an
-//! append-only, crash-recoverable segment store, so figures and flow
+//! and the per-packet reports (as the reports themselves, in the JSON
+//! `PacketReport` already has) — into an append-only, crash-recoverable segment store, so figures and flow
 //! queries replay from disk instead of re-running the pipeline.
 //!
 //! The layers:
@@ -22,11 +21,11 @@
 //!   (k-way merge of segment runs through `eventlog::merge_packed_runs`).
 //! * [`query`] — [`Query`]/[`QueryOutput`]: predicate evaluation with
 //!   segment-level pushdown over the manifest metadata.
-//! * [`row`] — [`ReportRow`]: the persisted report form; rehydrates to an
-//!   exact [`refill::PacketReport`].
+//! * [`row`] — [`ReportRow`]: a [`refill::PacketReport`] beside its
+//!   optional analysis sidecar.
 //! * [`checkpoint`] — [`StoreCheckpoint`]: a
-//!   [`refill_stream::CheckpointSink`] implementation so a killed
-//!   `refill stream` run resumes from the store's durable prefix.
+//!   [`refill_stream::StreamObserver`] so a killed `refill stream` run
+//!   resumes from the store's durable prefix.
 //! * [`vfs`] — the [`Vfs`]/[`VfsFile`] filesystem seam every store
 //!   operation goes through: [`OsVfs`] in production, fault-injecting
 //!   implementations (torn writes, fsync failures, rename failures) in
@@ -39,7 +38,9 @@
 //! a crash, [`SegmentStore::open`] recovers the longest prefix of each
 //! listed segment made of whole, CRC-valid blocks — everything synced is
 //! kept, a torn tail is truncated, and unlisted files (lost races of
-//! segment creation or compaction leftovers) are pruned. When no manifest
+//! segment creation or compaction leftovers) are pruned. A segment whose
+//! blocks check out under another format version is refused
+//! ([`StoreError::Corrupt`], "unsupported block version") and left as found. When no manifest
 //! exists at all, on-disk segments are adopted instead of pruned, so a
 //! store directory survives losing its manifest.
 

@@ -42,7 +42,7 @@ pub struct Query {
     /// Diagnosed loss cause (report rows only; requires a sidecar).
     pub cause: Option<DiagnosedCause>,
     /// Flow-entry disposition (report rows only): matches reports whose
-    /// rehydrated flow contains at least one entry with this origin.
+    /// flow contains at least one entry with this origin.
     pub disposition: Option<EntryOrigin>,
 }
 
@@ -113,7 +113,7 @@ impl Query {
     }
 
     fn matches_report(&self, row: &ReportRow) -> bool {
-        if !self.matches_packet(row.packet) {
+        if !self.matches_packet(row.report.packet) {
             return false;
         }
         if let Some(cause) = self.cause {
@@ -126,7 +126,7 @@ impl Query {
             }
         }
         if let Some(disposition) = self.disposition {
-            if !row.report().origins.contains(&disposition) {
+            if !row.report.origins.contains(&disposition) {
                 return false;
             }
         }

@@ -1,12 +1,9 @@
 //! The persisted report form.
 //!
-//! A [`ReportRow`] stores a report the way the signature cache holds one:
-//! as a node-abstract [`ReportTemplate`] plus the rename vector mapping
-//! canonical node indices back to real node ids. Rehydration is exact —
-//! [`ReportRow::report`] returns a [`PacketReport`] equal to the one the
-//! row was built from (property-tested in `crates/core`), so persisting
-//! reports loses nothing while deduplicating the heavy per-flow structure
-//! across packets that share a flow shape.
+//! A [`ReportRow`] is the report itself, written with the JSON
+//! [`PacketReport`] already has and read back through its validating
+//! `FromJson`: what a row holds after a round trip equals what it was built
+//! from.
 //!
 //! The optional [`Sidecar`] carries the analysis-side context a CitySee
 //! `PacketRecord` adds on top of the report — the source-view time
@@ -15,10 +12,10 @@
 //! extractors need, so `refill query --fig N` reproduces the analysis
 //! tables byte-for-byte without re-running reconstruction.
 
-use eventlog::{PacketFate, PacketId};
-use netsim::{NodeId, SimTime};
+use eventlog::PacketFate;
+use netsim::SimTime;
 use refill::diagnose::Diagnosis;
-use refill::{PacketReport, ReportTemplate};
+use refill::PacketReport;
 
 /// Analysis context persisted next to a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,37 +38,20 @@ netsim::json_struct!(Sidecar {
 /// One persisted report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportRow {
-    /// The packet the report describes.
-    pub packet: PacketId,
-    /// Rename vector: canonical node index → real node id.
-    pub nodes: Vec<NodeId>,
-    /// The node-abstract report body.
-    pub template: ReportTemplate,
+    /// The report, as reconstruction returned it.
+    pub report: PacketReport,
     /// Optional analysis context.
     pub sidecar: Option<Sidecar>,
 }
 
-netsim::json_struct!(ReportRow {
-    packet,
-    nodes,
-    template,
-    sidecar
-});
+netsim::json_struct!(ReportRow { report, sidecar });
 
 impl ReportRow {
-    /// Abstract `report` into its persisted form.
+    /// A row holding a copy of `report`.
     pub fn from_report(report: &PacketReport, sidecar: Option<Sidecar>) -> ReportRow {
-        let (template, nodes) = ReportTemplate::abstract_report(report);
         ReportRow {
-            packet: report.packet,
-            nodes,
-            template,
+            report: report.clone(),
             sidecar,
         }
-    }
-
-    /// Rehydrate the exact original report.
-    pub fn report(&self) -> PacketReport {
-        self.template.rehydrate(self.packet, &self.nodes)
     }
 }

@@ -14,7 +14,10 @@
 //! same discipline as the wire frames in `eventlog::frame`. Anything that
 //! fails validation mid-file is, by definition, a torn tail: blocks are
 //! written append-only and become durable only at `fsync`, so a decode
-//! failure marks the recovery truncation point.
+//! failure marks the recovery truncation point. The one exception is a
+//! block that checks out under a version byte other than
+//! [`BLOCK_VERSION`]: that is another build's durable data, refused with
+//! [`UnsupportedVersion`] and never truncated.
 //!
 //! Two payload kinds exist. *Event* payloads are fixed 24-byte rows —
 //! a 16-byte [`PackedEvent`] plus its u64 LE local timestamp
@@ -31,10 +34,11 @@ use netsim::json::{self, ToJson};
 /// segment file can never be mistaken for a record stream.
 pub const BLOCK_MAGIC: [u8; 2] = [0xEF, 0x5E];
 
-/// Current block format version. 2: the `EventFlow` serialized inside
-/// report blocks keeps all dependency edges in one vector with an end
-/// offset per entry, where version 1 had a vector per entry.
-pub const BLOCK_VERSION: u8 = 2;
+/// Current block format version. 3: a report row is `{report, sidecar}`,
+/// the report in `PacketReport`'s own JSON, where version 2 held a
+/// node-abstract template beside a rename vector. A store of another
+/// version is refused ([`UnsupportedVersion`]); there is no second reader.
+pub const BLOCK_VERSION: u8 = 3;
 
 /// Bytes before the payload: magic (2) + version (1) + kind (1) + len (4).
 pub const BLOCK_HEADER_LEN: usize = 8;
@@ -70,6 +74,11 @@ impl BlockKind {
         }
     }
 }
+
+/// A whole, CRC-valid block written under a format version this build does
+/// not read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnsupportedVersion(pub u8);
 
 /// A decoded block.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,19 +125,17 @@ pub fn encode_reports(rows: &[ReportRow]) -> Result<Vec<u8>, StoreError> {
 /// bytes do not begin with one complete, CRC-valid block — the signal
 /// recovery uses to place the truncation point. There is deliberately no
 /// resynchronization here (unlike the wire decoder): a segment is written
-/// append-only, so the first invalid byte ends the durable prefix.
-pub fn decode_block(bytes: &[u8]) -> Option<(Block, usize)> {
-    if bytes.len() < BLOCK_HEADER_LEN + BLOCK_CRC_LEN {
-        return None;
+/// append-only, so the first invalid byte ends the durable prefix. A block
+/// whose checksum holds over a version byte other than [`BLOCK_VERSION`]
+/// is not torn, it is another build's: that is the error.
+pub fn decode_block(bytes: &[u8]) -> Result<Option<(Block, usize)>, UnsupportedVersion> {
+    if bytes.len() < BLOCK_HEADER_LEN + BLOCK_CRC_LEN || bytes[0..2] != BLOCK_MAGIC {
+        return Ok(None);
     }
-    if bytes[0..2] != BLOCK_MAGIC || bytes[2] != BLOCK_VERSION {
-        return None;
-    }
-    let kind = BlockKind::from_byte(bytes[3])?;
     let len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
     let total = BLOCK_HEADER_LEN + len + BLOCK_CRC_LEN;
     if bytes.len() < total {
-        return None;
+        return Ok(None);
     }
     let stored = u32::from_le_bytes([
         bytes[total - 4],
@@ -138,14 +145,14 @@ pub fn decode_block(bytes: &[u8]) -> Option<(Block, usize)> {
     ]);
     let computed = Crc32::new().update(&bytes[2..total - BLOCK_CRC_LEN]).finish();
     if stored != computed {
-        return None;
+        return Ok(None);
+    }
+    if bytes[2] != BLOCK_VERSION {
+        return Err(UnsupportedVersion(bytes[2]));
     }
     let payload = &bytes[BLOCK_HEADER_LEN..total - BLOCK_CRC_LEN];
-    let block = match kind {
-        BlockKind::Events => {
-            if !payload.len().is_multiple_of(EVENT_ROW_LEN) {
-                return None;
-            }
+    let block = match BlockKind::from_byte(bytes[3]) {
+        Some(BlockKind::Events) if payload.len().is_multiple_of(EVENT_ROW_LEN) => {
             let mut rows = Vec::with_capacity(payload.len() / EVENT_ROW_LEN);
             for row in payload.chunks_exact(EVENT_ROW_LEN) {
                 let mut rec = [0u8; 16];
@@ -156,23 +163,40 @@ pub fn decode_block(bytes: &[u8]) -> Option<(Block, usize)> {
             }
             Block::Events(rows)
         }
-        BlockKind::Reports => {
-            Block::Reports(json::decode(payload).ok()?)
-        }
+        Some(BlockKind::Reports) => match json::decode(payload) {
+            Ok(rows) => Block::Reports(rows),
+            Err(_) => return Ok(None),
+        },
+        _ => return Ok(None),
     };
-    Some((block, total))
+    Ok(Some((block, total)))
 }
 
-/// Walk `bytes` block by block, returning the decoded blocks and the byte
-/// length of the valid prefix. `bytes.len() - valid_len` is the torn tail.
-pub fn scan_blocks(bytes: &[u8]) -> (Vec<Block>, usize) {
+/// Walk the bytes of segment `file` block by block, returning the decoded
+/// blocks and the byte length of the valid prefix (`bytes.len() -
+/// valid_len` is the torn tail). A block of another format version is
+/// [`StoreError::Corrupt`] at its offset.
+pub fn scan_blocks(file: &str, bytes: &[u8]) -> Result<(Vec<Block>, usize), StoreError> {
     let mut blocks = Vec::new();
     let mut offset = 0usize;
-    while let Some((block, used)) = decode_block(&bytes[offset..]) {
-        blocks.push(block);
-        offset += used;
+    loop {
+        match decode_block(&bytes[offset..]) {
+            Ok(Some((block, used))) => {
+                blocks.push(block);
+                offset += used;
+            }
+            Ok(None) => return Ok((blocks, offset)),
+            Err(UnsupportedVersion(found)) => {
+                return Err(StoreError::Corrupt {
+                    file: file.to_string(),
+                    offset: offset as u64,
+                    detail: format!(
+                        "unsupported block version {found} (this build reads {BLOCK_VERSION})"
+                    ),
+                })
+            }
+        }
     }
-    (blocks, offset)
 }
 
 #[cfg(test)]
@@ -196,7 +220,7 @@ mod tests {
     fn events_roundtrip() {
         let rows = rows(10);
         let bytes = encode_events(&rows);
-        let (block, used) = decode_block(&bytes).expect("valid block");
+        let (block, used) = decode_block(&bytes).unwrap().expect("valid block");
         assert_eq!(used, bytes.len());
         assert_eq!(block, Block::Events(rows));
     }
@@ -204,7 +228,7 @@ mod tests {
     #[test]
     fn empty_events_block_roundtrips() {
         let bytes = encode_events(&[]);
-        let (block, used) = decode_block(&bytes).expect("valid block");
+        let (block, used) = decode_block(&bytes).unwrap().expect("valid block");
         assert_eq!(used, bytes.len());
         assert_eq!(block, Block::Events(Vec::new()));
     }
@@ -214,7 +238,7 @@ mod tests {
         let bytes = encode_events(&rows(4));
         for cut in 0..bytes.len() {
             assert!(
-                decode_block(&bytes[..cut]).is_none(),
+                decode_block(&bytes[..cut]) == Ok(None),
                 "a {cut}-byte prefix of a {}-byte block must not decode",
                 bytes.len()
             );
@@ -230,7 +254,7 @@ mod tests {
             // Flipping a length byte can make the block "longer" than the
             // buffer (reads as torn) or damage the CRC; either way the
             // block must not decode as valid.
-            assert!(decode_block(&bad).is_none(), "flip at byte {i} went undetected");
+            assert!(decode_block(&bad) == Ok(None), "flip at byte {i} went undetected");
         }
     }
 
@@ -241,7 +265,7 @@ mod tests {
         bytes.extend_from_slice(&encode_events(&rows(5)));
         // Tear the second block three bytes short.
         bytes.truncate(bytes.len() - 3);
-        let (blocks, valid) = scan_blocks(&bytes);
+        let (blocks, valid) = scan_blocks("seg", &bytes).unwrap();
         assert_eq!(blocks.len(), 1);
         assert_eq!(valid, first);
     }

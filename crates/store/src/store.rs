@@ -82,21 +82,14 @@ fn segment_id(name: &str) -> Option<u64> {
 }
 
 impl SegmentStore {
-    /// Open (or create) the store at `dir`, running recovery.
+    /// Open (or create) the store at `dir` on the real filesystem, with no
+    /// telemetry, running recovery.
     pub fn open(dir: impl AsRef<Path>) -> Result<(SegmentStore, RecoveryReport), StoreError> {
-        Self::open_recorded(dir, Arc::new(NoopRecorder))
-    }
-
-    /// [`SegmentStore::open`] with telemetry.
-    pub fn open_recorded(
-        dir: impl AsRef<Path>,
-        recorder: Arc<dyn Recorder>,
-    ) -> Result<(SegmentStore, RecoveryReport), StoreError> {
-        Self::open_with_vfs(dir, Arc::new(OsVfs), recorder)
+        Self::open_with_vfs(dir, Arc::new(OsVfs), Arc::new(NoopRecorder))
     }
 
     /// [`SegmentStore::open`] through an explicit [`Vfs`] — the seam a
-    /// fault-injecting filesystem interposes on.
+    /// fault-injecting filesystem interposes on — recording under `recorder`.
     pub fn open_with_vfs(
         dir: impl AsRef<Path>,
         vfs: Arc<dyn Vfs>,
@@ -306,7 +299,7 @@ impl SegmentStore {
         let meta = self.segments.last_mut().expect("active segment exists");
         meta.reports += rows.len() as u64;
         for r in rows {
-            meta.stats.note_packet(r.packet);
+            meta.stats.note_packet(r.report.packet);
         }
         self.recorder.add(Counter::StoreReportsAppended, rows.len() as u64);
         self.roll_if_needed()
@@ -341,7 +334,7 @@ impl SegmentStore {
             });
         }
         let committed = &bytes[..meta.committed_len as usize];
-        let (blocks, valid) = segment::scan_blocks(committed);
+        let (blocks, valid) = segment::scan_blocks(&meta.file, committed)?;
         if (valid as u64) < meta.committed_len {
             return Err(StoreError::Corrupt {
                 file: meta.file.clone(),
@@ -384,10 +377,10 @@ impl SegmentStore {
     pub fn latest_reports(&self) -> Result<Vec<ReportRow>, StoreError> {
         let mut latest: FxHashMap<PacketId, ReportRow> = FxHashMap::default();
         for row in self.reports()? {
-            latest.insert(row.packet, row);
+            latest.insert(row.report.packet, row);
         }
         let mut rows: Vec<ReportRow> = latest.into_values().collect();
-        rows.sort_by_key(|r| r.packet);
+        rows.sort_by_key(|r| r.report.packet);
         Ok(rows)
     }
 
@@ -420,10 +413,10 @@ impl SegmentStore {
         let total_reports = all_reports.len();
         let mut latest: FxHashMap<PacketId, ReportRow> = FxHashMap::default();
         for row in all_reports {
-            latest.insert(row.packet, row);
+            latest.insert(row.report.packet, row);
         }
         let mut reports: Vec<ReportRow> = latest.into_values().collect();
-        reports.sort_by_key(|r| r.packet);
+        reports.sort_by_key(|r| r.report.packet);
 
         let old: Vec<String> = self.segments.iter().map(|m| m.file.clone()).collect();
         let name = format!("seg-{:06}.refill", self.next_id);
@@ -456,7 +449,7 @@ impl SegmentStore {
             meta.blocks += 1;
             meta.reports += chunk.len() as u64;
             for r in chunk {
-                meta.stats.note_packet(r.packet);
+                meta.stats.note_packet(r.report.packet);
             }
         }
         meta.committed_len = out.len() as u64;
@@ -498,7 +491,7 @@ fn scan_segment(
 ) -> Result<SegmentMeta, StoreError> {
     let path = dir.join(name);
     let bytes = vfs.read(&path)?;
-    let (blocks, valid) = segment::scan_blocks(&bytes);
+    let (blocks, valid) = segment::scan_blocks(name, &bytes)?;
     if valid < bytes.len() {
         let torn = (bytes.len() - valid) as u64;
         report.torn_bytes += torn;
@@ -526,7 +519,7 @@ fn scan_segment(
             Block::Reports(rows) => {
                 meta.reports += rows.len() as u64;
                 for r in rows {
-                    meta.stats.note_packet(r.packet);
+                    meta.stats.note_packet(r.report.packet);
                 }
             }
         }
@@ -661,6 +654,52 @@ mod tests {
         store.append_events(&all[8..]).unwrap();
         store.sync().unwrap();
         assert_eq!(store.events().unwrap(), all);
+    }
+
+    /// A store written by a build with another `BLOCK_VERSION` used to read
+    /// as one torn tail from byte 0 and be truncated to nothing on open.
+    #[test]
+    fn another_format_version_is_refused_and_left_untouched() {
+        let tmp = TempDir::new("other-version");
+        {
+            let (mut store, _) = SegmentStore::open(&tmp.0).unwrap();
+            store.append_events(&rows(4, 8)).unwrap();
+            store.append_events(&rows(5, 8)).unwrap();
+            store.sync().unwrap();
+        }
+        // Re-stamp every block as version 2, checksum recomputed: whole,
+        // valid blocks of a format this build does not read.
+        let seg = tmp.0.join("seg-000001.refill");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+            let crc_at = at + segment::BLOCK_HEADER_LEN + len;
+            bytes[at + 2] = 2;
+            let crc = eventlog::checksum::Crc32::new().update(&bytes[at + 2..crc_at]).finish();
+            bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+            at = crc_at + segment::BLOCK_CRC_LEN;
+        }
+        std::fs::write(&seg, &bytes).unwrap();
+
+        for attempt in 0..2 {
+            let err = SegmentStore::open(&tmp.0).map(|_| ()).unwrap_err();
+            match err {
+                StoreError::Corrupt { file, offset, detail } => {
+                    assert_eq!(file, "seg-000001.refill");
+                    assert_eq!(offset, 0);
+                    assert_eq!(
+                        detail,
+                        format!(
+                            "unsupported block version 2 (this build reads {})",
+                            segment::BLOCK_VERSION
+                        )
+                    );
+                }
+                other => panic!("open {attempt}: expected Corrupt, got {other}"),
+            }
+            assert_eq!(std::fs::read(&seg).unwrap(), bytes, "open {attempt} touched the file");
+        }
     }
 
     #[test]

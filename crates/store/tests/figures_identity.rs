@@ -68,9 +68,9 @@ fn figures_from_store_match_in_memory_analysis_byte_for_byte() {
                 }),
             );
             assert_eq!(
-                row.report(),
+                row.report,
                 report,
-                "node-abstract template must rehydrate exactly"
+                "a row holds the report it was built from"
             );
             row
         })
@@ -102,7 +102,7 @@ fn figures_from_store_match_in_memory_analysis_byte_for_byte() {
         .map(|row| {
             let sidecar = row.sidecar.expect("rows were stored with sidecars");
             PacketRecord {
-                packet: row.packet,
+                packet: row.report.packet,
                 est_time: sidecar.est_time,
                 diagnosis: sidecar.diagnosis,
                 fate: sidecar

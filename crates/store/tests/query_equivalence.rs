@@ -121,12 +121,12 @@ fn oracle_reports(rows: &[ReportRow], q: &Query) -> Vec<ReportRow> {
     rows.iter()
         .filter(|row| {
             if let Some(origin) = q.origin {
-                if row.packet.origin != origin {
+                if row.report.packet.origin != origin {
                     return false;
                 }
             }
             if let Some((lo, hi)) = q.seqno {
-                if !(lo..=hi).contains(&row.packet.seqno) {
+                if !(lo..=hi).contains(&row.report.packet.seqno) {
                     return false;
                 }
             }
@@ -137,7 +137,7 @@ fn oracle_reports(rows: &[ReportRow], q: &Query) -> Vec<ReportRow> {
                 }
             }
             if let Some(disposition) = q.disposition {
-                if !row.report().origins.contains(&disposition) {
+                if !row.report.origins.contains(&disposition) {
                     return false;
                 }
             }

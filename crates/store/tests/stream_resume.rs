@@ -13,7 +13,7 @@ use netsim::NodeId;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_store::{SegmentStore, StoreCheckpoint};
 use refill_stream::{
-    run_stream, run_stream_checkpointed, CheckpointSink, DriverConfig, StreamConfig,
+    run_stream, run_stream_observed, DriverConfig, StreamConfig, StreamObserver,
     StreamReconstructor,
 };
 use std::io::Cursor;
@@ -129,7 +129,7 @@ fn rehydrated_sorted(store: &SegmentStore) -> Vec<PacketReport> {
         .latest_reports()
         .unwrap()
         .iter()
-        .map(|row| row.report())
+        .map(|row| row.report.clone())
         .collect()
 }
 
@@ -151,12 +151,12 @@ fn checkpointed_run_matches_plain_run_and_store_holds_everything() {
     let (store, _) = SegmentStore::open(&tmp.0).unwrap();
     let mut ckpt = StoreCheckpoint::new(store);
     let mut stream = StreamReconstructor::with_config(recon(), stream_config());
-    let summary = run_stream_checkpointed(
+    let summary = run_stream_observed(
         Cursor::new(&bytes),
         &mut stream,
         driver_config(),
         |_| {},
-        &mut ckpt,
+        &mut [&mut ckpt],
     )
     .unwrap();
     let store = ckpt.finish().unwrap();
@@ -207,13 +207,16 @@ fn killed_run_resumes_byte_identical() {
             let mut ckpt = StoreCheckpoint::new(store);
             let mut stream = StreamReconstructor::with_config(recon(), stream_config());
             for (i, rec) in records[..k].iter().enumerate() {
-                ckpt.on_record(rec).unwrap();
                 stream.ingest(*rec);
+                ckpt.on_record(rec).unwrap();
                 if (i + 1) % cadence == 0 {
-                    let emitted = stream.poll();
-                    if !emitted.is_empty() {
-                        ckpt.on_reports(&emitted).unwrap();
-                        CheckpointSink::sync(&mut ckpt).unwrap();
+                    let mut emitted = 0;
+                    stream.poll_with(|report| {
+                        emitted += 1;
+                        ckpt.on_report(report).unwrap();
+                    });
+                    if emitted > 0 {
+                        ckpt.sync().unwrap();
                     }
                 }
             }
@@ -231,12 +234,12 @@ fn killed_run_resumes_byte_identical() {
         for rec in ckpt.resume_records().unwrap() {
             stream.ingest(rec);
         }
-        let summary = run_stream_checkpointed(
+        let summary = run_stream_observed(
             Cursor::new(&bytes),
             &mut stream,
             driver_config(),
             |_| {},
-            &mut ckpt,
+            &mut [&mut ckpt],
         )
         .unwrap();
         let store = ckpt.finish().unwrap();
@@ -256,4 +259,85 @@ fn killed_run_resumes_byte_identical() {
         }
         assert_eq!(rehydrated_sorted(&store), sorted_by_packet(summary.reports));
     });
+}
+
+/// Two observers on one run: a killed run resumed under a store checkpoint
+/// *and* a metrics cadence still finishes byte-identical to an
+/// uninterrupted run, and the cadence's deltas still partition the
+/// recorder's totals — the store's own counters among them.
+#[test]
+fn store_checkpoint_and_metrics_cadence_compose() {
+    use refill::telemetry::{AtomicRecorder, Recorder, TelemetrySnapshot};
+    use refill_store::OsVfs;
+    use refill_stream::MetricsCadence;
+    use std::sync::Arc;
+
+    let (logs, records) = day_records(9);
+    let bytes = encode_records(records.iter());
+    let uninterrupted = recon().reconstruct_log(&merge_logs(&logs));
+    let tmp = TempDir::new();
+
+    // The doomed run: killed half way, whatever its syncs made durable stays.
+    {
+        let (store, _) = SegmentStore::open(&tmp.0).unwrap();
+        let mut ckpt = StoreCheckpoint::new(store);
+        let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+        for (i, rec) in records[..records.len() / 2].iter().enumerate() {
+            stream.ingest(*rec);
+            ckpt.on_record(rec).unwrap();
+            if (i + 1) % 3 == 0 {
+                let mut emitted = 0;
+                stream.poll_with(|report| {
+                    emitted += 1;
+                    ckpt.on_report(report).unwrap();
+                });
+                if emitted > 0 {
+                    ckpt.sync().unwrap();
+                }
+            }
+        }
+    }
+
+    // The resumed run, store and stream under one recorder.
+    let recorder = Arc::new(AtomicRecorder::new());
+    let shared: Arc<dyn Recorder> = recorder.clone();
+    let (store, _) =
+        SegmentStore::open_with_vfs(&tmp.0, Arc::new(OsVfs), Arc::clone(&shared)).unwrap();
+    let mut ckpt = StoreCheckpoint::new(store);
+    assert!(ckpt.skip_records() > 0, "the kill left a durable prefix");
+    let mut stream =
+        StreamReconstructor::with_config(recon().with_recorder(shared), stream_config());
+    for rec in ckpt.resume_records().unwrap() {
+        stream.ingest(rec);
+    }
+    let mut deltas: Vec<TelemetrySnapshot> = Vec::new();
+    let mut cadence =
+        MetricsCadence::new(Arc::clone(stream.recorder()), 4, |d| deltas.push(d.clone()));
+    let summary = run_stream_observed(
+        Cursor::new(&bytes),
+        &mut stream,
+        driver_config(),
+        |_| {},
+        &mut [&mut ckpt, &mut cadence],
+    )
+    .unwrap();
+    cadence.finish();
+    let store = ckpt.finish().unwrap();
+
+    assert_eq!(
+        format!("{:#?}", &summary.reports),
+        format!("{uninterrupted:#?}")
+    );
+    assert_eq!(rehydrated_sorted(&store), sorted_by_packet(summary.reports));
+    assert_eq!(store.total_events(), records.len() as u64);
+
+    assert!(deltas.len() > 2, "{} deltas", deltas.len());
+    let totals = recorder.snapshot();
+    for c in &totals.counters {
+        let summed: u64 = deltas.iter().map(|d| d.counter(&c.name)).sum();
+        assert_eq!(summed, c.value, "deltas must sum to total for {}", c.name);
+    }
+    assert_eq!(totals.counter("stream_records"), records.len() as u64);
+    assert!(totals.counter("store_events_appended") > 0);
+    assert!(totals.counter("store_reports_appended") > 0);
 }

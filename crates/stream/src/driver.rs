@@ -1,4 +1,4 @@
-//! Threaded ingest/reconstruction drivers over the wire format.
+//! The threaded ingest/reconstruction driver over the wire format.
 //!
 //! [`run_stream`] splits the work the way a live collector would: an
 //! **ingest worker** reads raw bytes, runs the resynchronizing
@@ -16,7 +16,7 @@
 
 use crate::reconstructor::{StreamReconstructor, StreamStats};
 use eventlog::frame::{FrameDecoder, FrameStats, NodeRecord};
-use refill::telemetry::{Counter, Stage, StageTimer, TelemetrySnapshot};
+use refill::telemetry::{Counter, Recorder, Stage, StageTimer, TelemetrySnapshot};
 use refill::PacketReport;
 use std::io::Read;
 use std::sync::mpsc::sync_channel;
@@ -60,35 +60,96 @@ pub struct StreamSummary {
     pub reports: Vec<PacketReport>,
 }
 
-/// Durability hooks for checkpointed runs ([`run_stream_checkpointed`]).
+/// What a run lets others watch: durability, metrics, anything that follows
+/// the stream record by record. Every method has a do-nothing default; an
+/// error from any of them ends the run.
 ///
 /// The driver calls `on_record` for every record it absorbs (in absorption
-/// order), `on_reports` for every emitted report batch (window closes and
-/// the final flush), and `sync` at each durability point — after every
-/// report-emitting poll and once after the final flush. Implementations
-/// own the ordering discipline: a `sync` must make every record passed so
-/// far durable *before* the reports derived from them, so a crash can
-/// never leave reports whose evidence was lost.
+/// order), `on_report` for every emitted report — each window close and,
+/// after the final flush, every report of the converged set, which
+/// supersedes the rolling ones — and `sync` after every poll that emitted
+/// and once after the flush. A durable observer owns the ordering
+/// discipline: a `sync` must make every record passed so far durable
+/// *before* the reports derived from them, so a crash can never leave
+/// reports whose evidence was lost.
 ///
-/// `skip_records` supports resumption: the first `skip_records()` decoded
-/// records are dropped on the floor (the caller already replayed their
-/// durable copies into the stream), and the hooks only see what comes
-/// after. The final reports still converge to the batch answer over the
-/// full record sequence because [`StreamReconstructor::finish`] is
-/// cadence-independent.
-pub trait CheckpointSink {
+/// `skip_records` supports resumption: that many decoded records are
+/// dropped on the floor (the caller already replayed their durable copies
+/// into the stream), and the hooks only see what comes after. The final
+/// reports still converge to the batch answer over the full record sequence
+/// because [`StreamReconstructor::finish`] is cadence-independent.
+pub trait StreamObserver {
     /// Records already durable from a previous run; the driver skips this
     /// many decoded records instead of re-ingesting them.
     fn skip_records(&self) -> u64 {
         0
     }
     /// A record was absorbed into the stream.
-    fn on_record(&mut self, rec: &NodeRecord) -> std::io::Result<()>;
-    /// Reports were emitted (mid-stream window closes, or the final
-    /// converged set after the flush).
-    fn on_reports(&mut self, reports: &[PacketReport]) -> std::io::Result<()>;
-    /// Make everything passed so far durable.
-    fn sync(&mut self) -> std::io::Result<()>;
+    fn on_record(&mut self, _rec: &NodeRecord) -> std::io::Result<()> {
+        Ok(())
+    }
+    /// A report was emitted; it is lent where the stream keeps it.
+    fn on_report(&mut self, _report: &PacketReport) -> std::io::Result<()> {
+        Ok(())
+    }
+    /// A batch of reports is complete: make everything passed so far durable.
+    fn sync(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The observer behind `--metrics-every`: every `every` absorbed records,
+/// `emit` receives the interval delta ([`TelemetrySnapshot::diff`]) of
+/// `recorder` since the previous emission; [`MetricsCadence::finish`] emits
+/// the tail. The deltas partition the run: per counter they sum to the
+/// totals.
+///
+/// With a `NoopRecorder` every delta is empty, so a cadence only makes sense
+/// on the recorder an instrumented stream carries
+/// ([`StreamReconstructor::recorder`]).
+pub struct MetricsCadence<M: FnMut(&TelemetrySnapshot)> {
+    recorder: Arc<dyn Recorder>,
+    every: u64,
+    since: u64,
+    prev: TelemetrySnapshot,
+    emit: M,
+}
+
+impl<M: FnMut(&TelemetrySnapshot)> MetricsCadence<M> {
+    /// A cadence over `recorder`; `every` is treated as at least 1.
+    pub fn new(recorder: Arc<dyn Recorder>, every: u64, emit: M) -> Self {
+        MetricsCadence {
+            recorder,
+            every: every.max(1),
+            since: 0,
+            prev: TelemetrySnapshot::default(),
+            emit,
+        }
+    }
+
+    fn emit_delta(&mut self) {
+        let snap = self.recorder.snapshot();
+        (self.emit)(&snap.diff(&self.prev));
+        self.prev = snap;
+        self.since = 0;
+    }
+
+    /// The tail interval, for after the run: whatever accumulated since the
+    /// last cadence emission, the final flush's reconstruction included (so
+    /// it is never empty of work).
+    pub fn finish(mut self) {
+        self.emit_delta();
+    }
+}
+
+impl<M: FnMut(&TelemetrySnapshot)> StreamObserver for MetricsCadence<M> {
+    fn on_record(&mut self, _rec: &NodeRecord) -> std::io::Result<()> {
+        self.since += 1;
+        if self.since >= self.every {
+            self.emit_delta();
+        }
+        Ok(())
+    }
 }
 
 /// Run framed bytes from `reader` through `stream` to completion.
@@ -108,88 +169,33 @@ where
     R: Read + Send,
     F: FnMut(&PacketReport),
 {
-    run_stream_inner(reader, stream, config, on_report, None, |_| {}, None)
+    run_stream_observed(reader, stream, config, on_report, &mut [])
 }
 
-/// [`run_stream`] with a durable checkpoint: every absorbed record and
-/// every emitted report flows into `checkpoint`, with `sync` called at
-/// each emission point, so a killed run leaves a durable prefix a resumed
-/// run can replay (see [`CheckpointSink`]).
-pub fn run_stream_checkpointed<R, F>(
-    reader: R,
-    stream: &mut StreamReconstructor,
-    config: DriverConfig,
-    on_report: F,
-    checkpoint: &mut dyn CheckpointSink,
-) -> std::io::Result<StreamSummary>
-where
-    R: Read + Send,
-    F: FnMut(&PacketReport),
-{
-    run_stream_inner(
-        reader,
-        stream,
-        config,
-        on_report,
-        None,
-        |_| {},
-        Some(checkpoint),
-    )
-}
-
-/// [`run_stream`] with periodic metrics export: every `metrics_every`
-/// absorbed records, `on_metrics` receives the interval delta
-/// ([`TelemetrySnapshot::diff`]) of the stream's recorder since the
-/// previous emission, plus one final delta after the flush (the flush
-/// itself reconstructs the remaining windows, so the tail interval is
-/// never empty of work). `None` disables the cadence entirely —
-/// [`run_stream`] is exactly this with `None`.
-///
-/// Deltas come from the recorder the `StreamReconstructor` carries; with a
-/// `NoopRecorder` attached every delta is empty, so metered runs only make
-/// sense on an instrumented stream.
-pub fn run_stream_metered<R, F, M>(
-    reader: R,
-    stream: &mut StreamReconstructor,
-    config: DriverConfig,
-    on_report: F,
-    metrics_every: Option<u64>,
-    on_metrics: M,
-) -> std::io::Result<StreamSummary>
-where
-    R: Read + Send,
-    F: FnMut(&PacketReport),
-    M: FnMut(&TelemetrySnapshot),
-{
-    run_stream_inner(reader, stream, config, on_report, metrics_every, on_metrics, None)
-}
-
-fn run_stream_inner<R, F, M>(
+/// [`run_stream`] with `observers` following it ([`StreamObserver`]), each
+/// hook called on them in slice order. The largest `skip_records` among
+/// them is what the driver skips.
+pub fn run_stream_observed<R, F>(
     reader: R,
     stream: &mut StreamReconstructor,
     config: DriverConfig,
     mut on_report: F,
-    metrics_every: Option<u64>,
-    mut on_metrics: M,
-    mut checkpoint: Option<&mut dyn CheckpointSink>,
+    observers: &mut [&mut dyn StreamObserver],
 ) -> std::io::Result<StreamSummary>
 where
     R: Read + Send,
     F: FnMut(&PacketReport),
-    M: FnMut(&TelemetrySnapshot),
 {
     let recorder = Arc::clone(stream.recorder());
-    let metrics_recorder = Arc::clone(stream.recorder());
     let (tx, rx) = sync_channel::<Vec<NodeRecord>>(config.channel_batches.max(1));
     let poll_every = config.poll_every.max(1);
-    let metrics_every = metrics_every.map(|n| n.max(1));
-    let mut prev_metrics = TelemetrySnapshot::default();
-    let mut since_metrics = 0u64;
     let mut rolling_reports = 0u64;
     let mut frames = FrameStats::default();
     let mut read_error: Option<std::io::Error> = None;
-    let mut ckpt_error: Option<std::io::Error> = None;
-    let mut to_skip = checkpoint.as_ref().map_or(0, |c| c.skip_records());
+    let mut observed: std::io::Result<()> = Ok(());
+    // Already durable from an interrupted run; the caller replayed them
+    // into the stream before we started.
+    let mut to_skip = observers.iter().map(|o| o.skip_records()).max().unwrap_or(0);
 
     std::thread::scope(|scope| {
         let ingest = scope.spawn(move || -> std::io::Result<FrameStats> {
@@ -226,61 +232,42 @@ where
             Ok(stats)
         });
 
-        let mut since_poll = 0usize;
-        'batches: while let Ok(batch) = rx.recv() {
-            for rec in batch {
-                if to_skip > 0 {
-                    // Already durable from the interrupted run; the caller
-                    // replayed it into the stream before we started.
-                    to_skip -= 1;
-                    continue;
-                }
-                if let Some(ckpt) = checkpoint.as_deref_mut() {
-                    if let Err(e) = ckpt.on_record(&rec) {
-                        ckpt_error = Some(e);
-                        break 'batches;
+        // The reconstruction half, up to the first observer error.
+        observed = (|| -> std::io::Result<()> {
+            let mut since_poll = 0usize;
+            while let Ok(batch) = rx.recv() {
+                for rec in batch {
+                    if to_skip > 0 {
+                        to_skip -= 1;
+                        continue;
                     }
-                }
-                stream.ingest(rec);
-                since_poll += 1;
-                if since_poll >= poll_every {
+                    stream.ingest(rec);
+                    observers.iter_mut().try_for_each(|o| o.on_record(&rec))?;
+                    since_poll += 1;
+                    if since_poll < poll_every {
+                        continue;
+                    }
                     since_poll = 0;
-                    let mut emit = |report: &PacketReport| {
+                    let before = rolling_reports;
+                    let mut lent = Ok(());
+                    stream.poll_with(|report| {
                         rolling_reports += 1;
-                        on_report(report);
-                    };
-                    match checkpoint.as_deref_mut() {
-                        // Lent straight out of the stream's own set.
-                        None => stream.poll_with(emit),
-                        // The sink takes the batch as a slice, and takes it
-                        // before anyone else hears of it: materialise it.
-                        Some(ckpt) => {
-                            let emitted = stream.poll();
-                            if !emitted.is_empty() {
-                                let flushed = ckpt.on_reports(&emitted).and_then(|()| ckpt.sync());
-                                if let Err(e) = flushed {
-                                    ckpt_error = Some(e);
-                                    break 'batches;
-                                }
-                            }
-                            emitted.iter().for_each(&mut emit);
+                        if lent.is_ok() {
+                            lent = observers.iter_mut().try_for_each(|o| o.on_report(report));
                         }
-                    }
-                }
-                if let Some(every) = metrics_every {
-                    since_metrics += 1;
-                    if since_metrics >= every {
-                        since_metrics = 0;
-                        let snap = metrics_recorder.snapshot();
-                        on_metrics(&snap.diff(&prev_metrics));
-                        prev_metrics = snap;
+                        on_report(report);
+                    });
+                    lent?;
+                    if rolling_reports > before {
+                        observers.iter_mut().try_for_each(|o| o.sync())?;
                     }
                 }
             }
-        }
-        // A checkpoint failure abandons the channel; unblock the ingest
+            Ok(())
+        })();
+        // An observer failure abandons the channel; unblock the ingest
         // worker by draining whatever it still has queued.
-        if ckpt_error.is_some() {
+        if observed.is_err() {
             while rx.try_recv().is_ok() {}
             drop(rx);
         }
@@ -291,27 +278,17 @@ where
     });
 
     let reports = stream.finish();
-    if ckpt_error.is_none() {
-        if let Some(ckpt) = checkpoint {
-            // The converged final set — the durable store's last word on
-            // every packet, superseding any rolling emissions.
-            if let Err(e) = ckpt.on_reports(&reports).and_then(|()| ckpt.sync()) {
-                ckpt_error = Some(e);
-            }
+    // The converged final set — an observer's last word on every packet.
+    let observed = observed.and_then(|()| {
+        for report in &reports {
+            observers.iter_mut().try_for_each(|o| o.on_report(report))?;
         }
-    }
-    if metrics_every.is_some() {
-        // The tail interval: whatever accumulated since the last cadence
-        // emission, including the final flush's reconstruction work.
-        let snap = metrics_recorder.snapshot();
-        on_metrics(&snap.diff(&prev_metrics));
-    }
+        observers.iter_mut().try_for_each(|o| o.sync())
+    });
     if let Some(e) = read_error {
         return Err(e);
     }
-    if let Some(e) = ckpt_error {
-        return Err(e);
-    }
+    observed?;
     Ok(StreamSummary {
         frames,
         stats: stream.stats(),
@@ -463,22 +440,24 @@ mod tests {
 
     #[test]
     fn metered_run_emits_interval_deltas_that_sum_to_the_totals() {
-        use refill::telemetry::{AtomicRecorder, Recorder};
+        use refill::telemetry::AtomicRecorder;
         let recs = records(20);
         let bytes = encode_records(recs.iter());
         let recorder = Arc::new(AtomicRecorder::new());
         let shared: Arc<dyn Recorder> = recorder.clone();
         let mut stream = StreamReconstructor::new(recon().with_recorder(shared));
         let mut deltas: Vec<TelemetrySnapshot> = Vec::new();
-        let summary = run_stream_metered(
+        let mut cadence =
+            MetricsCadence::new(Arc::clone(stream.recorder()), 7, |d| deltas.push(d.clone()));
+        let summary = run_stream_observed(
             Cursor::new(&bytes),
             &mut stream,
             DriverConfig::default(),
             |_| {},
-            Some(7),
-            |d| deltas.push(d.clone()),
+            &mut [&mut cadence],
         )
         .unwrap();
+        cadence.finish();
         assert_eq!(summary.stats.records, 40);
         // 40 records at a cadence of 7 → 5 cadence deltas + the final one.
         assert_eq!(deltas.len(), 40 / 7 + 1);
@@ -504,13 +483,13 @@ mod tests {
         let run = |metered: bool| {
             let mut stream = StreamReconstructor::new(recon());
             if metered {
-                run_stream_metered(
+                let mut cadence = MetricsCadence::new(Arc::clone(stream.recorder()), 5, |_| {});
+                run_stream_observed(
                     Cursor::new(&bytes),
                     &mut stream,
                     DriverConfig::default(),
                     |_| {},
-                    Some(5),
-                    |_| {},
+                    &mut [&mut cadence],
                 )
                 .unwrap()
                 .reports

@@ -15,10 +15,11 @@
 //!    window reopens it, so the final reports always equal the batch
 //!    answer over everything ingested (one record per packet, one
 //!    reconstruction per close; `finish()` is re-enterable).
-//! 3. **Drivers**: [`run_stream`] pairs an ingest worker (decode) with the
-//!    reconstruction loop over a bounded `std::sync::mpsc` channel, and
-//!    [`Replay`] turns an archived CitySee campaign into a paced, framed
-//!    stream at N× speed.
+//! 3. **The driver**: [`run_stream`] pairs an ingest worker (decode) with
+//!    the reconstruction loop over a bounded `std::sync::mpsc` channel;
+//!    [`run_stream_observed`] is the same loop with [`StreamObserver`]s
+//!    following it record by record (a durable checkpoint, a
+//!    [`MetricsCadence`]).
 //!
 //! Everything is observable through the shared telemetry recorder: frames
 //! decoded/corrupt, queue depths, windows closed, late reopens, and the
@@ -26,11 +27,8 @@
 
 pub mod driver;
 pub mod reconstructor;
-pub mod replay;
 
 pub use driver::{
-    run_stream, run_stream_checkpointed, run_stream_metered, CheckpointSink, DriverConfig,
-    StreamSummary,
+    run_stream, run_stream_observed, DriverConfig, MetricsCadence, StreamObserver, StreamSummary,
 };
 pub use reconstructor::{StreamConfig, StreamReconstructor, StreamStats};
-pub use replay::Replay;

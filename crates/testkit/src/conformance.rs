@@ -35,7 +35,7 @@ use refill::telemetry::{Counter, NoopRecorder, Recorder};
 use refill::{CtpVocabulary, PacketReport, Reconstructor, SigCache};
 use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
 use refill_stream::{
-    run_stream, run_stream_checkpointed, CheckpointSink, DriverConfig, StreamConfig,
+    run_stream, run_stream_observed, DriverConfig, StreamConfig, StreamObserver,
     StreamReconstructor,
 };
 use std::io::Cursor;
@@ -321,18 +321,17 @@ pub fn run_case(
             let mut ckpt = StoreCheckpoint::new(store);
             let mut stream = StreamReconstructor::with_config(recon(), stream_config);
             for (i, rec) in survivors[..kill_k].iter().enumerate() {
+                stream.ingest(*rec);
                 if ckpt.on_record(rec).is_err() {
                     break;
                 }
-                stream.ingest(*rec);
                 if (i + 1) % cadence == 0 {
-                    let emitted = stream.poll();
-                    if !emitted.is_empty()
-                        && ckpt
-                            .on_reports(&emitted)
-                            .and_then(|()| CheckpointSink::sync(&mut ckpt))
-                            .is_err()
-                    {
+                    let mut emitted = 0;
+                    stream.poll_with(|report| {
+                        emitted += 1;
+                        ckpt.on_report(report).expect("a report row is only buffered");
+                    });
+                    if emitted > 0 && ckpt.sync().is_err() {
                         break;
                     }
                 }
@@ -393,12 +392,12 @@ pub fn run_case(
     {
         stream.ingest(rec);
     }
-    let summary = run_stream_checkpointed(
+    let summary = run_stream_observed(
         Cursor::new(&bytes),
         &mut stream,
         driver_config,
         |_| {},
-        &mut ckpt,
+        &mut [&mut ckpt],
     )
     .map_err(|e| fail("store-resume", format!("resumed run errored: {e}")))?;
     let store = ckpt

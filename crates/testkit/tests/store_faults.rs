@@ -15,7 +15,7 @@ use refill::telemetry::NoopRecorder;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
 use refill_stream::{
-    run_stream_checkpointed, CheckpointSink, DriverConfig, StreamConfig, StreamReconstructor,
+    run_stream_observed, DriverConfig, StreamConfig, StreamObserver, StreamReconstructor,
 };
 use refill_testkit::{gen_logs, survivor_logs, upload_interleave, FaultSpec, FaultyVfs, TempDir};
 use std::io::Cursor;
@@ -67,31 +67,25 @@ fn run_doomed(records: &[NodeRecord], vfs: &Arc<FaultyVfs>, tmp: &TempDir) -> bo
     let mut ckpt = StoreCheckpoint::new(store);
     let mut stream = StreamReconstructor::with_config(recon(), stream_config());
     for (i, rec) in records.iter().enumerate() {
+        stream.ingest(*rec);
         if ckpt.on_record(rec).is_err() {
             return false;
         }
-        stream.ingest(*rec);
         if (i + 1) % 3 == 0 {
-            let emitted = stream.poll();
-            if !emitted.is_empty()
-                && ckpt
-                    .on_reports(&emitted)
-                    .and_then(|()| CheckpointSink::sync(&mut ckpt))
-                    .is_err()
-            {
+            let mut emitted = 0;
+            stream.poll_with(|report| {
+                emitted += 1;
+                ckpt.on_report(report).expect("a report row is only buffered");
+            });
+            if emitted > 0 && ckpt.sync().is_err() {
                 return false;
             }
         }
     }
-    let finale = stream.finish();
-    if ckpt
-        .on_reports(&finale)
-        .and_then(|()| CheckpointSink::sync(&mut ckpt))
-        .is_err()
-    {
-        return false;
+    for report in &stream.finish() {
+        ckpt.on_report(report).expect("a report row is only buffered");
     }
-    ckpt.finish().is_ok()
+    ckpt.sync().is_ok() && ckpt.finish().is_ok()
 }
 
 /// Reopen cleanly; the store must hold a durable prefix of `records`.
@@ -129,12 +123,12 @@ fn assert_resume_converges(
     for rec in ckpt.resume_records().unwrap() {
         stream.ingest(rec);
     }
-    let summary = run_stream_checkpointed(
+    let summary = run_stream_observed(
         Cursor::new(&bytes),
         &mut stream,
         driver_config(),
         |_| {},
-        &mut ckpt,
+        &mut [&mut ckpt],
     )
     .unwrap_or_else(|e| panic!("{context}: resumed run errored: {e}"));
     let store = ckpt.finish().unwrap();
@@ -177,7 +171,7 @@ fn every_fault_point_recovers_to_a_durable_prefix() {
 
 /// Mid-flush ordering: when the reports-block write fails, every event
 /// absorbed so far is already durable — the events flush precedes the
-/// reports write inside `on_reports`, and recovery proves it.
+/// reports write inside `sync`, and recovery proves it.
 #[test]
 fn mid_flush_failure_keeps_events_before_reports() {
     let mut triggered = 0u32;
@@ -195,18 +189,17 @@ fn mid_flush_failure_keeps_events_before_reports() {
         let mut stream = StreamReconstructor::with_config(recon(), stream_config());
         let mut failed_at = None;
         for (i, rec) in records.iter().enumerate() {
-            ckpt.on_record(rec).unwrap();
             stream.ingest(*rec);
+            ckpt.on_record(rec).unwrap();
             if (i + 1) % 3 == 0 {
-                let emitted = stream.poll();
-                if !emitted.is_empty() {
-                    match ckpt.on_reports(&emitted) {
-                        Ok(()) => CheckpointSink::sync(&mut ckpt).unwrap(),
-                        Err(_) => {
-                            failed_at = Some(i + 1);
-                            break;
-                        }
-                    }
+                let mut emitted = 0;
+                stream.poll_with(|report| {
+                    emitted += 1;
+                    ckpt.on_report(report).unwrap();
+                });
+                if emitted > 0 && ckpt.sync().is_err() {
+                    failed_at = Some(i + 1);
+                    break;
                 }
             }
         }
