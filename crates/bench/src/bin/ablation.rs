@@ -10,7 +10,7 @@ use baselines::wit::wit_merge;
 use citysee::Analyzer;
 use citysee::run_scenario;
 use refill::parallel::available_workers;
-use refill::score::{score_cause, score_flow, CauseScore, FlowScore};
+use refill::score::{score_cause, score_events, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, ReconOptions, Reconstructor};
 
 fn main() {
@@ -30,8 +30,9 @@ fn main() {
     ];
 
     // Shared inputs.
-    let truth_by_packet = campaign.sim.truth.by_packet();
-    let index = campaign.merged.packet_index();
+    let truth = &campaign.sim.truth;
+    let truth_rows = truth.packet_rows();
+    let (events, index) = (&campaign.merged.events, campaign.merged.packet_rows());
 
     let mut csv = String::from(
         "variant,inferred,recall,precision,cause_acc,position_acc,omitted\n",
@@ -45,13 +46,13 @@ fn main() {
         let analyzer = Analyzer::new(recon, &campaign.collected, scenario.packet_interval())
             .with_sink(sink)
             .with_outages(faults.outages.clone());
-        let scores = analyzer.pass(&index, index.ids(), available_workers(), |v| {
-            let fs = score_flow(v.report, truth_by_packet.get(v.report.packet).unwrap_or(&[]));
-            let cs = campaign
-                .sim
-                .truth
+        let scores = analyzer.pass(events, &index, index.ids(), available_workers(), |v| {
+            let id = v.report.packet;
+            let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
+            let fs = score_events(v.report, true_events);
+            let cs = truth
                 .fates
-                .get(&v.report.packet)
+                .get(&id)
                 .map(|f| score_cause(&v.diagnosis, f))
                 .unwrap_or_default();
             (fs, cs, v.report.omitted.len())

@@ -12,7 +12,7 @@ use citysee::run_scenario;
 use eventlog::logger::LocalLog;
 use eventlog::EventKind;
 use refill::parallel::available_workers;
-use refill::score::{score_cause, score_flow, CauseScore, FlowScore};
+use refill::score::{score_cause, score_events, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, Reconstructor};
 
 /// A vocabulary: which event kinds survive in the logs.
@@ -95,11 +95,12 @@ fn main() {
         .with_sink(sink)
         .with_outages(faults.outages);
 
-    let truth_by_packet = campaign.sim.truth.by_packet();
+    let truth = &campaign.sim.truth;
+    let truth_rows = truth.packet_rows();
 
     println!(
         "logging-efficiency study ({} packets, {} collected entries at full vocabulary):\n",
-        campaign.sim.truth.packet_count(),
+        truth.packet_count(),
         full_entries
     );
     println!(
@@ -111,15 +112,15 @@ fn main() {
     for v in VOCABS {
         let filtered = filter_logs(&campaign.collected, v.keep);
         let entries: usize = filtered.iter().map(|l| l.len()).sum();
-        let index = analyzer.index(&filtered);
-        let ids = campaign_packets(&index, &campaign.sim.truth);
-        let scores = analyzer.pass(&index, &ids, available_workers(), |v| {
-            let fs = score_flow(v.report, truth_by_packet.get(v.report.packet).unwrap_or(&[]));
-            let cs = campaign
-                .sim
-                .truth
+        let (merged, index) = analyzer.index(&filtered);
+        let ids = campaign_packets(&index, truth);
+        let scores = analyzer.pass(&merged.events, &index, &ids, available_workers(), |v| {
+            let id = v.report.packet;
+            let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
+            let fs = score_events(v.report, true_events);
+            let cs = truth
                 .fates
-                .get(&v.report.packet)
+                .get(&id)
                 .map(|f| score_cause(&v.diagnosis, f))
                 .unwrap_or_default();
             (fs, cs)

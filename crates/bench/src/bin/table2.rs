@@ -129,7 +129,7 @@ fn main() {
     let mut report = String::new();
     for case in cases() {
         let merged = merge_logs(&case.logs);
-        let out = recon.reconstruct_packet(p(), &merged.by_packet()[&p()]);
+        let out = recon.reconstruct_packet(p(), merged.packet_index().get(p()).unwrap_or(&[]));
         let got = out.flow.to_string();
         let expected_norm = case.expected.split_whitespace().collect::<Vec<_>>().join(" ");
         let ok = got == expected_norm;

@@ -13,12 +13,13 @@
 //! operator path (`refill analyze`, `trace`, `explain`, `profile`, `store`)
 //! and the figure binaries run it; none has a loop of its own.
 //!
-//! [`analyze`] is three steps around it. *Group*: the packet index of the
-//! merged log plus the two baselines that read whole logs (Wit's merge, time
-//! correlation) on one thread, the ground truth grouped the same way on
-//! another. *Pass*: the analyzer's, with a visitor that scores and asks the
-//! naive baseline — everything that needs the packet's events happens while
-//! they are in hand. *Fold*: sums.
+//! [`analyze`] is three steps around it. *Group*: the merged log's row
+//! numbers by packet plus the two baselines that read whole logs (Wit's
+//! merge, time correlation) on one thread, the ground truth's row numbers
+//! grouped the same way on another — neither copies what it groups. *Pass*:
+//! the analyzer's, with a visitor that scores and asks the naive baseline —
+//! everything that needs the packet's events happens while they are in hand.
+//! *Fold*: sums.
 
 use crate::run::Campaign;
 use baselines::naive::naive_claim;
@@ -27,12 +28,14 @@ use baselines::time_correlation::{correlate_causes, CorrelationConfig};
 use baselines::wit::{wit_merge, WitMerge};
 use eventlog::event::BASE_STATION;
 use eventlog::logger::LocalLog;
-use eventlog::{merge_logs, Event, GroundTruth, LossCause, PacketFate, PacketId, PacketIndex};
+use eventlog::{
+    merge_logs, Event, GroundTruth, LossCause, MergedLog, PacketFate, PacketId, PacketIndex,
+};
 use netsim::fx::FxHashMap;
 use netsim::{NodeId, SimDuration, SimTime};
 use refill::diagnose::{Diagnoser, Diagnosis};
 use refill::parallel::{available_workers, par_map};
-use refill::score::{score_cause, score_flow, score_path, CauseScore, FlowScore, PathScore};
+use refill::score::{score_cause, score_events, score_path, CauseScore, FlowScore, PathScore};
 use refill::telemetry::{Counter, Hist, Stage, StageTimer};
 use refill::trace::{CtpVocabulary, PacketReport, Reconstructor};
 
@@ -202,11 +205,12 @@ impl Analyzer {
         &self.diagnoser
     }
 
-    /// Merge `logs` and group the result by packet, timed as the `merge` and
-    /// `index` stages of the reconstructor's recorder. An enabled recorder
-    /// also learns what went in and what came out: every log's length, the
-    /// merge's path (timestamped or round-robin), and every packet's group.
-    pub fn index(&self, logs: &[LocalLog]) -> PacketIndex {
+    /// Merge `logs` and group the merged log's row numbers by packet, timed
+    /// as the `merge` and `index` stages of the reconstructor's recorder. An
+    /// enabled recorder also learns what went in and what came out: every
+    /// log's length, the merge's path (timestamped or round-robin), and every
+    /// packet's group.
+    pub fn index(&self, logs: &[LocalLog]) -> (MergedLog, PacketIndex<u32>) {
         let recorder = &**self.recon.recorder();
         let merged = {
             let _span = StageTimer::start(recorder, Stage::Merge);
@@ -214,7 +218,7 @@ impl Analyzer {
         };
         let index = {
             let _span = StageTimer::start(recorder, Stage::Index);
-            merged.packet_index()
+            merged.packet_rows()
         };
         if recorder.enabled() {
             let timestamped = logs
@@ -231,11 +235,11 @@ impl Analyzer {
                 recorder.observe(Hist::NodeLogEvents, log.len() as u64);
             }
             recorder.add(Counter::IndexedPackets, index.len() as u64);
-            for (_, events) in index.iter() {
-                recorder.observe(Hist::GroupEvents, events.len() as u64);
+            for (_, rows) in index.iter() {
+                recorder.observe(Hist::GroupEvents, rows.len() as u64);
             }
         }
-        index
+        (merged, index)
     }
 
     fn diagnose(&self, report: &PacketReport) -> (Option<SimTime>, Diagnosis) {
@@ -246,43 +250,47 @@ impl Analyzer {
 
     /// The per-packet pass: reconstruct and diagnose every packet of `ids`
     /// on `workers` threads, lend each to `visit`, and return what it made
-    /// of them in `ids` order. A packet `index` does not know gets a flow
-    /// reconstructed from no events.
+    /// of them in `ids` order. `index` groups the row numbers of `events`,
+    /// the merged log; each worker gathers a packet's events into one buffer
+    /// it keeps. A packet `index` does not know gets a flow reconstructed
+    /// from no events.
     pub fn pass<T: Send>(
         &self,
-        index: &PacketIndex,
+        events: &[Event],
+        index: &PacketIndex<u32>,
         ids: &[PacketId],
         workers: usize,
         visit: impl Fn(Visit<'_>) -> T + Sync,
     ) -> Vec<T> {
-        par_map(
-            ids.len(),
-            workers,
-            || (),
-            |_, i| {
-                let packet = ids[i];
-                let events = index.get(packet).unwrap_or(&[]);
-                let report = self.recon.reconstruct_packet(packet, events);
-                let (est_time, diagnosis) = self.diagnose(&report);
-                let out = visit(Visit {
-                    events,
-                    report: &report,
-                    est_time,
-                    diagnosis,
-                });
-                // Visited: the next packet on this thread reuses the
-                // report's vectors.
-                self.recon.recycle(report);
-                out
-            },
-        )
+        par_map(ids.len(), workers, Vec::new, |gathered, i| {
+            let packet = ids[i];
+            gathered.clear();
+            gathered.extend(index.rows_of(packet, events));
+            let report = self.recon.reconstruct_packet(packet, gathered);
+            let (est_time, diagnosis) = self.diagnose(&report);
+            let out = visit(Visit {
+                events: gathered,
+                report: &report,
+                est_time,
+                diagnosis,
+            });
+            // Visited: the next packet on this thread reuses the report's
+            // vectors.
+            self.recon.recycle(report);
+            out
+        })
     }
 
     /// The point lookup: one packet's report and diagnosis out of `logs`,
     /// or `None` if no log mentions it.
     pub fn packet(&self, logs: &[LocalLog], packet: PacketId) -> Option<(PacketReport, Diagnosis)> {
-        let index = self.index(logs);
-        let report = self.recon.reconstruct_packet(packet, index.get(packet)?);
+        let (merged, index) = self.index(logs);
+        let events: Vec<Event> = index
+            .get(packet)?
+            .iter()
+            .map(|&row| merged.events[row as usize])
+            .collect();
+        let report = self.recon.reconstruct_packet(packet, &events);
         let (_, diagnosis) = self.diagnose(&report);
         Some((report, diagnosis))
     }
@@ -292,7 +300,7 @@ impl Analyzer {
 /// those only the ground truth knows — never mentioned in any log, they
 /// still deserve records (fate says they existed) and get an `Unknown`
 /// diagnosis through an empty flow.
-pub fn campaign_packets(index: &PacketIndex, truth: &GroundTruth) -> Vec<PacketId> {
+pub fn campaign_packets(index: &PacketIndex<u32>, truth: &GroundTruth) -> Vec<PacketId> {
     let mut ids: Vec<PacketId> = index.ids().to_vec();
     for id in truth.fates.keys() {
         if index.get(*id).is_none() {
@@ -320,27 +328,29 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
     let source_view = &analyzer.source_view;
 
     // Group. What reads the logs — the packet index and the two baselines
-    // that are not per-packet — and what reads the ground truth (its events
-    // per packet, for flow scoring) are independent and about the same
-    // size, so they take a thread each.
-    let (index, wit, correlation, truth_events) = std::thread::scope(|s| {
-        let truth_events = s.spawn(|| truth.by_packet());
-        let index = campaign.merged.packet_index();
+    // that are not per-packet — and what reads the ground truth (its rows
+    // per packet, for flow scoring) are independent, so they take a thread
+    // each. Both group row numbers: the campaign already holds the rows.
+    let (index, wit, correlation, truth_rows) = std::thread::scope(|s| {
+        let truth_rows = s.spawn(|| truth.packet_rows());
+        let index = campaign.merged.packet_rows();
         let wit = wit_merge(&campaign.collected);
         let correlation = summarize_correlation(campaign, source_view);
-        let truth_events = truth_events
+        let truth_rows = truth_rows
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (index, wit, correlation, truth_events)
+        (index, wit, correlation, truth_rows)
     });
 
     // Pass: the analyzer's, plus scoring and the naive baseline.
     let ids = campaign_packets(&index, truth);
-    let outcomes: Vec<PacketOutcome> = analyzer.pass(&index, &ids, available_workers(), |v| {
+    let merged = &campaign.merged.events;
+    let outcomes = analyzer.pass(merged, &index, &ids, available_workers(), |v| {
         let id = v.report.packet;
         let fate = truth_fate(truth, id);
+        let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
         PacketOutcome {
-            flow: score_flow(v.report, truth_events.get(id).unwrap_or(&[])),
+            flow: score_events(v.report, true_events),
             cause: score_cause(&v.diagnosis, &fate),
             path: score_path(v.report, truth.paths.get(&id).map_or(&[], Vec::as_slice)),
             looped: v.report.has_routing_loop(),
@@ -625,6 +635,34 @@ mod tests {
         );
     }
 
+    /// The pass gathers each packet's events through the merged log's row
+    /// numbers: exactly the group `packet_index` copies out, after the
+    /// timestamped merge and the round-robin one, on several workers that
+    /// reuse their buffers, and none for a packet no log mentions.
+    #[test]
+    fn the_pass_lends_each_packet_its_packet_index_group() {
+        let mut lossy = Scenario::small();
+        lossy.collection.chunk_loss_prob = 0.30;
+        lossy.logger.timestamps = false;
+        for scenario in [Scenario::small(), lossy] {
+            let c = run_scenario(&scenario);
+            let analyzer = Analyzer::for_campaign(&c);
+            let (merged, index) = analyzer.index(&c.collected);
+            assert_eq!(merged.events, c.merged.events);
+            let mut ids = campaign_packets(&index, &c.sim.truth);
+            ids.push(PacketId::new(NodeId(9_999), 0));
+            let lent = analyzer.pass(&merged.events, &index, &ids, 3, |v| {
+                (v.report.packet, v.events.to_vec())
+            });
+            let expected = c.merged.packet_index();
+            assert_eq!(lent.len(), ids.len());
+            for ((packet, events), id) in lent.iter().zip(&ids) {
+                assert_eq!(packet, id);
+                assert_eq!(events.as_slice(), expected.get(*id).unwrap_or(&[]), "{id}");
+            }
+        }
+    }
+
     /// What `Analyzer::index` records must add up: one span per stage, every
     /// logged event merged and grouped exactly once, one group per packet,
     /// and the merge path the input forces.
@@ -650,7 +688,7 @@ mod tests {
             let recorder = Arc::new(AtomicRecorder::new());
             let recon = Reconstructor::new(CtpVocabulary::table2()).with_recorder(recorder.clone());
             let analyzer = Analyzer::new(recon, &logs, c.scenario.packet_interval());
-            let index = analyzer.index(&logs);
+            let (_, index) = analyzer.index(&logs);
             let snap = recorder.snapshot();
 
             assert_eq!(snap.stage("merge").map(|s| s.calls), Some(1));

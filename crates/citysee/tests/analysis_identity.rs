@@ -6,16 +6,15 @@
 //!   moved into the per-packet pass;
 //! * the digest does not depend on how the analysis threads are scheduled;
 //! * `wit_merge` on local logs allocates by the number of logs, not of
-//!   events, and `score_flow` asks the allocator for one buffer.
+//!   events, and scoring a flow asks the allocator for one buffer, or for
+//!   none on a warm thread.
 
 use baselines::wit::wit_merge;
 use citysee::{analyze, run_scenario, Analysis, Scenario};
-use eventlog::{Event, EventKind, LocalLog, PacketId};
+use eventlog::{Event, EventKind, LocalLog, PacketId, TruthEvent};
 use netsim::NodeId;
-use refill::score::score_flow;
+use refill::score::{score_events, score_flow};
 use refill::trace::{CtpVocabulary, Reconstructor};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -102,55 +101,12 @@ fn the_whole_analysis_is_the_frozen_one() {
 
 // --- the shape of the cost -----------------------------------------------
 
-/// Counts this thread's requests for fresh or larger memory. Per thread,
-/// because the other tests of this binary run beside it.
-struct Counting;
-
-thread_local! {
-    static REQUESTS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note() {
-    // A thread being torn down has no counter any more; nothing to count.
-    let _ = REQUESTS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it neither
-// allocates nor reads memory the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: netsim::alloc::Counting = netsim::alloc::Counting;
 
 fn requests_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = REQUESTS.with(Cell::get);
-    let out = f();
-    (out, REQUESTS.with(Cell::get) - before)
+    let (out, requests) = netsim::alloc::requested_by(f);
+    (out, requests.calls)
 }
 
 /// `logs` local logs of `events` entries each: every tuple names the node
@@ -190,18 +146,27 @@ fn wit_on_local_logs_allocates_by_logs_not_events() {
 #[test]
 fn scoring_a_flow_asks_for_one_buffer() {
     let campaign = run_scenario(&Scenario::small());
-    let truth = campaign.sim.truth.by_packet();
+    let truth = &campaign.sim.truth;
+    let truth_rows = truth.packet_rows();
     let index = campaign.merged.packet_index();
     // The busiest packet: enough distinct truth events that a map would
     // have to grow several times.
-    let (id, truth_events) = truth
+    let (id, rows) = truth_rows
         .iter()
-        .max_by_key(|(_, events)| events.len())
+        .max_by_key(|(_, rows)| rows.len())
         .expect("the campaign generated packets");
-    assert!(truth_events.len() >= 50, "{} events", truth_events.len());
+    assert!(rows.len() >= 50, "{} events", rows.len());
     let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
     let report = recon.reconstruct_packet(id, index.get(id).unwrap_or(&[]));
-    let (score, requests) = requests_of(|| score_flow(&report, truth_events));
+
+    // A thread's first score sizes one buffer for the truth it is handed...
+    let copied: Vec<TruthEvent> = truth_rows.rows_of(id, &truth.events).copied().collect();
+    let (score, requests) = requests_of(|| score_flow(&report, &copied));
     assert!(score.observed > 0 && score.lost > 0, "{score:?}");
     assert!(requests <= 1, "score_flow made {requests} requests");
+    // ...which the thread keeps: warm, it asks for nothing.
+    let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
+    let (warm, requests) = requests_of(|| score_events(&report, true_events));
+    assert_eq!(warm, score);
+    assert_eq!(requests, 0, "a warm thread made {requests} requests");
 }

@@ -675,7 +675,7 @@ mod tests {
         // The command visits the packets the logs mention; the campaign
         // analysis also keeps a record for those only the truth knows.
         let analysis = analyze_campaign(&campaign);
-        let index = campaign.merged.packet_index();
+        let index = campaign.merged.packet_rows();
         let diagnoses: Vec<_> = analysis
             .records
             .iter()

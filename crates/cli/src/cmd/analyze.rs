@@ -20,10 +20,11 @@ pub fn analyze_cmd_inner(args: &[String]) -> Result<String, String> {
     let recorder = recorder_for(&flags);
     let analyzer = build_analyzer(&flags, &input, &recorder)?;
 
-    let index = analyzer.index(&input.logs);
+    let (merged, index) = analyzer.index(&input.logs);
     let t0 = Instant::now();
     // Per packet: its diagnosis, whether its path loops, its inferred events.
-    let packets = analyzer.pass(&index, index.ids(), available_workers(), |v| {
+    let (events, ids) = (&merged.events, index.ids());
+    let packets = analyzer.pass(events, &index, ids, available_workers(), |v| {
         let looped = v.report.has_routing_loop();
         (v.diagnosis, looped, v.report.flow.inferred_count())
     });

@@ -56,8 +56,10 @@ pub fn profile_cmd_inner(args: &[String]) -> Result<String, String> {
     let analyzer = build_analyzer(&flags, &input, &Some(recorder.clone()))?;
 
     let t0 = Instant::now();
-    let index = analyzer.index(&input.logs);
-    let packets = analyzer.pass(&index, index.ids(), workers, |_| ()).len();
+    let (merged, index) = analyzer.index(&input.logs);
+    let packets = analyzer
+        .pass(&merged.events, &index, index.ids(), workers, |_| ())
+        .len();
     let secs = t0.elapsed().as_secs_f64();
 
     let mut out = String::new();

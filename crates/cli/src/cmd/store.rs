@@ -32,7 +32,7 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
 
     // What the two modes differ in: whose logs, which analyzer and index,
     // and whether there is a truth to take packets and fates from.
-    let (logs, analyzer, index, truth, scenario_json) = if flags.get("logs").is_some() {
+    let (logs, analyzer, (merged, index), truth, scenario_json) = if flags.get("logs").is_some() {
         let input = load_input(&flags)?;
         let analyzer = build_analyzer(&flags, &input, &None)?;
         let index = analyzer.index(&input.logs);
@@ -47,15 +47,21 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
         );
         let campaign = run_scenario(&scenario);
         let analyzer = Analyzer::for_campaign(&campaign);
-        let index = campaign.merged.packet_index();
+        let index = campaign.merged.packet_rows();
         let json = scenario.to_json().to_pretty().map_err(|e| e.to_string())?;
-        (campaign.collected, analyzer, index, Some(campaign.sim.truth), Some(json))
+        (
+            campaign.collected,
+            analyzer,
+            (campaign.merged, index),
+            Some(campaign.sim.truth),
+            Some(json),
+        )
     };
     let ids = match &truth {
         Some(truth) => campaign_packets(&index, truth),
         None => index.ids().to_vec(),
     };
-    let report_rows = analyzer.pass(&index, &ids, available_workers(), |v| {
+    let report_rows = analyzer.pass(&merged.events, &index, &ids, available_workers(), |v| {
         let sidecar = Sidecar {
             est_time: v.est_time,
             diagnosis: v.diagnosis,

@@ -11,7 +11,7 @@
 //!
 //! # Flow scoring without a map
 //!
-//! [`score_flow`] runs once per packet inside the analysis pass, which is
+//! [`score_events`] runs once per packet inside the analysis pass, which is
 //! kept out of the allocator and out of hash tables (DESIGN.md §6). An
 //! event's identity for multiset matching is one word,
 //!
@@ -29,6 +29,7 @@ use crate::diagnose::{DiagnosedCause, Diagnosis};
 use crate::trace::PacketReport;
 use eventlog::{Event, PacketFate, TruthEvent};
 use netsim::NodeId;
+use std::cell::Cell;
 
 /// Bits of a key below the `(node, kind_tag)` prefix: the peer.
 const PEER_BITS: u32 = 24;
@@ -91,16 +92,27 @@ fn count_of(counts: &mut [(u64, isize)], key: u64) -> Option<&mut isize> {
     Some(&mut counts[at].1)
 }
 
+thread_local! {
+    /// The buffer [`score_events`] keeps its truth multiset in, per thread
+    /// like the kernel's scratch: every worker of a pass reuses its own, so
+    /// a warm thread scores without the allocator.
+    static COUNTS: Cell<Vec<(u64, isize)>> = const { Cell::new(Vec::new()) };
+}
+
 /// Score one packet's flow against that packet's true events.
 ///
 /// Truth events minus the flow's *observed* multiset gives the truly-lost
 /// multiset; inferred entries are then matched against it. An inferred
 /// event with an [`UNKNOWN_NODE`] peer matches any truth event agreeing on
 /// node and kind.
-pub fn score_flow(report: &PacketReport, truth: &[TruthEvent]) -> FlowScore {
+pub fn score_events<'a>(
+    report: &PacketReport,
+    truth: impl IntoIterator<Item = &'a Event>,
+) -> FlowScore {
     // The truth multiset: distinct keys ascending, each with its count.
-    let mut counts: Vec<(u64, isize)> = Vec::with_capacity(truth.len());
-    counts.extend(truth.iter().map(|te| (key_of(&te.event).0, 1)));
+    let mut counts = COUNTS.take();
+    counts.clear();
+    counts.extend(truth.into_iter().map(|e| (key_of(e).0, 1)));
     counts.sort_unstable_by_key(|&(key, _)| key);
     counts.dedup_by(|later, run| {
         let same = later.0 == run.0;
@@ -155,6 +167,7 @@ pub fn score_flow(report: &PacketReport, truth: &[TruthEvent]) -> FlowScore {
             matched += 1;
         }
     }
+    COUNTS.set(counts);
 
     FlowScore {
         inferred,
@@ -162,6 +175,11 @@ pub fn score_flow(report: &PacketReport, truth: &[TruthEvent]) -> FlowScore {
         lost,
         observed,
     }
+}
+
+/// [`score_events`] over [`TruthEvent`]s.
+pub fn score_flow(report: &PacketReport, truth: &[TruthEvent]) -> FlowScore {
+    score_events(report, truth.iter().map(|te| &te.event))
 }
 
 /// Path-recovery quality: how much of the packet's true node path the

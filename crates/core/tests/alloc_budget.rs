@@ -3,45 +3,16 @@
 //! its queues and every working buffer are reused. And when the caller hands
 //! the previous report back, not those either.
 //!
-//! A test binary of its own with one test in it, because the counting
-//! allocator is global and the count must not see another test's thread.
+//! The counts are this thread's requests (`netsim::alloc`).
 
 use eventlog::event::BASE_STATION;
 use eventlog::{Event, EventKind, PacketId};
+use netsim::alloc::requested_by;
 use netsim::NodeId;
 use refill::trace::{CtpVocabulary, Reconstructor};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Counts every request for fresh or larger memory.
-struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no memory the
-// allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: netsim::alloc::Counting = netsim::alloc::Counting;
 
 /// 1 → 2 → 3 → sink 0 → base station, every statement logged, in the order
 /// things happened.
@@ -69,24 +40,24 @@ fn a_warm_thread_allocates_only_the_report() {
     let expected = recon.reconstruct_packet(first, &warm_up);
     assert!(expected.delivered && expected.flow.inferred_count() == 0);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = recon.reconstruct_packet(second, &events);
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (report, spent) = requested_by(|| recon.reconstruct_packet(second, &events));
 
     assert_eq!(report.flow.to_string(), expected.flow.to_string());
     assert_eq!(report.flow.len(), events.len());
     // Five vectors hold this report (entries, edges, origins, engines,
     // path); before the kernel kept its buffers the same call made 108
     // requests.
-    assert!(spent <= 16, "{spent} allocations for a 12-event packet");
+    assert!(
+        spent.calls <= 16,
+        "{} allocations for a 12-event packet",
+        spent.calls
+    );
 
     // With its predecessor's report handed back, the next one is built in
     // those five vectors: not one request.
     let events = three_hops_delivered(third);
     recon.recycle(report);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = recon.reconstruct_packet(third, &events);
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (report, spent) = requested_by(|| recon.reconstruct_packet(third, &events));
 
     assert_eq!(report.packet, third);
     assert_eq!(report.flow.to_string(), expected.flow.to_string());
@@ -95,5 +66,8 @@ fn a_warm_thread_allocates_only_the_report() {
         .entries
         .iter()
         .all(|e| e.payload.packet == third));
-    assert_eq!(spent, 0, "a recycled report's vectors were not reused");
+    assert_eq!(
+        spent.calls, 0,
+        "a recycled report's vectors were not reused"
+    );
 }

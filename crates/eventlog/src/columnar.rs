@@ -21,16 +21,15 @@
 //!
 //! On top of the columns:
 //!
-//! * [`ColumnarIndex`] — the packet grouping as a permutation plus range
-//!   table over the store. Where `PacketIndex` copies every event into a
-//!   grouped arena, this groups 4-byte row indices and never copies a record.
+//! * [`ColumnarIndex`] — the packet grouping of the store's 4-byte row
+//!   numbers (a `PacketIndex<u32>`); it never copies a record.
 //! * [`ScratchArena`] — a per-worker bump allocation for unpacking one
 //!   group at a time. The buffer is grow-only, so after warm-up a worker
 //!   reconstructs arbitrarily many packets with zero allocations.
 
 use crate::event::{Event, EventKind, PacketId};
 use crate::logger::LogEntry;
-use crate::merge::{group_by_packet, MergedLog};
+use crate::merge::{MergedLog, PacketIndex};
 use netsim::NodeId;
 
 /// Reserved timestamp meaning "this entry carried no local timestamp".
@@ -297,87 +296,31 @@ impl EventStore {
     }
 }
 
-/// The packet grouping as a permutation plus range table over an
-/// [`EventStore`].
-///
-/// `perm` holds row indices grouped by packet id, ids ascending, each group
-/// in row order, so each packet's index range preserves merged order (and
-/// therefore per-node recording order — the pipeline's one hard input
-/// guarantee), exactly like `PacketIndex`'s arena. Unlike `PacketIndex`,
-/// nothing is copied: a group is a `&[u32]` of row positions into the shared
-/// columns.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnarIndex {
-    /// Row indices, grouped by the rows' packet ids, each group ascending.
-    perm: Vec<u32>,
-    /// Distinct packet ids, sorted ascending.
-    ids: Vec<PacketId>,
-    /// `offsets[i]..offsets[i + 1]` is packet `ids[i]`'s range of `perm`;
-    /// length is `ids.len() + 1`.
-    offsets: Vec<u32>,
-}
+/// The packet grouping of an [`EventStore`]: its row numbers grouped by the
+/// rows' packet ids ([`PacketIndex::group_rows`]), and nothing more — no
+/// record is copied. A group is a `&[u32]` of row positions into the shared
+/// columns, in merged order, so each preserves per-node recording order (the
+/// pipeline's one hard input guarantee).
+#[derive(Debug, Clone)]
+pub struct ColumnarIndex(PacketIndex<u32>);
 
 impl ColumnarIndex {
-    /// Build the grouping: the counting sort `PacketIndex` uses
-    /// (`group_by_packet`), and nothing more; no record copies.
+    /// Build the grouping.
     ///
     /// # Panics
-    /// Panics if the store exceeds `u32::MAX` rows (the row indices and
-    /// offsets are deliberately 4-byte).
+    /// Panics if the store exceeds `u32::MAX` rows.
     pub fn build(store: &EventStore) -> Self {
-        let (perm, ids, offsets) =
-            group_by_packet(store.records().iter().map(PackedEvent::packet));
-        ColumnarIndex {
-            perm,
-            ids,
-            offsets: offsets.into_iter().map(|at| at as u32).collect(),
-        }
+        ColumnarIndex(PacketIndex::group_rows(
+            store.records().iter().map(PackedEvent::packet),
+        ))
     }
+}
 
-    /// Number of distinct packets.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
+impl std::ops::Deref for ColumnarIndex {
+    type Target = PacketIndex<u32>;
 
-    /// True if the store mentioned no packets at all.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Total number of indexed rows.
-    pub fn event_count(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// The distinct packet ids, sorted ascending.
-    pub fn ids(&self) -> &[PacketId] {
-        &self.ids
-    }
-
-    /// The `i`-th group (in sorted-id order) as `(id, row positions)`.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    pub fn group(&self, i: usize) -> (PacketId, &[u32]) {
-        (self.ids[i], &self.perm[self.offsets[i] as usize..self.offsets[i + 1] as usize])
-    }
-
-    /// Events in the `i`-th group.
-    pub fn group_len(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
-    /// The row positions of one packet, if it appears in the store.
-    pub fn get(&self, id: PacketId) -> Option<&[u32]> {
-        self.ids
-            .binary_search(&id)
-            .ok()
-            .map(|i| &self.perm[self.offsets[i] as usize..self.offsets[i + 1] as usize])
-    }
-
-    /// Iterate `(id, row positions)` groups in sorted-id order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PacketId, &[u32])> + '_ {
-        (0..self.ids.len()).map(move |i| self.group(i))
+    fn deref(&self) -> &PacketIndex<u32> {
+        &self.0
     }
 }
 
@@ -565,7 +508,6 @@ mod columnar_props {
     //! legacy sorted-arena grouping exactly.
 
     use super::*;
-    use crate::merge::PacketIndex;
     use netsim::prop::{check, vec_of};
     use netsim::Rng;
 

@@ -213,6 +213,13 @@ impl GroundTruth {
         1.0 - self.lost_count() as f64 / self.fates.len() as f64
     }
 
+    /// The true events grouped by packet, each packet's in occurrence order,
+    /// as row numbers into [`GroundTruth::events`]
+    /// ([`PacketIndex::group_rows`]).
+    pub fn packet_rows(&self) -> PacketIndex<u32> {
+        PacketIndex::group_rows(self.events.iter().map(|te| te.event.packet))
+    }
+
     /// Count of losses per cause.
     pub fn losses_by_cause(&self) -> FxHashMap<LossCause, usize> {
         let mut out = FxHashMap::default();
@@ -223,19 +230,11 @@ impl GroundTruth {
         }
         out
     }
-
-    /// The true events grouped by packet, each packet's in occurrence
-    /// order: one counting sort over the whole truth (the [`PacketIndex`]
-    /// build), then a slice per packet.
-    pub fn by_packet(&self) -> PacketIndex<TruthEvent> {
-        PacketIndex::build_by(&self.events, |te| te.event.packet)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
 
     fn pid(n: u16, s: u32) -> PacketId {
         PacketId::new(NodeId(n), s)
@@ -300,65 +299,6 @@ mod tests {
         );
         gt.set_fate(pid(1, 0), PacketFate::Delivered { at: SimTime::ZERO });
         assert!(gt.fates[&pid(1, 0)].delivered());
-    }
-
-    #[test]
-    fn by_packet_groups_events_in_occurrence_order() {
-        let mut gt = GroundTruth::default();
-        let p = pid(1, 0);
-        let q = pid(1, 1);
-        gt.record(SimTime::from_secs(1), Event::new(NodeId(1), EventKind::Origin, p));
-        gt.record(SimTime::from_secs(2), Event::new(NodeId(1), EventKind::Origin, q));
-        gt.record(
-            SimTime::from_secs(3),
-            Event::new(NodeId(1), EventKind::Trans { to: NodeId(0) }, p),
-        );
-        let grouped = gt.by_packet();
-        assert_eq!(grouped.ids(), [p, q]);
-        let evs = grouped.get(p).expect("p has events");
-        assert_eq!(evs.len(), 2);
-        assert!(evs.windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(grouped.get(pid(2, 0)), None);
-    }
-
-    #[test]
-    fn by_packet_equals_the_per_packet_filter() {
-        netsim::prop::check("truth_by_packet_equals_filter", 64, &[], |rng| {
-            // Dense ids go through the counting sort, sparse ones through
-            // the sorting fallback.
-            let (origins, seqnos): (Vec<u16>, Vec<u32>) = if rng.gen_bool(0.5) {
-                ((0..6).collect(), (0..9).collect())
-            } else {
-                (vec![0, 9, u16::MAX], vec![0, 1 << 31, u32::MAX])
-            };
-            let ids: Vec<PacketId> = origins
-                .iter()
-                .flat_map(|&o| seqnos.iter().map(move |&s| pid(o, s)))
-                .collect();
-            // The last id of the domain never gets an event; with few
-            // events, others go without as well.
-            let mut gt = GroundTruth::default();
-            for at in 0..rng.gen_range(0..200u64) {
-                let id = ids[rng.gen_range(0..ids.len() - 1)];
-                let node = NodeId(rng.gen_range(0..5u16));
-                gt.record(
-                    SimTime::from_secs(at),
-                    Event::new(node, EventKind::Enqueue, id),
-                );
-            }
-            let grouped = gt.by_packet();
-            assert_eq!(grouped.event_count(), gt.events.len());
-            for &id in &ids {
-                let expected: Vec<TruthEvent> = gt
-                    .events
-                    .iter()
-                    .filter(|te| te.event.packet == id)
-                    .copied()
-                    .collect();
-                assert_eq!(grouped.get(id).unwrap_or(&[]), expected.as_slice(), "{id}");
-                assert_eq!(grouped.get(id).is_some(), !expected.is_empty(), "{id}");
-            }
-        });
     }
 
     #[test]

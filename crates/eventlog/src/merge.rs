@@ -82,10 +82,16 @@ impl MergedLog {
         PacketIndex::build(&self.events)
     }
 
+    /// The same grouping over row numbers into `events`, which it does not
+    /// copy ([`PacketIndex::group_rows`]).
+    pub fn packet_rows(&self) -> PacketIndex<u32> {
+        PacketIndex::group_rows(self.events.iter().map(|e| e.packet))
+    }
+
     /// All packet ids mentioned anywhere in the merged log, sorted and
     /// deduplicated (without materializing per-packet event groups).
     pub fn packet_ids(&self) -> Vec<PacketId> {
-        group_by_packet(self.events.iter().map(|e| e.packet)).1
+        self.packet_rows().ids
     }
 
     /// Number of merged events.
@@ -99,18 +105,17 @@ impl MergedLog {
     }
 }
 
-/// A packet-grouped view of a merged log, built with one counting sort.
+/// Rows grouped by packet id, built with one counting sort.
 ///
-/// The arena holds every event grouped by packet id, groups in ascending id
-/// order; events are placed in merged order, so each packet's slice
-/// preserves it (and therefore every node's recording order — the one hard
-/// input guarantee). Groups are exposed as `&[Event]` slices in sorted-id
-/// order, so iterating packets for reconstruction costs zero copies after
-/// the one-time build.
+/// Groups are in ascending id order and each group keeps input order — for a
+/// merged log, merged order, and therefore every node's recording order (the
+/// one hard input guarantee). Groups are exposed as slices in sorted-id
+/// order.
 ///
-/// The row type is a parameter only so that ground truth groups its
-/// [`TruthEvent`](crate::TruthEvent)s the same way
-/// ([`GroundTruth::by_packet`](crate::GroundTruth::by_packet)).
+/// Two row types are in use. [`MergedLog::packet_index`] copies every event
+/// into the groups. [`PacketIndex::group_rows`] groups *row numbers* into a
+/// table the caller keeps (the merged log, the ground truth, a columnar
+/// store): 4 bytes a row instead of a second copy of the table.
 #[derive(Debug, Clone)]
 pub struct PacketIndex<T = Event> {
     /// All rows, grouped by packet id, each group in input order.
@@ -124,30 +129,67 @@ pub struct PacketIndex<T = Event> {
 
 impl PacketIndex {
     /// Build from an event stream: group the row numbers
-    /// ([`group_by_packet`]: three linear passes unless the ids are sparse),
-    /// then copy each event to its place.
+    /// ([`PacketIndex::group_rows`]), then copy each event to its place.
     ///
     /// # Panics
     /// Panics if there are more than `u32::MAX` events.
     pub fn build(events: &[Event]) -> Self {
-        Self::build_by(events, |e| e.packet)
+        let PacketIndex { rows, ids, offsets } =
+            PacketIndex::group_rows(events.iter().map(|e| e.packet));
+        let rows = rows.iter().map(|&row| events[row as usize]).collect();
+        PacketIndex { rows, ids, offsets }
     }
 }
 
-impl<T: Copy> PacketIndex<T> {
-    /// [`PacketIndex::build`] over any rows that name their packet.
+impl PacketIndex<u32> {
+    /// Group row numbers by packet id, given each row's id: each packet's
+    /// row numbers contiguous and ascending, packets in ascending id order.
+    ///
+    /// A counting sort over the dense `(origin, seqno)` domain — three
+    /// linear passes — or, for sparse ids, a stable sort.
     ///
     /// # Panics
     /// Panics if there are more than `u32::MAX` rows.
-    pub fn build_by(rows: &[T], packet_of: impl Fn(&T) -> PacketId + Copy) -> Self {
-        let (perm, ids, offsets) = group_by_packet(rows.iter().map(packet_of));
-        PacketIndex {
-            rows: perm.iter().map(|&row| rows[row as usize]).collect(),
-            ids,
-            offsets,
+    pub fn group_rows(packets: impl ExactSizeIterator<Item = PacketId> + Clone) -> Self {
+        let n = u32::try_from(packets.len()).expect("packet indexes address rows with u32");
+        if let Some(mut dense) = DenseIds::count(packets.clone()) {
+            let (ids, offsets) = dense.layout();
+            let mut rows = vec![0u32; n as usize];
+            for (row, id) in (0..n).zip(packets) {
+                let slot = dense.slot(id);
+                let at = &mut dense.slots[slot];
+                rows[*at as usize] = row;
+                *at += 1;
+            }
+            return PacketIndex { rows, ids, offsets };
         }
+        let packets: Vec<PacketId> = packets.collect();
+        let mut rows: Vec<u32> = (0..n).collect();
+        rows.sort_by_key(|&row| packets[row as usize]);
+        let mut ids: Vec<PacketId> = Vec::new();
+        let mut offsets: Vec<usize> = Vec::new();
+        for (i, &row) in rows.iter().enumerate() {
+            let id = packets[row as usize];
+            if ids.last() != Some(&id) {
+                ids.push(id);
+                offsets.push(i);
+            }
+        }
+        offsets.push(rows.len());
+        PacketIndex { rows, ids, offsets }
     }
 
+    /// Packet `id`'s rows of `table`, the table whose row numbers were
+    /// grouped, in input order (none if `id` has no rows).
+    pub fn rows_of<'a, T>(&'a self, id: PacketId, table: &'a [T]) -> impl Iterator<Item = &'a T> {
+        self.get(id)
+            .unwrap_or(&[])
+            .iter()
+            .map(move |&row| &table[row as usize])
+    }
+}
+
+impl<T> PacketIndex<T> {
     /// Number of distinct packets.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -158,7 +200,7 @@ impl<T: Copy> PacketIndex<T> {
         self.ids.is_empty()
     }
 
-    /// Total number of indexed events.
+    /// Total number of indexed rows.
     pub fn event_count(&self) -> usize {
         self.rows.len()
     }
@@ -168,7 +210,7 @@ impl<T: Copy> PacketIndex<T> {
         &self.ids
     }
 
-    /// The `i`-th group (in sorted-id order) as `(id, events)`.
+    /// The `i`-th group (in sorted-id order) as `(id, rows)`.
     ///
     /// # Panics
     /// Panics if `i >= self.len()`.
@@ -176,7 +218,7 @@ impl<T: Copy> PacketIndex<T> {
         (self.ids[i], &self.rows[self.offsets[i]..self.offsets[i + 1]])
     }
 
-    /// The events of one packet, if it appears in the log.
+    /// The rows of one packet, if it has any.
     pub fn get(&self, id: PacketId) -> Option<&[T]> {
         self.ids
             .binary_search(&id)
@@ -184,7 +226,7 @@ impl<T: Copy> PacketIndex<T> {
             .map(|i| &self.rows[self.offsets[i]..self.offsets[i + 1]])
     }
 
-    /// Iterate `(id, events)` groups in sorted-id order.
+    /// Iterate `(id, rows)` groups in sorted-id order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (PacketId, &[T])> + '_ {
         (0..self.ids.len()).map(move |i| self.group(i))
     }
@@ -266,47 +308,6 @@ impl DenseIds {
         offsets.push(next as usize);
         (ids, offsets)
     }
-}
-
-/// Group rows by packet id, given each row's id: the row numbers arranged
-/// so that each packet's are contiguous, packets in ascending id order and
-/// each packet's rows ascending; the distinct ids; and each id's offset into
-/// the row numbers (one more offset than ids). Both indexes are this.
-///
-/// A counting sort over [`DenseIds`] — three linear passes — or, for sparse
-/// ids, a stable sort.
-///
-/// # Panics
-/// Panics if there are more than `u32::MAX` rows.
-pub(crate) fn group_by_packet(
-    packets: impl ExactSizeIterator<Item = PacketId> + Clone,
-) -> (Vec<u32>, Vec<PacketId>, Vec<usize>) {
-    let rows = u32::try_from(packets.len()).expect("packet indexes address rows with u32");
-    if let Some(mut dense) = DenseIds::count(packets.clone()) {
-        let (ids, offsets) = dense.layout();
-        let mut perm = vec![0u32; rows as usize];
-        for (row, id) in (0..rows).zip(packets) {
-            let slot = dense.slot(id);
-            let at = &mut dense.slots[slot];
-            perm[*at as usize] = row;
-            *at += 1;
-        }
-        return (perm, ids, offsets);
-    }
-    let packets: Vec<PacketId> = packets.collect();
-    let mut perm: Vec<u32> = (0..rows).collect();
-    perm.sort_by_key(|&row| packets[row as usize]);
-    let mut ids: Vec<PacketId> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::new();
-    for (i, &row) in perm.iter().enumerate() {
-        let id = packets[row as usize];
-        if ids.last() != Some(&id) {
-            ids.push(id);
-            offsets.push(i);
-        }
-    }
-    offsets.push(perm.len());
-    (perm, ids, offsets)
 }
 
 /// Merge local logs into one stream.
@@ -508,8 +509,13 @@ fn prefetch<T>(p: *const T) {
 
 /// The loser-tree tournament itself, generic over the run item and the
 /// key. `key_of(run, item)` must be a total order over all items of all
-/// runs, non-decreasing within each run, below `exhausted`, and such that
-/// `run_of(key_of(run, _)) == run`.
+/// runs, below `exhausted`, and such that `run_of(key_of(run, _)) == run`.
+///
+/// Keys may fall within a run (raw local timestamps read backwards after a
+/// clock step). Every pop then picks exactly the run that merging each
+/// run's running-max keys would pick: when a run emits key `k`, every other
+/// head is above `k`, so a head of that run that dips below `k` keeps
+/// winning — as its running-max key, still `k`, would.
 ///
 /// Flat-array tournament tree: internal node `v` in `1..k` holds the key
 /// that *lost* the match played there, the overall winner is kept aside;
@@ -1077,6 +1083,41 @@ mod merge_props {
                 merge_by_timestamp_reference(&logs)
             );
         });
+    }
+
+    #[test]
+    fn raw_timestamps_merge_as_their_running_max() {
+        check(
+            "raw_timestamps_merge_as_their_running_max",
+            64,
+            &[],
+            |rng| {
+                // Mostly every entry timestamped, so the loser tree runs, on
+                // one-word keys or, scaled past the 63-bit rule, on pairs;
+                // the logs are unsorted, so heads dip below keys already
+                // emitted.
+                let mut logs = build(&arb_spec(rng), false);
+                let scale = if rng.gen_bool(0.3) { 1 << 58 } else { 1 };
+                let fill = rng.gen_bool(0.75);
+                for e in logs.iter_mut().flat_map(|l| &mut l.entries) {
+                    if fill {
+                        e.local_ts.get_or_insert(rng.gen_range(0..40));
+                    }
+                    e.local_ts = e.local_ts.map(|ts| ts * scale);
+                }
+                let mut climbed = logs.clone();
+                for log in &mut climbed {
+                    let mut max = 0;
+                    for e in &mut log.entries {
+                        if let Some(ts) = e.local_ts {
+                            max = max.max(ts);
+                            e.local_ts = Some(max);
+                        }
+                    }
+                }
+                assert_eq!(merge_logs(&logs).events, merge_logs(&climbed).events);
+            },
+        );
     }
 
     #[test]

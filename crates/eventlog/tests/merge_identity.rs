@@ -19,8 +19,6 @@ use eventlog::{
     ScratchArena,
 };
 use netsim::NodeId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 // --- deterministic input -------------------------------------------------
 
@@ -586,7 +584,6 @@ fn assert_indexes(events: Vec<Event>, what: &str) {
             "ColumnarIndex group {id}, {what}"
         );
         assert_eq!(columnar.get(*id), Some(rows));
-        assert_eq!(columnar.group_len(i), expected.len());
     }
     let absent = PacketId::new(NodeId(u16::MAX - 1), 77);
     assert_eq!(index.get(absent), None);
@@ -677,59 +674,12 @@ fn indexes_of_merged_soups_equal_the_by_packet_grouping() {
 
 // --- the shape of the index's cost ---------------------------------------
 
-/// Counts this thread's requests for fresh or larger memory, and their
-/// bytes. Per thread, because the other tests of this binary run beside it.
-struct Counting;
-
-thread_local! {
-    static REQUESTED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    // A thread being torn down has no counter any more; nothing to count.
-    let _ = REQUESTED.try_with(|c| {
-        let (calls, total) = c.get();
-        c.set((calls + 1, total + bytes));
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it neither
-// allocates nor reads memory the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: netsim::alloc::Counting = netsim::alloc::Counting;
 
 fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (calls, bytes) = REQUESTED.with(Cell::get);
-    let out = f();
-    let (calls_after, bytes_after) = REQUESTED.with(Cell::get);
-    (out, calls_after - calls, bytes_after - bytes)
+    let (out, requests) = netsim::alloc::requested_by(f);
+    (out, requests.calls, requests.bytes)
 }
 
 #[test]

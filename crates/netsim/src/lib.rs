@@ -12,11 +12,13 @@
 //! seed through labelled [`rng::RngFactory`] streams, and the scheduler
 //! breaks ties deterministically by insertion sequence.
 //!
-//! As the root of the workspace's dependency graph it also holds the four
+//! As the root of the workspace's dependency graph it also holds the
 //! std-only pieces every other crate would otherwise take from a registry:
-//! the generator ([`rng`]), the hasher ([`fx`]), the JSON codec ([`json`])
-//! and the property runner the tests share ([`prop`]).
+//! the generator ([`rng`]), the hasher ([`fx`]), the JSON codec ([`json`]),
+//! and the property runner ([`prop`]) and counting allocator ([`alloc`]) the
+//! tests share.
 
+pub mod alloc;
 pub mod engine;
 pub mod fx;
 pub mod json;

@@ -13,8 +13,6 @@ use netsim::metrics::CounterSet;
 use netsim::SimDuration;
 use protocols::sim::{SimOutput, Simulator};
 use protocols::SimConfig;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Debug;
 
 // --- frozen digests ------------------------------------------------------
@@ -107,55 +105,12 @@ fn reboot_software_ack_campaign_is_the_frozen_one() {
 
 // --- the shape of the cost -----------------------------------------------
 
-/// Counts this thread's requests for fresh or larger memory. Per thread,
-/// because the other tests of this binary run beside it.
-struct Counting;
-
-thread_local! {
-    static REQUESTS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note() {
-    // A thread being torn down has no counter any more; nothing to count.
-    let _ = REQUESTS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it neither
-// allocates nor reads memory the allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: netsim::alloc::Counting = netsim::alloc::Counting;
 
 fn requests_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = REQUESTS.with(Cell::get);
-    let out = f();
-    (out, REQUESTS.with(Cell::get) - before)
+    let (out, requests) = netsim::alloc::requested_by(f);
+    (out, requests.calls)
 }
 
 #[test]

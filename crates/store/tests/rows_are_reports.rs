@@ -11,9 +11,10 @@ use refill_store::{segment, ReportRow, SegmentStore, Sidecar};
 fn every_row_read_back_equals_the_report_it_was_built_from() {
     let campaign = run_scenario(&Scenario::small());
     let analyzer = Analyzer::for_campaign(&campaign);
-    let index = campaign.merged.packet_index();
+    let index = campaign.merged.packet_rows();
+    let events = &campaign.merged.events;
     let visited: Vec<(PacketReport, Sidecar)> =
-        analyzer.pass(&index, index.ids(), available_workers(), |v| {
+        analyzer.pass(events, &index, index.ids(), available_workers(), |v| {
             let sidecar = Sidecar {
                 est_time: v.est_time,
                 diagnosis: v.diagnosis,

@@ -20,45 +20,16 @@ use eventlog::{Event, EventKind, PacketId};
 use netsim::NodeId;
 use refill::trace::{CtpVocabulary, Reconstructor};
 use refill_stream::{run_stream, DriverConfig, StreamConfig, StreamReconstructor};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Counts every request for fresh or larger memory.
-struct Counting;
-
-static REQUESTS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no memory the
-// allocator hands out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: netsim::alloc::Counting = netsim::alloc::Counting;
 
 /// Requests made while `f` runs, on any thread.
 fn requests_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = REQUESTS.load(Ordering::Relaxed);
+    let before = netsim::alloc::requests();
     let out = f();
-    (out, REQUESTS.load(Ordering::Relaxed) - before)
+    (out, netsim::alloc::requests() - before)
 }
 
 fn record(node: u16, kind: EventKind, packet: PacketId) -> NodeRecord {

@@ -20,47 +20,16 @@ use refill::telemetry::{AtomicRecorder, Counter, Hist, Recorder, Stage, Telemetr
 use refill::{CtpVocabulary, EngineId, NetWarning, PacketReport, Reconstructor, StateId};
 use refill_store::{Manifest, ReportRow, SegmentMeta, SegmentStats, Sidecar};
 use refill_testkit::{garbage_run, truncate_tail, xor_burst};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Debug;
 
-/// Adds up, per thread, the bytes of every allocation and reallocation.
-struct Metering;
-
-thread_local! {
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(bytes: usize) {
-    // A thread being torn down has no counter left; nothing measures there.
-    let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
-// thread-local `Cell` without a destructor, so touching it neither allocates
-// nor reads memory the allocator hands out.
-unsafe impl GlobalAlloc for Metering {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Metering = Metering;
+static GLOBAL: netsim::alloc::Counting = netsim::alloc::Counting;
+
+/// What `f` returned and the bytes it requested on this thread.
+fn bytes_requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let (out, requests) = netsim::alloc::requested_by(f);
+    (out, requests.bytes)
+}
 
 /// Table II Case 2 and a second packet with an event no machine accepts:
 /// inferred entries, an omitted event, engines, paths — every vector of a
@@ -339,9 +308,7 @@ fn budget(len: usize) -> usize {
 /// fails the test with the offending input.
 fn parse_and_decode(bytes: &[u8]) {
     let outcome = std::panic::catch_unwind(|| {
-        REQUESTED.with(|r| r.set(0));
-        let parsed = parse(bytes);
-        let spent = REQUESTED.with(Cell::get);
+        let (parsed, spent) = bytes_requested_by(|| parse(bytes));
         assert!(
             spent <= budget(bytes.len()),
             "{spent} bytes requested for {} of input",
@@ -415,9 +382,8 @@ fn mangled_documents_never_panic_and_cost_at_most_their_size() {
 fn hostile_shapes_are_refused_in_bounded_space() {
     for open in ["[", "{\"k\":", "[{\"k\":"] {
         let deep = open.repeat(10_000);
-        REQUESTED.with(|r| r.set(0));
-        let err = parse(deep.as_bytes()).unwrap_err();
-        let spent = REQUESTED.with(Cell::get);
+        let (parsed, spent) = bytes_requested_by(|| parse(deep.as_bytes()));
+        let err = parsed.unwrap_err();
         assert_eq!(err.kind, JsonErrorKind::TooDeep, "{open}");
         assert!(
             spent <= budget(deep.len()),
@@ -434,9 +400,8 @@ fn hostile_shapes_are_refused_in_bounded_space() {
             ('[', ']')
         };
         let doc = format!("{open}{}{close}", body.trim_end_matches(','));
-        REQUESTED.with(|r| r.set(0));
-        assert!(parse(doc.as_bytes()).is_ok(), "{unit}");
-        let spent = REQUESTED.with(Cell::get);
+        let (parsed, spent) = bytes_requested_by(|| parse(doc.as_bytes()));
+        assert!(parsed.is_ok(), "{unit}");
         assert!(
             spent <= budget(doc.len()),
             "{spent} bytes for {} of input ({unit})",
