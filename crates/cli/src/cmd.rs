@@ -47,7 +47,7 @@ USAGE:
   refill profile  [--logs DIR_OR_FILE] [--sink N] [--seed N] [--workers N]
                   [--format table|json] [--telemetry FILE]
   refill report   [--scale small|standard|paper] [--seed N]
-  refill stream   [--frames FILE|-] [--sink N] [--seed N] [--lane-capacity N]
+  refill stream   [--frames FILE|-] [--sink N] [--seed N]
                   [--late-records N] [--late-us N] [--metrics-every N]
                   [--store DIR] [--quiet] [--telemetry FILE]
   refill store    --out DIR [--scale small|standard|paper] [--seed N]
@@ -483,6 +483,14 @@ mod tests {
         assert!(stream_cmd_inner(&args(&["--late-records", "banana"])).is_err());
         assert!(stream_cmd_inner(&args(&["--frames", "/definitely/not/here"])).is_err());
         assert!(stream_cmd_inner(&args(&["--metrics-every", "soon"])).is_err());
+    }
+
+    #[test]
+    fn stream_has_no_lane_size_to_set() {
+        // No report depends on the lanes, so there is nothing to tune.
+        let removed = "--lane-capacity";
+        let err = stream_cmd_inner(&args(&[removed, "8"])).unwrap_err();
+        assert_eq!(err, format!("unknown flag {removed} for 'refill stream'"));
     }
 
     #[test]
@@ -949,7 +957,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "kernel finding, ROADMAP item 3: reports depend on the cross-node interleave, so the stream legs (arrival order) diverge from batch (merge order) on untimestamped or duplicated entries; every other lane of these cases converges"]
     fn soak_converges_and_echoes_replayable_seeds() {
         let out = soak_cmd_inner(&args(&["--seed", "7", "--cases", "3", "--faults", "light"]))
             .unwrap();

@@ -17,7 +17,6 @@ pub(super) const FLAGS: FlagSpec = FlagSpec {
         "frames",
         "sink",
         "seed",
-        "lane-capacity",
         "late-records",
         "late-us",
         "metrics-every",
@@ -37,9 +36,9 @@ pub fn stream(args: &[String]) -> Result<(), String> {
 /// `refill stream`, returning the printed output (testable).
 pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
     use refill_store::{OsVfs, SegmentStore, StoreCheckpoint};
+    use eventlog::watermark::Lateness;
     use refill_stream::{
-        run_stream_observed, DriverConfig, MetricsCadence, StreamConfig, StreamObserver,
-        StreamReconstructor,
+        run_stream_observed, DriverConfig, MetricsCadence, StreamObserver, StreamReconstructor,
     };
 
     let flags = Flags::parse(args, &FLAGS)?;
@@ -59,17 +58,14 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
         recon = recon.with_sink(sink);
     }
 
-    let mut config = StreamConfig::default();
-    if let Some(v) = flags.get("lane-capacity") {
-        config.lane_capacity = v.parse().map_err(|_| "bad lane capacity")?;
-    }
+    let mut lateness = Lateness::default();
     if let Some(v) = flags.get("late-records") {
-        config.lateness.records = v.parse().map_err(|_| "bad lateness record quota")?;
+        lateness.records = v.parse().map_err(|_| "bad lateness record quota")?;
     }
     if let Some(v) = flags.get("late-us") {
-        config.lateness.micros = v.parse().map_err(|_| "bad lateness microseconds")?;
+        lateness.micros = v.parse().map_err(|_| "bad lateness microseconds")?;
     }
-    let mut stream = StreamReconstructor::with_config(recon, config);
+    let mut stream = StreamReconstructor::with_lateness(recon, lateness);
 
     let quiet = flags.has("quiet");
     // Two independent sinks write interleaved output (rolling reports and

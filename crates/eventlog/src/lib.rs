@@ -35,7 +35,7 @@ pub use frame::{FrameDecoder, FrameStats, NodeRecord};
 pub use logger::{LocalLog, LogEntry, LoggerConfig, NodeLogger};
 pub use merge::{
     merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, merge_packed_runs,
-    MergedLog, PacketIndex,
+    packet_order, MergedLog, PacketIndex,
 };
 pub use watermark::{Lateness, Mark, WatermarkTracker};
 

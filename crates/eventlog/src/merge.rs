@@ -48,6 +48,7 @@
 use crate::columnar::{EventStore, PackedEvent, TS_NONE};
 use crate::event::{Event, PacketId};
 use crate::logger::{LocalLog, LogEntry};
+use crate::watermark::Mark;
 use netsim::fx::FxHashMap;
 use netsim::NodeId;
 
@@ -307,6 +308,19 @@ impl DenseIds {
         }
         offsets.push(next as usize);
         (ids, offsets)
+    }
+}
+
+/// Where an entry of `node`'s log sits in [`merge_logs`]'s order, given the
+/// [`Mark`] (running-max timestamp, position) a `WatermarkTracker` fed that
+/// log gave it. For logs of distinct nodes in node order, a packet's group
+/// of the merge is its entries sorted by this key: by time, node, position
+/// when every entry has a timestamp (`timestamped`), else round-robin.
+pub fn packet_order(mark: Mark, node: NodeId, timestamped: bool) -> (u64, NodeId, u64) {
+    if timestamped {
+        (mark.ts_us, node, mark.records)
+    } else {
+        (mark.records, node, 0)
     }
 }
 

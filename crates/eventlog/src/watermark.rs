@@ -81,16 +81,6 @@ impl WatermarkTracker {
         self.marks.get(&node).copied().unwrap_or_default()
     }
 
-    /// Number of nodes observed.
-    pub fn len(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// True before any record was observed.
-    pub fn is_empty(&self) -> bool {
-        self.marks.is_empty()
-    }
-
     /// Has `node` moved far enough past `since` (its mark at some earlier
     /// observation) to consider that point passed?
     pub fn passed(&self, node: NodeId, since: Mark, lateness: Lateness) -> bool {
@@ -115,7 +105,6 @@ mod tests {
     #[test]
     fn marks_start_at_zero() {
         let t = WatermarkTracker::new();
-        assert!(t.is_empty());
         assert_eq!(t.mark(n(1)), Mark::default());
     }
 
@@ -126,7 +115,8 @@ mod tests {
         t.advance(n(1), Some(50)); // a delayed reading must not regress
         let m = t.advance(n(1), None);
         assert_eq!(m, Mark { ts_us: 100, records: 3 });
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.mark(n(1)), m);
+        assert_eq!(t.mark(n(2)), Mark::default());
     }
 
     #[test]

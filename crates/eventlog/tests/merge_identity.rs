@@ -5,6 +5,9 @@
 //!   `(ts, node, input index)` (or the all-K round-robin when a timestamp
 //!   is missing) over seeded soups of every fan-in and key shape the engine
 //!   distinguishes;
+//! * for logs of distinct nodes in node order, each packet's group of the
+//!   merge is that packet's entries sorted by `packet_order` — the order a
+//!   stream keeps its windows in;
 //! * a 64-bit digest over the merged bytes and the grouped bytes of a fixed
 //!   set of soups, frozen on the commit before the merge cached its keys and
 //!   the index stopped sorting;
@@ -14,9 +17,9 @@
 //!   scratch buffer).
 
 use eventlog::{
-    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, ColumnarIndex, Event,
-    EventKind, EventStore, LocalLog, LogEntry, MergedLog, PackedEvent, PacketId, PacketIndex,
-    ScratchArena,
+    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, packet_order,
+    ColumnarIndex, Event, EventKind, EventStore, LocalLog, LogEntry, MergedLog, PackedEvent,
+    PacketId, PacketIndex, ScratchArena, WatermarkTracker,
 };
 use netsim::NodeId;
 
@@ -410,6 +413,89 @@ fn sixty_five_thousand_one_entry_runs() {
     assert_eq!(merge_logs_kway(&logs).events, expected);
     assert_eq!(merge_logs_partitioned(&logs, 3).events, expected);
     assert_eq!(merge_logs_store(&logs).to_events(), expected);
+}
+
+// --- one packet's share of the merge -------------------------------------
+
+/// `shape`'s soup as logs of distinct nodes in node order — the shape every
+/// regrouping of a record stream builds — with the packet ids folded onto
+/// a few dozen, so that a packet's events span logs.
+fn node_sorted_soup(rng: &mut SplitMix64, shape: Shape) -> Vec<LocalLog> {
+    let mut logs = soup(rng, shape);
+    for (i, log) in logs.iter_mut().enumerate() {
+        log.node = NodeId(3 * i as u16 + 1);
+        for e in &mut log.entries {
+            let packet = PacketId::new(NodeId(e.event.packet.origin.0 % 4), e.event.packet.seqno % 13);
+            e.event = Event::new(log.node, e.event.kind, packet);
+        }
+    }
+    logs
+}
+
+/// Every packet's events sorted by `packet_order`, each entry keyed by the
+/// mark a `WatermarkTracker` fed its log gave it: the grouping the merge
+/// should produce, built without merging.
+fn groups_by_packet_order(logs: &[LocalLog]) -> Vec<(PacketId, Vec<Event>)> {
+    let stamped = timestamped(logs);
+    let mut tracker = WatermarkTracker::new();
+    let mut keyed: Vec<_> = logs
+        .iter()
+        .flat_map(|log| log.entries.iter().map(move |e| (log.node, e)))
+        .map(|(node, e)| {
+            let mark = tracker.advance(node, e.local_ts);
+            (e.event.packet, packet_order(mark, node, stamped), e.event)
+        })
+        .collect();
+    keyed.sort_by_key(|&(packet, key, _)| (packet, key));
+    let mut groups: Vec<(PacketId, Vec<Event>)> = Vec::new();
+    for (packet, _, event) in keyed {
+        match groups.last_mut() {
+            Some((id, events)) if *id == packet => events.push(event),
+            _ => groups.push((packet, vec![event])),
+        }
+    }
+    groups
+}
+
+#[test]
+fn a_packets_group_is_its_entries_in_packet_order() {
+    let mut rng = SplitMix64(0x6d65_7267_653b);
+    for logs in [1usize, 2, 7, 300] {
+        let max_len = if logs >= 300 { 6 } else { 60 };
+        // All timestamped, with clocks stepping back and with ties within
+        // and across nodes; none; and mixed, where one missing timestamp
+        // puts the whole merge on the round-robin path.
+        for (untimed, sorted, ts_span) in [
+            (0, true, 1 << 20),
+            (0, false, 64),
+            (0, true, 1),
+            (0, true, 3),
+            (100, true, 8),
+            (30, true, 8),
+            (30, false, 8),
+        ] {
+            let shape = Shape {
+                logs,
+                max_len,
+                nodes: 1,
+                ts_base: 0,
+                ts_span,
+                sorted,
+                untimed,
+            };
+            let soup = node_sorted_soup(&mut rng, shape);
+            let grouped: Vec<(PacketId, Vec<Event>)> = merge_logs(&soup)
+                .packet_index()
+                .iter()
+                .map(|(id, events)| (id, events.to_vec()))
+                .collect();
+            assert_eq!(
+                grouped,
+                groups_by_packet_order(&soup),
+                "K = {logs}, {untimed} % untimed, sorted {sorted}, span {ts_span}"
+            );
+        }
+    }
 }
 
 // --- frozen digest -------------------------------------------------------

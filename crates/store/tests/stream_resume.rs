@@ -13,8 +13,7 @@ use netsim::NodeId;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_store::{SegmentStore, StoreCheckpoint};
 use refill_stream::{
-    run_stream, run_stream_observed, DriverConfig, StreamConfig, StreamObserver,
-    StreamReconstructor,
+    run_stream, run_stream_observed, DriverConfig, StreamObserver, StreamReconstructor,
 };
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -51,13 +50,10 @@ fn recon() -> Reconstructor {
     Reconstructor::new(CtpVocabulary::table2())
 }
 
-fn stream_config() -> StreamConfig {
-    StreamConfig {
-        lane_capacity: 4,
-        lateness: Lateness {
-            records: 2,
-            micros: 20_000,
-        },
+fn lateness() -> Lateness {
+    Lateness {
+        records: 2,
+        micros: 20_000,
     }
 }
 
@@ -143,14 +139,14 @@ fn checkpointed_run_matches_plain_run_and_store_holds_everything() {
     let (logs, records) = day_records(8);
     let bytes = encode_records(records.iter());
 
-    let mut plain = StreamReconstructor::with_config(recon(), stream_config());
+    let mut plain = StreamReconstructor::with_lateness(recon(), lateness());
     let plain_summary =
         run_stream(Cursor::new(&bytes), &mut plain, driver_config(), |_| {}).unwrap();
 
     let tmp = TempDir::new();
     let (store, _) = SegmentStore::open(&tmp.0).unwrap();
     let mut ckpt = StoreCheckpoint::new(store);
-    let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+    let mut stream = StreamReconstructor::with_lateness(recon(), lateness());
     let summary = run_stream_observed(
         Cursor::new(&bytes),
         &mut stream,
@@ -205,11 +201,12 @@ fn killed_run_resumes_byte_identical() {
         {
             let (store, _) = SegmentStore::open(&tmp.0).unwrap();
             let mut ckpt = StoreCheckpoint::new(store);
-            let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+            let mut stream = StreamReconstructor::with_lateness(recon(), lateness());
             for (i, rec) in records[..k].iter().enumerate() {
                 stream.ingest(*rec);
                 ckpt.on_record(rec).unwrap();
                 if (i + 1) % cadence == 0 {
+                    stream.pump();
                     let mut emitted = 0;
                     stream.poll_with(|report| {
                         emitted += 1;
@@ -230,7 +227,7 @@ fn killed_run_resumes_byte_identical() {
         let mut ckpt = StoreCheckpoint::new(store);
         let durable = ckpt.store().total_events();
         assert!(durable <= k as u64, "store cannot hold unabsorbed records");
-        let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness());
         for rec in ckpt.resume_records().unwrap() {
             stream.ingest(rec);
         }
@@ -281,11 +278,12 @@ fn store_checkpoint_and_metrics_cadence_compose() {
     {
         let (store, _) = SegmentStore::open(&tmp.0).unwrap();
         let mut ckpt = StoreCheckpoint::new(store);
-        let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness());
         for (i, rec) in records[..records.len() / 2].iter().enumerate() {
             stream.ingest(*rec);
             ckpt.on_record(rec).unwrap();
             if (i + 1) % 3 == 0 {
+                stream.pump();
                 let mut emitted = 0;
                 stream.poll_with(|report| {
                     emitted += 1;
@@ -306,7 +304,7 @@ fn store_checkpoint_and_metrics_cadence_compose() {
     let mut ckpt = StoreCheckpoint::new(store);
     assert!(ckpt.skip_records() > 0, "the kill left a durable prefix");
     let mut stream =
-        StreamReconstructor::with_config(recon().with_recorder(shared), stream_config());
+        StreamReconstructor::with_lateness(recon().with_recorder(shared), lateness());
     for rec in ckpt.resume_records().unwrap() {
         stream.ingest(rec);
     }

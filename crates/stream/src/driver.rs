@@ -56,7 +56,8 @@ pub struct StreamSummary {
     /// the rolling output a live consumer would have seen.
     pub rolling_reports: u64,
     /// The full converged report set after the final flush, in packet-id
-    /// order — identical to batch reconstruction of every decoded record.
+    /// order: `reconstruct_log(merge_logs(..))` over the decoded records
+    /// regrouped into per-node logs in node order.
     pub reports: Vec<PacketReport>,
 }
 
@@ -300,7 +301,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reconstructor::StreamConfig;
     use eventlog::frame::encode_records;
     use eventlog::logger::{LocalLog, LogEntry};
     use eventlog::merge::merge_logs;
@@ -357,16 +357,15 @@ mod tests {
 
     #[test]
     fn driver_converges_to_batch_over_clean_frames() {
-        let recs = records(20);
+        // More records per node than a lane holds, so windows are absorbed
+        // and closed before the final flush.
+        let recs = records(300);
         let bytes = encode_records(recs.iter());
-        let mut stream = StreamReconstructor::with_config(
+        let mut stream = StreamReconstructor::with_lateness(
             recon(),
-            StreamConfig {
-                lane_capacity: 8,
-                lateness: Lateness {
-                    records: 2,
-                    micros: u64::MAX,
-                },
+            Lateness {
+                records: 2,
+                micros: u64::MAX,
             },
         );
         let config = DriverConfig {
@@ -377,8 +376,8 @@ mod tests {
         let mut rolling = 0u64;
         let summary =
             run_stream(Cursor::new(&bytes), &mut stream, config, |_| rolling += 1).unwrap();
-        assert_eq!(summary.frames, FrameStats { decoded: 40, corrupt: 0 });
-        assert_eq!(summary.stats.records, 40);
+        assert_eq!(summary.frames, FrameStats { decoded: 600, corrupt: 0 });
+        assert_eq!(summary.stats.records, 600);
         assert_eq!(summary.rolling_reports, rolling);
         assert!(rolling > 0, "aggressive lateness must emit mid-stream");
 

@@ -7,14 +7,15 @@
 //!    records travel as versioned, length-prefixed, CRC-checked frames; a
 //!    resynchronizing decoder survives garbage, bit rot and mid-stream
 //!    joins, counting each maximal corrupt run once.
-//! 2. **[`StreamReconstructor`]**: bounded per-node lanes (a full lane
-//!    refuses records — that refusal is the backpressure signal), per-node
-//!    low-watermarks over the nodes' *own* clocks, packet windows that
-//!    close when every contributing node has moved past its last
-//!    contribution, and convergent late handling: a record for a closed
-//!    window reopens it, so the final reports always equal the batch
-//!    answer over everything ingested (one record per packet, one
-//!    reconstruction per close; `finish()` is re-enterable).
+//! 2. **[`StreamReconstructor`]**: per-node lanes that batch absorption
+//!    (a full lane stalls and pumps them all), per-node low-watermarks over
+//!    the nodes' *own* clocks, and packet windows that close when every
+//!    contributing node has moved past its last contribution. A window
+//!    keeps its events in the merge's order (`eventlog::packet_order`) and
+//!    a record for a closed window reopens it, so every close is the batch
+//!    answer over what was absorbed and `finish()` is the batch answer over
+//!    everything ingested, however it was interleaved (one record per
+//!    packet, one reconstruction per close; `finish()` is re-enterable).
 //! 3. **The driver**: [`run_stream`] pairs an ingest worker (decode) with
 //!    the reconstruction loop over a bounded `std::sync::mpsc` channel;
 //!    [`run_stream_observed`] is the same loop with [`StreamObserver`]s
@@ -31,4 +32,4 @@ pub mod reconstructor;
 pub use driver::{
     run_stream, run_stream_observed, DriverConfig, MetricsCadence, StreamObserver, StreamSummary,
 };
-pub use reconstructor::{StreamConfig, StreamReconstructor, StreamStats};
+pub use reconstructor::{StreamReconstructor, StreamStats};

@@ -1,10 +1,9 @@
-//! The streaming core: bounded per-node lanes, watermark windowing, and
-//! convergent late handling over one record per packet.
+//! The streaming core: per-node lanes, watermark windowing, and convergent
+//! late handling over one record per packet.
 //!
-//! Records enter through [`StreamReconstructor::offer`] (refused — not
-//! dropped — when the node's lane is full: that refusal *is* the
-//! backpressure signal), move into the reconstruction state on
-//! [`StreamReconstructor::pump`], and come out as [`PacketReport`]s when
+//! Records enter their node's lane through [`StreamReconstructor::ingest`],
+//! move into the reconstruction state on [`StreamReconstructor::pump`] (or
+//! when a full lane stalls), and come out as [`PacketReport`]s when
 //! [`StreamReconstructor::poll`] decides their windows have closed.
 //!
 //! ## Windowing
@@ -16,10 +15,15 @@
 //! enough past that node's last contribution ([`Lateness`]: a record quota
 //! or a local-time bound, whichever passes first). Watermarks are purely a
 //! latency heuristic — a record arriving after its window closed *reopens*
-//! the window (counted as a late reopen) and the packet is re-reconstructed,
-//! so after [`StreamReconstructor::finish`] the reports are identical to a
-//! batch reconstruction of everything ingested, however the stream was
-//! interleaved or chunked.
+//! the window and the packet is re-reconstructed.
+//!
+//! A window keeps its events in [`packet_order`], the order `merge_logs`
+//! gives them once the records are regrouped into per-node logs in node
+//! order; the first record without a timestamp switches every window to the
+//! round-robin order, as it switches the merge, and reopens every closed
+//! one. So, however the stream is interleaved, a close is the batch answer
+//! over what was absorbed and [`StreamReconstructor::finish`] the batch
+//! answer over everything ingested.
 //!
 //! All per-packet state lives once, in one [`PacketState`]; a window is
 //! reconstructed exactly once each time it closes (open → closed → reopened
@@ -29,15 +33,14 @@
 //!
 //! ## What one close costs
 //!
-//! One kernel call and nothing else. A window's events are kept as the
-//! `Event`s they arrived as and handed to the kernel as the slice they are;
-//! a re-closing window's previous report goes back to the kernel first
-//! ([`Reconstructor::recycle`]), so its successor is built in the same
+//! One kernel call, over the window's events gathered into a per-worker
+//! buffer. A re-closing window's previous report goes back to the kernel
+//! first ([`Reconstructor::recycle`]), so its successor is built in the same
 //! vectors; and [`StreamReconstructor::poll_with`] lends each new report to
-//! the caller where it lies. Only [`StreamReconstructor::poll`] and
-//! [`StreamReconstructor::finish`], which hand out reports to keep, clone.
+//! the caller where it lies. Only `poll` and `finish` clone.
 
 use eventlog::frame::NodeRecord;
+use eventlog::merge::packet_order;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
 use eventlog::{Event, PacketId};
 use netsim::fx::FxHashMap;
@@ -48,25 +51,9 @@ use refill::{PacketReport, Reconstructor};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// Tunables for the streaming core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Per-node ingest queue bound; a full lane refuses offers until the
-    /// caller pumps. Treated as at least 1.
-    pub lane_capacity: usize,
-    /// How far a contributing node must advance past its last contribution
-    /// before a window stops waiting for it.
-    pub lateness: Lateness,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            lane_capacity: 256,
-            lateness: Lateness::default(),
-        }
-    }
-}
+/// Records a lane holds before the next one for its node pumps every lane.
+/// It decides only how many records a sweep finds absorbed, never a report.
+const LANE_CAPACITY: usize = 256;
 
 /// Rolling totals, independent of whether a telemetry recorder is attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,21 +62,28 @@ pub struct StreamStats {
     pub records: u64,
     /// Windows closed (a reopened window counts again when it re-closes).
     pub windows_closed: u64,
-    /// Windows reopened by evidence that arrived after they closed.
+    /// Windows reopened: one by one by records that arrived after they
+    /// closed, all at once by the first record without a timestamp.
     pub windows_reopened: u64,
-    /// Records that arrived for an already-closed window.
-    pub late_events: u64,
-    /// Offers refused because the node's lane was full.
+    /// Records that found their node's lane full and pumped every lane.
     pub backpressure: u64,
+}
+
+/// One absorbed record as its window keeps it: the event, and the lane and
+/// mark that place it in [`packet_order`].
+struct Evidence {
+    event: Event,
+    node: NodeId,
+    mark: Mark,
 }
 
 /// Everything the online path keeps about one packet.
 struct PacketState {
     id: PacketId,
-    /// Events in absorb order (per node: recording order) — what the kernel
-    /// is handed at every close. The length doubles as the window's event
-    /// count.
-    events: Vec<Event>,
+    /// The window's evidence in [`packet_order`] — its events are what the
+    /// kernel is handed at every close. The length doubles as the window's
+    /// event count.
+    events: Vec<Evidence>,
     /// Each contributing node's mark at its *last* contribution; the close
     /// rule compares only a node's own marks, never across nodes. A handful
     /// per packet, so a linear search beats a map.
@@ -97,25 +91,22 @@ struct PacketState {
     closed: bool,
 }
 
-/// What [`StreamReconstructor::packed_event_bytes`] reports per event: an
-/// [`Event`] is no bigger than `eventlog`'s packed record, so keeping windows
-/// as `Event`s costs no memory and spares every close an unpacking pass.
-const _: () = assert!(std::mem::size_of::<Event>() == 16);
-
 /// Fewer closing windows than this are reconstructed on the calling thread:
 /// forking workers for a handful costs more than the reconstructions.
 const PAR_MIN_WINDOWS: usize = 8;
 
 /// Online reconstruction over a stream of per-node log records.
 pub struct StreamReconstructor {
-    config: StreamConfig,
+    lateness: Lateness,
     recorder: Arc<dyn Recorder>,
     recon: Reconstructor,
-    /// Bounded ingest queues, one per node; `BTreeMap` so pumping visits
-    /// lanes in a deterministic node order.
+    /// Ingest queues, one per node; `BTreeMap` so pumping visits lanes in a
+    /// deterministic node order.
     lanes: BTreeMap<NodeId, VecDeque<NodeRecord>>,
-    queued: usize,
     tracker: WatermarkTracker,
+    /// Every record absorbed so far had a timestamp: windows are in the
+    /// timestamped merge's order, not the round-robin one.
+    timestamped: bool,
     /// Where each packet's state sits in `packets`.
     slots: FxHashMap<PacketId, u32>,
     packets: Vec<PacketState>,
@@ -134,21 +125,21 @@ pub struct StreamReconstructor {
 }
 
 impl StreamReconstructor {
-    /// Wrap a configured batch [`Reconstructor`] with default stream
-    /// settings.
+    /// Wrap a configured batch [`Reconstructor`], closing windows at the
+    /// default [`Lateness`].
     pub fn new(recon: Reconstructor) -> Self {
-        StreamReconstructor::with_config(recon, StreamConfig::default())
+        StreamReconstructor::with_lateness(recon, Lateness::default())
     }
 
-    /// Wrap with explicit stream settings.
-    pub fn with_config(recon: Reconstructor, config: StreamConfig) -> Self {
+    /// Wrap, closing a window once every contributor is `lateness` past it.
+    pub fn with_lateness(recon: Reconstructor, lateness: Lateness) -> Self {
         StreamReconstructor {
-            config,
+            lateness,
             recorder: Arc::clone(recon.recorder()),
             recon,
             lanes: BTreeMap::new(),
-            queued: 0,
             tracker: WatermarkTracker::new(),
+            timestamped: true,
             slots: FxHashMap::default(),
             packets: Vec::new(),
             open: Vec::new(),
@@ -168,46 +159,28 @@ impl StreamReconstructor {
         self.stats
     }
 
-    /// Records sitting in lanes, not yet pumped.
-    pub fn queued(&self) -> usize {
-        self.queued
-    }
-
     /// Windows currently open.
     pub fn open_windows(&self) -> usize {
         self.open.len()
     }
 
-    /// Try to enqueue one record. `false` means the node's lane is full —
-    /// the backpressure signal; the record was **not** taken, call
-    /// [`StreamReconstructor::pump`] and offer it again (or use
-    /// [`StreamReconstructor::ingest`]).
-    pub fn offer(&mut self, rec: NodeRecord) -> bool {
-        let cap = self.config.lane_capacity.max(1);
-        let lane = self.lanes.entry(rec.node).or_default();
-        if lane.len() >= cap {
-            self.stats.backpressure += 1;
-            self.recorder.add(Counter::StreamBackpressure, 1);
-            return false;
-        }
-        lane.push_back(rec);
-        self.queued += 1;
-        true
-    }
-
-    /// Enqueue one record, pumping first if its lane is full. Never drops.
+    /// Enqueue one record on its node's lane. A full lane is a backpressure
+    /// stall: every lane is pumped first, so no record is ever dropped.
     pub fn ingest(&mut self, rec: NodeRecord) {
-        if !self.offer(rec) {
-            self.pump();
-            let taken = self.offer(rec);
-            debug_assert!(taken, "a freshly pumped lane has room");
+        let lane = self.lanes.entry(rec.node).or_default();
+        if lane.len() < LANE_CAPACITY {
+            lane.push_back(rec);
+            return;
         }
+        self.stats.backpressure += 1;
+        self.recorder.add(Counter::StreamBackpressure, 1);
+        self.pump();
+        self.lanes.entry(rec.node).or_default().push_back(rec);
     }
 
     /// Drain every lane into the reconstruction state (lanes in node order,
-    /// each lane front to back, so per-node order is preserved). Returns
-    /// the number of records absorbed.
-    pub fn pump(&mut self) -> usize {
+    /// each lane front to back, so per-node order is preserved).
+    pub fn pump(&mut self) {
         // Out of `self` while `absorb` borrows the rest; no record is copied
         // anywhere but into its packet's state.
         let mut lanes = std::mem::take(&mut self.lanes);
@@ -217,16 +190,19 @@ impl StreamReconstructor {
             }
         }
         self.lanes = lanes;
-        std::mem::take(&mut self.queued)
     }
 
-    /// Absorb one record: advance its node's watermark and grow (or open,
-    /// or reopen) its packet's window.
+    /// Absorb one record: advance its node's watermark and insert it into
+    /// its packet's window (opening or reopening it) at its place in
+    /// [`packet_order`].
     fn absorb(&mut self, rec: NodeRecord) {
         self.absorbed_since_sweep = true;
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
         let mark = self.tracker.advance(rec.node, rec.entry.local_ts);
+        if self.timestamped && rec.entry.local_ts.is_none() {
+            self.lose_timestamps();
+        }
         let id = rec.entry.event.packet;
         let (packets, open) = (&mut self.packets, &mut self.open);
         let slot = *self.slots.entry(id).or_insert_with(|| {
@@ -244,14 +220,34 @@ impl StreamReconstructor {
             packet.closed = false;
             open.push(slot);
             self.stats.windows_reopened += 1;
-            self.stats.late_events += 1;
             self.recorder.add(Counter::WindowsReopened, 1);
         }
         match packet.contributors.iter_mut().find(|(node, _)| *node == rec.node) {
             Some((_, since)) => *since = mark,
             None => packet.contributors.push((rec.node, mark)),
         }
-        packet.events.push(rec.entry.event);
+        // From the back: records mostly arrive in their merged order.
+        let (stamped, events) = (self.timestamped, &mut packet.events);
+        let key = packet_order(mark, rec.node, stamped);
+        let at = events.iter().rposition(|e| packet_order(e.mark, e.node, stamped) < key);
+        let evidence = Evidence { event: rec.entry.event, node: rec.node, mark };
+        events.insert(at.map_or(0, |before| before + 1), evidence);
+    }
+
+    /// The first record without a timestamp: from now on the merge of
+    /// everything ingested is the round-robin one, so every window takes
+    /// that order and every closed window reopens to be redone in it.
+    fn lose_timestamps(&mut self) {
+        self.timestamped = false;
+        for (slot, packet) in self.packets.iter_mut().enumerate() {
+            packet.events.sort_unstable_by_key(|e| packet_order(e.mark, e.node, false));
+            if packet.closed {
+                packet.closed = false;
+                self.open.push(slot as u32);
+                self.stats.windows_reopened += 1;
+                self.recorder.add(Counter::WindowsReopened, 1);
+            }
+        }
     }
 
     /// Sweep the open windows, close the ones every contributor has moved
@@ -287,28 +283,32 @@ impl StreamReconstructor {
     /// Close the open windows every contributor has moved past — with `all`,
     /// every open window — and reconstruct each of them exactly once, in
     /// packet-id order: in parallel when there are enough to pay for the
-    /// workers, each straight from the window's events and into the vectors
-    /// of the window's previous report when it has one. The new reports
-    /// replace the old in `reports` and are lent to `emit` in that order.
+    /// workers, each into the vectors of the window's previous report when it
+    /// has one. The new reports replace the old in `reports` and are lent to
+    /// `emit` in that order.
     fn sweep(&mut self, all: bool, mut emit: impl FnMut(&PacketReport)) {
         let recorder = Arc::clone(&self.recorder);
         let span = StageTimer::start(&*recorder, Stage::Window);
         self.absorbed_since_sweep = false;
-        let lateness = self.config.lateness;
-        let (tracker, packets) = (&self.tracker, &mut self.packets);
-        let mut closing: Vec<u32> = Vec::new();
+        let lateness = self.lateness;
+        let (tracker, packets, reports) = (&self.tracker, &mut self.packets, &mut self.reports);
+        // Each closing window with its previous report, which leaves the map
+        // (its entry stays) for whichever worker rebuilds it; the lock is
+        // that hand-over, taken once and never contended.
+        let mut closing: Vec<(u32, Mutex<Option<PacketReport>>)> = Vec::new();
         self.open.retain(|&slot| {
             let packet = &mut packets[slot as usize];
             let passed = |&(node, since): &(NodeId, Mark)| tracker.passed(node, since, lateness);
             packet.closed = all || packet.contributors.iter().all(passed);
             if packet.closed {
-                closing.push(slot);
+                let previous = reports.entry(packet.id).or_default().take();
+                closing.push((slot, Mutex::new(previous)));
             }
             !packet.closed
         });
-        closing.sort_unstable_by_key(|&slot| packets[slot as usize].id);
-        for &slot in &closing {
-            recorder.observe(Hist::WindowEvents, packets[slot as usize].events.len() as u64);
+        closing.sort_unstable_by_key(|(slot, _)| packets[*slot as usize].id);
+        for (slot, _) in &closing {
+            recorder.observe(Hist::WindowEvents, packets[*slot as usize].events.len() as u64);
         }
         self.stats.windows_closed += closing.len() as u64;
         recorder.add(Counter::WindowsClosed, closing.len() as u64);
@@ -320,28 +320,24 @@ impl StreamReconstructor {
         } else {
             available_workers()
         };
-        // Each closing window's previous report leaves the map (its entry
-        // stays) for whichever worker rebuilds it; the lock is that
-        // hand-over, taken once and never contended.
-        let (recon, packets, reports) = (&self.recon, &self.packets, &mut self.reports);
-        let previous: Vec<Mutex<Option<PacketReport>>> = closing
-            .iter()
-            .map(|&slot| Mutex::new(reports.entry(packets[slot as usize].id).or_default().take()))
-            .collect();
+        let (recon, packets) = (&self.recon, &self.packets);
         let rebuilt = par_map(
             closing.len(),
             workers,
-            || (),
-            |_, i| {
-                let packet = &packets[closing[i] as usize];
-                let previous = previous[i]
+            Vec::<Event>::new,
+            |events, i| {
+                let (slot, previous) = &closing[i];
+                let packet = &packets[*slot as usize];
+                let previous = previous
                     .lock()
                     .expect("a worker takes the report and lets go at once")
                     .take();
                 if let Some(previous) = previous {
                     recon.recycle(previous);
                 }
-                recon.reconstruct_packet(packet.id, &packet.events)
+                events.clear();
+                events.extend(packet.events.iter().map(|e| e.event));
+                recon.reconstruct_packet(packet.id, events)
             },
         );
         for report in rebuilt {
@@ -357,14 +353,13 @@ impl StreamReconstructor {
         self.reports.get(&id)?.as_ref()
     }
 
-    /// Heap bytes held by the per-packet event state — the memory a
-    /// long-running stream actually retains between polls (16 bytes per
-    /// event, an [`Event`] being as small as its packed form, plus
-    /// unamortized vector capacity).
+    /// Heap bytes held by the per-packet evidence — the memory a
+    /// long-running stream actually retains between polls (an event with
+    /// its lane and mark per record, plus unamortized vector capacity).
     pub fn packed_event_bytes(&self) -> usize {
         self.packets
             .iter()
-            .map(|p| p.events.capacity() * std::mem::size_of::<Event>())
+            .map(|p| p.events.capacity() * std::mem::size_of::<Evidence>())
             .sum()
     }
 
@@ -401,6 +396,17 @@ mod tests {
         Reconstructor::new(CtpVocabulary::table2())
     }
 
+    /// A window closes once each contributor delivers one more record.
+    fn eager(recon: Reconstructor) -> StreamReconstructor {
+        StreamReconstructor::with_lateness(
+            recon,
+            Lateness {
+                records: 1,
+                micros: u64::MAX,
+            },
+        )
+    }
+
     /// Two-hop delivery records for packet (1, seq).
     fn hop_records(seq: u32, ts: Option<u64>) -> Vec<NodeRecord> {
         let p = PacketId::new(n(1), seq);
@@ -426,39 +432,30 @@ mod tests {
         assert_eq!(streamed, batch);
         assert_eq!(stream.stats().records, 16);
         assert_eq!(stream.open_windows(), 0);
-        // 16 events are resident at 16 bytes each.
-        assert!(stream.packed_event_bytes() >= 16 * 16);
+        // 16 records are resident, each an event with its lane and mark.
+        assert!(stream.packed_event_bytes() >= 16 * std::mem::size_of::<Evidence>());
     }
 
     #[test]
-    fn full_lane_refuses_offers_and_counts_backpressure() {
-        let config = StreamConfig {
-            lane_capacity: 2,
-            ..StreamConfig::default()
-        };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
-        let rs = hop_records(0, None);
-        assert!(stream.offer(rs[0]));
-        assert!(stream.offer(rs[0]));
-        assert!(!stream.offer(rs[0]), "third offer into a 2-lane must refuse");
+    fn a_full_lane_stalls_once_and_pumps_every_lane() {
+        let mut stream = StreamReconstructor::new(recon());
+        stream.ingest(hop_records(0, None)[1]);
+        for seq in 0..LANE_CAPACITY as u32 {
+            stream.ingest(hop_records(seq, None)[0]);
+        }
+        assert_eq!(stream.stats().backpressure, 0);
+        assert_eq!(stream.stats().records, 0, "lanes hold what they can");
+        // One record more than node 1's lane holds: both lanes drain first.
+        stream.ingest(hop_records(LANE_CAPACITY as u32, None)[0]);
         assert_eq!(stream.stats().backpressure, 1);
-        assert_eq!(stream.queued(), 2);
-        // ingest never drops: it pumps and retries.
-        stream.ingest(rs[0]);
-        assert_eq!(stream.queued(), 1);
-        assert_eq!(stream.stats().records, 2);
+        assert_eq!(stream.stats().records, LANE_CAPACITY as u64 + 1);
+        stream.finish();
+        assert_eq!(stream.stats().records, LANE_CAPACITY as u64 + 2);
     }
 
     #[test]
     fn windows_close_by_record_quota() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: 1,
-                micros: u64::MAX,
-            },
-        };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        let mut stream = eager(recon());
         let p0 = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p0, None));
         stream.pump();
@@ -477,14 +474,11 @@ mod tests {
 
     #[test]
     fn windows_close_by_local_time() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: u64::MAX,
-                micros: 1_000,
-            },
+        let lateness = Lateness {
+            records: u64::MAX,
+            micros: 1_000,
         };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         let p0 = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p0, Some(10_000)));
         stream.pump();
@@ -503,14 +497,7 @@ mod tests {
 
     #[test]
     fn late_arrivals_reopen_and_converge() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: 1,
-                micros: u64::MAX,
-            },
-        };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        let mut stream = eager(recon());
         let p = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
         // Push node 1 past p's window and close it early.
@@ -525,7 +512,6 @@ mod tests {
         stream.ingest(rec(2, EventKind::Recv { from: n(1) }, p, None));
         stream.pump();
         assert_eq!(stream.stats().windows_reopened, 1);
-        assert_eq!(stream.stats().late_events, 1);
         let final_reports = stream.finish();
         let got = final_reports.iter().find(|r| r.packet == p).unwrap();
         assert_eq!(got.flow.to_string(), "1-2 trans, 1-2 recv");
@@ -546,15 +532,66 @@ mod tests {
     }
 
     #[test]
-    fn untimestamped_windows_never_close_on_time() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: u64::MAX,
-                micros: 0,
+    fn a_window_keeps_the_merged_order_whatever_the_arrival_order() {
+        // Node 2 logs its recv at an earlier local time than node 1 its
+        // trans: the merge puts the recv first, and so must every window
+        // however the two records arrive.
+        let p = PacketId::new(n(1), 0);
+        let trans = rec(1, EventKind::Trans { to: n(2) }, p, Some(500));
+        let recv = rec(2, EventKind::Recv { from: n(1) }, p, Some(100));
+        let logs = vec![
+            LocalLog {
+                node: n(1),
+                entries: vec![trans.entry],
             },
+            LocalLog {
+                node: n(2),
+                entries: vec![recv.entry],
+            },
+        ];
+        let batch = recon().reconstruct_log(&merge_logs(&logs));
+        for arrival in [[trans, recv], [recv, trans]] {
+            let mut stream = StreamReconstructor::new(recon());
+            for r in arrival {
+                stream.ingest(r);
+                stream.pump();
+            }
+            assert_eq!(stream.finish(), batch);
+        }
+    }
+
+    #[test]
+    fn the_first_untimestamped_record_reorders_and_reopens_every_window() {
+        let mut stream = eager(recon());
+        let mut logs = vec![LocalLog::new(n(1)), LocalLog::new(n(2))];
+        let mut feed = |stream: &mut StreamReconstructor, r: NodeRecord| {
+            logs[usize::from(r.node.0) - 1].entries.push(r.entry);
+            stream.ingest(r);
+            stream.pump();
+            stream.poll();
         };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        for seq in 0..4 {
+            for r in hop_records(seq, Some(1_000 * u64::from(seq))) {
+                feed(&mut stream, r);
+            }
+        }
+        let closed = stream.stats().windows_closed;
+        assert_eq!(closed, 3, "every packet but the last one closed");
+        assert_eq!(stream.stats().windows_reopened, 0);
+        // One record of a new packet without a timestamp: the merge is now
+        // round-robin, and every closed window is redone in that order.
+        feed(&mut stream, rec(2, EventKind::Origin, PacketId::new(n(2), 0), None));
+        assert_eq!(stream.stats().windows_reopened, closed);
+        assert_eq!(stream.finish(), recon().reconstruct_log(&merge_logs(&logs)));
+    }
+
+    #[test]
+    fn untimestamped_windows_never_close_on_time() {
+        let lateness = Lateness {
+            records: u64::MAX,
+            micros: 0,
+        };
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 0), None));
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 1), None));
         stream.pump();
@@ -566,27 +603,24 @@ mod tests {
     fn telemetry_counters_cover_the_stream_path() {
         let recorder = Arc::new(AtomicRecorder::new());
         let shared: Arc<dyn Recorder> = recorder.clone();
-        let config = StreamConfig {
-            lane_capacity: 1,
-            lateness: Lateness {
-                records: 1,
-                micros: u64::MAX,
-            },
-        };
-        let mut stream =
-            StreamReconstructor::with_config(recon().with_recorder(shared), config);
+        let mut stream = eager(recon().with_recorder(shared));
         let p = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 1), None));
         stream.pump();
         stream.poll();
         stream.ingest(rec(2, EventKind::Recv { from: n(1) }, p, None));
+        // One record more than a lane holds, all of one packet: one stall.
+        let q = PacketId::new(n(3), 0);
+        for _ in 0..=LANE_CAPACITY {
+            stream.ingest(rec(3, EventKind::Origin, q, None));
+        }
         stream.finish();
 
         let snap = recorder.snapshot();
-        assert_eq!(snap.counter("stream_records"), 3);
-        assert_eq!(snap.counter("stream_backpressure"), 1, "lane of 1 stalled once");
-        assert_eq!(snap.counter("windows_closed"), 3, "p twice, the filler once");
+        assert_eq!(snap.counter("stream_records"), 4 + LANE_CAPACITY as u64);
+        assert_eq!(snap.counter("stream_backpressure"), 1, "node 3's lane stalled once");
+        assert_eq!(snap.counter("windows_closed"), 4, "p twice, the filler and q once");
         assert_eq!(snap.counter("windows_reopened"), 1);
         assert!(snap.histogram("window_events").is_some());
         assert!(snap.stage("window").is_some());
@@ -594,14 +628,7 @@ mod tests {
 
     #[test]
     fn poll_emits_in_packet_id_order() {
-        let config = StreamConfig {
-            lane_capacity: 64,
-            lateness: Lateness {
-                records: 1,
-                micros: u64::MAX,
-            },
-        };
-        let mut stream = StreamReconstructor::with_config(recon(), config);
+        let mut stream = eager(recon());
         // Ingest three packets in reverse order, then advance the node far
         // enough that all three close in one sweep.
         for seq in [5u32, 3, 1] {
@@ -652,15 +679,12 @@ mod tests {
     fn one_reconstruction_per_close_and_none_otherwise() {
         let recorder = Arc::new(AtomicRecorder::new());
         let shared: Arc<dyn Recorder> = recorder.clone();
-        let config = StreamConfig {
-            lane_capacity: 4,
-            lateness: Lateness {
-                records: 2,
-                micros: u64::MAX,
-            },
+        let lateness = Lateness {
+            records: 2,
+            micros: u64::MAX,
         };
         let mut stream =
-            StreamReconstructor::with_config(recon().with_recorder(shared), config);
+            StreamReconstructor::with_lateness(recon().with_recorder(shared), lateness);
         let reconstructed = || recorder.counter_value(Counter::PacketsReconstructed);
         let in_step = |stream: &StreamReconstructor| {
             assert_eq!(reconstructed(), stream.stats().windows_closed);

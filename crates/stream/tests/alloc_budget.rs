@@ -19,7 +19,7 @@ use eventlog::watermark::Lateness;
 use eventlog::{Event, EventKind, PacketId};
 use netsim::NodeId;
 use refill::trace::{CtpVocabulary, Reconstructor};
-use refill_stream::{run_stream, DriverConfig, StreamConfig, StreamReconstructor};
+use refill_stream::{run_stream, DriverConfig, StreamReconstructor};
 use std::io::Cursor;
 
 #[global_allocator]
@@ -44,8 +44,8 @@ fn record(node: u16, kind: EventKind, packet: PacketId) -> NodeRecord {
 }
 
 /// What one sweep that closes something requests for itself: the closing
-/// slots, the previous reports' hand-over and the rebuilt reports, a vector
-/// each.
+/// windows with their previous reports, the buffer their events are gathered
+/// into for the kernel and the rebuilt reports, a vector each.
 const SWEEP_OWN_REQUESTS: usize = 3;
 
 /// One window closed six times over, a record larger each time: the first
@@ -54,14 +54,11 @@ const SWEEP_OWN_REQUESTS: usize = 3;
 /// re-close whose report fits in them requests nothing for it.
 fn a_reclosing_window_reuses_its_report() {
     let recon = Reconstructor::new(CtpVocabulary::table2());
-    let config = StreamConfig {
-        lane_capacity: 64,
-        lateness: Lateness {
-            records: 1,
-            micros: u64::MAX,
-        },
+    let lateness = Lateness {
+        records: 1,
+        micros: u64::MAX,
     };
-    let mut stream = StreamReconstructor::with_config(recon, config);
+    let mut stream = StreamReconstructor::with_lateness(recon, lateness);
     let n = NodeId;
     let chain = |packet| {
         [

@@ -2,6 +2,12 @@
 //! across nodes, chunked on the wire, windowed, closed early, or reopened
 //! by late arrivals, the reports after the final flush are byte-identical
 //! to a batch reconstruction of the same logs.
+//!
+//! The days are built so that the interleave matters: packets wander over a
+//! small pool of nodes with retransmissions, revisits and lost evidence, and
+//! the kernel's answer for such a packet depends on the order its nodes'
+//! records reach it. Only a stream that keeps every packet in the merge's
+//! order gives the batch answer.
 
 use eventlog::frame::{encode_records, FrameDecoder, NodeRecord};
 use eventlog::logger::{LocalLog, LogEntry};
@@ -9,9 +15,9 @@ use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use eventlog::{Event, EventKind, PacketId};
 use netsim::prop::{check, vec_of};
-use netsim::NodeId;
+use netsim::{NodeId, Rng};
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
-use refill_stream::{StreamConfig, StreamReconstructor};
+use refill_stream::StreamReconstructor;
 
 fn n(i: u16) -> NodeId {
     NodeId(i)
@@ -21,52 +27,53 @@ fn recon() -> Reconstructor {
     Reconstructor::new(CtpVocabulary::table2())
 }
 
-/// A synthetic day: `packets` packets flowing 1 -> 2 -> 3, with per-packet
-/// evidence dropped according to `drops` (bit 0: node 1's ack, bit 1: node
-/// 2's whole visit, bit 2: node 3's recv). Node 2 logs no timestamps —
-/// exercising the record-quota watermark path alongside the local-time one.
-fn day_logs(packets: u32, drops: &[u8]) -> Vec<LocalLog> {
-    let mut n1 = Vec::new();
-    let mut n2 = Vec::new();
-    let mut n3 = Vec::new();
-    for seq in 0..packets {
-        let p = PacketId::new(n(1), seq);
-        let d = drops.get(seq as usize).copied().unwrap_or(0);
-        let ts = u64::from(seq) * 10_000;
-        n1.push(LogEntry {
-            event: Event::new(n(1), EventKind::Trans { to: n(2) }, p),
-            local_ts: Some(ts),
+/// A synthetic day over five nodes. Each packet walks from its origin
+/// through random next hops (revisits and loops included), each hop sent
+/// one to three times and then acknowledged or timed out; three events in
+/// ten are lost. Clocks are minutes apart and now and then step back. With
+/// `untimed`, node 2 logs no timestamps, which puts the merge on its
+/// round-robin path and exercises the record-quota watermarks.
+fn day_logs(rng: &mut Rng, packets: u32, untimed: bool) -> Vec<LocalLog> {
+    let mut logs: Vec<LocalLog> = (1..=5).map(|i| LocalLog::new(n(i))).collect();
+    let mut clocks: Vec<u64> = (0..5).map(|i| i * 90_000_000).collect();
+    let mut log = |rng: &mut Rng, node: NodeId, kind: EventKind, packet: PacketId| {
+        if rng.gen_bool(0.3) {
+            return;
+        }
+        let at = usize::from(node.0) - 1;
+        clocks[at] = if rng.gen_bool(0.05) {
+            clocks[at].saturating_sub(rng.gen_range(0..3_000))
+        } else {
+            clocks[at] + rng.gen_range(100..5_000)
+        };
+        let local_ts = (!untimed || node != n(2)).then_some(clocks[at]);
+        logs[at].entries.push(LogEntry {
+            event: Event::new(node, kind, packet),
+            local_ts,
         });
-        if d & 1 == 0 {
-            n1.push(LogEntry {
-                event: Event::new(n(1), EventKind::AckRecvd { to: n(2) }, p),
-                local_ts: Some(ts + 5),
-            });
-        }
-        if d & 2 == 0 {
-            n2.push(LogEntry {
-                event: Event::new(n(2), EventKind::Recv { from: n(1) }, p),
-                local_ts: None,
-            });
-            n2.push(LogEntry {
-                event: Event::new(n(2), EventKind::Trans { to: n(3) }, p),
-                local_ts: None,
-            });
-        }
-        if d & 4 == 0 {
-            n3.push(LogEntry {
-                event: Event::new(n(3), EventKind::Recv { from: n(2) }, p),
-                // Node 3's clock is minutes off node 1's: cross-node skew
-                // must not matter, windowing is per-node.
-                local_ts: Some(ts + 300_000_000),
-            });
+    };
+    for seq in 0..packets {
+        let packet = PacketId::new(n(rng.gen_range(1..=5)), seq);
+        let mut at = packet.origin;
+        log(rng, at, EventKind::Origin, packet);
+        for _ in 0..rng.gen_range(1..6) {
+            let to = n(rng.gen_range(1..=5));
+            if to == at {
+                continue;
+            }
+            for _ in 0..rng.gen_range(1..4) {
+                log(rng, at, EventKind::Trans { to }, packet);
+            }
+            if rng.gen_bool(0.1) {
+                log(rng, at, EventKind::Timeout { to }, packet);
+                break;
+            }
+            log(rng, to, EventKind::Recv { from: at }, packet);
+            log(rng, at, EventKind::AckRecvd { to }, packet);
+            at = to;
         }
     }
-    vec![
-        LocalLog { node: n(1), entries: n1 },
-        LocalLog { node: n(2), entries: n2 },
-        LocalLog { node: n(3), entries: n3 },
-    ]
+    logs
 }
 
 /// Interleave logs into one arrival sequence using `picks` (cycled), while
@@ -95,7 +102,8 @@ fn batch_reports(logs: &[LocalLog]) -> Vec<PacketReport> {
 }
 
 /// Encode `records`, feed the bytes through the frame decoder in the given
-/// chunk sizes, stream with the given settings, poll as we go, flush.
+/// chunk sizes, stream with the given lateness, pump and poll as we go,
+/// flush.
 fn stream_chunked(
     records: &[NodeRecord],
     chunks: &[usize],
@@ -103,14 +111,11 @@ fn stream_chunked(
     poll_every: usize,
 ) -> Vec<PacketReport> {
     let bytes = encode_records(records.iter());
-    let config = StreamConfig {
-        lane_capacity: 4,
-        lateness: Lateness {
-            records: lateness_records,
-            micros: 20_000,
-        },
+    let lateness = Lateness {
+        records: lateness_records,
+        micros: 20_000,
     };
-    let mut stream = StreamReconstructor::with_config(recon(), config);
+    let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
     let mut decoder = FrameDecoder::new();
     let mut fed = 0usize;
     let mut chunk_turn = 0usize;
@@ -125,6 +130,7 @@ fn stream_chunked(
             stream.ingest(rec);
             absorbed += 1;
             if absorbed.is_multiple_of(poll_every.max(1)) {
+                stream.pump();
                 let _ = stream.poll();
             }
         }
@@ -144,12 +150,12 @@ fn streaming_equals_batch_under_permutation_and_chunking() {
         32,
         &[],
         |rng| {
-            let packets = rng.gen_range(1..10);
-            let drops = vec_of(rng, 0..10, |rng| rng.gen_range(0..8u8));
-            let picks = vec_of(rng, 1..48, |rng| rng.gen_range(0..3usize));
+            let packets = rng.gen_range(1..40);
+            let untimed = rng.gen_bool(0.5);
+            let picks = vec_of(rng, 1..48, |rng| rng.gen_range(0..5usize));
             let chunks = vec_of(rng, 1..12, |rng| rng.gen_range(1..64usize));
             let (lateness_records, poll_every) = (rng.gen_range(1..4), rng.gen_range(1..8));
-            let logs = day_logs(packets, &drops);
+            let logs = day_logs(rng, packets, untimed);
             let records = interleave(&logs, &picks);
             let streamed = stream_chunked(&records, &chunks, lateness_records, poll_every);
             let batch = batch_reports(&logs);
@@ -165,11 +171,11 @@ fn streaming_equals_batch_under_permutation_and_chunking() {
 #[test]
 fn two_interleavings_agree() {
     check("two_interleavings_agree", 32, &[], |rng| {
-        let packets = rng.gen_range(1..8);
-        let drops = vec_of(rng, 0..8, |rng| rng.gen_range(0..8u8));
-        let picks_a = vec_of(rng, 1..32, |rng| rng.gen_range(0..3usize));
-        let picks_b = vec_of(rng, 1..32, |rng| rng.gen_range(0..3usize));
-        let logs = day_logs(packets, &drops);
+        let packets = rng.gen_range(1..30);
+        let untimed = rng.gen_bool(0.5);
+        let picks_a = vec_of(rng, 1..32, |rng| rng.gen_range(0..5usize));
+        let picks_b = vec_of(rng, 1..32, |rng| rng.gen_range(0..5usize));
+        let logs = day_logs(rng, packets, untimed);
         let a = stream_chunked(&interleave(&logs, &picks_a), &[17], 1, 3);
         let b = stream_chunked(&interleave(&logs, &picks_b), &[5], 2, 5);
         assert_eq!(a, b);
@@ -178,32 +184,31 @@ fn two_interleavings_agree() {
 
 /// A deterministic worst case: every node's log arrives whole, one after
 /// another, with aggressive lateness — so every early window closes on
-/// node 1's evidence alone and is reopened (possibly twice) by nodes 2
-/// and 3. Convergence must still be exact, and reopens must be observed.
+/// the first nodes' evidence alone and is reopened by the later ones.
+/// Convergence must still be exact, and reopens must be observed.
 #[test]
 fn sequential_lanes_force_reopens_and_still_converge() {
-    let logs = day_logs(8, &[0; 8]);
-    let records: Vec<NodeRecord> = logs
-        .iter()
-        .flat_map(|l| l.entries.iter().map(|e| NodeRecord::new(l.node, *e)))
-        .collect();
-    let config = StreamConfig {
-        lane_capacity: 4,
-        lateness: Lateness {
+    for untimed in [false, true] {
+        let logs = day_logs(&mut Rng::new(8), 24, untimed);
+        let records: Vec<NodeRecord> = logs
+            .iter()
+            .flat_map(|l| l.entries.iter().map(|e| NodeRecord::new(l.node, *e)))
+            .collect();
+        let lateness = Lateness {
             records: 1,
             micros: 1,
-        },
-    };
-    let mut stream = StreamReconstructor::with_config(recon(), config);
-    for rec in &records {
-        stream.ingest(*rec);
-        stream.pump();
-        let _ = stream.poll();
+        };
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
+        for rec in &records {
+            stream.ingest(*rec);
+            stream.pump();
+            let _ = stream.poll();
+        }
+        let streamed = stream.finish();
+        assert!(
+            stream.stats().windows_reopened > 0,
+            "whole-log-at-a-time arrival must reopen early windows"
+        );
+        assert_eq!(streamed, batch_reports(&logs), "untimed: {untimed}");
     }
-    let streamed = stream.finish();
-    assert!(
-        stream.stats().windows_reopened > 0,
-        "whole-log-at-a-time arrival must reopen early windows"
-    );
-    assert_eq!(streamed, batch_reports(&logs));
 }

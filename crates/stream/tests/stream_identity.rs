@@ -1,18 +1,22 @@
-//! The online path's output is pinned, not just its convergence:
+//! The online path gives the batch answer, on a schedule that is pinned:
 //!
-//! * a 64-bit digest over every `poll()` batch in order, the `finish()` set,
-//!   `StreamStats`, `open_windows()` after each poll and
-//!   `packed_event_bytes()`, under three arrival orders × timestamps on/off
-//!   × three lane capacities × three lateness rules × three poll cadences —
-//!   frozen on the commit before the stream path's per-packet state became
-//!   one record;
+//! * under three arrival orders × timestamps on, off or lost half way ×
+//!   three lateness rules × three poll cadences, `finish()` equals
+//!   `reconstruct_log` over the merge of the records regrouped into per-node
+//!   logs in node order;
+//! * a 64-bit digest over *when* windows close — the packets of every
+//!   `poll()` batch, `open_windows()` after it and the closing
+//!   `StreamStats` of the runs whose timestamps are all on or all off —
+//!   frozen on the commit before windows kept the merge's order, which
+//!   changed what a close computes and not when it happens;
+//! * a stream that pumps before it polls emits, at every close, the batch
+//!   report over the records ingested so far;
 //! * logs fed one by one with a `finish()` after each give the batch answer
 //!   over the merge (the "logs trickle in over hours" use), and a `finish()`
 //!   in mid-stream changes nothing but the moment the lanes are pumped.
 //!
 //! The kernel's own output is pinned field by field in
-//! `crates/core/tests/kernel_identity.rs`; here a report is fingerprinted by
-//! what tells one (packet, event sequence) from another.
+//! `crates/core/tests/kernel_identity.rs`.
 
 use eventlog::frame::NodeRecord;
 use eventlog::logger::{LocalLog, LogEntry};
@@ -20,8 +24,8 @@ use eventlog::watermark::Lateness;
 use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::NodeId;
 use refill::trace::{CtpVocabulary, PacketReport, Reconstructor};
-use refill_stream::{StreamConfig, StreamReconstructor};
-use std::collections::{BTreeSet, VecDeque};
+use refill_stream::StreamReconstructor;
+use std::collections::{BTreeMap, VecDeque};
 
 fn n(i: u16) -> NodeId {
     NodeId(i)
@@ -109,11 +113,24 @@ enum Arrival {
     RoundRobin,
 }
 
+const ARRIVALS: [Arrival; 3] = [Arrival::Interleaved, Arrival::NodeByNode, Arrival::RoundRobin];
+
+/// Whether the records carry their node's clock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stamps {
+    On,
+    Off,
+    /// On for the first half of the stream as it arrives, off after.
+    LostHalfWay,
+}
+
+const STAMPS: [Stamps; 3] = [Stamps::On, Stamps::Off, Stamps::LostHalfWay];
+
 /// `packets` soups under packet ids of their own as one record stream.
 /// Timestamps, when asked for, come from per-node clocks that are skewed
 /// against each other, mostly tick in milliseconds, sometimes leap tens of
 /// seconds and now and then read backwards.
-fn records(seed: u64, packets: u32, arrival: Arrival, timestamped: bool) -> Vec<NodeRecord> {
+fn records(seed: u64, packets: u32, arrival: Arrival, stamps: Stamps) -> Vec<NodeRecord> {
     let mut rng = SplitMix64(0x2015_57e4 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut clocks: Vec<(NodeId, u64)> = Vec::new();
     let mut out = Vec::new();
@@ -133,11 +150,11 @@ fn records(seed: u64, packets: u32, arrival: Arrival, timestamped: bool) -> Vec<
                 1..=4 => *clock + 1_000_000 + rng.below(40_000_000),
                 _ => *clock + 100 + rng.below(5_000),
             };
-            let local_ts = timestamped.then_some(*clock);
+            let local_ts = (stamps != Stamps::Off).then_some(*clock);
             out.push(NodeRecord::new(event.node, LogEntry { event, local_ts }));
         }
     }
-    match arrival {
+    let mut out = match arrival {
         Arrival::Interleaved => out,
         Arrival::NodeByNode => {
             out.sort_by_key(|r| r.node); // stable: per-node order survives
@@ -155,7 +172,12 @@ fn records(seed: u64, packets: u32, arrival: Arrival, timestamped: bool) -> Vec<
             }
             out
         }
+    };
+    if stamps == Stamps::LostHalfWay {
+        let half = out.len() / 2;
+        out[half..].iter_mut().for_each(|r| r.entry.local_ts = None);
     }
+    out
 }
 
 fn reconstructor(which: usize) -> Reconstructor {
@@ -164,6 +186,37 @@ fn reconstructor(which: usize) -> Reconstructor {
         1 => Reconstructor::new(CtpVocabulary::table2()),
         _ => Reconstructor::new(CtpVocabulary::full()),
     }
+}
+
+fn latenesses() -> [Lateness; 3] {
+    [
+        Lateness {
+            records: 1,
+            micros: u64::MAX,
+        },
+        Lateness {
+            records: 3,
+            micros: 20_000,
+        },
+        Lateness::default(),
+    ]
+}
+
+/// The records regrouped into per-node logs in node order: the logs whose
+/// merge the stream's answer is the batch answer over.
+fn node_logs(recs: &[NodeRecord]) -> Vec<LocalLog> {
+    let mut logs: BTreeMap<NodeId, LocalLog> = BTreeMap::new();
+    for r in recs {
+        logs.entry(r.node)
+            .or_insert_with(|| LocalLog::new(r.node))
+            .entries
+            .push(r.entry);
+    }
+    logs.into_values().collect()
+}
+
+fn batch(recon: &Reconstructor, recs: &[NodeRecord]) -> Vec<PacketReport> {
+    recon.reconstruct_log(&merge_logs(&node_logs(recs)))
 }
 
 // --- the digest ----------------------------------------------------------
@@ -176,112 +229,121 @@ impl Digest {
         self.0 .0 = self.0.next();
     }
 
-    fn event(&mut self, e: &Event) {
-        self.word(u64::from(e.node.0));
-        self.word(u64::from(e.kind.code()));
-        self.word(e.kind.peer().map_or(u64::MAX, |x| u64::from(x.0)));
-    }
-
-    fn report(&mut self, r: &PacketReport) {
-        self.word(u64::from(r.packet.origin.0));
-        self.word(u64::from(r.packet.seqno));
-        self.word(r.flow.len() as u64);
-        for entry in &r.flow.entries {
-            self.event(&entry.payload);
-            self.word(u64::from(entry.observed));
-        }
-        self.word(r.omitted.len() as u64);
-        for e in &r.omitted {
-            self.event(e);
-        }
-        self.word(r.path.len() as u64);
-        for node in &r.path {
-            self.word(u64::from(node.0));
-        }
-        self.word(u64::from(r.delivered));
-        self.word(r.warnings.len() as u64);
-        self.word(r.engines.len() as u64);
-    }
-
-    fn reports(&mut self, batch: &[PacketReport]) {
-        self.word(batch.len() as u64);
-        for r in batch {
-            self.report(r);
-        }
+    fn packet(&mut self, id: PacketId) {
+        self.word(u64::from(id.origin.0) << 32 | u64::from(id.seqno));
     }
 }
 
-/// Computed on the parent of the commit that folded the incremental
-/// reconstructor into the stream reconstructor, by this very function.
-const FROZEN_DIGEST: u64 = 0x7d99_cb3c_fc3b_88c1;
+/// Computed on the parent of the commit that made windows keep the merge's
+/// order, by this very function, with the lanes of 256 records the stream
+/// has kept since.
+const FROZEN_DIGEST: u64 = 0xb450_04b2_1b0a_1c6b;
 
 #[test]
 fn emissions_match_the_frozen_digest() {
-    const PACKETS: u32 = 150;
-    let latenesses = [
-        Lateness { records: 1, micros: u64::MAX },
-        Lateness { records: 3, micros: 20_000 },
-        Lateness::default(),
-    ];
+    const PACKETS: u32 = 300;
     let mut digest = Digest(SplitMix64(0));
     // What the matrix exercises: a generator that stops reaching it is noticed.
     let (mut rolling, mut reopened, mut backpressure, mut big_batches) = (0u64, 0u64, 0u64, 0u64);
-    let mut run = 0usize;
-    for arrival in [Arrival::Interleaved, Arrival::NodeByNode, Arrival::RoundRobin] {
-        for timestamped in [true, false] {
-            let recs = records(run as u64, PACKETS, arrival, timestamped);
-            // Packets whose every event was lost never reach the stream.
-            let ids: BTreeSet<PacketId> = recs.iter().map(|r| r.entry.event.packet).collect();
-            let packets = ids.len();
-            for lane_capacity in [1usize, 4, 256] {
-                for lateness in latenesses {
-                    for poll_every in [1usize, 7, 64] {
-                        let config = StreamConfig { lane_capacity, lateness };
-                        let mut stream =
-                            StreamReconstructor::with_config(reconstructor(run), config);
-                        run += 1;
-                        for (i, rec) in recs.iter().enumerate() {
-                            stream.ingest(*rec);
-                            if (i + 1) % poll_every == 0 {
-                                let batch = stream.poll();
-                                rolling += batch.len() as u64;
-                                big_batches += u64::from(batch.len() >= 8); // parallel closes
-                                digest.reports(&batch);
+    let mut runs = 0usize;
+    for (a, arrival) in ARRIVALS.into_iter().enumerate() {
+        for (s, stamps) in STAMPS.into_iter().enumerate() {
+            let which = 3 * a + s;
+            let recs = records(which as u64, PACKETS, arrival, stamps);
+            let expected = batch(&reconstructor(which), &recs);
+            // Losing timestamps reopens every closed window, which the
+            // frozen schedule predates.
+            let pinned = stamps != Stamps::LostHalfWay;
+            for lateness in latenesses() {
+                for poll_every in [1usize, 7, 64] {
+                    let mut stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
+                    runs += 1;
+                    for (i, rec) in recs.iter().enumerate() {
+                        stream.ingest(*rec);
+                        if (i + 1) % poll_every == 0 {
+                            let emitted = stream.poll();
+                            rolling += emitted.len() as u64;
+                            big_batches += u64::from(emitted.len() >= 8); // parallel closes
+                            if pinned {
+                                digest.word(emitted.len() as u64);
+                                emitted.iter().for_each(|r| digest.packet(r.packet));
                                 digest.word(stream.open_windows() as u64);
                             }
                         }
-                        let all = stream.finish();
-                        assert_eq!(all.len(), packets);
-                        assert_eq!(stream.open_windows(), 0);
-                        assert_eq!(stream.reports(), all);
-                        digest.reports(&all);
-                        let stats = stream.stats();
-                        assert_eq!(stats.records, recs.len() as u64);
+                    }
+                    let all = stream.finish();
+                    let run = format!("{arrival:?}, {stamps:?}, {lateness:?}, every {poll_every}");
+                    assert!(all == expected, "finish() is not the batch answer: {run}");
+                    assert_eq!(stream.open_windows(), 0);
+                    assert_eq!(stream.reports(), all);
+                    let stats = stream.stats();
+                    assert_eq!(stats.records, recs.len() as u64);
+                    if pinned {
                         for w in [
                             stats.records,
                             stats.windows_closed,
                             stats.windows_reopened,
-                            stats.late_events,
                             stats.backpressure,
-                            stream.packed_event_bytes() as u64,
                         ] {
                             digest.word(w);
                         }
-                        reopened += stats.windows_reopened;
-                        backpressure += stats.backpressure;
                     }
+                    reopened += stats.windows_reopened;
+                    backpressure += stats.backpressure;
                 }
             }
         }
     }
-    assert_eq!(run, 162);
-    assert!(rolling > 10_000 && reopened > 5_000 && backpressure > 10_000);
-    assert!(big_batches > 50);
+    assert_eq!(runs, 81);
+    assert!(
+        rolling > 10_000 && reopened > 5_000 && backpressure > 100 && big_batches > 50,
+        "rolling {rolling}, reopened {reopened}, backpressure {backpressure}, \
+         big batches {big_batches}"
+    );
     assert_eq!(
         digest.0 .0, FROZEN_DIGEST,
-        "the stream path's emissions changed: {:#018x}",
+        "the stream path's close schedule changed: {:#018x}",
         digest.0 .0
     );
+}
+
+#[test]
+fn a_close_after_a_pump_is_the_batch_answer_so_far() {
+    for (a, arrival) in ARRIVALS.into_iter().enumerate() {
+        for (s, stamps) in STAMPS.into_iter().enumerate() {
+            let which = 3 * a + s;
+            let recs = records(500 + which as u64, 120, arrival, stamps);
+            let recon = reconstructor(which);
+            for lateness in latenesses() {
+                let mut stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
+                let mut closes = 0;
+                for (i, rec) in recs.iter().enumerate() {
+                    stream.ingest(*rec);
+                    if (i + 1) % 16 != 0 {
+                        continue;
+                    }
+                    stream.pump();
+                    let emitted = stream.poll();
+                    if emitted.is_empty() {
+                        continue;
+                    }
+                    let so_far = merge_logs(&node_logs(&recs[..=i])).packet_index();
+                    for report in &emitted {
+                        let events = so_far.get(report.packet).expect("only ingested packets close");
+                        assert!(
+                            *report == recon.reconstruct_packet(report.packet, events),
+                            "{arrival:?}, {stamps:?}, {lateness:?}: packet {} after {} records",
+                            report.packet,
+                            i + 1
+                        );
+                    }
+                    closes += emitted.len();
+                }
+                assert!(closes > 0, "{arrival:?}, {stamps:?}, {lateness:?}");
+                assert!(stream.finish() == batch(&recon, &recs));
+            }
+        }
+    }
 }
 
 // --- the uses the incremental reconstructor documented ---------------------
@@ -310,7 +372,7 @@ fn logs_of(recs: &[NodeRecord]) -> Vec<LocalLog> {
 #[test]
 fn logs_fed_one_by_one_with_a_finish_after_each_give_the_batch_answer() {
     for which in 0..3 {
-        let recs = records(900 + which as u64, 200, Arrival::Interleaved, false);
+        let recs = records(900 + which as u64, 200, Arrival::Interleaved, Stamps::Off);
         let logs = logs_of(&recs);
         let reference = reconstructor(which).reconstruct_log(&merge_logs(&logs));
 
@@ -331,11 +393,8 @@ fn logs_fed_one_by_one_with_a_finish_after_each_give_the_batch_answer() {
 
 #[test]
 fn a_finish_in_mid_stream_changes_nothing_but_the_moment_of_pumping() {
-    for (which, arrival) in [Arrival::Interleaved, Arrival::NodeByNode, Arrival::RoundRobin]
-        .into_iter()
-        .enumerate()
-    {
-        let recs = records(950 + which as u64, 120, arrival, true);
+    for (which, arrival) in ARRIVALS.into_iter().enumerate() {
+        let recs = records(950 + which as u64, 120, arrival, Stamps::On);
         let (early, late) = recs.split_at(recs.len() / 2);
 
         let mut twice = StreamReconstructor::new(reconstructor(which));
@@ -350,6 +409,7 @@ fn a_finish_in_mid_stream_changes_nothing_but_the_moment_of_pumping() {
         once.pump();
         late.iter().for_each(|r| once.ingest(*r));
         assert_eq!(twice_reports, once.finish(), "{arrival:?}");
+        assert!(twice_reports == batch(&reconstructor(which), &recs), "{arrival:?}");
         assert_eq!(twice.packed_event_bytes(), once.packed_event_bytes());
     }
 }

@@ -35,8 +35,7 @@ use refill::telemetry::{Counter, NoopRecorder, Recorder};
 use refill::{CtpVocabulary, PacketReport, Reconstructor, SigCache};
 use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
 use refill_stream::{
-    run_stream, run_stream_observed, DriverConfig, StreamConfig, StreamObserver,
-    StreamReconstructor,
+    run_stream, run_stream_observed, DriverConfig, StreamObserver, StreamReconstructor,
 };
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -231,12 +230,9 @@ pub fn run_case(
     // (the decoder is chunk-boundary-insensitive, so it must land on the
     // same survivors), with seeded window/chunk settings and optional
     // pathological read sizes ---
-    let stream_config = StreamConfig {
-        lane_capacity: drng.gen_range(1..17),
-        lateness: Lateness {
-            records: drng.gen_range(1..9),
-            micros: [20_000, 1_000_000, u64::MAX][drng.gen_range(0..3)],
-        },
+    let lateness = Lateness {
+        records: drng.gen_range(1..9),
+        micros: [20_000, 1_000_000, u64::MAX][drng.gen_range(0..3)],
     };
     let driver_config = DriverConfig {
         chunk_bytes: drng.gen_range(64..513),
@@ -245,7 +241,7 @@ pub fn run_case(
     };
     let stall = drng.gen_bool(spec.reader_stall);
     let reader = FaultyReader::clean(bytes.clone(), stall, plan.lane("stall"));
-    let mut stream = StreamReconstructor::with_config(recon(), stream_config);
+    let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
     let summary = run_stream(reader, &mut stream, driver_config, |_| {})
         .map_err(|e| fail("stream", format!("clean streaming run errored: {e}")))?;
     check("stream", &summary.reports)?;
@@ -272,7 +268,7 @@ pub fn run_case(
             rrng.gen_bool(spec.reader_stall),
             plan.lane("reader-stall"),
         );
-        let mut stream = StreamReconstructor::with_config(recon(), stream_config);
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         match run_stream(reader, &mut stream, driver_config, |_| {}) {
             Ok(_) => {
                 return Err(fail(
@@ -319,13 +315,16 @@ pub fn run_case(
         );
         if let Ok((store, _)) = opened {
             let mut ckpt = StoreCheckpoint::new(store);
-            let mut stream = StreamReconstructor::with_config(recon(), stream_config);
+            let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
             for (i, rec) in survivors[..kill_k].iter().enumerate() {
                 stream.ingest(*rec);
                 if ckpt.on_record(rec).is_err() {
                     break;
                 }
                 if (i + 1) % cadence == 0 {
+                    // Absorb first, so windows close (and syncs reach the
+                    // store) well before a lane fills.
+                    stream.pump();
                     let mut emitted = 0;
                     stream.poll_with(|report| {
                         emitted += 1;
@@ -385,7 +384,7 @@ pub fn run_case(
     // Resume: replay the durable prefix, then drive the full wire bytes
     // through the checkpointed driver (skip_records covers the replay).
     let mut ckpt = StoreCheckpoint::new(store);
-    let mut stream = StreamReconstructor::with_config(recon(), stream_config);
+    let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
     for rec in ckpt
         .resume_records()
         .map_err(|e| fail("store-resume", format!("resume replay failed: {e}")))?
@@ -449,7 +448,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "kernel finding, ROADMAP item 3: reports depend on the cross-node interleave, so the stream legs (arrival order) diverge from batch (merge order) on untimestamped or duplicated entries; every other lane of these cases converges"]
     fn heavy_faults_still_converge_and_are_counted() {
         let recorder = AtomicRecorder::new();
         let mut survived = 0u64;

@@ -113,7 +113,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "kernel finding, ROADMAP item 3: reports depend on the cross-node interleave, so the stream legs (arrival order) diverge from batch (merge order) on untimestamped or duplicated entries; every other lane of these cases converges"]
     fn soak_aggregates_fault_totals() {
         let config = SoakConfig {
             seed: 9,

@@ -13,7 +13,6 @@ use refill::telemetry::NoopRecorder;
 use refill_testkit::{run_case, ConformanceError, FaultPlan, FaultSpec};
 
 #[test]
-#[ignore = "kernel finding, ROADMAP item 3: reports depend on the cross-node interleave, so the stream legs (arrival order) diverge from batch (merge order) on untimestamped or duplicated entries; every other lane of these cases converges"]
 fn preset_sweep_converges() {
     for spec in [FaultSpec::none(), FaultSpec::light(), FaultSpec::heavy()] {
         for seed in 0..10u64 {
@@ -66,7 +65,6 @@ fn arb_spec(rng: &mut Rng) -> FaultSpec {
 /// record that command beside it so the case stays reproducible even if
 /// `arb_spec` changes shape.
 #[test]
-#[ignore = "kernel finding, ROADMAP item 3: reports depend on the cross-node interleave, so the stream legs (arrival order) diverge from batch (merge order) on untimestamped or duplicated entries; every other lane of these cases converges"]
 fn any_fault_plan_converges() {
     check("any_fault_plan_converges", 24, &[], |rng| {
         let plan = FaultPlan::new(rng.gen(), arb_spec(rng));

@@ -14,9 +14,7 @@ use netsim::Rng;
 use refill::telemetry::NoopRecorder;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
-use refill_stream::{
-    run_stream_observed, DriverConfig, StreamConfig, StreamObserver, StreamReconstructor,
-};
+use refill_stream::{run_stream_observed, DriverConfig, StreamObserver, StreamReconstructor};
 use refill_testkit::{gen_logs, survivor_logs, upload_interleave, FaultSpec, FaultyVfs, TempDir};
 use std::io::Cursor;
 use std::sync::Arc;
@@ -25,14 +23,14 @@ fn recon() -> Reconstructor {
     Reconstructor::new(CtpVocabulary::table2())
 }
 
-fn stream_config() -> StreamConfig {
-    StreamConfig {
-        lane_capacity: 4,
-        lateness: Lateness {
+fn eager_stream() -> StreamReconstructor {
+    StreamReconstructor::with_lateness(
+        recon(),
+        Lateness {
             records: 1,
             micros: 20_000,
         },
-    }
+    )
 }
 
 fn driver_config() -> DriverConfig {
@@ -65,13 +63,14 @@ fn run_doomed(records: &[NodeRecord], vfs: &Arc<FaultyVfs>, tmp: &TempDir) -> bo
         return false;
     };
     let mut ckpt = StoreCheckpoint::new(store);
-    let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+    let mut stream = eager_stream();
     for (i, rec) in records.iter().enumerate() {
         stream.ingest(*rec);
         if ckpt.on_record(rec).is_err() {
             return false;
         }
         if (i + 1) % 3 == 0 {
+            stream.pump();
             let mut emitted = 0;
             stream.poll_with(|report| {
                 emitted += 1;
@@ -119,7 +118,7 @@ fn assert_resume_converges(
     let bytes = encode_records(records.iter());
     let (store, _) = SegmentStore::open(tmp.path()).unwrap();
     let mut ckpt = StoreCheckpoint::new(store);
-    let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+    let mut stream = eager_stream();
     for rec in ckpt.resume_records().unwrap() {
         stream.ingest(rec);
     }
@@ -186,12 +185,13 @@ fn mid_flush_failure_keeps_events_before_reports() {
         )
         .unwrap();
         let mut ckpt = StoreCheckpoint::new(store);
-        let mut stream = StreamReconstructor::with_config(recon(), stream_config());
+        let mut stream = eager_stream();
         let mut failed_at = None;
         for (i, rec) in records.iter().enumerate() {
             stream.ingest(*rec);
             ckpt.on_record(rec).unwrap();
             if (i + 1) % 3 == 0 {
+                stream.pump();
                 let mut emitted = 0;
                 stream.poll_with(|report| {
                     emitted += 1;
