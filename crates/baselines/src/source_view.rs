@@ -9,7 +9,7 @@
 //! This view answers "whose packets are lost, roughly when" — and nothing
 //! about where or why, which is exactly the gap REFILL fills.
 
-use eventlog::logger::LocalLog;
+use eventlog::logger::{LocalLog, LocalTs};
 use eventlog::{EventKind, PacketId, SeqNo};
 use netsim::fx::FxHashMap;
 use netsim::{NodeId, SimDuration, SimTime};
@@ -47,7 +47,7 @@ impl SourceView {
             received
                 .entry(id.origin)
                 .or_default()
-                .push((id.seqno, entry.local_ts.unwrap_or(0)));
+                .push((id.seqno, entry.local_ts.map_or(0, LocalTs::get)));
         }
         for v in received.values_mut() {
             v.sort_unstable();
@@ -141,7 +141,7 @@ mod tests {
                         EventKind::BsRecv,
                         PacketId::new(NodeId(origin), seq),
                     ),
-                    local_ts: Some(ts),
+                    local_ts: LocalTs::new(ts),
                 })
                 .collect(),
         }

@@ -67,7 +67,7 @@ pub fn correlate_causes(
     for log in logs {
         for entry in &log.entries {
             if let (Some(cause), Some(ts)) = (anomaly_cause(&entry.event.kind), entry.local_ts) {
-                anomalies.push((ts, cause));
+                anomalies.push((ts.get(), cause));
             }
         }
     }
@@ -120,7 +120,7 @@ pub fn correlate_causes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventlog::logger::LogEntry;
+    use eventlog::logger::{LocalTs, LogEntry};
     use eventlog::Event;
     use netsim::NodeId;
 
@@ -139,7 +139,7 @@ mod tests {
                 .iter()
                 .map(|&(ts, kind)| LogEntry {
                     event: Event::new(n(2), kind, pid(99)),
-                    local_ts: Some(ts),
+                    local_ts: LocalTs::new(ts),
                 })
                 .collect(),
         }

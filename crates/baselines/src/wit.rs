@@ -178,7 +178,7 @@ pub fn synthesize_sniffer_logs(
                 // common record Wit merges on.
                 logs[i].entries.push(eventlog::logger::LogEntry {
                     event: te.event,
-                    local_ts: Some(te.at.as_micros()),
+                    local_ts: eventlog::LocalTs::new(te.at.as_micros()),
                 });
             }
         }

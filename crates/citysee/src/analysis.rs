@@ -27,7 +27,7 @@ use baselines::source_view::SourceView;
 use baselines::time_correlation::{correlate_causes, CorrelationConfig};
 use baselines::wit::{wit_merge, WitMerge};
 use eventlog::event::BASE_STATION;
-use eventlog::logger::LocalLog;
+use eventlog::logger::{LocalLog, LocalTs};
 use eventlog::{
     merge_logs, Event, GroundTruth, LossCause, MergedLog, PacketFate, PacketId, PacketIndex,
 };
@@ -420,7 +420,7 @@ fn transport_stats(
     let mut arrivals: FxHashMap<NodeId, Vec<(u32, u64)>> = FxHashMap::default();
     for entry in bs_log.iter().flat_map(|l| &l.entries) {
         if matches!(entry.event.kind, EventKind::BsRecv) {
-            if let Some(ts) = entry.local_ts {
+            if let Some(ts) = entry.local_ts.map(LocalTs::get) {
                 arrivals
                     .entry(entry.event.packet.origin)
                     .or_default()
@@ -674,7 +674,7 @@ mod tests {
         let mut timed = c.collected.clone();
         for log in &mut timed {
             for entry in &mut log.entries {
-                entry.local_ts.get_or_insert(0);
+                entry.local_ts = entry.local_ts.or(LocalTs::new(0));
             }
         }
         let mut untimed = timed.clone();

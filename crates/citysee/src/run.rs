@@ -4,7 +4,7 @@ use crate::scenario::Scenario;
 use eventlog::collect::LossyCollector;
 use eventlog::event::BASE_STATION;
 use eventlog::frame::NodeRecord;
-use eventlog::logger::LocalLog;
+use eventlog::logger::{LocalLog, LocalTs};
 use eventlog::merge::{merge_logs, MergedLog};
 use netsim::{RngFactory, Topology};
 use protocols::sim::{SimOutput, Simulator};
@@ -48,7 +48,7 @@ pub fn upload_order(logs: &[LocalLog]) -> Vec<NodeRecord> {
     for log in logs {
         let mut running = 0u64;
         for entry in &log.entries {
-            if let Some(ts) = entry.local_ts {
+            if let Some(ts) = entry.local_ts.map(LocalTs::get) {
                 running = running.max(ts);
             }
             keyed.push((running, NodeRecord::new(log.node, *entry)));

@@ -12,7 +12,7 @@
 //!   `crates/stream/tests/stream_identity.rs`).
 
 use eventlog::event::BASE_STATION;
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::NodeId;
 use refill::ctp_model::{CtpModel, HopLabel, UNKNOWN_NODE};
@@ -713,8 +713,8 @@ fn soup_logs(soups: u64, clock: Clock) -> Vec<LocalLog> {
                 event: Event::new(e.node, e.kind, packet),
                 local_ts: match clock {
                     Clock::None => None,
-                    Clock::Global => Some(tick),
-                    Clock::NodeByNode => Some(((at as u64) << 32) | tick),
+                    Clock::Global => LocalTs::new(tick),
+                    Clock::NodeByNode => LocalTs::new(((at as u64) << 32) | tick),
                 },
             });
         }

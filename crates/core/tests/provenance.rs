@@ -4,7 +4,7 @@
 //! driver: sequential, parallel, the fused columnar one and the memoised
 //! path.
 
-use eventlog::logger::LogEntry;
+use eventlog::logger::{LocalTs, LogEntry};
 use eventlog::{merge_logs, Event, EventKind, LocalLog, PacketId};
 use netsim::prop::{check, vec_of};
 use netsim::{NodeId, Rng};
@@ -232,7 +232,7 @@ fn soup_logs(raw: &[(u16, u8, u16, u32, Option<u64>)]) -> Vec<LocalLog> {
         let packet = PacketId::new(NodeId((seq % 6) as u16), seq);
         per_node[node as usize].push(LogEntry {
             event: decode(node, kind, peer, packet),
-            local_ts: ts,
+            local_ts: ts.and_then(LocalTs::new),
         });
     }
     per_node

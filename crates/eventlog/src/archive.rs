@@ -181,6 +181,7 @@ pub fn read_logs<R: BufRead>(r: R) -> Result<Vec<LocalLog>, ArchiveError> {
 mod tests {
     use super::*;
     use crate::event::{Event, EventKind, PacketId};
+    use crate::logger::LocalTs;
     use netsim::NodeId;
 
     fn sample_logs() -> Vec<LocalLog> {
@@ -293,7 +294,7 @@ mod tests {
     fn mid_record_truncation_of_v2_payloads_reports_the_exact_line() {
         let mut logs = sample_logs();
         for (i, entry) in logs[0].entries.iter_mut().enumerate() {
-            entry.local_ts = Some(100 + i as u64 * 7);
+            entry.local_ts = LocalTs::new(100 + i as u64 * 7);
         }
         let mut buf = Vec::new();
         write_logs(&logs, &mut buf).unwrap();
@@ -318,6 +319,25 @@ mod tests {
                     other => panic!("cut at byte {cut}: expected Corrupt, got {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_line_stamped_u64_max_is_corrupt_at_its_line() {
+        let mut logs = sample_logs();
+        logs[1].entries[0].local_ts = LocalTs::new(u64::MAX - 1);
+        let mut buf = Vec::new();
+        write_logs(&logs, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let stamped = text.replace(&(u64::MAX - 1).to_string(), &u64::MAX.to_string());
+        assert_ne!(stamped, text);
+        match read_logs(io::BufReader::new(stamped.as_bytes())).unwrap_err() {
+            // Header + node 1's two records, then node 2's one.
+            ArchiveError::Corrupt { line, detail } => {
+                assert_eq!(line, 4);
+                assert!(detail.contains("entry"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
@@ -355,7 +375,7 @@ mod tests {
 mod properties {
     use super::*;
     use crate::event::{Event, EventKind, PacketId};
-    use crate::logger::LocalLog;
+    use crate::logger::{LocalLog, LocalTs};
     use netsim::prop::{check, vec_of};
     use netsim::NodeId;
 
@@ -380,7 +400,10 @@ mod properties {
                         },
                         PacketId::new(peer, rng.gen_range(0..100)),
                     ),
-                    local_ts: rng.gen_bool(0.5).then(|| rng.gen_range(0..1_000_000)),
+                    local_ts: rng
+                        .gen_bool(0.5)
+                        .then(|| rng.gen_range(0..1_000_000))
+                        .and_then(LocalTs::new),
                 });
                 LocalLog { node, entries }
             });

@@ -11,8 +11,7 @@
 //!   dense u8 kind code (reusing [`EventKind::code`]), a flags byte, and a
 //!   u16 spill half used by `Custom` payloads;
 //! * a `ts` column — the entry's local timestamp, with missing timestamps
-//!   encoded as [`TS_NONE`] (`u64::MAX`, reserved: real collector clocks
-//!   never reach it, and [`EventStore::push`] debug-asserts the reservation).
+//!   encoded as [`TS_NONE`] (`u64::MAX`, which no [`LocalTs`] holds).
 //!
 //! The conversion `Event ⇄ PackedEvent` is lossless (property-tested over
 //! every [`EventKind`] variant), so the packed store is not a cache of the
@@ -28,16 +27,15 @@
 //!   reconstructs arbitrarily many packets with zero allocations.
 
 use crate::event::{Event, EventKind, PacketId};
-use crate::logger::LogEntry;
+use crate::logger::{LocalTs, LogEntry};
 use crate::merge::{MergedLog, PacketIndex};
 use netsim::NodeId;
 
 /// Reserved timestamp meaning "this entry carried no local timestamp".
 ///
-/// `u64::MAX` is unreachable for real collector clocks (nanoseconds since
-/// the epoch stay below `2^63` for centuries), so the `ts` column can stay
-/// a flat `u64` array instead of an `Option<u64>` column at twice the
-/// width.
+/// [`LocalTs`] cannot hold `u64::MAX` and every reader of outside bytes
+/// refuses it, so the `ts` column is a flat `u64` array whose conversions
+/// to and from `Option<LocalTs>` are exact.
 pub const TS_NONE: u64 = u64::MAX;
 
 /// Flag bit: the record's peer half is meaningful (the kind is a two-party
@@ -165,18 +163,16 @@ impl PackedEvent {
     }
 
     /// A log entry as a durable row: the packed event beside its raw
-    /// timestamp, [`TS_NONE`] standing for none.
+    /// timestamp, [`TS_NONE`] for none.
     pub fn pack_entry(entry: &LogEntry) -> (PackedEvent, u64) {
-        let ts = entry.local_ts.unwrap_or(TS_NONE);
-        debug_assert!(entry.local_ts.is_none() || ts != TS_NONE, "u64::MAX stands for no timestamp");
-        (PackedEvent::pack(&entry.event), ts)
+        (PackedEvent::pack(&entry.event), ts_raw(entry.local_ts))
     }
 
     /// Inverse of [`PackedEvent::pack_entry`].
     pub fn unpack_entry((rec, ts): (PackedEvent, u64)) -> LogEntry {
         LogEntry {
             event: rec.unpack(),
-            local_ts: (ts != TS_NONE).then_some(ts),
+            local_ts: LocalTs::new(ts),
         }
     }
 }
@@ -204,14 +200,9 @@ impl EventStore {
     }
 
     /// Pack and append one event with its optional local timestamp.
-    ///
-    /// # Panics
-    /// Debug-asserts that a present timestamp is not the reserved
-    /// [`TS_NONE`] sentinel.
-    pub fn push(&mut self, event: &Event, local_ts: Option<u64>) {
-        debug_assert!(local_ts != Some(TS_NONE), "u64::MAX is reserved for missing timestamps");
+    pub fn push(&mut self, event: &Event, local_ts: Option<LocalTs>) {
         self.recs.push(PackedEvent::pack(event));
-        self.ts.push(local_ts.unwrap_or(TS_NONE));
+        self.ts.push(ts_raw(local_ts));
     }
 
     /// Append one log entry (event + optional timestamp).
@@ -257,9 +248,8 @@ impl EventStore {
     }
 
     /// Row `i`'s local timestamp, if it had one.
-    pub fn ts(&self, i: usize) -> Option<u64> {
-        let t = self.ts[i];
-        (t != TS_NONE).then_some(t)
+    pub fn ts(&self, i: usize) -> Option<LocalTs> {
+        LocalTs::new(self.ts[i])
     }
 
     /// Row `i` unpacked into an [`Event`].
@@ -294,6 +284,11 @@ impl EventStore {
             events: self.to_events(),
         }
     }
+}
+
+/// A timestamp as the `ts` column spells it.
+fn ts_raw(ts: Option<LocalTs>) -> u64 {
+    ts.map_or(TS_NONE, LocalTs::get)
 }
 
 /// The packet grouping of an [`EventStore`]: its row numbers grouped by the
@@ -420,10 +415,10 @@ mod tests {
         let e0 = Event::new(NodeId(1), EventKind::Origin, pid(1, 0));
         let e1 = Event::new(NodeId(2), EventKind::Recv { from: NodeId(1) }, pid(1, 0));
         let mut store = EventStore::new();
-        store.push(&e0, Some(10));
+        store.push(&e0, LocalTs::new(10));
         store.push(&e1, None);
         assert_eq!(store.len(), 2);
-        assert_eq!(store.ts(0), Some(10));
+        assert_eq!(store.ts(0), LocalTs::new(10));
         assert_eq!(store.ts(1), None);
         assert_eq!(store.event(0), e0);
         assert_eq!(store.event(1), e1);
@@ -431,19 +426,30 @@ mod tests {
     }
 
     #[test]
+    fn entry_rows_are_exact_at_the_edges() {
+        let event = Event::new(NodeId(1), EventKind::Origin, pid(1, 0));
+        for local_ts in [LocalTs::new(0), LocalTs::new(u64::MAX - 1), None] {
+            let entry = LogEntry { event, local_ts };
+            let row = PackedEvent::pack_entry(&entry);
+            assert_eq!(row.1 == TS_NONE, local_ts.is_none());
+            assert_eq!(PackedEvent::unpack_entry(row), entry);
+        }
+    }
+
+    #[test]
     fn append_concatenates_both_columns() {
         let e = |s: u32| Event::new(NodeId(1), EventKind::Origin, pid(1, s));
         let mut a = EventStore::new();
-        a.push(&e(0), Some(1));
+        a.push(&e(0), LocalTs::new(1));
         let mut b = EventStore::new();
         b.push(&e(1), None);
-        b.push(&e(2), Some(3));
+        b.push(&e(2), LocalTs::new(3));
         a.append(&b);
         assert_eq!(a.len(), 3);
         assert_eq!(a.to_events(), vec![e(0), e(1), e(2)]);
-        assert_eq!(a.ts(0), Some(1));
+        assert_eq!(a.ts(0), LocalTs::new(1));
         assert_eq!(a.ts(1), None);
-        assert_eq!(a.ts(2), Some(3));
+        assert_eq!(a.ts(2), LocalTs::new(3));
     }
 
     #[test]
@@ -535,7 +541,9 @@ mod columnar_props {
             let entries = vec_of(rng, 0..64, |rng| {
                 (
                     arb_event(rng),
-                    rng.gen_bool(0.5).then(|| rng.gen_range(0..u64::MAX)),
+                    rng.gen_bool(0.5)
+                        .then(|| rng.gen_range(0..u64::MAX))
+                        .and_then(LocalTs::new),
                 )
             });
             let mut store = EventStore::new();

@@ -22,10 +22,11 @@
 //!
 //! The payload is a fixed hand-rolled little-endian encoding of one log
 //! record (22 bytes with a timestamp, 14 without) — no JSON on the wire,
-//! matching the byte-budgeted links it models.
+//! matching the byte-budgeted links it models. A timestamp of `u64::MAX`
+//! is reserved ([`LocalTs`]): a frame carrying it is malformed.
 
 use crate::event::{Event, EventKind, PacketId};
-use crate::logger::LogEntry;
+use crate::logger::{LocalTs, LogEntry};
 use netsim::NodeId;
 
 /// Frame delimiter bytes.
@@ -90,7 +91,7 @@ fn encode_payload(rec: &NodeRecord, out: &mut Vec<u8>) {
     match rec.entry.local_ts {
         Some(ts) => {
             out.push(1);
-            out.extend_from_slice(&ts.to_le_bytes());
+            out.extend_from_slice(&ts.get().to_le_bytes());
         }
         None => out.push(0),
     }
@@ -109,9 +110,9 @@ fn decode_payload(b: &[u8]) -> Option<NodeRecord> {
     let seqno = u32::from_le_bytes([b[9], b[10], b[11], b[12]]);
     let local_ts = match b[13] {
         0 if b.len() == 14 => None,
-        1 if b.len() == 22 => Some(u64::from_le_bytes([
+        1 if b.len() == 22 => Some(LocalTs::new(u64::from_le_bytes([
             b[14], b[15], b[16], b[17], b[18], b[19], b[20], b[21],
-        ])),
+        ]))?),
         _ => return None,
     };
     Some(NodeRecord {
@@ -336,7 +337,7 @@ mod tests {
                     EventKind::Trans { to: NodeId(node + 1) },
                     PacketId::new(NodeId(node), seq),
                 ),
-                local_ts: ts,
+                local_ts: ts.and_then(LocalTs::new),
             },
         )
     }
@@ -353,7 +354,7 @@ mod tests {
                         EventKind::Custom(0xBEEF),
                         PacketId::new(NodeId(1), 7),
                     ),
-                    local_ts: Some(u64::MAX),
+                    local_ts: LocalTs::new(u64::MAX - 1),
                 },
             ),
             NodeRecord::new(
@@ -402,7 +403,7 @@ mod tests {
                     NodeId(i as u16),
                     LogEntry {
                         event: Event::new(NodeId(i as u16), kind, p),
-                        local_ts: (i % 2 == 0).then_some(i as u64 * 17),
+                        local_ts: (i % 2 == 0).then_some(i as u64 * 17).and_then(LocalTs::new),
                     },
                 )
             })
@@ -526,6 +527,27 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_stamped_u64_max_is_one_corrupt_run() {
+        // Well-formed and checksummed, but the timestamp is the value the
+        // store reserves for "none": the frame is malformed, and decoding
+        // resumes at the next one.
+        let records = sample_records();
+        let mut bytes = Vec::new();
+        encode_record(&records[0], &mut bytes);
+        let bad_start = bytes.len();
+        encode_record(&rec(5, 1, Some(u64::MAX - 1)), &mut bytes);
+        let ts_at = bad_start + FRAME_HEADER_LEN + 14;
+        bytes[ts_at] = 0xFF;
+        let crc_at = bytes.len() - FRAME_CRC_LEN;
+        let crc = crc32(&bytes[bad_start + 2..crc_at]);
+        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        encode_record(&records[1], &mut bytes);
+        let (back, stats) = decode_all(&bytes);
+        assert_eq!(back, vec![records[0], records[1]]);
+        assert_eq!(stats, FrameStats { decoded: 2, corrupt: 1 });
+    }
+
+    #[test]
     fn unknown_version_is_skipped_not_fatal() {
         let records = sample_records();
         let mut first = Vec::new();
@@ -597,7 +619,7 @@ mod properties {
             node,
             LogEntry {
                 event: Event::new(node, kind, packet),
-                local_ts: rng.gen_bool(0.5).then(|| rng.gen()),
+                local_ts: rng.gen_bool(0.5).then(|| rng.gen()).and_then(LocalTs::new),
             },
         )
     }

@@ -32,7 +32,7 @@ pub use columnar::{ColumnarIndex, EventStore, PackedEvent, ScratchArena, TS_NONE
 pub use event::{Event, EventKind, PacketId, SeqNo};
 pub use fate::{GroundTruth, LossCause, PacketFate, TruthEvent};
 pub use frame::{FrameDecoder, FrameStats, NodeRecord};
-pub use logger::{LocalLog, LogEntry, LoggerConfig, NodeLogger};
+pub use logger::{LocalLog, LocalTs, LogEntry, LoggerConfig, NodeLogger};
 pub use merge::{
     merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, merge_packed_runs,
     packet_order, MergedLog, PacketIndex,

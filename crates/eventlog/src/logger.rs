@@ -15,8 +15,58 @@
 
 use crate::clock::NodeClock;
 use crate::event::Event;
+use netsim::json::{self, FromJson, Json, JsonError, ToJson};
 use netsim::rng::Rng;
 use netsim::{json_struct, NodeId, SimTime};
+use std::fmt;
+use std::num::NonZeroU64;
+
+/// A local clock reading: any `u64` but `u64::MAX`, the value the columnar
+/// store and segment rows spell "no timestamp" with
+/// ([`crate::columnar::TS_NONE`]).
+///
+/// It is stored complemented in a `NonZeroU64`, so `Option<LocalTs>` is
+/// 8 bytes with `None` in the niche — a [`LogEntry`] is 24 bytes, not 32.
+/// Every reader of outside bytes builds it with [`LocalTs::new`], so the
+/// reserved value is refused where it enters, not where it is stored.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LocalTs(NonZeroU64);
+
+impl LocalTs {
+    /// The reading `ts`, or `None` for the reserved `u64::MAX`.
+    pub const fn new(ts: u64) -> Option<LocalTs> {
+        match NonZeroU64::new(!ts) {
+            Some(inv) => Some(LocalTs(inv)),
+            None => None,
+        }
+    }
+
+    /// The reading as a number.
+    pub const fn get(self) -> u64 {
+        !self.0.get()
+    }
+}
+
+/// Prints the bare number: frozen digests hash the `Debug` text of logs.
+impl fmt::Debug for LocalTs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.get(), f)
+    }
+}
+
+impl ToJson for LocalTs {
+    fn to_json(&self) -> Json {
+        Json::U64(self.get())
+    }
+}
+
+impl FromJson for LocalTs {
+    fn from_json(v: &Json) -> Result<LocalTs, JsonError> {
+        v.as_u64()
+            .and_then(LocalTs::new)
+            .ok_or(json::expected("LocalTs"))
+    }
+}
 
 /// One surviving log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +74,7 @@ pub struct LogEntry {
     /// The recorded event.
     pub event: Event,
     /// Local (skewed) timestamp, if the deployment logs timestamps at all.
-    pub local_ts: Option<u64>,
+    pub local_ts: Option<LocalTs>,
 }
 
 json_struct!(LogEntry { event, local_ts });
@@ -150,7 +200,11 @@ impl NodeLogger {
         }
         self.buffer.push(LogEntry {
             event,
-            local_ts: self.config.timestamps.then(|| self.clock.local_time(at)),
+            local_ts: self
+                .config
+                .timestamps
+                .then(|| self.clock.local_time(at))
+                .and_then(LocalTs::new),
         });
         true
     }
@@ -265,7 +319,41 @@ mod tests {
         let mut r = rng();
         l.record(ev(1, 0), SimTime::from_secs(5), &mut r);
         let log = l.into_log();
-        assert_eq!(log.entries[0].local_ts, Some(6_000_000));
+        assert_eq!(log.entries[0].local_ts, LocalTs::new(6_000_000));
+    }
+
+    #[test]
+    fn a_missing_timestamp_costs_a_niche_not_padding() {
+        use crate::frame::NodeRecord;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<LocalTs>>(), 8);
+        assert_eq!(size_of::<LogEntry>(), 24);
+        assert_eq!(size_of::<NodeRecord>(), 32);
+    }
+
+    #[test]
+    fn local_ts_refuses_only_the_reserved_value() {
+        for ts in [0, 1, 6_000_000, u64::MAX - 1] {
+            assert_eq!(LocalTs::new(ts).map(LocalTs::get), Some(ts));
+            assert_eq!(format!("{:?}", LocalTs::new(ts)), format!("{:?}", Some(ts)));
+        }
+        assert_eq!(LocalTs::new(u64::MAX), None);
+    }
+
+    #[test]
+    fn json_refuses_the_reserved_value() {
+        let entry = LogEntry {
+            event: ev(1, 0),
+            local_ts: LocalTs::new(u64::MAX - 1),
+        };
+        let text = entry.to_json().to_compact().unwrap();
+        assert_eq!(json::decode::<LogEntry>(text.as_bytes()), Ok(entry));
+        let max = text.replace(&(u64::MAX - 1).to_string(), &u64::MAX.to_string());
+        assert_ne!(max, text);
+        assert_eq!(
+            json::decode::<LogEntry>(max.as_bytes()),
+            Err(json::expected("local_ts"))
+        );
     }
 
     #[test]

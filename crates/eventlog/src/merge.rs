@@ -47,7 +47,7 @@
 
 use crate::columnar::{EventStore, PackedEvent, TS_NONE};
 use crate::event::{Event, PacketId};
-use crate::logger::{LocalLog, LogEntry};
+use crate::logger::{LocalLog, LocalTs, LogEntry};
 use crate::watermark::Mark;
 use netsim::fx::FxHashMap;
 use netsim::NodeId;
@@ -404,7 +404,7 @@ fn merge_logs_each(logs: &[LocalLog], emit: impl FnMut(&LogEntry)) {
 /// Sort timestamp of an entry; entries without one sort first, like the
 /// cursor scan's `unwrap_or(0)`.
 fn ts_of(e: &LogEntry) -> u64 {
-    e.local_ts.unwrap_or(0)
+    e.local_ts.map_or(0, LocalTs::get)
 }
 
 /// What the timestamped merge needs to know about all-timestamped logs.
@@ -428,7 +428,7 @@ fn timestamp_span(logs: &[LocalLog]) -> Option<TimestampSpan> {
     for log in logs {
         let mut prev = 0;
         for e in &log.entries {
-            let ts = e.local_ts?;
+            let ts = e.local_ts?.get();
             span.sorted &= prev <= ts;
             prev = ts;
             span.lo = span.lo.min(ts);
@@ -724,7 +724,7 @@ mod tests {
                 .iter()
                 .map(|&(s, ts)| LogEntry {
                     event: ev(node, s),
-                    local_ts: Some(ts),
+                    local_ts: LocalTs::new(ts),
                 })
                 .collect(),
         }
@@ -899,7 +899,7 @@ mod tests {
                 entries: (0..3000u32)
                     .map(|j| LogEntry {
                         event: ev(i + 1, j),
-                        local_ts: Some(u64::from(j) * 10 + u64::from(i)),
+                        local_ts: LocalTs::new(u64::from(j) * 10 + u64::from(i)),
                     })
                     .collect(),
             })
@@ -911,7 +911,7 @@ mod tests {
             let e = store.event(i);
             assert_eq!(
                 store.ts(i),
-                Some(u64::from(e.packet.seqno) * 10 + u64::from(e.node.0 - 1))
+                LocalTs::new(u64::from(e.packet.seqno) * 10 + u64::from(e.node.0 - 1))
             );
         }
         // 16 bytes of record and 8 of timestamp per row.
@@ -1080,7 +1080,7 @@ mod merge_props {
                                 EventKind::Origin,
                                 PacketId::new(node, (li * 1000 + j) as u32),
                             ),
-                            local_ts: *ts,
+                            local_ts: ts.and_then(LocalTs::new),
                         })
                         .collect(),
                 }
@@ -1115,17 +1115,17 @@ mod merge_props {
                 let fill = rng.gen_bool(0.75);
                 for e in logs.iter_mut().flat_map(|l| &mut l.entries) {
                     if fill {
-                        e.local_ts.get_or_insert(rng.gen_range(0..40));
+                        e.local_ts = e.local_ts.or(LocalTs::new(rng.gen_range(0..40)));
                     }
-                    e.local_ts = e.local_ts.map(|ts| ts * scale);
+                    e.local_ts = e.local_ts.and_then(|ts| LocalTs::new(ts.get() * scale));
                 }
                 let mut climbed = logs.clone();
                 for log in &mut climbed {
                     let mut max = 0;
                     for e in &mut log.entries {
                         if let Some(ts) = e.local_ts {
-                            max = max.max(ts);
-                            e.local_ts = Some(max);
+                            max = max.max(ts.get());
+                            e.local_ts = LocalTs::new(max);
                         }
                     }
                 }
@@ -1200,7 +1200,7 @@ mod merge_props {
             let logs = build(&arb_spec(rng), false);
             let store = merge_logs_store(&logs);
             assert_eq!(store.to_events(), merge_logs(&logs).events);
-            let ts_by_event: std::collections::HashMap<Event, Option<u64>> = logs
+            let ts_by_event: std::collections::HashMap<Event, Option<LocalTs>> = logs
                 .iter()
                 .flat_map(|l| l.entries.iter())
                 .map(|e| (e.event, e.local_ts))

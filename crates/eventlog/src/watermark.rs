@@ -14,6 +14,7 @@
 //! window closed too early is reopened by the late arrival and the result
 //! still converges to the batch answer.
 
+use crate::logger::LocalTs;
 use netsim::fx::FxHashMap;
 use netsim::NodeId;
 
@@ -67,11 +68,11 @@ impl WatermarkTracker {
     /// Record one delivered record from `node`; returns its updated mark.
     /// Timestamps only ever advance the mark (a locally-delayed reading
     /// never moves a watermark backwards).
-    pub fn advance(&mut self, node: NodeId, local_ts: Option<u64>) -> Mark {
+    pub fn advance(&mut self, node: NodeId, local_ts: Option<LocalTs>) -> Mark {
         let mark = self.marks.entry(node).or_default();
         mark.records += 1;
         if let Some(ts) = local_ts {
-            mark.ts_us = mark.ts_us.max(ts);
+            mark.ts_us = mark.ts_us.max(ts.get());
         }
         *mark
     }
@@ -111,8 +112,8 @@ mod tests {
     #[test]
     fn advance_counts_records_and_maxes_timestamps() {
         let mut t = WatermarkTracker::new();
-        t.advance(n(1), Some(100));
-        t.advance(n(1), Some(50)); // a delayed reading must not regress
+        t.advance(n(1), LocalTs::new(100));
+        t.advance(n(1), LocalTs::new(50)); // a delayed reading must not regress
         let m = t.advance(n(1), None);
         assert_eq!(m, Mark { ts_us: 100, records: 3 });
         assert_eq!(t.mark(n(1)), m);
@@ -136,10 +137,10 @@ mod tests {
     fn passed_by_local_time() {
         let mut t = WatermarkTracker::new();
         let lateness = Lateness { records: u64::MAX, micros: 1_000 };
-        let since = t.advance(n(1), Some(10_000));
-        t.advance(n(1), Some(10_500));
+        let since = t.advance(n(1), LocalTs::new(10_000));
+        t.advance(n(1), LocalTs::new(10_500));
         assert!(!t.passed(n(1), since, lateness));
-        t.advance(n(1), Some(11_000));
+        t.advance(n(1), LocalTs::new(11_000));
         assert!(t.passed(n(1), since, lateness));
     }
 
@@ -160,7 +161,7 @@ mod tests {
         let mut t = WatermarkTracker::new();
         let since = Mark { ts_us: u64::MAX - 1, records: u64::MAX - 1 };
         let lateness = Lateness { records: u64::MAX, micros: u64::MAX };
-        t.advance(n(1), Some(5));
+        t.advance(n(1), LocalTs::new(5));
         assert!(!t.passed(n(1), since, lateness));
     }
 }

@@ -18,8 +18,8 @@
 
 use eventlog::{
     merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, packet_order,
-    ColumnarIndex, Event, EventKind, EventStore, LocalLog, LogEntry, MergedLog, PackedEvent,
-    PacketId, PacketIndex, ScratchArena, WatermarkTracker,
+    ColumnarIndex, Event, EventKind, EventStore, LocalLog, LocalTs, LogEntry, MergedLog,
+    PackedEvent, PacketId, PacketIndex, ScratchArena, WatermarkTracker,
 };
 use netsim::NodeId;
 
@@ -118,7 +118,7 @@ fn soup(rng: &mut SplitMix64, shape: Shape) -> Vec<LocalLog> {
                     let packet = PacketId::new(NodeId(rng.below(40) as u16), serial);
                     LogEntry {
                         event: Event::new(node, kind(rng), packet),
-                        local_ts,
+                        local_ts: local_ts.and_then(LocalTs::new),
                     }
                 })
                 .collect();
@@ -127,11 +127,11 @@ fn soup(rng: &mut SplitMix64, shape: Shape) -> Vec<LocalLog> {
         .collect()
 }
 
-fn entry(node: u16, seqno: u32, local_ts: Option<u64>) -> LogEntry {
+fn entry(node: u16, seqno: u32, ts: u64) -> LogEntry {
     let node = NodeId(node);
     LogEntry {
         event: Event::new(node, EventKind::Origin, PacketId::new(node, seqno)),
-        local_ts,
+        local_ts: Some(LocalTs::new(ts).expect("a timestamp below u64::MAX")),
     }
 }
 
@@ -149,7 +149,7 @@ fn cursor_scan(logs: &[LocalLog]) -> Vec<Event> {
             .enumerate()
             .filter_map(|(ci, log)| {
                 let head = log.entries.get(pos[ci])?;
-                Some((head.local_ts.unwrap_or(0), log.node, ci))
+                Some((head.local_ts.map_or(0, LocalTs::get), log.node, ci))
             })
             .min()
             .expect("total counts the live entries");
@@ -203,15 +203,8 @@ fn assert_all_paths(logs: &[LocalLog], what: &str) {
             "merge_logs_partitioned(_, {partitions}), {what}"
         );
     }
-    // u64::MAX is the store's "no timestamp" mark and `push` refuses it.
-    if !logs
-        .iter()
-        .flat_map(|l| &l.entries)
-        .any(|e| e.local_ts == Some(u64::MAX))
-    {
-        let store = merge_logs_store(logs);
-        assert_eq!(store.to_events(), expected, "merge_logs_store, {what}");
-    }
+    let store = merge_logs_store(logs);
+    assert_eq!(store.to_events(), expected, "merge_logs_store, {what}");
 }
 
 // --- merge identity ------------------------------------------------------
@@ -265,15 +258,15 @@ fn duplicate_timestamps_break_ties_by_node_then_input_order() {
 fn equal_heads_of_one_node_go_to_the_earlier_log() {
     let a = LocalLog {
         node: NodeId(7),
-        entries: vec![entry(7, 0, Some(50)), entry(7, 1, Some(50))],
+        entries: vec![entry(7, 0, 50), entry(7, 1, 50)],
     };
     let b = LocalLog {
         node: NodeId(7),
-        entries: vec![entry(7, 10, Some(50)), entry(7, 11, Some(50))],
+        entries: vec![entry(7, 10, 50), entry(7, 11, 50)],
     };
     let c = LocalLog {
         node: NodeId(3),
-        entries: vec![entry(3, 20, Some(50)), entry(3, 21, Some(51))],
+        entries: vec![entry(3, 20, 50), entry(3, 21, 51)],
     };
     let logs = [a, b, c];
     assert_all_paths(&logs, "same node, equal heads");
@@ -330,7 +323,8 @@ fn missing_timestamps_sort_as_zero_or_fall_back_to_round_robin() {
 
 #[test]
 fn a_span_of_the_whole_u64_equals_the_scan() {
-    // ts - lo needs all 64 bits, so no bits are left for the run.
+    // ts - lo needs all 64 bits, so no bits are left for the run. The
+    // stamps drawn as u64::MAX are dropped: no `LocalTs` holds that value.
     let edge = [0, u64::MAX - 1, u64::MAX];
     let mut rng = SplitMix64(0x6d65_7267_6535);
     let mut serial = 0u32;
@@ -344,30 +338,15 @@ fn a_span_of_the_whole_u64_equals_the_scan() {
                 node: NodeId(i % 4),
                 entries: stamps
                     .into_iter()
-                    .map(|ts| {
+                    .filter_map(|ts| {
                         serial += 1;
-                        entry(i % 4, serial, Some(ts))
+                        (ts != u64::MAX).then(|| entry(i % 4, serial, ts))
                     })
                     .collect(),
             }
         })
         .collect();
-    assert_all_paths(&logs, "ts in {0, MAX - 1, MAX}");
-    // The same with the store's reserved value left out: a 64-bit span
-    // through the fused merge as well.
-    let no_max: Vec<LocalLog> = logs
-        .iter()
-        .map(|l| LocalLog {
-            node: l.node,
-            entries: l
-                .entries
-                .iter()
-                .filter(|e| e.local_ts != Some(u64::MAX))
-                .copied()
-                .collect(),
-        })
-        .collect();
-    assert_all_paths(&no_max, "ts in {0, MAX - 1}");
+    assert_all_paths(&logs, "ts in {0, MAX - 1}");
     // Spans either side of where span and run stop fitting one word
     // together: two logs need one bit, nine need four.
     for (k, top) in [
@@ -383,7 +362,7 @@ fn a_span_of_the_whole_u64_equals_the_scan() {
                     .iter()
                     .map(|&ts| {
                         serial += 1;
-                        entry(k - i, serial, Some(ts))
+                        entry(k - i, serial, ts)
                     })
                     .collect(),
             })
@@ -402,12 +381,18 @@ fn sixty_five_thousand_one_entry_runs() {
             let node = rng.below(500) as u16;
             LocalLog {
                 node: NodeId(node),
-                entries: vec![entry(node, i, Some(rng.below(4_000)))],
+                entries: vec![entry(node, i, rng.below(4_000))],
             }
         })
         .collect();
     let mut order: Vec<usize> = (0..logs.len()).collect();
-    order.sort_by_key(|&i| (logs[i].entries[0].local_ts, logs[i].node, i));
+    order.sort_by_key(|&i| {
+        (
+            logs[i].entries[0].local_ts.map(LocalTs::get),
+            logs[i].node,
+            i,
+        )
+    });
     let expected: Vec<Event> = order.iter().map(|&i| logs[i].entries[0].event).collect();
     assert_eq!(merge_logs(&logs).events, expected);
     assert_eq!(merge_logs_kway(&logs).events, expected);

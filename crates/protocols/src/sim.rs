@@ -24,7 +24,7 @@ use crate::packet::DataPacket;
 use crate::schedule::{FaultModulator, FaultSchedule};
 use eventlog::clock::{ClockConfig, ClockModel};
 use eventlog::event::BASE_STATION;
-use eventlog::logger::{LocalLog, LogEntry, NodeLogger};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry, NodeLogger};
 use eventlog::{Event, EventKind, GroundTruth, LossCause, PacketFate, PacketId};
 use netsim::fx::FxHashMap;
 use netsim::link::{LinkModel, LinkQualityTable};
@@ -459,7 +459,7 @@ impl Simulator {
         self.truth.record(now, event);
         self.bs_entries.push(LogEntry {
             event,
-            local_ts: Some(now.as_micros()),
+            local_ts: LocalTs::new(now.as_micros()),
         });
         self.truth.visit(id, BASE_STATION);
         if let Some(p) = self.packets.get_mut(&id) {

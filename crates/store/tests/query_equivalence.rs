@@ -4,7 +4,7 @@
 //! filter over the merged event columns and the `reconstruct_log` reports
 //! the store was fed. Pushdown may only skip work, never answers.
 
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::merge::merge_logs_store;
 use eventlog::{Event, EventKind, PackedEvent, PacketId, TS_NONE};
 use netsim::prop::{check, vec_of};
@@ -77,7 +77,7 @@ fn to_logs(soup: &[Soup]) -> Vec<LocalLog> {
         };
         logs[usize::from(s.node) - 1].entries.push(LogEntry {
             event: Event::new(NodeId(s.node), kind, packet),
-            local_ts: s.ts,
+            local_ts: s.ts.and_then(LocalTs::new),
         });
     }
     logs

@@ -3,7 +3,7 @@
 //! whole, CRC-valid blocks — no panic, no error, no partial rows — and a
 //! second reopen is a no-op. Appends after recovery continue cleanly.
 
-use eventlog::{Event, EventKind, PackedEvent, PacketId, TS_NONE};
+use eventlog::{Event, EventKind, LocalTs, PackedEvent, PacketId, TS_NONE};
 use netsim::json::{self, ToJson};
 use netsim::prop::check;
 use netsim::NodeId;
@@ -54,11 +54,11 @@ fn report_rows() -> Vec<ReportRow> {
         entries: vec![
             LogEntry {
                 event: Event::new(NodeId(1), EventKind::Origin, p),
-                local_ts: Some(10),
+                local_ts: LocalTs::new(10),
             },
             LogEntry {
                 event: Event::new(NodeId(1), EventKind::Trans { to: NodeId(2) }, p),
-                local_ts: Some(20),
+                local_ts: LocalTs::new(20),
             },
         ],
     };

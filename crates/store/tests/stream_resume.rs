@@ -3,11 +3,11 @@
 //! with reports byte-identical to an uninterrupted run (which is itself
 //! byte-identical to batch reconstruction).
 
-use eventlog::frame::{encode_records, NodeRecord};
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::frame::{decode_all, encode_record, encode_records, NodeRecord, FRAME_HEADER_LEN};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
-use eventlog::{Event, EventKind, PacketId, TS_NONE};
+use eventlog::{crc32, Event, EventKind, FrameStats, PackedEvent, PacketId};
 use netsim::prop::check;
 use netsim::NodeId;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
@@ -79,12 +79,12 @@ fn day_records(packets: u32) -> (Vec<LocalLog>, Vec<NodeRecord>) {
         let ts = u64::from(seq) * 10_000;
         logs[0].entries.push(LogEntry {
             event: Event::new(n(1), EventKind::Trans { to: n(2) }, p),
-            local_ts: Some(ts),
+            local_ts: LocalTs::new(ts),
         });
         if seq % 3 != 1 {
             logs[0].entries.push(LogEntry {
                 event: Event::new(n(1), EventKind::AckRecvd { to: n(2) }, p),
-                local_ts: Some(ts + 5),
+                local_ts: LocalTs::new(ts + 5),
             });
         }
         if seq % 4 != 2 {
@@ -98,7 +98,7 @@ fn day_records(packets: u32) -> (Vec<LocalLog>, Vec<NodeRecord>) {
             });
             logs[2].entries.push(LogEntry {
                 event: Event::new(n(3), EventKind::Recv { from: n(2) }, p),
-                local_ts: Some(ts + 777),
+                local_ts: LocalTs::new(ts + 777),
             });
         }
     }
@@ -165,12 +165,11 @@ fn checkpointed_run_matches_plain_run_and_store_holds_everything() {
     );
 
     // The store holds the entire absorbed record sequence, in order, with
-    // timestamps preserved (TS_NONE for node 2's untimed entries).
+    // timestamps preserved (none for node 2's untimed entries).
     let rows = store.events().unwrap();
     assert_eq!(rows.len(), records.len());
     for (row, rec) in rows.iter().zip(&records) {
-        assert_eq!(row.0.unpack(), rec.entry.event);
-        assert_eq!(row.1, rec.entry.local_ts.unwrap_or(TS_NONE));
+        assert_eq!(PackedEvent::unpack_entry(*row), rec.entry);
     }
     // And its converged report view rehydrates to the final reports.
     assert_eq!(
@@ -251,11 +250,91 @@ fn killed_run_resumes_byte_identical() {
         let rows = store.events().unwrap();
         assert_eq!(rows.len(), records.len());
         for (row, rec) in rows.iter().zip(&records) {
-            assert_eq!(row.0.unpack(), rec.entry.event);
-            assert_eq!(row.1, rec.entry.local_ts.unwrap_or(TS_NONE));
+            assert_eq!(PackedEvent::unpack_entry(*row), rec.entry);
         }
         assert_eq!(rehydrated_sorted(&store), sorted_by_packet(summary.reports));
     });
+}
+
+/// `rec`'s frame, stamped `u64::MAX` — well-formed and checksummed, but
+/// the value the store spells "no timestamp" with.
+fn frame_stamped_u64_max(mut rec: NodeRecord) -> Vec<u8> {
+    rec.entry.local_ts = LocalTs::new(u64::MAX - 1);
+    let mut frame = Vec::new();
+    encode_record(&rec, &mut frame);
+    // The payload's timestamp follows its 14-byte head, little-endian.
+    let ts_at = FRAME_HEADER_LEN + 14;
+    assert_eq!(frame[ts_at], 0xFE);
+    frame[ts_at] = 0xFF;
+    let crc_at = frame.len() - 4;
+    let crc = crc32(&frame[2..crc_at]);
+    frame[crc_at..].copy_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+/// A stream with a frame stamped `u64::MAX - 1` (the largest timestamp) and
+/// one stamped `u64::MAX` (malformed: skipped as one corrupt run). A run
+/// killed after any record and resumed from the store equals the
+/// uninterrupted run; the store keeps `u64::MAX - 1` as it came.
+#[test]
+fn the_edge_timestamps_survive_a_kill_and_resume() {
+    let (_, mut records) = day_records(6);
+    let last_of_node_3 = records.iter().rposition(|r| r.node == n(3)).unwrap();
+    records[last_of_node_3].entry.local_ts = LocalTs::new(u64::MAX - 1);
+    let half = records.len() / 2;
+    let mut bytes = encode_records(&records[..half]);
+    bytes.extend_from_slice(&frame_stamped_u64_max(records[half]));
+    bytes.extend_from_slice(&encode_records(&records[half..]));
+    let (decoded, stats) = decode_all(&bytes);
+    assert_eq!(decoded, records);
+    assert_eq!(stats, FrameStats { decoded: records.len() as u64, corrupt: 1 });
+
+    let mut plain = StreamReconstructor::with_lateness(recon(), lateness());
+    let uninterrupted =
+        run_stream(Cursor::new(&bytes), &mut plain, driver_config(), |_| {}).unwrap();
+    assert_eq!(uninterrupted.frames, stats);
+
+    for k in 0..=records.len() {
+        let tmp = TempDir::new();
+        {
+            let (store, _) = SegmentStore::open(&tmp.0).unwrap();
+            let mut ckpt = StoreCheckpoint::new(store);
+            let mut stream = StreamReconstructor::with_lateness(recon(), lateness());
+            for (i, rec) in records[..k].iter().enumerate() {
+                stream.ingest(*rec);
+                ckpt.on_record(rec).unwrap();
+                if i % 2 == 1 {
+                    stream.pump();
+                    stream.poll_with(|report| ckpt.on_report(report).unwrap());
+                    ckpt.sync().unwrap();
+                }
+            }
+        }
+        let (store, _) = SegmentStore::open(&tmp.0).unwrap();
+        let mut ckpt = StoreCheckpoint::new(store);
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness());
+        for rec in ckpt.resume_records().unwrap() {
+            stream.ingest(rec);
+        }
+        let summary = run_stream_observed(
+            Cursor::new(&bytes),
+            &mut stream,
+            driver_config(),
+            |_| {},
+            &mut [&mut ckpt],
+        )
+        .unwrap();
+        let store = ckpt.finish().unwrap();
+        assert_eq!(
+            format!("{:#?}", summary.reports),
+            format!("{:#?}", uninterrupted.reports),
+            "killed after {k} records"
+        );
+        let rows = store.events().unwrap();
+        let kept: Vec<LogEntry> = rows.into_iter().map(PackedEvent::unpack_entry).collect();
+        let absorbed: Vec<LogEntry> = records.iter().map(|r| r.entry).collect();
+        assert_eq!(kept, absorbed, "killed after {k} records");
+    }
 }
 
 /// Two observers on one run: a killed run resumed under a store checkpoint

@@ -302,7 +302,7 @@ where
 mod tests {
     use super::*;
     use eventlog::frame::encode_records;
-    use eventlog::logger::{LocalLog, LogEntry};
+    use eventlog::logger::{LocalLog, LocalTs, LogEntry};
     use eventlog::merge::merge_logs;
     use eventlog::watermark::Lateness;
     use eventlog::{Event, EventKind, PacketId};
@@ -327,7 +327,7 @@ mod tests {
                 n(1),
                 LogEntry {
                     event: Event::new(n(1), EventKind::Trans { to: n(2) }, p),
-                    local_ts: Some(u64::from(seq) * 1_000),
+                    local_ts: LocalTs::new(u64::from(seq) * 1_000),
                 },
             ));
             out.push(NodeRecord::new(

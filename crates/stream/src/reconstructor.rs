@@ -372,7 +372,7 @@ impl StreamReconstructor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventlog::logger::{LocalLog, LogEntry};
+    use eventlog::logger::{LocalLog, LocalTs, LogEntry};
     use eventlog::merge::merge_logs;
     use eventlog::EventKind;
     use refill::telemetry::AtomicRecorder;
@@ -387,7 +387,7 @@ mod tests {
             n(node),
             LogEntry {
                 event: Event::new(n(node), kind, packet),
-                local_ts: ts,
+                local_ts: ts.and_then(LocalTs::new),
             },
         )
     }

@@ -10,7 +10,7 @@
 //! order gives the batch answer.
 
 use eventlog::frame::{encode_records, FrameDecoder, NodeRecord};
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use eventlog::{Event, EventKind, PacketId};
@@ -46,7 +46,9 @@ fn day_logs(rng: &mut Rng, packets: u32, untimed: bool) -> Vec<LocalLog> {
         } else {
             clocks[at] + rng.gen_range(100..5_000)
         };
-        let local_ts = (!untimed || node != n(2)).then_some(clocks[at]);
+        let local_ts = (!untimed || node != n(2))
+            .then_some(clocks[at])
+            .and_then(LocalTs::new);
         logs[at].entries.push(LogEntry {
             event: Event::new(node, kind, packet),
             local_ts,

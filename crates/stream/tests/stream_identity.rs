@@ -19,7 +19,7 @@
 //! `crates/core/tests/kernel_identity.rs`.
 
 use eventlog::frame::NodeRecord;
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::watermark::Lateness;
 use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::NodeId;
@@ -150,7 +150,9 @@ fn records(seed: u64, packets: u32, arrival: Arrival, stamps: Stamps) -> Vec<Nod
                 1..=4 => *clock + 1_000_000 + rng.below(40_000_000),
                 _ => *clock + 100 + rng.below(5_000),
             };
-            let local_ts = (stamps != Stamps::Off).then_some(*clock);
+            let local_ts = (stamps != Stamps::Off)
+                .then_some(*clock)
+                .and_then(LocalTs::new);
             out.push(NodeRecord::new(event.node, LogEntry { event, local_ts }));
         }
     }
@@ -363,7 +365,7 @@ fn logs_of(recs: &[NodeRecord]) -> Vec<LocalLog> {
         };
         logs[at].entries.push(LogEntry {
             event: r.entry.event,
-            local_ts: Some(((at as u64) << 32) | tick as u64),
+            local_ts: LocalTs::new(((at as u64) << 32) | tick as u64),
         });
     }
     logs

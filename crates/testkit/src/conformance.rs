@@ -29,7 +29,7 @@ use eventlog::frame::{decode_all, FrameStats, NodeRecord};
 use eventlog::logger::LocalLog;
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
-use eventlog::TS_NONE;
+use eventlog::PackedEvent;
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::telemetry::{Counter, NoopRecorder, Recorder};
 use refill::{CtpVocabulary, PacketReport, Reconstructor, SigCache};
@@ -369,7 +369,7 @@ pub fn run_case(
         ));
     }
     for (i, (row, rec)) in rows.iter().zip(&survivors).enumerate() {
-        if row.0.unpack() != rec.entry.event || row.1 != rec.entry.local_ts.unwrap_or(TS_NONE) {
+        if *row != PackedEvent::pack_entry(&rec.entry) {
             return Err(fail(
                 "store-recovery",
                 format!(

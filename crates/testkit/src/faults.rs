@@ -450,7 +450,7 @@ mod tests {
     use super::*;
     use crate::FaultPlan;
     use eventlog::frame::decode_all;
-    use eventlog::logger::LogEntry;
+    use eventlog::logger::{LocalTs, LogEntry};
     use eventlog::{Event, EventKind, PacketId};
     use netsim::NodeId;
 
@@ -465,7 +465,7 @@ mod tests {
                             EventKind::Trans { to: NodeId(2) },
                             PacketId::new(NodeId(1), i),
                         ),
-                        local_ts: Some(u64::from(i) * 100),
+                        local_ts: LocalTs::new(u64::from(i) * 100),
                     },
                 )
             })

@@ -12,7 +12,7 @@
 
 use crate::plan::FaultSpec;
 use eventlog::frame::NodeRecord;
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::{Event, EventKind, PacketId};
 use netsim::{NodeId, Rng};
 
@@ -83,7 +83,7 @@ pub fn gen_logs(rng: &mut Rng, spec: &FaultSpec) -> (Vec<LocalLog>, ScenarioRepo
         let ts = if untimed[node_idx] || rng.gen_bool(0.1) {
             None
         } else {
-            Some(base_ts + skews[node_idx])
+            LocalTs::new(base_ts + skews[node_idx])
         };
         let entry = LogEntry {
             event: Event::new(node, kind, packet),
@@ -232,7 +232,11 @@ mod tests {
             let mut rng = Rng::new(seed);
             let (logs, _) = gen_logs(&mut rng, &FaultSpec::heavy());
             for log in &logs {
-                let ts: Vec<u64> = log.entries.iter().filter_map(|e| e.local_ts).collect();
+                let ts: Vec<u64> = log
+                    .entries
+                    .iter()
+                    .filter_map(|e| e.local_ts.map(LocalTs::get))
+                    .collect();
                 assert!(
                     ts.windows(2).all(|w| w[0] <= w[1]),
                     "seed {seed}: node {:?} logged out of local order",

@@ -10,7 +10,7 @@
 
 use citysee::figures::Fig9Breakdown;
 use citysee::Scenario;
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::{archive, merge_logs, Event, EventKind, LossCause, PacketFate, PacketId, TS_NONE};
 use netsim::json::{parse, FromJson, Json, JsonErrorKind, ToJson};
 use netsim::{NodeId, Rng, SimTime};
@@ -147,12 +147,22 @@ fn corpus() -> Vec<String> {
             .iter()
             .flat_map(|r| r.flow.payloads().copied().collect::<Vec<_>>()),
     )];
-    logs[0].entries[0].local_ts = Some(TS_NONE);
-    logs[0].entries[1].local_ts = Some(0);
+    logs[0].entries[0].local_ts = LocalTs::new(TS_NONE - 1);
+    logs[0].entries[1].local_ts = LocalTs::new(0);
     let mut archive_bytes = Vec::new();
     archive::write_logs(&logs, &mut archive_bytes).unwrap();
     assert_eq!(archive::read_logs(&archive_bytes[..]).unwrap(), logs);
     let archive_text = String::from_utf8(archive_bytes).unwrap();
+    // The store's "no timestamp" is no timestamp: a line stamped with it is
+    // refused, naming the line (the header is line 1).
+    let stamped_none = archive_text.replacen(&(TS_NONE - 1).to_string(), &TS_NONE.to_string(), 1);
+    assert!(
+        matches!(
+            archive::read_logs(stamped_none.as_bytes()),
+            Err(archive::ArchiveError::Corrupt { line: 2, .. })
+        ),
+        "{stamped_none:.120}"
+    );
     for entry in &logs[0].entries {
         docs.extend(round_trip(entry));
     }

@@ -9,7 +9,7 @@
 use eventlog::frame::{encode_records, NodeRecord};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
-use eventlog::TS_NONE;
+use eventlog::PackedEvent;
 use netsim::Rng;
 use refill::telemetry::NoopRecorder;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
@@ -97,11 +97,10 @@ fn assert_durable_prefix(tmp: &TempDir, records: &[NodeRecord], context: &str) -
         "{context}: store holds more rows than were absorbed"
     );
     for (i, (row, rec)) in rows.iter().zip(records).enumerate() {
-        assert_eq!(row.0.unpack(), rec.entry.event, "{context}: row {i} event");
         assert_eq!(
-            row.1,
-            rec.entry.local_ts.unwrap_or(TS_NONE),
-            "{context}: row {i} timestamp"
+            PackedEvent::unpack_entry(*row),
+            rec.entry,
+            "{context}: row {i}"
         );
     }
     rows.len()
@@ -232,8 +231,7 @@ fn mid_flush_failure_keeps_events_before_reports() {
             "seed {seed}: every event absorbed before the failed reports write is durable"
         );
         for (row, rec) in rows.iter().zip(&records) {
-            assert_eq!(row.0.unpack(), rec.entry.event);
-            assert_eq!(row.1, rec.entry.local_ts.unwrap_or(TS_NONE));
+            assert_eq!(PackedEvent::unpack_entry(*row), rec.entry);
         }
     }
     assert!(triggered >= 5, "only {triggered}/20 seeds closed a window mid-run");

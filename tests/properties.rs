@@ -1,7 +1,7 @@
 //! Property tests (seeded cases from `netsim::prop`) for the DESIGN.md
 //! invariants that hold over *arbitrary* inputs, not just simulated ones.
 
-use eventlog::logger::{LocalLog, LogEntry};
+use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::prop::{check, vec_of};
 use netsim::{NodeId, Rng};
@@ -26,7 +26,10 @@ fn arb_logs(rng: &mut Rng) -> Vec<LocalLog> {
                 EventKind::Origin,
                 PacketId::new(origin, rng.gen_range(0..50)),
             ),
-            local_ts: rng.gen_bool(0.5).then(|| rng.gen_range(0..1000)),
+            local_ts: rng
+                .gen_bool(0.5)
+                .then(|| rng.gen_range(0..1000))
+                .and_then(LocalTs::new),
         });
         LocalLog { node, entries }
     })
