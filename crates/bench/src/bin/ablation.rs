@@ -9,7 +9,7 @@
 use baselines::wit::wit_merge;
 use citysee::Analyzer;
 use citysee::run_scenario;
-use refill::parallel::available_workers;
+use netsim::available_workers;
 use refill::score::{score_cause, score_events, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, ReconOptions, Reconstructor};
 

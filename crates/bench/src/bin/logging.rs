@@ -11,7 +11,7 @@ use citysee::analysis::{campaign_packets, Analyzer};
 use citysee::run_scenario;
 use eventlog::logger::LocalLog;
 use eventlog::EventKind;
-use refill::parallel::available_workers;
+use netsim::available_workers;
 use refill::score::{score_cause, score_events, CauseScore, FlowScore};
 use refill::trace::{CtpVocabulary, Reconstructor};
 

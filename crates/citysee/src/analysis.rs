@@ -32,9 +32,9 @@ use eventlog::{
     merge_logs, Event, GroundTruth, LossCause, MergedLog, PacketFate, PacketId, PacketIndex,
 };
 use netsim::fx::FxHashMap;
-use netsim::{NodeId, SimDuration, SimTime};
+use netsim::{available_workers, NodeId, SimDuration, SimTime};
 use refill::diagnose::{Diagnoser, Diagnosis};
-use refill::parallel::{available_workers, par_map};
+use refill::parallel::par_map;
 use refill::score::{score_cause, score_events, score_path, CauseScore, FlowScore, PathScore};
 use refill::telemetry::{Counter, Hist, Stage, StageTimer};
 use refill::trace::{CtpVocabulary, PacketReport, Reconstructor};

@@ -1,8 +1,8 @@
 //! `refill analyze`.
 
 use super::{build_analyzer, load_input, recorder_for, write_telemetry, FlagSpec, Flags};
+use netsim::available_workers;
 use refill::diagnose::{CauseBreakdown, PositionBreakdown};
-use refill::parallel::available_workers;
 use std::fmt::Write as _;
 use std::time::Instant;
 

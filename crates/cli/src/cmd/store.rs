@@ -3,8 +3,8 @@
 use super::{build_analyzer, load_input, scenario_from_flags, FlagSpec, Flags};
 use citysee::analysis::{campaign_packets, truth_fate, Analyzer};
 use citysee::run_scenario;
+use netsim::available_workers;
 use netsim::json::ToJson;
-use refill::parallel::available_workers;
 use refill_store::{ReportRow, SegmentStore, Sidecar};
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -1,11 +1,12 @@
 //! The one parallel loop, and the reconstruction drivers built on it.
 //!
 //! Packets are independent: each reconstruction touches only that packet's
-//! events (§IV-B). Every parallel pass in the workspace — the batch drivers
-//! here, `refill_stream::StreamReconstructor`'s window closes and
-//! `citysee::analyze` — is therefore the same thing: an ordered map over an
-//! index range with some per-worker scratch. [`par_map`] is that map,
-//! written once on `std`.
+//! events (§IV-B). Every parallel pass over packets in the workspace — the
+//! batch drivers here, `refill_stream::StreamReconstructor`'s window closes
+//! and `citysee::analyze` — is therefore the same thing: an ordered map over
+//! an index range with some per-worker scratch. [`par_map`] is that map,
+//! written once on `std`; `netsim::available_workers` is how many workers a
+//! caller without a count of its own asks for.
 //!
 //! * [`reconstruct_parallel`] groups a merged log through one shared
 //!   [`eventlog::PacketIndex`] and maps the kernel over the groups;
@@ -22,24 +23,13 @@
 use crate::trace::{PacketReport, Reconstructor};
 use eventlog::columnar::{ColumnarIndex, ScratchArena};
 use eventlog::{merge_logs_store, LocalLog, MergedLog};
+use netsim::available_workers;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Batches per worker: enough that one slow batch (a storm-loop packet)
 /// cannot leave the other workers idle for long, few enough that cursor
 /// traffic stays negligible.
 const BATCHES_PER_WORKER: usize = 8;
-
-/// Worker threads a parallel pass uses when the caller has no count of its
-/// own: the machine's available parallelism (1 if it cannot be determined).
-///
-/// The answer is the process's at first use: `available_parallelism` reads
-/// the cgroup files and the affinity mask on every call, and the stream asks
-/// once per sweep, so it is asked once and remembered.
-pub fn available_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
 
 /// Ordered parallel map over `0..n`: `f(state, i)` for every index, results
 /// in index order.

@@ -37,20 +37,26 @@
 //! 2.08 M-event, 1 194-log input 0.16 → 0.058 s (DESIGN.md §9 has the
 //! table of what each step bought).
 //!
-//! [`merge_logs_partitioned`] cuts sorted logs at shared timestamp
-//! boundaries and merges the strips on scoped threads, each into its own
-//! window of the output. Because boundaries compare on `local_ts` alone,
-//! every event with a given timestamp lands in exactly one strip — so no
-//! tie ever spans a boundary and the result is byte-identical to the
-//! sequential merge. Unsorted logs (which the cursor-scan semantics permit)
-//! are merged by the sequential tree.
+//! Sorted logs are cut at shared timestamp boundaries into one strip per
+//! core, each holding about as many entries as the next, and the strips are
+//! merged on scoped threads, each into its own window of the output
+//! ([`merge_logs_partitioned`]; [`merge_logs`] takes it on every core).
+//! Because boundaries compare on `local_ts` alone, every event with a given
+//! timestamp lands in exactly one strip — so no tie ever spans a boundary
+//! and the result is byte-identical to the sequential merge. Unsorted logs
+//! (which the cursor-scan semantics permit) are merged by the sequential
+//! tree.
+//!
+//! [`PacketIndex`] groups the merged events by packet with a counting sort,
+//! its scatter on two threads for large inputs.
 
 use crate::columnar::{EventStore, PackedEvent, TS_NONE};
 use crate::event::{Event, PacketId};
 use crate::logger::{LocalLog, LocalTs, LogEntry};
 use crate::watermark::Mark;
 use netsim::fx::FxHashMap;
-use netsim::NodeId;
+use netsim::{available_workers, NodeId};
+use std::mem::MaybeUninit;
 
 /// The merged event stream.
 #[derive(Debug, Clone, Default)]
@@ -129,16 +135,20 @@ pub struct PacketIndex<T = Event> {
 }
 
 impl PacketIndex {
-    /// Build from an event stream: group the row numbers
-    /// ([`PacketIndex::group_rows`]), then copy each event to its place.
+    /// Build from an event stream: every event is scattered straight to its
+    /// place in the arena by the counting sort [`PacketIndex::group_rows`]
+    /// runs over row numbers, on two threads from [`PARALLEL_SCATTER_ROWS`]
+    /// events on.
     ///
     /// # Panics
     /// Panics if there are more than `u32::MAX` events.
     pub fn build(events: &[Event]) -> Self {
-        let PacketIndex { rows, ids, offsets } =
-            PacketIndex::group_rows(events.iter().map(|e| e.packet));
-        let rows = rows.iter().map(|&row| events[row as usize]).collect();
-        PacketIndex { rows, ids, offsets }
+        let workers = if events.len() >= PARALLEL_SCATTER_ROWS {
+            SCATTER_WORKERS
+        } else {
+            1
+        };
+        PacketIndex::group_by_id(events.iter().map(|e| (e.packet, *e)), workers)
     }
 }
 
@@ -146,38 +156,16 @@ impl PacketIndex<u32> {
     /// Group row numbers by packet id, given each row's id: each packet's
     /// row numbers contiguous and ascending, packets in ascending id order.
     ///
-    /// A counting sort over the dense `(origin, seqno)` domain — three
-    /// linear passes — or, for sparse ids, a stable sort.
+    /// On one thread: a second would read every id again to write a quarter
+    /// of an event's bytes per row, and saves nothing that way (measured on
+    /// `trace-wide`'s merged log on 2 vCPUs, 2.08 M rows: 31.3 ms on one
+    /// thread, 29.8 on two; 1.2 M rows: 18.0 and 18.6 ms).
     ///
     /// # Panics
     /// Panics if there are more than `u32::MAX` rows.
-    pub fn group_rows(packets: impl ExactSizeIterator<Item = PacketId> + Clone) -> Self {
+    pub fn group_rows(packets: impl ExactSizeIterator<Item = PacketId> + Clone + Send) -> Self {
         let n = u32::try_from(packets.len()).expect("packet indexes address rows with u32");
-        if let Some(mut dense) = DenseIds::count(packets.clone()) {
-            let (ids, offsets) = dense.layout();
-            let mut rows = vec![0u32; n as usize];
-            for (row, id) in (0..n).zip(packets) {
-                let slot = dense.slot(id);
-                let at = &mut dense.slots[slot];
-                rows[*at as usize] = row;
-                *at += 1;
-            }
-            return PacketIndex { rows, ids, offsets };
-        }
-        let packets: Vec<PacketId> = packets.collect();
-        let mut rows: Vec<u32> = (0..n).collect();
-        rows.sort_by_key(|&row| packets[row as usize]);
-        let mut ids: Vec<PacketId> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::new();
-        for (i, &row) in rows.iter().enumerate() {
-            let id = packets[row as usize];
-            if ids.last() != Some(&id) {
-                ids.push(id);
-                offsets.push(i);
-            }
-        }
-        offsets.push(rows.len());
-        PacketIndex { rows, ids, offsets }
+        PacketIndex::group_by_id(packets.zip(0..n), 1)
     }
 
     /// Packet `id`'s rows of `table`, the table whose row numbers were
@@ -187,6 +175,42 @@ impl PacketIndex<u32> {
             .unwrap_or(&[])
             .iter()
             .map(move |&row| &table[row as usize])
+    }
+}
+
+impl<T: Copy + Send> PacketIndex<T> {
+    /// Group `(packet id, row)` pairs by id, each group in input order.
+    ///
+    /// A counting sort over the dense `(origin, seqno)` domain — one pass
+    /// for the domain, one to count, one to scatter the rows into the arena
+    /// on `workers` threads ([`DenseIds::scatter`]) — or, for sparse ids, a
+    /// stable sort.
+    fn group_by_id(
+        rows: impl ExactSizeIterator<Item = (PacketId, T)> + Clone + Send,
+        workers: usize,
+    ) -> Self {
+        assert!(
+            u32::try_from(rows.len()).is_ok(),
+            "packet indexes address rows with u32"
+        );
+        if let Some(mut dense) = DenseIds::count(rows.clone().map(|(id, _)| id)) {
+            let (ids, offsets) = dense.layout();
+            let rows = dense.scatter(rows, &ids, &offsets, workers);
+            return PacketIndex { rows, ids, offsets };
+        }
+        let mut sorted: Vec<(PacketId, T)> = rows.collect();
+        sorted.sort_by_key(|&(id, _)| id);
+        let mut ids: Vec<PacketId> = Vec::new();
+        let mut offsets: Vec<usize> = Vec::new();
+        for (i, &(id, _)) in sorted.iter().enumerate() {
+            if ids.last() != Some(&id) {
+                ids.push(id);
+                offsets.push(i);
+            }
+        }
+        offsets.push(sorted.len());
+        let rows = sorted.into_iter().map(|(_, row)| row).collect();
+        PacketIndex { rows, ids, offsets }
     }
 }
 
@@ -233,15 +257,17 @@ impl<T> PacketIndex<T> {
     }
 }
 
-/// A histogram of packet ids over a dense id domain: origin `o` owns the
-/// slots `first[o]..first[o + 1]`, one per seqno from 0 to the largest it
-/// was seen with.
+/// A histogram of packet ids over a dense id domain: every origin from 0 to
+/// the largest seen owns `stride` slots in a row, one per seqno from 0 to
+/// the largest seen with any origin.
 ///
-/// Real ids are dense — every origin numbers its packets from 0 — so the
-/// domain is about as large as the number of packets, far smaller than the
-/// number of events, and grouping by id needs no comparison at all.
+/// Real ids are dense — every origin numbers its packets from 0, and they
+/// originate at about one rate — so the domain is about as large as the
+/// number of packets, far smaller than the number of events, and grouping
+/// by id needs no comparison at all.
 struct DenseIds {
-    first: Vec<usize>,
+    /// Slots per origin.
+    stride: usize,
     /// Per slot: how many rows carry the id; after [`DenseIds::layout`],
     /// where the id's next row goes.
     slots: Vec<u32>,
@@ -249,33 +275,22 @@ struct DenseIds {
 
 impl DenseIds {
     /// Count `packets` (at most `u32::MAX` of them: the counters are `u32`)
-    /// over their domain. `None` when the domain (slots plus origin table)
-    /// would exceed `4·N + 1024` entries for N packets, or when a seqno is
-    /// `u32::MAX` (its slot count would overflow): such ids are sorted
-    /// instead.
+    /// over their domain. `None` when the domain would exceed `4·N + 1024`
+    /// slots for N packets, or when a seqno is `u32::MAX` (its slot count
+    /// would overflow): such ids are sorted instead.
     fn count(packets: impl ExactSizeIterator<Item = PacketId> + Clone) -> Option<DenseIds> {
         let budget = packets.len() as u64 * 4 + 1024;
-        let mut spans: Vec<u32> = Vec::new();
+        let (mut origins, mut stride) = (0u64, 0u64);
         for id in packets.clone() {
-            let origin = id.origin.index();
-            if origin >= spans.len() {
-                spans.resize(origin + 1, 0);
-            }
-            spans[origin] = spans[origin].max(id.seqno.checked_add(1)?);
+            origins = origins.max(id.origin.0 as u64 + 1);
+            stride = stride.max(u64::from(id.seqno.checked_add(1)?));
         }
-        let mut first = Vec::with_capacity(spans.len() + 1);
-        let mut domain = 0usize;
-        first.push(domain);
-        for &span in &spans {
-            domain += span as usize;
-            first.push(domain);
-        }
-        if (domain + first.len()) as u64 > budget {
+        if origins * stride > budget {
             return None;
         }
         let mut dense = DenseIds {
-            first,
-            slots: vec![0; domain],
+            stride: stride as usize,
+            slots: vec![0; (origins * stride) as usize],
         };
         for id in packets {
             let slot = dense.slot(id);
@@ -285,7 +300,7 @@ impl DenseIds {
     }
 
     fn slot(&self, id: PacketId) -> usize {
-        self.first[id.origin.index()] + id.seqno as usize
+        id.origin.index() * self.stride + id.seqno as usize
     }
 
     /// The ids that occur, ascending, and each one's offset among the rows
@@ -296,9 +311,9 @@ impl DenseIds {
         let mut ids = Vec::with_capacity(groups);
         let mut offsets = Vec::with_capacity(groups + 1);
         let mut next = 0u32;
-        for (origin, range) in self.first.windows(2).enumerate() {
-            for (seqno, slot) in self.slots[range[0]..range[1]].iter_mut().enumerate() {
-                let rows = std::mem::replace(slot, next);
+        for (origin, slots) in self.slots.chunks_mut(self.stride.max(1)).enumerate() {
+            for (seqno, at) in slots.iter_mut().enumerate() {
+                let rows = std::mem::replace(at, next);
                 if rows != 0 {
                     ids.push(PacketId::new(NodeId(origin as u16), seqno as u32));
                     offsets.push(next as usize);
@@ -308,6 +323,88 @@ impl DenseIds {
         }
         offsets.push(next as usize);
         (ids, offsets)
+    }
+
+    /// The arena: every row at its place, given the groups [`DenseIds::layout`]
+    /// made, written by `workers` threads. Each id's rows keep input order.
+    ///
+    /// The slots are cut into `workers` ranges of about equal rows, and each
+    /// thread reads every row and writes those of its own slots into its own
+    /// window of the arena: the windows need no lock, and the fresh arena's
+    /// pages are first touched on every thread.
+    fn scatter<T: Copy + Send>(
+        mut self,
+        rows: impl Iterator<Item = (PacketId, T)> + Clone + Send,
+        ids: &[PacketId],
+        offsets: &[usize],
+        workers: usize,
+    ) -> Vec<T> {
+        let n = offsets.last().copied().unwrap_or(0);
+        let mut arena = Vec::with_capacity(n);
+        let stride = self.stride;
+        std::thread::scope(|scope| {
+            let mut cursors = self.slots.as_mut_slice();
+            let mut window = &mut arena.spare_capacity_mut()[..n];
+            // The rows before `base` and the slots before `from` are handed out.
+            let (mut from, mut base) = (0, 0);
+            for w in 1..workers {
+                let split = cursors.partition_point(|&at| (at as usize) < w * n / workers);
+                let end = cursors.get(split).map_or(n, |&at| at as usize);
+                let (mine, rest) = std::mem::take(&mut cursors).split_at_mut(split);
+                let (my_window, rest_window) = std::mem::take(&mut window).split_at_mut(end - base);
+                let (rows, at) = (rows.clone(), (from, base));
+                scope.spawn(move || scatter_slots(stride, at, mine, my_window, rows));
+                (cursors, window, from, base) = (rest, rest_window, from + split, end);
+            }
+            scatter_slots(stride, (from, base), cursors, window, rows);
+        });
+        // Each slot's cursor started at its group's offset and moved one row
+        // per write: a group whose cursor ends at the next group's offset
+        // wrote every row of its range. The ranges tile the arena.
+        for (g, id) in ids.iter().enumerate() {
+            assert_eq!(
+                self.slots[self.slot(*id)] as usize,
+                offsets[g + 1],
+                "the scatter met the rows the count did"
+            );
+        }
+        // SAFETY: by the check above every one of the first `n` elements of
+        // the arena was written, and the arena was made with room for `n`.
+        unsafe { arena.set_len(n) };
+        arena
+    }
+}
+
+/// Threads [`PacketIndex::build`] scatters on, from [`PARALLEL_SCATTER_ROWS`]
+/// events on: two whatever the core count. Every thread reads the whole
+/// input, so one past the second adds a full read for a smaller share of
+/// the writes; and a fixed count keeps the build's allocator requests the
+/// same on every machine (asking the process for its core count allocates).
+const SCATTER_WORKERS: usize = 2;
+
+/// Events below which [`PacketIndex::build`] scatters on one thread: the
+/// second thread's full read of the input costs more than its half of the
+/// writes saves below this many. Measured on prefixes of `trace-wide`'s
+/// merged log on 2 vCPUs: 1.66 ms on one thread against 2.11 on two at
+/// 132 k events, about even at 200 k, 28.7 against 22.0 ms at 1.2 M.
+const PARALLEL_SCATTER_ROWS: usize = 200_000;
+
+/// Write every row of `rows` whose slot is in `from..from + cursors.len()`
+/// to its place: `cursors` holds those slots' next positions in the arena,
+/// whose rows from `base` on are `window`.
+fn scatter_slots<T>(
+    stride: usize,
+    (from, base): (usize, usize),
+    cursors: &mut [u32],
+    window: &mut [MaybeUninit<T>],
+    rows: impl Iterator<Item = (PacketId, T)>,
+) {
+    for (id, row) in rows {
+        let slot = (id.origin.index() * stride + id.seqno as usize).wrapping_sub(from);
+        if let Some(at) = cursors.get_mut(slot) {
+            window[*at as usize - base].write(row);
+            *at += 1;
+        }
     }
 }
 
@@ -327,62 +424,58 @@ pub fn packet_order(mark: Mark, node: NodeId, timestamped: bool) -> (u64, NodeId
 /// Merge local logs into one stream.
 ///
 /// When every involved entry carries a local timestamp we k-way-merge by
-/// `(local_ts, node)` — skewed but usually a decent interleaving. Entries
-/// without timestamps fall back to a round-robin interleave. Either way each
-/// node's own order is preserved exactly.
+/// `(local_ts, node)` — skewed but usually a decent interleaving — in one
+/// strip per available core ([`merge_logs_partitioned`]). Entries without
+/// timestamps fall back to a round-robin interleave. Either way each node's
+/// own order is preserved exactly.
 pub fn merge_logs(logs: &[LocalLog]) -> MergedLog {
-    let mut events = Vec::with_capacity(total_entries(logs));
-    merge_logs_each(logs, |e| events.push(e.event));
-    MergedLog { events }
+    match timestamp_span(logs) {
+        Some(span) => MergedLog {
+            events: merge_by_time(logs, Some(span), available_workers()),
+        },
+        None => {
+            let mut events = Vec::with_capacity(total_entries(logs));
+            merge_round_robin_each(logs, |e| events.push(e.event));
+            MergedLog { events }
+        }
+    }
 }
 
-/// The loser-tree k-way merge whatever the timestamps.
+/// The loser-tree k-way merge whatever the timestamps, on one thread:
+/// [`merge_logs_partitioned`] with one strip.
 ///
 /// Same output as [`merge_logs`] on all-timestamped input (entries missing
 /// a timestamp sort as 0 here instead of triggering the round-robin
 /// fallback). Exposed for benchmarks and equivalence tests.
 pub fn merge_logs_kway(logs: &[LocalLog]) -> MergedLog {
-    let mut events = Vec::with_capacity(total_entries(logs));
-    merge_ranked(&ranked_runs(logs), timestamp_span(logs), |e| {
-        events.push(e.event)
-    });
-    MergedLog { events }
+    merge_logs_partitioned(logs, 1)
 }
 
-/// The time-partitioned merge: `partitions` strips on as many threads.
+/// The timestamp merge in `partitions` strips on as many threads — the
+/// engine [`merge_logs`] runs with one strip per core.
 ///
-/// Runs the sequential loser tree when the logs are not partitionable
-/// (an entry has no timestamp, some log is not sorted by `local_ts`, or
-/// every event shares one timestamp); output is byte-identical either way.
-/// Exposed for benchmarks and equivalence tests — [`merge_logs`] does not
-/// partition.
+/// Runs one loser tree on the calling thread when the logs are not
+/// partitionable (an entry has no timestamp, some log is not sorted by
+/// `local_ts`, or every event shares one timestamp) or `partitions` is 1;
+/// output is byte-identical either way. Entries missing a timestamp sort
+/// as 0, as in [`merge_logs_kway`].
 pub fn merge_logs_partitioned(logs: &[LocalLog], partitions: usize) -> MergedLog {
-    let runs = ranked_runs(logs);
-    let events = match (
-        timestamp_span(logs),
-        runs.iter().find_map(|run| run.first()),
-    ) {
-        (Some(span), Some(first)) if span.sorted && span.lo < span.hi && partitions > 1 => {
-            let mut events = vec![first.event; total_entries(logs)];
-            merge_strips(&runs, span, partitions, &mut events);
-            events
-        }
-        (span, _) => {
-            let mut events = Vec::with_capacity(total_entries(logs));
-            merge_ranked(&runs, span, |e| events.push(e.event));
-            events
-        }
-    };
-    MergedLog { events }
+    MergedLog {
+        events: merge_by_time(logs, timestamp_span(logs), partitions),
+    }
 }
 
-/// The fused columnar merge: the same engine as [`merge_logs`], but every
-/// selected entry is packed straight into a columnar [`EventStore`] (event
-/// and `ts` column together) — no intermediate merged `Vec<Event>` is ever
-/// materialized between the loser tree and the store.
+/// The fused columnar merge: the same loser tree as [`merge_logs`], on one
+/// thread, but every selected entry is packed straight into a columnar
+/// [`EventStore`] (event and `ts` column together) — no intermediate merged
+/// `Vec<Event>` is ever materialized between the loser tree and the store.
 pub fn merge_logs_store(logs: &[LocalLog]) -> EventStore {
     let mut store = EventStore::with_capacity(total_entries(logs));
-    merge_logs_each(logs, |e| store.push_entry(e));
+    let emit = |e: &LogEntry| store.push_entry(e);
+    match timestamp_span(logs) {
+        Some(span) => merge_ranked(&ranked_runs(logs), Some(span), emit),
+        None => merge_round_robin_each(logs, emit),
+    }
     store
 }
 
@@ -390,15 +483,29 @@ fn total_entries(logs: &[LocalLog]) -> usize {
     logs.iter().map(LocalLog::len).sum()
 }
 
-/// The merge both materializations share: every entry of `logs` handed to
-/// `emit` in merged order — by timestamp if every entry has one, else
-/// round-robin.
-fn merge_logs_each(logs: &[LocalLog], emit: impl FnMut(&LogEntry)) {
-    let span = timestamp_span(logs);
+/// The timestamp merge of `logs`, `span` being their timestamps' if every
+/// entry has one: in `strips` strips on as many threads when the logs are
+/// sorted and their timestamps not all equal, else by one loser tree.
+fn merge_by_time(logs: &[LocalLog], span: Option<TimestampSpan>, strips: usize) -> Vec<Event> {
+    let runs = ranked_runs(logs);
+    let total = total_entries(logs);
+    let mut events = Vec::with_capacity(total);
     match span {
-        Some(_) => merge_ranked(&ranked_runs(logs), span, emit),
-        None => merge_round_robin_each(logs, emit),
+        Some(span) if span.sorted && span.lo < span.hi && strips > 1 => {
+            merge_strips(
+                &runs,
+                span,
+                strips,
+                &mut events.spare_capacity_mut()[..total],
+            );
+            // SAFETY: `merge_strips` returns only once it has written every
+            // element of the `total` it was handed, and the vector was made
+            // with room for `total`.
+            unsafe { events.set_len(total) };
+        }
+        _ => merge_ranked(&runs, span, |e| events.push(e.event)),
     }
+    events
 }
 
 /// Sort timestamp of an entry; entries without one sort first, like the
@@ -594,45 +701,118 @@ fn merge_each_by<T, K: Ord + Copy>(
     }
 }
 
-/// Time-partitioned merge of sorted, all-timestamped `runs` into `out`
-/// (which holds as many events as the runs do): every run is cut at
-/// `partitions - 1` shared timestamp boundaries with `partition_point`, and
-/// each strip is merged by its own scoped thread into its own window of
-/// `out`.
+/// Merge of sorted, all-timestamped `runs` into `out`, which has a slot
+/// for every entry of the runs: the runs are cut into `strips` strips
+/// ([`strip_cuts`]) and each strip is merged into its own window of `out`,
+/// all but the last on scoped threads of their own. Returns once every slot
+/// of `out` is written.
 ///
-/// Boundaries compare on `local_ts` alone, so all events sharing a
-/// timestamp land in one strip: no tie is ever split across strips, which
-/// is what makes the windows, side by side, the sequential merge.
-fn merge_strips(runs: &[&[LogEntry]], span: TimestampSpan, partitions: usize, out: &mut [Event]) {
-    let width = (span.hi - span.lo) as u128;
-    // Strip j holds the timestamps in cut(j)..cut(j + 1).
-    let cut = |run: &[LogEntry], j: usize| {
-        if j == partitions {
-            return run.len();
-        }
-        let boundary = span.lo + (width * j as u128 / partitions as u128) as u64;
-        run.partition_point(|e| ts_of(e) < boundary)
-    };
+/// A cut compares on `local_ts` alone, so all entries sharing a timestamp
+/// land in one strip: no tie spans two strips, which is what makes the
+/// windows, side by side, the sequential merge.
+fn merge_strips(
+    runs: &[&[LogEntry]],
+    span: TimestampSpan,
+    strips: usize,
+    out: &mut [MaybeUninit<Event>],
+) {
+    let cuts = strip_cuts(runs, span, strips, out.len());
     std::thread::scope(|scope| {
         let mut rest = out;
-        for j in 0..partitions {
+        for (j, bounds) in cuts.windows(2).enumerate() {
             let strip: Vec<&[LogEntry]> = runs
                 .iter()
-                .map(|run| &run[cut(run, j)..cut(run, j + 1)])
+                .zip(bounds[0].iter().zip(&bounds[1]))
+                .map(|(run, (&from, &to))| &run[from..to])
                 .collect();
             let len = strip.iter().map(|run| run.len()).sum();
             let (window, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
-            scope.spawn(move || {
+            let mut merge = move || {
                 let mut slots = window.iter_mut();
                 merge_ranked(&strip, Some(span), |e| {
-                    *slots
+                    slots
                         .next()
-                        .expect("a strip's window holds what its runs do") = e.event;
+                        .expect("a strip's window holds what its runs do")
+                        .write(e.event);
                 });
-            });
+                assert!(slots.next().is_none(), "a strip fills its window");
+            };
+            if j + 1 == strips {
+                merge();
+            } else {
+                scope.spawn(merge);
+            }
         }
+        assert!(rest.is_empty(), "the strips' windows tile the output");
     });
+}
+
+/// Where `strips` strips of `total` entries of sorted, all-timestamped
+/// `runs` begin and end: `strips + 1` cuts, each a position in every run,
+/// the first at the runs' starts and the last at their ends.
+///
+/// Cut `j` is at the least timestamp with at least `j · total / strips`
+/// entries below it. So strips hold equal counts but for the tie group at a
+/// cut, which stays whole: no strip holds more than `⌈total / strips⌉` plus
+/// the largest tie group. Each cut is found by a search on the timestamp,
+/// every step a `partition_point` per run inside the bracket the steps
+/// before left it.
+fn strip_cuts(
+    runs: &[&[LogEntry]],
+    span: TimestampSpan,
+    strips: usize,
+    total: usize,
+) -> Vec<Vec<usize>> {
+    let ends: Vec<usize> = runs.iter().map(|run| run.len()).collect();
+    let mut cuts: Vec<Vec<usize>> = Vec::with_capacity(strips + 1);
+    cuts.push(vec![0; runs.len()]);
+    // Below `a` lie `below_a` entries, fewer than any cut still to come
+    // wants; `at_a` is where `a` cuts each run.
+    let (mut a, mut at_a, mut below_a) = (span.lo, cuts[0].clone(), 0);
+    for j in 1..strips {
+        let target = j * total / strips;
+        if below_a >= target {
+            cuts.push(at_a.clone());
+            continue;
+        }
+        // Below `c` lie `below_c` entries, at least `target`; `at_c` is where
+        // `c` cuts each run.
+        let (mut c, mut at_c, mut below_c) = (span.hi + 1, ends.clone(), total);
+        let mut at_mid = vec![0; runs.len()];
+        let mut halve = false;
+        while c - a > 1 {
+            // Every other step goes where the target would lie if the
+            // entries in `a..c` were spread evenly — logs grow about evenly
+            // in time — and the steps between halve `a..c`, so there are
+            // at most twice as many as a plain bisection takes.
+            let mid = if halve {
+                a + (c - a) / 2
+            } else {
+                let ahead =
+                    (target - below_a) as u128 * u128::from(c - a) / (below_c - below_a) as u128;
+                a + (ahead as u64).clamp(1, c - a - 1)
+            };
+            halve = !halve;
+            let mut below = 0;
+            for (r, run) in runs.iter().enumerate() {
+                at_mid[r] = at_a[r] + run[at_a[r]..at_c[r]].partition_point(|e| ts_of(e) < mid);
+                below += at_mid[r];
+            }
+            if below >= target {
+                (c, below_c) = (mid, below);
+                std::mem::swap(&mut at_c, &mut at_mid);
+            } else {
+                (a, below_a) = (mid, below);
+                std::mem::swap(&mut at_a, &mut at_mid);
+            }
+        }
+        // `a` is now `c - 1`: fewer than this cut's entries, and so than
+        // any later cut's, lie below it.
+        cuts.push(at_c);
+    }
+    cuts.push(ends);
+    cuts
 }
 
 /// Round-robin interleave for logs with missing timestamps: one event from
@@ -1023,6 +1203,70 @@ mod tests {
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.iter().count(), 0);
     }
+
+    #[test]
+    fn no_strip_holds_more_than_its_share_plus_a_tie_group() {
+        // Shaped like a deployment whose clocks run behind are clamped to
+        // 0: a tie group of about 8 % of the entries at ts 0, two thirds of
+        // the entries below the middle of the span, a few more ties above.
+        let mut rng = netsim::Rng::new(0x5712_1b55);
+        let (mid, hi) = (1u64 << 30, 1u64 << 31);
+        let logs: Vec<LocalLog> = (0..40u16)
+            .map(|node| {
+                let mut stamps: Vec<u64> = (0..rng.gen_range(0..400u32))
+                    .map(|_| match rng.gen_range(0..100u32) {
+                        0..=7 => 0,
+                        8..=66 => rng.gen_range(1..mid),
+                        67..=69 => mid + 7,
+                        _ => rng.gen_range(mid..=hi),
+                    })
+                    .collect();
+                stamps.sort_unstable();
+                let entries: Vec<(u32, u64)> =
+                    stamps.into_iter().zip(0..).map(|(ts, s)| (s, ts)).collect();
+                log_ts(node, &entries)
+            })
+            .collect();
+        let runs = ranked_runs(&logs);
+        let span = timestamp_span(&logs).expect("every entry is timestamped");
+        let total = total_entries(&logs);
+        let mut ties: FxHashMap<u64, usize> = FxHashMap::default();
+        for e in logs.iter().flat_map(|log| &log.entries) {
+            *ties.entry(ts_of(e)).or_default() += 1;
+        }
+        let largest_tie = ties.values().copied().max().unwrap_or(0);
+        assert!(ties[&0] * 100 >= total * 7, "the tie at 0 is about 8 %");
+        for strips in 2..=6 {
+            let cuts = strip_cuts(&runs, span, strips, total);
+            assert_eq!(cuts.len(), strips + 1);
+            let mut before = 0;
+            for (j, cut) in cuts.iter().enumerate().skip(1) {
+                let below: usize = cut.iter().sum();
+                let held = below - before;
+                assert!(
+                    held <= total.div_ceil(strips) + largest_tie,
+                    "{strips} strips: strip {} holds {held} of {total} (largest tie {largest_tie})",
+                    j - 1
+                );
+                // A cut never splits a tie: what lies below it in one run
+                // is below it in every run.
+                if j < strips {
+                    let boundary = runs
+                        .iter()
+                        .zip(cut)
+                        .filter_map(|(run, &at)| run.get(at).map(ts_of))
+                        .min();
+                    for (run, &at) in runs.iter().zip(cut) {
+                        if let (Some(b), Some(last)) = (boundary, at.checked_sub(1)) {
+                            assert!(ts_of(&run[last]) < b, "a tie spans cut {j}");
+                        }
+                    }
+                }
+                before = below;
+            }
+            assert_eq!(before, total);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1221,6 +1465,63 @@ mod merge_props {
                 let logs = build(&arb_spec(rng), true);
                 let store = merge_logs_store(&logs);
                 assert_eq!(store.to_events(), merge_logs(&logs).events);
+            },
+        );
+    }
+
+    /// `n` events, their ids drawn from `origins` × `seqnos`.
+    fn events_over(rng: &mut Rng, n: usize, origins: &[u16], seqnos: &[u32]) -> Vec<Event> {
+        (0..n)
+            .map(|_| {
+                let origin = NodeId(origins[rng.gen_range(0..origins.len())]);
+                let seqno = seqnos[rng.gen_range(0..seqnos.len())];
+                let node = NodeId(rng.gen_range(0..9));
+                Event::new(
+                    node,
+                    EventKind::Trans { to: node },
+                    PacketId::new(origin, seqno),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_index_is_the_same_on_any_number_of_workers() {
+        check(
+            "the_index_is_the_same_on_any_number_of_workers",
+            64,
+            &[],
+            |rng| {
+                // Empty, sparse (sorted, not counted) or dense ids.
+                let dense: Vec<u32> = (0..rng.gen_range(1..20)).collect();
+                let n = rng.gen_range(0..600);
+                let events = match rng.gen_range(0..4u32) {
+                    0 => Vec::new(),
+                    1 => events_over(rng, n, &[0, 3, u16::MAX], &[0, 1 << 31, u32::MAX]),
+                    _ => events_over(rng, n, &[0, 1, 2, 5, 9], &dense),
+                };
+                let merged = MergedLog { events };
+                let by_packet = merged.by_packet();
+                let mut ids: Vec<PacketId> = by_packet.keys().copied().collect();
+                ids.sort_unstable();
+                // Row numbers grouped: each id's rows ascending.
+                let mut rows: Vec<u32> = (0..merged.len() as u32).collect();
+                rows.sort_by_key(|&row| merged.events[row as usize].packet);
+                for workers in 1..=4 {
+                    let index = PacketIndex::group_by_id(
+                        merged.events.iter().map(|e| (e.packet, *e)),
+                        workers,
+                    );
+                    assert_eq!(index.ids(), ids.as_slice(), "{workers} workers");
+                    for (id, group) in index.iter() {
+                        assert_eq!(group, by_packet[&id].as_slice(), "{id}, {workers} workers");
+                    }
+                    let packets = merged.events.iter().map(|e| e.packet);
+                    let grouped =
+                        PacketIndex::group_by_id(packets.zip(0..merged.len() as u32), workers);
+                    assert_eq!(grouped.ids(), ids.as_slice(), "{workers} workers");
+                    assert_eq!(grouped.rows, rows, "{workers} workers");
+                }
             },
         );
     }

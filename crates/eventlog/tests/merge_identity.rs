@@ -4,7 +4,8 @@
 //! * every merge entry point equals an in-test O(N·K) cursor scan on
 //!   `(ts, node, input index)` (or the all-K round-robin when a timestamp
 //!   is missing) over seeded soups of every fan-in and key shape the engine
-//!   distinguishes;
+//!   distinguishes, and over a span skewed as clamped clocks skew it, where
+//!   the strips must be cut at equal counts;
 //! * for logs of distinct nodes in node order, each packet's group of the
 //!   merge is that packet's entries sorted by `packet_order` — the order a
 //!   stream keeps its windows in;
@@ -398,6 +399,55 @@ fn sixty_five_thousand_one_entry_runs() {
     assert_eq!(merge_logs_kway(&logs).events, expected);
     assert_eq!(merge_logs_partitioned(&logs, 3).events, expected);
     assert_eq!(merge_logs_store(&logs).to_events(), expected);
+}
+
+/// Sorted logs shaped like a deployment that clamps clocks running behind
+/// to 0: about 8 % of the entries tie at ts 0, and two thirds lie below the
+/// middle of the span, since only clocks running ahead reach its top.
+fn skewed_soup(rng: &mut SplitMix64, logs: usize, max_len: u64) -> Vec<LocalLog> {
+    let mut soup = soup(
+        rng,
+        Shape {
+            logs,
+            max_len,
+            nodes: logs as u64,
+            ..PLAIN
+        },
+    );
+    let (mid, top) = (1u64 << 40, 1u64 << 41);
+    for log in &mut soup {
+        let mut stamps: Vec<u64> = (0..log.entries.len())
+            .map(|_| match rng.below(100) {
+                0..=7 => 0,
+                8..=66 => 1 + rng.below(mid - 1),
+                _ => mid + rng.below(top - mid),
+            })
+            .collect();
+        stamps.sort_unstable();
+        for (e, ts) in log.entries.iter_mut().zip(stamps) {
+            e.local_ts = LocalTs::new(ts);
+        }
+    }
+    soup
+}
+
+#[test]
+fn a_skewed_span_is_cut_where_it_equals_the_scan() {
+    let mut rng = SplitMix64(0x6d65_7267_653c);
+    for (logs, max_len) in [(2, 400), (60, 80), (1_200, 6)] {
+        let soup = skewed_soup(&mut rng, logs, max_len);
+        let entries: Vec<u64> = soup
+            .iter()
+            .flat_map(|log| &log.entries)
+            .filter_map(|e| e.local_ts.map(LocalTs::get))
+            .collect();
+        let below_mid = entries.iter().filter(|&&ts| ts < 1 << 40).count();
+        assert!(
+            below_mid * 3 >= entries.len() * 2 - entries.len() / 10,
+            "two thirds below the middle, K = {logs}"
+        );
+        assert_all_paths(&soup, &format!("skewed, K = {logs}"));
+    }
 }
 
 // --- one packet's share of the merge -------------------------------------

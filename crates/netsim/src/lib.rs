@@ -15,8 +15,9 @@
 //! As the root of the workspace's dependency graph it also holds the
 //! std-only pieces every other crate would otherwise take from a registry:
 //! the generator ([`rng`]), the hasher ([`fx`]), the JSON codec ([`json`]),
-//! and the property runner ([`prop`]) and counting allocator ([`alloc`]) the
-//! tests share.
+//! the property runner ([`prop`]) and counting allocator ([`alloc`]) the
+//! tests share, and the one answer to how many threads a parallel pass may
+//! use ([`available_workers`]).
 
 pub mod alloc;
 pub mod engine;
@@ -34,3 +35,15 @@ pub use link::{LinkModel, LinkModelConfig, LinkQualityTable};
 pub use rng::{Rng, RngFactory};
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Position, Topology};
+
+/// Worker threads a parallel pass uses when the caller has no count of its
+/// own: the machine's available parallelism (1 if it cannot be determined).
+///
+/// The answer is the process's at first use: the standard library reads the
+/// cgroup files and the affinity mask on every call, and the stream asks
+/// once per sweep, so it is asked once and remembered. Every crate asks
+/// here, `eventlog`'s merge among them.
+pub fn available_workers() -> usize {
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}

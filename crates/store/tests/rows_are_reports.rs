@@ -3,7 +3,7 @@
 //! the report in it the report reconstruction returned.
 
 use citysee::{run_scenario, Analyzer, Scenario};
-use refill::parallel::available_workers;
+use netsim::available_workers;
 use refill::PacketReport;
 use refill_store::{segment, ReportRow, SegmentStore, Sidecar};
 

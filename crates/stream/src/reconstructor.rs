@@ -44,8 +44,8 @@ use eventlog::merge::packet_order;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
 use eventlog::{Event, PacketId};
 use netsim::fx::FxHashMap;
-use netsim::NodeId;
-use refill::parallel::{available_workers, par_map};
+use netsim::{available_workers, NodeId};
+use refill::parallel::par_map;
 use refill::telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
 use refill::{PacketReport, Reconstructor};
 use std::collections::{BTreeMap, VecDeque};

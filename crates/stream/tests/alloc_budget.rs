@@ -157,7 +157,7 @@ fn a_reclosing_window_reuses_its_report() {
 /// kernel buffers. That last part grows with the core count, so the budget
 /// does too.
 fn a_streamed_campaign_stays_in_budget() {
-    let budget = 58_000 + 12_000 * (refill::parallel::available_workers() - 1);
+    let budget = 58_000 + 12_000 * (netsim::available_workers() - 1);
     let campaign = run_scenario(&Scenario::small());
     let bytes = encode_records(upload_order(&campaign.collected).iter());
     let sink = campaign.topology.sink();
