@@ -82,7 +82,7 @@ USAGE:
   first. --format json prints the full telemetry snapshot as JSON instead
   of the table.
   store persists a run into a durable, crash-recoverable segment store:
-  packed event rows plus the reports with their diagnosis sidecars. Without --logs it simulates a scenario (truth fates included,
+  the merged log entries plus the reports with their diagnosis sidecars. Without --logs it simulates a scenario (truth fates included,
   scenario.json saved alongside for topology-dependent figures); with
   --logs it reconstructs and diagnoses an archive. --compact merges the
   segments into one time-sorted segment afterwards.

@@ -49,7 +49,7 @@ pub fn query(args: &[String]) -> Result<(), String> {
 /// summary (over the converged per-packet view of the matched reports).
 pub fn query_cmd_inner(args: &[String]) -> Result<String, String> {
     use refill::provenance::EntryOrigin;
-    use refill_store::{Query, SegmentStore};
+    use refill_store::{latest_per_packet, Query, SegmentStore};
     let flags = Flags::parse(args, &FLAGS)?;
     let dir = PathBuf::from(flags.get("store").ok_or("--store is required")?);
     let (store, _) = SegmentStore::open(&dir).map_err(|e| e.to_string())?;
@@ -99,17 +99,12 @@ pub fn query_cmd_inner(args: &[String]) -> Result<String, String> {
     }
 
     let result = store.query(&q).map_err(|e| e.to_string())?;
-
-    // Converged per-packet view of the matched reports: last write wins,
-    // sorted by packet id (the same view `latest_reports` exposes).
-    let mut latest = std::collections::BTreeMap::new();
-    for row in &result.reports {
-        latest.insert(row.report.packet, row.clone());
-    }
+    let (event_rows, report_rows) = (result.events.len(), result.reports.len());
+    let latest = latest_per_packet(result.reports);
 
     if let Some(figure) = flags.get("fig") {
         let records = latest
-            .values()
+            .iter()
             .map(|row| {
                 let sidecar = row.sidecar.clone().ok_or_else(|| {
                     format!("report row for {} has no diagnosis sidecar", row.report.packet)
@@ -157,14 +152,12 @@ pub fn query_cmd_inner(args: &[String]) -> Result<String, String> {
     use std::fmt::Write as _;
     let _ = writeln!(
         out,
-        "matched {} event rows and {} report rows ({} packets)",
-        result.events.len(),
-        result.reports.len(),
+        "matched {event_rows} event rows and {report_rows} report rows ({} packets)",
         latest.len()
     );
     // Loss-cause table over the converged view, mirroring `analyze`.
     let lost: Vec<_> = latest
-        .values()
+        .iter()
         .filter_map(|r| r.sidecar.as_ref())
         .filter(|s| !s.diagnosis.delivered)
         .collect();

@@ -69,7 +69,7 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
         };
         ReportRow::from_report(v.report, Some(sidecar))
     });
-    let event_rows: Vec<_> = eventlog::merge_logs_store(&logs).rows().collect();
+    let event_rows: Vec<_> = eventlog::merge_logs_store(&logs).entries().collect();
 
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
     let (st, recovery) = SegmentStore::open(&out_dir).map_err(|e| e.to_string())?;

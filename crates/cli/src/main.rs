@@ -36,8 +36,8 @@
 //!
 //! refill store --out DIR [--logs DIR_OR_FILE] [--compact]
 //!     Persist a run (simulated scenario, or a reconstructed + diagnosed
-//!     archive) into a crash-recoverable segment store: packed event rows
-//!     plus node-abstract report templates with diagnosis sidecars.
+//!     archive) into a crash-recoverable segment store: the merged log
+//!     entries plus the reports with their diagnosis sidecars.
 //!
 //! refill query --store DIR [predicates] [--fig fig4|fig5|fig8]
 //!     Evaluate predicates (origin, seqno range, local-time range, loss

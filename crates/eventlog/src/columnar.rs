@@ -11,12 +11,16 @@
 //!   dense u8 kind code (reusing [`EventKind::code`]), a flags byte, and a
 //!   u16 spill half used by `Custom` payloads;
 //! * a `ts` column — the entry's local timestamp, with missing timestamps
-//!   encoded as [`TS_NONE`] (`u64::MAX`, which no [`LocalTs`] holds).
+//!   encoded as `u64::MAX`, which no [`LocalTs`] holds.
 //!
 //! The conversion `Event ⇄ PackedEvent` is lossless (property-tested over
 //! every [`EventKind`] variant), so the packed store is not a cache of the
 //! AoS representation — it *is* the representation, and the legacy path
 //! survives only as the test oracle.
+//!
+//! The same two halves side by side are the durable row of a segment file:
+//! [`encode_row`] writes a [`LogEntry`] as the 16 packed bytes and the
+//! timestamp, and [`decode_row`] reads back exactly the rows it writes.
 //!
 //! On top of the columns:
 //!
@@ -31,12 +35,16 @@ use crate::logger::{LocalTs, LogEntry};
 use crate::merge::{MergedLog, PacketIndex};
 use netsim::NodeId;
 
-/// Reserved timestamp meaning "this entry carried no local timestamp".
+/// Reserved timestamp meaning "this entry carried no local timestamp", in
+/// the `ts` column and in a row.
 ///
 /// [`LocalTs`] cannot hold `u64::MAX` and every reader of outside bytes
 /// refuses it, so the `ts` column is a flat `u64` array whose conversions
 /// to and from `Option<LocalTs>` are exact.
-pub const TS_NONE: u64 = u64::MAX;
+const TS_NONE: u64 = u64::MAX;
+
+/// Bytes per row: a packed event, then its timestamp.
+pub const ROW_LEN: usize = 24;
 
 /// Flag bit: the record's peer half is meaningful (the kind is a two-party
 /// operation).
@@ -131,28 +139,6 @@ impl PackedEvent {
             .expect("a PackedEvent only ever holds codes EventKind::code emits")
     }
 
-    /// Serialize as 16 little-endian bytes (word order `who`, `tag`,
-    /// `seqno`, `arg`) — the row encoding of durable segment files.
-    pub fn to_bytes(&self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[0..4].copy_from_slice(&self.who.to_le_bytes());
-        out[4..8].copy_from_slice(&self.tag.to_le_bytes());
-        out[8..12].copy_from_slice(&self.seqno.to_le_bytes());
-        out[12..16].copy_from_slice(&self.arg.to_le_bytes());
-        out
-    }
-
-    /// Inverse of [`PackedEvent::to_bytes`].
-    pub fn from_bytes(b: [u8; 16]) -> PackedEvent {
-        let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
-        PackedEvent {
-            who: word(0),
-            tag: word(4),
-            seqno: word(8),
-            arg: word(12),
-        }
-    }
-
     /// Unpack back into the AoS representation.
     pub fn unpack(&self) -> Event {
         Event {
@@ -161,20 +147,42 @@ impl PackedEvent {
             packet: self.packet(),
         }
     }
+}
 
-    /// A log entry as a durable row: the packed event beside its raw
-    /// timestamp, [`TS_NONE`] for none.
-    pub fn pack_entry(entry: &LogEntry) -> (PackedEvent, u64) {
-        (PackedEvent::pack(&entry.event), ts_raw(entry.local_ts))
+/// `entry` as a row: the four words of its [`PackedEvent`] in the order
+/// `who`, `tag`, `seqno`, `arg`, then the timestamp (`u64::MAX` for none),
+/// every field little-endian.
+pub fn encode_row(entry: &LogEntry) -> [u8; ROW_LEN] {
+    let rec = PackedEvent::pack(&entry.event);
+    let mut out = [0u8; ROW_LEN];
+    for (at, word) in [rec.who, rec.tag, rec.seqno, rec.arg].into_iter().enumerate() {
+        out[at * 4..at * 4 + 4].copy_from_slice(&word.to_le_bytes());
     }
+    out[16..].copy_from_slice(&ts_raw(entry.local_ts).to_le_bytes());
+    out
+}
 
-    /// Inverse of [`PackedEvent::pack_entry`].
-    pub fn unpack_entry((rec, ts): (PackedEvent, u64)) -> LogEntry {
-        LogEntry {
-            event: rec.unpack(),
-            local_ts: LocalTs::new(ts),
-        }
-    }
+/// The entry `row` holds, or `None` when [`encode_row`] writes no such row:
+/// a kind code [`EventKind::from_parts`] refuses, a peer flag that
+/// disagrees with the kind, a peer or payload half where the kind has
+/// none, or anything in the reserved `spill` half or the other flag bits.
+pub fn decode_row(row: &[u8; ROW_LEN]) -> Option<LogEntry> {
+    let word = |at: usize| u32::from_le_bytes([row[at], row[at + 1], row[at + 2], row[at + 3]]);
+    let rec = PackedEvent {
+        who: word(0),
+        tag: word(4),
+        seqno: word(8),
+        arg: word(12),
+    };
+    let kind = EventKind::from_parts(rec.code(), NodeId((rec.who >> 16) as u16), rec.custom())?;
+    let ts = u64::from_le_bytes(row[16..].try_into().expect("eight bytes"));
+    let entry = LogEntry {
+        event: Event::new(rec.node(), kind, rec.packet()),
+        local_ts: LocalTs::new(ts),
+    };
+    // Every field the row spells but the entry does not is checked here:
+    // a row reads back only when it is the one the entry is written as.
+    (encode_row(&entry) == *row).then_some(entry)
 }
 
 /// The packed structure-of-arrays event store: a [`PackedEvent`] column and
@@ -210,18 +218,6 @@ impl EventStore {
         self.push(&entry.event, entry.local_ts);
     }
 
-    /// Append another store's columns after this one's.
-    pub fn append(&mut self, other: &EventStore) {
-        self.recs.extend_from_slice(&other.recs);
-        self.ts.extend_from_slice(&other.ts);
-    }
-
-    /// Drop all rows, keeping both columns' capacity.
-    pub fn clear(&mut self) {
-        self.recs.clear();
-        self.ts.clear();
-    }
-
     /// Number of stored events.
     pub fn len(&self) -> usize {
         self.recs.len()
@@ -237,14 +233,17 @@ impl EventStore {
         &self.recs
     }
 
-    /// The raw timestamp column ([`TS_NONE`] marks missing entries).
+    /// The raw timestamp column (`u64::MAX` marks missing entries).
     pub fn ts_column(&self) -> &[u64] {
         &self.ts
     }
 
-    /// Every row as [`PackedEvent::pack_entry`] spells one, in order.
-    pub fn rows(&self) -> impl Iterator<Item = (PackedEvent, u64)> + '_ {
-        self.recs.iter().copied().zip(self.ts.iter().copied())
+    /// Every row as a log entry, in order.
+    pub fn entries(&self) -> impl Iterator<Item = LogEntry> + '_ {
+        self.recs.iter().zip(&self.ts).map(|(rec, &ts)| LogEntry {
+            event: rec.unpack(),
+            local_ts: LocalTs::new(ts),
+        })
     }
 
     /// Row `i`'s local timestamp, if it had one.
@@ -323,14 +322,10 @@ impl std::ops::Deref for ColumnarIndex {
 ///
 /// `unpack` clears and refills one grow-only buffer, so a warm worker
 /// serves every group from capacity it already owns: zero per-event heap
-/// objects, zero steady-state allocation. Growths (capacity misses) are
-/// counted separately from acquires; `1 - grows / acquires` is the arena
-/// reuse ratio.
+/// objects, zero steady-state allocation.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     buf: Vec<Event>,
-    acquires: u64,
-    grows: u64,
 }
 
 impl ScratchArena {
@@ -342,20 +337,11 @@ impl ScratchArena {
     /// Unpack the rows at `positions` into the arena, returning them as one
     /// contiguous slice (valid until the next `unpack`).
     pub fn unpack<'a>(&'a mut self, store: &EventStore, positions: &[u32]) -> &'a [Event] {
-        self.acquires += 1;
-        if positions.len() > self.buf.capacity() {
-            self.grows += 1;
-        }
         self.buf.clear();
         let recs = store.records();
         self.buf
             .extend(positions.iter().map(|&row| recs[row as usize].unpack()));
         &self.buf
-    }
-
-    /// `(acquires, grows)` so far.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.acquires, self.grows)
     }
 }
 
@@ -430,26 +416,39 @@ mod tests {
         let event = Event::new(NodeId(1), EventKind::Origin, pid(1, 0));
         for local_ts in [LocalTs::new(0), LocalTs::new(u64::MAX - 1), None] {
             let entry = LogEntry { event, local_ts };
-            let row = PackedEvent::pack_entry(&entry);
-            assert_eq!(row.1 == TS_NONE, local_ts.is_none());
-            assert_eq!(PackedEvent::unpack_entry(row), entry);
+            let row = encode_row(&entry);
+            assert_eq!(row[16..] == [0xff; 8], local_ts.is_none());
+            assert_eq!(decode_row(&row), Some(entry));
         }
     }
 
     #[test]
-    fn append_concatenates_both_columns() {
-        let e = |s: u32| Event::new(NodeId(1), EventKind::Origin, pid(1, s));
-        let mut a = EventStore::new();
-        a.push(&e(0), LocalTs::new(1));
-        let mut b = EventStore::new();
-        b.push(&e(1), None);
-        b.push(&e(2), LocalTs::new(3));
-        a.append(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.to_events(), vec![e(0), e(1), e(2)]);
-        assert_eq!(a.ts(0), LocalTs::new(1));
-        assert_eq!(a.ts(1), None);
-        assert_eq!(a.ts(2), LocalTs::new(3));
+    fn a_row_encode_row_does_not_write_is_refused() {
+        let from = NodeId(0);
+        let recv = LogEntry {
+            event: Event::new(NodeId(3), EventKind::Recv { from }, pid(1, 7)),
+            local_ts: LocalTs::new(9),
+        };
+        let origin = LogEntry {
+            event: Event::new(NodeId(3), EventKind::Origin, pid(3, 7)),
+            local_ts: None,
+        };
+        let edit = |entry: &LogEntry, at: usize, byte: u8| {
+            let mut row = encode_row(entry);
+            row[at] = byte;
+            decode_row(&row)
+        };
+        // Bytes 2..4 are the peer half, 6 the kind code, 7 the flags,
+        // 12..14 the payload half and 14..16 the spill half.
+        assert_eq!(edit(&recv, 6, 12), None, "kind code 12");
+        assert_eq!(edit(&recv, 6, 0xff), None, "kind code 255");
+        assert_eq!(edit(&recv, 7, 0), None, "a two-party kind without its peer flag");
+        assert_eq!(edit(&origin, 7, 1), None, "a one-party kind with a peer flag");
+        assert_eq!(edit(&recv, 7, 3), None, "an unknown flag bit");
+        assert_eq!(edit(&origin, 2, 1), None, "a peer half on a one-party kind");
+        assert_eq!(edit(&origin, 12, 1), None, "a payload half on a non-custom kind");
+        assert_eq!(edit(&recv, 15, 1), None, "a spill half");
+        assert_eq!(edit(&origin, 14, 1), None, "a spill half");
     }
 
     #[test]
@@ -478,21 +477,6 @@ mod tests {
             assert_eq!(scratch.unpack(&store, positions), legacy_events);
         }
         assert_eq!(index.get(pid(9, 9)), None);
-    }
-
-    #[test]
-    fn scratch_arena_reuses_capacity() {
-        let ev = |s: u32| Event::new(NodeId(1), EventKind::Origin, pid(1, s));
-        let events: Vec<Event> = (0..8).map(ev).collect();
-        let store = EventStore::from_events(&events);
-        let positions: Vec<u32> = (0..8).collect();
-        let mut arena = ScratchArena::new();
-        arena.unpack(&store, &positions);
-        arena.unpack(&store, &positions[..4]);
-        arena.unpack(&store, &positions);
-        let (acquires, grows) = arena.counts();
-        assert_eq!(acquires, 3);
-        assert_eq!(grows, 1, "only the first unpack should grow");
     }
 
     #[test]
@@ -532,6 +516,38 @@ mod columnar_props {
         check("packed_event_roundtrips", 256, &[], |rng| {
             let e = arb_event(rng);
             assert_eq!(PackedEvent::pack(&e).unpack(), e);
+        });
+    }
+
+    /// Every kind, with peer 0 and with another, at the timestamp edges:
+    /// the row reads back as its entry; and the same row with bytes changed
+    /// is refused or is exactly the row of the entry it reads as.
+    #[test]
+    fn row_codec_roundtrips_and_reads_only_what_it_writes() {
+        let edges = [LocalTs::new(0), LocalTs::new(1), LocalTs::new(u64::MAX - 1), None];
+        check("row_codec_roundtrips_and_reads_only_what_it_writes", 64, &[], |rng| {
+            for code in 0..12 {
+                for peer in [NodeId(0), NodeId(rng.gen())] {
+                    let kind = EventKind::from_parts(code, peer, rng.gen());
+                    let kind = kind.expect("a code in range");
+                    for local_ts in edges {
+                        let packet = PacketId::new(NodeId(rng.gen()), rng.gen());
+                        let entry = LogEntry {
+                            event: Event::new(NodeId(rng.gen()), kind, packet),
+                            local_ts,
+                        };
+                        let row = encode_row(&entry);
+                        assert_eq!(decode_row(&row), Some(entry));
+                        let mut mutated = row;
+                        for _ in 0..rng.gen_range(1..4) {
+                            mutated[rng.gen_range(0..ROW_LEN)] ^= rng.gen_range(1..=255u8);
+                        }
+                        if let Some(read) = decode_row(&mutated) {
+                            assert_eq!(encode_row(&read), mutated, "{row:?} -> {mutated:?}");
+                        }
+                    }
+                }
+            }
         });
     }
 

@@ -28,13 +28,13 @@ pub use archive::ArchiveError;
 pub use checksum::{crc32, Crc32};
 pub use clock::ClockModel;
 pub use collect::{CollectionConfig, LossyCollector};
-pub use columnar::{ColumnarIndex, EventStore, PackedEvent, ScratchArena, TS_NONE};
+pub use columnar::{decode_row, encode_row, ColumnarIndex, EventStore, PackedEvent, ScratchArena};
 pub use event::{Event, EventKind, PacketId, SeqNo};
 pub use fate::{GroundTruth, LossCause, PacketFate, TruthEvent};
 pub use frame::{FrameDecoder, FrameStats, NodeRecord};
 pub use logger::{LocalLog, LocalTs, LogEntry, LoggerConfig, NodeLogger};
 pub use merge::{
-    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, merge_packed_runs,
+    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, merge_runs,
     packet_order, MergedLog, PacketIndex,
 };
 pub use watermark::{Lateness, Mark, WatermarkTracker};

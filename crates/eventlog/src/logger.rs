@@ -22,8 +22,8 @@ use std::fmt;
 use std::num::NonZeroU64;
 
 /// A local clock reading: any `u64` but `u64::MAX`, the value the columnar
-/// store and segment rows spell "no timestamp" with
-/// ([`crate::columnar::TS_NONE`]).
+/// store's `ts` column and a segment row ([`crate::columnar::encode_row`])
+/// spell "no timestamp" with.
 ///
 /// It is stored complemented in a `NonZeroU64`, so `Option<LocalTs>` is
 /// 8 bytes with `None` in the niche — a [`LogEntry`] is 24 bytes, not 32.

@@ -50,7 +50,7 @@
 //! [`PacketIndex`] groups the merged events by packet with a counting sort,
 //! its scatter on two threads for large inputs.
 
-use crate::columnar::{EventStore, PackedEvent, TS_NONE};
+use crate::columnar::EventStore;
 use crate::event::{Event, PacketId};
 use crate::logger::{LocalLog, LocalTs, LogEntry};
 use crate::watermark::Mark;
@@ -591,21 +591,14 @@ fn merge_ranked(runs: &[&[LogEntry]], span: Option<TimestampSpan>, emit: impl Fn
     }
 }
 
-/// K-way loser-tree merge of per-segment `(PackedEvent, ts)` runs, keyed
-/// `(ts, run index)` with [`TS_NONE`] rows sorting first (the same
-/// "no timestamp sorts as zero" rule the log merge uses). This is the
-/// segment-compaction path of `refill-store`: each input run is one
-/// segment's rows in durable order, and the output is one sorted run.
-pub fn merge_packed_runs(runs: &[&[(PackedEvent, u64)]]) -> Vec<(PackedEvent, u64)> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    merge_each_by(
-        runs,
-        |run, &(_, ts)| (if ts == TS_NONE { 0 } else { ts }, run),
-        |key| key.1,
-        (u64::MAX, usize::MAX),
-        |row| out.push(*row),
-    );
+/// The loser-tree merge of `runs` on `(timestamp, run index)`, an entry
+/// without a timestamp sorting as 0 — [`merge_logs_kway`]'s order, with the
+/// runs taken in the order given. A run need not be in time order. This is
+/// how the segment store compacts: each run is one segment's rows in the
+/// order they were appended.
+pub fn merge_runs(runs: &[&[LogEntry]]) -> Vec<LogEntry> {
+    let mut out = Vec::with_capacity(runs.iter().map(|run| run.len()).sum());
+    merge_ranked(runs, None, |e| out.push(*e));
     out
 }
 

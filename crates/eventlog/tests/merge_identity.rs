@@ -18,9 +18,9 @@
 //!   scratch buffer).
 
 use eventlog::{
-    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, packet_order,
-    ColumnarIndex, Event, EventKind, EventStore, LocalLog, LocalTs, LogEntry, MergedLog,
-    PackedEvent, PacketId, PacketIndex, ScratchArena, WatermarkTracker,
+    encode_row, merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store,
+    packet_order, ColumnarIndex, Event, EventKind, EventStore, LocalLog, LocalTs, LogEntry,
+    MergedLog, PacketId, PacketIndex, ScratchArena, WatermarkTracker,
 };
 use netsim::NodeId;
 
@@ -544,12 +544,15 @@ impl Digest {
     }
 
     fn event(&mut self, e: &Event) {
-        let b = PackedEvent::pack(e).to_bytes();
+        let b = encode_row(&LogEntry {
+            event: *e,
+            local_ts: None,
+        });
         self.word(u64::from_le_bytes(
             b[..8].try_into().expect("8 of 16 bytes"),
         ));
         self.word(u64::from_le_bytes(
-            b[8..].try_into().expect("8 of 16 bytes"),
+            b[8..16].try_into().expect("8 of 16 bytes"),
         ));
     }
 }

@@ -1,7 +1,7 @@
 //! Durable checkpointing for streamed reconstruction.
 //!
 //! [`StoreCheckpoint`] is a [`refill_stream::StreamObserver`]: every record
-//! the stream driver absorbs lands in the store as a packed event row, and
+//! the stream driver absorbs lands in the store as an event row, and
 //! every emitted report (window closes plus the final flush) is buffered as
 //! a report row and written at the next `sync` — with the events flushed
 //! *first* at every durability point, so the store never holds a report
@@ -23,7 +23,7 @@ use crate::row::ReportRow;
 use crate::store::SegmentStore;
 use crate::StoreError;
 use eventlog::frame::NodeRecord;
-use eventlog::PackedEvent;
+use eventlog::LogEntry;
 use refill::PacketReport;
 use refill_stream::StreamObserver;
 
@@ -38,7 +38,7 @@ pub struct StoreCheckpoint {
     /// the resume skip count, frozen at construction so this run's own
     /// appends don't shift it.
     skip: u64,
-    buffer: Vec<(PackedEvent, u64)>,
+    buffer: Vec<LogEntry>,
     /// Reports emitted since the last `sync`.
     reports: Vec<ReportRow>,
 }
@@ -63,10 +63,7 @@ impl StoreCheckpoint {
             .store
             .events()?
             .into_iter()
-            .map(|row| {
-                let entry = PackedEvent::unpack_entry(row);
-                NodeRecord::new(entry.event.node, entry)
-            })
+            .map(|entry| NodeRecord::new(entry.event.node, entry))
             .collect())
     }
 
@@ -105,7 +102,7 @@ impl StreamObserver for StoreCheckpoint {
     }
 
     fn on_record(&mut self, rec: &NodeRecord) -> std::io::Result<()> {
-        self.buffer.push(PackedEvent::pack_entry(&rec.entry));
+        self.buffer.push(rec.entry);
         if self.buffer.len() >= FLUSH_ROWS {
             self.flush_events()?;
         }

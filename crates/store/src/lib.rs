@@ -1,8 +1,8 @@
 //! # refill-store — a durable segment store and query engine for REFILL
 //!
 //! Reconstruction is expensive; its outputs are not. This crate persists
-//! both halves of a run — the merged event stream (as packed 24-byte rows)
-//! and the per-packet reports (as the reports themselves, in the JSON
+//! both halves of a run — the merged log entries (as 24-byte rows) and
+//! the per-packet reports (as the reports themselves, in the JSON
 //! `PacketReport` already has) — into an append-only, crash-recoverable segment store, so figures and flow
 //! queries replay from disk instead of re-running the pipeline.
 //!
@@ -10,15 +10,15 @@
 //!
 //! * [`segment`] — the on-disk block codec: length-prefixed, CRC-checked
 //!   blocks (the same checksum discipline as `eventlog::frame`, via the
-//!   shared `eventlog::checksum` module) holding either packed event rows
-//!   or JSON report rows.
+//!   shared `eventlog::checksum` module) holding either log entries, one
+//!   `eventlog::columnar::encode_row` row each, or JSON report rows.
 //! * [`manifest`] — `MANIFEST.json`, updated atomically (tmp + fsync +
 //!   rename + directory fsync) and carrying per-segment min/max metadata
 //!   for predicate pushdown.
 //! * [`store`] — [`SegmentStore`]: the write-ahead append path, recovery
 //!   (scan every listed segment, truncate the torn tail at the last valid
 //!   block boundary, reconcile the manifest), rolling, and compaction
-//!   (k-way merge of segment runs through `eventlog::merge_packed_runs`).
+//!   (k-way merge of segment runs through `eventlog::merge_runs`).
 //! * [`query`] — [`Query`]/[`QueryOutput`]: predicate evaluation with
 //!   segment-level pushdown over the manifest metadata.
 //! * [`row`] — [`ReportRow`]: a [`refill::PacketReport`] beside its
@@ -38,11 +38,12 @@
 //! a crash, [`SegmentStore::open`] recovers the longest prefix of each
 //! listed segment made of whole, CRC-valid blocks — everything synced is
 //! kept, a torn tail is truncated, and unlisted files (lost races of
-//! segment creation or compaction leftovers) are pruned. A segment whose
-//! blocks check out under another format version is refused
-//! ([`StoreError::Corrupt`], "unsupported block version") and left as found. When no manifest
-//! exists at all, on-disk segments are adopted instead of pruned, so a
-//! store directory survives losing its manifest.
+//! segment creation or compaction leftovers) are pruned. A segment holding
+//! a block whose checksum holds but which does not decode (another format
+//! version, an unknown kind, a row or a report this build does not read) is
+//! refused ([`StoreError::Corrupt`] at that block) and left as found.
+//! When no manifest exists at all, on-disk segments are adopted instead of
+//! pruned, so a store directory survives losing its manifest.
 
 pub mod checkpoint;
 pub mod manifest;
@@ -55,7 +56,7 @@ pub mod vfs;
 pub use checkpoint::StoreCheckpoint;
 pub use manifest::{Manifest, SegmentMeta, SegmentStats};
 pub use query::{Query, QueryOutput, QueryStats};
-pub use row::{ReportRow, Sidecar};
+pub use row::{latest_per_packet, ReportRow, Sidecar};
 pub use segment::{Block, BlockKind};
 pub use store::{CompactionReport, RecoveryReport, SegmentStore};
 pub use vfs::{OsVfs, Vfs, VfsFile};

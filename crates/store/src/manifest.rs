@@ -12,9 +12,10 @@
 //! The stats are recomputed from the block scan at every recovery, so a
 //! stale manifest only ever costs extra scanning, never wrong answers.
 
-use crate::vfs::{OsVfs, Vfs};
+use crate::row::ReportRow;
+use crate::vfs::Vfs;
 use crate::StoreError;
-use eventlog::{PacketId, TS_NONE};
+use eventlog::{LocalTs, LogEntry, PacketId};
 use netsim::json::{self, ToJson};
 use netsim::json_struct;
 use std::path::Path;
@@ -28,9 +29,9 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// Min/max pushdown metadata for one segment.
 ///
 /// Origin and seqno ranges cover every row (event and report alike);
-/// timestamp ranges cover only event rows that carry a real local
-/// timestamp (`TS_NONE` rows are excluded — they can never match a time
-/// predicate). `None` means "no such rows in this segment".
+/// timestamp ranges cover only event rows that carry a local timestamp
+/// (rows without one can never match a time predicate). `None` means "no
+/// such rows in this segment".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Smallest packet-origin node id.
@@ -68,10 +69,10 @@ impl SegmentStats {
         widen(&mut self.min_seqno, &mut self.max_seqno, packet.seqno);
     }
 
-    /// Fold one event-row timestamp into the ranges (`TS_NONE` ignored).
-    pub fn note_ts(&mut self, ts: u64) {
-        if ts != TS_NONE {
-            widen(&mut self.min_ts, &mut self.max_ts, ts);
+    /// Fold one event row's timestamp, if it has one, into the ranges.
+    pub fn note_ts(&mut self, ts: Option<LocalTs>) {
+        if let Some(ts) = ts {
+            widen(&mut self.min_ts, &mut self.max_ts, ts.get());
         }
     }
 
@@ -101,7 +102,7 @@ impl SegmentStats {
 }
 
 /// One segment's manifest entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// File name (relative to the store directory), e.g. `seg-000003.refill`.
     pub file: String,
@@ -116,6 +117,23 @@ pub struct SegmentMeta {
     pub reports: u64,
     /// Pushdown metadata.
     pub stats: SegmentStats,
+}
+
+impl SegmentMeta {
+    /// Fold one block's rows — its `events` or its `reports` — into the
+    /// counts and the pushdown ranges.
+    pub fn note_block(&mut self, events: &[LogEntry], reports: &[ReportRow]) {
+        self.blocks += 1;
+        self.events += events.len() as u64;
+        self.reports += reports.len() as u64;
+        for entry in events {
+            self.stats.note_packet(entry.event.packet);
+            self.stats.note_ts(entry.local_ts);
+        }
+        for row in reports {
+            self.stats.note_packet(row.report.packet);
+        }
+    }
 }
 
 json_struct!(SegmentMeta {
@@ -139,17 +157,12 @@ pub struct Manifest {
 json_struct!(Manifest { version, segments });
 
 impl Manifest {
-    /// Load the manifest from `dir`.
+    /// Load the manifest from `dir` through `vfs`.
     ///
     /// Returns `Ok(None)` when the file is absent *or unparseable*: the
     /// block scan is the ground truth, so a damaged manifest downgrades
     /// to "adopt whatever valid segments are on disk" rather than an
     /// error.
-    pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
-        Self::load_with(dir, &OsVfs)
-    }
-
-    /// [`Manifest::load`] through an explicit [`Vfs`].
     pub fn load_with(dir: &Path, vfs: &dyn Vfs) -> Result<Option<Manifest>, StoreError> {
         let path = dir.join(MANIFEST_FILE);
         let bytes = match vfs.read(&path) {
@@ -160,12 +173,8 @@ impl Manifest {
         Ok(json::decode(&bytes).ok())
     }
 
-    /// Persist the manifest atomically: tmp + fsync + rename + dir fsync.
-    pub fn save(&self, dir: &Path) -> Result<(), StoreError> {
-        self.save_with(dir, &OsVfs)
-    }
-
-    /// [`Manifest::save`] through an explicit [`Vfs`].
+    /// Persist the manifest in `dir` through `vfs`, atomically: tmp +
+    /// fsync + rename + dir fsync.
     pub fn save_with(&self, dir: &Path, vfs: &dyn Vfs) -> Result<(), StoreError> {
         let bytes = self.to_json().to_pretty().map_err(|e| StoreError::Codec {
             detail: format!("encoding manifest: {e}"),
@@ -188,6 +197,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::OsVfs;
     use netsim::NodeId;
 
     #[test]
@@ -198,14 +208,14 @@ mod tests {
         assert!(!s.admits_ts(0, u64::MAX));
         s.note_packet(PacketId::new(NodeId(3), 10));
         s.note_packet(PacketId::new(NodeId(7), 2));
-        s.note_ts(500);
-        s.note_ts(TS_NONE); // ignored
+        s.note_ts(LocalTs::new(500));
+        s.note_ts(None); // ignored
         assert!(s.admits_origin(3) && s.admits_origin(5) && s.admits_origin(7));
         assert!(!s.admits_origin(2) && !s.admits_origin(8));
         assert!(s.admits_seqno(0, 2) && s.admits_seqno(10, 99) && s.admits_seqno(5, 6));
         assert!(!s.admits_seqno(11, 99) && !s.admits_seqno(0, 1));
         assert!(s.admits_ts(500, 500) && !s.admits_ts(0, 499) && !s.admits_ts(501, u64::MAX));
-        assert_eq!(s.min_ts, Some(500), "TS_NONE must not widen the range");
+        assert_eq!(s.min_ts, Some(500), "a row without a timestamp must not widen the range");
         assert_eq!(s.max_ts, Some(500));
     }
 
@@ -224,10 +234,10 @@ mod tests {
                 stats: SegmentStats::default(),
             }],
         };
-        m.save(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), Some(m));
+        m.save_with(&dir, &OsVfs).unwrap();
+        assert_eq!(Manifest::load_with(&dir, &OsVfs).unwrap(), Some(m));
         std::fs::write(dir.join(MANIFEST_FILE), b"{not json").unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), None);
+        assert_eq!(Manifest::load_with(&dir, &OsVfs).unwrap(), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

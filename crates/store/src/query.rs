@@ -22,7 +22,7 @@ use crate::row::ReportRow;
 use crate::segment::Block;
 use crate::store::SegmentStore;
 use crate::StoreError;
-use eventlog::{PackedEvent, TS_NONE};
+use eventlog::LogEntry;
 use netsim::NodeId;
 use refill::provenance::EntryOrigin;
 use refill::DiagnosedCause;
@@ -35,7 +35,7 @@ pub struct Query {
     /// Inclusive packet-seqno range.
     pub seqno: Option<(u32, u32)>,
     /// Inclusive local-timestamp range (event rows only; rows without a
-    /// real timestamp never match).
+    /// timestamp never match).
     pub ts: Option<(u64, u64)>,
     /// Diagnosed loss cause (report rows only; requires a sidecar).
     pub cause: Option<DiagnosedCause>,
@@ -67,7 +67,7 @@ pub struct QueryStats {
 #[derive(Debug, Clone, Default)]
 pub struct QueryOutput {
     /// Matching event rows, in store order.
-    pub events: Vec<(PackedEvent, u64)>,
+    pub events: Vec<LogEntry>,
     /// Matching report rows, in store order (duplicates kept — callers
     /// wanting the converged view dedup by packet, last wins).
     pub reports: Vec<ReportRow>,
@@ -98,13 +98,14 @@ impl Query {
         true
     }
 
-    fn matches_event(&self, rec: PackedEvent, ts: u64) -> bool {
-        if !self.matches_packet(rec.packet()) {
+    fn matches_event(&self, entry: &LogEntry) -> bool {
+        if !self.matches_packet(entry.event.packet) {
             return false;
         }
         if let Some((lo, hi)) = self.ts {
-            if ts == TS_NONE || ts < lo || ts > hi {
-                return false;
+            match entry.local_ts {
+                Some(ts) if (lo..=hi).contains(&ts.get()) => {}
+                _ => return false,
             }
         }
         true
@@ -173,11 +174,11 @@ impl SegmentStore {
             for block in self.read_segment(meta)? {
                 match block {
                     Block::Events(rows) if scan_events => {
-                        for (rec, ts) in rows {
+                        for entry in rows {
                             out.stats.event_rows_scanned += 1;
-                            if query.matches_event(rec, ts) {
+                            if query.matches_event(&entry) {
                                 out.stats.event_rows_matched += 1;
-                                out.events.push((rec, ts));
+                                out.events.push(entry);
                             }
                         }
                     }
@@ -202,7 +203,7 @@ impl SegmentStore {
 mod tests {
     use super::*;
     use crate::store::SegmentStore;
-    use eventlog::{Event, EventKind, PacketId};
+    use eventlog::{Event, EventKind, LocalTs, PacketId};
     use std::path::PathBuf;
 
     struct TempDir(PathBuf);
@@ -225,9 +226,12 @@ mod tests {
         }
     }
 
-    fn row(origin: u16, seqno: u32, ts: u64) -> (PackedEvent, u64) {
+    fn row(origin: u16, seqno: u32, ts: Option<u64>) -> LogEntry {
         let p = PacketId::new(NodeId(origin), seqno);
-        (PackedEvent::pack(&Event::new(NodeId(origin), EventKind::Origin, p)), ts)
+        LogEntry {
+            event: Event::new(NodeId(origin), EventKind::Origin, p),
+            local_ts: ts.and_then(LocalTs::new),
+        }
     }
 
     #[test]
@@ -236,9 +240,9 @@ mod tests {
         let (store, _) = SegmentStore::open(&tmp.0).unwrap();
         // Tiny roll: each append seals its own segment.
         let mut store = store.with_roll_bytes(1);
-        store.append_events(&[row(1, 0, 100), row(1, 1, 200)]).unwrap();
-        store.append_events(&[row(2, 0, 300), row(2, 1, 400)]).unwrap();
-        store.append_events(&[row(9, 5, 900)]).unwrap();
+        store.append_events(&[row(1, 0, Some(100)), row(1, 1, Some(200))]).unwrap();
+        store.append_events(&[row(2, 0, Some(300)), row(2, 1, Some(400))]).unwrap();
+        store.append_events(&[row(9, 5, Some(900))]).unwrap();
         store.sync().unwrap();
         assert_eq!(store.segments().len(), 3);
 
@@ -266,7 +270,7 @@ mod tests {
             ..Query::default()
         };
         let out = store.query(&q).unwrap();
-        assert_eq!(out.events, vec![row(9, 5, 900)]);
+        assert_eq!(out.events, vec![row(9, 5, Some(900))]);
         assert_eq!(out.stats.segments_scanned, 1);
     }
 
@@ -275,7 +279,7 @@ mod tests {
         let tmp = TempDir::new("tsnone");
         let (mut store, _) = SegmentStore::open(&tmp.0).unwrap();
         store
-            .append_events(&[row(1, 0, eventlog::TS_NONE), row(1, 1, 50)])
+            .append_events(&[row(1, 0, None), row(1, 1, Some(50))])
             .unwrap();
         store.sync().unwrap();
         let q = Query {
@@ -283,6 +287,6 @@ mod tests {
             ..Query::default()
         };
         let out = store.query(&q).unwrap();
-        assert_eq!(out.events, vec![row(1, 1, 50)]);
+        assert_eq!(out.events, vec![row(1, 1, Some(50))]);
     }
 }

@@ -16,6 +16,7 @@ use eventlog::PacketFate;
 use netsim::SimTime;
 use refill::diagnose::Diagnosis;
 use refill::PacketReport;
+use std::collections::BTreeMap;
 
 /// Analysis context persisted next to a report.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,4 +55,15 @@ impl ReportRow {
             sidecar,
         }
     }
+}
+
+/// The latest of `rows` per packet (append order is emission order, so the
+/// last wins), sorted by packet id — the converged view a completed run
+/// leaves behind.
+pub fn latest_per_packet(rows: impl IntoIterator<Item = ReportRow>) -> Vec<ReportRow> {
+    let mut latest = BTreeMap::new();
+    for row in rows {
+        latest.insert(row.report.packet, row);
+    }
+    latest.into_values().collect()
 }

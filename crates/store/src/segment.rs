@@ -11,23 +11,23 @@
 //!
 //! The CRC-32 (IEEE, via the shared `eventlog::checksum`) covers
 //! everything after the magic — version, kind, length, and payload — the
-//! same discipline as the wire frames in `eventlog::frame`. Anything that
-//! fails validation mid-file is, by definition, a torn tail: blocks are
-//! written append-only and become durable only at `fsync`, so a decode
-//! failure marks the recovery truncation point. The one exception is a
-//! block that checks out under a version byte other than
-//! [`BLOCK_VERSION`]: that is another build's durable data, refused with
-//! [`UnsupportedVersion`] and never truncated.
+//! same discipline as the wire frames in `eventlog::frame`. A block that
+//! is cut short or fails its checksum is, by definition, a torn tail:
+//! blocks are written append-only and become durable only at `fsync`, so
+//! that failure marks the recovery truncation point. A block whose
+//! checksum holds was written whole, so when it does not decode — another
+//! build's version byte, an unknown kind, a row or a report this build
+//! does not read — it is [`Unreadable`] and never truncated.
 //!
-//! Two payload kinds exist. *Event* payloads are fixed 24-byte rows —
-//! a 16-byte [`PackedEvent`] plus its u64 LE local timestamp
-//! ([`eventlog::TS_NONE`] preserved verbatim for untimestamped entries).
-//! *Report* payloads are a JSON array of [`ReportRow`]s.
+//! Two payload kinds exist. *Event* payloads are fixed 24-byte rows, one
+//! [`LogEntry`] each, in the layout `eventlog::columnar::encode_row`
+//! defines. *Report* payloads are a JSON array of [`ReportRow`]s.
 
 use crate::row::ReportRow;
 use crate::StoreError;
 use eventlog::checksum::Crc32;
-use eventlog::PackedEvent;
+use eventlog::columnar::{decode_row, encode_row, ROW_LEN};
+use eventlog::LogEntry;
 use netsim::json::{self, ToJson};
 
 /// Segment block magic. Distinct from the wire-frame magic (`EF 17`) so a
@@ -37,7 +37,7 @@ pub const BLOCK_MAGIC: [u8; 2] = [0xEF, 0x5E];
 /// Current block format version. 3: a report row is `{report, sidecar}`,
 /// the report in `PacketReport`'s own JSON, where version 2 held a
 /// node-abstract template beside a rename vector. A store of another
-/// version is refused ([`UnsupportedVersion`]); there is no second reader.
+/// version is refused ([`Unreadable`]); there is no second reader.
 pub const BLOCK_VERSION: u8 = 3;
 
 /// Bytes before the payload: magic (2) + version (1) + kind (1) + len (4).
@@ -46,13 +46,10 @@ pub const BLOCK_HEADER_LEN: usize = 8;
 /// Trailing checksum bytes.
 pub const BLOCK_CRC_LEN: usize = 4;
 
-/// Bytes per packed event row: a 16-byte event plus a u64 timestamp.
-pub const EVENT_ROW_LEN: usize = 24;
-
 /// What a block holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockKind {
-    /// Packed event rows.
+    /// Log entries, one 24-byte row each.
     Events,
     /// JSON report rows.
     Reports,
@@ -75,16 +72,15 @@ impl BlockKind {
     }
 }
 
-/// A whole, CRC-valid block written under a format version this build does
-/// not read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnsupportedVersion(pub u8);
+/// A whole, CRC-valid block this build does not read, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unreadable(pub String);
 
 /// A decoded block.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Block {
-    /// Packed event rows with their raw timestamps.
-    Events(Vec<(PackedEvent, u64)>),
+    /// Log entries.
+    Events(Vec<LogEntry>),
     /// Report rows.
     Reports(Vec<ReportRow>),
 }
@@ -102,11 +98,10 @@ fn encode_block(kind: BlockKind, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Encode one events block.
-pub fn encode_events(rows: &[(PackedEvent, u64)]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(rows.len() * EVENT_ROW_LEN);
-    for (rec, ts) in rows {
-        payload.extend_from_slice(&rec.to_bytes());
-        payload.extend_from_slice(&ts.to_le_bytes());
+pub fn encode_events(rows: &[LogEntry]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(rows.len() * ROW_LEN);
+    for row in rows {
+        payload.extend_from_slice(&encode_row(row));
     }
     encode_block(BlockKind::Events, &payload)
 }
@@ -126,9 +121,9 @@ pub fn encode_reports(rows: &[ReportRow]) -> Result<Vec<u8>, StoreError> {
 /// recovery uses to place the truncation point. There is deliberately no
 /// resynchronization here (unlike the wire decoder): a segment is written
 /// append-only, so the first invalid byte ends the durable prefix. A block
-/// whose checksum holds over a version byte other than [`BLOCK_VERSION`]
-/// is not torn, it is another build's: that is the error.
-pub fn decode_block(bytes: &[u8]) -> Result<Option<(Block, usize)>, UnsupportedVersion> {
+/// whose checksum holds is not torn: if it does not decode, that is the
+/// error.
+pub fn decode_block(bytes: &[u8]) -> Result<Option<(Block, usize)>, Unreadable> {
     if bytes.len() < BLOCK_HEADER_LEN + BLOCK_CRC_LEN || bytes[0..2] != BLOCK_MAGIC {
         return Ok(None);
     }
@@ -148,33 +143,41 @@ pub fn decode_block(bytes: &[u8]) -> Result<Option<(Block, usize)>, UnsupportedV
         return Ok(None);
     }
     if bytes[2] != BLOCK_VERSION {
-        return Err(UnsupportedVersion(bytes[2]));
+        return Err(Unreadable(format!(
+            "unsupported block version {} (this build reads {BLOCK_VERSION})",
+            bytes[2]
+        )));
     }
     let payload = &bytes[BLOCK_HEADER_LEN..total - BLOCK_CRC_LEN];
     let block = match BlockKind::from_byte(bytes[3]) {
-        Some(BlockKind::Events) if payload.len().is_multiple_of(EVENT_ROW_LEN) => {
-            let mut rows = Vec::with_capacity(payload.len() / EVENT_ROW_LEN);
-            for row in payload.chunks_exact(EVENT_ROW_LEN) {
-                let mut rec = [0u8; 16];
-                rec.copy_from_slice(&row[0..16]);
-                let mut ts = [0u8; 8];
-                ts.copy_from_slice(&row[16..24]);
-                rows.push((PackedEvent::from_bytes(rec), u64::from_le_bytes(ts)));
+        Some(BlockKind::Events) if payload.len().is_multiple_of(ROW_LEN) => {
+            let mut rows = Vec::with_capacity(payload.len() / ROW_LEN);
+            for (i, row) in payload.chunks_exact(ROW_LEN).enumerate() {
+                let row = row.try_into().expect("chunks of ROW_LEN bytes");
+                rows.push(decode_row(row).ok_or_else(|| {
+                    Unreadable(format!("event row {i} is no row this build writes"))
+                })?);
             }
             Block::Events(rows)
         }
-        Some(BlockKind::Reports) => match json::decode(payload) {
-            Ok(rows) => Block::Reports(rows),
-            Err(_) => return Ok(None),
-        },
-        _ => return Ok(None),
+        Some(BlockKind::Events) => {
+            return Err(Unreadable(format!(
+                "an events payload of {} bytes is not whole rows",
+                payload.len()
+            )))
+        }
+        Some(BlockKind::Reports) => Block::Reports(
+            json::decode(payload)
+                .map_err(|e| Unreadable(format!("report rows do not decode: {e}")))?,
+        ),
+        None => return Err(Unreadable(format!("unknown block kind {}", bytes[3]))),
     };
     Ok(Some((block, total)))
 }
 
 /// Walk the bytes of segment `file` block by block, returning the decoded
 /// blocks and the byte length of the valid prefix (`bytes.len() -
-/// valid_len` is the torn tail). A block of another format version is
+/// valid_len` is the torn tail). An [`Unreadable`] block is
 /// [`StoreError::Corrupt`] at its offset.
 pub fn scan_blocks(file: &str, bytes: &[u8]) -> Result<(Vec<Block>, usize), StoreError> {
     let mut blocks = Vec::new();
@@ -186,13 +189,11 @@ pub fn scan_blocks(file: &str, bytes: &[u8]) -> Result<(Vec<Block>, usize), Stor
                 offset += used;
             }
             Ok(None) => return Ok((blocks, offset)),
-            Err(UnsupportedVersion(found)) => {
+            Err(Unreadable(detail)) => {
                 return Err(StoreError::Corrupt {
                     file: file.to_string(),
                     offset: offset as u64,
-                    detail: format!(
-                        "unsupported block version {found} (this build reads {BLOCK_VERSION})"
-                    ),
+                    detail,
                 })
             }
         }
@@ -202,16 +203,21 @@ pub fn scan_blocks(file: &str, bytes: &[u8]) -> Result<(Vec<Block>, usize), Stor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventlog::{Event, EventKind, PacketId, TS_NONE};
+    use eventlog::{Event, EventKind, LocalTs, PacketId};
     use netsim::NodeId;
 
-    fn rows(n: u32) -> Vec<(PackedEvent, u64)> {
+    fn rows(n: u32) -> Vec<LogEntry> {
         (0..n)
             .map(|i| {
                 let p = PacketId::new(NodeId(1), i);
-                let e = Event::new(NodeId(2), EventKind::Recv { from: NodeId(1) }, p);
-                let ts = if i % 3 == 0 { TS_NONE } else { u64::from(i) * 17 };
-                (PackedEvent::pack(&e), ts)
+                LogEntry {
+                    event: Event::new(NodeId(2), EventKind::Recv { from: NodeId(1) }, p),
+                    local_ts: if i % 3 == 0 {
+                        None
+                    } else {
+                        LocalTs::new(u64::from(i) * 17)
+                    },
+                }
             })
             .collect()
     }
@@ -256,6 +262,29 @@ mod tests {
             // block must not decode as valid.
             assert!(decode_block(&bad) == Ok(None), "flip at byte {i} went undetected");
         }
+    }
+
+    /// A whole block of this build's version, its kind byte `kind`.
+    fn sealed(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = encode_block(BlockKind::Events, payload);
+        out[3] = kind;
+        let end = out.len() - BLOCK_CRC_LEN;
+        let crc = Crc32::new().update(&out[2..end]).finish();
+        out[end..].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn a_whole_block_that_does_not_decode_is_unreadable_not_torn() {
+        let block = encode_events(&rows(2));
+        let payload = &block[BLOCK_HEADER_LEN..block.len() - BLOCK_CRC_LEN];
+        assert_eq!(sealed(0, payload), block);
+        let unreadable = |detail: &str| Err(Unreadable(detail.to_string()));
+        assert_eq!(decode_block(&sealed(2, payload)), unreadable("unknown block kind 2"));
+        assert_eq!(
+            decode_block(&sealed(0, &payload[..30])),
+            unreadable("an events payload of 30 bytes is not whole rows")
+        );
     }
 
     #[test]

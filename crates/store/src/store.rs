@@ -1,12 +1,12 @@
 //! The segment store: append, sync, recovery, rolling, compaction.
 
-use crate::manifest::{Manifest, SegmentMeta, SegmentStats, MANIFEST_VERSION};
-use crate::row::ReportRow;
+use crate::manifest::{Manifest, SegmentMeta, MANIFEST_VERSION};
+use crate::row::{latest_per_packet, ReportRow};
 use crate::segment::{self, Block};
 use crate::vfs::{OsVfs, Vfs, VfsFile};
 use crate::StoreError;
-use eventlog::{merge_packed_runs, PackedEvent, PacketId};
-use netsim::fx::{FxHashMap, FxHashSet};
+use eventlog::{merge_runs, LogEntry};
+use netsim::fx::FxHashSet;
 use refill_telemetry::{Counter, NoopRecorder, Recorder, Stage, StageTimer};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -55,7 +55,7 @@ pub struct CompactionReport {
     pub dropped_reports: u64,
 }
 
-/// A durable append-only segment store for packed events and report rows.
+/// A durable append-only segment store for log entries and report rows.
 ///
 /// See the crate docs for the durability contract. All reads go through
 /// the committed metadata, so a `SegmentStore` value is always consistent
@@ -217,11 +217,7 @@ impl SegmentStore {
             self.vfs.create(&self.dir.join(&name))?.sync_all()?;
             self.segments.push(SegmentMeta {
                 file: name,
-                committed_len: 0,
-                blocks: 0,
-                events: 0,
-                reports: 0,
-                stats: SegmentStats::default(),
+                ..SegmentMeta::default()
             });
             // List the file before any data lands in it: recovery prunes
             // unlisted files, so an unlisted-but-written segment would be
@@ -234,7 +230,13 @@ impl SegmentStore {
         Ok(())
     }
 
-    fn append_block(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+    /// Write one encoded block, holding `events` or `reports`.
+    fn append_block(
+        &mut self,
+        bytes: &[u8],
+        events: &[LogEntry],
+        reports: &[ReportRow],
+    ) -> Result<(), StoreError> {
         self.ensure_active()?;
         self.active
             .as_mut()
@@ -242,7 +244,7 @@ impl SegmentStore {
             .write_all(bytes)?;
         let meta = self.segments.last_mut().expect("active segment exists");
         meta.committed_len += bytes.len() as u64;
-        meta.blocks += 1;
+        meta.note_block(events, reports);
         Ok(())
     }
 
@@ -258,20 +260,13 @@ impl SegmentStore {
     }
 
     /// Append one events block.
-    pub fn append_events(&mut self, rows: &[(PackedEvent, u64)]) -> Result<(), StoreError> {
+    pub fn append_events(&mut self, rows: &[LogEntry]) -> Result<(), StoreError> {
         if rows.is_empty() {
             return Ok(());
         }
         let recorder = Arc::clone(&self.recorder);
         let _span = StageTimer::start(&*recorder, Stage::StoreAppend);
-        let bytes = segment::encode_events(rows);
-        self.append_block(&bytes)?;
-        let meta = self.segments.last_mut().expect("active segment exists");
-        meta.events += rows.len() as u64;
-        for (rec, ts) in rows {
-            meta.stats.note_packet(rec.packet());
-            meta.stats.note_ts(*ts);
-        }
+        self.append_block(&segment::encode_events(rows), rows, &[])?;
         self.recorder.add(Counter::StoreEventsAppended, rows.len() as u64);
         self.roll_if_needed()
     }
@@ -283,13 +278,7 @@ impl SegmentStore {
         }
         let recorder = Arc::clone(&self.recorder);
         let _span = StageTimer::start(&*recorder, Stage::StoreAppend);
-        let bytes = segment::encode_reports(rows)?;
-        self.append_block(&bytes)?;
-        let meta = self.segments.last_mut().expect("active segment exists");
-        meta.reports += rows.len() as u64;
-        for r in rows {
-            meta.stats.note_packet(r.report.packet);
-        }
+        self.append_block(&segment::encode_reports(rows)?, &[], rows)?;
         self.recorder.add(Counter::StoreReportsAppended, rows.len() as u64);
         self.roll_if_needed()
     }
@@ -335,7 +324,7 @@ impl SegmentStore {
     }
 
     /// All event rows, in append order across segments.
-    pub fn events(&self) -> Result<Vec<(PackedEvent, u64)>, StoreError> {
+    pub fn events(&self) -> Result<Vec<LogEntry>, StoreError> {
         let mut out = Vec::with_capacity(self.total_events() as usize);
         for meta in &self.segments {
             for block in self.read_segment(meta)? {
@@ -360,29 +349,21 @@ impl SegmentStore {
         Ok(out)
     }
 
-    /// The latest report per packet (append order is emission order, so
-    /// last wins), sorted by packet id — the converged view a completed
-    /// run leaves behind.
+    /// The latest report per packet, sorted by packet id
+    /// ([`latest_per_packet`]).
     pub fn latest_reports(&self) -> Result<Vec<ReportRow>, StoreError> {
-        let mut latest: FxHashMap<PacketId, ReportRow> = FxHashMap::default();
-        for row in self.reports()? {
-            latest.insert(row.report.packet, row);
-        }
-        let mut rows: Vec<ReportRow> = latest.into_values().collect();
-        rows.sort_by_key(|r| r.report.packet);
-        Ok(rows)
+        Ok(latest_per_packet(self.reports()?))
     }
 
-    /// Merge every segment into one: event runs go through the shared
-    /// loser-tree k-way merge (`eventlog::merge_packed_runs`), reports
-    /// collapse to their latest version per packet. Query results are
-    /// unchanged — the event multiset and the latest-report set are both
-    /// preserved exactly.
+    /// Merge every segment into one: event runs go through the log merge's
+    /// loser tree (`eventlog::merge_runs`), reports collapse to their
+    /// latest version per packet. Query results are unchanged — the event
+    /// multiset and the latest-report set are both preserved exactly.
     pub fn compact(&mut self) -> Result<CompactionReport, StoreError> {
         self.sync()?;
         self.active = None;
 
-        let mut runs: Vec<Vec<(PackedEvent, u64)>> = Vec::new();
+        let mut runs: Vec<Vec<LogEntry>> = Vec::new();
         let mut all_reports: Vec<ReportRow> = Vec::new();
         for meta in &self.segments {
             let mut run = Vec::new();
@@ -394,16 +375,11 @@ impl SegmentStore {
             }
             runs.push(run);
         }
-        let run_refs: Vec<&[(PackedEvent, u64)]> = runs.iter().map(|r| r.as_slice()).collect();
-        let merged = merge_packed_runs(&run_refs);
+        let run_refs: Vec<&[LogEntry]> = runs.iter().map(Vec::as_slice).collect();
+        let merged = merge_runs(&run_refs);
 
         let total_reports = all_reports.len();
-        let mut latest: FxHashMap<PacketId, ReportRow> = FxHashMap::default();
-        for row in all_reports {
-            latest.insert(row.report.packet, row);
-        }
-        let mut reports: Vec<ReportRow> = latest.into_values().collect();
-        reports.sort_by_key(|r| r.report.packet);
+        let reports = latest_per_packet(all_reports);
 
         let old: Vec<String> = self.segments.iter().map(|m| m.file.clone()).collect();
         let name = format!("seg-{:06}.refill", self.next_id);
@@ -411,29 +387,16 @@ impl SegmentStore {
 
         let mut meta = SegmentMeta {
             file: name.clone(),
-            committed_len: 0,
-            blocks: 0,
-            events: 0,
-            reports: 0,
-            stats: SegmentStats::default(),
+            ..SegmentMeta::default()
         };
         let mut out = Vec::new();
         for chunk in merged.chunks(COMPACT_EVENTS_PER_BLOCK) {
             out.extend_from_slice(&segment::encode_events(chunk));
-            meta.blocks += 1;
-            meta.events += chunk.len() as u64;
-            for (rec, ts) in chunk {
-                meta.stats.note_packet(rec.packet());
-                meta.stats.note_ts(*ts);
-            }
+            meta.note_block(chunk, &[]);
         }
         for chunk in reports.chunks(COMPACT_REPORTS_PER_BLOCK) {
             out.extend_from_slice(&segment::encode_reports(chunk)?);
-            meta.blocks += 1;
-            meta.reports += chunk.len() as u64;
-            for r in chunk {
-                meta.stats.note_packet(r.report.packet);
-            }
+            meta.note_block(&[], chunk);
         }
         meta.committed_len = out.len() as u64;
 
@@ -480,26 +443,12 @@ fn scan_segment(
     let mut meta = SegmentMeta {
         file: name.to_string(),
         committed_len: valid as u64,
-        blocks: blocks.len() as u64,
-        events: 0,
-        reports: 0,
-        stats: SegmentStats::default(),
+        ..SegmentMeta::default()
     };
     for block in &blocks {
         match block {
-            Block::Events(rows) => {
-                meta.events += rows.len() as u64;
-                for (rec, ts) in rows {
-                    meta.stats.note_packet(rec.packet());
-                    meta.stats.note_ts(*ts);
-                }
-            }
-            Block::Reports(rows) => {
-                meta.reports += rows.len() as u64;
-                for r in rows {
-                    meta.stats.note_packet(r.report.packet);
-                }
-            }
+            Block::Events(rows) => meta.note_block(rows, &[]),
+            Block::Reports(rows) => meta.note_block(&[], rows),
         }
     }
     Ok(meta)
@@ -508,7 +457,7 @@ fn scan_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventlog::{Event, EventKind, TS_NONE};
+    use eventlog::{Event, EventKind, LocalTs};
     use netsim::NodeId;
     use std::path::PathBuf;
 
@@ -538,13 +487,18 @@ mod tests {
         N.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn rows(origin: u16, n: u32) -> Vec<(PackedEvent, u64)> {
+    fn rows(origin: u16, n: u32) -> Vec<LogEntry> {
         (0..n)
             .map(|i| {
                 let p = eventlog::PacketId::new(NodeId(origin), i);
-                let e = Event::new(NodeId(origin), EventKind::Origin, p);
-                let ts = if i % 4 == 0 { TS_NONE } else { u64::from(i) * 100 };
-                (PackedEvent::pack(&e), ts)
+                LogEntry {
+                    event: Event::new(NodeId(origin), EventKind::Origin, p),
+                    local_ts: if i % 4 == 0 {
+                        None
+                    } else {
+                        LocalTs::new(u64::from(i) * 100)
+                    },
+                }
             })
             .collect()
     }
@@ -634,6 +588,53 @@ mod tests {
         assert_eq!(store.events().unwrap(), all);
     }
 
+    /// Apply `edit` to the checksummed bytes of each block of `seg` —
+    /// version, kind, length, payload — given the block's index, and re-seal
+    /// every checksum: whole, valid blocks holding whatever `edit` left.
+    /// Returns the new file and each block's offset.
+    fn reseal(seg: &Path, mut edit: impl FnMut(usize, &mut [u8])) -> (Vec<u8>, Vec<u64>) {
+        let mut bytes = std::fs::read(seg).unwrap();
+        let mut offsets = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+            let crc_at = at + segment::BLOCK_HEADER_LEN + len;
+            edit(offsets.len(), &mut bytes[at + 2..crc_at]);
+            offsets.push(at as u64);
+            let crc = eventlog::checksum::Crc32::new().update(&bytes[at + 2..crc_at]).finish();
+            bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+            at = crc_at + segment::BLOCK_CRC_LEN;
+        }
+        std::fs::write(seg, &bytes).unwrap();
+        (bytes, offsets)
+    }
+
+    /// Where `reseal`'s `edit` finds row `row`'s byte `at` of an events block.
+    fn row_byte(row: usize, at: usize) -> usize {
+        6 + row * eventlog::columnar::ROW_LEN + at
+    }
+
+    /// Two opens of the store at `dir` in a row are refused as `Corrupt` in
+    /// its first segment at `offset`, with a detail starting `detail`, and
+    /// neither touches the file.
+    fn assert_refused(dir: &Path, bytes: &[u8], offset: u64, detail: &str) {
+        let seg = dir.join("seg-000001.refill");
+        for attempt in 0..2 {
+            match SegmentStore::open(dir).map(|_| ()).unwrap_err() {
+                StoreError::Corrupt {
+                    file,
+                    offset: at,
+                    detail: found,
+                } => {
+                    assert_eq!((file.as_str(), at), ("seg-000001.refill", offset));
+                    assert!(found.starts_with(detail), "open {attempt}: {found}");
+                }
+                other => panic!("open {attempt}: expected Corrupt, got {other}"),
+            }
+            assert_eq!(std::fs::read(&seg).unwrap(), bytes, "open {attempt} touched the file");
+        }
+    }
+
     /// A store written by a build with another `BLOCK_VERSION` used to read
     /// as one torn tail from byte 0 and be truncated to nothing on open.
     #[test]
@@ -645,39 +646,79 @@ mod tests {
             store.append_events(&rows(5, 8)).unwrap();
             store.sync().unwrap();
         }
-        // Re-stamp every block as version 2, checksum recomputed: whole,
-        // valid blocks of a format this build does not read.
-        let seg = tmp.0.join("seg-000001.refill");
-        let mut bytes = std::fs::read(&seg).unwrap();
-        let mut at = 0;
-        while at < bytes.len() {
-            let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
-            let crc_at = at + segment::BLOCK_HEADER_LEN + len;
-            bytes[at + 2] = 2;
-            let crc = eventlog::checksum::Crc32::new().update(&bytes[at + 2..crc_at]).finish();
-            bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-            at = crc_at + segment::BLOCK_CRC_LEN;
-        }
-        std::fs::write(&seg, &bytes).unwrap();
+        let (bytes, _) = reseal(&tmp.0.join("seg-000001.refill"), |_, block| block[0] = 2);
+        let detail = format!(
+            "unsupported block version 2 (this build reads {})",
+            segment::BLOCK_VERSION
+        );
+        assert_refused(&tmp.0, &bytes, 0, &detail);
+    }
 
-        for attempt in 0..2 {
-            let err = SegmentStore::open(&tmp.0).map(|_| ()).unwrap_err();
-            match err {
-                StoreError::Corrupt { file, offset, detail } => {
-                    assert_eq!(file, "seg-000001.refill");
-                    assert_eq!(offset, 0);
-                    assert_eq!(
-                        detail,
-                        format!(
-                            "unsupported block version 2 (this build reads {})",
-                            segment::BLOCK_VERSION
-                        )
-                    );
-                }
-                other => panic!("open {attempt}: expected Corrupt, got {other}"),
-            }
-            assert_eq!(std::fs::read(&seg).unwrap(), bytes, "open {attempt} touched the file");
+    /// A checksummed row with kind code 12 used to load at open and panic
+    /// when `StoreCheckpoint::resume_records` unpacked it.
+    #[test]
+    fn an_unknown_kind_code_is_refused_at_open() {
+        let tmp = TempDir::new("kind-code");
+        {
+            let (mut store, _) = SegmentStore::open(&tmp.0).unwrap();
+            store.append_events(&rows(4, 8)).unwrap();
+            store.append_events(&rows(5, 8)).unwrap();
+            store.sync().unwrap();
         }
+        let seg = tmp.0.join("seg-000001.refill");
+        let (bytes, offsets) = reseal(&seg, |i, block| {
+            if i == 1 {
+                block[row_byte(2, 6)] = 12;
+            }
+        });
+        assert_refused(&tmp.0, &bytes, offsets[1], "event row 2 is no row this build writes");
+    }
+
+    /// A checksummed row with a non-zero reserved half used to load as the
+    /// row without it.
+    #[test]
+    fn a_row_no_build_writes_is_refused_at_open() {
+        let tmp = TempDir::new("spill");
+        {
+            let (mut store, _) = SegmentStore::open(&tmp.0).unwrap();
+            store.append_events(&rows(4, 8)).unwrap();
+            store.sync().unwrap();
+        }
+        let seg = tmp.0.join("seg-000001.refill");
+        let (bytes, _) = reseal(&seg, |_, block| block[row_byte(0, 15)] = 1);
+        assert_refused(&tmp.0, &bytes, 0, "event row 0 is no row this build writes");
+    }
+
+    /// A checksummed report block whose JSON does not parse used to read as
+    /// a torn tail: open truncated the segment there, erasing it and every
+    /// block after it.
+    #[test]
+    fn a_report_block_that_does_not_parse_is_refused_not_truncated() {
+        let tmp = TempDir::new("report-json");
+        let recon = refill::Reconstructor::new(refill::CtpVocabulary::table2());
+        let reports: Vec<ReportRow> = rows(4, 3)
+            .iter()
+            .map(|e| {
+                let report = recon.reconstruct_packet(e.event.packet, &[e.event]);
+                ReportRow::from_report(&report, None)
+            })
+            .collect();
+        {
+            let (mut store, _) = SegmentStore::open(&tmp.0).unwrap();
+            store.append_events(&rows(4, 3)).unwrap();
+            store.append_reports(&reports).unwrap();
+            store.append_events(&rows(5, 8)).unwrap();
+            store.sync().unwrap();
+        }
+        let seg = tmp.0.join("seg-000001.refill");
+        let (bytes, offsets) = reseal(&seg, |i, block| {
+            if i == 1 {
+                assert_eq!(block[6], b'[');
+                block[6] = b'{';
+            }
+        });
+        assert_eq!(offsets.len(), 3);
+        assert_refused(&tmp.0, &bytes, offsets[1], "report rows do not decode: ");
     }
 
     #[test]
@@ -697,9 +738,8 @@ mod tests {
         assert_eq!(store.segments().len(), 1);
         let mut after_events = store.events().unwrap();
         // The merge is multiset-preserving; compare sorted.
-        let key = |(r, t): &(PackedEvent, u64)| (r.packet_key(), r.to_bytes(), *t);
-        before_events.sort_by_key(key);
-        after_events.sort_by_key(key);
+        before_events.sort_by_key(eventlog::encode_row);
+        after_events.sort_by_key(eventlog::encode_row);
         assert_eq!(before_events, after_events);
         // Reopen sees exactly the compacted store.
         drop(store);

@@ -12,7 +12,7 @@ use citysee::figures::{
 };
 use citysee::{analyze, run_scenario, PacketRecord, Scenario};
 use eventlog::merge::merge_logs_store;
-use eventlog::{PackedEvent, PacketFate};
+use eventlog::{LogEntry, PacketFate};
 use netsim::SimTime;
 use refill::{CtpVocabulary, Reconstructor};
 use refill_store::{ReportRow, SegmentStore, Sidecar};
@@ -77,12 +77,7 @@ fn figures_from_store_match_in_memory_analysis_byte_for_byte() {
         .collect();
 
     let columns = merge_logs_store(&campaign.collected);
-    let event_rows: Vec<(PackedEvent, u64)> = columns
-        .records()
-        .iter()
-        .copied()
-        .zip(columns.ts_column().iter().copied())
-        .collect();
+    let event_rows: Vec<LogEntry> = columns.entries().collect();
 
     let tmp = TempDir::new();
     let (store, _) = SegmentStore::open(&tmp.0).unwrap();

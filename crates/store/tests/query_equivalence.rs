@@ -6,7 +6,7 @@
 
 use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::merge::merge_logs_store;
-use eventlog::{Event, EventKind, PackedEvent, PacketId, TS_NONE};
+use eventlog::{encode_row, Event, EventKind, PacketId};
 use netsim::prop::{check, vec_of};
 use netsim::{NodeId, Rng};
 use refill::provenance::EntryOrigin;
@@ -84,14 +84,13 @@ fn to_logs(soup: &[Soup]) -> Vec<LocalLog> {
 }
 
 /// Independent oracle for the event side of a query. Deliberately written
-/// against the unpacked event, not the store's own matcher.
-fn oracle_events(rows: &[(PackedEvent, u64)], q: &Query) -> Vec<(PackedEvent, u64)> {
+/// against the entry, not the store's own matcher.
+fn oracle_events(rows: &[LogEntry], q: &Query) -> Vec<LogEntry> {
     if q.cause.is_some() || q.disposition.is_some() {
         return Vec::new();
     }
     rows.iter()
-        .filter(|(rec, ts)| {
-            let event = rec.unpack();
+        .filter(|LogEntry { event, local_ts }| {
             if let Some(origin) = q.origin {
                 if event.packet.origin != origin {
                     return false;
@@ -103,7 +102,7 @@ fn oracle_events(rows: &[(PackedEvent, u64)], q: &Query) -> Vec<(PackedEvent, u6
                 }
             }
             if let Some((lo, hi)) = q.ts {
-                if *ts == TS_NONE || !(lo..=hi).contains(ts) {
+                if !local_ts.is_some_and(|ts| (lo..=hi).contains(&ts.get())) {
                     return false;
                 }
             }
@@ -161,12 +160,7 @@ fn store_queries_match_in_memory_filters() {
             .then(|| (rng.gen_range(0..10_000u64), rng.gen_range(0..10_000u64)));
         let logs = to_logs(&soup);
         let columns = merge_logs_store(&logs);
-        let event_rows: Vec<(PackedEvent, u64)> = columns
-            .records()
-            .iter()
-            .copied()
-            .zip(columns.ts_column().iter().copied())
-            .collect();
+        let event_rows: Vec<LogEntry> = columns.entries().collect();
         let reports =
             Reconstructor::new(CtpVocabulary::table2()).reconstruct_log(&columns.to_merged());
         let diagnoser = Diagnoser::new();
@@ -252,13 +246,9 @@ fn store_queries_match_in_memory_filters() {
         store.compact().unwrap();
         assert_eq!(store.latest_reports().unwrap(), latest_before);
         let mut before_sorted = event_rows.clone();
-        before_sorted.sort_by_key(sort_key);
+        before_sorted.sort_by_key(encode_row);
         let mut after_sorted = store.events().unwrap();
-        after_sorted.sort_by_key(sort_key);
+        after_sorted.sort_by_key(encode_row);
         assert_eq!(after_sorted, before_sorted);
     });
-}
-
-fn sort_key(row: &(PackedEvent, u64)) -> (u64, Vec<u8>) {
-    (row.1, row.0.to_bytes().to_vec())
 }

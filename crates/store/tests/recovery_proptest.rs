@@ -3,7 +3,7 @@
 //! whole, CRC-valid blocks — no panic, no error, no partial rows — and a
 //! second reopen is a no-op. Appends after recovery continue cleanly.
 
-use eventlog::{Event, EventKind, LocalTs, PackedEvent, PacketId, TS_NONE};
+use eventlog::{Event, EventKind, LocalTs, LogEntry, PacketId};
 use netsim::json::{self, ToJson};
 use netsim::prop::check;
 use netsim::NodeId;
@@ -34,18 +34,18 @@ impl Drop for TempDir {
     }
 }
 
-fn event_row(origin: u16, seqno: u32, ts: u64) -> (PackedEvent, u64) {
+fn event_row(origin: u16, seqno: u32, local_ts: Option<LocalTs>) -> LogEntry {
     let p = PacketId::new(NodeId(origin), seqno);
-    (
-        PackedEvent::pack(&Event::new(NodeId(origin), EventKind::Origin, p)),
-        ts,
-    )
+    LogEntry {
+        event: Event::new(NodeId(origin), EventKind::Origin, p),
+        local_ts,
+    }
 }
 
 fn report_rows() -> Vec<ReportRow> {
     // A real single-hop flow, reconstructed rather than hand-built, so the
     // persisted template exercises the same code paths production rows do.
-    use eventlog::logger::{LocalLog, LogEntry};
+    use eventlog::logger::LocalLog;
     use eventlog::merge::merge_logs;
     use refill::{CtpVocabulary, Reconstructor};
     let p = PacketId::new(NodeId(1), 0);
@@ -73,16 +73,16 @@ fn report_rows() -> Vec<ReportRow> {
 
 /// The append schedule every property case replays: five event blocks with
 /// a report block in the middle. Returns (event rows per block, reports).
-fn schedule() -> (Vec<Vec<(PackedEvent, u64)>>, Vec<ReportRow>) {
+fn schedule() -> (Vec<Vec<LogEntry>>, Vec<ReportRow>) {
     let mut blocks = Vec::new();
     for b in 0u32..5 {
         let mut rows = Vec::new();
         for i in 0..8u32 {
             let seq = b * 8 + i;
             let ts = if seq % 7 == 3 {
-                TS_NONE
+                None
             } else {
-                u64::from(seq) * 100
+                LocalTs::new(u64::from(seq) * 100)
             };
             rows.push(event_row(1 + (seq % 3) as u16, seq, ts));
         }
@@ -167,7 +167,7 @@ fn truncate_anywhere_reopen_recovers_longest_durable_prefix() {
 
             // Life goes on: the store accepts appends after recovery.
             let mut store = store;
-            let extra = event_row(9, 999, 1234);
+            let extra = event_row(9, 999, LocalTs::new(1234));
             store.append_events(&[extra]).unwrap();
             store.sync().unwrap();
             drop(store);

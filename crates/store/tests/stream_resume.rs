@@ -7,7 +7,7 @@ use eventlog::frame::{decode_all, encode_record, encode_records, NodeRecord, FRA
 use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
-use eventlog::{crc32, Event, EventKind, FrameStats, PackedEvent, PacketId};
+use eventlog::{crc32, Event, EventKind, FrameStats, PacketId};
 use netsim::prop::check;
 use netsim::NodeId;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
@@ -169,7 +169,7 @@ fn checkpointed_run_matches_plain_run_and_store_holds_everything() {
     let rows = store.events().unwrap();
     assert_eq!(rows.len(), records.len());
     for (row, rec) in rows.iter().zip(&records) {
-        assert_eq!(PackedEvent::unpack_entry(*row), rec.entry);
+        assert_eq!(*row, rec.entry);
     }
     // And its converged report view rehydrates to the final reports.
     assert_eq!(
@@ -250,7 +250,7 @@ fn killed_run_resumes_byte_identical() {
         let rows = store.events().unwrap();
         assert_eq!(rows.len(), records.len());
         for (row, rec) in rows.iter().zip(&records) {
-            assert_eq!(PackedEvent::unpack_entry(*row), rec.entry);
+            assert_eq!(*row, rec.entry);
         }
         assert_eq!(rehydrated_sorted(&store), sorted_by_packet(summary.reports));
     });
@@ -330,8 +330,7 @@ fn the_edge_timestamps_survive_a_kill_and_resume() {
             format!("{:#?}", uninterrupted.reports),
             "killed after {k} records"
         );
-        let rows = store.events().unwrap();
-        let kept: Vec<LogEntry> = rows.into_iter().map(PackedEvent::unpack_entry).collect();
+        let kept = store.events().unwrap();
         let absorbed: Vec<LogEntry> = records.iter().map(|r| r.entry).collect();
         assert_eq!(kept, absorbed, "killed after {k} records");
     }

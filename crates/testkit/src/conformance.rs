@@ -29,7 +29,6 @@ use eventlog::frame::{decode_all, FrameStats, NodeRecord};
 use eventlog::logger::LocalLog;
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
-use eventlog::PackedEvent;
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::telemetry::{Counter, NoopRecorder, Recorder};
 use refill::{CtpVocabulary, PacketReport, Reconstructor, SigCache};
@@ -369,13 +368,12 @@ pub fn run_case(
         ));
     }
     for (i, (row, rec)) in rows.iter().zip(&survivors).enumerate() {
-        if *row != PackedEvent::pack_entry(&rec.entry) {
+        if *row != rec.entry {
             return Err(fail(
                 "store-recovery",
                 format!(
-                    "durable row {i} diverged from the absorbed sequence: {:?} vs {:?}",
-                    row.0.unpack(),
-                    rec.entry.event
+                    "durable row {i} diverged from the absorbed sequence: {row:?} vs {:?}",
+                    rec.entry
                 ),
             ));
         }

@@ -11,7 +11,7 @@
 use citysee::figures::Fig9Breakdown;
 use citysee::Scenario;
 use eventlog::logger::{LocalLog, LocalTs, LogEntry};
-use eventlog::{archive, merge_logs, Event, EventKind, LossCause, PacketFate, PacketId, TS_NONE};
+use eventlog::{archive, merge_logs, Event, EventKind, LossCause, PacketFate, PacketId};
 use netsim::json::{parse, FromJson, Json, JsonErrorKind, ToJson};
 use netsim::{NodeId, Rng, SimTime};
 use refill::diagnose::Diagnoser;
@@ -87,8 +87,8 @@ fn sample_rows() -> Vec<ReportRow> {
 fn sample_manifest() -> Manifest {
     let mut stats = SegmentStats::default();
     stats.note_packet(PacketId::new(NodeId(u16::MAX), u32::MAX));
-    stats.note_ts(0);
-    stats.note_ts(TS_NONE - 1);
+    stats.note_ts(LocalTs::new(0));
+    stats.note_ts(LocalTs::new(u64::MAX - 1));
     Manifest {
         version: refill_store::manifest::MANIFEST_VERSION,
         segments: vec![
@@ -147,15 +147,16 @@ fn corpus() -> Vec<String> {
             .iter()
             .flat_map(|r| r.flow.payloads().copied().collect::<Vec<_>>()),
     )];
-    logs[0].entries[0].local_ts = LocalTs::new(TS_NONE - 1);
+    logs[0].entries[0].local_ts = LocalTs::new(u64::MAX - 1);
     logs[0].entries[1].local_ts = LocalTs::new(0);
     let mut archive_bytes = Vec::new();
     archive::write_logs(&logs, &mut archive_bytes).unwrap();
     assert_eq!(archive::read_logs(&archive_bytes[..]).unwrap(), logs);
     let archive_text = String::from_utf8(archive_bytes).unwrap();
-    // The store's "no timestamp" is no timestamp: a line stamped with it is
-    // refused, naming the line (the header is line 1).
-    let stamped_none = archive_text.replacen(&(TS_NONE - 1).to_string(), &TS_NONE.to_string(), 1);
+    // The store's "no timestamp", `u64::MAX`, is no timestamp: a line
+    // stamped with it is refused, naming the line (the header is line 1).
+    let stamped_none =
+        archive_text.replacen(&(u64::MAX - 1).to_string(), &u64::MAX.to_string(), 1);
     assert!(
         matches!(
             archive::read_logs(stamped_none.as_bytes()),

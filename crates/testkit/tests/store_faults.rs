@@ -9,7 +9,6 @@
 use eventlog::frame::{encode_records, NodeRecord};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
-use eventlog::PackedEvent;
 use netsim::Rng;
 use refill::telemetry::NoopRecorder;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
@@ -97,11 +96,7 @@ fn assert_durable_prefix(tmp: &TempDir, records: &[NodeRecord], context: &str) -
         "{context}: store holds more rows than were absorbed"
     );
     for (i, (row, rec)) in rows.iter().zip(records).enumerate() {
-        assert_eq!(
-            PackedEvent::unpack_entry(*row),
-            rec.entry,
-            "{context}: row {i}"
-        );
+        assert_eq!(*row, rec.entry, "{context}: row {i}");
     }
     rows.len()
 }
@@ -231,7 +226,7 @@ fn mid_flush_failure_keeps_events_before_reports() {
             "seed {seed}: every event absorbed before the failed reports write is durable"
         );
         for (row, rec) in rows.iter().zip(&records) {
-            assert_eq!(PackedEvent::unpack_entry(*row), rec.entry);
+            assert_eq!(*row, rec.entry);
         }
     }
     assert!(triggered >= 5, "only {triggered}/20 seeds closed a window mid-run");
