@@ -27,9 +27,9 @@ pub struct SourceViewLoss {
 /// The source view built from the base station's log.
 #[derive(Debug, Clone, Default)]
 pub struct SourceView {
-    /// Losses per origin, in seqno order.
-    pub losses: Vec<SourceViewLoss>,
-    /// Received `(packet, arrival local time)` pairs per origin.
+    /// Received `(packet, arrival local time)` pairs per origin, in seqno
+    /// order. The losses are the gaps between them, walked on demand: a
+    /// record with a seqno in the billions costs nothing until read.
     received: FxHashMap<NodeId, Vec<(SeqNo, u64)>>,
     period: SimDuration,
 }
@@ -53,42 +53,33 @@ impl SourceView {
             v.sort_unstable();
             v.dedup_by_key(|(s, _)| *s);
         }
+        SourceView { received, period }
+    }
 
-        let mut losses = Vec::new();
-        let mut origins: Vec<NodeId> = received.keys().copied().collect();
+    /// Every loss the gaps in the received seqnos show, in packet order
+    /// (origin, then seqno): the seqnos before an origin's first received
+    /// one, back-dated from it, and those inside each gap, dated forward
+    /// from the packet before the gap.
+    pub fn losses(&self) -> impl Iterator<Item = SourceViewLoss> + '_ {
+        let mut origins: Vec<NodeId> = self.received.keys().copied().collect();
         origins.sort_unstable();
-        for origin in origins {
-            let seqs = &received[&origin];
-            // Leading gap: seqnos before the first received one.
-            if let Some(&(first, t_first)) = seqs.first() {
-                for missing in 0..first {
-                    let back = u64::from(first - missing) * period.as_micros();
-                    let est = t_first.saturating_sub(back);
-                    losses.push(SourceViewLoss {
-                        packet: PacketId::new(origin, missing),
-                        est_time: SimTime::from_micros(est),
-                    });
-                }
-            }
-            // Interior gaps.
-            for w in seqs.windows(2) {
-                let (prev, t_prev) = w[0];
-                let (next, _) = w[1];
-                for missing in prev + 1..next {
-                    let est = t_prev + u64::from(missing - prev) * period.as_micros();
-                    losses.push(SourceViewLoss {
-                        packet: PacketId::new(origin, missing),
-                        est_time: SimTime::from_micros(est),
-                    });
-                }
-            }
-        }
-        losses.sort_unstable_by_key(|l| l.packet);
-        SourceView {
-            losses,
-            received,
-            period,
-        }
+        let period = self.period.as_micros();
+        origins.into_iter().flat_map(move |origin| {
+            let seqs = &self.received[&origin];
+            let (first, t_first) = seqs[0];
+            let leading =
+                (0..first).map(move |s| (s, t_first.saturating_sub(steps(first - s, period))));
+            let interior = seqs.windows(2).flat_map(move |w| {
+                let ((prev, t_prev), (next, _)) = (w[0], w[1]);
+                (prev + 1..next).map(move |s| (s, t_prev.saturating_add(steps(s - prev, period))))
+            });
+            leading
+                .chain(interior)
+                .map(move |(seqno, est)| SourceViewLoss {
+                    packet: PacketId::new(origin, seqno),
+                    est_time: SimTime::from_micros(est),
+                })
+        })
     }
 
     /// True if the base station received `packet`.
@@ -106,14 +97,14 @@ impl SourceView {
             match v.binary_search_by_key(&packet.seqno, |&(s, _)| s) {
                 Ok(i) => return Some(SimTime::from_micros(v[i].1)),
                 Err(pos) => {
+                    let period = self.period.as_micros();
                     if pos > 0 {
                         let (s, t) = v[pos - 1];
-                        let est =
-                            t + u64::from(packet.seqno - s) * self.period.as_micros();
+                        let est = t.saturating_add(steps(packet.seqno - s, period));
                         return Some(SimTime::from_micros(est));
                     }
                     if let Some(&(s, t)) = v.first() {
-                        let back = u64::from(s - packet.seqno) * self.period.as_micros();
+                        let back = steps(s - packet.seqno, period);
                         return Some(SimTime::from_micros(t.saturating_sub(back)));
                     }
                 }
@@ -121,6 +112,12 @@ impl SourceView {
         }
         None
     }
+}
+
+/// `n` sending periods of `period` µs, saturating: a gap of billions of
+/// seqnos reaches the end of time, not an overflow.
+fn steps(n: SeqNo, period: u64) -> u64 {
+    u64::from(n).saturating_mul(period)
 }
 
 #[cfg(test)]
@@ -156,27 +153,27 @@ mod tests {
         // Seqnos 0,1,4 received: 2 and 3 missing.
         let log = bs_log(&[(1, 0, 0), (1, 1, 10_000_000), (1, 4, 40_000_000)]);
         let v = SourceView::from_bs_log(&log, period());
-        let missing: Vec<u32> = v.losses.iter().map(|l| l.packet.seqno).collect();
+        let missing: Vec<u32> = v.losses().map(|l| l.packet.seqno).collect();
         assert_eq!(missing, vec![2, 3]);
-        assert_eq!(v.losses[0].est_time, SimTime::from_secs(20));
-        assert_eq!(v.losses[1].est_time, SimTime::from_secs(30));
+        let times: Vec<SimTime> = v.losses().map(|l| l.est_time).collect();
+        assert_eq!(times, [SimTime::from_secs(20), SimTime::from_secs(30)]);
     }
 
     #[test]
     fn detects_leading_gap() {
         let log = bs_log(&[(1, 2, 25_000_000)]);
         let v = SourceView::from_bs_log(&log, period());
-        let missing: Vec<u32> = v.losses.iter().map(|l| l.packet.seqno).collect();
+        let missing: Vec<u32> = v.losses().map(|l| l.packet.seqno).collect();
         assert_eq!(missing, vec![0, 1]);
-        assert_eq!(v.losses[0].est_time, SimTime::from_secs(5));
-        assert_eq!(v.losses[1].est_time, SimTime::from_secs(15));
+        let times: Vec<SimTime> = v.losses().map(|l| l.est_time).collect();
+        assert_eq!(times, [SimTime::from_secs(5), SimTime::from_secs(15)]);
     }
 
     #[test]
     fn no_gaps_no_losses() {
         let log = bs_log(&[(1, 0, 0), (1, 1, 10_000_000), (2, 0, 5_000_000)]);
         let v = SourceView::from_bs_log(&log, period());
-        assert!(v.losses.is_empty());
+        assert_eq!(v.losses().count(), 0);
         assert!(v.received(PacketId::new(NodeId(1), 1)));
         assert!(!v.received(PacketId::new(NodeId(1), 2)));
     }
@@ -208,7 +205,7 @@ mod tests {
     fn duplicate_bs_records_are_deduped() {
         let log = bs_log(&[(1, 0, 0), (1, 0, 1_000_000), (1, 2, 20_000_000)]);
         let v = SourceView::from_bs_log(&log, period());
-        let missing: Vec<u32> = v.losses.iter().map(|l| l.packet.seqno).collect();
+        let missing: Vec<u32> = v.losses().map(|l| l.packet.seqno).collect();
         assert_eq!(missing, vec![1]);
     }
 }

@@ -469,8 +469,7 @@ fn transport_stats(
 
 fn summarize_correlation(campaign: &Campaign, source_view: &SourceView) -> CorrelationSummary {
     let losses: Vec<(PacketId, SimTime)> = source_view
-        .losses
-        .iter()
+        .losses()
         .map(|l| (l.packet, l.est_time))
         .collect();
     let verdicts = correlate_causes(

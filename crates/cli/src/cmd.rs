@@ -252,13 +252,14 @@ fn build_analyzer(
     input: &Input,
     recorder: &Option<Arc<AtomicRecorder>>,
 ) -> Result<Analyzer, String> {
-    let period: u64 = flags
-        .get("period")
-        .map(|p| p.parse().map_err(|_| "bad period"))
-        .transpose()?
-        .unwrap_or(30);
+    // Seconds that overflow the microsecond clock are no period either.
+    let period = match flags.get("period") {
+        Some(p) => p.parse::<u64>().ok().and_then(|s| s.checked_mul(1_000_000)),
+        None => Some(30_000_000),
+    };
+    let period = SimDuration::from_micros(period.ok_or("bad period")?);
     let recon = attach_recorder(Reconstructor::new(CtpVocabulary::citysee()), recorder);
-    let analyzer = Analyzer::new(recon, &input.logs, SimDuration::from_secs(period));
+    let analyzer = Analyzer::new(recon, &input.logs, period);
     Ok(match input.sink {
         Some(sink) => analyzer.with_sink(sink),
         None => analyzer,
@@ -600,6 +601,29 @@ mod tests {
             path.to_str().unwrap()
         ]))
         .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seconds past `u64::MAX` microseconds used to overflow in
+    /// `SimDuration::from_secs`: a panic in a debug build, a wrong period
+    /// in a release one.
+    #[test]
+    fn a_period_past_the_microsecond_clock_is_refused() {
+        use eventlog::{Event, EventKind, LocalLog};
+        let p = PacketId::new(NodeId(1), 0);
+        let log = LocalLog::from_events(
+            NodeId(1),
+            vec![Event::new(NodeId(1), EventKind::Trans { to: NodeId(2) }, p)],
+        );
+        let dir = std::env::temp_dir().join("refill-period-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("logs.jsonl");
+        archive::write_logs(&[log], BufWriter::new(File::create(&path).unwrap())).unwrap();
+        let logs = path.to_str().unwrap();
+        let run = |period: &str| analyze_cmd_inner(&args(&["--logs", logs, "--period", period]));
+        assert_eq!(run("18446744073709552").unwrap_err(), "bad period");
+        assert_eq!(run("-1").unwrap_err(), "bad period");
+        assert!(run("18446744073709").is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

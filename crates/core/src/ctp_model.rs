@@ -1,10 +1,14 @@
-//! The shipped CTP/LPL inference-engine model.
+//! The shipped CTP/LPL inference-engine model: all the tracer
+//! ([`crate::trace`]) knows of CTP.
 //!
 //! This is the concrete instantiation of Figure 2 for the CitySee stack:
-//! per node-visit FSM templates for the four roles a node can play in one
-//! packet's life — *source*, *forwarder*, *sink* and the *base station* —
-//! plus the mapping from logged [`EventKind`]s to FSM labels and the
-//! synthesis of inferred lost events back into displayable [`Event`]s.
+//! one table of per node-visit FSM templates, indexed by the four [`Role`]s
+//! a node can play in one packet's life — *source*, *forwarder*, *sink* and
+//! the *base station* — plus which role a visit gets, what an event says
+//! about a visit's hop, the inter-node rules (`CtpModel::add_rules`),
+//! sink and delivery evidence, the mapping from logged [`EventKind`]s to
+//! FSM labels, and the synthesis of inferred lost events back into
+//! displayable [`Event`]s.
 //!
 //! The templates are parameterized by a [`CtpVocabulary`]: the FSM is
 //! "generated according to the log positions" (Section IV-A), so only event
@@ -12,6 +16,7 @@
 //! REFILL would infer losses of events that never existed.
 
 use crate::fsm::{FsmBuilder, FsmTemplate, StateId, Transition};
+use crate::net::{ConnectedNet, EngineId, InterRule};
 use eventlog::event::BASE_STATION;
 use eventlog::{Event, EventKind, PacketId};
 use netsim::NodeId;
@@ -114,6 +119,43 @@ impl Default for CtpVocabulary {
     }
 }
 
+/// The role a node-visit engine plays for one packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The packet's origin (or a retransmission re-visit at the origin).
+    Source,
+    /// An intermediate forwarder.
+    Forwarder,
+    /// The sink (radio in, serial out).
+    Sink,
+    /// The base station behind the serial link.
+    BaseStation,
+}
+
+netsim::json_enum!(Role {
+    Source,
+    Forwarder,
+    Sink,
+    BaseStation
+});
+
+impl Role {
+    /// A visit in this role can have a next hop.
+    pub(crate) fn sends(self) -> bool {
+        self != Role::BaseStation
+    }
+
+    /// A visit in this role can have a previous hop.
+    pub(crate) fn receives(self) -> bool {
+        self != Role::Source
+    }
+
+    /// A visit in this role transmits over the radio (and so retransmits).
+    pub(crate) fn transmits(self) -> bool {
+        matches!(self, Role::Source | Role::Forwarder)
+    }
+}
+
 /// Landmark states of one role template, resolved once at build time.
 #[derive(Debug, Clone, Copy)]
 pub struct RoleStates {
@@ -127,54 +169,210 @@ pub struct RoleStates {
     pub serial_sent: Option<StateId>,
 }
 
-/// The four role templates plus their landmark states.
-///
-/// Templates are interned behind [`Arc`] so every per-packet
-/// [`ConnectedNet`](crate::net::ConnectedNet) built from one model shares
-/// the same immutable template storage — registering a role in a net is a
-/// refcount bump, not a deep copy of its transition tables.
+/// The four role templates plus their landmark states, in one table
+/// indexed by [`Role`]. Templates are interned behind [`Arc`], so
+/// registering a role in a per-packet [`ConnectedNet`] is a refcount bump.
 #[derive(Debug, Clone)]
 pub struct CtpModel {
-    /// FSM for the packet's origin visit.
-    pub source: Arc<FsmTemplate<HopLabel>>,
-    /// Landmarks of [`CtpModel::source`].
-    pub source_states: RoleStates,
-    /// FSM for an intermediate forwarding visit.
-    pub forwarder: Arc<FsmTemplate<HopLabel>>,
-    /// Landmarks of [`CtpModel::forwarder`].
-    pub forwarder_states: RoleStates,
-    /// FSM for the sink's visit (radio in, serial out).
-    pub sink: Arc<FsmTemplate<HopLabel>>,
-    /// Landmarks of [`CtpModel::sink`].
-    pub sink_states: RoleStates,
-    /// FSM for the base station's record.
-    pub bs: Arc<FsmTemplate<HopLabel>>,
-    /// Landmarks of [`CtpModel::bs`].
-    pub bs_states: RoleStates,
-    /// The vocabulary the model was built from.
-    pub vocabulary: CtpVocabulary,
+    roles: [(Arc<FsmTemplate<HopLabel>>, RoleStates); 4],
 }
 
 impl CtpModel {
     /// Build the role templates for `vocabulary`.
     pub fn new(vocabulary: CtpVocabulary) -> Self {
-        let (source, source_states) = build_radio_role("source", vocabulary, RoleKind::Source);
-        let (forwarder, forwarder_states) =
-            build_radio_role("forwarder", vocabulary, RoleKind::Forwarder);
-        let (sink, sink_states) = build_sink(vocabulary);
-        let (bs, bs_states) = build_bs();
+        let radio = |name, kind| build_radio_role(name, vocabulary, kind);
+        let role = |(template, states)| (Arc::new(template), states);
         CtpModel {
-            source: Arc::new(source),
-            source_states,
-            forwarder: Arc::new(forwarder),
-            forwarder_states,
-            sink: Arc::new(sink),
-            sink_states,
-            bs: Arc::new(bs),
-            bs_states,
-            vocabulary,
+            roles: [
+                role(radio("source", RoleKind::Source)),
+                role(radio("forwarder", RoleKind::Forwarder)),
+                role(build_sink()),
+                role(build_bs()),
+            ],
         }
     }
+
+    /// The FSM a visit in `role` runs.
+    pub fn template(&self, role: Role) -> &Arc<FsmTemplate<HopLabel>> {
+        &self.roles[role as usize].0
+    }
+
+    /// The landmarks of [`CtpModel::template`]`(role)`.
+    pub fn landmarks(&self, role: Role) -> RoleStates {
+        self.roles[role as usize].1
+    }
+
+    /// Remove every derived intra-node jump (the `intra_jumps` ablation);
+    /// landmarks are normal states and stay put.
+    pub(crate) fn strip_intra(&mut self) {
+        for (template, _) in &mut self.roles {
+            *template = Arc::new(template.strip_intra());
+        }
+    }
+
+    /// Register the four templates in a freshly reset `net`: a role's
+    /// template index there is `role as usize`.
+    pub(crate) fn register(&self, net: &mut ConnectedNet<HopLabel, Event>) {
+        for (template, _) in &self.roles {
+            net.add_template(Arc::clone(template));
+        }
+    }
+
+    /// Wire the inter-node rules of `engine`, a visit in `role`, to its
+    /// linked neighbours (engine, role): a `recv` / `dup` needs the previous
+    /// hop's `Sending`, a `bs recv` the sink's `SerialSent`, and an `ack
+    /// recvd` the next hop to have got (or knowingly dropped) the packet.
+    pub(crate) fn add_rules(
+        &self,
+        net: &mut ConnectedNet<HopLabel, Event>,
+        engine: EngineId,
+        role: Role,
+        prev: Option<(EngineId, Role)>,
+        next: Option<(EngineId, Role)>,
+    ) {
+        if let Some((pe, prev_role)) = prev {
+            let landmarks = self.landmarks(prev_role);
+            match role {
+                Role::Forwarder | Role::Sink => {
+                    if let Some(sending) = landmarks.sending {
+                        for label in [HopLabel::Recv, HopLabel::Dup] {
+                            net.add_rule(engine, label, InterRule::new(pe, &[sending], sending));
+                        }
+                    }
+                }
+                Role::BaseStation => {
+                    if let Some(serial) = landmarks.serial_sent {
+                        let rule = InterRule::new(pe, &[serial], serial);
+                        net.add_rule(engine, HopLabel::BsRecv, rule);
+                    }
+                }
+                Role::Source => {}
+            }
+        }
+        if let Some((ne, next_role)) = next.filter(|_| role.transmits()) {
+            let ns = self.landmarks(next_role);
+            let rule = match ns.dup_drop {
+                Some(dup_drop) => InterRule::new(ne, &[ns.got, dup_drop], ns.got),
+                None => InterRule::new(ne, &[ns.got], ns.got),
+            };
+            net.add_rule(engine, HopLabel::AckRecvd, rule);
+        }
+    }
+}
+
+/// The role of a visit spawned at `node` by `ev`, when `visits_so_far`
+/// visits of this packet already exist there.
+pub(crate) fn spawn_role(
+    packet: PacketId,
+    node: NodeId,
+    sink: Option<NodeId>,
+    visits_so_far: u32,
+    ev: &Event,
+) -> Role {
+    if node == BASE_STATION {
+        Role::BaseStation
+    } else if Some(node) == sink {
+        Role::Sink
+    } else if node == packet.origin && (visits_so_far == 0 || ev.kind.is_sender_side()) {
+        // First visit at the origin is the source; later visits are the
+        // source again for sender-side evidence (a retransmission
+        // sequence, Case 3) or a forwarder for receiver-side evidence
+        // (a genuine routing loop back to the origin, Case 4).
+        Role::Source
+    } else {
+        Role::Forwarder
+    }
+}
+
+/// The role of a phantom visit at `node`: a hop that a receiver's entry
+/// evidence names as its `sender` (or a sender's exit evidence names as its
+/// receiver) but whose own log contributed nothing.
+pub(crate) fn phantom_role(
+    node: NodeId,
+    sender: bool,
+    packet: PacketId,
+    sink: Option<NodeId>,
+) -> Role {
+    if sender && node == packet.origin {
+        Role::Source
+    } else if !sender && node == BASE_STATION {
+        Role::BaseStation
+    } else if Some(node) == sink {
+        Role::Sink
+    } else {
+        Role::Forwarder
+    }
+}
+
+/// What a visit's accepted events say about its hop.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct HopEvidence {
+    pub(crate) entry_from: Option<NodeId>,
+    /// True when the entry evidence is a `dup` — a retransmission
+    /// duplicate, whose "sender" is an existing visit retransmitting, not a
+    /// new hop.
+    pub(crate) entry_is_dup: bool,
+    pub(crate) exit_to: Option<NodeId>,
+    exit_frozen: bool,
+}
+
+impl HopEvidence {
+    /// The node a visit in `role` took the packet from: its entry
+    /// evidence's sender; the sink, always, for the base station.
+    pub(crate) fn upstream(&self, role: Role, sink: Option<NodeId>) -> Option<NodeId> {
+        match role {
+            Role::Forwarder | Role::Sink => self.entry_from,
+            Role::BaseStation => sink,
+            Role::Source => None,
+        }
+    }
+
+    /// Whether a visit at `node` in `role` sent the packet to `target`: its
+    /// exit evidence names `target`, or it is the sink and `target` the
+    /// base station behind its serial link.
+    pub(crate) fn exits_to(&self, role: Role, node: NodeId, target: NodeId) -> bool {
+        self.exit_to == Some(target)
+            || (node != BASE_STATION && target == BASE_STATION && role == Role::Sink)
+    }
+
+    /// Update hop evidence with an accepted event.
+    pub(crate) fn accept(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::Recv { from } | EventKind::Dup { from } | EventKind::Overflow { from }
+                if self.entry_from.is_none() => {
+                    self.entry_from = Some(from);
+                    self.entry_is_dup = matches!(kind, EventKind::Dup { .. });
+                }
+            EventKind::Trans { to } | EventKind::Timeout { to }
+                // A node may re-route mid-visit (parent change): the latest
+                // target wins, unless an ack already froze the hop.
+                if !self.exit_frozen => {
+                    self.exit_to = Some(to);
+                }
+            EventKind::AckRecvd { to } => {
+                self.exit_to = Some(to);
+                self.exit_frozen = true;
+            }
+            EventKind::SerialTrans
+                if !self.exit_frozen => {
+                    self.exit_to = Some(BASE_STATION);
+                }
+            _ => {}
+        }
+    }
+}
+
+/// The sink an event group names: the first `serial trans` recorder.
+pub(crate) fn sink_of(events: &[Event]) -> Option<NodeId> {
+    events
+        .iter()
+        .find(|e| matches!(e.kind, EventKind::SerialTrans))
+        .map(|e| e.node)
+}
+
+/// True if the base station logged the packet.
+pub(crate) fn delivered(events: &[Event]) -> bool {
+    events.iter().any(|e| matches!(e.kind, EventKind::BsRecv))
 }
 
 enum RoleKind {
@@ -243,7 +441,7 @@ fn build_radio_role(
     (template, states)
 }
 
-fn build_sink(_vocab: CtpVocabulary) -> (FsmTemplate<HopLabel>, RoleStates) {
+fn build_sink() -> (FsmTemplate<HopLabel>, RoleStates) {
     let mut b = FsmBuilder::new("sink");
     let init = b.state("Init");
     let got = b.state("Got");
@@ -346,7 +544,7 @@ mod tests {
     #[test]
     fn forwarder_template_shape() {
         let m = CtpModel::new(CtpVocabulary::citysee());
-        let f = &m.forwarder;
+        let f = m.template(Role::Forwarder);
         let init = f.initial();
         // Entry alternatives.
         assert!(f.can_process(init, &HopLabel::Recv));
@@ -363,14 +561,9 @@ mod tests {
     #[test]
     fn intra_jump_infers_recv_then_trans_for_ack() {
         let m = CtpModel::new(CtpVocabulary::citysee());
-        let plan = m
-            .forwarder
-            .plan(m.forwarder.initial(), &HopLabel::AckRecvd)
-            .unwrap();
-        let labels: Vec<HopLabel> = plan
-            .iter()
-            .map(|t| m.forwarder.transition(*t).label)
-            .collect();
+        let f = m.template(Role::Forwarder);
+        let plan = f.plan(f.initial(), &HopLabel::AckRecvd).unwrap();
+        let labels: Vec<HopLabel> = plan.iter().map(|t| f.transition(*t).label).collect();
         assert_eq!(
             labels,
             vec![HopLabel::Recv, HopLabel::Trans, HopLabel::AckRecvd]
@@ -380,7 +573,7 @@ mod tests {
     #[test]
     fn source_without_origin_logging_starts_at_trans() {
         let m = CtpModel::new(CtpVocabulary::table2());
-        let s = &m.source;
+        let s = m.template(Role::Source);
         let plan = s.plan(s.initial(), &HopLabel::Trans).unwrap();
         assert_eq!(plan.len(), 1, "normal transition, nothing inferred");
     }
@@ -388,7 +581,7 @@ mod tests {
     #[test]
     fn source_with_origin_logging_infers_origin() {
         let m = CtpModel::new(CtpVocabulary::citysee());
-        let s = &m.source;
+        let s = m.template(Role::Source);
         let plan = s.plan(s.initial(), &HopLabel::Trans).unwrap();
         assert_eq!(plan.len(), 2, "one lost event inferred");
         assert_eq!(
@@ -401,14 +594,9 @@ mod tests {
     #[test]
     fn enqueue_vocabulary_extends_lost_paths() {
         let m = CtpModel::new(CtpVocabulary::full());
-        let plan = m
-            .forwarder
-            .plan(m.forwarder.initial(), &HopLabel::AckRecvd)
-            .unwrap();
-        let labels: Vec<HopLabel> = plan
-            .iter()
-            .map(|t| m.forwarder.transition(*t).label)
-            .collect();
+        let f = m.template(Role::Forwarder);
+        let plan = f.plan(f.initial(), &HopLabel::AckRecvd).unwrap();
+        let labels: Vec<HopLabel> = plan.iter().map(|t| f.transition(*t).label).collect();
         assert_eq!(
             labels,
             vec![
@@ -423,20 +611,22 @@ mod tests {
     #[test]
     fn sink_template_has_serial_exit() {
         let m = CtpModel::new(CtpVocabulary::citysee());
-        let got = m.sink_states.got;
-        assert!(m.sink.can_process(got, &HopLabel::SerialTrans));
+        let sink = m.template(Role::Sink);
+        let got = m.landmarks(Role::Sink).got;
+        assert!(sink.can_process(got, &HopLabel::SerialTrans));
         // Serial trans at Init jumps over a lost recv.
-        let plan = m.sink.plan(m.sink.initial(), &HopLabel::SerialTrans).unwrap();
+        let plan = sink.plan(sink.initial(), &HopLabel::SerialTrans).unwrap();
         assert_eq!(plan.len(), 2, "one lost event inferred");
-        assert_eq!(m.sink.transition(plan[0]).label, HopLabel::Recv);
+        assert_eq!(sink.transition(plan[0]).label, HopLabel::Recv);
     }
 
     #[test]
     fn bs_template_is_single_shot() {
         let m = CtpModel::new(CtpVocabulary::citysee());
-        assert_eq!(m.bs.state_count(), 2);
-        assert!(m.bs.can_process(m.bs.initial(), &HopLabel::BsRecv));
-        assert!(!m.bs.can_process(m.bs.initial(), &HopLabel::Recv));
+        let bs = m.template(Role::BaseStation);
+        assert_eq!(bs.state_count(), 2);
+        assert!(bs.can_process(bs.initial(), &HopLabel::BsRecv));
+        assert!(!bs.can_process(bs.initial(), &HopLabel::Recv));
     }
 
     #[test]
@@ -447,15 +637,11 @@ mod tests {
             CtpVocabulary::full(),
         ] {
             let m = CtpModel::new(vocab);
-            for (name, t) in [
-                ("source", &m.source),
-                ("forwarder", &m.forwarder),
-                ("sink", &m.sink),
-                ("bs", &m.bs),
-            ] {
+            for role in [Role::Source, Role::Forwarder, Role::Sink, Role::BaseStation] {
+                let t = m.template(role);
                 assert!(
                     t.ambiguities().is_empty(),
-                    "{name} template has ambiguities under {vocab:?}: {:?}",
+                    "{role:?} template has ambiguities under {vocab:?}: {:?}",
                     t.ambiguities()
                 );
             }
@@ -467,7 +653,7 @@ mod tests {
         let m = CtpModel::new(CtpVocabulary::citysee());
         let p = PacketId::new(NodeId(5), 1);
         let recv_t = m
-            .forwarder
+            .template(Role::Forwarder)
             .transitions()
             .iter()
             .find(|t| t.label == HopLabel::Recv)
@@ -475,7 +661,7 @@ mod tests {
         let e = synthesize_event(NodeId(2), Some(NodeId(1)), Some(NodeId(3)), p, recv_t);
         assert_eq!(e.to_string(), "1-2 recv");
         let trans_t = m
-            .forwarder
+            .template(Role::Forwarder)
             .transitions()
             .iter()
             .find(|t| t.label == HopLabel::Trans)

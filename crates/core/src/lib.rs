@@ -21,7 +21,9 @@
 //! 3. **Per-packet tracing** ([`trace`]): grouping a merged log by packet,
 //!    segmenting each node's events into visits (routing loops revisit
 //!    nodes), linking visits into hop chains, and running the connected
-//!    engines to produce an [`flow::EventFlow`] per packet.
+//!    engines to produce an [`flow::EventFlow`] per packet. What the tracer
+//!    knows of CTP — the four roles' machines, hop evidence, inter-node
+//!    rules — is [`ctp_model`].
 //!
 //! On top sit [`diagnose`] (loss position + cause classification, the
 //! paper's Section V), [`score`] (accuracy against simulator ground truth —
@@ -65,10 +67,8 @@ pub use explain::{explain, Explanation, TimelineEntry};
 pub use flow::{EventFlow, FlowEntry};
 pub use fsm::{FsmBuilder, FsmTemplate, StateId};
 pub use net::{ConnectedNet, EngineId, NetWarning, RunStats};
-pub use sigcache::{CacheStats, SigCache};
-pub use trace::{
-    CtpVocabulary, FlowSignature, PacketReport, ReconOptions, Reconstructor, ReportTemplate,
-};
+pub use sigcache::{CacheStats, FlowSignature, ReportTemplate, SigCache};
+pub use trace::{CtpVocabulary, PacketReport, ReconOptions, Reconstructor};
 
 /// The telemetry crate, re-exported so downstream users of `refill` can
 /// attach recorders without naming a second dependency.

@@ -1,7 +1,9 @@
-//! Per-packet event-flow reconstruction.
+//! Per-packet event-flow reconstruction: the kernel.
 //!
 //! The tracing pipeline turns a merged log into one [`PacketReport`] per
-//! packet:
+//! packet. What it knows of CTP — roles, hop evidence, which neighbour
+//! landmark a label needs — it asks [`crate::ctp_model`]; the memoised
+//! path over it lives in [`crate::sigcache`].
 //!
 //! 1. **Group** the packet's events per node (each node's recording order
 //!    is preserved by the merge).
@@ -16,51 +18,25 @@
 //!    engines with empty logs — this is how a wholly lost node (Case 1)
 //!    still participates in the reconstruction.
 //! 4. **Run** the connected engines ([`crate::net`]) with the CTP
-//!    inter-node rules: a `recv` requires the previous hop's `Sending`, an
-//!    `ack recvd` requires the next hop to have *got* (or knowingly
-//!    dropped) the packet, a `bs recv` requires the sink's `SerialSent`.
+//!    inter-node rules (`CtpModel::add_rules`).
 //!
 //! The output flow contains observed events plus inferred lost events in a
 //! consistent order, from which [`crate::diagnose`] derives loss positions
 //! and causes.
 
-use crate::ctp_model::{self, CtpModel, HopLabel, UNKNOWN_NODE};
+use crate::ctp_model::{self, CtpModel, HopEvidence, HopLabel};
 use crate::flow::EventFlow;
 use crate::fsm::{FsmTemplate, StateId};
-use crate::net::{ConnectedNet, EngineId, GroupId, InterRule, NetWarning};
-use crate::sigcache::SigCache;
-use eventlog::event::BASE_STATION;
-use eventlog::{Event, EventKind, MergedLog, PacketId};
-use netsim::fx::FxHashMap;
+use crate::net::{ConnectedNet, EngineId, GroupId, NetWarning};
+use eventlog::{Event, MergedLog, PacketId};
 use netsim::json::{expected, FromJson, Json, JsonError};
 use netsim::NodeId;
 use refill_provenance::{EntryOrigin, FlowProvenance};
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
 use std::cell::RefCell;
-use std::fmt;
 use std::sync::Arc;
 
-pub use crate::ctp_model::CtpVocabulary;
-
-/// The role a node-visit engine plays for one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// The packet's origin (or a retransmission re-visit at the origin).
-    Source,
-    /// An intermediate forwarder.
-    Forwarder,
-    /// The sink (radio in, serial out).
-    Sink,
-    /// The base station behind the serial link.
-    BaseStation,
-}
-
-netsim::json_enum!(Role {
-    Source,
-    Forwarder,
-    Sink,
-    BaseStation
-});
+pub use crate::ctp_model::{CtpVocabulary, Role};
 
 /// Metadata about one engine instance of a packet's reconstruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,10 +219,7 @@ impl Reconstructor {
     /// Apply ablation options (see [`ReconOptions`]).
     pub fn with_options(mut self, options: ReconOptions) -> Self {
         if !options.intra_jumps {
-            self.model.source = Arc::new(self.model.source.strip_intra());
-            self.model.forwarder = Arc::new(self.model.forwarder.strip_intra());
-            self.model.sink = Arc::new(self.model.sink.strip_intra());
-            self.model.bs = Arc::new(self.model.bs.strip_intra());
+            self.model.strip_intra();
         }
         self.options = options;
         self
@@ -256,11 +229,6 @@ impl Reconstructor {
     pub fn with_sink(mut self, sink: NodeId) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &CtpModel {
-        &self.model
     }
 
     /// Reconstruct every packet mentioned in a merged log, sorted by packet
@@ -308,7 +276,7 @@ impl Reconstructor {
 
     /// Account an emitted report: exactly one call per report handed back
     /// to a caller, whatever path produced it.
-    fn record_report(&self, report: &PacketReport) {
+    pub(crate) fn record_report(&self, report: &PacketReport) {
         let rec = &*self.recorder;
         if rec.enabled() {
             rec.inc(Counter::PacketsReconstructed);
@@ -320,22 +288,17 @@ impl Reconstructor {
     }
 
     /// The sink the pipeline will use for this event group: the pinned one,
-    /// or the first `serial trans` recorder.
-    fn effective_sink(&self, events: &[Event]) -> Option<NodeId> {
-        self.sink.or_else(|| {
-            events
-                .iter()
-                .find(|e| matches!(e.kind, EventKind::SerialTrans))
-                .map(|e| e.node)
-        })
+    /// or the one its events name.
+    pub(crate) fn effective_sink(&self, events: &[Event]) -> Option<NodeId> {
+        self.sink.or_else(|| ctp_model::sink_of(events))
     }
 
     /// The pipeline proper, with the sink already resolved. The memoized
-    /// path calls this on canonicalized groups, whose sink is the
-    /// alpha-renamed image of the real one — re-inferring it from the
+    /// path ([`crate::sigcache`]) calls this on alpha-renamed groups, whose
+    /// sink is the renamed image of the real one — re-inferring it from the
     /// renamed events would be correct too, but resolving once keeps the
     /// direct and cached paths on the same code.
-    fn reconstruct_with_sink(
+    pub(crate) fn reconstruct_with_sink(
         &self,
         packet: PacketId,
         events: &[Event],
@@ -349,96 +312,6 @@ impl Reconstructor {
             chain_order(&scratch.visits, &mut scratch.order, &mut scratch.marks);
             self.run(packet, events, scratch)
         })
-    }
-
-    /// Reconstruct one packet through a signature cache.
-    ///
-    /// The packet's event group is canonicalized (node ids alpha-renamed to
-    /// first-appearance indices, packet id normalized) and hashed into a
-    /// [`FlowSignature`]. On a cache hit the stored node-abstract
-    /// [`ReportTemplate`] is rehydrated with this packet's real node and
-    /// packet ids; on a miss the canonical group is reconstructed once and
-    /// the template is published for later packets with the same flow shape.
-    /// Either way the result is exactly what [`Reconstructor::reconstruct_packet`]
-    /// would produce (property-tested).
-    ///
-    /// Cache-ineligible groups (see [`MAX_CACHEABLE_EVENTS`]) fall back to
-    /// direct reconstruction.
-    pub fn reconstruct_packet_cached(
-        &self,
-        packet: PacketId,
-        events: &[Event],
-        cache: &SigCache,
-    ) -> PacketReport {
-        let rec = &*self.recorder;
-        let sink = self.effective_sink(events);
-        let canon = {
-            let _span = StageTimer::start(rec, Stage::Signature);
-            canonicalize(packet, events, sink)
-        };
-        let Some(canon) = canon else {
-            rec.inc(Counter::PacketsUncacheable);
-            let report = self.reconstruct_with_sink(packet, events, sink);
-            self.record_report(&report);
-            return report;
-        };
-        let hit = {
-            let _span = StageTimer::start(rec, Stage::Cache);
-            cache.get(canon.sig)
-        };
-        if let Some(template) = hit {
-            let report = {
-                let _span = StageTimer::start(rec, Stage::Rehydrate);
-                template.rehydrate(packet, &canon.nodes)
-            };
-            rec.inc(Counter::PacketsRehydrated);
-            self.record_report(&report);
-            return report;
-        }
-        let report = self.reconstruct_with_sink(canon.packet, &canon.events, canon.sink);
-        let template = Arc::new(ReportTemplate::new(report));
-        let out = {
-            let _span = StageTimer::start(rec, Stage::Rehydrate);
-            template.rehydrate(packet, &canon.nodes)
-        };
-        {
-            let _span = StageTimer::start(rec, Stage::Cache);
-            cache.insert(canon.sig, template);
-        }
-        self.record_report(&out);
-        out
-    }
-
-    /// [`Reconstructor::reconstruct_log`] through a signature cache.
-    pub fn reconstruct_log_cached(
-        &self,
-        merged: &MergedLog,
-        cache: &SigCache,
-    ) -> Vec<PacketReport> {
-        merged
-            .packet_index()
-            .iter()
-            .map(|(id, events)| self.reconstruct_packet_cached(id, events, cache))
-            .collect()
-    }
-
-    /// The canonical flow signature of one packet's event group, or `None`
-    /// if the group is cache-ineligible. Two groups share a signature
-    /// exactly when they have the same flow *shape*: the same event-kind
-    /// sequence over the same pattern of node appearances, regardless of
-    /// which concrete nodes (or which packet) produced it.
-    pub fn signature_of(&self, packet: PacketId, events: &[Event]) -> Option<FlowSignature> {
-        let sink = self.effective_sink(events);
-        canonicalize(packet, events, sink).map(|c| c.sig)
-    }
-
-    fn template_for(&self, role: Role) -> &FsmTemplate<HopLabel> {
-        match role {
-            Role::Source => &self.model.source,
-            Role::Forwarder => &self.model.forwarder,
-            Role::Sink => &self.model.sink,
-            Role::BaseStation => &self.model.bs,
-        }
     }
 
     /// Phase 2: split each node's events into visits.
@@ -485,10 +358,10 @@ impl Reconstructor {
                 // visit interleaved behind a dup-triggered one.
                 let mut assigned = false;
                 for &vi in active.iter().rev() {
-                    let t = self.template_for(visits[vi].role);
+                    let t = self.model.template(visits[vi].role);
                     if let Some(state) = state_after(t, visits[vi].state, &label) {
                         visits[vi].state = state;
-                        visits[vi].accept(ev);
+                        visits[vi].hop.accept(&ev.kind);
                         assignments.push((vi, ev));
                         assigned = true;
                         break;
@@ -498,11 +371,11 @@ impl Reconstructor {
                     continue;
                 }
                 // Spawn a fresh visit if a fresh instance could process it.
-                let role = self.spawn_role(packet, node, sink, active.len() as u32, &ev);
-                let t = self.template_for(role);
+                let role = ctp_model::spawn_role(packet, node, sink, active.len() as u32, &ev);
+                let t = self.model.template(role);
                 if let Some(state) = state_after(t, t.initial(), &label) {
                     let mut v = Visit::new(node, role, active.len() as u32, state);
-                    v.accept(ev);
+                    v.hop.accept(&ev.kind);
                     visits.push(v);
                     active.push(visits.len() - 1);
                     assignments.push((visits.len() - 1, ev));
@@ -519,34 +392,6 @@ impl Reconstructor {
         }
     }
 
-    /// Which role a freshly spawned visit should use.
-    fn spawn_role(
-        &self,
-        packet: PacketId,
-        node: NodeId,
-        sink: Option<NodeId>,
-        visits_so_far: u32,
-        ev: &Event,
-    ) -> Role {
-        if node == BASE_STATION {
-            return Role::BaseStation;
-        }
-        if Some(node) == sink {
-            return Role::Sink;
-        }
-        if node == packet.origin {
-            // First visit at the origin is the source; later visits are the
-            // source again for sender-side evidence (a retransmission
-            // sequence, Case 3) or a forwarder for receiver-side evidence
-            // (a genuine routing loop back to the origin, Case 4).
-            if visits_so_far == 0 || ev.kind.is_sender_side() {
-                return Role::Source;
-            }
-            return Role::Forwarder;
-        }
-        Role::Forwarder
-    }
-
     /// Phase 3: link visits into hop chains, creating phantom engines for
     /// hops evidenced from only one side.
     fn link(&self, packet: PacketId, visits: &mut Vec<Visit>, sink: Option<NodeId>) {
@@ -554,19 +399,13 @@ impl Reconstructor {
         let mut i = 0;
         while i < visits.len() {
             if visits[i].prev.is_none() {
-                let entry_from = match visits[i].role {
-                    Role::Forwarder | Role::Sink => visits[i].entry_from,
-                    // The base station's upstream is always the sink.
-                    Role::BaseStation => sink,
-                    Role::Source => None,
-                };
-                if let Some(u) = entry_from {
+                if let Some(u) = visits[i].hop.upstream(visits[i].role, sink) {
                     let me = visits[i].node;
                     // A dup-entry visit is retransmission evidence: its
                     // sender is an existing visit at `u` (possibly already
                     // linked onward), not a fresh hop. Attach prev without
                     // stealing the sender's `next`.
-                    if visits[i].entry_is_dup {
+                    if visits[i].hop.entry_is_dup {
                         if let Some(s) = find_retransmitter(visits, u, me, i) {
                             visits[i].prev = Some(s);
                             if visits[s].next.is_none() {
@@ -576,24 +415,12 @@ impl Reconstructor {
                             continue;
                         }
                     }
-                    let sender = find_sender(visits, u, me, i)
-                        .unwrap_or_else(|| {
-                            let role = if u == packet.origin {
-                                Role::Source
-                            } else if Some(u) == sink {
-                                Role::Sink
-                            } else {
-                                Role::Forwarder
-                            };
-                            let visit_idx =
-                                visits.iter().filter(|v| v.node == u).count() as u32;
-                            let t = self.template_for(role);
-                            let mut v = Visit::new(u, role, visit_idx, t.initial());
-                            v.exit_to = Some(me);
-                            v.phantom = true;
-                            visits.push(v);
-                            visits.len() - 1
-                        });
+                    let sender = find_sender(visits, u, me, i).unwrap_or_else(|| {
+                        let role = ctp_model::phantom_role(u, true, packet, sink);
+                        let v = self.add_phantom(visits, u, role);
+                        visits[v].hop.exit_to = Some(me);
+                        v
+                    });
                     visits[sender].next = Some(i);
                     visits[i].prev = Some(sender);
                 }
@@ -605,24 +432,13 @@ impl Reconstructor {
         let mut i = 0;
         while i < visits.len() {
             if visits[i].next.is_none() {
-                if let Some(v_node) = visits[i].exit_to {
+                if let Some(v_node) = visits[i].hop.exit_to {
                     let me = visits[i].node;
                     let receiver = find_receiver(visits, v_node, me, i).unwrap_or_else(|| {
-                        let role = if v_node == BASE_STATION {
-                            Role::BaseStation
-                        } else if Some(v_node) == sink {
-                            Role::Sink
-                        } else {
-                            Role::Forwarder
-                        };
-                        let visit_idx =
-                            visits.iter().filter(|v| v.node == v_node).count() as u32;
-                        let t = self.template_for(role);
-                        let mut v = Visit::new(v_node, role, visit_idx, t.initial());
-                        v.entry_from = Some(me);
-                        v.phantom = true;
-                        visits.push(v);
-                        visits.len() - 1
+                        let role = ctp_model::phantom_role(v_node, false, packet, sink);
+                        let v = self.add_phantom(visits, v_node, role);
+                        visits[v].hop.entry_from = Some(me);
+                        v
                     });
                     visits[receiver].prev = Some(i);
                     visits[i].next = Some(receiver);
@@ -630,6 +446,16 @@ impl Reconstructor {
             }
             i += 1;
         }
+    }
+
+    /// Append a phantom visit at `node` — one its own log contributed
+    /// nothing to — and return its index.
+    fn add_phantom(&self, visits: &mut Vec<Visit>, node: NodeId, role: Role) -> usize {
+        let visit_idx = visits.iter().filter(|v| v.node == node).count() as u32;
+        let mut v = Visit::new(node, role, visit_idx, self.model.template(role).initial());
+        v.phantom = true;
+        visits.push(v);
+        visits.len() - 1
     }
 
     /// Phase 4: build the connected net, run it, package the report.
@@ -649,18 +475,7 @@ impl Reconstructor {
             ..
         } = scratch;
         net.reset();
-        // Registering a shared `Arc` is a refcount bump — per-packet setup
-        // no longer deep-copies the four role templates.
-        let t_src = net.add_template(Arc::clone(&self.model.source));
-        let t_fwd = net.add_template(Arc::clone(&self.model.forwarder));
-        let t_sink = net.add_template(Arc::clone(&self.model.sink));
-        let t_bs = net.add_template(Arc::clone(&self.model.bs));
-        let template_idx = |role: Role| match role {
-            Role::Source => t_src,
-            Role::Forwarder => t_fwd,
-            Role::Sink => t_sink,
-            Role::BaseStation => t_bs,
-        };
+        self.model.register(net);
 
         // Create engines in chain order; map visit index → engine id. Every
         // visit of one node shares that node's group, so the node's log
@@ -686,59 +501,18 @@ impl Reconstructor {
                     group
                 }
             };
-            let e = net.add_engine_in_group(template_idx(visits[vi].role), group);
+            let e = net.add_engine_in_group(visits[vi].role as usize, group);
             engine_of_visit[vi] = Some(e);
         }
         let engine_of = |vi: usize| engine_of_visit[vi].expect("every visit got an engine");
 
-        // Landmarks per role.
-        let role_states = |role: Role| match role {
-            Role::Source => &self.model.source_states,
-            Role::Forwarder => &self.model.forwarder_states,
-            Role::Sink => &self.model.sink_states,
-            Role::BaseStation => &self.model.bs_states,
-        };
-
-        // Inter-node rules + event queues.
-        for &vi in order.iter() {
-            let e = engine_of(vi);
-            let v = &visits[vi];
-            // recv/dup require the previous hop's Sending.
-            if let Some(p) = v.prev.filter(|_| self.options.inter_rules) {
-                let pe = engine_of(p);
-                let prev_role = visits[p].role;
-                match v.role {
-                    Role::Forwarder | Role::Sink => {
-                        if let Some(sending) = role_states(prev_role).sending {
-                            for label in [HopLabel::Recv, HopLabel::Dup] {
-                                net.add_rule(e, label, InterRule::new(pe, &[sending], sending));
-                            }
-                        }
-                    }
-                    Role::BaseStation => {
-                        if let Some(serial) = role_states(prev_role).serial_sent {
-                            net.add_rule(
-                                e,
-                                HopLabel::BsRecv,
-                                InterRule::new(pe, &[serial], serial),
-                            );
-                        }
-                    }
-                    Role::Source => {}
-                }
-            }
-            // ack recvd requires the next hop to have got (or knowingly
-            // dropped) the packet.
-            if let Some(n) = v.next.filter(|_| self.options.inter_rules) {
-                if matches!(v.role, Role::Source | Role::Forwarder) {
-                    let ne = engine_of(n);
-                    let ns = role_states(visits[n].role);
-                    let rule = match ns.dup_drop {
-                        Some(dup_drop) => InterRule::new(ne, &[ns.got, dup_drop], ns.got),
-                        None => InterRule::new(ne, &[ns.got], ns.got),
-                    };
-                    net.add_rule(e, HopLabel::AckRecvd, rule);
-                }
+        // Inter-node rules.
+        if self.options.inter_rules {
+            for &vi in order.iter() {
+                let v = &visits[vi];
+                let neighbour = |w: usize| (engine_of(w), visits[w].role);
+                let (prev, next) = (v.prev.map(neighbour), v.next.map(neighbour));
+                self.model.add_rules(net, engine_of(vi), v.role, prev, next);
             }
         }
 
@@ -753,8 +527,8 @@ impl Reconstructor {
         meta.resize(order.len(), (NodeId(0), None, None));
         for &vi in order.iter() {
             let v = &visits[vi];
-            let prev_node = v.prev.map(|p| visits[p].node).or(v.entry_from);
-            let next_node = v.next.map(|n| visits[n].node).or(v.exit_to);
+            let prev_node = v.prev.map(|p| visits[p].node).or(v.hop.entry_from);
+            let next_node = v.next.map(|n| visits[n].node).or(v.hop.exit_to);
             meta[engine_of(vi).0 as usize] = (v.node, prev_node, next_node);
         }
 
@@ -805,9 +579,7 @@ impl Reconstructor {
             cur = visits[vi].next;
         }
 
-        let delivered = events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::BsRecv));
+        let delivered = ctp_model::delivered(events);
 
         PacketReport {
             packet,
@@ -868,249 +640,6 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-// ---------------------------------------------------------------------
-// Flow signatures and memoized reconstruction (DESIGN.md §6).
-//
-// Reconstruction treats node ids as opaque labels: the pipeline only ever
-// compares them for equality (visit streams, hop evidence, role checks
-// against the origin/sink/base-station), never orders or hashes-iterates
-// them. So reconstruction commutes with any injective node rename that
-// fixes the reserved ids and maps origin to origin and sink to sink —
-// which is exactly what lets one node-abstract template serve every
-// packet with the same flow shape.
-// ---------------------------------------------------------------------
-
-/// Largest event group eligible for signature memoization. Bigger groups
-/// are pathological one-offs (storm loops, heavy retransmission streaks):
-/// their templates are large, their shapes near-unique, and caching them
-/// would evict the small happy-path templates that actually repeat.
-pub const MAX_CACHEABLE_EVENTS: usize = 512;
-
-/// Bumped whenever the signature definition changes (event codes, packing,
-/// mixer); folded into every hash so stale persisted signatures can never
-/// alias fresh ones.
-const SIG_VERSION: u64 = 1;
-
-/// A 128-bit canonical flow-shape signature (see
-/// [`Reconstructor::signature_of`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowSignature {
-    /// High 64 bits; [`SigCache`] shards on the top bits of this word.
-    pub hi: u64,
-    /// Low 64 bits.
-    pub lo: u64,
-}
-
-impl fmt::Display for FlowSignature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}{:016x}", self.hi, self.lo)
-    }
-}
-
-/// SplitMix64 finalizer — the standard public-domain constants. Used as
-/// the per-word mixing step of the two-lane 128-bit hash below.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Two independently-seeded SplitMix lanes over the canonical word stream.
-/// Not cryptographic — it only needs to make accidental collisions between
-/// distinct flow shapes vanishingly unlikely (2^-128-ish), the same job
-/// xxh3-128 does for content-addressed caches.
-struct Mix128 {
-    hi: u64,
-    lo: u64,
-}
-
-impl Mix128 {
-    fn new(seed: u64) -> Self {
-        Mix128 {
-            hi: splitmix64(seed ^ 0x243f_6a88_85a3_08d3),
-            lo: splitmix64(seed ^ 0x1319_8a2e_0370_7344),
-        }
-    }
-
-    fn push(&mut self, v: u64) {
-        self.hi = splitmix64(self.hi ^ v);
-        self.lo = splitmix64(self.lo.rotate_left(29) ^ v ^ 0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(self) -> FlowSignature {
-        FlowSignature {
-            hi: splitmix64(self.hi ^ self.lo.rotate_left(17)),
-            lo: splitmix64(self.lo ^ self.hi),
-        }
-    }
-}
-
-/// Alpha-renamer: maps node ids to dense first-appearance indices. The two
-/// reserved ids are fixed points — [`BASE_STATION`] because `spawn_role`
-/// and `link` treat it specially (renaming it would change behavior), and
-/// [`UNKNOWN_NODE`] so synthesized unknown-peer events rehydrate to
-/// themselves. Canonical indices stay below `2 * MAX_CACHEABLE_EVENTS + 2`,
-/// far clear of both sentinels.
-#[derive(Default)]
-struct AlphaRenamer {
-    nodes: Vec<NodeId>,
-    index: FxHashMap<NodeId, u16>,
-}
-
-impl AlphaRenamer {
-    fn canon(&mut self, n: NodeId) -> NodeId {
-        if n == BASE_STATION || n == UNKNOWN_NODE {
-            return n;
-        }
-        if let Some(&i) = self.index.get(&n) {
-            return NodeId(i);
-        }
-        let i = self.nodes.len() as u16;
-        self.index.insert(n, i);
-        self.nodes.push(n);
-        NodeId(i)
-    }
-}
-
-/// Rewrite an event kind's peer through the renamer; non-peer kinds pass
-/// through unchanged.
-fn rename_kind(kind: EventKind, mut rename: impl FnMut(NodeId) -> NodeId) -> EventKind {
-    match kind {
-        EventKind::Recv { from } => EventKind::Recv { from: rename(from) },
-        EventKind::Overflow { from } => EventKind::Overflow { from: rename(from) },
-        EventKind::Dup { from } => EventKind::Dup { from: rename(from) },
-        EventKind::Trans { to } => EventKind::Trans { to: rename(to) },
-        EventKind::AckRecvd { to } => EventKind::AckRecvd { to: rename(to) },
-        EventKind::Timeout { to } => EventKind::Timeout { to: rename(to) },
-        other => other,
-    }
-}
-
-/// One canonical word per event: recorded node, peer (+presence bit), kind
-/// code, and the opaque payload of `Custom` kinds.
-fn pack_event(node: NodeId, kind: &EventKind) -> u64 {
-    let (peer, has_peer) = match kind.peer() {
-        Some(p) => (u64::from(p.0), 1u64),
-        None => (0, 0),
-    };
-    let custom = match kind {
-        EventKind::Custom(c) => u64::from(*c),
-        _ => 0,
-    };
-    u64::from(node.0) | (peer << 16) | (u64::from(kind.code()) << 32) | (has_peer << 40) | (custom << 41)
-}
-
-/// The node-abstract form of one packet's event group.
-struct CanonicalGroup {
-    /// Hash of the canonical stream.
-    sig: FlowSignature,
-    /// Alpha-renamed events carrying the canonical packet id.
-    events: Vec<Event>,
-    /// Canonical packet id: canonical origin, seqno 0.
-    packet: PacketId,
-    /// Alpha-renamed effective sink.
-    sink: Option<NodeId>,
-    /// Inverse map: canonical index → real node. Indices past the end
-    /// (the fixed points) rehydrate to themselves.
-    nodes: Vec<NodeId>,
-}
-
-/// Canonicalize a packet's event group, or `None` when it is
-/// cache-ineligible (too many events, or a stray event of a different
-/// packet mixed into the group).
-///
-/// Index assignment order is part of the signature definition: events in
-/// merged order (recording node first, then peer), then the origin, then
-/// the sink — so an origin or pinned sink that appears in no event (both
-/// still steer `spawn_role`/`link`) gets a deterministic index too.
-fn canonicalize(packet: PacketId, events: &[Event], sink: Option<NodeId>) -> Option<CanonicalGroup> {
-    if events.len() > MAX_CACHEABLE_EVENTS || events.iter().any(|e| e.packet != packet) {
-        return None;
-    }
-    let mut ren = AlphaRenamer::default();
-    let mut shapes: Vec<(NodeId, EventKind)> = Vec::with_capacity(events.len());
-    for e in events {
-        let node = ren.canon(e.node);
-        let kind = rename_kind(e.kind, |n| ren.canon(n));
-        shapes.push((node, kind));
-    }
-    let origin = ren.canon(packet.origin);
-    let canon_sink = sink.map(|s| ren.canon(s));
-    let canon_packet = PacketId::new(origin, 0);
-
-    let mut mix = Mix128::new(SIG_VERSION);
-    mix.push(shapes.len() as u64);
-    mix.push(u64::from(origin.0));
-    mix.push(canon_sink.map_or(u64::MAX, |s| u64::from(s.0)));
-    for (node, kind) in &shapes {
-        mix.push(pack_event(*node, kind));
-    }
-
-    Some(CanonicalGroup {
-        sig: mix.finish(),
-        events: shapes
-            .into_iter()
-            .map(|(node, kind)| Event::new(node, kind, canon_packet))
-            .collect(),
-        packet: canon_packet,
-        sink: canon_sink,
-        nodes: ren.nodes,
-    })
-}
-
-/// A node-abstract reconstruction result: the [`PacketReport`] of a
-/// canonical event group, shared via [`SigCache`] by every packet whose
-/// group has the same flow shape. [`ReportTemplate::rehydrate`] substitutes
-/// a packet's real node and packet ids back in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportTemplate {
-    report: PacketReport,
-}
-
-impl ReportTemplate {
-    pub(crate) fn new(report: PacketReport) -> Self {
-        ReportTemplate { report }
-    }
-
-    /// Produce the concrete [`PacketReport`] for `packet`, mapping each
-    /// canonical node index back through `nodes` (indices past the end —
-    /// the reserved ids — map to themselves).
-    pub fn rehydrate(&self, packet: PacketId, nodes: &[NodeId]) -> PacketReport {
-        fn real(nodes: &[NodeId], n: NodeId) -> NodeId {
-            nodes.get(usize::from(n.0)).copied().unwrap_or(n)
-        }
-        let real_event = |e: &Event| {
-            Event::new(
-                real(nodes, e.node),
-                rename_kind(e.kind, |n| real(nodes, n)),
-                packet,
-            )
-        };
-        PacketReport {
-            packet,
-            flow: self.report.flow.map(real_event),
-            omitted: self.report.omitted.iter().map(real_event).collect(),
-            // `NetWarning` speaks in engine/state ids, not node ids.
-            warnings: self.report.warnings.clone(),
-            engines: self
-                .report
-                .engines
-                .iter()
-                .map(|e| EngineInfo {
-                    node: real(nodes, e.node),
-                    ..e.clone()
-                })
-                .collect(),
-            path: self.report.path.iter().map(|&n| real(nodes, n)).collect(),
-            delivered: self.report.delivered,
-            // Origins are flow-shape facts (observed vs inferred and by
-            // which rule), independent of the concrete node names.
-            origins: self.report.origins.clone(),
-        }
-    }
-}
-
 /// A visit under construction.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
@@ -1118,13 +647,7 @@ struct Visit {
     role: Role,
     visit: u32,
     state: StateId,
-    entry_from: Option<NodeId>,
-    /// True when the visit's entry evidence is a `dup` — a retransmission
-    /// duplicate, whose "sender" is an existing visit retransmitting, not a
-    /// new hop.
-    entry_is_dup: bool,
-    exit_to: Option<NodeId>,
-    exit_frozen: bool,
+    hop: HopEvidence,
     prev: Option<usize>,
     next: Option<usize>,
     phantom: bool,
@@ -1137,39 +660,10 @@ impl Visit {
             role,
             visit,
             state: initial,
-            entry_from: None,
-            entry_is_dup: false,
-            exit_to: None,
-            exit_frozen: false,
+            hop: HopEvidence::default(),
             prev: None,
             next: None,
             phantom: false,
-        }
-    }
-
-    /// Update hop evidence with an accepted event.
-    fn accept(&mut self, ev: Event) {
-        match ev.kind {
-            EventKind::Recv { from } | EventKind::Dup { from } | EventKind::Overflow { from }
-                if self.entry_from.is_none() => {
-                    self.entry_from = Some(from);
-                    self.entry_is_dup = matches!(ev.kind, EventKind::Dup { .. });
-                }
-            EventKind::Trans { to } | EventKind::Timeout { to }
-                // A node may re-route mid-visit (parent change): the latest
-                // target wins, unless an ack already froze the hop.
-                if !self.exit_frozen => {
-                    self.exit_to = Some(to);
-                }
-            EventKind::AckRecvd { to } => {
-                self.exit_to = Some(to);
-                self.exit_frozen = true;
-            }
-            EventKind::SerialTrans
-                if !self.exit_frozen => {
-                    self.exit_to = Some(BASE_STATION);
-                }
-            _ => {}
         }
     }
 }
@@ -1182,14 +676,11 @@ fn find_sender(visits: &[Visit], u: NodeId, v_node: NodeId, exclude: usize) -> O
             i != exclude
                 && s.node == u
                 && s.next.is_none()
-                && matches!(s.role, Role::Source | Role::Forwarder | Role::Sink)
+                && s.role.sends()
                 && if want_exact {
-                    s.exit_to == Some(v_node)
-                        || (s.node != BASE_STATION
-                            && v_node == BASE_STATION
-                            && s.role == Role::Sink)
+                    s.hop.exits_to(s.role, s.node, v_node)
                 } else {
-                    s.exit_to.is_none()
+                    s.hop.exit_to.is_none()
                 }
         })
     };
@@ -1209,10 +700,7 @@ fn find_retransmitter(
         .iter()
         .enumerate()
         .filter(|(i, s)| {
-            *i != exclude
-                && s.node == u
-                && s.exit_to == Some(v_node)
-                && matches!(s.role, Role::Source | Role::Forwarder)
+            *i != exclude && s.node == u && s.hop.exit_to == Some(v_node) && s.role.transmits()
         })
         .map(|(i, _)| i)
         .next_back()
@@ -1225,11 +713,11 @@ fn find_receiver(visits: &[Visit], v: NodeId, u: NodeId, exclude: usize) -> Opti
             i != exclude
                 && r.node == v
                 && r.prev.is_none()
-                && matches!(r.role, Role::Forwarder | Role::Sink | Role::BaseStation)
+                && r.role.receives()
                 && if want_exact {
-                    r.entry_from == Some(u)
+                    r.hop.entry_from == Some(u)
                 } else {
-                    r.entry_from.is_none()
+                    r.hop.entry_from.is_none()
                 }
         })
     };
@@ -1269,7 +757,8 @@ fn chain_order(visits: &[Visit], order: &mut Vec<usize>, placed: &mut Vec<bool>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventlog::{merge_logs, LocalLog};
+    use eventlog::event::BASE_STATION;
+    use eventlog::{merge_logs, EventKind, LocalLog};
 
     fn n(i: u16) -> NodeId {
         NodeId(i)
@@ -1625,226 +1114,5 @@ mod tests {
         )]);
         assert_eq!(report.omitted.len(), 1);
         assert!(matches!(report.omitted[0].kind, EventKind::BsRecv));
-    }
-
-    // --- flow signatures + memoized reconstruction ---
-
-    /// The Case 4 routing-loop event group (1 → 2 → 3 → 1 → 2).
-    fn case4_events() -> Vec<Event> {
-        let logs = vec![
-            LocalLog::from_events(
-                n(1),
-                vec![
-                    ev(1, EventKind::Trans { to: n(2) }),
-                    ev(1, EventKind::AckRecvd { to: n(2) }),
-                    ev(1, EventKind::Recv { from: n(3) }),
-                    ev(1, EventKind::Trans { to: n(2) }),
-                    ev(1, EventKind::AckRecvd { to: n(2) }),
-                ],
-            ),
-            LocalLog::from_events(
-                n(2),
-                vec![
-                    ev(2, EventKind::Recv { from: n(1) }),
-                    ev(2, EventKind::Trans { to: n(3) }),
-                    ev(2, EventKind::AckRecvd { to: n(3) }),
-                    ev(2, EventKind::Trans { to: n(3) }),
-                ],
-            ),
-            LocalLog::from_events(
-                n(3),
-                vec![
-                    ev(3, EventKind::Recv { from: n(2) }),
-                    ev(3, EventKind::Trans { to: n(1) }),
-                    ev(3, EventKind::AckRecvd { to: n(1) }),
-                ],
-            ),
-        ];
-        merge_logs(&logs).by_packet()[&pid()].clone()
-    }
-
-    #[test]
-    fn routing_loop_and_loop_free_twin_get_different_signatures() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        // A loop 1 → 2 → 3 → 1: the final hop lands back on the origin,
-        // which spawns a second visit there (Case 4). Its loop-free twin
-        // has the *identical kind sequence* but the final hop lands on a
-        // fresh node 4 — only the node-appearance pattern differs, which is
-        // exactly what the alpha-renaming must preserve.
-        let looped = vec![
-            ev(1, EventKind::Trans { to: n(2) }),
-            ev(2, EventKind::Recv { from: n(1) }),
-            ev(2, EventKind::Trans { to: n(3) }),
-            ev(3, EventKind::Recv { from: n(2) }),
-            ev(3, EventKind::Trans { to: n(1) }),
-            ev(1, EventKind::Recv { from: n(3) }),
-        ];
-        let twin = vec![
-            ev(1, EventKind::Trans { to: n(2) }),
-            ev(2, EventKind::Recv { from: n(1) }),
-            ev(2, EventKind::Trans { to: n(3) }),
-            ev(3, EventKind::Recv { from: n(2) }),
-            ev(3, EventKind::Trans { to: n(4) }),
-            ev(4, EventKind::Recv { from: n(3) }),
-        ];
-        // Sanity: the looped group really is a Case 4 revisit.
-        assert!(recon.reconstruct_packet(pid(), &looped).has_routing_loop());
-        assert!(!recon.reconstruct_packet(pid(), &twin).has_routing_loop());
-        let s1 = recon.signature_of(pid(), &looped).unwrap();
-        let s2 = recon.signature_of(pid(), &twin).unwrap();
-        assert_ne!(s1, s2, "loop vs. loop-free twin must not collide");
-    }
-
-    #[test]
-    fn signature_is_invariant_under_node_renaming_and_packet_identity() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let original = case4_events();
-        // Same shape on disjoint nodes and a different packet.
-        let other = PacketId::new(n(11), 42);
-        let renamed: Vec<Event> = original
-            .iter()
-            .map(|e| {
-                Event::new(
-                    NodeId(e.node.0 + 10),
-                    rename_kind(e.kind, |x| NodeId(x.0 + 10)),
-                    other,
-                )
-            })
-            .collect();
-        assert_eq!(
-            recon.signature_of(pid(), &original).unwrap(),
-            recon.signature_of(other, &renamed).unwrap(),
-        );
-    }
-
-    #[test]
-    fn signature_depends_on_pinned_sink() {
-        // The sink steers spawn_role even when it logs nothing, so pinning
-        // a different sink must change the signature.
-        let events = vec![ev(1, EventKind::Trans { to: n(2) })];
-        let free = Reconstructor::new(CtpVocabulary::table2());
-        let pinned = Reconstructor::new(CtpVocabulary::table2()).with_sink(n(2));
-        assert_ne!(
-            free.signature_of(pid(), &events).unwrap(),
-            pinned.signature_of(pid(), &events).unwrap(),
-        );
-    }
-
-    #[test]
-    fn oversized_groups_are_cache_ineligible() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let events: Vec<Event> = (0..=MAX_CACHEABLE_EVENTS)
-            .map(|_| ev(1, EventKind::Trans { to: n(2) }))
-            .collect();
-        assert!(recon.signature_of(pid(), &events).is_none());
-        // Still reconstructs, just uncached.
-        let cache = SigCache::new(16);
-        let direct = recon.reconstruct_packet(pid(), &events);
-        let cached = recon.reconstruct_packet_cached(pid(), &events, &cache);
-        assert_eq!(direct, cached);
-        assert_eq!(cache.stats().lookups(), 0);
-    }
-
-    #[test]
-    fn cached_reconstruction_matches_direct_on_table2_cases() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let cache = SigCache::new(1024);
-        let groups: Vec<Vec<Event>> = vec![
-            case4_events(),
-            vec![
-                ev(1, EventKind::Trans { to: n(2) }),
-                ev(3, EventKind::Recv { from: n(2) }),
-            ],
-            vec![
-                ev(1, EventKind::Trans { to: n(2) }),
-                ev(1, EventKind::AckRecvd { to: n(2) }),
-            ],
-            vec![
-                ev(1, EventKind::AckRecvd { to: n(2) }),
-                ev(1, EventKind::Trans { to: n(2) }),
-            ],
-            vec![
-                ev(1, EventKind::Trans { to: n(2) }),
-                ev(2, EventKind::Dup { from: n(1) }),
-            ],
-        ];
-        // Twice over: the second pass is all hits and must still match.
-        for pass in 0..2 {
-            for events in &groups {
-                let direct = recon.reconstruct_packet(pid(), events);
-                let cached = recon.reconstruct_packet_cached(pid(), events, &cache);
-                assert_eq!(direct, cached, "pass {pass}");
-            }
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, groups.len() as u64);
-        assert_eq!(stats.hits, groups.len() as u64);
-        assert_eq!(stats.entries, groups.len());
-    }
-
-    #[test]
-    fn cache_hit_rehydrates_real_nodes_for_a_different_packet() {
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let cache = SigCache::new(64);
-        // Warm the cache with the 1→2→3 shape.
-        let warm = vec![
-            ev(1, EventKind::Trans { to: n(2) }),
-            ev(3, EventKind::Recv { from: n(2) }),
-        ];
-        recon.reconstruct_packet_cached(pid(), &warm, &cache);
-        // Same shape on nodes 7→8→9, different packet: must hit and come
-        // back with ids 7/8/9, not 1/2/3.
-        let other = PacketId::new(n(7), 5);
-        let events = vec![
-            Event::new(n(7), EventKind::Trans { to: n(8) }, other),
-            Event::new(n(9), EventKind::Recv { from: n(8) }, other),
-        ];
-        let report = recon.reconstruct_packet_cached(other, &events, &cache);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(report.packet, other);
-        assert_eq!(
-            report.flow.to_string(),
-            "7-8 trans, [7-8 recv], [8-9 trans], 8-9 recv"
-        );
-        assert_eq!(report.path, vec![n(7), n(8), n(9)]);
-        assert_eq!(report, recon.reconstruct_packet(other, &events));
-    }
-
-    #[test]
-    fn base_station_survives_rehydration() {
-        let p = pid();
-        let logs = vec![
-            LocalLog::from_events(
-                n(0),
-                vec![
-                    ev(0, EventKind::Recv { from: n(1) }),
-                    ev(0, EventKind::SerialTrans),
-                ],
-            ),
-            LocalLog::from_events(
-                BASE_STATION,
-                vec![Event::new(BASE_STATION, EventKind::BsRecv, p)],
-            ),
-        ];
-        let merged = merge_logs(&logs);
-        let recon = Reconstructor::new(CtpVocabulary::table2()).with_sink(n(0));
-        let cache = SigCache::new(64);
-        let events = &merged.by_packet()[&p];
-        let direct = recon.reconstruct_packet(p, events);
-        let cached = recon.reconstruct_packet_cached(p, events, &cache);
-        assert_eq!(direct, cached);
-        assert!(cached.delivered);
-        assert!(cached.path.contains(&BASE_STATION));
-    }
-
-    #[test]
-    fn mixed_packet_group_is_cache_ineligible() {
-        // Defensive: a caller handing a group with a stray foreign event
-        // falls back to direct reconstruction instead of poisoning the
-        // cache with an ill-defined canonical form.
-        let recon = Reconstructor::new(CtpVocabulary::table2());
-        let stray = Event::new(n(1), EventKind::Origin, PacketId::new(n(9), 9));
-        let events = vec![ev(1, EventKind::Trans { to: n(2) }), stray];
-        assert!(recon.signature_of(pid(), &events).is_none());
     }
 }

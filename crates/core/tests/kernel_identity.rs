@@ -453,7 +453,8 @@ fn first_step_tables_match_the_path_search() {
         CtpVocabulary::full(),
     ] {
         let model = CtpModel::new(vocabulary);
-        for t in [&model.source, &model.forwarder, &model.sink, &model.bs] {
+        for role in [Role::Source, Role::Forwarder, Role::Sink, Role::BaseStation] {
+            let t = model.template(role);
             assert_first_steps_match_search(t);
             assert_first_steps_match_search(&t.strip_intra());
         }
@@ -592,8 +593,8 @@ fn fig3_flows_do_not_depend_on_group_registration_order() {
 fn case4_net(order: [usize; 3]) -> (ConnectedNet<HopLabel, Event>, Vec<[Option<NodeId>; 3]>) {
     let model = CtpModel::new(CtpVocabulary::table2());
     let mut net = ConnectedNet::new();
-    let t_src = net.add_template(model.source.clone());
-    let t_fwd = net.add_template(model.forwarder.clone());
+    let t_src = net.add_template(model.template(Role::Source).clone());
+    let t_fwd = net.add_template(model.template(Role::Forwarder).clone());
     let groups: Vec<GroupId> = (0..3).map(|_| net.add_group()).collect();
     // Visits in chain order: 1, 2, 3, 1', 2', 3' (phantom).
     let engines: Vec<EngineId> = (0..6)
@@ -603,11 +604,12 @@ fn case4_net(order: [usize; 3]) -> (ConnectedNet<HopLabel, Event>, Vec<[Option<N
         })
         .collect();
     let states = |k: usize| {
-        if k == 0 {
-            model.source_states
+        let role = if k == 0 {
+            Role::Source
         } else {
-            model.forwarder_states
-        }
+            Role::Forwarder
+        };
+        model.landmarks(role)
     };
     for k in 0..6 {
         if k > 0 {

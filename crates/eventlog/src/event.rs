@@ -159,7 +159,7 @@ impl EventKind {
 
     /// A dense, stable code for the event *type* with the peer information
     /// stripped — the `V` component alone. This is the signature input used
-    /// by flow-shape hashing (`refill::trace::FlowSignature`): two events of
+    /// by flow-shape hashing (`refill::sigcache::FlowSignature`): two events of
     /// the same kind with different peers share a code, so the peer must be
     /// folded in separately (alpha-renamed, in the signature's case).
     ///

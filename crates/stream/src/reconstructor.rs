@@ -312,9 +312,8 @@ impl StreamReconstructor {
         }
         self.stats.windows_closed += closing.len() as u64;
         recorder.add(Counter::WindowsClosed, closing.len() as u64);
-        if all {
-            drop(span); // the final flush's reconstructions are not window time
-        }
+        // The reconstructions and `emit` are their own stages, not window time.
+        drop(span);
         let workers = if closing.len() < PAR_MIN_WINDOWS {
             1
         } else {
@@ -639,6 +638,41 @@ mod tests {
         let out = stream.poll();
         let seqs: Vec<u32> = out.iter().map(|r| r.packet.seqno).collect();
         assert_eq!(seqs, vec![1, 3, 5], "sweep order is packet-id order");
+    }
+
+    /// Logs the stage of every span, in the order the spans end.
+    #[derive(Default)]
+    struct SpanEnds(Mutex<Vec<Stage>>);
+
+    impl Recorder for SpanEnds {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn add(&self, _: Counter, _: u64) {}
+
+        fn observe(&self, _: Hist, _: u64) {}
+
+        fn record_stage(&self, stage: Stage, _: u64) {
+            self.0.lock().unwrap().push(stage);
+        }
+    }
+
+    #[test]
+    fn a_mid_stream_sweep_times_no_reconstruction_as_window() {
+        let ends = Arc::new(SpanEnds::default());
+        let mut stream = eager(recon().with_recorder(ends.clone()));
+        for seq in [1u32, 3, 5, 7] {
+            let p = PacketId::new(n(1), seq);
+            stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
+        }
+        stream.pump();
+        ends.0.lock().unwrap().clear();
+        assert_eq!(stream.poll().len(), 3);
+        // The window span ends before the three reconstructions begin.
+        let stages = std::mem::take(&mut *ends.0.lock().unwrap());
+        let (window, transition) = (Stage::Window, Stage::Transition);
+        assert_eq!(stages, [window, transition, transition, transition]);
     }
 
     #[test]

@@ -75,10 +75,12 @@ pub enum Counter {
     /// Wire frames skipped as corrupt (bad magic run, bad checksum,
     /// unknown version, or undecodable payload).
     FramesCorrupt,
-    /// Event records accepted into the stream reconstructor's lanes.
+    /// Event records absorbed into the stream reconstructor's packet
+    /// windows (counted when a pump drains them from their lane, not when
+    /// they enter it).
     StreamRecords,
-    /// Offers refused because a per-node lane was at capacity (the caller
-    /// must pump before retrying — each refusal is one backpressure stall).
+    /// Records that found their node's lane full: each pumps every lane
+    /// before it is queued, so no record is refused or dropped.
     StreamBackpressure,
     /// Packet windows closed (watermark passage or lateness timeout).
     WindowsClosed,
@@ -203,8 +205,9 @@ pub enum Stage {
     /// Wire-frame decoding (scan, checksum, payload decode) on the
     /// streaming ingest path.
     Decode,
-    /// Stream window bookkeeping: lane pumping, watermark updates, and
-    /// close sweeps (excludes the reconstruction the sweep triggers).
+    /// Stream close sweeps: finding the windows every contributor has
+    /// moved past. Excludes the reconstructions the sweep triggers and the
+    /// reports it hands out; pumping lanes is not timed.
     Window,
     /// Durable-store appends: block encode, segment write, fsync, and the
     /// atomic manifest update.

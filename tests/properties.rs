@@ -247,7 +247,7 @@ fn plan_table_is_the_rule_on_random_machines() {
 
 #[test]
 fn plan_table_is_the_rule_on_the_shipped_machines() {
-    use refill::ctp_model::{CtpModel, HopLabel};
+    use refill::ctp_model::{CtpModel, HopLabel, Role};
     use refill::dissemination_model::{DissLabel, DisseminationRound};
 
     let hop_labels = [
@@ -271,8 +271,8 @@ fn plan_table_is_the_rule_on_the_shipped_machines() {
         CtpVocabulary::full(),
     ] {
         let model = CtpModel::new(vocabulary);
-        for role in [&model.source, &model.forwarder, &model.sink, &model.bs] {
-            table_is_the_rule(role, &hop_labels);
+        for role in [Role::Source, Role::Forwarder, Role::Sink, Role::BaseStation] {
+            table_is_the_rule(model.template(role), &hop_labels);
         }
     }
 
