@@ -7,20 +7,16 @@
 //! the Wit merge outcome (Section VI's motivating comparison).
 
 use baselines::wit::wit_merge;
-use citysee::Analyzer;
+use bench::ablate;
 use citysee::run_scenario;
-use netsim::available_workers;
-use refill::score::{score_cause, score_events, CauseScore, FlowScore};
-use refill::trace::{CtpVocabulary, ReconOptions, Reconstructor};
+use refill::trace::ReconOptions;
 
 fn main() {
-    let mut scenario = bench::scenario_from_env();
+    let mut scenario = bench::scenario_from_env().unwrap_or_else(|e| bench::exit_with(&e));
     if std::env::var("REFILL_DAYS").is_err() {
         scenario.days = scenario.days.min(10);
     }
     let campaign = run_scenario(&scenario);
-    let sink = campaign.topology.sink();
-    let faults = scenario.faults();
 
     let variants = [
         ("full REFILL", ReconOptions { intra_jumps: true, inter_rules: true }),
@@ -28,11 +24,6 @@ fn main() {
         ("no intra-node jumps", ReconOptions { intra_jumps: false, inter_rules: true }),
         ("plain FSM replay", ReconOptions { intra_jumps: false, inter_rules: false }),
     ];
-
-    // Shared inputs.
-    let truth = &campaign.sim.truth;
-    let truth_rows = truth.packet_rows();
-    let (events, index) = (&campaign.merged.events, campaign.merged.packet_rows());
 
     let mut csv = String::from(
         "variant,inferred,recall,precision,cause_acc,position_acc,omitted\n",
@@ -42,28 +33,7 @@ fn main() {
         "variant", "inferred", "recall", "precision", "cause", "position", "omitted"
     );
     for (name, options) in variants {
-        let recon = Reconstructor::new(CtpVocabulary::citysee()).with_options(options);
-        let analyzer = Analyzer::new(recon, &campaign.collected, scenario.packet_interval())
-            .with_sink(sink)
-            .with_outages(faults.outages.clone());
-        let scores = analyzer.pass(events, &index, index.ids(), available_workers(), |v| {
-            let id = v.report.packet;
-            let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
-            let fs = score_events(v.report, true_events);
-            let cs = truth
-                .fates
-                .get(&id)
-                .map(|f| score_cause(&v.diagnosis, f))
-                .unwrap_or_default();
-            (fs, cs, v.report.omitted.len())
-        });
-        let (mut flow, mut cause, mut omitted) =
-            (FlowScore::default(), CauseScore::default(), 0usize);
-        for (f, c, o) in &scores {
-            flow.merge(f);
-            cause.merge(c);
-            omitted += o;
-        }
+        let bench::Ablation { flow, cause, omitted } = ablate(&campaign, options);
         println!(
             "{:<22} {:>9} {:>7.3} {:>9.3} {:>9.3} {:>9.3} {:>8}",
             name,

@@ -11,7 +11,7 @@ use citysee::{analyze, run_scenario, Scenario};
 use eventlog::collect::CollectionConfig;
 
 fn main() {
-    let mut scenario = bench::scenario_from_env();
+    let mut scenario = bench::scenario_from_env().unwrap_or_else(|e| bench::exit_with(&e));
     // Accuracy sweeps are heavy; default to fewer days unless pinned.
     if std::env::var("REFILL_DAYS").is_err() {
         scenario.days = scenario.days.min(10);

@@ -28,7 +28,7 @@ fn run_with(
 }
 
 fn main() {
-    let mut scenario = bench::scenario_from_env();
+    let mut scenario = bench::scenario_from_env().unwrap_or_else(|e| bench::exit_with(&e));
     if std::env::var("REFILL_DAYS").is_err() {
         scenario.days = scenario.days.min(6);
     }

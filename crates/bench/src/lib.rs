@@ -9,40 +9,98 @@
 //! * `REFILL_SEED` — override the master seed
 //! * `REFILL_NODES`, `REFILL_DAYS` — override individual dimensions
 
-use citysee::{analyze, run_scenario, Analysis, Campaign, Scenario};
+use citysee::analysis::{campaign_packets, score_visit};
+use citysee::{analyze, run_scenario, Analysis, Analyzer, Campaign, Scenario};
+use netsim::available_workers;
+use refill::score::{CauseScore, FlowScore};
+use refill::trace::ReconOptions;
 use std::path::PathBuf;
 
-/// Resolve the scenario from the environment (see module docs).
-pub fn scenario_from_env() -> Scenario {
-    let mut s = match std::env::var("REFILL_SCALE").as_deref() {
-        Ok("small") => Scenario::small(),
-        Ok("paper") => Scenario::paper(),
-        _ => Scenario::standard(),
+/// Resolve the scenario from the environment (see module docs); an error
+/// names the variable whose value is not one the module docs allow.
+pub fn scenario_from_env() -> Result<Scenario, String> {
+    scenario_from(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+}
+
+/// [`scenario_from_env`] over the variables `var` looks up.
+pub fn scenario_from(var: impl Fn(&str) -> Option<String>) -> Result<Scenario, String> {
+    fn parsed<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{name}={value:?} is not a non-negative integer"))
+    }
+    let mut s = match var("REFILL_SCALE").as_deref() {
+        None | Some("standard") => Scenario::standard(),
+        Some("small") => Scenario::small(),
+        Some("paper") => Scenario::paper(),
+        Some(other) => {
+            return Err(format!(
+                "REFILL_SCALE={other:?} is none of small, standard, paper"
+            ))
+        }
     };
-    if let Ok(seed) = std::env::var("REFILL_SEED") {
-        if let Ok(v) = seed.parse() {
-            s.seed = v;
-        }
+    if let Some(seed) = var("REFILL_SEED") {
+        s.seed = parsed("REFILL_SEED", &seed)?;
     }
-    if let Ok(nodes) = std::env::var("REFILL_NODES") {
-        if let Ok(v) = nodes.parse::<usize>() {
-            // Keep density constant when resizing.
-            let density_side = s.side_m / (s.nodes as f64).sqrt();
-            s.nodes = v;
-            s.side_m = density_side * (v as f64).sqrt();
-        }
+    if let Some(nodes) = var("REFILL_NODES") {
+        let v: usize = parsed("REFILL_NODES", &nodes)?;
+        // Keep density constant when resizing.
+        let density_side = s.side_m / (s.nodes as f64).sqrt();
+        s.nodes = v;
+        s.side_m = density_side * (v as f64).sqrt();
     }
-    if let Ok(days) = std::env::var("REFILL_DAYS") {
-        if let Ok(v) = days.parse() {
-            s.days = v;
-        }
+    if let Some(days) = var("REFILL_DAYS") {
+        s.days = parsed("REFILL_DAYS", &days)?;
     }
-    s
+    Ok(s)
+}
+
+/// Print `error` and end the process with status 2.
+pub fn exit_with(error: &str) -> ! {
+    eprintln!("[bench] {error}");
+    std::process::exit(2)
+}
+
+/// One ablation variant's scores on a campaign.
+#[derive(Debug, Clone, Copy)]
+pub struct Ablation {
+    /// Inference quality against the truth.
+    pub flow: FlowScore,
+    /// Diagnosis quality against the truth.
+    pub cause: CauseScore,
+    /// Events no transition could place, dropped from the flows.
+    pub omitted: usize,
+}
+
+/// The campaign analyzed with `options`, every packet scored as
+/// [`citysee::analyze`] scores it: the packets the logs mention and those
+/// only the truth knows, each against its truth fate.
+pub fn ablate(campaign: &Campaign, options: ReconOptions) -> Ablation {
+    let truth = &campaign.sim.truth;
+    let truth_rows = truth.packet_rows();
+    let (events, index) = (&campaign.merged.events, campaign.merged.packet_rows());
+    let ids = campaign_packets(&index, truth);
+    let analyzer = Analyzer::for_campaign(campaign).with_options(options);
+    let scores = analyzer.pass(events, &index, &ids, available_workers(), |v| {
+        let (flow, cause) = score_visit(truth, &truth_rows, &v);
+        (flow, cause, v.report.omitted.len())
+    });
+    let mut out = Ablation {
+        flow: FlowScore::default(),
+        cause: CauseScore::default(),
+        omitted: 0,
+    };
+    for (flow, cause, omitted) in &scores {
+        out.flow.merge(flow);
+        out.cause.merge(cause);
+        out.omitted += omitted;
+    }
+    out
 }
 
 /// Run and analyze the environment-selected scenario, logging progress.
 pub fn run_and_analyze() -> (Campaign, Analysis) {
-    let scenario = scenario_from_env();
+    let scenario = scenario_from_env().unwrap_or_else(|e| exit_with(&e));
     eprintln!(
         "[bench] running scenario '{}': {} nodes, {} days (set REFILL_SCALE=small|standard|paper)",
         scenario.name, scenario.nodes, scenario.days
@@ -87,11 +145,55 @@ mod tests {
 
     #[test]
     fn default_scenario_is_standard() {
-        // Only valid when env overrides are absent; guard accordingly.
-        if std::env::var("REFILL_SCALE").is_err() && std::env::var("REFILL_NODES").is_err() {
-            let s = scenario_from_env();
-            assert_eq!(s.name, "citysee-standard");
+        let s = scenario_from(|_| None).unwrap();
+        assert_eq!(s.name, "citysee-standard");
+    }
+
+    /// The scenario `vars` select, or the error.
+    fn from_vars(vars: &[(&str, &str)]) -> Result<Scenario, String> {
+        scenario_from(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn every_variable_is_read_or_refused_by_name() {
+        let s = from_vars(&[
+            ("REFILL_SCALE", "small"),
+            ("REFILL_SEED", "7"),
+            ("REFILL_NODES", "30"),
+            ("REFILL_DAYS", "2"),
+        ])
+        .unwrap();
+        assert_eq!(
+            (s.name.as_str(), s.seed, s.nodes, s.days),
+            ("citysee-small", 7, 30, 2)
+        );
+        for (name, value) in [
+            ("REFILL_SCALE", "huge"),
+            ("REFILL_SEED", "x"),
+            ("REFILL_NODES", "-3"),
+            ("REFILL_DAYS", "1O"),
+        ] {
+            let error = from_vars(&[(name, value)]).unwrap_err();
+            assert!(error.starts_with(name), "{name}={value}: {error}");
         }
+    }
+
+    /// The ablation's full row is the analysis: same packets, same scores.
+    #[test]
+    fn the_full_ablation_row_is_the_analysis() {
+        // Lossy enough that some packets reach no collected log.
+        let mut scenario = Scenario::small();
+        scenario.collection.chunk_loss_prob = 0.30;
+        scenario.collection.whole_log_loss_prob = 0.05;
+        let campaign = run_scenario(&scenario);
+        let analysis = analyze(&campaign);
+        let full = ablate(&campaign, ReconOptions::default());
+        assert_eq!(full.flow, analysis.flow_score);
+        assert_eq!(full.cause, analysis.cause_score);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use refill::diagnose::{Diagnoser, Diagnosis};
 use refill::parallel::par_map;
 use refill::score::{score_cause, score_events, score_path, CauseScore, FlowScore, PathScore};
 use refill::telemetry::{Counter, Hist, Stage, StageTimer};
-use refill::trace::{CtpVocabulary, PacketReport, Reconstructor};
+use refill::trace::{CtpVocabulary, PacketReport, ReconOptions, Reconstructor};
 
 /// Everything known (and inferred) about one packet after analysis.
 #[derive(Debug, Clone)]
@@ -174,6 +174,12 @@ impl Analyzer {
         self
     }
 
+    /// Apply ablation options to the reconstructor (see [`ReconOptions`]).
+    pub fn with_options(mut self, options: ReconOptions) -> Self {
+        self.recon = self.recon.with_options(options);
+        self
+    }
+
     /// Provide the server-outage windows. The outage schedule is operational
     /// knowledge (the server records its own downtime), so the diagnoser may
     /// use it.
@@ -208,8 +214,7 @@ impl Analyzer {
     /// Merge `logs` and group the merged log's row numbers by packet, timed
     /// as the `merge` and `index` stages of the reconstructor's recorder. An
     /// enabled recorder also learns what went in and what came out: every
-    /// log's length, the merge's path (timestamped or round-robin), and every
-    /// packet's group.
+    /// log's length and every packet's group.
     pub fn index(&self, logs: &[LocalLog]) -> (MergedLog, PacketIndex<u32>) {
         let recorder = &**self.recon.recorder();
         let merged = {
@@ -221,15 +226,6 @@ impl Analyzer {
             merged.packet_rows()
         };
         if recorder.enabled() {
-            let timestamped = logs
-                .iter()
-                .flat_map(|l| &l.entries)
-                .all(|e| e.local_ts.is_some());
-            recorder.inc(if timestamped {
-                Counter::MergeTimestamped
-            } else {
-                Counter::MergeRoundRobin
-            });
             recorder.add(Counter::MergeEvents, merged.len() as u64);
             for log in logs {
                 recorder.observe(Hist::NodeLogEvents, log.len() as u64);
@@ -321,6 +317,20 @@ pub fn truth_fate(truth: &GroundTruth, packet: PacketId) -> PacketFate {
         .unwrap_or(PacketFate::Delivered { at: SimTime::ZERO })
 }
 
+/// One visited packet's flow and diagnosis scored against the truth, as
+/// [`analyze`] scores them; `truth_rows` groups the truth's events by
+/// packet.
+pub fn score_visit(
+    truth: &GroundTruth,
+    truth_rows: &PacketIndex<u32>,
+    v: &Visit<'_>,
+) -> (FlowScore, CauseScore) {
+    let id = v.report.packet;
+    let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
+    let flow = score_events(v.report, true_events);
+    (flow, score_cause(&v.diagnosis, &truth_fate(truth, id)))
+}
+
 /// Run REFILL and all baselines over a campaign.
 pub fn analyze(campaign: &Campaign) -> Analysis {
     let truth = &campaign.sim.truth;
@@ -347,11 +357,10 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
     let merged = &campaign.merged.events;
     let outcomes = analyzer.pass(merged, &index, &ids, available_workers(), |v| {
         let id = v.report.packet;
-        let fate = truth_fate(truth, id);
-        let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
+        let (flow, cause) = score_visit(truth, &truth_rows, &v);
         PacketOutcome {
-            flow: score_events(v.report, true_events),
-            cause: score_cause(&v.diagnosis, &fate),
+            flow,
+            cause,
             path: score_path(v.report, truth.paths.get(&id).map_or(&[], Vec::as_slice)),
             looped: v.report.has_routing_loop(),
             naive_claim: naive_claim(v.events),
@@ -359,7 +368,7 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
                 packet: id,
                 est_time: v.est_time,
                 diagnosis: v.diagnosis,
-                fate,
+                fate: truth_fate(truth, id),
             },
         }
     });
@@ -635,9 +644,9 @@ mod tests {
     }
 
     /// The pass gathers each packet's events through the merged log's row
-    /// numbers: exactly the group `packet_index` copies out, after the
-    /// timestamped merge and the round-robin one, on several workers that
-    /// reuse their buffers, and none for a packet no log mentions.
+    /// numbers: exactly the group `packet_index` copies out, with timestamps
+    /// and without, on several workers that reuse their buffers, and none for
+    /// a packet no log mentions.
     #[test]
     fn the_pass_lends_each_packet_its_packet_index_group() {
         let mut lossy = Scenario::small();
@@ -663,27 +672,20 @@ mod tests {
     }
 
     /// What `Analyzer::index` records must add up: one span per stage, every
-    /// logged event merged and grouped exactly once, one group per packet,
-    /// and the merge path the input forces.
+    /// logged event merged and grouped exactly once, one group per packet.
     #[test]
     fn index_telemetry_accounts_for_every_event() {
         use refill::telemetry::{AtomicRecorder, Recorder};
         use std::sync::Arc;
         let c = run_scenario(&Scenario::small());
-        let mut timed = c.collected.clone();
-        for log in &mut timed {
+        let mut untimed = c.collected.clone();
+        for log in &mut untimed {
             for entry in &mut log.entries {
-                entry.local_ts = entry.local_ts.or(LocalTs::new(0));
+                entry.local_ts = None;
             }
         }
-        let mut untimed = timed.clone();
-        let first = untimed
-            .iter_mut()
-            .find(|l| !l.is_empty())
-            .expect("some log has events");
-        first.entries[0].local_ts = None;
 
-        for (logs, timestamped) in [(timed, true), (untimed, false)] {
+        for logs in [c.collected.clone(), untimed] {
             let recorder = Arc::new(AtomicRecorder::new());
             let recon = Reconstructor::new(CtpVocabulary::table2()).with_recorder(recorder.clone());
             let analyzer = Analyzer::new(recon, &logs, c.scenario.packet_interval());
@@ -700,8 +702,6 @@ mod tests {
             assert_eq!(snap.counter("indexed_packets"), index.len() as u64);
             let per_log = snap.histogram("node_log_events").expect("logs observed");
             assert_eq!((per_log.count, per_log.sum), (logs.len() as u64, logged));
-            assert_eq!(snap.counter("merge_timestamped"), u64::from(timestamped));
-            assert_eq!(snap.counter("merge_round_robin"), u64::from(!timestamped));
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! * a 64-bit digest over every packet record, every score, the three
 //!   baseline outcomes and the transport statistics of a clean and a lossy
-//!   campaign, frozen on the commit before the baselines and the scoring
-//!   moved into the per-packet pass;
+//!   campaign (the lossy one frozen on the commit before the baselines and
+//!   the scoring moved into the per-packet pass, the clean one re-frozen
+//!   when the merge stopped reading clocks);
 //! * the digest does not depend on how the analysis threads are scheduled;
 //! * `wit_merge` on local logs allocates by the number of logs, not of
 //!   events, and scoring a flow asks the allocator for one buffer, or for
@@ -52,8 +53,8 @@ fn digest(a: &Analysis) -> u64 {
 }
 
 /// `Scenario::small()` under the benchmark's `citysee-lossy` collection:
-/// chunks and whole logs lost, failed writes, no timestamps (so the merge
-/// is the round-robin one and the flows need several times the inference).
+/// chunks and whole logs lost, failed writes, no timestamps (so the flows
+/// need several times the inference).
 fn lossy() -> Scenario {
     let mut s = Scenario::small();
     s.collection.chunk_loss_prob = 0.30;
@@ -63,8 +64,11 @@ fn lossy() -> Scenario {
     s
 }
 
-/// Frozen on the parent of the commit that introduced this file.
-const CLEAN_DIGEST: u64 = 0xa59f_0af6_397f_1480;
+/// The lossy digest is frozen on the parent of the commit that introduced
+/// this file. The clean one was re-frozen when `merge_logs` stopped ordering
+/// timestamped logs by their clocks: its logs carry timestamps, so each
+/// packet's evidence is now in per-node position order.
+const CLEAN_DIGEST: u64 = 0x5384_50ea_31d7_c931;
 const LOSSY_DIGEST: u64 = 0x5224_93b5_b734_3eb7;
 
 #[test]

@@ -210,7 +210,7 @@ fn table2_cases() -> Vec<Vec<Event>> {
 }
 
 /// Table II Case 4: the loop 1 → 2 → 3 → 1 → 2 with the second `1-2 recv`
-/// lost, in the order `merge_logs` hands it over (node by node).
+/// lost, node by node.
 fn case4() -> Vec<Event> {
     let p = PacketId::new(n(1), 0);
     let ev = |node: u16, kind: EventKind| Event::new(n(node), kind, p);
@@ -679,16 +679,15 @@ fn case4_flow_does_not_depend_on_group_registration_order() {
 
 // --- driver identity -----------------------------------------------------
 
-/// How a log set's entries are stamped, which picks the merge they take.
+/// How a log set's entries are stamped. The merge reads no clock, so every
+/// driver's reports are the same under each.
 #[derive(Clone, Copy)]
 enum Clock {
-    /// No timestamps: the round-robin merge.
+    /// No timestamps.
     None,
-    /// One global clock ticking per event: the timestamp merge interleaves
-    /// the nodes exactly as the soups did.
+    /// One global clock ticking per event.
     Global,
-    /// Each node's log lies wholly before the next node's: the timestamp
-    /// merge concatenates the logs.
+    /// Each node's log lies wholly before the next node's.
     NodeByNode,
 }
 

@@ -6,7 +6,9 @@
 //! peer node for two-party operations). Events are recorded into per-node
 //! local logs whose only guaranteed property is that **each node's own
 //! ordering is preserved**; timestamps are optional, unsynchronized, and
-//! never relied upon by REFILL itself.
+//! never relied upon by REFILL itself. The merge that feeds reconstruction
+//! ([`merge_logs`]) orders entries across nodes by their position in their
+//! own log, ties by node id — never by a clock.
 //!
 //! The crate also models everything that makes real logs hard to use:
 //! bounded log buffers, write failures, node reboots that truncate logs,

@@ -2,50 +2,21 @@
 //!
 //! The first step of the REFILL pipeline (Figure 1): "logs containing events
 //! from different nodes are first merged with ordering of events from the
-//! same node preserved." That per-node order is the *only* invariant; the
-//! interleaving across nodes is a heuristic (by local timestamp when
-//! available, else round-robin) and downstream analysis must not trust it —
-//! fixing the cross-node order is precisely REFILL's job.
+//! same node preserved." That per-node order is the *only* invariant, and the
+//! cross-node order is built from nothing else: [`merge_logs`] interleaves
+//! round-robin, the logs in node-id order, so an entry's place is (its
+//! position in its own log, its node) — never a clock. Local timestamps are
+//! unsynchronized and skewed by minutes; the merge does not read them, and
+//! neither the order logs of distinct nodes are listed in nor what their
+//! clocks say changes a merged event. Fixing the cross-node order within a
+//! packet is REFILL's job, not the merge's.
 //!
-//! # Merge engine
-//!
-//! The timestamped path is a **loser-tree k-way merge**: a flat tournament
-//! tree over the K runs in which every node holds the *key* of the contender
-//! that lost there, so a pop reads one new key (the popped run's next entry)
-//! and replays its leaf-to-root path with a `min`/`max` pair per level.
-//! Selection is total-ordered on `(local_ts, node, input index)`, so ties
-//! between equal `(ts, node)` heads always resolve to the earlier log in
-//! input order — the order the original cursor scan produced, byte for byte.
-//!
-//! The log merge packs that triple into one word: runs are ranked by
-//! `(node, input index)`, and the key is `(ts - lo) << rank_bits | rank`
-//! with `lo` the smallest timestamp of the input. The word orders exactly as
-//! the triple does, tells which run it came from, and stays below
-//! `u64::MAX` — the key of an exhausted run — whenever the timestamp span
-//! and the rank fit 63 bits together; otherwise the same engine runs on the
-//! pair `(ts, rank)`. One pass over the entries finds `lo`, the span,
-//! whether any timestamp is missing and whether every log is sorted.
-//!
-//! With K ≈ 1 200 runs the next entry of the popped run is a cache miss no
-//! hardware prefetcher hides (it follows a few streams, not a thousand), so
-//! each pop prefetches that run's entry a few positions ahead.
-//!
-//! Measured by the benchmark's layer sample (`merge.mevents_per_s`, seed 7),
-//! against the tree of run indices that re-derived every key it compared:
-//! 17.9 → 43.1 Mevents/s at K = 1 194 and 19.4 → 53.8 at K = 301, i.e.
-//! `merge.vs_memcpy` 0.035 → 0.078 and 0.034 → 0.107; on the whole
-//! 2.08 M-event, 1 194-log input 0.16 → 0.058 s (DESIGN.md §9 has the
-//! table of what each step bought).
-//!
-//! Sorted logs are cut at shared timestamp boundaries into one strip per
-//! core, each holding about as many entries as the next, and the strips are
-//! merged on scoped threads, each into its own window of the output
-//! ([`merge_logs_partitioned`]; [`merge_logs`] takes it on every core).
-//! Because boundaries compare on `local_ts` alone, every event with a given
-//! timestamp lands in exactly one strip — so no tie ever spans a boundary
-//! and the result is byte-identical to the sequential merge. Unsorted logs
-//! (which the cursor-scan semantics permit) are merged by the sequential
-//! tree.
+//! [`merge_logs_kway`] and [`merge_runs`] order by local time instead, for
+//! readers that want it (store compaction, benchmarks): a **loser-tree
+//! k-way merge**, a flat tournament tree over the K runs in which every node
+//! holds the *key* `(local_ts, run)` of the contender that lost there, so a
+//! pop reads one new key and replays its leaf-to-root path with a
+//! `min`/`max` pair per level.
 //!
 //! [`PacketIndex`] groups the merged events by packet with a counting sort,
 //! its scatter on two threads for large inputs.
@@ -53,16 +24,16 @@
 use crate::columnar::EventStore;
 use crate::event::{Event, PacketId};
 use crate::logger::{LocalLog, LocalTs, LogEntry};
-use crate::watermark::Mark;
 use netsim::fx::FxHashMap;
-use netsim::{available_workers, NodeId};
+use netsim::NodeId;
 use std::mem::MaybeUninit;
 
 /// The merged event stream.
 #[derive(Debug, Clone, Default)]
 pub struct MergedLog {
-    /// Events in merged order. Per-node subsequences preserve recording
-    /// order; cross-node order is best-effort only.
+    /// Events in merged order: each node's in recording order, nodes
+    /// interleaved by per-node log position, ties by node id — never by a
+    /// clock.
     pub events: Vec<Event>,
 }
 
@@ -408,104 +379,53 @@ fn scatter_slots<T>(
     }
 }
 
-/// Where an entry of `node`'s log sits in [`merge_logs`]'s order, given the
-/// [`Mark`] (running-max timestamp, position) a `WatermarkTracker` fed that
-/// log gave it. For logs of distinct nodes in node order, a packet's group
-/// of the merge is its entries sorted by this key: by time, node, position
-/// when every entry has a timestamp (`timestamped`), else round-robin.
-pub fn packet_order(mark: Mark, node: NodeId, timestamped: bool) -> (u64, NodeId, u64) {
-    if timestamped {
-        (mark.ts_us, node, mark.records)
-    } else {
-        (mark.records, node, 0)
-    }
+/// Where an entry sits in [`merge_logs`]'s order: `position` is its place in
+/// its own node's log (a `WatermarkTracker` fed that log gives it as
+/// `Mark::records`). For logs of distinct nodes, a packet's group of the
+/// merge is its entries sorted by this key — whatever order the logs are
+/// listed in, and whatever their clocks read.
+pub fn packet_order(position: u64, node: NodeId) -> (u64, NodeId) {
+    (position, node)
 }
 
-/// Merge local logs into one stream.
-///
-/// When every involved entry carries a local timestamp we k-way-merge by
-/// `(local_ts, node)` — skewed but usually a decent interleaving — in one
-/// strip per available core ([`merge_logs_partitioned`]). Entries without
-/// timestamps fall back to a round-robin interleave. Either way each node's
-/// own order is preserved exactly.
+/// Merge local logs into one stream: round-robin, one entry from every log
+/// that still has one per pass, the logs visited in node-id order (logs of
+/// one node in input order). Each node's own order is preserved exactly, and
+/// no timestamp is read.
 pub fn merge_logs(logs: &[LocalLog]) -> MergedLog {
-    match timestamp_span(logs) {
-        Some(span) => MergedLog {
-            events: merge_by_time(logs, Some(span), available_workers()),
-        },
-        None => {
-            let mut events = Vec::with_capacity(total_entries(logs));
-            merge_round_robin_each(logs, |e| events.push(e.event));
-            MergedLog { events }
-        }
-    }
+    let mut events = Vec::with_capacity(total_entries(logs));
+    merge_round_robin_each(logs, |e| events.push(e.event));
+    MergedLog { events }
 }
 
-/// The loser-tree k-way merge whatever the timestamps, on one thread:
-/// [`merge_logs_partitioned`] with one strip.
-///
-/// Same output as [`merge_logs`] on all-timestamped input (entries missing
-/// a timestamp sort as 0 here instead of triggering the round-robin
-/// fallback). Exposed for benchmarks and equivalence tests.
+/// The loser-tree k-way merge on `(local_ts, node, input index)`, on one
+/// thread, an entry without a timestamp sorting as 0: the order a reader
+/// that wants local time gets (the merged clock is skewed and never feeds
+/// reconstruction). Exposed for benchmarks and equivalence tests.
 pub fn merge_logs_kway(logs: &[LocalLog]) -> MergedLog {
-    merge_logs_partitioned(logs, 1)
+    let mut events = Vec::with_capacity(total_entries(logs));
+    merge_ranked(&ranked_runs(logs), |e| events.push(e.event));
+    MergedLog { events }
 }
 
-/// The timestamp merge in `partitions` strips on as many threads — the
-/// engine [`merge_logs`] runs with one strip per core.
-///
-/// Runs one loser tree on the calling thread when the logs are not
-/// partitionable (an entry has no timestamp, some log is not sorted by
-/// `local_ts`, or every event shares one timestamp) or `partitions` is 1;
-/// output is byte-identical either way. Entries missing a timestamp sort
-/// as 0, as in [`merge_logs_kway`].
-pub fn merge_logs_partitioned(logs: &[LocalLog], partitions: usize) -> MergedLog {
-    MergedLog {
-        events: merge_by_time(logs, timestamp_span(logs), partitions),
-    }
+/// [`merge_logs_kway`] under the name the benchmark times; `partitions` is
+/// ignored.
+#[doc(hidden)]
+pub fn merge_logs_partitioned(logs: &[LocalLog], _partitions: usize) -> MergedLog {
+    merge_logs_kway(logs)
 }
 
-/// The fused columnar merge: the same loser tree as [`merge_logs`], on one
-/// thread, but every selected entry is packed straight into a columnar
-/// [`EventStore`] (event and `ts` column together) — no intermediate merged
-/// `Vec<Event>` is ever materialized between the loser tree and the store.
+/// The fused columnar merge: [`merge_logs`]'s order, every selected entry
+/// packed straight into a columnar [`EventStore`] (event and `ts` column
+/// together) — no intermediate merged `Vec<Event>` is ever materialized.
 pub fn merge_logs_store(logs: &[LocalLog]) -> EventStore {
     let mut store = EventStore::with_capacity(total_entries(logs));
-    let emit = |e: &LogEntry| store.push_entry(e);
-    match timestamp_span(logs) {
-        Some(span) => merge_ranked(&ranked_runs(logs), Some(span), emit),
-        None => merge_round_robin_each(logs, emit),
-    }
+    merge_round_robin_each(logs, |e| store.push_entry(e));
     store
 }
 
 fn total_entries(logs: &[LocalLog]) -> usize {
     logs.iter().map(LocalLog::len).sum()
-}
-
-/// The timestamp merge of `logs`, `span` being their timestamps' if every
-/// entry has one: in `strips` strips on as many threads when the logs are
-/// sorted and their timestamps not all equal, else by one loser tree.
-fn merge_by_time(logs: &[LocalLog], span: Option<TimestampSpan>, strips: usize) -> Vec<Event> {
-    let runs = ranked_runs(logs);
-    let total = total_entries(logs);
-    let mut events = Vec::with_capacity(total);
-    match span {
-        Some(span) if span.sorted && span.lo < span.hi && strips > 1 => {
-            merge_strips(
-                &runs,
-                span,
-                strips,
-                &mut events.spare_capacity_mut()[..total],
-            );
-            // SAFETY: `merge_strips` returns only once it has written every
-            // element of the `total` it was handed, and the vector was made
-            // with room for `total`.
-            unsafe { events.set_len(total) };
-        }
-        _ => merge_ranked(&runs, span, |e| events.push(e.event)),
-    }
-    events
 }
 
 /// Sort timestamp of an entry; entries without one sort first, like the
@@ -514,40 +434,9 @@ fn ts_of(e: &LogEntry) -> u64 {
     e.local_ts.map_or(0, LocalTs::get)
 }
 
-/// What the timestamped merge needs to know about all-timestamped logs.
-#[derive(Clone, Copy)]
-struct TimestampSpan {
-    /// Smallest and largest timestamp (`lo > hi` when there is no entry).
-    lo: u64,
-    hi: u64,
-    /// Every log is in non-decreasing timestamp order.
-    sorted: bool,
-}
-
-/// One pass over every entry: the span of the timestamps, or `None` as soon
-/// as an entry has none.
-fn timestamp_span(logs: &[LocalLog]) -> Option<TimestampSpan> {
-    let mut span = TimestampSpan {
-        lo: u64::MAX,
-        hi: 0,
-        sorted: true,
-    };
-    for log in logs {
-        let mut prev = 0;
-        for e in &log.entries {
-            let ts = e.local_ts?.get();
-            span.sorted &= prev <= ts;
-            prev = ts;
-            span.lo = span.lo.min(ts);
-            span.hi = span.hi.max(ts);
-        }
-    }
-    Some(span)
-}
-
 /// The logs' entries as merge runs, in `(node, input index)` order: the
-/// order in which the merge breaks ties between equal timestamps, so that a
-/// run's position here — its rank — stands for both in a key.
+/// order both merges visit them in — the round-robin within a pass, the
+/// time merge between equal timestamps.
 fn ranked_runs(logs: &[LocalLog]) -> Vec<&[LogEntry]> {
     let mut ranked: Vec<&LocalLog> = logs.iter().collect();
     ranked.sort_by_key(|log| log.node);
@@ -557,48 +446,14 @@ fn ranked_runs(logs: &[LocalLog]) -> Vec<&[LogEntry]> {
         .collect()
 }
 
-/// Loser-tree merge of `runs` (each in recording order, ranked as
-/// [`ranked_runs`] does) on `(timestamp, rank)`, every selected entry handed
-/// to `emit`. `span` is that of the logs the runs are (parts of), if all
-/// their entries have timestamps.
-///
-/// The key is one word, `(ts - lo) << rank_bits | rank`, when the span of
-/// the timestamps and the rank fit 63 bits together: it then orders as the
-/// pair does, its low bits name the run, and the largest live key is below
-/// `2^63`, so `u64::MAX` is free to mean "exhausted".
-fn merge_ranked(runs: &[&[LogEntry]], span: Option<TimestampSpan>, emit: impl FnMut(&LogEntry)) {
-    let rank_bits = usize::BITS - runs.len().saturating_sub(1).leading_zeros();
-    match span {
-        Some(TimestampSpan { lo, hi, .. })
-            if u64::BITS - hi.saturating_sub(lo).leading_zeros() + rank_bits <= 63 =>
-        {
-            let rank_mask = (1u64 << rank_bits) - 1;
-            merge_each_by(
-                runs,
-                |rank, e| (ts_of(e) - lo) << rank_bits | rank as u64,
-                |key| (key & rank_mask) as usize,
-                u64::MAX,
-                emit,
-            );
-        }
-        _ => merge_each_by(
-            runs,
-            |rank, e| (ts_of(e), rank),
-            |key| key.1,
-            (u64::MAX, usize::MAX),
-            emit,
-        ),
-    }
-}
-
-/// The loser-tree merge of `runs` on `(timestamp, run index)`, an entry
-/// without a timestamp sorting as 0 — [`merge_logs_kway`]'s order, with the
-/// runs taken in the order given. A run need not be in time order. This is
-/// how the segment store compacts: each run is one segment's rows in the
-/// order they were appended.
+/// The loser-tree merge of `runs` (each in recording order) on
+/// `(timestamp, run index)`, an entry without a timestamp sorting as 0 —
+/// [`merge_logs_kway`]'s order, with the runs taken in the order given. A
+/// run need not be in time order. This is how the segment store compacts:
+/// each run is one segment's rows in the order they were appended.
 pub fn merge_runs(runs: &[&[LogEntry]]) -> Vec<LogEntry> {
     let mut out = Vec::with_capacity(runs.iter().map(|run| run.len()).sum());
-    merge_ranked(runs, None, |e| out.push(*e));
+    merge_ranked(runs, |e| out.push(*e));
     out
 }
 
@@ -621,9 +476,9 @@ fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-/// The loser-tree tournament itself, generic over the run item and the
-/// key. `key_of(run, item)` must be a total order over all items of all
-/// runs, below `exhausted`, and such that `run_of(key_of(run, _)) == run`.
+/// The loser-tree tournament over `runs`, keyed `(timestamp, run index)`,
+/// every selected entry handed to `emit`. No live key reaches the
+/// exhausted run's `(u64::MAX, usize::MAX)`: no `LocalTs` holds `u64::MAX`.
 ///
 /// Keys may fall within a run (raw local timestamps read backwards after a
 /// clock step). Every pop then picks exactly the run that merging each
@@ -637,14 +492,11 @@ fn prefetch<T>(p: *const T) {
 /// `2v` and `2v + 1`. Popping the winner reads the popped run's next key
 /// and replays its leaf-to-root path: at each node the smaller key keeps
 /// climbing, the larger stays behind. No key is read twice, and the replay
-/// has no branch that depends on the data.
-fn merge_each_by<T, K: Ord + Copy>(
-    runs: &[&[T]],
-    key_of: impl Fn(usize, &T) -> K,
-    run_of: impl Fn(K) -> usize,
-    exhausted: K,
-    mut emit: impl FnMut(&T),
-) {
+/// has no branch that depends on the data. With K ≈ 1 200 runs the popped
+/// run's next entry is a cache miss no hardware prefetcher hides, so each
+/// pop prefetches that run's entry a few positions ahead.
+fn merge_ranked(runs: &[&[LogEntry]], mut emit: impl FnMut(&LogEntry)) {
+    const EXHAUSTED: (u64, usize) = (u64::MAX, usize::MAX);
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let k = runs.len();
     if total == 0 {
@@ -654,17 +506,13 @@ fn merge_each_by<T, K: Ord + Copy>(
         runs[0].iter().for_each(emit);
         return;
     }
-    let head = |run: usize, pos: usize| {
-        runs[run]
-            .get(pos)
-            .map_or(exhausted, |item| key_of(run, item))
-    };
+    let head = |run: usize, pos: usize| runs[run].get(pos).map_or(EXHAUSTED, |e| (ts_of(e), run));
     // Bottom-up tournament over the initial heads: winners bubble up a
     // scratch array, losers stay behind in `tree`. Handles any k, not just
     // powers of two, because leaves k..2k and internal nodes 1..k tile the
     // virtual heap exactly.
-    let mut tree = vec![exhausted; k];
-    let mut winners = vec![exhausted; 2 * k];
+    let mut tree = vec![EXHAUSTED; k];
+    let mut winners = vec![EXHAUSTED; 2 * k];
     for (run, leaf) in winners[k..].iter_mut().enumerate() {
         *leaf = head(run, 0);
     }
@@ -677,7 +525,7 @@ fn merge_each_by<T, K: Ord + Copy>(
     drop(winners);
     let mut pos = vec![0usize; k];
     for _ in 0..total {
-        let run = run_of(top);
+        let run = top.1;
         let at = pos[run];
         emit(&runs[run][at]);
         pos[run] = at + 1;
@@ -694,136 +542,20 @@ fn merge_each_by<T, K: Ord + Copy>(
     }
 }
 
-/// Merge of sorted, all-timestamped `runs` into `out`, which has a slot
-/// for every entry of the runs: the runs are cut into `strips` strips
-/// ([`strip_cuts`]) and each strip is merged into its own window of `out`,
-/// all but the last on scoped threads of their own. Returns once every slot
-/// of `out` is written.
-///
-/// A cut compares on `local_ts` alone, so all entries sharing a timestamp
-/// land in one strip: no tie spans two strips, which is what makes the
-/// windows, side by side, the sequential merge.
-fn merge_strips(
-    runs: &[&[LogEntry]],
-    span: TimestampSpan,
-    strips: usize,
-    out: &mut [MaybeUninit<Event>],
-) {
-    let cuts = strip_cuts(runs, span, strips, out.len());
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        for (j, bounds) in cuts.windows(2).enumerate() {
-            let strip: Vec<&[LogEntry]> = runs
-                .iter()
-                .zip(bounds[0].iter().zip(&bounds[1]))
-                .map(|(run, (&from, &to))| &run[from..to])
-                .collect();
-            let len = strip.iter().map(|run| run.len()).sum();
-            let (window, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            rest = tail;
-            let mut merge = move || {
-                let mut slots = window.iter_mut();
-                merge_ranked(&strip, Some(span), |e| {
-                    slots
-                        .next()
-                        .expect("a strip's window holds what its runs do")
-                        .write(e.event);
-                });
-                assert!(slots.next().is_none(), "a strip fills its window");
-            };
-            if j + 1 == strips {
-                merge();
-            } else {
-                scope.spawn(merge);
-            }
-        }
-        assert!(rest.is_empty(), "the strips' windows tile the output");
-    });
-}
-
-/// Where `strips` strips of `total` entries of sorted, all-timestamped
-/// `runs` begin and end: `strips + 1` cuts, each a position in every run,
-/// the first at the runs' starts and the last at their ends.
-///
-/// Cut `j` is at the least timestamp with at least `j · total / strips`
-/// entries below it. So strips hold equal counts but for the tie group at a
-/// cut, which stays whole: no strip holds more than `⌈total / strips⌉` plus
-/// the largest tie group. Each cut is found by a search on the timestamp,
-/// every step a `partition_point` per run inside the bracket the steps
-/// before left it.
-fn strip_cuts(
-    runs: &[&[LogEntry]],
-    span: TimestampSpan,
-    strips: usize,
-    total: usize,
-) -> Vec<Vec<usize>> {
-    let ends: Vec<usize> = runs.iter().map(|run| run.len()).collect();
-    let mut cuts: Vec<Vec<usize>> = Vec::with_capacity(strips + 1);
-    cuts.push(vec![0; runs.len()]);
-    // Below `a` lie `below_a` entries, fewer than any cut still to come
-    // wants; `at_a` is where `a` cuts each run.
-    let (mut a, mut at_a, mut below_a) = (span.lo, cuts[0].clone(), 0);
-    for j in 1..strips {
-        let target = j * total / strips;
-        if below_a >= target {
-            cuts.push(at_a.clone());
-            continue;
-        }
-        // Below `c` lie `below_c` entries, at least `target`; `at_c` is where
-        // `c` cuts each run.
-        let (mut c, mut at_c, mut below_c) = (span.hi + 1, ends.clone(), total);
-        let mut at_mid = vec![0; runs.len()];
-        let mut halve = false;
-        while c - a > 1 {
-            // Every other step goes where the target would lie if the
-            // entries in `a..c` were spread evenly — logs grow about evenly
-            // in time — and the steps between halve `a..c`, so there are
-            // at most twice as many as a plain bisection takes.
-            let mid = if halve {
-                a + (c - a) / 2
-            } else {
-                let ahead =
-                    (target - below_a) as u128 * u128::from(c - a) / (below_c - below_a) as u128;
-                a + (ahead as u64).clamp(1, c - a - 1)
-            };
-            halve = !halve;
-            let mut below = 0;
-            for (r, run) in runs.iter().enumerate() {
-                at_mid[r] = at_a[r] + run[at_a[r]..at_c[r]].partition_point(|e| ts_of(e) < mid);
-                below += at_mid[r];
-            }
-            if below >= target {
-                (c, below_c) = (mid, below);
-                std::mem::swap(&mut at_c, &mut at_mid);
-            } else {
-                (a, below_a) = (mid, below);
-                std::mem::swap(&mut at_a, &mut at_mid);
-            }
-        }
-        // `a` is now `c - 1`: fewer than this cut's entries, and so than
-        // any later cut's, lie below it.
-        cuts.push(at_c);
-    }
-    cuts.push(ends);
-    cuts
-}
-
-/// Round-robin interleave for logs with missing timestamps: one event from
-/// each live log per pass. Exhausted logs are dropped from the rotation on
-/// the spot, so a pass costs the number of *live* logs — the original
-/// version re-scanned all K logs every pass, an O(N·K) tail whenever a few
-/// long logs outlived many short ones.
+/// The round-robin interleave: one entry from each live log per pass, the
+/// logs in [`ranked_runs`] order. Exhausted logs are dropped from the
+/// rotation on the spot, so a pass costs the number of *live* logs — the
+/// original version re-scanned all K logs every pass, an O(N·K) tail
+/// whenever a few long logs outlived many short ones.
 fn merge_round_robin_each(logs: &[LocalLog], mut emit: impl FnMut(&LogEntry)) {
-    let mut active: Vec<(usize, &LocalLog)> = logs
-        .iter()
-        .filter(|l| !l.is_empty())
-        .map(|l| (0usize, l))
-        .collect();
+    let mut active = ranked_runs(logs);
+    active.retain(|entries| !entries.is_empty());
     while !active.is_empty() {
-        active.retain_mut(|(pos, log)| {
-            emit(&log.entries[*pos]);
-            *pos += 1;
-            *pos < log.entries.len()
+        active.retain_mut(|entries| {
+            let (first, rest) = entries.split_first().expect("live logs are not empty");
+            emit(first);
+            *entries = rest;
+            !rest.is_empty()
         });
     }
 }
@@ -856,22 +588,20 @@ fn merge_by_timestamp_reference(logs: &[LocalLog]) -> Vec<Event> {
     out
 }
 
-/// The original all-K-per-pass round-robin, kept as the reference the
-/// exhausted-log-dropping version must reproduce.
+/// The all-K-per-pass round-robin over the logs in node order, kept as the
+/// reference the exhausted-log-dropping version must reproduce.
 #[cfg(test)]
 fn merge_round_robin_reference(logs: &[LocalLog]) -> Vec<Event> {
-    let total: usize = logs.iter().map(LocalLog::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut positions = vec![0usize; logs.len()];
-    let mut remaining = total;
-    while remaining > 0 {
-        for (i, log) in logs.iter().enumerate() {
-            if let Some(entry) = log.entries.get(positions[i]) {
-                out.push(entry.event);
-                positions[i] += 1;
-                remaining -= 1;
-            }
-        }
+    let mut logs: Vec<&LocalLog> = logs.iter().collect();
+    logs.sort_by_key(|log| log.node);
+    let longest = logs.iter().map(|log| log.len()).max().unwrap_or(0);
+    let mut out = Vec::new();
+    for pass in 0..longest {
+        out.extend(
+            logs.iter()
+                .filter_map(|log| log.entries.get(pass))
+                .map(|e| e.event),
+        );
     }
     out
 }
@@ -915,8 +645,14 @@ mod tests {
     #[test]
     fn timestamp_merge_interleaves_and_preserves_node_order() {
         let a = log_ts(1, &[(0, 10), (1, 30)]);
-        let b = log_ts(2, &[(0, 20), (1, 40)]);
-        let merged = merge_logs(&[a, b]);
+        let b = log_ts(2, &[(0, 5), (1, 20)]);
+        let merged = merge_logs_kway(&[a.clone(), b.clone()]);
+        let nodes: Vec<u16> = merged.events.iter().map(|e| e.node.0).collect();
+        assert_eq!(nodes, vec![2, 1, 2, 1]);
+        assert_eq!(node_order(&merged, 1), vec![0, 1]);
+        assert_eq!(node_order(&merged, 2), vec![0, 1]);
+        // The log merge reads no clock: position, then node.
+        let merged = merge_logs(&[b, a]);
         let nodes: Vec<u16> = merged.events.iter().map(|e| e.node.0).collect();
         assert_eq!(nodes, vec![1, 2, 1, 2]);
         assert_eq!(node_order(&merged, 1), vec![0, 1]);
@@ -1007,7 +743,7 @@ mod tests {
         // tie-break the loser tree encodes in its (ts, node, cursor) key.
         let a = log_ts(7, &[(0, 50), (1, 50)]);
         let b = log_ts(7, &[(10, 50), (11, 50)]);
-        let merged = merge_logs(&[a.clone(), b.clone()]);
+        let merged = merge_logs_kway(&[a.clone(), b.clone()]);
         let seqnos: Vec<u32> = merged.events.iter().map(|e| e.packet.seqno).collect();
         assert_eq!(seqnos, vec![0, 1, 10, 11]);
         assert_eq!(merged.events, merge_by_timestamp_reference(&[a, b]));
@@ -1037,29 +773,7 @@ mod tests {
             merge_logs_kway(&logs).events,
             merge_by_timestamp_reference(&logs)
         );
-        assert_eq!(
-            merge_logs_partitioned(&logs, 4).events,
-            merge_by_timestamp_reference(&logs)
-        );
-    }
-
-    #[test]
-    fn partition_boundary_timestamp_stays_in_one_strip() {
-        // Timestamp domain [0, 1000] cut into two strips at boundary 500,
-        // with many events from several logs sharing ts = 500 exactly: the
-        // whole tie group must land in one strip and come out in cursor
-        // order, identical to the sequential reference.
-        let a = log_ts(1, &[(0, 0), (1, 500), (2, 500), (3, 1000)]);
-        let b = log_ts(2, &[(10, 500), (11, 500), (12, 1000)]);
-        let c = log_ts(1, &[(20, 500), (21, 700)]);
-        let logs = [a, b, c];
-        for partitions in 1..=5 {
-            assert_eq!(
-                merge_logs_partitioned(&logs, partitions).events,
-                merge_by_timestamp_reference(&logs),
-                "partitions = {partitions}"
-            );
-        }
+        assert_eq!(merge_logs(&logs).events, merge_round_robin_reference(&logs));
     }
 
     #[test]
@@ -1093,8 +807,7 @@ mod tests {
 
     #[test]
     fn store_merge_round_robin_fallback_matches() {
-        // One untimestamped entry forces the round-robin path in both the
-        // legacy and the fused merge.
+        // The fused merge keeps a missing timestamp as missing.
         let a = LocalLog::from_events(NodeId(1), vec![ev(1, 0), ev(1, 1), ev(1, 2)]);
         let b = LocalLog::from_events(NodeId(2), vec![ev(2, 0)]);
         let store = merge_logs_store(&[a.clone(), b.clone()]);
@@ -1196,78 +909,14 @@ mod tests {
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.iter().count(), 0);
     }
-
-    #[test]
-    fn no_strip_holds_more_than_its_share_plus_a_tie_group() {
-        // Shaped like a deployment whose clocks run behind are clamped to
-        // 0: a tie group of about 8 % of the entries at ts 0, two thirds of
-        // the entries below the middle of the span, a few more ties above.
-        let mut rng = netsim::Rng::new(0x5712_1b55);
-        let (mid, hi) = (1u64 << 30, 1u64 << 31);
-        let logs: Vec<LocalLog> = (0..40u16)
-            .map(|node| {
-                let mut stamps: Vec<u64> = (0..rng.gen_range(0..400u32))
-                    .map(|_| match rng.gen_range(0..100u32) {
-                        0..=7 => 0,
-                        8..=66 => rng.gen_range(1..mid),
-                        67..=69 => mid + 7,
-                        _ => rng.gen_range(mid..=hi),
-                    })
-                    .collect();
-                stamps.sort_unstable();
-                let entries: Vec<(u32, u64)> =
-                    stamps.into_iter().zip(0..).map(|(ts, s)| (s, ts)).collect();
-                log_ts(node, &entries)
-            })
-            .collect();
-        let runs = ranked_runs(&logs);
-        let span = timestamp_span(&logs).expect("every entry is timestamped");
-        let total = total_entries(&logs);
-        let mut ties: FxHashMap<u64, usize> = FxHashMap::default();
-        for e in logs.iter().flat_map(|log| &log.entries) {
-            *ties.entry(ts_of(e)).or_default() += 1;
-        }
-        let largest_tie = ties.values().copied().max().unwrap_or(0);
-        assert!(ties[&0] * 100 >= total * 7, "the tie at 0 is about 8 %");
-        for strips in 2..=6 {
-            let cuts = strip_cuts(&runs, span, strips, total);
-            assert_eq!(cuts.len(), strips + 1);
-            let mut before = 0;
-            for (j, cut) in cuts.iter().enumerate().skip(1) {
-                let below: usize = cut.iter().sum();
-                let held = below - before;
-                assert!(
-                    held <= total.div_ceil(strips) + largest_tie,
-                    "{strips} strips: strip {} holds {held} of {total} (largest tie {largest_tie})",
-                    j - 1
-                );
-                // A cut never splits a tie: what lies below it in one run
-                // is below it in every run.
-                if j < strips {
-                    let boundary = runs
-                        .iter()
-                        .zip(cut)
-                        .filter_map(|(run, &at)| run.get(at).map(ts_of))
-                        .min();
-                    for (run, &at) in runs.iter().zip(cut) {
-                        if let (Some(b), Some(last)) = (boundary, at.checked_sub(1)) {
-                            assert!(ts_of(&run[last]) < b, "a tie spans cut {j}");
-                        }
-                    }
-                }
-                before = below;
-            }
-            assert_eq!(before, total);
-        }
-    }
 }
 
 #[cfg(test)]
 mod merge_props {
-    //! Byte-identity properties: every new merge path reproduces the
-    //! original cursor-scan / all-K round-robin output exactly, across
-    //! arbitrary log shapes, clock skews, duplicate timestamps, and
-    //! missing-timestamp fallbacks. Lives in-crate because the reference
+    //! Byte-identity properties: the time merges reproduce the original
+    //! cursor scan and the log merge the all-K round-robin in node order,
+    //! exactly, across arbitrary log shapes, clock skews, duplicate and
+    //! missing timestamps. Lives in-crate because the reference
     //! implementations are `#[cfg(test)]`-only.
 
     use super::*;
@@ -1295,8 +944,7 @@ mod merge_props {
 
     /// Build logs from a spec, giving every event a globally unique seqno
     /// so any reordering shows up in an equality check. `sorted` sorts each
-    /// log's timestamps (the shape real collectors produce and the
-    /// partitioned path requires); unsorted specs exercise the fallback.
+    /// log's timestamps (the shape real collectors produce).
     fn build(spec: &LogSpec, sorted: bool) -> Vec<LocalLog> {
         spec.iter()
             .enumerate()
@@ -1343,18 +991,14 @@ mod merge_props {
             64,
             &[],
             |rng| {
-                // Mostly every entry timestamped, so the loser tree runs, on
-                // one-word keys or, scaled past the 63-bit rule, on pairs;
-                // the logs are unsorted, so heads dip below keys already
-                // emitted.
+                // Mostly every entry timestamped; the logs are unsorted, so
+                // heads dip below keys already emitted.
                 let mut logs = build(&arb_spec(rng), false);
-                let scale = if rng.gen_bool(0.3) { 1 << 58 } else { 1 };
                 let fill = rng.gen_bool(0.75);
                 for e in logs.iter_mut().flat_map(|l| &mut l.entries) {
                     if fill {
                         e.local_ts = e.local_ts.or(LocalTs::new(rng.gen_range(0..40)));
                     }
-                    e.local_ts = e.local_ts.and_then(|ts| LocalTs::new(ts.get() * scale));
                 }
                 let mut climbed = logs.clone();
                 for log in &mut climbed {
@@ -1366,7 +1010,10 @@ mod merge_props {
                         }
                     }
                 }
-                assert_eq!(merge_logs(&logs).events, merge_logs(&climbed).events);
+                assert_eq!(
+                    merge_logs_kway(&logs).events,
+                    merge_logs_kway(&climbed).events
+                );
             },
         );
     }
@@ -1410,17 +1057,10 @@ mod merge_props {
             64,
             &[],
             |rng| {
-                let logs = build(&arb_spec(rng), false);
-                let all_ts = logs
-                    .iter()
-                    .flat_map(|l| l.entries.iter())
-                    .all(|e| e.local_ts.is_some());
-                let expect = if all_ts {
-                    merge_by_timestamp_reference(&logs)
-                } else {
-                    merge_round_robin_reference(&logs)
-                };
-                assert_eq!(merge_logs(&logs).events, expect);
+                // Whatever the timestamps — all, some or none — the log
+                // merge is the round-robin in node order.
+                let logs = build(&arb_spec(rng), rng.gen_bool(0.5));
+                assert_eq!(merge_logs(&logs).events, merge_round_robin_reference(&logs));
             },
         );
     }

@@ -25,7 +25,8 @@ pub struct Mark {
     /// per-node ordering guarantee; 0 until a timestamped record arrives).
     pub ts_us: u64,
     /// Records delivered by this node so far — the logical clock that
-    /// keeps watermarks moving when logs carry no timestamps.
+    /// keeps watermarks moving when logs carry no timestamps, and the
+    /// latest record's position in its node's stream (`packet_order`).
     pub records: u64,
 }
 

@@ -1,17 +1,17 @@
 //! What `merge_logs*`, `PacketIndex` and `ColumnarIndex` produce is pinned,
 //! not just its shape:
 //!
-//! * every merge entry point equals an in-test O(N·K) cursor scan on
-//!   `(ts, node, input index)` (or the all-K round-robin when a timestamp
-//!   is missing) over seeded soups of every fan-in and key shape the engine
-//!   distinguishes, and over a span skewed as clamped clocks skew it, where
-//!   the strips must be cut at equal counts;
-//! * for logs of distinct nodes in node order, each packet's group of the
-//!   merge is that packet's entries sorted by `packet_order` — the order a
-//!   stream keeps its windows in;
+//! * the log merges (`merge_logs`, `merge_logs_store`) equal an in-test
+//!   all-K round-robin over the logs in node order, whatever the
+//!   timestamps, and the time merges (`merge_logs_kway`, `merge_runs`'
+//!   engine) an O(N·K) cursor scan on `(ts, node, input index)`, over seeded
+//!   soups of every fan-in and timestamp shape;
+//! * for logs of distinct nodes, listed in any order, each packet's group of
+//!   the merge is that packet's entries sorted by `packet_order` — the order
+//!   a stream keeps its windows in — and no merged event moves when the logs
+//!   are shuffled;
 //! * a 64-bit digest over the merged bytes and the grouped bytes of a fixed
-//!   set of soups, frozen on the commit before the merge cached its keys and
-//!   the index stopped sorting;
+//!   set of soups, frozen when the log merge stopped reading clocks;
 //! * both indexes equal the `by_packet()` grouping on dense and sparse id
 //!   domains, and the dense build allocates the arena, the ids, the offsets
 //!   and the domain tables and nothing else (a sort would allocate its
@@ -161,9 +161,11 @@ fn cursor_scan(logs: &[LocalLog]) -> Vec<Event> {
 }
 
 /// The all-K round-robin: one event from every log that still has one, per
-/// pass, in input order.
+/// pass, the logs in node order (logs of one node in input order).
 fn round_robin(logs: &[LocalLog]) -> Vec<Event> {
-    let longest = logs.iter().map(LocalLog::len).max().unwrap_or(0);
+    let mut logs: Vec<&LocalLog> = logs.iter().collect();
+    logs.sort_by_key(|log| log.node);
+    let longest = logs.iter().map(|log| log.len()).max().unwrap_or(0);
     let mut out = Vec::new();
     for pass in 0..longest {
         out.extend(
@@ -175,22 +177,12 @@ fn round_robin(logs: &[LocalLog]) -> Vec<Event> {
     out
 }
 
-fn timestamped(logs: &[LocalLog]) -> bool {
-    logs.iter()
-        .flat_map(|l| &l.entries)
-        .all(|e| e.local_ts.is_some())
-}
-
-/// Every entry point against the references. `merge_logs` and
-/// `merge_logs_store` choose between the two merges by whether every entry
-/// has a timestamp; the other two always merge by timestamp.
+/// Every entry point against the references: `merge_logs` and
+/// `merge_logs_store` are the round-robin, the other two merge by
+/// timestamp.
 fn assert_all_paths(logs: &[LocalLog], what: &str) {
     let scan = cursor_scan(logs);
-    let expected = if timestamped(logs) {
-        scan.clone()
-    } else {
-        round_robin(logs)
-    };
+    let expected = round_robin(logs);
     assert_eq!(merge_logs(logs).events, expected, "merge_logs, {what}");
     assert_eq!(
         merge_logs_kway(logs).events,
@@ -271,7 +263,7 @@ fn equal_heads_of_one_node_go_to_the_earlier_log() {
     };
     let logs = [a, b, c];
     assert_all_paths(&logs, "same node, equal heads");
-    let seqnos: Vec<u32> = merge_logs(&logs)
+    let seqnos: Vec<u32> = merge_logs_kway(&logs)
         .events
         .iter()
         .map(|e| e.packet.seqno)
@@ -298,6 +290,8 @@ fn unsorted_logs_still_equal_the_scan() {
 
 #[test]
 fn missing_timestamps_sort_as_zero_or_fall_back_to_round_robin() {
+    // Missing timestamps sort as 0 in the time merges; the log merge reads
+    // none either way.
     let mut rng = SplitMix64(0x6d65_7267_6534);
     for (untimed, sorted) in [(100, true), (30, true), (30, false), (1, true)] {
         // ts_base 0 lets a real timestamp tie with a missing one.
@@ -324,8 +318,9 @@ fn missing_timestamps_sort_as_zero_or_fall_back_to_round_robin() {
 
 #[test]
 fn a_span_of_the_whole_u64_equals_the_scan() {
-    // ts - lo needs all 64 bits, so no bits are left for the run. The
-    // stamps drawn as u64::MAX are dropped: no `LocalTs` holds that value.
+    // Timestamps at both ends of the range: the largest live key sits just
+    // below the exhausted run's. The stamps drawn as u64::MAX are dropped:
+    // no `LocalTs` holds that value.
     let edge = [0, u64::MAX - 1, u64::MAX];
     let mut rng = SplitMix64(0x6d65_7267_6535);
     let mut serial = 0u32;
@@ -348,8 +343,7 @@ fn a_span_of_the_whole_u64_equals_the_scan() {
         })
         .collect();
     assert_all_paths(&logs, "ts in {0, MAX - 1}");
-    // Spans either side of where span and run stop fitting one word
-    // together: two logs need one bit, nine need four.
+    // Wide spans, the logs listed against node order.
     for (k, top) in [
         (2u16, (1u64 << 62) - 1),
         (2, 1 << 62),
@@ -374,8 +368,9 @@ fn a_span_of_the_whole_u64_equals_the_scan() {
 
 #[test]
 fn sixty_five_thousand_one_entry_runs() {
-    // One entry per run, so the merge is a sort on (ts, node, input index);
-    // the scan would take 2^32 steps.
+    // One entry per run, so the time merge is a sort on (ts, node, input
+    // index) and the log merge one on (node, input index); the scan would
+    // take 2^32 steps.
     let mut rng = SplitMix64(0x6d65_7267_6536);
     let logs: Vec<LocalLog> = (0..65_536u32)
         .map(|i| {
@@ -395,90 +390,53 @@ fn sixty_five_thousand_one_entry_runs() {
         )
     });
     let expected: Vec<Event> = order.iter().map(|&i| logs[i].entries[0].event).collect();
-    assert_eq!(merge_logs(&logs).events, expected);
     assert_eq!(merge_logs_kway(&logs).events, expected);
     assert_eq!(merge_logs_partitioned(&logs, 3).events, expected);
+    order.sort_by_key(|&i| (logs[i].node, i));
+    let expected: Vec<Event> = order.iter().map(|&i| logs[i].entries[0].event).collect();
+    assert_eq!(merge_logs(&logs).events, expected);
     assert_eq!(merge_logs_store(&logs).to_events(), expected);
-}
-
-/// Sorted logs shaped like a deployment that clamps clocks running behind
-/// to 0: about 8 % of the entries tie at ts 0, and two thirds lie below the
-/// middle of the span, since only clocks running ahead reach its top.
-fn skewed_soup(rng: &mut SplitMix64, logs: usize, max_len: u64) -> Vec<LocalLog> {
-    let mut soup = soup(
-        rng,
-        Shape {
-            logs,
-            max_len,
-            nodes: logs as u64,
-            ..PLAIN
-        },
-    );
-    let (mid, top) = (1u64 << 40, 1u64 << 41);
-    for log in &mut soup {
-        let mut stamps: Vec<u64> = (0..log.entries.len())
-            .map(|_| match rng.below(100) {
-                0..=7 => 0,
-                8..=66 => 1 + rng.below(mid - 1),
-                _ => mid + rng.below(top - mid),
-            })
-            .collect();
-        stamps.sort_unstable();
-        for (e, ts) in log.entries.iter_mut().zip(stamps) {
-            e.local_ts = LocalTs::new(ts);
-        }
-    }
-    soup
-}
-
-#[test]
-fn a_skewed_span_is_cut_where_it_equals_the_scan() {
-    let mut rng = SplitMix64(0x6d65_7267_653c);
-    for (logs, max_len) in [(2, 400), (60, 80), (1_200, 6)] {
-        let soup = skewed_soup(&mut rng, logs, max_len);
-        let entries: Vec<u64> = soup
-            .iter()
-            .flat_map(|log| &log.entries)
-            .filter_map(|e| e.local_ts.map(LocalTs::get))
-            .collect();
-        let below_mid = entries.iter().filter(|&&ts| ts < 1 << 40).count();
-        assert!(
-            below_mid * 3 >= entries.len() * 2 - entries.len() / 10,
-            "two thirds below the middle, K = {logs}"
-        );
-        assert_all_paths(&soup, &format!("skewed, K = {logs}"));
-    }
 }
 
 // --- one packet's share of the merge -------------------------------------
 
-/// `shape`'s soup as logs of distinct nodes in node order — the shape every
-/// regrouping of a record stream builds — with the packet ids folded onto
-/// a few dozen, so that a packet's events span logs.
-fn node_sorted_soup(rng: &mut SplitMix64, shape: Shape) -> Vec<LocalLog> {
+/// `shape`'s soup as logs of distinct nodes — the shape every regrouping
+/// of a record stream builds — listed in no particular order, with the
+/// packet ids folded onto a few dozen, so that a packet's events span logs.
+fn distinct_node_soup(rng: &mut SplitMix64, shape: Shape) -> Vec<LocalLog> {
     let mut logs = soup(rng, shape);
     for (i, log) in logs.iter_mut().enumerate() {
         log.node = NodeId(3 * i as u16 + 1);
         for e in &mut log.entries {
-            let packet = PacketId::new(NodeId(e.event.packet.origin.0 % 4), e.event.packet.seqno % 13);
+            let packet = PacketId::new(
+                NodeId(e.event.packet.origin.0 % 4),
+                e.event.packet.seqno % 13,
+            );
             e.event = Event::new(log.node, e.event.kind, packet);
         }
     }
+    shuffle(rng, &mut logs);
     logs
 }
 
-/// Every packet's events sorted by `packet_order`, each entry keyed by the
-/// mark a `WatermarkTracker` fed its log gave it: the grouping the merge
-/// should produce, built without merging.
+/// Fisher–Yates.
+fn shuffle<T>(rng: &mut SplitMix64, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+}
+
+/// Every packet's events sorted by `packet_order`, each entry keyed by its
+/// position in its log as a `WatermarkTracker` fed that log counts it: the
+/// grouping the merge should produce, built without merging.
 fn groups_by_packet_order(logs: &[LocalLog]) -> Vec<(PacketId, Vec<Event>)> {
-    let stamped = timestamped(logs);
     let mut tracker = WatermarkTracker::new();
     let mut keyed: Vec<_> = logs
         .iter()
         .flat_map(|log| log.entries.iter().map(move |e| (log.node, e)))
         .map(|(node, e)| {
             let mark = tracker.advance(node, e.local_ts);
-            (e.event.packet, packet_order(mark, node, stamped), e.event)
+            (e.event.packet, packet_order(mark.records, node), e.event)
         })
         .collect();
     keyed.sort_by_key(|&(packet, key, _)| (packet, key));
@@ -492,33 +450,38 @@ fn groups_by_packet_order(logs: &[LocalLog]) -> Vec<(PacketId, Vec<Event>)> {
     groups
 }
 
+/// The soup shapes a packet's share of the merge is checked over: all
+/// timestamped, with clocks stepping back and with ties within and across
+/// nodes; none; and mixed.
+fn timestamp_shapes(logs: usize) -> impl Iterator<Item = Shape> {
+    let max_len = if logs >= 300 { 6 } else { 60 };
+    [
+        (0, true, 1 << 20),
+        (0, false, 64),
+        (0, true, 1),
+        (0, true, 3),
+        (100, true, 8),
+        (30, true, 8),
+        (30, false, 8),
+    ]
+    .into_iter()
+    .map(move |(untimed, sorted, ts_span)| Shape {
+        logs,
+        max_len,
+        nodes: 1,
+        ts_base: 0,
+        ts_span,
+        sorted,
+        untimed,
+    })
+}
+
 #[test]
 fn a_packets_group_is_its_entries_in_packet_order() {
     let mut rng = SplitMix64(0x6d65_7267_653b);
     for logs in [1usize, 2, 7, 300] {
-        let max_len = if logs >= 300 { 6 } else { 60 };
-        // All timestamped, with clocks stepping back and with ties within
-        // and across nodes; none; and mixed, where one missing timestamp
-        // puts the whole merge on the round-robin path.
-        for (untimed, sorted, ts_span) in [
-            (0, true, 1 << 20),
-            (0, false, 64),
-            (0, true, 1),
-            (0, true, 3),
-            (100, true, 8),
-            (30, true, 8),
-            (30, false, 8),
-        ] {
-            let shape = Shape {
-                logs,
-                max_len,
-                nodes: 1,
-                ts_base: 0,
-                ts_span,
-                sorted,
-                untimed,
-            };
-            let soup = node_sorted_soup(&mut rng, shape);
+        for shape in timestamp_shapes(logs) {
+            let soup = distinct_node_soup(&mut rng, shape);
             let grouped: Vec<(PacketId, Vec<Event>)> = merge_logs(&soup)
                 .packet_index()
                 .iter()
@@ -527,8 +490,31 @@ fn a_packets_group_is_its_entries_in_packet_order() {
             assert_eq!(
                 grouped,
                 groups_by_packet_order(&soup),
-                "K = {logs}, {untimed} % untimed, sorted {sorted}, span {ts_span}"
+                "K = {logs}, {}% untimed, sorted {}, span {}",
+                shape.untimed,
+                shape.sorted,
+                shape.ts_span
             );
+        }
+    }
+}
+
+#[test]
+fn shuffling_the_logs_moves_no_merged_event() {
+    let mut rng = SplitMix64(0x6d65_7267_653d);
+    for logs in [2usize, 7, 300] {
+        for shape in timestamp_shapes(logs) {
+            let mut soup = distinct_node_soup(&mut rng, shape);
+            let (merged, store) = (
+                merge_logs(&soup).events,
+                merge_logs_store(&soup).to_events(),
+            );
+            for _ in 0..3 {
+                shuffle(&mut rng, &mut soup);
+                let what = format!("K = {logs}, {}% untimed", shape.untimed);
+                assert_eq!(merge_logs(&soup).events, merged, "{what}");
+                assert_eq!(merge_logs_store(&soup).to_events(), store, "{what}");
+            }
         }
     }
 }
@@ -557,8 +543,8 @@ impl Digest {
     }
 }
 
-/// The soups the digests run over: every path the engine has (narrow and
-/// wide key, round-robin, one run, unsorted), at fan-ins small and large.
+/// The soups the digests run over: timestamps wide and narrow, some and
+/// none, one run, unsorted, at fan-ins small and large.
 fn digest_soups() -> Vec<Vec<LocalLog>> {
     let mut rng = SplitMix64(0x6d65_7267_6537);
     let shapes = [
@@ -615,9 +601,12 @@ fn digest_soups() -> Vec<Vec<LocalLog>> {
     shapes.iter().map(|&shape| soup(&mut rng, shape)).collect()
 }
 
-/// Frozen on the parent of the commit that introduced this file.
-const MERGED_DIGEST: u64 = 0x3f6c_5b2a_a7c4_0777;
-const GROUPED_DIGEST: u64 = 0xec5b_655d_2c6e_4272;
+/// Frozen when `merge_logs` stopped reading clocks: the log merge went
+/// from time order (every entry timestamped) or the round-robin in input
+/// order (some not) to the round-robin in node order; the time merge's
+/// bytes are unchanged.
+const MERGED_DIGEST: u64 = 0x7e6c_4142_7c28_0a3c;
+const GROUPED_DIGEST: u64 = 0xc0cb_7895_0d6d_8d0a;
 
 #[test]
 fn merged_and_grouped_bytes_are_the_frozen_ones() {

@@ -13,14 +13,14 @@
 //!   shared `eventlog::checksum` module) holding either log entries, one
 //!   `eventlog::columnar::encode_row` row each, or JSON report rows.
 //! * [`manifest`] — `MANIFEST.json`, updated atomically (tmp + fsync +
-//!   rename + directory fsync) and carrying per-segment min/max metadata
-//!   for predicate pushdown.
+//!   rename + directory fsync): the list of committed segments, with each
+//!   one's min/max metadata.
 //! * [`store`] — [`SegmentStore`]: the write-ahead append path, recovery
 //!   (scan every listed segment, truncate the torn tail at the last valid
 //!   block boundary, reconcile the manifest), rolling, and compaction
 //!   (k-way merge of segment runs through `eventlog::merge_runs`).
 //! * [`query`] — [`Query`]/[`QueryOutput`]: predicate evaluation with
-//!   segment-level pushdown over the manifest metadata.
+//!   segment-level pushdown over the min/max metadata recovery rebuilt.
 //! * [`row`] — [`ReportRow`]: a [`refill::PacketReport`] beside its
 //!   optional analysis sidecar.
 //! * [`checkpoint`] — [`StoreCheckpoint`]: a

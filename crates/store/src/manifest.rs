@@ -6,11 +6,13 @@
 //! name, `fsync` the directory. A crash at any point leaves either the old
 //! or the new manifest intact, never a torn one.
 //!
-//! Each entry carries per-segment min/max metadata ([`SegmentStats`]) that
-//! the query engine uses for predicate pushdown: a segment whose ranges
-//! cannot intersect the predicate is skipped without touching its file.
-//! The stats are recomputed from the block scan at every recovery, so a
-//! stale manifest only ever costs extra scanning, never wrong answers.
+//! Each entry carries per-segment min/max metadata ([`SegmentStats`]), the
+//! ranges the query engine prunes with. Only the file names are read back:
+//! `SegmentStore::open` decodes every listed segment to recover it and
+//! rebuilds the stats from those rows, so the stats a query prunes with are
+//! always the rows' own, whatever a stale manifest says, and a query skips a
+//! segment whose ranges cannot intersect the predicate without reading it
+//! again.
 
 use crate::row::ReportRow;
 use crate::vfs::Vfs;

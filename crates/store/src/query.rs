@@ -51,7 +51,8 @@ pub struct QueryStats {
     pub segments_total: usize,
     /// Segments actually read.
     pub segments_scanned: usize,
-    /// Segments pushdown skipped without touching the file.
+    /// Segments pushdown skipped without reading them again (their stats
+    /// come from the scan `SegmentStore::open` made of every segment).
     pub segments_skipped: usize,
     /// Event rows examined.
     pub event_rows_scanned: u64,

@@ -57,7 +57,7 @@ pub struct StreamSummary {
     pub rolling_reports: u64,
     /// The full converged report set after the final flush, in packet-id
     /// order: `reconstruct_log(merge_logs(..))` over the decoded records
-    /// regrouped into per-node logs in node order.
+    /// regrouped into per-node logs.
     pub reports: Vec<PacketReport>,
 }
 

@@ -11,8 +11,9 @@
 //!    (a full lane stalls and pumps them all), per-node low-watermarks over
 //!    the nodes' *own* clocks, and packet windows that close when every
 //!    contributing node has moved past its last contribution. A window
-//!    keeps its events in the merge's order (`eventlog::packet_order`) and
-//!    a record for a closed window reopens it, so every close is the batch
+//!    keeps its events in the merge's order (`eventlog::packet_order`: per-
+//!    node position, then node, no clock) and a record for a closed window
+//!    reopens it, so every close is the batch
 //!    answer over what was absorbed and `finish()` is the batch answer over
 //!    everything ingested, however it was interleaved (one record per
 //!    packet, one reconstruction per close; `finish()` is re-enterable).

@@ -17,13 +17,13 @@
 //! latency heuristic — a record arriving after its window closed *reopens*
 //! the window and the packet is re-reconstructed.
 //!
-//! A window keeps its events in [`packet_order`], the order `merge_logs`
-//! gives them once the records are regrouped into per-node logs in node
-//! order; the first record without a timestamp switches every window to the
-//! round-robin order, as it switches the merge, and reopens every closed
-//! one. So, however the stream is interleaved, a close is the batch answer
-//! over what was absorbed and [`StreamReconstructor::finish`] the batch
-//! answer over everything ingested.
+//! A window keeps its events in [`packet_order`] — by each record's position
+//! in its own node's stream, then node — the order `merge_logs` gives them
+//! once the records are regrouped into per-node logs. No clock enters it. So,
+//! however the stream is interleaved and whatever its timestamps read, a
+//! close is the batch answer over what was absorbed and
+//! [`StreamReconstructor::finish`] the batch answer over everything
+//! ingested; timestamps only move *when* a window closes.
 //!
 //! All per-packet state lives once, in one [`PacketState`]; a window is
 //! reconstructed exactly once each time it closes (open → closed → reopened
@@ -62,19 +62,18 @@ pub struct StreamStats {
     pub records: u64,
     /// Windows closed (a reopened window counts again when it re-closes).
     pub windows_closed: u64,
-    /// Windows reopened: one by one by records that arrived after they
-    /// closed, all at once by the first record without a timestamp.
+    /// Windows reopened by records that arrived after they closed.
     pub windows_reopened: u64,
     /// Records that found their node's lane full and pumped every lane.
     pub backpressure: u64,
 }
 
 /// One absorbed record as its window keeps it: the event, and the lane and
-/// mark that place it in [`packet_order`].
+/// position in that lane's stream that place it in [`packet_order`].
 struct Evidence {
     event: Event,
     node: NodeId,
-    mark: Mark,
+    position: u64,
 }
 
 /// Everything the online path keeps about one packet.
@@ -104,9 +103,6 @@ pub struct StreamReconstructor {
     /// deterministic node order.
     lanes: BTreeMap<NodeId, VecDeque<NodeRecord>>,
     tracker: WatermarkTracker,
-    /// Every record absorbed so far had a timestamp: windows are in the
-    /// timestamped merge's order, not the round-robin one.
-    timestamped: bool,
     /// Where each packet's state sits in `packets`.
     slots: FxHashMap<PacketId, u32>,
     packets: Vec<PacketState>,
@@ -139,7 +135,6 @@ impl StreamReconstructor {
             recon,
             lanes: BTreeMap::new(),
             tracker: WatermarkTracker::new(),
-            timestamped: true,
             slots: FxHashMap::default(),
             packets: Vec::new(),
             open: Vec::new(),
@@ -200,9 +195,6 @@ impl StreamReconstructor {
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
         let mark = self.tracker.advance(rec.node, rec.entry.local_ts);
-        if self.timestamped && rec.entry.local_ts.is_none() {
-            self.lose_timestamps();
-        }
         let id = rec.entry.event.packet;
         let (packets, open) = (&mut self.packets, &mut self.open);
         let slot = *self.slots.entry(id).or_insert_with(|| {
@@ -227,27 +219,17 @@ impl StreamReconstructor {
             None => packet.contributors.push((rec.node, mark)),
         }
         // From the back: records mostly arrive in their merged order.
-        let (stamped, events) = (self.timestamped, &mut packet.events);
-        let key = packet_order(mark, rec.node, stamped);
-        let at = events.iter().rposition(|e| packet_order(e.mark, e.node, stamped) < key);
-        let evidence = Evidence { event: rec.entry.event, node: rec.node, mark };
+        let events = &mut packet.events;
+        let key = packet_order(mark.records, rec.node);
+        let at = events
+            .iter()
+            .rposition(|e| packet_order(e.position, e.node) < key);
+        let evidence = Evidence {
+            event: rec.entry.event,
+            node: rec.node,
+            position: mark.records,
+        };
         events.insert(at.map_or(0, |before| before + 1), evidence);
-    }
-
-    /// The first record without a timestamp: from now on the merge of
-    /// everything ingested is the round-robin one, so every window takes
-    /// that order and every closed window reopens to be redone in it.
-    fn lose_timestamps(&mut self) {
-        self.timestamped = false;
-        for (slot, packet) in self.packets.iter_mut().enumerate() {
-            packet.events.sort_unstable_by_key(|e| packet_order(e.mark, e.node, false));
-            if packet.closed {
-                packet.closed = false;
-                self.open.push(slot as u32);
-                self.stats.windows_reopened += 1;
-                self.recorder.add(Counter::WindowsReopened, 1);
-            }
-        }
     }
 
     /// Sweep the open windows, close the ones every contributor has moved
@@ -354,7 +336,7 @@ impl StreamReconstructor {
 
     /// Heap bytes held by the per-packet evidence — the memory a
     /// long-running stream actually retains between polls (an event with
-    /// its lane and mark per record, plus unamortized vector capacity).
+    /// its lane and position per record, plus unamortized vector capacity).
     pub fn packed_event_bytes(&self) -> usize {
         self.packets
             .iter()
@@ -431,7 +413,7 @@ mod tests {
         assert_eq!(streamed, batch);
         assert_eq!(stream.stats().records, 16);
         assert_eq!(stream.open_windows(), 0);
-        // 16 records are resident, each an event with its lane and mark.
+        // 16 records are resident, each an event with its lane and position.
         assert!(stream.packed_event_bytes() >= 16 * std::mem::size_of::<Evidence>());
     }
 
@@ -532,24 +514,28 @@ mod tests {
 
     #[test]
     fn a_window_keeps_the_merged_order_whatever_the_arrival_order() {
-        // Node 2 logs its recv at an earlier local time than node 1 its
-        // trans: the merge puts the recv first, and so must every window
-        // however the two records arrive.
+        // Node 2's recv is the first record of its log, node 1's trans the
+        // second of its own: the merge puts the recv first, though node 1's
+        // clock reads earlier, and so must every window however the records
+        // arrive.
         let p = PacketId::new(n(1), 0);
-        let trans = rec(1, EventKind::Trans { to: n(2) }, p, Some(500));
-        let recv = rec(2, EventKind::Recv { from: n(1) }, p, Some(100));
+        let other = rec(1, EventKind::Origin, PacketId::new(n(1), 1), Some(50));
+        let trans = rec(1, EventKind::Trans { to: n(2) }, p, Some(100));
+        let recv = rec(2, EventKind::Recv { from: n(1) }, p, Some(500));
         let logs = vec![
             LocalLog {
                 node: n(1),
-                entries: vec![trans.entry],
+                entries: vec![other.entry, trans.entry],
             },
             LocalLog {
                 node: n(2),
                 entries: vec![recv.entry],
             },
         ];
-        let batch = recon().reconstruct_log(&merge_logs(&logs));
-        for arrival in [[trans, recv], [recv, trans]] {
+        let merged = merge_logs(&logs);
+        assert_eq!(merged.packet_index().get(p), Some(&[recv.entry.event, trans.entry.event][..]));
+        let batch = recon().reconstruct_log(&merged);
+        for arrival in [[other, trans, recv], [recv, other, trans], [other, recv, trans]] {
             let mut stream = StreamReconstructor::new(recon());
             for r in arrival {
                 stream.ingest(r);
@@ -560,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn the_first_untimestamped_record_reorders_and_reopens_every_window() {
+    fn a_record_without_a_timestamp_reopens_no_window() {
         let mut stream = eager(recon());
         let mut logs = vec![LocalLog::new(n(1)), LocalLog::new(n(2))];
         let mut feed = |stream: &mut StreamReconstructor, r: NodeRecord| {
@@ -576,11 +562,10 @@ mod tests {
         }
         let closed = stream.stats().windows_closed;
         assert_eq!(closed, 3, "every packet but the last one closed");
-        assert_eq!(stream.stats().windows_reopened, 0);
-        // One record of a new packet without a timestamp: the merge is now
-        // round-robin, and every closed window is redone in that order.
+        // One record of a new packet without a timestamp: no window's order
+        // depends on the clocks, so none is redone.
         feed(&mut stream, rec(2, EventKind::Origin, PacketId::new(n(2), 0), None));
-        assert_eq!(stream.stats().windows_reopened, closed);
+        assert_eq!(stream.stats().windows_reopened, 0);
         assert_eq!(stream.finish(), recon().reconstruct_log(&merge_logs(&logs)));
     }
 

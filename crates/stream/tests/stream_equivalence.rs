@@ -31,8 +31,8 @@ fn recon() -> Reconstructor {
 /// through random next hops (revisits and loops included), each hop sent
 /// one to three times and then acknowledged or timed out; three events in
 /// ten are lost. Clocks are minutes apart and now and then step back. With
-/// `untimed`, node 2 logs no timestamps, which puts the merge on its
-/// round-robin path and exercises the record-quota watermarks.
+/// `untimed`, node 2 logs no timestamps, which exercises the record-quota
+/// watermarks.
 fn day_logs(rng: &mut Rng, packets: u32, untimed: bool) -> Vec<LocalLog> {
     let mut logs: Vec<LocalLog> = (1..=5).map(|i| LocalLog::new(n(i))).collect();
     let mut clocks: Vec<u64> = (0..5).map(|i| i * 90_000_000).collect();

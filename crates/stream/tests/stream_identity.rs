@@ -13,11 +13,18 @@
 //!   report over the records ingested so far;
 //! * logs fed one by one with a `finish()` after each give the batch answer
 //!   over the merge (the "logs trickle in over hours" use), and a `finish()`
-//!   in mid-stream changes nothing but the moment the lanes are pumped.
+//!   in mid-stream changes nothing but the moment the lanes are pumped;
+//! * no report, batch or streamed, depends on the order the per-node logs
+//!   are listed or fed in, nor on what their clocks read: timestamps stripped,
+//!   partly stripped, skewed per node or stepping back change when a window
+//!   closes, never what its report says — on generated soups and on a small
+//!   campaign.
 //!
 //! The kernel's own output is pinned field by field in
 //! `crates/core/tests/kernel_identity.rs`.
 
+use citysee::run::upload_order;
+use citysee::{run_scenario, Scenario};
 use eventlog::frame::NodeRecord;
 use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::watermark::Lateness;
@@ -204,8 +211,8 @@ fn latenesses() -> [Lateness; 3] {
     ]
 }
 
-/// The records regrouped into per-node logs in node order: the logs whose
-/// merge the stream's answer is the batch answer over.
+/// The records regrouped into per-node logs, in node order: the logs whose
+/// merge the stream's answer is the batch answer over (in any order).
 fn node_logs(recs: &[NodeRecord]) -> Vec<LocalLog> {
     let mut logs: BTreeMap<NodeId, LocalLog> = BTreeMap::new();
     for r in recs {
@@ -253,8 +260,9 @@ fn emissions_match_the_frozen_digest() {
             let which = 3 * a + s;
             let recs = records(which as u64, PACKETS, arrival, stamps);
             let expected = batch(&reconstructor(which), &recs);
-            // Losing timestamps reopens every closed window, which the
-            // frozen schedule predates.
+            // The digest leaves out the runs that lose their timestamps half
+            // way: on the commit it was frozen on, the first record without
+            // one reopened every closed window.
             let pinned = stamps != Stamps::LostHalfWay;
             for lateness in latenesses() {
                 for poll_every in [1usize, 7, 64] {
@@ -350,12 +358,11 @@ fn a_close_after_a_pump_is_the_batch_answer_so_far() {
 
 // --- the uses the incremental reconstructor documented ---------------------
 
-/// The stream's records as per-node logs, log `k` wholly before log `k + 1`
-/// on the merged clock, so the merged order is the order a log-by-log feed
-/// absorbs.
+/// The stream's records as per-node logs, listed in the order their nodes
+/// first appear — not node order.
 fn logs_of(recs: &[NodeRecord]) -> Vec<LocalLog> {
     let mut logs: Vec<LocalLog> = Vec::new();
-    for (tick, r) in recs.iter().enumerate() {
+    for r in recs {
         let at = match logs.iter().position(|log| log.node == r.node) {
             Some(at) => at,
             None => {
@@ -363,10 +370,7 @@ fn logs_of(recs: &[NodeRecord]) -> Vec<LocalLog> {
                 logs.len() - 1
             }
         };
-        logs[at].entries.push(LogEntry {
-            event: r.entry.event,
-            local_ts: LocalTs::new(((at as u64) << 32) | tick as u64),
-        });
+        logs[at].entries.push(r.entry);
     }
     logs
 }
@@ -413,5 +417,127 @@ fn a_finish_in_mid_stream_changes_nothing_but_the_moment_of_pumping() {
         assert_eq!(twice_reports, once.finish(), "{arrival:?}");
         assert!(twice_reports == batch(&reconstructor(which), &recs), "{arrival:?}");
         assert_eq!(twice.packed_event_bytes(), once.packed_event_bytes());
+    }
+}
+
+// --- what no report depends on --------------------------------------------
+
+/// Fisher–Yates.
+fn shuffle<T>(rng: &mut SplitMix64, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+}
+
+/// How a deployment's clocks are rewritten.
+#[derive(Clone, Copy, Debug)]
+enum Clocks {
+    /// Every timestamp dropped.
+    Stripped,
+    /// About a third of the timestamps dropped.
+    PartlyStripped,
+    /// Every node's clock moved by an offset of its own, up to ± 10^12 µs.
+    SkewedPerNode,
+    /// One reading in ten stepped back by up to 100 s.
+    SteppingBack,
+}
+
+const CLOCKS: [Clocks; 4] = [
+    Clocks::Stripped,
+    Clocks::PartlyStripped,
+    Clocks::SkewedPerNode,
+    Clocks::SteppingBack,
+];
+
+fn rewrite_clocks(recs: &mut [NodeRecord], clocks: Clocks, rng: &mut SplitMix64) {
+    for r in recs {
+        let Some(ts) = r.entry.local_ts.map(LocalTs::get) else {
+            continue;
+        };
+        let offset = SplitMix64(u64::from(r.node.0)).next() % 1_000_000_000_000;
+        r.entry.local_ts = match clocks {
+            Clocks::Stripped => None,
+            Clocks::PartlyStripped if rng.chance(33) => None,
+            Clocks::PartlyStripped => Some(ts),
+            Clocks::SkewedPerNode if offset.is_multiple_of(2) => Some(ts.saturating_add(offset)),
+            Clocks::SkewedPerNode => Some(ts.saturating_sub(offset)),
+            Clocks::SteppingBack if rng.chance(10) => {
+                Some(ts.saturating_sub(rng.below(100_000_000)))
+            }
+            Clocks::SteppingBack => Some(ts),
+        }
+        .and_then(LocalTs::new);
+    }
+}
+
+/// The reports of a stream fed `logs` one after the other.
+fn fed_log_by_log(recon: Reconstructor, logs: &[LocalLog]) -> Vec<PacketReport> {
+    let mut stream = StreamReconstructor::new(recon);
+    for log in logs {
+        for entry in &log.entries {
+            stream.ingest(NodeRecord::new(log.node, *entry));
+        }
+    }
+    stream.finish()
+}
+
+/// The reports of a stream fed `recs` in their order.
+fn fed_as_they_arrive(recon: Reconstructor, recs: &[NodeRecord]) -> Vec<PacketReport> {
+    let mut stream = StreamReconstructor::with_lateness(
+        recon,
+        Lateness {
+            records: 3,
+            micros: 20_000,
+        },
+    );
+    for (i, rec) in recs.iter().enumerate() {
+        stream.ingest(*rec);
+        if i % 7 == 0 {
+            stream.poll();
+        }
+    }
+    stream.finish()
+}
+
+#[test]
+fn no_report_depends_on_the_order_of_the_logs_or_on_their_clocks() {
+    for (which, arrival) in ARRIVALS.into_iter().enumerate() {
+        let recs = records(700 + which as u64, 200, arrival, Stamps::On);
+        let reference = batch(&reconstructor(which), &recs);
+        let mut rng = SplitMix64(which as u64);
+        for clocks in CLOCKS {
+            let mut recs = recs.clone();
+            rewrite_clocks(&mut recs, clocks, &mut rng);
+            let mut logs = node_logs(&recs);
+            for _ in 0..3 {
+                shuffle(&mut rng, &mut logs);
+                let what = format!("{arrival:?}, {clocks:?}");
+                let batch = reconstructor(which).reconstruct_log(&merge_logs(&logs));
+                assert!(batch == reference, "batch over shuffled logs: {what}");
+                let streamed = fed_log_by_log(reconstructor(which), &logs);
+                assert!(streamed == reference, "stream fed log by log: {what}");
+            }
+            let streamed = fed_as_they_arrive(reconstructor(which), &recs);
+            assert!(streamed == reference, "stream: {arrival:?}, {clocks:?}");
+        }
+    }
+}
+
+#[test]
+fn a_campaigns_reports_do_not_depend_on_the_order_of_its_logs_or_on_their_clocks() {
+    let campaign = run_scenario(&Scenario::small());
+    let recon = || Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
+    let reference = recon().reconstruct_log(&merge_logs(&campaign.collected));
+    let mut rng = SplitMix64(0x2015);
+    for clocks in CLOCKS {
+        let mut recs = campaign.upload_records();
+        rewrite_clocks(&mut recs, clocks, &mut rng);
+        let mut logs = node_logs(&recs);
+        shuffle(&mut rng, &mut logs);
+        let batch = recon().reconstruct_log(&merge_logs(&logs));
+        assert!(batch == reference, "batch over shuffled logs, {clocks:?}");
+        // Uploaded as the rewritten clocks order the records.
+        let streamed = fed_as_they_arrive(recon(), &upload_order(&logs));
+        assert!(streamed == reference, "stream, {clocks:?}");
     }
 }

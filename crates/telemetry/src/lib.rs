@@ -64,10 +64,6 @@ pub enum Counter {
     FsmForcedSteps,
     /// Events flowing through log merge.
     MergeEvents,
-    /// Merges that used the timestamp path (all logs clock-aligned).
-    MergeTimestamped,
-    /// Merges that fell back to round-robin (some log untimestamped).
-    MergeRoundRobin,
     /// Packet groups produced by the analyzer's `PacketIndex` builds.
     IndexedPackets,
     /// Wire frames decoded successfully by the streaming ingest path.
@@ -105,7 +101,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the array layout of
     /// [`AtomicRecorder`]).
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 26] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInserts,
@@ -120,8 +116,6 @@ impl Counter {
         Counter::FsmJumps,
         Counter::FsmForcedSteps,
         Counter::MergeEvents,
-        Counter::MergeTimestamped,
-        Counter::MergeRoundRobin,
         Counter::IndexedPackets,
         Counter::FramesDecoded,
         Counter::FramesCorrupt,
@@ -156,8 +150,6 @@ impl Counter {
             Counter::FsmJumps => "fsm_jump_transitions",
             Counter::FsmForcedSteps => "fsm_forced_steps",
             Counter::MergeEvents => "merge_events",
-            Counter::MergeTimestamped => "merge_timestamped",
-            Counter::MergeRoundRobin => "merge_round_robin",
             Counter::IndexedPackets => "indexed_packets",
             Counter::FramesDecoded => "frames_decoded",
             Counter::FramesCorrupt => "frames_corrupt",
@@ -186,8 +178,7 @@ impl Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
-    /// The analyzer's merge of per-node logs (timestamp path or round-robin
-    /// fallback).
+    /// The analyzer's merge of per-node logs.
     Merge,
     /// The analyzer's `PacketIndex` build over the merged log.
     Index,

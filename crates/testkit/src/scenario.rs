@@ -7,8 +7,7 @@
 //! times under the property runner — but it produces the same *shapes* the paper's
 //! deployment produces: packets hopping a chain of nodes toward a sink,
 //! each hop logging `Trans`/`Recv`/`AckRecvd` with per-node clocks, some
-//! nodes logging no timestamps at all (forcing the round-robin merge
-//! fallback), and per-hop event loss.
+//! nodes logging no timestamps at all, and per-hop event loss.
 
 use crate::plan::FaultSpec;
 use eventlog::frame::NodeRecord;
@@ -53,7 +52,7 @@ pub fn gen_logs(rng: &mut Rng, spec: &FaultSpec) -> (Vec<LocalLog>, ScenarioRepo
     };
 
     // Per-node clock model: a constant skew offset, plus a chance the node
-    // logs no timestamps at all (dead RTC — the round-robin merge case).
+    // logs no timestamps at all (dead RTC).
     let skews: Vec<u64> = (0..nodes)
         .map(|_| {
             if spec.clock_skew_us == 0 {
