@@ -156,6 +156,17 @@ fn read_lines<R: BufRead>(
                 line: lineno,
                 detail: e.to_string(),
             })?;
+        // A node logs only its own events; a line filed under another node
+        // would be merged by one node and replayed from a store by the other.
+        if parsed.node != parsed.entry.event.node.0 {
+            return Err(ArchiveError::Corrupt {
+                line: lineno,
+                detail: format!(
+                    "node {} holds an event of node {}",
+                    parsed.node, parsed.entry.event.node.0
+                ),
+            });
+        }
         each(parsed);
     }
     Ok(())
@@ -336,6 +347,22 @@ mod tests {
             ArchiveError::Corrupt { line, detail } => {
                 assert_eq!(line, 4);
                 assert!(detail.contains("entry"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_line_filed_under_another_node_is_corrupt_at_its_line() {
+        let mut logs = sample_logs();
+        logs[1].entries[0].event.node = NodeId(3);
+        let mut buf = Vec::new();
+        write_logs(&logs, &mut buf).unwrap();
+        match read_logs(io::BufReader::new(&buf[..])).unwrap_err() {
+            // Header + node 1's two records, then node 2's one.
+            ArchiveError::Corrupt { line, detail } => {
+                assert_eq!(line, 4);
+                assert!(detail.contains("node 2"), "{detail}");
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }

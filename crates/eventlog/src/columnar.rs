@@ -305,7 +305,8 @@ impl ColumnarIndex {
     /// Panics if the store exceeds `u32::MAX` rows.
     pub fn build(store: &EventStore) -> Self {
         ColumnarIndex(PacketIndex::group_rows(
-            store.records().iter().map(PackedEvent::packet),
+            store.records(),
+            PackedEvent::packet,
         ))
     }
 }

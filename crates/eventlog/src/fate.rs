@@ -217,7 +217,7 @@ impl GroundTruth {
     /// as row numbers into [`GroundTruth::events`]
     /// ([`PacketIndex::group_rows`]).
     pub fn packet_rows(&self) -> PacketIndex<u32> {
-        PacketIndex::group_rows(self.events.iter().map(|te| te.event.packet))
+        PacketIndex::group_rows(&self.events, |te| te.event.packet)
     }
 
     /// Count of losses per cause.

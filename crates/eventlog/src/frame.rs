@@ -23,7 +23,8 @@
 //! The payload is a fixed hand-rolled little-endian encoding of one log
 //! record (22 bytes with a timestamp, 14 without) — no JSON on the wire,
 //! matching the byte-budgeted links it models. A timestamp of `u64::MAX`
-//! is reserved ([`LocalTs`]): a frame carrying it is malformed.
+//! is reserved ([`LocalTs`]), and a record's lane is its event's node: a
+//! frame breaking either is malformed.
 
 use crate::event::{Event, EventKind, PacketId};
 use crate::logger::{LocalTs, LogEntry};
@@ -97,13 +98,19 @@ fn encode_payload(rec: &NodeRecord, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode one payload; `None` if it is not a well-formed v1 record.
+/// Decode one payload; `None` if it is not a well-formed v1 record. A node
+/// logs only its own events, so a record whose lane is not its event's node
+/// is not well-formed: the merge and the stream would place it by the lane,
+/// and a store that replays it by its event's node somewhere else.
 fn decode_payload(b: &[u8]) -> Option<NodeRecord> {
     if b.len() < 14 {
         return None;
     }
     let node = NodeId(u16::from_le_bytes([b[0], b[1]]));
     let ev_node = NodeId(u16::from_le_bytes([b[2], b[3]]));
+    if node != ev_node {
+        return None;
+    }
     let aux = u16::from_le_bytes([b[5], b[6]]);
     let kind = EventKind::from_parts(b[4], NodeId(aux), aux)?;
     let origin = NodeId(u16::from_le_bytes([b[7], b[8]]));
@@ -545,6 +552,25 @@ mod tests {
         let (back, stats) = decode_all(&bytes);
         assert_eq!(back, vec![records[0], records[1]]);
         assert_eq!(stats, FrameStats { decoded: 2, corrupt: 1 });
+    }
+
+    #[test]
+    fn a_record_on_another_nodes_lane_is_one_corrupt_run() {
+        let records = sample_records();
+        let mut stray = rec(5, 1, Some(70));
+        stray.node = NodeId(6);
+        let mut bytes = encode_records(&records[..1]);
+        encode_record(&stray, &mut bytes);
+        encode_record(&records[1], &mut bytes);
+        let (back, stats) = decode_all(&bytes);
+        assert_eq!(back, vec![records[0], records[1]]);
+        assert_eq!(
+            stats,
+            FrameStats {
+                decoded: 2,
+                corrupt: 1
+            }
+        );
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! pop reads one new key and replays its leaf-to-root path with a
 //! `min`/`max` pair per level.
 //!
-//! [`PacketIndex`] groups the merged events by packet with a counting sort,
-//! its scatter on two threads for large inputs.
+//! [`PacketIndex`] groups the merged events by packet with a counting sort.
+//! For large inputs the merge and the index each run on two threads, every
+//! thread on its own half of the rows.
 
 use crate::columnar::EventStore;
 use crate::event::{Event, PacketId};
@@ -27,6 +28,7 @@ use crate::logger::{LocalLog, LocalTs, LogEntry};
 use netsim::fx::FxHashMap;
 use netsim::NodeId;
 use std::mem::MaybeUninit;
+use std::sync::{Barrier, Mutex};
 
 /// The merged event stream.
 #[derive(Debug, Clone, Default)]
@@ -63,7 +65,7 @@ impl MergedLog {
     /// The same grouping over row numbers into `events`, which it does not
     /// copy ([`PacketIndex::group_rows`]).
     pub fn packet_rows(&self) -> PacketIndex<u32> {
-        PacketIndex::group_rows(self.events.iter().map(|e| e.packet))
+        PacketIndex::group_rows(&self.events, |e| e.packet)
     }
 
     /// All packet ids mentioned anywhere in the merged log, sorted and
@@ -106,20 +108,15 @@ pub struct PacketIndex<T = Event> {
 }
 
 impl PacketIndex {
-    /// Build from an event stream: every event is scattered straight to its
-    /// place in the arena by the counting sort [`PacketIndex::group_rows`]
-    /// runs over row numbers, on two threads from [`PARALLEL_SCATTER_ROWS`]
-    /// events on.
+    /// Build from an event stream: one counting sort (the one
+    /// [`PacketIndex::group_rows`] runs over row numbers) copies every event
+    /// straight to its place in the arena, on [`SCATTER_WORKERS`] threads
+    /// from [`PARALLEL_SCATTER_ROWS`] events on.
     ///
     /// # Panics
     /// Panics if there are more than `u32::MAX` events.
     pub fn build(events: &[Event]) -> Self {
-        let workers = if events.len() >= PARALLEL_SCATTER_ROWS {
-            SCATTER_WORKERS
-        } else {
-            1
-        };
-        PacketIndex::group_by_id(events.iter().map(|e| (e.packet, *e)), workers)
+        PacketIndex::group_by_id(events, |e| e.packet, |_, e| *e, workers_for(events.len()))
     }
 }
 
@@ -127,16 +124,15 @@ impl PacketIndex<u32> {
     /// Group row numbers by packet id, given each row's id: each packet's
     /// row numbers contiguous and ascending, packets in ascending id order.
     ///
-    /// On one thread: a second would read every id again to write a quarter
-    /// of an event's bytes per row, and saves nothing that way (measured on
-    /// `trace-wide`'s merged log on 2 vCPUs, 2.08 M rows: 31.3 ms on one
-    /// thread, 29.8 on two; 1.2 M rows: 18.0 and 18.6 ms).
+    /// On one thread: `citysee::analyze` groups the merged log while the
+    /// ground truth's grouping holds the other core. Two threads each there
+    /// measured slower on `citysee-clean` (2 vCPUs, 4 pairs: `op_wall_s`
+    /// median 0.316 → 0.333 s, faster in 1 pair; peak RSS 253 → 268 MiB).
     ///
     /// # Panics
     /// Panics if there are more than `u32::MAX` rows.
-    pub fn group_rows(packets: impl ExactSizeIterator<Item = PacketId> + Clone + Send) -> Self {
-        let n = u32::try_from(packets.len()).expect("packet indexes address rows with u32");
-        PacketIndex::group_by_id(packets.zip(0..n), 1)
+    pub fn group_rows<R: Sync>(rows: &[R], packet: impl Fn(&R) -> PacketId + Sync) -> Self {
+        PacketIndex::group_by_id(rows, packet, |row, _| row, 1)
     }
 
     /// Packet `id`'s rows of `table`, the table whose row numbers were
@@ -150,26 +146,24 @@ impl PacketIndex<u32> {
 }
 
 impl<T: Copy + Send> PacketIndex<T> {
-    /// Group `(packet id, row)` pairs by id, each group in input order.
-    ///
-    /// A counting sort over the dense `(origin, seqno)` domain — one pass
-    /// for the domain, one to count, one to scatter the rows into the arena
-    /// on `workers` threads ([`DenseIds::scatter`]) — or, for sparse ids, a
-    /// stable sort.
-    fn group_by_id(
-        rows: impl ExactSizeIterator<Item = (PacketId, T)> + Clone + Send,
+    /// Group `rows` by `packet(row)`, keeping `value(row number, row)` of
+    /// each, every group in input order: the counting sort on `workers`
+    /// threads ([`counting_sort`]) or, for sparse ids, a stable sort.
+    fn group_by_id<R: Sync>(
+        rows: &[R],
+        packet: impl Fn(&R) -> PacketId + Sync,
+        value: impl Fn(u32, &R) -> T + Sync,
         workers: usize,
     ) -> Self {
-        assert!(
-            u32::try_from(rows.len()).is_ok(),
-            "packet indexes address rows with u32"
-        );
-        if let Some(mut dense) = DenseIds::count(rows.clone().map(|(id, _)| id)) {
-            let (ids, offsets) = dense.layout();
-            let rows = dense.scatter(rows, &ids, &offsets, workers);
-            return PacketIndex { rows, ids, offsets };
+        let n = u32::try_from(rows.len()).expect("packet indexes address rows with u32");
+        if let Some(index) = counting_sort(rows, &packet, &value, workers) {
+            return index;
         }
-        let mut sorted: Vec<(PacketId, T)> = rows.collect();
+        let mut sorted: Vec<(PacketId, T)> = rows
+            .iter()
+            .zip(0..n)
+            .map(|(row, i)| (packet(row), value(i, row)))
+            .collect();
         sorted.sort_by_key(|&(id, _)| id);
         let mut ids: Vec<PacketId> = Vec::new();
         let mut offsets: Vec<usize> = Vec::new();
@@ -228,155 +222,232 @@ impl<T> PacketIndex<T> {
     }
 }
 
-/// A histogram of packet ids over a dense id domain: every origin from 0 to
-/// the largest seen owns `stride` slots in a row, one per seqno from 0 to
-/// the largest seen with any origin.
+/// Threads [`merge_logs`] and [`PacketIndex::build`] run on from
+/// [`PARALLEL_SCATTER_ROWS`] rows on: two whatever the core count. Each
+/// thread reads and writes its own half of the rows once, so the count is a
+/// constant, not a core-count query: asking the process for its core count
+/// allocates, and a fixed count keeps the stages' allocator requests the
+/// same on every machine.
+const SCATTER_WORKERS: usize = 2;
+
+/// Rows below which [`merge_logs`] and [`PacketIndex::build`] run on one
+/// thread. The index's old scatter broke even here (1.66 ms on one thread
+/// against 2.11 on two at 132 k events, about even at 200 k); the merge
+/// shares the bound rather than a second knob. On `trace-wide`'s 2.06 M
+/// events (traced, 2 vCPUs) the merge takes 27–34 ms a call on two threads
+/// against 44–56 on one, and the index 38–44 ms against 45–55 with both of
+/// its old threads reading all the input.
+const PARALLEL_SCATTER_ROWS: usize = 200_000;
+
+/// The threads for a stage over `rows` rows.
+fn workers_for(rows: usize) -> usize {
+    if rows >= PARALLEL_SCATTER_ROWS {
+        SCATTER_WORKERS
+    } else {
+        1
+    }
+}
+
+/// A dense packet-id domain: every origin from 0 to the largest seen owns
+/// `stride` slots in a row, one per seqno from 0 to the largest seen with
+/// any origin.
 ///
 /// Real ids are dense — every origin numbers its packets from 0, and they
 /// originate at about one rate — so the domain is about as large as the
 /// number of packets, far smaller than the number of events, and grouping
 /// by id needs no comparison at all.
-struct DenseIds {
+#[derive(Debug, Clone, Copy, Default)]
+struct Domain {
+    origins: usize,
     /// Slots per origin.
     stride: usize,
-    /// Per slot: how many rows carry the id; after [`DenseIds::layout`],
-    /// where the id's next row goes.
-    slots: Vec<u32>,
 }
 
-impl DenseIds {
-    /// Count `packets` (at most `u32::MAX` of them: the counters are `u32`)
-    /// over their domain. `None` when the domain would exceed `4·N + 1024`
-    /// slots for N packets, or when a seqno is `u32::MAX` (its slot count
-    /// would overflow): such ids are sorted instead.
-    fn count(packets: impl ExactSizeIterator<Item = PacketId> + Clone) -> Option<DenseIds> {
-        let budget = packets.len() as u64 * 4 + 1024;
-        let (mut origins, mut stride) = (0u64, 0u64);
-        for id in packets.clone() {
-            origins = origins.max(id.origin.0 as u64 + 1);
-            stride = stride.max(u64::from(id.seqno.checked_add(1)?));
+impl Domain {
+    /// The smallest domain holding `ids`; `None` when a seqno is `u32::MAX`
+    /// (its slot count would overflow).
+    fn of(ids: impl Iterator<Item = PacketId>) -> Option<Domain> {
+        let mut domain = Domain::default();
+        for id in ids {
+            domain.origins = domain.origins.max(id.origin.index() + 1);
+            domain.stride = domain.stride.max(id.seqno.checked_add(1)? as usize);
         }
-        if origins * stride > budget {
-            return None;
-        }
-        let mut dense = DenseIds {
-            stride: stride as usize,
-            slots: vec![0; (origins * stride) as usize],
-        };
-        for id in packets {
-            let slot = dense.slot(id);
-            dense.slots[slot] += 1;
-        }
-        Some(dense)
+        Some(domain)
     }
 
-    fn slot(&self, id: PacketId) -> usize {
+    fn union(self, other: Domain) -> Domain {
+        Domain {
+            origins: self.origins.max(other.origins),
+            stride: self.stride.max(other.stride),
+        }
+    }
+
+    fn slots(self) -> u64 {
+        self.origins as u64 * self.stride as u64
+    }
+
+    fn slot(self, id: PacketId) -> usize {
         id.origin.index() * self.stride + id.seqno as usize
     }
 
-    /// The ids that occur, ascending, and each one's offset among the rows
-    /// grouped by id (plus the total, as the last offset). Turns every
-    /// slot's count into the offset of its id.
-    fn layout(&mut self) -> (Vec<PacketId>, Vec<usize>) {
-        let groups = self.slots.iter().filter(|&&rows| rows != 0).count();
+    /// Lay the groups out in id order: the ids that occur, ascending, and
+    /// each one's offset among the grouped rows (plus the total, as the last
+    /// offset). Every part's count of a slot becomes the place its first row
+    /// with that id goes: after that id's rows from the parts before it, so
+    /// each group keeps input order.
+    fn layout(self, parts: &mut [Part]) -> (Vec<PacketId>, Vec<usize>) {
+        let slots = self.slots() as usize;
+        let groups = (0..slots)
+            .filter(|&slot| parts.iter().any(|part| part.slots[slot] != 0))
+            .count();
         let mut ids = Vec::with_capacity(groups);
         let mut offsets = Vec::with_capacity(groups + 1);
         let mut next = 0u32;
-        for (origin, slots) in self.slots.chunks_mut(self.stride.max(1)).enumerate() {
-            for (seqno, at) in slots.iter_mut().enumerate() {
-                let rows = std::mem::replace(at, next);
-                if rows != 0 {
-                    ids.push(PacketId::new(NodeId(origin as u16), seqno as u32));
-                    offsets.push(next as usize);
-                    next += rows;
-                }
+        for slot in 0..slots {
+            let first = next;
+            for part in parts.iter_mut() {
+                next += std::mem::replace(&mut part.slots[slot], next);
+            }
+            if next != first {
+                let (origin, seqno) = (slot / self.stride, slot % self.stride);
+                ids.push(PacketId::new(NodeId(origin as u16), seqno as u32));
+                offsets.push(first as usize);
             }
         }
         offsets.push(next as usize);
         (ids, offsets)
     }
-
-    /// The arena: every row at its place, given the groups [`DenseIds::layout`]
-    /// made, written by `workers` threads. Each id's rows keep input order.
-    ///
-    /// The slots are cut into `workers` ranges of about equal rows, and each
-    /// thread reads every row and writes those of its own slots into its own
-    /// window of the arena: the windows need no lock, and the fresh arena's
-    /// pages are first touched on every thread.
-    fn scatter<T: Copy + Send>(
-        mut self,
-        rows: impl Iterator<Item = (PacketId, T)> + Clone + Send,
-        ids: &[PacketId],
-        offsets: &[usize],
-        workers: usize,
-    ) -> Vec<T> {
-        let n = offsets.last().copied().unwrap_or(0);
-        let mut arena = Vec::with_capacity(n);
-        let stride = self.stride;
-        std::thread::scope(|scope| {
-            let mut cursors = self.slots.as_mut_slice();
-            let mut window = &mut arena.spare_capacity_mut()[..n];
-            // The rows before `base` and the slots before `from` are handed out.
-            let (mut from, mut base) = (0, 0);
-            for w in 1..workers {
-                let split = cursors.partition_point(|&at| (at as usize) < w * n / workers);
-                let end = cursors.get(split).map_or(n, |&at| at as usize);
-                let (mine, rest) = std::mem::take(&mut cursors).split_at_mut(split);
-                let (my_window, rest_window) = std::mem::take(&mut window).split_at_mut(end - base);
-                let (rows, at) = (rows.clone(), (from, base));
-                scope.spawn(move || scatter_slots(stride, at, mine, my_window, rows));
-                (cursors, window, from, base) = (rest, rest_window, from + split, end);
-            }
-            scatter_slots(stride, (from, base), cursors, window, rows);
-        });
-        // Each slot's cursor started at its group's offset and moved one row
-        // per write: a group whose cursor ends at the next group's offset
-        // wrote every row of its range. The ranges tile the arena.
-        for (g, id) in ids.iter().enumerate() {
-            assert_eq!(
-                self.slots[self.slot(*id)] as usize,
-                offsets[g + 1],
-                "the scatter met the rows the count did"
-            );
-        }
-        // SAFETY: by the check above every one of the first `n` elements of
-        // the arena was written, and the arena was made with room for `n`.
-        unsafe { arena.set_len(n) };
-        arena
-    }
 }
 
-/// Threads [`PacketIndex::build`] scatters on, from [`PARALLEL_SCATTER_ROWS`]
-/// events on: two whatever the core count. Every thread reads the whole
-/// input, so one past the second adds a full read for a smaller share of
-/// the writes; and a fixed count keeps the build's allocator requests the
-/// same on every machine (asking the process for its core count allocates).
-const SCATTER_WORKERS: usize = 2;
+/// One thread's share of a [`counting_sort`].
+#[derive(Debug, Default)]
+struct Part {
+    /// The domain of the part's ids (`None`: a seqno of `u32::MAX`).
+    domain: Option<Domain>,
+    /// Per slot of the whole input's domain: how many of the part's rows
+    /// carry its id; after [`Domain::layout`], where the next of them goes.
+    slots: Vec<u32>,
+}
 
-/// Events below which [`PacketIndex::build`] scatters on one thread: the
-/// second thread's full read of the input costs more than its half of the
-/// writes saves below this many. Measured on prefixes of `trace-wide`'s
-/// merged log on 2 vCPUs: 1.66 ms on one thread against 2.11 on two at
-/// 132 k events, about even at 200 k, 28.7 against 22.0 ms at 1.2 M.
-const PARALLEL_SCATTER_ROWS: usize = 200_000;
+/// What the threads of one [`counting_sort`] hand each other between steps.
+struct Shared<T> {
+    parts: Vec<Part>,
+    /// The grouped rows, every part's written in place by its own thread.
+    arena: Vec<T>,
+}
 
-/// Write every row of `rows` whose slot is in `from..from + cursors.len()`
-/// to its place: `cursors` holds those slots' next positions in the arena,
-/// whose rows from `base` on are `window`.
-fn scatter_slots<T>(
-    stride: usize,
-    (from, base): (usize, usize),
-    cursors: &mut [u32],
-    window: &mut [MaybeUninit<T>],
-    rows: impl Iterator<Item = (PacketId, T)>,
-) {
-    for (id, row) in rows {
-        let slot = (id.origin.index() * stride + id.seqno as usize).wrapping_sub(from);
-        if let Some(at) = cursors.get_mut(slot) {
-            window[*at as usize - base].write(row);
+/// Group `rows` by id with the parallel counting sort: `None` when the ids
+/// are too sparse for a table over their domain (more than `4·N + 1024`
+/// slots for N rows, or a seqno of `u32::MAX`), which nothing is allocated
+/// for.
+///
+/// The rows are cut into `workers` parts of equal length, one per thread,
+/// and each thread reads its own part three times: for its domain; then,
+/// once every thread has its domain, to count its ids over theirs; then,
+/// once the calling thread has laid the groups out from every part's
+/// counts, to scatter its rows into the arena. A packet's rows from part 0
+/// come first in its group, then those from part 1, so input order holds.
+/// One spawn per extra thread, and a barrier between the steps.
+///
+/// On more than one thread, soundness rests on `packet` giving a row the
+/// same id on every call, so that the parts' scatters meet the ranges their
+/// counts laid out: [`PacketIndex::build`] passes a field read. On one
+/// thread the final check alone proves every place written, which is why
+/// [`PacketIndex::group_rows`], whose `packet` comes from its caller, runs
+/// on one.
+fn counting_sort<R: Sync, T: Copy + Send>(
+    rows: &[R],
+    packet: &(impl Fn(&R) -> PacketId + Sync),
+    value: &(impl Fn(u32, &R) -> T + Sync),
+    workers: usize,
+) -> Option<PacketIndex<T>> {
+    let n = rows.len();
+    let shared = Mutex::new(Shared {
+        parts: (0..workers).map(|_| Part::default()).collect(),
+        arena: Vec::<T>::new(),
+    });
+    let lock = || shared.lock().expect("no thread of the sort panics");
+    let barrier = Barrier::new(workers);
+    // Nothing before the last barrier panics, so no thread waits at a
+    // barrier one that panicked will never reach.
+    let work = |w: usize| {
+        let from = w * n / workers;
+        let mine = &rows[from..(w + 1) * n / workers];
+        lock().parts[w].domain = Domain::of(mine.iter().map(packet));
+        barrier.wait();
+        // Every thread reaches the same verdict on the same domains.
+        let domain = lock()
+            .parts
+            .iter()
+            .try_fold(Domain::default(), |all, part| Some(all.union(part.domain?)))
+            .filter(|domain| domain.slots() <= n as u64 * 4 + 1024)?;
+        let mut slots = vec![0u32; domain.slots() as usize];
+        for row in mine {
+            slots[domain.slot(packet(row))] += 1;
+        }
+        lock().parts[w].slots = slots;
+        barrier.wait();
+        let layout = (w == 0).then(|| {
+            let mut shared = lock();
+            shared.arena = Vec::with_capacity(n);
+            (domain, domain.layout(&mut shared.parts))
+        });
+        barrier.wait();
+        let (mut cursors, arena) = {
+            let mut shared = lock();
+            let cursors = std::mem::take(&mut shared.parts[w].slots);
+            (cursors, shared.arena.as_mut_ptr())
+        };
+        for (row, i) in mine.iter().zip(from as u32..) {
+            let at = &mut cursors[domain.slot(packet(row))];
+            assert!((*at as usize) < n, "the scatter stays in the arena");
+            // SAFETY: `at` is in the arena's capacity (checked). No other
+            // thread writes it: the layout gave each (part, id) pair its own
+            // range of the arena, as long as the part's count of the id, and
+            // only this thread reads this part's rows, getting the ids its
+            // count got (see above). `Vec::as_mut_ptr` pointers of the
+            // threads may be mixed freely.
+            unsafe { arena.add(*at as usize).write(value(i, row)) };
             *at += 1;
         }
+        lock().parts[w].slots = cursors;
+        layout
+    };
+    let layout = if workers == 1 {
+        work(0)
+    } else {
+        std::thread::scope(|scope| {
+            for w in 1..workers {
+                let work = &work;
+                scope.spawn(move || work(w));
+            }
+            work(0)
+        })
+    };
+    let (domain, (ids, offsets)) = layout?;
+    let Shared { parts, mut arena } = shared.into_inner().expect("no thread of the sort panicked");
+    // The last part's range of a group ends where the group does: its
+    // cursor, which moved one row per write, ends at the next group's
+    // offset when it wrote every row it counted.
+    let last = &parts[workers - 1].slots;
+    for (g, id) in ids.iter().enumerate() {
+        assert_eq!(
+            last[domain.slot(*id)] as usize,
+            offsets[g + 1],
+            "the scatter met the rows the count did"
+        );
     }
+    // SAFETY: every part scattered each of its rows to a place of its own
+    // below `n`, and the parts hold `n` rows together, so all of the first
+    // `n` elements were written; the arena was made with room for `n`. With
+    // one part, the check above proves it whatever `packet` returns: every
+    // group's cursor walked its whole range.
+    unsafe { arena.set_len(n) };
+    Some(PacketIndex {
+        rows: arena,
+        ids,
+        offsets,
+    })
 }
 
 /// Where an entry sits in [`merge_logs`]'s order: `position` is its place in
@@ -391,10 +462,10 @@ pub fn packet_order(position: u64, node: NodeId) -> (u64, NodeId) {
 /// Merge local logs into one stream: round-robin, one entry from every log
 /// that still has one per pass, the logs visited in node-id order (logs of
 /// one node in input order). Each node's own order is preserved exactly, and
-/// no timestamp is read.
+/// no timestamp is read. From [`PARALLEL_SCATTER_ROWS`] entries on, the
+/// passes are merged in two ranges, one per thread ([`merge_round_robin`]).
 pub fn merge_logs(logs: &[LocalLog]) -> MergedLog {
-    let mut events = Vec::with_capacity(total_entries(logs));
-    merge_round_robin_each(logs, |e| events.push(e.event));
+    let events = merge_round_robin(logs, workers_for(total_entries(logs)));
     MergedLog { events }
 }
 
@@ -420,7 +491,7 @@ pub fn merge_logs_partitioned(logs: &[LocalLog], _partitions: usize) -> MergedLo
 /// together) — no intermediate merged `Vec<Event>` is ever materialized.
 pub fn merge_logs_store(logs: &[LocalLog]) -> EventStore {
     let mut store = EventStore::with_capacity(total_entries(logs));
-    merge_round_robin_each(logs, |e| store.push_entry(e));
+    merge_round_robin_each(ranked_runs(logs), |e| store.push_entry(e));
     store
 }
 
@@ -542,17 +613,76 @@ fn merge_ranked(runs: &[&[LogEntry]], mut emit: impl FnMut(&LogEntry)) {
     }
 }
 
-/// The round-robin interleave: one entry from each live log per pass, the
-/// logs in [`ranked_runs`] order. Exhausted logs are dropped from the
-/// rotation on the spot, so a pass costs the number of *live* logs — the
-/// original version re-scanned all K logs every pass, an O(N·K) tail
-/// whenever a few long logs outlived many short ones.
-fn merge_round_robin_each(logs: &[LocalLog], mut emit: impl FnMut(&LogEntry)) {
-    let mut active = ranked_runs(logs);
+/// [`merge_logs`]'s events, its passes cut into `workers` ranges of about
+/// equal rows, each merged on a thread of its own into its own window of the
+/// output.
+///
+/// Pass k starts at row Σ min(len, k) over the logs, so the passes
+/// `lo..hi` are every log's entries `lo..hi` in round-robin, written from
+/// row Σ min(len, lo) on: the windows tile the output, and its bytes are
+/// those of the one-range merge. A range ends at the first pass that starts
+/// at or past its share of the rows.
+fn merge_round_robin(logs: &[LocalLog], workers: usize) -> Vec<Event> {
+    let runs = ranked_runs(logs);
+    let start = |pass: usize| -> usize { runs.iter().map(|run| run.len().min(pass)).sum() };
+    let longest = runs.iter().map(|run| run.len()).max().unwrap_or(0);
+    let n = start(longest);
+    let mut events = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        let mut window = &mut events.spare_capacity_mut()[..n];
+        let mut lo = 0;
+        for w in 1..=workers {
+            let (mut hi, mut past) = (lo, longest);
+            while hi < past {
+                let mid = (hi + past) / 2;
+                if start(mid) < w * n / workers {
+                    hi = mid + 1;
+                } else {
+                    past = mid;
+                }
+            }
+            let (mine, rest) = std::mem::take(&mut window).split_at_mut(start(hi) - start(lo));
+            let range: Vec<&[LogEntry]> = runs
+                .iter()
+                .map(|run| &run[run.len().min(lo)..run.len().min(hi)])
+                .collect();
+            if w == workers {
+                round_robin_into(range, mine);
+            } else {
+                scope.spawn(move || round_robin_into(range, mine));
+            }
+            (window, lo) = (rest, hi);
+        }
+    });
+    // SAFETY: each range filled its window (`round_robin_into` checks, and a
+    // thread that panicked would have made the scope panic), the windows
+    // tile the first `n` rows, and `events` was made with room for `n`.
+    unsafe { events.set_len(n) };
+    events
+}
+
+/// The round-robin of `runs` written into `window`, which it fills exactly.
+fn round_robin_into(runs: Vec<&[LogEntry]>, window: &mut [MaybeUninit<Event>]) {
+    let mut slots = window.iter_mut();
+    merge_round_robin_each(runs, |e| {
+        slots
+            .next()
+            .expect("a window holds its range's entries")
+            .write(e.event);
+    });
+    assert!(slots.next().is_none(), "a range fills its window");
+}
+
+/// The round-robin interleave: one entry from each live run per pass, the
+/// runs in the order given. Exhausted runs are dropped from the rotation on
+/// the spot, so a pass costs the number of *live* runs — the original
+/// version re-scanned all K logs every pass, an O(N·K) tail whenever a few
+/// long logs outlived many short ones.
+fn merge_round_robin_each(mut active: Vec<&[LogEntry]>, mut emit: impl FnMut(&LogEntry)) {
     active.retain(|entries| !entries.is_empty());
     while !active.is_empty() {
         active.retain_mut(|entries| {
-            let (first, rest) = entries.split_first().expect("live logs are not empty");
+            let (first, rest) = entries.split_first().expect("live runs are not empty");
             emit(first);
             *entries = rest;
             !rest.is_empty()
@@ -1141,22 +1271,124 @@ mod merge_props {
                 let mut rows: Vec<u32> = (0..merged.len() as u32).collect();
                 rows.sort_by_key(|&row| merged.events[row as usize].packet);
                 for workers in 1..=4 {
-                    let index = PacketIndex::group_by_id(
-                        merged.events.iter().map(|e| (e.packet, *e)),
-                        workers,
-                    );
+                    let index =
+                        PacketIndex::group_by_id(&merged.events, |e| e.packet, |_, e| *e, workers);
                     assert_eq!(index.ids(), ids.as_slice(), "{workers} workers");
                     for (id, group) in index.iter() {
                         assert_eq!(group, by_packet[&id].as_slice(), "{id}, {workers} workers");
                     }
-                    let packets = merged.events.iter().map(|e| e.packet);
-                    let grouped =
-                        PacketIndex::group_by_id(packets.zip(0..merged.len() as u32), workers);
+                    let grouped = PacketIndex::group_by_id(
+                        &merged.events,
+                        |e| e.packet,
+                        |row, _| row,
+                        workers,
+                    );
                     assert_eq!(grouped.ids(), ids.as_slice(), "{workers} workers");
                     assert_eq!(grouped.rows, rows, "{workers} workers");
                 }
             },
         );
+    }
+
+    #[test]
+    fn the_merge_is_the_same_on_any_number_of_workers() {
+        check(
+            "the_merge_is_the_same_on_any_number_of_workers",
+            64,
+            &[],
+            |rng| {
+                // Node ids collide across logs, and logs may be empty.
+                let logs = build(&arb_spec(rng), rng.gen_bool(0.5));
+                let reference = merge_round_robin_reference(&logs);
+                for workers in 1..=4 {
+                    assert_eq!(
+                        merge_round_robin(&logs, workers),
+                        reference,
+                        "{workers} workers"
+                    );
+                }
+            },
+        );
+    }
+
+    /// Logs of the given `(node, length)`, every event's seqno unique.
+    fn logs_of(shape: &[(u16, u32)]) -> Vec<LocalLog> {
+        shape
+            .iter()
+            .enumerate()
+            .map(|(li, &(node, len))| {
+                let node = NodeId(node);
+                let first = li as u32 * 1000;
+                LocalLog::from_events(
+                    node,
+                    (first..first + len)
+                        .map(|s| Event::new(node, EventKind::Origin, PacketId::new(node, s))),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_split_merge_matches_the_reference_at_its_edges() {
+        let shapes: [&[(u16, u32)]; 6] = [
+            // One log holds most rows: the cut falls deep in its tail.
+            &[(1, 90), (2, 3), (3, 2), (4, 5)],
+            // 10 rows; pass 2 starts at row 6, the first at or past 5, and
+            // is the pass where nodes 1 and 2 run out.
+            &[(1, 2), (2, 2), (3, 6)],
+            // Empty logs, and K = 1 and 0.
+            &[(1, 0), (2, 7), (3, 0)],
+            &[(5, 9)],
+            &[],
+            // Two logs of one node, listed apart and out of node order.
+            &[(3, 5), (1, 6), (3, 4)],
+        ];
+        for shape in shapes {
+            let logs = logs_of(shape);
+            let reference = merge_round_robin_reference(&logs);
+            for workers in 1..=4 {
+                assert_eq!(
+                    merge_round_robin(&logs, workers),
+                    reference,
+                    "{shape:?}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_stages_split_above_the_threshold() {
+        // 240 logs of 900 to 1 139 entries, whose packets each span many
+        // logs: enough rows that the merge and the index run on two threads.
+        let logs: Vec<LocalLog> = (0..240u16)
+            .map(|node| {
+                let len = 900 + u32::from(node);
+                LocalLog::from_events(
+                    NodeId(node),
+                    (0..len).map(|j| {
+                        let origin = NodeId(((u32::from(node) + j) % 50) as u16);
+                        Event::new(
+                            NodeId(node),
+                            EventKind::Origin,
+                            PacketId::new(origin, j / 4),
+                        )
+                    }),
+                )
+            })
+            .collect();
+        assert!(total_entries(&logs) >= PARALLEL_SCATTER_ROWS);
+        let merged = merge_logs(&logs);
+        assert_eq!(merged.events, merge_round_robin_reference(&logs));
+        let index = merged.packet_index();
+        let one = PacketIndex::group_by_id(&merged.events, |e| e.packet, |_, e| *e, 1);
+        assert_eq!(index.ids, one.ids);
+        assert_eq!(index.offsets, one.offsets);
+        assert_eq!(index.rows, one.rows);
+        let by_packet = merged.by_packet();
+        assert_eq!(index.len(), by_packet.len());
+        for (id, group) in index.iter() {
+            assert_eq!(group, by_packet[&id].as_slice(), "{id}");
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! the full ingested sequence regardless of poll cadence.
 //!
 //! One representational note: a replayed record's lane is its event's
-//! `node` field. Every producer in this workspace logs events onto the
-//! node that recorded them (`record.node == record.entry.event.node`), so
-//! the round trip is exact.
+//! `node` field. A node logs only its own events
+//! (`record.node == record.entry.event.node`): every producer in this
+//! workspace does, and the frame decoder and the archive reader refuse a
+//! record that does not, so the round trip is exact.
 
 use crate::row::ReportRow;
 use crate::store::SegmentStore;

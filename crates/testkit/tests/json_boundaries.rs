@@ -140,15 +140,23 @@ fn round_trip<T: ToJson + FromJson + PartialEq + Debug>(x: &T) -> Vec<String> {
 fn corpus() -> Vec<String> {
     let mut docs = Vec::new();
 
-    // Archive JSONL lines (the line type itself is private to the archive).
-    let mut logs = vec![LocalLog::from_events(
-        NodeId(3),
-        sample_reports()
-            .iter()
-            .flat_map(|r| r.flow.payloads().copied().collect::<Vec<_>>()),
-    )];
-    logs[0].entries[0].local_ts = LocalTs::new(u64::MAX - 1);
-    logs[0].entries[1].local_ts = LocalTs::new(0);
+    // Archive JSONL lines (the line type itself is private to the archive),
+    // each event in its own node's log.
+    let mut logs: Vec<LocalLog> = Vec::new();
+    for report in sample_reports() {
+        for &event in report.flow.payloads() {
+            match logs.iter_mut().find(|log| log.node == event.node) {
+                Some(log) => log.entries.push(LogEntry {
+                    event,
+                    local_ts: None,
+                }),
+                None => logs.push(LocalLog::from_events(event.node, [event])),
+            }
+        }
+    }
+    let mut entries = logs.iter_mut().flat_map(|log| &mut log.entries);
+    entries.next().unwrap().local_ts = LocalTs::new(u64::MAX - 1);
+    entries.next().unwrap().local_ts = LocalTs::new(0);
     let mut archive_bytes = Vec::new();
     archive::write_logs(&logs, &mut archive_bytes).unwrap();
     assert_eq!(archive::read_logs(&archive_bytes[..]).unwrap(), logs);
@@ -164,7 +172,7 @@ fn corpus() -> Vec<String> {
         ),
         "{stamped_none:.120}"
     );
-    for entry in &logs[0].entries {
+    for entry in logs.iter().flat_map(|log| &log.entries) {
         docs.extend(round_trip(entry));
     }
     docs.extend(archive_text.lines().skip(1).map(str::to_string));
