@@ -11,7 +11,13 @@ fn main() {
     println!("Figure 6 — daily loss-cause composition:");
     print!("{}", render_fig6_ascii(&days, &campaign.scenario));
 
-    if let Some(fix) = campaign.scenario.sink_fix_day {
+    // A fix day past the last simulated day (a shortened `REFILL_DAYS`)
+    // leaves nothing to compare.
+    let fix = campaign
+        .scenario
+        .sink_fix_day
+        .filter(|&fix| (fix as usize) < days.len());
+    if let Some(fix) = fix {
         let rate = |range: &[citysee::figures::DailyCauses]| {
             let lost: usize = range.iter().map(|d| d.total).sum();
             let generated: usize = range.iter().map(|d| d.generated).sum();

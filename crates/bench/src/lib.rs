@@ -48,9 +48,11 @@ pub fn scenario_from(var: impl Fn(&str) -> Option<String>) -> Result<Scenario, S
         let density_side = s.side_m / (s.nodes as f64).sqrt();
         s.nodes = v;
         s.side_m = density_side * (v as f64).sqrt();
+        s.validate().map_err(|e| format!("REFILL_NODES={nodes:?}: {e}"))?;
     }
     if let Some(days) = var("REFILL_DAYS") {
         s.days = parsed("REFILL_DAYS", &days)?;
+        s.validate().map_err(|e| format!("REFILL_DAYS={days:?}: {e}"))?;
     }
     Ok(s)
 }
@@ -175,7 +177,10 @@ mod tests {
             ("REFILL_SCALE", "huge"),
             ("REFILL_SEED", "x"),
             ("REFILL_NODES", "-3"),
+            ("REFILL_NODES", "0"),
+            ("REFILL_NODES", "70000"),
             ("REFILL_DAYS", "1O"),
+            ("REFILL_DAYS", "0"),
         ] {
             let error = from_vars(&[(name, value)]).unwrap_err();
             assert!(error.starts_with(name), "{name}={value}: {error}");

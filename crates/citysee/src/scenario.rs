@@ -264,14 +264,65 @@ impl Scenario {
         }
     }
 
+    /// `Ok` when the scenario is a campaign the simulator can run, else an
+    /// error naming the first field that is not: a scenario read from a
+    /// file or the environment is checked here before anything is built
+    /// from it.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("nodes", self.nodes as u64),
+            ("days", u64::from(self.days)),
+            ("day_secs", self.day_secs),
+            ("packets_per_node_per_day", u64::from(self.packets_per_node_per_day)),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be at least 1"));
+            }
+        }
+        if self.nodes > usize::from(u16::MAX) {
+            return Err(format!("nodes ({}) must be at most {}", self.nodes, u16::MAX));
+        }
+        let secs = self.day_secs.checked_mul(u64::from(self.days));
+        if secs.is_none_or(|secs| secs > SimTime::MAX.as_secs()) {
+            return Err(format!(
+                "day_secs × days ({} × {}) must fit the simulation clock",
+                self.day_secs, self.days
+            ));
+        }
+        if !(self.side_m > 0.0 && self.side_m.is_finite()) {
+            return Err(format!("side_m must be a positive length, got {}", self.side_m));
+        }
+        for (name, p) in [
+            ("outage_day_frac", self.outage_day_frac),
+            ("sink_prelog_before", self.sink_prelog_before),
+            ("sink_predrop_before", self.sink_predrop_before),
+            ("serial_loss_before", self.serial_loss_before),
+            ("sink_prelog_after", self.sink_prelog_after),
+            ("sink_predrop_after", self.sink_predrop_after),
+            ("serial_loss_after", self.serial_loss_after),
+            ("collection.whole_log_loss_prob", self.collection.whole_log_loss_prob),
+            ("collection.chunk_loss_prob", self.collection.chunk_loss_prob),
+            ("logger.write_failure_prob", self.logger.write_failure_prob),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} must be a probability, got {p}"));
+            }
+        }
+        self.sim_config().validate()
+    }
+
     /// Build all simulator inputs.
     pub fn build(&self) -> (Topology, LinkQualityTable, FaultSchedule, SimConfig) {
         let factory = RngFactory::new(self.seed);
         let topology =
             Topology::generate(self.nodes, self.side_m, Layout::JitteredGrid, &factory);
         let table = LinkModel::build_table(&topology, &LinkModelConfig::default(), &factory);
-        let faults = self.faults();
-        let config = SimConfig {
+        (topology, table, self.faults(), self.sim_config())
+    }
+
+    /// The simulator's configuration for this campaign.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig {
             seed: self.seed,
             duration: self.duration(),
             packet_interval: self.packet_interval(),
@@ -282,8 +333,7 @@ impl Scenario {
             route_update_prob: 0.97,
             queue_capacity: 16,
             ..SimConfig::default()
-        };
-        (topology, table, faults, config)
+        }
     }
 }
 
@@ -350,6 +400,37 @@ mod tests {
         let b = s.faults();
         assert_eq!(a.outages, b.outages);
         assert_eq!(a.bursts.len(), b.bursts.len());
+    }
+
+    #[test]
+    fn the_presets_are_valid() {
+        for s in [Scenario::small(), Scenario::standard(), Scenario::paper()] {
+            assert_eq!(s.validate(), Ok(()), "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn validate_names_the_field_a_run_would_panic_or_wrap_on() {
+        let small = Scenario::small();
+        let collection = CollectionConfig {
+            chunk_loss_prob: 1.5,
+            ..small.collection
+        };
+        for (field, s) in [
+            ("nodes", Scenario { nodes: 0, ..small.clone() }),
+            ("nodes", Scenario { nodes: 70_000, ..small.clone() }),
+            ("days", Scenario { days: 0, ..small.clone() }),
+            ("day_secs", Scenario { day_secs: 0, ..small.clone() }),
+            ("packets_per_node_per_day", Scenario { packets_per_node_per_day: 0, ..small.clone() }),
+            ("day_secs × days", Scenario { day_secs: u64::MAX / 1_000_000, ..small.clone() }),
+            ("side_m", Scenario { side_m: 0.0, ..small.clone() }),
+            ("collection.chunk_loss_prob", Scenario { collection, ..small.clone() }),
+            // Checked by `SimConfig::validate`.
+            ("p_internal_drop", Scenario { p_internal_drop: -0.1, ..small.clone() }),
+        ] {
+            let error = s.validate().expect_err(field);
+            assert!(error.starts_with(field), "{field}: {error}");
+        }
     }
 
     #[test]

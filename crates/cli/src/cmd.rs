@@ -311,7 +311,7 @@ mod tests {
     use super::stream::stream_cmd_inner;
     use super::*;
     use citysee::analyze as analyze_campaign;
-    use netsim::json::{self, Json};
+    use netsim::json::{self, Json, ToJson};
     use std::io::BufWriter;
 
     fn args(s: &[&str]) -> Vec<String> {
@@ -766,6 +766,26 @@ mod tests {
             counters
         };
         assert_eq!(counters("1"), counters("2"));
+    }
+
+    #[test]
+    fn fig8_refuses_a_scenario_it_cannot_build_and_names_the_field() {
+        let dir = std::env::temp_dir().join("refill-fig8-bad-scenario-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let small = Scenario::small();
+        for (scenario, expected) in [
+            (Scenario { days: 0, ..small.clone() }, "days must be at least 1"),
+            (Scenario { nodes: 0, ..small.clone() }, "nodes must be at least 1"),
+            (Scenario { day_secs: 0, ..small.clone() }, "day_secs must be at least 1"),
+        ] {
+            let text = scenario.to_json().to_pretty().unwrap();
+            std::fs::write(dir.join("scenario.json"), text).unwrap();
+            let error = query_cmd_inner(&args(&["--store", dir.to_str().unwrap(), "--fig", "fig8"]))
+                .unwrap_err();
+            assert!(error.contains("scenario.json") && error.ends_with(expected), "{error}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

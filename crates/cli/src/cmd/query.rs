@@ -137,6 +137,9 @@ pub fn query_cmd_inner(args: &[String]) -> Result<String, String> {
                 })?;
                 let scenario: Scenario = json::decode(text.as_bytes())
                     .map_err(|e| format!("{}: {e}", path.display()))?;
+                scenario
+                    .validate()
+                    .map_err(|e| format!("{}: {e}", path.display()))?;
                 let (topology, _, _, _) = scenario.build();
                 Ok(figs::render_fig8_csv(&figs::fig8_from_records(
                     &records, &topology,

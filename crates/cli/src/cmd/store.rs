@@ -69,12 +69,12 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
         };
         ReportRow::from_report(v.report, Some(sidecar))
     });
-    let event_rows: Vec<_> = eventlog::merge_logs_store(&logs).entries().collect();
+    let event_rows = eventlog::merge_logs_store(&logs);
 
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
     let (st, recovery) = SegmentStore::open(&out_dir).map_err(|e| e.to_string())?;
     let mut st = st;
-    for chunk in event_rows.chunks(4096) {
+    for chunk in event_rows.entries().chunks(4096) {
         st.append_events(chunk).map_err(|e| e.to_string())?;
     }
     for chunk in report_rows.chunks(512) {

@@ -10,10 +10,10 @@
 //!
 //! * [`reconstruct_parallel`] groups a merged log through one shared
 //!   [`eventlog::PacketIndex`] and maps the kernel over the groups;
-//! * [`reconstruct_fused`] merges the local logs straight into a packed
-//!   [`eventlog::EventStore`] (no intermediate merged `Vec<Event>`), indexes
-//!   it, and maps the kernel over groups unpacked through a per-worker
-//!   [`ScratchArena`].
+//! * [`reconstruct_fused`] merges the local logs into an
+//!   [`eventlog::EventStore`] of whole entries, groups its row numbers, and
+//!   maps the kernel over each group's events, gathered into a per-worker
+//!   buffer.
 //!
 //! Both produce output identical to the sequential
 //! [`Reconstructor::reconstruct_log`] (packets sorted by id) for any worker
@@ -21,7 +21,7 @@
 //! invariant (DESIGN.md §5).
 
 use crate::trace::{PacketReport, Reconstructor};
-use eventlog::columnar::{ColumnarIndex, ScratchArena};
+use eventlog::columnar::ColumnarIndex;
 use eventlog::{merge_logs_store, LocalLog, MergedLog};
 use netsim::available_workers;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,10 +104,10 @@ pub fn reconstruct_parallel(
     )
 }
 
-/// The fused columnar pipeline, end to end: merge the local logs straight
-/// into a packed [`eventlog::EventStore`], build the permutation index over
-/// it, and reconstruct each group from a per-worker [`ScratchArena`].
-/// Output is identical to `reconstruct_log(&merge_logs(logs))`.
+/// Merge the local logs into an [`eventlog::EventStore`], group its row
+/// numbers by packet, and reconstruct each group's events, gathered into a
+/// per-worker buffer. Output is identical to
+/// `reconstruct_log(&merge_logs(logs))`.
 pub fn reconstruct_fused(
     recon: &Reconstructor,
     logs: &[LocalLog],
@@ -115,9 +115,11 @@ pub fn reconstruct_fused(
 ) -> Vec<PacketReport> {
     let store = merge_logs_store(logs);
     let index = ColumnarIndex::build(&store);
-    par_map(index.len(), workers, ScratchArena::new, |scratch, i| {
-        let (id, positions) = index.group(i);
-        recon.reconstruct_packet(id, scratch.unpack(&store, positions))
+    par_map(index.len(), workers, Vec::new, |events, i| {
+        let (id, rows) = index.group(i);
+        events.clear();
+        events.extend(rows.iter().map(|&row| store.entries()[row as usize].event));
+        recon.reconstruct_packet(id, events)
     })
 }
 

@@ -30,7 +30,7 @@ pub use archive::ArchiveError;
 pub use checksum::{crc32, Crc32};
 pub use clock::ClockModel;
 pub use collect::{CollectionConfig, LossyCollector};
-pub use columnar::{decode_row, encode_row, ColumnarIndex, EventStore, PackedEvent, ScratchArena};
+pub use columnar::{decode_row, encode_row, ColumnarIndex, EventStore};
 pub use event::{Event, EventKind, PacketId, SeqNo};
 pub use fate::{GroundTruth, LossCause, PacketFate, TruthEvent};
 pub use frame::{FrameDecoder, FrameStats, NodeRecord};

@@ -465,7 +465,7 @@ pub fn packet_order(position: u64, node: NodeId) -> (u64, NodeId) {
 /// no timestamp is read. From [`PARALLEL_SCATTER_ROWS`] entries on, the
 /// passes are merged in two ranges, one per thread ([`merge_round_robin`]).
 pub fn merge_logs(logs: &[LocalLog]) -> MergedLog {
-    let events = merge_round_robin(logs, workers_for(total_entries(logs)));
+    let events = merge_round_robin(logs, workers_for(total_entries(logs)), |e| e.event);
     MergedLog { events }
 }
 
@@ -486,13 +486,11 @@ pub fn merge_logs_partitioned(logs: &[LocalLog], _partitions: usize) -> MergedLo
     merge_logs_kway(logs)
 }
 
-/// The fused columnar merge: [`merge_logs`]'s order, every selected entry
-/// packed straight into a columnar [`EventStore`] (event and `ts` column
-/// together) — no intermediate merged `Vec<Event>` is ever materialized.
+/// [`merge_logs`] keeping whole entries: the same engine and order, each
+/// event with its local timestamp.
 pub fn merge_logs_store(logs: &[LocalLog]) -> EventStore {
-    let mut store = EventStore::with_capacity(total_entries(logs));
-    merge_round_robin_each(ranked_runs(logs), |e| store.push_entry(e));
-    store
+    let entries = merge_round_robin(logs, workers_for(total_entries(logs)), |e| *e);
+    EventStore { entries }
 }
 
 fn total_entries(logs: &[LocalLog]) -> usize {
@@ -613,23 +611,28 @@ fn merge_ranked(runs: &[&[LogEntry]], mut emit: impl FnMut(&LogEntry)) {
     }
 }
 
-/// [`merge_logs`]'s events, its passes cut into `workers` ranges of about
-/// equal rows, each merged on a thread of its own into its own window of the
-/// output.
+/// [`merge_logs`]' order, each entry written as `row(entry)`, its passes
+/// cut into `workers` ranges of about equal rows, each merged on a thread of
+/// its own into its own window of the output.
 ///
 /// Pass k starts at row Σ min(len, k) over the logs, so the passes
 /// `lo..hi` are every log's entries `lo..hi` in round-robin, written from
 /// row Σ min(len, lo) on: the windows tile the output, and its bytes are
 /// those of the one-range merge. A range ends at the first pass that starts
 /// at or past its share of the rows.
-fn merge_round_robin(logs: &[LocalLog], workers: usize) -> Vec<Event> {
+fn merge_round_robin<T: Send>(
+    logs: &[LocalLog],
+    workers: usize,
+    row: impl Fn(&LogEntry) -> T + Sync,
+) -> Vec<T> {
     let runs = ranked_runs(logs);
     let start = |pass: usize| -> usize { runs.iter().map(|run| run.len().min(pass)).sum() };
     let longest = runs.iter().map(|run| run.len()).max().unwrap_or(0);
     let n = start(longest);
-    let mut events = Vec::with_capacity(n);
+    let mut rows = Vec::with_capacity(n);
+    let row = &row;
     std::thread::scope(|scope| {
-        let mut window = &mut events.spare_capacity_mut()[..n];
+        let mut window = &mut rows.spare_capacity_mut()[..n];
         let mut lo = 0;
         for w in 1..=workers {
             let (mut hi, mut past) = (lo, longest);
@@ -647,28 +650,33 @@ fn merge_round_robin(logs: &[LocalLog], workers: usize) -> Vec<Event> {
                 .map(|run| &run[run.len().min(lo)..run.len().min(hi)])
                 .collect();
             if w == workers {
-                round_robin_into(range, mine);
+                round_robin_into(range, mine, row);
             } else {
-                scope.spawn(move || round_robin_into(range, mine));
+                scope.spawn(move || round_robin_into(range, mine, row));
             }
             (window, lo) = (rest, hi);
         }
     });
     // SAFETY: each range filled its window (`round_robin_into` checks, and a
     // thread that panicked would have made the scope panic), the windows
-    // tile the first `n` rows, and `events` was made with room for `n`.
-    unsafe { events.set_len(n) };
-    events
+    // tile the first `n` rows, and `rows` was made with room for `n`.
+    unsafe { rows.set_len(n) };
+    rows
 }
 
-/// The round-robin of `runs` written into `window`, which it fills exactly.
-fn round_robin_into(runs: Vec<&[LogEntry]>, window: &mut [MaybeUninit<Event>]) {
+/// The round-robin of `runs` written into `window` as `row(entry)`s, which
+/// fills it exactly.
+fn round_robin_into<T>(
+    runs: Vec<&[LogEntry]>,
+    window: &mut [MaybeUninit<T>],
+    row: impl Fn(&LogEntry) -> T,
+) {
     let mut slots = window.iter_mut();
     merge_round_robin_each(runs, |e| {
         slots
             .next()
             .expect("a window holds its range's entries")
-            .write(e.event);
+            .write(row(e));
     });
     assert!(slots.next().is_none(), "a range fills its window");
 }
@@ -721,19 +729,22 @@ fn merge_by_timestamp_reference(logs: &[LocalLog]) -> Vec<Event> {
 /// The all-K-per-pass round-robin over the logs in node order, kept as the
 /// reference the exhausted-log-dropping version must reproduce.
 #[cfg(test)]
-fn merge_round_robin_reference(logs: &[LocalLog]) -> Vec<Event> {
+fn round_robin_reference_entries(logs: &[LocalLog]) -> Vec<LogEntry> {
     let mut logs: Vec<&LocalLog> = logs.iter().collect();
     logs.sort_by_key(|log| log.node);
     let longest = logs.iter().map(|log| log.len()).max().unwrap_or(0);
     let mut out = Vec::new();
     for pass in 0..longest {
-        out.extend(
-            logs.iter()
-                .filter_map(|log| log.entries.get(pass))
-                .map(|e| e.event),
-        );
+        out.extend(logs.iter().filter_map(|log| log.entries.get(pass)));
     }
     out
+}
+
+/// [`round_robin_reference_entries`]' events.
+#[cfg(test)]
+fn merge_round_robin_reference(logs: &[LocalLog]) -> Vec<Event> {
+    let entries = round_robin_reference_entries(logs);
+    entries.iter().map(|e| e.event).collect()
 }
 
 #[cfg(test)]
@@ -761,6 +772,11 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    /// The events of `store`'s entries, in order.
+    pub(super) fn store_events(store: &EventStore) -> Vec<Event> {
+        store.entries().iter().map(|e| e.event).collect()
     }
 
     fn node_order(merged: &MergedLog, node: u16) -> Vec<u32> {
@@ -908,8 +924,8 @@ mod tests {
 
     #[test]
     fn store_merge_matches_vec_merge_and_reports_its_size() {
-        // 12k sorted events across 4 logs. The fused store must match the
-        // legacy merge byte for byte and keep the ts column row-aligned.
+        // 12k sorted events across 4 logs. The store must match the event
+        // merge byte for byte and keep every event's own timestamp.
         let logs: Vec<LocalLog> = (0..4u16)
             .map(|i| LocalLog {
                 node: NodeId(i + 1),
@@ -923,26 +939,25 @@ mod tests {
             .collect();
         let store = merge_logs_store(&logs);
         let merged = merge_logs(&logs);
-        assert_eq!(store.to_events(), merged.events);
-        for i in 0..store.len() {
-            let e = store.event(i);
+        assert_eq!(store_events(&store), merged.events);
+        for LogEntry { event: e, local_ts } in store.entries() {
             assert_eq!(
-                store.ts(i),
+                *local_ts,
                 LocalTs::new(u64::from(e.packet.seqno) * 10 + u64::from(e.node.0 - 1))
             );
         }
-        // 16 bytes of record and 8 of timestamp per row.
-        assert!(store.heap_bytes() >= store.len() * 24);
+        // One 24-byte entry per row, no spare capacity.
+        assert_eq!(store.heap_bytes(), store.len() * 24);
     }
 
     #[test]
     fn store_merge_round_robin_fallback_matches() {
-        // The fused merge keeps a missing timestamp as missing.
+        // The store merge keeps a missing timestamp as missing.
         let a = LocalLog::from_events(NodeId(1), vec![ev(1, 0), ev(1, 1), ev(1, 2)]);
         let b = LocalLog::from_events(NodeId(2), vec![ev(2, 0)]);
         let store = merge_logs_store(&[a.clone(), b.clone()]);
-        assert_eq!(store.to_events(), merge_logs(&[a, b]).events);
-        assert_eq!(store.ts(0), None);
+        assert_eq!(store_events(&store), merge_logs(&[a, b]).events);
+        assert_eq!(store.entries()[0].local_ts, None);
     }
 
     #[test]
@@ -1053,6 +1068,7 @@ mod merge_props {
     use crate::event::EventKind;
     use netsim::prop::{check, vec_of};
     use netsim::Rng;
+    use tests::store_events;
 
     /// Per log: a (node, timestamps) spec. Node ids collide across logs on
     /// purpose (tie-break coverage); the tight timestamp range forces
@@ -1198,22 +1214,21 @@ mod merge_props {
     #[test]
     fn columnar_store_merge_matches_vec_merge() {
         check("columnar_store_merge_matches_vec_merge", 64, &[], |rng| {
-            // The fused merge-into-store and the legacy merge share one
-            // loser tree, and this pins it: unpacking the store yields the
-            // merged events byte for byte, and every row's ts column entry
-            // is the timestamp its event carried in its source log (events
-            // are globally unique by seqno construction, so the lookup is
-            // well-defined).
+            // The store merge and the event merge share one engine, and
+            // this pins it: the store's events are the merged events byte
+            // for byte, and every row's timestamp is the one its event
+            // carried in its source log (events are globally unique by
+            // seqno construction, so the lookup is well-defined).
             let logs = build(&arb_spec(rng), false);
             let store = merge_logs_store(&logs);
-            assert_eq!(store.to_events(), merge_logs(&logs).events);
+            assert_eq!(store_events(&store), merge_logs(&logs).events);
             let ts_by_event: std::collections::HashMap<Event, Option<LocalTs>> = logs
                 .iter()
                 .flat_map(|l| l.entries.iter())
                 .map(|e| (e.event, e.local_ts))
                 .collect();
-            for i in 0..store.len() {
-                assert_eq!(store.ts(i), ts_by_event[&store.event(i)]);
+            for e in store.entries() {
+                assert_eq!(e.local_ts, ts_by_event[&e.event]);
             }
         });
     }
@@ -1227,7 +1242,7 @@ mod merge_props {
             |rng| {
                 let logs = build(&arb_spec(rng), true);
                 let store = merge_logs_store(&logs);
-                assert_eq!(store.to_events(), merge_logs(&logs).events);
+                assert_eq!(store_events(&store), merge_logs(&logs).events);
             },
         );
     }
@@ -1299,19 +1314,28 @@ mod merge_props {
             |rng| {
                 // Node ids collide across logs, and logs may be empty.
                 let logs = build(&arb_spec(rng), rng.gen_bool(0.5));
-                let reference = merge_round_robin_reference(&logs);
-                for workers in 1..=4 {
-                    assert_eq!(
-                        merge_round_robin(&logs, workers),
-                        reference,
-                        "{workers} workers"
-                    );
-                }
+                assert_every_split_matches(&logs, "");
+                let store = merge_logs_store(&logs);
+                assert_eq!(store.entries(), round_robin_reference_entries(&logs));
             },
         );
     }
 
-    /// Logs of the given `(node, length)`, every event's seqno unique.
+    /// Every split of the engine, writing events and writing entries,
+    /// against the reference.
+    fn assert_every_split_matches(logs: &[LocalLog], what: &str) {
+        let entries = round_robin_reference_entries(logs);
+        let events: Vec<Event> = entries.iter().map(|e| e.event).collect();
+        for workers in 1..=4 {
+            let merged = merge_round_robin(logs, workers, |e| e.event);
+            assert_eq!(merged, events, "{what} {workers} workers");
+            let stored = merge_round_robin(logs, workers, |e| *e);
+            assert_eq!(stored, entries, "{what} {workers} workers, entries");
+        }
+    }
+
+    /// Logs of the given `(node, length)`, every event's seqno unique and
+    /// every other entry stamped with its seqno, backwards against the merge.
     fn logs_of(shape: &[(u16, u32)]) -> Vec<LocalLog> {
         shape
             .iter()
@@ -1319,11 +1343,14 @@ mod merge_props {
             .map(|(li, &(node, len))| {
                 let node = NodeId(node);
                 let first = li as u32 * 1000;
-                LocalLog::from_events(
+                let entries = (first..first + len).map(|s| LogEntry {
+                    event: Event::new(node, EventKind::Origin, PacketId::new(node, s)),
+                    local_ts: LocalTs::new(u64::from(u32::MAX - s)).filter(|_| s % 2 == 0),
+                });
+                LocalLog {
                     node,
-                    (first..first + len)
-                        .map(|s| Event::new(node, EventKind::Origin, PacketId::new(node, s))),
-                )
+                    entries: entries.collect(),
+                }
             })
             .collect()
     }
@@ -1345,14 +1372,9 @@ mod merge_props {
         ];
         for shape in shapes {
             let logs = logs_of(shape);
-            let reference = merge_round_robin_reference(&logs);
-            for workers in 1..=4 {
-                assert_eq!(
-                    merge_round_robin(&logs, workers),
-                    reference,
-                    "{shape:?}, {workers} workers"
-                );
-            }
+            assert_every_split_matches(&logs, &format!("{shape:?},"));
+            let store = merge_logs_store(&logs);
+            assert_eq!(store.entries(), round_robin_reference_entries(&logs), "{shape:?}");
         }
     }
 
@@ -1360,25 +1382,32 @@ mod merge_props {
     fn both_stages_split_above_the_threshold() {
         // 240 logs of 900 to 1 139 entries, whose packets each span many
         // logs: enough rows that the merge and the index run on two threads.
+        // Every entry is stamped, and the clocks order the nodes backwards.
         let logs: Vec<LocalLog> = (0..240u16)
             .map(|node| {
                 let len = 900 + u32::from(node);
-                LocalLog::from_events(
-                    NodeId(node),
-                    (0..len).map(|j| {
-                        let origin = NodeId(((u32::from(node) + j) % 50) as u16);
-                        Event::new(
+                let entries = (0..len).map(|j| {
+                    let origin = NodeId(((u32::from(node) + j) % 50) as u16);
+                    LogEntry {
+                        event: Event::new(
                             NodeId(node),
                             EventKind::Origin,
                             PacketId::new(origin, j / 4),
-                        )
-                    }),
-                )
+                        ),
+                        local_ts: LocalTs::new(u64::from(j) * 240 + u64::from(239 - node)),
+                    }
+                });
+                LocalLog {
+                    node: NodeId(node),
+                    entries: entries.collect(),
+                }
             })
             .collect();
         assert!(total_entries(&logs) >= PARALLEL_SCATTER_ROWS);
         let merged = merge_logs(&logs);
         assert_eq!(merged.events, merge_round_robin_reference(&logs));
+        let store = merge_logs_store(&logs);
+        assert_eq!(store.entries(), round_robin_reference_entries(&logs));
         let index = merged.packet_index();
         let one = PacketIndex::group_by_id(&merged.events, |e| e.packet, |_, e| *e, 1);
         assert_eq!(index.ids, one.ids);

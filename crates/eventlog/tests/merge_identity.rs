@@ -20,7 +20,7 @@
 use eventlog::{
     encode_row, merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store,
     packet_order, ColumnarIndex, Event, EventKind, EventStore, LocalLog, LocalTs, LogEntry,
-    MergedLog, PacketId, PacketIndex, ScratchArena, WatermarkTracker,
+    MergedLog, PacketId, PacketIndex, WatermarkTracker,
 };
 use netsim::NodeId;
 
@@ -197,7 +197,12 @@ fn assert_all_paths(logs: &[LocalLog], what: &str) {
         );
     }
     let store = merge_logs_store(logs);
-    assert_eq!(store.to_events(), expected, "merge_logs_store, {what}");
+    assert_eq!(events_of(&store), expected, "merge_logs_store, {what}");
+}
+
+/// The events of `store`'s entries, in order.
+fn events_of(store: &EventStore) -> Vec<Event> {
+    store.entries().iter().map(|e| e.event).collect()
 }
 
 // --- merge identity ------------------------------------------------------
@@ -395,7 +400,7 @@ fn sixty_five_thousand_one_entry_runs() {
     order.sort_by_key(|&i| (logs[i].node, i));
     let expected: Vec<Event> = order.iter().map(|&i| logs[i].entries[0].event).collect();
     assert_eq!(merge_logs(&logs).events, expected);
-    assert_eq!(merge_logs_store(&logs).to_events(), expected);
+    assert_eq!(events_of(&merge_logs_store(&logs)), expected);
 }
 
 // --- one packet's share of the merge -------------------------------------
@@ -507,13 +512,13 @@ fn shuffling_the_logs_moves_no_merged_event() {
             let mut soup = distinct_node_soup(&mut rng, shape);
             let (merged, store) = (
                 merge_logs(&soup).events,
-                merge_logs_store(&soup).to_events(),
+                events_of(&merge_logs_store(&soup)),
             );
             for _ in 0..3 {
                 shuffle(&mut rng, &mut soup);
                 let what = format!("K = {logs}, {}% untimed", shape.untimed);
                 assert_eq!(merge_logs(&soup).events, merged, "{what}");
-                assert_eq!(merge_logs_store(&soup).to_events(), store, "{what}");
+                assert_eq!(events_of(&merge_logs_store(&soup)), store, "{what}");
             }
         }
     }
@@ -620,9 +625,9 @@ fn merged_and_grouped_bytes_are_the_frozen_ones() {
             merged_digest.event(e);
         }
         let store = merge_logs_store(&logs);
-        for (rec, ts) in store.records().iter().zip(store.ts_column()) {
-            merged_digest.event(&rec.unpack());
-            merged_digest.word(*ts);
+        for entry in store.entries() {
+            merged_digest.event(&entry.event);
+            merged_digest.word(entry.local_ts.map_or(u64::MAX, LocalTs::get));
         }
         // Group on the node the event was logged on as well, for groups of
         // some depth (the packet ids of a soup are all distinct).
@@ -676,7 +681,6 @@ fn assert_indexes(events: Vec<Event>, what: &str) {
     assert_eq!(columnar.ids(), ids.as_slice(), "ColumnarIndex ids, {what}");
     assert_eq!(columnar.event_count(), merged.len());
 
-    let mut scratch = ScratchArena::new();
     for (i, id) in ids.iter().enumerate() {
         let expected = by_packet[id].as_slice();
         assert_eq!(
@@ -691,11 +695,11 @@ fn assert_indexes(events: Vec<Event>, what: &str) {
             rows.windows(2).all(|w| w[0] < w[1]),
             "rows of {id} in merged order, {what}"
         );
-        assert_eq!(
-            scratch.unpack(&store, rows),
-            expected,
-            "ColumnarIndex group {id}, {what}"
-        );
+        let events: Vec<Event> = rows
+            .iter()
+            .map(|&row| store.entries()[row as usize].event)
+            .collect();
+        assert_eq!(events, expected, "ColumnarIndex group {id}, {what}");
         assert_eq!(columnar.get(*id), Some(rows));
     }
     let absent = PacketId::new(NodeId(u16::MAX - 1), 77);

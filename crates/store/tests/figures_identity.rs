@@ -12,7 +12,7 @@ use citysee::figures::{
 };
 use citysee::{analyze, run_scenario, PacketRecord, Scenario};
 use eventlog::merge::merge_logs_store;
-use eventlog::{LogEntry, PacketFate};
+use eventlog::PacketFate;
 use netsim::SimTime;
 use refill::{CtpVocabulary, Reconstructor};
 use refill_store::{ReportRow, SegmentStore, Sidecar};
@@ -77,12 +77,12 @@ fn figures_from_store_match_in_memory_analysis_byte_for_byte() {
         .collect();
 
     let columns = merge_logs_store(&campaign.collected);
-    let event_rows: Vec<LogEntry> = columns.entries().collect();
+    let event_rows = columns.entries();
 
     let tmp = TempDir::new();
     let (store, _) = SegmentStore::open(&tmp.0).unwrap();
     let mut store = store;
-    store.append_events(&event_rows).unwrap();
+    store.append_events(event_rows).unwrap();
     store.append_reports(&rows).unwrap();
     store.sync().unwrap();
     drop(store);

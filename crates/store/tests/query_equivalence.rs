@@ -160,7 +160,7 @@ fn store_queries_match_in_memory_filters() {
             .then(|| (rng.gen_range(0..10_000u64), rng.gen_range(0..10_000u64)));
         let logs = to_logs(&soup);
         let columns = merge_logs_store(&logs);
-        let event_rows: Vec<LogEntry> = columns.entries().collect();
+        let event_rows = columns.entries();
         let reports =
             Reconstructor::new(CtpVocabulary::table2()).reconstruct_log(&columns.to_merged());
         let diagnoser = Diagnoser::new();
@@ -229,7 +229,7 @@ fn store_queries_match_in_memory_filters() {
 
         for q in &queries {
             let out = store.query(q).unwrap();
-            assert_eq!(&out.events, &oracle_events(&event_rows, q));
+            assert_eq!(&out.events, &oracle_events(event_rows, q));
             assert_eq!(&out.reports, &oracle_reports(&report_rows, q));
             assert_eq!(
                 out.stats.segments_scanned + out.stats.segments_skipped,
@@ -245,7 +245,7 @@ fn store_queries_match_in_memory_filters() {
         let latest_before = store.latest_reports().unwrap();
         store.compact().unwrap();
         assert_eq!(store.latest_reports().unwrap(), latest_before);
-        let mut before_sorted = event_rows.clone();
+        let mut before_sorted = event_rows.to_vec();
         before_sorted.sort_by_key(encode_row);
         let mut after_sorted = store.events().unwrap();
         after_sorted.sort_by_key(encode_row);
