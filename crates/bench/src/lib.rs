@@ -103,12 +103,18 @@ pub fn ablate(campaign: &Campaign, options: ReconOptions) -> Ablation {
 /// Run and analyze the environment-selected scenario, logging progress.
 pub fn run_and_analyze() -> (Campaign, Analysis) {
     let scenario = scenario_from_env().unwrap_or_else(|e| exit_with(&e));
+    run_and_analyze_scenario(&scenario)
+}
+
+/// Run and analyze `scenario`, logging progress: the campaign and analysis
+/// every figure is drawn from.
+pub fn run_and_analyze_scenario(scenario: &Scenario) -> (Campaign, Analysis) {
     eprintln!(
         "[bench] running scenario '{}': {} nodes, {} days (set REFILL_SCALE=small|standard|paper)",
         scenario.name, scenario.nodes, scenario.days
     );
     let t0 = std::time::Instant::now();
-    let campaign = run_scenario(&scenario);
+    let campaign = run_scenario(scenario);
     eprintln!(
         "[bench] simulated {} packets, {} events in {:.1?}",
         campaign.sim.counters.get("generated"),

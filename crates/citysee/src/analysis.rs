@@ -246,22 +246,26 @@ impl Analyzer {
 
     /// The per-packet pass: reconstruct and diagnose every packet of `ids`
     /// on `workers` threads, lend each to `visit`, and return what it made
-    /// of them in `ids` order. `index` groups the row numbers of `events`,
-    /// the merged log; each worker gathers a packet's events into one buffer
-    /// it keeps. A packet `index` does not know gets a flow reconstructed
-    /// from no events.
-    pub fn pass<T: Send>(
+    /// of them in `ids` order. `index` groups the row numbers of `rows` —
+    /// the merged log's events, or the entries of the store's one merge;
+    /// each worker gathers a packet's events into one buffer it keeps. A
+    /// packet `index` does not know gets a flow reconstructed from no
+    /// events.
+    pub fn pass<R: Copy + Sync, T: Send>(
         &self,
-        events: &[Event],
+        rows: &[R],
         index: &PacketIndex<u32>,
         ids: &[PacketId],
         workers: usize,
         visit: impl Fn(Visit<'_>) -> T + Sync,
-    ) -> Vec<T> {
+    ) -> Vec<T>
+    where
+        Event: From<R>,
+    {
         par_map(ids.len(), workers, Vec::new, |gathered, i| {
             let packet = ids[i];
             gathered.clear();
-            gathered.extend(index.rows_of(packet, events));
+            gathered.extend(index.rows_of(packet, rows).map(|&row| Event::from(row)));
             let report = self.recon.reconstruct_packet(packet, gathered);
             let (est_time, diagnosis) = self.diagnose(&report);
             let out = visit(Visit {

@@ -313,11 +313,18 @@ impl Scenario {
 
     /// Build all simulator inputs.
     pub fn build(&self) -> (Topology, LinkQualityTable, FaultSchedule, SimConfig) {
+        let topology = self.topology();
         let factory = RngFactory::new(self.seed);
-        let topology =
-            Topology::generate(self.nodes, self.side_m, Layout::JitteredGrid, &factory);
         let table = LinkModel::build_table(&topology, &LinkModelConfig::default(), &factory);
         (topology, table, self.faults(), self.sim_config())
+    }
+
+    /// The deployment [`Scenario::build`] lays out, without the all-pairs
+    /// link table and the fault schedule: each draws its own named
+    /// streams, so the layout is the same either way.
+    pub fn topology(&self) -> Topology {
+        let factory = RngFactory::new(self.seed);
+        Topology::generate(self.nodes, self.side_m, Layout::JitteredGrid, &factory)
     }
 
     /// The simulator's configuration for this campaign.
@@ -353,6 +360,15 @@ mod tests {
         assert_eq!(s.duration().as_secs(), s.day_secs * u64::from(s.days));
         // Clamped at the last day.
         assert_eq!(s.day_of(s.duration() + SimDuration::from_secs(999)), s.days - 1);
+    }
+
+    #[test]
+    fn the_topology_alone_is_the_one_build_lays_out() {
+        for s in [Scenario::small(), Scenario::standard()] {
+            let (built, alone) = (s.build().0, s.topology());
+            assert_eq!((built.len(), built.sink()), (alone.len(), alone.sink()));
+            assert!(built.nodes().all(|n| built.position(n) == alone.position(n)));
+        }
     }
 
     #[test]

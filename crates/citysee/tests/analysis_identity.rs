@@ -5,15 +5,20 @@
 //!   campaign (the lossy one frozen on the commit before the baselines and
 //!   the scoring moved into the per-packet pass, the clean one re-frozen
 //!   when the merge stopped reading clocks);
-//! * the digest does not depend on how the analysis threads are scheduled;
+//! * the digest does not depend on how the analysis threads are scheduled,
+//!   nor on how the logs are interleaved so long as each node's order is
+//!   kept — and no packet's report or diagnosis does either;
 //! * `wit_merge` on local logs allocates by the number of logs, not of
 //!   events, and scoring a flow asks the allocator for one buffer, or for
 //!   none on a warm thread.
 
 use baselines::wit::wit_merge;
-use citysee::{analyze, run_scenario, Analysis, Scenario};
-use eventlog::{Event, EventKind, LocalLog, PacketId, TruthEvent};
+use citysee::{analyze, run_scenario, Analysis, Campaign, Scenario};
+use eventlog::{Event, EventKind, LocalLog, MergedLog, PacketId, TruthEvent};
+use netsim::json::ToJson;
+use netsim::rng::Rng;
 use netsim::NodeId;
+use refill::diagnose::Diagnoser;
 use refill::score::{score_events, score_flow};
 use refill::trace::{CtpVocabulary, Reconstructor};
 use std::fmt::Debug;
@@ -64,12 +69,12 @@ fn lossy() -> Scenario {
     s
 }
 
-/// The lossy digest is frozen on the parent of the commit that introduced
-/// this file. The clean one was re-frozen when `merge_logs` stopped ordering
-/// timestamped logs by their clocks: its logs carry timestamps, so each
-/// packet's evidence is now in per-node position order.
-const CLEAN_DIGEST: u64 = 0x5384_50ea_31d7_c931;
-const LOSSY_DIGEST: u64 = 0x5224_93b5_b734_3eb7;
+/// Both digests were re-frozen when reports stopped depending on the
+/// interleave of their evidence: the kernel orders a packet's nodes itself
+/// (origin, then by id) and the diagnosis reads the deepest end of the
+/// flow along the packet's route, no longer the latest one in list order.
+const CLEAN_DIGEST: u64 = 0xeae9_58ad_7dd0_5381;
+const LOSSY_DIGEST: u64 = 0x8d49_c989_ee90_6688;
 
 #[test]
 fn the_whole_analysis_is_the_frozen_one() {
@@ -101,6 +106,75 @@ fn the_whole_analysis_is_the_frozen_one() {
         out
     });
     assert_eq!(contended, first, "beside a busy thread");
+}
+
+// --- one answer per evidence set -----------------------------------------
+
+/// The campaign's collected events node by node — in node-id order, or in
+/// reverse — each node's in its own order.
+fn node_major(campaign: &Campaign, reverse: bool) -> MergedLog {
+    let mut logs: Vec<&LocalLog> = campaign.collected.iter().collect();
+    logs.sort_by_key(|log| log.node);
+    if reverse {
+        logs.reverse();
+    }
+    let events = logs.iter().flat_map(|log| log.entries.iter().map(|e| e.event));
+    MergedLog {
+        events: events.collect(),
+    }
+}
+
+/// `events` interleaved at random, each node's kept in its order.
+fn shuffled(rng: &mut Rng, events: &[Event]) -> Vec<Event> {
+    let mut streams: Vec<Vec<Event>> = Vec::new();
+    for &e in events.iter().rev() {
+        match streams.iter_mut().find(|s| s[0].node == e.node) {
+            Some(stream) => stream.push(e),
+            None => streams.push(vec![e]),
+        }
+    }
+    let mut out = Vec::with_capacity(events.len());
+    while !streams.is_empty() {
+        let pick = rng.gen_range(0..streams.len());
+        out.push(streams[pick].pop().expect("no stream is left empty"));
+        if streams[pick].is_empty() {
+            streams.swap_remove(pick);
+        }
+    }
+    out
+}
+
+#[test]
+fn no_answer_depends_on_how_the_logs_are_interleaved() {
+    let mut campaign = run_scenario(&lossy());
+    let sink = campaign.topology.sink();
+    let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(sink);
+    let diagnoser = Diagnoser::new().with_sink(sink);
+    let answer = |events: &[Event], packet| {
+        let report = recon.reconstruct_packet(packet, events);
+        let json = |v: &dyn ToJson| v.to_json().to_compact().expect("finite numbers");
+        (json(&report), json(&diagnoser.diagnose(&report, None)))
+    };
+    // Every packet, over one packet's evidence in four orders.
+    let mut rng = Rng::new(0x0de7_0f0e_7e9e_4ce5);
+    let index = campaign.merged.packet_index();
+    for (packet, events) in index.iter() {
+        let by_node = |reverse: bool| {
+            let mut events = events.to_vec();
+            events.sort_by_key(|e| if reverse { u16::MAX - e.node.0 } else { e.node.0 });
+            events
+        };
+        let merged = answer(events, packet);
+        for other in [by_node(false), by_node(true), shuffled(&mut rng, events)] {
+            assert_eq!(answer(&other, packet), merged, "{packet:?}");
+        }
+    }
+    // The whole analysis, over the logs in three orders.
+    let merged = digest(&analyze(&campaign));
+    for reverse in [false, true] {
+        campaign.merged = node_major(&campaign, reverse);
+        assert_eq!(digest(&analyze(&campaign)), merged, "node-major, reverse {reverse}");
+    }
 }
 
 // --- the shape of the cost -----------------------------------------------

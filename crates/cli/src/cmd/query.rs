@@ -140,9 +140,9 @@ pub fn query_cmd_inner(args: &[String]) -> Result<String, String> {
                 scenario
                     .validate()
                     .map_err(|e| format!("{}: {e}", path.display()))?;
-                let (topology, _, _, _) = scenario.build();
                 Ok(figs::render_fig8_csv(&figs::fig8_from_records(
-                    &records, &topology,
+                    &records,
+                    &scenario.topology(),
                 )))
             }
             other => Err(format!(

@@ -3,6 +3,7 @@
 use super::{build_analyzer, load_input, scenario_from_flags, FlagSpec, Flags};
 use citysee::analysis::{campaign_packets, truth_fate, Analyzer};
 use citysee::run_scenario;
+use eventlog::PacketIndex;
 use netsim::available_workers;
 use netsim::json::ToJson;
 use refill_store::{ReportRow, SegmentStore, Sidecar};
@@ -30,13 +31,12 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &FLAGS)?;
     let out_dir = PathBuf::from(flags.get("out").ok_or("--out is required")?);
 
-    // What the two modes differ in: whose logs, which analyzer and index,
-    // and whether there is a truth to take packets and fates from.
-    let (logs, analyzer, (merged, index), truth, scenario_json) = if flags.get("logs").is_some() {
+    // What the two modes differ in: whose logs, which analyzer, and
+    // whether there is a truth to take packets and fates from.
+    let (logs, analyzer, truth, scenario_json) = if flags.get("logs").is_some() {
         let input = load_input(&flags)?;
         let analyzer = build_analyzer(&flags, &input, &None)?;
-        let index = analyzer.index(&input.logs);
-        (input.logs, analyzer, index, None, None)
+        (input.logs, analyzer, None, None)
     } else {
         // Simulation mode: scenario.json rides along so
         // `query --fig fig8` can rebuild the topology.
@@ -47,21 +47,22 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
         );
         let campaign = run_scenario(&scenario);
         let analyzer = Analyzer::for_campaign(&campaign);
-        let index = campaign.merged.packet_rows();
         let json = scenario.to_json().to_pretty().map_err(|e| e.to_string())?;
         (
             campaign.collected,
             analyzer,
-            (campaign.merged, index),
             Some(campaign.sim.truth),
             Some(json),
         )
     };
+    // One merge: its entries are the event rows, and the pass reads them.
+    let event_rows = eventlog::merge_logs_store(&logs);
+    let index = PacketIndex::group_rows(event_rows.entries(), |e| e.event.packet);
     let ids = match &truth {
         Some(truth) => campaign_packets(&index, truth),
         None => index.ids().to_vec(),
     };
-    let report_rows = analyzer.pass(&merged.events, &index, &ids, available_workers(), |v| {
+    let report_rows = analyzer.pass(event_rows.entries(), &index, &ids, available_workers(), |v| {
         let sidecar = Sidecar {
             est_time: v.est_time,
             diagnosis: v.diagnosis,
@@ -69,7 +70,6 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
         };
         ReportRow::from_report(v.report, Some(sidecar))
     });
-    let event_rows = eventlog::merge_logs_store(&logs);
 
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
     let (st, recovery) = SegmentStore::open(&out_dir).map_err(|e| e.to_string())?;

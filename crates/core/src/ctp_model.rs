@@ -362,12 +362,14 @@ impl HopEvidence {
     }
 }
 
-/// The sink an event group names: the first `serial trans` recorder.
+/// The sink an event group names: the least `serial trans` recorder, so
+/// that no interleave of the group can name another.
 pub(crate) fn sink_of(events: &[Event]) -> Option<NodeId> {
     events
         .iter()
-        .find(|e| matches!(e.kind, EventKind::SerialTrans))
+        .filter(|e| matches!(e.kind, EventKind::SerialTrans))
         .map(|e| e.node)
+        .min()
 }
 
 /// True if the base station logged the packet.

@@ -23,6 +23,7 @@
 //! as an inferred event, the hardware acked but the stack dropped it
 //! (acked loss).
 
+use crate::ctp_model::Role;
 use crate::trace::PacketReport;
 use eventlog::{Event, EventKind, LossCause, PacketId};
 use netsim::fx::FxHashMap;
@@ -268,43 +269,59 @@ impl Diagnoser {
 
 /// The flow entry the diagnosis is based on: among the *maximal* entries of
 /// the partial order (nothing depends on them — each is the end of some
-/// copy's story), prefer the latest non-`dup` one. A duplicate drop is the
-/// end of a retransmitted *extra* copy; the packet's own fate is whatever
-/// happened to the copy that progressed furthest, which only a dup-drop can
-/// decide when it is the sole remaining story (a genuine routing-loop
-/// discard).
+/// copy's story), the non-`dup` one deepest along the packet's route. The
+/// packet's fate is what happened to the copy that progressed furthest (the
+/// simulator's deepest death); a duplicate drop is the end of a
+/// retransmitted *extra* copy, which decides it only when it is the sole
+/// remaining story (a genuine routing-loop discard).
+///
+/// Depth is what the chains tell of the route: a chain that reaches the
+/// sink ends it, every chain but the main one (headed at the origin) lies
+/// past the main one, and along a chain a hop is one step deeper. Equal
+/// depths go to the latest entry.
 fn classification_entry(report: &PacketReport) -> Option<usize> {
     let n = report.flow.entries.len();
-    if n == 0 {
-        return None;
-    }
     let mut has_successor = vec![false; n];
     for i in 0..n {
         for &d in report.flow.deps_of(i) {
             has_successor[d as usize] = true;
         }
     }
+    let engine_of = |i: usize| report.flow.entries[i].engine.0 as usize;
     // A dup entry counts as the packet's end only when its engine *is* the
     // chain continuation (a routing-loop discard: the previous hop's `next`
     // points at it). A dup on a side stub is a retransmitted extra copy.
-    let dup_on_chain = |i: usize| {
-        let eng = &report.engines[report.flow.entries[i].engine.0 as usize];
-        match eng.prev {
-            Some(p) => report.engines[p].next == Some(report.flow.entries[i].engine.0 as usize),
+    let is_stub_dup = |i: usize| {
+        let on_chain = match report.engines[engine_of(i)].prev {
+            Some(p) => report.engines[p].next == Some(engine_of(i)),
             None => true,
-        }
+        };
+        matches!(report.flow.entries[i].payload.kind, EventKind::Dup { .. }) && !on_chain
     };
-    let mut best_preferred = None;
-    let mut best_any = None;
-    for i in (0..n).filter(|&i| !has_successor[i]) {
-        let ev = report.flow.entries[i].payload;
-        best_any = Some(i);
-        let is_stub_dup = matches!(ev.kind, EventKind::Dup { .. }) && !dup_on_chain(i);
-        if !is_stub_dup {
-            best_preferred = Some(i);
+    // Per engine: its chain reaches the sink, its chain is not the main
+    // one, and its hops back to the chain's head — bounded, as under heavy
+    // log loss the links can form a cycle. A chain's engines follow its
+    // head, so a hop count mostly extends its predecessor's.
+    let engines = &report.engines;
+    let mut route: Vec<(bool, bool, usize)> = Vec::with_capacity(engines.len());
+    for (e, info) in engines.iter().enumerate() {
+        let hops = match info.prev {
+            Some(p) if p < e => (route[p].2 + 1).min(engines.len()),
+            _ => std::iter::successors(info.prev, |&p| engines[p].prev)
+                .take(engines.len())
+                .count(),
+        };
+        route.push((false, info.fragment != 0, hops));
+    }
+    for info in engines.iter().filter(|e| matches!(e.role, Role::Sink | Role::BaseStation)) {
+        for (d, other) in route.iter_mut().zip(engines) {
+            d.0 |= other.fragment == info.fragment;
         }
     }
-    best_preferred.or(best_any)
+    let depth = |i: usize| (route[engine_of(i)], i);
+    let ends = || (0..n).filter(|&i| !has_successor[i]);
+    let deepest = ends().filter(|&i| !is_stub_dup(i)).max_by_key(|&i| depth(i));
+    deepest.or_else(|| ends().max_by_key(|&i| depth(i)))
 }
 
 fn count_retransmissions(report: &PacketReport) -> usize {

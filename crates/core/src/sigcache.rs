@@ -2,11 +2,12 @@
 //! its 128-bit signature, the node-abstract [`ReportTemplate`] its
 //! reconstruction leaves, and the sharded cache mapping one to the other.
 //!
-//! The kernel only ever compares node ids for equality (visit streams, hop
-//! evidence, role checks against the origin/sink/base station), so
-//! reconstruction commutes with any injective node rename that fixes the
-//! reserved ids and maps origin to origin and sink to sink: one template
-//! serves every packet with the same flow shape. Since the table-driven
+//! The kernel compares node ids for equality (visit streams, hop evidence,
+//! role checks against the origin/sink/base station) and for order (it
+//! segments a packet's nodes by id), so reconstruction commutes with any
+//! order-preserving node rename that fixes the reserved ids and maps origin
+//! to origin and sink to sink: one template serves every packet with the
+//! same flow shape. Since the table-driven
 //! kernel made a packet cost ≈10 µs, canonicalise + hash + clone-a-template
 //! no longer beats reconstructing (DESIGN.md §6): no production path uses
 //! the memo, the kernel does not know it, and it stays for its equivalence
@@ -39,9 +40,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const MAX_CACHEABLE_EVENTS: usize = 512;
 
 /// Bumped whenever the signature definition changes (event codes, packing,
-/// mixer); folded into every hash so stale persisted signatures can never
-/// alias fresh ones.
-const SIG_VERSION: u64 = 1;
+/// mixer, renaming); folded into every hash so stale persisted signatures
+/// can never alias fresh ones.
+const SIG_VERSION: u64 = 2;
 
 /// A 128-bit canonical flow-shape signature (see
 /// [`Reconstructor::signature_of`]).
@@ -98,34 +99,7 @@ impl Mix128 {
     }
 }
 
-/// Alpha-renamer: maps node ids to dense first-appearance indices. The two
-/// reserved ids are fixed points — [`BASE_STATION`] because `spawn_role`
-/// and `link` treat it specially (renaming it would change behavior), and
-/// [`UNKNOWN_NODE`] so synthesized unknown-peer events rehydrate to
-/// themselves. Canonical indices stay below `2 * MAX_CACHEABLE_EVENTS + 2`,
-/// far clear of both sentinels.
-#[derive(Default)]
-struct AlphaRenamer {
-    nodes: Vec<NodeId>,
-    index: FxHashMap<NodeId, u16>,
-}
-
-impl AlphaRenamer {
-    fn canon(&mut self, n: NodeId) -> NodeId {
-        if n == BASE_STATION || n == UNKNOWN_NODE {
-            return n;
-        }
-        if let Some(&i) = self.index.get(&n) {
-            return NodeId(i);
-        }
-        let i = self.nodes.len() as u16;
-        self.index.insert(n, i);
-        self.nodes.push(n);
-        NodeId(i)
-    }
-}
-
-/// Rewrite an event kind's peer through the renamer; non-peer kinds pass
+/// Rewrite an event kind's peer through a rename; non-peer kinds pass
 /// through unchanged.
 fn rename_kind(kind: EventKind, mut rename: impl FnMut(NodeId) -> NodeId) -> EventKind {
     match kind {
@@ -163,8 +137,8 @@ struct CanonicalGroup {
     packet: PacketId,
     /// Alpha-renamed effective sink.
     sink: Option<NodeId>,
-    /// Inverse map: canonical index → real node. Indices past the end
-    /// (the fixed points) rehydrate to themselves.
+    /// Inverse map: canonical rank → real node. Ids past the end (the
+    /// fixed points) rehydrate to themselves.
     nodes: Vec<NodeId>,
 }
 
@@ -172,23 +146,31 @@ struct CanonicalGroup {
 /// cache-ineligible (too many events, or a stray event of a different
 /// packet mixed into the group).
 ///
-/// Index assignment order is part of the signature definition: events in
-/// merged order (recording node first, then peer), then the origin, then
-/// the sink — so an origin or pinned sink that appears in no event (both
-/// still steer `spawn_role`/`link`) gets a deterministic index too.
+/// The alpha-rename maps each node id to its rank among the ids the group
+/// names — every recording node and peer, the origin and the sink, so an
+/// origin or pinned sink that appears in no event (both still steer
+/// `spawn_role`/`link`) gets a rank too — so it keeps their order. The two
+/// reserved ids are fixed points: [`BASE_STATION`] because `spawn_role` and
+/// `link` treat it specially, and [`UNKNOWN_NODE`] so synthesized
+/// unknown-peer events rehydrate to themselves. Both lie above every other
+/// id and every rank stays below `2 * MAX_CACHEABLE_EVENTS + 2`, so the
+/// order holds across them too.
 fn canonicalize(packet: PacketId, events: &[Event], sink: Option<NodeId>) -> Option<CanonicalGroup> {
     if events.len() > MAX_CACHEABLE_EVENTS || events.iter().any(|e| e.packet != packet) {
         return None;
     }
-    let mut ren = AlphaRenamer::default();
+    let named = events.iter().flat_map(|e| [Some(e.node), e.kind.peer()]);
+    let mut nodes: Vec<NodeId> = named.chain([Some(packet.origin), sink]).flatten().collect();
+    nodes.retain(|&n| n != BASE_STATION && n != UNKNOWN_NODE);
+    nodes.sort_unstable();
+    nodes.dedup();
+    let canon = |n: NodeId| nodes.binary_search(&n).map_or(n, |rank| NodeId(rank as u16));
     let mut shapes: Vec<(NodeId, EventKind)> = Vec::with_capacity(events.len());
     for e in events {
-        let node = ren.canon(e.node);
-        let kind = rename_kind(e.kind, |n| ren.canon(n));
-        shapes.push((node, kind));
+        shapes.push((canon(e.node), rename_kind(e.kind, canon)));
     }
-    let origin = ren.canon(packet.origin);
-    let canon_sink = sink.map(|s| ren.canon(s));
+    let origin = canon(packet.origin);
+    let canon_sink = sink.map(canon);
     let canon_packet = PacketId::new(origin, 0);
 
     let mut mix = Mix128::new(SIG_VERSION);
@@ -207,7 +189,7 @@ fn canonicalize(packet: PacketId, events: &[Event], sink: Option<NodeId>) -> Opt
             .collect(),
         packet: canon_packet,
         sink: canon_sink,
-        nodes: ren.nodes,
+        nodes,
     })
 }
 
@@ -264,7 +246,7 @@ impl Reconstructor {
     /// Reconstruct one packet through a signature cache.
     ///
     /// The packet's event group is canonicalized (node ids alpha-renamed to
-    /// first-appearance indices, packet id normalized) and hashed into a
+    /// their ranks, packet id normalized) and hashed into a
     /// [`FlowSignature`]. On a cache hit the stored node-abstract
     /// [`ReportTemplate`] is rehydrated with this packet's real node and
     /// packet ids; on a miss the canonical group is reconstructed once and

@@ -5,8 +5,10 @@
 //! landmark a label needs — it asks [`crate::ctp_model`]; the memoised
 //! path over it lives in [`crate::sigcache`].
 //!
-//! 1. **Group** the packet's events per node (each node's recording order
-//!    is preserved by the merge).
+//! 1. **Group** the packet's events per node, in an order the kernel picks
+//!    itself: the packet's origin, then the other recording nodes by id.
+//!    Only each node's own recording order is read from the input, so any
+//!    interleave that keeps it gives the same report.
 //! 2. **Segment** each node's events into *visits*: a routing loop brings a
 //!    packet back to a node, which must become a second engine instance
 //!    (Table II, Case 4). Segmentation runs the node's FSM speculatively —
@@ -241,8 +243,9 @@ impl Reconstructor {
             .collect()
     }
 
-    /// Reconstruct one packet from its events (merged order; per-node
-    /// subsequences must be in recording order).
+    /// Reconstruct one packet from its events: any interleave of the
+    /// nodes' events that keeps each node's recording order, all giving the
+    /// same report.
     pub fn reconstruct_packet(&self, packet: PacketId, events: &[Event]) -> PacketReport {
         let sink = self.effective_sink(events);
         let report = self.reconstruct_with_sink(packet, events, sink);
@@ -309,7 +312,7 @@ impl Reconstructor {
             let scratch = &mut *scratch.borrow_mut();
             self.segment(packet, events, sink, scratch);
             self.link(packet, &mut scratch.visits, sink);
-            chain_order(&scratch.visits, &mut scratch.order, &mut scratch.marks);
+            chain_order(packet.origin, &scratch.visits, &mut scratch.order, &mut scratch.marks);
             self.run(packet, events, scratch)
         })
     }
@@ -335,19 +338,21 @@ impl Reconstructor {
             assignments,
             ..
         } = scratch;
-        // Node by node, in order of first appearance; a node's stream is its
-        // events picked out of the merged order, which keeps its recording
+        // Node by node: the origin, then the others by id — never the order
+        // the input interleaves them in. A node's stream is its events picked
+        // out of the input from its first one on, which keeps its recording
         // order. A packet meets a handful of nodes, so "seen before" is a
-        // scan of them and nothing is copied or sorted.
+        // scan of them.
         nodes.clear();
         visits.clear();
         assignments.clear();
-        for (first, e) in events.iter().enumerate() {
-            let node = e.node;
-            if nodes.contains(&node) {
-                continue;
+        for (at, e) in events.iter().enumerate() {
+            if !nodes.iter().any(|&(node, _)| node == e.node) {
+                nodes.push((e.node, at));
             }
-            nodes.push(node);
+        }
+        nodes.sort_unstable_by_key(|&(node, _)| (node != packet.origin, node));
+        for &(node, first) in nodes.iter() {
             let stream = events[first..].iter().filter(|e| e.node == node);
             // Visits at this node, in creation order; the last is "current".
             active.clear();
@@ -610,8 +615,9 @@ fn state_after(t: &FsmTemplate<HopLabel>, state: StateId, label: &HopLabel) -> O
 #[derive(Default)]
 struct Scratch {
     net: ConnectedNet<HopLabel, Event>,
-    /// The packet's recording nodes, in order of first appearance.
-    nodes: Vec<NodeId>,
+    /// The packet's recording nodes, each with its first event's index: its
+    /// origin, then by id.
+    nodes: Vec<(NodeId, usize)>,
     /// The visits of the node being segmented.
     active: Vec<usize>,
     visits: Vec<Visit>,
@@ -725,13 +731,15 @@ fn find_receiver(visits: &[Visit], v: NodeId, u: NodeId, exclude: usize) -> Opti
 }
 
 /// Order visits chain-first: walk each chain from its head (a visit with no
-/// linked predecessor), main chain (containing the earliest-created head)
-/// first, then remaining chains in head order.
-fn chain_order(visits: &[Visit], order: &mut Vec<usize>, placed: &mut Vec<bool>) {
+/// linked predecessor), the main chain first — the one headed at the
+/// packet's origin, real or phantom, else the earliest-created head's —
+/// then the remaining chains in head order.
+fn chain_order(origin: NodeId, visits: &[Visit], order: &mut Vec<usize>, placed: &mut Vec<bool>) {
     order.clear();
     placed.clear();
     placed.resize(visits.len(), false);
-    for head in 0..visits.len() {
+    let main = (0..visits.len()).find(|&v| visits[v].node == origin && visits[v].prev.is_none());
+    for head in main.into_iter().chain(0..visits.len()) {
         if placed[head] || visits[head].prev.is_some() {
             continue;
         }

@@ -11,7 +11,7 @@
 
 use crate::event::{Event, EventKind, PacketId};
 use crate::logger::{LocalTs, LogEntry};
-use crate::merge::{MergedLog, PacketIndex};
+use crate::merge::PacketIndex;
 use netsim::NodeId;
 
 /// A row's timestamp for "none": no [`LocalTs`] holds `u64::MAX` and every
@@ -122,13 +122,6 @@ impl EventStore {
         });
         EventStore {
             entries: entries.collect(),
-        }
-    }
-
-    /// The entries' events as a merged log.
-    pub fn to_merged(&self) -> MergedLog {
-        MergedLog {
-            events: self.entries.iter().map(|e| e.event).collect(),
         }
     }
 }

@@ -37,7 +37,7 @@ pub use frame::{FrameDecoder, FrameStats, NodeRecord};
 pub use logger::{LocalLog, LocalTs, LogEntry, LoggerConfig, NodeLogger};
 pub use merge::{
     merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, merge_runs,
-    packet_order, MergedLog, PacketIndex,
+    MergedLog, PacketIndex,
 };
 pub use watermark::{Lateness, Mark, WatermarkTracker};
 

@@ -79,6 +79,13 @@ pub struct LogEntry {
 
 json_struct!(LogEntry { event, local_ts });
 
+/// What the analysis reads of an entry: a pass runs over the store's rows.
+impl From<LogEntry> for Event {
+    fn from(entry: LogEntry) -> Event {
+        entry.event
+    }
+}
+
 /// A node's local log: the entries that survived, in recording order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocalLog {

@@ -450,15 +450,6 @@ fn counting_sort<R: Sync, T: Copy + Send>(
     })
 }
 
-/// Where an entry sits in [`merge_logs`]'s order: `position` is its place in
-/// its own node's log (a `WatermarkTracker` fed that log gives it as
-/// `Mark::records`). For logs of distinct nodes, a packet's group of the
-/// merge is its entries sorted by this key — whatever order the logs are
-/// listed in, and whatever their clocks read.
-pub fn packet_order(position: u64, node: NodeId) -> (u64, NodeId) {
-    (position, node)
-}
-
 /// Merge local logs into one stream: round-robin, one entry from every log
 /// that still has one per pass, the logs visited in node-id order (logs of
 /// one node in input order). Each node's own order is preserved exactly, and

@@ -26,7 +26,7 @@ pub struct Mark {
     pub ts_us: u64,
     /// Records delivered by this node so far — the logical clock that
     /// keeps watermarks moving when logs carry no timestamps, and the
-    /// latest record's position in its node's stream (`packet_order`).
+    /// latest record's position in its node's stream.
     pub records: u64,
 }
 

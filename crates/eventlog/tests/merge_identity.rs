@@ -7,9 +7,9 @@
 //!   engine) an O(N·K) cursor scan on `(ts, node, input index)`, over seeded
 //!   soups of every fan-in and timestamp shape;
 //! * for logs of distinct nodes, listed in any order, each packet's group of
-//!   the merge is that packet's entries sorted by `packet_order` — the order
-//!   a stream keeps its windows in — and no merged event moves when the logs
-//!   are shuffled;
+//!   the merge is that packet's entries sorted by `packet_order` (position
+//!   in its own log, then node) and no merged event moves when the logs are
+//!   shuffled;
 //! * a 64-bit digest over the merged bytes and the grouped bytes of a fixed
 //!   set of soups, frozen when the log merge stopped reading clocks;
 //! * both indexes equal the `by_packet()` grouping on dense and sparse id
@@ -19,7 +19,7 @@
 
 use eventlog::{
     encode_row, merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store,
-    packet_order, ColumnarIndex, Event, EventKind, EventStore, LocalLog, LocalTs, LogEntry,
+    ColumnarIndex, Event, EventKind, EventStore, LocalLog, LocalTs, LogEntry,
     MergedLog, PacketId, PacketIndex, WatermarkTracker,
 };
 use netsim::NodeId;
@@ -429,6 +429,15 @@ fn shuffle<T>(rng: &mut SplitMix64, items: &mut [T]) {
     for i in (1..items.len()).rev() {
         items.swap(i, rng.below(i as u64 + 1) as usize);
     }
+}
+
+/// Where an entry sits in `merge_logs`' order: `position` is its place in
+/// its own node's log (a `WatermarkTracker` fed that log gives it as
+/// `Mark::records`). For logs of distinct nodes, a packet's group of the
+/// merge is its entries sorted by this key — whatever order the logs are
+/// listed in, and whatever their clocks read.
+fn packet_order(position: u64, node: NodeId) -> (u64, NodeId) {
+    (position, node)
 }
 
 /// Every packet's events sorted by `packet_order`, each entry keyed by its

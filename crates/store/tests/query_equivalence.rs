@@ -5,7 +5,7 @@
 //! the store was fed. Pushdown may only skip work, never answers.
 
 use eventlog::logger::{LocalLog, LocalTs, LogEntry};
-use eventlog::merge::merge_logs_store;
+use eventlog::merge::{merge_logs, merge_logs_store};
 use eventlog::{encode_row, Event, EventKind, PacketId};
 use netsim::prop::{check, vec_of};
 use netsim::{NodeId, Rng};
@@ -162,7 +162,7 @@ fn store_queries_match_in_memory_filters() {
         let columns = merge_logs_store(&logs);
         let event_rows = columns.entries();
         let reports =
-            Reconstructor::new(CtpVocabulary::table2()).reconstruct_log(&columns.to_merged());
+            Reconstructor::new(CtpVocabulary::table2()).reconstruct_log(&merge_logs(&logs));
         let diagnoser = Diagnoser::new();
         let report_rows: Vec<ReportRow> = reports
             .iter()

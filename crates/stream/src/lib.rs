@@ -11,12 +11,12 @@
 //!    (a full lane stalls and pumps them all), per-node low-watermarks over
 //!    the nodes' *own* clocks, and packet windows that close when every
 //!    contributing node has moved past its last contribution. A window
-//!    keeps its events in the merge's order (`eventlog::packet_order`: per-
-//!    node position, then node, no clock) and a record for a closed window
-//!    reopens it, so every close is the batch
-//!    answer over what was absorbed and `finish()` is the batch answer over
-//!    everything ingested, however it was interleaved (one record per
-//!    packet, one reconstruction per close; `finish()` is re-enterable).
+//!    keeps its events in arrival order, which keeps each node's order —
+//!    all the kernel reads — and a record for a closed window reopens it,
+//!    so every close is the batch answer over what was absorbed and
+//!    `finish()` is the batch answer over everything ingested, however it
+//!    was interleaved (one record per packet, one reconstruction per close;
+//!    `finish()` is re-enterable).
 //! 3. **The driver**: [`run_stream`] pairs an ingest worker (decode) with
 //!    the reconstruction loop over a bounded `std::sync::mpsc` channel;
 //!    [`run_stream_observed`] is the same loop with [`StreamObserver`]s

@@ -17,11 +17,11 @@
 //! latency heuristic — a record arriving after its window closed *reopens*
 //! the window and the packet is re-reconstructed.
 //!
-//! A window keeps its events in [`packet_order`] — by each record's position
-//! in its own node's stream, then node — the order `merge_logs` gives them
-//! once the records are regrouped into per-node logs. No clock enters it. So,
-//! however the stream is interleaved and whatever its timestamps read, a
-//! close is the batch answer over what was absorbed and
+//! A window keeps its events in the order they were absorbed. That keeps
+//! each node's own order, which is all the kernel reads: its report is the
+//! same for every interleave of the nodes that keeps it. No clock enters
+//! it. So, however the stream is interleaved and whatever its timestamps
+//! read, a close is the batch answer over what was absorbed and
 //! [`StreamReconstructor::finish`] the batch answer over everything
 //! ingested; timestamps only move *when* a window closes.
 //!
@@ -33,14 +33,13 @@
 //!
 //! ## What one close costs
 //!
-//! One kernel call, over the window's events gathered into a per-worker
-//! buffer. A re-closing window's previous report goes back to the kernel
-//! first ([`Reconstructor::recycle`]), so its successor is built in the same
+//! One kernel call, over the window's events where they lie. A re-closing
+//! window's previous report goes back to the kernel first
+//! ([`Reconstructor::recycle`]), so its successor is built in the same
 //! vectors; and [`StreamReconstructor::poll_with`] lends each new report to
 //! the caller where it lies. Only `poll` and `finish` clone.
 
 use eventlog::frame::NodeRecord;
-use eventlog::merge::packet_order;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
 use eventlog::{Event, PacketId};
 use netsim::fx::FxHashMap;
@@ -68,21 +67,12 @@ pub struct StreamStats {
     pub backpressure: u64,
 }
 
-/// One absorbed record as its window keeps it: the event, and the lane and
-/// position in that lane's stream that place it in [`packet_order`].
-struct Evidence {
-    event: Event,
-    node: NodeId,
-    position: u64,
-}
-
 /// Everything the online path keeps about one packet.
 struct PacketState {
     id: PacketId,
-    /// The window's evidence in [`packet_order`] — its events are what the
-    /// kernel is handed at every close. The length doubles as the window's
-    /// event count.
-    events: Vec<Evidence>,
+    /// The window's events in arrival order — what the kernel is handed at
+    /// every close. The length doubles as the window's event count.
+    events: Vec<Event>,
     /// Each contributing node's mark at its *last* contribution; the close
     /// rule compares only a node's own marks, never across nodes. A handful
     /// per packet, so a linear search beats a map.
@@ -187,9 +177,8 @@ impl StreamReconstructor {
         self.lanes = lanes;
     }
 
-    /// Absorb one record: advance its node's watermark and insert it into
-    /// its packet's window (opening or reopening it) at its place in
-    /// [`packet_order`].
+    /// Absorb one record: advance its node's watermark and append it to its
+    /// packet's window (opening or reopening it).
     fn absorb(&mut self, rec: NodeRecord) {
         self.absorbed_since_sweep = true;
         self.stats.records += 1;
@@ -218,18 +207,7 @@ impl StreamReconstructor {
             Some((_, since)) => *since = mark,
             None => packet.contributors.push((rec.node, mark)),
         }
-        // From the back: records mostly arrive in their merged order.
-        let events = &mut packet.events;
-        let key = packet_order(mark.records, rec.node);
-        let at = events
-            .iter()
-            .rposition(|e| packet_order(e.position, e.node) < key);
-        let evidence = Evidence {
-            event: rec.entry.event,
-            node: rec.node,
-            position: mark.records,
-        };
-        events.insert(at.map_or(0, |before| before + 1), evidence);
+        packet.events.push(rec.entry.event);
     }
 
     /// Sweep the open windows, close the ones every contributor has moved
@@ -302,25 +280,18 @@ impl StreamReconstructor {
             available_workers()
         };
         let (recon, packets) = (&self.recon, &self.packets);
-        let rebuilt = par_map(
-            closing.len(),
-            workers,
-            Vec::<Event>::new,
-            |events, i| {
-                let (slot, previous) = &closing[i];
-                let packet = &packets[*slot as usize];
-                let previous = previous
-                    .lock()
-                    .expect("a worker takes the report and lets go at once")
-                    .take();
-                if let Some(previous) = previous {
-                    recon.recycle(previous);
-                }
-                events.clear();
-                events.extend(packet.events.iter().map(|e| e.event));
-                recon.reconstruct_packet(packet.id, events)
-            },
-        );
+        let rebuilt = par_map(closing.len(), workers, || (), |_, i| {
+            let (slot, previous) = &closing[i];
+            let packet = &packets[*slot as usize];
+            let previous = previous
+                .lock()
+                .expect("a worker takes the report and lets go at once")
+                .take();
+            if let Some(previous) = previous {
+                recon.recycle(previous);
+            }
+            recon.reconstruct_packet(packet.id, &packet.events)
+        });
         for report in rebuilt {
             let kept = reports
                 .get_mut(&report.packet)
@@ -335,12 +306,12 @@ impl StreamReconstructor {
     }
 
     /// Heap bytes held by the per-packet evidence — the memory a
-    /// long-running stream actually retains between polls (an event with
-    /// its lane and position per record, plus unamortized vector capacity).
+    /// long-running stream actually retains between polls (one event per
+    /// record, plus unamortized vector capacity).
     pub fn packed_event_bytes(&self) -> usize {
         self.packets
             .iter()
-            .map(|p| p.events.capacity() * std::mem::size_of::<Evidence>())
+            .map(|p| p.events.capacity() * std::mem::size_of::<Event>())
             .sum()
     }
 
@@ -413,8 +384,8 @@ mod tests {
         assert_eq!(streamed, batch);
         assert_eq!(stream.stats().records, 16);
         assert_eq!(stream.open_windows(), 0);
-        // 16 records are resident, each an event with its lane and position.
-        assert!(stream.packed_event_bytes() >= 16 * std::mem::size_of::<Evidence>());
+        // 16 records are resident, one event each.
+        assert!(stream.packed_event_bytes() >= 16 * std::mem::size_of::<Event>());
     }
 
     #[test]
@@ -513,11 +484,11 @@ mod tests {
     }
 
     #[test]
-    fn a_window_keeps_the_merged_order_whatever_the_arrival_order() {
+    fn a_window_gives_the_merged_answer_whatever_the_arrival_order() {
         // Node 2's recv is the first record of its log, node 1's trans the
         // second of its own: the merge puts the recv first, though node 1's
-        // clock reads earlier, and so must every window however the records
-        // arrive.
+        // clock reads earlier. A window keeps the order the records arrive
+        // in, and its report is the batch one whichever that is.
         let p = PacketId::new(n(1), 0);
         let other = rec(1, EventKind::Origin, PacketId::new(n(1), 1), Some(50));
         let trans = rec(1, EventKind::Trans { to: n(2) }, p, Some(100));

@@ -44,9 +44,9 @@ fn record(node: u16, kind: EventKind, packet: PacketId) -> NodeRecord {
 }
 
 /// What one sweep that closes something requests for itself: the closing
-/// windows with their previous reports, the buffer their events are gathered
-/// into for the kernel and the rebuilt reports, a vector each.
-const SWEEP_OWN_REQUESTS: usize = 3;
+/// windows with their previous reports and the rebuilt reports, a vector
+/// each (the kernel reads each window's events where they lie).
+const SWEEP_OWN_REQUESTS: usize = 2;
 
 /// One window closed six times over, a record larger each time: the first
 /// close allocates its report, a re-close that outgrows the previous report's

@@ -160,7 +160,7 @@ fn flows_are_internally_consistent() {
 }
 
 #[test]
-#[ignore = "kernel finding, ROADMAP item 2: DESIGN §5 invariant 3 fails — a flow's observed entries of one node can leave that node's log order"]
+#[ignore = "kernel finding, ROADMAP item 2: DESIGN §5 invariant 3 fails — in a routing loop (packet n46#1, nodes 47 and 55) the forcing an observed event's own rule sets off comes back to that event's engine before its transition lands, infers the event there, and the record is appended after later records of its node"]
 fn per_node_observed_order_is_preserved_in_flows() {
     // DESIGN.md invariant 3: each node's observed events appear in the flow
     // in log order.
