@@ -112,9 +112,9 @@ fn main() {
     for v in VOCABS {
         let filtered = filter_logs(&campaign.collected, v.keep);
         let entries: usize = filtered.iter().map(|l| l.len()).sum();
-        let (merged, index) = analyzer.index(&filtered);
+        let index = analyzer.index(&filtered);
         let ids = campaign_packets(&index, truth);
-        let scores = analyzer.pass(&merged.events, &index, &ids, available_workers(), |v| {
+        let scores = analyzer.pass(&index, &ids, available_workers(), |v| {
             let id = v.report.packet;
             let true_events = truth_rows.rows_of(id, &truth.events).map(|te| &te.event);
             let fs = score_events(v.report, true_events);

@@ -2,7 +2,7 @@
 //! three-node chain and the event flows REFILL reconstructs from them,
 //! printed next to the paper's expected output.
 
-use eventlog::{merge_logs, Event, EventKind, LocalLog, PacketId};
+use eventlog::{Event, EventKind, LocalLog, PacketId, PacketIndex};
 use netsim::NodeId;
 use refill::trace::{CtpVocabulary, Reconstructor};
 
@@ -128,8 +128,9 @@ fn main() {
     let mut all_match = true;
     let mut report = String::new();
     for case in cases() {
-        let merged = merge_logs(&case.logs);
-        let out = recon.reconstruct_packet(p(), merged.packet_index().get(p()).unwrap_or(&[]));
+        let index = PacketIndex::group_logs(&case.logs);
+        let events: Vec<Event> = index.get(p()).unwrap_or(&[]).iter().map(|&&e| e).collect();
+        let out = recon.reconstruct_packet(p(), &events);
         let got = out.flow.to_string();
         let expected_norm = case.expected.split_whitespace().collect::<Vec<_>>().join(" ");
         let ok = got == expected_norm;

@@ -80,10 +80,10 @@ pub struct Ablation {
 pub fn ablate(campaign: &Campaign, options: ReconOptions) -> Ablation {
     let truth = &campaign.sim.truth;
     let truth_rows = truth.packet_rows();
-    let (events, index) = (&campaign.merged.events, campaign.merged.packet_rows());
-    let ids = campaign_packets(&index, truth);
     let analyzer = Analyzer::for_campaign(campaign).with_options(options);
-    let scores = analyzer.pass(events, &index, &ids, available_workers(), |v| {
+    let index = analyzer.index(&campaign.collected);
+    let ids = campaign_packets(&index, truth);
+    let scores = analyzer.pass(&index, &ids, available_workers(), |v| {
         let (flow, cause) = score_visit(truth, &truth_rows, &v);
         (flow, cause, v.report.omitted.len())
     });

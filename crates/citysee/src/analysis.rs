@@ -13,10 +13,11 @@
 //! operator path (`refill analyze`, `trace`, `explain`, `profile`, `store`)
 //! and the figure binaries run it; none has a loop of its own.
 //!
-//! [`analyze`] is three steps around it. *Group*: the merged log's row
-//! numbers by packet plus the two baselines that read whole logs (Wit's
-//! merge, time correlation) on one thread, the ground truth's row numbers
-//! grouped the same way on another — neither copies what it groups. *Pass*:
+//! [`analyze`] is three steps around it. *Group*: the collected logs by
+//! packet where they lie, plus the two baselines that read whole logs (Wit's
+//! merge, time correlation), on one thread, the ground truth's row numbers
+//! grouped by packet on another — neither copies what it groups, and
+//! nothing merges the logs. *Pass*:
 //! the analyzer's, with a visitor that scores and asks the naive baseline —
 //! everything that needs the packet's events happens while they are in hand.
 //! *Fold*: sums.
@@ -28,9 +29,7 @@ use baselines::time_correlation::{correlate_causes, CorrelationConfig};
 use baselines::wit::{wit_merge, WitMerge};
 use eventlog::event::BASE_STATION;
 use eventlog::logger::{LocalLog, LocalTs};
-use eventlog::{
-    merge_logs, Event, GroundTruth, LossCause, MergedLog, PacketFate, PacketId, PacketIndex,
-};
+use eventlog::{Event, GroundTruth, LossCause, PacketFate, PacketId, PacketIndex};
 use netsim::fx::FxHashMap;
 use netsim::{available_workers, NodeId, SimDuration, SimTime};
 use refill::diagnose::{Diagnoser, Diagnosis};
@@ -142,7 +141,8 @@ pub struct Analyzer {
 
 /// One packet, as [`Analyzer::pass`] lends it to its visitor.
 pub struct Visit<'a> {
-    /// The packet's events in merged order (none if no log mentions it).
+    /// The packet's events, log by log, each log's in recording order (none
+    /// if no log mentions it).
     pub events: &'a [Event],
     /// The reconstruction; its buffers go back to the reconstructor when the
     /// visitor returns.
@@ -211,22 +211,17 @@ impl Analyzer {
         &self.diagnoser
     }
 
-    /// Merge `logs` and group the merged log's row numbers by packet, timed
-    /// as the `merge` and `index` stages of the reconstructor's recorder. An
-    /// enabled recorder also learns what went in and what came out: every
-    /// log's length and every packet's group.
-    pub fn index(&self, logs: &[LocalLog]) -> (MergedLog, PacketIndex<u32>) {
+    /// Group the events of `logs` by packet where they lie
+    /// ([`PacketIndex::group_logs`]), timed as the `index` stage of the
+    /// reconstructor's recorder. An enabled recorder also learns what went
+    /// in and what came out: every log's length and every packet's group.
+    pub fn index<'a>(&self, logs: &'a [LocalLog]) -> PacketIndex<&'a Event> {
         let recorder = &**self.recon.recorder();
-        let merged = {
-            let _span = StageTimer::start(recorder, Stage::Merge);
-            merge_logs(logs)
-        };
         let index = {
             let _span = StageTimer::start(recorder, Stage::Index);
-            merged.packet_rows()
+            PacketIndex::group_logs(logs)
         };
         if recorder.enabled() {
-            recorder.add(Counter::MergeEvents, merged.len() as u64);
             for log in logs {
                 recorder.observe(Hist::NodeLogEvents, log.len() as u64);
             }
@@ -235,7 +230,7 @@ impl Analyzer {
                 recorder.observe(Hist::GroupEvents, rows.len() as u64);
             }
         }
-        (merged, index)
+        index
     }
 
     fn diagnose(&self, report: &PacketReport) -> (Option<SimTime>, Diagnosis) {
@@ -246,26 +241,21 @@ impl Analyzer {
 
     /// The per-packet pass: reconstruct and diagnose every packet of `ids`
     /// on `workers` threads, lend each to `visit`, and return what it made
-    /// of them in `ids` order. `index` groups the row numbers of `rows` —
-    /// the merged log's events, or the entries of the store's one merge;
-    /// each worker gathers a packet's events into one buffer it keeps. A
-    /// packet `index` does not know gets a flow reconstructed from no
-    /// events.
-    pub fn pass<R: Copy + Sync, T: Send>(
+    /// of them in `ids` order. `index` is [`Analyzer::index`]'s grouping;
+    /// each worker gathers a packet's events from their logs into one
+    /// buffer it keeps. A packet `index` does not know gets a flow
+    /// reconstructed from no events.
+    pub fn pass<T: Send>(
         &self,
-        rows: &[R],
-        index: &PacketIndex<u32>,
+        index: &PacketIndex<&Event>,
         ids: &[PacketId],
         workers: usize,
         visit: impl Fn(Visit<'_>) -> T + Sync,
-    ) -> Vec<T>
-    where
-        Event: From<R>,
-    {
+    ) -> Vec<T> {
         par_map(ids.len(), workers, Vec::new, |gathered, i| {
             let packet = ids[i];
             gathered.clear();
-            gathered.extend(index.rows_of(packet, rows).map(|&row| Event::from(row)));
+            gathered.extend(index.get(packet).unwrap_or(&[]).iter().map(|&&e| e));
             let report = self.recon.reconstruct_packet(packet, gathered);
             let (est_time, diagnosis) = self.diagnose(&report);
             let out = visit(Visit {
@@ -282,14 +272,18 @@ impl Analyzer {
     }
 
     /// The point lookup: one packet's report and diagnosis out of `logs`,
-    /// or `None` if no log mentions it.
+    /// or `None` if no log mentions it. One walk over each log, timed as the
+    /// `index` stage, keeps the packet's events — [`Analyzer::index`]'s group
+    /// for it, with no other packet grouped.
     pub fn packet(&self, logs: &[LocalLog], packet: PacketId) -> Option<(PacketReport, Diagnosis)> {
-        let (merged, index) = self.index(logs);
-        let events: Vec<Event> = index
-            .get(packet)?
-            .iter()
-            .map(|&row| merged.events[row as usize])
-            .collect();
+        let events: Vec<Event> = {
+            let _span = StageTimer::start(&**self.recon.recorder(), Stage::Index);
+            let logged = logs.iter().flat_map(LocalLog::events);
+            logged.filter(|e| e.packet == packet).copied().collect()
+        };
+        if events.is_empty() {
+            return None;
+        }
         let report = self.recon.reconstruct_packet(packet, &events);
         let (_, diagnosis) = self.diagnose(&report);
         Some((report, diagnosis))
@@ -300,7 +294,7 @@ impl Analyzer {
 /// those only the ground truth knows — never mentioned in any log, they
 /// still deserve records (fate says they existed) and get an `Unknown`
 /// diagnosis through an empty flow.
-pub fn campaign_packets(index: &PacketIndex<u32>, truth: &GroundTruth) -> Vec<PacketId> {
+pub fn campaign_packets(index: &PacketIndex<&Event>, truth: &GroundTruth) -> Vec<PacketId> {
     let mut ids: Vec<PacketId> = index.ids().to_vec();
     for id in truth.fates.keys() {
         if index.get(*id).is_none() {
@@ -344,10 +338,10 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
     // Group. What reads the logs — the packet index and the two baselines
     // that are not per-packet — and what reads the ground truth (its rows
     // per packet, for flow scoring) are independent, so they take a thread
-    // each. Both group row numbers: the campaign already holds the rows.
+    // each. Neither copies what it groups: the campaign already holds it.
     let (index, wit, correlation, truth_rows) = std::thread::scope(|s| {
         let truth_rows = s.spawn(|| truth.packet_rows());
-        let index = campaign.merged.packet_rows();
+        let index = analyzer.index(&campaign.collected);
         let wit = wit_merge(&campaign.collected);
         let correlation = summarize_correlation(campaign, source_view);
         let truth_rows = truth_rows
@@ -358,8 +352,7 @@ pub fn analyze(campaign: &Campaign) -> Analysis {
 
     // Pass: the analyzer's, plus scoring and the naive baseline.
     let ids = campaign_packets(&index, truth);
-    let merged = &campaign.merged.events;
-    let outcomes = analyzer.pass(merged, &index, &ids, available_workers(), |v| {
+    let outcomes = analyzer.pass(&index, &ids, available_workers(), |v| {
         let id = v.report.packet;
         let (flow, cause) = score_visit(truth, &truth_rows, &v);
         PacketOutcome {
@@ -647,36 +640,61 @@ mod tests {
         );
     }
 
-    /// The pass gathers each packet's events through the merged log's row
-    /// numbers: exactly the group `packet_index` copies out, with timestamps
-    /// and without, on several workers that reuse their buffers, and none for
-    /// a packet no log mentions.
-    #[test]
-    fn the_pass_lends_each_packet_its_packet_index_group() {
+    /// `Scenario::small()` under lossy collection with no timestamps.
+    fn lossy_small() -> Scenario {
         let mut lossy = Scenario::small();
         lossy.collection.chunk_loss_prob = 0.30;
         lossy.logger.timestamps = false;
-        for scenario in [Scenario::small(), lossy] {
+        lossy
+    }
+
+    /// The pass gathers each packet's events from where they lie in the
+    /// logs: exactly the packet's entries, log by log, with timestamps and
+    /// without, on several workers that reuse their buffers, and none for a
+    /// packet no log mentions.
+    #[test]
+    fn the_pass_lends_each_packet_its_packet_index_group() {
+        for scenario in [Scenario::small(), lossy_small()] {
             let c = run_scenario(&scenario);
+            let mut expected: FxHashMap<PacketId, Vec<Event>> = FxHashMap::default();
+            for e in c.collected.iter().flat_map(LocalLog::events) {
+                expected.entry(e.packet).or_default().push(*e);
+            }
             let analyzer = Analyzer::for_campaign(&c);
-            let (merged, index) = analyzer.index(&c.collected);
-            assert_eq!(merged.events, c.merged.events);
+            let index = analyzer.index(&c.collected);
             let mut ids = campaign_packets(&index, &c.sim.truth);
             ids.push(PacketId::new(NodeId(9_999), 0));
-            let lent = analyzer.pass(&merged.events, &index, &ids, 3, |v| {
-                (v.report.packet, v.events.to_vec())
-            });
-            let expected = c.merged.packet_index();
+            let lent = analyzer.pass(&index, &ids, 3, |v| (v.report.packet, v.events.to_vec()));
             assert_eq!(lent.len(), ids.len());
             for ((packet, events), id) in lent.iter().zip(&ids) {
                 assert_eq!(packet, id);
-                assert_eq!(events.as_slice(), expected.get(*id).unwrap_or(&[]), "{id}");
+                let logged = expected.get(id).map_or(&[][..], Vec::as_slice);
+                assert_eq!(events, logged, "{id}");
             }
         }
     }
 
-    /// What `Analyzer::index` records must add up: one span per stage, every
-    /// logged event merged and grouped exactly once, one group per packet.
+    /// The point lookup answers as the pass does: every packet of a lossy
+    /// campaign gets the report and diagnosis the pass lends it, and a
+    /// packet no log mentions gets none.
+    #[test]
+    fn the_point_lookup_answers_as_the_pass_does() {
+        let c = run_scenario(&lossy_small());
+        let analyzer = Analyzer::for_campaign(&c);
+        let index = analyzer.index(&c.collected);
+        let passed = analyzer.pass(&index, index.ids(), 2, |v| (v.report.clone(), v.diagnosis));
+        assert!(passed.len() > 1_000, "{} packets", passed.len());
+        for (id, expected) in index.ids().iter().zip(passed) {
+            let looked_up = analyzer.packet(&c.collected, *id);
+            assert_eq!(looked_up, Some(expected), "{id}");
+        }
+        let unknown = PacketId::new(NodeId(9_999), 0);
+        assert!(analyzer.packet(&c.collected, unknown).is_none());
+    }
+
+    /// What `Analyzer::index` records must add up: one span, every logged
+    /// event grouped exactly once (Σ `node_log_events` = Σ `group_events` =
+    /// the rows grouped), one group per packet.
     #[test]
     fn index_telemetry_accounts_for_every_event() {
         use refill::telemetry::{AtomicRecorder, Recorder};
@@ -693,13 +711,12 @@ mod tests {
             let recorder = Arc::new(AtomicRecorder::new());
             let recon = Reconstructor::new(CtpVocabulary::table2()).with_recorder(recorder.clone());
             let analyzer = Analyzer::new(recon, &logs, c.scenario.packet_interval());
-            let (_, index) = analyzer.index(&logs);
+            let index = analyzer.index(&logs);
             let snap = recorder.snapshot();
 
-            assert_eq!(snap.stage("merge").map(|s| s.calls), Some(1));
             assert_eq!(snap.stage("index").map(|s| s.calls), Some(1));
             let logged: u64 = logs.iter().map(|l| l.len() as u64).sum();
-            assert_eq!(snap.counter("merge_events"), logged);
+            assert_eq!(index.event_count() as u64, logged);
             let groups = snap.histogram("group_events").expect("groups observed");
             assert_eq!(groups.sum, logged);
             assert_eq!(groups.count, index.len() as u64);

@@ -12,7 +12,7 @@
 //!   of Figure 5).
 //!
 //! [`scenario`] builds the simulator inputs, [`run`] executes a campaign
-//! (simulate → lossy log collection → merge), [`analysis`] holds the one
+//! (simulate → lossy log collection), [`analysis`] holds the one
 //! analyzer every path from logs to diagnosed reports runs and applies it and
 //! the baselines to a campaign, and [`figures`] extracts the data series
 //! behind every figure of the paper.

@@ -1,16 +1,16 @@
-//! Campaign execution: simulate, collect lossily, merge.
+//! Campaign execution: simulate, then collect lossily.
 
 use crate::scenario::Scenario;
 use eventlog::collect::LossyCollector;
 use eventlog::event::BASE_STATION;
 use eventlog::frame::NodeRecord;
 use eventlog::logger::{LocalLog, LocalTs};
-use eventlog::merge::{merge_logs, MergedLog};
+use eventlog::merge::MergedLog;
 use netsim::{RngFactory, Topology};
 use protocols::sim::{SimOutput, Simulator};
 
 /// A completed campaign: the simulation output plus the (lossily) collected
-/// and merged logs the analysis side actually gets to see.
+/// logs the analysis side actually gets to see.
 pub struct Campaign {
     /// The scenario that produced this campaign.
     pub scenario: Scenario,
@@ -22,7 +22,9 @@ pub struct Campaign {
     /// Logs after in-network collection loss (base station log last,
     /// always intact — it lives on the server).
     pub collected: Vec<LocalLog>,
-    /// The merged event stream fed to REFILL.
+    /// Empty. Only the benchmark's report operation fills it, merging the
+    /// collected logs in its timed region; nothing in the workspace reads
+    /// it, and it goes with ROADMAP item 5.
     pub merged: MergedLog,
 }
 
@@ -74,21 +76,20 @@ pub fn run_scenario(scenario: &Scenario) -> Campaign {
     debug_assert_eq!(bs_log.node, BASE_STATION);
     let mut collected = collector.collect_all(node_logs, &factory);
     collected.push(bs_log.clone());
-    let merged = merge_logs(&collected);
 
     Campaign {
         scenario: scenario.clone(),
         topology,
         sim,
         collected,
-        merged,
+        merged: MergedLog::default(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventlog::EventKind;
+    use eventlog::{EventKind, PacketIndex};
 
     fn campaign() -> Campaign {
         run_scenario(&Scenario::small())
@@ -98,7 +99,8 @@ mod tests {
     fn campaign_produces_traffic_and_logs() {
         let c = campaign();
         assert!(c.sim.counters.get("generated") > 100);
-        assert!(!c.merged.is_empty());
+        let logged = |l: &LocalLog| l.node != BASE_STATION && !l.is_empty();
+        assert!(c.collected.iter().any(logged));
         // The base station log survived collection.
         assert!(c
             .collected
@@ -142,13 +144,13 @@ mod tests {
     }
 
     #[test]
-    fn merged_log_covers_most_packets() {
+    fn collected_logs_cover_most_packets() {
         let c = campaign();
-        let seen = c.merged.packet_ids().len();
+        let seen = PacketIndex::group_logs(&c.collected).len();
         let generated = c.sim.truth.packet_count();
         assert!(
             seen * 10 >= generated * 8,
-            "merged log should mention most packets: {seen}/{generated}"
+            "the collected logs should mention most packets: {seen}/{generated}"
         );
     }
 
@@ -156,9 +158,9 @@ mod tests {
     fn bs_entries_match_delivered_count() {
         let c = campaign();
         let bs_events = c
-            .merged
-            .events
+            .collected
             .iter()
+            .flat_map(LocalLog::events)
             .filter(|e| matches!(e.kind, EventKind::BsRecv))
             .count();
         assert_eq!(bs_events as u64, c.sim.counters.get("delivered"));
@@ -202,7 +204,7 @@ mod tests {
     fn campaigns_are_deterministic() {
         let a = campaign();
         let b = campaign();
-        assert_eq!(a.merged.events, b.merged.events);
+        assert_eq!(a.collected, b.collected);
         assert_eq!(a.sim.counters, b.sim.counters);
     }
 }

@@ -6,15 +6,16 @@
 //!   the scoring moved into the per-packet pass, the clean one re-frozen
 //!   when the merge stopped reading clocks);
 //! * the digest does not depend on how the analysis threads are scheduled,
-//!   nor on how the logs are interleaved so long as each node's order is
-//!   kept — and no packet's report or diagnosis does either;
+//!   nor on the order the collected logs are listed in, and no packet's
+//!   report or diagnosis depends on how its evidence is interleaved so long
+//!   as each node's order is kept;
 //! * `wit_merge` on local logs allocates by the number of logs, not of
 //!   events, and scoring a flow asks the allocator for one buffer, or for
 //!   none on a warm thread.
 
 use baselines::wit::wit_merge;
-use citysee::{analyze, run_scenario, Analysis, Campaign, Scenario};
-use eventlog::{Event, EventKind, LocalLog, MergedLog, PacketId, TruthEvent};
+use citysee::{analyze, run_scenario, Analysis, Scenario};
+use eventlog::{Event, EventKind, LocalLog, PacketId, PacketIndex, TruthEvent};
 use netsim::json::ToJson;
 use netsim::rng::Rng;
 use netsim::NodeId;
@@ -110,20 +111,6 @@ fn the_whole_analysis_is_the_frozen_one() {
 
 // --- one answer per evidence set -----------------------------------------
 
-/// The campaign's collected events node by node — in node-id order, or in
-/// reverse — each node's in its own order.
-fn node_major(campaign: &Campaign, reverse: bool) -> MergedLog {
-    let mut logs: Vec<&LocalLog> = campaign.collected.iter().collect();
-    logs.sort_by_key(|log| log.node);
-    if reverse {
-        logs.reverse();
-    }
-    let events = logs.iter().flat_map(|log| log.entries.iter().map(|e| e.event));
-    MergedLog {
-        events: events.collect(),
-    }
-}
-
 /// `events` interleaved at random, each node's kept in its order.
 fn shuffled(rng: &mut Rng, events: &[Event]) -> Vec<Event> {
     let mut streams: Vec<Vec<Event>> = Vec::new();
@@ -144,6 +131,13 @@ fn shuffled(rng: &mut Rng, events: &[Event]) -> Vec<Event> {
     out
 }
 
+/// Fisher–Yates.
+fn shuffle<T>(rng: &mut Rng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..i + 1));
+    }
+}
+
 #[test]
 fn no_answer_depends_on_how_the_logs_are_interleaved() {
     let mut campaign = run_scenario(&lossy());
@@ -157,24 +151,28 @@ fn no_answer_depends_on_how_the_logs_are_interleaved() {
     };
     // Every packet, over one packet's evidence in four orders.
     let mut rng = Rng::new(0x0de7_0f0e_7e9e_4ce5);
-    let index = campaign.merged.packet_index();
+    let index = PacketIndex::group_logs(&campaign.collected);
     for (packet, events) in index.iter() {
+        let events: Vec<Event> = events.iter().map(|&&e| e).collect();
+        let events = events.as_slice();
         let by_node = |reverse: bool| {
             let mut events = events.to_vec();
             events.sort_by_key(|e| if reverse { u16::MAX - e.node.0 } else { e.node.0 });
             events
         };
-        let merged = answer(events, packet);
+        let grouped = answer(events, packet);
         for other in [by_node(false), by_node(true), shuffled(&mut rng, events)] {
-            assert_eq!(answer(&other, packet), merged, "{packet:?}");
+            assert_eq!(answer(&other, packet), grouped, "{packet:?}");
         }
     }
-    // The whole analysis, over the logs in three orders.
-    let merged = digest(&analyze(&campaign));
-    for reverse in [false, true] {
-        campaign.merged = node_major(&campaign, reverse);
-        assert_eq!(digest(&analyze(&campaign)), merged, "node-major, reverse {reverse}");
-    }
+    // The whole analysis, over the logs listed in three orders: the frozen
+    // answer each time.
+    drop(index);
+    assert_eq!(digest(&analyze(&campaign)), LOSSY_DIGEST, "as collected");
+    campaign.collected.reverse();
+    assert_eq!(digest(&analyze(&campaign)), LOSSY_DIGEST, "reversed");
+    shuffle(&mut rng, &mut campaign.collected);
+    assert_eq!(digest(&analyze(&campaign)), LOSSY_DIGEST, "shuffled");
 }
 
 // --- the shape of the cost -----------------------------------------------
@@ -226,7 +224,7 @@ fn scoring_a_flow_asks_for_one_buffer() {
     let campaign = run_scenario(&Scenario::small());
     let truth = &campaign.sim.truth;
     let truth_rows = truth.packet_rows();
-    let index = campaign.merged.packet_index();
+    let index = PacketIndex::group_logs(&campaign.collected);
     // The busiest packet: enough distinct truth events that a map would
     // have to grow several times.
     let (id, rows) = truth_rows
@@ -235,7 +233,8 @@ fn scoring_a_flow_asks_for_one_buffer() {
         .expect("the campaign generated packets");
     assert!(rows.len() >= 50, "{} events", rows.len());
     let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
-    let report = recon.reconstruct_packet(id, index.get(id).unwrap_or(&[]));
+    let events: Vec<Event> = index.get(id).unwrap_or(&[]).iter().map(|&&e| e).collect();
+    let report = recon.reconstruct_packet(id, &events);
 
     // A thread's first score sizes one buffer for the truth it is handed...
     let copied: Vec<TruthEvent> = truth_rows.rows_of(id, &truth.events).copied().collect();

@@ -75,7 +75,7 @@ USAGE:
   which were inferred (and by which FSM rule), where the loss happened
   and why, with a confidence score. With no --logs it simulates one
   CitySee-like day first (--seed picks which).
-  profile runs the analyzer's pass (merge, index, reconstruct, diagnose)
+  profile runs the analyzer's pass (index, reconstruct, diagnose)
   with telemetry attached and prints a per-stage breakdown; single-threaded
   by default so stage totals add up to wall time, --workers N for the same
   pass on N threads. With no --logs it simulates one CitySee-like day
@@ -707,7 +707,7 @@ mod tests {
         // The command visits the packets the logs mention; the campaign
         // analysis also keeps a record for those only the truth knows.
         let analysis = analyze_campaign(&campaign);
-        let index = campaign.merged.packet_rows();
+        let index = eventlog::PacketIndex::group_logs(&campaign.collected);
         let diagnoses: Vec<_> = analysis
             .records
             .iter()
@@ -1064,7 +1064,7 @@ mod tests {
             .take_while(|l| *l != "counters:")
             .filter_map(|l| l.split_whitespace().next())
             .collect();
-        for stage in ["merge", "index", "transition", "diagnose"] {
+        for stage in ["index", "transition", "diagnose"] {
             assert!(rows.contains(&stage), "no {stage} row in:\n{out}");
         }
     }

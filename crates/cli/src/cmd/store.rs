@@ -3,7 +3,6 @@
 use super::{build_analyzer, load_input, scenario_from_flags, FlagSpec, Flags};
 use citysee::analysis::{campaign_packets, truth_fate, Analyzer};
 use citysee::run_scenario;
-use eventlog::PacketIndex;
 use netsim::available_workers;
 use netsim::json::ToJson;
 use refill_store::{ReportRow, SegmentStore, Sidecar};
@@ -55,14 +54,12 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
             Some(json),
         )
     };
-    // One merge: its entries are the event rows, and the pass reads them.
-    let event_rows = eventlog::merge_logs_store(&logs);
-    let index = PacketIndex::group_rows(event_rows.entries(), |e| e.event.packet);
+    let index = analyzer.index(&logs);
     let ids = match &truth {
         Some(truth) => campaign_packets(&index, truth),
         None => index.ids().to_vec(),
     };
-    let report_rows = analyzer.pass(event_rows.entries(), &index, &ids, available_workers(), |v| {
+    let report_rows = analyzer.pass(&index, &ids, available_workers(), |v| {
         let sidecar = Sidecar {
             est_time: v.est_time,
             diagnosis: v.diagnosis,
@@ -74,6 +71,9 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
     let (st, recovery) = SegmentStore::open(&out_dir).map_err(|e| e.to_string())?;
     let mut st = st;
+    // The event rows are appended in the merge's order: the segments' bytes
+    // and row order stay what earlier builds wrote.
+    let event_rows = eventlog::merge_logs_store(&logs);
     for chunk in event_rows.entries().chunks(4096) {
         st.append_events(chunk).map_err(|e| e.to_string())?;
     }

@@ -6,9 +6,10 @@
 //! peer node for two-party operations). Events are recorded into per-node
 //! local logs whose only guaranteed property is that **each node's own
 //! ordering is preserved**; timestamps are optional, unsynchronized, and
-//! never relied upon by REFILL itself. The merge that feeds reconstruction
-//! ([`merge_logs`]) orders entries across nodes by their position in their
-//! own log, ties by node id — never by a clock.
+//! never relied upon by REFILL itself: the analysis groups the logs by packet
+//! where they lie ([`PacketIndex::group_logs`]). [`merge_logs`] (position in
+//! its own log, then node — never a clock) is the reference order for tests,
+//! the conformance harness and the benchmark.
 //!
 //! The crate also models everything that makes real logs hard to use:
 //! bounded log buffers, write failures, node reboots that truncate logs,

@@ -18,9 +18,11 @@
 //! pop reads one new key and replays its leaf-to-root path with a
 //! `min`/`max` pair per level.
 //!
-//! [`PacketIndex`] groups the merged events by packet with a counting sort.
-//! For large inputs the merge and the index each run on two threads, every
-//! thread on its own half of the rows.
+//! [`PacketIndex`] groups events by packet with a counting sort: the merged
+//! log's ([`MergedLog::packet_index`], on two threads for large inputs), or
+//! the logs' where they lie ([`PacketIndex::group_logs`]), which is what the
+//! analysis reads. The round-robin merge is the reference order for tests,
+//! the conformance harness and the benchmark; no analysis path builds it.
 
 use crate::columnar::EventStore;
 use crate::event::{Event, PacketId};
@@ -62,18 +64,6 @@ impl MergedLog {
         PacketIndex::build(&self.events)
     }
 
-    /// The same grouping over row numbers into `events`, which it does not
-    /// copy ([`PacketIndex::group_rows`]).
-    pub fn packet_rows(&self) -> PacketIndex<u32> {
-        PacketIndex::group_rows(&self.events, |e| e.packet)
-    }
-
-    /// All packet ids mentioned anywhere in the merged log, sorted and
-    /// deduplicated (without materializing per-packet event groups).
-    pub fn packet_ids(&self) -> Vec<PacketId> {
-        self.packet_rows().ids
-    }
-
     /// Number of merged events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -87,15 +77,15 @@ impl MergedLog {
 
 /// Rows grouped by packet id, built with one counting sort.
 ///
-/// Groups are in ascending id order and each group keeps input order — for a
-/// merged log, merged order, and therefore every node's recording order (the
-/// one hard input guarantee). Groups are exposed as slices in sorted-id
-/// order.
+/// Groups are in ascending id order and each group keeps input order, and
+/// therefore every node's recording order (the one hard input guarantee).
+/// Groups are exposed as slices in sorted-id order.
 ///
-/// Two row types are in use. [`MergedLog::packet_index`] copies every event
-/// into the groups. [`PacketIndex::group_rows`] groups *row numbers* into a
-/// table the caller keeps (the merged log, the ground truth, a columnar
-/// store): 4 bytes a row instead of a second copy of the table.
+/// Three row types are in use. [`MergedLog::packet_index`] copies every event
+/// into the groups. [`PacketIndex::group_logs`] groups references to the
+/// events where they lie in their logs, 8 bytes a row. [`PacketIndex::group_rows`]
+/// groups *row numbers* into a table the caller keeps (the ground truth, a
+/// columnar store): 4 bytes a row instead of a second copy of the table.
 #[derive(Debug, Clone)]
 pub struct PacketIndex<T = Event> {
     /// All rows, grouped by packet id, each group in input order.
@@ -116,23 +106,39 @@ impl PacketIndex {
     /// # Panics
     /// Panics if there are more than `u32::MAX` events.
     pub fn build(events: &[Event]) -> Self {
-        PacketIndex::group_by_id(events, |e| e.packet, |_, e| *e, workers_for(events.len()))
+        let workers = workers_for(events.len());
+        PacketIndex::group_by_id(&[events], |e| e.packet, |_, e| *e, workers)
+    }
+}
+
+impl<'a> PacketIndex<&'a Event> {
+    /// Group the events of `logs` by packet where they lie, each row a
+    /// reference to its event, nothing merged or copied. A group holds its
+    /// events log by log in input order, each log's in recording order: every
+    /// node's order as [`merge_logs`] keeps it, if the node has one log.
+    ///
+    /// On one thread: `citysee::analyze` groups the logs while the truth's
+    /// grouping holds the other core. Two threads each there measured slower
+    /// on `citysee-clean` (2 vCPUs, 4 pairs: `op_wall_s` median 0.316 →
+    /// 0.333 s, faster in 1 pair; peak RSS 253 → 268 MiB).
+    ///
+    /// # Panics
+    /// Panics if the logs hold more than `u32::MAX` entries.
+    pub fn group_logs(logs: &'a [LocalLog]) -> Self {
+        let entries: Vec<&[LogEntry]> = logs.iter().map(|log| log.entries.as_slice()).collect();
+        PacketIndex::group_by_id(&entries, |e| e.event.packet, |_, e| &e.event, 1)
     }
 }
 
 impl PacketIndex<u32> {
     /// Group row numbers by packet id, given each row's id: each packet's
     /// row numbers contiguous and ascending, packets in ascending id order.
-    ///
-    /// On one thread: `citysee::analyze` groups the merged log while the
-    /// ground truth's grouping holds the other core. Two threads each there
-    /// measured slower on `citysee-clean` (2 vCPUs, 4 pairs: `op_wall_s`
-    /// median 0.316 → 0.333 s, faster in 1 pair; peak RSS 253 → 268 MiB).
+    /// On one thread, like [`PacketIndex::group_logs`].
     ///
     /// # Panics
     /// Panics if there are more than `u32::MAX` rows.
     pub fn group_rows<R: Sync>(rows: &[R], packet: impl Fn(&R) -> PacketId + Sync) -> Self {
-        PacketIndex::group_by_id(rows, packet, |row, _| row, 1)
+        PacketIndex::group_by_id(&[rows], packet, |row, _| row, 1)
     }
 
     /// Packet `id`'s rows of `table`, the table whose row numbers were
@@ -146,22 +152,22 @@ impl PacketIndex<u32> {
 }
 
 impl<T: Copy + Send> PacketIndex<T> {
-    /// Group `rows` by `packet(row)`, keeping `value(row number, row)` of
-    /// each, every group in input order: the counting sort on `workers`
-    /// threads ([`counting_sort`]) or, for sparse ids, a stable sort.
-    fn group_by_id<R: Sync>(
-        rows: &[R],
+    /// Group the rows of `chunks`, laid end to end, by `packet(row)`,
+    /// keeping `value(row number, row)` of each, every group in input order:
+    /// the counting sort on `workers` threads ([`counting_sort`]) or, for
+    /// sparse ids, a stable sort.
+    fn group_by_id<'a, R: Sync>(
+        chunks: &[&'a [R]],
         packet: impl Fn(&R) -> PacketId + Sync,
-        value: impl Fn(u32, &R) -> T + Sync,
+        value: impl Fn(u32, &'a R) -> T + Sync,
         workers: usize,
     ) -> Self {
-        let n = u32::try_from(rows.len()).expect("packet indexes address rows with u32");
-        if let Some(index) = counting_sort(rows, &packet, &value, workers) {
+        let n: usize = chunks.iter().map(|rows| rows.len()).sum();
+        u32::try_from(n).expect("packet indexes address rows with u32");
+        if let Some(index) = counting_sort(chunks, n, &packet, &value, workers) {
             return index;
         }
-        let mut sorted: Vec<(PacketId, T)> = rows
-            .iter()
-            .zip(0..n)
+        let mut sorted: Vec<(PacketId, T)> = rows_in(chunks, 0, n)
             .map(|(row, i)| (packet(row), value(i, row)))
             .collect();
         sorted.sort_by_key(|&(id, _)| id);
@@ -266,13 +272,13 @@ struct Domain {
 impl Domain {
     /// The smallest domain holding `ids`; `None` when a seqno is `u32::MAX`
     /// (its slot count would overflow).
-    fn of(ids: impl Iterator<Item = PacketId>) -> Option<Domain> {
-        let mut domain = Domain::default();
-        for id in ids {
-            domain.origins = domain.origins.max(id.origin.index() + 1);
-            domain.stride = domain.stride.max(id.seqno.checked_add(1)? as usize);
-        }
-        Some(domain)
+    fn of(mut ids: impl Iterator<Item = PacketId>) -> Option<Domain> {
+        ids.try_fold(Domain::default(), |domain, id| {
+            Some(Domain {
+                origins: domain.origins.max(id.origin.index() + 1),
+                stride: domain.stride.max(id.seqno.checked_add(1)? as usize),
+            })
+        })
     }
 
     fn union(self, other: Domain) -> Domain {
@@ -336,10 +342,26 @@ struct Shared<T> {
     arena: Vec<T>,
 }
 
-/// Group `rows` by id with the parallel counting sort: `None` when the ids
-/// are too sparse for a table over their domain (more than `4·N + 1024`
-/// slots for N rows, or a seqno of `u32::MAX`), which nothing is allocated
-/// for.
+/// Rows `from..to` of `chunks` laid end to end, each with its row number.
+fn rows_in<'c, 'a: 'c, R>(
+    chunks: &'c [&'a [R]],
+    from: usize,
+    to: usize,
+) -> impl Iterator<Item = (&'a R, u32)> + 'c {
+    let starts = chunks.iter().scan(0, |next, rows| {
+        Some(std::mem::replace(next, *next + rows.len()))
+    });
+    chunks.iter().zip(starts).flat_map(move |(rows, start)| {
+        let end = start + rows.len();
+        let (lo, hi) = (from.clamp(start, end), to.clamp(start, end));
+        rows[lo - start..hi - start].iter().zip(lo as u32..)
+    })
+}
+
+/// Group the `n` rows of `chunks`, laid end to end, by id with the parallel
+/// counting sort: `None` when the ids are too sparse for a table over their
+/// domain (more than `4·N + 1024` slots for N rows, or a seqno of
+/// `u32::MAX`), which nothing is allocated for.
 ///
 /// The rows are cut into `workers` parts of equal length, one per thread,
 /// and each thread reads its own part three times: for its domain; then,
@@ -355,13 +377,13 @@ struct Shared<T> {
 /// thread the final check alone proves every place written, which is why
 /// [`PacketIndex::group_rows`], whose `packet` comes from its caller, runs
 /// on one.
-fn counting_sort<R: Sync, T: Copy + Send>(
-    rows: &[R],
+fn counting_sort<'a, R: Sync, T: Copy + Send>(
+    chunks: &[&'a [R]],
+    n: usize,
     packet: &(impl Fn(&R) -> PacketId + Sync),
-    value: &(impl Fn(u32, &R) -> T + Sync),
+    value: &(impl Fn(u32, &'a R) -> T + Sync),
     workers: usize,
 ) -> Option<PacketIndex<T>> {
-    let n = rows.len();
     let shared = Mutex::new(Shared {
         parts: (0..workers).map(|_| Part::default()).collect(),
         arena: Vec::<T>::new(),
@@ -371,9 +393,8 @@ fn counting_sort<R: Sync, T: Copy + Send>(
     // Nothing before the last barrier panics, so no thread waits at a
     // barrier one that panicked will never reach.
     let work = |w: usize| {
-        let from = w * n / workers;
-        let mine = &rows[from..(w + 1) * n / workers];
-        lock().parts[w].domain = Domain::of(mine.iter().map(packet));
+        let mine = || rows_in(chunks, w * n / workers, (w + 1) * n / workers);
+        lock().parts[w].domain = Domain::of(mine().map(|(row, _)| packet(row)));
         barrier.wait();
         // Every thread reaches the same verdict on the same domains.
         let domain = lock()
@@ -382,9 +403,7 @@ fn counting_sort<R: Sync, T: Copy + Send>(
             .try_fold(Domain::default(), |all, part| Some(all.union(part.domain?)))
             .filter(|domain| domain.slots() <= n as u64 * 4 + 1024)?;
         let mut slots = vec![0u32; domain.slots() as usize];
-        for row in mine {
-            slots[domain.slot(packet(row))] += 1;
-        }
+        mine().for_each(|(row, _)| slots[domain.slot(packet(row))] += 1);
         lock().parts[w].slots = slots;
         barrier.wait();
         let layout = (w == 0).then(|| {
@@ -398,7 +417,7 @@ fn counting_sort<R: Sync, T: Copy + Send>(
             let cursors = std::mem::take(&mut shared.parts[w].slots);
             (cursors, shared.arena.as_mut_ptr())
         };
-        for (row, i) in mine.iter().zip(from as u32..) {
+        mine().for_each(|(row, i)| {
             let at = &mut cursors[domain.slot(packet(row))];
             assert!((*at as usize) < n, "the scatter stays in the arena");
             // SAFETY: `at` is in the arena's capacity (checked). No other
@@ -409,7 +428,7 @@ fn counting_sort<R: Sync, T: Copy + Send>(
             // threads may be mixed freely.
             unsafe { arena.add(*at as usize).write(value(i, row)) };
             *at += 1;
-        }
+        });
         lock().parts[w].slots = cursors;
         layout
     };
@@ -979,18 +998,18 @@ mod tests {
     fn empty_input_merges_to_empty() {
         let merged = merge_logs(&[]);
         assert!(merged.is_empty());
-        assert!(merged.packet_ids().is_empty());
+        assert!(PacketIndex::group_logs(&[]).is_empty());
     }
 
     #[test]
-    fn packet_ids_sorted_and_deduped() {
-        let a = LocalLog::from_events(NodeId(1), vec![ev(1, 5), ev(1, 2)]);
+    fn grouped_ids_are_sorted_and_deduped() {
+        let a = LocalLog::from_events(NodeId(1), vec![ev(1, 5), ev(1, 2), ev(1, 5)]);
         let b = LocalLog::from_events(NodeId(2), vec![ev(2, 0)]);
-        let merged = merge_logs(&[a, b]);
-        let ids = merged.packet_ids();
+        let logs = [b, a];
+        let index = PacketIndex::group_logs(&logs);
         assert_eq!(
-            ids,
-            vec![
+            index.ids(),
+            [
                 PacketId::new(NodeId(1), 2),
                 PacketId::new(NodeId(1), 5),
                 PacketId::new(NodeId(2), 0)
@@ -1009,7 +1028,9 @@ mod tests {
         let idx = merged.packet_index();
         assert_eq!(idx.len(), by.len());
         assert_eq!(idx.event_count(), merged.len());
-        assert_eq!(idx.ids(), merged.packet_ids().as_slice());
+        let mut ids: Vec<PacketId> = by.keys().copied().collect();
+        ids.sort_unstable();
+        assert_eq!(idx.ids(), ids.as_slice());
         for (id, events) in idx.iter() {
             assert_eq!(events, by[&id].as_slice(), "group {id}");
             assert_eq!(idx.get(id), Some(events));
@@ -1276,16 +1297,26 @@ mod merge_props {
                 // Row numbers grouped: each id's rows ascending.
                 let mut rows: Vec<u32> = (0..merged.len() as u32).collect();
                 rows.sort_by_key(|&row| merged.events[row as usize].packet);
+                // The same rows cut into chunks at random places, some empty.
+                let mut chunks: Vec<&[Event]> = Vec::new();
+                let mut rest = &merged.events[..];
+                while !rest.is_empty() || rng.gen_bool(0.3) {
+                    let (chunk, tail) = rest.split_at(rng.gen_range(0..rest.len() + 1));
+                    chunks.push(chunk);
+                    rest = tail;
+                }
                 for workers in 1..=4 {
-                    let index =
-                        PacketIndex::group_by_id(&merged.events, |e| e.packet, |_, e| *e, workers);
-                    assert_eq!(index.ids(), ids.as_slice(), "{workers} workers");
-                    for (id, group) in index.iter() {
-                        assert_eq!(group, by_packet[&id].as_slice(), "{id}, {workers} workers");
+                    for chunks in [&[&merged.events[..]][..], &chunks] {
+                        let index =
+                            PacketIndex::group_by_id(chunks, |e| e.packet, |_, e| *e, workers);
+                        assert_eq!(index.ids(), ids.as_slice(), "{workers} workers");
+                        for (id, group) in index.iter() {
+                            assert_eq!(group, by_packet[&id].as_slice(), "{id}, {workers} workers");
+                        }
                     }
                     let grouped = PacketIndex::group_by_id(
-                        &merged.events,
-                        |e| e.packet,
+                        &chunks,
+                        |e: &Event| e.packet,
                         |row, _| row,
                         workers,
                     );
@@ -1400,7 +1431,8 @@ mod merge_props {
         let store = merge_logs_store(&logs);
         assert_eq!(store.entries(), round_robin_reference_entries(&logs));
         let index = merged.packet_index();
-        let one = PacketIndex::group_by_id(&merged.events, |e| e.packet, |_, e| *e, 1);
+        let events = &merged.events[..];
+        let one = PacketIndex::group_by_id(&[events], |e: &Event| e.packet, |_, e| *e, 1);
         assert_eq!(index.ids, one.ids);
         assert_eq!(index.offsets, one.offsets);
         assert_eq!(index.rows, one.rows);

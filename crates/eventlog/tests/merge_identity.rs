@@ -10,6 +10,10 @@
 //!   the merge is that packet's entries sorted by `packet_order` (position
 //!   in its own log, then node) and no merged event moves when the logs are
 //!   shuffled;
+//! * the logs grouped where they lie (`PacketIndex::group_logs`) hold, per
+//!   packet, the merge's group as a multiset, every node's events in the
+//!   merge's order (a node with two logs: one log after the other), and every
+//!   row is a reference to its own entry, once;
 //! * a 64-bit digest over the merged bytes and the grouped bytes of a fixed
 //!   set of soups, frozen when the log merge stopped reading clocks;
 //! * both indexes equal the `by_packet()` grouping on dense and sparse id
@@ -533,6 +537,83 @@ fn shuffling_the_logs_moves_no_merged_event() {
     }
 }
 
+// --- grouping the logs where they lie ------------------------------------
+
+/// `PacketIndex::group_logs(logs)` against `merge_logs(logs)`'s grouping:
+/// the same ids and, per packet, as many events, node by node in the same
+/// order — so the same multiset — where a node with several logs has them
+/// log after log in input order (the merge interleaves them); and the rows
+/// are the entries' own events, every entry once.
+fn assert_grouped_where_they_lie(logs: &[LocalLog], what: &str) {
+    let merged = merge_logs(logs).packet_index();
+    let grouped = PacketIndex::group_logs(logs);
+    assert_eq!(grouped.ids(), merged.ids(), "ids, {what}");
+    assert_eq!(grouped.event_count(), merged.event_count(), "{what}");
+
+    let mut rows: Vec<*const Event> = grouped
+        .iter()
+        .flat_map(|(_, rows)| rows.iter().map(|&e| e as *const Event))
+        .collect();
+    let mut entries: Vec<*const Event> = logs
+        .iter()
+        .flat_map(|log| log.entries.iter().map(|e| &e.event as *const Event))
+        .collect();
+    rows.sort_unstable();
+    entries.sort_unstable();
+    assert_eq!(rows, entries, "every row is its own entry, once, {what}");
+
+    let on = |events: &[Event], node: NodeId| -> Vec<Event> {
+        events.iter().filter(|e| e.node == node).copied().collect()
+    };
+    for ((id, rows), (_, expected)) in grouped.iter().zip(merged.iter()) {
+        let got: Vec<Event> = rows.iter().map(|&&e| e).collect();
+        assert_eq!(got.len(), expected.len(), "packet {id}, {what}");
+        let mut nodes: Vec<NodeId> = expected.iter().map(|e| e.node).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        for node in nodes {
+            let node_logs: Vec<&LocalLog> = logs.iter().filter(|log| log.node == node).collect();
+            let want: Vec<Event> = if node_logs.len() == 1 {
+                on(expected, node)
+            } else {
+                let events = node_logs.iter().flat_map(|log| log.events());
+                events.filter(|e| e.packet == id).copied().collect()
+            };
+            assert_eq!(on(&got, node), want, "packet {id}, node {node}, {what}");
+        }
+    }
+}
+
+#[test]
+fn grouping_the_logs_where_they_lie_keeps_each_nodes_order() {
+    let mut rng = SplitMix64(0x6d65_7267_6541);
+    for logs in [0usize, 1, 2, 7, 300] {
+        for nodes in [logs.max(1) as u64, 3] {
+            let shape = Shape {
+                logs,
+                max_len: if logs >= 300 { 6 } else { 40 },
+                nodes,
+                ..PLAIN
+            };
+            // Sparse ids: a few dozen origins, every seqno distinct.
+            let sparse = soup(&mut rng, shape);
+            assert_grouped_where_they_lie(&sparse, &format!("sparse, K = {logs}, {nodes} nodes"));
+            // Dense ids: folded onto 4 × 13, on logs of distinct nodes.
+            let dense = distinct_node_soup(&mut rng, shape);
+            assert_grouped_where_they_lie(&dense, &format!("dense, K = {logs}"));
+            // Two logs of every node: the dense soup, then each of its logs
+            // reversed.
+            let mut reversed = dense.clone();
+            reversed.iter_mut().for_each(|log| log.entries.reverse());
+            let twice: Vec<LocalLog> = dense.iter().chain(&reversed).cloned().collect();
+            assert_grouped_where_they_lie(&twice, &format!("two logs a node, K = {logs}"));
+        }
+    }
+    for (i, logs) in digest_soups().iter().enumerate() {
+        assert_grouped_where_they_lie(logs, &format!("digest soup {i}"));
+    }
+}
+
 // --- frozen digest -------------------------------------------------------
 
 struct Digest(SplitMix64);
@@ -681,7 +762,6 @@ fn assert_indexes(events: Vec<Event>, what: &str) {
 
     let index = merged.packet_index();
     assert_eq!(index.ids(), ids.as_slice(), "PacketIndex ids, {what}");
-    assert_eq!(merged.packet_ids(), ids, "packet_ids, {what}");
     assert_eq!(index.len(), ids.len());
     assert_eq!(index.event_count(), merged.len());
 

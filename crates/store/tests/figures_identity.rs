@@ -12,7 +12,7 @@ use citysee::figures::{
 };
 use citysee::{analyze, run_scenario, PacketRecord, Scenario};
 use eventlog::merge::merge_logs_store;
-use eventlog::PacketFate;
+use eventlog::{Event, PacketFate, PacketIndex};
 use netsim::SimTime;
 use refill::{CtpVocabulary, Reconstructor};
 use refill_store::{ReportRow, SegmentStore, Sidecar};
@@ -52,13 +52,18 @@ fn figures_from_store_match_in_memory_analysis_byte_for_byte() {
         log_enqueue: config.log_enqueue,
     })
     .with_sink(campaign.topology.sink());
-    let index = campaign.merged.packet_index();
+    let index = PacketIndex::group_logs(&campaign.collected);
     let rows: Vec<ReportRow> = analysis
         .records
         .iter()
         .map(|r| {
-            let events = index.get(r.packet).unwrap_or(&[]);
-            let report = recon.reconstruct_packet(r.packet, events);
+            let events: Vec<Event> = index
+                .get(r.packet)
+                .unwrap_or(&[])
+                .iter()
+                .map(|&&e| e)
+                .collect();
+            let report = recon.reconstruct_packet(r.packet, &events);
             let row = ReportRow::from_report(
                 &report,
                 Some(Sidecar {

@@ -62,8 +62,6 @@ pub enum Counter {
     FsmJumps,
     /// Steps taken while forcing a peer toward an inter-node prerequisite.
     FsmForcedSteps,
-    /// Events flowing through log merge.
-    MergeEvents,
     /// Packet groups produced by the analyzer's `PacketIndex` builds.
     IndexedPackets,
     /// Wire frames decoded successfully by the streaming ingest path.
@@ -101,7 +99,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the array layout of
     /// [`AtomicRecorder`]).
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInserts,
@@ -115,7 +113,6 @@ impl Counter {
         Counter::FsmSteps,
         Counter::FsmJumps,
         Counter::FsmForcedSteps,
-        Counter::MergeEvents,
         Counter::IndexedPackets,
         Counter::FramesDecoded,
         Counter::FramesCorrupt,
@@ -149,7 +146,6 @@ impl Counter {
             Counter::FsmSteps => "fsm_steps",
             Counter::FsmJumps => "fsm_jump_transitions",
             Counter::FsmForcedSteps => "fsm_forced_steps",
-            Counter::MergeEvents => "merge_events",
             Counter::IndexedPackets => "indexed_packets",
             Counter::FramesDecoded => "frames_decoded",
             Counter::FramesCorrupt => "frames_corrupt",
@@ -178,9 +174,8 @@ impl Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
-    /// The analyzer's merge of per-node logs.
-    Merge,
-    /// The analyzer's `PacketIndex` build over the merged log.
+    /// The analyzer's grouping of the logs by packet (`PacketIndex`), or
+    /// its point lookup's walk over them.
     Index,
     /// Canonical flow-signature computation (alpha-renaming + hashing).
     Signature,
@@ -210,8 +205,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 11] = [
-        Stage::Merge,
+    pub const ALL: [Stage; 10] = [
         Stage::Index,
         Stage::Signature,
         Stage::Cache,
@@ -230,7 +224,6 @@ impl Stage {
     /// Stable snake_case name used in snapshots and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Merge => "merge",
             Stage::Index => "index",
             Stage::Signature => "signature",
             Stage::Cache => "cache",
@@ -257,7 +250,7 @@ pub enum Hist {
     GroupEvents,
     /// Flow entries per emitted report.
     FlowEntries,
-    /// Events per node log fed into merge.
+    /// Events per node log fed into the analyzer's grouping.
     NodeLogEvents,
     /// Events a packet window held when it closed.
     WindowEvents,
@@ -893,12 +886,12 @@ mod tests {
         assert!(!rec.enabled());
         rec.add(Counter::CacheHits, 5);
         rec.observe(Hist::FlowEntries, 5);
-        rec.record_stage(Stage::Merge, 5);
+        rec.record_stage(Stage::Index, 5);
         assert_eq!(rec.counter_value(Counter::CacheHits), 0);
         let snap = rec.snapshot();
         assert_eq!(snap, TelemetrySnapshot::default());
         assert_eq!(snap.counter("cache_hits"), 0);
-        assert!(snap.stage("merge").is_none());
+        assert!(snap.stage("index").is_none());
     }
 
     #[test]
@@ -971,12 +964,12 @@ mod tests {
     #[test]
     fn render_table_mentions_recorded_metrics() {
         let rec = AtomicRecorder::new();
-        rec.record_stage(Stage::Merge, 2_000_000);
+        rec.record_stage(Stage::Index, 2_000_000);
         rec.record_stage(Stage::Transition, 10_000);
         rec.add(Counter::PacketsReconstructed, 7);
         rec.observe(Hist::GroupEvents, 4);
         let table = rec.snapshot().render_table();
-        assert!(table.contains("merge"));
+        assert!(table.contains("index"));
         assert!(table.contains("transition"));
         assert!(table.contains("packets_reconstructed"));
         assert!(table.contains("group_events"));
@@ -996,7 +989,7 @@ mod tests {
     fn diff_of_identical_snapshots_is_all_zero() {
         let rec = AtomicRecorder::new();
         rec.add(Counter::CacheHits, 42);
-        rec.record_stage(Stage::Merge, 1_000);
+        rec.record_stage(Stage::Index, 1_000);
         rec.observe(Hist::FlowEntries, 5);
         let snap = rec.snapshot();
         let delta = snap.diff(&snap);
@@ -1035,19 +1028,19 @@ mod tests {
     fn diff_subtracts_interval_activity() {
         let rec = AtomicRecorder::new();
         rec.add(Counter::CacheHits, 10);
-        rec.record_stage(Stage::Merge, 1_000);
+        rec.record_stage(Stage::Index, 1_000);
         rec.observe(Hist::FlowEntries, 2);
         let before = rec.snapshot();
         rec.add(Counter::CacheHits, 5);
         rec.add(Counter::CacheMisses, 1);
-        rec.record_stage(Stage::Merge, 500);
+        rec.record_stage(Stage::Index, 500);
         rec.observe(Hist::FlowEntries, 2);
         rec.observe(Hist::FlowEntries, 9);
         let after = rec.snapshot();
         let delta = after.diff(&before);
         assert_eq!(delta.counter("cache_hits"), 5);
         assert_eq!(delta.counter("cache_misses"), 1, "fresh counter");
-        let s = delta.stage("merge").expect("one new span");
+        let s = delta.stage("index").expect("one new span");
         assert_eq!(s.calls, 1);
         assert_eq!(s.total_ns, 500);
         let h = delta.histogram("flow_entries").expect("two new obs");
@@ -1066,14 +1059,14 @@ mod tests {
     fn prometheus_exposition_shape() {
         let rec = AtomicRecorder::new();
         rec.add(Counter::CacheHits, 3);
-        rec.record_stage(Stage::Merge, 1_500);
+        rec.record_stage(Stage::Index, 1_500);
         rec.observe(Hist::FlowEntries, 0);
         rec.observe(Hist::FlowEntries, 3);
         rec.observe(Hist::FlowEntries, 9);
         let text = rec.snapshot().render_prometheus();
         assert!(text.contains("# TYPE refill_cache_hits counter\nrefill_cache_hits 3\n"));
-        assert!(text.contains("refill_stage_merge_calls 1\n"));
-        assert!(text.contains("refill_stage_merge_ns_total 1500\n"));
+        assert!(text.contains("refill_stage_index_calls 1\n"));
+        assert!(text.contains("refill_stage_index_ns_total 1500\n"));
         assert!(text.contains("# TYPE refill_flow_entries histogram\n"));
         // Buckets are cumulative: le=0 holds 1, le=3 holds 2, le=15 holds 3.
         assert!(text.contains("refill_flow_entries_bucket{le=\"0\"} 1\n"));

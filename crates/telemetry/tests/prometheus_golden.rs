@@ -19,7 +19,7 @@ fn deterministic_snapshot_text() -> String {
     let rec = AtomicRecorder::new();
     rec.add(Counter::CacheHits, 3);
     rec.add(Counter::EventsInferred, 7);
-    rec.record_stage(Stage::Merge, 1_500);
+    rec.record_stage(Stage::Index, 1_500);
     rec.record_stage(Stage::Transition, 2_500);
     rec.observe(Hist::FlowEntries, 0);
     rec.observe(Hist::FlowEntries, 3);

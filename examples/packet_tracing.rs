@@ -6,9 +6,7 @@
 //!
 //! Run with: `cargo run --release --example packet_tracing`
 
-use citysee::{run_scenario, Scenario};
-use refill::diagnose::Diagnoser;
-use refill::trace::{CtpVocabulary, Reconstructor};
+use citysee::{run_scenario, Analyzer, Scenario};
 
 fn main() {
     let scenario = Scenario::small();
@@ -23,11 +21,9 @@ fn main() {
         100.0 * campaign.sim.truth.delivery_ratio()
     );
 
-    let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
-    let diagnoser = Diagnoser::new()
-        .with_outages(scenario.faults().outages)
-        .with_sink(campaign.topology.sink());
-    let index = campaign.merged.packet_index();
+    // What an operator runs: the deployment's vocabulary, sink and outages.
+    let analyzer = Analyzer::for_campaign(&campaign);
+    let index = analyzer.index(&campaign.collected);
 
     // Pick: a delivered packet, a sink loss, and a mid-network loss.
     let mut picks = Vec::new();
@@ -66,8 +62,9 @@ fn main() {
     }
 
     for (id, why) in picks {
-        let report = recon.reconstruct_packet(id, index.get(id).expect("picked from index"));
-        let diag = diagnoser.diagnose(&report, None);
+        let (report, diag) = analyzer
+            .packet(&campaign.collected, id)
+            .expect("picked from the index");
         println!("── packet {id} ({why})");
         println!(
             "   path : {}",

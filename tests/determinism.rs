@@ -4,6 +4,7 @@
 
 use citysee::figures::{fig6_daily_causes, fig9_breakdown, render_fig6_csv};
 use citysee::{analyze, run_scenario, Scenario};
+use eventlog::merge_logs;
 use netsim::json::ToJson;
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
 use refill::trace::{CtpVocabulary, Reconstructor};
@@ -20,7 +21,7 @@ fn campaigns_reproduce_bit_for_bit() {
     let a = run_scenario(&scenario());
     let b = run_scenario(&scenario());
     assert_eq!(a.sim.truth.events, b.sim.truth.events);
-    assert_eq!(a.merged.events, b.merged.events);
+    assert_eq!(a.collected, b.collected);
     assert_eq!(a.sim.counters, b.sim.counters);
     // Serialized figures are identical too.
     let (aa, ab) = (analyze(&a), analyze(&b));
@@ -40,7 +41,7 @@ fn different_seeds_differ() {
         seed: 999,
         ..scenario()
     });
-    assert_ne!(a.merged.events, b.merged.events);
+    assert_ne!(a.collected, b.collected);
 }
 
 #[test]
@@ -48,8 +49,9 @@ fn parallel_drivers_match_sequential() {
     let campaign = run_scenario(&scenario());
     let recon =
         Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
-    let seq = recon.reconstruct_log(&campaign.merged);
-    assert_eq!(seq, reconstruct_parallel(&recon, &campaign.merged, 4));
+    let merged = merge_logs(&campaign.collected);
+    let seq = recon.reconstruct_log(&merged);
+    assert_eq!(seq, reconstruct_parallel(&recon, &merged, 4));
     assert_eq!(seq, reconstruct_fused(&recon, &campaign.collected, 4));
 }
 

@@ -1,16 +1,20 @@
-//! Regression guards for the paper's claims: the shape of Figures 8 and 9
-//! and the §V-D implications must keep holding on the substrate.
+//! Regression guards for the paper's claims: the shape of Figures 4 and 5,
+//! 8 and 9 and the §V-D implications must keep holding on the substrate.
 //!
 //! The figure predicates read one standard-scale campaign, simulated and
 //! analyzed once for this test binary through `bench::`, the path the
 //! figure binaries draw from. Each threshold comes from the paper's text,
 //! not from a run.
 
-use citysee::figures::{fig8_spatial_received, fig9_breakdown, Fig9Breakdown, CAUSE_ORDER};
+use citysee::figures::{
+    fig4_source_view, fig5_loss_positions, fig8_spatial_received, fig9_breakdown, Fig9Breakdown,
+    CAUSE_ORDER,
+};
 use citysee::{Analysis, Campaign, Scenario};
-use eventlog::LossCause;
+use eventlog::{LossCause, NodeId};
 use protocols::sim::{SimOutput, Simulator};
 use refill::DiagnosedCause;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// The standard-scale campaign and its analysis, built on first use.
@@ -52,6 +56,38 @@ fn fig9_received_and_acked_losses_sit_at_the_sink() {
     let b = fig9();
     assert!(b.received_sink_pct > b.received_other_pct, "{b:?}");
     assert!(b.acked_sink_pct > 5.0 * b.acked_other_pct, "{b:?}");
+}
+
+#[test]
+fn fig4_fig5_losses_spread_over_origins_but_gather_at_a_few_positions() {
+    // Figures 4 and 5: in the source view losses are spread over nearly
+    // every origin; placed at their loss positions by REFILL they gather at
+    // a few nodes, the sink first.
+    let (campaign, analysis) = standard();
+    let origins: HashSet<NodeId> = analysis.records.iter().map(|r| r.packet.origin).collect();
+    let losing: HashSet<NodeId> = fig4_source_view(analysis).iter().map(|p| p.node).collect();
+    assert!(
+        losing.len() * 100 >= origins.len() * 95,
+        "{} of {} origins lose a packet",
+        losing.len(),
+        origins.len()
+    );
+    let positions = fig5_loss_positions(analysis);
+    let mut per_node: HashMap<NodeId, usize> = HashMap::new();
+    for p in &positions {
+        *per_node.entry(p.node).or_default() += 1;
+    }
+    let mut ranked: Vec<(usize, NodeId)> = per_node.into_iter().map(|(n, c)| (c, n)).collect();
+    ranked.sort_unstable_by(|a, b| b.cmp(a));
+    let top5: usize = ranked.iter().take(5).map(|&(c, _)| c).sum();
+    assert!(
+        top5 * 2 >= positions.len(),
+        "the top 5 positions hold {top5} of {} losses",
+        positions.len()
+    );
+    let top = &ranked[..ranked.len().min(5)];
+    let busiest = top.first().map(|&(_, n)| n);
+    assert_eq!(busiest, Some(campaign.topology.sink()), "{top:?}");
 }
 
 #[test]

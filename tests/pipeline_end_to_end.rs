@@ -4,7 +4,7 @@
 use citysee::{analyze, run_scenario, Scenario};
 use eventlog::collect::CollectionConfig;
 use eventlog::logger::LoggerConfig;
-use eventlog::{EventKind, LossCause};
+use eventlog::{merge_logs, EventKind, LossCause};
 use refill::DiagnosedCause;
 
 fn small() -> Scenario {
@@ -134,14 +134,14 @@ fn flows_are_internally_consistent() {
     });
     let recon =
         Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
-    let reports = recon.reconstruct_log(&campaign.merged);
+    let merged = merge_logs(&campaign.collected);
+    let reports = recon.reconstruct_log(&merged);
     assert!(!reports.is_empty());
     for report in &reports {
         // Linearization is a topological order of the dependency DAG.
         assert!(report.flow.is_consistent(), "packet {}", report.packet);
         // Every observed entry's event appears in the merged input.
-        let inputs = campaign
-            .merged
+        let inputs = merged
             .by_packet()
             .remove(&report.packet)
             .unwrap_or_default();
@@ -171,7 +171,7 @@ fn per_node_observed_order_is_preserved_in_flows() {
     });
     let recon =
         Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
-    let groups = campaign.merged.by_packet();
+    let groups = merge_logs(&campaign.collected).by_packet();
     for (id, events) in groups.iter().take(500) {
         let report = recon.reconstruct_packet(*id, events);
         let mut per_node_input: std::collections::HashMap<_, Vec<_>> =
