@@ -274,13 +274,24 @@ impl Analyzer {
     /// The point lookup: one packet's report and diagnosis out of `logs`,
     /// or `None` if no log mentions it. One walk over each log, timed as the
     /// `index` stage, keeps the packet's events — [`Analyzer::index`]'s group
-    /// for it, with no other packet grouped.
+    /// for it, with no other packet grouped. An enabled recorder learns what
+    /// [`Analyzer::index`] tells it: every log's length, and the one group.
     pub fn packet(&self, logs: &[LocalLog], packet: PacketId) -> Option<(PacketReport, Diagnosis)> {
+        let recorder = &**self.recon.recorder();
         let events: Vec<Event> = {
-            let _span = StageTimer::start(&**self.recon.recorder(), Stage::Index);
+            let _span = StageTimer::start(recorder, Stage::Index);
             let logged = logs.iter().flat_map(LocalLog::events);
             logged.filter(|e| e.packet == packet).copied().collect()
         };
+        if recorder.enabled() {
+            for log in logs {
+                recorder.observe(Hist::NodeLogEvents, log.len() as u64);
+            }
+            recorder.add(Counter::IndexedPackets, u64::from(!events.is_empty()));
+            if !events.is_empty() {
+                recorder.observe(Hist::GroupEvents, events.len() as u64);
+            }
+        }
         if events.is_empty() {
             return None;
         }

@@ -474,9 +474,33 @@ mod tests {
         .unwrap();
         assert!(out.contains("frames: 2 decoded, 0 corrupt"), "got: {out}");
         assert!(out.contains("packets: 1 converged"), "got: {out}");
+        assert_window_ledger(&out);
         let parsed = json::parse(&std::fs::read(&tele).unwrap()).unwrap();
         assert!(parsed.get("counters").is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `refill stream`'s summary balances its window ledger: every packet's
+    /// window was closed once more than it was reopened.
+    fn assert_window_ledger(out: &str) {
+        let number = |prefix: &str, key: &str| -> u64 {
+            let line = out.lines().find(|l| l.starts_with(prefix));
+            let line = line.unwrap_or_else(|| panic!("no {prefix} line: {out}"));
+            let field = line.split(" | ").find_map(|f| f.trim().strip_prefix(key));
+            let field = field.unwrap_or_else(|| panic!("no {key} in {line}"));
+            field.split_whitespace().next().unwrap().parse().unwrap()
+        };
+        let closed = number("records:", "windows closed: ");
+        let reopened = number("records:", "late reopens: ");
+        let packets = number("packets:", "packets: ");
+        assert_eq!(closed - reopened, packets, "{out}");
+    }
+
+    #[test]
+    fn stream_window_ledger_balances_on_a_simulated_day() {
+        let out = stream_cmd_inner(&args(&["--quiet", "--seed", "3"])).unwrap();
+        assert!(out.contains("packets: "), "got: {out}");
+        assert_window_ledger(&out);
     }
 
     #[test]
@@ -548,6 +572,50 @@ mod tests {
             .map(|c| c["value"].as_u64().unwrap())
             .sum();
         assert_eq!(records, 2, "got: {out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A point lookup's snapshot accounts for every entry it walked:
+    /// Σ `node_log_events` is the archive's entries, and its one group holds
+    /// the packet's.
+    #[test]
+    fn trace_telemetry_counts_every_entry_of_the_archive() {
+        let campaign = run_scenario(&Scenario {
+            days: 1,
+            ..Scenario::small()
+        });
+        let dir = std::env::temp_dir().join("refill-trace-telemetry-cli-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("logs.jsonl");
+        let f = File::create(&path).unwrap();
+        archive::write_logs(&campaign.collected, BufWriter::new(f)).unwrap();
+        let entries: usize = campaign.collected.iter().map(LocalLog::len).sum();
+        let packet = campaign.collected[0].entries[0].event.packet;
+        let in_logs = campaign.collected.iter().flat_map(LocalLog::events);
+        let mentions = in_logs.filter(|e| e.packet == packet).count();
+        let tele = dir.join("trace.json");
+        trace(&args(&[
+            "--logs",
+            path.to_str().unwrap(),
+            "--packet",
+            &format!("{}:{}", packet.origin.0, packet.seqno),
+            "--telemetry",
+            tele.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let snapshot = json::parse(&std::fs::read(&tele).unwrap()).unwrap();
+        let named = |section: &str, name: &str| -> Json {
+            let rows = snapshot[section].as_array().unwrap();
+            let row = rows.iter().find(|r| r["name"].as_str() == Some(name));
+            row.unwrap_or_else(|| panic!("no {name} in {section}")).clone()
+        };
+        let logs = named("histograms", "node_log_events");
+        assert_eq!(logs["count"].as_u64(), Some(campaign.collected.len() as u64));
+        assert_eq!(logs["sum"].as_u64(), Some(entries as u64));
+        assert_eq!(named("counters", "indexed_packets")["value"].as_u64(), Some(1));
+        let group = named("histograms", "group_events");
+        assert_eq!(group["sum"].as_u64(), Some(mentions as u64));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,9 +10,10 @@
 //! the time of the node's last contribution to a packet, never comparing
 //! clocks *across* nodes.
 //!
-//! Watermarks are a latency heuristic, not a correctness mechanism: a
-//! window closed too early is reopened by the late arrival and the result
-//! still converges to the batch answer.
+//! A window that closes once the evidence it names is in closes once per
+//! packet; one closed too early is reopened by the late arrival, so the
+//! marks decide when a report is emitted, never what it says: the result
+//! converges to the batch answer either way.
 
 use crate::logger::LocalTs;
 use netsim::fx::FxHashMap;

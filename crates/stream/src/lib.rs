@@ -10,7 +10,10 @@
 //! 2. **[`StreamReconstructor`]**: per-node lanes that batch absorption
 //!    (a full lane stalls and pumps them all), per-node low-watermarks over
 //!    the nodes' *own* clocks, and packet windows that close when every
-//!    contributing node has moved past its last contribution. A window
+//!    contributing node has moved past its last contribution and every
+//!    peer the window's events name has moved past the moment it was named
+//!    (in its own clock, through pairwise offsets learned from the flows),
+//!    so a packet is closed about once. A window
 //!    keeps its events in arrival order, which keeps each node's order —
 //!    all the kernel reads — and a record for a closed window reopens it,
 //!    so every close is the batch answer over what was absorbed and

@@ -8,14 +8,28 @@
 //!
 //! ## Windowing
 //!
-//! A packet's window stays open while evidence may still plausibly arrive.
-//! Because node clocks are unsynchronized (offsets up to minutes), the
-//! close rule never compares clocks across nodes: a window closes when
-//! **each contributing node individually** has moved its own [`Mark`] far
-//! enough past that node's last contribution ([`Lateness`]: a record quota
-//! or a local-time bound, whichever passes first). Watermarks are purely a
-//! latency heuristic — a record arriving after its window closed *reopens*
-//! the window and the packet is re-reconstructed.
+//! A packet's window stays open while evidence may still plausibly arrive,
+//! and closes once the evidence it names is in. Two things must hold:
+//!
+//! * **every contributing node** has moved its own [`Mark`] far enough past
+//!   its last contribution ([`Lateness`]: a record quota or a local-time
+//!   bound, whichever passes first);
+//! * **every peer the window's events name that has not contributed** —
+//!   REFILL's inter-node rules: `trans to B` needs B's `recv`, `recv from A`
+//!   A's `trans` — has passed the moment it was named. The peer's log has
+//!   reached a later hop with the naming node (each log arrives in order),
+//!   or the peer's clock has reached the namer's reading, moved by the
+//!   pair's learned clock offset, plus `Lateness::micros`. A peer not yet
+//!   heard from, or not yet linked to the namer, is waited for; a pair
+//!   without timestamps is not.
+//!
+//! The offsets are learned from the flows: the two ends of one hop (a
+//! `recv` and the sender's `ack recvd`) are one hop delay apart in true
+//! time, so their readings differ by the pair's offset, and a weighted
+//! union-find over node potentials links every pair a chain of such hops
+//! joins ([`StreamReconstructor::clock_offset`]). The rule decides only
+//! *when* a window closes: a record arriving after its window closed
+//! *reopens* the window and the packet is re-reconstructed.
 //!
 //! A window keeps its events in the order they were absorbed. That keeps
 //! each node's own order, which is all the kernel reads: its report is the
@@ -41,8 +55,8 @@
 
 use eventlog::frame::NodeRecord;
 use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
-use eventlog::{Event, PacketId};
-use netsim::fx::FxHashMap;
+use eventlog::{Event, EventKind, PacketId};
+use netsim::fx::{FxHashMap, FxHashSet};
 use netsim::{available_workers, NodeId};
 use refill::parallel::par_map;
 use refill::telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
@@ -73,11 +87,174 @@ struct PacketState {
     /// The window's events in arrival order — what the kernel is handed at
     /// every close. The length doubles as the window's event count.
     events: Vec<Event>,
-    /// Each contributing node's mark at its *last* contribution; the close
-    /// rule compares only a node's own marks, never across nodes. A handful
+    /// Each contributing node's mark at its *last* contribution. A handful
     /// per packet, so a linear search beats a map.
     contributors: Vec<(NodeId, Mark)>,
+    /// Every (node, peer) pair the window's events name. A named peer that
+    /// has not contributed is waited for: `trans to B` needs B's `recv`,
+    /// `recv from A` A's `trans`.
+    named: Vec<Naming>,
     closed: bool,
+}
+
+/// What `namer`'s records in one window say about `peer`.
+#[derive(Clone, Copy)]
+struct Naming {
+    namer: NodeId,
+    peer: NodeId,
+    /// The namer's mark at its latest record naming the peer, and whether
+    /// that record carried a timestamp.
+    since: Mark,
+    timed: bool,
+    /// Whether that record was the namer's end of a hop with the peer — its
+    /// record of the frame from the peer (`recv`, `dup`, `overflow`) or of
+    /// the peer's ack (`ack recvd`) — and if so, whether it was the ack.
+    end: Option<bool>,
+    /// Hop ends with the peer so far, up to 2: a packet that crossed the
+    /// pair more than once has ends that need not belong together.
+    ends: u8,
+}
+
+impl PacketState {
+    /// Note that `node`, at `mark`, logged `kind` naming `peer`. Returns the
+    /// two ends of a hop when this record completes one: `peer`'s end and
+    /// this one, each the only end its node logged with the other, one the
+    /// frame's arrival and the other its ack — a hop delay apart.
+    fn name(
+        &mut self,
+        node: NodeId,
+        peer: NodeId,
+        kind: EventKind,
+        mark: Mark,
+        timed: bool,
+    ) -> Option<[(NodeId, Mark); 2]> {
+        let acked = matches!(kind, EventKind::AckRecvd { .. });
+        let end = (acked || kind.is_receiver_side()).then_some(acked);
+        let at = match self.named.iter().position(|w| (w.namer, w.peer) == (node, peer)) {
+            Some(at) => at,
+            None => {
+                self.named.push(Naming {
+                    namer: node,
+                    peer,
+                    since: mark,
+                    timed,
+                    end,
+                    ends: 0,
+                });
+                self.named.len() - 1
+            }
+        };
+        let mine = &mut self.named[at];
+        (mine.since, mine.timed, mine.end) = (mark, timed, end);
+        end?;
+        mine.ends = (mine.ends + 1).min(2);
+        if mine.ends > 1 {
+            return None;
+        }
+        let theirs = self.named.iter().find(|w| (w.namer, w.peer) == (peer, node))?;
+        (theirs.ends == 1 && theirs.end == Some(!acked))
+            .then_some([(peer, theirs.since), (node, mark)])
+    }
+}
+
+/// What the flows have taught about pairs of nodes: how their clocks differ
+/// and how far their logs have come.
+///
+/// Offsets are a weighted union-find over node potentials, fed one edge per
+/// hop whose two ends both carry a reading: `ts(b) − ts(a)` is the pair's
+/// offset up to one hop delay. The first edge that joins two sets is kept;
+/// later edges between linked nodes add nothing.
+#[derive(Default)]
+struct Links {
+    /// Every node that is not the root of its set: its parent and
+    /// `potential(node) − potential(parent)`.
+    up: FxHashMap<NodeId, (NodeId, i64)>,
+    /// Nodes that have delivered a timestamped record.
+    timed: FxHashSet<NodeId>,
+    /// For each ordered pair `(a, b)` that shared a hop, the largest record
+    /// count `a` had at its end of one: `b`'s log has reached that hop.
+    reached: FxHashMap<(NodeId, NodeId), u64>,
+}
+
+impl Links {
+    /// `node`'s root and `potential(node) − potential(root)`.
+    fn root(&self, mut node: NodeId) -> (NodeId, i64) {
+        let mut sum = 0i64;
+        while let Some(&(up, d)) = self.up.get(&node) {
+            sum = sum.wrapping_add(d);
+            node = up;
+        }
+        (node, sum)
+    }
+
+    /// [`Links::root`], pointing every node on the way at the root.
+    fn compress(&mut self, node: NodeId) -> (NodeId, i64) {
+        let (root, sum) = self.root(node);
+        let (mut at, mut rest) = (node, sum);
+        while let Some(&(up, d)) = self.up.get(&at) {
+            self.up.insert(at, (root, rest));
+            (at, rest) = (up, rest.wrapping_sub(d));
+        }
+        (root, sum)
+    }
+
+    /// Note one hop's two ends, each a node and its mark there.
+    fn hop(&mut self, [(a, at_a), (b, at_b)]: [(NodeId, Mark); 2]) {
+        for (x, y, at) in [(a, b, at_a), (b, a, at_b)] {
+            let reached = self.reached.entry((x, y)).or_default();
+            *reached = (*reached).max(at.records);
+        }
+        // A reading of 0 is a clock still clamped at zero, not a time.
+        if at_a.ts_us > 0 && at_b.ts_us > 0 {
+            if let Ok(d) = i64::try_from(i128::from(at_b.ts_us) - i128::from(at_a.ts_us)) {
+                self.link(a, b, d);
+            }
+        }
+    }
+
+    /// Has `b`'s log reached a hop that `a` logged after `since`? Each log
+    /// is in order, so `b` has logged what it had to say of `a`'s earlier
+    /// hops.
+    fn reached(&self, a: NodeId, b: NodeId, since: Mark) -> bool {
+        self.reached.get(&(a, b)).is_some_and(|&at| at > since.records)
+    }
+
+    /// Note that `b`'s clock reads `d` µs ahead of `a`'s. Sums wrap, which
+    /// is exact modulo 2^64: every offset that fits an `i64` comes out right.
+    fn link(&mut self, a: NodeId, b: NodeId, d: i64) {
+        let ((ra, da), (rb, db)) = (self.compress(a), self.compress(b));
+        if ra != rb {
+            self.up.insert(rb, (ra, d.wrapping_add(da).wrapping_sub(db)));
+        }
+    }
+
+    /// How far `b`'s clock reads ahead of `a`'s, once the two are linked.
+    fn offset(&self, a: NodeId, b: NodeId) -> Option<i64> {
+        let ((ra, da), (rb, db)) = (self.root(a), self.root(b));
+        (ra == rb).then_some(db.wrapping_sub(da))
+    }
+
+    /// Has `w.peer`, which has not contributed, moved past the moment
+    /// `w.namer` named it? A pair without timestamps is not waited for (the
+    /// contributors' rule decides alone), a peer not yet heard from is. A
+    /// peer whose log has reached a later hop with the namer has passed. Else
+    /// the peer's clock must reach the namer's reading then, moved into the
+    /// peer's clock by their learned offset, plus `lateness.micros`: a record
+    /// the peer logged for the hop lies before that point in its log, which
+    /// arrives in order. Until the two are linked, the peer is waited for.
+    fn passed(&self, tracker: &WatermarkTracker, w: &Naming, lateness: Lateness) -> bool {
+        let now = tracker.mark(w.peer);
+        if now.records == 0 {
+            return !w.timed;
+        }
+        if !w.timed || !self.timed.contains(&w.peer) || self.reached(w.namer, w.peer, w.since) {
+            return true;
+        }
+        self.offset(w.namer, w.peer).is_some_and(|off| {
+            let due = i128::from(w.since.ts_us) + i128::from(off) + i128::from(lateness.micros);
+            i128::from(now.ts_us) >= due
+        })
+    }
 }
 
 /// Fewer closing windows than this are reconstructed on the calling thread:
@@ -93,6 +270,7 @@ pub struct StreamReconstructor {
     /// deterministic node order.
     lanes: BTreeMap<NodeId, VecDeque<NodeRecord>>,
     tracker: WatermarkTracker,
+    links: Links,
     /// Where each packet's state sits in `packets`.
     slots: FxHashMap<PacketId, u32>,
     packets: Vec<PacketState>,
@@ -117,7 +295,8 @@ impl StreamReconstructor {
         StreamReconstructor::with_lateness(recon, Lateness::default())
     }
 
-    /// Wrap, closing a window once every contributor is `lateness` past it.
+    /// Wrap, closing a window once every contributor is `lateness` past it
+    /// and every peer it names has passed it (the module's "Windowing").
     pub fn with_lateness(recon: Reconstructor, lateness: Lateness) -> Self {
         StreamReconstructor {
             lateness,
@@ -125,6 +304,7 @@ impl StreamReconstructor {
             recon,
             lanes: BTreeMap::new(),
             tracker: WatermarkTracker::new(),
+            links: Links::default(),
             slots: FxHashMap::default(),
             packets: Vec::new(),
             open: Vec::new(),
@@ -184,6 +364,10 @@ impl StreamReconstructor {
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
         let mark = self.tracker.advance(rec.node, rec.entry.local_ts);
+        let timed = rec.entry.local_ts.is_some();
+        if timed {
+            self.links.timed.insert(rec.node);
+        }
         let id = rec.entry.event.packet;
         let (packets, open) = (&mut self.packets, &mut self.open);
         let slot = *self.slots.entry(id).or_insert_with(|| {
@@ -192,6 +376,7 @@ impl StreamReconstructor {
                 id,
                 events: Vec::new(),
                 contributors: Vec::new(),
+                named: Vec::new(),
                 closed: false,
             });
             packets.len() as u32 - 1
@@ -207,13 +392,28 @@ impl StreamReconstructor {
             Some((_, since)) => *since = mark,
             None => packet.contributors.push((rec.node, mark)),
         }
+        let kind = rec.entry.event.kind;
+        if let Some(peer) = kind.peer().filter(|&peer| peer != rec.node) {
+            if let Some(hop) = packet.name(rec.node, peer, kind, mark, timed) {
+                self.links.hop(hop);
+            }
+        }
         packet.events.push(rec.entry.event);
     }
 
-    /// Sweep the open windows, close the ones every contributor has moved
-    /// past, reconstruct exactly those packets, and return their reports
-    /// (in packet-id order), cloned: the stream keeps its own. Returns at once
-    /// when no record was absorbed since the last sweep.
+    /// How far `b`'s clock reads ahead of `a`'s, as learned from the flows
+    /// so far: `None` until some chain of hops links the two nodes. Each
+    /// link is one hop's pair of readings, so an offset is exact up to the
+    /// hop delays and clock drift along that chain.
+    pub fn clock_offset(&self, a: NodeId, b: NodeId) -> Option<i64> {
+        self.links.offset(a, b)
+    }
+
+    /// Sweep the open windows, close the ones whose contributors and named
+    /// peers have moved past them, reconstruct exactly those packets, and
+    /// return their reports (in packet-id order), cloned: the stream keeps
+    /// its own. Returns at once when no record was absorbed since the last
+    /// sweep.
     pub fn poll(&mut self) -> Vec<PacketReport> {
         let mut closed = Vec::new();
         self.poll_with(|report| closed.push(report.clone()));
@@ -240,7 +440,8 @@ impl StreamReconstructor {
         self.reports()
     }
 
-    /// Close the open windows every contributor has moved past — with `all`,
+    /// Close the open windows whose contributors and named peers have moved
+    /// past them — with `all`,
     /// every open window — and reconstruct each of them exactly once, in
     /// packet-id order: in parallel when there are enough to pay for the
     /// workers, each into the vectors of the window's previous report when it
@@ -251,7 +452,8 @@ impl StreamReconstructor {
         let span = StageTimer::start(&*recorder, Stage::Window);
         self.absorbed_since_sweep = false;
         let lateness = self.lateness;
-        let (tracker, packets, reports) = (&self.tracker, &mut self.packets, &mut self.reports);
+        let (tracker, links) = (&self.tracker, &self.links);
+        let (packets, reports) = (&mut self.packets, &mut self.reports);
         // Each closing window with its previous report, which leaves the map
         // (its entry stays) for whichever worker rebuilds it; the lock is
         // that hand-over, taken once and never contended.
@@ -259,7 +461,10 @@ impl StreamReconstructor {
         self.open.retain(|&slot| {
             let packet = &mut packets[slot as usize];
             let passed = |&(node, since): &(NodeId, Mark)| tracker.passed(node, since, lateness);
-            packet.closed = all || packet.contributors.iter().all(passed);
+            let contributed = |peer| packet.contributors.iter().any(|&(node, _)| node == peer);
+            let heard = |w: &Naming| contributed(w.peer) || links.passed(tracker, w, lateness);
+            packet.closed =
+                all || packet.contributors.iter().all(passed) && packet.named.iter().all(heard);
             if packet.closed {
                 let previous = reports.entry(packet.id).or_default().take();
                 closing.push((slot, Mutex::new(previous)));
@@ -432,19 +637,126 @@ mod tests {
         };
         let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         let p0 = PacketId::new(n(1), 0);
-        stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p0, Some(10_000)));
+        stream.ingest(rec(1, EventKind::Origin, p0, Some(10_000)));
         stream.pump();
         assert!(stream.poll().is_empty());
-        stream.ingest(rec(
-            1,
-            EventKind::Trans { to: n(2) },
-            PacketId::new(n(1), 1),
-            Some(11_500),
-        ));
+        stream.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 1), Some(11_500)));
         stream.pump();
         let out = stream.poll();
         assert_eq!(out.len(), 1, "node 1's clock moved 1.5ms past p0");
         assert_eq!(out[0].packet, p0);
+    }
+
+    /// A full hop of packet (1, `seq`) — node 1's trans and ack, node 2's
+    /// recv between them — on clocks where node 2 reads `ahead` µs ahead,
+    /// from node 1's reading `at` on.
+    fn hop_at(seq: u32, at: u64, ahead: u64) -> [NodeRecord; 3] {
+        let p = PacketId::new(n(1), seq);
+        [
+            rec(1, EventKind::Trans { to: n(2) }, p, Some(at)),
+            rec(2, EventKind::Recv { from: n(1) }, p, Some(at + ahead + 15)),
+            rec(1, EventKind::AckRecvd { to: n(2) }, p, Some(at + 30)),
+        ]
+    }
+
+    #[test]
+    fn a_window_waits_for_the_peer_its_evidence_names() {
+        let lateness = Lateness {
+            records: 1,
+            micros: 1_000,
+        };
+        let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
+        let feed = |stream: &mut StreamReconstructor, recs: &[NodeRecord]| {
+            recs.iter().for_each(|r| stream.ingest(*r));
+            stream.pump();
+            let closed = stream.poll();
+            closed.iter().map(|r| (r.packet.origin.0, r.packet.seqno)).collect::<Vec<_>>()
+        };
+        // Node 2 reads 5 s ahead; a hop links the two clocks.
+        assert_eq!(feed(&mut stream, &hop_at(0, 1_000, 5_000_000)), Vec::<(u16, u32)>::new());
+        assert_eq!(stream.clock_offset(n(1), n(2)), Some(5_000_000 - 15));
+        // Node 1 sends packet 1 to node 2 and moves on; packet 1 waits for
+        // node 2's recv.
+        let p1 = PacketId::new(n(1), 1);
+        let sent = [
+            rec(1, EventKind::Trans { to: n(2) }, p1, Some(2_000)),
+            rec(1, EventKind::Origin, PacketId::new(n(1), 2), Some(3_000)),
+        ];
+        assert!(feed(&mut stream, &sent).is_empty());
+        // Node 2 moves on (packet 0 closes), but not yet 1 ms past where
+        // packet 1 was due.
+        let early = rec(2, EventKind::Origin, PacketId::new(n(2), 0), Some(5_002_500));
+        assert_eq!(feed(&mut stream, &[early]), vec![(1, 0)]);
+        // Past it: node 2 logged nothing of packet 1, so it closes.
+        let late = rec(2, EventKind::Origin, PacketId::new(n(2), 1), Some(5_003_100));
+        assert_eq!(feed(&mut stream, &[late]), vec![(1, 1), (2, 0)]);
+        assert_eq!(stream.stats().windows_reopened, 0);
+    }
+
+    #[test]
+    fn a_peer_never_heard_from_or_not_linked_is_waited_for() {
+        let mut stream = eager(recon());
+        let p = PacketId::new(n(1), 0);
+        stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, Some(1_000)));
+        stream.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 1), Some(2_000)));
+        stream.pump();
+        assert!(stream.poll().is_empty(), "node 2 was never heard from");
+        // Heard, but no hop links the two clocks yet.
+        stream.ingest(rec(2, EventKind::Origin, PacketId::new(n(2), 0), Some(900_000)));
+        stream.ingest(rec(2, EventKind::Origin, PacketId::new(n(2), 1), Some(990_000)));
+        stream.pump();
+        let closed: Vec<PacketId> = stream.poll().iter().map(|r| r.packet).collect();
+        assert!(!closed.contains(&p), "node 2 is not linked to node 1");
+        assert_eq!(stream.clock_offset(n(1), n(2)), None);
+        // Without timestamps the pair keeps the contributors' rule.
+        let mut untimed = eager(recon());
+        untimed.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
+        untimed.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 1), None));
+        untimed.pump();
+        assert_eq!(untimed.poll().len(), 1);
+    }
+
+    #[test]
+    fn a_peer_whose_log_reached_a_later_hop_with_the_namer_has_passed() {
+        // Clocks stuck at zero link nothing; the order of the logs still
+        // tells: node 2 logged a hop that node 1 logged after packet 0.
+        let mut stream = eager(recon());
+        let p = PacketId::new(n(1), 0);
+        stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, Some(0)));
+        for r in hop_at(1, 0, 0) {
+            stream.ingest(NodeRecord {
+                entry: LogEntry {
+                    local_ts: LocalTs::new(0),
+                    ..r.entry
+                },
+                ..r
+            });
+        }
+        stream.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 2), Some(0)));
+        stream.ingest(rec(2, EventKind::Origin, PacketId::new(n(2), 0), Some(0)));
+        stream.pump();
+        assert_eq!(stream.clock_offset(n(1), n(2)), None);
+        let closed: Vec<u32> = stream.poll().iter().map(|r| r.packet.seqno).collect();
+        assert_eq!(closed, vec![0, 1]);
+    }
+
+    #[test]
+    fn only_a_hop_crossed_once_links_two_clocks() {
+        let absorbed = |recs: &[NodeRecord]| {
+            let mut stream = StreamReconstructor::new(recon());
+            for r in recs {
+                stream.ingest(*r);
+                stream.pump();
+            }
+            stream.clock_offset(n(1), n(2))
+        };
+        let [trans, recv, ack] = hop_at(0, 1_000, 7_000);
+        assert_eq!(absorbed(&[trans, recv, ack]), Some(7_000 - 15));
+        assert_eq!(absorbed(&[ack, recv]), Some(7_000 - 15), "either end may come first");
+        assert_eq!(absorbed(&[trans, recv]), None, "a trans is no hop end");
+        // The packet crossed 1 → 2 again: which recv goes with the ack?
+        let [_, again, _] = hop_at(0, 900_000, 7_000);
+        assert_eq!(absorbed(&[trans, recv, again, ack]), None);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!   logs in node order;
 //! * a 64-bit digest over *when* windows close — the packets of every
 //!   `poll()` batch, `open_windows()` after it and the closing
-//!   `StreamStats` of the runs whose timestamps are all on or all off —
-//!   frozen on the commit before windows kept the merge's order, which
-//!   changed what a close computes and not when it happens;
+//!   `StreamStats` of every run;
+//! * the window ledger balances in every run: after `finish()`, windows
+//!   closed − windows reopened = packets reported;
 //! * a stream that pumps before it polls emits, at every close, the batch
 //!   report over the records ingested so far;
 //! * logs fed one by one with a `finish()` after each give the batch answer
@@ -243,10 +243,9 @@ impl Digest {
     }
 }
 
-/// Computed on the parent of the commit that made windows keep the merge's
-/// order, by this very function, with the lanes of 256 records the stream
-/// has kept since.
-const FROZEN_DIGEST: u64 = 0xb450_04b2_1b0a_1c6b;
+/// Computed by this very function on the commit that made a window wait for
+/// the peers its evidence names (lanes of 256 records).
+const FROZEN_DIGEST: u64 = 0xd1a9_8326_7b56_c67b;
 
 #[test]
 fn emissions_match_the_frozen_digest() {
@@ -260,10 +259,6 @@ fn emissions_match_the_frozen_digest() {
             let which = 3 * a + s;
             let recs = records(which as u64, PACKETS, arrival, stamps);
             let expected = batch(&reconstructor(which), &recs);
-            // The digest leaves out the runs that lose their timestamps half
-            // way: on the commit it was frozen on, the first record without
-            // one reopened every closed window.
-            let pinned = stamps != Stamps::LostHalfWay;
             for lateness in latenesses() {
                 for poll_every in [1usize, 7, 64] {
                     let mut stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
@@ -274,11 +269,9 @@ fn emissions_match_the_frozen_digest() {
                             let emitted = stream.poll();
                             rolling += emitted.len() as u64;
                             big_batches += u64::from(emitted.len() >= 8); // parallel closes
-                            if pinned {
-                                digest.word(emitted.len() as u64);
-                                emitted.iter().for_each(|r| digest.packet(r.packet));
-                                digest.word(stream.open_windows() as u64);
-                            }
+                            digest.word(emitted.len() as u64);
+                            emitted.iter().for_each(|r| digest.packet(r.packet));
+                            digest.word(stream.open_windows() as u64);
                         }
                     }
                     let all = stream.finish();
@@ -288,15 +281,18 @@ fn emissions_match_the_frozen_digest() {
                     assert_eq!(stream.reports(), all);
                     let stats = stream.stats();
                     assert_eq!(stats.records, recs.len() as u64);
-                    if pinned {
-                        for w in [
-                            stats.records,
-                            stats.windows_closed,
-                            stats.windows_reopened,
-                            stats.backpressure,
-                        ] {
-                            digest.word(w);
-                        }
+                    assert_eq!(
+                        stats.windows_closed - stats.windows_reopened,
+                        all.len() as u64,
+                        "the window ledger does not balance: {run}"
+                    );
+                    for w in [
+                        stats.records,
+                        stats.windows_closed,
+                        stats.windows_reopened,
+                        stats.backpressure,
+                    ] {
+                        digest.word(w);
                     }
                     reopened += stats.windows_reopened;
                     backpressure += stats.backpressure;
@@ -540,4 +536,51 @@ fn a_campaigns_reports_do_not_depend_on_the_order_of_its_logs_or_on_their_clocks
         let streamed = fed_as_they_arrive(recon(), &upload_order(&logs));
         assert!(streamed == reference, "stream, {clocks:?}");
     }
+}
+
+// --- what the stream learns of the clocks ----------------------------------
+
+/// The clock offsets a small campaign's upload stream teaches the stream:
+/// for at least 95 % of the node pairs one hop apart that it links, the
+/// learned offset lies within one hop's delay bound — the MAC's retry
+/// backoff, which spans an attempt's `trans`, the `recv` and the `ack recvd`
+/// — of the difference of the simulator's own clock offsets.
+#[test]
+fn learned_clock_offsets_match_the_simulated_clocks() {
+    let scenario = Scenario::small();
+    let bound = i64::try_from(scenario.build().3.retry_backoff.as_micros()).unwrap();
+    let campaign = run_scenario(&scenario);
+    let recon = Reconstructor::new(CtpVocabulary::citysee()).with_sink(campaign.topology.sink());
+    let mut stream = StreamReconstructor::new(recon);
+    let recs = campaign.upload_records();
+    recs.iter().for_each(|r| stream.ingest(*r));
+    stream.finish();
+
+    let mut hops: Vec<(NodeId, NodeId)> = recs
+        .iter()
+        .filter_map(|r| r.entry.event.kind.peer().map(|peer| (r.node, peer)))
+        .filter(|(node, peer)| node != peer)
+        .map(|(a, b)| (a.min(b), a.max(b)))
+        .collect();
+    hops.sort_unstable();
+    hops.dedup();
+    let clock = |node| campaign.sim.clocks.clock(node).offset_us;
+    let (mut linked, mut within) = (0usize, 0usize);
+    for &(a, b) in &hops {
+        let Some(learned) = stream.clock_offset(a, b) else {
+            continue;
+        };
+        assert_eq!(stream.clock_offset(b, a), Some(-learned));
+        linked += 1;
+        within += usize::from((learned - (clock(b) - clock(a))).abs() <= bound);
+    }
+    assert!(
+        linked * 10 >= hops.len() * 9,
+        "{linked} of {} hop pairs linked",
+        hops.len()
+    );
+    assert!(
+        within * 100 >= linked * 95,
+        "{within} of {linked} learned offsets within {bound} µs of the clocks'"
+    );
 }
