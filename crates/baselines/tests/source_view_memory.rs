@@ -4,7 +4,7 @@
 //! The losses are the gaps between received seqnos; a view that stored one
 //! loss per missing seqno needed about 80 MB for one record of seqno
 //! 5 000 000, and a record of seqno 4 000 000 000 made every command that
-//! reads an archive abort on a 4 GiB allocation.
+//! reads such logs abort on a 4 GiB allocation.
 //!
 //! A test binary of its own with one test in it: the high-water mark is the
 //! whole process's.

@@ -127,7 +127,7 @@ struct PacketOutcome {
     naive_claim: Option<NodeId>,
 }
 
-/// The base station's log among `logs`, if the archive has one.
+/// The base station's log among `logs`, if they hold one.
 fn bs_log(logs: &[LocalLog]) -> Option<&LocalLog> {
     logs.iter().find(|l| l.node == BASE_STATION)
 }

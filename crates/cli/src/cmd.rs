@@ -25,14 +25,15 @@ pub use trace::trace;
 
 use citysee::Analyzer;
 use citysee::{run_scenario, Campaign, Scenario};
+use eventlog::frame;
 use eventlog::logger::LocalLog;
-use eventlog::{archive, PacketId};
+use eventlog::PacketId;
 use netsim::{NodeId, SimDuration};
-use refill::telemetry::{AtomicRecorder, Recorder};
+use refill::telemetry::{AtomicRecorder, Counter, Recorder};
 use refill::trace::{CtpVocabulary, Reconstructor};
 use std::fs::File;
-use std::io::BufReader;
-use std::path::Path;
+use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Top-level usage text.
@@ -41,17 +42,17 @@ refill — reconstruct network behavior from individual, lossy logs
 
 USAGE:
   refill simulate [--scale small|standard|paper] [--seed N] [--out DIR]
-  refill analyze  --logs DIR_OR_FILE [--sink N] [--period SECS] [--stats] [--telemetry FILE]
-  refill trace    --logs DIR_OR_FILE --packet ORIGIN:SEQNO [--sink N] [--dot] [--telemetry FILE]
-  refill explain  ORIGIN:SEQNO [--logs DIR_OR_FILE] [--sink N] [--seed N] [--format text|json]
-  refill profile  [--logs DIR_OR_FILE] [--sink N] [--seed N] [--workers N]
+  refill analyze  --logs LOGS [--sink N] [--period SECS] [--stats] [--telemetry FILE]
+  refill trace    --logs LOGS --packet ORIGIN:SEQNO [--sink N] [--dot] [--telemetry FILE]
+  refill explain  ORIGIN:SEQNO [--logs LOGS] [--sink N] [--seed N] [--format text|json]
+  refill profile  [--logs LOGS] [--sink N] [--seed N] [--workers N]
                   [--format table|json] [--telemetry FILE]
   refill report   [--scale small|standard|paper] [--seed N]
-  refill stream   [--frames FILE|-] [--sink N] [--seed N]
+  refill stream   [--logs LOGS] [--sink N] [--seed N]
                   [--late-records N] [--late-us N] [--metrics-every N]
                   [--store DIR] [--quiet] [--telemetry FILE]
   refill store    --out DIR [--scale small|standard|paper] [--seed N]
-                  [--logs DIR_OR_FILE] [--sink N] [--period SECS] [--compact]
+                  [--logs LOGS] [--sink N] [--period SECS] [--compact]
   refill query    --store DIR [--origin N] [--seqno LO:HI] [--since US] [--until US]
                   [--cause LABEL] [--disposition observed|intra|inter]
                   [--fig fig4|fig5|fig8] [--stats]
@@ -59,13 +60,17 @@ USAGE:
                   [--telemetry FILE] [--prometheus FILE]
   refill help
 
-  stream reconstructs online: framed records (eventlog::frame wire format)
-  are decoded from --frames (- for stdin), windows close per-node as
-  watermarks pass (--late-records / --late-us lateness), rolling reports
-  print as they close, and the converged summary follows. With no --frames
-  it simulates one CitySee-like day and replays its upload stream.
+  LOGS is one log file format, the eventlog::frame records simulate writes
+  to DIR/logs.frames: a file, a directory holding logs.frames, or - for
+  stdin. Corrupt runs in it are skipped and counted (on stderr).
+  stream reconstructs online: the records of --logs are decoded as they
+  arrive, windows close per-node as watermarks pass (--late-records /
+  --late-us lateness), rolling reports print as they close, and the
+  converged summary follows. With no --logs it simulates one CitySee-like
+  day and replays its upload stream, the bytes simulate writes.
   --metrics-every N emits a JSON-lines telemetry delta (counters, stage
-  timings, histograms since the previous delta) every N absorbed records.
+  timings, histograms since the previous delta) every N records handed
+  to the stream.
   analyze --stats prints reconstruction throughput after the run.
   --telemetry FILE writes the full pipeline telemetry snapshot (counters,
   stage timings, histograms) as JSON; --prometheus FILE writes the same
@@ -84,14 +89,14 @@ USAGE:
   store persists a run into a durable, crash-recoverable segment store:
   the merged log entries plus the reports with their diagnosis sidecars. Without --logs it simulates a scenario (truth fates included,
   scenario.json saved alongside for topology-dependent figures); with
-  --logs it reconstructs and diagnoses an archive. --compact merges the
+  --logs it reconstructs and diagnoses those logs. --compact merges the
   segments into one time-sorted segment afterwards.
   query evaluates predicates over a store without re-running
   reconstruction, using segment min/max pushdown. --since/--until (local
   clock, micros) select event rows only; --cause/--disposition select
   report rows only. --fig renders a figure CSV (Figures 4, 5 and 8) from
   the stored sidecars, byte-identical to the in-memory analysis.
-  stream --store DIR appends every absorbed record and emitted report to
+  stream --store DIR appends every record it reads and report it emits to
   a store as it runs; re-running after a kill resumes from the durable
   prefix and converges to the same reports as an uninterrupted run. It
   combines with --metrics-every, and --telemetry then counts the store's
@@ -197,26 +202,48 @@ fn scenario_from_flags(flags: &Flags) -> Result<Scenario, String> {
     Ok(scenario)
 }
 
-/// The stand-in for a missing input flag (`missing` names it): one simulated
-/// CitySee-like day, seeded from `--seed`.
-fn simulate_day(flags: &Flags, missing: &str) -> Result<Campaign, String> {
+/// The stand-in for a missing `--logs`: one simulated CitySee-like day,
+/// seeded from `--seed`.
+fn simulate_day(flags: &Flags) -> Result<Campaign, String> {
     let mut scenario = Scenario {
         days: 1,
         ..Scenario::small()
     };
     apply_seed(flags, &mut scenario)?;
     eprintln!(
-        "no {missing} given; simulating one CitySee-like day ({} nodes, seed {})…",
+        "no --logs given; simulating one CitySee-like day ({} nodes, seed {})…",
         scenario.nodes, scenario.seed
     );
     Ok(run_scenario(&scenario))
 }
 
-fn read_archive(path: &str) -> Result<Vec<LocalLog>, String> {
+/// The file a run directory keeps its logs in: the campaign's upload
+/// stream as frames.
+const LOGS_FILE: &str = "logs.frames";
+
+/// `campaign`'s log file: its upload stream as frames.
+fn logs_bytes(campaign: &Campaign) -> Vec<u8> {
+    frame::encode_records(&campaign.upload_records())
+}
+
+/// Write `campaign`'s [`logs_bytes`] to `dir`'s [`LOGS_FILE`] — the bytes
+/// `refill stream` replays when it is given no input.
+fn write_logs(dir: &Path, campaign: &Campaign) -> Result<PathBuf, String> {
+    let path = dir.join(LOGS_FILE);
+    std::fs::write(&path, logs_bytes(campaign)).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(path)
+}
+
+/// The bytes `--logs PATH` names: a frame file, a directory's
+/// [`LOGS_FILE`], or stdin for `-`.
+fn open_logs(path: &str) -> Result<Box<dyn Read + Send>, String> {
+    if path == "-" {
+        return Ok(Box::new(std::io::stdin()));
+    }
     let p = Path::new(path);
-    let file = if p.is_dir() { p.join("logs.jsonl") } else { p.to_path_buf() };
+    let file = if p.is_dir() { p.join(LOGS_FILE) } else { p.to_path_buf() };
     let f = File::open(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-    archive::read_logs(BufReader::new(f)).map_err(|e| e.to_string())
+    Ok(Box::new(f))
 }
 
 /// The logs a command works on, and the sink it should assume.
@@ -226,25 +253,33 @@ struct Input {
     sink: Option<NodeId>,
 }
 
-/// The `--logs` archive, or a simulated day when there is none.
-fn load_input(flags: &Flags) -> Result<Input, String> {
+/// The `--logs` frames regrouped into per-node logs, or a simulated day when
+/// there are none. The decoder's counters go to `recorder`, and corrupt runs
+/// are reported on stderr.
+fn load_input(flags: &Flags, recorder: &Option<Arc<AtomicRecorder>>) -> Result<Input, String> {
     let sink = parse_sink(flags)?;
-    match flags.get("logs") {
-        Some(path) => Ok(Input {
-            logs: read_archive(path)?,
-            sink,
-        }),
-        None => {
-            let campaign = simulate_day(flags, "--logs")?;
-            Ok(Input {
-                sink: sink.or(Some(campaign.topology.sink())),
-                logs: campaign.collected,
-            })
-        }
+    let Some(path) = flags.get("logs") else {
+        let campaign = simulate_day(flags)?;
+        return Ok(Input {
+            sink: sink.or(Some(campaign.topology.sink())),
+            logs: campaign.collected,
+        });
+    };
+    let (logs, stats) = frame::read_logs(open_logs(path)?).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(r) = recorder {
+        r.add(Counter::FramesDecoded, stats.decoded);
+        r.add(Counter::FramesCorrupt, stats.corrupt);
     }
+    if stats.corrupt > 0 {
+        eprintln!(
+            "{path}: {} frames decoded, {} corrupt runs skipped",
+            stats.decoded, stats.corrupt
+        );
+    }
+    Ok(Input { logs, sink })
 }
 
-/// The analyzer an operator holding only an archive runs: CitySee's logging
+/// The analyzer an operator holding only the logs runs: CitySee's logging
 /// vocabulary, the input's sink, `--period SECS` (default 30) and no outage
 /// schedule.
 fn build_analyzer(
@@ -311,11 +346,20 @@ mod tests {
     use super::stream::stream_cmd_inner;
     use super::*;
     use citysee::analyze as analyze_campaign;
+    use eventlog::frame::NodeRecord;
     use netsim::json::{self, Json, ToJson};
-    use std::io::BufWriter;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// `logs` as a frame file at `path`, one node's records after another's.
+    fn write_frames(path: &Path, logs: &[LocalLog]) {
+        let records: Vec<NodeRecord> = logs
+            .iter()
+            .flat_map(|log| log.entries.iter().map(|&e| NodeRecord::new(log.node, e)))
+            .collect();
+        std::fs::write(path, frame::encode_records(&records)).unwrap();
     }
 
     /// Every subcommand's flag table, in USAGE order.
@@ -363,7 +407,7 @@ mod tests {
             (explain, "--logz"),
             (profile, "--log"),
             (report, "--sead"),
-            (stream, "--frame"),
+            (stream, "--frames"),
             (store, "--compat"),
             (query, "--stor"),
             (soak, "--case"),
@@ -466,7 +510,7 @@ mod tests {
         std::fs::write(&frames, encode_records(recs.iter())).unwrap();
         let tele = dir.join("stream-telemetry.json");
         let out = stream_cmd_inner(&args(&[
-            "--frames",
+            "--logs",
             frames.to_str().unwrap(),
             "--telemetry",
             tele.to_str().unwrap(),
@@ -506,7 +550,7 @@ mod tests {
     #[test]
     fn stream_rejects_bad_flags() {
         assert!(stream_cmd_inner(&args(&["--late-records", "banana"])).is_err());
-        assert!(stream_cmd_inner(&args(&["--frames", "/definitely/not/here"])).is_err());
+        assert!(stream_cmd_inner(&args(&["--logs", "/definitely/not/here"])).is_err());
         assert!(stream_cmd_inner(&args(&["--metrics-every", "soon"])).is_err());
     }
 
@@ -547,7 +591,7 @@ mod tests {
         // --quiet suppresses rolling reports, so every brace-opening line
         // is a metrics delta.
         let out = stream_cmd_inner(&args(&[
-            "--frames",
+            "--logs",
             frames.to_str().unwrap(),
             "--quiet",
             "--metrics-every",
@@ -576,10 +620,10 @@ mod tests {
     }
 
     /// A point lookup's snapshot accounts for every entry it walked:
-    /// Σ `node_log_events` is the archive's entries, and its one group holds
-    /// the packet's.
+    /// Σ `node_log_events` is the frames decoded from the file, and its one
+    /// group holds the packet's.
     #[test]
-    fn trace_telemetry_counts_every_entry_of_the_archive() {
+    fn trace_telemetry_counts_every_entry_of_the_logs() {
         let campaign = run_scenario(&Scenario {
             days: 1,
             ..Scenario::small()
@@ -587,17 +631,16 @@ mod tests {
         let dir = std::env::temp_dir().join("refill-trace-telemetry-cli-test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("logs.jsonl");
-        let f = File::create(&path).unwrap();
-        archive::write_logs(&campaign.collected, BufWriter::new(f)).unwrap();
+        write_logs(&dir, &campaign).unwrap();
         let entries: usize = campaign.collected.iter().map(LocalLog::len).sum();
+        let logs = campaign.collected.iter().filter(|log| !log.is_empty()).count();
         let packet = campaign.collected[0].entries[0].event.packet;
         let in_logs = campaign.collected.iter().flat_map(LocalLog::events);
         let mentions = in_logs.filter(|e| e.packet == packet).count();
         let tele = dir.join("trace.json");
         trace(&args(&[
             "--logs",
-            path.to_str().unwrap(),
+            dir.to_str().unwrap(),
             "--packet",
             &format!("{}:{}", packet.origin.0, packet.seqno),
             "--telemetry",
@@ -610,9 +653,10 @@ mod tests {
             let row = rows.iter().find(|r| r["name"].as_str() == Some(name));
             row.unwrap_or_else(|| panic!("no {name} in {section}")).clone()
         };
-        let logs = named("histograms", "node_log_events");
-        assert_eq!(logs["count"].as_u64(), Some(campaign.collected.len() as u64));
-        assert_eq!(logs["sum"].as_u64(), Some(entries as u64));
+        let walked = named("histograms", "node_log_events");
+        assert_eq!(walked["count"].as_u64(), Some(logs as u64));
+        assert_eq!(walked["sum"].as_u64(), Some(entries as u64));
+        assert_eq!(named("counters", "frames_decoded")["value"].as_u64(), Some(entries as u64));
         assert_eq!(named("counters", "indexed_packets")["value"].as_u64(), Some(1));
         let group = named("histograms", "group_events");
         assert_eq!(group["sum"].as_u64(), Some(mentions as u64));
@@ -620,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_narrates_provenance_from_an_archive() {
+    fn explain_narrates_provenance_from_a_logs_file() {
         use eventlog::{Event, EventKind, LocalLog};
         // Table II, Case 1: node 2's entire log is lost, so the recv at
         // node 2 and the trans to node 3 must both be inferred.
@@ -635,9 +679,8 @@ mod tests {
         );
         let dir = std::env::temp_dir().join("refill-explain-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("logs.jsonl");
-        let f = File::create(&path).unwrap();
-        archive::write_logs(&[n1, n3], BufWriter::new(f)).unwrap();
+        let path = dir.join("two-nodes.frames");
+        write_frames(&path, &[n1, n3]);
 
         let text = explain_cmd_inner(&args(&["1:0", "--logs", path.to_str().unwrap()])).unwrap();
         assert!(text.contains("inferred"), "got: {text}");
@@ -685,8 +728,8 @@ mod tests {
         );
         let dir = std::env::temp_dir().join("refill-period-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("logs.jsonl");
-        archive::write_logs(&[log], BufWriter::new(File::create(&path).unwrap())).unwrap();
+        let path = dir.join("one-node.frames");
+        write_frames(&path, &[log]);
         let logs = path.to_str().unwrap();
         let run = |period: &str| analyze_cmd_inner(&args(&["--logs", logs, "--period", period]));
         assert_eq!(run("18446744073709552").unwrap_err(), "bad period");
@@ -700,7 +743,7 @@ mod tests {
         let dir = std::env::temp_dir().join("refill-cli-test");
         let _ = std::fs::remove_dir_all(&dir);
         simulate(&args(&["--scale", "small", "--out", dir.to_str().unwrap()])).unwrap();
-        assert!(dir.join("logs.jsonl").is_file());
+        assert!(dir.join(LOGS_FILE).is_file());
         assert!(dir.join("scenario.json").is_file());
         assert!(dir.join("truth_summary.json").is_file());
         let report = analyze_cmd_inner(&args(&[
@@ -740,6 +783,36 @@ mod tests {
         let parsed = json::parse(&std::fs::read(&tele).unwrap()).unwrap();
         assert!(parsed.get("stages").is_some(), "snapshot has a stages section");
         assert!(parsed.get("counters").is_some(), "snapshot has a counters section");
+
+        // The online path reads the same file and reports every packet the
+        // batch pass reconstructed.
+        let streamed = stream_cmd_inner(&args(&["--logs", dir.to_str().unwrap(), "--quiet"])).unwrap();
+        let packets = report.split_whitespace().next().unwrap();
+        assert!(
+            streamed.contains(&format!("packets: {packets} converged")),
+            "{packets} packets in batch, streamed: {streamed}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `refill simulate`'s file is the upload stream `refill stream` replays
+    /// when it has no input: streaming one is streaming the other.
+    #[test]
+    fn streaming_a_written_day_is_streaming_the_simulated_one() {
+        let seed = "5";
+        let mut scenario = Scenario {
+            days: 1,
+            ..Scenario::small()
+        };
+        scenario.seed = seed.parse().unwrap();
+        let dir = std::env::temp_dir().join("refill-stream-written-day-cli-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        write_logs(&dir, &run_scenario(&scenario)).unwrap();
+        let read = stream_cmd_inner(&args(&["--logs", dir.to_str().unwrap()])).unwrap();
+        let simulated = stream_cmd_inner(&args(&["--seed", seed])).unwrap();
+        assert!(read.contains("packets: "), "{read}");
+        assert_eq!(read, simulated);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -749,7 +822,7 @@ mod tests {
     #[test]
     fn analyze_prints_what_the_measured_analysis_folds() {
         use refill::diagnose::{CauseBreakdown, PositionBreakdown};
-        // An archive carries no outage schedule: leave the scenario none.
+        // A logs file carries no outage schedule: leave the scenario none.
         let scenario = Scenario {
             outage_days: Some(Vec::new()),
             ..Scenario::small()
@@ -758,12 +831,10 @@ mod tests {
         let sink = campaign.topology.sink();
         let dir = std::env::temp_dir().join("refill-analyze-equivalence-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("logs.jsonl");
-        let f = File::create(&path).unwrap();
-        archive::write_logs(&campaign.collected, BufWriter::new(f)).unwrap();
+        write_logs(&dir, &campaign).unwrap();
         let printed = analyze_cmd_inner(&args(&[
             "--logs",
-            path.to_str().unwrap(),
+            dir.to_str().unwrap(),
             "--sink",
             &sink.0.to_string(),
             "--period",
@@ -986,7 +1057,7 @@ mod tests {
         let store_dir = dir.join("store");
 
         let first = stream_cmd_inner(&args(&[
-            "--frames",
+            "--logs",
             frames.to_str().unwrap(),
             "--store",
             store_dir.to_str().unwrap(),
@@ -1000,7 +1071,7 @@ mod tests {
         // on the wire and replayed into the reconstructor instead, and the
         // converged answer is unchanged.
         let second = stream_cmd_inner(&args(&[
-            "--frames",
+            "--logs",
             frames.to_str().unwrap(),
             "--store",
             store_dir.to_str().unwrap(),
@@ -1018,7 +1089,7 @@ mod tests {
         // used to exclude each other): deltas, then the summary, and the
         // store note last.
         let both = stream_cmd_inner(&args(&[
-            "--frames",
+            "--logs",
             frames.to_str().unwrap(),
             "--store",
             store_dir.to_str().unwrap(),
@@ -1044,13 +1115,11 @@ mod tests {
         let dir = std::env::temp_dir().join("refill-stream-store-telemetry-cli-test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let frames = dir.join("frames.bin");
-        let bytes = eventlog::frame::encode_records(&campaign.upload_records());
-        std::fs::write(&frames, bytes).unwrap();
+        write_logs(&dir, &campaign).unwrap();
         let tele = dir.join("telemetry.json");
         stream_cmd_inner(&args(&[
-            "--frames",
-            frames.to_str().unwrap(),
+            "--logs",
+            dir.to_str().unwrap(),
             "--store",
             dir.join("store").to_str().unwrap(),
             "--quiet",

@@ -16,8 +16,8 @@ pub(super) const FLAGS: FlagSpec = FlagSpec {
 pub fn analyze_cmd_inner(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &FLAGS)?;
     flags.get("logs").ok_or("--logs is required")?;
-    let input = load_input(&flags)?;
     let recorder = recorder_for(&flags);
+    let input = load_input(&flags, &recorder)?;
     let analyzer = build_analyzer(&flags, &input, &recorder)?;
 
     let index = analyzer.index(&input.logs);

@@ -32,11 +32,11 @@ pub fn explain_cmd_inner(args: &[String]) -> Result<String, String> {
         .ok_or("explain needs a packet: `refill explain ORIGIN:SEQNO` (or --packet)")?;
     let packet = parse_packet(spec)?;
 
-    let input = load_input(&flags)?;
+    let input = load_input(&flags, &None)?;
     let analyzer = build_analyzer(&flags, &input, &None)?;
     let (report, _) = analyzer
         .packet(&input.logs, packet)
-        .ok_or_else(|| format!("no events for packet {packet} in the archive"))?;
+        .ok_or_else(|| format!("no events for packet {packet} in the logs"))?;
 
     // The point lookup runs the kernel on the packet's own events: no cache
     // is in its path.

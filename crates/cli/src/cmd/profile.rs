@@ -51,9 +51,10 @@ pub fn profile_cmd_inner(args: &[String]) -> Result<String, String> {
         .map(|w| w.parse().map_err(|_| "bad worker count"))
         .transpose()?
         .unwrap_or(1);
-    let input = load_input(&flags)?;
     let recorder = Arc::new(AtomicRecorder::new());
-    let analyzer = build_analyzer(&flags, &input, &Some(recorder.clone()))?;
+    let attached = Some(Arc::clone(&recorder));
+    let input = load_input(&flags, &attached)?;
+    let analyzer = build_analyzer(&flags, &input, &attached)?;
 
     let t0 = Instant::now();
     let index = analyzer.index(&input.logs);

@@ -1,12 +1,9 @@
 //! `refill simulate`.
 
-use super::{scenario_from_flags, FlagSpec, Flags};
+use super::{scenario_from_flags, write_logs, FlagSpec, Flags};
 use citysee::figures::{fig9_breakdown, render_fig9_ascii};
 use citysee::{analyze, run_scenario};
-use eventlog::archive;
 use netsim::json::{Json, ToJson};
-use std::fs::File;
-use std::io::BufWriter;
 use std::path::PathBuf;
 
 pub(super) const FLAGS: FlagSpec = FlagSpec {
@@ -28,10 +25,8 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
     );
     let campaign = run_scenario(&scenario);
 
-    // Archive the collected logs.
-    let logs_path = out.join("logs.jsonl");
-    let f = File::create(&logs_path).map_err(|e| e.to_string())?;
-    archive::write_logs(&campaign.collected, BufWriter::new(f)).map_err(|e| e.to_string())?;
+    // The collected logs, as the base station would receive them.
+    let logs_path = write_logs(&out, &campaign)?;
 
     // Scenario (for reproducibility) and a truth summary (for reference).
     std::fs::write(

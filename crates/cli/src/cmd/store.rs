@@ -25,7 +25,7 @@ pub fn store(args: &[String]) -> Result<(), String> {
 /// run's merged events and reconstructed reports (with diagnosis
 /// sidecars) into a durable segment store. Without `--logs` a scenario is
 /// simulated first and the sidecars carry ground-truth fates; with
-/// `--logs` an archive is reconstructed and diagnosed (no truth).
+/// `--logs` those logs are reconstructed and diagnosed (no truth).
 pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &FLAGS)?;
     let out_dir = PathBuf::from(flags.get("out").ok_or("--out is required")?);
@@ -33,7 +33,7 @@ pub fn store_cmd_inner(args: &[String]) -> Result<String, String> {
     // What the two modes differ in: whose logs, which analyzer, and
     // whether there is a truth to take packets and fates from.
     let (logs, analyzer, truth, scenario_json) = if flags.get("logs").is_some() {
-        let input = load_input(&flags)?;
+        let input = load_input(&flags, &None)?;
         let analyzer = build_analyzer(&flags, &input, &None)?;
         (input.logs, analyzer, None, None)
     } else {

@@ -1,20 +1,18 @@
 //! `refill stream`.
 
 use super::{
-    attach_recorder, parse_sink, recorder_for, simulate_day, write_telemetry, FlagSpec, Flags,
+    attach_recorder, logs_bytes, open_logs, parse_sink, recorder_for, simulate_day,
+    write_telemetry, FlagSpec, Flags,
 };
-use eventlog::frame::encode_records;
 use netsim::json::ToJson;
 use refill::telemetry::AtomicRecorder;
 use refill::trace::{CtpVocabulary, Reconstructor};
-use std::fs::File;
-use std::io::BufReader;
 use std::sync::Arc;
 
 pub(super) const FLAGS: FlagSpec = FlagSpec {
     cmd: "stream",
     values: &[
-        "frames",
+        "logs",
         "sink",
         "seed",
         "late-records",
@@ -91,18 +89,13 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
         )
     });
 
-    let reader: Box<dyn std::io::Read + Send> = match flags.get("frames") {
-        Some("-") => Box::new(std::io::stdin()),
-        Some(path) => {
-            let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            Box::new(BufReader::new(f))
-        }
+    let reader: Box<dyn std::io::Read + Send> = match flags.get("logs") {
+        Some(path) => open_logs(path)?,
         None => {
-            // No input: a simulated day's upload stream through the same
-            // framed path.
-            let campaign = simulate_day(&flags, "--frames")?;
-            let bytes = encode_records(&campaign.upload_records());
-            Box::new(std::io::Cursor::new(bytes))
+            // No input: a simulated day's upload stream, the bytes
+            // `refill simulate` writes.
+            let campaign = simulate_day(&flags)?;
+            Box::new(std::io::Cursor::new(logs_bytes(&campaign)))
         }
     };
 

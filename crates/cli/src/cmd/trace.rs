@@ -15,13 +15,13 @@ pub fn trace(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &FLAGS)?;
     flags.get("logs").ok_or("--logs is required")?;
     let packet = parse_packet(flags.get("packet").ok_or("--packet is required")?)?;
-    let input = load_input(&flags)?;
     let recorder = recorder_for(&flags);
+    let input = load_input(&flags, &recorder)?;
     let analyzer = build_analyzer(&flags, &input, &recorder)?;
 
     let (report, diag) = analyzer
         .packet(&input.logs, packet)
-        .ok_or_else(|| format!("no events for packet {packet} in the archive"))?;
+        .ok_or_else(|| format!("no events for packet {packet} in the logs"))?;
 
     if flags.has("dot") {
         print!("{}", report.flow.to_dot());

@@ -2,41 +2,41 @@
 //!
 //! ```text
 //! refill simulate [--scale small|standard|paper] [--seed N] [--out DIR]
-//!     Run a CitySee-like campaign and archive the collected logs
-//!     (logs.jsonl), the scenario (scenario.json) and a truth summary.
+//!     Run a CitySee-like campaign and write the collected logs as the
+//!     frames their upload stream would arrive in (logs.frames), the
+//!     scenario (scenario.json) and a truth summary.
 //!
-//! refill analyze --logs DIR_OR_FILE [--sink N] [--period SECS]
-//!     Merge an archive, reconstruct and diagnose every packet in one
-//!     parallel pass, print the loss-cause breakdown, the loss hotspots
-//!     and the loop / inferred-event counts.
+//! refill analyze --logs LOGS [--sink N] [--period SECS]
+//!     Group the logs by packet where they lie, reconstruct and diagnose
+//!     every packet in one parallel pass, print the loss-cause breakdown,
+//!     the loss hotspots and the loop / inferred-event counts.
 //!
-//! refill trace --logs DIR_OR_FILE --packet ORIGIN:SEQNO [--sink N] [--dot]
+//! refill trace --logs LOGS --packet ORIGIN:SEQNO [--sink N] [--dot]
 //!     Print one packet's reconstructed event flow (optionally as
 //!     Graphviz DOT) and its verdict.
 //!
-//! refill explain ORIGIN:SEQNO [--logs DIR_OR_FILE] [--format text|json]
+//! refill explain ORIGIN:SEQNO [--logs LOGS] [--format text|json]
 //!     Narrate one packet's provenance: observed vs inferred events, the
 //!     FSM rule behind each inference, the loss position and cause, and
 //!     the confidence score.
 //!
-//! refill profile [--logs DIR_OR_FILE] [--workers N] [--telemetry FILE]
+//! refill profile [--logs LOGS] [--workers N] [--telemetry FILE]
 //!     Run the same pass with telemetry attached and print the per-stage
 //!     time/counter breakdown — on one thread by default, on N with
-//!     --workers (simulates one CitySee-like day when no archive is
-//!     given).
+//!     --workers (simulates one CitySee-like day when no logs are given).
 //!
-//! refill stream [--frames FILE|-] [--metrics-every N] [--store DIR]
-//!     Online reconstruction: decode framed records from a file or stdin
-//!     (or a simulated CitySee-like day when no input is given), print
+//! refill stream [--logs LOGS] [--metrics-every N] [--store DIR]
+//!     Online reconstruction: decode the records of LOGS as they arrive
+//!     (or of a simulated CitySee-like day when no input is given), print
 //!     rolling packet reports as windows close — plus a JSON-lines
 //!     telemetry delta every N records with --metrics-every — then the
-//!     converged summary. With --store DIR every absorbed record and
-//!     emitted report is checkpointed into a durable segment store; a
-//!     killed run resumes from the durable prefix on the next invocation.
+//!     converged summary. With --store DIR every record and emitted
+//!     report is checkpointed into a durable segment store; a killed run
+//!     resumes from the durable prefix on the next invocation.
 //!
-//! refill store --out DIR [--logs DIR_OR_FILE] [--compact]
-//!     Persist a run (simulated scenario, or a reconstructed + diagnosed
-//!     archive) into a crash-recoverable segment store: the merged log
+//! refill store --out DIR [--logs LOGS] [--compact]
+//!     Persist a run (a simulated scenario, or reconstructed + diagnosed
+//!     logs) into a crash-recoverable segment store: the merged log
 //!     entries plus the reports with their diagnosis sidecars.
 //!
 //! refill query --store DIR [predicates] [--fig fig4|fig5|fig8]
@@ -53,9 +53,11 @@
 //!     every failure prints a standalone reproduction command.
 //! ```
 //!
-//! The archive format is the `eventlog::archive` JSON-lines format, so logs
-//! produced by any recorder — not just the bundled simulator — can be
-//! analyzed. Every command that goes from logs to diagnosed reports does so
+//! LOGS is the one log file format, the CRC-checked `eventlog::frame`
+//! records: a file, a directory holding `logs.frames`, or `-` for stdin.
+//! Logs produced by any recorder that writes them — not just the bundled
+//! simulator — can be analyzed; corrupt runs are skipped and counted.
+//! Every command that goes from logs to diagnosed reports does so
 //! through `citysee::analysis::Analyzer`, the pass `citysee::analyze` (and
 //! the benchmark) runs; a flag a command does not declare is an error.
 

@@ -226,7 +226,8 @@ impl EventKind {
     }
 }
 
-/// Variant names by [`EventKind::code`], as the archive spells them.
+/// Variant names by [`EventKind::code`], as a stored report's flow spells
+/// them.
 const VARIANT_NAMES: [&str; 12] = [
     "Recv",
     "Overflow",
@@ -369,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_keeps_the_archive_spelling() {
+    fn json_roundtrip_keeps_the_stored_report_spelling() {
         let e = Event::new(NodeId(2), EventKind::Dup { from: NodeId(9) }, pid());
         let s = e.to_json().to_compact().unwrap();
         assert_eq!(

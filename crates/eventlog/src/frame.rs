@@ -25,10 +25,16 @@
 //! matching the byte-budgeted links it models. A timestamp of `u64::MAX`
 //! is reserved ([`LocalTs`]), and a record's lane is its event's node: a
 //! frame breaking either is malformed.
+//!
+//! The same bytes are the one log file format: `refill simulate` writes a
+//! campaign's upload stream as frames, `refill stream` feeds them to the
+//! online path as they are, and every batch command reads them back into
+//! per-node logs with [`read_logs`].
 
 use crate::event::{Event, EventKind, PacketId};
-use crate::logger::{LocalTs, LogEntry};
+use crate::logger::{LocalLog, LocalTs, LogEntry};
 use netsim::NodeId;
+use std::io::{self, Read};
 
 /// Frame delimiter bytes.
 pub const FRAME_MAGIC: [u8; 2] = [0xEF, 0x17];
@@ -47,7 +53,7 @@ pub const FRAME_CRC_LEN: usize = 4;
 pub const MAX_FRAME_PAYLOAD: usize = 64;
 
 /// One node's log record in transit: the lane it belongs to plus the
-/// entry itself (the same pairing `archive::ArchiveLine` uses on disk).
+/// entry itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeRecord {
     /// The node whose log this record came from (the stream lane).
@@ -328,6 +334,64 @@ pub fn decode_all(bytes: &[u8]) -> (Vec<NodeRecord>, FrameStats) {
     let records = dec.drain();
     let stats = dec.finish();
     (records, stats)
+}
+
+/// File `rec` under its node in `logs`, which stay in node order.
+fn file_record(logs: &mut Vec<LocalLog>, rec: NodeRecord) {
+    match logs.binary_search_by_key(&rec.node, |log| log.node) {
+        Ok(at) => logs[at].entries.push(rec.entry),
+        Err(at) => logs.insert(
+            at,
+            LocalLog {
+                node: rec.node,
+                entries: vec![rec.entry],
+            },
+        ),
+    }
+}
+
+/// Regroup records into per-node logs, in node order; each node's entries
+/// keep their order in `records`, which is all a log promises.
+pub fn node_logs(records: &[NodeRecord]) -> Vec<LocalLog> {
+    let mut logs = Vec::new();
+    for &rec in records {
+        file_record(&mut logs, rec);
+    }
+    logs
+}
+
+/// Decode a whole frame stream from `r` into per-node logs ([`node_logs`]'s
+/// order), with the decoder's counters. Corrupt runs are skipped and
+/// counted, as the online path does; a stream that decodes to no record at
+/// all is an [`io::ErrorKind::InvalidData`] error, since there is nothing
+/// to analyse.
+pub fn read_logs(mut r: impl Read) -> io::Result<(Vec<LocalLog>, FrameStats)> {
+    let mut decoder = FrameDecoder::new();
+    let mut logs = Vec::new();
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        let n = match r.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        decoder.push(&buf[..n]);
+        while let Some(rec) = decoder.next_record() {
+            file_record(&mut logs, rec);
+        }
+    }
+    let stats = decoder.finish();
+    if stats.decoded == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "no log records decoded ({} corrupt runs skipped)",
+                stats.corrupt
+            ),
+        ));
+    }
+    Ok((logs, stats))
 }
 
 #[cfg(test)]
@@ -618,6 +682,38 @@ mod tests {
     }
 
     #[test]
+    fn read_logs_regroups_by_node_keeping_each_nodes_order() {
+        let records = vec![
+            rec(4, 0, Some(5)),
+            rec(2, 1, None),
+            rec(4, 2, None),
+            rec(2, 3, Some(1)),
+            rec(3, 4, Some(9)),
+        ];
+        let mut bytes = encode_records(&records);
+        let mut garbage = b"spliced garbage".to_vec();
+        garbage.extend_from_slice(&bytes[20..]);
+        bytes.truncate(20);
+        bytes.extend_from_slice(&garbage);
+        let (logs, stats) = read_logs(&bytes[..]).unwrap();
+        assert_eq!(stats, FrameStats { decoded: 4, corrupt: 1 });
+        let shape: Vec<(u16, Vec<u32>)> = logs
+            .iter()
+            .map(|log| (log.node.0, log.events().map(|e| e.packet.seqno).collect()))
+            .collect();
+        assert_eq!(shape, vec![(2, vec![1, 3]), (3, vec![4]), (4, vec![2])]);
+        assert_eq!(node_logs(&records[1..]), logs);
+    }
+
+    #[test]
+    fn a_stream_without_a_record_is_invalid_data() {
+        for bytes in [&b""[..], b"ppppppppppppppp"] {
+            let err = read_logs(bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
     fn empty_and_pure_garbage_streams() {
         let (back, stats) = decode_all(&[]);
         assert!(back.is_empty());
@@ -667,6 +763,23 @@ mod properties {
             let stats = dec.finish();
             assert_eq!(got, records);
             assert_eq!(stats.corrupt, 0);
+        });
+    }
+
+    /// Reading a frame file back gives every node's log as it was written,
+    /// however the records of different nodes interleave.
+    #[test]
+    fn read_logs_round_trips_per_node_logs() {
+        check("frame::read_logs_round_trips_per_node_logs", 256, &[], |rng| {
+            let records = vec_of(rng, 1..60, arb_record);
+            let (logs, stats) = read_logs(&encode_records(&records)[..]).unwrap();
+            assert_eq!(stats, FrameStats { decoded: records.len() as u64, corrupt: 0 });
+            assert!(logs.windows(2).all(|w| w[0].node < w[1].node));
+            for log in &logs {
+                let mine = records.iter().filter(|r| r.node == log.node);
+                assert!(mine.map(|r| r.entry).eq(log.entries.iter().copied()));
+            }
+            assert_eq!(logs.iter().map(LocalLog::len).sum::<usize>(), records.len());
         });
     }
 

@@ -15,7 +15,6 @@
 //! bounded log buffers, write failures, node reboots that truncate logs,
 //! lossy in-network collection, and per-node clock skew.
 
-pub mod archive;
 pub mod checksum;
 pub mod clock;
 pub mod collect;
@@ -27,7 +26,6 @@ pub mod logger;
 pub mod merge;
 pub mod watermark;
 
-pub use archive::ArchiveError;
 pub use checksum::{crc32, Crc32};
 pub use clock::ClockModel;
 pub use collect::{CollectionConfig, LossyCollector};

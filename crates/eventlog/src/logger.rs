@@ -15,7 +15,6 @@
 
 use crate::clock::NodeClock;
 use crate::event::Event;
-use netsim::json::{self, FromJson, Json, JsonError, ToJson};
 use netsim::rng::Rng;
 use netsim::{json_struct, NodeId, SimTime};
 use std::fmt;
@@ -54,20 +53,6 @@ impl fmt::Debug for LocalTs {
     }
 }
 
-impl ToJson for LocalTs {
-    fn to_json(&self) -> Json {
-        Json::U64(self.get())
-    }
-}
-
-impl FromJson for LocalTs {
-    fn from_json(v: &Json) -> Result<LocalTs, JsonError> {
-        v.as_u64()
-            .and_then(LocalTs::new)
-            .ok_or(json::expected("LocalTs"))
-    }
-}
-
 /// One surviving log entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntry {
@@ -76,8 +61,6 @@ pub struct LogEntry {
     /// Local (skewed) timestamp, if the deployment logs timestamps at all.
     pub local_ts: Option<LocalTs>,
 }
-
-json_struct!(LogEntry { event, local_ts });
 
 /// A node's local log: the entries that survived, in recording order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -338,22 +321,6 @@ mod tests {
             assert_eq!(format!("{:?}", LocalTs::new(ts)), format!("{:?}", Some(ts)));
         }
         assert_eq!(LocalTs::new(u64::MAX), None);
-    }
-
-    #[test]
-    fn json_refuses_the_reserved_value() {
-        let entry = LogEntry {
-            event: ev(1, 0),
-            local_ts: LocalTs::new(u64::MAX - 1),
-        };
-        let text = entry.to_json().to_compact().unwrap();
-        assert_eq!(json::decode::<LogEntry>(text.as_bytes()), Ok(entry));
-        let max = text.replace(&(u64::MAX - 1).to_string(), &u64::MAX.to_string());
-        assert_ne!(max, text);
-        assert_eq!(
-            json::decode::<LogEntry>(max.as_bytes()),
-            Err(json::expected("local_ts"))
-        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! One representational note: a replayed record's lane is its event's
 //! `node` field. A node logs only its own events
 //! (`record.node == record.entry.event.node`): every producer in this
-//! workspace does, and the frame decoder and the archive reader refuse a
-//! record that does not, so the round trip is exact.
+//! workspace does, and the frame decoder refuses a record that does not,
+//! so the round trip is exact.
 
 use crate::row::ReportRow;
 use crate::store::SegmentStore;

@@ -4,10 +4,13 @@
 //! **ingest worker** reads raw bytes, runs the resynchronizing
 //! [`FrameDecoder`], and ships decoded record batches over a *bounded*
 //! channel (`std::sync::mpsc::sync_channel`); the **reconstruction worker**
-//! (the calling thread) drains batches into a [`StreamReconstructor`],
-//! polling for closed windows every [`DriverConfig::poll_every`] absorbed
-//! records — the record sequence alone decides when windows close and
-//! reports emit, however the bytes were chunked. The bounded channel is the
+//! (the calling thread) hands each record to [`StreamReconstructor::ingest`]
+//! and polls for closed windows after every [`DriverConfig::poll_every`]
+//! records it hands over — the record sequence alone decides when windows
+//! close and reports emit, however the bytes were chunked. `ingest` only
+//! queues a record on its node's lane; records are absorbed when some lane
+//! is full (256 records) and at the final flush, so a poll with nothing
+//! absorbed since the last one returns at once. The bounded channel is the
 //! backpressure spine: when reconstruction falls behind, the ingest worker
 //! blocks on `send` instead of buffering without limit. Shutdown is graceful
 //! by construction — the ingest worker drops its sender at EOF (or on a read
@@ -30,8 +33,10 @@ pub struct DriverConfig {
     /// Bounded channel capacity, in decoded batches — the backpressure
     /// depth between ingest and reconstruction. Treated as at least 1.
     pub channel_batches: usize,
-    /// Poll for closed windows after this many absorbed records. Treated
-    /// as at least 1.
+    /// Poll for closed windows after this many records handed to
+    /// [`StreamReconstructor::ingest`] (queued, not yet absorbed: a poll
+    /// finds work only once a full lane has been pumped). Treated as at
+    /// least 1.
     pub poll_every: usize,
 }
 
@@ -65,8 +70,8 @@ pub struct StreamSummary {
 /// the stream record by record. Every method has a do-nothing default; an
 /// error from any of them ends the run.
 ///
-/// The driver calls `on_record` for every record it absorbs (in absorption
-/// order), `on_report` for every emitted report — each window close and,
+/// The driver calls `on_record` for every record it hands to the stream (in
+/// arrival order), `on_report` for every emitted report — each window close and,
 /// after the final flush, every report of the converged set, which
 /// supersedes the rolling ones — and `sync` after every poll that emitted
 /// and once after the flush. A durable observer owns the ordering
@@ -85,7 +90,7 @@ pub trait StreamObserver {
     fn skip_records(&self) -> u64 {
         0
     }
-    /// A record was absorbed into the stream.
+    /// A record was handed to the stream.
     fn on_record(&mut self, _rec: &NodeRecord) -> std::io::Result<()> {
         Ok(())
     }
@@ -99,11 +104,11 @@ pub trait StreamObserver {
     }
 }
 
-/// The observer behind `--metrics-every`: every `every` absorbed records,
-/// `emit` receives the interval delta ([`TelemetrySnapshot::diff`]) of
-/// `recorder` since the previous emission; [`MetricsCadence::finish`] emits
-/// the tail. The deltas partition the run: per counter they sum to the
-/// totals.
+/// The observer behind `--metrics-every`: every `every` records handed to
+/// the stream (however many of them its lanes still hold), `emit` receives
+/// the interval delta ([`TelemetrySnapshot::diff`]) of `recorder` since the
+/// previous emission; [`MetricsCadence::finish`] emits the tail. The deltas
+/// partition the run: per counter they sum to the totals.
 ///
 /// With a `NoopRecorder` every delta is empty, so a cadence only makes sense
 /// on the recorder an instrumented stream carries
@@ -301,8 +306,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventlog::frame::encode_records;
-    use eventlog::logger::{LocalLog, LocalTs, LogEntry};
+    use eventlog::frame::{encode_records, node_logs};
+    use eventlog::logger::{LocalTs, LogEntry};
     use eventlog::merge::merge_logs;
     use eventlog::watermark::Lateness;
     use eventlog::{Event, EventKind, PacketId};
@@ -341,20 +346,6 @@ mod tests {
         out
     }
 
-    fn logs_of(records: &[NodeRecord]) -> Vec<LocalLog> {
-        let mut logs: Vec<LocalLog> = Vec::new();
-        for r in records {
-            match logs.iter_mut().find(|l| l.node == r.node) {
-                Some(l) => l.entries.push(r.entry),
-                None => logs.push(LocalLog {
-                    node: r.node,
-                    entries: vec![r.entry],
-                }),
-            }
-        }
-        logs
-    }
-
     #[test]
     fn driver_converges_to_batch_over_clean_frames() {
         // More records per node than a lane holds, so windows are absorbed
@@ -381,7 +372,7 @@ mod tests {
         assert_eq!(summary.rolling_reports, rolling);
         assert!(rolling > 0, "aggressive lateness must emit mid-stream");
 
-        let batch = recon().reconstruct_log(&merge_logs(&logs_of(&recs)));
+        let batch = recon().reconstruct_log(&merge_logs(&node_logs(&recs)));
         assert_eq!(summary.reports, batch);
     }
 

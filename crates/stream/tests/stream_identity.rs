@@ -25,14 +25,14 @@
 
 use citysee::run::upload_order;
 use citysee::{run_scenario, Scenario};
-use eventlog::frame::NodeRecord;
+use eventlog::frame::{node_logs, NodeRecord};
 use eventlog::logger::{LocalLog, LocalTs, LogEntry};
 use eventlog::watermark::Lateness;
 use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::NodeId;
 use refill::trace::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_stream::StreamReconstructor;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 fn n(i: u16) -> NodeId {
     NodeId(i)
@@ -211,19 +211,8 @@ fn latenesses() -> [Lateness; 3] {
     ]
 }
 
-/// The records regrouped into per-node logs, in node order: the logs whose
-/// merge the stream's answer is the batch answer over (in any order).
-fn node_logs(recs: &[NodeRecord]) -> Vec<LocalLog> {
-    let mut logs: BTreeMap<NodeId, LocalLog> = BTreeMap::new();
-    for r in recs {
-        logs.entry(r.node)
-            .or_insert_with(|| LocalLog::new(r.node))
-            .entries
-            .push(r.entry);
-    }
-    logs.into_values().collect()
-}
-
+/// The batch answer over the records regrouped into per-node logs, which
+/// the stream's answer is (whatever order the logs come in).
 fn batch(recon: &Reconstructor, recs: &[NodeRecord]) -> Vec<PacketReport> {
     recon.reconstruct_log(&merge_logs(&node_logs(recs)))
 }

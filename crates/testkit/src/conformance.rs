@@ -25,8 +25,7 @@
 use crate::faults::{mangle_frames, FaultyReader, FaultyVfs};
 use crate::plan::{FaultPlan, FaultSpec};
 use crate::scenario::{gen_logs, upload_interleave, ScenarioReport};
-use eventlog::frame::{decode_all, FrameStats, NodeRecord};
-use eventlog::logger::LocalLog;
+use eventlog::frame::{decode_all, node_logs, FrameStats};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
@@ -124,27 +123,6 @@ fn recon() -> Reconstructor {
     Reconstructor::new(CtpVocabulary::table2())
 }
 
-/// Group surviving records back into per-node logs, in node-id order —
-/// the same log vector shape the batch drivers are specified against
-/// (per-node record order is preserved; it is the one invariant the wire
-/// guarantees).
-pub fn survivor_logs(records: &[NodeRecord]) -> Vec<LocalLog> {
-    let mut logs: Vec<LocalLog> = Vec::new();
-    for rec in records {
-        match logs.binary_search_by_key(&rec.node, |l| l.node) {
-            Ok(i) => logs[i].entries.push(rec.entry),
-            Err(i) => logs.insert(
-                i,
-                LocalLog {
-                    node: rec.node,
-                    entries: vec![rec.entry],
-                },
-            ),
-        }
-    }
-    logs
-}
-
 /// `None` when `got` is byte-identical to `baseline`, else a description
 /// of the first divergence.
 fn diverge(baseline: &[PacketReport], got: &[PacketReport]) -> Option<String> {
@@ -202,7 +180,7 @@ pub fn run_case(
     // The canonical surviving sequence: decode the mangled bytes exactly
     // once. Everything downstream must agree with *this*.
     let (survivors, frame_stats) = decode_all(&bytes);
-    let slogs = survivor_logs(&survivors);
+    let slogs = node_logs(&survivors);
     let merged = merge_logs(&slogs);
 
     // --- Driver 1 (baseline): sequential batch ---
@@ -279,7 +257,7 @@ pub fn run_case(
                 // The driver flushes the decoded prefix before surfacing
                 // the error; the stream must hold the prefix's reports.
                 let (prefix, _) = decode_all(&bytes[..k]);
-                let expected = recon().reconstruct_log(&merge_logs(&survivor_logs(&prefix)));
+                let expected = recon().reconstruct_log(&merge_logs(&node_logs(&prefix)));
                 if let Some(detail) = diverge(&expected, &stream.reports()) {
                     return Err(fail(
                         "reader-error",

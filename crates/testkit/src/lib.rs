@@ -35,7 +35,7 @@ pub mod plan;
 pub mod scenario;
 pub mod soak;
 
-pub use conformance::{run_case, CaseOutcome, ConformanceError, survivor_logs, TempDir};
+pub use conformance::{run_case, CaseOutcome, ConformanceError, TempDir};
 pub use faults::{
     garbage_run, mangle_frames, truncate_tail, xor_burst, FaultyReader, FaultyVfs, MangleReport,
 };

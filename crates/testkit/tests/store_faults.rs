@@ -6,7 +6,7 @@
 //! reports-block write fails, every event absorbed beforehand must
 //! already be on disk — evidence lands before conclusions.
 
-use eventlog::frame::{encode_records, NodeRecord};
+use eventlog::frame::{encode_records, node_logs, NodeRecord};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use netsim::Rng;
@@ -14,7 +14,7 @@ use refill::telemetry::NoopRecorder;
 use refill::{CtpVocabulary, PacketReport, Reconstructor};
 use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
 use refill_stream::{run_stream_observed, DriverConfig, StreamObserver, StreamReconstructor};
-use refill_testkit::{gen_logs, survivor_logs, upload_interleave, FaultSpec, FaultyVfs, TempDir};
+use refill_testkit::{gen_logs, upload_interleave, FaultSpec, FaultyVfs, TempDir};
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -138,7 +138,7 @@ fn assert_resume_converges(
 #[test]
 fn every_fault_point_recovers_to_a_durable_prefix() {
     let records = fixture(42);
-    let baseline = recon().reconstruct_log(&merge_logs(&survivor_logs(&records)));
+    let baseline = recon().reconstruct_log(&merge_logs(&node_logs(&records)));
 
     // Count the clean run's mutating ops (the never-firing trigger).
     let probe = FaultyVfs::fail_at_op(u64::MAX);

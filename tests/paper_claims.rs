@@ -1,5 +1,5 @@
 //! Regression guards for the paper's claims: the shape of Figures 4 and 5,
-//! 8 and 9 and the §V-D implications must keep holding on the substrate.
+//! 6, 8 and 9 and the §V-D implications must keep holding on the substrate.
 //!
 //! The figure predicates read one standard-scale campaign, simulated and
 //! analyzed once for this test binary through `bench::`, the path the
@@ -7,8 +7,8 @@
 //! not from a run.
 
 use citysee::figures::{
-    fig4_source_view, fig5_loss_positions, fig8_spatial_received, fig9_breakdown, Fig9Breakdown,
-    CAUSE_ORDER,
+    fig4_source_view, fig5_loss_positions, fig6_daily_causes, fig8_spatial_received,
+    fig9_breakdown, DailyCauses, Fig9Breakdown, CAUSE_ORDER,
 };
 use citysee::{Analysis, Campaign, Scenario};
 use eventlog::{LossCause, NodeId};
@@ -88,6 +88,62 @@ fn fig4_fig5_losses_spread_over_origins_but_gather_at_a_few_positions() {
     let top = &ranked[..ranked.len().min(5)];
     let busiest = top.first().map(|&(_, n)| n);
     assert_eq!(busiest, Some(campaign.topology.sink()), "{top:?}");
+}
+
+#[test]
+fn fig6_snow_spikes_the_sink_fix_cuts_and_acked_received_dominate() {
+    // Figure 6: "on the 9th and 10th day, the packet losses become high due
+    // to snow"; after the sink was changed on day 23 "packet losses are
+    // significantly reduced"; and the two most common causes are the acked
+    // and received losses.
+    let (campaign, analysis) = standard();
+    let scenario = &campaign.scenario;
+    let days = fig6_daily_causes(campaign, analysis);
+    let fix = scenario.sink_fix_day.expect("the campaign fixes its sink") as usize;
+    let (before, after) = days.split_at(fix);
+    let snow = |d: &DailyCauses| scenario.snow_days.contains(&d.day);
+    let outage_days: HashSet<u32> = scenario
+        .faults()
+        .outages
+        .iter()
+        .flat_map(|&(start, end)| scenario.day_of(start)..=scenario.day_of(end))
+        .collect();
+    let ordinary = |d: &&DailyCauses| !snow(d) && !outage_days.contains(&d.day);
+
+    // Each snow day loses more than any pre-fix day with neither snow nor
+    // an outage. (The paper's "each ≥ 2 × the median pre-fix day" does not
+    // hold at this scale — ROADMAP item 18 — and is not asserted.)
+    let snowy: Vec<usize> = days.iter().filter(|d| snow(d)).map(|d| d.total).collect();
+    assert!(!snowy.is_empty());
+    let busiest = before.iter().filter(ordinary).map(|d| d.total).max();
+    let busiest = busiest.expect("some pre-fix day is ordinary");
+    assert!(
+        snowy.iter().all(|&l| l > busiest),
+        "snow days lost {snowy:?}, an ordinary pre-fix day {busiest}"
+    );
+
+    // The fix at least halves the loss rate.
+    let rate = |days: &[DailyCauses]| {
+        let lost: usize = days.iter().map(|d| d.total).sum();
+        let generated: usize = days.iter().map(|d| d.generated).sum();
+        lost as f64 / generated.max(1) as f64
+    };
+    let (rate_before, rate_after) = (rate(before), rate(after));
+    assert!(
+        2.0 * rate_after <= rate_before,
+        "loss rate {rate_before:.3} before the fix, {rate_after:.3} after"
+    );
+
+    // Acked + received hold most of the losses of every ordinary pre-fix day.
+    let column = |cause| {
+        let at = CAUSE_ORDER.iter().position(|c| *c == DiagnosedCause::Known(cause));
+        at.expect("every cause has a column")
+    };
+    let (acked, received) = (column(LossCause::AckedLoss), column(LossCause::ReceivedLoss));
+    for d in before.iter().filter(ordinary) {
+        let both = d.counts[acked] + d.counts[received];
+        assert!(2 * both > d.total, "day {}: {both} of {} losses", d.day + 1, d.total);
+    }
 }
 
 #[test]
