@@ -316,9 +316,9 @@ pub fn campaign_packets(index: &PacketIndex<&Event>, truth: &GroundTruth) -> Vec
     ids
 }
 
-/// A packet's true fate, for scoring and for the record's sidecar. A packet
-/// the logs mention and the truth does not cannot be scored as a loss.
-pub fn truth_fate(truth: &GroundTruth, packet: PacketId) -> PacketFate {
+/// A packet's true fate, for scoring and for its record. A packet the logs
+/// mention and the truth does not cannot be scored as a loss.
+fn truth_fate(truth: &GroundTruth, packet: PacketId) -> PacketFate {
     truth
         .fates
         .get(&packet)

@@ -55,14 +55,8 @@ fn record_cause(r: &PacketRecord) -> DiagnosedCause {
 /// Figure 4: temporal distribution of lost packets in the *source* view —
 /// `(time, origin node, cause)` per lost packet.
 pub fn fig4_source_view(analysis: &Analysis) -> Vec<LossPoint> {
-    fig4_from_records(&analysis.records)
-}
-
-/// [`fig4_source_view`] over bare records — the durable store's query
-/// engine rebuilds `PacketRecord`s from segment sidecars and reuses this
-/// path so its CSVs stay byte-identical to the in-memory analysis.
-pub fn fig4_from_records(records: &[PacketRecord]) -> Vec<LossPoint> {
-    records
+    analysis
+        .records
         .iter()
         .filter(|r| !r.fate.delivered())
         .map(|r| LossPoint {
@@ -77,12 +71,8 @@ pub fn fig4_from_records(records: &[PacketRecord]) -> Vec<LossPoint> {
 /// Figure 5: the same losses attributed to their *loss positions* by
 /// REFILL.
 pub fn fig5_loss_positions(analysis: &Analysis) -> Vec<LossPoint> {
-    fig5_from_records(&analysis.records)
-}
-
-/// [`fig5_loss_positions`] over bare records (see [`fig4_from_records`]).
-pub fn fig5_from_records(records: &[PacketRecord]) -> Vec<LossPoint> {
-    records
+    analysis
+        .records
         .iter()
         .filter(|r| !r.fate.delivered())
         .filter_map(|r| {
@@ -157,23 +147,15 @@ pub struct SpatialPoint {
 
 /// Build the Figure 8 series.
 pub fn fig8_spatial_received(campaign: &Campaign, analysis: &Analysis) -> Vec<SpatialPoint> {
-    fig8_from_records(&analysis.records, &campaign.topology)
-}
-
-/// [`fig8_spatial_received`] over bare records plus a topology (which the
-/// query CLI rebuilds deterministically from the stored scenario).
-pub fn fig8_from_records(
-    records: &[PacketRecord],
-    topology: &netsim::Topology,
-) -> Vec<SpatialPoint> {
     let mut counts: FxHashMap<NodeId, usize> = FxHashMap::default();
-    for r in records.iter().filter(|r| !r.fate.delivered()) {
+    for r in analysis.records.iter().filter(|r| !r.fate.delivered()) {
         if r.diagnosis.cause == Some(DiagnosedCause::Known(LossCause::ReceivedLoss)) {
             if let Some(node) = r.diagnosis.loss_node {
                 *counts.entry(node).or_insert(0) += 1;
             }
         }
     }
+    let topology = &campaign.topology;
     topology
         .nodes()
         .map(|node| {

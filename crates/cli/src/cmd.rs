@@ -4,22 +4,18 @@
 mod analyze;
 mod explain;
 mod profile;
-mod query;
 mod report;
 mod simulate;
 mod soak;
-mod store;
 mod stream;
 mod trace;
 
 pub use analyze::analyze;
 pub use explain::explain;
 pub use profile::profile;
-pub use query::query;
 pub use report::report;
 pub use simulate::simulate;
 pub use soak::soak;
-pub use store::store;
 pub use stream::stream;
 pub use trace::trace;
 
@@ -50,12 +46,7 @@ USAGE:
   refill report   [--scale small|standard|paper] [--seed N]
   refill stream   [--logs LOGS] [--sink N] [--seed N]
                   [--late-records N] [--late-us N] [--metrics-every N]
-                  [--store DIR] [--quiet] [--telemetry FILE]
-  refill store    --out DIR [--scale small|standard|paper] [--seed N]
-                  [--logs LOGS] [--sink N] [--period SECS] [--compact]
-  refill query    --store DIR [--origin N] [--seqno LO:HI] [--since US] [--until US]
-                  [--cause LABEL] [--disposition observed|intra|inter]
-                  [--fig fig4|fig5|fig8] [--stats]
+                  [--quiet] [--telemetry FILE]
   refill soak     [--seed N] [--cases N] [--faults SPEC] [--quiet]
                   [--telemetry FILE] [--prometheus FILE]
   refill help
@@ -70,7 +61,7 @@ USAGE:
   day and replays its upload stream, the bytes simulate writes.
   --metrics-every N emits a JSON-lines telemetry delta (counters, stage
   timings, histograms since the previous delta) every N records handed
-  to the stream.
+  to the stream. A killed stream is re-run with the same --logs.
   analyze --stats prints reconstruction throughput after the run.
   --telemetry FILE writes the full pipeline telemetry snapshot (counters,
   stage timings, histograms) as JSON; --prometheus FILE writes the same
@@ -86,32 +77,34 @@ USAGE:
   pass on N threads. With no --logs it simulates one CitySee-like day
   first. --format json prints the full telemetry snapshot as JSON instead
   of the table.
-  store persists a run into a durable, crash-recoverable segment store:
-  the merged log entries plus the reports with their diagnosis sidecars. Without --logs it simulates a scenario (truth fates included,
-  scenario.json saved alongside for topology-dependent figures); with
-  --logs it reconstructs and diagnoses those logs. --compact merges the
-  segments into one time-sorted segment afterwards.
-  query evaluates predicates over a store without re-running
-  reconstruction, using segment min/max pushdown. --since/--until (local
-  clock, micros) select event rows only; --cause/--disposition select
-  report rows only. --fig renders a figure CSV (Figures 4, 5 and 8) from
-  the stored sidecars, byte-identical to the in-memory analysis.
-  stream --store DIR appends every record it reads and report it emits to
-  a store as it runs; re-running after a kill resumes from the durable
-  prefix and converges to the same reports as an uninterrupted run. It
-  combines with --metrics-every, and --telemetry then counts the store's
-  appends and recovery too. A store written under another block format
-  version is refused and left as it is.
   soak runs seeded fault-injection conformance cases: each case pushes
-  one synthetic scenario through all six driver paths (sequential,
-  parallel, fused, cached cold then warm, streaming, store kill-and-resume)
-  under injected frame corruption, reader failures and filesystem faults,
-  asserting byte-identical reports everywhere. --faults takes a preset
-  (none|light|heavy) and/or key=value rates (frame, truncate, garbage,
-  reader, stall, store, sync, rename, skew, dup, late). Every case's
-  derived seed is echoed; any failure prints a single-case reproduction
-  command. Fault totals surface as faults_injected / faults_survived in
-  the telemetry exposition.";
+  one synthetic scenario through all five driver paths (sequential,
+  parallel, fused, cached cold then warm, streaming) under injected frame
+  corruption and reader failures, asserting byte-identical reports
+  everywhere. --faults takes a preset (none|light|heavy) and/or key=value
+  rates (frame, truncate, garbage, reader, stall, skew, dup, late). Every
+  case's derived seed is echoed; any failure prints a single-case
+  reproduction command. Fault totals surface as faults_injected /
+  faults_survived in the telemetry exposition.";
+
+/// Run subcommand `cmd` on `args`.
+pub fn run(cmd: &str, args: &[String]) -> Result<(), String> {
+    match cmd {
+        "simulate" => simulate(args),
+        "analyze" => analyze(args),
+        "trace" => trace(args),
+        "explain" => explain(args),
+        "profile" => profile(args),
+        "report" => report(args),
+        "stream" => stream(args),
+        "soak" => soak(args),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command '{other}'\n{USAGE}")),
+    }
+}
 
 /// What one subcommand accepts: `--key value` flags and boolean `--key`
 /// switches. The USAGE text above is the same list.
@@ -340,14 +333,12 @@ mod tests {
     use super::analyze::analyze_cmd_inner;
     use super::explain::explain_cmd_inner;
     use super::profile::profile_cmd_inner;
-    use super::query::query_cmd_inner;
     use super::soak::soak_cmd_inner;
-    use super::store::store_cmd_inner;
     use super::stream::stream_cmd_inner;
     use super::*;
     use citysee::analyze as analyze_campaign;
     use eventlog::frame::NodeRecord;
-    use netsim::json::{self, Json, ToJson};
+    use netsim::json::{self, Json};
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -363,7 +354,7 @@ mod tests {
     }
 
     /// Every subcommand's flag table, in USAGE order.
-    const SPECS: [&FlagSpec; 10] = [
+    const SPECS: [&FlagSpec; 8] = [
         &simulate::FLAGS,
         &analyze::FLAGS,
         &trace::FLAGS,
@@ -371,8 +362,6 @@ mod tests {
         &profile::FLAGS,
         &report::FLAGS,
         &stream::FLAGS,
-        &store::FLAGS,
-        &query::FLAGS,
         &soak::FLAGS,
     ];
 
@@ -400,19 +389,19 @@ mod tests {
     #[test]
     fn every_subcommand_rejects_an_unknown_flag() {
         type Cmd = fn(&[String]) -> Result<(), String>;
-        let commands: [(Cmd, &str); 10] = [
-            (simulate, "--scal"),
-            (analyze, "--log"),
-            (trace, "--pakcet"),
-            (explain, "--logz"),
-            (profile, "--log"),
-            (report, "--sead"),
-            (stream, "--frames"),
-            (store, "--compat"),
-            (query, "--stor"),
-            (soak, "--case"),
+        let commands: [(Cmd, &FlagSpec, &str); 9] = [
+            (simulate, &simulate::FLAGS, "--scal"),
+            (analyze, &analyze::FLAGS, "--log"),
+            (trace, &trace::FLAGS, "--pakcet"),
+            (explain, &explain::FLAGS, "--logz"),
+            (profile, &profile::FLAGS, "--log"),
+            (report, &report::FLAGS, "--sead"),
+            (stream, &stream::FLAGS, "--frames"),
+            // The segment store it checkpointed into is gone.
+            (stream, &stream::FLAGS, "--store"),
+            (soak, &soak::FLAGS, "--case"),
         ];
-        for ((run, flag), spec) in commands.into_iter().zip(SPECS) {
+        for (run, spec, flag) in commands {
             let err = run(&args(&[flag, "x"])).unwrap_err();
             let name = flag.trim_start_matches("--");
             assert_eq!(
@@ -424,6 +413,17 @@ mod tests {
         assert!(explain(&args(&["17:4", "--logz", "x"]))
             .unwrap_err()
             .starts_with("unknown flag --logz"));
+    }
+
+    /// `refill store` and `refill query` went with the segment store: the
+    /// logs file answers their questions through `analyze`, `trace` and
+    /// `explain`.
+    #[test]
+    fn the_store_commands_are_unknown() {
+        for cmd in ["store", "query"] {
+            let err = run(cmd, &args(&["--out", "x"])).unwrap_err();
+            assert!(err.starts_with(&format!("unknown command '{cmd}'\n")), "{err}");
+        }
     }
 
     #[test]
@@ -905,240 +905,6 @@ mod tests {
             counters
         };
         assert_eq!(counters("1"), counters("2"));
-    }
-
-    #[test]
-    fn fig8_refuses_a_scenario_it_cannot_build_and_names_the_field() {
-        let dir = std::env::temp_dir().join("refill-fig8-bad-scenario-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let small = Scenario::small();
-        for (scenario, expected) in [
-            (Scenario { days: 0, ..small.clone() }, "days must be at least 1"),
-            (Scenario { nodes: 0, ..small.clone() }, "nodes must be at least 1"),
-            (Scenario { day_secs: 0, ..small.clone() }, "day_secs must be at least 1"),
-        ] {
-            let text = scenario.to_json().to_pretty().unwrap();
-            std::fs::write(dir.join("scenario.json"), text).unwrap();
-            let error = query_cmd_inner(&args(&["--store", dir.to_str().unwrap(), "--fig", "fig8"]))
-                .unwrap_err();
-            assert!(error.contains("scenario.json") && error.ends_with(expected), "{error}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_then_query_reproduces_figures_byte_for_byte() {
-        use citysee::figures::{
-            fig4_source_view, fig5_loss_positions, fig8_spatial_received, render_fig8_csv,
-            render_loss_points_csv,
-        };
-        let dir = std::env::temp_dir().join("refill-store-cli-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let summary = store_cmd_inner(&args(&["--out", dir.to_str().unwrap()])).unwrap();
-        assert!(summary.contains("event rows"), "got: {summary}");
-        assert!(dir.join("MANIFEST.json").is_file());
-        assert!(dir.join("scenario.json").is_file());
-
-        // The same scenario (same defaults, same seed) analyzed in memory
-        // is the reference the stored figures must reproduce exactly.
-        let campaign = run_scenario(&Scenario::small());
-        let analysis = analyze_campaign(&campaign);
-        let fig4 = query_cmd_inner(&args(&["--store", dir.to_str().unwrap(), "--fig", "fig4"]))
-            .unwrap();
-        assert_eq!(fig4, render_loss_points_csv(&fig4_source_view(&analysis)));
-        let fig5 = query_cmd_inner(&args(&["--store", dir.to_str().unwrap(), "--fig", "fig5"]))
-            .unwrap();
-        assert_eq!(fig5, render_loss_points_csv(&fig5_loss_positions(&analysis)));
-        let fig8 = query_cmd_inner(&args(&["--store", dir.to_str().unwrap(), "--fig", "fig8"]))
-            .unwrap();
-        assert_eq!(
-            fig8,
-            render_fig8_csv(&fig8_spatial_received(&campaign, &analysis))
-        );
-
-        // Predicate summaries and pushdown accounting.
-        let out = query_cmd_inner(&args(&["--store", dir.to_str().unwrap(), "--stats"])).unwrap();
-        assert!(out.contains("matched"), "got: {out}");
-        assert!(out.contains("pushdown:"), "got: {out}");
-        let narrowed = query_cmd_inner(&args(&[
-            "--store",
-            dir.to_str().unwrap(),
-            "--origin",
-            "1",
-            "--seqno",
-            "0:2",
-        ]))
-        .unwrap();
-        assert!(narrowed.contains("matched"), "got: {narrowed}");
-
-        // Compaction must not change any figure.
-        let recompacted = store_cmd_inner(&args(&[
-            "--out",
-            dir.to_str().unwrap(),
-            "--compact",
-        ]))
-        .unwrap();
-        assert!(recompacted.contains("compacted"), "got: {recompacted}");
-        let fig4_after =
-            query_cmd_inner(&args(&["--store", dir.to_str().unwrap(), "--fig", "fig4"])).unwrap();
-        assert_eq!(fig4_after, fig4, "compaction changed figure 4");
-
-        assert!(query_cmd_inner(&args(&[
-            "--store",
-            dir.to_str().unwrap(),
-            "--cause",
-            "banana"
-        ]))
-        .is_err());
-        assert!(query_cmd_inner(&args(&[
-            "--store",
-            dir.to_str().unwrap(),
-            "--disposition",
-            "psychic"
-        ]))
-        .is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// `--disposition` reads `origins` straight off the stored report; the
-    /// counts are what the version-2 rows (template + rename vector,
-    /// rehydrated per scanned row) matched on the same store, but for
-    /// `intra` and `inter` (194 and 892 then), re-frozen when the merge
-    /// stopped ordering the (timestamped) logs by their clocks, and `intra`
-    /// again (193 then) when the kernel stopped reading the interleave of a
-    /// packet's evidence.
-    #[test]
-    fn query_disposition_matches_the_packets_it_always_did() {
-        let dir = std::env::temp_dir().join("refill-store-disposition-cli-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        store_cmd_inner(&args(&["--out", dir.to_str().unwrap()])).unwrap();
-        for (disposition, matched) in [("observed", 2092), ("intra", 192), ("inter", 891)] {
-            let out = query_cmd_inner(&args(&[
-                "--store",
-                dir.to_str().unwrap(),
-                "--disposition",
-                disposition,
-            ]))
-            .unwrap();
-            let want = format!("matched 0 event rows and {matched} report rows ({matched} packets)");
-            assert!(out.starts_with(&want), "--disposition {disposition}: {out}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stream_store_checkpoints_and_resumes() {
-        use eventlog::frame::{encode_records, NodeRecord};
-        use eventlog::logger::LogEntry;
-        use eventlog::{Event, EventKind};
-        let p = PacketId::new(NodeId(1), 0);
-        let recs = [
-            NodeRecord::new(
-                NodeId(1),
-                LogEntry {
-                    event: Event::new(NodeId(1), EventKind::Trans { to: NodeId(2) }, p),
-                    local_ts: None,
-                },
-            ),
-            NodeRecord::new(
-                NodeId(2),
-                LogEntry {
-                    event: Event::new(NodeId(2), EventKind::Recv { from: NodeId(1) }, p),
-                    local_ts: None,
-                },
-            ),
-        ];
-        let dir = std::env::temp_dir().join("refill-stream-store-cli-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let frames = dir.join("frames.bin");
-        std::fs::write(&frames, encode_records(recs.iter())).unwrap();
-        let store_dir = dir.join("store");
-
-        let first = stream_cmd_inner(&args(&[
-            "--logs",
-            frames.to_str().unwrap(),
-            "--store",
-            store_dir.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
-        assert!(first.contains("store: 2 event rows"), "got: {first}");
-        assert!(store_dir.join("MANIFEST.json").is_file());
-
-        // Run again over the same frames: the durable records are skipped
-        // on the wire and replayed into the reconstructor instead, and the
-        // converged answer is unchanged.
-        let second = stream_cmd_inner(&args(&[
-            "--logs",
-            frames.to_str().unwrap(),
-            "--store",
-            store_dir.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
-        assert!(second.contains("packets: 1 converged"), "got: {second}");
-        assert!(second.contains("store: 2 event rows"), "got: {second}");
-
-        // The stored rows answer queries without any reconstruction.
-        let out = query_cmd_inner(&args(&["--store", store_dir.to_str().unwrap()])).unwrap();
-        assert!(out.contains("matched 2 event rows"), "got: {out}");
-
-        // A store and a metrics cadence are two observers of one run (they
-        // used to exclude each other): deltas, then the summary, and the
-        // store note last.
-        let both = stream_cmd_inner(&args(&[
-            "--logs",
-            frames.to_str().unwrap(),
-            "--store",
-            store_dir.to_str().unwrap(),
-            "--quiet",
-            "--metrics-every",
-            "64",
-        ]))
-        .unwrap();
-        assert!(both.starts_with('{'), "a delta line comes first: {both}");
-        let last = both.lines().last().unwrap();
-        assert!(last.starts_with("store: 2 event rows"), "got: {both}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The store's instrumentation had no writer: `stream --store` opened
-    /// its store with a recorder nobody read.
-    #[test]
-    fn stream_store_telemetry_counts_what_the_store_wrote() {
-        let campaign = run_scenario(&Scenario {
-            days: 1,
-            ..Scenario::small()
-        });
-        let dir = std::env::temp_dir().join("refill-stream-store-telemetry-cli-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        write_logs(&dir, &campaign).unwrap();
-        let tele = dir.join("telemetry.json");
-        stream_cmd_inner(&args(&[
-            "--logs",
-            dir.to_str().unwrap(),
-            "--store",
-            dir.join("store").to_str().unwrap(),
-            "--quiet",
-            "--telemetry",
-            tele.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let snapshot = json::parse(&std::fs::read(&tele).unwrap()).unwrap();
-        let named = |section: &str, name: &str| -> Json {
-            let rows = snapshot[section].as_array().unwrap();
-            let row = rows.iter().find(|r| r["name"].as_str() == Some(name));
-            row.unwrap_or_else(|| panic!("no {name} in {section}")).clone()
-        };
-        let counter = |name: &str| named("counters", name)["value"].as_u64().unwrap();
-        assert!(counter("stream_records") > 0);
-        assert_eq!(counter("store_events_appended"), counter("stream_records"));
-        assert!(counter("store_reports_appended") > 0);
-        assert_eq!(named("stages", "store_recover")["calls"].as_u64(), Some(1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub(super) const FLAGS: FlagSpec = FlagSpec {
         "late-records",
         "late-us",
         "metrics-every",
-        "store",
         "telemetry",
         "prometheus",
     ],
@@ -33,11 +32,8 @@ pub fn stream(args: &[String]) -> Result<(), String> {
 
 /// `refill stream`, returning the printed output (testable).
 pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
-    use refill_store::{OsVfs, SegmentStore, StoreCheckpoint};
     use eventlog::watermark::Lateness;
-    use refill_stream::{
-        run_stream_observed, DriverConfig, MetricsCadence, StreamObserver, StreamReconstructor,
-    };
+    use refill_stream::{run_stream_observed, DriverConfig, MetricsCadence, StreamReconstructor};
 
     let flags = Flags::parse(args, &FLAGS)?;
     let metrics_every: Option<u64> = flags
@@ -99,42 +95,16 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
         }
     };
 
-    let mut ckpt = match flags.get("store") {
-        Some(dir) => {
-            // The store records under the run's recorder, so its appends
-            // and recovery show in --telemetry / --prometheus.
-            let recorder = Arc::clone(stream.recorder());
-            let (st, _) = SegmentStore::open_with_vfs(dir, Arc::new(OsVfs), recorder)
-                .map_err(|e| e.to_string())?;
-            let ckpt = StoreCheckpoint::new(st);
-            let resume = ckpt.resume_records().map_err(|e| e.to_string())?;
-            if !resume.is_empty() {
-                eprintln!(
-                    "resuming from {} durable records in {dir}…",
-                    resume.len()
-                );
-                for rec in resume {
-                    stream.ingest(rec);
-                }
-            }
-            Some(ckpt)
-        }
-        None => None,
-    };
-
-    let mut observers: Vec<&mut dyn StreamObserver> = Vec::new();
-    if let Some(ckpt) = &mut ckpt {
-        observers.push(ckpt);
-    }
-    if let Some(cadence) = &mut cadence {
-        observers.push(cadence);
-    }
     let summary = run_stream_observed(
         reader,
         &mut stream,
         DriverConfig::default(),
         emit,
-        &mut observers,
+        |_| {
+            if let Some(cadence) = &mut cadence {
+                cadence.on_record();
+            }
+        },
     )
     .map_err(|e| e.to_string())?;
     if let Some(cadence) = cadence {
@@ -159,17 +129,6 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
         summary.reports.len(),
         summary.rolling_reports
     );
-    if let Some(ckpt) = ckpt {
-        let st = ckpt.finish().map_err(|e| e.to_string())?;
-        let _ = writeln!(
-            out,
-            "store: {} event rows, {} report rows in {} segments at {}",
-            st.total_events(),
-            st.total_reports(),
-            st.segments().len(),
-            st.dir().display()
-        );
-    }
     write_telemetry(&flags, recorder.as_deref())?;
     Ok(out)
 }

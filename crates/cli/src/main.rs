@@ -25,32 +25,19 @@
 //!     time/counter breakdown — on one thread by default, on N with
 //!     --workers (simulates one CitySee-like day when no logs are given).
 //!
-//! refill stream [--logs LOGS] [--metrics-every N] [--store DIR]
+//! refill stream [--logs LOGS] [--metrics-every N]
 //!     Online reconstruction: decode the records of LOGS as they arrive
 //!     (or of a simulated CitySee-like day when no input is given), print
 //!     rolling packet reports as windows close — plus a JSON-lines
 //!     telemetry delta every N records with --metrics-every — then the
-//!     converged summary. With --store DIR every record and emitted
-//!     report is checkpointed into a durable segment store; a killed run
-//!     resumes from the durable prefix on the next invocation.
-//!
-//! refill store --out DIR [--logs LOGS] [--compact]
-//!     Persist a run (a simulated scenario, or reconstructed + diagnosed
-//!     logs) into a crash-recoverable segment store: the merged log
-//!     entries plus the reports with their diagnosis sidecars.
-//!
-//! refill query --store DIR [predicates] [--fig fig4|fig5|fig8]
-//!     Evaluate predicates (origin, seqno range, local-time range, loss
-//!     cause, provenance disposition) over a store without re-running
-//!     reconstruction, using per-segment min/max pushdown — or render a
-//!     figure CSV straight from the stored sidecars.
+//!     converged summary. A killed run is re-run over the same LOGS.
 //!
 //! refill soak [--seed N] [--cases N] [--faults SPEC]
 //!     Seeded fault-injection conformance: push synthetic scenarios
-//!     through all six driver paths under injected frame corruption,
-//!     reader failures and store filesystem faults, asserting
-//!     byte-identical reports everywhere. Every case seed is echoed and
-//!     every failure prints a standalone reproduction command.
+//!     through all five driver paths under injected frame corruption and
+//!     reader failures, asserting byte-identical reports everywhere. Every
+//!     case seed is echoed and every failure prints a standalone
+//!     reproduction command.
 //! ```
 //!
 //! LOGS is the one log file format, the CRC-checked `eventlog::frame`
@@ -67,30 +54,11 @@ mod cmd;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{}", cmd::USAGE);
         return ExitCode::from(2);
     };
-    let rest: Vec<String> = it.cloned().collect();
-    let result = match cmd.as_str() {
-        "simulate" => cmd::simulate(&rest),
-        "analyze" => cmd::analyze(&rest),
-        "trace" => cmd::trace(&rest),
-        "explain" => cmd::explain(&rest),
-        "profile" => cmd::profile(&rest),
-        "report" => cmd::report(&rest),
-        "stream" => cmd::stream(&rest),
-        "store" => cmd::store(&rest),
-        "query" => cmd::query(&rest),
-        "soak" => cmd::soak(&rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", cmd::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'\n{}", cmd::USAGE)),
-    };
-    match result {
+    match cmd::run(cmd, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

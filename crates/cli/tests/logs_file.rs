@@ -5,9 +5,17 @@
 use citysee::{run_scenario, Scenario};
 use eventlog::frame::encode_records;
 use netsim::json::{self, Json};
-use refill_testkit::TempDir;
 use std::io::Write;
+use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+
+/// A fresh empty directory under the system temp root.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("refill-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
 fn refill(args: &[&str], stdin: &[u8]) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_refill"))
@@ -37,10 +45,10 @@ fn damaged_day() -> Vec<u8> {
 
 #[test]
 fn every_frame_decoded_is_a_logged_event_and_the_damage_is_reported() {
-    let dir = TempDir::new("cli-damaged-logs");
-    let logs = dir.path().join("damaged.frames");
+    let dir = scratch_dir("cli-damaged-logs");
+    let logs = dir.join("damaged.frames");
     std::fs::write(&logs, damaged_day()).unwrap();
-    let tele = dir.path().join("t.json");
+    let tele = dir.join("t.json");
     let out = refill(
         &[
             "analyze",
@@ -68,12 +76,13 @@ fn every_frame_decoded_is_a_logged_event_and_the_damage_is_reported() {
     assert!(corrupt > 0 && corrupt <= 3, "{corrupt} corrupt runs");
     let line = format!("{decoded} frames decoded, {corrupt} corrupt runs skipped");
     assert!(stderr.contains(&line), "{line:?} not in: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_file_without_a_record_is_an_error_not_a_panic() {
-    let dir = TempDir::new("cli-empty-logs");
-    let empty = dir.path().join("empty.frames");
+    let dir = scratch_dir("cli-empty-logs");
+    let empty = dir.join("empty.frames");
     std::fs::write(&empty, b"").unwrap();
     for (path, stdin) in [
         (empty.to_str().unwrap(), &b""[..]),
@@ -91,8 +100,9 @@ fn a_file_without_a_record_is_an_error_not_a_panic() {
         }
     }
     // A directory is read as its logs.frames.
-    let out = refill(&["analyze", "--logs", dir.path().to_str().unwrap()], b"");
+    let out = refill(&["analyze", "--logs", dir.to_str().unwrap()], b"");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("logs.frames"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,6 @@
-//! The one CRC-32 implementation shared by every length-prefixed format.
-//!
-//! Both the wire frame codec ([`crate::frame`]) and the durable segment
-//! store (`refill-store`) guard their blocks with CRC-32 (IEEE 802.3,
-//! reflected). The lookup table is built at compile time and lives here so
-//! the algorithm exists exactly once — a checksum disagreement between the
-//! two formats can only ever be a framing bug, never an algorithm drift.
+//! CRC-32 (IEEE 802.3, reflected), the checksum that guards every frame of
+//! the wire codec ([`crate::frame`]). The lookup table is built at compile
+//! time.
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {

@@ -1,18 +1,16 @@
-//! The segment store's event row, and the merged log as entries.
+//! A log entry as a fixed row, and the merged log as entries.
 //!
-//! [`encode_row`] writes a [`LogEntry`] as one fixed 24-byte row and
-//! [`decode_row`] reads back exactly the rows it writes: `refill-store`'s
-//! event segments are these rows, and nothing else knows their layout.
+//! [`encode_row`] writes a [`LogEntry`] as one fixed 24-byte row: the bytes
+//! `merge_identity`'s frozen digests fold a merged entry into.
 //!
 //! [`EventStore`] is the merged log kept as entries, timestamps included
 //! ([`merge_logs_store`](crate::merge_logs_store)), and [`ColumnarIndex`]
-//! its rows grouped by packet. `refill store` writes the entries as its
-//! event rows; `refill::parallel::reconstruct_fused` reads the grouping.
+//! its rows grouped by packet; `refill::parallel::reconstruct_fused` reads
+//! the grouping.
 
-use crate::event::{Event, EventKind, PacketId};
+use crate::event::{Event, EventKind};
 use crate::logger::{LocalTs, LogEntry};
 use crate::merge::PacketIndex;
-use netsim::NodeId;
 
 /// A row's timestamp for "none": no [`LocalTs`] holds `u64::MAX` and every
 /// reader of outside bytes refuses it, so the conversion is exact.
@@ -60,25 +58,6 @@ pub fn encode_row(entry: &LogEntry) -> [u8; ROW_LEN] {
     }
     out[16..].copy_from_slice(&entry.local_ts.map_or(TS_NONE, LocalTs::get).to_le_bytes());
     out
-}
-
-/// The entry `row` holds, or `None` when [`encode_row`] writes no such row:
-/// a kind code [`EventKind::from_parts`] refuses, a peer flag that
-/// disagrees with the kind, a peer or payload half where the kind has
-/// none, or anything in the reserved `spill` half or the other flag bits.
-pub fn decode_row(row: &[u8; ROW_LEN]) -> Option<LogEntry> {
-    let word = |at: usize| u32::from_le_bytes([row[at], row[at + 1], row[at + 2], row[at + 3]]);
-    let (who, tag, arg) = (word(0), word(4), word(12));
-    let kind = EventKind::from_parts((tag >> 16) as u8, NodeId((who >> 16) as u16), arg as u16)?;
-    let packet = PacketId::new(NodeId(tag as u16), word(8));
-    let ts = u64::from_le_bytes(row[16..].try_into().expect("eight bytes"));
-    let entry = LogEntry {
-        event: Event::new(NodeId(who as u16), kind, packet),
-        local_ts: LocalTs::new(ts),
-    };
-    // Every field the row spells but the entry does not is checked here:
-    // a row reads back only when it is the one the entry is written as.
-    (encode_row(&entry) == *row).then_some(entry)
 }
 
 /// The merged log as log entries, in [`merge_logs`](crate::merge_logs)'
@@ -154,7 +133,9 @@ impl std::ops::Deref for ColumnarIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::PacketId;
     use crate::logger::LocalLog;
+    use netsim::NodeId;
     use crate::merge::merge_logs;
 
     fn pid(origin: u16, seqno: u32) -> PacketId {
@@ -177,61 +158,39 @@ mod tests {
         // Both peer halves are zero; only the flag bit tells them apart.
         assert_eq!((&p_row[2..4], &q_row[2..4]), (&[0u8, 0][..], &[0u8, 0][..]));
         assert_eq!((p_row[7], q_row[7]), (1, 0));
-        assert_eq!(decode_row(&p_row), Some(p));
-        assert_eq!(decode_row(&q_row), Some(q));
+        assert_ne!(p_row, q_row);
     }
 
     #[test]
-    fn extreme_ids_roundtrip() {
+    fn extreme_ids_land_whole_in_their_row_halves() {
         let e = Event::new(
             NodeId(u16::MAX),
             EventKind::Timeout { to: NodeId(u16::MAX - 1) },
             pid(u16::MAX, u32::MAX),
         );
         let c = Event::new(NodeId(0), EventKind::Custom(u16::MAX), pid(0, 0));
-        for e in [entry(e), entry(c)] {
-            assert_eq!(decode_row(&encode_row(&e)), Some(e));
-        }
+        let word = |row: &[u8; ROW_LEN], at: usize| {
+            u32::from_le_bytes(row[at * 4..at * 4 + 4].try_into().unwrap())
+        };
+        let (e_row, c_row) = (encode_row(&entry(e)), encode_row(&entry(c)));
+        // Every id lands whole in its half of the row.
+        assert_eq!(word(&e_row, 0), 0xfffe_ffff, "node, then peer");
+        assert_eq!(word(&e_row, 1) & 0xffff, 0xffff, "origin");
+        assert_eq!(word(&e_row, 2), u32::MAX, "seqno");
+        assert_eq!(word(&c_row, 3), 0xffff, "custom payload, no spill");
     }
 
     #[test]
     fn entry_rows_are_exact_at_the_edges() {
         let event = Event::new(NodeId(1), EventKind::Origin, pid(1, 0));
-        for local_ts in [LocalTs::new(0), LocalTs::new(u64::MAX - 1), None] {
-            let entry = LogEntry { event, local_ts };
-            let row = encode_row(&entry);
-            assert_eq!(row[16..] == [0xff; 8], local_ts.is_none());
-            assert_eq!(decode_row(&row), Some(entry));
+        for (local_ts, ts) in [
+            (LocalTs::new(0), 0),
+            (LocalTs::new(u64::MAX - 1), u64::MAX - 1),
+            (None, u64::MAX),
+        ] {
+            let row = encode_row(&LogEntry { event, local_ts });
+            assert_eq!(row[16..], ts.to_le_bytes());
         }
-    }
-
-    #[test]
-    fn a_row_encode_row_does_not_write_is_refused() {
-        let from = NodeId(0);
-        let recv = LogEntry {
-            event: Event::new(NodeId(3), EventKind::Recv { from }, pid(1, 7)),
-            local_ts: LocalTs::new(9),
-        };
-        let origin = LogEntry {
-            event: Event::new(NodeId(3), EventKind::Origin, pid(3, 7)),
-            local_ts: None,
-        };
-        let edit = |entry: &LogEntry, at: usize, byte: u8| {
-            let mut row = encode_row(entry);
-            row[at] = byte;
-            decode_row(&row)
-        };
-        // Bytes 2..4 are the peer half, 6 the kind code, 7 the flags,
-        // 12..14 the payload half and 14..16 the spill half.
-        assert_eq!(edit(&recv, 6, 12), None, "kind code 12");
-        assert_eq!(edit(&recv, 6, 0xff), None, "kind code 255");
-        assert_eq!(edit(&recv, 7, 0), None, "a two-party kind without its peer flag");
-        assert_eq!(edit(&origin, 7, 1), None, "a one-party kind with a peer flag");
-        assert_eq!(edit(&recv, 7, 3), None, "an unknown flag bit");
-        assert_eq!(edit(&origin, 2, 1), None, "a peer half on a one-party kind");
-        assert_eq!(edit(&origin, 12, 1), None, "a payload half on a non-custom kind");
-        assert_eq!(edit(&recv, 15, 1), None, "a spill half");
-        assert_eq!(edit(&origin, 14, 1), None, "a spill half");
     }
 
     /// The events of `store`'s `rows`, in order.
@@ -281,49 +240,17 @@ mod tests {
 
 #[cfg(test)]
 mod columnar_props {
-    //! The row codec reads back every entry it writes and nothing else,
-    //! and the store's row grouping reproduces the `PacketIndex` grouping
+    //! The store's row grouping reproduces the `PacketIndex` grouping
     //! exactly.
 
     use super::*;
+    use crate::event::PacketId;
     use netsim::prop::{check, vec_of};
-    use netsim::Rng;
+    use netsim::{NodeId, Rng};
 
     fn arb_kind(rng: &mut Rng) -> EventKind {
         let arg: u16 = rng.gen();
         EventKind::from_parts(rng.gen_range(0..12), NodeId(arg), arg).expect("a code in range")
-    }
-
-    /// Every kind, with peer 0 and with another, at the timestamp edges:
-    /// the row reads back as its entry; and the same row with bytes changed
-    /// is refused or is exactly the row of the entry it reads as.
-    #[test]
-    fn row_codec_roundtrips_and_reads_only_what_it_writes() {
-        let edges = [LocalTs::new(0), LocalTs::new(1), LocalTs::new(u64::MAX - 1), None];
-        check("row_codec_roundtrips_and_reads_only_what_it_writes", 64, &[], |rng| {
-            for code in 0..12 {
-                for peer in [NodeId(0), NodeId(rng.gen())] {
-                    let kind = EventKind::from_parts(code, peer, rng.gen());
-                    let kind = kind.expect("a code in range");
-                    for local_ts in edges {
-                        let packet = PacketId::new(NodeId(rng.gen()), rng.gen());
-                        let entry = LogEntry {
-                            event: Event::new(NodeId(rng.gen()), kind, packet),
-                            local_ts,
-                        };
-                        let row = encode_row(&entry);
-                        assert_eq!(decode_row(&row), Some(entry));
-                        let mut mutated = row;
-                        for _ in 0..rng.gen_range(1..4) {
-                            mutated[rng.gen_range(0..ROW_LEN)] ^= rng.gen_range(1..=255u8);
-                        }
-                        if let Some(read) = decode_row(&mutated) {
-                            assert_eq!(encode_row(&read), mutated, "{row:?} -> {mutated:?}");
-                        }
-                    }
-                }
-            }
-        });
     }
 
     #[test]

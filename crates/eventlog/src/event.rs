@@ -226,8 +226,7 @@ impl EventKind {
     }
 }
 
-/// Variant names by [`EventKind::code`], as a stored report's flow spells
-/// them.
+/// Variant names by [`EventKind::code`], as a report's JSON spells them.
 const VARIANT_NAMES: [&str; 12] = [
     "Recv",
     "Overflow",

@@ -107,7 +107,7 @@ fn encode_payload(rec: &NodeRecord, out: &mut Vec<u8>) {
 /// Decode one payload; `None` if it is not a well-formed v1 record. A node
 /// logs only its own events, so a record whose lane is not its event's node
 /// is not well-formed: the merge and the stream would place it by the lane,
-/// and a store that replays it by its event's node somewhere else.
+/// not by its event's node.
 fn decode_payload(b: &[u8]) -> Option<NodeRecord> {
     if b.len() < 14 {
         return None;

@@ -29,14 +29,14 @@ pub mod watermark;
 pub use checksum::{crc32, Crc32};
 pub use clock::ClockModel;
 pub use collect::{CollectionConfig, LossyCollector};
-pub use columnar::{decode_row, encode_row, ColumnarIndex, EventStore};
+pub use columnar::{encode_row, ColumnarIndex, EventStore};
 pub use event::{Event, EventKind, PacketId, SeqNo};
 pub use fate::{GroundTruth, LossCause, PacketFate, TruthEvent};
 pub use frame::{FrameDecoder, FrameStats, NodeRecord};
 pub use logger::{LocalLog, LocalTs, LogEntry, LoggerConfig, NodeLogger};
 pub use merge::{
-    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, merge_runs,
-    MergedLog, PacketIndex,
+    merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, MergedLog,
+    PacketIndex,
 };
 pub use watermark::{Lateness, Mark, WatermarkTracker};
 

@@ -20,9 +20,8 @@ use netsim::{json_struct, NodeId, SimTime};
 use std::fmt;
 use std::num::NonZeroU64;
 
-/// A local clock reading: any `u64` but `u64::MAX`, the value the columnar
-/// store's `ts` column and a segment row ([`crate::columnar::encode_row`])
-/// spell "no timestamp" with.
+/// A local clock reading: any `u64` but `u64::MAX`, the value an entry's
+/// row ([`crate::columnar::encode_row`]) spells "no timestamp" with.
 ///
 /// It is stored complemented in a `NonZeroU64`, so `Option<LocalTs>` is
 /// 8 bytes with `None` in the niche — a [`LogEntry`] is 24 bytes, not 32.

@@ -11,12 +11,11 @@
 //! clocks say changes a merged event. Fixing the cross-node order within a
 //! packet is REFILL's job, not the merge's.
 //!
-//! [`merge_logs_kway`] and [`merge_runs`] order by local time instead, for
-//! readers that want it (store compaction, benchmarks): a **loser-tree
-//! k-way merge**, a flat tournament tree over the K runs in which every node
-//! holds the *key* `(local_ts, run)` of the contender that lost there, so a
-//! pop reads one new key and replays its leaf-to-root path with a
-//! `min`/`max` pair per level.
+//! [`merge_logs_kway`] orders by local time instead, for readers that want
+//! it (the benchmarks): a **loser-tree k-way merge**, a flat tournament tree
+//! over the K runs in which every node holds the *key* `(local_ts, run)` of
+//! the contender that lost there, so a pop reads one new key and replays its
+//! leaf-to-root path with a `min`/`max` pair per level.
 //!
 //! [`PacketIndex`] groups events by packet with a counting sort: the merged
 //! log's ([`MergedLog::packet_index`], on two threads for large inputs), or
@@ -523,17 +522,6 @@ fn ranked_runs(logs: &[LocalLog]) -> Vec<&[LogEntry]> {
         .into_iter()
         .map(|log| log.entries.as_slice())
         .collect()
-}
-
-/// The loser-tree merge of `runs` (each in recording order) on
-/// `(timestamp, run index)`, an entry without a timestamp sorting as 0 —
-/// [`merge_logs_kway`]'s order, with the runs taken in the order given. A
-/// run need not be in time order. This is how the segment store compacts:
-/// each run is one segment's rows in the order they were appended.
-pub fn merge_runs(runs: &[&[LogEntry]]) -> Vec<LogEntry> {
-    let mut out = Vec::with_capacity(runs.iter().map(|run| run.len()).sum());
-    merge_ranked(runs, |e| out.push(*e));
-    out
 }
 
 /// How many entries ahead of the one just popped a run is prefetched.

@@ -3,9 +3,9 @@
 //!
 //! * the log merges (`merge_logs`, `merge_logs_store`) equal an in-test
 //!   all-K round-robin over the logs in node order, whatever the
-//!   timestamps, and the time merges (`merge_logs_kway`, `merge_runs`'
-//!   engine) an O(N·K) cursor scan on `(ts, node, input index)`, over seeded
-//!   soups of every fan-in and timestamp shape;
+//!   timestamps, and the time merge (`merge_logs_kway`) an O(N·K) cursor
+//!   scan on `(ts, node, input index)`, over seeded soups of every fan-in
+//!   and timestamp shape;
 //! * for logs of distinct nodes, listed in any order, each packet's group of
 //!   the merge is that packet's entries sorted by `packet_order` (position
 //!   in its own log, then node) and no merged event moves when the logs are

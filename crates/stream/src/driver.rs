@@ -66,49 +66,12 @@ pub struct StreamSummary {
     pub reports: Vec<PacketReport>,
 }
 
-/// What a run lets others watch: durability, metrics, anything that follows
-/// the stream record by record. Every method has a do-nothing default; an
-/// error from any of them ends the run.
-///
-/// The driver calls `on_record` for every record it hands to the stream (in
-/// arrival order), `on_report` for every emitted report — each window close and,
-/// after the final flush, every report of the converged set, which
-/// supersedes the rolling ones — and `sync` after every poll that emitted
-/// and once after the flush. A durable observer owns the ordering
-/// discipline: a `sync` must make every record passed so far durable
-/// *before* the reports derived from them, so a crash can never leave
-/// reports whose evidence was lost.
-///
-/// `skip_records` supports resumption: that many decoded records are
-/// dropped on the floor (the caller already replayed their durable copies
-/// into the stream), and the hooks only see what comes after. The final
-/// reports still converge to the batch answer over the full record sequence
-/// because [`StreamReconstructor::finish`] is cadence-independent.
-pub trait StreamObserver {
-    /// Records already durable from a previous run; the driver skips this
-    /// many decoded records instead of re-ingesting them.
-    fn skip_records(&self) -> u64 {
-        0
-    }
-    /// A record was handed to the stream.
-    fn on_record(&mut self, _rec: &NodeRecord) -> std::io::Result<()> {
-        Ok(())
-    }
-    /// A report was emitted; it is lent where the stream keeps it.
-    fn on_report(&mut self, _report: &PacketReport) -> std::io::Result<()> {
-        Ok(())
-    }
-    /// A batch of reports is complete: make everything passed so far durable.
-    fn sync(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// The observer behind `--metrics-every`: every `every` records handed to
-/// the stream (however many of them its lanes still hold), `emit` receives
-/// the interval delta ([`TelemetrySnapshot::diff`]) of `recorder` since the
-/// previous emission; [`MetricsCadence::finish`] emits the tail. The deltas
-/// partition the run: per counter they sum to the totals.
+/// What `--metrics-every` runs per record ([`run_stream_observed`]'s
+/// `on_record`): every `every` records handed to the stream (however many
+/// of them its lanes still hold), `emit` receives the interval delta
+/// ([`TelemetrySnapshot::diff`]) of `recorder` since the previous emission;
+/// [`MetricsCadence::finish`] emits the tail. The deltas partition the run:
+/// per counter they sum to the totals.
 ///
 /// With a `NoopRecorder` every delta is empty, so a cadence only makes sense
 /// on the recorder an instrumented stream carries
@@ -140,21 +103,19 @@ impl<M: FnMut(&TelemetrySnapshot)> MetricsCadence<M> {
         self.since = 0;
     }
 
+    /// One more record was handed to the stream.
+    pub fn on_record(&mut self) {
+        self.since += 1;
+        if self.since >= self.every {
+            self.emit_delta();
+        }
+    }
+
     /// The tail interval, for after the run: whatever accumulated since the
     /// last cadence emission, the final flush's reconstruction included (so
     /// it is never empty of work).
     pub fn finish(mut self) {
         self.emit_delta();
-    }
-}
-
-impl<M: FnMut(&TelemetrySnapshot)> StreamObserver for MetricsCadence<M> {
-    fn on_record(&mut self, _rec: &NodeRecord) -> std::io::Result<()> {
-        self.since += 1;
-        if self.since >= self.every {
-            self.emit_delta();
-        }
-        Ok(())
     }
 }
 
@@ -175,35 +136,29 @@ where
     R: Read + Send,
     F: FnMut(&PacketReport),
 {
-    run_stream_observed(reader, stream, config, on_report, &mut [])
+    run_stream_observed(reader, stream, config, on_report, |_| {})
 }
 
-/// [`run_stream`] with `observers` following it ([`StreamObserver`]), each
-/// hook called on them in slice order. The largest `skip_records` among
-/// them is what the driver skips.
-pub fn run_stream_observed<R, F>(
+/// [`run_stream`] with `on_record` called on every record right after it is
+/// handed to the stream, in arrival order ([`MetricsCadence::on_record`]).
+pub fn run_stream_observed<R, F, G>(
     reader: R,
     stream: &mut StreamReconstructor,
     config: DriverConfig,
     mut on_report: F,
-    observers: &mut [&mut dyn StreamObserver],
+    mut on_record: G,
 ) -> std::io::Result<StreamSummary>
 where
     R: Read + Send,
     F: FnMut(&PacketReport),
+    G: FnMut(&NodeRecord),
 {
     let recorder = Arc::clone(stream.recorder());
     let (tx, rx) = sync_channel::<Vec<NodeRecord>>(config.channel_batches.max(1));
     let poll_every = config.poll_every.max(1);
     let mut rolling_reports = 0u64;
-    let mut frames = FrameStats::default();
-    let mut read_error: Option<std::io::Error> = None;
-    let mut observed: std::io::Result<()> = Ok(());
-    // Already durable from an interrupted run; the caller replayed them
-    // into the stream before we started.
-    let mut to_skip = observers.iter().map(|o| o.skip_records()).max().unwrap_or(0);
 
-    std::thread::scope(|scope| {
+    let ingested = std::thread::scope(|scope| {
         let ingest = scope.spawn(move || -> std::io::Result<FrameStats> {
             let mut reader = reader;
             let mut decoder = FrameDecoder::new();
@@ -238,65 +193,28 @@ where
             Ok(stats)
         });
 
-        // The reconstruction half, up to the first observer error.
-        observed = (|| -> std::io::Result<()> {
-            let mut since_poll = 0usize;
-            while let Ok(batch) = rx.recv() {
-                for rec in batch {
-                    if to_skip > 0 {
-                        to_skip -= 1;
-                        continue;
-                    }
-                    stream.ingest(rec);
-                    observers.iter_mut().try_for_each(|o| o.on_record(&rec))?;
-                    since_poll += 1;
-                    if since_poll < poll_every {
-                        continue;
-                    }
-                    since_poll = 0;
-                    let before = rolling_reports;
-                    let mut lent = Ok(());
-                    stream.poll_with(|report| {
-                        rolling_reports += 1;
-                        if lent.is_ok() {
-                            lent = observers.iter_mut().try_for_each(|o| o.on_report(report));
-                        }
-                        on_report(report);
-                    });
-                    lent?;
-                    if rolling_reports > before {
-                        observers.iter_mut().try_for_each(|o| o.sync())?;
-                    }
+        let mut since_poll = 0usize;
+        for batch in rx {
+            for rec in batch {
+                stream.ingest(rec);
+                on_record(&rec);
+                since_poll += 1;
+                if since_poll < poll_every {
+                    continue;
                 }
+                since_poll = 0;
+                stream.poll_with(|report| {
+                    rolling_reports += 1;
+                    on_report(report);
+                });
             }
-            Ok(())
-        })();
-        // An observer failure abandons the channel; unblock the ingest
-        // worker by draining whatever it still has queued.
-        if observed.is_err() {
-            while rx.try_recv().is_ok() {}
-            drop(rx);
         }
-        match ingest.join().expect("ingest worker does not panic") {
-            Ok(stats) => frames = stats,
-            Err(e) => read_error = Some(e),
-        }
+        ingest.join().expect("ingest worker does not panic")
     });
 
     let reports = stream.finish();
-    // The converged final set — an observer's last word on every packet.
-    let observed = observed.and_then(|()| {
-        for report in &reports {
-            observers.iter_mut().try_for_each(|o| o.on_report(report))?;
-        }
-        observers.iter_mut().try_for_each(|o| o.sync())
-    });
-    if let Some(e) = read_error {
-        return Err(e);
-    }
-    observed?;
     Ok(StreamSummary {
-        frames,
+        frames: ingested?,
         stats: stream.stats(),
         rolling_reports,
         reports,
@@ -444,7 +362,7 @@ mod tests {
             &mut stream,
             DriverConfig::default(),
             |_| {},
-            &mut [&mut cadence],
+            |_| cadence.on_record(),
         )
         .unwrap();
         cadence.finish();
@@ -479,7 +397,7 @@ mod tests {
                     &mut stream,
                     DriverConfig::default(),
                     |_| {},
-                    &mut [&mut cadence],
+                    |_| cadence.on_record(),
                 )
                 .unwrap()
                 .reports

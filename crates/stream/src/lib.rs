@@ -22,9 +22,8 @@
 //!    `finish()` is re-enterable).
 //! 3. **The driver**: [`run_stream`] pairs an ingest worker (decode) with
 //!    the reconstruction loop over a bounded `std::sync::mpsc` channel;
-//!    [`run_stream_observed`] is the same loop with [`StreamObserver`]s
-//!    following it record by record (a durable checkpoint, a
-//!    [`MetricsCadence`]).
+//!    [`run_stream_observed`] is the same loop with a hook called record by
+//!    record (a [`MetricsCadence`]).
 //!
 //! Everything is observable through the shared telemetry recorder: frames
 //! decoded/corrupt, records, backpressure stalls, windows closed, late
@@ -33,7 +32,5 @@
 pub mod driver;
 pub mod reconstructor;
 
-pub use driver::{
-    run_stream, run_stream_observed, DriverConfig, MetricsCadence, StreamObserver, StreamSummary,
-};
+pub use driver::{run_stream, run_stream_observed, DriverConfig, MetricsCadence, StreamSummary};
 pub use reconstructor::{StreamReconstructor, StreamStats};

@@ -80,26 +80,19 @@ pub enum Counter {
     WindowsClosed,
     /// Closed windows reopened by a late arrival (one per late record).
     WindowsReopened,
-    /// Event rows appended to the durable store.
-    StoreEventsAppended,
-    /// Report rows appended to the durable store.
-    StoreReportsAppended,
-    /// Torn-tail bytes truncated during store recovery (bytes past the
-    /// last valid block boundary of a segment).
-    StoreTornBytes,
     /// Faults the testkit harness injected into a pipeline run (frame
-    /// corruption, reader errors, torn writes, fsync failures, …).
+    /// corruption, reader errors, clock skew, duplicates, …).
     FaultsInjected,
     /// Injected faults the pipeline tolerated: the run either converged
-    /// byte-identically across drivers or surfaced a typed error and
-    /// recovered to the durable prefix.
+    /// byte-identically across drivers or surfaced a typed error after
+    /// converging on the decodable prefix.
     FaultsSurvived,
 }
 
 impl Counter {
     /// Every counter, in declaration order (the array layout of
     /// [`AtomicRecorder`]).
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 22] = [
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInserts,
@@ -120,9 +113,6 @@ impl Counter {
         Counter::StreamBackpressure,
         Counter::WindowsClosed,
         Counter::WindowsReopened,
-        Counter::StoreEventsAppended,
-        Counter::StoreReportsAppended,
-        Counter::StoreTornBytes,
         Counter::FaultsInjected,
         Counter::FaultsSurvived,
     ];
@@ -153,9 +143,6 @@ impl Counter {
             Counter::StreamBackpressure => "stream_backpressure",
             Counter::WindowsClosed => "windows_closed",
             Counter::WindowsReopened => "windows_reopened",
-            Counter::StoreEventsAppended => "store_events_appended",
-            Counter::StoreReportsAppended => "store_reports_appended",
-            Counter::StoreTornBytes => "store_torn_bytes_truncated",
             Counter::FaultsInjected => "faults_injected",
             Counter::FaultsSurvived => "faults_survived",
         }
@@ -195,17 +182,11 @@ pub enum Stage {
     /// moved past. Excludes the reconstructions the sweep triggers and the
     /// reports it hands out; pumping lanes is not timed.
     Window,
-    /// Durable-store appends: block encode, segment write, fsync, and the
-    /// atomic manifest update.
-    StoreAppend,
-    /// Durable-store open-time recovery: block-by-block segment scan,
-    /// torn-tail truncation, and manifest reconciliation.
-    StoreRecover,
 }
 
 impl Stage {
     /// Every stage, in declaration order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 8] = [
         Stage::Index,
         Stage::Signature,
         Stage::Cache,
@@ -214,8 +195,6 @@ impl Stage {
         Stage::Diagnose,
         Stage::Decode,
         Stage::Window,
-        Stage::StoreAppend,
-        Stage::StoreRecover,
     ];
 
     /// Number of stages.
@@ -232,8 +211,6 @@ impl Stage {
             Stage::Diagnose => "diagnose",
             Stage::Decode => "decode",
             Stage::Window => "window",
-            Stage::StoreAppend => "store_append",
-            Stage::StoreRecover => "store_recover",
         }
     }
 

@@ -1,74 +1,32 @@
-//! The six-path conformance oracle.
+//! The five-path conformance oracle.
 //!
 //! One seeded scenario is pushed through every reconstruction path the
 //! workspace ships — sequential, parallel, fused-columnar, the memoised
-//! path cold then warm, the streaming driver over the (possibly mangled)
-//! wire bytes, and a kill-and-resume run through the durable store — and
-//! every path must produce a byte-identical report set. The canonical record
-//! sequence is fixed by decoding the mangled bytes **once** with
-//! [`decode_all`]: whatever survived corruption is, by the CRC argument in
-//! [`crate::faults`], exactly what every driver must agree on.
+//! path cold then warm, and the streaming driver over the (possibly
+//! mangled) wire bytes — and every path must produce a byte-identical
+//! report set. The canonical record sequence is fixed by decoding the
+//! mangled bytes **once** with [`decode_all`]: whatever survived corruption
+//! is, by the CRC argument in [`crate::faults`], exactly what every driver
+//! must agree on.
 //!
-//! Two extra lanes probe the failure edges rather than the happy path:
-//!
-//! * **reader faults** — an injected IO error mid-stream must surface as
-//!   an error *and* leave the stream converged on the decodable prefix;
-//! * **store faults** — torn writes, failed fsyncs and failed renames
-//!   during a checkpointed run must either surface as typed errors or
-//!   recover, on a clean reopen, to a durable prefix of the absorbed
-//!   sequence — never to silently divergent state.
+//! One extra lane probes the failure edge rather than the happy path: an
+//! injected reader IO error mid-stream must surface as an error *and* leave
+//! the stream converged on the decodable prefix.
 //!
 //! Every decision derives from the [`FaultPlan`] seed, so a failure is
 //! fully described by the `refill soak --seed … --faults …` line its
 //! error prints.
 
-use crate::faults::{mangle_frames, FaultyReader, FaultyVfs};
+use crate::faults::{mangle_frames, FaultyReader};
 use crate::plan::{FaultPlan, FaultSpec};
 use crate::scenario::{gen_logs, upload_interleave, ScenarioReport};
 use eventlog::frame::{decode_all, node_logs, FrameStats};
 use eventlog::merge::merge_logs;
 use eventlog::watermark::Lateness;
 use refill::parallel::{reconstruct_fused, reconstruct_parallel};
-use refill::telemetry::{Counter, NoopRecorder, Recorder};
+use refill::telemetry::{Counter, Recorder};
 use refill::{CtpVocabulary, PacketReport, Reconstructor, SigCache};
-use refill_store::{SegmentStore, StoreCheckpoint, Vfs};
-use refill_stream::{
-    run_stream, run_stream_observed, DriverConfig, StreamObserver, StreamReconstructor,
-};
-use std::io::Cursor;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A self-cleaning scratch directory for store-backed conformance phases.
-pub struct TempDir(PathBuf);
-
-static NONCE: AtomicU64 = AtomicU64::new(0);
-
-impl TempDir {
-    /// A fresh empty directory under the system temp root.
-    pub fn new(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "refill-testkit-{tag}-{}-{}",
-            std::process::id(),
-            NONCE.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir creation");
-        TempDir(dir)
-    }
-
-    /// The directory path.
-    pub fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use refill_stream::{run_stream, DriverConfig, StreamReconstructor};
 
 /// A conformance violation, carrying everything needed to replay it.
 #[derive(Debug, Clone)]
@@ -115,8 +73,6 @@ pub struct CaseOutcome {
     pub faults_injected: u64,
     /// Whether the reader-fault lane ran this case.
     pub reader_fault: bool,
-    /// Store-level faults (torn writes, failed syncs/renames) injected.
-    pub store_faults: u64,
 }
 
 fn recon() -> Reconstructor {
@@ -140,7 +96,7 @@ fn diverge(baseline: &[PacketReport], got: &[PacketReport]) -> Option<String> {
         ));
     }
     // Structural equality established; seal byte-identity through the
-    // Debug rendering (what the CLI and the store's sidecars print).
+    // Debug rendering (what the CLI prints).
     let (a, b) = (format!("{baseline:#?}"), format!("{got:#?}"));
     (a != b).then(|| "Debug renderings diverge despite structural equality".to_string())
 }
@@ -268,133 +224,6 @@ pub fn run_case(
         }
     }
 
-    // --- Driver 6: checkpointed store run killed under filesystem
-    // faults, then resumed on a clean reopen ---
-    let mut vrng = plan.lane("store");
-    let kill_k = vrng.gen_range(0..survivors.len() + 1);
-    let cadence = vrng.gen_range(1..6);
-    let vfs = FaultyVfs::probabilistic(
-        plan.lane("store-ops"),
-        spec.store_write,
-        spec.store_sync,
-        spec.store_rename,
-    );
-    let tmp = TempDir::new("conformance");
-
-    // Phase 1: the doomed run. The driver's hook order, by hand, so the
-    // kill can land between any two records; any injected fault that
-    // surfaces also ends the run — exactly what a crashed process does.
-    {
-        let opened = SegmentStore::open_with_vfs(
-            tmp.path(),
-            Arc::clone(&vfs) as Arc<dyn Vfs>,
-            Arc::new(NoopRecorder),
-        );
-        if let Ok((store, _)) = opened {
-            let mut ckpt = StoreCheckpoint::new(store);
-            let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
-            for (i, rec) in survivors[..kill_k].iter().enumerate() {
-                stream.ingest(*rec);
-                if ckpt.on_record(rec).is_err() {
-                    break;
-                }
-                if (i + 1) % cadence == 0 {
-                    // Absorb first, so windows close (and syncs reach the
-                    // store) well before a lane fills.
-                    stream.pump();
-                    let mut emitted = 0;
-                    stream.poll_with(|report| {
-                        emitted += 1;
-                        ckpt.on_report(report).expect("a report row is only buffered");
-                    });
-                    if emitted > 0 && ckpt.sync().is_err() {
-                        break;
-                    }
-                }
-            }
-            // Dropped without finish(): rows buffered since the last
-            // sync are lost, as in a real crash.
-        }
-        // An open_with_vfs error is a fault landing before the first
-        // record — the store never came up; recovery still must.
-    }
-    let store_faults = vfs.injected();
-    injected += store_faults;
-    recorder.add(Counter::FaultsInjected, store_faults);
-
-    // Phase 2: clean reopen. Recovery must succeed and yield a durable
-    // prefix of the absorbed sequence — *never* divergent rows.
-    let (store, _recovery) = SegmentStore::open(tmp.path()).map_err(|e| {
-        fail(
-            "store-recovery",
-            format!(
-                "clean reopen after {store_faults} injected store fault(s) failed: {e}\n  vfs journal:\n    {}",
-                vfs.journal().join("\n    ")
-            ),
-        )
-    })?;
-    let rows = store
-        .events()
-        .map_err(|e| fail("store-recovery", format!("recovered store unreadable: {e}")))?;
-    if rows.len() > kill_k {
-        return Err(fail(
-            "store-recovery",
-            format!(
-                "store holds {} rows but only {kill_k} records were ever absorbed",
-                rows.len()
-            ),
-        ));
-    }
-    for (i, (row, rec)) in rows.iter().zip(&survivors).enumerate() {
-        if *row != rec.entry {
-            return Err(fail(
-                "store-recovery",
-                format!(
-                    "durable row {i} diverged from the absorbed sequence: {row:?} vs {:?}",
-                    rec.entry
-                ),
-            ));
-        }
-    }
-
-    // Resume: replay the durable prefix, then drive the full wire bytes
-    // through the checkpointed driver (skip_records covers the replay).
-    let mut ckpt = StoreCheckpoint::new(store);
-    let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
-    for rec in ckpt
-        .resume_records()
-        .map_err(|e| fail("store-resume", format!("resume replay failed: {e}")))?
-    {
-        stream.ingest(rec);
-    }
-    let summary = run_stream_observed(
-        Cursor::new(&bytes),
-        &mut stream,
-        driver_config,
-        |_| {},
-        &mut [&mut ckpt],
-    )
-    .map_err(|e| fail("store-resume", format!("resumed run errored: {e}")))?;
-    let store = ckpt
-        .finish()
-        .map_err(|e| fail("store-resume", format!("final checkpoint flush failed: {e}")))?;
-    check("store-resume", &summary.reports)?;
-
-    // The converged store must now hold the entire survivor sequence.
-    let rows = store
-        .events()
-        .map_err(|e| fail("store-resume", format!("converged store unreadable: {e}")))?;
-    if rows.len() != survivors.len() {
-        return Err(fail(
-            "store-resume",
-            format!(
-                "converged store holds {} rows, expected {}",
-                rows.len(),
-                survivors.len()
-            ),
-        ));
-    }
-
     recorder.add(Counter::FaultsSurvived, injected);
     Ok(CaseOutcome {
         scenario: sreport,
@@ -404,14 +233,13 @@ pub fn run_case(
         reports: baseline.len(),
         faults_injected: injected,
         reader_fault,
-        store_faults,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refill::telemetry::AtomicRecorder;
+    use refill::telemetry::{AtomicRecorder, NoopRecorder};
 
     #[test]
     fn faultless_case_converges() {

@@ -1,18 +1,13 @@
-//! The fault injectors: frame-stream mangling, failing/stalling readers,
-//! and a fault-injecting [`Vfs`] for the store.
+//! The fault injectors: frame-stream mangling and failing/stalling readers.
 //!
 //! Every injector is driven by a [`Rng`] stream forked from the plan
-//! seed, so the exact bytes corrupted, the exact read that errors, and the
-//! exact write that tears are pure functions of `(seed, spec)`.
+//! seed, so the exact bytes corrupted and the exact read that errors are
+//! pure functions of `(seed, spec)`.
 
 use crate::plan::FaultSpec;
 use eventlog::frame::{encode_record, NodeRecord};
 use netsim::Rng;
-use refill_store::segment::{BLOCK_MAGIC, BLOCK_HEADER_LEN};
-use refill_store::{OsVfs, Vfs, VfsFile};
 use std::io::{self, Read};
-use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// What the frame mangler did to a stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -162,289 +157,6 @@ impl Read for FaultyReader {
     }
 }
 
-/// How a [`FaultyVfs`] decides to inject.
-enum Trigger {
-    /// Seeded per-operation probabilities.
-    Probabilistic {
-        rng: Rng,
-        write: f64,
-        sync: f64,
-        rename: f64,
-    },
-    /// Fail exactly the `n`th mutating operation (write, fsync or rename,
-    /// counted together in call order), once.
-    AtMutatingOp(u64),
-    /// Fail exactly the `n`th write of a *reports* block, once.
-    AtReportsWrite(u64),
-}
-
-struct VfsState {
-    trigger: Trigger,
-    mutating_ops: u64,
-    reports_writes: u64,
-    injected: u64,
-    fired: bool,
-    journal: Vec<String>,
-}
-
-impl VfsState {
-    fn once(&mut self, matched: bool) -> bool {
-        if matched && !self.fired {
-            self.fired = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn should_fail_write(&mut self, buf: &[u8]) -> bool {
-        let op = self.mutating_ops;
-        self.mutating_ops += 1;
-        let is_reports = buf.len() > BLOCK_HEADER_LEN
-            && buf[..2] == BLOCK_MAGIC
-            && buf[3] == 1;
-        let report_idx = self.reports_writes;
-        if is_reports {
-            self.reports_writes += 1;
-        }
-        let hit = match &mut self.trigger {
-            Trigger::Probabilistic { rng, write, .. } => {
-                let p = *write;
-                rng.gen_bool(p)
-            }
-            Trigger::AtMutatingOp(n) => {
-                let n = *n;
-                self.once(op == n)
-            }
-            Trigger::AtReportsWrite(n) => {
-                let n = *n;
-                self.once(is_reports && report_idx == n)
-            }
-        };
-        if hit {
-            self.injected += 1;
-        }
-        hit
-    }
-
-    fn should_fail(&mut self, kind: &str) -> bool {
-        let op = self.mutating_ops;
-        self.mutating_ops += 1;
-        let hit = match &mut self.trigger {
-            Trigger::Probabilistic {
-                rng, sync, rename, ..
-            } => {
-                let p = if kind == "rename" { *rename } else { *sync };
-                rng.gen_bool(p)
-            }
-            Trigger::AtMutatingOp(n) => {
-                let n = *n;
-                self.once(op == n)
-            }
-            Trigger::AtReportsWrite(_) => false,
-        };
-        if hit {
-            self.injected += 1;
-        }
-        hit
-    }
-}
-
-/// A [`Vfs`] that interposes seeded faults over [`OsVfs`]: torn writes (a
-/// strict prefix of the buffer lands, then an error surfaces), fsync
-/// failures, and rename failures. Every operation is journaled so tests
-/// can assert ordering disciplines (e.g. events-before-reports).
-pub struct FaultyVfs {
-    inner: OsVfs,
-    state: Arc<Mutex<VfsState>>,
-}
-
-impl FaultyVfs {
-    fn with_trigger(trigger: Trigger) -> Arc<FaultyVfs> {
-        Arc::new(FaultyVfs {
-            inner: OsVfs,
-            state: Arc::new(Mutex::new(VfsState {
-                trigger,
-                mutating_ops: 0,
-                reports_writes: 0,
-                injected: 0,
-                fired: false,
-                journal: Vec::new(),
-            })),
-        })
-    }
-
-    /// Seeded per-operation fault probabilities.
-    pub fn probabilistic(rng: Rng, write: f64, sync: f64, rename: f64) -> Arc<FaultyVfs> {
-        Self::with_trigger(Trigger::Probabilistic {
-            rng,
-            write,
-            sync,
-            rename,
-        })
-    }
-
-    /// Fail exactly the `n`th mutating operation (0-based; writes, fsyncs
-    /// and renames counted together), once.
-    pub fn fail_at_op(n: u64) -> Arc<FaultyVfs> {
-        Self::with_trigger(Trigger::AtMutatingOp(n))
-    }
-
-    /// Fail exactly the `n`th write of a reports block (0-based), once —
-    /// the mid-flush injection point for the events-before-reports test.
-    pub fn fail_reports_write(n: u64) -> Arc<FaultyVfs> {
-        Self::with_trigger(Trigger::AtReportsWrite(n))
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.state.lock().unwrap().injected
-    }
-
-    /// Mutating operations observed so far (injected or not).
-    pub fn mutating_ops(&self) -> u64 {
-        self.state.lock().unwrap().mutating_ops
-    }
-
-    /// The operation journal, in call order.
-    pub fn journal(&self) -> Vec<String> {
-        self.state.lock().unwrap().journal.clone()
-    }
-
-    fn log(&self, entry: String) {
-        self.state.lock().unwrap().journal.push(entry);
-    }
-}
-
-struct FaultyFile {
-    inner: Box<dyn VfsFile>,
-    name: String,
-    state: Arc<Mutex<VfsState>>,
-}
-
-impl VfsFile for FaultyFile {
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        let mut state = self.state.lock().unwrap();
-        let fail = state.should_fail_write(buf);
-        let kind = if buf.len() > BLOCK_HEADER_LEN && buf[..2] == BLOCK_MAGIC {
-            if buf[3] == 1 { " kind=reports" } else { " kind=events" }
-        } else {
-            ""
-        };
-        if fail {
-            // A torn write: a strict prefix lands, then the error.
-            let torn = (buf.len() * ((state.mutating_ops as usize) % 97)) / 97;
-            let torn = torn.min(buf.len().saturating_sub(1));
-            state
-                .journal
-                .push(format!("write {}{kind} len={} TORN at {torn}", self.name, buf.len()));
-            drop(state);
-            self.inner.write_all(&buf[..torn])?;
-            return Err(io::Error::other(format!(
-                "injected torn write ({torn} of {} bytes)",
-                buf.len()
-            )));
-        }
-        state
-            .journal
-            .push(format!("write {}{kind} len={}", self.name, buf.len()));
-        drop(state);
-        self.inner.write_all(buf)
-    }
-
-    fn sync_data(&mut self) -> io::Result<()> {
-        let mut state = self.state.lock().unwrap();
-        if state.should_fail("sync") {
-            state.journal.push(format!("sync_data {} FAILED", self.name));
-            return Err(io::Error::other("injected fdatasync failure"));
-        }
-        state.journal.push(format!("sync_data {}", self.name));
-        drop(state);
-        self.inner.sync_data()
-    }
-
-    fn sync_all(&mut self) -> io::Result<()> {
-        let mut state = self.state.lock().unwrap();
-        if state.should_fail("sync") {
-            state.journal.push(format!("sync_all {} FAILED", self.name));
-            return Err(io::Error::other("injected fsync failure"));
-        }
-        state.journal.push(format!("sync_all {}", self.name));
-        drop(state);
-        self.inner.sync_all()
-    }
-}
-
-fn file_name(path: &Path) -> String {
-    path.file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("?")
-        .to_string()
-}
-
-impl Vfs for FaultyVfs {
-    fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        self.log(format!("create {}", file_name(path)));
-        let inner = self.inner.create(path)?;
-        Ok(Box::new(FaultyFile {
-            inner,
-            name: file_name(path),
-            state: Arc::clone(&self.state),
-        }))
-    }
-
-    fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        self.log(format!("open_append {}", file_name(path)));
-        let inner = self.inner.open_append(path)?;
-        Ok(Box::new(FaultyFile {
-            inner,
-            name: file_name(path),
-            state: Arc::clone(&self.state),
-        }))
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.inner.read(path)
-    }
-
-    fn read_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.inner.read_dir(dir)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.log(format!("remove {}", file_name(path)));
-        self.inner.remove_file(path)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut state = self.state.lock().unwrap();
-        if state.should_fail("rename") {
-            state
-                .journal
-                .push(format!("rename {} -> {} FAILED", file_name(from), file_name(to)));
-            return Err(io::Error::other("injected rename failure"));
-        }
-        state
-            .journal
-            .push(format!("rename {} -> {}", file_name(from), file_name(to)));
-        drop(state);
-        self.inner.rename(from, to)
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        self.log(format!("truncate {} to {len}", file_name(path)));
-        self.inner.truncate(path, len)
-    }
-
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        self.inner.sync_dir(dir)
-    }
-
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(dir)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,22 +252,5 @@ mod tests {
         let err = std::io::Read::read_to_end(&mut reader, &mut got).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
         assert_eq!(got, data[..100]);
-    }
-
-    #[test]
-    fn faulty_vfs_fail_at_op_fires_once(){
-        let dir = std::env::temp_dir().join(format!("refill-faultyvfs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let vfs = FaultyVfs::fail_at_op(1);
-        let mut f = vfs.create(&dir.join("a.bin")).unwrap();
-        f.write_all(b"first").unwrap(); // op 0: passes
-        let err = f.write_all(b"second").unwrap_err(); // op 1: torn
-        assert!(err.to_string().contains("injected torn write"));
-        f.write_all(b"third").unwrap(); // fires once only
-        assert_eq!(vfs.injected(), 1);
-        let on_disk = std::fs::read(dir.join("a.bin")).unwrap();
-        assert!(on_disk.starts_with(b"first"));
-        assert!(!on_disk.windows(6).any(|w| w == b"second"), "torn write is a strict prefix");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

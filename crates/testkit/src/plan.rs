@@ -2,14 +2,13 @@
 //!
 //! A [`FaultSpec`] holds the per-boundary fault rates; a [`FaultPlan`]
 //! binds a spec to a seed. Everything downstream — which frame gets a
-//! burst, where the reader dies, which write tears — is a pure function
-//! of the plan, so any failure reproduces from the printed seed and spec
-//! alone.
+//! burst, where the reader dies — is a pure function of the plan, so any
+//! failure reproduces from the printed seed and spec alone.
 
 use netsim::{Rng, RngFactory};
 
 /// Per-boundary fault rates. All probabilities are per-opportunity (per
-/// frame, per record, per filesystem operation), in `[0, 1]`.
+/// frame, per record, per read), in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Per-frame probability of a ≤ 4-byte XOR burst. CRC-32 detects every
@@ -28,13 +27,6 @@ pub struct FaultSpec {
     /// Probability the reader delivers pathologically small chunks
     /// (channel stalls / backpressure on the ingest side).
     pub reader_stall: f64,
-    /// Per-write probability of a torn write in the store (a prefix of
-    /// the buffer lands, then an error surfaces).
-    pub store_write: f64,
-    /// Per-fsync probability of failure in the store.
-    pub store_sync: f64,
-    /// Per-rename probability of failure (manifest commit).
-    pub store_rename: f64,
     /// Maximum per-node clock-skew magnitude, in microseconds, applied as
     /// a constant offset to every timestamp a node logs.
     pub clock_skew_us: u64,
@@ -55,9 +47,6 @@ impl FaultSpec {
             frame_garbage: 0.0,
             reader_error: 0.0,
             reader_stall: 0.0,
-            store_write: 0.0,
-            store_sync: 0.0,
-            store_rename: 0.0,
             clock_skew_us: 0,
             dup_records: 0.0,
             late_records: 0.0,
@@ -72,9 +61,6 @@ impl FaultSpec {
             frame_garbage: 0.01,
             reader_error: 0.1,
             reader_stall: 0.2,
-            store_write: 0.02,
-            store_sync: 0.02,
-            store_rename: 0.02,
             clock_skew_us: 2_000_000,
             dup_records: 0.02,
             late_records: 0.1,
@@ -89,9 +75,6 @@ impl FaultSpec {
             frame_garbage: 0.1,
             reader_error: 0.4,
             reader_stall: 0.6,
-            store_write: 0.15,
-            store_sync: 0.15,
-            store_rename: 0.15,
             clock_skew_us: 3_600_000_000, // an hour of skew
             dup_records: 0.1,
             late_records: 0.4,
@@ -103,7 +86,7 @@ impl FaultSpec {
     /// overrides alone (over `none`).
     ///
     /// Keys: `frame` (corrupt), `truncate`, `garbage`, `reader`, `stall`,
-    /// `store` (write), `sync`, `rename`, `skew` (µs), `dup`, `late`.
+    /// `skew` (µs), `dup`, `late`.
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
         let mut out = FaultSpec::none();
         for (i, part) in spec.split(',').enumerate() {
@@ -140,9 +123,6 @@ impl FaultSpec {
                 "garbage" => out.frame_garbage = prob()?,
                 "reader" => out.reader_error = prob()?,
                 "stall" => out.reader_stall = prob()?,
-                "store" => out.store_write = prob()?,
-                "sync" => out.store_sync = prob()?,
-                "rename" => out.store_rename = prob()?,
                 "dup" => out.dup_records = prob()?,
                 "late" => out.late_records = prob()?,
                 "skew" => {
@@ -159,15 +139,12 @@ impl FaultSpec {
     /// The canonical `key=value` rendering `parse` accepts back.
     pub fn render(&self) -> String {
         format!(
-            "frame={},truncate={},garbage={},reader={},stall={},store={},sync={},rename={},skew={},dup={},late={}",
+            "frame={},truncate={},garbage={},reader={},stall={},skew={},dup={},late={}",
             self.frame_corrupt,
             self.frame_truncate,
             self.frame_garbage,
             self.reader_error,
             self.reader_stall,
-            self.store_write,
-            self.store_sync,
-            self.store_rename,
             self.clock_skew_us,
             self.dup_records,
             self.late_records,
@@ -192,7 +169,7 @@ impl FaultPlan {
     }
 
     /// The independent RNG stream for one fault lane (`"scenario"`,
-    /// `"frames"`, `"reader"`, `"store"`, …).
+    /// `"frames"`, `"reader"`, …).
     pub fn lane(&self, tag: &str) -> Rng {
         RngFactory::new(self.seed).stream(tag, 0)
     }
@@ -229,6 +206,11 @@ mod tests {
         assert!(FaultSpec::parse("frame").is_err());
         assert!(FaultSpec::parse("frame=2.0").is_err());
         assert!(FaultSpec::parse("bogus=0.1").is_err());
+        // The store's filesystem faults went with the store.
+        for gone in ["store", "sync", "rename"] {
+            let err = FaultSpec::parse(&format!("{gone}=0.1")).unwrap_err();
+            assert_eq!(err, format!("unknown fault key '{gone}'"));
+        }
         assert!(FaultSpec::parse("frame=x").is_err());
     }
 

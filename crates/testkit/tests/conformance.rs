@@ -1,7 +1,7 @@
-//! The conformance property: for ANY seed and ANY fault rates, all six
+//! The conformance property: for ANY seed and ANY fault rates, all five
 //! driver paths converge on byte-identical reports over whatever records
-//! survived the injected hostility — and the store lanes either surface
-//! typed errors or recover to a durable prefix, never diverge silently.
+//! survived the injected hostility, and a reader fault surfaces as an error
+//! after the stream converged on the decodable prefix.
 //!
 //! Every failure here is replayable from the seed and spec its message
 //! prints (`refill soak --seed … --cases 1 --faults …`), and from the
@@ -47,9 +47,6 @@ fn arb_spec(rng: &mut Rng) -> FaultSpec {
         frame_garbage: rng.gen_range(0.0..=0.15),
         reader_error: rng.gen_range(0.0..=0.5),
         reader_stall: rng.gen_range(0.0..=0.7),
-        store_write: rng.gen_range(0.0..=0.25),
-        store_sync: rng.gen_range(0.0..=0.25),
-        store_rename: rng.gen_range(0.0..=0.25),
         clock_skew_us: rng.gen_range(0..=4_000_000_000),
         dup_records: rng.gen_range(0.0..=0.15),
         late_records: rng.gen_range(0.0..=0.5),
@@ -57,7 +54,7 @@ fn arb_spec(rng: &mut Rng) -> FaultSpec {
 }
 
 /// THE acceptance property: (scenario, fault plan) pairs drawn across
-/// the whole rate space, every one converging across all six paths.
+/// the whole rate space, every one converging across all five paths.
 ///
 /// Conformance failures minimize further than a case seed: every
 /// `ConformanceError` prints a standalone `refill soak --seed N --cases 1

@@ -1,7 +1,7 @@
 //! `netsim::json` at every boundary that uses it.
 //!
 //! One table holds a value of each type the program writes to (or reads
-//! from) a file, a block or stdout as JSON. Every row must survive
+//! from) a file or stdout as JSON. Every row must survive
 //! `to_json → text → parse → from_json` exactly, through the compact and
 //! the pretty writer alike; then the same texts, mangled at the byte level
 //! by the testkit's injectors, go back through the parser and the decoders,
@@ -10,15 +10,14 @@
 
 use citysee::figures::Fig9Breakdown;
 use citysee::Scenario;
-use eventlog::logger::{LocalLog, LocalTs};
-use eventlog::{merge_logs, Event, EventKind, LossCause, PacketFate, PacketId};
+use eventlog::logger::LocalLog;
+use eventlog::{merge_logs, Event, EventKind, PacketId};
 use netsim::json::{parse, FromJson, Json, JsonErrorKind, ToJson};
-use netsim::{NodeId, Rng, SimTime};
+use netsim::{NodeId, Rng};
 use refill::diagnose::Diagnoser;
 use refill::provenance::CacheDisposition;
 use refill::telemetry::{AtomicRecorder, Counter, Hist, Recorder, Stage, TelemetrySnapshot};
 use refill::{CtpVocabulary, EngineId, NetWarning, PacketReport, Reconstructor, StateId};
-use refill_store::{Manifest, ReportRow, SegmentMeta, SegmentStats, Sidecar};
 use refill_testkit::{garbage_run, truncate_tail, xor_burst};
 use std::fmt::Debug;
 
@@ -58,60 +57,6 @@ fn sample_reports() -> Vec<PacketReport> {
     reports
 }
 
-fn sample_rows() -> Vec<ReportRow> {
-    let diagnoser = Diagnoser::new();
-    let fates = [
-        Some(PacketFate::Lost {
-            at_node: NodeId(2),
-            cause: LossCause::AckedLoss,
-            at: SimTime::from_micros(u64::MAX),
-        }),
-        Some(PacketFate::Delivered { at: SimTime::ZERO }),
-        None,
-    ];
-    sample_reports()
-        .iter()
-        .zip(fates)
-        .map(|(report, fate)| {
-            let sidecar = fate.map(|fate| Sidecar {
-                est_time: Some(SimTime::from_secs(7)),
-                diagnosis: diagnoser.diagnose(report, None),
-                fate: Some(fate),
-            });
-            ReportRow::from_report(report, sidecar)
-        })
-        .chain([ReportRow::from_report(&sample_reports()[0], None)])
-        .collect()
-}
-
-fn sample_manifest() -> Manifest {
-    let mut stats = SegmentStats::default();
-    stats.note_packet(PacketId::new(NodeId(u16::MAX), u32::MAX));
-    stats.note_ts(LocalTs::new(0));
-    stats.note_ts(LocalTs::new(u64::MAX - 1));
-    Manifest {
-        version: refill_store::manifest::MANIFEST_VERSION,
-        segments: vec![
-            SegmentMeta {
-                file: "seg-000001.refill".into(),
-                committed_len: u64::MAX,
-                blocks: 3,
-                events: 2,
-                reports: 1,
-                stats,
-            },
-            SegmentMeta {
-                file: "a \"quoted\" \\ name\n\u{1}é😀".into(),
-                committed_len: 0,
-                blocks: 0,
-                events: 0,
-                reports: 0,
-                stats: SegmentStats::default(),
-            },
-        ],
-    }
-}
-
 fn sample_snapshot() -> TelemetrySnapshot {
     let rec = AtomicRecorder::new();
     rec.add(Counter::CacheHits, u64::MAX);
@@ -140,12 +85,10 @@ fn round_trip<T: ToJson + FromJson + PartialEq + Debug>(x: &T) -> Vec<String> {
 fn corpus() -> Vec<String> {
     let mut docs = Vec::new();
 
-    // The store: manifest, report blocks (rows → report, sidecar).
-    docs.extend(round_trip(&sample_manifest()));
-    docs.extend(round_trip(&sample_rows()));
-    for row in sample_rows() {
-        docs.extend(round_trip(&row));
-        docs.extend(round_trip(&row.report));
+    // Packet reports, alone and as a list.
+    docs.extend(round_trip(&sample_reports()));
+    for report in sample_reports() {
+        docs.extend(round_trip(&report));
     }
 
     // The one report field the samples leave empty.
@@ -213,7 +156,7 @@ fn corpus() -> Vec<String> {
 #[test]
 fn every_boundary_type_round_trips_through_both_writers() {
     let docs = corpus();
-    assert!(docs.len() > 30, "{} documents", docs.len());
+    assert!(docs.len() > 20, "{} documents", docs.len());
     // A percentage that is not a number has no spelling: a typed error.
     let nan = Fig9Breakdown {
         lost_total: 0,
@@ -299,18 +242,11 @@ fn parse_and_decode(bytes: &[u8]) {
         match parsed {
             Err(e) => assert!(e.offset <= bytes.len(), "{e}"),
             Ok(v) => {
-                let _ = Manifest::from_json(&v).map(|m| m.to_json());
-                let _ = Vec::<ReportRow>::from_json(&v);
                 let _ = PacketReport::from_json(&v).map(|r| {
                     (0..r.flow.len())
                         .map(|i| r.flow.deps_of(i).len())
                         .sum::<usize>()
                 });
-                // A mangled row is refused or is a row: what it decodes to
-                // survives its own round trip.
-                if let Ok(row) = ReportRow::from_json(&v) {
-                    assert_eq!(ReportRow::from_json(&row.to_json()).as_ref(), Ok(&row));
-                }
                 let _ = TelemetrySnapshot::from_json(&v);
                 let _ = Scenario::from_json(&v);
             }

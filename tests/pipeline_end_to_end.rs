@@ -34,7 +34,7 @@ fn end_to_end_quality_bar() {
 }
 
 #[test]
-#[ignore = "kernel finding, ROADMAP item 2: DESIGN §5 invariant 4 fails — complete logs still trigger inference (precision 0.78 at zero chunk loss)"]
+#[ignore = "kernel finding, ROADMAP items 2, 15 and 21: DESIGN §5 invariant 4 fails on one entry — a recv at n55 for packet n46#1, forced by n47's ack recvd after a THL drop the simulator logs no recv for"]
 fn lossless_logs_need_no_inference() {
     // DESIGN.md invariant 4: with complete logs, nothing is inferred and
     // nothing is omitted.
