@@ -25,44 +25,11 @@ const CRC_TABLE: [u32; 256] = {
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    Crc32::new().update(bytes).finish()
-}
-
-/// Incremental CRC-32: feed disjoint byte runs without concatenating them.
-///
-/// `crc32(ab)` equals `Crc32::new().update(a).update(b).finish()`, so
-/// multi-part headers (version + length + payload) can be checksummed
-/// without an intermediate buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Start a fresh checksum.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
+    let mut state = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        state = CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
     }
-
-    /// Absorb `bytes`, returning `self` for chaining.
-    #[must_use]
-    pub fn update(mut self, bytes: &[u8]) -> Self {
-        for &b in bytes {
-            self.state = CRC_TABLE[((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-        self
-    }
-
-    /// Finalize.
-    pub fn finish(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
+    state ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -78,18 +45,5 @@ mod tests {
     #[test]
     fn crc32_empty() {
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn incremental_equals_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        for split in 0..data.len() {
-            let (a, b) = data.split_at(split);
-            assert_eq!(
-                Crc32::new().update(a).update(b).finish(),
-                crc32(data),
-                "split at {split}"
-            );
-        }
     }
 }

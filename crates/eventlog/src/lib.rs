@@ -26,7 +26,7 @@ pub mod logger;
 pub mod merge;
 pub mod watermark;
 
-pub use checksum::{crc32, Crc32};
+pub use checksum::crc32;
 pub use clock::ClockModel;
 pub use collect::{CollectionConfig, LossyCollector};
 pub use columnar::{encode_row, ColumnarIndex, EventStore};
@@ -38,6 +38,6 @@ pub use merge::{
     merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store, MergedLog,
     PacketIndex,
 };
-pub use watermark::{Lateness, Mark, WatermarkTracker};
+pub use watermark::{Lateness, Mark};
 
 pub use netsim::{NodeId, SimTime};

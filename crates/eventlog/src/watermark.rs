@@ -5,10 +5,10 @@
 //! node clocks are unsynchronized and drifting (see [`crate::clock`]) —
 //! but each node's *own* log is delivered in recording order, so each
 //! node's local timestamps (and, failing those, its record count) advance
-//! monotonically. A [`WatermarkTracker`] tracks that per-node progress;
-//! windowing layers compare a node's current [`Mark`] against the mark at
-//! the time of the node's last contribution to a packet, never comparing
-//! clocks *across* nodes.
+//! monotonically. A node's [`Mark`] is that progress; windowing layers keep
+//! one per node and ask [`Lateness::passed`] whether a node's current mark
+//! has moved far enough past its mark at its last contribution to a packet,
+//! never comparing clocks *across* nodes.
 //!
 //! A window that closes once the evidence it names is in closes once per
 //! packet; one closed too early is reopened by the late arrival, so the
@@ -16,8 +16,6 @@
 //! converges to the batch answer either way.
 
 use crate::logger::LocalTs;
-use netsim::fx::FxHashMap;
-use netsim::NodeId;
 
 /// One node's stream progress.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,45 +53,31 @@ impl Default for Lateness {
     }
 }
 
-/// Tracks every node's high-water [`Mark`].
-#[derive(Debug, Default)]
-pub struct WatermarkTracker {
-    marks: FxHashMap<NodeId, Mark>,
+impl Mark {
+    /// Count one more delivered record from this node, stamped `local_ts`,
+    /// and return the updated mark. Timestamps only ever advance the mark (a
+    /// locally-delayed reading never moves a watermark backwards).
+    pub fn advance(&mut self, local_ts: Option<LocalTs>) -> Mark {
+        self.records += 1;
+        if let Some(ts) = local_ts {
+            self.ts_us = self.ts_us.max(ts.get());
+        }
+        *self
+    }
 }
 
-impl WatermarkTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        WatermarkTracker::default()
-    }
-
-    /// Record one delivered record from `node`; returns its updated mark.
-    /// Timestamps only ever advance the mark (a locally-delayed reading
-    /// never moves a watermark backwards).
-    pub fn advance(&mut self, node: NodeId, local_ts: Option<LocalTs>) -> Mark {
-        let mark = self.marks.entry(node).or_default();
-        mark.records += 1;
-        if let Some(ts) = local_ts {
-            mark.ts_us = mark.ts_us.max(ts.get());
-        }
-        *mark
-    }
-
-    /// The current mark of `node` (zero if never seen).
-    pub fn mark(&self, node: NodeId) -> Mark {
-        self.marks.get(&node).copied().unwrap_or_default()
-    }
-
-    /// Has `node` moved far enough past `since` (its mark at some earlier
-    /// observation) to consider that point passed?
-    pub fn passed(&self, node: NodeId, since: Mark, lateness: Lateness) -> bool {
-        let now = self.mark(node);
-        if now.records >= since.records.saturating_add(lateness.records) {
+impl Lateness {
+    /// Has a node whose mark is now `now` moved far enough past `since`
+    /// (its mark at some earlier observation) to consider that point passed?
+    /// Monotone: once passed, a later `now` passes too, and so does an
+    /// earlier `since`.
+    pub fn passed(&self, now: Mark, since: Mark) -> bool {
+        if now.records >= since.records.saturating_add(self.records) {
             return true;
         }
         // The time bound needs real timestamps and real progress; an
         // untimestamped node sits at ts 0 forever and must not pass early.
-        now.ts_us > since.ts_us && now.ts_us >= since.ts_us.saturating_add(lateness.micros)
+        now.ts_us > since.ts_us && now.ts_us >= since.ts_us.saturating_add(self.micros)
     }
 }
 
@@ -101,69 +85,68 @@ impl WatermarkTracker {
 mod tests {
     use super::*;
 
-    fn n(i: u16) -> NodeId {
-        NodeId(i)
+    /// A node's mark after records stamped `stamps`.
+    fn fed(stamps: &[Option<u64>]) -> Mark {
+        let mut mark = Mark::default();
+        for &ts in stamps {
+            mark.advance(ts.and_then(LocalTs::new));
+        }
+        mark
     }
 
     #[test]
     fn marks_start_at_zero() {
-        let t = WatermarkTracker::new();
-        assert_eq!(t.mark(n(1)), Mark::default());
+        assert_eq!(fed(&[]), Mark { ts_us: 0, records: 0 });
     }
 
     #[test]
     fn advance_counts_records_and_maxes_timestamps() {
-        let mut t = WatermarkTracker::new();
-        t.advance(n(1), LocalTs::new(100));
-        t.advance(n(1), LocalTs::new(50)); // a delayed reading must not regress
-        let m = t.advance(n(1), None);
+        let mut mark = fed(&[Some(100), Some(50)]); // a delayed reading must not regress
+        let m = mark.advance(None);
         assert_eq!(m, Mark { ts_us: 100, records: 3 });
-        assert_eq!(t.mark(n(1)), m);
-        assert_eq!(t.mark(n(2)), Mark::default());
+        assert_eq!(mark, m);
     }
 
     #[test]
     fn passed_by_record_quota() {
-        let mut t = WatermarkTracker::new();
         let lateness = Lateness { records: 3, micros: u64::MAX };
-        let since = t.advance(n(1), None);
-        assert!(!t.passed(n(1), since, lateness));
-        t.advance(n(1), None);
-        t.advance(n(1), None);
-        assert!(!t.passed(n(1), since, lateness), "two more records: not yet");
-        t.advance(n(1), None);
-        assert!(t.passed(n(1), since, lateness), "three more records: passed");
+        let mut now = fed(&[None]);
+        let since = now;
+        assert!(!lateness.passed(now, since));
+        now.advance(None);
+        now.advance(None);
+        assert!(!lateness.passed(now, since), "two more records: not yet");
+        now.advance(None);
+        assert!(lateness.passed(now, since), "three more records: passed");
     }
 
     #[test]
     fn passed_by_local_time() {
-        let mut t = WatermarkTracker::new();
         let lateness = Lateness { records: u64::MAX, micros: 1_000 };
-        let since = t.advance(n(1), LocalTs::new(10_000));
-        t.advance(n(1), LocalTs::new(10_500));
-        assert!(!t.passed(n(1), since, lateness));
-        t.advance(n(1), LocalTs::new(11_000));
-        assert!(t.passed(n(1), since, lateness));
+        let mut now = fed(&[Some(10_000)]);
+        let since = now;
+        now.advance(LocalTs::new(10_500));
+        assert!(!lateness.passed(now, since));
+        now.advance(LocalTs::new(11_000));
+        assert!(lateness.passed(now, since));
     }
 
     #[test]
     fn untimestamped_nodes_never_pass_on_time_alone() {
-        let mut t = WatermarkTracker::new();
         let lateness = Lateness { records: u64::MAX, micros: 0 };
-        let since = t.advance(n(1), None);
-        t.advance(n(1), None);
+        let mut now = fed(&[None]);
+        let since = now;
+        now.advance(None);
         assert!(
-            !t.passed(n(1), since, lateness),
+            !lateness.passed(now, since),
             "ts stuck at zero: no strict progress, no pass"
         );
     }
 
     #[test]
     fn quota_overflow_saturates() {
-        let mut t = WatermarkTracker::new();
         let since = Mark { ts_us: u64::MAX - 1, records: u64::MAX - 1 };
         let lateness = Lateness { records: u64::MAX, micros: u64::MAX };
-        t.advance(n(1), LocalTs::new(5));
-        assert!(!t.passed(n(1), since, lateness));
+        assert!(!lateness.passed(fed(&[Some(5)]), since));
     }
 }

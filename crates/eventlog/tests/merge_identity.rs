@@ -24,7 +24,7 @@
 use eventlog::{
     encode_row, merge_logs, merge_logs_kway, merge_logs_partitioned, merge_logs_store,
     ColumnarIndex, Event, EventKind, EventStore, LocalLog, LocalTs, LogEntry,
-    MergedLog, PacketId, PacketIndex, WatermarkTracker,
+    MergedLog, PacketId, PacketIndex,
 };
 use netsim::NodeId;
 
@@ -436,8 +436,7 @@ fn shuffle<T>(rng: &mut SplitMix64, items: &mut [T]) {
 }
 
 /// Where an entry sits in `merge_logs`' order: `position` is its place in
-/// its own node's log (a `WatermarkTracker` fed that log gives it as
-/// `Mark::records`). For logs of distinct nodes, a packet's group of the
+/// its own node's log. For logs of distinct nodes, a packet's group of the
 /// merge is its entries sorted by this key — whatever order the logs are
 /// listed in, and whatever their clocks read.
 fn packet_order(position: u64, node: NodeId) -> (u64, NodeId) {
@@ -445,17 +444,13 @@ fn packet_order(position: u64, node: NodeId) -> (u64, NodeId) {
 }
 
 /// Every packet's events sorted by `packet_order`, each entry keyed by its
-/// position in its log as a `WatermarkTracker` fed that log counts it: the
-/// grouping the merge should produce, built without merging.
+/// position in its log: the grouping the merge should produce, built without
+/// merging.
 fn groups_by_packet_order(logs: &[LocalLog]) -> Vec<(PacketId, Vec<Event>)> {
-    let mut tracker = WatermarkTracker::new();
     let mut keyed: Vec<_> = logs
         .iter()
-        .flat_map(|log| log.entries.iter().map(move |e| (log.node, e)))
-        .map(|(node, e)| {
-            let mark = tracker.advance(node, e.local_ts);
-            (e.event.packet, packet_order(mark.records, node), e.event)
-        })
+        .flat_map(|log| log.entries.iter().enumerate().map(move |(i, e)| (log.node, i, e)))
+        .map(|(node, i, e)| (e.event.packet, packet_order(i as u64, node), e.event))
         .collect();
     keyed.sort_by_key(|&(packet, key, _)| (packet, key));
     let mut groups: Vec<(PacketId, Vec<Event>)> = Vec::new();

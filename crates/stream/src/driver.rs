@@ -9,8 +9,8 @@
 //! records it hands over — the record sequence alone decides when windows
 //! close and reports emit, however the bytes were chunked. `ingest` only
 //! queues a record on its node's lane; records are absorbed when some lane
-//! is full (256 records) and at the final flush, so a poll with nothing
-//! absorbed since the last one returns at once. The bounded channel is the
+//! is full (256 records) and at the final flush, so a poll with no window
+//! woken since the last one returns at once. The bounded channel is the
 //! backpressure spine: when reconstruction falls behind, the ingest worker
 //! blocks on `send` instead of buffering without limit. Shutdown is graceful
 //! by construction — the ingest worker drops its sender at EOF (or on a read

@@ -13,8 +13,10 @@
 //!    contributing node has moved past its last contribution and every
 //!    peer the window's events name has moved past the moment it was named
 //!    (in its own clock, through pairwise offsets learned from the flows),
-//!    so a packet is closed about once. A window
-//!    keeps its events in arrival order, which keeps each node's order —
+//!    so a packet is closed about once. A sweep tests only the windows
+//!    whose one watched condition can have come true since — per-node
+//!    wake-up queues in the node table, not a scan of every open window. A
+//!    window keeps its events in arrival order, which keeps each node's order —
 //!    all the kernel reads — and a record for a closed window reopens it,
 //!    so every close is the batch answer over what was absorbed and
 //!    `finish()` is the batch answer over everything ingested, however it
@@ -31,6 +33,12 @@
 
 pub mod driver;
 pub mod reconstructor;
+
+/// The record streams `tests/stream_identity.rs` pins, for the unit tests
+/// that check every sweep against a scan.
+#[cfg(test)]
+#[path = "../tests/soup/mod.rs"]
+mod soup;
 
 pub use driver::{run_stream, run_stream_observed, DriverConfig, MetricsCadence, StreamSummary};
 pub use reconstructor::{StreamReconstructor, StreamStats};

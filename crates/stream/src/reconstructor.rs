@@ -31,6 +31,28 @@
 //! *when* a window closes: a record arriving after its window closed
 //! *reopens* the window and the packet is re-reconstructed.
 //!
+//! ## Wake-ups
+//!
+//! A sweep tests only the windows whose wait may be over. A window that
+//! fails the rule watches the first condition it does not meet, and is
+//! tested again when that condition can have become true. Only a record it
+//! absorbs changes a window's own conditions, and that record's threshold
+//! is itself a false condition to watch, so absorbing needs no test. What
+//! the conditions read only moves one way: marks grow, a pair's reached hop
+//! grows, a linked pair's offset never changes (the first edge is kept and a
+//! union keeps the differences inside each set), and a node turns timed
+//! once. So each wait has exact wake-ups, filed in the node table:
+//!
+//! * a contributor's threshold, queued at absorb time in its node's FIFO —
+//!   marks arrive in order, so the thresholds do too, and the FIFO is popped
+//!   as the node's mark passes them;
+//! * a named peer's first record, a newer hop of the pair, or the union that
+//!   links the pair; once linked, the peer's clock reaching the due reading.
+//!
+//! A wake-up runs the whole rule again, so waking too often costs a test and
+//! never a close; a condition that turns true without one would be a missed
+//! close.
+//!
 //! A window keeps its events in the order they were absorbed. That keeps
 //! each node's own order, which is all the kernel reads: its report is the
 //! same for every interleave of the nodes that keeps it. No clock enters
@@ -54,14 +76,16 @@
 //! the caller where it lies. Only `poll` and `finish` clone.
 
 use eventlog::frame::NodeRecord;
-use eventlog::watermark::{Lateness, Mark, WatermarkTracker};
+use eventlog::logger::LocalTs;
+use eventlog::watermark::{Lateness, Mark};
 use eventlog::{Event, EventKind, PacketId};
-use netsim::fx::{FxHashMap, FxHashSet};
+use netsim::fx::FxHashMap;
 use netsim::{available_workers, NodeId};
 use refill::parallel::par_map;
 use refill::telemetry::{Counter, Hist, Recorder, Stage, StageTimer};
 use refill::{PacketReport, Reconstructor};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Records a lane holds before the next one for its node pumps every lane.
@@ -79,6 +103,9 @@ pub struct StreamStats {
     pub windows_reopened: u64,
     /// Records that found their node's lane full and pumped every lane.
     pub backpressure: u64,
+    /// Open windows tested against the close rule by mid-stream sweeps: the
+    /// ones woken since the sweep before.
+    pub window_tests: u64,
 }
 
 /// Everything the online path keeps about one packet.
@@ -87,21 +114,24 @@ struct PacketState {
     /// The window's events in arrival order — what the kernel is handed at
     /// every close. The length doubles as the window's event count.
     events: Vec<Event>,
-    /// Each contributing node's mark at its *last* contribution. A handful
-    /// per packet, so a linear search beats a map.
-    contributors: Vec<(NodeId, Mark)>,
+    /// Each contributing node (its slot in the node table) with its mark at
+    /// its *last* contribution. A handful per packet, so a linear search
+    /// beats a map.
+    contributors: Vec<(u32, Mark)>,
     /// Every (node, peer) pair the window's events name. A named peer that
     /// has not contributed is waited for: `trans to B` needs B's `recv`,
     /// `recv from A` A's `trans`.
     named: Vec<Naming>,
     closed: bool,
+    /// What the window waits on while it is open and not queued for a test.
+    watch: Watch,
 }
 
-/// What `namer`'s records in one window say about `peer`.
+/// What `namer`'s records in one window say about `peer` (both node slots).
 #[derive(Clone, Copy)]
 struct Naming {
-    namer: NodeId,
-    peer: NodeId,
+    namer: u32,
+    peer: u32,
     /// The namer's mark at its latest record naming the peer, and whether
     /// that record carried a timestamp.
     since: Mark,
@@ -122,12 +152,12 @@ impl PacketState {
     /// frame's arrival and the other its ack — a hop delay apart.
     fn name(
         &mut self,
-        node: NodeId,
-        peer: NodeId,
+        node: u32,
+        peer: u32,
         kind: EventKind,
         mark: Mark,
         timed: bool,
-    ) -> Option<[(NodeId, Mark); 2]> {
+    ) -> Option<[(u32, Mark); 2]> {
         let acked = matches!(kind, EventKind::AckRecvd { .. });
         let end = (acked || kind.is_receiver_side()).then_some(acked);
         let at = match self.named.iter().position(|w| (w.namer, w.peer) == (node, peer)) {
@@ -155,59 +185,407 @@ impl PacketState {
         (theirs.ends == 1 && theirs.end == Some(!acked))
             .then_some([(peer, theirs.since), (node, mark)])
     }
+
+    fn contributed(&self, node: u32) -> bool {
+        self.contributors.iter().any(|&(at, _)| at == node)
+    }
 }
 
-/// What the flows have taught about pairs of nodes: how their clocks differ
-/// and how far their logs have come.
-///
-/// Offsets are a weighted union-find over node potentials, fed one edge per
-/// hop whose two ends both carry a reading: `ts(b) − ts(a)` is the pair's
-/// offset up to one hop delay. The first edge that joins two sets is kept;
-/// later edges between linked nodes add nothing.
-#[derive(Default)]
-struct Links {
-    /// Every node that is not the root of its set: its parent and
-    /// `potential(node) − potential(parent)`.
-    up: FxHashMap<NodeId, (NodeId, i64)>,
-    /// Nodes that have delivered a timestamped record.
-    timed: FxHashSet<NodeId>,
-    /// For each ordered pair `(a, b)` that shared a hop, the largest record
-    /// count `a` had at its end of one: `b`'s log has reached that hop.
-    reached: FxHashMap<(NodeId, NodeId), u64>,
+/// The one condition an open window that failed the close rule waits on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Watch {
+    /// Closed, or queued for a test at the next sweep.
+    Idle,
+    /// A contributor's mark passing the contribution `records` counts.
+    Contributor { node: u32, records: u64 },
+    /// The named `peer` of `namer`; the wake-ups filed for this wait carry
+    /// the tag.
+    Peer { tag: u32, namer: u32, peer: u32 },
 }
 
-impl Links {
-    /// `node`'s root and `potential(node) − potential(root)`.
-    fn root(&self, mut node: NodeId) -> (NodeId, i64) {
-        let mut sum = 0i64;
-        while let Some(&(up, d)) = self.up.get(&node) {
-            sum = sum.wrapping_add(d);
-            node = up;
+/// What a wake-up reports: a node's mark passed one of its contributions,
+/// or a named-peer wait's condition moved.
+#[derive(Clone, Copy)]
+enum Wake {
+    Passed { node: u32, records: u64 },
+    Peer(u32),
+}
+
+impl Watch {
+    /// Is this the wait `wake` is for?
+    fn woken_by(self, wake: Wake) -> bool {
+        match (self, wake) {
+            (Watch::Contributor { node, records }, Wake::Passed { node: n, records: r }) => {
+                (node, records) == (n, r)
+            }
+            (Watch::Peer { tag, .. }, Wake::Peer(t)) => tag == t,
+            _ => false,
         }
-        (node, sum)
+    }
+}
+
+/// A named-peer wake-up as the lists file it: the window's slot and its
+/// wait's tag.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Wait {
+    slot: u32,
+    tag: u32,
+}
+
+impl Wait {
+    /// Is `w` the wait its window is in? A wake-up that is not is stale.
+    fn current(self, packets: &[PacketState]) -> bool {
+        packets[self.slot as usize].watch.woken_by(Wake::Peer(self.tag))
+    }
+}
+
+/// A named-peer wait as its lists file it: the wake-up, the namer, and the
+/// namer's record count at the naming, which the pair's reached hop must
+/// pass.
+#[derive(Clone, Copy)]
+struct Filed {
+    w: Wait,
+    namer: u32,
+    since: u64,
+}
+
+/// The windows the next sweep tests.
+#[derive(Default)]
+struct Wakes {
+    /// Exactly the open windows whose wait is [`Watch::Idle`].
+    woken: Vec<u32>,
+    /// The tag of the latest named-peer wait. It may wrap: a stale wake-up
+    /// that matches by accident only costs a test.
+    tag: u32,
+}
+
+impl Wakes {
+    /// Queue window `slot` for the next sweep if `wake` is for the wait it
+    /// is in; a wake-up that is not is stale.
+    fn fire(&mut self, packets: &mut [PacketState], slot: u32, wake: Wake) {
+        let packet = &mut packets[slot as usize];
+        if packet.watch.woken_by(wake) {
+            packet.watch = Watch::Idle;
+            self.woken.push(slot);
+        }
     }
 
-    /// [`Links::root`], pointing every node on the way at the root.
-    fn compress(&mut self, node: NodeId) -> (NodeId, i64) {
+    /// A new tag for `slot`'s wait on `namer`'s named `peer`.
+    fn wait(&mut self, slot: u32, namer: u32, peer: u32) -> (Wait, Watch) {
+        self.tag = self.tag.wrapping_add(1);
+        let tag = self.tag;
+        (Wait { slot, tag }, Watch::Peer { tag, namer, peer })
+    }
+}
+
+/// Marks a missing list cell or parent.
+const NONE: u32 = u32::MAX;
+
+/// A FIFO list whose cells live in a [`Cells`] arena.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl Default for List {
+    fn default() -> Self {
+        List {
+            head: NONE,
+            tail: NONE,
+        }
+    }
+}
+
+/// One arena for many FIFO lists of `T`: a freed cell is reused, so the
+/// lists together ask the allocator for memory only as their peak total
+/// grows.
+struct Cells<T> {
+    cells: Vec<(T, u32)>,
+    free: u32,
+}
+
+impl<T: Copy> Cells<T> {
+    fn new() -> Self {
+        Cells {
+            cells: Vec::new(),
+            free: NONE,
+        }
+    }
+
+    fn push(&mut self, list: &mut List, item: T) {
+        let at = if self.free == NONE {
+            self.cells.push((item, NONE));
+            self.cells.len() as u32 - 1
+        } else {
+            let at = self.free;
+            self.free = self.cells[at as usize].1;
+            self.cells[at as usize] = (item, NONE);
+            at
+        };
+        match list.tail {
+            NONE => list.head = at,
+            tail => self.cells[tail as usize].1 = at,
+        }
+        list.tail = at;
+    }
+
+    fn pop(&mut self, list: &mut List) -> Option<T> {
+        let at = list.head;
+        if at == NONE {
+            return None;
+        }
+        let (item, next) = self.cells[at as usize];
+        list.head = next;
+        if next == NONE {
+            list.tail = NONE;
+        }
+        self.cells[at as usize].1 = self.free;
+        self.free = at;
+        Some(item)
+    }
+}
+
+/// Everything the stream keeps about one node.
+///
+/// What every absorbed record reads and writes comes first, in one cache
+/// line; the rest is read per pump or per wait.
+#[repr(C, align(64))]
+struct Node {
+    /// Records absorbed so far and the newest reading among them.
+    mark: Mark,
+    /// The node's contributions its mark has not passed yet: each record's
+    /// window with the mark at it, oldest first, so the front passes first.
+    thresholds: VecDeque<(u32, Mark)>,
+    /// The soonest reading in `due` (`u64::MAX`: none).
+    next_due: u64,
+    /// Whether one of the records carried a timestamp.
+    timed: bool,
+    id: NodeId,
+    /// Records ingested and not yet absorbed.
+    lane: VecDeque<NodeRecord>,
+    /// Clock offsets as a weighted union-find over node potentials: the
+    /// parent's slot (the node's own at a root) and `potential(node) −
+    /// potential(parent)`.
+    up: u32,
+    diff: i64,
+    /// Named-peer waits for the node's first record.
+    first: List,
+    /// At a root: named-peer waits whose peer is in this set and whose namer
+    /// is not, with the namer.
+    unlinked: List,
+    /// Named-peer waits for the node's clock to reach a reading, soonest
+    /// first.
+    due: BinaryHeap<Reverse<(u64, Wait)>>,
+}
+
+/// Why a window does not close yet: the first condition of the rule it
+/// fails.
+enum Unmet {
+    /// A contributor's mark has not passed its last contribution.
+    Contributor { node: u32, records: u64 },
+    /// A named peer has delivered nothing.
+    First { namer: u32, peer: u32, since: u64 },
+    /// A named peer is heard but not linked to the namer, nor has its log
+    /// reached a hop the namer logged after its record count `since`.
+    Unlinked { namer: u32, peer: u32, since: u64 },
+    /// A linked peer's clock is short of the due reading (`None`: past
+    /// every reading), and its log has not reached such a hop either.
+    Due { namer: u32, peer: u32, since: u64, due: Option<u64> },
+}
+
+/// The node table: every per-node fact, and what the flows have taught about
+/// pairs of nodes — how their clocks differ and how far their logs have come.
+///
+/// Offsets are fed one edge per hop whose two ends both carry a reading:
+/// `ts(b) − ts(a)` is the pair's offset up to one hop delay. The first edge
+/// that joins two sets is kept; later edges between linked nodes add nothing.
+struct Nodes {
+    /// `NodeId` → slot + 1, 0 for a node not seen: a `NodeId` is a `u16`, so
+    /// this interns without hashing. It grows to the largest id seen.
+    slot_of: Vec<u32>,
+    nodes: Vec<Node>,
+    /// Slots in node-id order, the order lanes are pumped in: absorb order
+    /// decides which hop links two clock sets.
+    order: Vec<u32>,
+    /// For each ordered pair `(a, b)` of slots that shared a hop or is waited
+    /// on: the largest record count `a` had at its end of one — `b`'s log
+    /// has reached that hop — and the least count a wait on the pair needs
+    /// it to pass (`u64::MAX`: none).
+    reached: FxHashMap<(u32, u32), (u64, u64)>,
+    /// Named-peer waits for a pair's reached hop to pass a record count:
+    /// `(namer, peer, since, wait)`, so a pair's waits sort by what they need.
+    reach_waits: BTreeSet<(u32, u32, u64, Wait)>,
+    /// The cells of every list of named-peer waits: `first`, `unlinked` and
+    /// each pair's `waits`.
+    waits: Cells<Filed>,
+}
+
+impl Nodes {
+    fn new() -> Self {
+        Nodes {
+            slot_of: Vec::new(),
+            nodes: Vec::new(),
+            order: Vec::new(),
+            reached: FxHashMap::default(),
+            reach_waits: BTreeSet::new(),
+            waits: Cells::new(),
+        }
+    }
+
+    fn slot(&self, id: NodeId) -> Option<u32> {
+        self.slot_of.get(usize::from(id.0))?.checked_sub(1)
+    }
+
+    fn intern(&mut self, id: NodeId) -> u32 {
+        if let Some(slot) = self.slot(id) {
+            return slot;
+        }
+        let slot = self.nodes.len() as u32;
+        let at = usize::from(id.0);
+        if at >= self.slot_of.len() {
+            self.slot_of.resize(at + 1, 0);
+        }
+        self.slot_of[at] = slot + 1;
+        self.nodes.push(Node {
+            mark: Mark::default(),
+            thresholds: VecDeque::new(),
+            next_due: u64::MAX,
+            timed: false,
+            id,
+            lane: VecDeque::new(),
+            up: slot,
+            diff: 0,
+            first: List::default(),
+            unlinked: List::default(),
+            due: BinaryHeap::new(),
+        });
+        let rank = self.order.partition_point(|&s| self.nodes[s as usize].id < id);
+        self.order.insert(rank, slot);
+        slot
+    }
+
+    fn mark(&self, node: u32) -> Mark {
+        self.nodes[node as usize].mark
+    }
+
+    /// Absorb one record of `node` stamped `ts` into its mark, and wake what
+    /// the move fulfils: waits for its first record, for its clock, and the
+    /// contributions it has now passed.
+    fn advance(
+        &mut self,
+        node: u32,
+        ts: Option<LocalTs>,
+        lateness: Lateness,
+        packets: &mut [PacketState],
+        wakes: &mut Wakes,
+    ) -> Mark {
+        let Nodes {
+            nodes,
+            reached,
+            reach_waits,
+            waits,
+            ..
+        } = self;
+        let at = &mut nodes[node as usize];
+        let before = at.mark;
+        let mark = at.mark.advance(ts);
+        at.timed |= ts.is_some();
+        if before.records == 0 {
+            // A timed first record leaves a wait for a union or a later hop:
+            // no record of the node linked it or reached a hop before.
+            let mut first = std::mem::take(&mut at.first);
+            while let Some(filed) = waits.pop(&mut first) {
+                if ts.is_none() {
+                    wakes.fire(packets, filed.w.slot, Wake::Peer(filed.w.tag));
+                } else if filed.w.current(packets) {
+                    let least = &mut reached.entry((filed.namer, node)).or_insert((0, u64::MAX)).1;
+                    *least = (*least).min(filed.since);
+                    reach_waits.insert((filed.namer, node, filed.since, filed.w));
+                    waits.push(&mut at.unlinked, filed);
+                }
+            }
+        }
+        if mark.ts_us >= at.next_due {
+            while let Some(&Reverse((due, w))) = at.due.peek() {
+                if due > mark.ts_us {
+                    break;
+                }
+                at.due.pop();
+                wakes.fire(packets, w.slot, Wake::Peer(w.tag));
+            }
+            at.next_due = at.due.peek().map_or(u64::MAX, |&Reverse((due, _))| due);
+        }
+        while let Some(&(slot, since)) = at.thresholds.front() {
+            if !lateness.passed(mark, since) {
+                break;
+            }
+            at.thresholds.pop_front();
+            let records = since.records;
+            wakes.fire(packets, slot, Wake::Passed { node, records });
+        }
+        mark
+    }
+
+    /// Queue `node`'s contribution at `mark` to window `slot` unless the mark
+    /// has already passed it; returns whether it was queued.
+    fn contributed(&mut self, node: u32, slot: u32, mark: Mark, lateness: Lateness) -> bool {
+        let pending = !lateness.passed(mark, mark);
+        if pending {
+            self.nodes[node as usize].thresholds.push_back((slot, mark));
+        }
+        pending
+    }
+
+    /// `node`'s root and `potential(node) − potential(root)`.
+    fn root(&self, mut node: u32) -> (u32, i64) {
+        let mut sum = 0i64;
+        loop {
+            let at = &self.nodes[node as usize];
+            if at.up == node {
+                return (node, sum);
+            }
+            sum = sum.wrapping_add(at.diff);
+            node = at.up;
+        }
+    }
+
+    /// [`Nodes::root`], pointing every node on the way at the root.
+    fn compress(&mut self, node: u32) -> (u32, i64) {
         let (root, sum) = self.root(node);
         let (mut at, mut rest) = (node, sum);
-        while let Some(&(up, d)) = self.up.get(&at) {
-            self.up.insert(at, (root, rest));
+        while at != root {
+            let n = &mut self.nodes[at as usize];
+            let (up, d) = (n.up, n.diff);
+            (n.up, n.diff) = (root, rest);
             (at, rest) = (up, rest.wrapping_sub(d));
         }
         (root, sum)
     }
 
-    /// Note one hop's two ends, each a node and its mark there.
-    fn hop(&mut self, [(a, at_a), (b, at_b)]: [(NodeId, Mark); 2]) {
+    /// Note one hop's two ends, each a node and its mark there, and wake the
+    /// waits on the pair.
+    fn hop(&mut self, ends: [(u32, Mark); 2], packets: &mut [PacketState], wakes: &mut Wakes) {
+        let [(a, at_a), (b, at_b)] = ends;
+        const FIRST: Wait = Wait { slot: 0, tag: 0 };
         for (x, y, at) in [(a, b, at_a), (b, a, at_b)] {
-            let reached = self.reached.entry((x, y)).or_default();
+            let (reached, least) = self.reached.entry((x, y)).or_insert((0, u64::MAX));
             *reached = (*reached).max(at.records);
+            if *least >= *reached {
+                continue;
+            }
+            let passed = (x, y, 0, FIRST)..(x, y, *reached, FIRST);
+            while let Some(&wait) = self.reach_waits.range(passed.clone()).next() {
+                self.reach_waits.remove(&wait);
+                wakes.fire(packets, wait.3.slot, Wake::Peer(wait.3.tag));
+            }
+            let rest = self.reach_waits.range((x, y, 0, FIRST)..(x, y + 1, 0, FIRST)).next();
+            *least = rest.map_or(u64::MAX, |&(_, _, since, _)| since);
         }
         // A reading of 0 is a clock still clamped at zero, not a time.
         if at_a.ts_us > 0 && at_b.ts_us > 0 {
             if let Ok(d) = i64::try_from(i128::from(at_b.ts_us) - i128::from(at_a.ts_us)) {
-                self.link(a, b, d);
+                self.link(a, b, d, packets, wakes);
             }
         }
     }
@@ -215,45 +593,127 @@ impl Links {
     /// Has `b`'s log reached a hop that `a` logged after `since`? Each log
     /// is in order, so `b` has logged what it had to say of `a`'s earlier
     /// hops.
-    fn reached(&self, a: NodeId, b: NodeId, since: Mark) -> bool {
-        self.reached.get(&(a, b)).is_some_and(|&at| at > since.records)
+    fn reached(&self, a: u32, b: u32, since: Mark) -> bool {
+        self.reached.get(&(a, b)).is_some_and(|&(at, _)| at > since.records)
     }
 
-    /// Note that `b`'s clock reads `d` µs ahead of `a`'s. Sums wrap, which
-    /// is exact modulo 2^64: every offset that fits an `i64` comes out right.
-    fn link(&mut self, a: NodeId, b: NodeId, d: i64) {
+    /// Note that `b`'s clock reads `d` µs ahead of `a`'s, and wake the waits
+    /// the union links. Sums wrap, which is exact modulo 2^64: every offset
+    /// that fits an `i64` comes out right.
+    fn link(&mut self, a: u32, b: u32, d: i64, packets: &mut [PacketState], wakes: &mut Wakes) {
         let ((ra, da), (rb, db)) = (self.compress(a), self.compress(b));
-        if ra != rb {
-            self.up.insert(rb, (ra, d.wrapping_add(da).wrapping_sub(db)));
+        if ra == rb {
+            return;
         }
+        let child = &mut self.nodes[rb as usize];
+        (child.up, child.diff) = (ra, d.wrapping_add(da).wrapping_sub(db));
+        let mut kept = List::default();
+        for root in [rb, ra] {
+            let mut list = std::mem::take(&mut self.nodes[root as usize].unlinked);
+            while let Some(filed) = self.waits.pop(&mut list) {
+                if !filed.w.current(packets) {
+                    continue;
+                }
+                if self.root(filed.namer).0 == ra {
+                    wakes.fire(packets, filed.w.slot, Wake::Peer(filed.w.tag));
+                } else {
+                    self.waits.push(&mut kept, filed);
+                }
+            }
+        }
+        self.nodes[ra as usize].unlinked = kept;
     }
 
     /// How far `b`'s clock reads ahead of `a`'s, once the two are linked.
-    fn offset(&self, a: NodeId, b: NodeId) -> Option<i64> {
+    fn offset(&self, a: u32, b: u32) -> Option<i64> {
         let ((ra, da), (rb, db)) = (self.root(a), self.root(b));
         (ra == rb).then_some(db.wrapping_sub(da))
     }
 
-    /// Has `w.peer`, which has not contributed, moved past the moment
-    /// `w.namer` named it? A pair without timestamps is not waited for (the
-    /// contributors' rule decides alone), a peer not yet heard from is. A
-    /// peer whose log has reached a later hop with the namer has passed. Else
-    /// the peer's clock must reach the namer's reading then, moved into the
-    /// peer's clock by their learned offset, plus `lateness.micros`: a record
-    /// the peer logged for the hop lies before that point in its log, which
-    /// arrives in order. Until the two are linked, the peer is waited for.
-    fn passed(&self, tracker: &WatermarkTracker, w: &Naming, lateness: Lateness) -> bool {
-        let now = tracker.mark(w.peer);
+    /// Why `w.peer` has not passed the moment `w.namer` named it in
+    /// `packet`, or `None` when it has. It has when it contributed; or it has
+    /// delivered something and the pair has no timestamps; or its log has
+    /// reached a later hop with the namer; or its clock reached the namer's
+    /// reading then, moved into the peer's clock by their learned offset,
+    /// plus `lateness.micros` — a record the peer logged for the hop lies
+    /// before that point in its log, which arrives in order. A peer not yet
+    /// heard from, or not yet linked to the namer, is waited for.
+    fn waiting(&self, packet: &PacketState, w: &Naming, lateness: Lateness) -> Option<Unmet> {
+        let (namer, peer) = (w.namer, w.peer);
+        if packet.contributed(peer) {
+            return None;
+        }
+        let now = self.mark(peer);
         if now.records == 0 {
-            return !w.timed;
+            let since = w.since.records;
+            return w.timed.then_some(Unmet::First { namer, peer, since });
         }
-        if !w.timed || !self.timed.contains(&w.peer) || self.reached(w.namer, w.peer, w.since) {
-            return true;
+        if !w.timed || !self.nodes[peer as usize].timed || self.reached(namer, peer, w.since) {
+            return None;
         }
-        self.offset(w.namer, w.peer).is_some_and(|off| {
-            let due = i128::from(w.since.ts_us) + i128::from(off) + i128::from(lateness.micros);
-            i128::from(now.ts_us) >= due
+        let since = w.since.records;
+        let Some(off) = self.offset(namer, peer) else {
+            return Some(Unmet::Unlinked { namer, peer, since });
+        };
+        let due = i128::from(w.since.ts_us) + i128::from(off) + i128::from(lateness.micros);
+        (i128::from(now.ts_us) < due).then(|| {
+            let due = u64::try_from(due).ok();
+            Unmet::Due { namer, peer, since, due }
         })
+    }
+
+    /// The first condition of the close rule `packet` fails, or `None` when
+    /// it closes: every named peer that has not contributed has passed the
+    /// moment it was named, and every contributor its last contribution.
+    fn unmet(&self, packet: &PacketState, lateness: Lateness) -> Option<Unmet> {
+        if let Some(unmet) = packet.named.iter().find_map(|w| self.waiting(packet, w, lateness)) {
+            return Some(unmet);
+        }
+        for &(node, since) in &packet.contributors {
+            if !lateness.passed(self.mark(node), since) {
+                let records = since.records;
+                return Some(Unmet::Contributor { node, records });
+            }
+        }
+        None
+    }
+
+    /// File `slot`'s wait on `unmet`, which is false now, where the event
+    /// that can make it true will find it, and return the wait.
+    fn watch(&mut self, slot: u32, unmet: Unmet, wakes: &mut Wakes) -> Watch {
+        let (namer, peer, since) = match unmet {
+            Unmet::Contributor { node, records } => {
+                // Its threshold sits in the node's FIFO since it was absorbed.
+                return Watch::Contributor { node, records };
+            }
+            Unmet::First { namer, peer, since } => {
+                let (w, watch) = wakes.wait(slot, namer, peer);
+                let filed = Filed { w, namer, since };
+                self.waits.push(&mut self.nodes[peer as usize].first, filed);
+                return watch;
+            }
+            Unmet::Unlinked { namer, peer, since } | Unmet::Due { namer, peer, since, .. } => {
+                (namer, peer, since)
+            }
+        };
+        let (w, watch) = wakes.wait(slot, namer, peer);
+        let filed = Filed { w, namer, since };
+        let least = &mut self.reached.entry((namer, peer)).or_insert((0, u64::MAX)).1;
+        *least = (*least).min(since);
+        self.reach_waits.insert((namer, peer, since, w));
+        match unmet {
+            Unmet::Unlinked { .. } => {
+                let root = self.root(peer).0;
+                self.waits.push(&mut self.nodes[root as usize].unlinked, filed);
+            }
+            Unmet::Due { due: Some(due), .. } => {
+                let at = &mut self.nodes[peer as usize];
+                at.due.push(Reverse((due, w)));
+                at.next_due = at.next_due.min(due);
+            }
+            _ => {}
+        }
+        watch
     }
 }
 
@@ -266,25 +726,21 @@ pub struct StreamReconstructor {
     lateness: Lateness,
     recorder: Arc<dyn Recorder>,
     recon: Reconstructor,
-    /// Ingest queues, one per node; `BTreeMap` so pumping visits lanes in a
-    /// deterministic node order.
-    lanes: BTreeMap<NodeId, VecDeque<NodeRecord>>,
-    tracker: WatermarkTracker,
-    links: Links,
+    nodes: Nodes,
     /// Where each packet's state sits in `packets`.
     slots: FxHashMap<PacketId, u32>,
     packets: Vec<PacketState>,
-    /// Slots of the open windows — all a poll has to look at.
-    open: Vec<u32>,
-    /// Whether a record was absorbed since the last sweep. Marks move and
-    /// windows open only in `absorb`, so without one a poll has nothing to
-    /// close.
-    absorbed_since_sweep: bool,
-    /// Reports as of each packet's last close, in packet-id order; kept out
-    /// of `packets` so that growing the slab moves small records only. An
-    /// entry is `None` only inside a sweep, while the window's previous
+    /// The wake-ups since the last sweep, and the windows it tests.
+    wakes: Wakes,
+    /// Windows open now.
+    open: usize,
+    /// Scratch for a sweep's closing windows, with their packet ids.
+    closing: Vec<(PacketId, u32)>,
+    /// Each packet's report as of its last close, by slot; kept out of
+    /// `packets` so that growing that slab moves small records only. `None`
+    /// until the first close, and inside a sweep while the window's previous
     /// report is away being rebuilt.
-    reports: BTreeMap<PacketId, Option<PacketReport>>,
+    reports: Vec<Option<PacketReport>>,
     stats: StreamStats,
 }
 
@@ -302,14 +758,13 @@ impl StreamReconstructor {
             lateness,
             recorder: Arc::clone(recon.recorder()),
             recon,
-            lanes: BTreeMap::new(),
-            tracker: WatermarkTracker::new(),
-            links: Links::default(),
+            nodes: Nodes::new(),
             slots: FxHashMap::default(),
             packets: Vec::new(),
-            open: Vec::new(),
-            absorbed_since_sweep: false,
-            reports: BTreeMap::new(),
+            wakes: Wakes::default(),
+            open: 0,
+            closing: Vec::new(),
+            reports: Vec::new(),
             stats: StreamStats::default(),
         }
     }
@@ -326,13 +781,14 @@ impl StreamReconstructor {
 
     /// Windows currently open.
     pub fn open_windows(&self) -> usize {
-        self.open.len()
+        self.open
     }
 
     /// Enqueue one record on its node's lane. A full lane is a backpressure
     /// stall: every lane is pumped first, so no record is ever dropped.
     pub fn ingest(&mut self, rec: NodeRecord) {
-        let lane = self.lanes.entry(rec.node).or_default();
+        let node = self.nodes.intern(rec.node) as usize;
+        let lane = &mut self.nodes.nodes[node].lane;
         if lane.len() < LANE_CAPACITY {
             lane.push_back(rec);
             return;
@@ -340,65 +796,110 @@ impl StreamReconstructor {
         self.stats.backpressure += 1;
         self.recorder.add(Counter::StreamBackpressure, 1);
         self.pump();
-        self.lanes.entry(rec.node).or_default().push_back(rec);
+        self.nodes.nodes[node].lane.push_back(rec);
     }
 
     /// Drain every lane into the reconstruction state (lanes in node order,
     /// each lane front to back, so per-node order is preserved).
     pub fn pump(&mut self) {
-        // Out of `self` while `absorb` borrows the rest; no record is copied
-        // anywhere but into its packet's state.
-        let mut lanes = std::mem::take(&mut self.lanes);
-        for lane in lanes.values_mut() {
+        // A peer first named during the pump is interned with an empty lane;
+        // if it sorts before the lane being drained, the loop visits that
+        // emptied lane once more and skips none.
+        let mut at = 0;
+        while let Some(&node) = self.nodes.order.get(at) {
+            // Out of the table while `absorb` borrows the rest; no record is
+            // copied anywhere but into its packet's state.
+            let mut lane = std::mem::take(&mut self.nodes.nodes[node as usize].lane);
             for rec in lane.drain(..) {
-                self.absorb(rec);
+                self.absorb(node, rec);
             }
+            self.nodes.nodes[node as usize].lane = lane;
+            at += 1;
         }
-        self.lanes = lanes;
     }
 
-    /// Absorb one record: advance its node's watermark and append it to its
-    /// packet's window (opening or reopening it).
-    fn absorb(&mut self, rec: NodeRecord) {
-        self.absorbed_since_sweep = true;
+    /// Absorb one record of the node in slot `node`: advance its mark, wake
+    /// the waits that fulfils, and append it to its packet's window (opening
+    /// or reopening it, and queueing it for a test).
+    fn absorb(&mut self, node: u32, rec: NodeRecord) {
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
-        let mark = self.tracker.advance(rec.node, rec.entry.local_ts);
+        let lateness = self.lateness;
+        let wakes = &mut self.wakes;
+        let mark = self.nodes.advance(node, rec.entry.local_ts, lateness, &mut self.packets, wakes);
         let timed = rec.entry.local_ts.is_some();
-        if timed {
-            self.links.timed.insert(rec.node);
-        }
         let id = rec.entry.event.packet;
-        let (packets, open) = (&mut self.packets, &mut self.open);
+        let (packets, reports) = (&mut self.packets, &mut self.reports);
         let slot = *self.slots.entry(id).or_insert_with(|| {
-            open.push(packets.len() as u32);
             packets.push(PacketState {
                 id,
                 events: Vec::new(),
                 contributors: Vec::new(),
                 named: Vec::new(),
-                closed: false,
+                closed: true,
+                watch: Watch::Idle,
             });
+            reports.push(None);
             packets.len() as u32 - 1
         });
         let packet = &mut packets[slot as usize];
+        let reopened = packet.closed;
         if packet.closed {
+            // A new window, or a closed one this record reopens.
             packet.closed = false;
-            open.push(slot);
-            self.stats.windows_reopened += 1;
-            self.recorder.add(Counter::WindowsReopened, 1);
-        }
-        match packet.contributors.iter_mut().find(|(node, _)| *node == rec.node) {
-            Some((_, since)) => *since = mark,
-            None => packet.contributors.push((rec.node, mark)),
-        }
-        let kind = rec.entry.event.kind;
-        if let Some(peer) = kind.peer().filter(|&peer| peer != rec.node) {
-            if let Some(hop) = packet.name(rec.node, peer, kind, mark, timed) {
-                self.links.hop(hop);
+            self.open += 1;
+            if !packet.events.is_empty() {
+                self.stats.windows_reopened += 1;
+                self.recorder.add(Counter::WindowsReopened, 1);
             }
         }
+        match packet.contributors.iter_mut().find(|(at, _)| *at == node) {
+            Some((_, since)) => *since = mark,
+            None => packet.contributors.push((node, mark)),
+        }
+        let pending = self.nodes.contributed(node, slot, mark, lateness);
+        let kind = rec.entry.event.kind;
+        let named = kind.peer().filter(|&peer| peer != rec.node);
+        let named = named.map(|peer| self.nodes.intern(peer));
+        let hop = named.and_then(|peer| packet.name(node, peer, kind, mark, timed));
         packet.events.push(rec.entry.event);
+        // What the record changed: its node's contribution, which the node's
+        // mark has not passed yet unless the lateness has no record quota, and
+        // its naming of `named`. A named-peer wait stays false unless the
+        // record is the peer's own or names it again without a timestamp (a
+        // later timed naming only moves the wait further). Else the window
+        // waits on a timed naming of a peer not heard from, or on the new
+        // contribution, or is tested if that has passed already.
+        let kept = match packet.watch {
+            Watch::Idle => !reopened,
+            Watch::Contributor { .. } => false,
+            Watch::Peer { namer, peer, .. } => {
+                peer != node && (timed || (namer, Some(peer)) != (node, named))
+            }
+        };
+        if !kept {
+            let silent = named.filter(|&peer| {
+                timed && self.nodes.mark(peer).records == 0 && !packet.contributed(peer)
+            });
+            packet.watch = match silent {
+                Some(peer) => {
+                    let since = mark.records;
+                    let unmet = Unmet::First { namer: node, peer, since };
+                    self.nodes.watch(slot, unmet, wakes)
+                }
+                None if pending => {
+                    let records = mark.records;
+                    Watch::Contributor { node, records }
+                }
+                None => {
+                    wakes.woken.push(slot);
+                    Watch::Idle
+                }
+            };
+        }
+        if let Some(hop) = hop {
+            self.nodes.hop(hop, &mut self.packets, wakes);
+        }
     }
 
     /// How far `b`'s clock reads ahead of `a`'s, as learned from the flows
@@ -406,10 +907,13 @@ impl StreamReconstructor {
     /// link is one hop's pair of readings, so an offset is exact up to the
     /// hop delays and clock drift along that chain.
     pub fn clock_offset(&self, a: NodeId, b: NodeId) -> Option<i64> {
-        self.links.offset(a, b)
+        match (self.nodes.slot(a), self.nodes.slot(b)) {
+            (Some(a), Some(b)) => self.nodes.offset(a, b),
+            _ => (a == b).then_some(0),
+        }
     }
 
-    /// Sweep the open windows, close the ones whose contributors and named
+    /// Sweep the woken windows, close the ones whose contributors and named
     /// peers have moved past them, reconstruct exactly those packets, and
     /// return their reports (in packet-id order), cloned: the stream keeps
     /// its own. Returns at once when no record was absorbed since the last
@@ -424,7 +928,7 @@ impl StreamReconstructor {
     /// window's report is lent to `emit` (in packet-id order) where the
     /// stream keeps it.
     pub fn poll_with(&mut self, emit: impl FnMut(&PacketReport)) {
-        if self.absorbed_since_sweep {
+        if !self.wakes.woken.is_empty() {
             self.sweep(false, emit);
         }
     }
@@ -440,45 +944,65 @@ impl StreamReconstructor {
         self.reports()
     }
 
-    /// Close the open windows whose contributors and named peers have moved
-    /// past them — with `all`,
-    /// every open window — and reconstruct each of them exactly once, in
-    /// packet-id order: in parallel when there are enough to pay for the
-    /// workers, each into the vectors of the window's previous report when it
-    /// has one. The new reports replace the old in `reports` and are lent to
-    /// `emit` in that order.
+    /// Close the woken windows whose contributors and named peers have moved
+    /// past them — with `all`, every open window — and file a wait for each
+    /// woken one that stays open. Reconstruct each closing window exactly
+    /// once, in packet-id order: in parallel when there are enough to pay
+    /// for the workers, each into the vectors of the window's previous report
+    /// when it has one. The new reports replace the old in `reports` and are
+    /// lent to `emit` in that order.
     fn sweep(&mut self, all: bool, mut emit: impl FnMut(&PacketReport)) {
         let recorder = Arc::clone(&self.recorder);
         let span = StageTimer::start(&*recorder, Stage::Window);
-        self.absorbed_since_sweep = false;
+        #[cfg(test)]
+        let scanned = self.scan(all);
         let lateness = self.lateness;
-        let (tracker, links) = (&self.tracker, &self.links);
-        let (packets, reports) = (&mut self.packets, &mut self.reports);
-        // Each closing window with its previous report, which leaves the map
-        // (its entry stays) for whichever worker rebuilds it; the lock is
-        // that hand-over, taken once and never contended.
-        let mut closing: Vec<(u32, Mutex<Option<PacketReport>>)> = Vec::new();
-        self.open.retain(|&slot| {
-            let packet = &mut packets[slot as usize];
-            let passed = |&(node, since): &(NodeId, Mark)| tracker.passed(node, since, lateness);
-            let contributed = |peer| packet.contributors.iter().any(|&(node, _)| node == peer);
-            let heard = |w: &Naming| contributed(w.peer) || links.passed(tracker, w, lateness);
-            packet.closed =
-                all || packet.contributors.iter().all(passed) && packet.named.iter().all(heard);
-            if packet.closed {
-                let previous = reports.entry(packet.id).or_default().take();
-                closing.push((slot, Mutex::new(previous)));
+        let (nodes, wakes, packets) = (&mut self.nodes, &mut self.wakes, &mut self.packets);
+        // The closing windows by packet id, in a buffer kept between sweeps.
+        let mut closing = std::mem::take(&mut self.closing);
+        let mut woken = std::mem::take(&mut wakes.woken);
+        if all {
+            let open = packets.iter().enumerate().filter(|(_, packet)| !packet.closed);
+            closing.extend(open.map(|(slot, packet)| (packet.id, slot as u32)));
+        } else {
+            self.stats.window_tests += woken.len() as u64;
+            for &slot in &woken {
+                let packet = &packets[slot as usize];
+                match nodes.unmet(packet, lateness) {
+                    None => closing.push((packet.id, slot)),
+                    Some(unmet) => packets[slot as usize].watch = nodes.watch(slot, unmet, wakes),
+                }
             }
-            !packet.closed
-        });
-        closing.sort_unstable_by_key(|(slot, _)| packets[*slot as usize].id);
-        for (slot, _) in &closing {
-            recorder.observe(Hist::WindowEvents, packets[*slot as usize].events.len() as u64);
         }
+        woken.clear();
+        wakes.woken = woken;
+        for &(_, slot) in &closing {
+            let packet = &mut packets[slot as usize];
+            (packet.closed, packet.watch) = (true, Watch::Idle);
+        }
+        #[cfg(test)]
+        {
+            let mut closed: Vec<u32> = closing.iter().map(|&(_, slot)| slot).collect();
+            closed.sort_unstable();
+            assert_eq!(closed, scanned, "the woken windows close what a scan of every open one does");
+        }
+        closing.sort_unstable();
+        for &(_, slot) in &closing {
+            recorder.observe(Hist::WindowEvents, packets[slot as usize].events.len() as u64);
+        }
+        self.open -= closing.len();
         self.stats.windows_closed += closing.len() as u64;
         recorder.add(Counter::WindowsClosed, closing.len() as u64);
         // The reconstructions and `emit` are their own stages, not window time.
         drop(span);
+        // Each closing window's previous report leaves its place for
+        // whichever worker rebuilds it; the lock is that hand-over, taken once
+        // and never contended.
+        let reports = &mut self.reports;
+        let previous: Vec<Mutex<Option<PacketReport>>> = closing
+            .iter()
+            .map(|&(_, slot)| Mutex::new(reports[slot as usize].take()))
+            .collect();
         let workers = if closing.len() < PAR_MIN_WINDOWS {
             1
         } else {
@@ -486,9 +1010,8 @@ impl StreamReconstructor {
         };
         let (recon, packets) = (&self.recon, &self.packets);
         let rebuilt = par_map(closing.len(), workers, || (), |_, i| {
-            let (slot, previous) = &closing[i];
-            let packet = &packets[*slot as usize];
-            let previous = previous
+            let packet = &packets[closing[i].1 as usize];
+            let previous = previous[i]
                 .lock()
                 .expect("a worker takes the report and lets go at once")
                 .take();
@@ -497,17 +1020,16 @@ impl StreamReconstructor {
             }
             recon.reconstruct_packet(packet.id, &packet.events)
         });
-        for report in rebuilt {
-            let kept = reports
-                .get_mut(&report.packet)
-                .expect("every closing window has an entry");
-            emit(kept.insert(report));
+        for (report, &(_, slot)) in rebuilt.into_iter().zip(&closing) {
+            emit(reports[slot as usize].insert(report));
         }
+        closing.clear();
+        self.closing = closing;
     }
 
     /// The current report for one packet (as of its last reconstruction).
     pub fn report(&self, id: PacketId) -> Option<&PacketReport> {
-        self.reports.get(&id)?.as_ref()
+        self.reports[*self.slots.get(&id)? as usize].as_ref()
     }
 
     /// Heap bytes held by the per-packet evidence — the memory a
@@ -522,7 +1044,55 @@ impl StreamReconstructor {
 
     /// Every current report, cloned, in packet-id order.
     pub fn reports(&self) -> Vec<PacketReport> {
-        self.reports.values().flatten().cloned().collect()
+        let mut reported: Vec<&PacketReport> = self.reports.iter().flatten().collect();
+        reported.sort_unstable_by_key(|report| report.packet);
+        reported.into_iter().cloned().collect()
+    }
+}
+
+/// The close rule as it was before the wake-ups: a scan that tests every
+/// open window. Each sweep asserts that the woken windows close exactly the
+/// windows this closes.
+#[cfg(test)]
+impl StreamReconstructor {
+    /// The slots a scan of every open window closes, ascending.
+    fn scan(&self, all: bool) -> Vec<u32> {
+        let (lateness, links) = (self.lateness, &self.nodes);
+        let mut closes = Vec::new();
+        for (slot, packet) in self.packets.iter().enumerate().filter(|(_, p)| !p.closed) {
+            let passed = |&(node, since): &(u32, Mark)| lateness.passed(links.mark(node), since);
+            let contributed = |peer| packet.contributors.iter().any(|&(node, _)| node == peer);
+            let heard = |w: &Naming| contributed(w.peer) || links.passed(w, lateness);
+            if all || packet.contributors.iter().all(passed) && packet.named.iter().all(heard) {
+                closes.push(slot as u32);
+            }
+        }
+        closes
+    }
+}
+
+#[cfg(test)]
+impl Nodes {
+    /// Has `w.peer`, which has not contributed, moved past the moment
+    /// `w.namer` named it? A pair without timestamps is not waited for (the
+    /// contributors' rule decides alone), a peer not yet heard from is. A
+    /// peer whose log has reached a later hop with the namer has passed. Else
+    /// the peer's clock must reach the namer's reading then, moved into the
+    /// peer's clock by their learned offset, plus `lateness.micros`: a record
+    /// the peer logged for the hop lies before that point in its log, which
+    /// arrives in order. Until the two are linked, the peer is waited for.
+    fn passed(&self, w: &Naming, lateness: Lateness) -> bool {
+        let now = self.mark(w.peer);
+        if now.records == 0 {
+            return !w.timed;
+        }
+        if !w.timed || !self.nodes[w.peer as usize].timed || self.reached(w.namer, w.peer, w.since) {
+            return true;
+        }
+        self.offset(w.namer, w.peer).is_some_and(|off| {
+            let due = i128::from(w.since.ts_us) + i128::from(off) + i128::from(lateness.micros);
+            i128::from(now.ts_us) >= due
+        })
     }
 }
 
@@ -532,6 +1102,13 @@ mod tests {
     use eventlog::logger::{LocalLog, LocalTs, LogEntry};
     use eventlog::merge::merge_logs;
     use eventlog::EventKind;
+    use crate::soup::{
+        batch, latenesses, reconstructor, records, rewrite_clocks, shuffle, Clocks, SplitMix64,
+        Stamps, ARRIVALS, CLOCKS, STAMPS,
+    };
+    use citysee::run::upload_order;
+    use citysee::{run_scenario, Scenario};
+    use eventlog::frame::node_logs;
     use refill::telemetry::AtomicRecorder;
     use refill::CtpVocabulary;
 
@@ -1031,5 +1608,141 @@ mod tests {
         stream.finish();
         assert_eq!(reconstructed(), before + open as u64);
         in_step(&stream);
+    }
+
+    // --- the wake-ups against the scan they replace -----------------------
+    //
+    // Every sweep asserts that the woken windows close exactly what a scan of
+    // every open window closes; these runs put that assertion through the
+    // streams `stream_identity.rs` pins and through the edges of the rule.
+
+    /// Feed `recs`, polling every `every` records (pumping first when
+    /// `pump`), then finish. Returns the reports and the tests a scan of every
+    /// open window would have made at the sweeps that tested something.
+    fn fed(
+        mut stream: StreamReconstructor,
+        recs: &[NodeRecord],
+        every: usize,
+        pump: bool,
+    ) -> (StreamReconstructor, Vec<PacketReport>, u64) {
+        let mut scanned = 0;
+        for (i, rec) in recs.iter().enumerate() {
+            stream.ingest(*rec);
+            if (i + 1) % every == 0 {
+                if pump {
+                    stream.pump();
+                }
+                let (open, tests) = (stream.open_windows(), stream.stats().window_tests);
+                stream.poll();
+                if stream.stats().window_tests > tests {
+                    scanned += open as u64;
+                }
+            }
+        }
+        let reports = stream.finish();
+        (stream, reports, scanned)
+    }
+
+    #[test]
+    fn the_identity_matrix_wakes_what_a_scan_closes() {
+        let (mut tests, mut scanned, mut closed) = (0, 0, 0);
+        for (a, arrival) in ARRIVALS.into_iter().enumerate() {
+            for (s, stamps) in STAMPS.into_iter().enumerate() {
+                let which = 3 * a + s;
+                let recs = records(which as u64, 300, arrival, stamps);
+                let expected = batch(&reconstructor(which), &recs);
+                for lateness in latenesses() {
+                    for (every, pump) in [(1, false), (7, false), (64, false), (16, true)] {
+                        let stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
+                        let (stream, reports, scans) = fed(stream, &recs, every, pump);
+                        assert!(reports == expected, "{arrival:?}, {stamps:?}, {lateness:?}, {every}");
+                        tests += stream.stats().window_tests;
+                        closed += stream.stats().windows_closed;
+                        scanned += scans;
+                    }
+                }
+            }
+        }
+        assert!(closed > 10_000, "{closed} closes");
+        assert!(tests * 3 < scanned, "{tests} window tests where a scan makes {scanned}");
+    }
+
+    #[test]
+    fn extreme_latenesses_wake_what_a_scan_closes() {
+        let mut rng = SplitMix64(0x4c61_7465);
+        for records_late in [0, 1, u64::MAX] {
+            for micros in [0, u64::MAX] {
+                let lateness = Lateness {
+                    records: records_late,
+                    micros,
+                };
+                for (a, arrival) in ARRIVALS.into_iter().enumerate() {
+                    for (s, stamps) in STAMPS.into_iter().enumerate() {
+                        let which = 3 * a + s;
+                        let mut recs = records(40 + which as u64, 120, arrival, stamps);
+                        if stamps == Stamps::On {
+                            rewrite_clocks(&mut recs, Clocks::SteppingBack, &mut rng);
+                        }
+                        let stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
+                        let (_, reports, _) = fed(stream, &recs, 5, true);
+                        let what = format!("{lateness:?}, {arrival:?}, {stamps:?}");
+                        assert!(reports == batch(&reconstructor(which), &recs), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rewritten_clocks_and_shuffled_logs_wake_what_a_scan_closes() {
+        let mut rng = SplitMix64(0x636c_6f63);
+        for (which, arrival) in ARRIVALS.into_iter().enumerate() {
+            let recs = records(70 + which as u64, 200, arrival, Stamps::On);
+            let expected = batch(&reconstructor(which), &recs);
+            for clocks in CLOCKS {
+                let mut recs = recs.clone();
+                rewrite_clocks(&mut recs, clocks, &mut rng);
+                for lateness in latenesses() {
+                    let stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
+                    let (_, reports, _) = fed(stream, &recs, 3, true);
+                    assert!(reports == expected, "{arrival:?}, {clocks:?}, {lateness:?}");
+                }
+                // Log by log, in a shuffled order, with a finish after each.
+                let mut logs = node_logs(&recs);
+                shuffle(&mut rng, &mut logs);
+                let mut stream = StreamReconstructor::new(reconstructor(which));
+                for log in &logs {
+                    for (i, entry) in log.entries.iter().enumerate() {
+                        stream.ingest(NodeRecord::new(log.node, *entry));
+                        if i % 4 == 3 {
+                            stream.pump();
+                            stream.poll();
+                        }
+                    }
+                    stream.finish();
+                }
+                assert!(stream.reports() == expected, "{arrival:?}, {clocks:?}, log by log");
+            }
+        }
+    }
+
+    #[test]
+    fn a_small_campaign_wakes_what_a_scan_closes() {
+        let campaign = run_scenario(&Scenario::small());
+        let sink = campaign.topology.sink();
+        let recon = || Reconstructor::new(CtpVocabulary::citysee()).with_sink(sink);
+        let expected = recon().reconstruct_log(&merge_logs(&campaign.collected));
+        let mut rng = SplitMix64(0x2015);
+        for clocks in [None, Some(Clocks::SteppingBack)] {
+            let mut recs = campaign.upload_records();
+            if let Some(clocks) = clocks {
+                rewrite_clocks(&mut recs, clocks, &mut rng);
+                recs = upload_order(&node_logs(&recs));
+            }
+            let (stream, reports, scanned) = fed(StreamReconstructor::new(recon()), &recs, 64, true);
+            assert!(reports == expected, "{clocks:?}");
+            let tests = stream.stats().window_tests;
+            assert!(tests * 3 < scanned, "{clocks:?}: {tests} window tests, a scan {scanned}");
+        }
     }
 }
