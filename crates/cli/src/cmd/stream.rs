@@ -120,8 +120,8 @@ pub fn stream_cmd_inner(args: &[String]) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "records: {} | windows closed: {} | late reopens: {} | backpressure stalls: {}",
-        stats.records, stats.windows_closed, stats.windows_reopened, stats.backpressure
+        "records: {} | windows closed: {} | late reopens: {}",
+        stats.records, stats.windows_closed, stats.windows_reopened
     );
     let _ = writeln!(
         out,

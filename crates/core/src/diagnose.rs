@@ -27,7 +27,6 @@ use crate::ctp_model::Role;
 use crate::trace::PacketReport;
 use eventlog::{Event, EventKind, LossCause, PacketId};
 use netsim::fx::FxHashMap;
-use netsim::json::{expected, FromJson, Json, JsonError, ToJson};
 use netsim::{NodeId, SimTime};
 
 /// A diagnosed cause: either one of the paper's taxonomy or unknown.
@@ -37,26 +36,6 @@ pub enum DiagnosedCause {
     Known(LossCause),
     /// The flow gave no usable signal (e.g. no events at all survived).
     Unknown,
-}
-
-/// `{"Known":"AckedLoss"}` or `"Unknown"`.
-impl ToJson for DiagnosedCause {
-    fn to_json(&self) -> Json {
-        match self {
-            DiagnosedCause::Known(cause) => Json::obj([("Known", cause.to_json())]),
-            DiagnosedCause::Unknown => "Unknown".to_json(),
-        }
-    }
-}
-
-impl FromJson for DiagnosedCause {
-    fn from_json(v: &Json) -> Result<DiagnosedCause, JsonError> {
-        match v.variant() {
-            Some(("Known", cause)) => LossCause::from_json(cause).map(DiagnosedCause::Known),
-            Some(("Unknown", Json::Null)) => Ok(DiagnosedCause::Unknown),
-            _ => Err(expected("DiagnosedCause")),
-        }
-    }
 }
 
 impl DiagnosedCause {
@@ -89,16 +68,6 @@ pub struct Diagnosis {
     /// engine).
     pub retransmissions: usize,
 }
-
-netsim::json_struct!(Diagnosis {
-    packet,
-    delivered,
-    cause,
-    loss_node,
-    last_event,
-    path_len,
-    retransmissions
-});
 
 /// The diagnoser: optionally knows the base-station outage schedule, which
 /// operators have independently of the logs (server downtime is recorded at

@@ -19,7 +19,6 @@
 //! allocations however many entries it has.
 
 use crate::net::EngineId;
-use netsim::json::{expected, FromJson, Json, JsonError};
 use netsim::json_struct;
 use std::fmt;
 
@@ -38,7 +37,7 @@ pub struct FlowEntry<E> {
     pub dep_end: u32,
 }
 
-json_struct!(FlowEntry<E> { payload, engine, observed, dep_end });
+json_struct!(write FlowEntry<E> { payload, engine, observed, dep_end });
 
 /// A reconstructed event flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,33 +50,6 @@ pub struct EventFlow<E> {
 }
 
 json_struct!(write EventFlow<E> { entries, deps });
-
-/// Reads a flow back, refusing edge runs that do not tile the edge vector
-/// or edges that do not point at an earlier entry: [`EventFlow::deps_of`]
-/// slices by them.
-impl<E: FromJson> FromJson for EventFlow<E> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let flow = EventFlow::<E> {
-            entries: v.field("entries")?,
-            deps: v.field("deps")?,
-        };
-        let mut start = 0;
-        for (i, entry) in flow.entries.iter().enumerate() {
-            let run = flow
-                .deps
-                .get(start..entry.dep_end as usize)
-                .ok_or(expected("dep_end"))?;
-            if run.iter().any(|&d| d as usize >= i) {
-                return Err(expected("deps"));
-            }
-            start = entry.dep_end as usize;
-        }
-        match start == flow.deps.len() {
-            true => Ok(flow),
-            false => Err(expected("deps")),
-        }
-    }
-}
 
 impl<E> Default for EventFlow<E> {
     fn default() -> Self {

@@ -31,7 +31,6 @@ use crate::flow::EventFlow;
 use crate::fsm::{FsmTemplate, StateId};
 use crate::net::{ConnectedNet, EngineId, GroupId, NetWarning};
 use eventlog::{Event, MergedLog, PacketId};
-use netsim::json::{expected, FromJson, Json, JsonError};
 use netsim::NodeId;
 use refill_provenance::{EntryOrigin, FlowProvenance};
 use refill_telemetry::{Counter, Hist, NoopRecorder, Recorder, Stage, StageTimer};
@@ -61,7 +60,7 @@ pub struct EngineInfo {
     pub phantom: bool,
 }
 
-netsim::json_struct!(EngineInfo {
+netsim::json_struct!(write EngineInfo {
     node,
     role,
     visit,
@@ -105,37 +104,6 @@ netsim::json_struct!(write PacketReport {
     delivered,
     origins
 });
-
-/// Reads a report back, refusing one whose parallel vectors disagree:
-/// `origins` runs beside the flow's entries, and every entry names an
-/// engine ([`PacketReport::engine_of_entry`] indexes by it).
-impl FromJson for PacketReport {
-    fn from_json(v: &Json) -> Result<PacketReport, JsonError> {
-        let report = PacketReport {
-            packet: v.field("packet")?,
-            flow: v.field("flow")?,
-            omitted: v.field("omitted")?,
-            warnings: v.field("warnings")?,
-            engines: v.field("engines")?,
-            path: v.field("path")?,
-            delivered: v.field("delivered")?,
-            origins: v.field("origins")?,
-        };
-        if report.origins.len() != report.flow.len() {
-            return Err(expected("origins"));
-        }
-        let engines = report.engines.len();
-        if report
-            .flow
-            .entries
-            .iter()
-            .any(|e| e.engine.0 as usize >= engines)
-        {
-            return Err(expected("engines"));
-        }
-        Ok(report)
-    }
-}
 
 impl PacketReport {
     /// The engine info behind a flow entry.

@@ -8,7 +8,6 @@
 use crate::event::{Event, PacketId};
 use crate::merge::PacketIndex;
 use netsim::fx::FxHashMap;
-use netsim::json::{expected, FromJson, Json, JsonError, ToJson};
 use netsim::{NodeId, SimTime};
 use std::fmt;
 
@@ -92,41 +91,6 @@ pub enum PacketFate {
         /// When.
         at: SimTime,
     },
-}
-
-/// `{"Delivered":{"at":..}}` or `{"Lost":{"at_node":..,"cause":..,"at":..}}`.
-impl ToJson for PacketFate {
-    fn to_json(&self) -> Json {
-        match self {
-            PacketFate::Delivered { at } => {
-                Json::obj([("Delivered", Json::obj([("at", at.to_json())]))])
-            }
-            PacketFate::Lost { at_node, cause, at } => Json::obj([(
-                "Lost",
-                Json::obj([
-                    ("at_node", at_node.to_json()),
-                    ("cause", cause.to_json()),
-                    ("at", at.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for PacketFate {
-    fn from_json(v: &Json) -> Result<PacketFate, JsonError> {
-        match v.variant() {
-            Some(("Delivered", body)) => Ok(PacketFate::Delivered {
-                at: body.field("at")?,
-            }),
-            Some(("Lost", body)) => Ok(PacketFate::Lost {
-                at_node: body.field("at_node")?,
-                cause: body.field("cause")?,
-                at: body.field("at")?,
-            }),
-            _ => Err(expected("PacketFate")),
-        }
-    }
 }
 
 impl PacketFate {

@@ -4,25 +4,23 @@
 //! **ingest worker** reads raw bytes, runs the resynchronizing
 //! [`FrameDecoder`], and ships decoded record batches over a *bounded*
 //! channel (`std::sync::mpsc::sync_channel`); the **reconstruction worker**
-//! (the calling thread) hands each record to [`StreamReconstructor::ingest`]
-//! and polls for closed windows after every [`DriverConfig::poll_every`]
-//! records it hands over — the record sequence alone decides when windows
-//! close and reports emit, however the bytes were chunked. `ingest` only
-//! queues a record on its node's lane; records are absorbed when some lane
-//! is full (256 records) and at the final flush, so a poll with no window
-//! woken since the last one returns at once. The bounded channel is the
-//! backpressure spine: when reconstruction falls behind, the ingest worker
-//! blocks on `send` instead of buffering without limit. Shutdown is graceful
-//! by construction — the ingest worker drops its sender at EOF (or on a read
-//! error), the batch iterator ends, and the stream is flushed with
-//! [`StreamReconstructor::finish`].
+//! (the calling thread) hands each record to [`StreamReconstructor::ingest`],
+//! which absorbs it, and polls for closed windows after every
+//! [`DriverConfig::poll_every`] records — the one cadence, so the record
+//! sequence alone decides when windows close and reports emit, however the
+//! bytes were chunked. The bounded channel is the backpressure: when
+//! reconstruction falls behind, the ingest worker finds the channel full,
+//! counts a stall and blocks on `send` instead of buffering without limit.
+//! Shutdown is graceful by construction — the ingest worker drops its sender
+//! at EOF (or on a read error), the batch iterator ends, and the stream is
+//! flushed with [`StreamReconstructor::finish`].
 
 use crate::reconstructor::{StreamReconstructor, StreamStats};
 use eventlog::frame::{FrameDecoder, FrameStats, NodeRecord};
 use refill::telemetry::{Counter, Recorder, Stage, StageTimer, TelemetrySnapshot};
 use refill::PacketReport;
 use std::io::Read;
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Arc;
 
 /// Tunables for the threaded driver.
@@ -34,9 +32,9 @@ pub struct DriverConfig {
     /// depth between ingest and reconstruction. Treated as at least 1.
     pub channel_batches: usize,
     /// Poll for closed windows after this many records handed to
-    /// [`StreamReconstructor::ingest`] (queued, not yet absorbed: a poll
-    /// finds work only once a full lane has been pumped). Treated as at
-    /// least 1.
+    /// [`StreamReconstructor::ingest`]. A poll tests only the windows woken
+    /// since the one before, so this decides how many records a sweep finds
+    /// absorbed, never a converged report. Treated as at least 1.
     pub poll_every: usize,
 }
 
@@ -45,7 +43,7 @@ impl Default for DriverConfig {
         DriverConfig {
             chunk_bytes: 8 * 1024,
             channel_batches: 4,
-            poll_every: 64,
+            poll_every: 1024,
         }
     }
 }
@@ -55,7 +53,8 @@ impl Default for DriverConfig {
 pub struct StreamSummary {
     /// Frame decode counters (decoded / corrupt runs skipped).
     pub frames: FrameStats,
-    /// Streaming-core totals (records, closes, reopens, backpressure).
+    /// Streaming-core totals (records, closes, reopens), with the ingest
+    /// worker's channel-full stalls as `backpressure`.
     pub stats: StreamStats,
     /// Reports emitted from windows that closed *before* the final flush —
     /// the rolling output a live consumer would have seen.
@@ -67,11 +66,10 @@ pub struct StreamSummary {
 }
 
 /// What `--metrics-every` runs per record ([`run_stream_observed`]'s
-/// `on_record`): every `every` records handed to the stream (however many
-/// of them its lanes still hold), `emit` receives the interval delta
-/// ([`TelemetrySnapshot::diff`]) of `recorder` since the previous emission;
-/// [`MetricsCadence::finish`] emits the tail. The deltas partition the run:
-/// per counter they sum to the totals.
+/// `on_record`): every `every` records handed to the stream, `emit`
+/// receives the interval delta ([`TelemetrySnapshot::diff`]) of `recorder`
+/// since the previous emission; [`MetricsCadence::finish`] emits the tail.
+/// The deltas partition the run: per counter they sum to the totals.
 ///
 /// With a `NoopRecorder` every delta is empty, so a cadence only makes sense
 /// on the recorder an instrumented stream carries
@@ -159,8 +157,9 @@ where
     let mut rolling_reports = 0u64;
 
     let ingested = std::thread::scope(|scope| {
-        let ingest = scope.spawn(move || -> std::io::Result<FrameStats> {
+        let ingest = scope.spawn(move || -> std::io::Result<(FrameStats, u64)> {
             let mut reader = reader;
+            let mut stalls = 0u64;
             let mut decoder = FrameDecoder::new();
             let mut buf = vec![0u8; config.chunk_bytes.max(64)];
             let mut reported = FrameStats::default();
@@ -184,13 +183,23 @@ where
                     decoder.drain()
                 };
                 account(&decoder, &mut reported);
-                if !batch.is_empty() && tx.send(batch).is_err() {
+                if batch.is_empty() {
+                    continue;
+                }
+                let batch = match tx.try_send(batch) {
+                    Ok(()) => continue,
+                    Err(TrySendError::Full(batch)) => batch,
+                    Err(TrySendError::Disconnected(_)) => break,
+                };
+                stalls += 1;
+                recorder.add(Counter::StreamBackpressure, 1);
+                if tx.send(batch).is_err() {
                     break;
                 }
             }
             let stats = decoder.finish();
             account(&decoder, &mut reported);
-            Ok(stats)
+            Ok((stats, stalls))
         });
 
         let mut since_poll = 0usize;
@@ -213,9 +222,13 @@ where
     });
 
     let reports = stream.finish();
+    let (frames, backpressure) = ingested?;
     Ok(StreamSummary {
-        frames: ingested?,
-        stats: stream.stats(),
+        frames,
+        stats: StreamStats {
+            backpressure,
+            ..stream.stats()
+        },
         rolling_reports,
         reports,
     })
@@ -266,8 +279,6 @@ mod tests {
 
     #[test]
     fn driver_converges_to_batch_over_clean_frames() {
-        // More records per node than a lane holds, so windows are absorbed
-        // and closed before the final flush.
         let recs = records(300);
         let bytes = encode_records(recs.iter());
         let mut stream = StreamReconstructor::with_lateness(
@@ -375,13 +386,57 @@ mod tests {
             let summed: u64 = deltas.iter().map(|d| d.counter(&c.name)).sum();
             assert_eq!(summed, c.value, "deltas must sum to total for {}", c.name);
         }
-        assert_eq!(
-            deltas
-                .iter()
-                .map(|d| d.counter("stream_records"))
-                .sum::<u64>(),
-            40
+        // Each delta absorbed exactly the records handed over in it, and
+        // every decoded record was absorbed.
+        let absorbed: Vec<u64> = deltas.iter().map(|d| d.counter("stream_records")).collect();
+        assert_eq!(absorbed, [7, 7, 7, 7, 7, 5]);
+        assert_eq!(final_snap.counter("frames_decoded"), 40);
+    }
+
+    #[test]
+    fn a_full_channel_is_a_stall_and_a_roomy_one_is_none() {
+        use refill::telemetry::AtomicRecorder;
+        use std::time::{Duration, Instant};
+        let bytes = encode_records(records(100).iter());
+        let run = |channel_batches: usize, wait: bool| {
+            let recorder = Arc::new(AtomicRecorder::new());
+            let shared: Arc<dyn Recorder> = recorder.clone();
+            let mut stream = StreamReconstructor::new(recon().with_recorder(shared));
+            let config = DriverConfig {
+                chunk_bytes: 64,
+                channel_batches,
+                ..DriverConfig::default()
+            };
+            let stalled = || recorder.counter_value(Counter::StreamBackpressure);
+            let mut held = !wait;
+            let summary = run_stream_observed(
+                Cursor::new(&bytes),
+                &mut stream,
+                config,
+                |_| {},
+                |_| {
+                    // Hold the first record until the worker has filled the
+                    // channel and found it full.
+                    if !held {
+                        held = true;
+                        let started = Instant::now();
+                        while stalled() == 0 && started.elapsed() < Duration::from_secs(10) {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                },
+            )
+            .unwrap();
+            assert_eq!(summary.stats.backpressure, stalled());
+            assert_eq!(summary.stats.records, 200);
+            summary.stats.backpressure
+        };
+        assert!(
+            run(1, true) >= 1,
+            "a held reader leaves the worker a full channel"
         );
+        // Every read is at least one byte, so no more batches than this.
+        assert_eq!(run(bytes.len() / 64 + 2, false), 0);
     }
 
     #[test]

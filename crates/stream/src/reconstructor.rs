@@ -1,10 +1,10 @@
-//! The streaming core: per-node lanes, watermark windowing, and convergent
-//! late handling over one record per packet.
+//! The streaming core: watermark windowing and convergent late handling
+//! over one record per packet.
 //!
-//! Records enter their node's lane through [`StreamReconstructor::ingest`],
-//! move into the reconstruction state on [`StreamReconstructor::pump`] (or
-//! when a full lane stalls), and come out as [`PacketReport`]s when
-//! [`StreamReconstructor::poll`] decides their windows have closed.
+//! [`StreamReconstructor::ingest`] absorbs each record into its packet's
+//! window at once, and reports come out as [`PacketReport`]s when
+//! [`StreamReconstructor::poll`] decides their windows have closed. How often
+//! to poll is the caller's one cadence.
 //!
 //! ## Windowing
 //!
@@ -88,10 +88,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// Records a lane holds before the next one for its node pumps every lane.
-/// It decides only how many records a sweep finds absorbed, never a report.
-const LANE_CAPACITY: usize = 256;
-
 /// Rolling totals, independent of whether a telemetry recorder is attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
@@ -101,7 +97,8 @@ pub struct StreamStats {
     pub windows_closed: u64,
     /// Windows reopened by records that arrived after they closed.
     pub windows_reopened: u64,
-    /// Records that found their node's lane full and pumped every lane.
+    /// Decoded batches the threaded driver found its bounded channel full
+    /// for ([`crate::run_stream`] sets it; the reconstructor never stalls).
     pub backpressure: u64,
     /// Open windows tested against the close rule by mid-stream sweeps: the
     /// ones woken since the sweep before.
@@ -349,7 +346,7 @@ impl<T: Copy> Cells<T> {
 /// Everything the stream keeps about one node.
 ///
 /// What every absorbed record reads and writes comes first, in one cache
-/// line; the rest is read per pump or per wait.
+/// line; the rest is read per wait.
 #[repr(C, align(64))]
 struct Node {
     /// Records absorbed so far and the newest reading among them.
@@ -361,9 +358,6 @@ struct Node {
     next_due: u64,
     /// Whether one of the records carried a timestamp.
     timed: bool,
-    id: NodeId,
-    /// Records ingested and not yet absorbed.
-    lane: VecDeque<NodeRecord>,
     /// Clock offsets as a weighted union-find over node potentials: the
     /// parent's slot (the node's own at a root) and `potential(node) −
     /// potential(parent)`.
@@ -405,9 +399,6 @@ struct Nodes {
     /// this interns without hashing. It grows to the largest id seen.
     slot_of: Vec<u32>,
     nodes: Vec<Node>,
-    /// Slots in node-id order, the order lanes are pumped in: absorb order
-    /// decides which hop links two clock sets.
-    order: Vec<u32>,
     /// For each ordered pair `(a, b)` of slots that shared a hop or is waited
     /// on: the largest record count `a` had at its end of one — `b`'s log
     /// has reached that hop — and the least count a wait on the pair needs
@@ -426,7 +417,6 @@ impl Nodes {
         Nodes {
             slot_of: Vec::new(),
             nodes: Vec::new(),
-            order: Vec::new(),
             reached: FxHashMap::default(),
             reach_waits: BTreeSet::new(),
             waits: Cells::new(),
@@ -452,16 +442,12 @@ impl Nodes {
             thresholds: VecDeque::new(),
             next_due: u64::MAX,
             timed: false,
-            id,
-            lane: VecDeque::new(),
             up: slot,
             diff: 0,
             first: List::default(),
             unlinked: List::default(),
             due: BinaryHeap::new(),
         });
-        let rank = self.order.partition_point(|&s| self.nodes[s as usize].id < id);
-        self.order.insert(rank, slot);
         slot
     }
 
@@ -784,44 +770,12 @@ impl StreamReconstructor {
         self.open
     }
 
-    /// Enqueue one record on its node's lane. A full lane is a backpressure
-    /// stall: every lane is pumped first, so no record is ever dropped.
+    /// Absorb one record: advance its node's mark, wake the waits that
+    /// fulfils, and append it to its packet's window (opening or reopening
+    /// it, and queueing it for a test). Each node's records must come in its
+    /// log's order; how the nodes interleave decides no report.
     pub fn ingest(&mut self, rec: NodeRecord) {
-        let node = self.nodes.intern(rec.node) as usize;
-        let lane = &mut self.nodes.nodes[node].lane;
-        if lane.len() < LANE_CAPACITY {
-            lane.push_back(rec);
-            return;
-        }
-        self.stats.backpressure += 1;
-        self.recorder.add(Counter::StreamBackpressure, 1);
-        self.pump();
-        self.nodes.nodes[node].lane.push_back(rec);
-    }
-
-    /// Drain every lane into the reconstruction state (lanes in node order,
-    /// each lane front to back, so per-node order is preserved).
-    pub fn pump(&mut self) {
-        // A peer first named during the pump is interned with an empty lane;
-        // if it sorts before the lane being drained, the loop visits that
-        // emptied lane once more and skips none.
-        let mut at = 0;
-        while let Some(&node) = self.nodes.order.get(at) {
-            // Out of the table while `absorb` borrows the rest; no record is
-            // copied anywhere but into its packet's state.
-            let mut lane = std::mem::take(&mut self.nodes.nodes[node as usize].lane);
-            for rec in lane.drain(..) {
-                self.absorb(node, rec);
-            }
-            self.nodes.nodes[node as usize].lane = lane;
-            at += 1;
-        }
-    }
-
-    /// Absorb one record of the node in slot `node`: advance its mark, wake
-    /// the waits that fulfils, and append it to its packet's window (opening
-    /// or reopening it, and queueing it for a test).
-    fn absorb(&mut self, node: u32, rec: NodeRecord) {
+        let node = self.nodes.intern(rec.node);
         self.stats.records += 1;
         self.recorder.add(Counter::StreamRecords, 1);
         let lateness = self.lateness;
@@ -916,7 +870,7 @@ impl StreamReconstructor {
     /// Sweep the woken windows, close the ones whose contributors and named
     /// peers have moved past them, reconstruct exactly those packets, and
     /// return their reports (in packet-id order), cloned: the stream keeps
-    /// its own. Returns at once when no record was absorbed since the last
+    /// its own. Returns at once when no window was woken since the last
     /// sweep.
     pub fn poll(&mut self) -> Vec<PacketReport> {
         let mut closed = Vec::new();
@@ -933,13 +887,12 @@ impl StreamReconstructor {
         }
     }
 
-    /// End of stream — or of one log in a slower feed: pump what is queued,
-    /// close every open window, reconstruct those packets, and return the
-    /// full converged report set (in packet-id order) — identical to a
-    /// batch reconstruction of every record ever ingested. More records may
-    /// follow; they reopen their windows.
+    /// End of stream — or of one log in a slower feed: close every open
+    /// window, reconstruct those packets, and return the full converged
+    /// report set (in packet-id order) — identical to a batch reconstruction
+    /// of every record ever ingested. More records may follow; they reopen
+    /// their windows.
     pub fn finish(&mut self) -> Vec<PacketReport> {
-        self.pump();
         self.sweep(true, |_| {});
         self.reports()
     }
@@ -1171,34 +1124,15 @@ mod tests {
     }
 
     #[test]
-    fn a_full_lane_stalls_once_and_pumps_every_lane() {
-        let mut stream = StreamReconstructor::new(recon());
-        stream.ingest(hop_records(0, None)[1]);
-        for seq in 0..LANE_CAPACITY as u32 {
-            stream.ingest(hop_records(seq, None)[0]);
-        }
-        assert_eq!(stream.stats().backpressure, 0);
-        assert_eq!(stream.stats().records, 0, "lanes hold what they can");
-        // One record more than node 1's lane holds: both lanes drain first.
-        stream.ingest(hop_records(LANE_CAPACITY as u32, None)[0]);
-        assert_eq!(stream.stats().backpressure, 1);
-        assert_eq!(stream.stats().records, LANE_CAPACITY as u64 + 1);
-        stream.finish();
-        assert_eq!(stream.stats().records, LANE_CAPACITY as u64 + 2);
-    }
-
-    #[test]
     fn windows_close_by_record_quota() {
         let mut stream = eager(recon());
         let p0 = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p0, None));
-        stream.pump();
         assert!(stream.poll().is_empty(), "no contributor has advanced yet");
 
         // One more record from node 1 (another packet) moves its mark past
         // p0's contribution; p0's window closes, the new packet's stays open.
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 1), None));
-        stream.pump();
         let out = stream.poll();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet, p0);
@@ -1215,10 +1149,8 @@ mod tests {
         let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         let p0 = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Origin, p0, Some(10_000)));
-        stream.pump();
         assert!(stream.poll().is_empty());
         stream.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 1), Some(11_500)));
-        stream.pump();
         let out = stream.poll();
         assert_eq!(out.len(), 1, "node 1's clock moved 1.5ms past p0");
         assert_eq!(out[0].packet, p0);
@@ -1245,7 +1177,6 @@ mod tests {
         let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         let feed = |stream: &mut StreamReconstructor, recs: &[NodeRecord]| {
             recs.iter().for_each(|r| stream.ingest(*r));
-            stream.pump();
             let closed = stream.poll();
             closed.iter().map(|r| (r.packet.origin.0, r.packet.seqno)).collect::<Vec<_>>()
         };
@@ -1276,12 +1207,10 @@ mod tests {
         let p = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, Some(1_000)));
         stream.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 1), Some(2_000)));
-        stream.pump();
         assert!(stream.poll().is_empty(), "node 2 was never heard from");
         // Heard, but no hop links the two clocks yet.
         stream.ingest(rec(2, EventKind::Origin, PacketId::new(n(2), 0), Some(900_000)));
         stream.ingest(rec(2, EventKind::Origin, PacketId::new(n(2), 1), Some(990_000)));
-        stream.pump();
         let closed: Vec<PacketId> = stream.poll().iter().map(|r| r.packet).collect();
         assert!(!closed.contains(&p), "node 2 is not linked to node 1");
         assert_eq!(stream.clock_offset(n(1), n(2)), None);
@@ -1289,7 +1218,6 @@ mod tests {
         let mut untimed = eager(recon());
         untimed.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
         untimed.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 1), None));
-        untimed.pump();
         assert_eq!(untimed.poll().len(), 1);
     }
 
@@ -1311,7 +1239,6 @@ mod tests {
         }
         stream.ingest(rec(1, EventKind::Origin, PacketId::new(n(1), 2), Some(0)));
         stream.ingest(rec(2, EventKind::Origin, PacketId::new(n(2), 0), Some(0)));
-        stream.pump();
         assert_eq!(stream.clock_offset(n(1), n(2)), None);
         let closed: Vec<u32> = stream.poll().iter().map(|r| r.packet.seqno).collect();
         assert_eq!(closed, vec![0, 1]);
@@ -1323,7 +1250,6 @@ mod tests {
             let mut stream = StreamReconstructor::new(recon());
             for r in recs {
                 stream.ingest(*r);
-                stream.pump();
             }
             stream.clock_offset(n(1), n(2))
         };
@@ -1343,7 +1269,6 @@ mod tests {
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
         // Push node 1 past p's window and close it early.
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 9), None));
-        stream.pump();
         let early = stream.poll();
         assert_eq!(early.len(), 1);
         assert_eq!(early[0].flow.to_string(), "1-2 trans");
@@ -1351,7 +1276,6 @@ mod tests {
         // Node 2's evidence for p arrives late: the window reopens and the
         // final answer includes it.
         stream.ingest(rec(2, EventKind::Recv { from: n(1) }, p, None));
-        stream.pump();
         assert_eq!(stream.stats().windows_reopened, 1);
         let final_reports = stream.finish();
         let got = final_reports.iter().find(|r| r.packet == p).unwrap();
@@ -1399,7 +1323,6 @@ mod tests {
             let mut stream = StreamReconstructor::new(recon());
             for r in arrival {
                 stream.ingest(r);
-                stream.pump();
             }
             assert_eq!(stream.finish(), batch);
         }
@@ -1412,7 +1335,6 @@ mod tests {
         let mut feed = |stream: &mut StreamReconstructor, r: NodeRecord| {
             logs[usize::from(r.node.0) - 1].entries.push(r.entry);
             stream.ingest(r);
-            stream.pump();
             stream.poll();
         };
         for seq in 0..4 {
@@ -1438,7 +1360,6 @@ mod tests {
         let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 0), None));
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 1), None));
-        stream.pump();
         assert!(stream.poll().is_empty(), "no timestamps, no time-based close");
         assert_eq!(stream.open_windows(), 2);
     }
@@ -1451,20 +1372,13 @@ mod tests {
         let p = PacketId::new(n(1), 0);
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 1), None));
-        stream.pump();
         stream.poll();
         stream.ingest(rec(2, EventKind::Recv { from: n(1) }, p, None));
-        // One record more than a lane holds, all of one packet: one stall.
-        let q = PacketId::new(n(3), 0);
-        for _ in 0..=LANE_CAPACITY {
-            stream.ingest(rec(3, EventKind::Origin, q, None));
-        }
         stream.finish();
 
         let snap = recorder.snapshot();
-        assert_eq!(snap.counter("stream_records"), 4 + LANE_CAPACITY as u64);
-        assert_eq!(snap.counter("stream_backpressure"), 1, "node 3's lane stalled once");
-        assert_eq!(snap.counter("windows_closed"), 4, "p twice, the filler and q once");
+        assert_eq!(snap.counter("stream_records"), 3);
+        assert_eq!(snap.counter("windows_closed"), 3, "p twice, the filler once");
         assert_eq!(snap.counter("windows_reopened"), 1);
         assert!(snap.histogram("window_events").is_some());
         assert!(snap.stage("window").is_some());
@@ -1479,7 +1393,6 @@ mod tests {
             stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), seq), None));
         }
         stream.ingest(rec(1, EventKind::Trans { to: n(2) }, PacketId::new(n(1), 7), None));
-        stream.pump();
         let out = stream.poll();
         let seqs: Vec<u32> = out.iter().map(|r| r.packet.seqno).collect();
         assert_eq!(seqs, vec![1, 3, 5], "sweep order is packet-id order");
@@ -1511,7 +1424,6 @@ mod tests {
             let p = PacketId::new(n(1), seq);
             stream.ingest(rec(1, EventKind::Trans { to: n(2) }, p, None));
         }
-        stream.pump();
         ends.0.lock().unwrap().clear();
         assert_eq!(stream.poll().len(), 3);
         // The window span ends before the three reconstructions begin.
@@ -1574,7 +1486,6 @@ mod tests {
         for seq in 0..12 {
             stream.ingest(hop_records(seq, None)[0]);
             if seq % 3 == 2 {
-                stream.pump();
                 stream.poll();
                 in_step(&stream);
             }
@@ -1582,7 +1493,6 @@ mod tests {
         assert!(stream.stats().windows_closed > 0);
         for seq in 0..12 {
             stream.ingest(hop_records(seq, None)[1]);
-            stream.pump();
             stream.poll();
             in_step(&stream);
         }
@@ -1616,22 +1526,18 @@ mod tests {
     // every open window closes; these runs put that assertion through the
     // streams `stream_identity.rs` pins and through the edges of the rule.
 
-    /// Feed `recs`, polling every `every` records (pumping first when
-    /// `pump`), then finish. Returns the reports and the tests a scan of every
-    /// open window would have made at the sweeps that tested something.
+    /// Feed `recs`, polling every `every` records, then finish. Returns the
+    /// reports and the tests a scan of every open window would have made at
+    /// the sweeps that tested something.
     fn fed(
         mut stream: StreamReconstructor,
         recs: &[NodeRecord],
         every: usize,
-        pump: bool,
     ) -> (StreamReconstructor, Vec<PacketReport>, u64) {
         let mut scanned = 0;
         for (i, rec) in recs.iter().enumerate() {
             stream.ingest(*rec);
             if (i + 1) % every == 0 {
-                if pump {
-                    stream.pump();
-                }
                 let (open, tests) = (stream.open_windows(), stream.stats().window_tests);
                 stream.poll();
                 if stream.stats().window_tests > tests {
@@ -1652,9 +1558,9 @@ mod tests {
                 let recs = records(which as u64, 300, arrival, stamps);
                 let expected = batch(&reconstructor(which), &recs);
                 for lateness in latenesses() {
-                    for (every, pump) in [(1, false), (7, false), (64, false), (16, true)] {
+                    for every in [1, 7, 16, 64] {
                         let stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
-                        let (stream, reports, scans) = fed(stream, &recs, every, pump);
+                        let (stream, reports, scans) = fed(stream, &recs, every);
                         assert!(reports == expected, "{arrival:?}, {stamps:?}, {lateness:?}, {every}");
                         tests += stream.stats().window_tests;
                         closed += stream.stats().windows_closed;
@@ -1684,7 +1590,7 @@ mod tests {
                             rewrite_clocks(&mut recs, Clocks::SteppingBack, &mut rng);
                         }
                         let stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
-                        let (_, reports, _) = fed(stream, &recs, 5, true);
+                        let (_, reports, _) = fed(stream, &recs, 5);
                         let what = format!("{lateness:?}, {arrival:?}, {stamps:?}");
                         assert!(reports == batch(&reconstructor(which), &recs), "{what}");
                     }
@@ -1704,7 +1610,7 @@ mod tests {
                 rewrite_clocks(&mut recs, clocks, &mut rng);
                 for lateness in latenesses() {
                     let stream = StreamReconstructor::with_lateness(reconstructor(which), lateness);
-                    let (_, reports, _) = fed(stream, &recs, 3, true);
+                    let (_, reports, _) = fed(stream, &recs, 3);
                     assert!(reports == expected, "{arrival:?}, {clocks:?}, {lateness:?}");
                 }
                 // Log by log, in a shuffled order, with a finish after each.
@@ -1715,7 +1621,6 @@ mod tests {
                     for (i, entry) in log.entries.iter().enumerate() {
                         stream.ingest(NodeRecord::new(log.node, *entry));
                         if i % 4 == 3 {
-                            stream.pump();
                             stream.poll();
                         }
                     }
@@ -1739,7 +1644,7 @@ mod tests {
                 rewrite_clocks(&mut recs, clocks, &mut rng);
                 recs = upload_order(&node_logs(&recs));
             }
-            let (stream, reports, scanned) = fed(StreamReconstructor::new(recon()), &recs, 64, true);
+            let (stream, reports, scanned) = fed(StreamReconstructor::new(recon()), &recs, 64);
             assert!(reports == expected, "{clocks:?}");
             let tests = stream.stats().window_tests;
             assert!(tests * 3 < scanned, "{clocks:?}: {tests} window tests, a scan {scanned}");

@@ -94,7 +94,6 @@ fn a_reclosing_window_reuses_its_report() {
                 PacketId::new(n(9), node.into()),
             ));
         }
-        stream.pump();
         // Room is made here, so that noting a close requests nothing.
         let mut closed = Vec::with_capacity(4);
         let ((), requests) = requests_during(|| {
@@ -145,7 +144,7 @@ fn a_reclosing_window_reuses_its_report() {
 }
 
 /// `run_stream` over `Scenario::small()`'s upload stream: 53 553 records,
-/// 2 092 packets, 2 177 window closes (85 of them re-closes) with the default
+/// 2 092 packets, 2 176 window closes (84 of them re-closes) with the default
 /// configuration.
 ///
 /// Requests per run on two workers: 165 600 on the commit before reports
@@ -154,7 +153,8 @@ fn a_reclosing_window_reuses_its_report() {
 /// 62 000 after, when a window closed once every contributor had moved on
 /// (11 344 closes); 47 600 since a window also waits for the peers its
 /// evidence names; 48 100 since a sweep tests only the windows it woke (the
-/// node table's threshold FIFOs and the pairs' waits grow as they fill).
+/// node table's threshold FIFOs and the pairs' waits grow as they fill);
+/// 49 600 since `ingest` absorbs each record at once.
 /// What is left: the converged set `finish()` clones, every window's event
 /// vector as it grows, each report's first vectors and their regrowth, and
 /// the sweeps' extra worker, which starts each sweep with cold kernel

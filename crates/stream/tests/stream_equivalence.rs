@@ -104,8 +104,7 @@ fn batch_reports(logs: &[LocalLog]) -> Vec<PacketReport> {
 }
 
 /// Encode `records`, feed the bytes through the frame decoder in the given
-/// chunk sizes, stream with the given lateness, pump and poll as we go,
-/// flush.
+/// chunk sizes, stream with the given lateness, poll as we go, flush.
 fn stream_chunked(
     records: &[NodeRecord],
     chunks: &[usize],
@@ -132,7 +131,6 @@ fn stream_chunked(
             stream.ingest(rec);
             absorbed += 1;
             if absorbed.is_multiple_of(poll_every.max(1)) {
-                stream.pump();
                 let _ = stream.poll();
             }
         }
@@ -203,7 +201,6 @@ fn sequential_lanes_force_reopens_and_still_converge() {
         let mut stream = StreamReconstructor::with_lateness(recon(), lateness);
         for rec in &records {
             stream.ingest(*rec);
-            stream.pump();
             let _ = stream.poll();
         }
         let streamed = stream.finish();

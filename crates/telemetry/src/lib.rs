@@ -70,11 +70,11 @@ pub enum Counter {
     /// unknown version, or undecodable payload).
     FramesCorrupt,
     /// Event records absorbed into the stream reconstructor's packet
-    /// windows (counted when a pump drains them from their lane, not when
-    /// they enter it).
+    /// windows, each as `ingest` receives it.
     StreamRecords,
-    /// Records that found their node's lane full: each pumps every lane
-    /// before it is queued, so no record is refused or dropped.
+    /// Decoded batches the threaded stream driver found its bounded channel
+    /// full for: each waits until reconstruction takes one, so no record is
+    /// refused or dropped.
     StreamBackpressure,
     /// Packet windows closed (watermark passage or lateness timeout).
     WindowsClosed,
@@ -180,7 +180,7 @@ pub enum Stage {
     Decode,
     /// Stream close sweeps: finding the windows every contributor has
     /// moved past. Excludes the reconstructions the sweep triggers and the
-    /// reports it hands out; pumping lanes is not timed.
+    /// reports it hands out; absorbing records is not timed.
     Window,
 }
 

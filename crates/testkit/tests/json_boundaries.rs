@@ -85,10 +85,11 @@ fn round_trip<T: ToJson + FromJson + PartialEq + Debug>(x: &T) -> Vec<String> {
 fn corpus() -> Vec<String> {
     let mut docs = Vec::new();
 
-    // Packet reports, alone and as a list.
-    docs.extend(round_trip(&sample_reports()));
+    // Packet reports, alone and as a list: written only, nothing reads a
+    // report back.
+    docs.extend(texts(&sample_reports().to_json()));
     for report in sample_reports() {
-        docs.extend(round_trip(&report));
+        docs.extend(texts(&report.to_json()));
     }
 
     // The one report field the samples leave empty.
@@ -173,55 +174,6 @@ fn every_boundary_type_round_trips_through_both_writers() {
     );
 }
 
-#[test]
-fn decoders_refuse_documents_that_would_break_their_invariants() {
-    let report = &sample_reports()[0];
-    let good = report.to_json();
-    let edit = |path: &[&str], with: Json| {
-        fn set(v: &mut Json, path: &[&str], with: Json) {
-            let Json::Obj(fields) = v else {
-                panic!("not an object")
-            };
-            let slot = &mut fields
-                .iter_mut()
-                .find(|(k, _)| k == path[0])
-                .expect("the key")
-                .1;
-            match path.len() {
-                1 => *slot = with,
-                _ => set(slot, &path[1..], with),
-            }
-        }
-        let mut doc = good.clone();
-        set(&mut doc, path, with);
-        doc
-    };
-    assert!(PacketReport::from_json(&good).is_ok());
-    // Origins run beside the entries; edges tile the edge vector and point
-    // backwards; every entry names an engine.
-    for bad in [
-        edit(&["origins"], Json::Arr(vec![])),
-        edit(&["engines"], Json::Arr(vec![])),
-        edit(&["flow", "deps"], Json::Arr(vec![Json::U64(0); 64])),
-        edit(&["flow", "deps"], Json::Arr(vec![])),
-        edit(
-            &["flow", "deps"],
-            Json::Arr(vec![
-                Json::U64(7);
-                good["flow"]["deps"].as_array().unwrap().len()
-            ]),
-        ),
-        edit(&["delivered"], Json::U64(1)),
-        edit(&["packet"], Json::Null),
-    ] {
-        assert!(
-            PacketReport::from_json(&bad).is_err(),
-            "{}",
-            bad.to_compact().unwrap()
-        );
-    }
-}
-
 /// What a parse may cost: the value tree is at most a few dozen bytes per
 /// input byte (a two-byte `1,` becomes a 32-byte `Json`, and a growing
 /// vector asks for its doubled size again).
@@ -242,11 +194,6 @@ fn parse_and_decode(bytes: &[u8]) {
         match parsed {
             Err(e) => assert!(e.offset <= bytes.len(), "{e}"),
             Ok(v) => {
-                let _ = PacketReport::from_json(&v).map(|r| {
-                    (0..r.flow.len())
-                        .map(|i| r.flow.deps_of(i).len())
-                        .sum::<usize>()
-                });
                 let _ = TelemetrySnapshot::from_json(&v);
                 let _ = Scenario::from_json(&v);
             }
